@@ -1,24 +1,38 @@
 //! Per-connection protocol machinery shared by both frontends.
 //!
 //! The wire behavior of a connection — line framing, the observe
-//! micro-batcher, `BATCH` framing, error handling — lives here exactly
-//! once. The threaded frontend (`serve_lines`, driven by blocking
-//! reads with a poll deadline) and the reactor frontend (the `reactor`
-//! module, driven by readiness events) both feed bytes through the same
-//! [`LineAccumulator`] and dispatch complete lines through the same
-//! `process_line`, so their responses are bit-identical by construction
-//! (`tests/serve_smoke.rs` pins this).
+//! micro-batcher, deferred `PREDICT`/`ADMIT` replies, `BATCH` framing,
+//! error handling — lives here exactly once. The threaded frontend
+//! (`serve_lines`, driven by blocking reads with a poll deadline) and the
+//! reactor frontend (the `reactor` module, driven by readiness events)
+//! both feed bytes through the same [`LineAccumulator`] and dispatch
+//! complete lines through the same `process_line`, so their responses are
+//! bit-identical by construction (`tests/serve_smoke.rs` pins this).
+//!
+//! **Reads are begun, then settled.** A `PREDICT` that misses the cache,
+//! or an `ADMIT`, is enqueued on its shard without waiting (*begin*); the
+//! replies of a whole read burst are collected afterwards in request order
+//! (*settle*, in `end_burst`), so the shard workers compute while the
+//! frontend is still parsing and the frontend blocks a few times per burst
+//! instead of once per read. From the first pending read on, every later
+//! response of the connection is held back in a side buffer so that
+//! nothing overtakes it; with no read pending, responses go straight to
+//! the frontend's writer.
 
 use crate::fault::FaultStream;
 use crate::proto::{parse_batch_header, ErrCode, ProtoScratch, Request, Response, MAX_LINE_BYTES};
 use crate::server::{dispatch, shutting_down, Shared, STOP_POLL};
-use crate::shard::{ObserveChunk, ObserveItem, SendFail, ShardMsg, ShardPool, OBS_CHUNK};
+use crate::shard::{
+    MachineKey, ObserveChunk, ObserveItem, SendFail, ShardMsg, ShardPool, MAX_PENDING_READS,
+    OBS_CHUNK,
+};
 use oc_telemetry::trace;
 use oc_trace::time::Tick;
 use std::fmt;
 use std::io::{BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -128,16 +142,74 @@ impl LineAccumulator {
     }
 }
 
+/// One `PREDICT`/`ADMIT` enqueued on its shard whose reply has not been
+/// collected yet.
+struct PendingRead {
+    rx: Receiver<Response>,
+    /// `(key, generation)` a successful `PREDICT` is cached under: the
+    /// generation read *before* the enqueue, so a racing observe can only
+    /// turn a later hit into a miss. `None` for `ADMIT`.
+    store: Option<(MachineKey, u64)>,
+    /// Offset in [`Deferred::held`] where this read's response belongs.
+    at: usize,
+}
+
+/// The reads a connection has begun but not yet settled, and the
+/// responses held back behind them.
+#[derive(Default)]
+pub(crate) struct Deferred {
+    /// Pending reads in request order; at most [`MAX_PENDING_READS`].
+    reads: Vec<PendingRead>,
+    /// Every response produced since the first pending read, in order,
+    /// minus the awaited replies themselves ([`PendingRead::at`] marks
+    /// where each belongs). Empty whenever `reads` is.
+    held: Vec<u8>,
+}
+
+impl Deferred {
+    /// No read is pending: the frontend may go back to waiting for input.
+    pub(crate) fn is_settled(&self) -> bool {
+        self.reads.is_empty()
+    }
+
+    /// Response bytes held back behind pending reads.
+    pub(crate) fn held_len(&self) -> usize {
+        self.held.len()
+    }
+
+    /// Appends `n` copies of `bytes` to the response stream: straight to
+    /// the frontend's writer, or — while a read is pending — to the
+    /// held-back buffer, so nothing overtakes the awaited reply.
+    fn emit_n<W: Write>(&mut self, writer: &mut W, bytes: &[u8], n: usize) -> std::io::Result<()> {
+        if self.reads.is_empty() {
+            for _ in 0..n {
+                writer.write_all(bytes)?;
+            }
+        } else {
+            for _ in 0..n {
+                self.held.extend_from_slice(bytes);
+            }
+        }
+        Ok(())
+    }
+
+    fn emit<W: Write>(&mut self, writer: &mut W, bytes: &[u8]) -> std::io::Result<()> {
+        self.emit_n(writer, bytes, 1)
+    }
+}
+
 /// Per-connection reusable state: the parse scratch, the response encode
-/// buffer, the observe micro-batcher, and `BATCH` framing progress. All
-/// buffers are recycled line over line, so the steady-state request path
-/// performs no per-request heap allocation.
+/// buffer, the observe micro-batcher, the deferred reads, and `BATCH`
+/// framing progress. All buffers are recycled line over line, so the
+/// steady-state `OBSERVE` path performs no per-request heap allocation.
 pub(crate) struct ConnState {
     pub(crate) scratch: ProtoScratch,
     pub(crate) out: Vec<u8>,
     pub(crate) chunk: Box<ObserveChunk>,
     /// Shard the current chunk routes to (meaningful when `chunk.len > 0`).
     pub(crate) chunk_shard: usize,
+    /// Reads begun but not yet settled, and the responses held behind them.
+    pub(crate) deferred: Deferred,
     /// Sub-request lines still expected in the current `BATCH` frame.
     pub(crate) batch_left: usize,
     /// A chunk of the current `BATCH` frame was rejected `BUSY`: every
@@ -169,12 +241,26 @@ impl ConnState {
             out: Vec::with_capacity(256),
             chunk: Box::new(ObserveChunk::new()),
             chunk_shard: 0,
+            deferred: Deferred::default(),
             batch_left: 0,
             frame_busy: false,
             route_memo: None,
             own_version: u64::MAX,
             ownership: None,
         }
+    }
+
+    /// Encodes `resp` with its newline and appends it to the connection's
+    /// response stream, behind any pending read.
+    pub(crate) fn respond<W: Write>(
+        &mut self,
+        writer: &mut W,
+        resp: &Response,
+    ) -> std::io::Result<()> {
+        self.out.clear();
+        resp.encode_into(&mut self.out);
+        self.out.push(b'\n');
+        self.deferred.emit(writer, &self.out)
     }
 }
 
@@ -197,19 +283,6 @@ fn cached_role(
     }
 }
 
-/// Encodes `resp` into the recycled buffer and writes it with its
-/// newline.
-pub(crate) fn write_resp<W: Write>(
-    writer: &mut W,
-    out: &mut Vec<u8>,
-    resp: &Response,
-) -> std::io::Result<()> {
-    out.clear();
-    resp.encode_into(out);
-    out.push(b'\n');
-    writer.write_all(out)
-}
-
 /// Enqueues the pending observe chunk (if any) and writes the deferred
 /// acknowledgements, one per sample, in order. `try_send` is all-or-
 /// nothing for the chunk: on `BUSY` every sample is answered `BUSY` and
@@ -217,7 +290,7 @@ pub(crate) fn write_resp<W: Write>(
 /// partial overlap of a retried run is harmless). Generation stripes are
 /// bumped strictly after a successful enqueue and before the `OK`s are
 /// written — the predict cache's read-your-writes edge.
-pub(crate) fn flush_chunk<W: Write>(
+fn flush_chunk<W: Write>(
     state: &mut ConnState,
     writer: &mut W,
     pool: &ShardPool,
@@ -274,11 +347,9 @@ pub(crate) fn flush_chunk<W: Write>(
             for (stripe, n) in &runs[..n_runs] {
                 shared.cache.bump_n(*stripe, *n);
             }
-            for _ in 0..len {
-                writer.write_all(b"OK\n")?;
-            }
+            state.deferred.emit_n(writer, b"OK\n", len)?;
         }
-        Err(SendFail::Busy) => {
+        Err((SendFail::Busy, _)) => {
             shared.busy.add(len as u64);
             trace::event("serve.busy", shard as u64, len as u64);
             // Poison the rest of the current frame (if any): later
@@ -287,14 +358,12 @@ pub(crate) fn flush_chunk<W: Write>(
             if state.batch_left > 0 {
                 state.frame_busy = true;
             }
-            for _ in 0..len {
-                writer.write_all(b"BUSY\n")?;
-            }
+            state.deferred.emit_n(writer, b"BUSY\n", len)?;
         }
-        Err(SendFail::Closed) => {
+        Err((SendFail::Closed, _)) => {
             let resp = shutting_down();
             for _ in 0..len {
-                write_resp(writer, &mut state.out, &resp)?;
+                state.respond(writer, &resp)?;
             }
         }
     }
@@ -320,7 +389,7 @@ pub(crate) fn process_line<W: Write>(
         shared.parse_errors.inc();
         state.batch_left = state.batch_left.saturating_sub(1);
         let resp = parse_err(&"request line is not valid UTF-8");
-        write_resp(writer, &mut state.out, &resp)?;
+        state.respond(writer, &resp)?;
         return Ok(true);
     };
     let line = line.trim_end_matches(['\r', '\n']);
@@ -344,7 +413,7 @@ pub(crate) fn process_line<W: Write>(
                 state.out.clear();
                 crate::proto::encode_batchr_header_into(n, &mut state.out);
                 state.out.push(b'\n');
-                writer.write_all(&state.out)?;
+                state.deferred.emit(writer, &state.out)?;
                 return Ok(true);
             }
             Err(e) => {
@@ -354,7 +423,7 @@ pub(crate) fn process_line<W: Write>(
                 flush_chunk(state, writer, pool, shared)?;
                 shared.parse_errors.inc();
                 let resp = parse_err(&e);
-                write_resp(writer, &mut state.out, &resp)?;
+                state.respond(writer, &resp)?;
                 return Ok(false);
             }
         }
@@ -364,7 +433,7 @@ pub(crate) fn process_line<W: Write>(
             flush_chunk(state, writer, pool, shared)?;
             shared.parse_errors.inc();
             let resp = parse_err(&e);
-            write_resp(writer, &mut state.out, &resp)?;
+            state.respond(writer, &resp)?;
             Ok(true)
         }
         Ok(Request::Observe {
@@ -384,7 +453,7 @@ pub(crate) fn process_line<W: Write>(
             if cached_role(state, shared, &key) == crate::config::KeyRole::Remote {
                 flush_chunk(state, writer, pool, shared)?;
                 let resp = crate::server::not_mine(shared);
-                write_resp(writer, &mut state.out, &resp)?;
+                state.respond(writer, &resp)?;
                 return Ok(true);
             }
             // An earlier chunk of this frame was rejected: the rest of
@@ -392,7 +461,7 @@ pub(crate) fn process_line<W: Write>(
             // here — a poisoning flush answered and cleared it).
             if state.frame_busy {
                 shared.busy.inc();
-                writer.write_all(b"BUSY\n")?;
+                state.deferred.emit(writer, b"BUSY\n")?;
                 return Ok(true);
             }
             let shard = match &state.route_memo {
@@ -411,7 +480,7 @@ pub(crate) fn process_line<W: Write>(
                 // after it, permuting replies within the BATCHR frame.
                 if state.frame_busy {
                     shared.busy.inc();
-                    writer.write_all(b"BUSY\n")?;
+                    state.deferred.emit(writer, b"BUSY\n")?;
                     return Ok(true);
                 }
             }
@@ -453,20 +522,23 @@ pub(crate) fn process_line<W: Write>(
                 _ => "SHUTDOWN",
             };
             let resp = parse_err(&format_args!("{verb} is not allowed inside BATCH"));
-            write_resp(writer, &mut state.out, &resp)?;
+            state.respond(writer, &resp)?;
             Ok(true)
         }
         Ok(Request::Handoff) => {
             shared.requests.handoff.inc();
             // The pending chunk flushes first so the dump reflects every
-            // sample this connection already had acknowledged.
+            // sample this connection already had acknowledged; pending
+            // reads settle first so the dump, which can be the whole
+            // ingest history, streams out instead of being held back.
             flush_chunk(state, writer, pool, shared)?;
+            settle(state, writer, shared)?;
             if !shared.cfg.handoff_log {
                 let resp = Response::Err {
                     code: ErrCode::Internal,
                     detail: "handoff log disabled on this server".to_string(),
                 };
-                write_resp(writer, &mut state.out, &resp)?;
+                state.respond(writer, &resp)?;
                 return Ok(true);
             }
             match crate::server::collect_handoff(pool) {
@@ -480,7 +552,7 @@ pub(crate) fn process_line<W: Write>(
                         .out
                         .extend_from_slice(entries.len().to_string().as_bytes());
                     state.out.push(b'\n');
-                    writer.write_all(&state.out)?;
+                    state.deferred.emit(writer, &state.out)?;
                     for e in entries {
                         let req = Request::Observe {
                             cell: e.key.0,
@@ -494,23 +566,183 @@ pub(crate) fn process_line<W: Write>(
                         state.out.clear();
                         req.encode_into(&mut state.out);
                         state.out.push(b'\n');
-                        writer.write_all(&state.out)?;
+                        state.deferred.emit(writer, &state.out)?;
                     }
                 }
-                Err(resp) => write_resp(writer, &mut state.out, &resp)?,
+                Err(resp) => state.respond(writer, &resp)?,
             }
             Ok(true)
         }
-        Ok(req) => {
+        Ok(Request::Predict {
+            cell,
+            machine,
+            vector,
+        }) => {
             // Ordering: every coalesced sample must be enqueued before a
             // PREDICT/ADMIT/STATS sees the shard, so a connection always
             // reads its own acknowledged writes.
             flush_chunk(state, writer, pool, shared)?;
+            shared.requests.predict.inc();
+            let key = (cell, machine);
+            // Reads are served by the owner and (for failover) the ring
+            // successor; a key some other process owns is redirected.
+            if cached_role(state, shared, &key) == crate::config::KeyRole::Remote {
+                let resp = crate::server::not_mine(shared);
+                state.respond(writer, &resp)?;
+                return Ok(true);
+            }
+            // Both shapes share the cache; a hit must match the query's
+            // shape (scalar vs per-lane vector). The generation is read
+            // before the enqueue and the result is stored under it at
+            // settle, so the stamp can only ever be conservative: a
+            // sample racing in after this read forces a later miss, never
+            // a stale hit. (That includes this connection's own burst: a
+            // second PREDICT of a machine whose first is still pending
+            // misses too.)
+            let gen = shared.cache.generation(shared.cache.stripe_of(&key));
+            if let Some(resp) = shared.cache.lookup(&key, gen, vector) {
+                shared.cache.hits.inc();
+                state.respond(writer, &resp)?;
+                return Ok(true);
+            }
+            shared.cache.misses.inc();
+            begin_read(state, writer, pool, shared, key, Some(gen), |key, reply| {
+                ShardMsg::Predict {
+                    key,
+                    vector,
+                    reply,
+                    enqueued: Instant::now(),
+                }
+            })?;
+            Ok(true)
+        }
+        Ok(Request::Admit {
+            cell,
+            machine,
+            limit,
+        }) => {
+            flush_chunk(state, writer, pool, shared)?;
+            shared.requests.admit.inc();
+            let key = (cell, machine);
+            if cached_role(state, shared, &key) == crate::config::KeyRole::Remote {
+                let resp = crate::server::not_mine(shared);
+                state.respond(writer, &resp)?;
+                return Ok(true);
+            }
+            begin_read(state, writer, pool, shared, key, None, |key, reply| {
+                ShardMsg::Admit {
+                    key,
+                    limit,
+                    reply,
+                    enqueued: Instant::now(),
+                }
+            })?;
+            Ok(true)
+        }
+        Ok(req) => {
+            flush_chunk(state, writer, pool, shared)?;
             let resp = dispatch(req, pool, shared);
-            write_resp(writer, &mut state.out, &resp)?;
+            state.respond(writer, &resp)?;
             Ok(true)
         }
     }
+}
+
+/// Enqueues a read of `key` on its shard without waiting for the reply,
+/// which [`settle`] collects later, in request order; `cache_gen` is the
+/// generation a successful `PREDICT` is cached under (`None` for `ADMIT`).
+/// On a full queue the connection's own pending reads are settled and the
+/// enqueue retried once before answering `BUSY`: they may be what fills
+/// the queue, and a connection must not be refused because of its own
+/// burst.
+fn begin_read<W: Write>(
+    state: &mut ConnState,
+    writer: &mut W,
+    pool: &ShardPool,
+    shared: &Shared,
+    key: MachineKey,
+    cache_gen: Option<u64>,
+    msg: impl FnOnce(MachineKey, SyncSender<Response>) -> ShardMsg,
+) -> std::io::Result<()> {
+    let shard = pool.route(&key);
+    let store = cache_gen.map(|gen| (key.clone(), gen));
+    let (reply, rx) = sync_channel(1);
+    let sent = match pool.try_send(shard, msg(key, reply)) {
+        Err((SendFail::Busy, msg)) if !state.deferred.reads.is_empty() => {
+            settle(state, writer, shared)?;
+            pool.try_send(shard, msg)
+        }
+        sent => sent,
+    };
+    match sent {
+        Ok(()) => {
+            shared.read_deferred.inc();
+            let at = state.deferred.held.len();
+            state.deferred.reads.push(PendingRead { rx, store, at });
+            if state.deferred.reads.len() == MAX_PENDING_READS {
+                settle(state, writer, shared)?;
+            }
+            Ok(())
+        }
+        Err((SendFail::Busy, _)) => {
+            shared.busy.inc();
+            trace::event("serve.busy", shard as u64, 0);
+            state.respond(writer, &Response::Busy)
+        }
+        Err((SendFail::Closed, _)) => state.respond(writer, &shutting_down()),
+    }
+}
+
+/// Collects the replies of every pending read in request order and writes
+/// them out interleaved with the responses held back behind them;
+/// successful `PREDICT`s enter the cache under their pre-enqueue
+/// generation. This is the one place a frontend waits for a shard.
+fn settle<W: Write>(state: &mut ConnState, writer: &mut W, shared: &Shared) -> std::io::Result<()> {
+    let Deferred { reads, held } = &mut state.deferred;
+    if reads.is_empty() {
+        return Ok(());
+    }
+    shared.read_settles.inc();
+    let _wait = trace::span("serve.settle");
+    let out = &mut state.out;
+    let mut written = 0;
+    // A failed write drops the remaining receivers with the drain (the
+    // workers tolerate that), so no pending read outlives this call.
+    let result = reads
+        .drain(..)
+        .try_for_each(|read| {
+            let resp = read.rx.recv().unwrap_or_else(|_| shutting_down());
+            if let (Response::Pred { peak, mem }, Some((key, gen))) = (&resp, read.store) {
+                // Only successful predictions are cached; unknown-machine
+                // errors must re-check the shard (an ADMIT may create the
+                // machine at any time).
+                shared.cache.store(key, gen, *peak, *mem);
+            }
+            writer.write_all(&held[written..read.at])?;
+            written = read.at;
+            out.clear();
+            resp.encode_into(out);
+            out.push(b'\n');
+            writer.write_all(out)
+        })
+        .and_then(|()| writer.write_all(&held[written..]));
+    held.clear();
+    result
+}
+
+/// Ends a read burst: enqueues the pending observe chunk, then settles the
+/// pending reads. Both frontends call this whenever they run out of
+/// complete lines, before they flush the writer and wait for more input —
+/// so no deferred acknowledgement and no pending read ever outlives the
+/// frontend call that created it.
+pub(crate) fn end_burst<W: Write>(
+    state: &mut ConnState,
+    writer: &mut W,
+    pool: &ShardPool,
+    shared: &Shared,
+) -> std::io::Result<()> {
+    flush_chunk(state, writer, pool, shared)?;
+    settle(state, writer, shared)
 }
 
 /// The `ERR parse` response for an unterminated over-long line.
@@ -585,6 +817,10 @@ pub(crate) fn serve_lines<R: Read, W: Write>(
             // already queued on the shards is still drained and counted.
             break;
         }
+        debug_assert!(
+            state.deferred.is_settled(),
+            "a pending read outlived its burst"
+        );
         match read_half.read(&mut buf) {
             Ok(0) => {
                 // A trailing fragment without a newline is a truncated
@@ -599,8 +835,10 @@ pub(crate) fn serve_lines<R: Read, W: Write>(
             Ok(n) => {
                 last_activity = Instant::now();
                 let fed = acc.feed(&buf[..n], |line| {
-                    // Spans the whole request: parse, shard round-trip,
-                    // and response encode. Inert unless tracing is on.
+                    // Spans one line: parse, then enqueue, cache answer
+                    // or response encode. A read's shard round trip is
+                    // not in here — `serve.settle` covers that wait.
+                    // Inert unless tracing is on.
                     let req_span = trace::span("serve.request");
                     let keep = process_line(line, &mut state, &mut writer, pool, shared)?;
                     drop(req_span);
@@ -610,15 +848,20 @@ pub(crate) fn serve_lines<R: Read, W: Write>(
                     Feed::More => {
                         // Requests that arrived in one chunk were
                         // coalesced; the pipeline has now run dry —
-                        // enqueue the pending chunk and push every
-                        // response out.
-                        flush_chunk(&mut state, &mut writer, pool, shared)?;
+                        // enqueue the pending chunk, collect the pending
+                        // reads and push every response out.
+                        end_burst(&mut state, &mut writer, pool, shared)?;
                         writer.flush()?;
                     }
-                    Feed::Close => return writer.flush(), // cannot resync
+                    Feed::Close => {
+                        // Cannot resync. The closing answer may sit
+                        // behind pending reads.
+                        end_burst(&mut state, &mut writer, pool, shared)?;
+                        return writer.flush();
+                    }
                     Feed::Oversize => {
-                        flush_chunk(&mut state, &mut writer, pool, shared)?;
-                        write_resp(&mut writer, &mut state.out, &oversize_resp())?;
+                        end_burst(&mut state, &mut writer, pool, shared)?;
+                        state.respond(&mut writer, &oversize_resp())?;
                         writer.flush()?;
                         break; // Cannot resynchronize: close.
                     }
@@ -630,12 +873,12 @@ pub(crate) fn serve_lines<R: Read, W: Write>(
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                flush_chunk(&mut state, &mut writer, pool, shared)?;
+                end_burst(&mut state, &mut writer, pool, shared)?;
                 writer.flush()?;
                 if last_activity.elapsed() >= shared.cfg.idle_timeout {
                     shared.timeouts.inc();
                     trace::event("serve.conn.idle_close", 0, 0);
-                    write_resp(&mut writer, &mut state.out, &idle_resp())?;
+                    state.respond(&mut writer, &idle_resp())?;
                     return writer.flush();
                 }
             }
@@ -643,7 +886,7 @@ pub(crate) fn serve_lines<R: Read, W: Write>(
             Err(e) => return Err(e),
         }
     }
-    flush_chunk(&mut state, &mut writer, pool, shared)?;
+    end_burst(&mut state, &mut writer, pool, shared)?;
     writer.flush()
 }
 
@@ -651,7 +894,6 @@ pub(crate) fn serve_lines<R: Read, W: Write>(
 mod tests {
     use super::*;
     use crate::config::ServeConfig;
-    use crate::server::Server;
     use oc_trace::ids::{CellId, JobId, MachineId, TaskId};
     use std::sync::mpsc::sync_channel;
 
@@ -681,8 +923,8 @@ mod tests {
         loop {
             match pool.try_send(0, filler(1, tick)) {
                 Ok(()) => tick += 1,
-                Err(SendFail::Busy) => return,
-                Err(SendFail::Closed) => panic!("shard worker died"),
+                Err((SendFail::Busy, _)) => return,
+                Err((SendFail::Closed, _)) => panic!("shard worker died"),
             }
         }
     }
@@ -697,7 +939,7 @@ mod tests {
         let metrics = oc_telemetry::MetricsRegistry::new();
         let depth_gauge = metrics.gauge("serve.shard.queue_depth.0");
         let pool = ShardPool::new(&cfg, &metrics).unwrap();
-        let shared = Server::test_shared(&cfg, metrics);
+        let shared = Shared::new(&cfg, metrics, 0);
 
         // Park the worker deterministically, no sleeps: two rendezvous
         // PREDICTs. The worker parks in the first reply.send; receiving
@@ -715,8 +957,8 @@ mod tests {
         loop {
             match pool.try_send(0, filler(1, 9_999)) {
                 Ok(()) => break,
-                Err(SendFail::Busy) => std::thread::yield_now(),
-                Err(SendFail::Closed) => panic!("shard worker died"),
+                Err((SendFail::Busy, _)) => std::thread::yield_now(),
+                Err((SendFail::Closed, _)) => panic!("shard worker died"),
             }
         }
         fill_until_busy(&pool);
@@ -767,12 +1009,464 @@ mod tests {
         )
         .unwrap());
         // End of the read burst: the pending chunk flushes (Feed::More).
-        flush_chunk(&mut state, &mut out, &pool, &shared).unwrap();
+        end_burst(&mut state, &mut out, &pool, &shared).unwrap();
         assert_eq!(
             String::from_utf8(out).unwrap(),
             "BATCHR 2\nOK\nOK\n",
             "the poison is frame-scoped: the next frame is clean"
         );
         pool.shutdown();
+    }
+
+    /// A shard pool and the server state over it, on one registry, for
+    /// driving `process_line` directly.
+    fn harness(cfg: &ServeConfig) -> (ShardPool, Shared) {
+        let metrics = oc_telemetry::MetricsRegistry::new();
+        let pool = ShardPool::new(cfg, &metrics).unwrap();
+        (pool, Shared::new(cfg, metrics, 0))
+    }
+
+    /// One connection driven line by line; `end` is the end of a read
+    /// burst, where a frontend would flush and go back to waiting.
+    struct Driver<'a> {
+        state: ConnState,
+        out: Vec<u8>,
+        pool: &'a ShardPool,
+        shared: &'a Shared,
+    }
+
+    impl<'a> Driver<'a> {
+        fn new(pool: &'a ShardPool, shared: &'a Shared) -> Driver<'a> {
+            Driver {
+                state: ConnState::new(),
+                out: Vec::new(),
+                pool,
+                shared,
+            }
+        }
+
+        fn line(&mut self, line: &str) {
+            let keep = process_line(
+                line.as_bytes(),
+                &mut self.state,
+                &mut self.out,
+                self.pool,
+                self.shared,
+            );
+            assert!(keep.unwrap(), "{line} closed the connection");
+        }
+
+        fn end(&mut self) {
+            end_burst(&mut self.state, &mut self.out, self.pool, self.shared).unwrap();
+            assert!(self.state.deferred.is_settled());
+            assert_eq!(self.state.deferred.held_len(), 0);
+        }
+
+        /// The response lines written so far; clears them.
+        fn take(&mut self) -> Vec<String> {
+            let text = String::from_utf8(std::mem::take(&mut self.out)).unwrap();
+            text.lines().map(str::to_string).collect()
+        }
+    }
+
+    /// While a read waits on its shard, no byte of any later response
+    /// reaches the writer; once the shard answers, everything appears in
+    /// request order.
+    #[test]
+    fn nothing_overtakes_a_pending_read() {
+        let cfg = ServeConfig::default().with_shards(1);
+        let (pool, shared) = harness(&cfg);
+        // Park the worker, no sleeps: it blocks in this rendezvous reply
+        // and cannot reach anything queued behind it until `parked` is
+        // received.
+        let (reply, parked) = sync_channel::<Response>(0);
+        pool.send(0, predict(reply)).unwrap();
+
+        let mut conn = Driver::new(&pool, &shared);
+        conn.line("OBSERVE c 7 1:0 0.2 0.5 0");
+        conn.line("PREDICT c 7"); // flushes the chunk, then pends
+        conn.line("OBSERVE c 7 1:0 0.3 0.5 1");
+        conn.line("NONSENSE"); // flushes the chunk: OK + ERR, both held
+        conn.line("ADMIT c 7 0.1"); // second pending read
+        conn.line("BATCH 2"); // BATCHR header, held
+        conn.line("OBSERVE c 7 1:1 0.1 0.25 2"); // a second task
+        conn.line("PREDICT c 7"); // generation moved: third pending read
+        conn.line("PREDICT c 7 *"); // fourth: the vector slot is cold
+        assert_eq!(
+            conn.out, b"OK\n",
+            "only what precedes the first pending read may be written"
+        );
+        assert_eq!(conn.state.deferred.reads.len(), 4);
+        assert_eq!(shared.read_deferred.get(), 4);
+        assert_eq!(shared.read_settles.get(), 0);
+
+        parked.recv().unwrap();
+        conn.end();
+        let got = conn.take();
+        let shape: Vec<&str> = got
+            .iter()
+            .map(|l| l.split(' ').next().unwrap_or(""))
+            .collect();
+        assert_eq!(
+            shape,
+            ["OK", "PRED", "OK", "ERR", "ADMITTED", "BATCHR", "OK", "PRED", "PRED"],
+            "{got:?}"
+        );
+        assert_ne!(got[1], got[7], "the second PREDICT saw the new task");
+        assert_eq!(shared.read_settles.get(), 1);
+        pool.shutdown();
+    }
+
+    /// The pending list is capped: a burst with more reads than
+    /// [`MAX_PENDING_READS`] settles when it reaches the cap, not only at
+    /// its end.
+    #[test]
+    fn a_burst_longer_than_the_cap_settles_early() {
+        let cfg = ServeConfig::default().with_shards(2);
+        let (pool, shared) = harness(&cfg);
+        let mut conn = Driver::new(&pool, &shared);
+        for m in 0..MAX_PENDING_READS + 5 {
+            conn.line(&format!("ADMIT c {m} 0.1"));
+        }
+        assert_eq!(shared.read_settles.get(), 1);
+        assert_eq!(conn.state.deferred.reads.len(), 5);
+        assert_eq!(conn.take().len(), MAX_PENDING_READS);
+        conn.end();
+        let rest = conn.take();
+        assert_eq!(rest.len(), 5);
+        assert!(
+            rest.iter().all(|l| l.starts_with("ADMITTED yes ")),
+            "{rest:?}"
+        );
+        assert_eq!(shared.read_settles.get(), 2);
+        assert_eq!(shared.read_deferred.get() as usize, MAX_PENDING_READS + 5);
+        pool.shutdown();
+    }
+
+    /// A connection's own reads never earn it a `BUSY`: with room for two
+    /// messages on the queue, a burst of 32 reads settles what is pending
+    /// and retries whenever the queue is full.
+    #[test]
+    fn own_reads_never_answer_busy_on_a_tiny_queue() {
+        let cfg = ServeConfig::default().with_shards(1).with_queue_depth(2);
+        let metrics = oc_telemetry::MetricsRegistry::new();
+        let depth_gauge = metrics.gauge("serve.shard.queue_depth.0");
+        let pool = ShardPool::new(&cfg, &metrics).unwrap();
+        let shared = Shared::new(&cfg, metrics, 0);
+        // Park the worker (no sleeps) and wait until it has taken the
+        // parking message off the queue, so exactly two reads fit and the
+        // third finds the queue full with two of its own pending.
+        let (reply, parked) = sync_channel::<Response>(0);
+        pool.send(0, predict(reply)).unwrap();
+        while depth_gauge.get() != 0 {
+            std::thread::yield_now();
+        }
+        let mut conn = Driver::new(&pool, &shared);
+        std::thread::scope(|scope| {
+            // Release the worker only once the connection is inside its
+            // first settle, i.e. after the full queue was met.
+            let settles = &shared.read_settles;
+            scope.spawn(move || {
+                while settles.get() == 0 {
+                    std::thread::yield_now();
+                }
+                parked.recv().unwrap();
+            });
+            for m in 0..32 {
+                conn.line(&format!("ADMIT c {m} 0.1"));
+            }
+            conn.end();
+        });
+        let got = conn.take();
+        assert_eq!(got.len(), 32);
+        assert!(
+            got.iter().all(|l| l.starts_with("ADMITTED yes ")),
+            "{got:?}"
+        );
+        assert_eq!(shared.busy.get(), 0);
+        assert_eq!(shared.read_deferred.get(), 32);
+        assert!(
+            shared.read_settles.get() >= 2,
+            "the full queue was never met"
+        );
+        pool.shutdown();
+    }
+
+    /// `PREDICT m` / `OBSERVE m` / `PREDICT m` in one burst: the second
+    /// read sees the observe, both answers are bit-identical to an offline
+    /// recompute, the stale first result does not poison the cache, and a
+    /// third `PREDICT m` in the next burst is a hit with the second
+    /// value's bits.
+    fn predicts_around_an_observe_in_one_burst(vector: bool) {
+        use oc_core::ingest::IncrementalView;
+        use oc_core::predictor::{clamp_prediction, clamp_prediction_lane};
+        use oc_stats::resource::{Res2, CPU, MEM};
+
+        let cfg = ServeConfig::default().with_shards(1);
+        let (pool, shared) = harness(&cfg);
+        let predictor = cfg.predictor.build().unwrap();
+        let mut view =
+            IncrementalView::new(cfg.machine_capacity, &cfg.sim).with_max_gap(cfg.max_tick_gap);
+        let star = if vector { " *" } else { "" };
+        let predict_line = format!("PREDICT c 3{star}");
+        // One task per tick; the task of tick 10 is new, so the answer
+        // moves even inside the predictor's warm-up.
+        let sample = |tick: u64| {
+            let task = TaskId::new(JobId(1), u32::from(tick == 10));
+            (task, 0.1 + tick as f64 / 64.0, 0.3 + tick as f64 / 128.0)
+        };
+        let observe = |view: &mut IncrementalView, tick: u64| {
+            let (task, usage, limit) = sample(tick);
+            let mem = vector.then_some((usage / 2.0, limit * 1.5));
+            match mem {
+                Some((mu, ml)) => view.ingest_vec(
+                    Tick(tick),
+                    task,
+                    Res2::from_lanes([limit, ml]),
+                    Res2::from_lanes([usage, mu]),
+                ),
+                None => view.ingest(Tick(tick), task, limit, usage),
+            }
+            .unwrap();
+            let req = Request::Observe {
+                cell: CellId::new("c"),
+                machine: MachineId(3),
+                task,
+                usage,
+                limit,
+                mem,
+                tick,
+            };
+            req.encode()
+        };
+        let mut conn = Driver::new(&pool, &shared);
+        for tick in 0..10 {
+            conn.line(&observe(&mut view, tick));
+        }
+        conn.end();
+        assert_eq!(conn.take(), vec!["OK"; 10]);
+
+        // What the shard worker computes, from the same samples.
+        let offline = |view: &mut IncrementalView| {
+            view.flush();
+            let v = view.view();
+            if vector {
+                Response::Pred {
+                    peak: clamp_prediction_lane(predictor.predict_lane(v, CPU), v, CPU),
+                    mem: Some(clamp_prediction_lane(
+                        predictor.predict_lane(v, MEM),
+                        v,
+                        MEM,
+                    )),
+                }
+            } else {
+                Response::Pred {
+                    peak: clamp_prediction(predictor.predict(v), v),
+                    mem: None,
+                }
+            }
+        };
+        let before = offline(&mut view);
+        conn.line(&predict_line);
+        conn.line(&observe(&mut view, 10));
+        let after = offline(&mut view);
+        conn.line(&predict_line);
+        conn.end();
+        let got = conn.take();
+        assert_eq!(got, [before.encode(), "OK".to_string(), after.encode()]);
+        assert_ne!(before, after, "the observe must move the prediction");
+        assert_eq!((shared.cache.hits.get(), shared.cache.misses.get()), (0, 2));
+
+        conn.line(&predict_line);
+        assert_eq!(conn.take(), [after.encode()], "a hit needs no settle");
+        assert_eq!((shared.cache.hits.get(), shared.cache.misses.get()), (1, 2));
+
+        // An observe enqueued while a read is pending: the read's result
+        // is cached under the generation read before its enqueue, so the
+        // next burst misses and sees the newer sample.
+        conn.line(&observe(&mut view, 11));
+        let stale = offline(&mut view);
+        conn.line(&predict_line);
+        conn.line(&observe(&mut view, 12));
+        conn.end();
+        assert_eq!(
+            conn.take(),
+            ["OK".to_string(), stale.encode(), "OK".to_string()]
+        );
+        let fresh = offline(&mut view);
+        conn.line(&predict_line);
+        conn.end();
+        assert_eq!(conn.take(), [fresh.encode()]);
+        assert_eq!((shared.cache.hits.get(), shared.cache.misses.get()), (1, 4));
+        pool.shutdown();
+    }
+
+    #[test]
+    fn scalar_predicts_around_an_observe_in_one_burst() {
+        predicts_around_an_observe_in_one_burst(false);
+    }
+
+    #[test]
+    fn vector_predicts_around_an_observe_in_one_burst() {
+        predicts_around_an_observe_in_one_burst(true);
+    }
+
+    /// Reads check ownership through the connection's version-stamped
+    /// snapshot, not the global lock — and a `RINGSET` that moves a key
+    /// away still redirects the very next read of an open connection.
+    #[test]
+    fn ringset_redirects_the_next_read_on_an_open_connection() {
+        use crate::config::{KeyRole, OwnershipFactory, OwnershipMap};
+        // One node owns every key; under any larger ring this process
+        // owns none.
+        let factory = OwnershipFactory::new(|nodes, _, _| {
+            Some(OwnershipMap::new(move |_| match nodes {
+                1 => KeyRole::Owner,
+                _ => KeyRole::Remote,
+            }))
+        });
+        let cfg = ServeConfig::default()
+            .with_shards(1)
+            .with_ownership(factory.build(1, 8, 0).unwrap())
+            .with_ownership_factory(factory);
+        let (pool, shared) = harness(&cfg);
+        let mut conn = Driver::new(&pool, &shared);
+        conn.line("OBSERVE c 1 1:0 0.2 0.5 0");
+        conn.line("PREDICT c 1");
+        conn.line("ADMIT c 1 0.1");
+        conn.line("RINGSET 2 8 0 1 -");
+        conn.line("PREDICT c 1");
+        conn.line("ADMIT c 1 0.1");
+        conn.line("PREDICT c 1 *");
+        conn.end();
+        let got = conn.take();
+        let shape: Vec<String> = got
+            .iter()
+            .map(|l| l.split(' ').take(2).collect::<Vec<_>>().join(" "))
+            .collect();
+        assert_eq!(
+            shape[..4],
+            ["OK", "PRED 0.5", "ADMITTED yes", "OK"],
+            "{got:?}"
+        );
+        assert_eq!(shape[4..], ["ERR not-mine"; 3], "{got:?}");
+        assert_eq!(shared.not_mine.get(), 3);
+        assert_eq!(
+            shared.read_deferred.get(),
+            2,
+            "redirected reads reach no shard"
+        );
+        pool.shutdown();
+    }
+
+    /// Renders generated `(kind, machine, value)` triples into a wire
+    /// payload: scalar and vector `OBSERVE`s on advancing ticks, both
+    /// `PREDICT` forms, `ADMIT`, reads of never-observed machines,
+    /// malformed lines, and complete `BATCH` frames over any of those. A
+    /// malformed `BATCH` header (which closes the connection) ends the
+    /// payload. Returns the payload and the number of response lines it
+    /// must draw.
+    fn render(ops: &[(u32, u32, f64)]) -> (Vec<u8>, usize) {
+        let mut wire = Vec::new();
+        let mut ticks = [0u64; 4];
+        let mut frame_left = 0usize;
+        for (i, &(kind, m, v)) in ops.iter().enumerate() {
+            let in_frame = frame_left > 0;
+            frame_left = frame_left.saturating_sub(1);
+            let tick = ticks[m as usize];
+            let line = match kind % 16 {
+                0..=2 => {
+                    ticks[m as usize] += 1;
+                    format!("OBSERVE c {m} 1:{} {v} 0.5 {tick}", kind % 2)
+                }
+                3 | 4 => {
+                    ticks[m as usize] += 1;
+                    format!("OBSERVE c {m} 1:0 {v},{} 0.5,0.6 {tick}", v / 2.0)
+                }
+                5 | 6 => format!("PREDICT c {m}"),
+                7 | 8 => format!("PREDICT c {m} *"),
+                9 | 10 => format!("ADMIT c {m} {v}"),
+                11 => format!("PREDICT c 9{m}"),
+                12 => format!("NONSENSE {m}"),
+                13 => format!("OBSERVE c {m}"),
+                // Not batchable: a recoverable per-line `ERR parse`.
+                14 if in_frame => "STATS".to_string(),
+                14 if i + 1 == ops.len() => "BATCH-LESS".to_string(),
+                14 => {
+                    frame_left = (1 + (v * 16.0) as usize).min(ops.len() - i - 1);
+                    format!("BATCH {frame_left}")
+                }
+                // One kind in 64: the unrecoverable header. Answered,
+                // then the connection closes and the rest is never read.
+                _ if kind == 63 && !in_frame => {
+                    wire.extend_from_slice(b"BATCH x\n");
+                    return (wire, i + 1);
+                }
+                // Not UTF-8: a recoverable `ERR parse`.
+                _ => {
+                    wire.extend_from_slice(b"PREDICT c \xff\xfe\n");
+                    continue;
+                }
+            };
+            wire.extend_from_slice(line.as_bytes());
+            wire.push(b'\n');
+        }
+        (wire, ops.len())
+    }
+
+    /// Serves `chunks` the way a frontend serves reads: every complete
+    /// line through `process_line`, a burst end after every chunk.
+    fn serve<'a>(chunks: impl Iterator<Item = &'a [u8]>) -> Vec<u8> {
+        let cfg = ServeConfig::default().with_shards(2);
+        let (pool, shared) = harness(&cfg);
+        let mut state = ConnState::new();
+        let mut acc = LineAccumulator::new();
+        let mut out = Vec::new();
+        for chunk in chunks {
+            let fed = acc
+                .feed(chunk, |line| {
+                    process_line(line, &mut state, &mut out, &pool, &shared)
+                })
+                .unwrap();
+            end_burst(&mut state, &mut out, &pool, &shared).unwrap();
+            assert!(state.deferred.is_settled());
+            if fed != Feed::More {
+                break;
+            }
+        }
+        pool.shutdown();
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// However the transport cuts the input into read bursts, the
+        /// response stream is byte-identical to serving the same input
+        /// one line per burst — the synchronous reference, where at most
+        /// one read is ever pending and nothing is held back.
+        #[test]
+        fn deferred_replies_match_the_line_at_a_time_reference(
+            ops in proptest::collection::vec((0u32..64, 0u32..4, 0.0f64..0.5), 1..80),
+            cuts in proptest::collection::vec(0u64..400, 0..12),
+        ) {
+            let (wire, responses) = render(&ops);
+            let reference = serve(wire.split_inclusive(|&b| b == b'\n'));
+            proptest::prop_assert_eq!(
+                reference.iter().filter(|&&b| b == b'\n').count(),
+                responses,
+                "one response line per request line"
+            );
+            let mut chunks = Vec::new();
+            let mut rest = &wire[..];
+            for &cut in &cuts {
+                let (head, tail) = rest.split_at((cut as usize + 1).min(rest.len()));
+                chunks.push(head);
+                rest = tail;
+            }
+            chunks.push(rest);
+            let served = serve(chunks.into_iter());
+            proptest::prop_assert_eq!(served, reference);
+        }
     }
 }

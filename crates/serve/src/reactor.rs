@@ -44,8 +44,7 @@
 //! the shard pool's single-owner drain invariant is preserved.
 
 use crate::conn::{
-    flush_chunk, idle_resp, oversize_resp, process_line, write_resp, ConnState, Feed,
-    LineAccumulator,
+    end_burst, idle_resp, oversize_resp, process_line, ConnState, Feed, LineAccumulator,
 };
 use crate::fault::FaultStream;
 use crate::server::Shared;
@@ -397,7 +396,16 @@ impl ReactorThread {
             return; // closed earlier in this batch
         };
         match self.drive(&mut conn, readable, writable) {
-            Ok(()) => self.conns[slot] = Some(conn),
+            Ok(()) => {
+                // Nothing waits on a shard while this thread waits in the
+                // poller: the deadline sweep, idle close and shutdown
+                // never meet a pending read.
+                debug_assert!(
+                    conn.state.deferred.is_settled(),
+                    "a pending read outlived its burst"
+                );
+                self.conns[slot] = Some(conn);
+            }
             Err(Close::Now) => self.close(slot, conn),
         }
     }
@@ -446,6 +454,9 @@ impl ReactorThread {
                     let pool = &self.pool;
                     let shared = &self.shared;
                     let fed = acc.feed(&self.scratch[..n], |line| {
+                        // One line: parse, then enqueue, cache answer or
+                        // response encode; a read's shard round trip is
+                        // under `serve.settle`, not here.
                         let req_span = trace::span("serve.request");
                         let keep = process_line(line, state, outbuf, pool, shared)?;
                         drop(req_span);
@@ -459,14 +470,16 @@ impl ReactorThread {
                         }
                         Ok(Feed::Oversize) => {
                             let RConn { state, outbuf, .. } = conn;
-                            let _ = flush_chunk(state, outbuf, &self.pool, &self.shared);
-                            let _ = write_resp(outbuf, &mut state.out, &oversize_resp());
+                            let _ = end_burst(state, outbuf, &self.pool, &self.shared);
+                            let _ = state.respond(outbuf, &oversize_resp());
                             conn.draining = true;
                             break;
                         }
                         Err(_) => return Err(Close::Now),
                     }
-                    if conn.pending() > OUTBUF_HIGH_WATER {
+                    // Responses held back behind pending reads are output
+                    // too; they join `outbuf` at the settle below.
+                    if conn.pending() + conn.state.deferred.held_len() > OUTBUF_HIGH_WATER {
                         break; // backpressure: stop reading until drained
                     }
                 }
@@ -476,10 +489,11 @@ impl ReactorThread {
             }
         }
         // The readable burst has run dry: enqueue the pending observe
-        // chunk so its acknowledgements join the output buffer (the
-        // reactor analog of the threaded frontend's dry-pipeline flush).
+        // chunk and collect the pending reads, so every response of the
+        // burst joins the output buffer in request order (the reactor
+        // analog of the threaded frontend's dry-pipeline flush).
         let RConn { state, outbuf, .. } = conn;
-        let _ = flush_chunk(state, outbuf, &self.pool, &self.shared);
+        let _ = end_burst(state, outbuf, &self.pool, &self.shared);
         Ok(())
     }
 
@@ -573,8 +587,8 @@ impl ReactorThread {
             trace::event("serve.conn.idle_close", 0, 0);
             {
                 let RConn { state, outbuf, .. } = &mut conn;
-                let _ = flush_chunk(state, outbuf, &self.pool, &self.shared);
-                let _ = write_resp(outbuf, &mut state.out, &idle_resp());
+                let _ = end_burst(state, outbuf, &self.pool, &self.shared);
+                let _ = state.respond(outbuf, &idle_resp());
             }
             conn.draining = true;
             match self
@@ -597,7 +611,7 @@ impl ReactorThread {
             };
             {
                 let RConn { state, outbuf, .. } = &mut conn;
-                let _ = flush_chunk(state, outbuf, &self.pool, &self.shared);
+                let _ = end_burst(state, outbuf, &self.pool, &self.shared);
             }
             let _ = self.try_write(&mut conn);
             let _ = self.poller.deregister(conn.fd);

@@ -8,7 +8,9 @@
 //! owning shard worker (see [`crate::shard`]) and write exactly one
 //! response line per request, in request order, so clients may pipeline
 //! freely; their wire behavior is bit-identical (`tests/serve_smoke.rs`
-//! pins this).
+//! pins this). The reads of one pipelined burst are enqueued without
+//! waiting and their replies collected in order afterwards (`conn`), so
+//! they run concurrently on the shards.
 //!
 //! `OBSERVE` is acknowledged on *enqueue* (`OK` means "accepted for
 //! ingestion", not "applied"): ingestion outcomes of a fire-and-forget
@@ -43,22 +45,22 @@
 //! died mid-write cannot ingest a half request.
 
 use crate::accept::{accept_loop, accept_poller, FrontendRuntime};
-use crate::config::{KeyRole, OwnershipMap, RingInfo, ServeConfig};
+use crate::config::{OwnershipMap, RingInfo, ServeConfig};
 use crate::error::ServeError;
 use crate::fault::FaultCounters;
 use crate::proto::{pack_epoch, ErrCode, Request, Response, StatsSnapshot};
 use crate::reactor::ReactorPool;
-use crate::shard::{key_hash, HandoffEntry, MachineKey, SendFail, ShardMsg, ShardPool};
+use crate::shard::{key_hash, HandoffEntry, MachineKey, ShardMsg, ShardPool};
 use oc_telemetry::metrics::{encode_exposition, HistogramSnapshot};
-use oc_telemetry::{trace, Counter, Gauge, MetricsRegistry};
+use oc_telemetry::{Counter, Gauge, MetricsRegistry};
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::sync_channel;
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How often the threaded frontend's blocking reads time out to re-check
 /// the stop flag and the idle deadline. (The accept loop and the reactor
@@ -109,8 +111,15 @@ pub(crate) struct Shared {
     pub(crate) batch_coalesced: Arc<Counter>,
     /// Frontend `PREDICT` result cache.
     pub(crate) cache: PredictCache,
-    /// Requests answered `ERR not-mine` because the key's [`KeyRole`] is
-    /// [`KeyRole::Remote`] under the cluster ring
+    /// `PREDICT`/`ADMIT` reads enqueued on a shard without waiting for
+    /// the reply (`serve.read.deferred`).
+    pub(crate) read_deferred: Arc<Counter>,
+    /// Settles that had at least one pending read to collect
+    /// (`serve.read.settles`); `deferred ÷ settles` is how many shard
+    /// round trips one frontend wait covers.
+    pub(crate) read_settles: Arc<Counter>,
+    /// Requests answered `ERR not-mine` because the key's role is
+    /// [`KeyRole::Remote`](crate::config::KeyRole::Remote) under the cluster ring
     /// (`serve.cluster.not_mine`).
     pub(crate) not_mine: Arc<Counter>,
     /// Server identity stamp: process start (unix seconds) packed with
@@ -141,6 +150,58 @@ pub(crate) struct Shared {
     /// Set when a client sent `SHUTDOWN`; wakes [`Server::wait`].
     pub(crate) shutdown_requested: Mutex<bool>,
     pub(crate) shutdown_cv: Condvar,
+}
+
+impl Shared {
+    /// Registers every server-level metric on `metrics` and snapshots the
+    /// connection settings and ring state out of `cfg`. `metrics` must be
+    /// the registry the [`ShardPool`] was built on, so shard gauges and
+    /// server counters share one namespace.
+    pub(crate) fn new(cfg: &ServeConfig, metrics: MetricsRegistry, epoch_start: u64) -> Shared {
+        Shared {
+            stop: AtomicBool::new(false),
+            busy: metrics.counter("serve.busy"),
+            timeouts: metrics.counter("serve.timeouts"),
+            conn_rejects: metrics.counter("serve.conn_rejects"),
+            accept_errors: metrics.counter("serve.accept.errors"),
+            connections: metrics.gauge("serve.connections"),
+            reactor_wakeups: metrics.counter("serve.reactor.wakeups"),
+            reactor_conns: metrics.gauge("serve.reactor.conns_active"),
+            reactor_writes_blocked: metrics.counter("serve.reactor.writes_blocked"),
+            parse_errors: metrics.counter("serve.parse_errors"),
+            requests: RequestCounters::new(&metrics),
+            batch_requests: metrics.counter("serve.batch.requests"),
+            batch_coalesced: metrics.counter("serve.batch.coalesced"),
+            cache: PredictCache::new(&metrics),
+            read_deferred: metrics.counter("serve.read.deferred"),
+            read_settles: metrics.counter("serve.read.settles"),
+            not_mine: metrics.counter("serve.cluster.not_mine"),
+            epoch: AtomicU64::new(pack_epoch(epoch_start, cfg.ring_generation)),
+            epoch_start,
+            ring: Mutex::new(RingState {
+                info: cfg.ring_info,
+                generation: cfg.ring_generation,
+                addrs: Vec::new(),
+            }),
+            ownership: Mutex::new(cfg.ownership.clone()),
+            ring_version: AtomicU64::new(0),
+            metrics,
+            faults: Arc::new(FaultCounters::default()),
+            registry: Registry::default(),
+            cfg: ConnSettings {
+                idle_timeout: cfg.idle_timeout,
+                write_timeout: cfg.write_timeout,
+                max_connections: cfg.max_connections,
+                faults: cfg.faults.clone(),
+                frontend: cfg.frontend,
+                reactor_threads_effective: cfg.effective_reactor_threads(),
+                handoff_log: cfg.handoff_log,
+                ownership_factory: cfg.ownership_factory.clone(),
+            },
+            shutdown_requested: Mutex::new(false),
+            shutdown_cv: Condvar::new(),
+        }
+    }
 }
 
 /// Mutable cluster-ring description, replaced online by `RINGSET`.
@@ -196,10 +257,10 @@ const GEN_STRIPES: usize = 1024;
 /// Every successfully *enqueued* observe bumps its machine's generation
 /// stripe (bump strictly after the enqueue, before the `OK` is written,
 /// so a connection's own predicts always see its own acknowledged
-/// samples). A predict reads the generation *before* dispatching to the
-/// shard and stores the computed peak stamped with that generation; a
-/// later predict whose current generation still matches is served the
-/// stored bits without the queue hop. A matching generation proves no
+/// samples). A predict reads the generation *before* it is enqueued on
+/// the shard, and when its reply is collected the computed peak is stored
+/// stamped with that generation; a later predict whose current generation
+/// still matches is served the stored bits without the queue hop. A matching generation proves no
 /// sample was enqueued for the stripe since the stored value was
 /// computed, and predictions are a pure function of ingested state — so
 /// a hit is bit-identical to what the shard would recompute, preserving
@@ -471,47 +532,7 @@ impl Server {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0);
-        let shared = Arc::new(Shared {
-            stop: AtomicBool::new(false),
-            busy: metrics.counter("serve.busy"),
-            timeouts: metrics.counter("serve.timeouts"),
-            conn_rejects: metrics.counter("serve.conn_rejects"),
-            accept_errors: metrics.counter("serve.accept.errors"),
-            connections: metrics.gauge("serve.connections"),
-            reactor_wakeups: metrics.counter("serve.reactor.wakeups"),
-            reactor_conns: metrics.gauge("serve.reactor.conns_active"),
-            reactor_writes_blocked: metrics.counter("serve.reactor.writes_blocked"),
-            parse_errors: metrics.counter("serve.parse_errors"),
-            requests: RequestCounters::new(&metrics),
-            batch_requests: metrics.counter("serve.batch.requests"),
-            batch_coalesced: metrics.counter("serve.batch.coalesced"),
-            cache: PredictCache::new(&metrics),
-            not_mine: metrics.counter("serve.cluster.not_mine"),
-            epoch: AtomicU64::new(pack_epoch(epoch_start, cfg.ring_generation)),
-            epoch_start,
-            ring: Mutex::new(RingState {
-                info: cfg.ring_info,
-                generation: cfg.ring_generation,
-                addrs: Vec::new(),
-            }),
-            ownership: Mutex::new(cfg.ownership.clone()),
-            ring_version: AtomicU64::new(0),
-            metrics,
-            faults: Arc::new(FaultCounters::default()),
-            registry: Registry::default(),
-            cfg: ConnSettings {
-                idle_timeout: cfg.idle_timeout,
-                write_timeout: cfg.write_timeout,
-                max_connections: cfg.max_connections,
-                faults: cfg.faults.clone(),
-                frontend: cfg.frontend,
-                reactor_threads_effective: cfg.effective_reactor_threads(),
-                handoff_log: cfg.handoff_log,
-                ownership_factory: cfg.ownership_factory.clone(),
-            },
-            shutdown_requested: Mutex::new(false),
-            shutdown_cv: Condvar::new(),
-        });
+        let shared = Arc::new(Shared::new(&cfg, metrics, epoch_start));
 
         // Readiness-driven accept: the thread sleeps until a connection
         // arrives or the waker fires at shutdown — no stop-poll interval.
@@ -544,57 +565,6 @@ impl Server {
             reactor,
             shared,
         })
-    }
-
-    /// Builds a [`Shared`] for driving `process_line` directly in unit
-    /// tests (no listener, no frontend threads). Mirrors the
-    /// [`Server::start`] construction; the caller supplies the registry
-    /// its [`ShardPool`] was built on so shard gauges and connection
-    /// counters share one metrics namespace.
-    #[cfg(test)]
-    pub(crate) fn test_shared(cfg: &ServeConfig, metrics: MetricsRegistry) -> Shared {
-        let epoch_start = 0;
-        Shared {
-            stop: AtomicBool::new(false),
-            busy: metrics.counter("serve.busy"),
-            timeouts: metrics.counter("serve.timeouts"),
-            conn_rejects: metrics.counter("serve.conn_rejects"),
-            accept_errors: metrics.counter("serve.accept.errors"),
-            connections: metrics.gauge("serve.connections"),
-            reactor_wakeups: metrics.counter("serve.reactor.wakeups"),
-            reactor_conns: metrics.gauge("serve.reactor.conns_active"),
-            reactor_writes_blocked: metrics.counter("serve.reactor.writes_blocked"),
-            parse_errors: metrics.counter("serve.parse_errors"),
-            requests: RequestCounters::new(&metrics),
-            batch_requests: metrics.counter("serve.batch.requests"),
-            batch_coalesced: metrics.counter("serve.batch.coalesced"),
-            cache: PredictCache::new(&metrics),
-            not_mine: metrics.counter("serve.cluster.not_mine"),
-            epoch: AtomicU64::new(pack_epoch(epoch_start, cfg.ring_generation)),
-            epoch_start,
-            ring: Mutex::new(RingState {
-                info: cfg.ring_info,
-                generation: cfg.ring_generation,
-                addrs: Vec::new(),
-            }),
-            ownership: Mutex::new(cfg.ownership.clone()),
-            ring_version: AtomicU64::new(0),
-            metrics,
-            faults: Arc::new(FaultCounters::default()),
-            registry: Registry::default(),
-            cfg: ConnSettings {
-                idle_timeout: cfg.idle_timeout,
-                write_timeout: cfg.write_timeout,
-                max_connections: cfg.max_connections,
-                faults: cfg.faults.clone(),
-                frontend: cfg.frontend,
-                reactor_threads_effective: cfg.effective_reactor_threads(),
-                handoff_log: cfg.handoff_log,
-                ownership_factory: cfg.ownership_factory.clone(),
-            },
-            shutdown_requested: Mutex::new(false),
-            shutdown_cv: Condvar::new(),
-        }
     }
 
     /// The bound address (useful with an ephemeral port).
@@ -704,77 +674,17 @@ pub(crate) fn reject_over_cap(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.write_all(b"\n");
 }
 
+/// Answers a control verb. The data plane never comes through here:
+/// `OBSERVE` is micro-batched, `PREDICT`/`ADMIT` are begun and settled,
+/// and `HANDOFF`'s multi-line dump is streamed, all by the connection
+/// layer (`conn::process_line`).
 pub(crate) fn dispatch(req: Request, pool: &ShardPool, shared: &Shared) -> Response {
     match req {
-        Request::Observe { .. } => {
-            // Observes are coalesced by `process_line` and enqueued via
-            // `flush_chunk`; routing one here would skip the generation
-            // bump and poison the predict cache.
-            unreachable!("OBSERVE is handled by the connection micro-batcher")
-        }
-        Request::Predict {
-            cell,
-            machine,
-            vector,
-        } => {
-            shared.requests.predict.inc();
-            let key = (cell, machine);
-            // Reads are served by the owner and (for failover) the ring
-            // successor; a key some other process owns is redirected.
-            if role_of(shared, &key) == KeyRole::Remote {
-                return not_mine(shared);
-            }
-            // Both shapes share the cache; a hit must match the query's
-            // shape (scalar vs per-lane vector), which [`CacheSlot`]
-            // keys on. The generation is read before the shard dispatch,
-            // so the stored stamp can only ever be conservative (a sample
-            // racing in after this read forces a later miss, never a
-            // stale hit) — and an observe on either lane arrives as the
-            // same `OBSERVE` line, so one stripe bump invalidates both
-            // shapes at once.
-            let stripe = shared.cache.stripe_of(&key);
-            let gen = shared.cache.generation(stripe);
-            if let Some(resp) = shared.cache.lookup(&key, gen, vector) {
-                shared.cache.hits.inc();
-                return resp;
-            }
-            shared.cache.misses.inc();
-            let shard = pool.route(&key);
-            let (reply, rx) = sync_channel(1);
-            let msg = ShardMsg::Predict {
-                key: key.clone(),
-                vector,
-                reply,
-                enqueued: Instant::now(),
-            };
-            let resp = request_reply(pool, shard, msg, rx, shared);
-            if let Response::Pred { peak, mem } = resp {
-                // Only successful predictions are cached; unknown-machine
-                // errors must re-check the shard (an ADMIT may create the
-                // machine at any time).
-                shared.cache.store(key, gen, peak, mem);
-            }
-            resp
-        }
-        Request::Admit {
-            cell,
-            machine,
-            limit,
-        } => {
-            shared.requests.admit.inc();
-            let key = (cell, machine);
-            if role_of(shared, &key) == KeyRole::Remote {
-                return not_mine(shared);
-            }
-            let shard = pool.route(&key);
-            let (reply, rx) = sync_channel(1);
-            let msg = ShardMsg::Admit {
-                key,
-                limit,
-                reply,
-                enqueued: Instant::now(),
-            };
-            request_reply(pool, shard, msg, rx, shared)
+        Request::Observe { .. }
+        | Request::Predict { .. }
+        | Request::Admit { .. }
+        | Request::Handoff => {
+            unreachable!("data-plane verbs and HANDOFF are handled by the connection layer")
         }
         Request::Stats => {
             shared.requests.stats.inc();
@@ -849,12 +759,6 @@ pub(crate) fn dispatch(req: Request, pool: &ShardPool, shared: &Shared) -> Respo
         } => {
             shared.requests.ring_set.inc();
             install_ring(shared, nodes, vnodes, seed, generation, addrs)
-        }
-        Request::Handoff => {
-            // The dump is a multi-line response (`HANDOFF <n>` plus n
-            // OBSERVE lines); `process_line` streams it directly, like
-            // it micro-batches OBSERVE.
-            unreachable!("HANDOFF is handled by the connection layer")
         }
         Request::Shutdown => {
             shared.requests.shutdown.inc();
@@ -951,88 +855,57 @@ fn install_ring(
     Response::Ok
 }
 
+/// Puts one question to every shard at once and collects the answers in
+/// shard order, so a control verb costs the slowest shard's round trip,
+/// not the sum of them. Blocking send: control verbs are rare and must
+/// not be starved out by a full queue; they queue behind pending work.
+fn ask_every_shard<T>(
+    pool: &ShardPool,
+    question: impl Fn(SyncSender<T>) -> ShardMsg,
+) -> Result<Vec<T>, Response> {
+    let mut replies = Vec::with_capacity(pool.shards());
+    for shard in 0..pool.shards() {
+        let (reply, rx) = sync_channel(1);
+        if pool.send(shard, question(reply)).is_err() {
+            return Err(shutting_down());
+        }
+        replies.push(rx);
+    }
+    replies
+        .into_iter()
+        .enumerate()
+        .map(|(shard, rx)| {
+            rx.recv_timeout(Duration::from_secs(10))
+                .map_err(|_| Response::Err {
+                    code: ErrCode::Internal,
+                    detail: format!("shard {shard} did not answer"),
+                })
+        })
+        .collect()
+}
+
 /// Collects every shard's handoff log for a `HANDOFF` dump, in shard
 /// order. Per-machine sample order is preserved: a machine lives on
 /// exactly one shard and each shard's log is append-only.
 pub(crate) fn collect_handoff(pool: &ShardPool) -> Result<Vec<HandoffEntry>, Response> {
-    let mut all = Vec::new();
-    for shard in 0..pool.shards() {
-        let (reply, rx) = sync_channel(1);
-        if pool.send(shard, ShardMsg::Handoff { reply }).is_err() {
-            return Err(shutting_down());
-        }
-        match rx.recv_timeout(Duration::from_secs(10)) {
-            Ok(mut entries) => all.append(&mut entries),
-            Err(_) => {
-                return Err(Response::Err {
-                    code: ErrCode::Internal,
-                    detail: format!("shard {shard} did not answer"),
-                })
-            }
-        }
-    }
-    Ok(all)
+    let logs = ask_every_shard(pool, |reply| ShardMsg::Handoff { reply })?;
+    Ok(logs.into_iter().flatten().collect())
 }
 
 /// Collects and merges every shard's metrics snapshot (the `STATS` /
-/// `METRICS` read path). Blocking send: snapshots are rare and must not
-/// be starved out by a full queue; they queue behind pending work.
+/// `METRICS` read path).
 fn merge_shard_metrics(pool: &ShardPool) -> Result<crate::metrics::ShardMetrics, Response> {
     let mut merged = crate::metrics::ShardMetrics::default();
-    for shard in 0..pool.shards() {
-        let (reply, rx) = sync_channel(1);
-        if pool.send(shard, ShardMsg::Snapshot { reply }).is_err() {
-            return Err(shutting_down());
-        }
-        match rx.recv_timeout(Duration::from_secs(10)) {
-            Ok(m) => merged.merge(&m),
-            Err(_) => {
-                return Err(Response::Err {
-                    code: ErrCode::Internal,
-                    detail: format!("shard {shard} did not answer"),
-                })
-            }
-        }
+    for m in ask_every_shard(pool, |reply| ShardMsg::Snapshot { reply })? {
+        merged.merge(&m);
     }
     Ok(merged)
-}
-
-fn request_reply(
-    pool: &ShardPool,
-    shard: usize,
-    msg: ShardMsg,
-    rx: std::sync::mpsc::Receiver<Response>,
-    shared: &Shared,
-) -> Response {
-    match pool.try_send(shard, msg) {
-        Ok(()) => match rx.recv() {
-            Ok(resp) => resp,
-            Err(_) => shutting_down(),
-        },
-        Err(SendFail::Busy) => {
-            shared.busy.inc();
-            trace::event("serve.busy", shard as u64, 0);
-            Response::Busy
-        }
-        Err(SendFail::Closed) => shutting_down(),
-    }
 }
 
 pub(crate) fn shutting_down() -> Response {
     Response::Err {
         code: ErrCode::Shutdown,
         detail: "server is shutting down".to_string(),
-    }
-}
-
-/// This process's role for `key` under its cluster ring
-/// ([`KeyRole::Owner`] when standalone). Locks the ownership map — fine
-/// for the per-request verbs; the OBSERVE hot path goes through the
-/// connection's cached snapshot instead ([`ownership_snapshot`]).
-pub(crate) fn role_of(shared: &Shared, key: &MachineKey) -> KeyRole {
-    match &*shared.ownership.lock().expect("ownership lock") {
-        Some(map) => map.role_of(key_hash(key)),
-        None => KeyRole::Owner,
     }
 }
 
@@ -1068,6 +941,7 @@ mod tests {
     use crate::proto::MAX_LINE_BYTES;
     use std::io::{BufRead, BufReader};
     use std::net::Shutdown;
+    use std::time::Instant;
 
     fn client(addr: SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
         let stream = TcpStream::connect(addr).unwrap();
@@ -1174,6 +1048,8 @@ mod tests {
         assert!(m.contains_key("serve.reactor.writes_blocked"));
         assert!(m.contains_key("serve.shard.queue_depth.0"));
         assert!(m.contains_key("serve.shard.queue_depth.1"));
+        assert_eq!(m["serve.read.deferred"], 1.0, "the cache-missing predict");
+        assert_eq!(m["serve.read.settles"], 1.0);
         assert_eq!(m["serve.latency_us.count"], 26.0, "25 observes + 1 predict");
         assert!(m["serve.latency_us.p50"] >= 0.0);
         assert!(m["serve.latency_us.max"] >= m["serve.latency_us.p50"]);

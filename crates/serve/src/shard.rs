@@ -11,9 +11,10 @@
 //! ([`ServeConfig::queue_depth`]); producers use non-blocking
 //! `try_send`. A full queue means the caller gets [`SendFail::Busy`] and
 //! the request is *dropped*, never buffered — the server translates this
-//! into the retryable `BUSY` response. Memory per shard is therefore
-//! bounded by `queue_depth` messages plus live machine state, no matter
-//! how hard clients push.
+//! into the retryable `BUSY` response (a read is first retried once, after
+//! the connection's own earlier reads have drained). Memory per shard is
+//! therefore bounded by `queue_depth` messages plus live machine state, no
+//! matter how hard clients push.
 //!
 //! **Ordering.** A connection's requests for one machine are enqueued in
 //! arrival order and each queue is FIFO, so per-machine sample order is
@@ -51,6 +52,13 @@ pub type MachineKey = (CellId, MachineId);
 /// `BATCH` frames stream in per connection and every chunk send costs a
 /// queue lock plus a possible futex wake.
 pub const OBS_CHUNK: usize = 64;
+
+/// `PREDICT`/`ADMIT` replies one connection may be waiting on at once.
+/// The frontend enqueues the reads of a burst without waiting and
+/// collects the replies afterwards; the cap bounds the receivers and the
+/// held-back response bytes a connection can pin, and the shard-queue
+/// slots its reads can occupy at a time.
+pub const MAX_PENDING_READS: usize = 64;
 
 /// One coalesced sample inside an [`ObserveChunk`].
 #[derive(Debug, Clone, Default)]
@@ -279,15 +287,18 @@ impl ShardPool {
     ///
     /// # Errors
     ///
-    /// [`SendFail::Busy`] if the bounded queue is full (the message is
-    /// dropped — backpressure), [`SendFail::Closed`] if the worker exited.
-    pub fn try_send(&self, shard: usize, msg: ShardMsg) -> Result<(), SendFail> {
+    /// [`SendFail::Busy`] if the bounded queue is full (backpressure),
+    /// [`SendFail::Closed`] if the worker exited. The rejected message
+    /// comes back with the reason: a read is retried once after the
+    /// connection's own earlier reads have drained, everything else drops
+    /// it.
+    pub fn try_send(&self, shard: usize, msg: ShardMsg) -> Result<(), (SendFail, ShardMsg)> {
         self.senders[shard]
             .try_send(msg)
             .map(|()| self.queue_depth[shard].inc())
             .map_err(|e| match e {
-                TrySendError::Full(_) => SendFail::Busy,
-                TrySendError::Disconnected(_) => SendFail::Closed,
+                TrySendError::Full(msg) => (SendFail::Busy, msg),
+                TrySendError::Disconnected(msg) => (SendFail::Closed, msg),
             })
     }
 
@@ -636,11 +647,11 @@ mod tests {
         for t in 1..10_000u64 {
             match p.try_send(0, observe(1, t, 0.2)) {
                 Ok(()) => {}
-                Err(SendFail::Busy) => {
+                Err((SendFail::Busy, _)) => {
                     busy = true;
                     break;
                 }
-                Err(SendFail::Closed) => panic!("worker died"),
+                Err((SendFail::Closed, _)) => panic!("worker died"),
             }
         }
         assert!(busy, "bounded queue never reported Busy");

@@ -97,3 +97,13 @@ fi
 # the checked-in BENCH_*.json result files must stay structurally sound.
 cargo bench --workspace --no-run
 scripts/check_bench_json.sh
+
+# The repo benchmark (benchmark/, BENCHMARK.json) is a package of its own
+# that calls the crates' public functions. Build it offline and run every
+# workload at smoke size with all correctness gates on (STATS ledger,
+# served-vs-offline identity, cache-hit band, fleet::verify, offline-cell
+# reference bits), so a product change that breaks a probe's use of the
+# API or trips a gate fails here instead of at benchmark time; then check
+# the names it prints against BENCHMARK.json and its README.
+bash benchmark/run.sh --smoke
+bash benchmark/check_names.sh

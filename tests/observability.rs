@@ -73,6 +73,17 @@ fn server_metrics_reconcile_with_load_report() {
         m["serve.requests.predict"]
     );
 
+    // Every read that reached a shard was enqueued without waiting; a
+    // standalone server below its queue bound turns none away, and one
+    // settle never covers more reads than were deferred.
+    assert_eq!(m["serve.busy"], 0.0);
+    assert_eq!(
+        m["serve.read.deferred"],
+        m["serve.predict.cache_miss"] + m["serve.requests.admit"]
+    );
+    assert!(m["serve.read.settles"] >= 1.0);
+    assert!(m["serve.read.settles"] <= m["serve.read.deferred"]);
+
     // No BATCH frames on the wire — but frontend coalescing is
     // independent of framing: any pipelined run of same-shard OBSERVEs
     // micro-batches, so `serve.batch.coalesced` may still count.
