@@ -18,6 +18,11 @@
 //! * **Everything else** (`ERR shutdown`, parse errors, non-transient I/O)
 //!   — terminal; surfaced to the caller immediately.
 //!
+//! A connection a [`ClusterClient`](crate::ClusterClient) holds to a ring
+//! member differs in one point: after a transient failure it re-dials at
+//! once, and a *refused* connect is terminal rather than transient — the
+//! process is gone, and the cluster layer has a replica to go to.
+//!
 //! Backoff is exponential (`base * 2^attempt`, capped) with deterministic
 //! jitter from a seeded [`SmallRng`], so two clients created with
 //! different seeds never stampede in lockstep and a failing run replays
@@ -231,6 +236,14 @@ pub struct Client {
     metrics: ClientMetrics,
     global: GlobalCounters,
     fault_counters: Arc<FaultCounters>,
+    /// Set for a [`ClusterClient`](crate::ClusterClient) member: a lost
+    /// connection is re-dialled at once, and a *refused* connect —
+    /// Linux answers `ECONNREFUSED` only when nothing listens on the
+    /// port — is terminal instead of retried, so the cluster layer
+    /// hears of a dead member before any backoff is slept. A plain
+    /// client keeps retrying: its server may be restarting, and it has
+    /// no replica to go to.
+    ring_member: bool,
 }
 
 /// The two halves of an established connection, boxed so the fault
@@ -284,6 +297,21 @@ impl Client {
     /// [`ClientError::Exhausted`]/[`ClientError::Io`] when the server
     /// cannot be reached.
     pub fn connect(addr: SocketAddr, cfg: ClientConfig) -> Result<Client, ClientError> {
+        Client::dial(addr, cfg, false)
+    }
+
+    /// [`Client::connect`] for a ring member's connection: a refused
+    /// connect, now or on any later reconnect, surfaces at once as
+    /// [`ClientError::Io`] ([`ClientError::is_refused`]) instead of
+    /// riding the retry ladder.
+    pub(crate) fn connect_member(
+        addr: SocketAddr,
+        cfg: ClientConfig,
+    ) -> Result<Client, ClientError> {
+        Client::dial(addr, cfg, true)
+    }
+
+    fn dial(addr: SocketAddr, cfg: ClientConfig, ring_member: bool) -> Result<Client, ClientError> {
         cfg.validate()?;
         let rng = SmallRng::seed_from_u64(cfg.seed ^ 0xC11E_57A9);
         let mut client = Client {
@@ -295,11 +323,12 @@ impl Client {
             metrics: ClientMetrics::default(),
             global: GlobalCounters::new(),
             fault_counters: Arc::new(FaultCounters::default()),
+            ring_member,
         };
         for attempt in 0..client.cfg.retry.max_attempts {
             match client.ensure_conn() {
                 Ok(_) => return Ok(client),
-                Err(e) if is_transient(&e) => client.backoff(attempt),
+                Err(e) if client.connect_retryable(&e) => client.backoff(attempt),
                 Err(e) => return Err(ClientError::Io(e)),
             }
         }
@@ -363,6 +392,32 @@ impl Client {
         Ok(())
     }
 
+    /// Whether a failed connect is worth another attempt: any transient
+    /// kind, except a refused connect to a ring member.
+    fn connect_retryable(&self, e: &std::io::Error) -> bool {
+        is_transient(e) && !(self.ring_member && e.kind() == std::io::ErrorKind::ConnectionRefused)
+    }
+
+    /// Drops the connection after a transient transport failure. A ring
+    /// member is re-dialled at once: a live one is reconnected before
+    /// the caller's backoff instead of after it, a dead one refuses.
+    ///
+    /// # Errors
+    ///
+    /// Only for a ring member: the refused (or otherwise terminal)
+    /// reconnect, as [`ClientError::Io`].
+    fn drop_conn(&mut self) -> Result<(), ClientError> {
+        self.conn = None;
+        if self.ring_member {
+            if let Err(e) = self.ensure_conn() {
+                if !self.connect_retryable(&e) {
+                    return Err(ClientError::Io(e));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Sleeps `min(cap, base * 2^attempt)` scaled by a seeded jitter
     /// factor in `[0.5, 1.0)`.
     fn backoff(&mut self, attempt: u32) {
@@ -376,7 +431,7 @@ impl Client {
     /// Writes `line` and reads one response on the current connection.
     fn try_once(&mut self, line: &str) -> Result<Attempt, ClientError> {
         if let Err(e) = self.ensure_conn() {
-            return if is_transient(&e) {
+            return if self.connect_retryable(&e) {
                 self.conn = None;
                 Ok(Attempt::Transient(e.to_string()))
             } else {
@@ -400,7 +455,7 @@ impl Client {
         let buf = match io {
             Ok(buf) => buf,
             Err(e) if is_transient(&e) => {
-                self.conn = None;
+                self.drop_conn()?;
                 return Ok(Attempt::Transient(e.to_string()));
             }
             Err(e) => return Err(ClientError::Io(e)),
@@ -709,7 +764,7 @@ impl Client {
                 });
             }
             if let Err(e) = self.ensure_conn() {
-                if is_transient(&e) {
+                if self.connect_retryable(&e) {
                     self.note_io(0);
                     last = e.to_string();
                     self.backoff(strikes);
@@ -780,7 +835,7 @@ impl Client {
                 // Nothing in this window is resolved; the server discards
                 // any truncated trailing line, so a clean re-send of the
                 // whole window is safe.
-                self.conn = None;
+                self.drop_conn()?;
                 self.note_io(window.len() as u64);
                 self.note_retries(window.len() as u64);
                 requeue_front(todo, window.iter().copied());
@@ -812,7 +867,7 @@ impl Client {
                     }
                     // The whole frame (and everything after it) is gone;
                     // re-send the lot (idempotent, see module docs).
-                    self.conn = None;
+                    self.drop_conn()?;
                     let rest: Vec<usize> = window[frame.start..].to_vec();
                     self.note_io(rest.len() as u64);
                     self.note_retries(rest.len() as u64);
@@ -825,11 +880,7 @@ impl Client {
                 // than mis-attributing responses.
                 match parse_batchr_header(buf.trim_end(), &mut scratch) {
                     Ok(Some(n)) if n == frame.len => {}
-                    Ok(_) => {
-                        return Err(ClientError::Proto(ProtoError::BadResponse {
-                            line: buf.trim_end().chars().take(80).collect(),
-                        }))
-                    }
+                    Ok(_) => return Err(out_of_step(&buf)),
                     Err(e) => return Err(ClientError::Proto(e)),
                 }
             }
@@ -854,7 +905,7 @@ impl Client {
                     }
                     // This and all later responses of the window are gone;
                     // re-send the lot (idempotent, see module docs).
-                    self.conn = None;
+                    self.drop_conn()?;
                     let rest: Vec<usize> = window[pos..].to_vec();
                     self.note_io(rest.len() as u64);
                     self.note_retries(rest.len() as u64);
@@ -913,7 +964,7 @@ impl Client {
         I: IntoIterator<Item = &'a Request>,
     {
         if let Err(e) = self.ensure_conn() {
-            return if is_transient(&e) {
+            return if self.connect_retryable(&e) {
                 self.conn = None;
                 Ok(FrameIo::Lost)
             } else {
@@ -938,7 +989,7 @@ impl Client {
         match io {
             Ok(()) => Ok(FrameIo::Done),
             Err(e) if is_transient(&e) => {
-                self.conn = None;
+                self.drop_conn()?;
                 Ok(FrameIo::Lost)
             }
             Err(e) => Err(ClientError::Io(e)),
@@ -982,22 +1033,22 @@ impl Client {
                 if !is_transient(&e) {
                     return Err(ClientError::Io(e));
                 }
-                self.conn = None;
                 out.truncate(from);
+                self.drop_conn()?;
                 return Ok(FrameIo::Lost);
             }
-            if i == 0 && n > 1 {
+            let header_due = i == 0 && n > 1;
+            if header_due {
                 // The header count always matches `n`: members write it
                 // up front from the frame header and answer one line per
                 // sub-request even when rejecting. A mismatch means the
                 // reply stream is out of step — unrecoverable.
                 match parse_batchr_header(buf.trim_end(), &mut scratch) {
                     Ok(Some(k)) if k == n => continue,
-                    Ok(_) => {
-                        return Err(ClientError::Proto(ProtoError::BadResponse {
-                            line: buf.trim_end().chars().take(80).collect(),
-                        }))
-                    }
+                    // No header at all: only a closing notice may stand
+                    // in its place (checked below).
+                    Ok(None) => {}
+                    Ok(Some(_)) => return Err(out_of_step(&buf)),
                     Err(e) => return Err(ClientError::Proto(e)),
                 }
             }
@@ -1009,16 +1060,27 @@ impl Client {
                     ..
                 }
             ) {
-                // The server is closing this connection; later frames
-                // cannot be answered. Same ladder as `classify`.
+                // The server is closing this connection — an idle reap
+                // says so where the next frame's header is due; later
+                // frames cannot be answered. Same ladder as `classify`.
                 self.conn = None;
                 out.truncate(from);
                 return Ok(FrameIo::Lost);
+            }
+            if header_due {
+                return Err(out_of_step(&buf));
             }
             out.push(resp);
         }
         Ok(FrameIo::Done)
     }
+}
+
+/// The error for a reply line that cannot belong where it arrived.
+fn out_of_step(line: &str) -> ClientError {
+    ClientError::Proto(ProtoError::BadResponse {
+        line: line.trim_end().chars().take(80).collect(),
+    })
 }
 
 /// Outcome of one low-level frame I/O step on the pipelined cluster
@@ -1187,6 +1249,48 @@ mod tests {
         assert_eq!(stats.timeouts, 1);
         drop(c);
         server.shutdown();
+    }
+
+    /// A plain client has no replica to go to and its server may be
+    /// restarting, so a refused connect stays on the retry ladder for
+    /// the whole budget; only a ring member's connection
+    /// (`connect_member`) gives up on it at once.
+    #[test]
+    fn plain_client_keeps_retrying_a_refused_connect() {
+        let cfg = ClientConfig::default().with_retry(RetryPolicy {
+            max_attempts: 3,
+            base: Duration::from_millis(20),
+            cap: Duration::from_millis(20),
+        });
+        // A port nobody listens on.
+        let closed = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .unwrap();
+        let started = Instant::now();
+        let err = Client::connect(closed, cfg.clone()).unwrap_err();
+        assert!(
+            matches!(err, ClientError::Exhausted { attempts: 3, .. }),
+            "{err:?}"
+        );
+        // Three backoff sleeps of [10, 20) ms each.
+        assert!(started.elapsed() >= Duration::from_millis(30));
+        let err = Client::connect_member(closed, cfg.clone()).unwrap_err();
+        assert!(err.is_refused(), "{err:?}");
+
+        // The same on an established connection whose server went away.
+        let server = Server::start(ServeConfig::default().with_shards(1)).unwrap();
+        let mut c = Client::connect(server.addr(), cfg).unwrap();
+        c.observe(&cell(), MachineId(0), task(0), 0.2, 0.5, 1)
+            .unwrap();
+        server.shutdown();
+        let err = c
+            .observe(&cell(), MachineId(0), task(0), 0.2, 0.5, 2)
+            .unwrap_err();
+        assert!(
+            matches!(err, ClientError::Exhausted { attempts: 3, .. }),
+            "{err:?}"
+        );
+        assert_eq!(c.metrics().io_retries, 3);
     }
 
     #[test]

@@ -17,7 +17,16 @@
 //!   then on any other live member.
 //! * A terminal transport error marks the member dead, replays its
 //!   still-queued mirrors to the takeover targets
-//!   (`cluster.replica_replays`), and re-routes the call.
+//!   (`cluster.replica_replays`), and re-routes the call. A lost
+//!   connection is re-dialled at once and a *refused* reconnect is
+//!   terminal on the spot — nothing listens on the port, the process is
+//!   gone — so a SIGKILL costs one connect, not a backoff ladder; every
+//!   other failure (reset or EOF from a member that still listens,
+//!   timeouts, `ERR timeout`/`conn-limit`) keeps the [`RetryPolicy`]
+//!   budget. A wrong verdict degrades replication, never acknowledged
+//!   data, and heals through the `RING` probe like any replacement.
+//!
+//! [`RetryPolicy`]: crate::client::RetryPolicy
 //!
 //! One degradation is deliberate: members classify keys against the
 //! *all-alive* ring (a process cannot observe peer deaths), so after a
@@ -43,7 +52,7 @@ use crate::pipe::{Entry, EntryKind, MemberPipe};
 use oc_cluster::{HashRing, RingSpec};
 use oc_serve::proto::{ErrCode, Request, Response, StatsSnapshot};
 use oc_serve::shard::key_hash;
-use oc_telemetry::{Counter, Gauge};
+use oc_telemetry::{trace, Counter, Gauge};
 use oc_trace::ids::{CellId, MachineId, TaskId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -106,6 +115,12 @@ pub struct ClusterMetrics {
     /// Member failures (or transport drops) that displaced a non-empty
     /// unacknowledged pipelined tail for in-order replay.
     pub replayed_tails: u64,
+    /// Times the pipelined path put the calling thread to sleep: a
+    /// member's failed transport waiting out its retry ladder, or a
+    /// progress-free busy round.
+    pub backoff_sleeps: u64,
+    /// Microseconds slept across [`ClusterMetrics::backoff_sleeps`].
+    pub backoff_slept_us: u64,
 }
 
 /// Handles into the process-wide registry mirroring [`ClusterMetrics`];
@@ -119,6 +134,8 @@ struct GlobalCounters {
     pipeline_coalesced: Arc<Counter>,
     pipeline_replayed: Arc<Counter>,
     pipeline_inflight: Arc<Gauge>,
+    backoff_sleeps: Arc<Counter>,
+    backoff_slept_us: Arc<Counter>,
 }
 
 impl GlobalCounters {
@@ -132,6 +149,8 @@ impl GlobalCounters {
             pipeline_coalesced: m.counter("cluster.pipeline.coalesced_runs"),
             pipeline_replayed: m.counter("cluster.pipeline.replayed_tails"),
             pipeline_inflight: m.gauge("cluster.pipeline.inflight_frames"),
+            backoff_sleeps: m.counter("cluster.backoff.sleeps"),
+            backoff_slept_us: m.counter("cluster.backoff.slept_us"),
         }
     }
 }
@@ -142,6 +161,8 @@ pub struct ClusterClient {
     ring: HashRing,
     addrs: Vec<SocketAddr>,
     alive: Vec<bool>,
+    /// The mask members classify keys against (`true` per member).
+    all_alive: Vec<bool>,
     clients: Vec<Option<Client>>,
     /// Mirrors not yet written, per target member.
     pending: Vec<Vec<Request>>,
@@ -160,7 +181,7 @@ pub struct ClusterClient {
     /// Consecutive transport failures per member on the pipelined path
     /// (the pipe-level analogue of [`Client`]'s per-request retries);
     /// reset by any successful frame drain.
-    pipe_strikes: Vec<u32>,
+    pipe_strikes: Vec<Strikes>,
     /// Per-frame ack latencies `(latency_us, resolved_lines)` from the
     /// pipelined path, drained by the fleet driver.
     frame_lats: Vec<(f64, u64)>,
@@ -208,13 +229,14 @@ impl ClusterClient {
             ring: spec.build(),
             addrs: addrs.to_vec(),
             alive: vec![true; spec.nodes],
+            all_alive: vec![true; spec.nodes],
             clients: (0..spec.nodes).map(|_| None).collect(),
             pending: vec![Vec::new(); spec.nodes],
             last_epoch: vec![0; spec.nodes],
             probing: false,
             pipes: (0..spec.nodes).map(|_| MemberPipe::default()).collect(),
             waiting: VecDeque::new(),
-            pipe_strikes: vec![0; spec.nodes],
+            pipe_strikes: vec![Strikes::default(); spec.nodes],
             frame_lats: Vec::new(),
             pipelined_ok: 0,
             pipelined_err: 0,
@@ -259,11 +281,12 @@ impl ClusterClient {
         self.ring = spec.build();
         self.addrs = addrs.to_vec();
         self.alive = vec![true; spec.nodes];
+        self.all_alive = vec![true; spec.nodes];
         self.clients = (0..spec.nodes).map(|_| None).collect();
         self.pending = vec![Vec::new(); spec.nodes];
         self.last_epoch = vec![0; spec.nodes];
         self.pipes = (0..spec.nodes).map(|_| MemberPipe::default()).collect();
-        self.pipe_strikes = vec![0; spec.nodes];
+        self.pipe_strikes = vec![Strikes::default(); spec.nodes];
         // Unsent lines re-route from scratch: their redirect counts
         // referred to the old ring's candidate order.
         for e in &mut self.waiting {
@@ -282,7 +305,7 @@ impl ClusterClient {
                 .client
                 .clone()
                 .with_seed(self.cfg.client.seed.wrapping_add(index as u64 + 1));
-            self.clients[index] = Some(Client::connect(self.addrs[index], cfg)?);
+            self.clients[index] = Some(Client::connect_member(self.addrs[index], cfg)?);
         }
         Ok(self.clients[index].as_mut().expect("just connected"))
     }
@@ -291,11 +314,19 @@ impl ClusterClient {
     /// connection, abandons mirrors *targeted at* it, and replays every
     /// other queued mirror immediately — keys the dead member owned now
     /// resolve to their replica, and the replica's queue holds exactly
-    /// the samples it has not yet seen.
-    fn mark_dead(&mut self, index: usize) {
+    /// the samples it has not yet seen. `failing_since` is when the
+    /// member's transport first failed (for a synchronous call, when
+    /// the call began); the `cluster.failover` trace event carries the
+    /// time from there to this verdict.
+    fn mark_dead(&mut self, index: usize, failing_since: Instant) {
         if !self.alive[index] {
             return;
         }
+        trace::event(
+            "cluster.failover",
+            index as u64,
+            failing_since.elapsed().as_micros() as u64,
+        );
         self.displace_pipe(index);
         self.alive[index] = false;
         self.clients[index] = None;
@@ -352,6 +383,7 @@ impl ClusterClient {
                 continue;
             }
             let batch = std::mem::take(&mut self.pending[index]);
+            let started = Instant::now();
             let outcome = self
                 .client(index)
                 .and_then(|c| c.pipeline_with(&batch, |_, _, _| {}));
@@ -360,7 +392,7 @@ impl ClusterClient {
                 Err(e) => match e {
                     ClientError::Io(_) | ClientError::Exhausted { .. } => {
                         self.metrics.mirror_drops += batch.len() as u64;
-                        self.mark_dead(index);
+                        self.mark_dead(index, started);
                     }
                     other => return Err(other),
                 },
@@ -489,6 +521,7 @@ impl ClusterClient {
             }
             let mut redirected = false;
             for index in order {
+                let started = Instant::now();
                 let outcome = self.client(index).and_then(|c| c.request(req));
                 match outcome {
                     Ok(Response::Err {
@@ -501,7 +534,7 @@ impl ClusterClient {
                     }
                     Ok(resp) => return Ok(resp),
                     Err(ClientError::Io(_)) | Err(ClientError::Exhausted { .. }) => {
-                        self.mark_dead(index);
+                        self.mark_dead(index, started);
                         // Membership changed; recompute the order.
                         redirected = false;
                         break;
@@ -652,31 +685,37 @@ impl ClusterClient {
                     self.metrics.mirror_drops += 1;
                 }
                 EntryKind::Send { tried } => {
-                    let order = self.candidates(e.hash);
-                    if order.is_empty() {
+                    // The first hop — all but redirected lines — is the
+                    // live owner; no candidate list is built for it.
+                    let target = match tried {
+                        0 => self.ring.owner(e.hash, &self.alive),
+                        _ => self.candidates(e.hash).get(tried as usize).copied(),
+                    };
+                    if let Some(target) = target {
+                        self.pipes[target].push(e);
+                        continue;
+                    }
+                    if !self.alive.contains(&true) {
                         self.waiting.push_front(e);
                         return Err(ClientError::Exhausted {
                             attempts: 0,
                             last: "no live ring member".to_string(),
                         });
                     }
-                    if tried as usize >= order.len() {
-                        self.waiting.push_front(Entry {
-                            kind: EntryKind::Send { tried: 0 },
-                            ..e
-                        });
-                        if self.probe_ring() {
-                            // Adopted: the entry re-routes (tried reset
-                            // by `adopt`) under the new ring.
-                            continue;
-                        }
-                        return Err(ClientError::Exhausted {
-                            attempts: 0,
-                            last: "every live member answered not-mine; re-resolve the ring"
-                                .to_string(),
-                        });
+                    self.waiting.push_front(Entry {
+                        kind: EntryKind::Send { tried: 0 },
+                        ..e
+                    });
+                    if self.probe_ring() {
+                        // Adopted: the entry re-routes (tried reset by
+                        // `adopt`) under the new ring.
+                        continue;
                     }
-                    self.pipes[order[tried as usize]].push(e);
+                    return Err(ClientError::Exhausted {
+                        attempts: 0,
+                        last: "every live member answered not-mine; re-resolve the ring"
+                            .to_string(),
+                    });
                 }
             }
         }
@@ -723,23 +762,22 @@ impl ClusterClient {
                     continue;
                 }
                 let entries = self.pipes[index].take_open(cut);
-                match self.write_entries(index, &entries)? {
-                    true => {
-                        let coalesced = entries.len() > 1;
-                        self.pipes[index].sent(entries, Instant::now());
-                        self.metrics.frames += 1;
-                        self.global.pipeline_frames.inc();
-                        self.global.pipeline_inflight.inc();
-                        if coalesced {
-                            self.metrics.coalesced_runs += 1;
-                            self.global.pipeline_coalesced.inc();
-                        }
-                    }
-                    false => {
-                        self.pipe_transport_failure(index, entries);
-                        progress = true;
-                        break;
-                    }
+                let wrote = self
+                    .client(index)
+                    .and_then(|c| c.write_frame(entries.len(), entries.iter().map(|e| &e.req)));
+                if let Some(broken) = Broken::of(wrote)? {
+                    self.pipe_transport_failure(index, entries, broken);
+                    progress = true;
+                    break;
+                }
+                let coalesced = entries.len() > 1;
+                self.pipes[index].sent(entries, Instant::now());
+                self.metrics.frames += 1;
+                self.global.pipeline_frames.inc();
+                self.global.pipeline_inflight.inc();
+                if coalesced {
+                    self.metrics.coalesced_runs += 1;
+                    self.global.pipeline_coalesced.inc();
                 }
                 let mut stop = false;
                 while self.alive[index] && self.pipes[index].inflight_len() > window {
@@ -807,22 +845,6 @@ impl ClusterClient {
         }
     }
 
-    /// Writes one sealed frame to member `index`. `Ok(true)` — on the
-    /// wire; `Ok(false)` — the member's transport failed and the caller
-    /// must displace the frame.
-    fn write_entries(&mut self, index: usize, entries: &[Entry]) -> Result<bool, ClientError> {
-        let outcome = self
-            .client(index)
-            .and_then(|c| c.write_frame(entries.len(), entries.iter().map(|e| &e.req)));
-        match outcome {
-            Ok(FrameIo::Done) => Ok(true),
-            Ok(FrameIo::Lost) | Err(ClientError::Io(_)) | Err(ClientError::Exhausted { .. }) => {
-                Ok(false)
-            }
-            Err(other) => Err(other),
-        }
-    }
-
     /// Drains member `index`'s oldest inflight frame and resolves each
     /// reply: `OK`/server errors acknowledge the line (queueing its
     /// mirror onto the replica's pipe), `not-mine` re-routes the line —
@@ -838,22 +860,18 @@ impl ClusterClient {
             });
         };
         let mut replies = Vec::with_capacity(n);
-        match self
+        let read = self
             .client(index)
-            .and_then(|c| c.read_frame_replies(n, &mut replies))
-        {
-            Ok(FrameIo::Done) => {}
-            Ok(FrameIo::Lost) | Err(ClientError::Io(_)) | Err(ClientError::Exhausted { .. }) => {
-                self.pipe_transport_failure(index, Vec::new());
-                return Ok(Drain::Lost);
-            }
-            Err(other) => return Err(other),
+            .and_then(|c| c.read_frame_replies(n, &mut replies));
+        if let Some(broken) = Broken::of(read)? {
+            self.pipe_transport_failure(index, Vec::new(), broken);
+            return Ok(Drain::Lost);
         }
         let frame = self.pipes[index]
             .complete_oldest()
             .expect("frame was inflight");
         self.global.pipeline_inflight.dec();
-        self.pipe_strikes[index] = 0;
+        self.pipe_strikes[index] = Strikes::default();
         let lat_us = frame.sent_at.elapsed().as_secs_f64() * 1e6;
         let mut resolved = 0u64;
         let mut busy_from: Option<usize> = None;
@@ -959,9 +977,13 @@ impl ClusterClient {
     /// displaced in order: sends replay through the waiting queue,
     /// mirrors stay pinned. Consecutive failures are bounded by the
     /// retry budget (the pipe-level analogue of the sync client's
-    /// per-request retries); exhausting it marks the member dead, which
-    /// drops its pinned mirrors.
-    fn pipe_transport_failure(&mut self, index: usize, about_to_send: Vec<Entry>) {
+    /// per-request retries); exhausting it — or a refused reconnect, at
+    /// once — marks the member dead, which drops its pinned mirrors.
+    fn pipe_transport_failure(&mut self, index: usize, about_to_send: Vec<Entry>, broken: Broken) {
+        let strikes = &mut self.pipe_strikes[index];
+        strikes.count = strikes.count.saturating_add(1);
+        let count = strikes.count;
+        let since = *strikes.since.get_or_insert_with(Instant::now);
         let frames = self.pipes[index].inflight_len();
         if frames > 0 {
             self.global.pipeline_inflight.add(-(frames as i64));
@@ -981,17 +1003,16 @@ impl ClusterClient {
                 EntryKind::Mirror => mirrors.push(e),
             }
         }
-        self.pipe_strikes[index] = self.pipe_strikes[index].saturating_add(1);
-        if self.pipe_strikes[index] >= self.cfg.client.retry.max_attempts {
+        if matches!(broken, Broken::Refused) || count >= self.cfg.client.retry.max_attempts {
             self.metrics.mirror_drops += mirrors.len() as u64;
-            self.mark_dead(index);
+            self.mark_dead(index, since);
         } else {
             // The member gets another chance on a fresh connection;
             // replays of already-applied lines are stale no-ops.
             for e in mirrors {
                 self.pipes[index].push(e);
             }
-            self.backoff(self.pipe_strikes[index]);
+            self.backoff(count);
         }
     }
 
@@ -1025,7 +1046,13 @@ impl ClusterClient {
         let cap = self.cfg.client.retry.cap.as_secs_f64();
         let exp = base * f64::from(2u32.saturating_pow(attempt.min(16)));
         let jitter = 0.5 + 0.5 * self.rng.random::<f64>();
-        std::thread::sleep(Duration::from_secs_f64(exp.min(cap) * jitter));
+        let nap = Duration::from_secs_f64(exp.min(cap) * jitter);
+        let nap_us = nap.as_micros() as u64;
+        self.metrics.backoff_sleeps += 1;
+        self.metrics.backoff_slept_us += nap_us;
+        self.global.backoff_sleeps.inc();
+        self.global.backoff_slept_us.add(nap_us);
+        std::thread::sleep(nap);
     }
 
     /// Streams a usage sample to the key's owner and (with mirroring
@@ -1069,8 +1096,7 @@ impl ClusterClient {
     /// if it held a role under the full ring (members enforce all-alive
     /// ownership; anything else would bounce with `not-mine`).
     fn mirror_target(&self, hash: u64) -> Option<usize> {
-        let all = vec![true; self.alive.len()];
-        let (o_all, r_all) = self.ring.routes(hash, &all);
+        let (o_all, r_all) = self.ring.routes(hash, &self.all_alive);
         let (owner, replica) = self.ring.routes(hash, &self.alive);
         replica
             .filter(|r| Some(*r) == o_all || Some(*r) == r_all)
@@ -1139,6 +1165,7 @@ impl ClusterClient {
             if !self.alive[index] {
                 continue;
             }
+            let started = Instant::now();
             match self.client(index).and_then(|c| c.stats()) {
                 Ok(s) => {
                     // Full-word comparison only: the low 16 bits alias
@@ -1153,7 +1180,7 @@ impl ClusterClient {
                     merged.merge(&s);
                 }
                 Err(ClientError::Io(_)) | Err(ClientError::Exhausted { .. }) => {
-                    self.mark_dead(index);
+                    self.mark_dead(index, started);
                 }
                 Err(other) => return Err(other),
             }
@@ -1162,6 +1189,38 @@ impl ClusterClient {
             self.probe_ring();
         }
         Ok(merged)
+    }
+}
+
+/// One member's run of consecutive pipelined transport failures.
+#[derive(Debug, Clone, Copy, Default)]
+struct Strikes {
+    count: u32,
+    /// When the first of them happened.
+    since: Option<Instant>,
+}
+
+/// How a member's transport failed under a pipelined frame.
+#[derive(Clone, Copy)]
+enum Broken {
+    /// Reset, EOF, deadline, `ERR timeout`/`conn-limit`, or a connect
+    /// that failed some other way: one strike on the retry ladder.
+    Strike,
+    /// The reconnect was refused: the member is dead, no ladder.
+    Refused,
+}
+
+impl Broken {
+    /// Sorts a frame I/O result: `Ok(None)` — the step completed.
+    fn of(io: Result<FrameIo, ClientError>) -> Result<Option<Broken>, ClientError> {
+        match io {
+            Ok(FrameIo::Done) => Ok(None),
+            Err(e) if e.is_refused() => Ok(Some(Broken::Refused)),
+            Ok(FrameIo::Lost) | Err(ClientError::Io(_)) | Err(ClientError::Exhausted { .. }) => {
+                Ok(Some(Broken::Strike))
+            }
+            Err(other) => Err(other),
+        }
     }
 }
 

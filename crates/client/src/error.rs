@@ -40,6 +40,14 @@ impl ClientError {
             got: got.encode(),
         }
     }
+
+    /// Whether this is a connect the kernel refused — nothing listens
+    /// on the port, so the process is gone. Only a ring member's
+    /// connection surfaces one (`Client::connect_member`); a plain
+    /// [`crate::Client`] retries it like any transient failure.
+    pub(crate) fn is_refused(&self) -> bool {
+        matches!(self, ClientError::Io(e) if e.kind() == std::io::ErrorKind::ConnectionRefused)
+    }
 }
 
 impl fmt::Display for ClientError {

@@ -469,8 +469,17 @@ pub fn verify(
 mod tests {
     use super::*;
     use oc_serve::server::Server;
+    use std::time::Duration;
 
     fn ring_servers(nodes: usize) -> (RingSpec, Vec<Server>, Vec<SocketAddr>) {
+        ring_servers_with(nodes, |cfg| cfg)
+    }
+
+    /// [`ring_servers`] with every member's config passed through `tune`.
+    fn ring_servers_with(
+        nodes: usize,
+        tune: impl Fn(ServeConfig) -> ServeConfig,
+    ) -> (RingSpec, Vec<Server>, Vec<SocketAddr>) {
         let spec = RingSpec::new(nodes);
         let ring = spec.build();
         let servers: Vec<Server> = (0..nodes)
@@ -479,7 +488,7 @@ mod tests {
                     .with_addr("127.0.0.1:0")
                     .with_shards(1)
                     .with_ownership(ring.ownership_for(i));
-                Server::start(cfg).expect("server starts")
+                Server::start(tune(cfg)).expect("server starts")
             })
             .collect();
         let addrs = servers.iter().map(|s| s.addr()).collect();
@@ -546,26 +555,12 @@ mod tests {
         ccfg.client = ccfg.client.with_batch(16);
         ccfg.pipeline_frames = 8;
         let mut cc = ClusterClient::connect(spec, &addrs, ccfg).expect("connect");
-        let cell = CellId::new("fleet");
-        let task = fleet_task();
         let machines = 45u64;
-        for m in 0..machines {
-            let machine = MachineId(m as u32);
-            for t in 0..6 {
-                cc.observe_pipelined(&cell, machine, task, fleet_usage(m, t), FLEET_LIMIT, t)
-                    .expect("observe");
-            }
-        }
+        pipeline_ticks(&mut cc, machines, 0..6);
         // Member 0 goes away while the client still holds undrained
         // frames for it (nothing was flushed yet).
         servers.remove(0).shutdown();
-        for m in 0..machines {
-            let machine = MachineId(m as u32);
-            for t in 6..12 {
-                cc.observe_pipelined(&cell, machine, task, fleet_usage(m, t), FLEET_LIMIT, t)
-                    .expect("observe after death");
-            }
-        }
+        pipeline_ticks(&mut cc, machines, 6..12);
         cc.flush_pipeline().expect("flush");
         assert!(!cc.alive()[0], "member 0 discovered dead");
         let m = cc.metrics();
@@ -574,6 +569,180 @@ mod tests {
         let alive = vec![false, true, true];
         let mismatches = verify(spec, &addrs, &alive, "fleet", machines, 12).expect("verify");
         assert_eq!(mismatches, 0, "pipelined replay broke bit-identity");
+        for s in servers {
+            s.shutdown();
+        }
+    }
+
+    /// Queues ticks `ticks` of every machine on the pipelined path.
+    fn pipeline_ticks(cc: &mut ClusterClient, machines: u64, ticks: std::ops::Range<u64>) {
+        let cell = CellId::new("fleet");
+        for m in 0..machines {
+            for t in ticks.clone() {
+                cc.observe_pipelined(
+                    &cell,
+                    MachineId(m as u32),
+                    fleet_task(),
+                    fleet_usage(m, t),
+                    FLEET_LIMIT,
+                    t,
+                )
+                .expect("observe");
+            }
+        }
+    }
+
+    /// A refused reconnect is a death verdict: the member is marked
+    /// dead on the spot, its tail replayed to the replica, and nothing
+    /// waits out the retry ladder — which here would sleep 5–10 s per
+    /// rung. Covers the pipelined path (death under undrained frames),
+    /// a synchronous read whose owner is down, and a client created
+    /// after the death (the lazy connect).
+    #[test]
+    fn refused_reconnect_is_a_death_verdict() {
+        let glacial = crate::client::RetryPolicy {
+            max_attempts: 6,
+            base: Duration::from_secs(10),
+            cap: Duration::from_secs(10),
+        };
+        let mut ccfg = crate::cluster::ClusterClientConfig::default();
+        ccfg.client = ccfg.client.with_batch(16).with_retry(glacial);
+        ccfg.pipeline_frames = 8;
+        let machines = 45u64;
+        let survivors = vec![false, true, true];
+        let assert_verdict = |cc: &ClusterClient, took: Duration| {
+            assert!(took < Duration::from_secs(2), "slept a ladder: {took:?}");
+            assert!(!cc.alive()[0], "member 0 discovered dead");
+            let m = cc.metrics();
+            assert_eq!(m.failovers, 1, "{m:?}");
+            assert_eq!(m.backoff_sleeps, 0, "{m:?}");
+        };
+
+        // Pipelined: member 0 goes away under undrained frames.
+        let (spec, mut servers, addrs) = ring_servers(3);
+        let mut cc = ClusterClient::connect(spec, &addrs, ccfg.clone()).expect("connect");
+        pipeline_ticks(&mut cc, machines, 0..6);
+        servers.remove(0).shutdown();
+        let started = Instant::now();
+        pipeline_ticks(&mut cc, machines, 6..12);
+        cc.flush_pipeline().expect("flush");
+        assert_verdict(&cc, started.elapsed());
+        assert!(cc.metrics().replayed_tails >= 1, "{:?}", cc.metrics());
+        let mismatches = verify(spec, &addrs, &survivors, "fleet", machines, 12).expect("verify");
+        assert_eq!(mismatches, 0, "pipelined verdict broke bit-identity");
+        for s in servers {
+            s.shutdown();
+        }
+
+        // Synchronous: a read whose owner went away.
+        let (spec, mut servers, addrs) = ring_servers(3);
+        let mut cc = ClusterClient::connect(spec, &addrs, ccfg.clone()).expect("connect");
+        let cell = CellId::new("fleet");
+        for m in 0..machines {
+            for t in 0..12 {
+                let machine = MachineId(m as u32);
+                cc.observe(
+                    &cell,
+                    machine,
+                    fleet_task(),
+                    fleet_usage(m, t),
+                    FLEET_LIMIT,
+                    t,
+                )
+                .expect("observe");
+            }
+        }
+        cc.flush_mirrors().expect("flush");
+        servers.remove(0).shutdown();
+        let started = Instant::now();
+        let failed = (0..machines)
+            .filter(|&m| cc.predict(&cell, MachineId(m as u32)).is_err())
+            .count();
+        assert_eq!(failed, 0, "reads failed instead of failing over");
+        assert_verdict(&cc, started.elapsed());
+        let mismatches = verify(spec, &addrs, &survivors, "fleet", machines, 12).expect("verify");
+        assert_eq!(mismatches, 0, "sync verdict broke bit-identity");
+        for s in servers {
+            s.shutdown();
+        }
+
+        // A client created after the death: the lazy connect is refused.
+        let (spec, mut servers, addrs) = ring_servers(3);
+        servers.remove(0).shutdown();
+        let mut cc = ClusterClient::connect(spec, &addrs, ccfg).expect("connect");
+        let started = Instant::now();
+        pipeline_ticks(&mut cc, machines, 0..12);
+        cc.flush_pipeline().expect("flush");
+        assert_verdict(&cc, started.elapsed());
+        let mismatches = verify(spec, &addrs, &survivors, "fleet", machines, 12).expect("verify");
+        assert_eq!(mismatches, 0, "late client broke bit-identity");
+        for s in servers {
+            s.shutdown();
+        }
+    }
+
+    /// The other half of the verdict: a member that still listens is
+    /// not condemned for losing a connection. The reconnect succeeds,
+    /// the failure costs one strike of the ordinary ladder (a counted
+    /// sleep), and the replayed tail keeps every machine's stream whole.
+    #[test]
+    fn lost_connection_to_a_live_member_is_no_verdict() {
+        let machines = 45u64;
+        let all = vec![true; 3];
+        let mut ccfg = crate::cluster::ClusterClientConfig::default();
+        ccfg.client = ccfg.client.with_batch(16);
+        ccfg.pipeline_frames = 8;
+        let reconnects = oc_telemetry::global_metrics().counter("client.reconnects");
+        let assert_spared = |cc: &ClusterClient, reconnects_before: u64| {
+            let m = cc.metrics();
+            assert_eq!(m.failovers, 0, "{m:?}");
+            assert_eq!(cc.alive(), &all[..]);
+            assert!(m.backoff_sleeps >= 1, "the ladder was never entered: {m:?}");
+            assert!(m.replayed_tails >= 1, "{m:?}");
+            // (>: other tests in this process may reconnect too.)
+            assert!(reconnects.get() > reconnects_before);
+        };
+
+        // The members reap idle connections while the client pauses.
+        let (spec, servers, addrs) =
+            ring_servers_with(3, |cfg| cfg.with_idle_timeout(Duration::from_millis(80)));
+        let mut cc = ClusterClient::connect(spec, &addrs, ccfg.clone()).expect("connect");
+        let before = reconnects.get();
+        pipeline_ticks(&mut cc, machines, 0..6);
+        cc.flush_pipeline().expect("flush");
+        std::thread::sleep(Duration::from_millis(300));
+        pipeline_ticks(&mut cc, machines, 6..12);
+        cc.flush_pipeline().expect("flush after the idle close");
+        assert_spared(&cc, before);
+        let mismatches = verify(spec, &addrs, &all, "fleet", machines, 12).expect("verify");
+        assert_eq!(mismatches, 0, "idle-close replay broke bit-identity");
+        for s in servers {
+            s.shutdown();
+        }
+
+        // The client's own sockets drop (seeded `ConnectionReset`s).
+        let (spec, servers, addrs) = ring_servers(3);
+        let drops =
+            oc_serve::fault::FaultPlan::new(77, 0.08).with_kinds(oc_serve::fault::FaultKinds {
+                delays: false,
+                partials: false,
+                drops: true,
+            });
+        ccfg.client = ccfg
+            .client
+            .with_faults(drops)
+            .with_retry(crate::client::RetryPolicy {
+                max_attempts: 12,
+                base: Duration::from_millis(1),
+                cap: Duration::from_millis(5),
+            });
+        let mut cc = ClusterClient::connect(spec, &addrs, ccfg).expect("connect");
+        let before = reconnects.get();
+        pipeline_ticks(&mut cc, machines, 0..12);
+        cc.flush_pipeline().expect("flush through drops");
+        assert_spared(&cc, before);
+        let mismatches = verify(spec, &addrs, &all, "fleet", machines, 12).expect("verify");
+        assert_eq!(mismatches, 0, "drop replay broke bit-identity");
         for s in servers {
             s.shutdown();
         }

@@ -7,7 +7,9 @@
 //! per request is simpler than a pool and the cost is irrelevant.
 
 use crate::ring::RingSpec;
-use oc_serve::proto::{Request, Response, StatsSnapshot};
+use oc_serve::proto::{
+    parse_batchr_header, push_u64, ProtoScratch, Request, Response, StatsSnapshot,
+};
 use oc_serve::shard::key_hash;
 use oc_trace::ids::{CellId, MachineId};
 use std::io::{self, BufRead, BufReader, Write};
@@ -180,11 +182,16 @@ pub struct HandoffLine {
 }
 
 impl HandoffLine {
-    /// The routing hash of this sample's machine — the same
-    /// [`key_hash`] the ring and the servers use.
+    /// The routing hash of this sample's machine.
     pub fn key_hash(&self) -> u64 {
-        key_hash(&(CellId::new(&self.cell), MachineId(self.machine)))
+        machine_hash(&self.cell, self.machine)
     }
+}
+
+/// The routing hash of machine `machine` in cell `cell` — the same
+/// [`key_hash`] the ring and the servers use.
+pub fn machine_hash(cell: &str, machine: u32) -> u64 {
+    key_hash(&(CellId::new(cell), MachineId(machine)))
 }
 
 fn parse_handoff_line(raw: &str) -> io::Result<HandoffLine> {
@@ -251,19 +258,25 @@ pub fn handoff(addr: SocketAddr) -> io::Result<Vec<HandoffLine>> {
     Ok(out)
 }
 
-/// Pipelines raw request `lines` to `addr` in bounded windows, reading
-/// one response per line — the state-rebuild replay primitive. `BUSY`
-/// lines are retried until accepted; `ERR` answers (e.g. `not-mine` for
-/// keys outside the target's slots) count as rejected, not failures.
-/// Returns `(acknowledged, rejected)`.
+/// Replays raw `OBSERVE` request `lines` into the member at `addr`, in
+/// order — the state-rebuild primitive. Each window goes out as **one
+/// `BATCH` frame** with one frame in flight: the server poisons the
+/// rest of a frame after a `BUSY` chunk (PROTOCOL.md §2.1), so the
+/// lines a frame applied are a prefix, and the next window starts at
+/// the first `BUSY` line after a short pause. A machine's samples can
+/// therefore never overtake each other, however full the target's
+/// queues are. `ERR` answers (e.g. `not-mine` for keys outside the
+/// target's slots) count as rejected, not failures. Returns
+/// `(acknowledged, rejected)`, every line counted once.
 ///
 /// # Errors
 ///
-/// I/O errors and `InvalidData` for an unparseable or non-request
-/// response line.
+/// I/O errors and `InvalidData` for an unparseable, miscounted or
+/// non-request response.
 pub fn drive_lines(addr: SocketAddr, lines: &[String]) -> io::Result<(u64, u64)> {
-    /// Lines in flight per window: bounds both peers' buffered bytes so
-    /// neither side can deadlock on a full TCP window.
+    /// Lines per frame: bounds both peers' buffered bytes so neither
+    /// side can deadlock on a full TCP window (and is within the
+    /// protocol's `MAX_BATCH`).
     const WINDOW: usize = 512;
     if lines.is_empty() {
         return Ok((0, 0));
@@ -273,43 +286,149 @@ pub fn drive_lines(addr: SocketAddr, lines: &[String]) -> io::Result<(u64, u64)>
     stream.set_write_timeout(Some(CONTROL_TIMEOUT))?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
+    let mut read_line = move |resp: &mut String| -> io::Result<()> {
+        resp.clear();
+        if reader.read_line(resp)? == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "peer closed mid-replay",
+            ));
+        }
+        Ok(())
+    };
     let mut acknowledged = 0u64;
     let mut rejected = 0u64;
-    let mut pending: Vec<&String> = lines.iter().collect();
-    let mut frame = String::new();
+    let mut frame = Vec::new();
     let mut resp = String::new();
-    while !pending.is_empty() {
-        let mut retry = Vec::new();
-        for window in pending.chunks(WINDOW) {
-            frame.clear();
-            for line in window {
-                frame.push_str(line);
-                frame.push('\n');
+    let mut scratch = ProtoScratch::new();
+    let mut next = 0;
+    while next < lines.len() {
+        let window = &lines[next..lines.len().min(next + WINDOW)];
+        frame.clear();
+        frame.extend_from_slice(b"BATCH ");
+        push_u64(&mut frame, window.len() as u64);
+        frame.push(b'\n');
+        for line in window {
+            frame.extend_from_slice(line.as_bytes());
+            frame.push(b'\n');
+        }
+        writer.write_all(&frame)?;
+        writer.flush()?;
+        read_line(&mut resp)?;
+        match parse_batchr_header(resp.trim_end(), &mut scratch) {
+            Ok(Some(n)) if n == window.len() => {}
+            _ => {
+                return Err(proto_err(format_args!(
+                    "replay frame of {} lines answered {:?}",
+                    window.len(),
+                    resp.trim_end()
+                )));
             }
-            writer.write_all(frame.as_bytes())?;
-            writer.flush()?;
-            for line in window {
-                resp.clear();
-                if reader.read_line(&mut resp)? == 0 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "peer closed mid-replay",
-                    ));
-                }
-                match Response::parse(resp.trim_end()).map_err(proto_err)? {
-                    Response::Ok => acknowledged += 1,
-                    Response::Busy => retry.push(*line),
-                    Response::Err { .. } => rejected += 1,
-                    other => {
-                        return Err(proto_err(format_args!("replay answered {other:?}")));
-                    }
+        }
+        // Everything from the first BUSY on is sent again, so only the
+        // answers before it are final.
+        let mut busy_at = None;
+        for i in 0..window.len() {
+            read_line(&mut resp)?;
+            if busy_at.is_some() {
+                continue;
+            }
+            match Response::parse(resp.trim_end()).map_err(proto_err)? {
+                Response::Ok => acknowledged += 1,
+                Response::Busy => busy_at = Some(i),
+                Response::Err { .. } => rejected += 1,
+                other => {
+                    return Err(proto_err(format_args!("replay answered {other:?}")));
                 }
             }
         }
-        if !retry.is_empty() {
-            std::thread::sleep(Duration::from_millis(5));
+        match busy_at {
+            Some(i) => {
+                next += i;
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            None => next += window.len(),
         }
-        pending = retry;
     }
     Ok((acknowledged, rejected))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::smoke::{observe_line, usage};
+    use oc_core::ingest::IncrementalView;
+    use oc_core::predictor::clamp_prediction;
+    use oc_serve::config::ServeConfig;
+    use oc_serve::server::Server;
+    use oc_trace::ids::{JobId, TaskId};
+    use oc_trace::Tick;
+
+    const MACHINES: u64 = 400;
+    const TICKS: u64 = 25;
+
+    /// Machine-major, tick-minor — the order `Cluster::replace` drives.
+    fn lines_of(cell: &str) -> Vec<String> {
+        (0..MACHINES)
+            .flat_map(|m| (0..TICKS).map(move |t| observe_line(cell, m, t)))
+            .collect()
+    }
+
+    /// A target whose one-slot shard queue keeps answering `BUSY` (two
+    /// replays contend for it) must still apply every machine's samples
+    /// in order: no line may go stale behind a later tick of its own
+    /// machine, and the end state is the offline one. The old unframed,
+    /// retry-at-the-end loop applied ticks 6–10 before the rejected
+    /// ticks 1–5 and lost about 3 % of the samples while reporting all
+    /// of them acknowledged.
+    #[test]
+    fn drive_lines_keeps_machine_order_under_busy() {
+        let cfg = ServeConfig::default()
+            .with_addr("127.0.0.1:0")
+            .with_shards(1)
+            .with_queue_depth(1);
+        let server = Server::start(cfg.clone()).expect("server starts");
+        let addr = server.addr();
+        let lines = lines_of("fleet");
+        let rival = lines_of("rival");
+        std::thread::scope(|scope| {
+            let other = scope.spawn(|| drive_lines(addr, &rival));
+            let report = drive_lines(addr, &lines).expect("replay");
+            assert_eq!(report, (lines.len() as u64, 0));
+            let report = other.join().expect("rival thread").expect("rival replay");
+            assert_eq!(report, (rival.len() as u64, 0));
+        });
+
+        let predictor = cfg.predictor.build().expect("predictor");
+        let task = TaskId::new(JobId(1), 0);
+        for m in 0..MACHINES {
+            let mut view =
+                IncrementalView::new(cfg.machine_capacity, &cfg.sim).with_max_gap(cfg.max_tick_gap);
+            for t in 0..TICKS {
+                let _ = view.ingest(Tick(t), task, 0.5, usage(m, t));
+            }
+            view.flush();
+            let expected = clamp_prediction(predictor.predict(view.view()), view.view());
+            let req = Request::Predict {
+                cell: CellId::new("fleet"),
+                machine: MachineId(m as u32),
+                vector: false,
+            };
+            match request(addr, &req).expect("predict") {
+                Response::Pred { peak, .. } => assert_eq!(
+                    peak.to_bits(),
+                    expected.to_bits(),
+                    "machine {m} diverged from the offline view"
+                ),
+                other => panic!("machine {m}: PREDICT answered {other:?}"),
+            }
+        }
+        let stats = server.shutdown();
+        assert!(
+            stats.busy > 0,
+            "the queue never filled; the test proves nothing"
+        );
+        assert_eq!(stats.stale, 0, "samples overtook their own machine");
+        assert_eq!(stats.observes, (lines.len() + rival.len()) as u64);
+    }
 }

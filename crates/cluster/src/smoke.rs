@@ -9,69 +9,24 @@ use crate::supervisor::{Cluster, ClusterConfig};
 use oc_serve::proto::{epoch_ring_generation, ErrCode, Request, Response};
 use oc_serve::shard::key_hash;
 use oc_trace::ids::{CellId, MachineId};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::net::SocketAddr;
 
 /// Machines in the smoke fleet.
 const MACHINES: u64 = 120;
 /// Samples per machine.
 const TICKS: u64 = 30;
-/// Request lines pipelined per write burst.
-const BURST: usize = 256;
 
 /// A deterministic per-(machine, tick) usage in `(0, 0.5]` so every
 /// machine's prediction differs — state mixups cannot cancel out.
-fn usage(machine: u64, tick: u64) -> f64 {
+pub(crate) fn usage(machine: u64, tick: u64) -> f64 {
     0.05 + 0.45 * (((machine * 31 + tick * 7) % 97) as f64 / 97.0)
 }
 
-fn observe_line(cell: &str, machine: u64, tick: u64) -> String {
+pub(crate) fn observe_line(cell: &str, machine: u64, tick: u64) -> String {
     format!(
         "OBSERVE {cell} {machine} 1:0 {} 0.5 {tick}",
         usage(machine, tick)
     )
-}
-
-/// Pipelines `lines` to `addr`, retrying `BUSY` per line. Returns the
-/// number of `OK`s.
-fn drive(addr: SocketAddr, lines: &[String]) -> Result<u64, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .map_err(|e| e.to_string())?;
-    let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
-    let mut reader = BufReader::new(stream);
-    let mut oks = 0u64;
-    let mut pending: Vec<String> = lines.to_vec();
-    while !pending.is_empty() {
-        let mut retry = Vec::new();
-        for burst in pending.chunks(BURST) {
-            let mut frame = String::new();
-            for line in burst {
-                frame.push_str(line);
-                frame.push('\n');
-            }
-            writer
-                .write_all(frame.as_bytes())
-                .map_err(|e| format!("write {addr}: {e}"))?;
-            let mut resp_line = String::new();
-            for line in burst {
-                resp_line.clear();
-                reader
-                    .read_line(&mut resp_line)
-                    .map_err(|e| format!("read {addr}: {e}"))?;
-                match Response::parse(resp_line.trim_end()) {
-                    Ok(Response::Ok) => oks += 1,
-                    Ok(Response::Busy) => retry.push(line.clone()),
-                    Ok(other) => return Err(format!("{addr}: {line} answered {other:?}")),
-                    Err(e) => return Err(format!("{addr}: unparseable response: {e}")),
-                }
-            }
-        }
-        pending = retry;
-    }
-    Ok(oks)
 }
 
 fn predict(addr: SocketAddr, cell: &CellId, machine: u64) -> Result<f64, String> {
@@ -119,10 +74,11 @@ pub fn run() -> Result<(), String> {
         }
     }
     for (node, plan) in plans.iter().enumerate() {
-        let oks = drive(addrs[node], plan)?;
-        if oks != plan.len() as u64 {
+        let (oks, rejected) = control::drive_lines(addrs[node], plan)
+            .map_err(|e| format!("drive node {node}: {e}"))?;
+        if oks != plan.len() as u64 || rejected != 0 {
             return Err(format!(
-                "node {node}: {oks}/{} samples acknowledged",
+                "node {node}: {oks}/{} samples acknowledged, {rejected} rejected",
                 plan.len()
             ));
         }
@@ -232,8 +188,21 @@ pub fn run() -> Result<(), String> {
     if report.replayed == 0 {
         return Err("replace replayed no samples".to_string());
     }
+    if report.rejected != 0 {
+        return Err(format!(
+            "replace drove {} lines the slot refused; the supervisor's ring \
+             and the member's ownership disagree",
+            report.rejected
+        ));
+    }
     let addrs = cluster.addrs(); // slot 0 has a fresh address
     let s0 = control::stats(addrs[0]).map_err(|e| format!("stats replaced: {e}"))?;
+    if s0.stale != 0 || s0.errors != 0 {
+        return Err(format!(
+            "replay reached the replaced member out of order: stale {}, errors {}",
+            s0.stale, s0.errors
+        ));
+    }
     if epoch_ring_generation(s0.epoch) != 1 {
         return Err(format!(
             "replaced member should stamp ring generation 1, epoch {:#x}",

@@ -19,6 +19,7 @@
 use crate::control;
 use crate::node::NodeArgs;
 use crate::ring::{RingSpec, DEFAULT_SEED, DEFAULT_VNODES};
+use oc_serve::config::KeyRole;
 use oc_serve::proto::StatsSnapshot;
 use oc_telemetry::metrics::merge_expositions;
 use std::collections::{HashMap, HashSet};
@@ -125,9 +126,10 @@ impl Drop for SpawnGuard {
 pub struct ReplayReport {
     /// `OBSERVE` lines replayed and acknowledged by rebuilt members.
     pub replayed: u64,
-    /// Lines a target rejected (`ERR not-mine`: keys outside its
-    /// slots). Expected — survivors hold broader logs than any one
-    /// target's ranges.
+    /// Lines a target refused (`ERR not-mine`: keys outside its
+    /// slots). The supervisor only drives what the target's slots hold,
+    /// so this is an alarm, expected 0: non-zero means the supervisor's
+    /// ring and the member's ownership map disagree.
     pub rejected: u64,
     /// Live members whose handoff logs fed the rebuild.
     pub sources: usize,
@@ -354,10 +356,9 @@ impl Cluster {
         if self.members[index].alive {
             self.retire(index)?;
         }
-        let (per_machine, sources) = self.collect_logs()?;
         self.spec.generation += 1;
-        let member = match self.spawn_member(index) {
-            Ok(m) => m,
+        let (member, report) = match self.rebuild_slot(index) {
+            Ok(rebuilt) => rebuilt,
             Err(e) => {
                 // The slot stays dead; undo the bump so a retry does not
                 // skip generations.
@@ -365,18 +366,43 @@ impl Cluster {
                 return Err(e);
             }
         };
-        // The fresh member filters by its own ownership (`ERR not-mine`
-        // for keys outside its slots), so every surviving log is simply
-        // offered; per-machine line order is arrival order.
-        let lines: Vec<String> = per_machine.into_values().flatten().collect();
-        let (replayed, rejected) = control::drive_lines(member.addr, &lines)?;
         self.members[index] = member;
         self.push_ring()?;
-        Ok(ReplayReport {
-            replayed,
-            rejected,
-            sources,
-        })
+        Ok(report)
+    }
+
+    /// Spawns the replacement for slot `index` while the survivors'
+    /// logs stream in, then replays what the slot holds into it: the
+    /// machines the slot's own ownership map (the one the new member
+    /// enforces) does not call `Remote`, one lookup per machine. The
+    /// member's check stays on as the safety net behind this filter.
+    /// The child never outlives an error.
+    fn rebuild_slot(&self, index: usize) -> io::Result<(Member, ReplayReport)> {
+        let (logs, spawned) = self.collect_logs(|| self.spawn_member(index));
+        let guard = SpawnGuard {
+            members: vec![spawned?],
+        };
+        let (per_machine, sources) = logs?;
+        let ownership = self.spec.build().ownership_for(index);
+        // Per-machine line order is arrival order; machines interleave
+        // arbitrarily, which ingestion does not care about.
+        let lines: Vec<String> = per_machine
+            .into_iter()
+            .filter(|((cell, machine), _)| {
+                ownership.role_of(control::machine_hash(cell, *machine)) != KeyRole::Remote
+            })
+            .flat_map(|(_, lines)| lines)
+            .collect();
+        let (replayed, rejected) = control::drive_lines(guard.members[0].addr, &lines)?;
+        let member = guard.disarm().pop().expect("the guarded member");
+        Ok((
+            member,
+            ReplayReport {
+                replayed,
+                rejected,
+                sources,
+            },
+        ))
     }
 
     /// Grows or shrinks the ring to `new_nodes` members: spawns or
@@ -396,7 +422,7 @@ impl Cluster {
             return Ok(ReplayReport::default());
         }
         let old_ring = self.spec.build();
-        let (per_machine, sources) = self.collect_logs()?;
+        let (per_machine, sources) = self.collect_logs(|| ()).0?;
         let mut new_spec = self.spec;
         new_spec.nodes = new_nodes;
         new_spec.generation += 1;
@@ -422,12 +448,7 @@ impl Cluster {
         let new_alive = vec![true; new_nodes];
         let mut per_target: HashMap<usize, Vec<String>> = HashMap::new();
         for ((cell, machine), lines) in per_machine {
-            let hash = control::HandoffLine {
-                line: String::new(),
-                cell,
-                machine,
-            }
-            .key_hash();
+            let hash = control::machine_hash(&cell, machine);
             let (old_owner, old_replica) = old_ring.routes(hash, &old_alive);
             let old_holders: HashSet<usize> =
                 [old_owner, old_replica].into_iter().flatten().collect();
@@ -460,30 +481,52 @@ impl Cluster {
     /// Collects every live member's handoff log, deduplicated to the
     /// longest per-machine copy (the complete stream lives on the
     /// machine's owner and its replica; a shorter copy is a partial
-    /// failover view).
-    fn collect_logs(&self) -> io::Result<(LogsByMachine, usize)> {
-        let mut per_machine: LogsByMachine = HashMap::new();
-        let mut sources = 0usize;
-        for m in self.members.iter().filter(|m| m.alive) {
-            let dump = control::handoff(m.addr)?;
-            sources += 1;
-            let mut local: HashMap<(String, u32), Vec<String>> = HashMap::new();
-            for entry in dump {
-                local
-                    .entry((entry.cell, entry.machine))
-                    .or_default()
-                    .push(entry.line);
-            }
-            for (key, lines) in local {
-                match per_machine.get(&key) {
-                    Some(best) if best.len() >= lines.len() => {}
-                    _ => {
-                        per_machine.insert(key, lines);
+    /// failover view). The dumps are fetched and grouped concurrently,
+    /// one thread per member, while `meanwhile` runs on the calling
+    /// thread; its result is returned beside the logs.
+    fn collect_logs<T>(
+        &self,
+        meanwhile: impl FnOnce() -> T,
+    ) -> (io::Result<(LogsByMachine, usize)>, T) {
+        std::thread::scope(|scope| {
+            let fetches: Vec<_> = self
+                .members
+                .iter()
+                .filter(|m| m.alive)
+                .map(|m| {
+                    let addr = m.addr;
+                    scope.spawn(move || -> io::Result<LogsByMachine> {
+                        let mut local: LogsByMachine = HashMap::new();
+                        for entry in control::handoff(addr)? {
+                            local
+                                .entry((entry.cell, entry.machine))
+                                .or_default()
+                                .push(entry.line);
+                        }
+                        Ok(local)
+                    })
+                })
+                .collect();
+            let side = meanwhile();
+            let sources = fetches.len();
+            // (The scope joins whatever a first failure leaves unjoined.)
+            let logs = (|| {
+                let mut per_machine: LogsByMachine = HashMap::new();
+                for fetch in fetches {
+                    let local = fetch.join().expect("handoff fetch thread panicked")?;
+                    for (key, lines) in local {
+                        match per_machine.get(&key) {
+                            Some(best) if best.len() >= lines.len() => {}
+                            _ => {
+                                per_machine.insert(key, lines);
+                            }
+                        }
                     }
                 }
-            }
-        }
-        Ok((per_machine, sources))
+                Ok((per_machine, sources))
+            })();
+            (logs, side)
+        })
     }
 
     /// Cluster-wide `STATS`: every live member's snapshot folded through

@@ -100,4 +100,29 @@ proptest! {
             prop_assert_eq!(replicas, 1);
         }
     }
+
+    /// The replay filter of `Cluster::replace` can never drop a line
+    /// the rebuilt member would have applied: "slot is owner or replica
+    /// under the all-alive ring" is exactly "the slot's ownership map
+    /// (the supervisor's filter, and the member's own check) does not
+    /// call the key `Remote`".
+    #[test]
+    fn replay_filter_equals_member_ownership(
+        nodes in 2usize..7,
+        vnodes in 1usize..48,
+        seed in 0u64..u64::MAX,
+        slot in 0usize..7,
+        hashes in proptest::collection::vec(0u64..u64::MAX, 1..128),
+    ) {
+        use oc_serve::config::KeyRole;
+        let slot = slot % nodes;
+        let r = ring(nodes, vnodes, seed, 0);
+        let ownership = r.ownership_for(slot);
+        let all_alive = vec![true; nodes];
+        for h in hashes {
+            let (owner, replica) = r.routes(h, &all_alive);
+            let holds = owner == Some(slot) || replica == Some(slot);
+            prop_assert_eq!(holds, ownership.role_of(h) != KeyRole::Remote);
+        }
+    }
 }

@@ -56,15 +56,27 @@ cargo build --release --workspace
 cargo build --release --workspace --examples
 cargo test -q --workspace
 
+# Regression tests pinned by name, so a filter or a module rename cannot
+# silently drop them: run with the full path as filter, require "1 passed".
+pin_test() { # <package> <test path> <what it guards>
+  local out
+  out="$(cargo test -q -p "$1" "$2" -- --include-ignored)" \
+    || { echo "tier1: $3 regression test failed" >&2; exit 1; }
+  printf '%s' "$out" | grep -q "1 passed" \
+    || { echo "tier1: $3 regression test did not run" >&2; exit 1; }
+}
 # The supervisor must never leak member processes when startup fails
-# partway (a leaked child holds its port and survives the test run);
-# pin the regression test by name so a filter or module rename cannot
-# silently drop it.
-leak_out="$(cargo test -q -p oc-cluster \
-  supervisor::tests::start_failure_leaves_no_live_children -- --include-ignored)" \
-  || { echo "tier1: supervisor leak regression test failed" >&2; exit 1; }
-printf '%s' "$leak_out" | grep -q "1 passed" \
-  || { echo "tier1: supervisor leak regression test did not run" >&2; exit 1; }
+# partway (a leaked child holds its port and survives the test run).
+pin_test oc-cluster supervisor::tests::start_failure_leaves_no_live_children \
+  "supervisor leak"
+# A replay into a member that answers BUSY must keep every machine's
+# samples in order (the old loop lost ~3 % of them as stale).
+pin_test oc-cluster control::tests::drive_lines_keeps_machine_order_under_busy \
+  "replay ordering"
+# A refused reconnect to a ring member is a death verdict: failover in one
+# connect, with no backoff ladder slept on the way.
+pin_test oc-client fleet::tests::refused_reconnect_is_a_death_verdict \
+  "failover verdict"
 
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
