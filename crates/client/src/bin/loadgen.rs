@@ -4,8 +4,7 @@
 //! loadgen [--addr HOST:PORT] [--cluster H:P,H:P,...] [--machines N]
 //!         [--ticks N] [--connections N] [--qps N] [--rate-per-conn R]
 //!         [--seed U64] [--no-predicts] [--batch N] [--chaos RATE]
-//!         [--chaos-seed U64] [--frontend F]
-//!         [--out BENCH_serve.json] [--trace-out FILE]
+//!         [--chaos-seed U64] [--out BENCH_serve.json] [--trace-out FILE]
 //! ```
 //!
 //! Without `--addr`/`--cluster` an in-process server is started (4
@@ -19,8 +18,8 @@
 //! tiny queue (`queue_depth = 8`) to demonstrate `BUSY` backpressure,
 //! and a **reactor-10k** phase driving 10 000 concurrent connections at
 //! a low per-connection rate (107 lines/s/conn ≈ 1.07M qps offered, the
-//! fan-in driver from `oc_client::fanin`) against a reactor-frontend
-//! server in a *child process* — two processes because one address space
+//! fan-in driver from `oc_client::fanin`) against a server in a *child
+//! process* — two processes because one address space
 //! cannot hold 20 000 socket fds under the default `RLIMIT_NOFILE` hard
 //! cap.
 //!
@@ -56,9 +55,6 @@
 //! accounted for on the server — which the process enforces by exiting
 //! nonzero otherwise.
 //!
-//! `--frontend threaded|reactor` selects the frontend of every
-//! in-process (and child) server; the default is the reactor.
-//!
 //! With `--out`, a JSON report in the style of `BENCH_hot_path.json` is
 //! written; otherwise the same JSON goes to stdout.
 //!
@@ -73,7 +69,7 @@ use oc_client::loadgen::{request_shutdown, run, LoadgenConfig};
 use oc_client::{ClusterClient, ClusterClientConfig, LoadReport};
 use oc_cluster::{Cluster, ClusterConfig, RingSpec};
 use oc_serve::fault::FaultPlan;
-use oc_serve::{Frontend, ServeConfig, Server};
+use oc_serve::{ServeConfig, Server};
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::process::{Child, Command, ExitCode, Stdio};
@@ -84,7 +80,6 @@ struct Args {
     cluster: Option<Vec<SocketAddr>>,
     cfg: LoadgenConfig,
     rate_per_conn: Option<u64>,
-    frontend: Option<Frontend>,
     chaos_rate: Option<f64>,
     chaos_seed: u64,
     out: Option<String>,
@@ -103,7 +98,7 @@ fn usage() -> ! {
          [--machines N] [--ticks N] \
          [--connections N] [--qps N] [--rate-per-conn R] [--seed U64] \
          [--no-predicts] [--batch N] [--chaos RATE] [--chaos-seed U64] \
-         [--frontend threaded|reactor] [--out FILE] [--trace-out FILE]"
+         [--out FILE] [--trace-out FILE]"
     );
     std::process::exit(2);
 }
@@ -114,7 +109,6 @@ fn parse_args() -> Args {
         cluster: None,
         cfg: LoadgenConfig::default(),
         rate_per_conn: None,
-        frontend: None,
         chaos_rate: None,
         chaos_seed: 42,
         out: None,
@@ -155,9 +149,6 @@ fn parse_args() -> Args {
             "--chaos-seed" => {
                 out.chaos_seed = val("--chaos-seed").parse().unwrap_or_else(|_| usage())
             }
-            "--frontend" => {
-                out.frontend = Some(val("--frontend").parse().unwrap_or_else(|_| usage()))
-            }
             "--out" => out.out = Some(val("--out")),
             "--trace-out" => out.trace_out = Some(val("--trace-out")),
             "--serve-child" => out.serve_child = true,
@@ -184,9 +175,6 @@ fn parse_args() -> Args {
     }
     if let Some(rate) = out.chaos_rate {
         out.cfg.chaos = Some(FaultPlan::new(out.chaos_seed, rate));
-    }
-    if let Some(f) = out.frontend {
-        out.serve_cfg.frontend = f;
     }
     out
 }
@@ -251,7 +239,6 @@ fn spawn_server_child(serve_cfg: &ServeConfig) -> std::io::Result<(Child, Socket
         .args(["--queue-depth", &serve_cfg.queue_depth.to_string()])
         .args(["--max-connections", &serve_cfg.max_connections.to_string()])
         .args(["--reactor-threads", &serve_cfg.reactor_threads.to_string()])
-        .args(["--frontend", &serve_cfg.frontend.to_string()])
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn()?;
@@ -277,12 +264,11 @@ fn spawn_server_child(serve_cfg: &ServeConfig) -> std::io::Result<(Child, Socket
 /// Runs the reactor-10k phase: a child-process reactor server and the
 /// single-threaded fan-in driver at 10 000 connections.
 fn reactor_10k(args: &Args) -> Result<LoadReport, oc_client::ClientError> {
-    let mut serve_cfg = ServeConfig::default()
+    let serve_cfg = ServeConfig::default()
         .with_shards(args.serve_cfg.shards.min(2))
         .with_queue_depth(65_536)
         .with_max_connections(10_100)
         .with_reactor_threads(1);
-    serve_cfg.frontend = args.serve_cfg.frontend;
     // Tuned operating point for one reactor thread on one core: 10 000
     // conns x 107 lines/s/conn offers ~1.07M qps, just under the
     // measured ~1.1M saturation, and 128-line frames keep per-conn
@@ -585,15 +571,8 @@ fn main() -> ExitCode {
                 }
             },
             None => {
-                let base_serve = || {
-                    let mut cfg = ServeConfig::default();
-                    if let Some(f) = args.frontend {
-                        cfg.frontend = f;
-                    }
-                    cfg
-                };
                 // Sustained phase: default server, default (deep) queues.
-                let server = Server::start(base_serve())
+                let server = Server::start(ServeConfig::default())
                     .map_err(|e| oc_client::ClientError::Config(e.to_string()))?;
                 let report = run(server.addr(), &args.cfg)?;
                 lost_total += report.lost;
@@ -613,7 +592,7 @@ fn main() -> ExitCode {
                     32
                 };
                 batched_cfg.target_qps = args.cfg.target_qps.saturating_mul(3);
-                let server = Server::start(base_serve())
+                let server = Server::start(ServeConfig::default())
                     .map_err(|e| oc_client::ClientError::Config(e.to_string()))?;
                 let report = run(server.addr(), &batched_cfg)?;
                 lost_total += report.lost;
@@ -627,7 +606,7 @@ fn main() -> ExitCode {
                     args.chaos_seed,
                     args.chaos_rate.unwrap_or(0.02),
                 ));
-                let server = Server::start(base_serve())
+                let server = Server::start(ServeConfig::default())
                     .map_err(|e| oc_client::ClientError::Config(e.to_string()))?;
                 let report = run(server.addr(), &chaos_cfg)?;
                 lost_total += report.lost;
@@ -636,8 +615,9 @@ fn main() -> ExitCode {
 
                 // Overload phase: tiny queues, open throttle, so bounded
                 // queues visibly reject with BUSY instead of buffering.
-                let server = Server::start(base_serve().with_shards(2).with_queue_depth(8))
-                    .map_err(|e| oc_client::ClientError::Config(e.to_string()))?;
+                let server =
+                    Server::start(ServeConfig::default().with_shards(2).with_queue_depth(8))
+                        .map_err(|e| oc_client::ClientError::Config(e.to_string()))?;
                 let mut overload_cfg = args.cfg.clone();
                 overload_cfg.target_qps = 0;
                 overload_cfg.connections = overload_cfg.connections.max(4);

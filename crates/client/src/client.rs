@@ -36,6 +36,17 @@
 //! order, so responses match requests FIFO). Retryable failures re-queue
 //! their request *ahead* of everything not yet written, preserving
 //! submission order as closely as a retry allows.
+//!
+//! # One frame path
+//!
+//! Everything that goes on the wire is a *frame* of `n` requests (`BATCH n`
+//! header iff `n > 1`) appended by `Client::write_frame`, and everything
+//! that comes back is drained by `Client::read_frame_replies`: a single
+//! [`Client::request`] is a frame of one, a pipelined window is a run of
+//! frames flushed once, and the cluster pipes use the same pair. A frame
+//! is acknowledged or lost whole — a transport failure or a server-side
+//! close (`ERR timeout`/`conn-limit`, also where a `BATCHR` header is due)
+//! discards the replies already read for it and it is sent again.
 
 use crate::error::ClientError;
 use oc_serve::fault::{FaultCounters, FaultPlan, FaultStream};
@@ -61,6 +72,17 @@ pub struct RetryPolicy {
     pub base: Duration,
     /// Upper bound on one backoff sleep.
     pub cap: Duration,
+}
+
+impl RetryPolicy {
+    /// How long to sleep before retry number `attempt`:
+    /// `min(cap, base * 2^attempt)` scaled by a jitter factor in
+    /// `[0.5, 1.0)` drawn from `rng`.
+    pub fn nap(&self, attempt: u32, rng: &mut SmallRng) -> Duration {
+        let exp = self.base.as_secs_f64() * f64::from(2u32.saturating_pow(attempt.min(16)));
+        let jitter = 0.5 + 0.5 * rng.random::<f64>();
+        Duration::from_secs_f64(exp.min(self.cap.as_secs_f64()) * jitter)
+    }
 }
 
 impl Default for RetryPolicy {
@@ -251,6 +273,11 @@ pub struct Client {
 struct Conn {
     reader: BufReader<Box<dyn Read + Send>>,
     writer: BufWriter<Box<dyn Write + Send>>,
+    /// Encode buffer of the frame being written.
+    frame: Vec<u8>,
+    /// The reply line being read, and the parser's scratch.
+    line: String,
+    scratch: ProtoScratch,
 }
 
 impl std::fmt::Debug for Conn {
@@ -274,17 +301,6 @@ fn is_transient(e: &std::io::Error) -> bool {
             | TimedOut
             | Interrupted
     )
-}
-
-/// What one write+read attempt produced.
-enum Attempt {
-    /// A response that terminates the retry loop.
-    Done(Response),
-    /// `BUSY`: back off and re-send on the same connection.
-    Busy,
-    /// `ERR timeout` / `ERR conn-limit` / transient I/O: reconnect and
-    /// re-send. Carries a description for the exhaustion error.
-    Transient(String),
 }
 
 impl Client {
@@ -388,6 +404,9 @@ impl Client {
         self.conn = Some(Conn {
             reader: BufReader::new(r),
             writer: BufWriter::new(w),
+            frame: Vec::new(),
+            line: String::new(),
+            scratch: ProtoScratch::new(),
         });
         Ok(())
     }
@@ -418,67 +437,9 @@ impl Client {
         Ok(())
     }
 
-    /// Sleeps `min(cap, base * 2^attempt)` scaled by a seeded jitter
-    /// factor in `[0.5, 1.0)`.
+    /// Sleeps the retry policy's nap for `attempt`.
     fn backoff(&mut self, attempt: u32) {
-        let base = self.cfg.retry.base.as_secs_f64();
-        let cap = self.cfg.retry.cap.as_secs_f64();
-        let exp = base * f64::from(2u32.saturating_pow(attempt.min(16)));
-        let jitter = 0.5 + 0.5 * self.rng.random::<f64>();
-        std::thread::sleep(Duration::from_secs_f64(exp.min(cap) * jitter));
-    }
-
-    /// Writes `line` and reads one response on the current connection.
-    fn try_once(&mut self, line: &str) -> Result<Attempt, ClientError> {
-        if let Err(e) = self.ensure_conn() {
-            return if self.connect_retryable(&e) {
-                self.conn = None;
-                Ok(Attempt::Transient(e.to_string()))
-            } else {
-                Err(ClientError::Io(e))
-            };
-        }
-        let conn = self.conn.as_mut().expect("ensured above");
-        let io = (|| -> std::io::Result<String> {
-            conn.writer.write_all(line.as_bytes())?;
-            conn.writer.write_all(b"\n")?;
-            conn.writer.flush()?;
-            let mut buf = String::new();
-            if conn.reader.read_line(&mut buf)? == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ));
-            }
-            Ok(buf)
-        })();
-        let buf = match io {
-            Ok(buf) => buf,
-            Err(e) if is_transient(&e) => {
-                self.drop_conn()?;
-                return Ok(Attempt::Transient(e.to_string()));
-            }
-            Err(e) => return Err(ClientError::Io(e)),
-        };
-        let resp = Response::parse(buf.trim_end()).map_err(ClientError::Proto)?;
-        Ok(self.classify(resp))
-    }
-
-    /// Maps a response onto the retry ladder.
-    fn classify(&mut self, resp: Response) -> Attempt {
-        match resp {
-            Response::Busy => Attempt::Busy,
-            Response::Err {
-                code: code @ (ErrCode::Timeout | ErrCode::ConnLimit),
-                detail,
-            } => {
-                // The server closed (or refused) this connection; it is
-                // useless now, but a fresh one may succeed.
-                self.conn = None;
-                Attempt::Transient(format!("{}: {detail}", code.as_str()))
-            }
-            other => Attempt::Done(other),
-        }
+        std::thread::sleep(self.cfg.retry.nap(attempt, &mut self.rng));
     }
 
     /// Records one `BUSY` retry (per-client and process-wide) and emits a
@@ -512,25 +473,30 @@ impl Client {
     /// [`ClientError::Exhausted`] when the budget runs out; terminal
     /// transport and protocol failures as their own variants.
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let line = req.encode();
+        let mut replies = Vec::with_capacity(1);
         let mut last = String::new();
         for attempt in 0..self.cfg.retry.max_attempts {
             if attempt > 0 {
                 self.note_retries(1);
             }
-            match self.try_once(&line)? {
-                Attempt::Done(resp) => return Ok(resp),
-                Attempt::Busy => {
-                    self.note_busy(1);
-                    last = "BUSY".to_string();
-                    self.backoff(attempt);
-                }
-                Attempt::Transient(what) => {
+            let io = self
+                .write_frame(1, std::iter::once(req))?
+                .then(|| self.flush_frames())?
+                .then(|| self.read_frame_replies(1, &mut replies))?;
+            match io {
+                FrameIo::Done => match replies.pop().expect("a frame of one has one reply") {
+                    Response::Busy => {
+                        self.note_busy(1);
+                        last = "BUSY".to_string();
+                    }
+                    resp => return Ok(resp),
+                },
+                FrameIo::Lost(what) => {
                     self.note_io(1);
                     last = what;
-                    self.backoff(attempt);
                 }
             }
+            self.backoff(attempt);
         }
         Err(ClientError::Exhausted {
             attempts: self.cfg.retry.max_attempts,
@@ -789,14 +755,15 @@ impl Client {
         Ok(())
     }
 
-    /// Writes one window and drains its responses. Unresolved indices go
-    /// back onto the *front* of `todo`, in order.
+    /// Writes one window — every frame, then one flush — and drains its
+    /// responses frame by frame. Unresolved indices go back onto the
+    /// *front* of `todo`, in order.
     ///
     /// With `cfg.batch > 1`, consecutive data-plane requests (`OBSERVE`,
     /// `PREDICT`, `ADMIT`) are framed as `BATCH` frames of up to
     /// `cfg.batch` sub-requests; control verbs and singleton runs are
-    /// sent bare. The reply stream stays one line per request in order,
-    /// with a `BATCHR <n>` header preceding each frame's replies.
+    /// sent bare. A frame lost to the transport is re-sent whole, with
+    /// everything after it (idempotent, see module docs).
     fn run_window<F>(
         &mut self,
         reqs: &[Request],
@@ -808,142 +775,54 @@ impl Client {
         F: FnMut(usize, &Response, f64),
     {
         let frames = plan_frames(reqs, window, self.cfg.batch);
-        let conn = self.conn.as_mut().expect("caller ensured a connection");
-        let wrote = (|| -> std::io::Result<Vec<Instant>> {
-            let mut stamps = Vec::with_capacity(window.len());
-            let mut line = Vec::new();
-            for frame in &frames {
-                line.clear();
-                if frame.batched {
-                    line.extend_from_slice(b"BATCH ");
-                    push_u64(&mut line, frame.len as u64);
-                    line.push(b'\n');
-                }
-                for &idx in &window[frame.start..frame.start + frame.len] {
-                    stamps.push(Instant::now());
-                    reqs[idx].encode_into(&mut line);
-                    line.push(b'\n');
-                }
-                conn.writer.write_all(&line)?;
-            }
-            conn.writer.flush()?;
-            Ok(stamps)
-        })();
-        let stamps = match wrote {
-            Ok(stamps) => stamps,
-            Err(e) if is_transient(&e) => {
-                // Nothing in this window is resolved; the server discards
-                // any truncated trailing line, so a clean re-send of the
-                // whole window is safe.
-                self.drop_conn()?;
-                self.note_io(window.len() as u64);
-                self.note_retries(window.len() as u64);
-                requeue_front(todo, window.iter().copied());
-                return Ok(WindowOutcome::Stalled(e.to_string()));
-            }
-            Err(e) => return Err(ClientError::Io(e)),
-        };
+        // The server must see the window as one burst (it settles reads
+        // once per burst), so nothing is flushed until all of it is
+        // encoded.
+        let mut stamps = Vec::with_capacity(frames.len());
+        let mut wrote = FrameIo::Done;
+        for frame in &frames {
+            stamps.push(Instant::now());
+            let members = window[frame.clone()].iter().map(|&idx| &reqs[idx]);
+            wrote = wrote.then(|| self.write_frame(frame.len(), members))?;
+        }
+        if let FrameIo::Lost(what) = wrote.then(|| self.flush_frames())? {
+            // Nothing in this window is resolved; the server discards
+            // any truncated trailing line, so a clean re-send of the
+            // whole window is safe.
+            self.note_io(window.len() as u64);
+            self.note_retries(window.len() as u64);
+            requeue_front(todo, window.iter().copied());
+            return Ok(WindowOutcome::Stalled(what));
+        }
 
         let mut resolved = false;
         let mut deferred: Vec<usize> = Vec::new();
-        let mut stalled: Option<String> = None;
-        let mut scratch = ProtoScratch::new();
-        let mut buf = String::new();
-        'frames: for frame in &frames {
-            if frame.batched {
-                let conn = self.conn.as_mut().expect("frame holds the connection");
-                buf.clear();
-                let read = match conn.reader.read_line(&mut buf) {
-                    Ok(0) => Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "server closed the connection",
-                    )),
-                    Ok(_) => Ok(()),
-                    Err(e) => Err(e),
-                };
-                if let Err(e) = read {
-                    if !is_transient(&e) {
-                        return Err(ClientError::Io(e));
-                    }
-                    // The whole frame (and everything after it) is gone;
-                    // re-send the lot (idempotent, see module docs).
-                    self.drop_conn()?;
-                    let rest: Vec<usize> = window[frame.start..].to_vec();
-                    self.note_io(rest.len() as u64);
-                    self.note_retries(rest.len() as u64);
-                    requeue_front(todo, deferred.iter().copied().chain(rest));
-                    stalled = Some(e.to_string());
-                    break 'frames;
-                }
-                // A count mismatch means the reply stream is out of step
-                // with what we sent: unrecoverable, so fail loudly rather
-                // than mis-attributing responses.
-                match parse_batchr_header(buf.trim_end(), &mut scratch) {
-                    Ok(Some(n)) if n == frame.len => {}
-                    Ok(_) => return Err(out_of_step(&buf)),
-                    Err(e) => return Err(ClientError::Proto(e)),
+        let mut replies: Vec<Response> = Vec::new();
+        for (frame, sent_at) in frames.iter().zip(stamps) {
+            replies.clear();
+            if let FrameIo::Lost(what) = self.read_frame_replies(frame.len(), &mut replies)? {
+                // This frame and all later responses of the window are
+                // gone; re-send the lot.
+                let rest = &window[frame.start..];
+                self.note_io(rest.len() as u64);
+                self.note_retries(rest.len() as u64);
+                requeue_front(todo, deferred.iter().chain(rest).copied());
+                return Ok(if resolved {
+                    WindowOutcome::Progress
+                } else {
+                    WindowOutcome::Stalled(what)
+                });
+            }
+            for (&idx, resp) in window[frame.clone()].iter().zip(&replies) {
+                if matches!(resp, Response::Busy) {
+                    self.note_busy(1);
+                    self.note_retries(1);
+                    deferred.push(idx);
+                } else {
+                    on_resp(idx, resp, sent_at.elapsed().as_secs_f64() * 1e6);
+                    resolved = true;
                 }
             }
-            for (k, &idx) in window[frame.start..frame.start + frame.len]
-                .iter()
-                .enumerate()
-            {
-                let pos = frame.start + k;
-                let conn = self.conn.as_mut().expect("window holds the connection");
-                buf.clear();
-                let read = match conn.reader.read_line(&mut buf) {
-                    Ok(0) => Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "server closed the connection",
-                    )),
-                    Ok(_) => Ok(()),
-                    Err(e) => Err(e),
-                };
-                if let Err(e) = read {
-                    if !is_transient(&e) {
-                        return Err(ClientError::Io(e));
-                    }
-                    // This and all later responses of the window are gone;
-                    // re-send the lot (idempotent, see module docs).
-                    self.drop_conn()?;
-                    let rest: Vec<usize> = window[pos..].to_vec();
-                    self.note_io(rest.len() as u64);
-                    self.note_retries(rest.len() as u64);
-                    requeue_front(todo, deferred.iter().copied().chain(rest));
-                    stalled = Some(e.to_string());
-                    break 'frames;
-                }
-                let resp = Response::parse(buf.trim_end()).map_err(ClientError::Proto)?;
-                match self.classify(resp) {
-                    Attempt::Done(resp) => {
-                        on_resp(idx, &resp, stamps[pos].elapsed().as_secs_f64() * 1e6);
-                        resolved = true;
-                    }
-                    Attempt::Busy => {
-                        self.note_busy(1);
-                        self.note_retries(1);
-                        deferred.push(idx);
-                    }
-                    Attempt::Transient(what) => {
-                        // classify() dropped the connection (server closed
-                        // it); later responses cannot arrive.
-                        let rest: Vec<usize> = window[pos + 1..].to_vec();
-                        self.note_io(1 + rest.len() as u64);
-                        self.note_retries(1 + rest.len() as u64);
-                        deferred.push(idx);
-                        requeue_front(todo, deferred.iter().copied().chain(rest));
-                        stalled = Some(what);
-                        break 'frames;
-                    }
-                }
-            }
-        }
-        if let Some(what) = stalled {
-            return Ok(if resolved {
-                WindowOutcome::Progress
-            } else {
-                WindowOutcome::Stalled(what)
-            });
         }
         requeue_front(todo, deferred.iter().copied());
         Ok(if resolved || window.is_empty() {
@@ -953,12 +832,13 @@ impl Client {
         })
     }
 
-    /// Writes `n` requests as one frame — a `BATCH` wrapper when more
-    /// than one — and flushes, reading nothing back. The cluster
-    /// pipeline keeps several frames in flight per member and drains
-    /// them later with [`Client::read_frame_replies`]. A transient
-    /// transport failure drops the connection and comes back as
-    /// [`FrameIo::Lost`]; nothing of the frame counts as delivered.
+    /// Appends `n` requests to the connection's writer as one frame — a
+    /// `BATCH` wrapper when more than one — without flushing: the caller
+    /// decides how many frames make one burst ([`Client::flush_frames`]).
+    /// Nothing is read back; replies are drained later with
+    /// [`Client::read_frame_replies`]. A transient transport failure
+    /// drops the connection and comes back as [`FrameIo::Lost`]; nothing
+    /// of the frame counts as delivered.
     pub(crate) fn write_frame<'a, I>(&mut self, n: usize, reqs: I) -> Result<FrameIo, ClientError>
     where
         I: IntoIterator<Item = &'a Request>,
@@ -966,109 +846,115 @@ impl Client {
         if let Err(e) = self.ensure_conn() {
             return if self.connect_retryable(&e) {
                 self.conn = None;
-                Ok(FrameIo::Lost)
+                Ok(FrameIo::Lost(e.to_string()))
             } else {
                 Err(ClientError::Io(e))
             };
         }
         let conn = self.conn.as_mut().expect("ensured above");
-        let io = (|| -> std::io::Result<()> {
-            let mut line = Vec::with_capacity(n * 48);
-            if n > 1 {
-                line.extend_from_slice(b"BATCH ");
-                push_u64(&mut line, n as u64);
-                line.push(b'\n');
-            }
-            for req in reqs {
-                req.encode_into(&mut line);
-                line.push(b'\n');
-            }
-            conn.writer.write_all(&line)?;
-            conn.writer.flush()
-        })();
-        match io {
+        conn.frame.clear();
+        if n > 1 {
+            conn.frame.extend_from_slice(b"BATCH ");
+            push_u64(&mut conn.frame, n as u64);
+            conn.frame.push(b'\n');
+        }
+        for req in reqs {
+            req.encode_into(&mut conn.frame);
+            conn.frame.push(b'\n');
+        }
+        match conn.writer.write_all(&conn.frame) {
             Ok(()) => Ok(FrameIo::Done),
-            Err(e) if is_transient(&e) => {
-                self.drop_conn()?;
-                Ok(FrameIo::Lost)
-            }
-            Err(e) => Err(ClientError::Io(e)),
+            Err(e) => self.lose(e),
         }
     }
 
+    /// Pushes every frame written since the last flush onto the wire.
+    pub(crate) fn flush_frames(&mut self) -> Result<FrameIo, ClientError> {
+        match self.conn.as_mut().map(|conn| conn.writer.flush()) {
+            Some(Err(e)) => self.lose(e),
+            _ => Ok(FrameIo::Done),
+        }
+    }
+
+    /// A transport error under a frame: a transient one drops the
+    /// connection and loses the frame, anything else is terminal.
+    fn lose(&mut self, e: std::io::Error) -> Result<FrameIo, ClientError> {
+        if !is_transient(&e) {
+            return Err(ClientError::Io(e));
+        }
+        self.drop_conn()?;
+        Ok(FrameIo::Lost(e.to_string()))
+    }
+
     /// Drains one frame's replies — a `BATCHR` header when `n > 1`, then
-    /// `n` response lines — appending the raw responses to `out`. No
-    /// retry classification happens here; the pipelined caller owns
-    /// busy/redirect/failover handling. On a transient failure (or a
-    /// server-side `ERR timeout`/`conn-limit` close) the partial replies
-    /// are rolled back so the caller can treat the whole frame as
-    /// unacknowledged and replay it; replays of already-applied samples
-    /// are stale no-ops server-side.
+    /// `n` response lines — appending the raw responses to `out`. `BUSY`
+    /// and every other per-request answer are the caller's to handle;
+    /// what is decided here is the fate of the frame. On a transient
+    /// failure (EOF included) or a server-side `ERR timeout`/`conn-limit`
+    /// close — an idle reap says so where the next frame's header is
+    /// due — the connection is dropped, the partial replies are rolled
+    /// back and the whole frame is [`FrameIo::Lost`]: the caller replays
+    /// it, and replays of already-applied samples are stale no-ops
+    /// server-side.
     pub(crate) fn read_frame_replies(
         &mut self,
         n: usize,
         out: &mut Vec<Response>,
     ) -> Result<FrameIo, ClientError> {
         let from = out.len();
-        let mut buf = String::new();
-        let mut scratch = ProtoScratch::new();
-        let total = if n > 1 { n + 1 } else { n };
-        for i in 0..total {
-            buf.clear();
-            let read = match self.conn.as_mut() {
-                Some(conn) => match conn.reader.read_line(&mut buf) {
-                    Ok(0) => Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "server closed the connection",
-                    )),
-                    Ok(_) => Ok(()),
-                    Err(e) => Err(e),
-                },
-                None => {
-                    out.truncate(from);
-                    return Ok(FrameIo::Lost);
-                }
+        let mut header_due = n > 1;
+        while out.len() - from < n {
+            let Some(conn) = self.conn.as_mut() else {
+                out.truncate(from);
+                return Ok(FrameIo::Lost("connection lost".to_string()));
+            };
+            conn.line.clear();
+            let read = match conn.reader.read_line(&mut conn.line) {
+                Ok(0) => Err(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "server closed the connection",
+                )),
+                Ok(_) => Ok(()),
+                Err(e) => Err(e),
             };
             if let Err(e) = read {
-                if !is_transient(&e) {
-                    return Err(ClientError::Io(e));
-                }
                 out.truncate(from);
-                self.drop_conn()?;
-                return Ok(FrameIo::Lost);
+                return self.lose(e);
             }
-            let header_due = i == 0 && n > 1;
+            let line = conn.line.trim_end();
             if header_due {
-                // The header count always matches `n`: members write it
+                // The header count always matches `n`: servers write it
                 // up front from the frame header and answer one line per
                 // sub-request even when rejecting. A mismatch means the
-                // reply stream is out of step — unrecoverable.
-                match parse_batchr_header(buf.trim_end(), &mut scratch) {
-                    Ok(Some(k)) if k == n => continue,
+                // reply stream is out of step — unrecoverable, so fail
+                // loudly rather than mis-attributing responses.
+                match parse_batchr_header(line, &mut conn.scratch) {
+                    Ok(Some(k)) if k == n => {
+                        header_due = false;
+                        continue;
+                    }
                     // No header at all: only a closing notice may stand
                     // in its place (checked below).
                     Ok(None) => {}
-                    Ok(Some(_)) => return Err(out_of_step(&buf)),
+                    Ok(Some(_)) => return Err(out_of_step(line)),
                     Err(e) => return Err(ClientError::Proto(e)),
                 }
             }
-            let resp = Response::parse(buf.trim_end()).map_err(ClientError::Proto)?;
-            if matches!(
-                &resp,
-                Response::Err {
-                    code: ErrCode::Timeout | ErrCode::ConnLimit,
-                    ..
-                }
-            ) {
-                // The server is closing this connection — an idle reap
-                // says so where the next frame's header is due; later
-                // frames cannot be answered. Same ladder as `classify`.
+            let resp = Response::parse(line).map_err(ClientError::Proto)?;
+            if let Response::Err {
+                code: code @ (ErrCode::Timeout | ErrCode::ConnLimit),
+                detail,
+            } = &resp
+            {
+                // The server closed (or refused) this connection; later
+                // frames cannot be answered, but a fresh one may succeed.
+                let what = format!("{}: {detail}", code.as_str());
                 self.conn = None;
                 out.truncate(from);
-                return Ok(FrameIo::Lost);
+                return Ok(FrameIo::Lost(what));
             }
             if header_due {
-                return Err(out_of_step(&buf));
+                return Err(out_of_step(line));
             }
             out.push(resp);
         }
@@ -1083,26 +969,31 @@ fn out_of_step(line: &str) -> ClientError {
     })
 }
 
-/// Outcome of one low-level frame I/O step on the pipelined cluster
-/// path.
+/// Outcome of one low-level frame I/O step.
 #[derive(Debug)]
 pub(crate) enum FrameIo {
     /// The step completed.
     Done,
-    /// A transient failure dropped the connection; the frame involved
-    /// is wholly unacknowledged.
-    Lost,
+    /// A transient failure (described) dropped the connection; the frame
+    /// involved is wholly unacknowledged.
+    Lost(String),
 }
 
-/// One contiguous run of window positions written as a unit.
-struct Frame {
-    /// First window position of the run.
-    start: usize,
-    /// Number of positions in the run.
-    len: usize,
-    /// Whether the run is wrapped in a `BATCH` frame.
-    batched: bool,
+impl FrameIo {
+    /// Runs `next` if this step completed; a lost frame stays lost.
+    pub(crate) fn then(
+        self,
+        next: impl FnOnce() -> Result<FrameIo, ClientError>,
+    ) -> Result<FrameIo, ClientError> {
+        match self {
+            FrameIo::Done => next(),
+            lost => Ok(lost),
+        }
+    }
 }
+
+/// One contiguous run of window positions written as one frame.
+type Frame = std::ops::Range<usize>;
 
 /// True for the data-plane verbs the protocol allows inside `BATCH`.
 fn is_batchable(req: &Request) -> bool {
@@ -1124,18 +1015,10 @@ fn plan_frames(reqs: &[Request], window: &[usize], batch: usize) -> Vec<Frame> {
             while end < window.len() && end - pos < batch && is_batchable(&reqs[window[end]]) {
                 end += 1;
             }
-            frames.push(Frame {
-                start: pos,
-                len: end - pos,
-                batched: end - pos > 1,
-            });
+            frames.push(pos..end);
             pos = end;
         } else {
-            frames.push(Frame {
-                start: pos,
-                len: 1,
-                batched: false,
-            });
+            frames.push(pos..pos + 1);
             pos += 1;
         }
     }
@@ -1249,6 +1132,60 @@ mod tests {
         assert_eq!(stats.timeouts, 1);
         drop(c);
         server.shutdown();
+    }
+
+    /// A pipelined client that sits idle past the server's deadline finds
+    /// `ERR timeout` where its next window's first reply is due — for a
+    /// framed window, where the `BATCHR` header is due. Either way that
+    /// is a reconnect and a re-send, never a protocol error.
+    fn pipeline_resumes_after_an_idle_close(batch: usize) {
+        let server = Server::start(
+            ServeConfig::default()
+                .with_shards(1)
+                .with_idle_timeout(Duration::from_millis(80)),
+        )
+        .unwrap();
+        let mut c =
+            Client::connect(server.addr(), ClientConfig::default().with_batch(batch)).unwrap();
+        let observes = |first_tick: u64| -> Vec<Request> {
+            (first_tick..first_tick + 16)
+                .map(|tick| Request::Observe {
+                    cell: cell(),
+                    machine: MachineId(0),
+                    task: task(0),
+                    usage: 0.2,
+                    limit: 0.5,
+                    mem: None,
+                    tick,
+                })
+                .collect()
+        };
+        let mut oks = 0;
+        let mut count_oks = |_: usize, resp: &Response, _: f64| {
+            assert_eq!(resp, &Response::Ok);
+            oks += 1;
+        };
+        c.pipeline_with(&observes(0), &mut count_oks).unwrap();
+        std::thread::sleep(Duration::from_millis(300));
+        // The server has closed the idle connection by now.
+        c.pipeline_with(&observes(16), &mut count_oks).unwrap();
+        assert_eq!(oks, 32);
+        assert!(c.metrics().reconnects >= 1, "{:?}", c.metrics());
+        let stats = c.stats().unwrap();
+        assert_eq!(stats.observes, 32);
+        assert_eq!(stats.timeouts, 1);
+        drop(c);
+        server.shutdown();
+    }
+
+    #[test]
+    fn batched_pipeline_resumes_after_an_idle_close() {
+        pipeline_resumes_after_an_idle_close(8);
+    }
+
+    #[test]
+    fn unbatched_pipeline_resumes_after_an_idle_close() {
+        pipeline_resumes_after_an_idle_close(1);
     }
 
     /// A plain client has no replica to go to and its server may be

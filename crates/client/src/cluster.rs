@@ -55,11 +55,11 @@ use oc_serve::shard::key_hash;
 use oc_telemetry::{trace, Counter, Gauge};
 use oc_trace::ids::{CellId, MachineId, TaskId};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Mirrors queued per replica before an automatic flush.
 const MIRROR_FLUSH_AT: usize = 64;
@@ -161,8 +161,6 @@ pub struct ClusterClient {
     ring: HashRing,
     addrs: Vec<SocketAddr>,
     alive: Vec<bool>,
-    /// The mask members classify keys against (`true` per member).
-    all_alive: Vec<bool>,
     clients: Vec<Option<Client>>,
     /// Mirrors not yet written, per target member.
     pending: Vec<Vec<Request>>,
@@ -229,7 +227,6 @@ impl ClusterClient {
             ring: spec.build(),
             addrs: addrs.to_vec(),
             alive: vec![true; spec.nodes],
-            all_alive: vec![true; spec.nodes],
             clients: (0..spec.nodes).map(|_| None).collect(),
             pending: vec![Vec::new(); spec.nodes],
             last_epoch: vec![0; spec.nodes],
@@ -281,7 +278,6 @@ impl ClusterClient {
         self.ring = spec.build();
         self.addrs = addrs.to_vec();
         self.alive = vec![true; spec.nodes];
-        self.all_alive = vec![true; spec.nodes];
         self.clients = (0..spec.nodes).map(|_| None).collect();
         self.pending = vec![Vec::new(); spec.nodes];
         self.last_epoch = vec![0; spec.nodes];
@@ -762,9 +758,10 @@ impl ClusterClient {
                     continue;
                 }
                 let entries = self.pipes[index].take_open(cut);
-                let wrote = self
-                    .client(index)
-                    .and_then(|c| c.write_frame(entries.len(), entries.iter().map(|e| &e.req)));
+                let wrote = self.client(index).and_then(|c| {
+                    c.write_frame(entries.len(), entries.iter().map(|e| &e.req))?
+                        .then(|| c.flush_frames())
+                });
                 if let Some(broken) = Broken::of(wrote)? {
                     self.pipe_transport_failure(index, entries, broken);
                     progress = true;
@@ -919,7 +916,7 @@ impl ClusterClient {
                     if matches!(entry.kind, EntryKind::Send { .. }) {
                         self.pipelined_ok += 1;
                         if self.cfg.mirror {
-                            if let Some(target) = self.mirror_target(entry.hash) {
+                            if let Some(target) = self.ring.mirror_target(entry.hash, &self.alive) {
                                 self.pipes[target].push(Entry {
                                     kind: EntryKind::Mirror,
                                     ..entry
@@ -1038,15 +1035,11 @@ impl ClusterClient {
         }
     }
 
-    /// Sleeps `min(cap, base * 2^attempt)` scaled by a seeded jitter
-    /// factor in `[0.5, 1.0)` — [`Client`]'s schedule, but per member:
-    /// the pipeline backs off a whole pipe, not one request.
+    /// Sleeps, and counts, the retry policy's nap for `attempt` —
+    /// [`Client`]'s schedule, but per member: the pipeline backs off a
+    /// whole pipe, not one request.
     fn backoff(&mut self, attempt: u32) {
-        let base = self.cfg.client.retry.base.as_secs_f64();
-        let cap = self.cfg.client.retry.cap.as_secs_f64();
-        let exp = base * f64::from(2u32.saturating_pow(attempt.min(16)));
-        let jitter = 0.5 + 0.5 * self.rng.random::<f64>();
-        let nap = Duration::from_secs_f64(exp.min(cap) * jitter);
+        let nap = self.cfg.client.retry.nap(attempt, &mut self.rng);
         let nap_us = nap.as_micros() as u64;
         self.metrics.backoff_sleeps += 1;
         self.metrics.backoff_slept_us += nap_us;
@@ -1085,22 +1078,11 @@ impl ClusterClient {
             other => return Err(ClientError::unexpected("OK", &other)),
         }
         if self.cfg.mirror {
-            if let Some(target) = self.mirror_target(hash) {
+            if let Some(target) = self.ring.mirror_target(hash, &self.alive) {
                 self.queue_mirror(target, req)?;
             }
         }
         Ok(())
-    }
-
-    /// Where a mirror of this key may go: the current replica, but only
-    /// if it held a role under the full ring (members enforce all-alive
-    /// ownership; anything else would bounce with `not-mine`).
-    fn mirror_target(&self, hash: u64) -> Option<usize> {
-        let (o_all, r_all) = self.ring.routes(hash, &self.all_alive);
-        let (owner, replica) = self.ring.routes(hash, &self.alive);
-        replica
-            .filter(|r| Some(*r) == o_all || Some(*r) == r_all)
-            .filter(|r| Some(*r) != owner)
     }
 
     /// Fetches the predicted peak for one machine from its owner.
@@ -1216,7 +1198,7 @@ impl Broken {
         match io {
             Ok(FrameIo::Done) => Ok(None),
             Err(e) if e.is_refused() => Ok(Some(Broken::Refused)),
-            Ok(FrameIo::Lost) | Err(ClientError::Io(_)) | Err(ClientError::Exhausted { .. }) => {
+            Ok(FrameIo::Lost(_)) | Err(ClientError::Io(_)) | Err(ClientError::Exhausted { .. }) => {
                 Ok(Some(Broken::Strike))
             }
             Err(other) => Err(other),

@@ -21,7 +21,7 @@ use oc_cluster::RingSpec;
 use oc_core::ingest::IncrementalView;
 use oc_core::predictor::clamp_prediction;
 use oc_serve::config::ServeConfig;
-use oc_serve::proto::{Request, Response, StatsSnapshot};
+use oc_serve::proto::{Request, Response};
 use oc_serve::shard::key_hash;
 use oc_trace::ids::{CellId, JobId, MachineId, TaskId};
 use std::net::SocketAddr;
@@ -83,35 +83,6 @@ impl Default for FleetConfig {
     }
 }
 
-/// A zeroed report for folding.
-fn empty_report() -> LoadReport {
-    LoadReport {
-        sent: 0,
-        ok: 0,
-        busy: 0,
-        errors: 0,
-        retries: 0,
-        reconnects: 0,
-        faults: 0,
-        acked_observes: 0,
-        lost: 0,
-        failed_connections: 0,
-        conn_failures: Vec::new(),
-        connections: 0,
-        wall_secs: 0.0,
-        achieved_qps: 0.0,
-        p50_us: 0.0,
-        p99_us: 0.0,
-        max_us: 0.0,
-        setup_p50_us: 0.0,
-        setup_p99_us: 0.0,
-        setup_max_us: 0.0,
-        latency: report_histogram(&[], LATENCY_HIST_HI_US),
-        setup: report_histogram(&[], SETUP_HIST_HI_US),
-        server: StatsSnapshot::default(),
-    }
-}
-
 /// Machines in a block of streamed plan requests. Each block expands to
 /// `PLAN_BLOCK_MACHINES × ticks` [`Request`]s, so per-member request
 /// memory stays a few megabytes no matter the fleet size — materializing
@@ -132,21 +103,15 @@ fn build_plans(
 ) -> Result<Vec<Vec<u32>>, ClientError> {
     let ring = spec.build();
     let cell = CellId::new(cfg.cell.clone());
-    let all = vec![true; spec.nodes];
     let mut plans: Vec<Vec<u32>> = (0..spec.nodes).map(|_| Vec::new()).collect();
     for m in 0..cfg.machines {
         let machine = MachineId(m as u32);
         let h = key_hash(&(cell.clone(), machine));
-        let (owner, replica) = ring.routes(h, alive);
-        let Some(owner) = owner else {
+        let Some(owner) = ring.owner(h, alive) else {
             return Err(ClientError::Config("no live ring member".to_string()));
         };
         if cfg.mirror {
-            let (o_all, r_all) = ring.routes(h, &all);
-            let mirror_to = replica
-                .filter(|r| Some(*r) == o_all || Some(*r) == r_all)
-                .filter(|r| *r != owner);
-            if let Some(r) = mirror_to {
+            if let Some(r) = ring.mirror_target(h, alive) {
                 plans[r].push(machine.0);
             }
         }
@@ -179,8 +144,10 @@ fn expand_block(reqs: &mut Vec<Request>, cell: &CellId, machines: &[u32], cfg: &
 /// it as a single-connection [`LoadReport`]. The plan arrives as a
 /// machine list and is expanded into requests block by block.
 fn drive_member(addr: SocketAddr, index: usize, plan: Vec<u32>, cfg: &FleetConfig) -> LoadReport {
-    let mut report = empty_report();
-    report.connections = 1;
+    let mut report = LoadReport {
+        connections: 1,
+        ..Default::default()
+    };
     // A fleet drive is open-throttle by design, so a member buried in
     // first-observe allocation (a million new machine views) can hold
     // its queue full for whole seconds. Patience is cheaper than a
@@ -207,7 +174,7 @@ fn drive_member(addr: SocketAddr, index: usize, plan: Vec<u32>, cfg: &FleetConfi
             return report;
         }
     };
-    let setup_us = [setup_start.elapsed().as_secs_f64() * 1e6];
+    let setup_us = setup_start.elapsed().as_secs_f64() * 1e6;
     let start = Instant::now();
     let total_lines = plan.len() as u64 * cfg.ticks;
     let mut latencies = HistAcc::new(LATENCY_HIST_HI_US);
@@ -240,13 +207,8 @@ fn drive_member(addr: SocketAddr, index: usize, plan: Vec<u32>, cfg: &FleetConfi
     report.retries = m.retries;
     report.reconnects = m.reconnects;
     report.latency = latencies.finish();
-    report.setup = report_histogram(&setup_us, SETUP_HIST_HI_US);
-    report.p50_us = report.latency.quantile(50.0);
-    report.p99_us = report.latency.quantile(99.0);
-    report.max_us = report.latency.max_or_zero();
-    report.setup_p50_us = setup_us[0];
-    report.setup_p99_us = setup_us[0];
-    report.setup_max_us = setup_us[0];
+    report.setup = report_histogram(&[setup_us], SETUP_HIST_HI_US);
+    report.read_percentiles();
     let resolved = ok + errors;
     report.achieved_qps = if report.wall_secs > 0.0 {
         resolved as f64 / report.wall_secs
@@ -309,7 +271,7 @@ pub fn run(
                 .spawn(move || drive_member(addr, index, plan, &cfg))?,
         );
     }
-    let mut merged = empty_report();
+    let mut merged = LoadReport::default();
     for j in joins {
         match j.join() {
             Ok(r) => merged.merge(&r),
@@ -351,8 +313,10 @@ pub fn run(
 pub fn run_routed(cc: &mut ClusterClient, cfg: &FleetConfig) -> Result<LoadReport, ClientError> {
     let cell = CellId::new(cfg.cell.clone());
     let task = fleet_task();
-    let mut report = empty_report();
-    report.connections = 1;
+    let mut report = LoadReport {
+        connections: 1,
+        ..Default::default()
+    };
     let total = cfg.machines * cfg.ticks;
     let mut latencies = HistAcc::new(LATENCY_HIST_HI_US);
     let start = Instant::now();
@@ -380,9 +344,7 @@ pub fn run_routed(cc: &mut ClusterClient, cfg: &FleetConfig) -> Result<LoadRepor
     report.busy = busy;
     report.acked_observes = ok;
     report.latency = latencies.finish();
-    report.p50_us = report.latency.quantile(50.0);
-    report.p99_us = report.latency.quantile(99.0);
-    report.max_us = report.latency.max_or_zero();
+    report.read_percentiles();
     report.achieved_qps = if report.wall_secs > 0.0 {
         total as f64 / report.wall_secs
     } else {

@@ -219,6 +219,39 @@ pub struct LoadReport {
     pub server: StatsSnapshot,
 }
 
+impl Default for LoadReport {
+    /// A report of nothing: zero counters and empty latency and setup
+    /// distributions of the report shapes — what a driver starts from and
+    /// what [`LoadReport::merge`] folds into.
+    fn default() -> LoadReport {
+        LoadReport {
+            sent: 0,
+            ok: 0,
+            busy: 0,
+            errors: 0,
+            retries: 0,
+            reconnects: 0,
+            faults: 0,
+            acked_observes: 0,
+            lost: 0,
+            failed_connections: 0,
+            conn_failures: Vec::new(),
+            connections: 0,
+            wall_secs: 0.0,
+            achieved_qps: 0.0,
+            p50_us: 0.0,
+            p99_us: 0.0,
+            max_us: 0.0,
+            setup_p50_us: 0.0,
+            setup_p99_us: 0.0,
+            setup_max_us: 0.0,
+            latency: report_histogram(&[], LATENCY_HIST_HI_US),
+            setup: report_histogram(&[], SETUP_HIST_HI_US),
+            server: StatsSnapshot::default(),
+        }
+    }
+}
+
 impl LoadReport {
     /// Share of resolved attempts rejected with `BUSY`:
     /// `busy / (ok + busy)`, 0 when idle.
@@ -277,12 +310,7 @@ impl LoadReport {
         self.wall_secs = self.wall_secs.max(other.wall_secs);
         self.latency.merge(&other.latency);
         self.setup.merge(&other.setup);
-        self.p50_us = self.latency.quantile(50.0);
-        self.p99_us = self.latency.quantile(99.0);
-        self.max_us = self.latency.max_or_zero();
-        self.setup_p50_us = self.setup.quantile(50.0);
-        self.setup_p99_us = self.setup.quantile(99.0);
-        self.setup_max_us = self.setup.max_or_zero();
+        self.read_percentiles();
         let resolved = self.ok + self.errors;
         self.achieved_qps = if self.wall_secs > 0.0 {
             resolved as f64 / self.wall_secs
@@ -292,6 +320,17 @@ impl LoadReport {
         self.server.merge(&other.server);
         let accounted = self.server.observes + self.server.stale + self.server.errors;
         self.lost = self.acked_observes.saturating_sub(accounted);
+    }
+
+    /// Sets the six scalar percentiles from the binned `latency` and
+    /// `setup` distributions.
+    pub(crate) fn read_percentiles(&mut self) {
+        self.p50_us = self.latency.quantile(50.0);
+        self.p99_us = self.latency.quantile(99.0);
+        self.max_us = self.latency.max_or_zero();
+        self.setup_p50_us = self.setup.quantile(50.0);
+        self.setup_p99_us = self.setup.quantile(99.0);
+        self.setup_max_us = self.setup.max_or_zero();
     }
 
     /// Serializes the report as a JSON object (hand-rolled; the workspace
@@ -668,26 +707,12 @@ mod tests {
             sent: 10,
             ok: 10,
             busy: 30,
-            errors: 0,
             retries: 30,
-            reconnects: 0,
-            faults: 0,
             acked_observes: 10,
-            lost: 0,
-            failed_connections: 0,
-            conn_failures: Vec::new(),
             connections: 1,
             wall_secs: 1.0,
             achieved_qps: 10.0,
-            p50_us: 0.0,
-            p99_us: 0.0,
-            max_us: 0.0,
-            setup_p50_us: 0.0,
-            setup_p99_us: 0.0,
-            setup_max_us: 0.0,
-            latency: report_histogram(&[], LATENCY_HIST_HI_US),
-            setup: report_histogram(&[], SETUP_HIST_HI_US),
-            server: StatsSnapshot::default(),
+            ..Default::default()
         };
         assert!((report.reject_rate() - 0.75).abs() < 1e-12);
         assert!((report.retry_ratio() - 3.0).abs() < 1e-12);
@@ -710,30 +735,22 @@ mod tests {
             sent: ok,
             ok,
             busy,
-            errors: 0,
             retries: busy,
             reconnects: 1,
-            faults: 0,
             acked_observes: ok,
-            lost: 0,
-            failed_connections: 0,
-            conn_failures: Vec::new(),
             connections: 1,
             wall_secs: wall,
             achieved_qps: ok as f64 / wall,
             p50_us: percentile_slice(lat, 50.0).unwrap_or(0.0),
             p99_us: percentile_slice(lat, 99.0).unwrap_or(0.0),
             max_us: lat.iter().cloned().fold(0.0, f64::max),
-            setup_p50_us: 0.0,
-            setup_p99_us: 0.0,
-            setup_max_us: 0.0,
             latency: report_histogram(lat, LATENCY_HIST_HI_US),
-            setup: report_histogram(&[], SETUP_HIST_HI_US),
             server: StatsSnapshot {
                 observes,
                 machines: 10,
                 ..StatsSnapshot::default()
             },
+            ..Default::default()
         };
         // A fast member and a slow one, with very different reject rates.
         let fast: Vec<f64> = (0..100).map(|i| 100.0 + i as f64).collect();

@@ -136,11 +136,20 @@ impl HashRing {
     /// `None` when fewer than two nodes are alive.
     pub fn routes(&self, hash: u64, alive: &[bool]) -> (Option<usize>, Option<usize>) {
         debug_assert_eq!(alive.len(), self.spec.nodes);
+        self.routes_where(hash, |node| alive[node])
+    }
+
+    /// [`HashRing::routes`] over the nodes `live` accepts.
+    fn routes_where(
+        &self,
+        hash: u64,
+        live: impl Fn(usize) -> bool,
+    ) -> (Option<usize>, Option<usize>) {
         let start = self.first_point(hash);
         let mut owner = None;
         for i in 0..self.points.len() {
             let node = self.points[(start + i) % self.points.len()].1 as usize;
-            if !alive[node] {
+            if !live(node) {
                 continue;
             }
             match owner {
@@ -150,6 +159,19 @@ impl HashRing {
             }
         }
         (owner, None)
+    }
+
+    /// Where a client mirrors an acknowledged sample of this key: the
+    /// live replica, but only if it was owner or replica under the
+    /// all-alive ring — members enforce all-alive ownership
+    /// ([`HashRing::ownership_for`]), anything else would bounce with
+    /// `ERR not-mine` — and never the live owner itself.
+    pub fn mirror_target(&self, hash: u64, alive: &[bool]) -> Option<usize> {
+        let (o_all, r_all) = self.routes_where(hash, |_| true);
+        let (owner, replica) = self.routes(hash, alive);
+        replica
+            .filter(|r| Some(*r) == o_all || Some(*r) == r_all)
+            .filter(|r| Some(*r) != owner)
     }
 
     /// This ring member's [`KeyRole`] classifier for `oc-serve`:

@@ -125,4 +125,31 @@ proptest! {
             prop_assert_eq!(holds, ownership.role_of(h) != KeyRole::Remote);
         }
     }
+
+    /// The mirror-target rule (`ClusterClient` and the fleet planner
+    /// both call it): a mirror goes to a live member other than the
+    /// live owner, and only to one whose own ownership map accepts the
+    /// key — under any liveness mask, including a lone survivor.
+    #[test]
+    fn mirror_target_is_a_live_non_owner_that_accepts_the_key(
+        nodes in 1usize..7,
+        vnodes in 1usize..48,
+        seed in 0u64..u64::MAX,
+        mask in 0u64..u64::MAX,
+        hashes in proptest::collection::vec(0u64..u64::MAX, 1..128),
+    ) {
+        use oc_serve::config::KeyRole;
+        let r = ring(nodes, vnodes, seed, 0);
+        let alive: Vec<bool> = (0..nodes).map(|i| mask >> i & 1 == 1).collect();
+        for h in hashes {
+            let Some(target) = r.mirror_target(h, &alive) else {
+                // With everyone alive the replica always qualifies.
+                prop_assert!(nodes < 2 || alive.contains(&false));
+                continue;
+            };
+            prop_assert!(alive[target]);
+            prop_assert!(Some(target) != r.owner(h, &alive));
+            prop_assert!(r.ownership_for(target).role_of(h) != KeyRole::Remote);
+        }
+    }
 }

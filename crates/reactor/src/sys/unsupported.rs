@@ -1,7 +1,6 @@
 //! Stub backend for non-Unix targets: everything type-checks, every
-//! constructor fails with `Unsupported` at runtime. The oc-serve reactor
-//! frontend detects this at startup and the threaded frontend remains
-//! available.
+//! constructor fails with `Unsupported` at runtime, which is what
+//! `oc_serve::Server::start` reports on such a target.
 
 use crate::{Event, Interest, RawFd};
 use std::io;

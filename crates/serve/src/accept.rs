@@ -1,5 +1,5 @@
 //! The accept loop: takes connections off the listener and hands them to
-//! the configured frontend.
+//! the reactor pool.
 //!
 //! The listener itself is readiness-driven (an `oc-reactor` poller plus
 //! a waker), so the accept thread sleeps until a connection arrives or
@@ -8,10 +8,8 @@
 //! socket is counted in `serve.accept.errors` and traced, never silently
 //! dropped.
 
-use crate::config::Frontend;
 use crate::reactor::ReactorPool;
 use crate::server::{reject_over_cap, Shared};
-use crate::shard::ShardPool;
 use oc_reactor::{Events, Interest, Poller, Waker};
 use oc_telemetry::trace;
 use std::net::{TcpListener, TcpStream};
@@ -31,44 +29,6 @@ const ACCEPT_WAKE_TOKEN: usize = 1;
 /// error (e.g. `EMFILE`) before trying again, so it cannot spin.
 const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
-/// Fallback wait bound so registry reaping still happens on a quiet
-/// listener.
-const ACCEPT_SWEEP: Duration = Duration::from_millis(500);
-
-/// The connection-handling backend the accept loop feeds.
-pub(crate) enum FrontendRuntime {
-    /// One handler thread per accepted connection.
-    Threaded,
-    /// The shared reactor pool; accepted sockets are made non-blocking
-    /// and submitted round-robin.
-    Reactor(Arc<ReactorPool>),
-}
-
-impl FrontendRuntime {
-    /// Builds the runtime for the configured frontend.
-    pub(crate) fn start(
-        shared: &Arc<Shared>,
-        pool: &Arc<ShardPool>,
-    ) -> std::io::Result<FrontendRuntime> {
-        match shared.cfg.frontend {
-            Frontend::Threaded => Ok(FrontendRuntime::Threaded),
-            Frontend::Reactor => {
-                let threads = shared.cfg.reactor_threads_effective;
-                let rp = ReactorPool::start(threads, pool, shared)?;
-                Ok(FrontendRuntime::Reactor(Arc::new(rp)))
-            }
-        }
-    }
-
-    /// The reactor pool, if this runtime drives one.
-    pub(crate) fn reactor(&self) -> Option<Arc<ReactorPool>> {
-        match self {
-            FrontendRuntime::Threaded => None,
-            FrontendRuntime::Reactor(rp) => Some(Arc::clone(rp)),
-        }
-    }
-}
-
 /// Runs the accept loop until the stop flag is raised. The listener is
 /// non-blocking and polled for readiness together with `waker` (which
 /// [`crate::server::Server`] fires on shutdown).
@@ -76,8 +36,7 @@ pub(crate) fn accept_loop(
     listener: TcpListener,
     poller: Poller,
     waker: Arc<Waker>,
-    frontend: FrontendRuntime,
-    pool: Arc<ShardPool>,
+    reactor: Arc<ReactorPool>,
     shared: Arc<Shared>,
 ) {
     let mut events = Events::with_capacity(8);
@@ -85,15 +44,12 @@ pub(crate) fn accept_loop(
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
-        if poller.wait(&mut events, Some(ACCEPT_SWEEP)).is_err() {
+        if poller.wait(&mut events, None).is_err() {
             break;
         }
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
-        // Reap finished handler threads so the threaded frontend's
-        // connection cap tracks reality.
-        shared.registry.reap();
         let mut accept_ready = false;
         for ev in &events {
             match ev.token() {
@@ -107,19 +63,14 @@ pub(crate) fn accept_loop(
         }
         loop {
             match listener.accept() {
-                Ok((stream, _)) => handle_accepted(stream, &frontend, &pool, &shared),
+                Ok((stream, _)) => handle_accepted(stream, &reactor, &shared),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => {
                     // Transient exhaustion (EMFILE/ENFILE/ECONNABORTED):
                     // count it, note it in the trace, and back off so a
                     // full fd table cannot spin this thread.
-                    shared.accept_errors.inc();
-                    trace::event(
-                        "serve.accept.error",
-                        e.raw_os_error().unwrap_or(0) as u64,
-                        0,
-                    );
+                    note_accept_error(&shared, &e);
                     std::thread::sleep(ACCEPT_ERROR_BACKOFF);
                     break;
                 }
@@ -128,87 +79,32 @@ pub(crate) fn accept_loop(
     }
 }
 
-/// Registers an accepted socket with the configured frontend, enforcing
-/// the connection cap.
-fn handle_accepted(
-    stream: TcpStream,
-    frontend: &FrontendRuntime,
-    pool: &Arc<ShardPool>,
-    shared: &Arc<Shared>,
-) {
-    match frontend {
-        FrontendRuntime::Threaded => {
-            // The listener is non-blocking, so accepted sockets inherit
-            // non-blocking on some platforms: the threaded frontend
-            // needs blocking semantics back. A failure here used to
-            // drop the connection silently; now it is counted and
-            // traced like any accept-path error.
-            if let Err(e) = stream.set_nonblocking(false) {
-                shared.accept_errors.inc();
-                trace::event(
-                    "serve.accept.error",
-                    e.raw_os_error().unwrap_or(0) as u64,
-                    0,
-                );
-                return;
-            }
-            if shared.registry.active() >= shared.cfg.max_connections {
-                shared.conn_rejects.inc();
-                trace::event("serve.conn.reject", shared.registry.active() as u64, 0);
-                reject_over_cap(stream, shared);
-                return;
-            }
-            let conn_id = shared.registry.begin();
-            shared.connections.inc();
-            let pool = Arc::clone(pool);
-            let shared2 = Arc::clone(shared);
-            let spawned = std::thread::Builder::new()
-                .name(format!("oc-serve-conn-{conn_id}"))
-                .spawn(move || {
-                    let _ = crate::conn::handle_connection(stream, &pool, &shared2, conn_id);
-                    shared2.connections.dec();
-                    shared2.registry.end(conn_id);
-                });
-            match spawned {
-                Ok(handle) => shared.registry.register(conn_id, handle),
-                Err(e) => {
-                    // Thread spawn failed (resource exhaustion): undo the
-                    // bookkeeping and surface it like an accept error.
-                    shared.connections.dec();
-                    shared.registry.end(conn_id);
-                    shared.accept_errors.inc();
-                    trace::event(
-                        "serve.accept.error",
-                        e.raw_os_error().unwrap_or(0) as u64,
-                        0,
-                    );
-                }
-            }
-        }
-        FrontendRuntime::Reactor(rp) => {
-            if let Err(e) = stream.set_nonblocking(true) {
-                shared.accept_errors.inc();
-                trace::event(
-                    "serve.accept.error",
-                    e.raw_os_error().unwrap_or(0) as u64,
-                    0,
-                );
-                return;
-            }
-            if shared.connections.get() >= shared.cfg.max_connections as i64 {
-                shared.conn_rejects.inc();
-                trace::event(
-                    "serve.conn.reject",
-                    shared.connections.get().max(0) as u64,
-                    0,
-                );
-                reject_over_cap(stream, shared);
-                return;
-            }
-            shared.connections.inc();
-            rp.submit(stream);
-        }
+/// Counts and traces an accept-path failure (`serve.accept.errors`).
+pub(crate) fn note_accept_error(shared: &Shared, e: &std::io::Error) {
+    shared.accept_errors.inc();
+    trace::event(
+        "serve.accept.error",
+        e.raw_os_error().unwrap_or(0) as u64,
+        0,
+    );
+}
+
+/// Hands an accepted socket to the reactor pool, enforcing the
+/// connection cap.
+fn handle_accepted(stream: TcpStream, reactor: &ReactorPool, shared: &Shared) {
+    if let Err(e) = stream.set_nonblocking(true) {
+        note_accept_error(shared, &e);
+        return;
     }
+    let live = shared.connections.get();
+    if live >= shared.cfg.max_connections as i64 {
+        shared.conn_rejects.inc();
+        trace::event("serve.conn.reject", live.max(0) as u64, 0);
+        reject_over_cap(stream, shared);
+        return;
+    }
+    shared.connections.inc();
+    reactor.submit(stream);
 }
 
 /// Creates the accept poller with the listener registered, switching the

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! oc-serve [--addr HOST:PORT] [--shards N] [--queue-depth N] [--capacity F]
-//!          [--frontend threaded|reactor] [--reactor-threads N]
-//!          [--max-connections N] [--trace-out FILE]
+//!          [--reactor-threads N] [--max-connections N] [--trace-out FILE]
 //! ```
 //!
 //! The server runs until a client sends `SHUTDOWN`; it then drains every
@@ -18,8 +17,7 @@ use std::process::ExitCode;
 fn usage() -> ! {
     eprintln!(
         "usage: oc-serve [--addr HOST:PORT] [--shards N] [--queue-depth N] [--capacity F] \
-         [--frontend threaded|reactor] [--reactor-threads N] [--max-connections N] \
-         [--trace-out FILE]"
+         [--reactor-threads N] [--max-connections N] [--trace-out FILE]"
     );
     std::process::exit(2);
 }
@@ -50,9 +48,6 @@ fn parse_args() -> Args {
             }
             "--capacity" => {
                 cfg.machine_capacity = val("--capacity").parse().unwrap_or_else(|_| usage());
-            }
-            "--frontend" => {
-                cfg.frontend = val("--frontend").parse().unwrap_or_else(|_| usage());
             }
             "--reactor-threads" => {
                 cfg.reactor_threads = val("--reactor-threads").parse().unwrap_or_else(|_| usage());

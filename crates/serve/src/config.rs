@@ -13,67 +13,11 @@ use std::time::Duration;
 pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Default per-write deadline: a peer that stops reading for this long is
-/// treated as dead so its handler thread can be reclaimed.
+/// treated as dead so its connection slot can be reclaimed.
 pub const DEFAULT_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Default cap on concurrently served connections.
 pub const DEFAULT_MAX_CONNECTIONS: usize = 1024;
-
-/// Which connection-handling frontend a [`crate::server::Server`] runs.
-///
-/// Both frontends speak the same wire protocol with bit-identical
-/// responses (`tests/serve_smoke.rs` pins this) and share the shard
-/// pool, deadlines, connection cap, fault injection, and the graceful
-/// drain-then-snapshot shutdown. They differ only in how connections
-/// are multiplexed onto OS threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Frontend {
-    /// One handler thread per connection (the original design). Simple
-    /// and portable, but caps out at a few thousand connections — each
-    /// costs a thread stack and a scheduler entry.
-    Threaded,
-    /// A small fixed pool of reactor threads driving per-connection
-    /// state machines over readiness events (`epoll`/`poll` via
-    /// `oc-reactor`). Tens of thousands of mostly-idle connections
-    /// multiplex onto a few threads. Unix only — on other targets
-    /// [`crate::server::Server::start`] falls back with an error and the
-    /// threaded frontend must be selected explicitly.
-    Reactor,
-}
-
-impl Default for Frontend {
-    /// [`Frontend::Reactor`] on Unix, [`Frontend::Threaded`] elsewhere.
-    fn default() -> Self {
-        if cfg!(unix) {
-            Frontend::Reactor
-        } else {
-            Frontend::Threaded
-        }
-    }
-}
-
-impl std::fmt::Display for Frontend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Frontend::Threaded => "threaded",
-            Frontend::Reactor => "reactor",
-        })
-    }
-}
-
-impl std::str::FromStr for Frontend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threaded" => Ok(Frontend::Threaded),
-            "reactor" => Ok(Frontend::Reactor),
-            other => Err(format!(
-                "unknown frontend '{other}' (expected 'threaded' or 'reactor')"
-            )),
-        }
-    }
-}
 
 /// How a machine key relates to this process under its cluster ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,7 +136,7 @@ pub struct ServeConfig {
     /// Bound on empty ticks synthesized between two samples of a machine.
     pub max_tick_gap: u64,
     /// Close a connection that delivers no complete request for this long.
-    /// Bounds the handler threads an idle or stalled peer can pin.
+    /// Bounds the connection slots an idle or stalled peer can pin.
     pub idle_timeout: Duration,
     /// Per-write deadline; a peer that stops reading its responses for
     /// this long is disconnected.
@@ -203,12 +147,9 @@ pub struct ServeConfig {
     /// Optional seeded fault injection on every accepted connection
     /// (chaos testing). `None` in production.
     pub faults: Option<FaultPlan>,
-    /// Which connection-handling frontend to run (see [`Frontend`]).
-    pub frontend: Frontend,
-    /// Reactor thread count for [`Frontend::Reactor`]; `0` sizes the pool
-    /// automatically from the host's available parallelism (clamped to
-    /// `[1, 4]` — readiness dispatch is cheap, the shard pool does the
-    /// heavy lifting). Ignored by [`Frontend::Threaded`].
+    /// Reactor thread count; `0` sizes the pool automatically from the
+    /// host's available parallelism (clamped to `[1, 4]` — readiness
+    /// dispatch is cheap, the shard pool does the heavy lifting).
     pub reactor_threads: usize,
     /// Cluster ownership classifier; `None` (standalone) treats every
     /// key as [`KeyRole::Owner`].
@@ -249,7 +190,6 @@ impl Default for ServeConfig {
             write_timeout: DEFAULT_WRITE_TIMEOUT,
             max_connections: DEFAULT_MAX_CONNECTIONS,
             faults: None,
-            frontend: Frontend::default(),
             reactor_threads: 0,
             ownership: None,
             ring_generation: 0,
@@ -321,12 +261,6 @@ impl ServeConfig {
         self
     }
 
-    /// Selects the connection-handling frontend.
-    pub fn with_frontend(mut self, frontend: Frontend) -> Self {
-        self.frontend = frontend;
-        self
-    }
-
     /// Sets the reactor thread count (`0` = auto-size from the host).
     pub fn with_reactor_threads(mut self, threads: usize) -> Self {
         self.reactor_threads = threads;
@@ -363,7 +297,7 @@ impl ServeConfig {
         self
     }
 
-    /// The reactor pool size [`Frontend::Reactor`] will actually run:
+    /// The reactor pool size the server will actually run:
     /// `reactor_threads`, or an auto-sized value when it is `0`.
     pub fn effective_reactor_threads(&self) -> usize {
         if self.reactor_threads > 0 {
@@ -420,15 +354,6 @@ mod tests {
     #[test]
     fn default_is_valid() {
         ServeConfig::default().validate().unwrap();
-    }
-
-    #[test]
-    fn frontend_parses_and_displays() {
-        assert_eq!("threaded".parse::<Frontend>().unwrap(), Frontend::Threaded);
-        assert_eq!("reactor".parse::<Frontend>().unwrap(), Frontend::Reactor);
-        assert!("tokio".parse::<Frontend>().is_err());
-        assert_eq!(Frontend::Threaded.to_string(), "threaded");
-        assert_eq!(Frontend::Reactor.to_string(), "reactor");
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Per-connection protocol machinery shared by both frontends.
+//! Per-connection protocol machinery.
 //!
 //! The wire behavior of a connection — line framing, the observe
 //! micro-batcher, deferred `PREDICT`/`ADMIT` replies, `BATCH` framing,
-//! error handling — lives here exactly once. The threaded frontend
-//! (`serve_lines`, driven by blocking reads with a poll deadline) and the
-//! reactor frontend (the `reactor` module, driven by readiness events)
-//! both feed bytes through the same [`LineAccumulator`] and dispatch
-//! complete lines through the same `process_line`, so their responses are
-//! bit-identical by construction (`tests/serve_smoke.rs` pins this).
+//! error handling — lives here, free of any socket: the reactor (the
+//! `reactor` module, driven by readiness events) feeds bytes through a
+//! [`LineAccumulator`] and dispatches complete lines through
+//! `process_line` into any [`Write`], so the tests and the benchmark's
+//! layer probes drive exactly the code a connection runs.
 //!
 //! **Reads are begun, then settled.** A `PREDICT` that misses the cache,
 //! or an `ADMIT`, is enqueued on its shard without waiting (*begin*); the
@@ -19,9 +18,8 @@
 //! nothing overtakes it; with no read pending, responses go straight to
 //! the frontend's writer.
 
-use crate::fault::FaultStream;
 use crate::proto::{parse_batch_header, ErrCode, ProtoScratch, Request, Response, MAX_LINE_BYTES};
-use crate::server::{dispatch, shutting_down, Shared, STOP_POLL};
+use crate::server::{dispatch, shutting_down, Shared};
 use crate::shard::{
     MachineKey, ObserveChunk, ObserveItem, SendFail, ShardMsg, ShardPool, MAX_PENDING_READS,
     OBS_CHUNK,
@@ -29,11 +27,8 @@ use crate::shard::{
 use oc_telemetry::trace;
 use oc_trace::time::Tick;
 use std::fmt;
-use std::io::{BufWriter, Read, Write};
-use std::net::TcpStream;
-use std::sync::atomic::Ordering;
+use std::io::Write;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// What a [`LineAccumulator::feed`] call concluded.
@@ -731,10 +726,10 @@ fn settle<W: Write>(state: &mut ConnState, writer: &mut W, shared: &Shared) -> s
 }
 
 /// Ends a read burst: enqueues the pending observe chunk, then settles the
-/// pending reads. Both frontends call this whenever they run out of
-/// complete lines, before they flush the writer and wait for more input —
-/// so no deferred acknowledgement and no pending read ever outlives the
-/// frontend call that created it.
+/// pending reads. The reactor calls this whenever it runs out of complete
+/// lines, before it writes the output out and waits for more input — so
+/// no deferred acknowledgement and no pending read ever outlives the
+/// readiness event that created it.
 pub(crate) fn end_burst<W: Write>(
     state: &mut ConnState,
     writer: &mut W,
@@ -759,135 +754,6 @@ pub(crate) fn idle_resp() -> Response {
         code: ErrCode::Timeout,
         detail: "idle past deadline; reconnect to resume".to_string(),
     }
-}
-
-/// Sets deadlines, wraps the stream in the fault plan if configured, and
-/// runs the request loop (threaded frontend).
-pub(crate) fn handle_connection(
-    stream: TcpStream,
-    pool: &ShardPool,
-    shared: &Shared,
-    conn_id: u64,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(STOP_POLL))?;
-    stream.set_write_timeout(Some(shared.cfg.write_timeout))?;
-    let read_half = stream.try_clone()?;
-    match &shared.cfg.faults {
-        Some(plan) => {
-            let r = FaultStream::new(
-                read_half,
-                plan,
-                plan.stream_seed(conn_id * 2),
-                Arc::clone(&shared.faults),
-            );
-            let w = FaultStream::new(
-                stream,
-                plan,
-                plan.stream_seed(conn_id * 2 + 1),
-                Arc::clone(&shared.faults),
-            );
-            serve_lines(r, w, pool, shared)
-        }
-        None => serve_lines(read_half, stream, pool, shared),
-    }
-}
-
-/// Serves one connection with blocking reads (threaded frontend): one
-/// response line per request line, in order (plus one `BATCHR` header
-/// line per `BATCH` frame).
-///
-/// The read deadline ([`STOP_POLL`]) doubles as the poll interval for
-/// the stop flag and the idle deadline; any read progress (even a
-/// partial line) counts as activity.
-pub(crate) fn serve_lines<R: Read, W: Write>(
-    mut read_half: R,
-    write_half: W,
-    pool: &ShardPool,
-    shared: &Shared,
-) -> std::io::Result<()> {
-    let mut writer = BufWriter::new(write_half);
-    let mut acc = LineAccumulator::new();
-    let mut state = ConnState::new();
-    let mut buf = [0u8; 8192];
-    let mut last_activity = Instant::now();
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            // In-flight connections are abandoned at shutdown; anything
-            // already queued on the shards is still drained and counted.
-            break;
-        }
-        debug_assert!(
-            state.deferred.is_settled(),
-            "a pending read outlived its burst"
-        );
-        match read_half.read(&mut buf) {
-            Ok(0) => {
-                // A trailing fragment without a newline is a truncated
-                // request from a peer that died mid-write: discard it
-                // rather than guessing at half a request. (A truncated
-                // BATCH frame's already-received sub-requests were
-                // dispatched; their responses are simply undeliverable —
-                // safe, because ingestion is idempotent.)
-                acc.discard_partial();
-                break;
-            }
-            Ok(n) => {
-                last_activity = Instant::now();
-                let fed = acc.feed(&buf[..n], |line| {
-                    // Spans one line: parse, then enqueue, cache answer
-                    // or response encode. A read's shard round trip is
-                    // not in here — `serve.settle` covers that wait.
-                    // Inert unless tracing is on.
-                    let req_span = trace::span("serve.request");
-                    let keep = process_line(line, &mut state, &mut writer, pool, shared)?;
-                    drop(req_span);
-                    Ok(keep)
-                })?;
-                match fed {
-                    Feed::More => {
-                        // Requests that arrived in one chunk were
-                        // coalesced; the pipeline has now run dry —
-                        // enqueue the pending chunk, collect the pending
-                        // reads and push every response out.
-                        end_burst(&mut state, &mut writer, pool, shared)?;
-                        writer.flush()?;
-                    }
-                    Feed::Close => {
-                        // Cannot resync. The closing answer may sit
-                        // behind pending reads.
-                        end_burst(&mut state, &mut writer, pool, shared)?;
-                        return writer.flush();
-                    }
-                    Feed::Oversize => {
-                        end_burst(&mut state, &mut writer, pool, shared)?;
-                        state.respond(&mut writer, &oversize_resp())?;
-                        writer.flush()?;
-                        break; // Cannot resynchronize: close.
-                    }
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                end_burst(&mut state, &mut writer, pool, shared)?;
-                writer.flush()?;
-                if last_activity.elapsed() >= shared.cfg.idle_timeout {
-                    shared.timeouts.inc();
-                    trace::event("serve.conn.idle_close", 0, 0);
-                    state.respond(&mut writer, &idle_resp())?;
-                    return writer.flush();
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    end_burst(&mut state, &mut writer, pool, shared)?;
-    writer.flush()
 }
 
 #[cfg(test)]

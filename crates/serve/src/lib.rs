@@ -17,18 +17,15 @@
 //!   bounded MPSC queue. Full queue ⇒ retryable `BUSY`, never unbounded
 //!   buffering.
 //! * [`server`] — the TCP front end: a readiness-driven accept loop
-//!   feeding one of two frontends behind [`config::Frontend`] — the
-//!   default *reactor* (a small fixed pool of event-loop threads
+//!   feeding the *reactor* (a small fixed pool of event-loop threads
 //!   multiplexing every connection over `epoll`/`poll` via the vendored
-//!   `oc-reactor` crate) or the original *threaded* frontend (one handler
-//!   thread per connection). Both enforce read/write/idle deadlines and a
-//!   max-connections cap, stay pipelining-friendly (one response line per
-//!   request line, in order), and share the graceful drain-then-snapshot
-//!   shutdown that joins every frontend thread.
-//! * [`conn`] — the per-connection protocol machinery both frontends
-//!   share: the [`conn::LineAccumulator`] read state machine, the observe
-//!   micro-batcher, and the line dispatch path — so the two frontends'
-//!   responses are bit-identical by construction.
+//!   `oc-reactor` crate). It enforces write/idle deadlines and a
+//!   max-connections cap, stays pipelining-friendly (one response line
+//!   per request line, in order), and shuts down gracefully: join every
+//!   reactor thread, drain the shards, return the final snapshot.
+//! * [`conn`] — the per-connection protocol machinery the reactor drives:
+//!   the [`conn::LineAccumulator`] read state machine, the observe
+//!   micro-batcher, and the line dispatch path, all socket-free.
 //! * [`metrics`] — per-shard counters plus a service-latency histogram
 //!   (reusing [`oc_stats::Histogram`]), merged bin-wise for `STATS` and
 //!   into the unified registry for `METRICS`.
@@ -76,7 +73,7 @@ pub(crate) mod reactor;
 pub mod server;
 pub mod shard;
 
-pub use config::{Frontend, ServeConfig};
+pub use config::ServeConfig;
 pub use error::ServeError;
 pub use fault::{FaultCounters, FaultKinds, FaultPlan, FaultStream};
 pub use proto::{ErrCode, ProtoError, Request, Response, StatsSnapshot};

@@ -1,4 +1,4 @@
-//! The readiness-driven reactor frontend.
+//! The readiness-driven reactor: the server's one connection frontend.
 //!
 //! A small fixed pool of reactor threads (sized by
 //! [`crate::config::ServeConfig::reactor_threads`]) each owns an
@@ -6,9 +6,7 @@
 //! state machines: read-accumulate ([`LineAccumulator`]) → parse via the
 //! zero-copy codec → dispatch to the shard actors → buffered
 //! non-blocking write with would-block re-arm. Tens of thousands of
-//! mostly-idle connections multiplex onto a few threads; the thread-per-
-//! connection frontend remains available behind
-//! [`crate::config::Frontend::Threaded`].
+//! mostly-idle connections multiplex onto a few threads.
 //!
 //! **Readiness semantics.** Polling is level-triggered. A readable
 //! connection is drained to `WouldBlock` (or the write high-water mark,
@@ -23,19 +21,18 @@
 //! [`OUTBUF_HIGH_WATER`] bytes are pending the connection's `READABLE`
 //! interest is dropped — a peer that pipelines requests without reading
 //! responses is throttled instead of growing the buffer without bound. A
-//! peer that stays unwritable for `write_timeout` is disconnected, like
-//! a blocked write deadline in the threaded frontend.
+//! peer that stays unwritable for `write_timeout` is disconnected.
 //!
 //! **Deadlines.** Each reactor thread sweeps its connections on a
 //! fraction of the tightest configured deadline: idle connections get
-//! `ERR timeout` and a drain-then-close exactly like the threaded
-//! frontend; any read progress (even a partial line) counts as activity.
+//! `ERR timeout` and a drain-then-close; any read progress (even a
+//! partial line) counts as activity.
 //!
 //! **Faults.** The fault wrapper composes with non-blocking streams: a
 //! would-block read/write passes through it like any other operation
-//! (consuming a schedule draw, as the threaded frontend's deadline polls
-//! do), injected delays briefly stall the reactor thread (chaos tests
-//! only), and an injected drop closes the connection at the next event.
+//! (consuming a schedule draw), injected delays briefly stall the
+//! reactor thread (chaos tests only), and an injected drop closes the
+//! connection at the next event.
 //!
 //! **Shutdown.** [`ReactorPool::stop_and_join`] wakes every thread via
 //! its [`Waker`]; each enqueues pending observe chunks, makes one best-
@@ -43,6 +40,7 @@
 //! latency is bounded by the in-flight work, not a polling interval, and
 //! the shard pool's single-owner drain invariant is preserved.
 
+use crate::accept::note_accept_error;
 use crate::conn::{
     end_burst, idle_resp, oversize_resp, process_line, ConnState, Feed, LineAccumulator,
 };
@@ -158,7 +156,7 @@ impl ReactorPool {
 }
 
 /// A connection's transport: plain, or wrapped in the seeded fault plan
-/// (separate read/write schedules, like the threaded frontend).
+/// (separate read/write schedules).
 enum Transport {
     Plain(TcpStream),
     Faulted {
@@ -320,7 +318,7 @@ impl ReactorThread {
 
     fn register_conn(&mut self, stream: TcpStream) {
         let _ = stream.set_nodelay(true);
-        let conn_id = self.shared.registry.next_conn_id();
+        let conn_id = self.shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
         let transport = match &self.shared.cfg.faults {
             Some(plan) => {
                 let read_half = match stream.try_clone() {
@@ -382,12 +380,7 @@ impl ReactorThread {
     /// A connection failed before it ever joined the interest list; it
     /// was already counted live by the accept loop.
     fn drop_unregistered(&self, err: &std::io::Error) {
-        self.shared.accept_errors.inc();
-        trace::event(
-            "serve.accept.error",
-            err.raw_os_error().unwrap_or(0) as u64,
-            0,
-        );
+        note_accept_error(&self.shared, err);
         self.shared.connections.dec();
     }
 
@@ -490,8 +483,7 @@ impl ReactorThread {
         }
         // The readable burst has run dry: enqueue the pending observe
         // chunk and collect the pending reads, so every response of the
-        // burst joins the output buffer in request order (the reactor
-        // analog of the threaded frontend's dry-pipeline flush).
+        // burst joins the output buffer in request order.
         let RConn { state, outbuf, .. } = conn;
         let _ = end_burst(state, outbuf, &self.pool, &self.shared);
         Ok(())
@@ -578,8 +570,7 @@ impl ReactorThread {
             };
             if write_dead {
                 // The peer stopped reading responses past the deadline:
-                // pending output is undeliverable, drop the connection
-                // (threaded analog: the blocked write times out).
+                // pending output is undeliverable, drop the connection.
                 self.close(slot, conn);
                 continue;
             }

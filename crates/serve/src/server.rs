@@ -1,16 +1,13 @@
 //! The TCP front end.
 //!
-//! One readiness-driven accept thread feeds the configured
-//! [`Frontend`](crate::config::Frontend): either one handler thread per
-//! connection (`conn::serve_lines`) or a small fixed pool of reactor
+//! One readiness-driven accept thread feeds a small fixed pool of reactor
 //! threads multiplexing every connection over `epoll`/`poll` (the
-//! `reactor` module). Both frontends route each request line to the
-//! owning shard worker (see [`crate::shard`]) and write exactly one
-//! response line per request, in request order, so clients may pipeline
-//! freely; their wire behavior is bit-identical (`tests/serve_smoke.rs`
-//! pins this). The reads of one pipelined burst are enqueued without
-//! waiting and their replies collected in order afterwards (`conn`), so
-//! they run concurrently on the shards.
+//! `reactor` module). Each request line is routed to the owning shard
+//! worker (see [`crate::shard`]) and answered with exactly one response
+//! line, in request order, so clients may pipeline freely. The reads of
+//! one pipelined burst are enqueued without waiting and their replies
+//! collected in order afterwards (`conn`), so they run concurrently on
+//! the shards.
 //!
 //! `OBSERVE` is acknowledged on *enqueue* (`OK` means "accepted for
 //! ingestion", not "applied"): ingestion outcomes of a fire-and-forget
@@ -25,26 +22,24 @@
 //! peer that stops reading its responses cannot pin server resources),
 //! and counted against a `max_connections` cap — excess connects get
 //! `ERR conn-limit` and are closed immediately (both are retryable;
-//! `oc-client` does so). In the threaded frontend the deadlines ride on
-//! socket timeouts ([`STOP_POLL`] read polls); in the reactor frontend
-//! they are enforced by a periodic deadline sweep (see
-//! `docs/PROTOCOL.md` for the timing contract).
+//! `oc-client` does so). The deadlines are enforced by each reactor
+//! thread's periodic deadline sweep (see `docs/PROTOCOL.md` for the
+//! timing contract).
 //!
 //! **Shutdown.** [`Server::shutdown`] raises the stop flag and fires the
 //! accept waker (the accept thread is readiness-driven — there is no
-//! polling interval to wait out), joins every threaded handler via the
-//! registry, wakes and joins the reactor threads, sends a drain marker
-//! down every shard queue (FIFO ⇒ all previously queued work is applied
-//! first), joins the workers, and returns the final merged
-//! [`StatsSnapshot`] — the "flush a final snapshot" part of the
-//! contract. Because every frontend thread is joined first, the pool is
-//! always drained through the full consuming path;
+//! polling interval to wait out), wakes and joins the reactor threads,
+//! sends a drain marker down every shard queue (FIFO ⇒ all previously
+//! queued work is applied first), joins the workers, and returns the
+//! final merged [`StatsSnapshot`] — the "flush a final snapshot" part of
+//! the contract. Because every frontend thread is joined first, the pool
+//! is always drained through the full consuming path;
 //! [`ShutdownOutcome::clean`] records that no degraded shared-pool
 //! fallback was taken. A truncated final line (EOF without a newline) is
 //! discarded as an incomplete request, never dispatched — a client that
 //! died mid-write cannot ingest a half request.
 
-use crate::accept::{accept_loop, accept_poller, FrontendRuntime};
+use crate::accept::{accept_loop, accept_poller};
 use crate::config::{OwnershipMap, RingInfo, ServeConfig};
 use crate::error::ServeError;
 use crate::fault::FaultCounters;
@@ -56,22 +51,17 @@ use oc_telemetry::{Counter, Gauge, MetricsRegistry};
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How often the threaded frontend's blocking reads time out to re-check
-/// the stop flag and the idle deadline. (The accept loop and the reactor
-/// frontend are readiness-driven and do not poll on this interval.)
-pub const STOP_POLL: Duration = Duration::from_millis(25);
-
 /// Shared state between the server handle and its threads.
 #[derive(Debug)]
 pub(crate) struct Shared {
-    /// Accept no further connections; frontend threads exit promptly
-    /// (handlers at the next poll, reactors at the next wake).
+    /// Accept no further connections; the accept and reactor threads exit
+    /// at their next wake.
     pub(crate) stop: AtomicBool,
     /// The server's metrics registry — every counter/gauge below lives
     /// here so the `METRICS` verb can expose them by name (see
@@ -84,9 +74,9 @@ pub(crate) struct Shared {
     pub(crate) timeouts: Arc<Counter>,
     /// Connections rejected at the cap (`serve.conn_rejects`).
     pub(crate) conn_rejects: Arc<Counter>,
-    /// Accept-path failures — a socket dropped because its blocking mode
-    /// could not be set, a failed handler spawn, or a listener `accept`
-    /// error (`serve.accept.errors`).
+    /// Accept-path failures — a socket dropped because it could not be
+    /// made non-blocking or registered with a reactor, or a listener
+    /// `accept` error (`serve.accept.errors`).
     pub(crate) accept_errors: Arc<Counter>,
     /// Live connections (`serve.connections`).
     pub(crate) connections: Arc<Gauge>,
@@ -141,10 +131,10 @@ pub(crate) struct Shared {
     pub(crate) ring_version: AtomicU64,
     /// Faults injected by the server-side chaos plan (if configured).
     pub(crate) faults: Arc<FaultCounters>,
-    /// Live connection handlers (threaded frontend) and the connection-id
-    /// allocator shared by both frontends.
-    pub(crate) registry: Registry,
-    /// Per-connection deadlines, the frontend selection, and the optional
+    /// Connection-id allocator: the fault plan seeds every connection's
+    /// schedules from its id.
+    pub(crate) next_conn_id: AtomicU64,
+    /// Per-connection deadlines, the connection cap, and the optional
     /// fault plan.
     pub(crate) cfg: ConnSettings,
     /// Set when a client sent `SHUTDOWN`; wakes [`Server::wait`].
@@ -187,13 +177,12 @@ impl Shared {
             ring_version: AtomicU64::new(0),
             metrics,
             faults: Arc::new(FaultCounters::default()),
-            registry: Registry::default(),
+            next_conn_id: AtomicU64::new(0),
             cfg: ConnSettings {
                 idle_timeout: cfg.idle_timeout,
                 write_timeout: cfg.write_timeout,
                 max_connections: cfg.max_connections,
                 faults: cfg.faults.clone(),
-                frontend: cfg.frontend,
                 reactor_threads_effective: cfg.effective_reactor_threads(),
                 handoff_log: cfg.handoff_log,
                 ownership_factory: cfg.ownership_factory.clone(),
@@ -359,14 +348,13 @@ impl PredictCache {
     }
 }
 
-/// The slice of [`ServeConfig`] the accept loop and both frontends need.
+/// The slice of [`ServeConfig`] the accept loop and the reactors need.
 #[derive(Debug, Clone)]
 pub(crate) struct ConnSettings {
     pub(crate) idle_timeout: Duration,
     pub(crate) write_timeout: Duration,
     pub(crate) max_connections: usize,
     pub(crate) faults: Option<crate::fault::FaultPlan>,
-    pub(crate) frontend: crate::config::Frontend,
     /// Resolved reactor pool size
     /// ([`ServeConfig::effective_reactor_threads`]).
     pub(crate) reactor_threads_effective: usize,
@@ -378,99 +366,13 @@ pub(crate) struct ConnSettings {
     pub(crate) ownership_factory: Option<crate::config::OwnershipFactory>,
 }
 
-/// Tracks live connection handler threads so shutdown can join every one
-/// of them (and the accept loop can enforce the threaded frontend's
-/// connection cap). Also allocates connection ids — the fault plan seeds
-/// per-connection schedules from them — for both frontends.
-#[derive(Debug, Default)]
-pub(crate) struct Registry {
-    next_id: AtomicU64,
-    active: AtomicUsize,
-    handles: Mutex<HashMap<u64, JoinHandle<()>>>,
-    /// Ids whose handler has returned; their (finished) threads are
-    /// joined on the next reap so the handle map cannot grow without
-    /// bound on a long-running server.
-    finished: Mutex<Vec<u64>>,
-}
-
-impl Registry {
-    /// Claims a connection id without a handler slot (reactor frontend:
-    /// connections do not own threads, but their fault schedules still
-    /// need distinct seeds).
-    pub(crate) fn next_conn_id(&self) -> u64 {
-        self.next_id.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Claims an id and a live slot for a new threaded connection.
-    pub(crate) fn begin(&self) -> u64 {
-        self.active.fetch_add(1, Ordering::SeqCst);
-        self.next_conn_id()
-    }
-
-    /// Records the spawned handler thread for `id`.
-    pub(crate) fn register(&self, id: u64, handle: JoinHandle<()>) {
-        self.handles
-            .lock()
-            .expect("registry lock")
-            .insert(id, handle);
-    }
-
-    /// Releases `id`'s live slot (called by the handler itself on exit).
-    pub(crate) fn end(&self, id: u64) {
-        self.active.fetch_sub(1, Ordering::SeqCst);
-        self.finished.lock().expect("registry lock").push(id);
-    }
-
-    /// Live threaded-connection count.
-    pub(crate) fn active(&self) -> usize {
-        self.active.load(Ordering::SeqCst)
-    }
-
-    /// Joins handlers that already finished (instant — their threads have
-    /// returned). An id whose handle was not yet registered (handler
-    /// finished before `register` ran) is retried on a later reap.
-    pub(crate) fn reap(&self) {
-        let ids: Vec<u64> = std::mem::take(&mut *self.finished.lock().expect("registry lock"));
-        if ids.is_empty() {
-            return;
-        }
-        let mut handles = self.handles.lock().expect("registry lock");
-        let mut retry = Vec::new();
-        for id in ids {
-            match handles.remove(&id) {
-                Some(h) => {
-                    let _ = h.join();
-                }
-                None => retry.push(id),
-            }
-        }
-        drop(handles);
-        if !retry.is_empty() {
-            self.finished.lock().expect("registry lock").extend(retry);
-        }
-    }
-
-    /// Joins every registered handler. Callers must set the stop flag
-    /// first so live handlers exit at their next poll.
-    pub(crate) fn join_all(&self) {
-        let handles: Vec<JoinHandle<()>> = {
-            let mut map = self.handles.lock().expect("registry lock");
-            map.drain().map(|(_, h)| h).collect()
-        };
-        for h in handles {
-            let _ = h.join();
-        }
-        self.finished.lock().expect("registry lock").clear();
-    }
-}
-
 /// What [`Server::shutdown_outcome`] observed while draining.
 #[derive(Debug, Clone)]
 pub struct ShutdownOutcome {
     /// The final merged snapshot, identical to what a last `STATS` would
     /// have reported (plus everything drained from the queues).
     pub stats: StatsSnapshot,
-    /// `true` when every connection handler and shard worker was joined
+    /// `true` when every reactor thread and shard worker was joined
     /// and the snapshot came from the full consuming drain — never the
     /// degraded shared-pool fallback.
     pub clean: bool,
@@ -495,8 +397,7 @@ pub struct Server {
     accept_handle: Option<JoinHandle<()>>,
     /// Wakes the accept thread out of its readiness wait at shutdown.
     accept_waker: Arc<oc_reactor::Waker>,
-    /// The reactor pool, when [`crate::config::Frontend::Reactor`] runs.
-    reactor: Option<Arc<ReactorPool>>,
+    reactor: Arc<ReactorPool>,
     shared: Arc<Shared>,
 }
 
@@ -504,21 +405,19 @@ impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("addr", &self.addr)
-            .field("frontend", &self.shared.cfg.frontend)
             .finish_non_exhaustive()
     }
 }
 
 impl Server {
-    /// Binds `cfg.addr`, spawns the shard pool, the configured frontend,
-    /// and the accept loop.
+    /// Binds `cfg.addr`, spawns the shard pool, the reactor pool, and
+    /// the accept loop.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Config`] for an invalid config and
     /// [`ServeError::Io`] for bind failures — including an `Unsupported`
-    /// error on targets without a readiness backend (non-Unix), where
-    /// neither frontend's accept loop can run.
+    /// error on targets without a readiness backend (non-Unix).
     pub fn start(cfg: ServeConfig) -> Result<Server, ServeError> {
         cfg.validate()?;
         // Serving tens of thousands of connections needs the fd headroom;
@@ -537,10 +436,13 @@ impl Server {
         // Readiness-driven accept: the thread sleeps until a connection
         // arrives or the waker fires at shutdown — no stop-poll interval.
         let (poller, waker) = accept_poller(&listener)?;
-        let frontend = FrontendRuntime::start(&shared, &pool)?;
-        let reactor = frontend.reactor();
+        let reactor = Arc::new(ReactorPool::start(
+            shared.cfg.reactor_threads_effective,
+            &pool,
+            &shared,
+        )?);
 
-        let accept_pool = Arc::clone(&pool);
+        let accept_reactor = Arc::clone(&reactor);
         let accept_shared = Arc::clone(&shared);
         let accept_waker = Arc::clone(&waker);
         let accept_handle = std::thread::Builder::new()
@@ -550,8 +452,7 @@ impl Server {
                     listener,
                     poller,
                     accept_waker,
-                    frontend,
-                    accept_pool,
+                    accept_reactor,
                     accept_shared,
                 )
             })
@@ -608,14 +509,10 @@ impl Server {
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
-        // Threaded handlers notice `stop` within one read poll; blocked
-        // writes hit `write_timeout`. Reactor threads are woken
-        // explicitly. Joining all of them here is what guarantees the
-        // pool Arc below has exactly one strong reference left.
-        self.shared.registry.join_all();
-        if let Some(reactor) = self.reactor.take() {
-            reactor.stop_and_join();
-        }
+        // Reactor threads are woken explicitly. Joining all of them here
+        // is what guarantees the pool Arc below has exactly one strong
+        // reference left.
+        self.reactor.stop_and_join();
         let busy = self.shared.busy.get();
         let timeouts = self.shared.timeouts.get();
         let conn_rejects = self.shared.conn_rejects.get();
@@ -625,7 +522,7 @@ impl Server {
                 let (mut metrics, clean) = match Arc::try_unwrap(pool) {
                     Ok(pool) => (pool.shutdown(), true),
                     Err(shared_pool) => {
-                        // Defensive fallback: with all handlers joined this
+                        // Defensive fallback: with all reactors joined this
                         // is unreachable, but a drain that cannot join the
                         // workers is still better than a hang.
                         (shared_pool.shutdown_shared(), false)
@@ -659,8 +556,8 @@ impl Drop for Server {
 
 /// Answers an over-cap connection with a retryable error and closes it.
 pub(crate) fn reject_over_cap(mut stream: TcpStream, shared: &Shared) {
-    // Accepted sockets may be non-blocking (reactor frontend); the
-    // one-line reject is simplest with blocking writes and a deadline.
+    // Accepted sockets are non-blocking; the one-line reject is simplest
+    // with blocking writes and a deadline.
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
     let resp = Response::Err {
@@ -937,7 +834,6 @@ pub(crate) fn not_mine(shared: &Shared) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Frontend;
     use crate::proto::MAX_LINE_BYTES;
     use std::io::{BufRead, BufReader};
     use std::net::Shutdown;
@@ -985,33 +881,6 @@ mod tests {
         drop((r, w));
         let final_stats = server.shutdown();
         assert_eq!(final_stats.observes, 30);
-    }
-
-    /// The same smoke flow on the explicitly-selected threaded frontend
-    /// (the reactor is the default on Unix).
-    #[test]
-    fn end_to_end_on_threaded_frontend() {
-        let server = Server::start(
-            ServeConfig::default()
-                .with_shards(2)
-                .with_frontend(Frontend::Threaded),
-        )
-        .unwrap();
-        let (mut r, mut w) = client(server.addr());
-        for t in 0..10u64 {
-            assert_eq!(
-                roundtrip(&mut r, &mut w, &format!("OBSERVE a 0 1:0 0.2 0.5 {t}")),
-                Response::Ok
-            );
-        }
-        assert!(matches!(
-            roundtrip(&mut r, &mut w, "PREDICT a 0"),
-            Response::Pred { .. }
-        ));
-        drop((r, w));
-        let outcome = server.shutdown_outcome();
-        assert!(outcome.clean);
-        assert_eq!(outcome.stats.observes, 10);
     }
 
     #[test]
@@ -1294,10 +1163,10 @@ mod tests {
         server.shutdown();
     }
 
-    /// Regression (PR 3): an idle connection used to pin its handler in a
+    /// Regression (PR 3): an idle connection used to pin a thread in a
     /// deadline-less `read_line`, forcing `finish()` onto the degraded
-    /// `Arc::try_unwrap` fallback. With read polls + registry join, the
-    /// full merged snapshot must come back quickly and cleanly.
+    /// `Arc::try_unwrap` fallback. Reactor threads are woken and joined,
+    /// so the full merged snapshot must come back quickly and cleanly.
     #[test]
     fn idle_connection_does_not_block_clean_shutdown() {
         let server = Server::start(ServeConfig::default().with_shards(2)).unwrap();
@@ -1543,8 +1412,8 @@ mod tests {
         assert!(final_stats.faults > 0);
     }
 
-    /// An accepted socket that cannot be switched to the frontend's
-    /// blocking mode is counted, not silently dropped — exercised
+    /// An accepted socket that cannot be made non-blocking is counted,
+    /// not silently dropped — exercised
     /// indirectly: the counter exists and starts at zero.
     #[test]
     fn accept_error_counter_is_registered() {

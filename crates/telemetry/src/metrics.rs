@@ -174,14 +174,22 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Interpolated quantile over all recorded mass (0 when empty). A
-    /// rank landing in the overflow mass answers the exact tracked
-    /// maximum instead of the binned range ceiling.
+    /// Interpolated quantile over all recorded mass (0 when empty),
+    /// never above the exact tracked maximum. A rank landing in the
+    /// overflow mass answers that maximum instead of the binned range
+    /// ceiling; below the ceiling a binned quantile is a bin edge or an
+    /// interpolation, which for a lone sample low in a wide bin lies
+    /// above the sample, so it is clamped.
     pub fn quantile(&self, p: f64) -> f64 {
         match self.hist.quantile(p) {
-            Ok(q) if q >= self.hist.hi() => self.max.max(self.hist.hi()),
-            Ok(q) => q,
-            Err(_) => 0.0,
+            Ok(q) if self.count > 0 => {
+                if q >= self.hist.hi() {
+                    self.max
+                } else {
+                    q.min(self.max)
+                }
+            }
+            _ => 0.0,
         }
     }
 

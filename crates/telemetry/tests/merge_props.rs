@@ -106,6 +106,23 @@ proptest! {
         prop_assert!((mh.sum - rh.sum).abs() <= 1e-9 * (1.0 + rh.sum.abs()));
     }
 
+    /// No quantile exceeds the exact maximum, on one shard's snapshot or
+    /// on a merge of two — including when every sample sits low in its
+    /// bin (or below the binned range), where the bin edge would.
+    #[test]
+    fn quantiles_never_exceed_the_exact_max(a in shard_load(), b in shard_load()) {
+        let (sa, sb) = (apply(&a), apply(&b));
+        for snap in [&sa, &sb, &merged(&sa, &sb)] {
+            let h = snap.histogram("prop.hist").unwrap();
+            for p in [0.0, 1.0, 50.0, 99.0, 100.0] {
+                prop_assert!(
+                    h.quantile(p) <= h.max_or_zero(),
+                    "p{} = {} above max {}", p, h.quantile(p), h.max_or_zero()
+                );
+            }
+        }
+    }
+
     /// The wire exposition of a merged snapshot parses back to the same
     /// values the snapshot reports — counters/gauges exactly, histogram
     /// scalars through the float formatter's round trip.

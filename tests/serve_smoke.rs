@@ -34,7 +34,7 @@ use overcommit_repro::core::predictor::PredictorSpec;
 use overcommit_repro::core::sim::simulate_machine;
 use overcommit_repro::serve::fault::FaultPlan;
 use overcommit_repro::serve::proto::{Request, Response};
-use overcommit_repro::serve::{Frontend, ServeConfig, Server};
+use overcommit_repro::serve::{ServeConfig, Server};
 use overcommit_repro::trace::cell::{CellConfig, CellPreset};
 use overcommit_repro::trace::ids::CellId;
 use overcommit_repro::trace::{MachineId, WorkloadGenerator};
@@ -42,11 +42,8 @@ use std::time::Duration;
 
 /// Replays machines 0..4 of a small preset-A cell through a server and
 /// asserts bit-identity of every served prediction against the offline
-/// simulator. `client_cfg` lets the chaos variant inject faults;
-/// `frontend` pins which connection frontend serves the replay, so the
-/// identity is checked against both the reactor and the thread-per-
-/// connection implementation.
-fn assert_online_matches_offline(client_cfg: &ClientConfig, frontend: Frontend) -> u64 {
+/// simulator. `client_cfg` lets the chaos variant inject faults.
+fn assert_online_matches_offline(client_cfg: &ClientConfig) -> u64 {
     let mut cell = CellConfig::preset(CellPreset::A);
     cell.machines = 4;
     cell.duration_ticks = 96; // 8 hours of 5-minute ticks
@@ -71,8 +68,7 @@ fn assert_online_matches_offline(client_cfg: &ClientConfig, frontend: Frontend) 
                 .with_shards(3) // deliberately co-prime with nothing
                 .with_capacity(trace.capacity)
                 .with_predictor(spec.clone())
-                .with_sim(sim_cfg.clone())
-                .with_frontend(frontend),
+                .with_sim(sim_cfg.clone()),
         )
         .unwrap();
 
@@ -158,7 +154,7 @@ fn assert_online_matches_offline(client_cfg: &ClientConfig, frontend: Frontend) 
 /// transport framing differs, so any divergence pins the blame on the
 /// `BATCH` data plane (frontend coalescing, the prediction cache, or the
 /// zero-copy codec) rather than the workload.
-fn assert_batched_matches_offline(client_cfg: &ClientConfig, frontend: Frontend) -> u64 {
+fn assert_batched_matches_offline(client_cfg: &ClientConfig) -> u64 {
     let mut cell = CellConfig::preset(CellPreset::A);
     cell.machines = 4;
     cell.duration_ticks = 96;
@@ -216,8 +212,7 @@ fn assert_batched_matches_offline(client_cfg: &ClientConfig, frontend: Frontend)
                     .with_shards(3)
                     .with_capacity(trace.capacity)
                     .with_predictor(spec.clone())
-                    .with_sim(sim_cfg.clone())
-                    .with_frontend(frontend),
+                    .with_sim(sim_cfg.clone()),
             )
             .unwrap();
             let mut client = Client::connect(
@@ -268,7 +263,7 @@ fn assert_batched_matches_offline(client_cfg: &ClientConfig, frontend: Frontend)
 
 #[test]
 fn served_predictions_match_offline_simulation_bit_for_bit() {
-    let faults = assert_online_matches_offline(&ClientConfig::default(), Frontend::default());
+    let faults = assert_online_matches_offline(&ClientConfig::default());
     assert_eq!(faults, 0);
 }
 
@@ -276,37 +271,13 @@ fn served_predictions_match_offline_simulation_bit_for_bit() {
 fn served_predictions_survive_chaos_bit_for_bit() {
     let plan = FaultPlan::new(20210426, 0.08).with_max_delay(Duration::from_micros(200));
     let cfg = ClientConfig::default().with_seed(11).with_faults(plan);
-    let faults = assert_online_matches_offline(&cfg, Frontend::default());
-    assert!(faults > 0, "chaos plan never fired");
-}
-
-/// The thread-per-connection frontend must serve the same bits as the
-/// reactor (the default above) — the frontends share the entire data
-/// plane below the socket loop, and this pins that the split stays
-/// behavioral-identical.
-#[test]
-fn threaded_frontend_matches_offline_bit_for_bit() {
-    let faults = assert_online_matches_offline(&ClientConfig::default(), Frontend::Threaded);
-    assert_eq!(faults, 0);
-}
-
-#[test]
-fn threaded_frontend_survives_chaos_bit_for_bit() {
-    let plan = FaultPlan::new(20210426, 0.08).with_max_delay(Duration::from_micros(200));
-    let cfg = ClientConfig::default().with_seed(11).with_faults(plan);
-    let faults = assert_online_matches_offline(&cfg, Frontend::Threaded);
+    let faults = assert_online_matches_offline(&cfg);
     assert!(faults > 0, "chaos plan never fired");
 }
 
 #[test]
 fn batched_ingest_matches_offline_bit_for_bit() {
-    let faults = assert_batched_matches_offline(&ClientConfig::default(), Frontend::default());
-    assert_eq!(faults, 0);
-}
-
-#[test]
-fn threaded_batched_ingest_matches_offline_bit_for_bit() {
-    let faults = assert_batched_matches_offline(&ClientConfig::default(), Frontend::Threaded);
+    let faults = assert_batched_matches_offline(&ClientConfig::default());
     assert_eq!(faults, 0);
 }
 
