@@ -186,8 +186,8 @@ fn phase_json(label: &str, report: &LoadReport) -> String {
         report.sent,
         report.wall_secs,
         report.achieved_qps,
-        report.p50_us,
-        report.p99_us,
+        report.p50_us(),
+        report.p99_us(),
         report.busy,
         report.reject_rate() * 100.0,
         report.errors,

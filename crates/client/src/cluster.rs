@@ -52,6 +52,7 @@ use crate::pipe::{Entry, EntryKind, MemberPipe};
 use oc_cluster::{HashRing, RingSpec};
 use oc_serve::proto::{ErrCode, Request, Response, StatsSnapshot};
 use oc_serve::shard::key_hash;
+use oc_telemetry::metrics::HistogramSnapshot;
 use oc_telemetry::{trace, Counter, Gauge};
 use oc_trace::ids::{CellId, MachineId, TaskId};
 use rand::rngs::SmallRng;
@@ -180,9 +181,10 @@ pub struct ClusterClient {
     /// (the pipe-level analogue of [`Client`]'s per-request retries);
     /// reset by any successful frame drain.
     pipe_strikes: Vec<Strikes>,
-    /// Per-frame ack latencies `(latency_us, resolved_lines)` from the
-    /// pipelined path, drained by the fleet driver.
-    frame_lats: Vec<(f64, u64)>,
+    /// Ack latencies of the pipelined path, microseconds: each frame's
+    /// latency booked to every line it resolved. Drained by the fleet
+    /// driver.
+    frame_lats: HistogramSnapshot,
     /// Lines resolved `OK` / with a server error / rejected `BUSY` on
     /// the pipelined path (owner sends only; mirrors are not counted).
     pipelined_ok: u64,
@@ -234,7 +236,7 @@ impl ClusterClient {
             pipes: (0..spec.nodes).map(|_| MemberPipe::default()).collect(),
             waiting: VecDeque::new(),
             pipe_strikes: vec![Strikes::default(); spec.nodes],
-            frame_lats: Vec::new(),
+            frame_lats: HistogramSnapshot::default(),
             pipelined_ok: 0,
             pipelined_err: 0,
             pipelined_busy: 0,
@@ -621,9 +623,8 @@ impl ClusterClient {
         self.pump(true)
     }
 
-    /// Drains the pipelined path's per-frame ack latencies as
-    /// `(latency_us, resolved_lines)` pairs.
-    pub(crate) fn take_frame_latencies(&mut self) -> Vec<(f64, u64)> {
+    /// Drains the pipelined path's ack latencies.
+    pub(crate) fn take_frame_latencies(&mut self) -> HistogramSnapshot {
         std::mem::take(&mut self.frame_lats)
     }
 
@@ -962,9 +963,7 @@ impl ClusterClient {
                 }
             }
         }
-        if resolved > 0 {
-            self.frame_lats.push((lat_us, resolved));
-        }
+        self.frame_lats.record_n(lat_us, resolved);
         Ok(Drain::Ok { resolved, busy })
     }
 

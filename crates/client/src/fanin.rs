@@ -35,7 +35,6 @@ use crate::error::ClientError;
 use crate::loadgen::{fetch_stats, LoadReport};
 use oc_reactor::{Events, Interest, Poller};
 use oc_serve::proto::MAX_BATCH;
-use oc_stats::percentile_slice;
 use oc_telemetry::trace;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -235,15 +234,6 @@ impl FConn {
     }
 }
 
-/// Tallies shared across the whole run.
-#[derive(Default)]
-struct Tally {
-    ok: u64,
-    busy: u64,
-    errors: u64,
-    latencies_us: Vec<f64>,
-}
-
 /// Raw fd helper; the non-Unix arm is unreachable because
 /// [`Poller::new`] fails with `Unsupported` first.
 #[cfg(unix)]
@@ -306,8 +296,12 @@ pub fn run(addr: SocketAddr, cfg: &FaninConfig) -> Result<LoadReport, ClientErro
 
     // Phase 1: connect serially, measuring per-connection setup time.
     let mut conns: Vec<FConn> = Vec::with_capacity(cfg.connections);
-    let mut setup_us: Vec<f64> = Vec::with_capacity(cfg.connections);
-    let mut conn_failures: Vec<String> = Vec::new();
+    // What the run counts, straight into the report: no retries,
+    // reconnects or fault plan on this driver.
+    let mut tally = LoadReport {
+        connections: cfg.connections as u64,
+        ..LoadReport::default()
+    };
     for i in 0..cfg.connections {
         match connect_one(addr) {
             Ok((stream, us)) => {
@@ -331,16 +325,17 @@ pub fn run(addr: SocketAddr, cfg: &FaninConfig) -> Result<LoadReport, ClientErro
                     want_write: false,
                     failed: None,
                 });
-                setup_us.push(us);
+                tally.setup.record(us);
             }
-            Err(why) => conn_failures.push(format!("connection {i}: {why}")),
+            Err(why) => tally.conn_failures.push(format!("connection {i}: {why}")),
         }
     }
     let n_conns = conns.len();
     if n_conns == 0 {
         return Err(ClientError::Io(std::io::Error::other(format!(
             "no connection could be established ({})",
-            conn_failures
+            tally
+                .conn_failures
                 .first()
                 .map(String::as_str)
                 .unwrap_or("no detail")
@@ -353,10 +348,6 @@ pub fn run(addr: SocketAddr, cfg: &FaninConfig) -> Result<LoadReport, ClientErro
     let stagger = frame_interval / n_conns as u32;
     let total_frames = frames_per_conn * n_conns as u64;
     let expected_wall = stagger * total_frames as u32;
-    let mut tally = Tally {
-        latencies_us: Vec::with_capacity(total_frames as usize),
-        ..Tally::default()
-    };
     let mut scratch = vec![0u8; READ_SCRATCH];
     let mut events = Events::with_capacity(1024);
     let start = Instant::now();
@@ -431,48 +422,17 @@ pub fn run(addr: SocketAddr, cfg: &FaninConfig) -> Result<LoadReport, ClientErro
     // Phase 3: close everything, then snapshot the server.
     for (i, c) in conns.iter_mut().enumerate() {
         if let Some(why) = c.failed.take() {
-            conn_failures.push(format!("connection {i}: {why}"));
+            tally.conn_failures.push(format!("connection {i}: {why}"));
         }
     }
-    let sent: u64 = conns.iter().map(|c| c.frames_sent * cfg.batch as u64).sum();
+    tally.sent = conns.iter().map(|c| c.frames_sent * cfg.batch as u64).sum();
     drop(conns);
     drop(poller);
     let server = fetch_stats(addr)?;
-
-    let accounted = server.observes + server.stale + server.errors;
-    let q = |p: f64| percentile_slice(&tally.latencies_us, p).unwrap_or(0.0);
+    tally.acked_observes = tally.ok;
+    // This driver never retries: a `BUSY` is that request's final answer.
     let resolved = tally.ok + tally.busy + tally.errors;
-    Ok(LoadReport {
-        sent,
-        ok: tally.ok,
-        busy: tally.busy,
-        errors: tally.errors,
-        acked_observes: tally.ok,
-        lost: tally.ok.saturating_sub(accounted),
-        failed_connections: conn_failures.len() as u64,
-        conn_failures,
-        connections: cfg.connections as u64,
-        wall_secs,
-        achieved_qps: if wall_secs > 0.0 {
-            resolved as f64 / wall_secs
-        } else {
-            0.0
-        },
-        p50_us: q(50.0),
-        p99_us: q(99.0),
-        max_us: tally.latencies_us.iter().cloned().fold(0.0, f64::max),
-        setup_p50_us: percentile_slice(&setup_us, 50.0).unwrap_or(0.0),
-        setup_p99_us: percentile_slice(&setup_us, 99.0).unwrap_or(0.0),
-        setup_max_us: setup_us.iter().cloned().fold(0.0, f64::max),
-        latency: crate::loadgen::report_histogram(
-            &tally.latencies_us,
-            crate::loadgen::LATENCY_HIST_HI_US,
-        ),
-        setup: crate::loadgen::report_histogram(&setup_us, crate::loadgen::SETUP_HIST_HI_US),
-        server,
-        // No retries, reconnects or fault plan on this driver.
-        ..Default::default()
-    })
+    Ok(tally.finish(wall_secs, resolved, Some(server)))
 }
 
 /// Whether the connection no longer participates in the run.
@@ -560,7 +520,7 @@ fn pump_read(
     poller: &Poller,
     scratch: &mut [u8],
     layout: &FrameLayout,
-    tally: &mut Tally,
+    tally: &mut LoadReport,
 ) {
     loop {
         match conn.stream.read(scratch) {
@@ -594,7 +554,7 @@ fn consume(
     conn: &mut FConn,
     mut data: &[u8],
     layout: &FrameLayout,
-    tally: &mut Tally,
+    tally: &mut LoadReport,
 ) -> Result<(), String> {
     // Finish a carried partial line first.
     if !conn.partial.is_empty() {
@@ -627,7 +587,7 @@ fn take_line(
     conn: &mut FConn,
     line: &[u8],
     layout: &FrameLayout,
-    tally: &mut Tally,
+    tally: &mut LoadReport,
 ) -> Result<(), String> {
     if conn.body_left == 0 {
         if line != layout.expected_header.as_slice() {
@@ -655,7 +615,7 @@ fn take_line(
     if conn.body_left == 0 {
         conn.frames_done += 1;
         if let Some(sent) = conn.sent_at.pop_front() {
-            tally.latencies_us.push(sent.elapsed().as_secs_f64() * 1e6);
+            tally.latency.record(sent.elapsed().as_secs_f64() * 1e6);
         }
     }
     Ok(())
@@ -761,8 +721,8 @@ mod tests {
         assert_eq!(report.ok + report.busy, 256);
         assert_eq!(report.errors, 0);
         assert_eq!(report.lost, 0);
-        assert!(report.setup_p50_us > 0.0);
-        assert!(report.setup_max_us >= report.setup_p50_us);
+        assert!(report.setup_p50_us() > 0.0);
+        assert!(report.setup_max_us() >= report.setup_p50_us());
         // Every OK is accounted for on the server (fresh or stale).
         assert_eq!(report.server.observes + report.server.stale, report.ok);
         server.shutdown();

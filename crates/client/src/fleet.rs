@@ -16,12 +16,12 @@
 use crate::client::{Client, ClientConfig};
 use crate::cluster::ClusterClient;
 use crate::error::ClientError;
-use crate::loadgen::{report_histogram, HistAcc, LoadReport, LATENCY_HIST_HI_US, SETUP_HIST_HI_US};
+use crate::loadgen::LoadReport;
 use oc_cluster::RingSpec;
 use oc_core::ingest::IncrementalView;
 use oc_core::predictor::clamp_prediction;
 use oc_serve::config::ServeConfig;
-use oc_serve::proto::{Request, Response};
+use oc_serve::proto::{Request, Response, StatsSnapshot};
 use oc_serve::shard::key_hash;
 use oc_trace::ids::{CellId, JobId, MachineId, TaskId};
 use std::net::SocketAddr;
@@ -169,70 +169,49 @@ fn drive_member(addr: SocketAddr, index: usize, plan: Vec<u32>, cfg: &FleetConfi
     let mut client = match Client::connect(addr, client_cfg) {
         Ok(c) => c,
         Err(e) => {
-            report.failed_connections = 1;
             report.conn_failures.push(format!("member {index}: {e}"));
-            return report;
+            return report.finish(0.0, 0, None);
         }
     };
-    let setup_us = setup_start.elapsed().as_secs_f64() * 1e6;
+    report
+        .setup
+        .record(setup_start.elapsed().as_secs_f64() * 1e6);
     let start = Instant::now();
-    let total_lines = plan.len() as u64 * cfg.ticks;
-    let mut latencies = HistAcc::new(LATENCY_HIST_HI_US);
-    let mut ok = 0u64;
-    let mut errors = 0u64;
+    report.sent = plan.len() as u64 * cfg.ticks;
     let cell = CellId::new(cfg.cell.clone());
     let mut reqs: Vec<Request> = Vec::new();
     for machines in plan.chunks(PLAN_BLOCK_MACHINES.max(1)) {
         expand_block(&mut reqs, &cell, machines, cfg);
         let outcome = client.pipeline_with(&reqs, |_, resp, lat_us| {
-            latencies.push(lat_us);
+            report.latency.record(lat_us);
             match resp {
-                Response::Err { .. } => errors += 1,
-                _ => ok += 1,
+                Response::Err { .. } => report.errors += 1,
+                _ => report.ok += 1,
             }
         });
         if let Err(e) = outcome {
-            report.failed_connections = 1;
             report.conn_failures.push(format!("member {index}: {e}"));
             break;
         }
     }
-    report.wall_secs = start.elapsed().as_secs_f64();
-    report.sent = total_lines;
-    report.ok = ok;
-    report.errors = errors;
-    report.acked_observes = ok;
+    let wall_secs = start.elapsed().as_secs_f64();
+    report.acked_observes = report.ok;
     let m = client.metrics();
     report.busy = m.busy_retries;
     report.retries = m.retries;
     report.reconnects = m.reconnects;
-    report.latency = latencies.finish();
-    report.setup = report_histogram(&[setup_us], SETUP_HIST_HI_US);
-    report.read_percentiles();
-    let resolved = ok + errors;
-    report.achieved_qps = if report.wall_secs > 0.0 {
-        resolved as f64 / report.wall_secs
-    } else {
-        0.0
-    };
-    if cfg.fetch_stats {
-        match client.stats() {
-            Ok(s) => report.server = s,
-            Err(e) => {
-                report.failed_connections = 1;
-                report
-                    .conn_failures
-                    .push(format!("member {index} stats: {e}"));
-            }
-        }
-    }
-    let accounted = report.server.observes + report.server.stale + report.server.errors;
-    report.lost = if cfg.fetch_stats {
-        report.acked_observes.saturating_sub(accounted)
-    } else {
-        0
-    };
-    report
+    // A failed fetch leaves a zero ledger: every ack then counts as lost.
+    let server = cfg.fetch_stats.then(|| {
+        client.stats().unwrap_or_else(|e| {
+            report
+                .conn_failures
+                .push(format!("member {index} stats: {e}"));
+            StatsSnapshot::default()
+        })
+    });
+    // The client retries `BUSY`, so only `OK` and `ERR` are final.
+    let resolved = report.ok + report.errors;
+    report.finish(wall_secs, resolved, server)
 }
 
 /// Drives the fleet: one plan and one pipelined connection per live
@@ -317,45 +296,28 @@ pub fn run_routed(cc: &mut ClusterClient, cfg: &FleetConfig) -> Result<LoadRepor
         connections: 1,
         ..Default::default()
     };
-    let total = cfg.machines * cfg.ticks;
-    let mut latencies = HistAcc::new(LATENCY_HIST_HI_US);
+    report.sent = cfg.machines * cfg.ticks;
     let start = Instant::now();
     for m in 0..cfg.machines {
         let machine = MachineId(m as u32);
         for t in cfg.first_tick..cfg.first_tick + cfg.ticks {
             cc.observe_pipelined(&cell, machine, task, fleet_usage(m, t), FLEET_LIMIT, t)?;
         }
-        if m % 1024 == 0 {
-            for (us, n) in cc.take_frame_latencies() {
-                latencies.push_n(us, n);
-            }
-        }
     }
     cc.flush_pipeline()?;
     cc.flush_mirrors()?;
-    for (us, n) in cc.take_frame_latencies() {
-        latencies.push_n(us, n);
-    }
-    let (ok, errors, busy) = cc.take_pipeline_tallies();
-    report.wall_secs = start.elapsed().as_secs_f64();
-    report.sent = total;
-    report.ok = ok;
-    report.errors = errors;
-    report.busy = busy;
-    report.acked_observes = ok;
-    report.latency = latencies.finish();
-    report.read_percentiles();
-    report.achieved_qps = if report.wall_secs > 0.0 {
-        total as f64 / report.wall_secs
+    let wall_secs = start.elapsed().as_secs_f64();
+    report.latency = cc.take_frame_latencies();
+    (report.ok, report.errors, report.busy) = cc.take_pipeline_tallies();
+    report.acked_observes = report.ok;
+    let server = if cfg.fetch_stats {
+        Some(cc.stats()?)
     } else {
-        0.0
+        None
     };
-    if cfg.fetch_stats {
-        report.server = cc.stats()?;
-        let accounted = report.server.observes + report.server.stale + report.server.errors;
-        report.lost = report.acked_observes.saturating_sub(accounted);
-    }
-    Ok(report)
+    // The cluster client re-sends `BUSY` lines until they resolve.
+    let resolved = report.ok + report.errors;
+    Ok(report.finish(wall_secs, resolved, server))
 }
 
 /// Proves served-vs-offline final-state identity: for every machine,

@@ -34,7 +34,6 @@ use crate::client::{Client, ClientConfig};
 use crate::error::ClientError;
 use oc_serve::fault::FaultPlan;
 use oc_serve::proto::{Request, Response, StatsSnapshot};
-use oc_stats::{percentile_slice, Histogram};
 use oc_telemetry::metrics::HistogramSnapshot;
 use oc_telemetry::trace;
 use oc_trace::cell::{CellConfig, CellPreset};
@@ -86,82 +85,8 @@ impl Default for LoadgenConfig {
     }
 }
 
-/// Bin range of [`report_histogram`] for request latencies: 1 second in
-/// microseconds, ~61 µs bins. Latencies beyond the range still count
-/// (overflow bin) but stop contributing to binned quantiles.
-pub const LATENCY_HIST_HI_US: f64 = 1_000_000.0;
-/// Bin range of [`report_histogram`] for connection setup times: 5
-/// seconds in microseconds (connection storms stall on accept queues).
-pub const SETUP_HIST_HI_US: f64 = 5_000_000.0;
-/// Bin count shared by both report histograms.
-pub const REPORT_HIST_BINS: usize = 16_384;
-
-/// Bins `samples` (microseconds) into a mergeable snapshot. Every
-/// report carries two of these so N per-process reports can be folded
-/// into one fleet report with percentiles recomputed over the *merged*
-/// distribution — averaging percentiles across processes is wrong
-/// (a p99 of averages is not the p99 of the union).
-pub fn report_histogram(samples: &[f64], hi: f64) -> HistogramSnapshot {
-    let mut acc = HistAcc::new(hi);
-    for &x in samples {
-        acc.push(x);
-    }
-    acc.finish()
-}
-
-/// Incremental [`report_histogram`]: bins samples as they resolve
-/// instead of materializing them first. The fleet drivers used to hold
-/// one `f64` per line — tens of megabytes per member thread at
-/// million-machine scale — purely to bin them at the end of the run.
-#[derive(Debug)]
-pub struct HistAcc {
-    hist: Histogram,
-    sum: f64,
-    max: f64,
-}
-
-impl HistAcc {
-    /// An empty accumulator binning `[0, hi)` like [`report_histogram`].
-    pub fn new(hi: f64) -> HistAcc {
-        HistAcc {
-            hist: Histogram::new(0.0, hi, REPORT_HIST_BINS).expect("static shape is valid"),
-            sum: 0.0,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one sample (microseconds).
-    pub fn push(&mut self, x: f64) {
-        self.push_n(x, 1);
-    }
-
-    /// Records `n` samples of value `x` at once — the shape a pipelined
-    /// frame resolves in (one ack latency covering every line it
-    /// carried).
-    pub fn push_n(&mut self, x: f64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.hist.push_n(x, n);
-        self.sum += x * n as f64;
-        if x > self.max {
-            self.max = x;
-        }
-    }
-
-    /// The mergeable snapshot.
-    pub fn finish(self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.hist.total(),
-            sum: self.sum,
-            max: self.max,
-            hist: self.hist,
-        }
-    }
-}
-
 /// What one [`run`] measured.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LoadReport {
     /// Requests submitted (OBSERVE + PREDICT), counting each once however
     /// many retries it took.
@@ -194,62 +119,19 @@ pub struct LoadReport {
     pub wall_secs: f64,
     /// Achieved request throughput (resolved / wall), requests per second.
     pub achieved_qps: f64,
-    /// Client-observed p50 latency, microseconds.
-    pub p50_us: f64,
-    /// Client-observed p99 latency, microseconds.
-    pub p99_us: f64,
-    /// Client-observed maximum latency, microseconds.
-    pub max_us: f64,
-    /// Per-connection connect/setup time, p50, microseconds. Setup time
-    /// (TCP connect + socket configuration) is reported separately so
-    /// steady-state latency percentiles are not polluted by the one-off
-    /// connection storm of a high fan-in run.
-    pub setup_p50_us: f64,
-    /// Per-connection connect/setup time, p99, microseconds.
-    pub setup_p99_us: f64,
-    /// Per-connection connect/setup time, maximum, microseconds.
-    pub setup_max_us: f64,
-    /// Binned request-latency distribution backing [`LoadReport::merge`]
-    /// (the scalar percentiles above are exact for a single run; after a
-    /// merge they are recomputed from these bins).
+    /// Client-observed request latencies, microseconds. Recorded as
+    /// replies resolve and merged bucket for bucket by
+    /// [`LoadReport::merge`], so the percentiles read off it are those of
+    /// the union — averaging percentiles across processes is wrong (a p99
+    /// of averages is not the p99 of the union).
     pub latency: HistogramSnapshot,
-    /// Binned connection-setup distribution, same role as `latency`.
+    /// Per-connection connect/setup times (TCP connect + socket
+    /// configuration), microseconds. Kept apart from `latency` so
+    /// steady-state percentiles are not polluted by the one-off connection
+    /// storm of a high fan-in run.
     pub setup: HistogramSnapshot,
     /// Server-side snapshot taken right after the replay.
     pub server: StatsSnapshot,
-}
-
-impl Default for LoadReport {
-    /// A report of nothing: zero counters and empty latency and setup
-    /// distributions of the report shapes — what a driver starts from and
-    /// what [`LoadReport::merge`] folds into.
-    fn default() -> LoadReport {
-        LoadReport {
-            sent: 0,
-            ok: 0,
-            busy: 0,
-            errors: 0,
-            retries: 0,
-            reconnects: 0,
-            faults: 0,
-            acked_observes: 0,
-            lost: 0,
-            failed_connections: 0,
-            conn_failures: Vec::new(),
-            connections: 0,
-            wall_secs: 0.0,
-            achieved_qps: 0.0,
-            p50_us: 0.0,
-            p99_us: 0.0,
-            max_us: 0.0,
-            setup_p50_us: 0.0,
-            setup_p99_us: 0.0,
-            setup_max_us: 0.0,
-            latency: report_histogram(&[], LATENCY_HIST_HI_US),
-            setup: report_histogram(&[], SETUP_HIST_HI_US),
-            server: StatsSnapshot::default(),
-        }
-    }
 }
 
 impl LoadReport {
@@ -279,21 +161,44 @@ impl LoadReport {
         }
     }
 
+    /// The one epilogue every driver ends with: derives what a report
+    /// derives (`failed_connections`, `achieved_qps`, `lost`) from what
+    /// the driver counted into `self`.
+    ///
+    /// `resolved` is the number of requests that got a final answer
+    /// within `wall_secs` — each driver states its own, because whether
+    /// a `BUSY` is final depends on whether the driver retries it.
+    /// `server` is the `STATS` snapshot taken after the drive; without
+    /// one (a segment of a longer drive) there is no ledger to check and
+    /// `lost` stays 0.
+    pub(crate) fn finish(
+        mut self,
+        wall_secs: f64,
+        resolved: u64,
+        server: Option<StatsSnapshot>,
+    ) -> LoadReport {
+        self.wall_secs = wall_secs;
+        self.failed_connections = self.conn_failures.len() as u64;
+        self.achieved_qps = rate(resolved, wall_secs);
+        if let Some(server) = server {
+            self.lost = ledger_gap(self.acked_observes, &server);
+            self.server = server;
+        }
+        self
+    }
+
     /// Folds `other` (another process's or another run segment's report)
     /// into `self`, the way a fleet drive folds its per-member reports:
     ///
     /// * counters sum; `conn_failures` concatenate;
     /// * `wall_secs` takes the max (segments overlap in wall time when
     ///   they ran in parallel, so summing would deflate throughput);
-    /// * latency/setup percentiles are **recomputed from the merged
-    ///   binned distributions**, never averaged — the p99 of a union is
-    ///   not the mean of per-process p99s;
-    /// * `achieved_qps` is recomputed as merged resolved / merged wall;
+    /// * the latency and setup distributions merge, so every percentile
+    ///   read afterwards is the union's;
+    /// * `achieved_qps` is recomputed as merged `ok + errors` over the
+    ///   merged wall;
     /// * the server snapshot merges via [`StatsSnapshot::merge`] and
     ///   `lost` is re-derived from the merged ledger.
-    ///
-    /// `reject_rate()`/`retry_ratio()` need no handling: they are
-    /// computed from the merged counters on read.
     pub fn merge(&mut self, other: &LoadReport) {
         self.sent += other.sent;
         self.ok += other.ok;
@@ -310,27 +215,41 @@ impl LoadReport {
         self.wall_secs = self.wall_secs.max(other.wall_secs);
         self.latency.merge(&other.latency);
         self.setup.merge(&other.setup);
-        self.read_percentiles();
-        let resolved = self.ok + self.errors;
-        self.achieved_qps = if self.wall_secs > 0.0 {
-            resolved as f64 / self.wall_secs
-        } else {
-            0.0
-        };
+        self.achieved_qps = rate(self.ok + self.errors, self.wall_secs);
         self.server.merge(&other.server);
-        let accounted = self.server.observes + self.server.stale + self.server.errors;
-        self.lost = self.acked_observes.saturating_sub(accounted);
+        self.lost = ledger_gap(self.acked_observes, &self.server);
     }
 
-    /// Sets the six scalar percentiles from the binned `latency` and
-    /// `setup` distributions.
-    pub(crate) fn read_percentiles(&mut self) {
-        self.p50_us = self.latency.quantile(50.0);
-        self.p99_us = self.latency.quantile(99.0);
-        self.max_us = self.latency.max_or_zero();
-        self.setup_p50_us = self.setup.quantile(50.0);
-        self.setup_p99_us = self.setup.quantile(99.0);
-        self.setup_max_us = self.setup.max_or_zero();
+    /// Client-observed p50 latency, microseconds (0 when nothing
+    /// resolved). Like every percentile here: read off `latency` or
+    /// `setup`, within one bucket (≈ 3 %) of the sample at that rank.
+    pub fn p50_us(&self) -> f64 {
+        self.latency.quantile(50.0)
+    }
+
+    /// Client-observed p99 latency, microseconds.
+    pub fn p99_us(&self) -> f64 {
+        self.latency.quantile(99.0)
+    }
+
+    /// Client-observed maximum latency, microseconds (exact).
+    pub fn max_us(&self) -> f64 {
+        self.latency.max_or_zero()
+    }
+
+    /// Per-connection setup time, p50, microseconds.
+    pub fn setup_p50_us(&self) -> f64 {
+        self.setup.quantile(50.0)
+    }
+
+    /// Per-connection setup time, p99, microseconds.
+    pub fn setup_p99_us(&self) -> f64 {
+        self.setup.quantile(99.0)
+    }
+
+    /// Per-connection setup time, maximum, microseconds (exact).
+    pub fn setup_max_us(&self) -> f64 {
+        self.setup.max_or_zero()
     }
 
     /// Serializes the report as a JSON object (hand-rolled; the workspace
@@ -368,12 +287,12 @@ impl LoadReport {
             self.achieved_qps,
             self.reject_rate(),
             self.retry_ratio(),
-            self.p50_us,
-            self.p99_us,
-            self.max_us,
-            self.setup_p50_us,
-            self.setup_p99_us,
-            self.setup_max_us,
+            self.p50_us(),
+            self.p99_us(),
+            self.max_us(),
+            self.setup_p50_us(),
+            self.setup_p99_us(),
+            self.setup_max_us(),
             self.server.p50_us,
             self.server.p99_us,
             self.server.mean_us,
@@ -382,6 +301,21 @@ impl LoadReport {
             self.server.machines,
         )
     }
+}
+
+/// `count / secs`, 0 for an instantaneous run.
+fn rate(count: u64, secs: f64) -> f64 {
+    if secs > 0.0 {
+        count as f64 / secs
+    } else {
+        0.0
+    }
+}
+
+/// Acknowledged samples the server's ingestion counters do not account
+/// for: `acked - (observes + stale + errors)`, floored at 0.
+fn ledger_gap(acked: u64, server: &StatsSnapshot) -> u64 {
+    acked.saturating_sub(server.observes + server.stale + server.errors)
 }
 
 /// Builds per-connection request scripts from the generated cell.
@@ -429,29 +363,13 @@ fn build_plans(cfg: &LoadgenConfig) -> Result<Vec<Vec<Request>>, ClientError> {
     Ok(plans)
 }
 
-/// Outcome counts plus raw latencies from one connection.
-#[derive(Debug, Default)]
-struct ConnResult {
-    sent: u64,
-    ok: u64,
-    busy: u64,
-    errors: u64,
-    retries: u64,
-    reconnects: u64,
-    faults: u64,
-    acked_observes: u64,
-    latencies_us: Vec<f64>,
-    /// Connect/setup time for this connection, microseconds.
-    setup_us: f64,
-    /// Set when the connection gave up before resolving its whole plan.
-    failure: Option<String>,
-}
-
-/// Replays one connection's script through a retrying [`Client`].
+/// Replays one connection's script through a retrying [`Client`] and
+/// returns what it counted as a one-connection report for [`run`] to
+/// merge.
 ///
 /// `pace` is the per-connection request interval; `Duration::ZERO` means
-/// unpaced. Failures never propagate: they end up in `failure` and the
-/// counts gathered so far still report.
+/// unpaced. Failures never propagate: they end up in `conn_failures` and
+/// the counts gathered so far still report.
 fn run_conn(
     addr: SocketAddr,
     plan: Vec<Request>,
@@ -459,15 +377,14 @@ fn run_conn(
     conn_idx: usize,
     batch: usize,
     chaos: Option<FaultPlan>,
-) -> ConnResult {
+) -> LoadReport {
     // One span per connection thread covering its whole replay
     // (`a` = connection index, `b` = scripted request count).
     let _conn_span = trace::span_ab("loadgen.conn", conn_idx as u64, plan.len() as u64);
-    let mut res = ConnResult {
+    let mut res = LoadReport {
         sent: plan.len() as u64,
-        ..ConnResult::default()
+        ..LoadReport::default()
     };
-    res.latencies_us.reserve(plan.len());
     let mut cfg = ClientConfig::default()
         .with_seed(conn_idx as u64 + 1)
         .with_batch(batch.max(1));
@@ -480,16 +397,20 @@ fn run_conn(
     if !pace.is_zero() {
         cfg = cfg.with_pipeline_window(BATCH);
     }
+    let fail = |res: &mut LoadReport, why: String| {
+        trace::event("loadgen.conn.fail", conn_idx as u64, 0);
+        res.conn_failures
+            .push(format!("connection {conn_idx}: {why}"));
+    };
     let setup_start = Instant::now();
     let mut client = match Client::connect(addr, cfg) {
         Ok(c) => c,
         Err(e) => {
-            trace::event("loadgen.conn.fail", conn_idx as u64, 0);
-            res.failure = Some(format!("connect: {e}"));
+            fail(&mut res, format!("connect: {e}"));
             return res;
         }
     };
-    res.setup_us = setup_start.elapsed().as_secs_f64() * 1e6;
+    res.setup.record(setup_start.elapsed().as_secs_f64() * 1e6);
     let start = Instant::now();
     let mut submitted = 0usize;
     for chunk in plan.chunks(BATCH) {
@@ -501,7 +422,7 @@ fn run_conn(
             }
         }
         let outcome = client.pipeline_with(chunk, |idx, resp, lat_us| {
-            res.latencies_us.push(lat_us);
+            res.latency.record(lat_us);
             match resp {
                 Response::Err { .. } => res.errors += 1,
                 Response::Ok => {
@@ -515,8 +436,7 @@ fn run_conn(
         });
         submitted += chunk.len();
         if let Err(e) = outcome {
-            trace::event("loadgen.conn.fail", conn_idx as u64, 0);
-            res.failure = Some(e.to_string());
+            fail(&mut res, e.to_string());
             break;
         }
     }
@@ -560,71 +480,27 @@ pub fn run(addr: SocketAddr, cfg: &LoadgenConfig) -> Result<LoadReport, ClientEr
                 .spawn(move || run_conn(addr, plan, pace, i, batch, chaos))?,
         );
     }
-    let mut totals = ConnResult::default();
-    let mut setup_us: Vec<f64> = Vec::with_capacity(n_conns);
-    let mut conn_failures: Vec<String> = Vec::new();
+    let mut totals = LoadReport {
+        connections: n_conns as u64,
+        ..LoadReport::default()
+    };
     for (i, j) in joins.into_iter().enumerate() {
-        let res = match j.join() {
-            Ok(res) => res,
-            Err(_) => {
-                conn_failures.push(format!("connection {i}: thread panicked"));
-                continue;
-            }
-        };
-        if let Some(why) = res.failure {
-            conn_failures.push(format!("connection {i}: {why}"));
-        }
-        totals.sent += res.sent;
-        totals.ok += res.ok;
-        totals.busy += res.busy;
-        totals.errors += res.errors;
-        totals.retries += res.retries;
-        totals.reconnects += res.reconnects;
-        totals.faults += res.faults;
-        totals.acked_observes += res.acked_observes;
-        totals.latencies_us.extend(res.latencies_us);
-        if res.setup_us > 0.0 {
-            setup_us.push(res.setup_us);
+        match j.join() {
+            Ok(res) => totals.merge(&res),
+            Err(_) => totals
+                .conn_failures
+                .push(format!("connection {i}: thread panicked")),
         }
     }
     let wall_secs = start.elapsed().as_secs_f64();
     let server = match fetch_stats(addr) {
         Ok(s) => s,
-        Err(_) if conn_failures.len() == n_conns => StatsSnapshot::default(),
+        Err(_) if totals.conn_failures.len() == n_conns => StatsSnapshot::default(),
         Err(e) => return Err(e),
     };
-    let accounted = server.observes + server.stale + server.errors;
-    let q = |p: f64| percentile_slice(&totals.latencies_us, p).unwrap_or(0.0);
+    // The client retries `BUSY`, so only `OK`/`PRED` and `ERR` are final.
     let resolved = totals.ok + totals.errors;
-    Ok(LoadReport {
-        sent: totals.sent,
-        ok: totals.ok,
-        busy: totals.busy,
-        errors: totals.errors,
-        retries: totals.retries,
-        reconnects: totals.reconnects,
-        faults: totals.faults,
-        acked_observes: totals.acked_observes,
-        lost: totals.acked_observes.saturating_sub(accounted),
-        failed_connections: conn_failures.len() as u64,
-        conn_failures,
-        connections: n_conns as u64,
-        wall_secs,
-        achieved_qps: if wall_secs > 0.0 {
-            resolved as f64 / wall_secs
-        } else {
-            0.0
-        },
-        p50_us: q(50.0),
-        p99_us: q(99.0),
-        max_us: totals.latencies_us.iter().cloned().fold(0.0, f64::max),
-        setup_p50_us: percentile_slice(&setup_us, 50.0).unwrap_or(0.0),
-        setup_p99_us: percentile_slice(&setup_us, 99.0).unwrap_or(0.0),
-        setup_max_us: setup_us.iter().cloned().fold(0.0, f64::max),
-        latency: report_histogram(&totals.latencies_us, LATENCY_HIST_HI_US),
-        setup: report_histogram(&setup_us, SETUP_HIST_HI_US),
-        server,
-    })
+    Ok(totals.finish(wall_secs, resolved, Some(server)))
 }
 
 /// Asks a running server for its `STATS` snapshot.
@@ -731,26 +607,26 @@ mod tests {
     /// percentiles from the merged latency distribution.
     #[test]
     fn merge_folds_reports_not_averages() {
-        let mk = |ok: u64, busy: u64, lat: &[f64], wall: f64, observes: u64| LoadReport {
-            sent: ok,
-            ok,
-            busy,
-            retries: busy,
-            reconnects: 1,
-            acked_observes: ok,
-            connections: 1,
-            wall_secs: wall,
-            achieved_qps: ok as f64 / wall,
-            p50_us: percentile_slice(lat, 50.0).unwrap_or(0.0),
-            p99_us: percentile_slice(lat, 99.0).unwrap_or(0.0),
-            max_us: lat.iter().cloned().fold(0.0, f64::max),
-            latency: report_histogram(lat, LATENCY_HIST_HI_US),
-            server: StatsSnapshot {
+        let mk = |ok: u64, busy: u64, lat: &[f64], wall: f64, observes: u64| {
+            let mut report = LoadReport {
+                sent: ok,
+                ok,
+                busy,
+                retries: busy,
+                reconnects: 1,
+                acked_observes: ok,
+                connections: 1,
+                ..Default::default()
+            };
+            for &us in lat {
+                report.latency.record(us);
+            }
+            let server = StatsSnapshot {
                 observes,
                 machines: 10,
                 ..StatsSnapshot::default()
-            },
-            ..Default::default()
+            };
+            report.finish(wall, ok, Some(server))
         };
         // A fast member and a slow one, with very different reject rates.
         let fast: Vec<f64> = (0..100).map(|i| 100.0 + i as f64).collect();
@@ -769,12 +645,19 @@ mod tests {
         // wall = max (parallel members), qps = merged resolved / wall.
         assert!((merged.wall_secs - 2.0).abs() < 1e-12);
         assert!((merged.achieved_qps - 100.0).abs() < 1e-9);
-        // The merged p50 sits between the two clusters of latencies —
-        // neither member's own p50 (≈150 and ≈10050) nor their average.
-        assert!(merged.p50_us > 200.0 && merged.p50_us < 10_000.0);
-        // p99 lands in the slow member's cluster; max is exact.
-        assert!(merged.p99_us > 10_000.0);
-        assert!((merged.max_us - 10_099.0).abs() < 1e-9);
+        assert_eq!(merged.lost, 0);
+        // Percentiles are the union's, each within one bucket of the
+        // sample at its rank among all 200: p50 is the fast member's
+        // slowest request — neither member's own p50 (≈150 and ≈10050)
+        // nor their average — and p99 the slow member's 98th.
+        for (got, at_rank) in [(merged.p50_us(), 199.0), (merged.p99_us(), 10_097.0)] {
+            assert!(
+                (got - at_rank).abs() <= at_rank * oc_stats::Histogram::BUCKET_WIDTH,
+                "{got} vs {at_rank}"
+            );
+        }
+        // Max is exact.
+        assert_eq!(merged.max_us(), 10_099.0);
         assert_eq!(merged.latency.count(), 200);
     }
 

@@ -27,8 +27,9 @@
 //!   the [`conn::LineAccumulator`] read state machine, the observe
 //!   micro-batcher, and the line dispatch path, all socket-free.
 //! * [`metrics`] — per-shard counters plus a service-latency histogram
-//!   (reusing [`oc_stats::Histogram`]), merged bin-wise for `STATS` and
-//!   into the unified registry for `METRICS`.
+//!   (the log-bucketed [`oc_stats::Histogram`] with exact sum and max),
+//!   merged bucket-wise for `STATS` and into the unified registry for
+//!   `METRICS`.
 //! * [`fault`] — deterministic, seeded fault injection (delayed / partial /
 //!   dropped reads and writes) wrapping any connection stream, for chaos
 //!   testing the lifecycle paths above.

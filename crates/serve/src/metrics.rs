@@ -1,29 +1,24 @@
 //! Per-shard counters and service-latency accounting.
 //!
-//! Each shard worker owns one [`ShardMetrics`]: plain counters plus a
-//! bounded-memory latency [`Histogram`] (reused from `oc-stats`). Latency
-//! is *service* latency — from the instant a request was enqueued on the
-//! shard queue to the instant the worker finished handling it — so queueing
-//! delay under load is visible, not hidden.
+//! Each shard worker owns one [`ShardMetrics`]: plain counters plus the
+//! latency accumulator every layer shares ([`HistogramSnapshot`]: the
+//! log-bucketed `oc_stats::Histogram` with an exact sum and maximum).
+//! Latency is *service* latency — from the instant a request was enqueued
+//! on the shard queue to the instant the worker finished handling it — so
+//! queueing delay under load is visible, not hidden.
 //!
-//! Snapshots from all shards are merged bin-wise (histogram merge keeps
-//! full resolution) and summarized into the wire-level
-//! [`StatsSnapshot`] with p50/p99 read off the
-//! merged histogram.
+//! Snapshots from all shards merge bucket for bucket and are summarized
+//! into the wire-level [`StatsSnapshot`]. p50/p99 are read off the merged
+//! buckets, each within one bucket (≈ 3 %) of the sample at its rank
+//! whether that sample took microseconds or seconds; mean and max are
+//! exact.
 
 use crate::proto::StatsSnapshot;
-use oc_stats::Histogram;
+use oc_telemetry::metrics::HistogramSnapshot;
 use std::time::Duration;
 
-/// Upper edge of the latency histogram, microseconds. Latencies beyond it
-/// land in the overflow counter; `max_us` still reports them exactly.
-pub const LATENCY_HI_US: f64 = 20_000.0;
-
-/// Latency histogram bins (5 µs resolution over `[0, LATENCY_HI_US)`).
-pub const LATENCY_BINS: usize = 4_000;
-
 /// One shard's counters. Cheap to update on every message.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardMetrics {
     /// Samples ingested into machine state.
     pub observes: u64,
@@ -46,35 +41,8 @@ pub struct ShardMetrics {
     /// Connections rejected at the max-connections cap (filled in at the
     /// server; always 0 at shard level).
     pub conn_rejects: u64,
-    /// Service-latency histogram, microseconds.
-    pub latency: Histogram,
-    /// Count of latency observations.
-    pub lat_count: u64,
-    /// Sum of latency observations, microseconds.
-    pub lat_sum_us: f64,
-    /// Maximum latency observed, microseconds.
-    pub lat_max_us: f64,
-}
-
-impl Default for ShardMetrics {
-    fn default() -> Self {
-        ShardMetrics {
-            observes: 0,
-            predicts: 0,
-            admits: 0,
-            stale: 0,
-            errors: 0,
-            machines: 0,
-            faults: 0,
-            timeouts: 0,
-            conn_rejects: 0,
-            latency: Histogram::new(0.0, LATENCY_HI_US, LATENCY_BINS)
-                .expect("static histogram parameters are valid"),
-            lat_count: 0,
-            lat_sum_us: 0.0,
-            lat_max_us: 0.0,
-        }
-    }
+    /// Service latencies, microseconds.
+    pub latency: HistogramSnapshot,
 }
 
 impl ShardMetrics {
@@ -83,20 +51,10 @@ impl ShardMetrics {
         self.record_latency_n(d, 1);
     }
 
-    /// Records `n` samples of the same service latency in one histogram
-    /// update — a coalesced chunk's items all share an enqueue instant,
-    /// so the bin search need not repeat per item.
+    /// Records `n` samples of the same service latency in one bucket
+    /// update — a coalesced chunk's items all share an enqueue instant.
     pub fn record_latency_n(&mut self, d: Duration, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let us = d.as_secs_f64() * 1e6;
-        self.latency.push_n(us, n);
-        self.lat_count += n;
-        self.lat_sum_us += us * n as f64;
-        if us > self.lat_max_us {
-            self.lat_max_us = us;
-        }
+        self.latency.record_n(d.as_secs_f64() * 1e6, n);
     }
 
     /// Merges another shard's metrics into this one.
@@ -110,27 +68,12 @@ impl ShardMetrics {
         self.faults += other.faults;
         self.timeouts += other.timeouts;
         self.conn_rejects += other.conn_rejects;
-        self.latency
-            .merge(&other.latency)
-            .expect("all shard histograms share the static shape");
-        self.lat_count += other.lat_count;
-        self.lat_sum_us += other.lat_sum_us;
-        self.lat_max_us = self.lat_max_us.max(other.lat_max_us);
+        self.latency.merge(&other.latency);
     }
 
     /// Summarizes into the wire snapshot. `busy` is counted at the server
     /// (rejects never reach a shard), so it is passed in.
-    ///
-    /// A quantile whose rank lands in the histogram's overflow mass comes
-    /// back as the range ceiling; the exact tracked maximum is substituted
-    /// so a heavy tail can never report a percentile below the exact mean
-    /// (the "mean 18x above p99" cluster-1m artifact).
     pub fn snapshot(&self, busy: u64) -> StatsSnapshot {
-        let q = |p: f64| match self.latency.quantile(p) {
-            Ok(v) if v >= LATENCY_HI_US => self.lat_max_us.max(LATENCY_HI_US),
-            Ok(v) => v,
-            Err(_) => 0.0,
-        };
         StatsSnapshot {
             observes: self.observes,
             predicts: self.predicts,
@@ -145,14 +88,10 @@ impl ShardMetrics {
             // Stamped by the server (`Shared::epoch`); shard metrics have
             // no identity of their own.
             epoch: 0,
-            p50_us: q(50.0),
-            p99_us: q(99.0),
-            mean_us: if self.lat_count == 0 {
-                0.0
-            } else {
-                self.lat_sum_us / self.lat_count as f64
-            },
-            max_us: self.lat_max_us,
+            p50_us: self.latency.quantile(50.0),
+            p99_us: self.latency.quantile(99.0),
+            mean_us: self.latency.mean(),
+            max_us: self.latency.max_or_zero(),
         }
     }
 }
@@ -194,26 +133,55 @@ mod tests {
         assert!(s.max_us >= 30.0);
     }
 
+    /// The `cluster-1m` reading (`server_p50_us == server_p99_us ==
+    /// max`): 900 of 1 000 latencies between 50 ms and 5 s used to
+    /// overflow a 20 ms range and every quantile became the maximum. Each
+    /// percentile must stay within one bucket of the exact one over the
+    /// same samples (plus the 0.5 % step between neighbouring samples the
+    /// exact percentile interpolates across), and the maximum exact.
     #[test]
-    fn overflow_latency_keeps_exact_max() {
+    fn heavy_tail_keeps_its_percentiles() {
+        let spaced = |lo: f64, hi: f64, n: usize| {
+            (0..n).map(move |i| lo * (hi / lo).powf(i as f64 / (n - 1) as f64))
+        };
+        let samples_us: Vec<f64> = spaced(100.0, 10_000.0, 100)
+            .chain(spaced(50_000.0, 5_000_000.0, 900))
+            .map(f64::round)
+            .collect();
         let mut m = ShardMetrics::default();
-        m.record_latency(Duration::from_millis(500)); // beyond LATENCY_HI_US
+        for &us in &samples_us {
+            m.record_latency(Duration::from_micros(us as u64));
+        }
         let s = m.snapshot(0);
-        assert!((s.max_us - 500_000.0).abs() < 1_000.0);
+        assert!(
+            s.p50_us < s.p99_us && s.p99_us <= s.max_us,
+            "p50 {} p99 {} max {}",
+            s.p50_us,
+            s.p99_us,
+            s.max_us
+        );
+        assert_eq!(s.max_us, 5_000_000.0);
+        let tolerance = oc_stats::Histogram::BUCKET_WIDTH + 0.006;
+        for (p, got) in [(50.0, s.p50_us), (99.0, s.p99_us)] {
+            let exact = oc_stats::percentile_slice(&samples_us, p).unwrap();
+            assert!(
+                (got - exact).abs() <= exact * tolerance,
+                "p{p}: {got} vs exact {exact}"
+            );
+        }
     }
 
     /// Regression for the impossible cluster-1m pair (mean 264 ms, p99
-    /// 14 ms): when most of the mass sits past the histogram ceiling, the
-    /// overflow-blind quantile reported the in-range minority as p99
-    /// while the exact mean counted everything. Post-fix, a saturated
-    /// quantile answers the exact maximum, so mean <= p99 <= max — and
+    /// 14 ms): a quantile that ignores the slow majority reports the fast
+    /// minority as p99 while the exact mean counts everything. Every
+    /// sample is bucketed wherever it lands, so mean <= p99 <= max — and
     /// the merged snapshot stays inside the merged min/max, per shard and
     /// across members.
     #[test]
-    fn heavy_overflow_tail_keeps_mean_at_or_below_p99() {
+    fn heavy_tail_keeps_mean_at_or_below_p99_across_a_merge() {
         let mut a = ShardMetrics::default();
         let mut b = ShardMetrics::default();
-        // Shard a: fast minority in range, slow majority far past it.
+        // Shard a: a fast minority and a slow majority.
         for _ in 0..100 {
             a.record_latency(Duration::from_micros(200));
         }

@@ -46,7 +46,7 @@ use crate::fault::FaultCounters;
 use crate::proto::{pack_epoch, ErrCode, Request, Response, StatsSnapshot};
 use crate::reactor::ReactorPool;
 use crate::shard::{key_hash, HandoffEntry, MachineKey, ShardMsg, ShardPool};
-use oc_telemetry::metrics::{encode_exposition, HistogramSnapshot};
+use oc_telemetry::metrics::encode_exposition;
 use oc_telemetry::{Counter, Gauge, MetricsRegistry};
 use std::collections::HashMap;
 use std::io::Write;
@@ -616,15 +616,7 @@ pub(crate) fn dispatch(req: Request, pool: &ShardPool, shared: &Shared) -> Respo
             snap.set_counter("serve.errors", merged.errors);
             snap.set_counter("serve.faults", shared.faults.total());
             snap.set_gauge("serve.machines", merged.machines as i64);
-            snap.set_histogram(
-                "serve.latency_us",
-                HistogramSnapshot {
-                    hist: merged.latency.clone(),
-                    count: merged.lat_count,
-                    sum: merged.lat_sum_us,
-                    max: merged.lat_max_us,
-                },
-            );
+            snap.set_histogram("serve.latency_us", merged.latency);
             Response::Metrics {
                 exposition: encode_exposition(&snap),
             }

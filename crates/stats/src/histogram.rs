@@ -1,241 +1,149 @@
-//! Fixed-width histograms.
+//! The log-bucketed histogram: one fixed shape, fixed relative error.
 
-use crate::error::StatsError;
+/// Sub-buckets per power of two.
+const SUB_BUCKETS: usize = 32;
+/// Mantissa bits below the sub-bucket index.
+const SHIFT: u32 = 52 - SUB_BUCKETS.trailing_zeros();
+/// `log2` of the smallest resolved value.
+const MIN_EXP: i32 = -4;
+/// The smallest resolved value, `2^MIN_EXP`: the first bucket's left edge.
+const FIRST_EDGE: f64 = 1.0 / 16.0;
+/// Powers of two resolved, `2^MIN_EXP .. 2^(MIN_EXP + OCTAVES)`.
+const OCTAVES: usize = 38;
+/// Buckets in every histogram.
+const BUCKETS: usize = OCTAVES * SUB_BUCKETS;
 
-/// A histogram over `[lo, hi)` with equal-width bins plus underflow and
-/// overflow counters.
+/// A histogram of non-negative magnitudes with one shape for every
+/// caller: each power of two from 1/16 to 2^34 is cut into 32 equal
+/// buckets, so a bucket is at most [`Histogram::BUCKET_WIDTH`] (≈ 3 %)
+/// of the values it holds. Recording microseconds, that resolves 62.5 ns
+/// to 4.7 hours in under 10 KiB, and any two histograms merge.
 ///
-/// Used for quick distribution sanity checks in the trace generator tests
-/// and for compact textual output in the experiment harness.
+/// The bucket of a value is read off its float representation (exponent
+/// and top five mantissa bits), so a [`push`](Histogram::push) costs a
+/// shift, not a logarithm. Values below the first edge — negatives and
+/// NaN with them — are counted in [`underflow`](Histogram::underflow)
+/// and read as 0; values past the last edge count in the last bucket.
+///
+/// This is the service's latency ruler: `oc-telemetry` pairs it with an
+/// exact sum and maximum, and every latency the server or a load driver
+/// reports is read through that pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
+    buckets: Vec<u64>,
     underflow: u64,
-    overflow: u64,
     total: u64,
 }
 
+impl Default for Histogram {
+    fn default() -> Histogram {
+        Histogram::new()
+    }
+}
+
 impl Histogram {
-    /// Creates a histogram over `[lo, hi)` with `bins` equal-width bins.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] unless `lo < hi`, both are
-    /// finite, and `bins > 0`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Result<Self, StatsError> {
-        if !(lo < hi) || !lo.is_finite() || !hi.is_finite() || bins == 0 {
-            return Err(StatsError::InvalidParameter {
-                what: "histogram needs finite lo < hi and at least one bin",
-            });
-        }
-        Ok(Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
+    /// Widest a bucket gets relative to its left edge (`1/32`): the
+    /// bound on how far a [`quantile`](Histogram::quantile) can sit from
+    /// the sample whose bucket it landed in.
+    pub const BUCKET_WIDTH: f64 = 1.0 / SUB_BUCKETS as f64;
+
+    /// An empty histogram.
+    pub fn new() -> Histogram {
+        Histogram {
+            buckets: vec![0; BUCKETS],
             underflow: 0,
-            overflow: 0,
             total: 0,
-        })
+        }
+    }
+
+    /// Bucket of `x`, or `None` below the first edge (negatives, NaN).
+    fn index(x: f64) -> Option<usize> {
+        if !(x >= FIRST_EDGE) {
+            return None;
+        }
+        let key = (x.to_bits() >> SHIFT) as usize;
+        let base = ((1023 + MIN_EXP) as usize) * SUB_BUCKETS;
+        Some((key - base).min(BUCKETS - 1))
+    }
+
+    /// Left edge of bucket `i` (`i == BUCKETS` is the last right edge).
+    fn edge(i: usize) -> f64 {
+        let octave = 2f64.powi(MIN_EXP + (i / SUB_BUCKETS) as i32);
+        octave * (1.0 + (i % SUB_BUCKETS) as f64 * Histogram::BUCKET_WIDTH)
     }
 
     /// Records one observation.
-    ///
-    /// A value exactly on an interior bin edge (`lo + i * width`, the
-    /// edges [`Histogram::bins`] reports) counts in the bin it opens —
-    /// bin `i`, whose range is `[lo + i*width, lo + (i+1)*width)`.
     pub fn push(&mut self, x: f64) {
-        self.total += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let n = self.bins.len();
-            let width = (self.hi - self.lo) / n as f64;
-            let frac = (x - self.lo) / (self.hi - self.lo);
-            let mut idx = ((frac * n as f64) as usize).min(n - 1);
-            // The fraction rounds: a value sitting exactly on a
-            // documented edge can land one bin off either way. Snap
-            // against the same edges `bins()` reports so placement and
-            // documentation always agree.
-            if idx + 1 < n && x >= self.lo + (idx + 1) as f64 * width {
-                idx += 1;
-            } else if idx > 0 && x < self.lo + idx as f64 * width {
-                idx -= 1;
-            }
-            self.bins[idx] += 1;
-        }
+        self.push_n(x, 1);
     }
 
-    /// Records the same observation `n` times in one bin update.
-    /// Equivalent to calling [`Histogram::push`] `n` times.
+    /// Records the same observation `n` times in one bucket update.
     pub fn push_n(&mut self, x: f64, n: u64) {
-        if n == 0 {
-            return;
-        }
         self.total += n;
-        if x < self.lo {
-            self.underflow += n;
-        } else if x >= self.hi {
-            self.overflow += n;
-        } else {
-            let bins = self.bins.len();
-            let width = (self.hi - self.lo) / bins as f64;
-            let frac = (x - self.lo) / (self.hi - self.lo);
-            let mut idx = ((frac * bins as f64) as usize).min(bins - 1);
-            // Same edge-snapping as `push` so both placements agree.
-            if idx + 1 < bins && x >= self.lo + (idx + 1) as f64 * width {
-                idx += 1;
-            } else if idx > 0 && x < self.lo + idx as f64 * width {
-                idx -= 1;
-            }
-            self.bins[idx] += n;
+        match Histogram::index(x) {
+            Some(i) => self.buckets[i] += n,
+            None => self.underflow += n,
         }
     }
 
-    /// Records every observation in the iterator.
-    pub fn extend(&mut self, xs: impl IntoIterator<Item = f64>) {
-        for x in xs {
-            self.push(x);
-        }
-    }
-
-    /// Per-bin counts, lowest bin first.
-    pub fn counts(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Count of observations below `lo`.
+    /// Observations below the first bucket (negative and NaN included).
     pub fn underflow(&self) -> u64 {
         self.underflow
     }
 
-    /// Count of observations at or above `hi`.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total number of observations recorded, including out-of-range ones.
+    /// Observations recorded, underflow included.
     pub fn total(&self) -> u64 {
         self.total
     }
 
-    /// `(left_edge, right_edge, count)` for each bin.
+    /// `(left_edge, right_edge, count)` of every bucket, lowest first.
+    /// Edges are contiguous and a value equal to a left edge counts in
+    /// the bucket that edge opens.
     pub fn bins(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        self.bins.iter().enumerate().map(move |(i, &c)| {
-            let left = self.lo + i as f64 * width;
-            (left, left + width, c)
-        })
+        self.buckets
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| (Histogram::edge(i), Histogram::edge(i + 1), c))
     }
 
-    /// Lower edge of the binned range.
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// Upper edge of the binned range. A quantile answer equal to this
-    /// edge means the target rank fell into the overflow mass; callers
-    /// that track an exact maximum should substitute it.
-    pub fn hi(&self) -> f64 {
-        self.hi
-    }
-
-    /// Interpolated quantile over **all** recorded mass, `p` in
-    /// `[0, 100]`.
+    /// Quantile over all recorded mass, `p` in `[0, 100]` (clamped);
+    /// 0 when empty.
     ///
-    /// The mass of each bin is treated as uniformly spread over the bin's
-    /// width, so in-range answers are accurate to within one bin width.
-    /// Out-of-range observations participate in the rank but clamp to the
-    /// range edges: a target landing in the underflow mass answers `lo`,
-    /// one landing in the overflow mass answers `hi`. (Ignoring the
-    /// overflow mass — as this method once did — let a heavy tail report
-    /// a p99 far *below* the mean, an impossible pair; callers that track
-    /// the exact maximum can substitute it whenever the answer is `hi`.)
-    ///
-    /// This is what the serving layer uses for p50/p99 service-latency
-    /// reporting: bounded memory per shard regardless of request volume.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] if `p` is outside
-    /// `[0, 100]` and [`StatsError::Empty`] if nothing has been recorded.
-    pub fn quantile(&self, p: f64) -> Result<f64, StatsError> {
-        if !(0.0..=100.0).contains(&p) {
-            return Err(StatsError::InvalidParameter {
-                what: "quantile p must be in [0, 100]",
-            });
+    /// The answer lies in the bucket that holds the sample of rank
+    /// `p/100 · total`, interpolated as if the bucket's mass were spread
+    /// evenly: within [`Histogram::BUCKET_WIDTH`] of that sample,
+    /// whatever its magnitude. A rank inside the underflow mass
+    /// answers 0.
+    pub fn quantile(&self, p: f64) -> f64 {
+        let rank = (p / 100.0).clamp(0.0, 1.0) * self.total as f64;
+        let mut seen = self.underflow as f64;
+        if self.total == 0 || (self.underflow > 0 && seen >= rank) {
+            return 0.0;
         }
-        if self.total == 0 {
-            return Err(StatsError::Empty);
-        }
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        let target = p / 100.0 * self.total as f64;
-        if self.underflow > 0 && self.underflow as f64 >= target {
-            return Ok(self.lo);
-        }
-        let mut acc = self.underflow as f64;
-        for (i, &c) in self.bins.iter().enumerate() {
-            let c = c as f64;
-            if c > 0.0 && acc + c >= target {
-                let left = self.lo + i as f64 * width;
-                let frac = ((target - acc) / c).clamp(0.0, 1.0);
-                return Ok(left + frac * width);
+        let mut last = 0.0;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            if c == 0 {
+                continue;
             }
-            acc += c;
+            let (left, right) = (Histogram::edge(i), Histogram::edge(i + 1));
+            if seen + c as f64 >= rank {
+                let frac = ((rank - seen) / c as f64).clamp(0.0, 1.0);
+                return left + frac * (right - left);
+            }
+            seen += c as f64;
+            last = right;
         }
-        if self.overflow > 0 {
-            return Ok(self.hi);
-        }
-        // p == 100 with trailing empty bins: right edge of the last
-        // occupied bin (or `lo` if only underflow was ever recorded).
-        match self.bins.iter().rposition(|&c| c > 0) {
-            Some(last) => Ok(self.lo + (last + 1) as f64 * width),
-            None => Ok(self.lo),
-        }
+        // Only float rounding of `rank` gets here: the top of the mass.
+        last
     }
 
-    /// Merges another histogram's counts into this one.
-    ///
-    /// Used to aggregate per-shard latency histograms into one service-wide
-    /// distribution without losing bin resolution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] unless both histograms have
-    /// the same range and bin count.
-    pub fn merge(&mut self, other: &Histogram) -> Result<(), StatsError> {
-        if self.lo != other.lo || self.hi != other.hi || self.bins.len() != other.bins.len() {
-            return Err(StatsError::InvalidParameter {
-                what: "histogram merge needs identical lo/hi/bin-count",
-            });
-        }
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
+    /// Adds another histogram's counts to this one, bucket for bucket.
+    pub fn merge(&mut self, other: &Histogram) {
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
         self.underflow += other.underflow;
-        self.overflow += other.overflow;
         self.total += other.total;
-        Ok(())
-    }
-
-    /// Fraction of in-range mass at or below the right edge of each bin;
-    /// empty if no in-range observation was recorded.
-    pub fn cumulative_fractions(&self) -> Vec<f64> {
-        let in_range: u64 = self.bins.iter().sum();
-        if in_range == 0 {
-            return Vec::new();
-        }
-        let mut acc = 0u64;
-        self.bins
-            .iter()
-            .map(|&c| {
-                acc += c;
-                acc as f64 / in_range as f64
-            })
-            .collect()
     }
 }
 
@@ -244,170 +152,62 @@ mod tests {
     use super::*;
 
     #[test]
-    fn construction_validation() {
-        assert!(Histogram::new(1.0, 1.0, 4).is_err());
-        assert!(Histogram::new(0.0, 1.0, 0).is_err());
-        assert!(Histogram::new(0.0, f64::INFINITY, 4).is_err());
-    }
-
-    #[test]
-    fn binning_and_overflow() {
-        let mut h = Histogram::new(0.0, 1.0, 4).unwrap();
-        h.extend([-0.1, 0.0, 0.1, 0.3, 0.6, 0.99, 1.0, 2.0]);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.counts(), &[2, 1, 1, 1]);
-        assert_eq!(h.total(), 8);
-    }
-
-    #[test]
-    fn push_respects_documented_bin_edges() {
-        // Regression: 7.0 sits exactly on the documented edge between
-        // bins 6 and 7 of [0,10)x10, but (7.0/10.0)*10 rounds down to
-        // 6.999..., so it was counted in bin 6.
-        let mut h = Histogram::new(0.0, 10.0, 10).unwrap();
-        h.push(7.0);
-        assert_eq!(h.counts()[7], 1, "{:?}", h.counts());
-
-        // Exhaustive over awkward bin counts: every documented left edge
-        // must open its own bin.
-        for bins in [3usize, 7, 10, 13, 4000] {
-            let edges: Vec<f64> = Histogram::new(0.0, 20_000.0, bins)
-                .unwrap()
-                .bins()
-                .map(|(left, _, _)| left)
-                .collect();
-            for (i, &left) in edges.iter().enumerate() {
-                let mut h = Histogram::new(0.0, 20_000.0, bins).unwrap();
-                h.push(left);
-                assert_eq!(
-                    h.counts()[i],
-                    1,
-                    "bins={bins}: edge {left} (bin {i}) landed elsewhere"
-                );
-            }
+    fn shape_covers_a_sixteenth_of_a_microsecond_to_hours() {
+        let h = Histogram::new();
+        let edges: Vec<(f64, f64, u64)> = h.bins().collect();
+        assert_eq!(edges.len(), BUCKETS);
+        assert_eq!(edges[0].0, FIRST_EDGE);
+        assert_eq!(edges[BUCKETS - 1].1, 2f64.powi(34));
+        // An hour of microseconds is resolved, not clamped.
+        assert!(edges[BUCKETS - 1].0 > 3.6e9);
+        for (left, right, _) in edges {
+            assert!((right - left) / left <= Histogram::BUCKET_WIDTH);
         }
     }
 
     #[test]
-    fn bin_edges() {
-        let h = Histogram::new(0.0, 2.0, 2).unwrap();
-        let edges: Vec<_> = h.bins().collect();
-        assert_eq!(edges, vec![(0.0, 1.0, 0), (1.0, 2.0, 0)]);
-    }
-
-    #[test]
-    fn cumulative_fractions_sum_to_one() {
-        let mut h = Histogram::new(0.0, 10.0, 5).unwrap();
-        h.extend((0..10).map(|i| i as f64));
-        let cum = h.cumulative_fractions();
-        assert_eq!(cum.len(), 5);
-        assert!((cum[4] - 1.0).abs() < 1e-12);
-        assert!((cum[0] - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_cumulative_is_empty() {
-        let h = Histogram::new(0.0, 1.0, 3).unwrap();
-        assert!(h.cumulative_fractions().is_empty());
-    }
-
-    #[test]
-    fn quantile_interpolates_within_bins() {
-        let mut h = Histogram::new(0.0, 10.0, 10).unwrap();
-        h.extend((0..100).map(|i| (i as f64) / 10.0)); // 10 per bin
-                                                       // Uniform mass: quantiles are (close to) the identity.
-        for p in [10.0, 25.0, 50.0, 90.0] {
-            let q = h.quantile(p).unwrap();
-            assert!((q - p / 10.0).abs() <= 1.0 + 1e-9, "p{p}: {q}");
+    fn out_of_range_values_are_counted_not_dropped() {
+        let mut h = Histogram::new();
+        for x in [-1.0, f64::NAN, 0.0, 0.01] {
+            h.push(x);
         }
-        assert_eq!(h.quantile(0.0).unwrap(), 0.0);
-        assert_eq!(h.quantile(100.0).unwrap(), 10.0);
+        h.push_n(f64::INFINITY, 2);
+        h.push(1e300);
+        assert_eq!(h.underflow(), 4);
+        assert_eq!(h.total(), 7);
+        assert_eq!(h.bins().last().unwrap().2, 3);
+        assert_eq!(h.quantile(50.0), 0.0, "rank 3.5 of 7 is underflow mass");
+        assert!(h.quantile(100.0) <= 2f64.powi(34));
     }
 
     #[test]
-    fn quantile_single_bin_mass() {
-        let mut h = Histogram::new(0.0, 100.0, 100).unwrap();
+    fn quantile_stays_in_the_bucket_of_its_rank() {
+        let mut h = Histogram::new();
         for _ in 0..7 {
             h.push(42.5);
         }
-        // All mass in bin [42, 43): every quantile lands inside it.
-        for p in [0.0, 50.0, 99.0, 100.0] {
-            let q = h.quantile(p).unwrap();
-            assert!((42.0..=43.0).contains(&q), "p{p}: {q}");
+        let (left, right, _) = h.bins().find(|&(_, _, c)| c == 7).unwrap();
+        assert!(left <= 42.5 && 42.5 < right);
+        for p in [-5.0, 0.0, 50.0, 99.0, 100.0, 250.0] {
+            let q = h.quantile(p);
+            assert!((left..=right).contains(&q), "p{p}: {q}");
         }
-    }
-
-    #[test]
-    fn quantile_clamps_out_of_range_mass_to_the_edges() {
-        let mut h = Histogram::new(0.0, 1.0, 10).unwrap();
-        h.extend([-5.0, 0.55, 7.0, 9.0]);
-        // Rank 2 of 4 lands in the [0.5, 0.6) bin; the underflow sample
-        // fills rank 1 and the two overflow samples ranks 3-4.
-        let q = h.quantile(50.0).unwrap();
-        assert!((0.5..=0.6).contains(&q), "{q}");
-        assert_eq!(h.quantile(0.0).unwrap(), 0.0, "underflow clamps to lo");
-        assert_eq!(h.quantile(99.0).unwrap(), 1.0, "overflow clamps to hi");
-    }
-
-    /// Regression: a tail past `hi` must raise high quantiles to the
-    /// range ceiling, not silently vanish from the rank. The pre-fix
-    /// in-range-only mass let cluster-scale service latencies report a
-    /// mean 18x above p99.
-    #[test]
-    fn quantile_counts_overflow_mass() {
-        let mut h = Histogram::new(0.0, 100.0, 100).unwrap();
-        // 40% of the mass beyond the range: p99 (and p61+) is saturated.
-        for _ in 0..60 {
-            h.push(10.5);
-        }
-        for _ in 0..40 {
-            h.push(1_000.0);
-        }
-        assert!((10.0..=11.0).contains(&h.quantile(50.0).unwrap()));
-        assert_eq!(h.quantile(99.0).unwrap(), 100.0);
-        assert_eq!(h.quantile(100.0).unwrap(), 100.0);
-        // All-overflow mass is not "empty": every quantile is the ceiling.
-        let mut all_over = Histogram::new(0.0, 1.0, 4).unwrap();
-        all_over.push(50.0);
-        assert_eq!(all_over.quantile(50.0).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn quantile_rejects_bad_input() {
-        let h = Histogram::new(0.0, 1.0, 4).unwrap();
-        assert_eq!(h.quantile(50.0), Err(StatsError::Empty));
-        let mut h = h;
-        h.push(0.5);
-        assert!(matches!(
-            h.quantile(-1.0),
-            Err(StatsError::InvalidParameter { .. })
-        ));
-        assert!(matches!(
-            h.quantile(101.0),
-            Err(StatsError::InvalidParameter { .. })
-        ));
+        assert_eq!(Histogram::new().quantile(50.0), 0.0);
     }
 
     #[test]
     fn merge_adds_counts() {
-        let mut a = Histogram::new(0.0, 1.0, 4).unwrap();
-        let mut b = Histogram::new(0.0, 1.0, 4).unwrap();
-        a.extend([-0.5, 0.1, 0.6]);
-        b.extend([0.1, 0.9, 2.0]);
-        a.merge(&b).unwrap();
-        assert_eq!(a.counts(), &[2, 0, 1, 1]);
-        assert_eq!(a.underflow(), 1);
-        assert_eq!(a.overflow(), 1);
-        assert_eq!(a.total(), 6);
-    }
-
-    #[test]
-    fn merge_rejects_mismatched_shape() {
-        let mut a = Histogram::new(0.0, 1.0, 4).unwrap();
-        let b = Histogram::new(0.0, 2.0, 4).unwrap();
-        assert!(a.merge(&b).is_err());
-        let c = Histogram::new(0.0, 1.0, 8).unwrap();
-        assert!(a.merge(&c).is_err());
+        let mut a = Histogram::new();
+        let mut b = Histogram::new();
+        a.push_n(3.0, 2);
+        a.push(-1.0);
+        b.push(3.0);
+        b.push(5e6);
+        a.merge(&b);
+        let mut both = Histogram::new();
+        both.push_n(3.0, 3);
+        both.push(-1.0);
+        both.push(5e6);
+        assert_eq!(a, both);
     }
 }

@@ -22,7 +22,8 @@
 //!   (Section 3.3's violation-rate vs. latency analysis).
 //! * [`regression`] — ordinary least squares (the "slope = 14.1" fit).
 //! * [`bucket`] — bucketed error-bar summaries (Figure 3(d)).
-//! * [`Histogram`] — fixed-width histograms for quick distribution checks.
+//! * [`Histogram`] — the one log-bucketed histogram (fixed shape, ≤ 1/32
+//!   relative bucket width) behind every latency the service reports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

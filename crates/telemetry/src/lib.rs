@@ -11,8 +11,8 @@
 //!   ([`trace::write_jsonl`]). Tracing is off by default: when disabled,
 //!   instrumentation costs one relaxed atomic load and a branch.
 //! * [`metrics`] — a **unified metrics registry**: named counters, gauges,
-//!   and histograms (reusing [`oc_stats::Histogram`] for bounded-memory
-//!   distributions). Hot-path updates are single relaxed atomic operations
+//!   and histograms (the one log-bucketed [`oc_stats::Histogram`] shape
+//!   plus exact sum and max). Hot-path updates are single relaxed atomic operations
 //!   on pre-registered handles; [`metrics::MetricsSnapshot`]s are pure data
 //!   that merge across shards/threads and encode into the stable text
 //!   exposition format served by `oc-serve`'s `METRICS` verb.

@@ -8,9 +8,9 @@
 //! * [`Counter`] — monotonically increasing `u64` (events, requests).
 //! * [`Gauge`] — signed level that moves both ways (queue depth, open
 //!   connections).
-//! * [`HistogramHandle`] — bounded-memory distribution backed by
-//!   [`oc_stats::Histogram`], plus exact count/sum/max so means and
-//!   maxima don't suffer binning error.
+//! * [`HistogramHandle`] — a [`HistogramSnapshot`] behind a mutex: the
+//!   log-bucketed [`oc_stats::Histogram`] plus exact sum/max, so means
+//!   and maxima don't suffer bucketing error.
 //!
 //! Instruments are registered once (get-or-create by name) and the
 //! returned [`Arc`] handle is cached by the caller; hot-path updates on
@@ -22,7 +22,7 @@
 //!
 //! [`MetricsRegistry::snapshot`] captures a [`MetricsSnapshot`]: pure
 //! data, no atomics. Snapshots [`merge`](MetricsSnapshot::merge) by
-//! *summing* counters and gauges and bin-merging histograms, which is the
+//! *summing* counters and gauges and bucket-merging histograms, which is the
 //! right semantics for aggregating per-shard registries into one
 //! service-wide view (a gauge like queue depth sums to the service-wide
 //! total across shards).
@@ -96,124 +96,88 @@ impl Gauge {
     }
 }
 
-/// Mutable state behind a histogram instrument: binned distribution plus
-/// exact count/sum/max (binning would distort mean and max).
-#[derive(Debug, Clone)]
-struct HistState {
-    hist: Histogram,
-    sum: f64,
-    max: f64,
-}
-
 /// A registered histogram instrument. Records take the instrument's own
 /// mutex; use one instrument per shard/thread where contention matters.
-#[derive(Debug)]
-pub struct HistogramHandle {
-    state: Mutex<HistState>,
-}
+#[derive(Debug, Default)]
+pub struct HistogramHandle(Mutex<HistogramSnapshot>);
 
 impl HistogramHandle {
-    fn new(lo: f64, hi: f64, bins: usize) -> Option<HistogramHandle> {
-        Some(HistogramHandle {
-            state: Mutex::new(HistState {
-                hist: Histogram::new(lo, hi, bins).ok()?,
-                sum: 0.0,
-                max: f64::NEG_INFINITY,
-            }),
-        })
-    }
-
     /// Records one observation.
     pub fn record(&self, x: f64) {
-        let mut s = self.state.lock().unwrap();
-        s.hist.push(x);
-        s.sum += x;
-        if x > s.max {
-            s.max = x;
-        }
+        self.0.lock().unwrap().record(x);
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
-        let s = self.state.lock().unwrap();
-        HistogramSnapshot {
-            count: s.hist.total(),
-            hist: s.hist.clone(),
-            sum: s.sum,
-            max: s.max,
-        }
+        self.0.lock().unwrap().clone()
     }
 }
 
-/// Point-in-time copy of one histogram instrument. The exact scalars
-/// (`count`, `sum`, `max`) are authoritative; `hist` exists for
-/// quantiles, where within-one-bin-width error is acceptable.
-#[derive(Debug, Clone, PartialEq)]
+/// A distribution as the service carries it everywhere — behind a
+/// registry instrument, in a shard's metrics, in a load report: the
+/// log-bucketed [`Histogram`] for quantiles plus the exact sum and
+/// maximum, which bucketing would distort. Any two merge.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HistogramSnapshot {
-    /// The binned distribution (includes underflow/overflow counts).
+    /// The bucketed distribution; its `total()` is the sample count.
     pub hist: Histogram,
-    /// Exact number of observations, including out-of-range ones.
-    pub count: u64,
     /// Exact sum of all recorded observations.
     pub sum: f64,
-    /// Exact maximum observation (`-inf` when empty).
+    /// Exact maximum observation (0 when empty).
     pub max: f64,
 }
 
 impl HistogramSnapshot {
-    /// Total observations recorded, including out-of-range ones.
+    /// Records one observation.
+    pub fn record(&mut self, x: f64) {
+        self.record_n(x, 1);
+    }
+
+    /// Records `n` observations of the same value in one bucket update —
+    /// a coalesced chunk or a `BATCH` frame resolves that way, one
+    /// latency covering every line it carried.
+    pub fn record_n(&mut self, x: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.hist.push_n(x, n);
+        self.sum += x * n as f64;
+        if x > self.max {
+            self.max = x;
+        }
+    }
+
+    /// Observations recorded.
     pub fn count(&self) -> u64 {
-        self.count
+        self.hist.total()
     }
 
     /// Exact mean, or 0 when empty.
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
+        if self.count() == 0 {
             0.0
         } else {
-            self.sum / self.count as f64
+            self.sum / self.count() as f64
         }
     }
 
-    /// Interpolated quantile over all recorded mass (0 when empty),
-    /// never above the exact tracked maximum. A rank landing in the
-    /// overflow mass answers that maximum instead of the binned range
-    /// ceiling; below the ceiling a binned quantile is a bin edge or an
-    /// interpolation, which for a lone sample low in a wide bin lies
-    /// above the sample, so it is clamped.
+    /// Quantile, `p` in `[0, 100]`: within one bucket
+    /// ([`Histogram::BUCKET_WIDTH`], ≈ 3 %) of the sample at that rank,
+    /// never above the exact maximum, 0 when empty.
     pub fn quantile(&self, p: f64) -> f64 {
-        match self.hist.quantile(p) {
-            Ok(q) if self.count > 0 => {
-                if q >= self.hist.hi() {
-                    self.max
-                } else {
-                    q.min(self.max)
-                }
-            }
-            _ => 0.0,
-        }
+        self.hist.quantile(p).min(self.max)
     }
 
     /// Exact maximum, or 0 when empty.
     pub fn max_or_zero(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
+        self.max
     }
 
-    /// Folds `other` into `self`: counts add, sums add, max takes the
-    /// larger. Bins merge when the two instruments share a shape; on a
-    /// shape mismatch (same name registered with different ranges in
-    /// different processes) the exact scalars still combine but the
-    /// binned quantiles keep `self`'s view.
+    /// Folds `other` into `self`: buckets and sums add, max takes the
+    /// larger.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
-        let _ = self.hist.merge(&other.hist);
-        self.count += other.count;
+        self.hist.merge(&other.hist);
         self.sum += other.sum;
-        if other.max > self.max {
-            self.max = other.max;
-        }
+        self.max = self.max.max(other.max);
     }
 }
 
@@ -260,26 +224,17 @@ impl MetricsRegistry {
         )
     }
 
-    /// Returns the histogram registered under `name`, creating it with the
-    /// given shape on first use. The shape is fixed by the first
-    /// registration; later calls with a different shape get the existing
-    /// instrument. Returns `None` only for an invalid shape
-    /// (`lo >= hi`, non-finite bounds, or zero bins) on first registration.
-    pub fn histogram(
-        &self,
-        name: &str,
-        lo: f64,
-        hi: f64,
-        bins: usize,
-    ) -> Option<Arc<HistogramHandle>> {
+    /// Returns the histogram registered under `name`, creating it empty
+    /// on first use.
+    pub fn histogram(&self, name: &str) -> Arc<HistogramHandle> {
         debug_assert!(valid_name(name), "invalid metric name: {name:?}");
-        let mut map = self.histograms.lock().unwrap();
-        if let Some(h) = map.get(name) {
-            return Some(Arc::clone(h));
-        }
-        let h = Arc::new(HistogramHandle::new(lo, hi, bins)?);
-        map.insert(name.to_string(), Arc::clone(&h));
-        Some(h)
+        Arc::clone(
+            self.histograms
+                .lock()
+                .unwrap()
+                .entry(name.to_string())
+                .or_default(),
+        )
     }
 
     /// Captures every instrument's current value as pure data.
@@ -570,21 +525,18 @@ mod tests {
     }
 
     #[test]
-    fn histogram_shape_is_fixed_by_first_registration() {
+    fn histogram_is_get_or_create_with_exact_scalars() {
         let r = MetricsRegistry::new();
-        let h = r.histogram("t.lat", 0.0, 100.0, 10).unwrap();
+        let h = r.histogram("t.lat");
         h.record(5.0);
         h.record(55.0);
-        h.record(1000.0); // overflow
-        let h2 = r.histogram("t.lat", 0.0, 1.0, 2).unwrap();
-        h2.record(5.0);
+        h.record(1000.0);
+        r.histogram("t.lat").record(5.0);
         let snap = r.snapshot();
         let hs = snap.histogram("t.lat").unwrap();
         assert_eq!(hs.count(), 4, "second handle hit the same instrument");
-        assert_eq!(hs.hist.overflow(), 1);
         assert_eq!(hs.max, 1000.0);
         assert!((hs.mean() - (5.0 + 55.0 + 1000.0 + 5.0) / 4.0).abs() < 1e-9);
-        assert!(r.histogram("t.bad", 1.0, 0.0, 4).is_none());
     }
 
     #[test]
@@ -596,8 +548,8 @@ mod tests {
         b.counter("t.only_b").add(7);
         a.gauge("t.g").add(4);
         b.gauge("t.g").add(-1);
-        a.histogram("t.h", 0.0, 10.0, 10).unwrap().record(1.0);
-        b.histogram("t.h", 0.0, 10.0, 10).unwrap().record(9.0);
+        a.histogram("t.h").record(1.0);
+        b.histogram("t.h").record(9.0);
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged.counter("t.c"), Some(5));
@@ -614,7 +566,7 @@ mod tests {
         let r = MetricsRegistry::new();
         r.counter("t.busy").add(41);
         r.gauge("t.depth").set(-2);
-        let h = r.histogram("t.lat_us", 0.0, 1000.0, 100).unwrap();
+        let h = r.histogram("t.lat_us");
         for i in 0..100 {
             h.record(i as f64 * 10.0);
         }
@@ -653,7 +605,7 @@ mod tests {
     #[test]
     fn empty_histogram_exposes_zeros() {
         let r = MetricsRegistry::new();
-        r.histogram("t.empty", 0.0, 1.0, 4).unwrap();
+        r.histogram("t.empty");
         let line = encode_exposition(&r.snapshot());
         let parsed = parse_exposition(&line).unwrap();
         assert_eq!(parsed["t.empty.count"], 0.0);

@@ -3,25 +3,30 @@
 //! law the serve layer's `METRICS` verb relies on when it folds shard
 //! registries into one service-wide exposition.
 
-use oc_telemetry::metrics::{encode_exposition, parse_exposition, MetricsSnapshot};
+use oc_telemetry::metrics::{
+    encode_exposition, parse_exposition, HistogramSnapshot, MetricsSnapshot,
+};
 use oc_telemetry::MetricsRegistry;
 use proptest::prelude::*;
 
-const HIST_LO: f64 = 0.0;
-const HIST_HI: f64 = 100.0;
-const HIST_BINS: usize = 25;
-
 /// Per-shard raw updates: counter adds, gauge deltas (biased by -50 at
-/// apply time so gauges go negative), histogram samples. The vendored
-/// proptest has no signed-range strategy, hence the unsigned encoding.
+/// apply time so gauges go negative), histogram samples as decimal
+/// exponents. The vendored proptest has no signed-range or mapped
+/// strategy, hence the encodings.
 type ShardLoad = (Vec<u64>, Vec<u64>, Vec<f64>);
 
 fn shard_load() -> impl Strategy<Value = ShardLoad> {
     (
         proptest::collection::vec(0u64..1_000, 0..20),
         proptest::collection::vec(0u64..100, 0..20),
-        proptest::collection::vec(-20.0f64..150.0, 0..30),
+        proptest::collection::vec(-3.0f64..7.0, 0..30),
     )
+}
+
+/// The sample an exponent stands for: 1 ns to 10 s in microseconds, so
+/// about one in five falls below the first bucket.
+fn sample_us(exponent: f64) -> f64 {
+    10f64.powf(exponent)
 }
 
 /// `a ⊕ b` without mutating either operand.
@@ -32,17 +37,14 @@ fn merged(a: &MetricsSnapshot, b: &MetricsSnapshot) -> MetricsSnapshot {
 }
 
 /// Structural equality with float-associativity slack on histogram
-/// sums (bin counts, extremes, counters, and gauges must be exact).
+/// sums (bucket counts, extremes, counters, and gauges must be exact).
 fn assert_equivalent(a: &MetricsSnapshot, b: &MetricsSnapshot) -> Result<(), String> {
     prop_assert_eq!(a.counter("prop.counter"), b.counter("prop.counter"));
     prop_assert_eq!(a.gauge("prop.gauge"), b.gauge("prop.gauge"));
     match (a.histogram("prop.hist"), b.histogram("prop.hist")) {
         (None, None) => {}
         (Some(ha), Some(hb)) => {
-            prop_assert_eq!(ha.count(), hb.count());
-            prop_assert_eq!(ha.hist.counts(), hb.hist.counts());
-            prop_assert_eq!(ha.hist.underflow(), hb.hist.underflow());
-            prop_assert_eq!(ha.hist.overflow(), hb.hist.overflow());
+            prop_assert_eq!(&ha.hist, &hb.hist);
             prop_assert_eq!(ha.max.to_bits(), hb.max.to_bits());
             prop_assert!((ha.sum - hb.sum).abs() <= 1e-9 * (1.0 + hb.sum.abs()));
         }
@@ -62,11 +64,9 @@ fn apply(load: &ShardLoad) -> MetricsSnapshot {
     for &d in deltas {
         g.add(d as i64 - 50);
     }
-    let h = reg
-        .histogram("prop.hist", HIST_LO, HIST_HI, HIST_BINS)
-        .unwrap();
-    for &x in samples {
-        h.record(x);
+    let h = reg.histogram("prop.hist");
+    for &e in samples {
+        h.record(sample_us(e));
     }
     reg.snapshot()
 }
@@ -90,35 +90,55 @@ proptest! {
         );
         let reference = apply(&combined);
 
-        prop_assert_eq!(merged.counter("prop.counter"), reference.counter("prop.counter"));
-        prop_assert_eq!(merged.gauge("prop.gauge"), reference.gauge("prop.gauge"));
-        let (mh, rh) = (
-            merged.histogram("prop.hist").unwrap(),
-            reference.histogram("prop.hist").unwrap(),
-        );
-        prop_assert_eq!(mh.count(), rh.count());
-        prop_assert_eq!(mh.hist.counts(), rh.hist.counts());
-        prop_assert_eq!(mh.hist.underflow(), rh.hist.underflow());
-        prop_assert_eq!(mh.hist.overflow(), rh.hist.overflow());
-        prop_assert_eq!(mh.max.to_bits(), rh.max.to_bits());
-        // Sums accumulate in a different order across shards, so allow
-        // float associativity slack proportional to the magnitude.
-        prop_assert!((mh.sum - rh.sum).abs() <= 1e-9 * (1.0 + rh.sum.abs()));
+        // Sums accumulate in a different order across shards, hence the
+        // slack `assert_equivalent` gives them and nothing else.
+        assert_equivalent(&merged, &reference)?;
     }
 
-    /// No quantile exceeds the exact maximum, on one shard's snapshot or
-    /// on a merge of two — including when every sample sits low in its
-    /// bin (or below the binned range), where the bin edge would.
+    /// `record_n(x, n)` is `n` records of `x`: same buckets, same max,
+    /// same sum up to the rounding of one multiply against `n` adds.
+    #[test]
+    fn record_n_equals_n_records(
+        before in proptest::collection::vec(-3.0f64..7.0, 0..20),
+        e in -3.0f64..7.0,
+        n in 0u64..50,
+    ) {
+        let mut bulk = HistogramSnapshot::default();
+        for &b in &before {
+            bulk.record(sample_us(b));
+        }
+        let mut single = bulk.clone();
+        bulk.record_n(sample_us(e), n);
+        for _ in 0..n {
+            single.record(sample_us(e));
+        }
+        prop_assert_eq!(&bulk.hist, &single.hist);
+        prop_assert_eq!(bulk.count(), before.len() as u64 + n);
+        prop_assert_eq!(bulk.max.to_bits(), single.max.to_bits());
+        prop_assert!((bulk.sum - single.sum).abs() <= 1e-9 * (1.0 + single.sum.abs()));
+    }
+
+    /// Quantiles are ordered and no quantile exceeds the exact maximum,
+    /// on one shard's snapshot or on a merge of two — including when
+    /// every sample sits low in its bucket (or below the first one),
+    /// where the bucket edge would. An empty instrument reads all zeros.
     #[test]
     fn quantiles_never_exceed_the_exact_max(a in shard_load(), b in shard_load()) {
         let (sa, sb) = (apply(&a), apply(&b));
         for snap in [&sa, &sb, &merged(&sa, &sb)] {
             let h = snap.histogram("prop.hist").unwrap();
+            let mut prev = 0.0;
             for p in [0.0, 1.0, 50.0, 99.0, 100.0] {
+                let q = h.quantile(p);
+                prop_assert!(prev <= q, "p{} = {} below {}", p, q, prev);
                 prop_assert!(
-                    h.quantile(p) <= h.max_or_zero(),
-                    "p{} = {} above max {}", p, h.quantile(p), h.max_or_zero()
+                    q <= h.max_or_zero(),
+                    "p{} = {} above max {}", p, q, h.max_or_zero()
                 );
+                prev = q;
+            }
+            if h.count() == 0 {
+                prop_assert_eq!((h.mean(), h.max_or_zero()), (0.0, 0.0));
             }
         }
     }

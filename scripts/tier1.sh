@@ -30,6 +30,11 @@ fi
 # thread-per-connection fork from drifting back in through a doc or a flag.
 grep -rnE -e 'Frontend::Threaded|serve_lines|--frontend' crates tests docs README.md DESIGN.md \
   && { echo "tier1: the threaded frontend (or its --frontend knob) is referenced again" >&2; exit 1; }
+# There is one latency histogram and it has no shape parameters. Keep the
+# per-caller ranges, the second accumulator and its helper from coming back.
+grep -rnE -e 'LATENCY_HI_US|LATENCY_BINS|LATENCY_HIST_HI_US|SETUP_HIST_HI_US|REPORT_HIST_BINS|HistAcc|report_histogram' \
+    -e 'Histogram::new\([^)]' crates tests docs README.md DESIGN.md \
+  && { echo "tier1: a histogram shape parameter (or the second accumulator) is back" >&2; exit 1; }
 
 # Docs are part of the contract: every markdown link to a local file must
 # point at something that exists (catches renamed/moved docs going stale),
@@ -87,6 +92,11 @@ pin_test oc-client fleet::tests::refused_reconnect_is_a_death_verdict \
 # single-node client and the cluster pipes).
 pin_test oc-client client::tests::batched_pipeline_resumes_after_an_idle_close \
   "idle close at a frame header"
+
+# A latency tail of seconds keeps its own percentiles: the old 20 ms
+# linear range answered p50 == p99 == max once half the mass overflowed.
+pin_test oc-serve metrics::tests::heavy_tail_keeps_its_percentiles \
+  "heavy-tail percentiles"
 
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
