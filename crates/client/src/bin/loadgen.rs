@@ -8,14 +8,13 @@
 //! ```
 //!
 //! Without `--addr`/`--cluster` an in-process server is started (4
-//! shards, default queues) and eight phases run: a **sustained** phase on the default
+//! shards) and seven phases run: a **sustained** phase on the default
 //! config, a **serve_batched** phase replaying the same workload with
 //! `BATCH` framing (`--batch`, default 32) paced at 3x the sustained
-//! target (so server-side queueing stays comparable while throughput
+//! target (so server-side load stays comparable while throughput
 //! triples), a **batched-chaos** phase repeating it under seeded fault
 //! injection (the `--chaos` rate, default 2%) to prove framing loses no
-//! acknowledged samples, an **overload** phase against a deliberately
-//! tiny queue (`queue_depth = 8`) to demonstrate `BUSY` backpressure,
+//! acknowledged samples,
 //! and a **reactor-10k** phase driving 10 000 concurrent connections at
 //! a low per-connection rate (107 lines/s/conn ≈ 1.07M qps offered, the
 //! fan-in driver from `oc_client::fanin`) against a server in a *child
@@ -87,8 +86,7 @@ struct Args {
     /// Hidden mode: run as the benchmark's server child process.
     serve_child: bool,
     /// Server tuning consumed by `--serve-child` (and forwarded to the
-    /// reactor-10k child): shards, queue depth, connection cap, reactor
-    /// threads.
+    /// reactor-10k child): shards, connection cap, reactor threads.
     serve_cfg: ServeConfig,
 }
 
@@ -154,9 +152,6 @@ fn parse_args() -> Args {
             "--serve-child" => out.serve_child = true,
             "--shards" => {
                 out.serve_cfg.shards = val("--shards").parse().unwrap_or_else(|_| usage())
-            }
-            "--queue-depth" => {
-                out.serve_cfg.queue_depth = val("--queue-depth").parse().unwrap_or_else(|_| usage())
             }
             "--max-connections" => {
                 out.serve_cfg.max_connections =
@@ -236,7 +231,6 @@ fn spawn_server_child(serve_cfg: &ServeConfig) -> std::io::Result<(Child, Socket
     let mut child = Command::new(exe)
         .arg("--serve-child")
         .args(["--shards", &serve_cfg.shards.to_string()])
-        .args(["--queue-depth", &serve_cfg.queue_depth.to_string()])
         .args(["--max-connections", &serve_cfg.max_connections.to_string()])
         .args(["--reactor-threads", &serve_cfg.reactor_threads.to_string()])
         .stdout(Stdio::piped())
@@ -266,7 +260,6 @@ fn spawn_server_child(serve_cfg: &ServeConfig) -> std::io::Result<(Child, Socket
 fn reactor_10k(args: &Args) -> Result<LoadReport, oc_client::ClientError> {
     let serve_cfg = ServeConfig::default()
         .with_shards(args.serve_cfg.shards.min(2))
-        .with_queue_depth(65_536)
         .with_max_connections(10_100)
         .with_reactor_threads(1);
     // Tuned operating point for one reactor thread on one core: 10 000
@@ -468,10 +461,6 @@ fn cluster_1m() -> Result<LoadReport, oc_client::ClientError> {
         // Bound per-task history: 1M IncrementalViews at the paper's
         // default window would hold samples nobody reads at this scale.
         history_samples: Some(32),
-        // First-observe allocation for a third of a million machines per
-        // member makes ingest lumpy; a deeper queue rides the lumps out
-        // instead of converting them into BUSY storms.
-        queue_depth: 16_384,
         ..ClusterConfig::default()
     };
     let cluster = Cluster::start(&cluster_cfg).map_err(oc_client::ClientError::Io)?;
@@ -482,10 +471,9 @@ fn cluster_1m() -> Result<LoadReport, oc_client::ClientError> {
         ticks: 2,
         mirror: false,
         batch: 512,
-        // 8 frames x 512 lines = 4096 lines in flight per member, a
-        // quarter of the shard queue depth: open throttle without a
-        // BUSY storm, and frames near MAX_BATCH amortize the BATCHR
-        // framing and write syscalls over the most lines.
+        // 8 frames x 512 lines = 4096 lines in flight per member:
+        // frames near MAX_BATCH amortize the BATCHR framing and write
+        // syscalls over the most lines.
         window: 8,
         fetch_stats: true,
     };
@@ -571,7 +559,7 @@ fn main() -> ExitCode {
                 }
             },
             None => {
-                // Sustained phase: default server, default (deep) queues.
+                // Sustained phase: default server.
                 let server = Server::start(ServeConfig::default())
                     .map_err(|e| oc_client::ClientError::Config(e.to_string()))?;
                 let report = run(server.addr(), &args.cfg)?;
@@ -583,8 +571,8 @@ fn main() -> ExitCode {
                 // at 3x the sustained target — shows what the
                 // zero-allocation data plane absorbs once per-line round
                 // trips stop dominating, while keeping the offered load
-                // paced so server-side queueing latency stays comparable
-                // to the sustained phase.
+                // paced so server-side latency stays comparable to the
+                // sustained phase.
                 let mut batched_cfg = args.cfg.clone();
                 batched_cfg.batch = if args.cfg.batch > 1 {
                     args.cfg.batch
@@ -611,19 +599,6 @@ fn main() -> ExitCode {
                 let report = run(server.addr(), &chaos_cfg)?;
                 lost_total += report.lost;
                 phases.push(phase_json("batched-chaos", &report));
-                server.shutdown();
-
-                // Overload phase: tiny queues, open throttle, so bounded
-                // queues visibly reject with BUSY instead of buffering.
-                let server =
-                    Server::start(ServeConfig::default().with_shards(2).with_queue_depth(8))
-                        .map_err(|e| oc_client::ClientError::Config(e.to_string()))?;
-                let mut overload_cfg = args.cfg.clone();
-                overload_cfg.target_qps = 0;
-                overload_cfg.connections = overload_cfg.connections.max(4);
-                let report = run(server.addr(), &overload_cfg)?;
-                lost_total += report.lost;
-                phases.push(phase_json("overload-q8", &report));
                 server.shutdown();
 
                 // Fan-in phase: 10k connections at a low per-connection
@@ -684,14 +659,13 @@ fn main() -> ExitCode {
             "\"connections\": {}, \"target_qps\": {}, \"predicts\": {}, ",
             "\"batch\": {}, \"chaos_rate\": {}, \"chaos_seed\": {}}},\n",
             "  \"phases\": [\n    {}\n  ],\n",
-            "  \"notes\": \"sustained = default 4-shard server with 4096-deep queues; ",
+            "  \"notes\": \"sustained = default 4-shard server; ",
             "serve_batched = same workload with BATCH framing (32 sub-requests/frame ",
             "unless --batch overrides), paced at 3x the sustained target when --qps is ",
             "set and at open throttle otherwise — on a single core both open-throttle ",
-            "phases saturate the same shard-worker ceiling, so framing shows up as fewer ",
+            "phases saturate the same reactor-thread ceiling, so framing shows up as fewer ",
             "syscalls per line rather than a higher qps; batched-chaos = the framed ",
-            "replay under seeded fault injection (lost must be 0); overload-q8 = 2 shards ",
-            "with queue_depth 8 at open throttle to surface BUSY backpressure; ",
+            "replay under seeded fault injection (lost must be 0); ",
             "reactor-10k = 10000 connections from the single-threaded fan-in driver ",
             "(128-line BATCH frames, no retries) against a 2-shard reactor-frontend server ",
             "in a child process — its latencies are frame (not line) latencies and ",

@@ -4,8 +4,10 @@
 //!
 //! A [`Client::request`] distinguishes four failure classes:
 //!
-//! * **`BUSY`** — the shard queue was full. The request was *not* applied;
-//!   re-sending is always safe. Retried after a seeded exponential backoff.
+//! * **`BUSY`** — the server shed the request. It was *not* applied;
+//!   re-sending is always safe. Retried after a seeded exponential
+//!   backoff. (Reserved in the protocol: `oc-serve` no longer has a queue
+//!   to fill and never sends it.)
 //! * **`ERR timeout` / `ERR conn-limit`** — the server closed (or refused)
 //!   this connection but is otherwise healthy. The connection is dropped
 //!   and the request retried on a fresh one after backoff.

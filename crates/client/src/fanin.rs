@@ -277,8 +277,8 @@ fn connect_one(addr: SocketAddr) -> Result<(TcpStream, f64), String> {
 /// counts resolved sub-requests (`ok + busy + errors`) over the replay
 /// wall time, which starts *after* every connection is set up. The
 /// final `STATS` snapshot is ordered behind every acknowledged sample
-/// (shard snapshots flow through the same bounded queues), so `lost`
-/// is an exact accounting, not a race.
+/// (a sample is applied before it is acknowledged), so `lost` is an
+/// exact accounting, not a race.
 ///
 /// # Errors
 ///

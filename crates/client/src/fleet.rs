@@ -58,9 +58,8 @@ pub struct FleetConfig {
     /// `BATCH` frame size per connection (1 disables framing).
     pub batch: usize,
     /// Pipeline window per connection, in *frames* of `batch` lines.
-    /// The in-flight volume is `window × batch` lines; keep it at or
-    /// below the members' shard queue depth or an open-throttle drive
-    /// turns into a `BUSY` retry storm.
+    /// The in-flight volume is `window × batch` lines: what a member's
+    /// socket buffers must hold while its reactor thread applies.
     pub window: usize,
     /// Fetch each member's `STATS` after the drive. Segmented drives
     /// skip intermediate fetches — only the final state matters, and a

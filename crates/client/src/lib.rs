@@ -1,8 +1,9 @@
 //! `oc-client` — a typed, retrying client for the `oc-serve` protocol.
 //!
-//! `oc-serve` deliberately answers with retryable failures under load
-//! (`BUSY` from a full shard queue, `ERR timeout` at the idle deadline,
-//! `ERR conn-limit` at the connection cap) and may close connections a
+//! `oc-serve` deliberately answers with retryable failures
+//! (`ERR timeout` at the idle deadline, `ERR conn-limit` at the
+//! connection cap; the protocol also reserves `BUSY` for a server that
+//! sheds load) and may close connections a
 //! hand-rolled socket loop would misread as fatal. This crate owns the
 //! client-side half of that contract:
 //!

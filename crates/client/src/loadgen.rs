@@ -27,8 +27,7 @@
 //!
 //! Pacing: `target_qps > 0` meters the *aggregate* request rate across
 //! connections by slicing time into small batches; `target_qps == 0` means
-//! open throttle (as fast as the socket accepts), the mode used to
-//! provoke `BUSY` rejections for the overload phase of the benchmark.
+//! open throttle (as fast as the socket accepts).
 
 use crate::client::{Client, ClientConfig};
 use crate::error::ClientError;

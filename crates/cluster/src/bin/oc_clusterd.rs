@@ -42,7 +42,6 @@ fn main() -> ExitCode {
             "--vnodes" => value.parse().map(|v| cfg.vnodes = v).is_ok(),
             "--seed" => value.parse().map(|v| cfg.seed = v).is_ok(),
             "--shards" => value.parse().map(|v| cfg.shards = v).is_ok(),
-            "--queue-depth" => value.parse().map(|v| cfg.queue_depth = v).is_ok(),
             "--agg-addr" => {
                 agg_addr = value.clone();
                 true

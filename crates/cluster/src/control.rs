@@ -260,14 +260,11 @@ pub fn handoff(addr: SocketAddr) -> io::Result<Vec<HandoffLine>> {
 
 /// Replays raw `OBSERVE` request `lines` into the member at `addr`, in
 /// order — the state-rebuild primitive. Each window goes out as **one
-/// `BATCH` frame** with one frame in flight: the server poisons the
-/// rest of a frame after a `BUSY` chunk (PROTOCOL.md §2.1), so the
-/// lines a frame applied are a prefix, and the next window starts at
-/// the first `BUSY` line after a short pause. A machine's samples can
-/// therefore never overtake each other, however full the target's
-/// queues are. `ERR` answers (e.g. `not-mine` for keys outside the
-/// target's slots) count as rejected, not failures. Returns
-/// `(acknowledged, rejected)`, every line counted once.
+/// `BATCH` frame** with one frame in flight, and the member applies a
+/// frame's lines in line order before it answers them, so a machine's
+/// samples can never overtake each other. `ERR` answers (e.g. `not-mine`
+/// for keys outside the target's slots) count as rejected, not failures.
+/// Returns `(acknowledged, rejected)`, every line counted once.
 ///
 /// # Errors
 ///
@@ -301,9 +298,7 @@ pub fn drive_lines(addr: SocketAddr, lines: &[String]) -> io::Result<(u64, u64)>
     let mut frame = Vec::new();
     let mut resp = String::new();
     let mut scratch = ProtoScratch::new();
-    let mut next = 0;
-    while next < lines.len() {
-        let window = &lines[next..lines.len().min(next + WINDOW)];
+    for window in lines.chunks(WINDOW) {
         frame.clear();
         frame.extend_from_slice(b"BATCH ");
         push_u64(&mut frame, window.len() as u64);
@@ -325,29 +320,16 @@ pub fn drive_lines(addr: SocketAddr, lines: &[String]) -> io::Result<(u64, u64)>
                 )));
             }
         }
-        // Everything from the first BUSY on is sent again, so only the
-        // answers before it are final.
-        let mut busy_at = None;
-        for i in 0..window.len() {
+        for _ in window {
             read_line(&mut resp)?;
-            if busy_at.is_some() {
-                continue;
-            }
             match Response::parse(resp.trim_end()).map_err(proto_err)? {
                 Response::Ok => acknowledged += 1,
-                Response::Busy => busy_at = Some(i),
                 Response::Err { .. } => rejected += 1,
+                // Including `BUSY`: members of this tree never send it.
                 other => {
                     return Err(proto_err(format_args!("replay answered {other:?}")));
                 }
             }
-        }
-        match busy_at {
-            Some(i) => {
-                next += i;
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            None => next += window.len(),
         }
     }
     Ok((acknowledged, rejected))
@@ -374,19 +356,15 @@ mod tests {
             .collect()
     }
 
-    /// A target whose one-slot shard queue keeps answering `BUSY` (two
-    /// replays contend for it) must still apply every machine's samples
-    /// in order: no line may go stale behind a later tick of its own
-    /// machine, and the end state is the offline one. The old unframed,
-    /// retry-at-the-end loop applied ticks 6–10 before the rejected
-    /// ticks 1–5 and lost about 3 % of the samples while reporting all
-    /// of them acknowledged.
+    /// Two replays contending for one single-shard member must still
+    /// apply every machine's samples in order: no line may go stale
+    /// behind a later tick of its own machine, every line of both
+    /// streams is ingested, and the end state is the offline one.
     #[test]
-    fn drive_lines_keeps_machine_order_under_busy() {
+    fn rival_replays_keep_machine_order() {
         let cfg = ServeConfig::default()
             .with_addr("127.0.0.1:0")
-            .with_shards(1)
-            .with_queue_depth(1);
+            .with_shards(1);
         let server = Server::start(cfg.clone()).expect("server starts");
         let addr = server.addr();
         let lines = lines_of("fleet");
@@ -424,10 +402,7 @@ mod tests {
             }
         }
         let stats = server.shutdown();
-        assert!(
-            stats.busy > 0,
-            "the queue never filled; the test proves nothing"
-        );
+        assert_eq!(stats.busy, 0);
         assert_eq!(stats.stale, 0, "samples overtook their own machine");
         assert_eq!(stats.observes, (lines.len() + rival.len()) as u64);
     }

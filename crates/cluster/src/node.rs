@@ -27,10 +27,8 @@ pub struct NodeArgs {
     pub spec: RingSpec,
     /// This member's ring index.
     pub index: usize,
-    /// Shard workers inside the member.
+    /// Shards inside the member.
     pub shards: usize,
-    /// Per-shard queue bound.
-    pub queue_depth: usize,
     /// Connection cap.
     pub max_connections: usize,
     /// Override for `sim.max_num_samples` (the per-task history window)
@@ -60,8 +58,6 @@ impl NodeArgs {
             self.spec.generation.to_string(),
             "--shards".into(),
             self.shards.to_string(),
-            "--queue-depth".into(),
-            self.queue_depth.to_string(),
             "--max-connections".into(),
             self.max_connections.to_string(),
         ];
@@ -85,7 +81,6 @@ impl NodeArgs {
         let mut spec = RingSpec::new(1);
         let mut index = 0usize;
         let mut shards = 2usize;
-        let mut queue_depth = 4096usize;
         let mut max_connections = 1024usize;
         let mut history_samples = None;
         let mut handoff_log = false;
@@ -110,7 +105,6 @@ impl NodeArgs {
                 "--ring-seed" => spec.seed = num!("--ring-seed", u64),
                 "--ring-gen" => spec.generation = num!("--ring-gen", u64),
                 "--shards" => shards = num!("--shards", usize),
-                "--queue-depth" => queue_depth = num!("--queue-depth", usize),
                 "--max-connections" => max_connections = num!("--max-connections", usize),
                 "--history-samples" => {
                     history_samples = Some(num!("--history-samples", usize));
@@ -129,7 +123,6 @@ impl NodeArgs {
             spec,
             index,
             shards,
-            queue_depth,
             max_connections,
             history_samples,
             handoff_log,
@@ -160,7 +153,6 @@ impl NodeArgs {
         let mut cfg = ServeConfig::default()
             .with_addr("127.0.0.1:0")
             .with_shards(self.shards)
-            .with_queue_depth(self.queue_depth)
             .with_max_connections(self.max_connections)
             .with_ownership(ring.ownership_for(self.index))
             .with_ring_generation(self.spec.generation)
@@ -204,7 +196,7 @@ pub fn run(args: &[String]) -> i32 {
     if outcome.clean {
         0
     } else {
-        eprintln!("cluster node: degraded drain");
+        eprintln!("cluster node: a frontend thread panicked");
         1
     }
 }
@@ -224,7 +216,6 @@ mod tests {
             },
             index: 3,
             shards: 4,
-            queue_depth: 256,
             max_connections: 64,
             history_samples: Some(12),
             handoff_log: true,
@@ -233,7 +224,6 @@ mod tests {
         assert_eq!(back.spec, args.spec);
         assert_eq!(back.index, args.index);
         assert_eq!(back.shards, args.shards);
-        assert_eq!(back.queue_depth, args.queue_depth);
         assert_eq!(back.max_connections, args.max_connections);
         assert_eq!(back.history_samples, args.history_samples);
         assert_eq!(back.handoff_log, args.handoff_log);

@@ -39,10 +39,8 @@ pub struct ClusterConfig {
     pub vnodes: usize,
     /// Ring placement seed.
     pub seed: u64,
-    /// Shard workers per member.
+    /// Shards per member.
     pub shards: usize,
-    /// Per-shard queue bound per member.
-    pub queue_depth: usize,
     /// Connection cap per member.
     pub max_connections: usize,
     /// Per-task history window override (`sim.max_num_samples`) for
@@ -63,7 +61,6 @@ impl Default for ClusterConfig {
             vnodes: DEFAULT_VNODES,
             seed: DEFAULT_SEED,
             shards: 2,
-            queue_depth: 4096,
             max_connections: 1024,
             history_samples: None,
             handoff_log: true,
@@ -202,7 +199,6 @@ impl Cluster {
             spec: self.spec,
             index,
             shards: self.cfg.shards,
-            queue_depth: self.cfg.queue_depth,
             max_connections: self.cfg.max_connections,
             history_samples: self.cfg.history_samples,
             handoff_log: self.cfg.handoff_log,

@@ -1,12 +1,12 @@
 //! `oc-serve` binary: run the peak-prediction service in the foreground.
 //!
 //! ```text
-//! oc-serve [--addr HOST:PORT] [--shards N] [--queue-depth N] [--capacity F]
+//! oc-serve [--addr HOST:PORT] [--shards N] [--capacity F]
 //!          [--reactor-threads N] [--max-connections N] [--trace-out FILE]
 //! ```
 //!
-//! The server runs until a client sends `SHUTDOWN`; it then drains every
-//! shard queue and prints the final `STATS` snapshot to stdout. With
+//! The server runs until a client sends `SHUTDOWN`; it then closes every
+//! shard and prints the final `STATS` snapshot to stdout. With
 //! `--trace-out`, structured tracing is enabled for the whole run and the
 //! drained spans/events are written to FILE as JSONL on exit (see
 //! `docs/OPERATIONS.md` for the event dictionary).
@@ -16,7 +16,7 @@ use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: oc-serve [--addr HOST:PORT] [--shards N] [--queue-depth N] [--capacity F] \
+        "usage: oc-serve [--addr HOST:PORT] [--shards N] [--capacity F] \
          [--reactor-threads N] [--max-connections N] [--trace-out FILE]"
     );
     std::process::exit(2);
@@ -42,9 +42,6 @@ fn parse_args() -> Args {
             "--addr" => cfg.addr = val("--addr"),
             "--shards" => {
                 cfg.shards = val("--shards").parse().unwrap_or_else(|_| usage());
-            }
-            "--queue-depth" => {
-                cfg.queue_depth = val("--queue-depth").parse().unwrap_or_else(|_| usage());
             }
             "--capacity" => {
                 cfg.machine_capacity = val("--capacity").parse().unwrap_or_else(|_| usage());

@@ -114,18 +114,17 @@ pub struct RingInfo {
 /// ```
 /// use oc_serve::config::ServeConfig;
 ///
-/// let cfg = ServeConfig::default().with_shards(2).with_queue_depth(64);
+/// let cfg = ServeConfig::default().with_shards(2).with_capacity(1.5);
 /// cfg.validate().unwrap();
 /// ```
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:0` for an ephemeral port.
     pub addr: String,
-    /// Number of shard workers machines are partitioned across.
+    /// Number of shards machines are partitioned across: one lock each,
+    /// no threads. More shards means less lock contention between
+    /// reactor threads.
     pub shards: usize,
-    /// Bound of each shard's request queue. A full queue answers `BUSY`
-    /// instead of buffering — the backpressure contract.
-    pub queue_depth: usize,
     /// Capacity assigned to machines on first observation, in the same
     /// units as usage/limit samples.
     pub machine_capacity: f64,
@@ -148,8 +147,9 @@ pub struct ServeConfig {
     /// (chaos testing). `None` in production.
     pub faults: Option<FaultPlan>,
     /// Reactor thread count; `0` sizes the pool automatically from the
-    /// host's available parallelism (clamped to `[1, 4]` — readiness
-    /// dispatch is cheap, the shard pool does the heavy lifting).
+    /// host's available parallelism (clamped to `[1, 4]`). These threads
+    /// parse, apply and answer; they are the server's only data-plane
+    /// threads.
     pub reactor_threads: usize,
     /// Cluster ownership classifier; `None` (standalone) treats every
     /// key as [`KeyRole::Owner`].
@@ -175,13 +175,12 @@ pub struct ServeConfig {
 }
 
 impl Default for ServeConfig {
-    /// Ephemeral local port, 4 shards, 4096-deep queues, the paper's
-    /// simulation predictor and node-agent parameters.
+    /// Ephemeral local port, 4 shards, the paper's simulation predictor
+    /// and node-agent parameters.
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             shards: 4,
-            queue_depth: 4096,
             machine_capacity: 1.0,
             sim: SimConfig::default(),
             predictor: PredictorSpec::paper_max(),
@@ -210,12 +209,6 @@ impl ServeConfig {
     /// Sets the shard count.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Sets the per-shard queue bound.
-    pub fn with_queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth;
         self
     }
 
@@ -314,14 +307,11 @@ impl ServeConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Config`] for an invalid shard/queue/capacity
+    /// Returns [`ServeError::Config`] for an invalid shard/capacity
     /// setting and propagates [`SimConfig`]/[`PredictorSpec`] validation.
     pub fn validate(&self) -> Result<(), ServeError> {
         if self.shards == 0 {
             return Err(ServeError::Config("shards must be >= 1".into()));
-        }
-        if self.queue_depth == 0 {
-            return Err(ServeError::Config("queue_depth must be >= 1".into()));
         }
         if !self.machine_capacity.is_finite() || self.machine_capacity <= 0.0 {
             return Err(ServeError::Config(format!(
@@ -371,10 +361,6 @@ mod tests {
     #[test]
     fn invalid_settings_are_rejected() {
         assert!(ServeConfig::default().with_shards(0).validate().is_err());
-        assert!(ServeConfig::default()
-            .with_queue_depth(0)
-            .validate()
-            .is_err());
         assert!(ServeConfig::default()
             .with_capacity(f64::NAN)
             .validate()

@@ -12,17 +12,17 @@
 //! * [`proto`] — a line-delimited text protocol (`OBSERVE` / `PREDICT` /
 //!   `ADMIT` / `STATS` / `METRICS` / `SHUTDOWN`) with a hand-rolled, fully
 //!   typed codec; the wire spec is `docs/PROTOCOL.md`.
-//! * [`shard`] — machines partitioned across shard worker threads, each
-//!   exclusively owning its machines' [`oc_core::IncrementalView`]s behind a
-//!   bounded MPSC queue. Full queue ⇒ retryable `BUSY`, never unbounded
-//!   buffering.
+//! * [`shard`] — machines partitioned across shards, each holding its
+//!   machines' [`oc_core::IncrementalView`]s behind one lock. No shard
+//!   threads and no queue: the thread that parsed a request applies it,
+//!   and an overloaded server gates its senders through TCP.
 //! * [`server`] — the TCP front end: a readiness-driven accept loop
 //!   feeding the *reactor* (a small fixed pool of event-loop threads
 //!   multiplexing every connection over `epoll`/`poll` via the vendored
 //!   `oc-reactor` crate). It enforces write/idle deadlines and a
 //!   max-connections cap, stays pipelining-friendly (one response line
 //!   per request line, in order), and shuts down gracefully: join every
-//!   reactor thread, drain the shards, return the final snapshot.
+//!   reactor thread, close the shards, return the final snapshot.
 //! * [`conn`] — the per-connection protocol machinery the reactor drives:
 //!   the [`conn::LineAccumulator`] read state machine, the observe
 //!   micro-batcher, and the line dispatch path, all socket-free.

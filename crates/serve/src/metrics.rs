@@ -1,11 +1,14 @@
 //! Per-shard counters and service-latency accounting.
 //!
-//! Each shard worker owns one [`ShardMetrics`]: plain counters plus the
-//! latency accumulator every layer shares ([`HistogramSnapshot`]: the
-//! log-bucketed `oc_stats::Histogram` with an exact sum and maximum).
-//! Latency is *service* latency — from the instant a request was enqueued
-//! on the shard queue to the instant the worker finished handling it — so
-//! queueing delay under load is visible, not hidden.
+//! Each shard holds one [`ShardMetrics`] behind its lock: plain counters
+//! plus the latency accumulator every layer shares ([`HistogramSnapshot`]:
+//! the log-bucketed `oc_stats::Histogram` with an exact sum and maximum).
+//! Latency runs from the caller's stamp on a piece of work to the instant
+//! it was applied. A connection stamps an observe chunk when it buffers
+//! the chunk's first sample and does not stamp `PREDICT`/`ADMIT` at all
+//! (they are computed on the spot, with nothing to wait in), so on a
+//! live server this is the **observe coalescing delay**: first sample
+//! buffered → chunk applied, the wait for the shard's lock included.
 //!
 //! Snapshots from all shards merge bucket for bucket and are summarized
 //! into the wire-level [`StatsSnapshot`]. p50/p99 are read off the merged
@@ -17,7 +20,7 @@ use crate::proto::StatsSnapshot;
 use oc_telemetry::metrics::HistogramSnapshot;
 use std::time::Duration;
 
-/// One shard's counters. Cheap to update on every message.
+/// One shard's counters. Cheap to update on every request.
 #[derive(Debug, Clone, Default)]
 pub struct ShardMetrics {
     /// Samples ingested into machine state.
@@ -41,7 +44,10 @@ pub struct ShardMetrics {
     /// Connections rejected at the max-connections cap (filled in at the
     /// server; always 0 at shard level).
     pub conn_rejects: u64,
-    /// Service latencies, microseconds.
+    /// Stamp-to-applied latencies, microseconds: one sample per observe
+    /// outcome (first sample buffered in its chunk → applied), plus one
+    /// per `Predict`/`Admit` that came in as a stamped
+    /// [`ShardMsg`](crate::shard::ShardMsg).
     pub latency: HistogramSnapshot,
 }
 
@@ -52,7 +58,7 @@ impl ShardMetrics {
     }
 
     /// Records `n` samples of the same service latency in one bucket
-    /// update — a coalesced chunk's items all share an enqueue instant.
+    /// update — a coalesced chunk's items all share one stamp.
     pub fn record_latency_n(&mut self, d: Duration, n: u64) {
         self.latency.record_n(d.as_secs_f64() * 1e6, n);
     }
@@ -71,14 +77,14 @@ impl ShardMetrics {
         self.latency.merge(&other.latency);
     }
 
-    /// Summarizes into the wire snapshot. `busy` is counted at the server
-    /// (rejects never reach a shard), so it is passed in.
-    pub fn snapshot(&self, busy: u64) -> StatsSnapshot {
+    /// Summarizes into the wire snapshot.
+    pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
             observes: self.observes,
             predicts: self.predicts,
             admits: self.admits,
-            busy,
+            // Reserved: this server never answers `BUSY`.
+            busy: 0,
             stale: self.stale,
             errors: self.errors,
             machines: self.machines,
@@ -106,7 +112,7 @@ mod tests {
         for us in 1..=100u64 {
             m.record_latency(Duration::from_micros(us));
         }
-        let s = m.snapshot(0);
+        let s = m.snapshot();
         assert!((s.p50_us - 50.0).abs() < 6.0, "p50 {}", s.p50_us);
         assert!((s.p99_us - 99.0).abs() < 6.0, "p99 {}", s.p99_us);
         assert!((s.mean_us - 50.5).abs() < 1.0);
@@ -125,11 +131,11 @@ mod tests {
         a.record_latency(Duration::from_micros(10));
         b.record_latency(Duration::from_micros(30));
         a.merge(&b);
-        let s = a.snapshot(7);
+        let s = a.snapshot();
         assert_eq!(s.observes, 15);
         assert_eq!(s.stale, 1);
         assert_eq!(s.machines, 5);
-        assert_eq!(s.busy, 7);
+        assert_eq!(s.busy, 0);
         assert!(s.max_us >= 30.0);
     }
 
@@ -152,7 +158,7 @@ mod tests {
         for &us in &samples_us {
             m.record_latency(Duration::from_micros(us as u64));
         }
-        let s = m.snapshot(0);
+        let s = m.snapshot();
         assert!(
             s.p50_us < s.p99_us && s.p99_us <= s.max_us,
             "p50 {} p99 {} max {}",
@@ -196,7 +202,7 @@ mod tests {
             b.record_latency(Duration::from_millis(800));
         }
         for (m, max) in [(&a, 250_000.0), (&b, 800_000.0)] {
-            let s = m.snapshot(0);
+            let s = m.snapshot();
             assert!(
                 s.mean_us <= s.p99_us,
                 "mean {} above p99 {}",
@@ -207,7 +213,7 @@ mod tests {
         }
         let mut merged = a.clone();
         merged.merge(&b);
-        let s = merged.snapshot(0);
+        let s = merged.snapshot();
         assert!(s.p50_us <= s.p99_us && s.p99_us <= s.max_us);
         assert!(
             s.mean_us <= s.p99_us,

@@ -19,8 +19,8 @@
 //! and one response line per request:
 //!
 //! ```text
-//! OK                                  observe accepted for ingestion
-//! BUSY                                shard queue full — retryable
+//! OK                                  observe applied
+//! BUSY                                reserved (retryable); not sent by this server
 //! PRED <peak>                         predicted machine peak (CPU)
 //! PRED <peak>,<mem>                   per-resource peaks (vector PREDICT)
 //! ADMITTED <yes|no> <projected>       admission verdict + projected peak
@@ -222,9 +222,10 @@ pub enum Request {
 /// A server response.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// Observe accepted for ingestion.
+    /// Observe applied (ingested, stale or invalid: see `STATS`).
     Ok,
-    /// Shard queue full; the request was dropped and may be retried.
+    /// The request was dropped and may be retried. Reserved: this server
+    /// has no queue to fill and never sends it; clients still honour it.
     Busy,
     /// Predicted machine peak, in capacity units.
     Pred {
@@ -347,7 +348,8 @@ pub struct StatsSnapshot {
     pub predicts: u64,
     /// Admission checks served.
     pub admits: u64,
-    /// Requests rejected with `BUSY` (bounded-queue backpressure).
+    /// Requests rejected with `BUSY`. Reserved: always 0 from this server,
+    /// which has no queue to fill (the field stays on the wire).
     pub busy: u64,
     /// Samples rejected as stale.
     pub stale: u64,
@@ -367,7 +369,8 @@ pub struct StatsSnapshot {
     /// only — a change means the process restarted (fresh state) or its
     /// ring assignment changed. `0` for a pre-epoch peer.
     pub epoch: u64,
-    /// Median shard service latency (enqueue → handled), microseconds.
+    /// Median shard service latency (an observe's wait from buffered to
+    /// applied, see [`crate::metrics`]), microseconds.
     pub p50_us: f64,
     /// 99th-percentile shard service latency, microseconds.
     pub p99_us: f64,

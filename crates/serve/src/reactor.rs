@@ -4,8 +4,9 @@
 //! [`crate::config::ServeConfig::reactor_threads`]) each owns an
 //! `oc-reactor` poller and an interest list, and drives per-connection
 //! state machines: read-accumulate ([`LineAccumulator`]) → parse via the
-//! zero-copy codec → dispatch to the shard actors → buffered
-//! non-blocking write with would-block re-arm. Tens of thousands of
+//! zero-copy codec → apply under the owning shard's lock → buffered
+//! non-blocking write with would-block re-arm. While a thread applies it
+//! does not read, so an overloaded server gates its senders through TCP. Tens of thousands of
 //! mostly-idle connections multiplex onto a few threads.
 //!
 //! **Readiness semantics.** Polling is level-triggered. A readable
@@ -35,14 +36,14 @@
 //! connection at the next event.
 //!
 //! **Shutdown.** [`ReactorPool::stop_and_join`] wakes every thread via
-//! its [`Waker`]; each enqueues pending observe chunks, makes one best-
+//! its [`Waker`]; each applies pending observe chunks, makes one best-
 //! effort write pass, drops its connections, and exits — so shutdown
 //! latency is bounded by the in-flight work, not a polling interval, and
-//! the shard pool's single-owner drain invariant is preserved.
+//! the shards hold every acknowledged sample once the threads are joined.
 
 use crate::accept::note_accept_error;
 use crate::conn::{
-    end_burst, idle_resp, oversize_resp, process_line, ConnState, Feed, LineAccumulator,
+    flush_chunk, idle_resp, oversize_resp, process_line, ConnState, Feed, LineAccumulator,
 };
 use crate::fault::FaultStream;
 use crate::server::Shared;
@@ -67,12 +68,6 @@ pub(crate) const OUTBUF_HIGH_WATER: usize = 256 * 1024;
 /// Per-event read scratch size. One buffer per reactor thread, shared by
 /// all of its connections.
 const READ_SCRATCH: usize = 64 * 1024;
-
-/// Readiness events handled between voluntary yields (see the event loop
-/// in [`ReactorThread::run`]). Small enough to bound how long enqueued
-/// chunks can age behind a busy sweep on a core-starved host, large
-/// enough that the yield overhead vanishes against per-event work.
-const YIELD_EVERY: usize = 2;
 
 /// New-connection handoff slot for one reactor thread.
 struct Injector {
@@ -136,10 +131,9 @@ impl ReactorPool {
     }
 
     /// Wakes every reactor thread (the server's stop flag is already
-    /// set) and joins them. After this returns no reactor thread holds a
-    /// shard-pool reference, so the caller's `Arc::try_unwrap` drain
-    /// takes the clean path.
-    pub(crate) fn stop_and_join(&self) {
+    /// set) and joins them. After this returns every sample a connection
+    /// had buffered is applied. `false` if a thread had panicked.
+    pub(crate) fn stop_and_join(&self) -> bool {
         for injector in &self.injectors {
             let _ = injector.waker.wake();
         }
@@ -149,9 +143,11 @@ impl ReactorPool {
             .expect("reactor handles lock")
             .drain(..)
             .collect();
+        let mut clean = true;
         for h in handles {
-            let _ = h.join();
+            clean &= h.join().is_ok();
         }
+        clean
     }
 }
 
@@ -288,16 +284,6 @@ impl ReactorThread {
             for i in 0..self.batch.len() {
                 let (slot, readable, writable) = self.batch[i];
                 self.handle_event(slot, readable, writable);
-                // On hosts with fewer cores than server threads a long
-                // event batch starves the shard workers: they are woken
-                // by the queue send but cannot preempt this thread until
-                // the scheduler's wakeup granularity (milliseconds)
-                // elapses, so every chunk enqueued during the batch ages
-                // by the rest of the sweep. Yielding between bursts
-                // bounds the service-latency tail at roughly one burst.
-                if i % YIELD_EVERY == YIELD_EVERY - 1 {
-                    std::thread::yield_now();
-                }
             }
             if self.last_sweep.elapsed() >= self.sweep {
                 self.last_sweep = Instant::now();
@@ -389,16 +375,7 @@ impl ReactorThread {
             return; // closed earlier in this batch
         };
         match self.drive(&mut conn, readable, writable) {
-            Ok(()) => {
-                // Nothing waits on a shard while this thread waits in the
-                // poller: the deadline sweep, idle close and shutdown
-                // never meet a pending read.
-                debug_assert!(
-                    conn.state.deferred.is_settled(),
-                    "a pending read outlived its burst"
-                );
-                self.conns[slot] = Some(conn);
-            }
+            Ok(()) => self.conns[slot] = Some(conn),
             Err(Close::Now) => self.close(slot, conn),
         }
     }
@@ -447,9 +424,8 @@ impl ReactorThread {
                     let pool = &self.pool;
                     let shared = &self.shared;
                     let fed = acc.feed(&self.scratch[..n], |line| {
-                        // One line: parse, then enqueue, cache answer or
-                        // response encode; a read's shard round trip is
-                        // under `serve.settle`, not here.
+                        // One line: parse, then buffer, cache answer, or
+                        // apply under the shard's lock and encode.
                         let req_span = trace::span("serve.request");
                         let keep = process_line(line, state, outbuf, pool, shared)?;
                         drop(req_span);
@@ -463,16 +439,14 @@ impl ReactorThread {
                         }
                         Ok(Feed::Oversize) => {
                             let RConn { state, outbuf, .. } = conn;
-                            let _ = end_burst(state, outbuf, &self.pool, &self.shared);
+                            let _ = flush_chunk(state, outbuf, &self.pool, &self.shared);
                             let _ = state.respond(outbuf, &oversize_resp());
                             conn.draining = true;
                             break;
                         }
                         Err(_) => return Err(Close::Now),
                     }
-                    // Responses held back behind pending reads are output
-                    // too; they join `outbuf` at the settle below.
-                    if conn.pending() + conn.state.deferred.held_len() > OUTBUF_HIGH_WATER {
+                    if conn.pending() > OUTBUF_HIGH_WATER {
                         break; // backpressure: stop reading until drained
                     }
                 }
@@ -481,11 +455,10 @@ impl ReactorThread {
                 Err(_) => return Err(Close::Now),
             }
         }
-        // The readable burst has run dry: enqueue the pending observe
-        // chunk and collect the pending reads, so every response of the
-        // burst joins the output buffer in request order.
+        // The readable burst has run dry: apply the pending observe
+        // chunk, so every response of the burst is in the output buffer.
         let RConn { state, outbuf, .. } = conn;
-        let _ = end_burst(state, outbuf, &self.pool, &self.shared);
+        let _ = flush_chunk(state, outbuf, &self.pool, &self.shared);
         Ok(())
     }
 
@@ -578,7 +551,7 @@ impl ReactorThread {
             trace::event("serve.conn.idle_close", 0, 0);
             {
                 let RConn { state, outbuf, .. } = &mut conn;
-                let _ = end_burst(state, outbuf, &self.pool, &self.shared);
+                let _ = flush_chunk(state, outbuf, &self.pool, &self.shared);
                 let _ = state.respond(outbuf, &idle_resp());
             }
             conn.draining = true;
@@ -592,9 +565,9 @@ impl ReactorThread {
         }
     }
 
-    /// Stop-flag exit: enqueue pending observe chunks (their outcomes are
-    /// drained and counted by the shard shutdown), make one best-effort
-    /// write pass, and drop every connection.
+    /// Stop-flag exit: apply pending observe chunks (the shard shutdown
+    /// that follows counts their outcomes), make one best-effort write
+    /// pass, and drop every connection.
     fn shutdown_conns(&mut self) {
         for slot in 0..self.conns.len() {
             let Some(mut conn) = self.conns[slot].take() else {
@@ -602,7 +575,7 @@ impl ReactorThread {
             };
             {
                 let RConn { state, outbuf, .. } = &mut conn;
-                let _ = end_burst(state, outbuf, &self.pool, &self.shared);
+                let _ = flush_chunk(state, outbuf, &self.pool, &self.shared);
             }
             let _ = self.try_write(&mut conn);
             let _ = self.poller.deregister(conn.fd);

@@ -3,11 +3,11 @@
 //! # Model
 //!
 //! A [`MetricsRegistry`] maps stable dotted names (`serve.busy`,
-//! `shard.queue_depth.0`) to metric instruments:
+//! `serve.shard.contended.0`) to metric instruments:
 //!
 //! * [`Counter`] — monotonically increasing `u64` (events, requests).
-//! * [`Gauge`] — signed level that moves both ways (queue depth, open
-//!   connections).
+//! * [`Gauge`] — signed level that moves both ways (open connections,
+//!   live machines).
 //! * [`HistogramHandle`] — a [`HistogramSnapshot`] behind a mutex: the
 //!   log-bucketed [`oc_stats::Histogram`] plus exact sum/max, so means
 //!   and maxima don't suffer bucketing error.
@@ -24,8 +24,8 @@
 //! data, no atomics. Snapshots [`merge`](MetricsSnapshot::merge) by
 //! *summing* counters and gauges and bucket-merging histograms, which is the
 //! right semantics for aggregating per-shard registries into one
-//! service-wide view (a gauge like queue depth sums to the service-wide
-//! total across shards).
+//! service-wide view (a gauge like open connections sums to the
+//! cluster-wide total across members).
 //!
 //! # Wire exposition
 //!
@@ -332,7 +332,7 @@ impl MetricsSnapshot {
     /// Folds `other` into `self`: counters and gauges *sum* (a name absent
     /// on one side is treated as zero), histograms merge per
     /// [`HistogramSnapshot::merge`]. Summing gauges is the aggregation
-    /// shards want: per-shard queue depths sum to the service-wide depth.
+    /// members want: per-member connection counts sum to the cluster's.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (k, v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += v;

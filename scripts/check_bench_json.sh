@@ -77,7 +77,7 @@ def check_serve(path, doc):
     if sustained and batched:
         # BATCH framing must not *cost* performance. It used to be
         # required to win by 1.5x qps at a no-worse p99, but since the
-        # fleet-scale ingest optimizations the shard worker, not
+        # fleet-scale ingest optimizations applying the samples, not
         # per-line framing, is the single-core ceiling: both phases
         # saturate the same ~400k lines/s, and framing's win shows up
         # as fewer syscalls per line (and in the reactor phase's
@@ -116,21 +116,19 @@ def check_serve(path, doc):
         if qps < 1_000_000:
             fail(path, f"reactor-10k achieved {qps:.0f} qps "
                        f"(need >= 1000000)")
-        # Server-side p99 gate. This used to be relative (<= 4x the
-        # serve_batched p99 of the same run), but the fleet-scale ingest
-        # optimizations dropped the data-plane p99 to tens of µs, and
-        # the failure mode this gate exists to catch — the reactor not
-        # yielding mid-sweep, so enqueued chunks age behind a full
-        # 10k-connection sweep — costs tens of *milliseconds* no matter
-        # how fast the data plane is (it measured ~46ms before the
-        # mid-sweep yield landed). A small multiple of a ~50µs baseline
-        # would reject every healthy run; an absolute 10ms ceiling
-        # keeps >4x separation from the known regression while leaving
-        # ~3x headroom over healthy measurements (~3ms on one core).
+        # Server-side p99 gate: an absolute 10ms ceiling on how long an
+        # observe waits between being buffered and being applied. The
+        # recorded run predates the lock-per-shard data plane: chunks
+        # then crossed a queue to shard worker threads and aged behind a
+        # full 10k-connection sweep (~46ms) unless the reactor yielded
+        # mid-sweep (~3ms healthy on one core). Since then a chunk is
+        # applied by the thread that buffered it before that thread
+        # reads its next connection, so a reading anywhere near the
+        # ceiling means samples are being held across events again.
         got_p99 = reactor.get("server_p99_us") or 0
         if got_p99 > 10_000:
             fail(path, f"reactor-10k server_p99_us {got_p99:.1f} > "
-                       f"10000 (sweep is starving enqueued chunks)")
+                       f"10000 (buffered observes are aging unapplied)")
 
     # The cluster phases prove multi-process serving end to end. Their
     # lost==0 / failed_connections==0 invariants ride the generic

@@ -36,6 +36,12 @@ grep -rnE -e 'LATENCY_HI_US|LATENCY_BINS|LATENCY_HIST_HI_US|SETUP_HIST_HI_US|REP
     -e 'Histogram::new\([^)]' crates tests docs README.md DESIGN.md \
   && { echo "tier1: a histogram shape parameter (or the second accumulator) is back" >&2; exit 1; }
 
+# The data plane has no shard queue: the thread that parsed a line applies
+# it under the shard's lock. Keep the queue's knob, its worker threads and
+# the deferred-read machinery from coming back through a doc or a flag.
+grep -rnE -e 'queue_depth|--queue-depth|frame_busy|MAX_PENDING_READS|shard_worker' crates tests docs README.md DESIGN.md \
+  && { echo "tier1: the shard queue (or its queue_depth knob) is referenced again" >&2; exit 1; }
+
 # Docs are part of the contract: every markdown link to a local file must
 # point at something that exists (catches renamed/moved docs going stale),
 # and rustdoc must be warning-free.
@@ -79,9 +85,9 @@ pin_test() { # <package> <test path> <what it guards>
 # partway (a leaked child holds its port and survives the test run).
 pin_test oc-cluster supervisor::tests::start_failure_leaves_no_live_children \
   "supervisor leak"
-# A replay into a member that answers BUSY must keep every machine's
-# samples in order (the old loop lost ~3 % of them as stale).
-pin_test oc-cluster control::tests::drive_lines_keeps_machine_order_under_busy \
+# Two rival replays into one single-shard member must keep every
+# machine's samples in order and end in the offline state.
+pin_test oc-cluster control::tests::rival_replays_keep_machine_order \
   "replay ordering"
 # A refused reconnect to a ring member is a death verdict: failover in one
 # connect, with no backoff ladder slept on the way.

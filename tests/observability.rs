@@ -53,18 +53,13 @@ fn server_metrics_reconcile_with_load_report() {
     assert!(m["serve.requests.observe"] >= report.acked_observes as f64);
     assert!(m["serve.requests.predict"] >= report.server.predicts as f64);
 
-    // Shard latency sampling covers exactly the shard-processed requests
-    // (every OBSERVE outcome — applied, stale, or error — plus every
-    // PREDICT that missed the frontend cache and every ADMIT).
-    // `serve.predicts` counts predictions *served*, so cache hits — which
-    // never reach a shard — are subtracted back out.
+    // Shard latency sampling covers exactly the OBSERVE outcomes: first
+    // sample buffered → chunk applied. Reads are computed on the spot and
+    // carry no stamp. (This replay holds no invalid sample, so the third
+    // outcome, an ingest error, adds nothing here.)
     assert_eq!(
         m["serve.latency_us.count"],
-        m["serve.observes"]
-            + m["serve.stale"]
-            + m["serve.errors"]
-            + (m["serve.predicts"] - m["serve.predict.cache_hit"])
-            + m["serve.admits"]
+        m["serve.observes"] + m["serve.stale"]
     );
 
     // Every PREDICT dispatch is either a frontend cache hit or a miss.
@@ -73,26 +68,18 @@ fn server_metrics_reconcile_with_load_report() {
         m["serve.requests.predict"]
     );
 
-    // Every read that reached a shard was enqueued without waiting; a
-    // standalone server below its queue bound turns none away, and one
-    // settle never covers more reads than were deferred.
+    // The server has no queue to fill, so it turns nothing away.
     assert_eq!(m["serve.busy"], 0.0);
-    assert_eq!(
-        m["serve.read.deferred"],
-        m["serve.predict.cache_miss"] + m["serve.requests.admit"]
-    );
-    assert!(m["serve.read.settles"] >= 1.0);
-    assert!(m["serve.read.settles"] <= m["serve.read.deferred"]);
 
     // No BATCH frames on the wire — but frontend coalescing is
     // independent of framing: any pipelined run of same-shard OBSERVEs
     // micro-batches, so `serve.batch.coalesced` may still count.
     assert_eq!(m["serve.batch.requests"], 0.0);
 
-    // The replay is over and every request acked, so both shard queues
-    // must have drained back to empty.
-    assert_eq!(m["serve.shard.queue_depth.0"], 0.0);
-    assert_eq!(m["serve.shard.queue_depth.1"], 0.0);
+    // One contention counter per shard; two connections on this host's
+    // reactor threads may or may not have met on a lock.
+    assert!(m.contains_key("serve.shard.contended.0"));
+    assert!(m.contains_key("serve.shard.contended.1"));
 
     drop(client);
     server.shutdown();
@@ -143,11 +130,7 @@ fn batched_replay_metrics_reconcile() {
     );
     assert_eq!(
         m["serve.latency_us.count"],
-        m["serve.observes"]
-            + m["serve.stale"]
-            + m["serve.errors"]
-            + (m["serve.predicts"] - m["serve.predict.cache_hit"])
-            + m["serve.admits"]
+        m["serve.observes"] + m["serve.stale"]
     );
 
     drop(client);
