@@ -29,8 +29,9 @@
 //! *not* bit-identical to an offline recompute of the full sample
 //! stream (served-vs-offline final-state identity, the strongest form
 //! of the ledger) and must be 0; **cluster-replace** SIGKILLs a member
-//! mid-fleet and replaces it *into the same ring slot* (state replayed
-//! from the survivors' handoff logs, generation bumped and pushed), the
+//! mid-fleet and replaces it *into the same ring slot* (machine state
+//! installed from the survivors' state records, generation bumped and
+//! pushed), the
 //! second segment driven by a `ClusterClient` holding the stale spec
 //! that must auto-adopt the new ring; **cluster-1m** streams 1 000 000
 //! simulated machines across the ring (no mirroring, bounded per-task
@@ -365,8 +366,9 @@ fn cluster_chaos() -> Result<LoadReport, oc_client::ClientError> {
 
 /// cluster-replace: a 3-process ring, a mirrored fleet driven halfway,
 /// member 0 SIGKILLed and **replaced into its slot** — the replacement
-/// rebuilds its state by replaying the survivors' handoff logs, the
-/// ring generation bumps, and the supervisor pushes the new description
+/// installs each machine's view state from the survivors' state records
+/// (`HANDOFF` dump, `RESTORE`), the ring generation bumps, and the
+/// supervisor pushes the new description
 /// to every member. The second half is then driven through a
 /// [`ClusterClient`] that still holds the generation-0 spec and the
 /// dead member's address: it must discover the death, adopt the pushed
@@ -397,13 +399,14 @@ fn cluster_replace() -> Result<(LoadReport, u64, u64), oc_client::ClientError> {
     let r1 = fleet::run(spec0, &stale_addrs, &cluster.alive(), &first)?;
 
     // SIGKILL, then replace into the same slot. No traffic lands between
-    // the kill and the replacement, so the survivors' handoff logs hold
-    // every acknowledged sample the dead member ever saw (the divergence
+    // the kill and the replacement, so the survivors' views hold every
+    // acknowledged sample the dead member ever saw (the divergence
     // window caveat in OPERATIONS.md §5.7).
     cluster.kill(0).map_err(oc_client::ClientError::Io)?;
     let replay = cluster.replace(0).map_err(oc_client::ClientError::Io)?;
     eprintln!(
-        "loadgen[cluster-replace]: replayed {} lines from {} survivors ({} rejected)",
+        "loadgen[cluster-replace]: installed view state carrying {} samples \
+         from {} survivors ({} records rejected)",
         replay.replayed, replay.sources, replay.rejected
     );
 
@@ -619,8 +622,8 @@ fn main() -> ExitCode {
                 ));
 
                 // Cluster replacement phase: SIGKILL + same-slot replace
-                // with handoff replay; a stale-spec client must adopt
-                // the pushed generation on its own.
+                // from the survivors' state records; a stale-spec client
+                // must adopt the pushed generation on its own.
                 let (report, adoptions, coverage) = cluster_replace()?;
                 lost_total += report.lost;
                 phases.push(with_extras(
@@ -674,8 +677,9 @@ fn main() -> ExitCode {
             "SIGKILLed mid-run — lost counts machines whose served prediction is not ",
             "bit-identical to an offline recompute (state identity, not counter ",
             "arithmetic); cluster-replace = a 600-machine mirrored fleet with member 0 ",
-            "SIGKILLed mid-run and replaced into its ring slot (state replayed from the ",
-            "survivors' handoff logs, generation bumped and pushed via RINGSET) — the ",
+            "SIGKILLed mid-run and replaced into its ring slot (each machine's view state ",
+            "installed from the survivors' state records, generation bumped and pushed via ",
+            "RINGSET) — the ",
             "second half is driven by a ClusterClient still holding the generation-0 ",
             "spec, which must auto-adopt the new ring (adoptions >= 1), and ",
             "mirror_coverage_pct must be 100 (every machine resident on exactly owner + ",

@@ -3,12 +3,14 @@
 //!
 //! The data plane belongs to `oc-client` (pipelining, batching, retry);
 //! this module only carries the rare supervisor traffic — `STATS`,
-//! `METRICS`, `SHUTDOWN`, and the occasional probe — where a connection
-//! per request is simpler than a pool and the cost is irrelevant.
+//! `METRICS`, `SHUTDOWN`, state transfer (`HANDOFF`/`RESTORE`), and the
+//! occasional probe — where a connection per request is simpler than a
+//! pool and the cost is irrelevant.
 
 use crate::ring::RingSpec;
 use oc_serve::proto::{
-    parse_batchr_header, push_u64, ProtoScratch, Request, Response, StatsSnapshot,
+    parse_batchr_header, parse_view_header, push_u64, ProtoScratch, Request, Response,
+    StatsSnapshot, MAX_BATCH,
 };
 use oc_serve::shard::key_hash;
 use oc_trace::ids::{CellId, MachineId};
@@ -30,21 +32,12 @@ fn proto_err(what: impl std::fmt::Display) -> io::Error {
 /// I/O errors for connect/read/write failures (including deadline
 /// expiry) and `InvalidData` for an unparseable response line.
 pub fn request(addr: SocketAddr, req: &Request) -> io::Result<Response> {
-    let stream = TcpStream::connect_timeout(&addr, CONTROL_TIMEOUT)?;
-    stream.set_read_timeout(Some(CONTROL_TIMEOUT))?;
-    stream.set_write_timeout(Some(CONTROL_TIMEOUT))?;
-    let mut writer = stream.try_clone()?;
+    let (mut writer, mut reader) = connect(addr)?;
     writer.write_all(req.encode().as_bytes())?;
     writer.write_all(b"\n")?;
     writer.flush()?;
-    let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "peer closed before answering",
-        ));
-    }
+    read_wire_line(&mut reader, &mut line)?;
     Response::parse(line.trim_end()).map_err(proto_err)
 }
 
@@ -168,21 +161,25 @@ pub fn ring_set(addr: SocketAddr, spec: &RingSpec, addrs: &[String]) -> io::Resu
     }
 }
 
-/// One replayable sample from a `HANDOFF` dump: the verbatim wire line
-/// (replayed as-is, so float formatting round-trips bit-identically)
-/// plus its parsed machine identity for per-machine grouping.
+/// One machine's state record from a `HANDOFF` dump, kept as the wire
+/// text it arrived in: a supervisor chooses records by their header and
+/// forwards them to `RESTORE` without decoding the state.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HandoffLine {
-    /// The raw `OBSERVE` line, without its terminator.
-    pub line: String,
+pub struct ViewRecord {
     /// Owning cell name.
     pub cell: String,
     /// Machine id within the cell.
     pub machine: u32,
+    /// Samples the state carries: the view's ingested-sample count.
+    pub samples: u64,
+    /// Wire lines: the `VIEW` header and its parts.
+    pub lines: usize,
+    /// The record's wire text, every line `\n`-terminated.
+    pub text: String,
 }
 
-impl HandoffLine {
-    /// The routing hash of this sample's machine.
+impl ViewRecord {
+    /// The routing hash of this record's machine.
     pub fn key_hash(&self) -> u64 {
         machine_hash(&self.cell, self.machine)
     }
@@ -194,77 +191,149 @@ pub fn machine_hash(cell: &str, machine: u32) -> u64 {
     key_hash(&(CellId::new(cell), MachineId(machine)))
 }
 
-fn parse_handoff_line(raw: &str) -> io::Result<HandoffLine> {
-    let mut toks = raw.split_ascii_whitespace();
-    match (
-        toks.next(),
-        toks.next(),
-        toks.next().and_then(|m| m.parse::<u32>().ok()),
-    ) {
-        (Some("OBSERVE"), Some(cell), Some(machine)) => Ok(HandoffLine {
-            line: raw.to_string(),
-            cell: cell.to_string(),
-            machine,
-        }),
-        _ => Err(proto_err(format_args!(
-            "handoff dump line is not an OBSERVE: {raw:?}"
-        ))),
+/// Reads one `\n`-terminated line into `line` (cleared first).
+fn read_wire_line(reader: &mut impl BufRead, line: &mut String) -> io::Result<()> {
+    line.clear();
+    if reader.read_line(line)? == 0 || !line.ends_with('\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "peer closed mid-answer",
+        ));
     }
+    Ok(())
 }
 
-/// Fetches a member's handoff sample log (`HANDOFF`): the `HANDOFF <n>`
-/// header followed by `n` `OBSERVE` lines in original arrival order.
-///
-/// # Errors
-///
-/// I/O errors (including a dump truncated mid-stream) and `InvalidData`
-/// for a malformed header or a non-`OBSERVE` dump line — including the
-/// `ERR internal` a member with the log disabled answers.
-pub fn handoff(addr: SocketAddr) -> io::Result<Vec<HandoffLine>> {
+/// A blocking control connection to `addr` with the control deadlines.
+fn connect(addr: SocketAddr) -> io::Result<(TcpStream, BufReader<TcpStream>)> {
     let stream = TcpStream::connect_timeout(&addr, CONTROL_TIMEOUT)?;
     stream.set_read_timeout(Some(CONTROL_TIMEOUT))?;
     stream.set_write_timeout(Some(CONTROL_TIMEOUT))?;
-    let mut writer = stream.try_clone()?;
+    Ok((stream.try_clone()?, BufReader::new(stream)))
+}
+
+/// Fetches a member's machine state (`HANDOFF`): the `HANDOFF <n>`
+/// header followed by `n` state records, one per machine the member
+/// holds.
+///
+/// # Errors
+///
+/// I/O errors (including a dump truncated mid-record) and `InvalidData`
+/// for a malformed header or record header.
+pub fn handoff(addr: SocketAddr) -> io::Result<Vec<ViewRecord>> {
+    let (mut writer, mut reader) = connect(addr)?;
     writer.write_all(b"HANDOFF\n")?;
     writer.flush()?;
-    let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "peer closed before answering",
-        ));
-    }
+    read_wire_line(&mut reader, &mut line)?;
     let header = line.trim_end();
     let Some(n) = header
         .strip_prefix("HANDOFF ")
-        .and_then(|s| s.parse::<usize>().ok())
+        .and_then(|s| s.parse::<u64>().ok())
     else {
         return Err(proto_err(format_args!(
             "expected 'HANDOFF <n>', got {header:?}"
         )));
     };
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!("handoff dump truncated at line {i}/{n}"),
-            ));
+    // The peer's count bounds the loop, never an allocation.
+    let mut out = Vec::new();
+    for _ in 0..n {
+        read_wire_line(&mut reader, &mut line)?;
+        let view = parse_view_header(line.trim_end()).map_err(proto_err)?;
+        let mut text = line.clone();
+        for _ in 0..view.parts {
+            read_wire_line(&mut reader, &mut line)?;
+            text.push_str(&line);
         }
-        out.push(parse_handoff_line(line.trim_end())?);
+        out.push(ViewRecord {
+            cell: view.cell.name().to_string(),
+            machine: view.machine.0,
+            samples: view.samples,
+            lines: 1 + view.parts,
+            text,
+        });
     }
     Ok(out)
 }
 
-/// Replays raw `OBSERVE` request `lines` into the member at `addr`, in
-/// order — the state-rebuild primitive. Each window goes out as **one
-/// `BATCH` frame** with one frame in flight, and the member applies a
-/// frame's lines in line order before it answers them, so a machine's
-/// samples can never overtake each other. `ERR` answers (e.g. `not-mine`
-/// for keys outside the target's slots) count as rejected, not failures.
-/// Returns `(acknowledged, rejected)`, every line counted once.
+/// What `RESTORE` installed, summed over its frames.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Restored {
+    /// Machines installed.
+    pub machines: u64,
+    /// Samples the installed states carry.
+    pub samples: u64,
+    /// Records the member refused: owned elsewhere, or already held.
+    pub rejected: u64,
+}
+
+/// Installs state `records` into the member at `addr` (`RESTORE`),
+/// packed into frames of at most [`MAX_BATCH`] lines that never split a
+/// record. Every frame is written before the answers are read: each
+/// answer is one short line, so neither side can stall the other.
+///
+/// # Errors
+///
+/// I/O errors, and `InvalidData` for a frame the member answered with
+/// anything but `RESTORED` (e.g. `ERR parse` for a malformed record).
+pub fn restore<'a>(
+    addr: SocketAddr,
+    records: impl IntoIterator<Item = &'a ViewRecord>,
+) -> io::Result<Restored> {
+    let mut wire = Vec::new();
+    let mut frame = Vec::new();
+    let (mut frame_lines, mut frames) = (0usize, 0usize);
+    let mut seal = |frame: &mut Vec<u8>, lines: usize| {
+        wire.extend_from_slice(b"RESTORE ");
+        push_u64(&mut wire, lines as u64);
+        wire.push(b'\n');
+        wire.append(frame);
+    };
+    for record in records {
+        if frame_lines + record.lines > MAX_BATCH {
+            seal(&mut frame, frame_lines);
+            (frame_lines, frames) = (0, frames + 1);
+        }
+        frame.extend_from_slice(record.text.as_bytes());
+        frame_lines += record.lines;
+    }
+    if frame_lines > 0 {
+        seal(&mut frame, frame_lines);
+        frames += 1;
+    }
+    let mut total = Restored::default();
+    if frames == 0 {
+        return Ok(total);
+    }
+    let (mut writer, mut reader) = connect(addr)?;
+    writer.write_all(&wire)?;
+    writer.flush()?;
+    let mut line = String::new();
+    for _ in 0..frames {
+        read_wire_line(&mut reader, &mut line)?;
+        match Response::parse(line.trim_end()).map_err(proto_err)? {
+            Response::Restored {
+                machines,
+                samples,
+                rejected,
+            } => {
+                total.machines += machines;
+                total.samples += samples;
+                total.rejected += rejected;
+            }
+            other => return Err(proto_err(format_args!("RESTORE answered {other:?}"))),
+        }
+    }
+    Ok(total)
+}
+
+/// Drives raw `OBSERVE` request `lines` into the member at `addr`, in
+/// order — the smoke scenario's and the tests' ingest path. Each window
+/// goes out as **one `BATCH` frame** with one frame in flight, and the
+/// member applies a frame's lines in line order before it answers them,
+/// so a machine's samples can never overtake each other. `ERR` answers
+/// (e.g. `not-mine` for keys outside the target's slots) count as
+/// rejected, not failures. Returns `(acknowledged, rejected)`, every
+/// line counted once.
 ///
 /// # Errors
 ///
@@ -278,21 +347,8 @@ pub fn drive_lines(addr: SocketAddr, lines: &[String]) -> io::Result<(u64, u64)>
     if lines.is_empty() {
         return Ok((0, 0));
     }
-    let stream = TcpStream::connect_timeout(&addr, CONTROL_TIMEOUT)?;
-    stream.set_read_timeout(Some(CONTROL_TIMEOUT))?;
-    stream.set_write_timeout(Some(CONTROL_TIMEOUT))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut read_line = move |resp: &mut String| -> io::Result<()> {
-        resp.clear();
-        if reader.read_line(resp)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "peer closed mid-replay",
-            ));
-        }
-        Ok(())
-    };
+    let (mut writer, mut reader) = connect(addr)?;
+    let mut read_line = move |resp: &mut String| read_wire_line(&mut reader, resp);
     let mut acknowledged = 0u64;
     let mut rejected = 0u64;
     let mut frame = Vec::new();
@@ -338,7 +394,7 @@ pub fn drive_lines(addr: SocketAddr, lines: &[String]) -> io::Result<(u64, u64)>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::smoke::{observe_line, usage};
+    use crate::smoke::{observe_line, predict, usage};
     use oc_core::ingest::IncrementalView;
     use oc_core::predictor::clamp_prediction;
     use oc_serve::config::ServeConfig;
@@ -349,11 +405,41 @@ mod tests {
     const MACHINES: u64 = 400;
     const TICKS: u64 = 25;
 
-    /// Machine-major, tick-minor — the order `Cluster::replace` drives.
+    /// Machine-major, tick-minor.
     fn lines_of(cell: &str) -> Vec<String> {
         (0..MACHINES)
             .flat_map(|m| (0..TICKS).map(move |t| observe_line(cell, m, t)))
             .collect()
+    }
+
+    /// A standalone single-shard member: one lock for every machine.
+    fn single_shard() -> Server {
+        Server::start(ServeConfig::default().with_shards(1)).expect("server starts")
+    }
+
+    /// Every machine of both cells is served with the bits of an
+    /// offline recompute of its stream.
+    fn assert_offline(addr: SocketAddr) {
+        let cfg = ServeConfig::default();
+        let predictor = cfg.predictor.build().expect("predictor");
+        for m in 0..MACHINES {
+            let mut view =
+                IncrementalView::new(cfg.machine_capacity, &cfg.sim).with_max_gap(cfg.max_tick_gap);
+            for t in 0..TICKS {
+                view.ingest(Tick(t), TaskId::new(JobId(1), 0), 0.5, usage(m, t))
+                    .expect("a fresh stream ingests");
+            }
+            view.flush();
+            let expected = clamp_prediction(predictor.predict(view.view()), view.view());
+            for cell in ["fleet", "rival"] {
+                let got = predict(addr, cell, m).expect("predict");
+                assert_eq!(
+                    got.to_bits(),
+                    expected.to_bits(),
+                    "{cell}/{m} diverged from the offline view"
+                );
+            }
+        }
     }
 
     /// Two replays contending for one single-shard member must still
@@ -362,10 +448,7 @@ mod tests {
     /// streams is ingested, and the end state is the offline one.
     #[test]
     fn rival_replays_keep_machine_order() {
-        let cfg = ServeConfig::default()
-            .with_addr("127.0.0.1:0")
-            .with_shards(1);
-        let server = Server::start(cfg.clone()).expect("server starts");
+        let server = single_shard();
         let addr = server.addr();
         let lines = lines_of("fleet");
         let rival = lines_of("rival");
@@ -376,34 +459,66 @@ mod tests {
             let report = other.join().expect("rival thread").expect("rival replay");
             assert_eq!(report, (rival.len() as u64, 0));
         });
-
-        let predictor = cfg.predictor.build().expect("predictor");
-        let task = TaskId::new(JobId(1), 0);
-        for m in 0..MACHINES {
-            let mut view =
-                IncrementalView::new(cfg.machine_capacity, &cfg.sim).with_max_gap(cfg.max_tick_gap);
-            for t in 0..TICKS {
-                let _ = view.ingest(Tick(t), task, 0.5, usage(m, t));
-            }
-            view.flush();
-            let expected = clamp_prediction(predictor.predict(view.view()), view.view());
-            let req = Request::Predict {
-                cell: CellId::new("fleet"),
-                machine: MachineId(m as u32),
-                vector: false,
-            };
-            match request(addr, &req).expect("predict") {
-                Response::Pred { peak, .. } => assert_eq!(
-                    peak.to_bits(),
-                    expected.to_bits(),
-                    "machine {m} diverged from the offline view"
-                ),
-                other => panic!("machine {m}: PREDICT answered {other:?}"),
-            }
-        }
+        assert_offline(addr);
         let stats = server.shutdown();
         assert_eq!(stats.busy, 0);
         assert_eq!(stats.stale, 0, "samples overtook their own machine");
         assert_eq!(stats.observes, (lines.len() + rival.len()) as u64);
+    }
+
+    /// Two rival restores into one single-shard member: every record of
+    /// both installs, every machine is then served with its offline bits,
+    /// nothing counts as ingested, stale or failed — and restoring the
+    /// same records again installs nothing.
+    #[test]
+    fn rival_restores_install_every_machine_bit_identically() {
+        let source = single_shard();
+        drive_lines(source.addr(), &lines_of("fleet")).expect("ingest");
+        drive_lines(source.addr(), &lines_of("rival")).expect("ingest");
+        let records = handoff(source.addr()).expect("dump");
+        assert_eq!(records.len() as u64, 2 * MACHINES);
+        assert!(records.iter().all(|r| r.samples == TICKS));
+        let (fleet, rival): (Vec<&ViewRecord>, Vec<&ViewRecord>) =
+            records.iter().partition(|r| r.cell == "fleet");
+
+        let target = single_shard();
+        let addr = target.addr();
+        let all = Restored {
+            machines: MACHINES,
+            samples: MACHINES * TICKS,
+            rejected: 0,
+        };
+        std::thread::scope(|scope| {
+            let other = scope.spawn(|| restore(addr, rival.iter().copied()));
+            assert_eq!(restore(addr, fleet.iter().copied()).expect("restore"), all);
+            assert_eq!(other.join().expect("rival thread").expect("restore"), all);
+        });
+        assert_offline(addr);
+        let again = restore(addr, &records).expect("second restore");
+        assert_eq!((again.machines, again.rejected), (0, 2 * MACHINES));
+        let stats = target.shutdown();
+        assert_eq!((stats.observes, stats.stale, stats.errors), (0, 0, 0));
+        assert_eq!(stats.machines, 2 * MACHINES);
+    }
+
+    /// A malformed record fails its whole frame with `ERR parse` and
+    /// installs nothing; the connection keeps serving.
+    #[test]
+    fn a_malformed_record_fails_its_frame() {
+        let source = single_shard();
+        drive_lines(source.addr(), &lines_of("fleet")[..3 * TICKS as usize]).expect("ingest");
+        let mut records = handoff(source.addr()).expect("dump");
+        assert_eq!(records.len(), 3);
+        // The record's last byte is the top byte of its sample counter:
+        // an `f` digit there puts the count beyond any real history.
+        let bad = &mut records[2];
+        let at = bad.text.len() - 2;
+        bad.text.replace_range(at..at + 1, "f");
+        let target = single_shard();
+        let err = restore(target.addr(), &records).expect_err("malformed frame");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let stats = stats(target.addr()).expect("stats");
+        assert_eq!(stats.machines, 0, "a failed frame installs nothing");
+        target.shutdown();
     }
 }

@@ -34,11 +34,6 @@ pub struct NodeArgs {
     /// Override for `sim.max_num_samples` (the per-task history window)
     /// — fleet-scale runs shrink it to bound per-machine memory.
     pub history_samples: Option<usize>,
-    /// Whether the member keeps the handoff sample log that
-    /// `Cluster::replace`/`Cluster::resize` rebuild state from. Costs
-    /// memory proportional to ingested samples; fleet-scale memory
-    /// diets turn it off (losing online replacement).
-    pub handoff_log: bool,
 }
 
 impl NodeArgs {
@@ -65,9 +60,6 @@ impl NodeArgs {
             out.push("--history-samples".into());
             out.push(h.to_string());
         }
-        if self.handoff_log {
-            out.push("--handoff-log".into());
-        }
         out
     }
 
@@ -83,7 +75,6 @@ impl NodeArgs {
         let mut shards = 2usize;
         let mut max_connections = 1024usize;
         let mut history_samples = None;
-        let mut handoff_log = false;
         let mut it = args.iter();
         while let Some(flag) = it.next() {
             let mut val = |flag: &str| {
@@ -109,7 +100,6 @@ impl NodeArgs {
                 "--history-samples" => {
                     history_samples = Some(num!("--history-samples", usize));
                 }
-                "--handoff-log" => handoff_log = true,
                 other => return Err(format!("unknown node flag {other}")),
             }
         }
@@ -125,7 +115,6 @@ impl NodeArgs {
             shards,
             max_connections,
             history_samples,
-            handoff_log,
         })
     }
 
@@ -161,8 +150,7 @@ impl NodeArgs {
                 vnodes: self.spec.vnodes,
                 seed: self.spec.seed,
             })
-            .with_ownership_factory(factory)
-            .with_handoff_log(self.handoff_log);
+            .with_ownership_factory(factory);
         if let Some(h) = self.history_samples {
             cfg.sim.max_num_samples = h.max(1);
             cfg.sim.min_num_samples = cfg.sim.min_num_samples.min(cfg.sim.max_num_samples);
@@ -218,7 +206,6 @@ mod tests {
             shards: 4,
             max_connections: 64,
             history_samples: Some(12),
-            handoff_log: true,
         };
         let back = NodeArgs::parse(&args.to_args()).unwrap();
         assert_eq!(back.spec, args.spec);
@@ -226,7 +213,6 @@ mod tests {
         assert_eq!(back.shards, args.shards);
         assert_eq!(back.max_connections, args.max_connections);
         assert_eq!(back.history_samples, args.history_samples);
-        assert_eq!(back.handoff_log, args.handoff_log);
     }
 
     #[test]

@@ -1,6 +1,13 @@
 //! The 3-process smoke scenario run by `oc-clusterd --smoke` (and CI):
-//! ingest a mirrored fleet, verify redirects, SIGKILL one member, and
-//! prove the ring successor serves bit-identical predictions.
+//! ingest a mirrored fleet, verify redirects, SIGKILL one member, prove
+//! the ring successor serves bit-identical predictions, keep ingesting on
+//! the survivors, then replace the dead member from the survivors' state
+//! records and prove that every machine's owner *and* replica serve the
+//! bits the surviving holder served before the replacement.
+//!
+//! The fleet, its routed ingest and the holder check are public so the
+//! multi-process tests (`crates/cluster/tests/rebuild.rs`) drive the same
+//! shapes.
 
 use crate::aggregator::{self, Aggregator};
 use crate::control;
@@ -10,28 +17,38 @@ use oc_serve::proto::{epoch_ring_generation, ErrCode, Request, Response};
 use oc_serve::shard::key_hash;
 use oc_trace::ids::{CellId, MachineId};
 use std::net::SocketAddr;
+use std::ops::Range;
 
 /// Machines in the smoke fleet.
 const MACHINES: u64 = 120;
-/// Samples per machine.
+/// Samples per machine before the kill.
 const TICKS: u64 = 30;
+/// Samples per machine ingested on the survivors after the kill.
+const FAILOVER_TICKS: u64 = 10;
 
 /// A deterministic per-(machine, tick) usage in `(0, 0.5]` so every
 /// machine's prediction differs — state mixups cannot cancel out.
-pub(crate) fn usage(machine: u64, tick: u64) -> f64 {
+pub fn usage(machine: u64, tick: u64) -> f64 {
     0.05 + 0.45 * (((machine * 31 + tick * 7) % 97) as f64 / 97.0)
 }
 
-pub(crate) fn observe_line(cell: &str, machine: u64, tick: u64) -> String {
+/// The `OBSERVE` line of `machine`'s sample at `tick` (task `1:0`, limit
+/// 0.5).
+pub fn observe_line(cell: &str, machine: u64, tick: u64) -> String {
     format!(
         "OBSERVE {cell} {machine} 1:0 {} 0.5 {tick}",
         usage(machine, tick)
     )
 }
 
-fn predict(addr: SocketAddr, cell: &CellId, machine: u64) -> Result<f64, String> {
+/// A scalar `PREDICT` of `machine` in `cell`, served by `addr`.
+///
+/// # Errors
+///
+/// The exchange failed, or the member answered anything but `PRED`.
+pub fn predict(addr: SocketAddr, cell: &str, machine: u64) -> Result<f64, String> {
     let req = Request::Predict {
-        cell: cell.clone(),
+        cell: CellId::new(cell),
         machine: MachineId(machine as u32),
         vector: false,
     };
@@ -39,6 +56,97 @@ fn predict(addr: SocketAddr, cell: &CellId, machine: u64) -> Result<f64, String>
         Response::Pred { peak, .. } => Ok(peak),
         other => Err(format!("predict via {addr}: got {other:?}")),
     }
+}
+
+/// Ingests `ticks` of machines `0..machines` the way a mirroring cluster
+/// client routes them under the liveness mask `alive`: every sample to
+/// the machine's live owner and to [`HashRing::mirror_target`].
+///
+/// # Errors
+///
+/// A member refused a line or could not be driven.
+pub fn drive_pass(
+    ring: &HashRing,
+    addrs: &[SocketAddr],
+    alive: &[bool],
+    cell: &str,
+    machines: u64,
+    ticks: Range<u64>,
+) -> Result<(), String> {
+    let mut plans: Vec<Vec<String>> = vec![Vec::new(); addrs.len()];
+    for m in 0..machines {
+        let h = key_hash(&(CellId::new(cell), MachineId(m as u32)));
+        let owner = ring.owner(h, alive).ok_or("no live owner")?;
+        let mirror = ring.mirror_target(h, alive);
+        for t in ticks.clone() {
+            let line = observe_line(cell, m, t);
+            if let Some(r) = mirror {
+                plans[r].push(line.clone());
+            }
+            plans[owner].push(line);
+        }
+    }
+    for (node, plan) in plans.iter().enumerate() {
+        let (oks, rejected) = control::drive_lines(addrs[node], plan)
+            .map_err(|e| format!("drive node {node}: {e}"))?;
+        if oks != plan.len() as u64 || rejected != 0 {
+            return Err(format!(
+                "node {node}: {oks}/{} samples acknowledged, {rejected} rejected",
+                plan.len()
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Checks that both holders — owner and replica under the all-alive
+/// `ring` — of every machine `0..machines` serve the bits of
+/// `expected(machine)`. Returns how many machines `slot` holds.
+///
+/// # Errors
+///
+/// The first machine whose holder diverged, or a failed exchange.
+pub fn check_holders(
+    ring: &HashRing,
+    addrs: &[SocketAddr],
+    cell: &str,
+    machines: u64,
+    slot: usize,
+    expected: impl Fn(u64) -> f64,
+) -> Result<u64, String> {
+    let all_alive = vec![true; addrs.len()];
+    let mut held = 0;
+    for m in 0..machines {
+        let h = key_hash(&(CellId::new(cell), MachineId(m as u32)));
+        let want = expected(m);
+        let (owner, replica) = ring.routes(h, &all_alive);
+        for holder in [owner, replica].into_iter().flatten() {
+            held += u64::from(holder == slot);
+            let got = predict(addrs[holder], cell, m)?;
+            if got.to_bits() != want.to_bits() {
+                return Err(format!("machine {m} on member {holder}: {got} != {want}"));
+            }
+        }
+    }
+    Ok(held)
+}
+
+/// What the live owner of every machine `0..machines` serves under the
+/// liveness mask `alive`.
+fn served(
+    ring: &HashRing,
+    addrs: &[SocketAddr],
+    alive: &[bool],
+    cell: &str,
+    machines: u64,
+) -> Result<Vec<f64>, String> {
+    (0..machines)
+        .map(|m| {
+            let h = key_hash(&(CellId::new(cell), MachineId(m as u32)));
+            let owner = ring.owner(h, alive).ok_or("no live owner")?;
+            predict(addrs[owner], cell, m)
+        })
+        .collect()
 }
 
 /// Runs the scenario. `Ok` means every invariant held.
@@ -60,29 +168,7 @@ pub fn run() -> Result<(), String> {
 
     // Route the fleet: every machine's samples go to its owner and are
     // mirrored to its replica.
-    let mut plans: Vec<Vec<String>> = vec![Vec::new(); 3];
-    let mut owner_of = Vec::with_capacity(MACHINES as usize);
-    for m in 0..MACHINES {
-        let h = key_hash(&(cell.clone(), MachineId(m as u32)));
-        let (owner, replica) = ring.routes(h, &all_alive);
-        let (owner, replica) = (owner.unwrap(), replica.unwrap());
-        owner_of.push(owner);
-        for t in 0..TICKS {
-            let line = observe_line("smoke", m, t);
-            plans[owner].push(line.clone());
-            plans[replica].push(line);
-        }
-    }
-    for (node, plan) in plans.iter().enumerate() {
-        let (oks, rejected) = control::drive_lines(addrs[node], plan)
-            .map_err(|e| format!("drive node {node}: {e}"))?;
-        if oks != plan.len() as u64 || rejected != 0 {
-            return Err(format!(
-                "node {node}: {oks}/{} samples acknowledged, {rejected} rejected",
-                plan.len()
-            ));
-        }
-    }
+    drive_pass(&ring, &addrs, &all_alive, "smoke", MACHINES, 0..TICKS)?;
     println!("smoke: ingested {MACHINES} machines x {TICKS} ticks, mirrored");
 
     // A member that owns neither the key nor its replica slot must
@@ -118,32 +204,24 @@ pub fn run() -> Result<(), String> {
             return Err(format!("{addr}: unexpected ring generation"));
         }
     }
-
-    // Owner-served predictions before the failure.
-    let mut expected = Vec::with_capacity(MACHINES as usize);
-    for m in 0..MACHINES {
-        expected.push(predict(addrs[owner_of[m as usize]], &cell, m)?);
-    }
+    // Owner and replica agree on every machine before the failure.
+    let before = served(&ring, &addrs, &all_alive, "smoke", MACHINES)?;
+    check_holders(&ring, &addrs, "smoke", MACHINES, 0, |m| before[m as usize])?;
 
     // SIGKILL member 0 mid-service; its replicas hold every sample.
     cluster.kill(0).map_err(|e| format!("kill: {e}"))?;
     let alive = cluster.alive();
     println!("smoke: SIGKILLed member 0");
 
+    let after = served(&ring, &addrs, &alive, "smoke", MACHINES)?;
     let mut failed_over = 0u64;
     for m in 0..MACHINES {
         let h = key_hash(&(cell.clone(), MachineId(m as u32)));
-        let new_owner = ring
-            .owner(h, &alive)
-            .ok_or_else(|| "no live owner".to_string())?;
-        if owner_of[m as usize] == 0 {
-            failed_over += 1;
-        }
-        let got = predict(addrs[new_owner], &cell, m)?;
-        if got.to_bits() != expected[m as usize].to_bits() {
+        failed_over += u64::from(ring.owner(h, &all_alive) == Some(0));
+        let (got, expected) = (after[m as usize], before[m as usize]);
+        if got.to_bits() != expected.to_bits() {
             return Err(format!(
-                "machine {m}: prediction diverged after failover ({got} != {})",
-                expected[m as usize]
+                "machine {m}: prediction diverged after failover ({got} != {expected})"
             ));
         }
     }
@@ -151,6 +229,12 @@ pub fn run() -> Result<(), String> {
         return Err("member 0 owned no machines; smoke proves nothing".to_string());
     }
     println!("smoke: {failed_over} machines failed over with bit-identical predictions");
+
+    // Keep ingesting on the two survivors: the machines member 0 held
+    // move on without it.
+    let ticks = TICKS + FAILOVER_TICKS;
+    drive_pass(&ring, &addrs, &alive, "smoke", MACHINES, TICKS..ticks)?;
+    let survivors = served(&ring, &addrs, &alive, "smoke", MACHINES)?;
 
     // Cluster-wide aggregation over the survivors, directly and through
     // the aggregator endpoint.
@@ -182,25 +266,25 @@ pub fn run() -> Result<(), String> {
         merged.observes, merged.machines
     );
 
-    // Replace the killed member into its slot: state rebuilt from the
-    // survivors' handoff logs, generation bumped, ring pushed.
+    // Replace the killed member into its slot: state installed from the
+    // survivors' state records, generation bumped, ring pushed.
     let report = cluster.replace(0).map_err(|e| format!("replace: {e}"))?;
     if report.replayed == 0 {
-        return Err("replace replayed no samples".to_string());
+        return Err("replace installed no samples".to_string());
     }
     if report.rejected != 0 {
         return Err(format!(
-            "replace drove {} lines the slot refused; the supervisor's ring \
-             and the member's ownership disagree",
+            "replace sent {} records the slot refused; the supervisor's ring \
+             and the member disagree",
             report.rejected
         ));
     }
     let addrs = cluster.addrs(); // slot 0 has a fresh address
     let s0 = control::stats(addrs[0]).map_err(|e| format!("stats replaced: {e}"))?;
-    if s0.stale != 0 || s0.errors != 0 {
+    if s0.observes != 0 || s0.stale != 0 || s0.errors != 0 {
         return Err(format!(
-            "replay reached the replaced member out of order: stale {}, errors {}",
-            s0.stale, s0.errors
+            "a restored member ingests nothing: observes {}, stale {}, errors {}",
+            s0.observes, s0.stale, s0.errors
         ));
     }
     if epoch_ring_generation(s0.epoch) != 1 {
@@ -209,23 +293,20 @@ pub fn run() -> Result<(), String> {
             s0.epoch
         ));
     }
-    // The replaced member serves its original ranges bit-identically.
-    let mut back_home = 0u64;
-    for m in 0..MACHINES {
-        if owner_of[m as usize] != 0 {
-            continue;
-        }
-        back_home += 1;
-        let got = predict(addrs[0], &cell, m)?;
-        if got.to_bits() != expected[m as usize].to_bits() {
-            return Err(format!(
-                "machine {m}: prediction diverged after replace ({got} != {})",
-                expected[m as usize]
-            ));
-        }
-    }
+    // Every machine's owner and replica — the replaced member among
+    // them — serve what the survivors served for the full stream, the
+    // ticks ingested while member 0 was dead included.
+    let back_home = check_holders(&ring, &addrs, "smoke", MACHINES, 0, |m| {
+        survivors[m as usize]
+    })?;
     if back_home == 0 {
-        return Err("member 0 owned no machines; replace proves nothing".to_string());
+        return Err("member 0 holds no machines; replace proves nothing".to_string());
+    }
+    if report.replayed != back_home * ticks {
+        return Err(format!(
+            "replace installed {} samples for {back_home} machines of {ticks} ticks",
+            report.replayed
+        ));
     }
     // Any member answers RING with the bumped description — what
     // clients auto-adopt from.
@@ -234,8 +315,8 @@ pub fn run() -> Result<(), String> {
         return Err(format!("unexpected RING answer: {desc:?}"));
     }
     println!(
-        "smoke: replaced member 0 (replayed {} from {} survivors); \
-         {back_home} machines served bit-identically at generation 1",
+        "smoke: replaced member 0 (installed {} samples' worth of state from {} survivors); \
+         {back_home} machines served bit-identically by owner and replica at generation 1",
         report.replayed, report.sources
     );
 

@@ -11,12 +11,13 @@
 //! serves the migrated range under a bumped ring generation.
 //!
 //! [`Cluster::replace`] closes the loop: a dead or retired slot is
-//! respawned in place, its machine state rebuilt by replaying the
-//! survivors' `HANDOFF` logs over the wire, and the bumped ring pushed
-//! to every member via `RINGSET` — from where clients auto-adopt it
-//! through the `RING` probe (PROTOCOL.md §7.4), no operator calls.
+//! respawned in place, its machine state installed from the survivors'
+//! state records (`HANDOFF` dumps each machine's view, `RESTORE`
+//! installs it — no sample is replayed), and the bumped ring pushed to
+//! every member via `RINGSET` — from where clients auto-adopt it through
+//! the `RING` probe (PROTOCOL.md §7.4), no operator calls.
 
-use crate::control;
+use crate::control::{self, ViewRecord};
 use crate::node::NodeArgs;
 use crate::ring::{RingSpec, DEFAULT_SEED, DEFAULT_VNODES};
 use oc_serve::config::KeyRole;
@@ -27,8 +28,22 @@ use std::io::{self, BufRead, BufReader};
 use std::net::SocketAddr;
 use std::process::{Child, ChildStdout, Command, Stdio};
 
-/// Handoff-log lines keyed by `(cell, machine)` — the unit of replay.
-type LogsByMachine = HashMap<(String, u32), Vec<String>>;
+/// The most complete state record of each `(cell, machine)` across the
+/// members that were asked — the unit of state transfer.
+type RecordsByMachine = HashMap<(String, u32), ViewRecord>;
+
+/// Keeps `record` if it is the most complete copy of its machine so far:
+/// the one carrying the most samples. Owner and replica ingest the same
+/// stream and agree; a copy that missed part of it carries fewer.
+fn keep_most_complete(best: &mut RecordsByMachine, record: ViewRecord) {
+    let key = (record.cell.clone(), record.machine);
+    match best.get(&key) {
+        Some(held) if held.samples >= record.samples => {}
+        _ => {
+            best.insert(key, record);
+        }
+    }
+}
 
 /// How a [`Cluster`] is shaped.
 #[derive(Debug, Clone)]
@@ -46,10 +61,10 @@ pub struct ClusterConfig {
     /// Per-task history window override (`sim.max_num_samples`) for
     /// fleet-scale memory bounding; `None` keeps the paper default.
     pub history_samples: Option<usize>,
-    /// Whether members keep the handoff sample log that
-    /// [`Cluster::replace`]/[`Cluster::resize`] rebuild state from. On
-    /// by default; fleet-scale memory diets turn it off (replacement
-    /// then has nothing to replay).
+    /// Has no effect: members keep no sample log, and
+    /// [`Cluster::replace`]/[`Cluster::resize`] always move view state.
+    /// Kept only so the repository benchmark package, which sets it,
+    /// builds unchanged; it goes with that package's next revision.
     pub handoff_log: bool,
 }
 
@@ -118,17 +133,21 @@ impl Drop for SpawnGuard {
     }
 }
 
-/// What a [`Cluster::replace`] / [`Cluster::resize`] state rebuild did.
+/// What a [`Cluster::replace`] / [`Cluster::resize`] state transfer did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayReport {
-    /// `OBSERVE` lines replayed and acknowledged by rebuilt members.
+    /// Samples the installed machine states carry — the sum of their
+    /// ingested-sample counts: the number of `OBSERVE` lines a replay
+    /// would have had to drive to rebuild the same state.
     pub replayed: u64,
-    /// Lines a target refused (`ERR not-mine`: keys outside its
-    /// slots). The supervisor only drives what the target's slots hold,
-    /// so this is an alarm, expected 0: non-zero means the supervisor's
-    /// ring and the member's ownership map disagree.
+    /// State records a target refused: a machine outside its slots
+    /// (its ownership map says `Remote`), or one it already holds. The
+    /// supervisor only sends what the target's slots hold and what it
+    /// lacks, so this is an alarm, expected 0: non-zero means the
+    /// supervisor's ring and the member disagree, or ingest was not
+    /// quiesced around the step.
     pub rejected: u64,
-    /// Live members whose handoff logs fed the rebuild.
+    /// Live members whose state dumps fed the transfer.
     pub sources: usize,
 }
 
@@ -201,7 +220,6 @@ impl Cluster {
             shards: self.cfg.shards,
             max_connections: self.cfg.max_connections,
             history_samples: self.cfg.history_samples,
-            handoff_log: self.cfg.handoff_log,
         }
     }
 
@@ -321,32 +339,40 @@ impl Cluster {
     }
 
     /// Respawns a dead or retired member into the same ring slot,
-    /// rebuilds its machine state by replaying the survivors' handoff
-    /// logs over the wire, bumps the ring generation, and pushes the
-    /// new ring to every member — from where clients auto-adopt it.
+    /// installs its machine state from the survivors' state records,
+    /// bumps the ring generation, and pushes the new ring to every
+    /// member — from where clients auto-adopt it.
     ///
     /// Placement depends only on `(seed, node, vnode)`, never on the
     /// generation, so a same-slot replacement moves no keys (pinned by
-    /// the `ring_props` proptests): the rebuilt member serves exactly
-    /// its predecessor's ranges. For every key the dead member owned,
-    /// its ring replica mirrored the full ingest stream; for every key
-    /// it replicated, the owner holds it — so across the survivors the
-    /// longest per-machine log is the complete one, and replaying it
-    /// reproduces bit-identical predictions (replay order per machine
-    /// is arrival order; predictions are a pure function of ingested
-    /// state).
+    /// the `ring_props` proptests): the new member serves exactly its
+    /// predecessor's ranges. For every key the dead member owned, its
+    /// ring replica ingested the full stream; for every key it
+    /// replicated, the owner holds it. Each survivor dumps every machine
+    /// it holds as one state record (the view's exact state, see
+    /// `oc_core::ingest`); per machine the record carrying the most
+    /// samples wins, and the records the slot's ownership map gives a
+    /// role are installed with `RESTORE` — no sample is replayed, so the
+    /// step costs the retained windows, not the history.
     ///
     /// A member that is still alive is retired (drained) first. Samples
-    /// ingested *between* the kill and the replace live only on the
-    /// failover survivors; quiesce ingest around `replace` (or accept
-    /// that the rebuilt member serves only what the logs held — the
-    /// survivors still answer for the window, see OPERATIONS.md).
+    /// ingested *between* the dump and the ring push reach only the
+    /// survivors: quiesce ingest around `replace` (the survivors still
+    /// answer for the window, see OPERATIONS.md).
     ///
     /// # Errors
     ///
-    /// Propagates spawn, handoff-collection, replay, and ring-push
-    /// failures. On error the slot stays dead and the old ring remains
-    /// in force.
+    /// Propagates spawn, dump, restore and ring-push failures.
+    ///
+    /// * A spawn, dump or restore failure leaves the slot dead and the
+    ///   old ring in force: the replacement child is killed and the
+    ///   generation is not bumped.
+    /// * A failed ring push comes after the step took effect: the new
+    ///   member holds the slot and serves its state, [`Cluster::spec`]
+    ///   reports the bumped generation, and the members before the
+    ///   failing one (in ring order) already run it. Once the failing
+    ///   member is reachable again — or marked dead with
+    ///   [`Cluster::kill`] — [`Cluster::push_ring`] completes the step.
     pub fn replace(&mut self, index: usize) -> io::Result<ReplayReport> {
         assert!(index < self.members.len(), "slot beyond ring membership");
         if self.members[index].alive {
@@ -368,34 +394,28 @@ impl Cluster {
     }
 
     /// Spawns the replacement for slot `index` while the survivors'
-    /// logs stream in, then replays what the slot holds into it: the
-    /// machines the slot's own ownership map (the one the new member
-    /// enforces) does not call `Remote`, one lookup per machine. The
-    /// member's check stays on as the safety net behind this filter.
-    /// The child never outlives an error.
+    /// dumps stream in, then installs what the slot holds: the machines
+    /// the slot's own ownership map (the one the new member enforces)
+    /// does not call `Remote`, one lookup per machine. The member's
+    /// check stays on as the safety net behind this filter. The child
+    /// never outlives an error.
     fn rebuild_slot(&self, index: usize) -> io::Result<(Member, ReplayReport)> {
-        let (logs, spawned) = self.collect_logs(|| self.spawn_member(index));
+        let (records, spawned) = self.collect_views(|| self.spawn_member(index));
         let guard = SpawnGuard {
             members: vec![spawned?],
         };
-        let (per_machine, sources) = logs?;
+        let (best, sources) = records?;
         let ownership = self.spec.build().ownership_for(index);
-        // Per-machine line order is arrival order; machines interleave
-        // arbitrarily, which ingestion does not care about.
-        let lines: Vec<String> = per_machine
-            .into_iter()
-            .filter(|((cell, machine), _)| {
-                ownership.role_of(control::machine_hash(cell, *machine)) != KeyRole::Remote
-            })
-            .flat_map(|(_, lines)| lines)
-            .collect();
-        let (replayed, rejected) = control::drive_lines(guard.members[0].addr, &lines)?;
+        let slot = best
+            .values()
+            .filter(|record| ownership.role_of(record.key_hash()) != KeyRole::Remote);
+        let restored = control::restore(guard.members[0].addr, slot)?;
         let member = guard.disarm().pop().expect("the guarded member");
         Ok((
             member,
             ReplayReport {
-                replayed,
-                rejected,
+                replayed: restored.samples,
+                rejected: restored.rejected,
                 sources,
             },
         ))
@@ -404,13 +424,14 @@ impl Cluster {
     /// Grows or shrinks the ring to `new_nodes` members: spawns or
     /// retires the tail slots, bumps the generation, pushes the new
     /// geometry to every member (each rebuilds its ownership through
-    /// its factory), and replays **only the moved ranges** — machines
-    /// whose owner/replica set changed get their logs driven to each
-    /// new holder that did not hold them before.
+    /// its factory and drops the machines it no longer holds), and moves
+    /// **only the changed ranges** — each machine whose owner/replica set
+    /// changed has its most complete state record installed on every new
+    /// holder that did not hold it before.
     ///
     /// # Errors
     ///
-    /// Propagates spawn, retire, handoff, replay, and push failures.
+    /// Propagates spawn, retire, dump, restore, and push failures.
     pub fn resize(&mut self, new_nodes: usize) -> io::Result<ReplayReport> {
         assert!(new_nodes >= 1, "ring needs at least one member");
         let old_nodes = self.members.len();
@@ -418,7 +439,7 @@ impl Cluster {
             return Ok(ReplayReport::default());
         }
         let old_ring = self.spec.build();
-        let (per_machine, sources) = self.collect_logs(|| ()).0?;
+        let (best, sources) = self.collect_views(|| ()).0?;
         let mut new_spec = self.spec;
         new_spec.nodes = new_nodes;
         new_spec.generation += 1;
@@ -430,7 +451,7 @@ impl Cluster {
                 self.members.push(member);
             }
         } else {
-            // Logs were collected above, while the retiring members
+            // The dumps were taken above, while the retiring members
             // still served; drain them before the ring shrinks.
             for index in new_nodes..old_nodes {
                 self.retire(index)?;
@@ -438,52 +459,48 @@ impl Cluster {
             self.members.truncate(new_nodes);
         }
         self.push_ring()?;
-        // Replay machines whose holder set changed, grouped per target
-        // so each rebuilt member gets one replay connection.
+        // Group the moved machines per target, so each new holder gets
+        // one restore connection.
         let old_alive = vec![true; old_nodes];
         let new_alive = vec![true; new_nodes];
-        let mut per_target: HashMap<usize, Vec<String>> = HashMap::new();
-        for ((cell, machine), lines) in per_machine {
-            let hash = control::machine_hash(&cell, machine);
+        let mut per_target: HashMap<usize, Vec<&ViewRecord>> = HashMap::new();
+        for record in best.values() {
+            let hash = record.key_hash();
             let (old_owner, old_replica) = old_ring.routes(hash, &old_alive);
             let old_holders: HashSet<usize> =
                 [old_owner, old_replica].into_iter().flatten().collect();
             let (new_owner, new_replica) = new_ring.routes(hash, &new_alive);
             for target in [new_owner, new_replica].into_iter().flatten() {
-                if old_holders.contains(&target) {
-                    continue; // already holds the stream: range did not move
+                if !old_holders.contains(&target) {
+                    per_target.entry(target).or_default().push(record);
                 }
-                per_target
-                    .entry(target)
-                    .or_default()
-                    .extend_from_slice(&lines);
             }
         }
         let mut report = ReplayReport {
             sources,
             ..ReplayReport::default()
         };
-        for (target, lines) in per_target {
+        for (target, records) in per_target {
             if !self.members[target].alive {
                 continue;
             }
-            let (ok, rejected) = control::drive_lines(self.members[target].addr, &lines)?;
-            report.replayed += ok;
-            report.rejected += rejected;
+            let restored = control::restore(self.members[target].addr, records)?;
+            report.replayed += restored.samples;
+            report.rejected += restored.rejected;
         }
         Ok(report)
     }
 
-    /// Collects every live member's handoff log, deduplicated to the
-    /// longest per-machine copy (the complete stream lives on the
-    /// machine's owner and its replica; a shorter copy is a partial
-    /// failover view). The dumps are fetched and grouped concurrently,
+    /// Collects every live member's state dump, keeping per machine the
+    /// record that carries the most samples (the complete copy lives on
+    /// the machine's owner and its replica; a copy with fewer samples
+    /// missed part of the stream). The dumps are fetched concurrently,
     /// one thread per member, while `meanwhile` runs on the calling
-    /// thread; its result is returned beside the logs.
-    fn collect_logs<T>(
+    /// thread; its result is returned beside the records.
+    fn collect_views<T>(
         &self,
         meanwhile: impl FnOnce() -> T,
-    ) -> (io::Result<(LogsByMachine, usize)>, T) {
+    ) -> (io::Result<(RecordsByMachine, usize)>, T) {
         std::thread::scope(|scope| {
             let fetches: Vec<_> = self
                 .members
@@ -491,37 +508,22 @@ impl Cluster {
                 .filter(|m| m.alive)
                 .map(|m| {
                     let addr = m.addr;
-                    scope.spawn(move || -> io::Result<LogsByMachine> {
-                        let mut local: LogsByMachine = HashMap::new();
-                        for entry in control::handoff(addr)? {
-                            local
-                                .entry((entry.cell, entry.machine))
-                                .or_default()
-                                .push(entry.line);
-                        }
-                        Ok(local)
-                    })
+                    scope.spawn(move || control::handoff(addr))
                 })
                 .collect();
             let side = meanwhile();
             let sources = fetches.len();
             // (The scope joins whatever a first failure leaves unjoined.)
-            let logs = (|| {
-                let mut per_machine: LogsByMachine = HashMap::new();
+            let records = (|| {
+                let mut best = RecordsByMachine::new();
                 for fetch in fetches {
-                    let local = fetch.join().expect("handoff fetch thread panicked")?;
-                    for (key, lines) in local {
-                        match per_machine.get(&key) {
-                            Some(best) if best.len() >= lines.len() => {}
-                            _ => {
-                                per_machine.insert(key, lines);
-                            }
-                        }
+                    for record in fetch.join().expect("state dump thread panicked")? {
+                        keep_most_complete(&mut best, record);
                     }
                 }
-                Ok((per_machine, sources))
+                Ok((best, sources))
             })();
-            (logs, side)
+            (records, side)
         })
     }
 
@@ -623,6 +625,27 @@ mod tests {
                 !std::path::Path::new(&format!("/proc/{pid}")).exists(),
                 "member pid {pid} left running after start failure"
             );
+        }
+    }
+
+    /// Per machine the record carrying the most samples wins, whichever
+    /// member's dump it came from and in whatever order the dumps land.
+    #[test]
+    fn the_most_complete_record_of_each_machine_wins() {
+        let record = |machine: u32, samples: u64| ViewRecord {
+            cell: "c".to_string(),
+            machine,
+            samples,
+            lines: 1,
+            text: format!("VIEW c {machine} {samples} 1\n"),
+        };
+        for dumps in [[(1, 45), (1, 15), (2, 30)], [(1, 15), (2, 30), (1, 45)]] {
+            let mut best = RecordsByMachine::new();
+            for (machine, samples) in dumps {
+                keep_most_complete(&mut best, record(machine, samples));
+            }
+            assert_eq!(best.len(), 2);
+            assert_eq!(best[&("c".to_string(), 1)], record(1, 45));
         }
     }
 

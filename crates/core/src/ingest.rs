@@ -37,12 +37,24 @@
 //! Samples for an already-flushed tick are rejected as
 //! [`CoreError::StaleSample`]: the view cannot rewrite history without
 //! replaying every later tick.
+//!
+//! # State transfer
+//!
+//! [`IncrementalView::encode`] writes the view's whole state — the
+//! wrapped [`MachineView`], the flush bookkeeping, the pending tick's
+//! buffered samples and the vector-mode flag — as bytes, every `f64` as
+//! its bits; [`IncrementalView::decode`] reads it back. The copy answers
+//! every prediction bit-identically and stays identical under further
+//! ingest, which is how a cluster member hands a machine to a
+//! replacement without replaying its history: the record costs the
+//! retained windows, not the samples ever ingested.
 
 use crate::config::SimConfig;
 use crate::error::CoreError;
 use crate::view::MachineView;
 use oc_stats::resource::{Res2, CPU, NUM_RESOURCES, RESOURCE_NAMES};
-use oc_trace::ids::TaskId;
+use oc_stats::state::{corrupt, put_bool, put_f64, put_u64, StateReader};
+use oc_trace::ids::{JobId, TaskId};
 use oc_trace::time::Tick;
 
 /// Default bound on synthesized empty ticks between two samples
@@ -92,6 +104,8 @@ pub struct IncrementalView {
     /// [`MachineView::observe`], preserving bit-identity with the batch
     /// scalar path.
     vector_mode: bool,
+    /// Samples accepted over the view's lifetime.
+    samples: u64,
 }
 
 impl IncrementalView {
@@ -107,6 +121,7 @@ impl IncrementalView {
             pending_tick: None,
             pending: Vec::new(),
             vector_mode: false,
+            samples: 0,
         }
     }
 
@@ -289,6 +304,126 @@ impl IncrementalView {
         self.pending.len()
     }
 
+    /// Samples accepted over the view's lifetime, a repeat of a task
+    /// within one tick included; rejected samples are not counted. Two
+    /// copies of one machine fed the same stream agree on it, and a copy
+    /// that missed part of the stream counts fewer.
+    pub fn samples(&self) -> u64 {
+        self.samples
+    }
+
+    /// Appends the view's exact state to `out` (see the module docs).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use oc_core::config::SimConfig;
+    /// use oc_core::ingest::IncrementalView;
+    /// use oc_trace::ids::{JobId, TaskId};
+    /// use oc_trace::time::Tick;
+    ///
+    /// let cfg = SimConfig::default();
+    /// let mut v = IncrementalView::new(1.0, &cfg);
+    /// v.ingest(Tick(0), TaskId::new(JobId(1), 0), 0.4, 0.1).unwrap();
+    /// let mut bytes = Vec::new();
+    /// v.encode(&mut bytes);
+    /// let copy = IncrementalView::decode(&bytes, &IncrementalView::new(1.0, &cfg)).unwrap();
+    /// assert_eq!(copy.samples(), 1);
+    /// assert_eq!(copy.pending_tick(), Some(Tick(0)));
+    /// ```
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        self.view.encode(out);
+        put_u64(out, self.origin.0);
+        put_u64(out, self.max_gap);
+        for tick in [self.last_flushed, self.pending_tick] {
+            put_bool(out, tick.is_some());
+            put_u64(out, tick.map_or(0, |t| t.0));
+        }
+        put_u64(out, self.pending.len() as u64);
+        for (id, limit, usage) in &self.pending {
+            put_u64(out, id.job.0);
+            put_u64(out, u64::from(id.index));
+            for lane in 0..NUM_RESOURCES {
+                put_f64(out, limit.lane(lane));
+                put_f64(out, usage.lane(lane));
+            }
+        }
+        put_bool(out, self.vector_mode);
+        put_u64(out, self.samples);
+    }
+
+    /// Decodes a view written by [`IncrementalView::encode`], configured
+    /// like `like` (typically a fresh view built from the receiver's own
+    /// configuration).
+    ///
+    /// # Errors
+    ///
+    /// * [`CoreError::InvalidConfig`] — the record was written under a
+    ///   different machine capacity, warm-up threshold, window capacity,
+    ///   trace origin or gap bound than `like`'s; it is refused, not
+    ///   coerced.
+    /// * [`CoreError::Stats`] carrying [`oc_stats::StatsError::Corrupt`] —
+    ///   the bytes are truncated, carry trailing bytes, or break an
+    ///   invariant the view maintains (a window longer than its capacity,
+    ///   inconsistent stamps, a pending sample ingest would have
+    ///   rejected, ...). Decoding never panics, whatever the bytes.
+    pub fn decode(bytes: &[u8], like: &IncrementalView) -> Result<IncrementalView, CoreError> {
+        let mut r = StateReader::new(bytes);
+        let view = MachineView::decode(&mut r, &like.view)?;
+        let (origin, max_gap) = (Tick(r.u64()?), r.u64()?);
+        if origin != like.origin || max_gap != like.max_gap {
+            return Err(CoreError::InvalidConfig {
+                what: format!(
+                    "state record for origin {} and gap bound {max_gap}; this view has {} and {}",
+                    origin.0, like.origin.0, like.max_gap
+                ),
+            });
+        }
+        let mut ticks = [None; 2];
+        for tick in &mut ticks {
+            let present = r.bool()?;
+            *tick = Some(Tick(r.u64()?)).filter(|_| present);
+        }
+        let [last_flushed, pending_tick] = ticks;
+        let mut pending = Vec::new();
+        for _ in 0..r.count(usize::MAX)? {
+            let job = JobId(r.u64()?);
+            let index = u32::try_from(r.u64()?).map_err(|_| corrupt("task index out of range"))?;
+            let (mut limit, mut usage) = (Res2::default(), Res2::default());
+            for lane in 0..NUM_RESOURCES {
+                limit.set_lane(lane, r.non_negative()?);
+                usage.set_lane(lane, r.non_negative()?);
+            }
+            pending.push((TaskId::new(job, index), limit, usage));
+        }
+        // The pending tick follows the last flushed one within the gap
+        // bound, exactly as ingest admitted it — so the flush it is owed
+        // synthesizes at most `max_gap` empty ticks.
+        let fill_start = last_flushed.map_or(origin.0, |f| f.0.saturating_add(1));
+        let admissible = match pending_tick {
+            Some(p) => {
+                last_flushed.is_none_or(|f| f < p) && p.0.saturating_sub(fill_start) <= max_gap
+            }
+            None => true,
+        };
+        if pending.is_empty() != pending_tick.is_none() || !admissible {
+            return Err(corrupt("pending tick inconsistent with its samples").into());
+        }
+        let vector_mode = r.bool()?;
+        let samples = r.counter()?;
+        r.finish()?;
+        Ok(IncrementalView {
+            view,
+            origin,
+            max_gap,
+            last_flushed,
+            pending_tick,
+            pending,
+            vector_mode,
+            samples,
+        })
+    }
+
     /// First tick a flush of tick `>= fill_start` would synthesize.
     fn fill_start(&self) -> u64 {
         self.last_flushed.map(|f| f.0 + 1).unwrap_or(self.origin.0)
@@ -312,6 +447,7 @@ impl IncrementalView {
     }
 
     fn push_pending(&mut self, task: TaskId, limit: Res2, usage: Res2) {
+        self.samples += 1;
         match self.pending.iter_mut().find(|(t, _, _)| *t == task) {
             Some(slot) => *slot = (task, limit, usage),
             None => self.pending.push((task, limit, usage)),
@@ -619,5 +755,242 @@ mod tests {
             inc.view().warm_aggregate().len()
         );
         assert_eq!(batch.now(), inc.view().now());
+    }
+
+    /// One step of a generated sample stream.
+    #[derive(Debug, Clone)]
+    enum Act {
+        Sample {
+            tick: u64,
+            task: TaskId,
+            limit: Res2,
+            usage: Res2,
+            two_lanes: bool,
+        },
+        Flush,
+    }
+
+    /// Renders generated `(kind, task, x, v)` tuples, one tick each, into
+    /// a stream of samples and flushes. Every resident task samples once
+    /// per tick; on top of that a tick may repeat a task's sample, admit
+    /// or retire a task (it departs from the next tick on), change a
+    /// limit, carry a stale sample, flush, or be followed by a gap — a few
+    /// ticks, or thousands up to [`DEFAULT_MAX_GAP`], long enough to
+    /// cross the aggregate window's accumulator refresh. Usage sits on a
+    /// coarse grid, so windows hold duplicates, and its zero alternates
+    /// between `-0.0` and `0.0`.
+    fn render(ops: &[(u32, u32, u64, f64)], vector: bool) -> Vec<Act> {
+        let mut tick = 0u64;
+        let mut resident = [true, true, true, false, false];
+        let mut limits = [0.25, 0.5, 0.75, 0.25, 0.5];
+        let mut acts = Vec::new();
+        for &(kind, task, x, v) in ops {
+            let sample = |tick: u64, k: usize, limit: f64| {
+                let u = ((v * 4.0).floor() + k as f64) % 4.0 / 4.0;
+                Act::Sample {
+                    tick,
+                    task: tid(k as u64, 0),
+                    limit: Res2::from_lanes([limit, limit / 2.0]),
+                    usage: Res2::from_lanes([
+                        if u == 0.0 && (k as u64 + tick).is_multiple_of(2) {
+                            -0.0
+                        } else {
+                            u
+                        },
+                        v / 3.0 + k as f64 / 16.0,
+                    ]),
+                    two_lanes: vector && !(kind as usize + k).is_multiple_of(3),
+                }
+            };
+            let k = task as usize % resident.len();
+            for (i, _) in resident.iter().enumerate().filter(|(_, r)| **r) {
+                acts.push(sample(tick, i, limits[i]));
+            }
+            match kind {
+                6 => acts.push(sample(tick, k, limits[k])),
+                7 => resident[k] = !resident[k],
+                8 => limits[k] += 0.125,
+                9 => acts.push(sample(tick.saturating_sub(1), k, limits[k])),
+                10 => acts.push(Act::Flush),
+                11 => tick += 1 + x % 8,
+                12 if x == 0 => tick += DEFAULT_MAX_GAP,
+                12 if x % 8 == 0 => tick += 4_096 + x * 8,
+                _ => {}
+            }
+            tick += 1;
+        }
+        acts
+    }
+
+    /// Applies one step; the outcome is what two copies must agree on.
+    fn apply(view: &mut IncrementalView, act: &Act) -> String {
+        match *act {
+            Act::Sample {
+                tick,
+                task,
+                limit,
+                usage,
+                two_lanes: true,
+            } => format!("{:?}", view.ingest_vec(Tick(tick), task, limit, usage)),
+            Act::Sample {
+                tick,
+                task,
+                limit,
+                usage,
+                two_lanes: false,
+            } => format!(
+                "{:?}",
+                view.ingest(Tick(tick), task, limit.lane(CPU), usage.lane(CPU))
+            ),
+            Act::Flush => format!("{:?}", view.flush()),
+        }
+    }
+
+    /// The six predictors of this crate, freshly built: the seasonal one
+    /// keeps a profile of its own, so each copy of a view gets its own.
+    fn predictors() -> Vec<Box<dyn crate::predictor::PeakPredictor>> {
+        [
+            PredictorSpec::LimitSum,
+            PredictorSpec::borg_default(),
+            PredictorSpec::RcLike { percentile: 99.0 },
+            PredictorSpec::NSigma { n: 5.0 },
+            PredictorSpec::paper_max(),
+            PredictorSpec::Seasonal {
+                slots: 24,
+                decay: 0.05,
+                horizon_ticks: 24,
+            },
+        ]
+        .iter()
+        .map(|spec| spec.build().unwrap())
+        .collect()
+    }
+
+    /// Every predictor's scalar and per-lane answer, as bits.
+    fn answers(
+        predictors: &[Box<dyn crate::predictor::PeakPredictor>],
+        v: &IncrementalView,
+    ) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for p in predictors {
+            bits.push(p.predict(v.view()).to_bits());
+            for lane in 0..NUM_RESOURCES {
+                bits.push(p.predict_lane(v.view(), lane).to_bits());
+            }
+        }
+        bits
+    }
+
+    fn encoded(v: &IncrementalView) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        v.encode(&mut bytes);
+        bytes
+    }
+
+    fn stream_cfg(window: usize) -> SimConfig {
+        let mut c = SimConfig::default();
+        c.max_num_samples = window;
+        c.min_num_samples = 1 + window / 2;
+        c
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Cut a stream anywhere — a pending tick included — and ship the
+        /// view: the decoded copy re-encodes to the same bytes, answers
+        /// every predictor bit-identically after every flush of the rest
+        /// of the stream, accepts and rejects the same samples, and ends
+        /// in byte-identical state.
+        #[test]
+        fn restored_view_predicts_and_evolves_like_the_original(
+            ops in proptest::collection::vec((0u32..14, 0u32..5, 0u64..1_000, 0.0f64..1.0), 1..120),
+            cut in 0.0f64..1.0,
+            vector in 0u32..2,
+            window in 2usize..9,
+        ) {
+            let cfg = stream_cfg(window);
+            let fresh = || IncrementalView::new(1.5, &cfg);
+            let acts = render(&ops, vector == 1);
+            let cut = ((acts.len() + 1) as f64 * cut) as usize;
+            let mut original = fresh();
+            for act in &acts[..cut] {
+                apply(&mut original, act);
+            }
+            let bytes = encoded(&original);
+            let mut restored = IncrementalView::decode(&bytes, &fresh()).map_err(|e| e.to_string())?;
+            proptest::prop_assert!(encoded(&restored) == bytes, "encode(decode(b)) != b");
+            let (ours, theirs) = (predictors(), predictors());
+            for act in &acts[cut..] {
+                let flushed = original.flushed();
+                proptest::prop_assert_eq!(apply(&mut original, act), apply(&mut restored, act));
+                if matches!(act, Act::Flush) || original.flushed() != flushed {
+                    proptest::prop_assert_eq!(answers(&ours, &original), answers(&theirs, &restored));
+                }
+            }
+            original.flush();
+            restored.flush();
+            proptest::prop_assert_eq!(answers(&ours, &original), answers(&theirs, &restored));
+            proptest::prop_assert!(encoded(&original) == encoded(&restored), "states diverged");
+        }
+
+        /// Hostile bytes never panic the decoder: every strict prefix of a
+        /// record and arbitrary junk are errors, a record with trailing
+        /// bytes is an error, and a record with flipped bytes either fails
+        /// to decode or decodes to a view that ingests and predicts.
+        #[test]
+        fn truncated_and_arbitrary_records_are_errors_not_panics(
+            ops in proptest::collection::vec((0u32..14, 0u32..5, 0u64..1_000, 0.0f64..1.0), 1..40),
+            vector in 0u32..2,
+            flips in proptest::collection::vec((0usize..1 << 20, 1u32..256), 1..6),
+            junk in proptest::collection::vec(0u32..256, 0..300),
+        ) {
+            let cfg = stream_cfg(4);
+            let like = IncrementalView::new(1.5, &cfg);
+            let mut v = IncrementalView::new(1.5, &cfg);
+            for act in render(&ops, vector == 1) {
+                apply(&mut v, &act);
+            }
+            let bytes = encoded(&v);
+            for cut in 0..bytes.len() {
+                proptest::prop_assert!(IncrementalView::decode(&bytes[..cut], &like).is_err(), "prefix {cut}");
+            }
+            let mut long = bytes.clone();
+            long.push(0);
+            proptest::prop_assert!(IncrementalView::decode(&long, &like).is_err());
+            let junk: Vec<u8> = junk.iter().map(|&b| b as u8).collect();
+            proptest::prop_assert!(IncrementalView::decode(&junk, &like).is_err());
+            let mut flipped = bytes;
+            for &(at, mask) in &flips {
+                let at = at % flipped.len();
+                flipped[at] ^= mask as u8;
+            }
+            if let Ok(mut w) = IncrementalView::decode(&flipped, &like) {
+                let tick = w.pending_tick().or(w.flushed()).map_or(0, |t| t.0.saturating_add(1));
+                let _ = w.ingest(Tick(tick), tid(1, 0), 0.5, 0.25);
+                w.flush();
+                answers(&predictors(), &w);
+            }
+        }
+    }
+
+    #[test]
+    fn records_of_another_configuration_are_refused() {
+        let mut v = IncrementalView::new(1.0, &small_cfg());
+        v.ingest(Tick(0), tid(1, 0), 0.4, 0.1).unwrap();
+        let bytes = encoded(&v);
+        let mut wider = small_cfg();
+        wider.max_num_samples += 1;
+        for like in [
+            IncrementalView::new(2.0, &small_cfg()),
+            IncrementalView::new(1.0, &wider),
+            IncrementalView::new(1.0, &small_cfg()).with_max_gap(9),
+        ] {
+            assert!(matches!(
+                IncrementalView::decode(&bytes, &like),
+                Err(CoreError::InvalidConfig { .. })
+            ));
+        }
+        assert!(IncrementalView::decode(&bytes, &IncrementalView::new(1.0, &small_cfg())).is_ok());
     }
 }

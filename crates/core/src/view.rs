@@ -26,12 +26,22 @@
 //! ingest path is [`MachineView::observe_vec`]; ticks fed through the
 //! scalar path do not advance memory-lane windows (a scalar sample
 //! carries no memory information).
+//!
+//! # State transfer
+//!
+//! A view's whole state encodes to bytes and decodes back bit-exactly
+//! (through [`crate::ingest::IncrementalView::encode`]): windows, running
+//! accumulators, limit sums, ages and generation stamps all travel as
+//! their bits, so a decoded view predicts — and keeps evolving — exactly
+//! like the original.
 
 use crate::config::SimConfig;
+use crate::error::CoreError;
 use oc_stats::resource::{Res2, CPU, MEM};
+use oc_stats::state::{corrupt, put_bool, put_f64, put_u64, StateReader};
 use oc_stats::{MovingWindow, OrderStatWindow, PeakWindow};
 use oc_telemetry::Counter;
-use oc_trace::ids::TaskId;
+use oc_trace::ids::{JobId, TaskId};
 use oc_trace::time::Tick;
 use std::sync::{Arc, OnceLock};
 
@@ -117,6 +127,58 @@ impl TaskView {
     /// window capacity).
     pub fn age(&self) -> usize {
         self.age
+    }
+
+    fn encode(&self, id: TaskId, out: &mut Vec<u8>) {
+        put_u64(out, id.job.0);
+        put_u64(out, u64::from(id.index));
+        put_f64(out, self.limit);
+        put_u64(out, self.age as u64);
+        put_u64(out, self.last_seen);
+        self.window.encode(out);
+        put_bool(out, self.mem.is_some());
+        if let Some(mem) = &self.mem {
+            put_f64(out, mem.limit);
+            mem.window.encode(out);
+        }
+    }
+
+    /// Decodes one task of a view whose windows hold `cap` samples and
+    /// whose generation is `generation`: every alive task was stamped by
+    /// the view's latest observation, and its window holds exactly its
+    /// last `min(age, cap)` samples.
+    fn decode(
+        r: &mut StateReader<'_>,
+        cap: usize,
+        generation: u64,
+    ) -> Result<(TaskId, TaskView), CoreError> {
+        let job = JobId(r.u64()?);
+        let index = u32::try_from(r.u64()?).map_err(|_| corrupt("task index out of range"))?;
+        let limit = r.non_negative()?;
+        let age = usize::try_from(r.counter()?).map_err(|_| corrupt("task age out of range"))?;
+        let last_seen = r.u64()?;
+        let window = OrderStatWindow::decode(r, cap)?;
+        if age == 0 || last_seen != generation || window.len() != age.min(cap) {
+            return Err(corrupt("task age, stamp and window disagree").into());
+        }
+        let mem = if r.bool()? {
+            let limit = r.non_negative()?;
+            let window = PeakWindow::decode(r, cap)?;
+            if window.len() > age.min(cap) {
+                return Err(corrupt("memory window longer than the task's history").into());
+            }
+            Some(Box::new(MemLane { limit, window }))
+        } else {
+            None
+        };
+        let task = TaskView {
+            limit,
+            window,
+            age,
+            last_seen,
+            mem,
+        };
+        Ok((TaskId::new(job, index), task))
     }
 }
 
@@ -436,6 +498,84 @@ impl MachineView {
             MEM => &self.warm_mem_window,
             _ => panic!("resource lane {lane} out of range"),
         }
+    }
+
+    /// Appends the view's exact state to `out`. The event-triggered limit
+    /// sums travel as their bits rather than being recomputed on decode.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        put_f64(out, self.capacity);
+        put_u64(out, self.min_num_samples as u64);
+        put_u64(out, self.max_num_samples as u64);
+        put_u64(out, self.now.0);
+        put_u64(out, self.generation);
+        for sum in [
+            self.cold_limit_sum,
+            self.total_limit,
+            self.cold_mem_limit_sum,
+            self.total_mem_limit,
+        ] {
+            put_f64(out, sum);
+        }
+        put_u64(out, self.tasks.len() as u64);
+        for (id, task) in &self.tasks {
+            task.encode(*id, out);
+        }
+        self.warm_window.encode(out);
+        self.warm_mem_window.encode(out);
+    }
+
+    /// Decodes a view written by [`MachineView::encode`]. The record must
+    /// carry `like`'s configuration — machine capacity, warm-up threshold
+    /// and window capacity — or it is refused, never coerced.
+    pub(crate) fn decode(
+        r: &mut StateReader<'_>,
+        like: &MachineView,
+    ) -> Result<MachineView, CoreError> {
+        let capacity = r.f64()?;
+        let (min_num_samples, max_num_samples) = (r.u64()?, r.u64()?);
+        if capacity.to_bits() != like.capacity.to_bits()
+            || min_num_samples != like.min_num_samples as u64
+            || max_num_samples != like.max_num_samples as u64
+        {
+            return Err(CoreError::InvalidConfig {
+                what: format!(
+                    "state record for capacity {capacity} with {min_num_samples}..{max_num_samples} \
+                     sample windows; this view has capacity {} with {}..{}",
+                    like.capacity, like.min_num_samples, like.max_num_samples
+                ),
+            });
+        }
+        let cap = like.max_num_samples;
+        let now = Tick(r.u64()?);
+        let generation = r.counter()?;
+        let [cold_limit_sum, total_limit, cold_mem_limit_sum, total_mem_limit] = [
+            r.non_negative()?,
+            r.non_negative()?,
+            r.non_negative()?,
+            r.non_negative()?,
+        ];
+        let mut tasks: Vec<(TaskId, TaskView)> = Vec::new();
+        for _ in 0..r.count(usize::MAX)? {
+            let (id, task) = TaskView::decode(r, cap, generation)?;
+            if tasks.last().is_some_and(|(prev, _)| *prev >= id) {
+                return Err(corrupt("tasks out of order").into());
+            }
+            tasks.push((id, task));
+        }
+        Ok(MachineView {
+            capacity,
+            now,
+            min_num_samples: like.min_num_samples,
+            max_num_samples: cap,
+            tasks,
+            warm_window: MovingWindow::decode(r, cap)?,
+            warm_mem_window: MovingWindow::decode(r, cap)?,
+            cold_limit_sum,
+            total_limit,
+            cold_mem_limit_sum,
+            total_mem_limit,
+            generation,
+        })
     }
 }
 

@@ -167,11 +167,6 @@ pub struct ServeConfig {
     /// map rejects geometry changes (it could not classify keys under
     /// the new ring).
     pub ownership_factory: Option<OwnershipFactory>,
-    /// Record every successfully ingested sample in a per-shard handoff
-    /// log, dumpable via the `HANDOFF` verb — the state-transfer source
-    /// for member replacement. Memory grows with total ingested samples,
-    /// so fleet-scale runs (e.g. the million-machine bench) leave it off.
-    pub handoff_log: bool,
 }
 
 impl Default for ServeConfig {
@@ -194,7 +189,6 @@ impl Default for ServeConfig {
             ring_generation: 0,
             ring_info: None,
             ownership_factory: None,
-            handoff_log: false,
         }
     }
 }
@@ -281,12 +275,6 @@ impl ServeConfig {
     /// Installs the ownership rebuild hook for `RINGSET` pushes.
     pub fn with_ownership_factory(mut self, factory: OwnershipFactory) -> Self {
         self.ownership_factory = Some(factory);
-        self
-    }
-
-    /// Enables the per-shard handoff sample log (`HANDOFF` verb).
-    pub fn with_handoff_log(mut self, enabled: bool) -> Self {
-        self.handoff_log = enabled;
         self
     }
 

@@ -15,11 +15,22 @@
 //! frontend's writer. Nothing is handed to another thread and nothing is
 //! held back, so an `OK` means *applied* and a read always sees every
 //! sample acknowledged before it.
+//!
+//! **State transfer.** `HANDOFF` dumps every machine as a state record,
+//! taking each shard's lock once. A `RESTORE <n>` frame's `n` lines are
+//! reassembled into records as they arrive — at most one frame, so at
+//! most [`crate::proto::MAX_BATCH`] lines, per connection — decoded
+//! against this server's configuration, and installed when the frame
+//! ends, with one answer for the frame.
 
 use crate::config::KeyRole;
-use crate::proto::{parse_batch_header, ErrCode, ProtoScratch, Request, Response, MAX_LINE_BYTES};
+use crate::proto::{
+    decode_view_part, parse_batch_header, parse_view_header, push_u64, ErrCode, ProtoScratch,
+    Request, Response, ViewHeader, MAX_LINE_BYTES,
+};
 use crate::server::{dispatch, not_mine, shutting_down, Shared};
 use crate::shard::{key_hash, MachineKey, ObserveChunk, ObserveItem, ShardPool, OBS_CHUNK};
+use oc_core::ingest::IncrementalView;
 use oc_trace::time::Tick;
 use std::fmt;
 use std::io::Write;
@@ -162,6 +173,78 @@ pub(crate) struct ConnState {
     /// Cached clone of the server's live ownership map (`None` =
     /// standalone: own every key).
     ownership: Option<crate::config::OwnershipMap>,
+    /// The `RESTORE` frame being received, if any.
+    restore: Option<Box<RestoreFrame>>,
+}
+
+/// A `RESTORE` frame in reception. Records are decoded as their last
+/// part arrives; nothing is installed before the frame ends, so a
+/// malformed record fails the frame as a whole.
+#[derive(Debug)]
+struct RestoreFrame {
+    /// Frame lines still expected.
+    lines_left: usize,
+    /// Header of the record being assembled and its parts still expected.
+    record: Option<(ViewHeader, usize)>,
+    /// State bytes of the record being assembled.
+    state: Vec<u8>,
+    /// Records decoded so far.
+    decoded: Vec<(MachineKey, Box<IncrementalView>)>,
+    /// The frame's first malformed line; later lines are consumed unread.
+    error: Option<String>,
+}
+
+impl RestoreFrame {
+    fn new(lines: usize) -> RestoreFrame {
+        RestoreFrame {
+            lines_left: lines,
+            record: None,
+            state: Vec::new(),
+            decoded: Vec::new(),
+            error: None,
+        }
+    }
+
+    /// Takes one frame line, already counted off `lines_left`: a record's
+    /// `VIEW` header or one of its hex parts. `like` is the view
+    /// configuration records must carry.
+    fn take_line(&mut self, raw: &[u8], like: &IncrementalView) -> Result<(), String> {
+        let line = std::str::from_utf8(raw)
+            .map_err(|_| "record line is not valid UTF-8".to_string())?
+            .trim_end_matches(['\r', '\n']);
+        let Some((header, parts_left)) = self.record.take() else {
+            let header = parse_view_header(line).map_err(|e| e.to_string())?;
+            if header.parts > self.lines_left {
+                return Err(format!(
+                    "record of {} parts overruns its RESTORE frame",
+                    header.parts
+                ));
+            }
+            self.state.clear();
+            let parts = header.parts;
+            self.record = Some((header, parts));
+            return Ok(());
+        };
+        decode_view_part(line, &mut self.state).map_err(|e| e.to_string())?;
+        if parts_left > 1 {
+            self.record = Some((header, parts_left - 1));
+            return Ok(());
+        }
+        let view = IncrementalView::decode(&self.state, like)
+            .map_err(|e| format!("machine {}/{}: {e}", header.cell, header.machine))?;
+        if view.samples() != header.samples {
+            return Err(format!(
+                "machine {}/{}: header says {} samples, the state {}",
+                header.cell,
+                header.machine,
+                header.samples,
+                view.samples()
+            ));
+        }
+        self.decoded
+            .push(((header.cell, header.machine), Box::new(view)));
+        Ok(())
+    }
 }
 
 impl ConnState {
@@ -176,6 +259,7 @@ impl ConnState {
             hash_memo: None,
             own_version: u64::MAX,
             ownership: None,
+            restore: None,
         }
     }
 
@@ -264,6 +348,10 @@ pub(crate) fn process_line<W: Write>(
         code: ErrCode::Parse,
         detail: e.to_string(),
     };
+    if state.restore.is_some() {
+        restore_line(raw, state, writer, pool, shared)?;
+        return Ok(true);
+    }
     let Ok(line) = std::str::from_utf8(raw) else {
         flush_chunk(state, writer, pool, shared)?;
         shared.parse_errors.inc();
@@ -372,11 +460,13 @@ pub(crate) fn process_line<W: Write>(
             | Request::Shutdown
             | Request::Ring
             | Request::RingSet { .. }
-            | Request::Handoff),
+            | Request::Handoff
+            | Request::Restore { .. }),
         ) if in_batch => {
             // Control verbs are not batchable: one per-sub-request parse
             // error, and the rest of the frame proceeds normally.
-            // (HANDOFF's multi-line dump would break BATCHR framing.)
+            // (State transfer is multi-line on either side and would
+            // break the frame's one-line-per-sub-request shape.)
             flush_chunk(state, writer, pool, shared)?;
             shared.parse_errors.inc();
             let verb = match req {
@@ -385,6 +475,7 @@ pub(crate) fn process_line<W: Write>(
                 Request::Ring => "RING",
                 Request::RingSet { .. } => "RINGSET",
                 Request::Handoff => "HANDOFF",
+                Request::Restore { .. } => "RESTORE",
                 _ => "SHUTDOWN",
             };
             let resp = parse_err(&format_args!("{verb} is not allowed inside BATCH"));
@@ -396,44 +487,13 @@ pub(crate) fn process_line<W: Write>(
             // The pending chunk flushes first so the dump reflects every
             // sample this connection already had acknowledged.
             flush_chunk(state, writer, pool, shared)?;
-            if !shared.cfg.handoff_log {
-                let resp = Response::Err {
-                    code: ErrCode::Internal,
-                    detail: "handoff log disabled on this server".to_string(),
-                };
-                state.respond(writer, &resp)?;
-                return Ok(true);
-            }
-            match crate::server::collect_handoff(pool) {
-                Ok(entries) => {
-                    // `HANDOFF <n>` header, then n OBSERVE lines in
-                    // original arrival order — the dump replays verbatim
-                    // through any ingest path.
-                    state.out.clear();
-                    state.out.extend_from_slice(b"HANDOFF ");
-                    state
-                        .out
-                        .extend_from_slice(entries.len().to_string().as_bytes());
-                    state.out.push(b'\n');
-                    writer.write_all(&state.out)?;
-                    for e in entries {
-                        let req = Request::Observe {
-                            cell: e.key.0,
-                            machine: e.key.1,
-                            task: e.task,
-                            usage: e.usage,
-                            limit: e.limit,
-                            mem: e.mem,
-                            tick: e.tick.0,
-                        };
-                        state.out.clear();
-                        req.encode_into(&mut state.out);
-                        state.out.push(b'\n');
-                        writer.write_all(&state.out)?;
-                    }
-                }
-                Err(resp) => state.respond(writer, &resp)?,
-            }
+            dump_state(state, writer, pool)?;
+            Ok(true)
+        }
+        Ok(Request::Restore { lines }) => {
+            shared.requests.restore.inc();
+            flush_chunk(state, writer, pool, shared)?;
+            state.restore = Some(Box::new(RestoreFrame::new(lines)));
             Ok(true)
         }
         Ok(Request::Predict {
@@ -508,6 +568,98 @@ pub(crate) fn process_line<W: Write>(
             state.respond(writer, &resp)?;
             Ok(true)
         }
+    }
+}
+
+/// Answers `HANDOFF`: a `HANDOFF <n>` header and one state record per
+/// machine. Each shard is locked once, its views encoded under the lock,
+/// and released before the next.
+#[inline(never)]
+fn dump_state<W: Write>(
+    state: &mut ConnState,
+    writer: &mut W,
+    pool: &ShardPool,
+) -> std::io::Result<()> {
+    let mut body = Vec::new();
+    let mut records = 0;
+    for shard in 0..pool.shards() {
+        match pool.lock(shard) {
+            Ok(locked) => records += locked.dump(&mut body),
+            Err(_closed) => return state.respond(writer, &shutting_down()),
+        }
+    }
+    state.out.clear();
+    state.out.extend_from_slice(b"HANDOFF ");
+    push_u64(&mut state.out, records);
+    state.out.push(b'\n');
+    writer.write_all(&state.out)?;
+    writer.write_all(&body)
+}
+
+/// Takes one line of the open `RESTORE` frame; the frame's last line
+/// installs it and writes its answer.
+#[inline(never)]
+fn restore_line<W: Write>(
+    raw: &[u8],
+    state: &mut ConnState,
+    writer: &mut W,
+    pool: &ShardPool,
+    shared: &Shared,
+) -> std::io::Result<()> {
+    let frame = state.restore.as_mut().expect("a RESTORE frame is open");
+    frame.lines_left -= 1;
+    if frame.error.is_none() {
+        frame.error = frame.take_line(raw, &shared.cfg.fresh_view).err();
+    }
+    if frame.lines_left > 0 {
+        return Ok(());
+    }
+    let frame = state.restore.take().expect("the frame just ended");
+    let resp = install_frame(*frame, state, pool, shared);
+    state.respond(writer, &resp)
+}
+
+/// Installs a finished `RESTORE` frame and builds its answer. A record
+/// installs only where the ownership map gives its machine a role and
+/// the shard holds no view for it yet; the rest are rejected. A frame
+/// with a malformed line installs nothing.
+fn install_frame(
+    frame: RestoreFrame,
+    state: &mut ConnState,
+    pool: &ShardPool,
+    shared: &Shared,
+) -> Response {
+    if let Some(detail) = frame.error {
+        shared.parse_errors.inc();
+        shared.restore.rejected.add(frame.decoded.len() as u64 + 1);
+        return Response::Err {
+            code: ErrCode::Parse,
+            detail,
+        };
+    }
+    let (mut machines, mut samples, mut rejected) = (0, 0, 0);
+    for (key, view) in frame.decoded {
+        let hash = key_hash(&key);
+        let carried = view.samples();
+        let installed = cached_role(state, shared, hash) != KeyRole::Remote
+            && match pool.lock(pool.route_hash(hash)) {
+                Ok(mut shard) => shard.install(key, view),
+                Err(_closed) => return shutting_down(),
+            };
+        if installed {
+            machines += 1;
+            samples += carried;
+        } else {
+            rejected += 1;
+        }
+    }
+    shared.restore.machines.add(machines);
+    shared.restore.samples.add(samples);
+    shared.restore.rejected.add(rejected);
+    Response::Restored {
+        machines,
+        samples,
+        rejected,
     }
 }
 
@@ -749,6 +901,74 @@ mod tests {
             (1, 1),
             "redirected reads reach no shard"
         );
+    }
+
+    /// State transfer through the connection state machine: one server's
+    /// `HANDOFF` dump installs into another with `RESTORE`; records of
+    /// machines owned elsewhere or already held are rejected, a frame
+    /// with a malformed record installs nothing and answers `ERR parse`,
+    /// `RESTORE` inside `BATCH` is refused, and the installed machines
+    /// answer exactly as their source does.
+    #[test]
+    fn restore_frames_install_reject_and_refuse() {
+        use crate::config::{KeyRole, OwnershipMap};
+        let cfg = ServeConfig::default().with_shards(2);
+        let (pool, shared) = harness(&cfg);
+        let mut from = Driver::new(&pool, &shared);
+        for t in 0..30 {
+            for m in 1..4 {
+                from.line(&format!("OBSERVE c {m} 1:0 0.{m} 0.5 {t}"));
+            }
+        }
+        from.line("HANDOFF");
+        let dump = from.take();
+        assert_eq!(dump[90], "HANDOFF 3");
+        let records = &dump[91..];
+        let first = parse_view_header(&records[0]).unwrap();
+        assert!(first.parts >= 2, "{first:?}");
+
+        let remote = key_hash(&(CellId::new("c"), MachineId(3)));
+        let ownership = OwnershipMap::new(move |h| {
+            if h == remote {
+                KeyRole::Remote
+            } else {
+                KeyRole::Owner
+            }
+        });
+        let (pool2, shared2) = harness(&cfg.clone().with_ownership(ownership));
+        let mut to = Driver::new(&pool2, &shared2);
+        to.line("BATCH 1");
+        to.line("RESTORE 1");
+        to.line(&format!("RESTORE {}", first.parts));
+        for line in &records[..first.parts] {
+            to.line(line);
+        }
+        for _ in 0..2 {
+            to.line(&format!("RESTORE {}", records.len()));
+            for line in records {
+                to.line(line);
+            }
+        }
+        let got = to.take();
+        assert_eq!(
+            got[..2],
+            ["BATCHR 1", "ERR parse RESTORE is not allowed inside BATCH"]
+        );
+        assert!(got[2].starts_with("ERR parse record of"), "{got:?}");
+        assert_eq!(got[3..], ["RESTORED 2 60 1", "RESTORED 0 0 3"]);
+        assert_eq!(shared2.restore.machines.get(), 2);
+        assert_eq!(shared2.restore.samples.get(), 60);
+        assert_eq!(shared2.restore.rejected.get(), 1 + 1 + 3);
+        assert_eq!(shared2.parse_errors.get(), 2);
+        for m in 1..3 {
+            let predict = format!("PREDICT c {m}");
+            from.line(&predict);
+            to.line(&predict);
+            assert_eq!(to.take(), from.take());
+        }
+        let restored = pool2.shutdown();
+        assert_eq!((restored.machines, restored.observes), (2, 0));
+        pool.shutdown();
     }
 
     /// Renders generated `(kind, machine, value)` triples into a wire

@@ -13,6 +13,7 @@
 //! RING
 //! RINGSET <nodes> <vnodes> <seed> <generation> <addr,addr,...|->
 //! HANDOFF
+//! RESTORE <n>                          n record lines follow (§ State records)
 //! SHUTDOWN
 //! ```
 //!
@@ -28,7 +29,9 @@
 //! METRICS v=1 <name>=<value> ...      full metrics exposition
 //! RING <nodes> <vnodes> <seed> <generation> <epoch> <addrs|->
 //!                                     current ring description
-//! HANDOFF <n>                         header; n OBSERVE lines follow
+//! HANDOFF <n>                         header; n state records follow
+//! RESTORED <machines> <samples> <rejected>
+//!                                     one RESTORE frame installed
 //! ERR <code> <detail...>              typed error (parse, stale, ...)
 //! ```
 //!
@@ -61,6 +64,19 @@
 //! [`parse_batchr_header`]); the connection loop owns the line-by-line
 //! streaming.
 //!
+//! # State records
+//!
+//! A machine's serving state travels as a *state record*: a header line
+//! `VIEW <cell> <machine> <samples> <parts>` followed by `<parts>` lines
+//! of lowercase hex, each at most [`VIEW_PART_BYTES`] bytes of the
+//! machine's encoded `IncrementalView` (every `f64` as its bits, see
+//! `oc_core::ingest`). `<samples>` is the view's ingested-sample count,
+//! readable without decoding the parts — the tie-break a supervisor
+//! uses to pick the most complete copy of a machine. `HANDOFF` answers
+//! one record per machine; `RESTORE <n>` sends records back, `n` lines
+//! per frame (at most [`MAX_BATCH`], never splitting a record) and one
+//! `RESTORED` answer per frame. See `docs/PROTOCOL.md` §7.5.
+//!
 //! # Allocation discipline
 //!
 //! The `parse`/`encode` methods are convenience wrappers that allocate.
@@ -77,8 +93,13 @@ use std::fmt;
 /// exceeding it are answered with a parse error and closed.
 pub const MAX_LINE_BYTES: usize = 512;
 
-/// Hard cap on the sub-request count of one `BATCH` frame.
+/// Hard cap on the sub-request count of one `BATCH` frame, and on the
+/// line count of one `RESTORE` frame.
 pub const MAX_BATCH: usize = 1024;
+
+/// State bytes carried by one hex line of a state record: two hex digits
+/// each, so a part line stays within [`MAX_LINE_BYTES`].
+pub const VIEW_PART_BYTES: usize = 240;
 
 /// Cap on distinct cell names interned per connection scratch; a peer
 /// cycling through more than this many names falls back to re-allocating
@@ -209,12 +230,23 @@ pub enum Request {
         /// when unknown, encoded as `-`).
         addrs: Vec<String>,
     },
-    /// Dump the member's handoff sample log (`HANDOFF`): the server
-    /// answers a `HANDOFF <n>` header followed by `n` ordinary `OBSERVE`
-    /// lines in original arrival order — replaying them into a fresh
-    /// member reproduces this member's machine state bit-identically.
-    /// `ERR internal` if the log is disabled.
+    /// Dump the member's machine state (`HANDOFF`): the server answers a
+    /// `HANDOFF <n>` header followed by `n` state records, one per
+    /// machine it holds (see the module docs). Installing them into a
+    /// fresh member with [`Request::Restore`] reproduces this member's
+    /// predictions bit-identically.
     Handoff,
+    /// Install state records (`RESTORE <n>`): the header announces `n`
+    /// record lines, `1..=MAX_BATCH`, that follow it; the frame is
+    /// answered once, with [`Response::Restored`]. A record installs only
+    /// if the member's ownership map gives its machine a role and the
+    /// member holds no state for it yet; otherwise it is counted as
+    /// rejected. A malformed record fails the whole frame with
+    /// `ERR parse`, and nothing of the frame is installed.
+    Restore {
+        /// Record lines that follow the header.
+        lines: usize,
+    },
     /// Ask the server to drain and exit (`SHUTDOWN`).
     Shutdown,
 }
@@ -269,6 +301,16 @@ pub enum Response {
         /// Member data-plane addresses in ring-index order; empty
         /// (encoded `-`) until the supervisor pushes them via `RINGSET`.
         addrs: Vec<String>,
+    },
+    /// What one `RESTORE` frame installed.
+    Restored {
+        /// Machines installed.
+        machines: u64,
+        /// Samples the installed states carry (the sum of their
+        /// ingested-sample counts).
+        samples: u64,
+        /// Records refused: owned elsewhere, or already held.
+        rejected: u64,
     },
     /// Typed error.
     Err {
@@ -434,8 +476,8 @@ pub enum ProtoError {
         /// The token found instead.
         got: String,
     },
-    /// A `BATCH`/`BATCHR` frame header counted an out-of-range number of
-    /// sub-messages (must be `1..=MAX_BATCH`).
+    /// A `BATCH`/`BATCHR`/`RESTORE` frame header counted an out-of-range
+    /// number of lines (must be `1..=MAX_BATCH`).
     BatchSize {
         /// The offending count.
         got: u64,
@@ -444,6 +486,13 @@ pub enum ProtoError {
     BadResponse {
         /// The offending line (truncated).
         line: String,
+    },
+    /// A state record line was malformed: a bad `VIEW` header, a part
+    /// line that is not lowercase hex of the right size, or a record
+    /// that does not fit its `RESTORE` frame.
+    BadRecord {
+        /// What was wrong.
+        what: &'static str,
     },
 }
 
@@ -482,6 +531,7 @@ impl fmt::Display for ProtoError {
                 write!(f, "batch of {got} sub-requests outside 1..={MAX_BATCH}")
             }
             ProtoError::BadResponse { line } => write!(f, "unparseable response '{line}'"),
+            ProtoError::BadRecord { what } => write!(f, "bad state record: {what}"),
         }
     }
 }
@@ -699,6 +749,113 @@ fn push_addr_list(out: &mut Vec<u8>, addrs: &[String]) {
     }
 }
 
+/// The header of one state record: `VIEW <cell> <machine> <samples>
+/// <parts>`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ViewHeader {
+    /// Owning cell.
+    pub cell: CellId,
+    /// Machine within the cell.
+    pub machine: MachineId,
+    /// The view's ingested-sample count.
+    pub samples: u64,
+    /// Hex part lines that follow the header, `1..MAX_BATCH`.
+    pub parts: usize,
+}
+
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// Appends one state record — its `VIEW` header line and the hex lines
+/// of `state` (a non-empty encoded view), each `\n`-terminated — to
+/// `out`, and returns the number of lines written.
+pub fn encode_view_record(
+    cell: &CellId,
+    machine: MachineId,
+    samples: u64,
+    state: &[u8],
+    out: &mut Vec<u8>,
+) -> usize {
+    let parts = state.len().div_ceil(VIEW_PART_BYTES);
+    out.extend_from_slice(b"VIEW ");
+    out.extend_from_slice(cell.name().as_bytes());
+    out.push(b' ');
+    push_u64(out, u64::from(machine.0));
+    out.push(b' ');
+    push_u64(out, samples);
+    out.push(b' ');
+    push_u64(out, parts as u64);
+    out.push(b'\n');
+    for part in state.chunks(VIEW_PART_BYTES) {
+        for &b in part {
+            out.push(HEX[usize::from(b >> 4)]);
+            out.push(HEX[usize::from(b & 0xf)]);
+        }
+        out.push(b'\n');
+    }
+    parts + 1
+}
+
+/// Parses a state record's `VIEW` header line.
+///
+/// # Errors
+///
+/// [`ProtoError::BadRecord`] for a line that is not a `VIEW` header,
+/// typed number errors for its fields, and [`ProtoError::BatchSize`] for
+/// a part count that cannot fit one `RESTORE` frame beside its header.
+pub fn parse_view_header(line: &str) -> Result<ViewHeader, ProtoError> {
+    let mut toks = line.split_ascii_whitespace();
+    let (Some("VIEW"), Some(cell), Some(machine), Some(samples), Some(parts), None) = (
+        toks.next(),
+        toks.next(),
+        toks.next(),
+        toks.next(),
+        toks.next(),
+        toks.next(),
+    ) else {
+        return Err(ProtoError::BadRecord {
+            what: "expected 'VIEW <cell> <machine> <samples> <parts>'",
+        });
+    };
+    let parts = parse_u64("parts", parts)?;
+    if parts == 0 || parts >= MAX_BATCH as u64 {
+        return Err(ProtoError::BatchSize { got: parts });
+    }
+    Ok(ViewHeader {
+        cell: CellId::new(cell),
+        machine: parse_machine(machine)?,
+        samples: parse_u64("samples", samples)?,
+        parts: parts as usize,
+    })
+}
+
+/// Decodes one hex part line of a state record, appending its bytes to
+/// `out`.
+///
+/// # Errors
+///
+/// [`ProtoError::BadRecord`] for an odd length, more than
+/// [`VIEW_PART_BYTES`] bytes, or a character that is not a lowercase hex
+/// digit; `out` may then hold part of the line's bytes.
+pub fn decode_view_part(line: &str, out: &mut Vec<u8>) -> Result<(), ProtoError> {
+    let digits = line.as_bytes();
+    if !digits.len().is_multiple_of(2) || digits.len() > 2 * VIEW_PART_BYTES {
+        return Err(ProtoError::BadRecord {
+            what: "part line length",
+        });
+    }
+    let nibble = |d: u8| match d {
+        b'0'..=b'9' => Ok(d - b'0'),
+        b'a'..=b'f' => Ok(d - b'a' + 10),
+        _ => Err(ProtoError::BadRecord {
+            what: "part line is not lowercase hex",
+        }),
+    };
+    for pair in digits.chunks_exact(2) {
+        out.push(nibble(pair[0])? << 4 | nibble(pair[1])?);
+    }
+    Ok(())
+}
+
 fn expect_arity(verb: &'static str, operands: &[&str], expected: usize) -> Result<(), ProtoError> {
     if operands.len() != expected {
         return Err(ProtoError::Arity {
@@ -831,6 +988,14 @@ impl Request {
                 arity("HANDOFF", 0)?;
                 Ok(Request::Handoff)
             }
+            "RESTORE" => {
+                arity("RESTORE", 1)?;
+                let n = parse_u64("lines", tok(1))?;
+                if n == 0 || n > MAX_BATCH as u64 {
+                    return Err(ProtoError::BatchSize { got: n });
+                }
+                Ok(Request::Restore { lines: n as usize })
+            }
             "SHUTDOWN" => {
                 arity("SHUTDOWN", 0)?;
                 Ok(Request::Shutdown)
@@ -924,6 +1089,10 @@ impl Request {
                 push_addr_list(out, addrs);
             }
             Request::Handoff => out.extend_from_slice(b"HANDOFF"),
+            Request::Restore { lines } => {
+                out.extend_from_slice(b"RESTORE ");
+                push_u64(out, *lines as u64);
+            }
             Request::Shutdown => out.extend_from_slice(b"SHUTDOWN"),
         }
     }
@@ -1156,6 +1325,14 @@ impl Response {
                     addrs: parse_addr_list(operands[5]),
                 })
             }
+            "RESTORED" => {
+                expect_arity("RESTORED", &operands, 3)?;
+                Ok(Response::Restored {
+                    machines: parse_u64("machines", operands[0])?,
+                    samples: parse_u64("samples", operands[1])?,
+                    rejected: parse_u64("rejected", operands[2])?,
+                })
+            }
             "METRICS" => {
                 let exposition = operands.join(" ");
                 if oc_telemetry::metrics::parse_exposition(&exposition).is_none() {
@@ -1229,6 +1406,18 @@ impl Response {
                 push_u64(out, *epoch);
                 out.push(b' ');
                 push_addr_list(out, addrs);
+            }
+            Response::Restored {
+                machines,
+                samples,
+                rejected,
+            } => {
+                out.extend_from_slice(b"RESTORED ");
+                push_u64(out, *machines);
+                out.push(b' ');
+                push_u64(out, *samples);
+                out.push(b' ');
+                push_u64(out, *rejected);
             }
             Response::Err { code, detail } => {
                 out.extend_from_slice(b"ERR ");
@@ -1443,6 +1632,19 @@ mod tests {
         assert_eq!(Request::parse("RING").unwrap(), Request::Ring);
         assert_eq!(Request::Ring.encode(), "RING");
         assert_eq!(Request::parse("HANDOFF").unwrap(), Request::Handoff);
+        assert_eq!(
+            Request::parse("RESTORE 3").unwrap(),
+            Request::Restore { lines: 3 }
+        );
+        for bad in [
+            "RESTORE",
+            "RESTORE 0",
+            "RESTORE 1025",
+            "RESTORE x",
+            "RESTORE 1 2",
+        ] {
+            assert!(Request::parse(bad).is_err(), "{bad}");
+        }
         let set = Request::RingSet {
             nodes: 3,
             vnodes: 64,
@@ -1505,6 +1707,44 @@ mod tests {
             epoch_ring_generation(pack_epoch(start + 1, g + 65_536)),
         );
         assert_eq!(epoch_start_secs(pack_epoch(start, g)), start);
+    }
+
+    #[test]
+    fn view_records_round_trip_within_the_line_limit() {
+        let state: Vec<u8> = (0..=255u8).cycle().take(2 * VIEW_PART_BYTES + 7).collect();
+        let mut out = Vec::new();
+        let lines = encode_view_record(&CellId::new("c"), MachineId(7), 42, &state, &mut out);
+        let text = String::from_utf8(out).unwrap();
+        let mut it = text.lines();
+        let header = parse_view_header(it.next().unwrap()).unwrap();
+        assert_eq!(
+            header,
+            ViewHeader {
+                cell: CellId::new("c"),
+                machine: MachineId(7),
+                samples: 42,
+                parts: 3
+            }
+        );
+        assert_eq!(lines, 1 + header.parts);
+        let mut back = Vec::new();
+        for part in it {
+            assert!(part.len() <= MAX_LINE_BYTES);
+            decode_view_part(part, &mut back).unwrap();
+        }
+        assert_eq!(back, state);
+        for bad in [
+            "",
+            "VIEW c 7 42",
+            "VIEW c 7 42 0",
+            "VIEW c 7 42 1024",
+            "VIEW c x 1 1",
+        ] {
+            assert!(parse_view_header(bad).is_err(), "{bad:?}");
+        }
+        for bad in ["abc", "AB", "zz", &"00".repeat(VIEW_PART_BYTES + 1)] {
+            assert!(decode_view_part(bad, &mut Vec::new()).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::fault::FaultCounters;
 use crate::metrics::ShardMetrics;
 use crate::proto::{pack_epoch, ErrCode, Request, Response, StatsSnapshot};
 use crate::reactor::ReactorPool;
-use crate::shard::{HandoffEntry, MachineKey, ShardPool};
+use crate::shard::{MachineKey, ShardPool};
 use oc_telemetry::metrics::encode_exposition;
 use oc_telemetry::{Counter, Gauge, MetricsRegistry};
 use std::collections::HashMap;
@@ -88,6 +88,9 @@ pub(crate) struct Shared {
     pub(crate) parse_errors: Arc<Counter>,
     /// Per-verb request counters (`serve.requests.<verb>`).
     pub(crate) requests: RequestCounters,
+    /// What `RESTORE` frames installed and refused
+    /// (`serve.restore.<what>`).
+    pub(crate) restore: RestoreCounters,
     /// Sub-requests received inside `BATCH` frames
     /// (`serve.batch.requests`).
     pub(crate) batch_requests: Arc<Counter>,
@@ -151,6 +154,11 @@ impl Shared {
             reactor_writes_blocked: metrics.counter("serve.reactor.writes_blocked"),
             parse_errors: metrics.counter("serve.parse_errors"),
             requests: RequestCounters::new(&metrics),
+            restore: RestoreCounters {
+                machines: metrics.counter("serve.restore.machines"),
+                samples: metrics.counter("serve.restore.samples"),
+                rejected: metrics.counter("serve.restore.rejected"),
+            },
             batch_requests: metrics.counter("serve.batch.requests"),
             batch_coalesced: metrics.counter("serve.batch.coalesced"),
             cache: PredictCache::new(&metrics),
@@ -173,7 +181,7 @@ impl Shared {
                 max_connections: cfg.max_connections,
                 faults: cfg.faults.clone(),
                 reactor_threads_effective: cfg.effective_reactor_threads(),
-                handoff_log: cfg.handoff_log,
+                fresh_view: crate::shard::new_view(cfg),
                 ownership_factory: cfg.ownership_factory.clone(),
             },
             shutdown_requested: Mutex::new(false),
@@ -205,6 +213,7 @@ pub(crate) struct RequestCounters {
     pub(crate) ring: Arc<Counter>,
     pub(crate) ring_set: Arc<Counter>,
     pub(crate) handoff: Arc<Counter>,
+    pub(crate) restore: Arc<Counter>,
     pub(crate) shutdown: Arc<Counter>,
 }
 
@@ -219,9 +228,23 @@ impl RequestCounters {
             ring: registry.counter("serve.requests.ring"),
             ring_set: registry.counter("serve.requests.ringset"),
             handoff: registry.counter("serve.requests.handoff"),
+            restore: registry.counter("serve.requests.restore"),
             shutdown: registry.counter("serve.requests.shutdown"),
         }
     }
+}
+
+/// State-record outcomes of `RESTORE` frames.
+#[derive(Debug)]
+pub(crate) struct RestoreCounters {
+    /// Machines installed (`serve.restore.machines`).
+    pub(crate) machines: Arc<Counter>,
+    /// Samples the installed states carry (`serve.restore.samples`).
+    /// Restored samples are not `observes`: nothing was ingested.
+    pub(crate) samples: Arc<Counter>,
+    /// Records refused — owned elsewhere, already held, or in a
+    /// malformed frame (`serve.restore.rejected`).
+    pub(crate) rejected: Arc<Counter>,
 }
 
 /// Generation stripes in the [`PredictCache`]. Collisions between
@@ -349,9 +372,9 @@ pub(crate) struct ConnSettings {
     /// Resolved reactor pool size
     /// ([`ServeConfig::effective_reactor_threads`]).
     pub(crate) reactor_threads_effective: usize,
-    /// Whether shards keep the handoff sample log (`HANDOFF` answers
-    /// `ERR internal` when disabled).
-    pub(crate) handoff_log: bool,
+    /// A view as a first sample creates it: the configuration every
+    /// restored state record must carry.
+    pub(crate) fresh_view: Box<oc_core::ingest::IncrementalView>,
     /// Rebuilds this process's ownership map for a pushed ring geometry
     /// (`RINGSET`); `None` limits pushes to same-geometry metadata.
     pub(crate) ownership_factory: Option<crate::config::OwnershipFactory>,
@@ -562,15 +585,17 @@ fn server_stats(mut merged: ShardMetrics, shared: &Shared) -> StatsSnapshot {
 
 /// Answers a control verb. The data plane never comes through here:
 /// `OBSERVE` is micro-batched, `PREDICT`/`ADMIT` are computed under the
-/// shard's lock, and `HANDOFF`'s multi-line dump is streamed, all by the
-/// connection layer (`conn::process_line`).
+/// shard's lock, and the multi-line state transfer (`HANDOFF`'s dump,
+/// `RESTORE`'s frame) is streamed, all by the connection layer
+/// (`conn::process_line`).
 pub(crate) fn dispatch(req: Request, pool: &ShardPool, shared: &Shared) -> Response {
     match req {
         Request::Observe { .. }
         | Request::Predict { .. }
         | Request::Admit { .. }
-        | Request::Handoff => {
-            unreachable!("data-plane verbs and HANDOFF are handled by the connection layer")
+        | Request::Handoff
+        | Request::Restore { .. } => {
+            unreachable!("data-plane and state-transfer verbs are handled by the connection layer")
         }
         Request::Stats => {
             shared.requests.stats.inc();
@@ -627,7 +652,7 @@ pub(crate) fn dispatch(req: Request, pool: &ShardPool, shared: &Shared) -> Respo
             addrs,
         } => {
             shared.requests.ring_set.inc();
-            install_ring(shared, nodes, vnodes, seed, generation, addrs)
+            install_ring(pool, shared, nodes, vnodes, seed, generation, addrs)
         }
         Request::Shutdown => {
             shared.requests.shutdown.inc();
@@ -643,10 +668,12 @@ pub(crate) fn dispatch(req: Request, pool: &ShardPool, shared: &Shared) -> Respo
 }
 
 /// Installs a pushed ring (`RINGSET`): rejects stale generations,
-/// rebuilds the ownership map, re-packs the epoch with the original
+/// rebuilds the ownership map, drops the state of machines the new map
+/// gives this process no role for, re-packs the epoch with the original
 /// start stamp, clears the predict cache, and bumps the ownership
 /// version so every connection refreshes its cached map.
 fn install_ring(
+    pool: &ShardPool,
     shared: &Shared,
     nodes: u64,
     vnodes: u64,
@@ -708,11 +735,23 @@ fn install_ring(
             return Response::Ok;
         }
     };
+    let moved = ring.info != Some(info);
     ring.info = Some(info);
     ring.generation = generation;
     ring.addrs = addrs;
     drop(ring);
-    *shared.ownership.lock().expect("ownership lock") = Some(rebuilt);
+    *shared.ownership.lock().expect("ownership lock") = Some(rebuilt.clone());
+    // A new geometry moves machines away, to be served elsewhere from
+    // now on. Their state here would only go stale — and would refuse the
+    // up-to-date record if a machine ever moved back, since `RESTORE`
+    // installs only into machines a member does not hold.
+    if moved {
+        for shard in 0..pool.shards() {
+            if let Ok(mut locked) = pool.lock(shard) {
+                locked.drop_unheld(&rebuilt);
+            }
+        }
+    }
     shared
         .epoch
         .store(pack_epoch(shared.epoch_start, generation), Ordering::SeqCst);
@@ -722,19 +761,6 @@ fn install_ring(
     shared.cache.clear();
     shared.ring_version.fetch_add(1, Ordering::SeqCst);
     Response::Ok
-}
-
-/// Copies every shard's handoff log for a `HANDOFF` dump, in shard
-/// order, one lock at a time. Per-machine sample order is preserved: a
-/// machine lives on exactly one shard and each shard's log is
-/// append-only.
-pub(crate) fn collect_handoff(pool: &ShardPool) -> Result<Vec<HandoffEntry>, Response> {
-    let mut entries = Vec::new();
-    for shard in 0..pool.shards() {
-        let locked = pool.lock(shard).map_err(|_closed| shutting_down())?;
-        entries.extend_from_slice(locked.handoff());
-    }
-    Ok(entries)
 }
 
 /// Merges every shard's metrics snapshot, one lock at a time (the

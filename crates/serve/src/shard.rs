@@ -2,17 +2,22 @@
 //!
 //! Machines are partitioned across `N` shards by a stable hash of
 //! `(cell, machine)`. A shard is plain data — the [`IncrementalView`]s of
-//! its machines, its counters, its handoff log and a predictor — behind
-//! one `Mutex`. There are no shard threads and no queue: the frontend
-//! thread that parsed a request line takes the owning shard's lock and
-//! applies the request itself (run to completion), so an answer costs a
-//! lock acquisition and the work, never a cross-thread wake-up.
+//! its machines, its counters and a predictor — behind one `Mutex`.
+//! There are no shard threads and no queue: the frontend thread that
+//! parsed a request line takes the owning shard's lock and applies the
+//! request itself (run to completion), so an answer costs a lock
+//! acquisition and the work, never a cross-thread wake-up.
 //!
 //! **Backpressure.** Nothing is buffered between the socket and the
 //! state, so there is nothing to bound and nothing to reject: a frontend
 //! thread that is busy applying does not read its sockets, the kernel's
 //! receive buffers fill, and TCP gates the senders. Memory per shard is
-//! its live machine state (plus the handoff log when enabled).
+//! its live machine state, bounded per machine by the views' windows.
+//!
+//! **State transfer.** A shard dumps each machine's view as a state
+//! record ([`crate::proto::encode_view_record`]) and installs decoded
+//! views into machines it does not hold yet; that is how a replacement
+//! cluster member takes over a slot without replaying history.
 //!
 //! **Ordering.** One connection's requests are applied in arrival order
 //! by the one thread that serves it; requests of different connections
@@ -26,10 +31,10 @@
 //! it. `serve.shard.contended.<i>` counts the acquisitions that had to
 //! wait — the "is one shard hot?" signal.
 
-use crate::config::ServeConfig;
+use crate::config::{KeyRole, OwnershipMap, ServeConfig};
 use crate::error::ServeError;
 use crate::metrics::ShardMetrics;
-use crate::proto::{ErrCode, Response};
+use crate::proto::{encode_view_record, ErrCode, Response};
 use oc_core::ingest::IncrementalView;
 use oc_core::predictor::{clamp_prediction, clamp_prediction_lane, PeakPredictor};
 use oc_core::CoreError;
@@ -38,6 +43,7 @@ use oc_telemetry::{Counter, MetricsRegistry};
 use oc_trace::ids::{CellId, MachineId, TaskId};
 use oc_trace::time::Tick;
 use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::mpsc::SyncSender;
@@ -165,36 +171,6 @@ pub enum ShardMsg {
         /// Reply channel (capacity ≥ 1, see [`ShardMsg`]).
         reply: SyncSender<ShardMetrics>,
     },
-    /// Dump this shard's handoff log (empty when the log is disabled).
-    /// Entries arrive in original ingest order, so per-machine sample
-    /// order is preserved.
-    Handoff {
-        /// Reply channel (capacity ≥ 1, see [`ShardMsg`]).
-        reply: SyncSender<Vec<HandoffEntry>>,
-    },
-}
-
-/// One successfully ingested sample, as recorded in a shard's handoff
-/// log ([`ServeConfig::handoff_log`]). Replaying a machine's entries in
-/// log order through ordinary `OBSERVE` lines reproduces its
-/// [`IncrementalView`] bit-identically (arrival-order equivalence plus
-/// shortest-round-trip float formatting), which is how a replacement
-/// member rebuilds state from a survivor.
-#[derive(Debug, Clone)]
-pub struct HandoffEntry {
-    /// Routing key.
-    pub key: MachineKey,
-    /// The sampled task.
-    pub task: TaskId,
-    /// Observed usage.
-    pub usage: f64,
-    /// Task limit.
-    pub limit: f64,
-    /// Optional memory lane as `(usage, limit)`; replayed in the same
-    /// wire form it arrived in, so a vector stream rebuilds a vector view.
-    pub mem: Option<(f64, f64)>,
-    /// Sample tick.
-    pub tick: Tick,
 }
 
 /// The shard no longer applies anything: the pool was shut down (server
@@ -223,18 +199,15 @@ pub(crate) struct Shard {
     /// first-touch hosts costs more than the ingest work itself.
     views: HashMap<MachineKey, Box<IncrementalView>>,
     metrics: ShardMetrics,
-    /// Handoff log: every successfully ingested sample, in arrival order
-    /// (per-machine order is what replay needs; a machine lives on exactly
-    /// one shard, so one flat vector suffices). Grows with total ingest —
-    /// only enabled for cluster runs that need member replacement.
-    handoff: Vec<HandoffEntry>,
     predictor: Box<dyn PeakPredictor>,
     cfg: ServeConfig,
     /// Set by [`ShardPool::shutdown`]; a closed shard applies nothing.
     closed: bool,
 }
 
-fn new_view(cfg: &ServeConfig) -> Box<IncrementalView> {
+/// A fresh view configured by `cfg`: what a first sample creates, and the
+/// configuration a restored state record must match.
+pub(crate) fn new_view(cfg: &ServeConfig) -> Box<IncrementalView> {
     Box::new(IncrementalView::new(cfg.machine_capacity, &cfg.sim).with_max_gap(cfg.max_tick_gap))
 }
 
@@ -272,19 +245,7 @@ impl Shard {
                     ),
                 };
                 match ingested {
-                    Ok(()) => {
-                        self.metrics.observes += 1;
-                        if self.cfg.handoff_log {
-                            self.handoff.push(HandoffEntry {
-                                key: item.key.clone(),
-                                task: item.task,
-                                usage: item.usage,
-                                limit: item.limit,
-                                mem: item.mem,
-                                tick: item.tick,
-                            });
-                        }
-                    }
+                    Ok(()) => self.metrics.observes += 1,
                     Err(CoreError::StaleSample { .. }) => self.metrics.stale += 1,
                     Err(_) => self.metrics.errors += 1,
                 }
@@ -353,9 +314,36 @@ impl Shard {
         m
     }
 
-    /// The handoff log so far (empty when the log is disabled).
-    pub(crate) fn handoff(&self) -> &[HandoffEntry] {
-        &self.handoff
+    /// Appends one state record per machine this shard holds to `out`
+    /// and returns how many it wrote. Views are encoded as they are,
+    /// a pending tick included: nothing is flushed.
+    pub(crate) fn dump(&self, out: &mut Vec<u8>) -> u64 {
+        let mut state = Vec::new();
+        for ((cell, machine), view) in &self.views {
+            state.clear();
+            view.encode(&mut state);
+            encode_view_record(cell, *machine, view.samples(), &state, out);
+        }
+        self.views.len() as u64
+    }
+
+    /// Drops the views of machines `ownership` gives this process no role
+    /// for.
+    pub(crate) fn drop_unheld(&mut self, ownership: &OwnershipMap) {
+        self.views
+            .retain(|key, _| ownership.role_of(key_hash(key)) != KeyRole::Remote);
+    }
+
+    /// Installs a restored view for `key` unless the shard already holds
+    /// the machine; returns whether it did.
+    pub(crate) fn install(&mut self, key: MachineKey, view: Box<IncrementalView>) -> bool {
+        match self.views.entry(key) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(view);
+                true
+            }
+        }
     }
 }
 
@@ -395,7 +383,6 @@ impl ShardPool {
                     shard: Mutex::new(Shard {
                         views: HashMap::new(),
                         metrics: ShardMetrics::default(),
-                        handoff: Vec::new(),
                         predictor: cfg.predictor.build()?,
                         cfg: cfg.clone(),
                         closed: false,
@@ -501,11 +488,6 @@ impl ShardPool {
             }
             ShardMsg::Snapshot { reply } => {
                 let _ = reply.send(s.snapshot());
-            }
-            ShardMsg::Handoff { reply } => {
-                // A copy, not a drain: the log keeps serving future
-                // replacements (and the member keeps appending).
-                let _ = reply.send(s.handoff().to_vec());
             }
         }
         Ok(())
@@ -743,31 +725,42 @@ mod tests {
         assert_eq!(p.shutdown().observes, 2);
     }
 
+    /// A dumped shard reinstalls into an empty one: every record decodes
+    /// against the receiver's configuration, predicts what the original
+    /// predicts, and a machine the receiver already holds is refused.
     #[test]
-    fn handoff_log_keeps_ingested_samples_in_order_and_skips_rejects() {
-        let p = pool_of(&ServeConfig::default().with_shards(1).with_handoff_log(true));
-        p.send(0, observe(1, 5, 0.2)).unwrap();
-        p.send(0, observe(1, 6, 0.3)).unwrap();
-        p.send(0, observe(1, 5, 0.2)).unwrap(); // stale: not logged
-        p.send(0, observe(2, 1, 0.1)).unwrap();
-        let (reply, rx) = sync_channel(1);
-        p.send(0, ShardMsg::Handoff { reply }).unwrap();
-        let log = rx.recv().unwrap();
-        assert_eq!(log.len(), 3, "only successful ingests are logged");
-        assert_eq!(
-            log.iter()
-                .map(|e| (e.key.1 .0, e.tick.0))
-                .collect::<Vec<_>>(),
-            vec![(1, 5), (1, 6), (2, 1)],
-            "arrival order preserved"
-        );
-        // Disabled log answers empty, not an error at this layer (the
-        // frontend turns it into ERR internal before asking).
-        let p2 = pool(1);
-        p2.send(0, observe(1, 0, 0.2)).unwrap();
-        let (reply, rx) = sync_channel(1);
-        p2.send(0, ShardMsg::Handoff { reply }).unwrap();
-        assert!(rx.recv().unwrap().is_empty());
+    fn dumped_views_install_once_and_predict_identically() {
+        use crate::proto::{decode_view_part, parse_view_header};
+        let (from, to) = (pool(1), pool(1));
+        for t in 0..30u64 {
+            for m in 0..3u32 {
+                from.send(0, observe(m, t, 0.1 + f64::from(m) / 8.0))
+                    .unwrap();
+            }
+        }
+        to.send(0, observe(2, 0, 0.3)).unwrap();
+        let mut dump = Vec::new();
+        assert_eq!(from.lock(0).unwrap().dump(&mut dump), 3);
+        let text = String::from_utf8(dump).unwrap();
+        let mut lines = text.lines();
+        let mut installed = Vec::new();
+        while let Some(header) = lines.next() {
+            let header = parse_view_header(header).unwrap();
+            let mut state = Vec::new();
+            for _ in 0..header.parts {
+                decode_view_part(lines.next().unwrap(), &mut state).unwrap();
+            }
+            let like = new_view(&ServeConfig::default());
+            let view = Box::new(IncrementalView::decode(&state, &like).unwrap());
+            assert_eq!(view.samples(), header.samples);
+            let key = (header.cell, header.machine);
+            installed.push((key.1 .0, to.lock(0).unwrap().install(key, view)));
+        }
+        installed.sort_unstable();
+        assert_eq!(installed, [(0, true), (1, true), (2, false)]);
+        for m in 0..2 {
+            assert_eq!(ask_predict(&to, key(m)), ask_predict(&from, key(m)));
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ fn make_request(
 ) -> Request {
     let cell = CellId::new(CELLS[cell_idx % CELLS.len()]);
     let machine = MachineId(machine);
-    match selector % 7 {
+    match selector % 8 {
         0 => Request::Observe {
             cell,
             machine,
@@ -67,6 +67,9 @@ fn make_request(
             vector: true,
         },
         5 => Request::Stats,
+        6 => Request::Restore {
+            lines: 1 + machine.0 as usize % MAX_BATCH,
+        },
         _ => Request::Shutdown,
     }
 }
@@ -76,7 +79,7 @@ proptest! {
     /// floats included.
     #[test]
     fn request_round_trips(
-        selector in 0u32..7,
+        selector in 0u32..8,
         cell_idx in 0usize..4,
         machine in 0u32..=u32::MAX,
         job in 0u64..=u64::MAX,
@@ -95,7 +98,7 @@ proptest! {
     /// Round trip for responses, including the 15-field STATS snapshot.
     #[test]
     fn response_round_trips(
-        selector in 0u32..7,
+        selector in 0u32..8,
         flag in 0u32..2,
         peak in 0.0f64..1e9,
         counters in proptest::collection::vec(0u64..=u64::MAX, 11),
@@ -113,11 +116,16 @@ proptest! {
             ErrCode::ConnLimit,
             ErrCode::NotMine,
         ][code_idx as usize];
-        let resp = match selector % 7 {
+        let resp = match selector % 8 {
             0 => Response::Ok,
             1 => Response::Busy,
             2 => Response::Pred { peak, mem: None },
             6 => Response::Pred { peak, mem: Some(lats[0]) },
+            7 => Response::Restored {
+                machines: counters[0],
+                samples: counters[1],
+                rejected: counters[2],
+            },
             3 => Response::Admitted { admit: flag == 1, projected: peak },
             4 => Response::Stats(StatsSnapshot {
                 observes: counters[0],

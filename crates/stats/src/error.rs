@@ -21,6 +21,12 @@ pub enum StatsError {
     },
     /// An input contained a non-finite value (NaN or infinity).
     NonFinite,
+    /// An encoded state record failed a decoding check (see
+    /// [`crate::state`]).
+    Corrupt {
+        /// The check that failed.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for StatsError {
@@ -32,6 +38,7 @@ impl fmt::Display for StatsError {
             }
             StatsError::InvalidParameter { what } => write!(f, "invalid parameter: {what}"),
             StatsError::NonFinite => write!(f, "input contains a non-finite value"),
+            StatsError::Corrupt { what } => write!(f, "corrupt state record: {what}"),
         }
     }
 }

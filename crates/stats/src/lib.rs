@@ -22,6 +22,8 @@
 //!   (Section 3.3's violation-rate vs. latency analysis).
 //! * [`regression`] — ordinary least squares (the "slope = 14.1" fit).
 //! * [`bucket`] — bucketed error-bar summaries (Figure 3(d)).
+//! * [`state`] — exact binary encode/decode of window state (every
+//!   `f64` as its bits), the unit of member-to-member state transfer.
 //! * [`Histogram`] — the one log-bucketed histogram (fixed shape, ≤ 1/32
 //!   relative bucket width) behind every latency the service reports.
 
@@ -39,6 +41,7 @@ pub mod peak;
 pub mod percentile;
 pub mod regression;
 pub mod resource;
+pub mod state;
 pub mod summary;
 pub mod welford;
 

@@ -2,6 +2,7 @@
 
 use crate::error::StatsError;
 use crate::percentile::percentile_of_sorted;
+use crate::state::{expect_capacity, put_f64, put_u64, StateReader};
 use std::collections::VecDeque;
 
 /// A fixed-capacity window over the most recent samples.
@@ -197,6 +198,45 @@ impl MovingWindow {
     /// Most recent sample, if any.
     pub fn last(&self) -> Option<f64> {
         self.buf.back().copied()
+    }
+
+    /// Appends the window's exact state to `out`: capacity, samples in
+    /// arrival order, the running accumulators and the pushes since the
+    /// last refresh. Every `f64` travels as its bits, so the shifted
+    /// moments — and with them every later `population_std` — decode
+    /// bit-identically.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.capacity as u64);
+        put_u64(out, self.buf.len() as u64);
+        for &x in &self.buf {
+            put_f64(out, x);
+        }
+        for acc in [self.sum, self.origin, self.sum_shifted, self.sumsq_shifted] {
+            put_f64(out, acc);
+        }
+        put_u64(out, self.since_refresh as u64);
+    }
+
+    /// Decodes a window written by [`MovingWindow::encode`] into a window
+    /// of `capacity`.
+    ///
+    /// # Errors
+    ///
+    /// [`StatsError::Corrupt`] for a truncated record, a capacity other
+    /// than `capacity`, more samples than it, a non-finite sample, or a
+    /// refresh count at or past the refresh period.
+    pub fn decode(r: &mut StateReader<'_>, capacity: usize) -> Result<Self, StatsError> {
+        let mut w = MovingWindow::new(capacity)?;
+        expect_capacity(r, capacity)?;
+        for _ in 0..r.count(capacity)? {
+            w.buf.push_back(r.finite()?);
+        }
+        w.sum = r.f64()?;
+        w.origin = r.f64()?;
+        w.sum_shifted = r.f64()?;
+        w.sumsq_shifted = r.f64()?;
+        w.since_refresh = r.count(REFRESH_EVERY - 1)?;
+        Ok(w)
     }
 }
 

@@ -16,6 +16,7 @@
 
 use crate::error::StatsError;
 use crate::percentile::percentile_of_sorted;
+use crate::state::{expect_capacity, put_f64, put_u64, StateReader};
 use std::collections::VecDeque;
 
 /// A fixed-capacity FIFO window that maintains its samples in sorted order.
@@ -150,6 +151,38 @@ impl OrderStatWindow {
     /// The retained samples in ascending order.
     pub fn sorted(&self) -> &[f64] {
         &self.sorted
+    }
+
+    /// Appends the window's exact state to `out`: the capacity, then the
+    /// samples in arrival order, each as its bits. The sorted index is
+    /// not shipped; [`OrderStatWindow::decode`] rebuilds it.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.capacity as u64);
+        put_u64(out, self.buf.len() as u64);
+        for &x in &self.buf {
+            put_f64(out, x);
+        }
+    }
+
+    /// Decodes a window written by [`OrderStatWindow::encode`] into a
+    /// window of `capacity`. The sorted index is rebuilt by sorting the
+    /// samples under `total_cmp`: samples that order equal have identical
+    /// bits, so the rebuilt index is exactly the one `push` maintained,
+    /// duplicates and signed zeros included.
+    ///
+    /// # Errors
+    ///
+    /// [`StatsError::Corrupt`] for a truncated record, a capacity other
+    /// than `capacity`, more samples than it, or a non-finite sample.
+    pub fn decode(r: &mut StateReader<'_>, capacity: usize) -> Result<Self, StatsError> {
+        let mut w = OrderStatWindow::new(capacity)?;
+        expect_capacity(r, capacity)?;
+        for _ in 0..r.count(capacity)? {
+            w.buf.push_back(r.finite()?);
+        }
+        w.sorted = w.buf.iter().copied().collect();
+        w.sorted.sort_unstable_by(f64::total_cmp);
+        Ok(w)
     }
 }
 

@@ -13,6 +13,8 @@
 //! amortized and never moves more than a handful of entries.
 
 use crate::error::StatsError;
+use crate::state::{corrupt, expect_capacity, put_f64, put_u64, StateReader};
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 /// A fixed-capacity FIFO window that tracks only its maximum.
@@ -81,7 +83,7 @@ impl PeakWindow {
         // A new sample dominates every older sample that is <= it: those
         // can never be the maximum again while `x` is retained.
         while let Some(&(_, back)) = self.deque.back() {
-            if back.total_cmp(&x) != std::cmp::Ordering::Greater {
+            if back.total_cmp(&x) != Ordering::Greater {
                 self.deque.pop_back();
             } else {
                 break;
@@ -116,6 +118,50 @@ impl PeakWindow {
     /// Largest retained sample; `None` when empty. O(1).
     pub fn max(&self) -> Option<f64> {
         self.deque.front().map(|&(_, x)| x)
+    }
+
+    /// Appends the window's exact state to `out`: capacity, lifetime push
+    /// count, then the candidate deque as `(stamp, bits)` pairs.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.capacity as u64);
+        put_u64(out, self.pushed);
+        put_u64(out, self.deque.len() as u64);
+        for &(seq, x) in &self.deque {
+            put_u64(out, seq);
+            put_f64(out, x);
+        }
+    }
+
+    /// Decodes a window written by [`PeakWindow::encode`] into a window of
+    /// `capacity`, checking the deque's invariants: stamps strictly
+    /// increasing and inside the last `capacity` pushes, values strictly
+    /// decreasing, and the newest push present (it always is a
+    /// candidate).
+    ///
+    /// # Errors
+    ///
+    /// [`StatsError::Corrupt`] for a truncated record, a capacity other
+    /// than `capacity`, a non-finite value, or inconsistent stamps.
+    pub fn decode(r: &mut StateReader<'_>, capacity: usize) -> Result<Self, StatsError> {
+        let mut w = PeakWindow::new(capacity)?;
+        expect_capacity(r, capacity)?;
+        w.pushed = r.counter()?;
+        let oldest = w.pushed.saturating_sub(capacity as u64);
+        for _ in 0..r.count(capacity)? {
+            let (seq, x) = (r.u64()?, r.finite()?);
+            let follows = w
+                .deque
+                .back()
+                .is_none_or(|&(prev, y)| prev < seq && y.total_cmp(&x) == Ordering::Greater);
+            if !follows || seq < oldest || seq >= w.pushed {
+                return Err(corrupt("peak window stamps are inconsistent"));
+            }
+            w.deque.push_back((seq, x));
+        }
+        if w.deque.back().map_or(0, |&(seq, _)| seq + 1) != w.pushed {
+            return Err(corrupt("peak window stamps are inconsistent"));
+        }
+        Ok(w)
     }
 }
 

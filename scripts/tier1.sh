@@ -42,6 +42,13 @@ grep -rnE -e 'LATENCY_HI_US|LATENCY_BINS|LATENCY_HIST_HI_US|SETUP_HIST_HI_US|REP
 grep -rnE -e 'queue_depth|--queue-depth|frame_busy|MAX_PENDING_READS|shard_worker' crates tests docs README.md DESIGN.md \
   && { echo "tier1: the shard queue (or its queue_depth knob) is referenced again" >&2; exit 1; }
 
+# Member state moves as view-state records (HANDOFF dump, RESTORE install),
+# never as a per-sample log replayed through OBSERVE. Keep the log, its knob
+# and its text replay from coming back through a doc or a flag.
+grep -rnE -e 'HandoffEntry|with_handoff_log|--handoff-log|collect_handoff|parse_handoff_line' \
+    crates tests docs README.md DESIGN.md \
+  && { echo "tier1: the per-sample handoff log (or its --handoff-log knob) is referenced again" >&2; exit 1; }
+
 # Docs are part of the contract: every markdown link to a local file must
 # point at something that exists (catches renamed/moved docs going stale),
 # and rustdoc must be warning-free.
@@ -89,6 +96,18 @@ pin_test oc-cluster supervisor::tests::start_failure_leaves_no_live_children \
 # machine's samples in order and end in the offline state.
 pin_test oc-cluster control::tests::rival_replays_keep_machine_order \
   "replay ordering"
+# Two rival restores into one single-shard member install every machine,
+# which then serves offline bits, with nothing counted stale or failed.
+pin_test oc-cluster control::tests::rival_restores_install_every_machine_bit_identically \
+  "restore identity"
+# A view cut anywhere (pending tick included) and shipped as bytes predicts
+# and evolves bit-identically to the original, under all six predictors.
+pin_test oc-core ingest::tests::restored_view_predicts_and_evolves_like_the_original \
+  "view state round trip"
+# Cluster::resize grows 3 -> 4 and shrinks back with both holders of every
+# machine serving offline bits (real member processes; own test main).
+pin_test oc-cluster resize::grow_and_shrink_keep_both_holders_offline_exact \
+  "ring resize"
 # A refused reconnect to a ring member is a death verdict: failover in one
 # connect, with no backoff ladder slept on the way.
 pin_test oc-client fleet::tests::refused_reconnect_is_a_death_verdict \
