@@ -23,7 +23,8 @@
 //! cap.
 //!
 //! Three cluster phases close the pipeline, each against a 3-process
-//! `oc-cluster` ring of child processes: **cluster-chaos** replays a
+//! `oc-cluster` ring of child processes and each driven by one routed
+//! `ClusterClient` (`fleet::run_routed`): **cluster-chaos** replays a
 //! mirrored fleet in two segments with one member SIGKILLed between
 //! them — `lost` is the count of machines whose served prediction is
 //! *not* bit-identical to an offline recompute of the full sample
@@ -31,12 +32,11 @@
 //! of the ledger) and must be 0; **cluster-replace** SIGKILLs a member
 //! mid-fleet and replaces it *into the same ring slot* (machine state
 //! installed from the survivors' state records, generation bumped and
-//! pushed), the
-//! second segment driven by a `ClusterClient` holding the stale spec
-//! that must auto-adopt the new ring; **cluster-1m** streams 1 000 000
-//! simulated machines across the ring (no mirroring, bounded per-task
-//! history) and reports the merged fleet throughput, with
-//! `server_machines` proving full coverage.
+//! pushed), and its client, still holding the generation-0 spec, must
+//! auto-adopt the new ring; **cluster-1m** streams 1 000 000 simulated
+//! machines across the ring (no mirroring, bounded per-task history)
+//! and reports the fleet throughput, with `server_machines` proving
+//! full coverage.
 //!
 //! With `--cluster H:P,H:P,...` one **cluster** phase drives an
 //! external member ring (started e.g. by `oc-clusterd`, which shares
@@ -178,14 +178,12 @@ fn parse_args() -> Args {
 fn phase_json(label: &str, report: &LoadReport) -> String {
     eprintln!(
         "loadgen[{label}]: {} reqs in {:.2}s = {:.0} qps, p50 {:.0}us p99 {:.0}us, \
-         busy {} ({:.2}%), errors {}, retries {}, faults {}, lost {}, failed conns {}",
+         errors {}, retries {}, faults {}, lost {}, failed conns {}",
         report.sent,
         report.wall_secs,
         report.achieved_qps,
         report.p50_us(),
         report.p99_us(),
-        report.busy,
-        report.reject_rate() * 100.0,
         report.errors,
         report.retries,
         report.faults,
@@ -307,11 +305,28 @@ const REPLACE_MACHINES: u64 = 600;
 /// Samples per machine in the cluster-replace phase.
 const REPLACE_TICKS: u64 = 30;
 
+/// A routed client over `cluster`'s current ring: `batch`-line frames,
+/// `frames` of them in flight per member.
+fn routed_client(
+    cluster: &Cluster,
+    mirror: bool,
+    batch: usize,
+    frames: usize,
+) -> Result<ClusterClient, oc_client::ClientError> {
+    let mut ccfg = ClusterClientConfig {
+        mirror,
+        pipeline_frames: frames,
+        ..ClusterClientConfig::default()
+    };
+    ccfg.client = ccfg.client.with_batch(batch);
+    ClusterClient::connect(cluster.spec(), &cluster.addrs(), ccfg)
+}
+
 /// cluster-chaos: a 3-process ring, a mirrored fleet driven in two
-/// segments with member 0 SIGKILLed between them, and `lost` replaced
-/// by the served-vs-offline identity count — each machine's final
-/// prediction must be bit-identical to an offline recompute of its full
-/// sample stream, or it counts as lost.
+/// segments by one client with member 0 SIGKILLed between them, and
+/// `lost` replaced by the served-vs-offline identity count — each
+/// machine's final prediction must be bit-identical to an offline
+/// recompute of its full sample stream, or it counts as lost.
 fn cluster_chaos() -> Result<LoadReport, oc_client::ClientError> {
     let cluster_cfg = ClusterConfig {
         nodes: 3,
@@ -319,33 +334,30 @@ fn cluster_chaos() -> Result<LoadReport, oc_client::ClientError> {
         ..ClusterConfig::default()
     };
     let mut cluster = Cluster::start(&cluster_cfg).map_err(oc_client::ClientError::Io)?;
-    let spec = cluster.spec();
-    let addrs = cluster.addrs();
+    let mut cc = routed_client(&cluster, true, 64, 32)?;
     let first = FleetConfig {
         cell: "chaos".to_string(),
         machines: CHAOS_MACHINES,
         first_tick: 0,
         ticks: CHAOS_TICKS / 2,
-        mirror: true,
-        batch: 64,
-        window: 32,
         // Mid-run snapshots would double-count when the segment reports
         // merge; only the post-kill survivors' state matters.
         fetch_stats: false,
     };
-    let r1 = fleet::run(spec, &addrs, &cluster.alive(), &first)?;
+    let r1 = fleet::run_routed(&mut cc, &first)?;
 
     // SIGKILL mid-run: no drain, no goodbye. Everything member 0 owned
-    // is now served by its ring successors, which mirrored the stream.
+    // is now served by its ring successors, which mirrored the stream;
+    // the client finds the death on its first send there.
     cluster.kill(0).map_err(oc_client::ClientError::Io)?;
 
     let second = FleetConfig {
         first_tick: CHAOS_TICKS / 2,
         ticks: CHAOS_TICKS - CHAOS_TICKS / 2,
         fetch_stats: true,
-        ..first.clone()
+        ..first
     };
-    let r2 = fleet::run(spec, &addrs, &cluster.alive(), &second)?;
+    let r2 = fleet::run_routed(&mut cc, &second)?;
     let mut report = r1;
     report.merge(&r2);
 
@@ -353,8 +365,8 @@ fn cluster_chaos() -> Result<LoadReport, oc_client::ClientError> {
     // with it; its mirrors did not). The identity sweep is the honest
     // ledger: state, not bookkeeping.
     report.lost = fleet::verify(
-        spec,
-        &addrs,
+        cluster.spec(),
+        &cluster.addrs(),
         &cluster.alive(),
         "chaos",
         CHAOS_MACHINES,
@@ -368,14 +380,13 @@ fn cluster_chaos() -> Result<LoadReport, oc_client::ClientError> {
 /// member 0 SIGKILLed and **replaced into its slot** — the replacement
 /// installs each machine's view state from the survivors' state records
 /// (`HANDOFF` dump, `RESTORE`), the ring generation bumps, and the
-/// supervisor pushes the new description
-/// to every member. The second half is then driven through a
-/// [`ClusterClient`] that still holds the generation-0 spec and the
-/// dead member's address: it must discover the death, adopt the pushed
-/// ring *on its own* (no operator `adopt` call), and finish with zero
-/// served-vs-offline mismatches. Returns the merged report plus the
-/// client's adoption count and the post-replace mirror coverage
-/// percentage (machines resident on exactly owner + replica).
+/// supervisor pushes the new description to every member. The client
+/// that drove the first half still holds the generation-0 spec and the
+/// dead member's address for the second: it must discover the death,
+/// adopt the pushed ring *on its own* (no operator `adopt` call), and
+/// finish with zero served-vs-offline mismatches. Returns the merged
+/// report plus the client's adoption count and the post-replace mirror
+/// coverage percentage (machines resident on exactly owner + replica).
 fn cluster_replace() -> Result<(LoadReport, u64, u64), oc_client::ClientError> {
     let cluster_cfg = ClusterConfig {
         nodes: 3,
@@ -383,20 +394,18 @@ fn cluster_replace() -> Result<(LoadReport, u64, u64), oc_client::ClientError> {
         ..ClusterConfig::default()
     };
     let mut cluster = Cluster::start(&cluster_cfg).map_err(oc_client::ClientError::Io)?;
-    let spec0 = cluster.spec();
-    let stale_addrs = cluster.addrs();
+    // 64-line frames, 8 in flight per member (small fleet — deeper
+    // windows would just sit on one member's socket while verify waits).
+    let mut cc = routed_client(&cluster, true, 64, 8)?;
     let seg = REPLACE_TICKS / 2;
     let first = FleetConfig {
         cell: "replace".to_string(),
         machines: REPLACE_MACHINES,
         first_tick: 0,
         ticks: seg,
-        mirror: true,
-        batch: 64,
-        window: 32,
         fetch_stats: false,
     };
-    let r1 = fleet::run(spec0, &stale_addrs, &cluster.alive(), &first)?;
+    let r1 = fleet::run_routed(&mut cc, &first)?;
 
     // SIGKILL, then replace into the same slot. No traffic lands between
     // the kill and the replacement, so the survivors' views hold every
@@ -412,15 +421,7 @@ fn cluster_replace() -> Result<(LoadReport, u64, u64), oc_client::ClientError> {
 
     // The client still believes in generation 0 and the dead address.
     // Its first contact trips on the dead member, probes a survivor's
-    // RING, and adopts the bumped generation before any mirror queues.
-    // Pipelined ingest for the second half: 64-line frames, 8 in
-    // flight per member (small fleet — deeper windows would just sit
-    // on one member's queue while verify waits).
-    let mut ccfg = ClusterClientConfig::default();
-    ccfg.client = ccfg.client.with_batch(64);
-    ccfg.pipeline_frames = 8;
-    let mut cc = ClusterClient::connect(spec0, &stale_addrs, ccfg)?;
-    let _ = cc.stats()?;
+    // RING, and adopts the bumped generation.
     let second = FleetConfig {
         first_tick: seg,
         ticks: REPLACE_TICKS - seg,
@@ -440,10 +441,9 @@ fn cluster_replace() -> Result<(LoadReport, u64, u64), oc_client::ClientError> {
     // prediction vs an offline recompute of its full 30-tick stream —
     // now served partly by a process that was not alive for the first
     // half of that stream.
-    let addrs = cluster.addrs();
     report.lost = fleet::verify(
         cluster.spec(),
-        &addrs,
+        &cluster.addrs(),
         &cluster.alive(),
         "replace",
         REPLACE_MACHINES,
@@ -454,9 +454,9 @@ fn cluster_replace() -> Result<(LoadReport, u64, u64), oc_client::ClientError> {
 }
 
 /// cluster-1m: 1 000 000 simulated machines streamed across a
-/// 3-process ring (no mirroring — this phase measures fleet-scale
-/// coverage and merged throughput, not failover). `server_machines` in
-/// the merged report must count the whole fleet.
+/// 3-process ring by one routed client (no mirroring — this phase
+/// measures fleet-scale coverage and throughput, not failover).
+/// `server_machines` in the report must count the whole fleet.
 fn cluster_1m() -> Result<LoadReport, oc_client::ClientError> {
     let cluster_cfg = ClusterConfig {
         nodes: 3,
@@ -467,20 +467,18 @@ fn cluster_1m() -> Result<LoadReport, oc_client::ClientError> {
         ..ClusterConfig::default()
     };
     let cluster = Cluster::start(&cluster_cfg).map_err(oc_client::ClientError::Io)?;
+    // 8 frames x 512 lines = 4096 lines in flight per member: frames
+    // near MAX_BATCH amortize the BATCHR framing and write syscalls over
+    // the most lines.
+    let mut cc = routed_client(&cluster, false, 512, 8)?;
     let cfg = FleetConfig {
         cell: "m1".to_string(),
         machines: ONE_M_MACHINES,
         first_tick: 0,
         ticks: 2,
-        mirror: false,
-        batch: 512,
-        // 8 frames x 512 lines = 4096 lines in flight per member:
-        // frames near MAX_BATCH amortize the BATCHR framing and write
-        // syscalls over the most lines.
-        window: 8,
         fetch_stats: true,
     };
-    let report = fleet::run(cluster.spec(), &cluster.addrs(), &cluster.alive(), &cfg)?;
+    let report = fleet::run_routed(&mut cc, &cfg)?;
     let _ = cluster.shutdown();
     Ok(report)
 }
@@ -491,23 +489,24 @@ fn cluster_external(
     addrs: &[SocketAddr],
     args: &Args,
 ) -> Result<LoadReport, oc_client::ClientError> {
-    let spec = RingSpec::new(addrs.len());
-    let alive = vec![true; addrs.len()];
+    let mut ccfg = ClusterClientConfig {
+        pipeline_frames: 32,
+        ..ClusterClientConfig::default()
+    };
+    ccfg.client = ccfg.client.with_batch(if args.cfg.batch > 1 {
+        args.cfg.batch
+    } else {
+        64
+    });
+    let mut cc = ClusterClient::connect(RingSpec::new(addrs.len()), addrs, ccfg)?;
     let cfg = FleetConfig {
         cell: "fleet".to_string(),
         machines: args.cfg.machines as u64,
         first_tick: 0,
         ticks: args.cfg.ticks,
-        mirror: true,
-        batch: if args.cfg.batch > 1 {
-            args.cfg.batch
-        } else {
-            64
-        },
-        window: 32,
         fetch_stats: true,
     };
-    fleet::run(spec, addrs, &alive, &cfg)
+    fleet::run_routed(&mut cc, &cfg)
 }
 
 fn main() -> ExitCode {
@@ -685,10 +684,10 @@ fn main() -> ExitCode {
             "mirror_coverage_pct must be 100 (every machine resident on exactly owner + ",
             "replica after redundancy is restored); cluster-1m = 1000000 machines x 2 ",
             "ticks across the same ring, ",
-            "unmirrored, server_machines proving full coverage. Cluster-phase latency ",
-            "percentiles are recomputed from merged per-member histograms. busy counts ",
-            "client-absorbed retries; reject_rate = busy/(ok+busy), retry_ratio = ",
-            "busy/sent. Latencies are client-observed (include pipelining queue time). ",
+            "unmirrored, server_machines proving full coverage. Every cluster phase is ",
+            "driven by one routed ClusterClient; its latencies are frame acks booked to ",
+            "each line the frame resolved, and segment reports merge histograms. ",
+            "Latencies are client-observed (include pipelining queue time). ",
             "Absolute numbers vary by host.\"\n}}\n"
         ),
         args.cfg.preset,

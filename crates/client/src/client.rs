@@ -2,12 +2,8 @@
 //!
 //! # Retry semantics
 //!
-//! A [`Client::request`] distinguishes four failure classes:
+//! A [`Client::request`] distinguishes three failure classes:
 //!
-//! * **`BUSY`** — the server shed the request. It was *not* applied;
-//!   re-sending is always safe. Retried after a seeded exponential
-//!   backoff. (Reserved in the protocol: `oc-serve` no longer has a queue
-//!   to fill and never sends it.)
 //! * **`ERR timeout` / `ERR conn-limit`** — the server closed (or refused)
 //!   this connection but is otherwise healthy. The connection is dropped
 //!   and the request retried on a fresh one after backoff.
@@ -17,8 +13,9 @@
 //!   `OBSERVE` for a still-pending tick updates in place bit-identically,
 //!   a repeated one for a flushed tick is counted `stale`, and
 //!   `PREDICT`/`ADMIT` are read-only. The client reconnects and re-sends.
-//! * **Everything else** (`ERR shutdown`, parse errors, non-transient I/O)
-//!   — terminal; surfaced to the caller immediately.
+//! * **Everything else** (`ERR shutdown`, non-transient I/O, a reply line
+//!   that is not a response of PROTOCOL.md §4) — terminal; surfaced to
+//!   the caller immediately, a bad line as [`ClientError::Proto`].
 //!
 //! A connection a [`ClusterClient`](crate::ClusterClient) holds to a ring
 //! member differs in one point: after a transient failure it re-dials at
@@ -205,8 +202,6 @@ pub struct ClientMetrics {
     pub retries: u64,
     /// Connections re-established after the first.
     pub reconnects: u64,
-    /// Retries caused by `BUSY` backpressure.
-    pub busy_retries: u64,
     /// Retries caused by transient I/O failures (including `ERR timeout`
     /// and `ERR conn-limit` reconnects).
     pub io_retries: u64,
@@ -220,7 +215,6 @@ pub struct ClientMetrics {
 struct GlobalCounters {
     retries: Arc<Counter>,
     reconnects: Arc<Counter>,
-    busy_retries: Arc<Counter>,
     io_retries: Arc<Counter>,
 }
 
@@ -230,7 +224,6 @@ impl GlobalCounters {
         GlobalCounters {
             retries: m.counter("client.retries"),
             reconnects: m.counter("client.reconnects"),
-            busy_retries: m.counter("client.retries.busy"),
             io_retries: m.counter("client.retries.io"),
         }
     }
@@ -444,14 +437,6 @@ impl Client {
         std::thread::sleep(self.cfg.retry.nap(attempt, &mut self.rng));
     }
 
-    /// Records one `BUSY` retry (per-client and process-wide) and emits a
-    /// `client.retry.busy` trace event (`a` = requests affected).
-    fn note_busy(&mut self, affected: u64) {
-        self.metrics.busy_retries += 1;
-        self.global.busy_retries.inc();
-        trace::event("client.retry.busy", affected, 0);
-    }
-
     /// Records one transient-I/O retry and emits `client.retry.io`
     /// (`a` = requests re-queued by the failure).
     fn note_io(&mut self, affected: u64) {
@@ -466,9 +451,9 @@ impl Client {
         self.global.retries.add(n);
     }
 
-    /// Sends one request, retrying `BUSY` and transient failures within
-    /// the budget. Non-retryable `ERR` responses are returned as
-    /// [`Response::Err`] values, not errors.
+    /// Sends one request, retrying transient failures within the budget.
+    /// Non-retryable `ERR` responses are returned as [`Response::Err`]
+    /// values, not errors.
     ///
     /// # Errors
     ///
@@ -486,13 +471,7 @@ impl Client {
                 .then(|| self.flush_frames())?
                 .then(|| self.read_frame_replies(1, &mut replies))?;
             match io {
-                FrameIo::Done => match replies.pop().expect("a frame of one has one reply") {
-                    Response::Busy => {
-                        self.note_busy(1);
-                        last = "BUSY".to_string();
-                    }
-                    resp => return Ok(resp),
-                },
+                FrameIo::Done => return Ok(replies.pop().expect("a frame of one has one reply")),
                 FrameIo::Lost(what) => {
                     self.note_io(1);
                     last = what;
@@ -707,10 +686,10 @@ impl Client {
     /// (usually submission order; retries resolve late).
     ///
     /// Responses match requests FIFO because the protocol answers in
-    /// order. `BUSY`, `ERR timeout`/`conn-limit`, and transient I/O
-    /// failures re-queue the affected requests ahead of everything not
-    /// yet written; a window that makes zero progress counts one strike,
-    /// and `max_attempts` consecutive strikes exhaust the budget.
+    /// order. `ERR timeout`/`conn-limit` and transient I/O failures
+    /// re-queue the affected requests ahead of everything not yet
+    /// written; a window that makes zero progress counts one strike, and
+    /// `max_attempts` consecutive strikes exhaust the budget.
     ///
     /// # Errors
     ///
@@ -797,41 +776,27 @@ impl Client {
             return Ok(WindowOutcome::Stalled(what));
         }
 
-        let mut resolved = false;
-        let mut deferred: Vec<usize> = Vec::new();
         let mut replies: Vec<Response> = Vec::new();
         for (frame, sent_at) in frames.iter().zip(stamps) {
             replies.clear();
             if let FrameIo::Lost(what) = self.read_frame_replies(frame.len(), &mut replies)? {
                 // This frame and all later responses of the window are
-                // gone; re-send the lot.
+                // gone; re-send the lot. Earlier frames resolved.
                 let rest = &window[frame.start..];
                 self.note_io(rest.len() as u64);
                 self.note_retries(rest.len() as u64);
-                requeue_front(todo, deferred.iter().chain(rest).copied());
-                return Ok(if resolved {
+                requeue_front(todo, rest.iter().copied());
+                return Ok(if frame.start > 0 {
                     WindowOutcome::Progress
                 } else {
                     WindowOutcome::Stalled(what)
                 });
             }
             for (&idx, resp) in window[frame.clone()].iter().zip(&replies) {
-                if matches!(resp, Response::Busy) {
-                    self.note_busy(1);
-                    self.note_retries(1);
-                    deferred.push(idx);
-                } else {
-                    on_resp(idx, resp, sent_at.elapsed().as_secs_f64() * 1e6);
-                    resolved = true;
-                }
+                on_resp(idx, resp, sent_at.elapsed().as_secs_f64() * 1e6);
             }
         }
-        requeue_front(todo, deferred.iter().copied());
-        Ok(if resolved || window.is_empty() {
-            WindowOutcome::Progress
-        } else {
-            WindowOutcome::Stalled("every request in the window was deferred".to_string())
-        })
+        Ok(WindowOutcome::Progress)
     }
 
     /// Appends `n` requests to the connection's writer as one frame — a
@@ -889,9 +854,9 @@ impl Client {
     }
 
     /// Drains one frame's replies — a `BATCHR` header when `n > 1`, then
-    /// `n` response lines — appending the raw responses to `out`. `BUSY`
-    /// and every other per-request answer are the caller's to handle;
-    /// what is decided here is the fate of the frame. On a transient
+    /// `n` response lines — appending the raw responses to `out`. Every
+    /// per-request answer is the caller's to handle; what is decided here
+    /// is the fate of the frame. On a transient
     /// failure (EOF included) or a server-side `ERR timeout`/`conn-limit`
     /// close — an idle reap says so where the next frame's header is
     /// due — the connection is dropped, the partial replies are rolled

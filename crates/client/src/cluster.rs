@@ -2,9 +2,14 @@
 //!
 //! A `ClusterClient` holds one [`Client`] per member and routes every
 //! data-plane call by the key's [`oc_serve::shard::key_hash`] through a
-//! shared [`HashRing`]: `OBSERVE`/`PREDICT`/`ADMIT` go to the live
-//! owner, and (with mirroring on) every `OBSERVE` is also queued for
-//! the key's replica — the ring successor, which is exactly the node
+//! shared [`HashRing`]. A sample has one way in:
+//! [`ClusterClient::observe`] queues it on the pipe of the key's live
+//! owner (`MemberPipe`, the per-member engine in `pipe.rs`), where
+//! same-member runs are framed as `BATCH`es and up to
+//! [`ClusterClientConfig::pipeline_frames`] frames ride each member's
+//! wire at once; [`ClusterClient::flush`] and every read settle the
+//! pipes. With mirroring on, each acknowledged sample is then queued on
+//! the pipe of the key's replica — the ring successor, exactly the node
 //! that takes over if the owner dies. Because both copies see the same
 //! ordered per-machine stream, the replica's state is bit-identical and
 //! so are its predictions; a SIGKILLed owner therefore loses nothing an
@@ -13,18 +18,19 @@
 //! Failure handling:
 //!
 //! * `ERR not-mine` (a member enforcing its [`oc_serve::config::OwnershipMap`])
-//!   bumps `cluster.redirects` and the call retries on the replica,
-//!   then on any other live member.
-//! * A terminal transport error marks the member dead, replays its
-//!   still-queued mirrors to the takeover targets
-//!   (`cluster.replica_replays`), and re-routes the call. A lost
-//!   connection is re-dialled at once and a *refused* reconnect is
-//!   terminal on the spot — nothing listens on the port, the process is
-//!   gone — so a SIGKILL costs one connect, not a backoff ladder; every
-//!   other failure (reset or EOF from a member that still listens,
-//!   timeouts, `ERR timeout`/`conn-limit`) keeps the [`RetryPolicy`]
-//!   budget. A wrong verdict degrades replication, never acknowledged
-//!   data, and heals through the `RING` probe like any replacement.
+//!   bumps `cluster.redirects` and the line re-routes to the replica,
+//!   then to any other live member.
+//! * A terminal transport error marks the member dead: its
+//!   unacknowledged tail replays in order to the takeover targets
+//!   (`cluster.pipeline.replayed_tails`), and mirrors pinned to it are
+//!   dropped ([`ClusterMetrics::mirror_drops`]). A lost connection is
+//!   re-dialled at once and a *refused* reconnect is terminal on the
+//!   spot — nothing listens on the port, the process is gone — so a
+//!   SIGKILL costs one connect, not a backoff ladder; every other failure
+//!   (reset or EOF from a member that still listens, timeouts,
+//!   `ERR timeout`/`conn-limit`) keeps the [`RetryPolicy`] budget. A
+//!   wrong verdict degrades replication, never acknowledged data, and
+//!   heals through the `RING` probe like any replacement.
 //!
 //! [`RetryPolicy`]: crate::client::RetryPolicy
 //!
@@ -62,21 +68,18 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Mirrors queued per replica before an automatic flush.
-const MIRROR_FLUSH_AT: usize = 64;
-
 /// Shape of a [`ClusterClient`].
 #[derive(Debug, Clone)]
 pub struct ClusterClientConfig {
     /// Per-member connection config; the seed is salted by member index
     /// so backoff jitter never locksteps across the fleet.
     pub client: ClientConfig,
-    /// Mirror every `OBSERVE` to the key's replica. Costs one extra
-    /// write per sample; buys SIGKILL survival.
+    /// Mirror every acknowledged `OBSERVE` to the key's replica. Costs
+    /// one extra line per sample; buys SIGKILL survival.
     pub mirror: bool,
-    /// Frames the pipelined ingest path keeps in flight per member
-    /// before blocking on acks ([`ClusterClient::observe_pipelined`]).
-    /// Each frame carries up to `client.batch` lines.
+    /// Frames kept in flight per member before blocking on acks
+    /// ([`ClusterClient::observe`]). Each frame carries up to
+    /// `client.batch` lines.
     pub pipeline_frames: usize,
 }
 
@@ -96,29 +99,26 @@ impl Default for ClusterClientConfig {
 pub struct ClusterMetrics {
     /// `ERR not-mine` responses that forced a re-route.
     pub redirects: u64,
-    /// Queued mirrors force-flushed by a member death, delivered to
-    /// their targets (including the takeover target) before any read
-    /// could observe a gap.
-    pub replica_replays: u64,
-    /// Queued mirrors dropped because their *target* died (the owner
-    /// still holds the data; redundancy is degraded, not lost).
+    /// Mirrors dropped instead of delivered: still queued on the pipe of
+    /// a member that died, or refused by their target with `not-mine`.
+    /// The owner holds the data; redundancy is degraded, not lost.
     pub mirror_drops: u64,
     /// Members marked dead after a terminal transport error.
     pub failovers: u64,
     /// Newer ring descriptions adopted from a member's `RING` answer
     /// (a replacement or resize the client discovered on its own).
     pub adoptions: u64,
-    /// Frames written by the pipelined ingest path.
+    /// Frames written to members.
     pub frames: u64,
-    /// Pipelined frames that coalesced more than one line — a
-    /// same-member run batched into a single round trip.
+    /// Frames that coalesced more than one line — a same-member run
+    /// batched into a single round trip.
     pub coalesced_runs: u64,
     /// Member failures (or transport drops) that displaced a non-empty
-    /// unacknowledged pipelined tail for in-order replay.
+    /// unacknowledged tail for in-order replay.
     pub replayed_tails: u64,
-    /// Times the pipelined path put the calling thread to sleep: a
-    /// member's failed transport waiting out its retry ladder, or a
-    /// progress-free busy round.
+    /// Times the client put the calling thread to sleep: a member whose
+    /// transport failed, but which still accepts connections, waiting
+    /// out one rung of its retry ladder.
     pub backoff_sleeps: u64,
     /// Microseconds slept across [`ClusterMetrics::backoff_sleeps`].
     pub backoff_slept_us: u64,
@@ -129,7 +129,6 @@ pub struct ClusterMetrics {
 #[derive(Debug)]
 struct GlobalCounters {
     redirects: Arc<Counter>,
-    replica_replays: Arc<Counter>,
     adoptions: Arc<Counter>,
     pipeline_frames: Arc<Counter>,
     pipeline_coalesced: Arc<Counter>,
@@ -144,7 +143,6 @@ impl GlobalCounters {
         let m = oc_telemetry::global_metrics();
         GlobalCounters {
             redirects: m.counter("cluster.redirects"),
-            replica_replays: m.counter("cluster.replica_replays"),
             adoptions: m.counter("cluster.adoptions"),
             pipeline_frames: m.counter("cluster.pipeline.frames"),
             pipeline_coalesced: m.counter("cluster.pipeline.coalesced_runs"),
@@ -163,35 +161,31 @@ pub struct ClusterClient {
     addrs: Vec<SocketAddr>,
     alive: Vec<bool>,
     clients: Vec<Option<Client>>,
-    /// Mirrors not yet written, per target member.
-    pending: Vec<Vec<Request>>,
     /// Each member's epoch word from its last `STATS` answer (`0` =
     /// never seen). Compared as the *full word* — the low 16 bits alone
     /// alias generations 2^16 apart.
     last_epoch: Vec<u64>,
     /// Re-entrancy guard: a probe triggered while another probe's
-    /// adoption is flushing must not recurse.
+    /// adoption is settling must not recurse.
     probing: bool,
-    /// Per-member pipelined ingest state (`pipes[i]` ↔ `addrs[i]`).
+    /// Per-member ingest state (`pipes[i]` ↔ `addrs[i]`).
     pipes: Vec<MemberPipe>,
     /// Lines not yet on any pipe: fresh ingest is routed through here,
     /// and replayed tails / redirected lines come back through it.
     waiting: VecDeque<Entry>,
-    /// Consecutive transport failures per member on the pipelined path
-    /// (the pipe-level analogue of [`Client`]'s per-request retries);
-    /// reset by any successful frame drain.
+    /// Consecutive transport failures per member (the pipe-level
+    /// analogue of [`Client`]'s per-request retries); reset by any
+    /// successful frame drain.
     pipe_strikes: Vec<Strikes>,
-    /// Ack latencies of the pipelined path, microseconds: each frame's
-    /// latency booked to every line it resolved. Drained by the fleet
-    /// driver.
+    /// Ack latencies, microseconds: each frame's latency booked to every
+    /// line it resolved. Drained by the fleet driver.
     frame_lats: HistogramSnapshot,
-    /// Lines resolved `OK` / with a server error / rejected `BUSY` on
-    /// the pipelined path (owner sends only; mirrors are not counted).
+    /// Lines resolved `OK` / with a server error (owner sends only;
+    /// mirrors are not counted).
     pipelined_ok: u64,
     pipelined_err: u64,
-    pipelined_busy: u64,
-    /// Jitter source for pipelined backoff ([`Client`]'s is private and
-    /// per-connection; the pipeline backs off per *member*).
+    /// Jitter source for member backoff ([`Client`]'s is private and
+    /// per-connection; the pipes back off per *member*).
     rng: SmallRng,
     cfg: ClusterClientConfig,
     metrics: ClusterMetrics,
@@ -230,7 +224,6 @@ impl ClusterClient {
             addrs: addrs.to_vec(),
             alive: vec![true; spec.nodes],
             clients: (0..spec.nodes).map(|_| None).collect(),
-            pending: vec![Vec::new(); spec.nodes],
             last_epoch: vec![0; spec.nodes],
             probing: false,
             pipes: (0..spec.nodes).map(|_| MemberPipe::default()).collect(),
@@ -239,7 +232,6 @@ impl ClusterClient {
             frame_lats: HistogramSnapshot::default(),
             pipelined_ok: 0,
             pipelined_err: 0,
-            pipelined_busy: 0,
             rng,
             cfg,
             metrics: ClusterMetrics::default(),
@@ -258,18 +250,16 @@ impl ClusterClient {
     }
 
     /// Switches to a new membership (e.g. after a retired member was
-    /// replaced under a bumped generation). Pipelined frames are settled
-    /// and pending mirrors flushed under the *old* ring first (lines the
-    /// pipeline had not yet sent survive the swap and re-route under the
-    /// new ring); all members start presumed alive.
+    /// replaced under a bumped generation). Frames on the pipes are
+    /// settled under the *old* ring first (lines not yet routed onto a
+    /// pipe survive the swap and re-route under the new ring); all
+    /// members start presumed alive.
     ///
     /// # Errors
     ///
     /// Propagates [`ClusterClient::connect`]-style validation.
     pub fn adopt(&mut self, spec: RingSpec, addrs: &[SocketAddr]) -> Result<(), ClientError> {
         self.settle_pipes()?;
-        let mut delivered = 0u64;
-        self.flush_mirrors_inner(&mut delivered)?;
         if addrs.len() != spec.nodes {
             return Err(ClientError::Config(format!(
                 "{} addresses for a {}-node ring",
@@ -281,7 +271,6 @@ impl ClusterClient {
         self.addrs = addrs.to_vec();
         self.alive = vec![true; spec.nodes];
         self.clients = (0..spec.nodes).map(|_| None).collect();
-        self.pending = vec![Vec::new(); spec.nodes];
         self.last_epoch = vec![0; spec.nodes];
         self.pipes = (0..spec.nodes).map(|_| MemberPipe::default()).collect();
         self.pipe_strikes = vec![Strikes::default(); spec.nodes];
@@ -309,13 +298,11 @@ impl ClusterClient {
     }
 
     /// Marks `index` dead after a terminal failure: drops its
-    /// connection, abandons mirrors *targeted at* it, and replays every
-    /// other queued mirror immediately — keys the dead member owned now
-    /// resolve to their replica, and the replica's queue holds exactly
-    /// the samples it has not yet seen. `failing_since` is when the
-    /// member's transport first failed (for a synchronous call, when
-    /// the call began); the `cluster.failover` trace event carries the
-    /// time from there to this verdict.
+    /// connection and displaces its pipe — sends replay through the
+    /// waiting queue to the keys' new owners, mirrors pinned to it drop.
+    /// `failing_since` is when the member's transport first failed (for
+    /// a read, when the read began); the `cluster.failover` trace event
+    /// carries the time from there to this verdict.
     fn mark_dead(&mut self, index: usize, failing_since: Instant) {
         if !self.alive[index] {
             return;
@@ -329,74 +316,9 @@ impl ClusterClient {
         self.alive[index] = false;
         self.clients[index] = None;
         self.metrics.failovers += 1;
-        let dropped = std::mem::take(&mut self.pending[index]);
-        self.metrics.mirror_drops += dropped.len() as u64;
-        let queued: u64 = self.pending.iter().map(|q| q.len() as u64).sum();
-        if queued > 0 {
-            // Only mirrors that actually reached their takeover target
-            // count as replays; a flush that fails (a second death,
-            // cascading into another mark_dead) records drops instead.
-            let mut delivered = 0u64;
-            let _ = self.flush_mirrors_inner(&mut delivered);
-            self.metrics.replica_replays += delivered;
-            self.global.replica_replays.add(delivered);
-        }
         // The supervisor may already have replaced the member under a
         // bumped generation: ask a survivor before giving up on the slot.
         self.probe_ring();
-    }
-
-    /// Writes every queued mirror to its (live) target. Called before
-    /// reads so replicas are never behind acknowledged ingest, and on
-    /// failover to complete the takeover target's stream.
-    ///
-    /// # Errors
-    ///
-    /// Only non-transport errors propagate; a member that fails
-    /// mid-flush is marked dead (degrading redundancy, never losing
-    /// owner-held data).
-    pub fn flush_mirrors(&mut self) -> Result<(), ClientError> {
-        // Pipelined mirrors ride the pipes; settle those first.
-        self.pump(true)?;
-        let mut delivered = 0u64;
-        self.flush_mirrors_inner(&mut delivered)
-    }
-
-    /// [`ClusterClient::flush_mirrors`], counting successfully written
-    /// mirrors into `delivered` so failover accounting can distinguish
-    /// replays that happened from replays that turned into drops.
-    fn flush_mirrors_inner(&mut self, delivered: &mut u64) -> Result<(), ClientError> {
-        for index in 0..self.pending.len() {
-            // A cascading mark_dead can probe and adopt a new membership
-            // mid-flush, swapping the queues out from under this loop.
-            if index >= self.pending.len() {
-                break;
-            }
-            if self.pending[index].is_empty() {
-                continue;
-            }
-            if !self.alive[index] {
-                let dropped = std::mem::take(&mut self.pending[index]);
-                self.metrics.mirror_drops += dropped.len() as u64;
-                continue;
-            }
-            let batch = std::mem::take(&mut self.pending[index]);
-            let started = Instant::now();
-            let outcome = self
-                .client(index)
-                .and_then(|c| c.pipeline_with(&batch, |_, _, _| {}));
-            match outcome {
-                Ok(()) => *delivered += batch.len() as u64,
-                Err(e) => match e {
-                    ClientError::Io(_) | ClientError::Exhausted { .. } => {
-                        self.metrics.mirror_drops += batch.len() as u64;
-                        self.mark_dead(index, started);
-                    }
-                    other => return Err(other),
-                },
-            }
-        }
-        Ok(())
     }
 
     /// Asks a live member for the current `RING` description and adopts
@@ -423,17 +345,14 @@ impl ClusterClient {
             if !self.alive[index] {
                 continue;
             }
-            // Pipelined replies still in flight would interleave with
-            // the probe's answer on this connection; drain them first
-            // (open frames are not on the wire and can wait).
+            // Replies still in flight would interleave with the probe's
+            // answer on this connection; drain them first (open frames
+            // are not on the wire and can wait).
             let mut broken = false;
             while self.alive[index] && self.pipes[index].inflight_len() > 0 {
-                match self.drain_oldest(index) {
-                    Ok(Drain::Ok { .. }) => {}
-                    Ok(Drain::Lost) | Err(_) => {
-                        broken = true;
-                        break;
-                    }
+                if !matches!(self.drain_oldest(index), Ok(Drain::Done)) {
+                    broken = true;
+                    break;
                 }
             }
             if broken || !self.alive[index] {
@@ -478,16 +397,6 @@ impl ClusterClient {
         false
     }
 
-    /// Queues a mirror of `req` for member `target`, flushing when the
-    /// queue fills.
-    fn queue_mirror(&mut self, target: usize, req: Request) -> Result<(), ClientError> {
-        self.pending[target].push(req);
-        if self.pending[target].len() >= MIRROR_FLUSH_AT {
-            self.flush_mirrors()?;
-        }
-        Ok(())
-    }
-
     /// Candidate members for a key, preference-ordered: live owner,
     /// live replica, then every other live member.
     fn candidates(&self, hash: u64) -> Vec<usize> {
@@ -503,12 +412,11 @@ impl ClusterClient {
         order
     }
 
-    /// Sends `req` to the key's owner, falling over on `not-mine`
-    /// redirects and member deaths.
+    /// Sends one read to the key's owner, falling over on `not-mine`
+    /// redirects and member deaths. The caller has flushed: a read
+    /// shares its connection with the pipes, and their replies must not
+    /// interleave with its answer.
     fn send_routed(&mut self, hash: u64, req: &Request) -> Result<Response, ClientError> {
-        // Sync requests share connections with pipelined frames; settle
-        // those first so the reply streams cannot interleave.
-        self.pump(true)?;
         loop {
             let order = self.candidates(hash);
             if order.is_empty() {
@@ -557,29 +465,28 @@ impl ClusterClient {
         }
     }
 
-    /// Queues a usage sample on the pipelined ingest path. The sample
-    /// is routed to the key's live owner, framed together with its
-    /// same-member neighbours (`BATCH`), and acknowledged
-    /// asynchronously — up to [`ClusterClientConfig::pipeline_frames`]
-    /// frames ride the wire per member, so member round trips overlap
-    /// instead of serializing. Mirrors are queued at *ack* time onto
-    /// the replica's pipe, keeping the sync path's invariant (queued
-    /// mirrors = acknowledged-but-unreplicated samples) intact; a
-    /// member death replays the unacknowledged tail in order through
-    /// the same failover/adoption ladder as [`ClusterClient::observe`]
-    /// (`cluster.pipeline.replayed_tails`). Per-machine sample order is
-    /// preserved under every failure mode — see PROTOCOL.md §7.6.
+    /// Queues a usage sample and returns. The sample is routed to the
+    /// key's live owner, framed together with its same-member neighbours
+    /// (`BATCH`), and acknowledged asynchronously — up to
+    /// [`ClusterClientConfig::pipeline_frames`] frames ride the wire per
+    /// member, so member round trips overlap instead of serializing.
+    /// With mirroring on, the sample is queued onto the replica's pipe
+    /// when its owner acknowledges it, so a queued mirror is always an
+    /// acknowledged-but-unreplicated sample. A member death replays the
+    /// unacknowledged tail in order through the failover and adoption
+    /// ladder (`cluster.pipeline.replayed_tails`). Per-machine sample
+    /// order is preserved under every failure mode — see PROTOCOL.md
+    /// §7.6.
     ///
-    /// Call [`ClusterClient::flush_pipeline`] (any read does it too)
-    /// before relying on the samples being applied.
+    /// Call [`ClusterClient::flush`] (any read does it too) before
+    /// relying on the samples being applied.
     ///
     /// # Errors
     ///
-    /// Routing exhaustion and non-transport protocol errors, exactly as
-    /// [`ClusterClient::observe`]. Per-line server errors resolve into
-    /// the pipeline tallies rather than failing the call.
-    #[allow(clippy::too_many_arguments)]
-    pub fn observe_pipelined(
+    /// Routing exhaustion and non-transport protocol errors. Per-line
+    /// server errors resolve into the pipeline tallies rather than
+    /// failing the call.
+    pub fn observe(
         &mut self,
         cell: &CellId,
         machine: MachineId,
@@ -588,11 +495,6 @@ impl ClusterClient {
         limit: f64,
         tick: u64,
     ) -> Result<(), ClientError> {
-        if self.pending.iter().any(|q| !q.is_empty()) {
-            // Sync-path mirrors must precede pipelined frames on the
-            // shared connections.
-            self.flush_mirrors()?;
-        }
         let hash = key_hash(&(cell.clone(), machine));
         let req = Request::Observe {
             cell: cell.clone(),
@@ -611,67 +513,65 @@ impl ClusterClient {
         self.pump(false)
     }
 
-    /// Settles the pipelined ingest path: every queued line is routed,
-    /// written, and acknowledged (or displaced, replayed, and then
-    /// acknowledged) before this returns.
+    /// Settles every queued sample: each line is routed, written, and
+    /// acknowledged (or displaced, replayed, and then acknowledged),
+    /// mirrors included, before this returns.
     ///
     /// # Errors
     ///
-    /// Routing exhaustion, a progress-free busy storm, and
-    /// non-transport protocol errors.
-    pub fn flush_pipeline(&mut self) -> Result<(), ClientError> {
+    /// Routing exhaustion and non-transport protocol errors.
+    pub fn flush(&mut self) -> Result<(), ClientError> {
         self.pump(true)
     }
 
-    /// Drains the pipelined path's ack latencies.
+    /// Drains the ack latencies.
     pub(crate) fn take_frame_latencies(&mut self) -> HistogramSnapshot {
         std::mem::take(&mut self.frame_lats)
     }
 
-    /// Drains the pipelined path's `(ok, err, busy)` line tallies.
-    /// Owner sends only — mirror acks are not counted.
-    pub(crate) fn take_pipeline_tallies(&mut self) -> (u64, u64, u64) {
-        let t = (self.pipelined_ok, self.pipelined_err, self.pipelined_busy);
+    /// Drains the `(ok, err)` line tallies. Owner sends only — mirror
+    /// acks are not counted.
+    pub(crate) fn take_pipeline_tallies(&mut self) -> (u64, u64) {
+        let t = (self.pipelined_ok, self.pipelined_err);
         self.pipelined_ok = 0;
         self.pipelined_err = 0;
-        self.pipelined_busy = 0;
         t
     }
 
-    /// The pipelined engine: routes waiting lines onto member pipes,
-    /// writes due frames, and drains replies until the backlog fits the
-    /// per-member window (`flush`: until everything is acknowledged).
-    /// Progress-free rounds — a busy storm — back off with the retry
-    /// policy's schedule and eventually exhaust, like the sync
-    /// pipeline's stall ladder.
+    /// The engine: routes waiting lines onto member pipes, writes due
+    /// frames, and drains replies until the backlog fits the per-member
+    /// window (`flush`: until everything is acknowledged).
+    ///
+    /// A round never naps for lack of progress, because a round that
+    /// drains no frame and loses no transport leaves every pipe within
+    /// its target and nothing waiting: it is the last one. Every other
+    /// round moves lines toward a final state, so the loop ends:
+    ///
+    /// * an `OK` or a server error resolves its line, and a refused
+    ///   mirror drops;
+    /// * a transport failure costs its member one strike, and
+    ///   `max_attempts` strikes — or one refused reconnect — end in
+    ///   `mark_dead`, after which the member takes no lines;
+    /// * a `not-mine` moves its line to the next candidate, and a full
+    ///   redirect round ends in a `RING` probe that adopts a strictly
+    ///   newer generation or in [`ClientError::Exhausted`].
+    ///
+    /// The only sleeps are a failing member's strikes
+    /// (`cluster.backoff.sleeps`).
     fn pump(&mut self, flush: bool) -> Result<(), ClientError> {
-        let mut strikes = 0u32;
         loop {
             self.route_waiting()?;
-            let s = self.settle_step(flush)?;
-            if s.done && self.waiting.is_empty() {
+            if self.settle_step(flush)? && self.waiting.is_empty() {
                 return Ok(());
             }
-            if s.progress {
-                strikes = 0;
-                continue;
-            }
-            strikes += 1;
-            if strikes >= self.cfg.client.retry.max_attempts {
-                return Err(ClientError::Exhausted {
-                    attempts: strikes,
-                    last: "pipelined ingest made no progress".to_string(),
-                });
-            }
-            self.backoff(strikes);
         }
     }
 
     /// Routes every waiting line onto its member pipe: the key's live
     /// owner, or the `tried`-th candidate for a line bounced by
     /// redirects. A full redirect round probes the ring (an adoption
-    /// resets the count); a second full round exhausts, exactly like
-    /// the sync path.
+    /// resets the count); a second full round exhausts, like a read's
+    /// (`send_routed`).
     fn route_waiting(&mut self) -> Result<(), ClientError> {
         while let Some(e) = self.waiting.pop_front() {
             match e.kind {
@@ -724,10 +624,11 @@ impl ClusterClient {
     /// full ones), keeps at most `pipeline_frames` frames on each wire,
     /// and in flush mode drains every outstanding reply. Displaced
     /// lines land in the waiting queue for the caller's next round.
-    fn settle_step(&mut self, flush: bool) -> Result<Settle, ClientError> {
+    /// Returns whether every pipe now fits its target: empty under
+    /// `flush`, within batch and window otherwise.
+    fn settle_step(&mut self, flush: bool) -> Result<bool, ClientError> {
         let batch = self.cfg.client.batch.max(1);
         let window = self.cfg.pipeline_frames;
-        let mut progress = false;
         for index in 0..self.pipes.len() {
             if !self.alive[index] {
                 continue;
@@ -742,21 +643,9 @@ impl ClusterClient {
                     // Some machine in the cut is still on the wire:
                     // drain until it is released (the no-span rule).
                     match self.drain_oldest(index)? {
-                        Drain::Ok { resolved, busy } => {
-                            progress |= resolved > 0;
-                            if busy {
-                                break;
-                            }
-                        }
-                        Drain::Lost => {
-                            // A displacement changed routing state (retry
-                            // or failover): that is forward motion, bounded
-                            // by the per-member strike budget.
-                            progress = true;
-                            break;
-                        }
+                        Drain::Done => continue,
+                        Drain::Lost => break,
                     }
-                    continue;
                 }
                 let entries = self.pipes[index].take_open(cut);
                 let wrote = self.client(index).and_then(|c| {
@@ -765,7 +654,6 @@ impl ClusterClient {
                 });
                 if let Some(broken) = Broken::of(wrote)? {
                     self.pipe_transport_failure(index, entries, broken);
-                    progress = true;
                     break;
                 }
                 let coalesced = entries.len() > 1;
@@ -777,85 +665,45 @@ impl ClusterClient {
                     self.metrics.coalesced_runs += 1;
                     self.global.pipeline_coalesced.inc();
                 }
-                let mut stop = false;
-                while self.alive[index] && self.pipes[index].inflight_len() > window {
-                    match self.drain_oldest(index)? {
-                        Drain::Ok { resolved, busy } => {
-                            progress |= resolved > 0;
-                            if busy {
-                                stop = true;
-                                break;
-                            }
-                        }
-                        Drain::Lost => {
-                            progress = true;
-                            stop = true;
-                            break;
-                        }
-                    }
+                let mut lost = false;
+                while !lost && self.alive[index] && self.pipes[index].inflight_len() > window {
+                    lost = matches!(self.drain_oldest(index)?, Drain::Lost);
                 }
-                if stop || !self.alive[index] {
+                if lost || !self.alive[index] {
                     break;
                 }
             }
             while flush && self.alive[index] && self.pipes[index].inflight_len() > 0 {
-                match self.drain_oldest(index)? {
-                    Drain::Ok { resolved, .. } => progress |= resolved > 0,
-                    Drain::Lost => progress = true,
-                }
+                self.drain_oldest(index)?;
             }
         }
-        let done = self.pipes.iter().enumerate().all(|(i, p)| {
+        Ok(self.pipes.iter().enumerate().all(|(i, p)| {
             if !self.alive[i] || flush {
                 p.is_empty()
             } else {
                 p.open_len() < batch && p.inflight_len() <= window
             }
-        });
-        Ok(Settle { done, progress })
+        }))
     }
 
     /// Settles every pipe — writes all open frames and drains every
     /// inflight reply — *without* routing the waiting queue, so it is
-    /// safe inside [`ClusterClient::adopt`]: lines the pipeline never
-    /// sent stay waiting and re-route under the ring that emerges.
+    /// safe inside [`ClusterClient::adopt`]: lines the pipes never sent
+    /// stay waiting and re-route under the ring that emerges. Acks queue
+    /// mirrors onto pipes a pass may already have visited, so settling
+    /// can take several passes; it ends for the reasons `pump` does.
     fn settle_pipes(&mut self) -> Result<(), ClientError> {
-        let mut strikes = 0u32;
-        loop {
-            // Mirrors displaced by a busy tail re-enter their pipe's
-            // open frame, so settling can take several passes.
-            let s = self.settle_step(true)?;
-            if s.done {
-                return Ok(());
-            }
-            if s.progress {
-                strikes = 0;
-                continue;
-            }
-            strikes += 1;
-            if strikes >= self.cfg.client.retry.max_attempts {
-                return Err(ClientError::Exhausted {
-                    attempts: strikes,
-                    last: "pipelined frames would not settle".to_string(),
-                });
-            }
-            self.backoff(strikes);
-        }
+        while !self.settle_step(true)? {}
+        Ok(())
     }
 
     /// Drains member `index`'s oldest inflight frame and resolves each
     /// reply: `OK`/server errors acknowledge the line (queueing its
-    /// mirror onto the replica's pipe), `not-mine` re-routes the line —
-    /// and its still-open successors — through the waiting queue, and
-    /// the first `BUSY` displaces the frame tail plus the whole open
-    /// frame for an in-order replay (the server poisoned the rest of
-    /// the frame, so applied observes are a prefix — PROTOCOL.md §2.1).
+    /// mirror onto the replica's pipe), and `not-mine` re-routes the
+    /// line — and its still-open successors — through the waiting queue.
     fn drain_oldest(&mut self, index: usize) -> Result<Drain, ClientError> {
         let Some(n) = self.pipes[index].oldest_len() else {
-            return Ok(Drain::Ok {
-                resolved: 0,
-                busy: false,
-            });
+            return Ok(Drain::Done);
         };
         let mut replies = Vec::with_capacity(n);
         let read = self
@@ -872,20 +720,8 @@ impl ClusterClient {
         self.pipe_strikes[index] = Strikes::default();
         let lat_us = frame.sent_at.elapsed().as_secs_f64() * 1e6;
         let mut resolved = 0u64;
-        let mut busy_from: Option<usize> = None;
         let mut redirected: HashMap<u64, u32> = HashMap::new();
-        let mut displaced: Vec<Entry> = Vec::new();
-        for (i, (entry, resp)) in frame.entries.into_iter().zip(replies).enumerate() {
-            if busy_from.is_some() || matches!(resp, Response::Busy) {
-                if busy_from.is_none() {
-                    busy_from = Some(i);
-                }
-                if matches!(resp, Response::Busy) {
-                    self.pipelined_busy += 1;
-                }
-                displaced.push(entry);
-                continue;
-            }
+        for (entry, resp) in frame.entries.into_iter().zip(replies) {
             match resp {
                 Response::Err {
                     code: ErrCode::NotMine,
@@ -928,23 +764,7 @@ impl ClusterClient {
                 }
             }
         }
-        let busy = busy_from.is_some();
-        if busy {
-            // The rejected tail must replay before anything later from
-            // the same machines: take the whole open frame too.
-            displaced.extend(self.pipes[index].take_all_open());
-            let mut mirrors = Vec::new();
-            for e in displaced {
-                match e.kind {
-                    EntryKind::Send { .. } => self.waiting.push_back(e),
-                    EntryKind::Mirror => mirrors.push(e),
-                }
-            }
-            // Mirrors stay pinned: back onto this pipe, order intact.
-            for e in mirrors {
-                self.pipes[index].push(e);
-            }
-        } else if !redirected.is_empty() {
+        if !redirected.is_empty() {
             let hashes: HashSet<u64> = redirected.keys().copied().collect();
             let moved = self.pipes[index].extract_open_matching(&hashes);
             for e in moved {
@@ -964,15 +784,15 @@ impl ClusterClient {
             }
         }
         self.frame_lats.record_n(lat_us, resolved);
-        Ok(Drain::Ok { resolved, busy })
+        Ok(Drain::Done)
     }
 
-    /// Member `index`'s transport failed mid-pipeline (write or drain).
+    /// Member `index`'s transport failed under a frame (write or drain).
     /// Its whole unacknowledged tail — inflight frames in send order,
     /// the frame that was about to be written, then the open frame — is
     /// displaced in order: sends replay through the waiting queue,
     /// mirrors stay pinned. Consecutive failures are bounded by the
-    /// retry budget (the pipe-level analogue of the sync client's
+    /// retry budget (the pipe-level analogue of [`Client`]'s
     /// per-request retries); exhausting it — or a refused reconnect, at
     /// once — marks the member dead, which drops its pinned mirrors.
     fn pipe_transport_failure(&mut self, index: usize, about_to_send: Vec<Entry>, broken: Broken) {
@@ -1012,8 +832,7 @@ impl ClusterClient {
         }
     }
 
-    /// Displaces member `index`'s remaining pipelined lines as part of
-    /// its death: sends replay through the waiting queue, mirrors
+    /// Displaces member `index`'s remaining lines as part of its death: sends replay through the waiting queue, mirrors
     /// targeted at it drop (the owner still holds the data).
     fn displace_pipe(&mut self, index: usize) {
         let frames = self.pipes[index].inflight_len();
@@ -1047,53 +866,17 @@ impl ClusterClient {
         std::thread::sleep(nap);
     }
 
-    /// Streams a usage sample to the key's owner and (with mirroring
-    /// on) queues it for the replica.
-    ///
-    /// # Errors
-    ///
-    /// Propagates routing exhaustion and non-`OK` responses.
-    pub fn observe(
-        &mut self,
-        cell: &CellId,
-        machine: MachineId,
-        task: TaskId,
-        usage: f64,
-        limit: f64,
-        tick: u64,
-    ) -> Result<(), ClientError> {
-        let hash = key_hash(&(cell.clone(), machine));
-        let req = Request::Observe {
-            cell: cell.clone(),
-            machine,
-            task,
-            usage,
-            limit,
-            mem: None,
-            tick,
-        };
-        match self.send_routed(hash, &req)? {
-            Response::Ok => {}
-            other => return Err(ClientError::unexpected("OK", &other)),
-        }
-        if self.cfg.mirror {
-            if let Some(target) = self.ring.mirror_target(hash, &self.alive) {
-                self.queue_mirror(target, req)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Fetches the predicted peak for one machine from its owner.
-    /// Queued mirrors are flushed first so a failover between this call
-    /// and the ingest that preceded it cannot lose acknowledged state.
+    /// Fetches the predicted peak for one machine from its owner. Queued
+    /// samples — mirrors included — are flushed first, so the answer
+    /// reflects every sample observed before it and a failover between
+    /// this call and that ingest cannot lose acknowledged state.
     ///
     /// # Errors
     ///
     /// Propagates routing exhaustion; a non-`PRED` response becomes
     /// [`ClientError::Server`].
     pub fn predict(&mut self, cell: &CellId, machine: MachineId) -> Result<f64, ClientError> {
-        self.flush_mirrors()?;
+        self.flush()?;
         let hash = key_hash(&(cell.clone(), machine));
         let req = Request::Predict {
             cell: cell.clone(),
@@ -1106,7 +889,8 @@ impl ClusterClient {
         }
     }
 
-    /// Runs an admission check against the machine's owner.
+    /// Runs an admission check against the machine's owner, after a
+    /// [`ClusterClient::flush`].
     ///
     /// # Errors
     ///
@@ -1118,7 +902,7 @@ impl ClusterClient {
         machine: MachineId,
         limit: f64,
     ) -> Result<(bool, f64), ClientError> {
-        self.flush_mirrors()?;
+        self.flush()?;
         let hash = key_hash(&(cell.clone(), machine));
         let req = Request::Admit {
             cell: cell.clone(),
@@ -1131,15 +915,15 @@ impl ClusterClient {
         }
     }
 
-    /// Cluster-wide `STATS`: every live member's snapshot folded through
-    /// [`StatsSnapshot::merge`].
+    /// Cluster-wide `STATS`: every live member's snapshot, taken after a
+    /// [`ClusterClient::flush`], folded through [`StatsSnapshot::merge`].
     ///
     /// # Errors
     ///
     /// Propagates per-member request failures (a member that dies here
     /// is marked dead and skipped).
     pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
-        self.flush_mirrors()?;
+        self.flush()?;
         let mut merged = StatsSnapshot::default();
         let mut ring_changed = false;
         for index in 0..self.alive.len() {
@@ -1181,7 +965,7 @@ struct Strikes {
     since: Option<Instant>,
 }
 
-/// How a member's transport failed under a pipelined frame.
+/// How a member's transport failed under a frame.
 #[derive(Clone, Copy)]
 enum Broken {
     /// Reset, EOF, deadline, `ERR timeout`/`conn-limit`, or a connect
@@ -1207,39 +991,35 @@ impl Broken {
 
 /// Outcome of draining one member's oldest inflight frame.
 enum Drain {
-    /// Replies processed: `resolved` lines acknowledged or errored;
-    /// `busy` — a rejected tail (plus the open frame) was displaced for
-    /// replay.
-    Ok { resolved: u64, busy: bool },
+    /// Every reply was read and resolved: acknowledged, errored, or
+    /// redirected. (No inflight frame at all also counts.)
+    Done,
     /// The member's transport failed; its unacknowledged tail was
     /// displaced.
     Lost,
 }
 
-/// Result of one [`ClusterClient::settle_step`] pass.
-struct Settle {
-    /// Every pipe fits its target (empty under flush; within
-    /// batch/window otherwise).
-    done: bool,
-    /// At least one line resolved this pass — the anti-starvation
-    /// signal that resets the busy-storm strike count.
-    progress: bool,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oc_serve::config::ServeConfig;
+    use crate::fleet::{fleet_task, fleet_usage, offline_peak, FLEET_LIMIT};
+    use oc_serve::config::{KeyRole, ServeConfig};
     use oc_serve::server::Server;
     use oc_trace::ids::JobId;
 
-    /// An in-process 3-member ring (cargo's test harness owns `main`,
+    /// An in-process N-member ring (cargo's test harness owns `main`,
     /// so child processes are out; ownership maps make in-process
     /// servers behave exactly like cluster members).
     fn ring_servers(nodes: usize) -> (RingSpec, Vec<Server>, Vec<SocketAddr>) {
         let spec = RingSpec::new(nodes);
+        let (servers, addrs) = members_on(spec);
+        (spec, servers, addrs)
+    }
+
+    /// One in-process member per slot of `spec`'s ring.
+    fn members_on(spec: RingSpec) -> (Vec<Server>, Vec<SocketAddr>) {
         let ring = spec.build();
-        let servers: Vec<Server> = (0..nodes)
+        let servers: Vec<Server> = (0..spec.nodes)
             .map(|i| {
                 let cfg = ServeConfig::default()
                     .with_addr("127.0.0.1:0")
@@ -1249,7 +1029,7 @@ mod tests {
             })
             .collect();
         let addrs = servers.iter().map(|s| s.addr()).collect();
-        (spec, servers, addrs)
+        (servers, addrs)
     }
 
     fn fleet_of(n: u32) -> (CellId, Vec<MachineId>) {
@@ -1269,7 +1049,7 @@ mod tests {
                     .expect("observe");
             }
         }
-        cc.flush_mirrors().expect("flush");
+        cc.flush().expect("flush");
         let stats = cc.stats().expect("stats");
         // Owner + replica each ingested every sample.
         assert_eq!(stats.observes, 40 * 5 * 2);
@@ -1365,56 +1145,113 @@ mod tests {
         let mut cc =
             ClusterClient::connect(spec, &addrs, ClusterClientConfig::default()).expect("connect");
         cc.observe(&cell, m, task, 0.3, 0.5, 1).expect("routed");
+        cc.flush().expect("flush");
         assert_eq!(cc.metrics().redirects, 0);
     }
 
-    /// Satellite regression: when the failover flush itself fails (a
-    /// second member dies before the takeover target is reachable),
-    /// nothing was replayed — the queued mirrors are drops, and
-    /// `replica_replays` must stay untouched. The pre-fix code counted
-    /// every queued mirror as a replay *before* attempting the flush.
+    /// A redirect is progress: a drained frame whose lines all came back
+    /// `not-mine` has already re-routed them, so the engine goes on at
+    /// once instead of napping. The members place keys by one ring seed
+    /// and the client by another; the driven machine's owner on the
+    /// client's ring holds no role for it on the members' ring, so each
+    /// tick bounces once — and the next tick is already on the wire
+    /// behind it at the default one-line frames.
     #[test]
-    fn cascading_deaths_count_drops_not_replays() {
+    fn redirect_is_progress_not_a_stall() {
+        let client_spec = RingSpec::new(3);
+        let member_spec = RingSpec {
+            seed: client_spec.seed ^ 0x5EED,
+            ..client_spec
+        };
+        let (servers, addrs) = members_on(member_spec);
+        let (ours, theirs) = (client_spec.build(), member_spec.build());
+        let (cell, _) = fleet_of(1);
+        let all = [true; 3];
+        let machine = (0..1_000)
+            .map(MachineId)
+            .find(|m| {
+                let h = key_hash(&(cell.clone(), *m));
+                let owner = ours.owner(h, &all).expect("a live owner");
+                theirs.ownership_for(owner).role_of(h) == KeyRole::Remote
+            })
+            .expect("some machine's client-side owner is remote on the members' ring");
+        let cfg = ClusterClientConfig {
+            mirror: false,
+            ..ClusterClientConfig::default()
+        };
+        let mut cc = ClusterClient::connect(client_spec, &addrs, cfg).expect("connect");
+        let task = TaskId::new(JobId(11), 0);
+        for t in 0..20 {
+            cc.observe(&cell, machine, task, 0.3, 0.5, t)
+                .expect("observe");
+        }
+        cc.flush().expect("flush");
+        assert_eq!(cc.stats().expect("stats").observes, 20);
+        let m = cc.metrics();
+        assert!(m.redirects >= 1, "nothing was redirected: {m:?}");
+        assert_eq!(m.backoff_sleeps, 0, "a redirect round napped: {m:?}");
+        for s in servers {
+            s.shutdown();
+        }
+    }
+
+    /// Mirrors still queued on the pipes of members that die count as
+    /// drops, and nothing else is lost. Member 2 acknowledges its
+    /// machines' samples, which pins each mirror to pipe 0 or 1; both of
+    /// those members then stop before the mirrors are written. A send
+    /// routed to dead member 0 finds both deaths, fails over to the
+    /// survivor — its replica — and is acknowledged there, and the
+    /// survivor serves offline bits for every machine it holds.
+    #[test]
+    fn cascading_deaths_drop_pinned_mirrors() {
         let (spec, mut servers, addrs) = ring_servers(3);
         let ring = spec.build();
-        let mut cc =
-            ClusterClient::connect(spec, &addrs, ClusterClientConfig::default()).expect("connect");
-        let (cell, _) = fleet_of(1);
-        let task = TaskId::new(JobId(7), 0);
+        let mut ccfg = ClusterClientConfig::default();
+        ccfg.client = ccfg.client.with_batch(64);
+        let mut cc = ClusterClient::connect(spec, &addrs, ccfg).expect("connect");
+        let cell = CellId::new("fleet");
         let all = vec![true; 3];
-        // Machines owned by member 0 queue mirrors for members 1 and 2;
-        // a machine owned by 1 with replica 0 trips the first death and
-        // still has a live home afterwards.
-        let mut owned0 = Vec::new();
+        let mut owned2 = Vec::new();
         let mut trip = None;
         for m in (0..600).map(MachineId) {
-            let h = key_hash(&(cell.clone(), m));
-            match ring.routes(h, &all) {
-                (Some(0), _) if owned0.len() < 40 => owned0.push(m),
-                (Some(1), Some(0)) if trip.is_none() => trip = Some(m),
+            match ring.routes(key_hash(&(cell.clone(), m)), &all) {
+                (Some(2), _) if owned2.len() < 40 => owned2.push(m),
+                (Some(0), Some(2)) if trip.is_none() => trip = Some(m),
                 _ => {}
             }
         }
-        let trip = trip.expect("some machine routes (1, 0)");
-        for &m in &owned0 {
-            cc.observe(&cell, m, task, 0.3, 0.5, 0).expect("observe");
+        let trip = trip.expect("some machine routes (0, 2)");
+        let observe = |cc: &mut ClusterClient, m: MachineId| {
+            let usage = fleet_usage(u64::from(m.0), 0);
+            cc.observe(&cell, m, fleet_task(), usage, FLEET_LIMIT, 0)
+                .expect("observe");
+        };
+        for &m in &owned2 {
+            observe(&mut cc, m);
         }
-        let q1 = cc.pending[1].len() as u64;
-        let q2 = cc.pending[2].len() as u64;
-        assert!(q1 > 0 && q2 > 0, "both targets should hold queued mirrors");
-        assert!(cc.pending[0].is_empty(), "member 0 is never its own mirror");
-        // Kill members 1 and 2 out from under the client.
-        servers.remove(2).shutdown();
+        // One pass: pipes 0 and 1 are visited before member 2's frame is
+        // written and acknowledged, so its acks leave the mirrors queued.
+        assert!(!cc.settle_step(true).expect("settle"));
+        let pinned = (cc.pipes[0].open_len(), cc.pipes[1].open_len());
+        assert!(pinned.0 > 0 && pinned.1 > 0, "{pinned:?}");
+        assert_eq!(pinned.0 + pinned.1, owned2.len());
         servers.remove(1).shutdown();
-        // The send to member 1 fails; the failover flush then finds
-        // member 2 dead too. Nothing was delivered anywhere.
-        cc.observe(&cell, trip, task, 0.3, 0.5, 1)
-            .expect("failover observe via the replica");
+        servers.remove(0).shutdown();
+        observe(&mut cc, trip);
+        cc.flush()
+            .expect("the trip sample fails over to the survivor");
         let m = cc.metrics();
-        assert_eq!(m.replica_replays, 0, "undelivered mirrors are not replays");
-        assert_eq!(m.mirror_drops, q1 + q2);
+        assert_eq!(m.mirror_drops, (pinned.0 + pinned.1) as u64);
         assert_eq!(m.failovers, 2);
-        assert!(!cc.alive()[1] && !cc.alive()[2]);
+        assert!(!cc.alive()[0] && !cc.alive()[1]);
+        let stats = cc.stats().expect("stats");
+        assert_eq!(stats.observes, owned2.len() as u64 + 1, "{stats:?}");
+        let predictor = ServeConfig::default().predictor.build().expect("predictor");
+        for &m in owned2.iter().chain([&trip]) {
+            let served = cc.predict(&cell, m).expect("predict");
+            let offline = offline_peak(predictor.as_ref(), u64::from(m.0), 1);
+            assert_eq!(served.to_bits(), offline.to_bits(), "machine {}", m.0);
+        }
         servers.remove(0).shutdown();
     }
 
@@ -1481,6 +1318,7 @@ mod tests {
         let task = TaskId::new(JobId(9), 0);
         cc.observe(&cell, MachineId(0), task, 0.3, 0.5, 1)
             .expect("observe after adoption");
+        cc.flush().expect("flush after adoption");
         for s in servers {
             s.shutdown();
         }

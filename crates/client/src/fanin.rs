@@ -22,9 +22,10 @@
 //!   seconds, rotating round-robin across connections. Arrivals at the
 //!   server are smooth, not phase-locked bursts.
 //! * Responses are verified by direct byte comparison (`BATCHR <n>`
-//!   header, then `OK`/`BUSY`/`ERR` per line). There are no retries: a
-//!   `BUSY` is counted and dropped, which is exactly what a fleet of
-//!   fire-and-forget node agents does.
+//!   header, then `OK`/`ERR` per line). There are no retries: an `ERR`
+//!   is counted and dropped, which is exactly what a fleet of
+//!   fire-and-forget node agents does, and any other line fails its
+//!   connection.
 //!
 //! Connect/setup time is measured per connection and reported separately
 //! (`setup_*` fields in [`LoadReport`]) so the one-off connection storm
@@ -274,7 +275,7 @@ fn connect_one(addr: SocketAddr) -> Result<(TcpStream, f64), String> {
 /// Steady-state latency percentiles in the report are **frame**
 /// latencies (send to last response line of the frame); `setup_*`
 /// percentiles cover per-connection connect/setup time. `achieved_qps`
-/// counts resolved sub-requests (`ok + busy + errors`) over the replay
+/// counts resolved sub-requests (`ok + errors`) over the replay
 /// wall time, which starts *after* every connection is set up. The
 /// final `STATS` snapshot is ordered behind every acknowledged sample
 /// (a sample is applied before it is acknowledged), so `lost` is an
@@ -430,9 +431,7 @@ pub fn run(addr: SocketAddr, cfg: &FaninConfig) -> Result<LoadReport, ClientErro
     drop(poller);
     let server = fetch_stats(addr)?;
     tally.acked_observes = tally.ok;
-    // This driver never retries: a `BUSY` is that request's final answer.
-    let resolved = tally.ok + tally.busy + tally.errors;
-    Ok(tally.finish(wall_secs, resolved, Some(server)))
+    Ok(tally.finish(wall_secs, Some(server)))
 }
 
 /// Whether the connection no longer participates in the run.
@@ -581,8 +580,8 @@ fn consume(
 }
 
 /// Verifies one response line. Headers must match `BATCHR <batch>`
-/// exactly; body lines are `OK` / `BUSY` / `ERR …`. Anything else is a
-/// protocol violation and fails the connection.
+/// exactly; body lines are `OK` / `ERR …`. Anything else is a protocol
+/// violation and fails the connection.
 fn take_line(
     conn: &mut FConn,
     line: &[u8],
@@ -602,7 +601,6 @@ fn take_line(
     }
     match line {
         b"OK" => tally.ok += 1,
-        b"BUSY" => tally.busy += 1,
         l if l.starts_with(b"ERR") => tally.errors += 1,
         other => {
             return Err(format!(
@@ -718,7 +716,7 @@ mod tests {
         assert_eq!(report.connections, 8);
         // 8 conns x 2 frames x 16 lines.
         assert_eq!(report.sent, 256);
-        assert_eq!(report.ok + report.busy, 256);
+        assert_eq!(report.ok, 256);
         assert_eq!(report.errors, 0);
         assert_eq!(report.lost, 0);
         assert!(report.setup_p50_us() > 0.0);

@@ -2,10 +2,9 @@
 //!
 //! `oc-serve` deliberately answers with retryable failures
 //! (`ERR timeout` at the idle deadline, `ERR conn-limit` at the
-//! connection cap; the protocol also reserves `BUSY` for a server that
-//! sheds load) and may close connections a
-//! hand-rolled socket loop would misread as fatal. This crate owns the
-//! client-side half of that contract:
+//! connection cap) and may close connections a hand-rolled socket loop
+//! would misread as fatal. This crate owns the client-side half of that
+//! contract:
 //!
 //! * [`client`] — [`Client`]: one logical connection with transparent
 //!   reconnect, bounded exponential backoff with deterministic (seeded)
@@ -23,14 +22,14 @@
 //!   patched in place; responses are byte-compared. Reports
 //!   per-connection setup time separately from steady-state latency.
 //! * [`cluster`] — [`ClusterClient`]: one client over an N-process
-//!   `oc-cluster` ring. Routes every call to the key's owner via the
-//!   shared consistent-hash ring, mirrors ingest to the replica (so a
-//!   SIGKILLed member loses nothing), absorbs `ERR not-mine` redirects,
-//!   and fails over when a member dies.
-//! * [`fleet`] — the fleet driver: replays a synthetic fleet against
-//!   every ring member in parallel, folds the per-member reports with
-//!   [`LoadReport::merge`], and proves served-vs-offline prediction
-//!   identity after failures.
+//!   `oc-cluster` ring. Every sample takes one path: routed to the key's
+//!   owner via the shared consistent-hash ring, framed and pipelined per
+//!   member, mirrored to the replica once acknowledged (so a SIGKILLed
+//!   member loses nothing). It absorbs `ERR not-mine` redirects and
+//!   fails over when a member dies.
+//! * [`fleet`] — the fleet driver: replays a synthetic fleet through one
+//!   [`ClusterClient`] and proves served-vs-offline prediction identity
+//!   after failures.
 //!
 //! # Examples
 //!

@@ -6,12 +6,12 @@
 //! connections round-robin so per-machine sample order survives the trip
 //! (the server only guarantees ordering within a connection).
 //!
-//! Each connection drives one [`Client`] with pipelined windows; `BUSY`
-//! rejections and transient transport failures are retried by the client
-//! within its budget, so `busy` in the report counts *retries absorbed*,
-//! not samples lost. Latency is measured per request from write to
-//! matching response — with pipelining this includes queueing time, so
-//! percentiles degrade visibly as the offered rate approaches capacity.
+//! Each connection drives one [`Client`] with pipelined windows;
+//! transient transport failures are retried by the client within its
+//! budget (`retries` in the report counts them). Latency is measured per
+//! request from write to matching response — with pipelining this
+//! includes queueing time, so percentiles degrade visibly as the offered
+//! rate approaches capacity.
 //!
 //! A connection whose retry budget runs out does not abort the run (and a
 //! panicked connection thread does not poison the others): its failure is
@@ -92,8 +92,6 @@ pub struct LoadReport {
     pub sent: u64,
     /// `OK`/`PRED` resolutions.
     pub ok: u64,
-    /// `BUSY` rejections absorbed by client retries.
-    pub busy: u64,
     /// `ERR` resolutions.
     pub errors: u64,
     /// Request attempts beyond the first, all causes.
@@ -134,51 +132,18 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Share of resolved attempts rejected with `BUSY`:
-    /// `busy / (ok + busy)`, 0 when idle.
-    ///
-    /// Because every `BUSY` is retried until it resolves, `busy` can
-    /// exceed `sent` under overload; dividing by attempts (not requests)
-    /// keeps the rate in `[0, 1]`.
-    pub fn reject_rate(&self) -> f64 {
-        if self.ok + self.busy == 0 {
-            0.0
-        } else {
-            self.busy as f64 / (self.ok + self.busy) as f64
-        }
-    }
-
-    /// Busy retries per scripted request: `busy / sent` (0 when nothing
-    /// was sent). This is what `reject_rate` misreported before it was
-    /// fixed — unbounded above 1.0 under overload — kept under its honest
-    /// name for comparing against older benchmark JSON.
-    pub fn retry_ratio(&self) -> f64 {
-        if self.sent == 0 {
-            0.0
-        } else {
-            self.busy as f64 / self.sent as f64
-        }
-    }
-
     /// The one epilogue every driver ends with: derives what a report
     /// derives (`failed_connections`, `achieved_qps`, `lost`) from what
-    /// the driver counted into `self`.
+    /// the driver counted into `self`. Throughput counts the requests
+    /// that got a final answer (`ok + errors`) within `wall_secs`.
     ///
-    /// `resolved` is the number of requests that got a final answer
-    /// within `wall_secs` — each driver states its own, because whether
-    /// a `BUSY` is final depends on whether the driver retries it.
     /// `server` is the `STATS` snapshot taken after the drive; without
     /// one (a segment of a longer drive) there is no ledger to check and
     /// `lost` stays 0.
-    pub(crate) fn finish(
-        mut self,
-        wall_secs: f64,
-        resolved: u64,
-        server: Option<StatsSnapshot>,
-    ) -> LoadReport {
+    pub(crate) fn finish(mut self, wall_secs: f64, server: Option<StatsSnapshot>) -> LoadReport {
         self.wall_secs = wall_secs;
         self.failed_connections = self.conn_failures.len() as u64;
-        self.achieved_qps = rate(resolved, wall_secs);
+        self.achieved_qps = rate(self.ok + self.errors, wall_secs);
         if let Some(server) = server {
             self.lost = ledger_gap(self.acked_observes, &server);
             self.server = server;
@@ -201,7 +166,6 @@ impl LoadReport {
     pub fn merge(&mut self, other: &LoadReport) {
         self.sent += other.sent;
         self.ok += other.ok;
-        self.busy += other.busy;
         self.errors += other.errors;
         self.retries += other.retries;
         self.reconnects += other.reconnects;
@@ -256,12 +220,11 @@ impl LoadReport {
     pub fn to_json(&self, label: &str) -> String {
         format!(
             concat!(
-                "{{\"label\":\"{}\",\"sent\":{},\"ok\":{},\"busy\":{},",
+                "{{\"label\":\"{}\",\"sent\":{},\"ok\":{},",
                 "\"errors\":{},\"retries\":{},\"reconnects\":{},",
                 "\"faults\":{},\"acked_observes\":{},\"lost\":{},",
                 "\"failed_connections\":{},\"connections\":{},",
                 "\"wall_secs\":{:.6},\"achieved_qps\":{:.1},",
-                "\"reject_rate\":{:.6},\"retry_ratio\":{:.6},",
                 "\"client_p50_us\":{:.1},",
                 "\"client_p99_us\":{:.1},\"client_max_us\":{:.1},",
                 "\"setup_p50_us\":{:.1},\"setup_p99_us\":{:.1},",
@@ -273,7 +236,6 @@ impl LoadReport {
             label,
             self.sent,
             self.ok,
-            self.busy,
             self.errors,
             self.retries,
             self.reconnects,
@@ -284,8 +246,6 @@ impl LoadReport {
             self.connections,
             self.wall_secs,
             self.achieved_qps,
-            self.reject_rate(),
-            self.retry_ratio(),
             self.p50_us(),
             self.p99_us(),
             self.max_us(),
@@ -440,7 +400,6 @@ fn run_conn(
         }
     }
     let m = client.metrics();
-    res.busy = m.busy_retries;
     res.retries = m.retries;
     res.reconnects = m.reconnects;
     res.faults = client.faults_injected();
@@ -497,9 +456,7 @@ pub fn run(addr: SocketAddr, cfg: &LoadgenConfig) -> Result<LoadReport, ClientEr
         Err(_) if totals.conn_failures.len() == n_conns => StatsSnapshot::default(),
         Err(e) => return Err(e),
     };
-    // The client retries `BUSY`, so only `OK`/`PRED` and `ERR` are final.
-    let resolved = totals.ok + totals.errors;
-    Ok(totals.finish(wall_secs, resolved, Some(server)))
+    Ok(totals.finish(wall_secs, Some(server)))
 }
 
 /// Asks a running server for its `STATS` snapshot.
@@ -539,7 +496,6 @@ mod tests {
         };
         let report = run(server.addr(), &cfg).unwrap();
         assert!(report.sent > 0);
-        assert_eq!(report.busy, 0, "default queues must absorb a tiny replay");
         assert_eq!(report.errors, 0);
         assert_eq!(report.ok, report.sent);
         assert_eq!(report.failed_connections, 0, "{:?}", report.conn_failures);
@@ -574,44 +530,16 @@ mod tests {
         server.shutdown();
     }
 
-    /// `reject_rate` is bounded by attempts; `retry_ratio` preserves the
-    /// old (unbounded) `busy / sent` reading.
-    #[test]
-    fn reject_rate_is_a_rate() {
-        let mut report = LoadReport {
-            sent: 10,
-            ok: 10,
-            busy: 30,
-            retries: 30,
-            acked_observes: 10,
-            connections: 1,
-            wall_secs: 1.0,
-            achieved_qps: 10.0,
-            ..Default::default()
-        };
-        assert!((report.reject_rate() - 0.75).abs() < 1e-12);
-        assert!((report.retry_ratio() - 3.0).abs() < 1e-12);
-        report.busy = 0;
-        report.sent = 0;
-        report.ok = 0;
-        assert_eq!(report.reject_rate(), 0.0);
-        assert_eq!(report.retry_ratio(), 0.0);
-        let json = report.to_json("x");
-        assert!(json.contains("\"reject_rate\":0.000000"));
-        assert!(json.contains("\"retry_ratio\":0.000000"));
-    }
-
     /// Merging two per-process reports sums the counters, recomputes
     /// rates from the merged counts (not an average of rates), and takes
     /// percentiles from the merged latency distribution.
     #[test]
     fn merge_folds_reports_not_averages() {
-        let mk = |ok: u64, busy: u64, lat: &[f64], wall: f64, observes: u64| {
+        let mk = |ok: u64, retries: u64, lat: &[f64], wall: f64, observes: u64| {
             let mut report = LoadReport {
                 sent: ok,
                 ok,
-                busy,
-                retries: busy,
+                retries,
                 reconnects: 1,
                 acked_observes: ok,
                 connections: 1,
@@ -625,9 +553,9 @@ mod tests {
                 machines: 10,
                 ..StatsSnapshot::default()
             };
-            report.finish(wall, ok, Some(server))
+            report.finish(wall, Some(server))
         };
-        // A fast member and a slow one, with very different reject rates.
+        // A fast member and a slow one that retried a lot.
         let fast: Vec<f64> = (0..100).map(|i| 100.0 + i as f64).collect();
         let slow: Vec<f64> = (0..100).map(|i| 10_000.0 + i as f64).collect();
         let mut merged = mk(100, 0, &fast, 1.0, 100);
@@ -636,12 +564,11 @@ mod tests {
 
         assert_eq!(merged.sent, 200);
         assert_eq!(merged.ok, 200);
-        assert_eq!(merged.busy, 300);
+        assert_eq!(merged.retries, 300);
         assert_eq!(merged.connections, 2);
         assert_eq!(merged.server.observes, 200);
-        // Rates come from merged counts: 300/(200+300), not (0 + 0.75)/2.
-        assert!((merged.reject_rate() - 0.6).abs() < 1e-12);
-        // wall = max (parallel members), qps = merged resolved / wall.
+        // wall = max (parallel members), qps = merged resolved / wall —
+        // a rate from merged counts, not an average of the two rates.
         assert!((merged.wall_secs - 2.0).abs() < 1e-12);
         assert!((merged.achieved_qps - 100.0).abs() < 1e-9);
         assert_eq!(merged.lost, 0);

@@ -8,17 +8,18 @@
 //! invariants are property-tested exhaustively (the `props` module
 //! below) without sockets or servers.
 //!
-//! Two rules make replay-after-failure order-safe:
+//! A frame ends in one of two ways: a reply for every line, in order,
+//! or a failed transport with none of its replies trusted. In the second
+//! case the server applied some prefix of the byte stream it was sent
+//! and nothing after it, so replaying the whole unacknowledged tail in
+//! send order can only repeat applied samples (stale no-ops), never skip
+//! one. What keeps that replay order-safe is one rule:
 //!
 //! * **No-span** — a machine's samples never sit in more than one
 //!   on-the-wire frame at once ([`MemberPipe::wire_conflicts`] forces a
 //!   drain first). Whatever happens to one frame, every *later* line of
 //!   an affected machine is still client-side (open frame), where it can
 //!   be displaced behind the replayed tail.
-//! * **Prefix-apply** — the server poisons the rest of a frame after a
-//!   `BUSY` chunk (PROTOCOL.md §2.1), so a frame's applied observes are
-//!   always a prefix. Replaying the rejected tail in order can therefore
-//!   never leapfrog an applied sample of the same machine.
 //!
 //! Boundary sealing ([`MemberPipe::seal_cut`]) is the performance side
 //! of the same coin: frames prefer to break *between* machines, so the
@@ -33,7 +34,7 @@ use std::time::Instant;
 pub(crate) enum EntryKind {
     /// Routed by key to the live owner; re-routed (and replayed) on
     /// failure. `tried` counts consecutive `not-mine` hops so a full
-    /// redirect round can be detected, exactly like the sync path.
+    /// redirect round can be detected.
     Send { tried: u32 },
     /// Pinned to the member whose pipe holds it (a replica mirror);
     /// dropped, never re-routed, when that member dies.
@@ -188,15 +189,16 @@ impl MemberPipe {
         out
     }
 
-    /// Removes and returns the whole open frame (busy displacement).
+    /// Removes and returns the whole open frame (transport-failure
+    /// displacement).
     pub fn take_all_open(&mut self) -> Vec<Entry> {
         std::mem::take(&mut self.open)
     }
 }
 
 /// Model-based property tests: arbitrary interleavings of observes,
-/// busy displacement, redirects, and member deaths must never reorder a
-/// machine's samples and never lose a sample the server acknowledged.
+/// redirects, and member deaths must never reorder a machine's samples
+/// and never lose a sample the server acknowledged.
 ///
 /// The harness replays the engine's bookkeeping discipline
 /// ([`crate::cluster::ClusterClient::pump`]'s route → seal → drain
@@ -226,9 +228,6 @@ mod props {
         Seal,
         /// Drain the oldest frame: every line acked.
         DrainOk,
-        /// Drain the oldest frame: the server applied only the first
-        /// `k` lines, then busy-poisoned the rest (PROTOCOL.md §2.1).
-        DrainBusy(usize),
         /// The member died with frames on the wire, after the server
         /// had already applied the first `k` wired lines (the
         /// acks-lost ambiguity a replay must absorb as stale).
@@ -243,8 +242,7 @@ mod props {
             0..=4 => Op::Push(m),
             5 | 6 => Op::Seal,
             7 | 8 => Op::DrainOk,
-            9 => Op::DrainBusy(k % (MAX_FRAME + 1)),
-            10 => Op::Lost(k),
+            9 => Op::Lost(k),
             _ => Op::Redirect(m),
         }
     }
@@ -356,18 +354,6 @@ mod props {
                         }
                     }
                 }
-                Op::DrainBusy(k) => {
-                    if let Some(f) = pipe.complete_oldest() {
-                        let k = k.min(f.entries.len());
-                        for e in &f.entries[..k] {
-                            model.apply(e)?;
-                        }
-                        // The rejected tail and the whole open frame are
-                        // displaced behind it, in order.
-                        waiting.extend(f.entries.into_iter().skip(k));
-                        waiting.extend(pipe.take_all_open());
-                    }
-                }
                 Op::Lost(k) => {
                     // The server applied a prefix of the wired byte
                     // stream before the connection died; none of the
@@ -436,7 +422,7 @@ mod props {
     proptest! {
         #[test]
         fn interleavings_never_reorder_or_lose_samples(
-            ops in proptest::collection::vec((0u32..12, 0u32..MACHINES, 0usize..24), 1..120),
+            ops in proptest::collection::vec((0u32..11, 0u32..MACHINES, 0usize..24), 1..120),
         ) {
             let outcome = run_interleaving(&ops);
             prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());

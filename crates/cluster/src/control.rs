@@ -381,7 +381,6 @@ pub fn drive_lines(addr: SocketAddr, lines: &[String]) -> io::Result<(u64, u64)>
             match Response::parse(resp.trim_end()).map_err(proto_err)? {
                 Response::Ok => acknowledged += 1,
                 Response::Err { .. } => rejected += 1,
-                // Including `BUSY`: members of this tree never send it.
                 other => {
                     return Err(proto_err(format_args!("replay answered {other:?}")));
                 }

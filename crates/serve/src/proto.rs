@@ -21,7 +21,6 @@
 //!
 //! ```text
 //! OK                                  observe applied
-//! BUSY                                reserved (retryable); not sent by this server
 //! PRED <peak>                         predicted machine peak (CPU)
 //! PRED <peak>,<mem>                   per-resource peaks (vector PREDICT)
 //! ADMITTED <yes|no> <projected>       admission verdict + projected peak
@@ -256,9 +255,6 @@ pub enum Request {
 pub enum Response {
     /// Observe applied (ingested, stale or invalid: see `STATS`).
     Ok,
-    /// The request was dropped and may be retried. Reserved: this server
-    /// has no queue to fill and never sends it; clients still honour it.
-    Busy,
     /// Predicted machine peak, in capacity units.
     Pred {
         /// The (clamped) peak prediction (CPU lane).
@@ -390,8 +386,9 @@ pub struct StatsSnapshot {
     pub predicts: u64,
     /// Admission checks served.
     pub admits: u64,
-    /// Requests rejected with `BUSY`. Reserved: always 0 from this server,
-    /// which has no queue to fill (the field stays on the wire).
+    /// Reserved, always 0: no server sheds requests (there is no queue
+    /// to fill, and `BUSY` is not a response). The field stays on the
+    /// wire for readers that still parse it.
     pub busy: u64,
     /// Samples rejected as stale.
     pub stale: u64,
@@ -1295,7 +1292,6 @@ impl Response {
         };
         match verb {
             "OK" if operands.is_empty() => Ok(Response::Ok),
-            "BUSY" if operands.is_empty() => Ok(Response::Busy),
             "PRED" => {
                 expect_arity("PRED", &operands, 1)?;
                 let (peak, mem) = parse_f64_or_pair("peak", operands[0])?;
@@ -1356,12 +1352,11 @@ impl Response {
 
     /// Appends the response's wire line (no trailing newline) to `out`.
     /// Error details are flattened to a single line. The hot-path
-    /// variants (`OK`, `BUSY`, `PRED`, `ADMITTED`) never allocate; the
+    /// variants (`OK`, `PRED`, `ADMITTED`) never allocate; the
     /// snapshot variants go through the formatter.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Response::Ok => out.extend_from_slice(b"OK"),
-            Response::Busy => out.extend_from_slice(b"BUSY"),
             Response::Pred { peak, mem } => {
                 out.extend_from_slice(b"PRED ");
                 push_f64(out, *peak);

@@ -118,7 +118,14 @@ proptest! {
         ][code_idx as usize];
         let resp = match selector % 8 {
             0 => Response::Ok,
-            1 => Response::Busy,
+            1 => {
+                // `BUSY` is not a response: a line carrying it is malformed.
+                prop_assert!(matches!(
+                    Response::parse("BUSY"),
+                    Err(ProtoError::BadResponse { .. })
+                ));
+                return Ok(());
+            }
             2 => Response::Pred { peak, mem: None },
             6 => Response::Pred { peak, mem: Some(lats[0]) },
             7 => Response::Restored {

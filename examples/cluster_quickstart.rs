@@ -48,9 +48,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // One client over the whole ring. Mirroring is on by default: every
-    // acknowledged sample also reaches the key's replica, so losing a
-    // whole process loses nothing.
+    // One client over the whole ring. `observe` queues each sample on
+    // its owner's pipe and returns; reads settle the pipes first.
+    // Mirroring is on by default: every acknowledged sample also reaches
+    // the key's replica, so losing a whole process loses nothing.
     let mut client =
         ClusterClient::connect(cluster.spec(), &addrs, ClusterClientConfig::default())?;
 
@@ -81,8 +82,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Kill a member the hard way — SIGKILL, no drain, mid-service. The
-    // client discovers the death on the next request, fails over to the
-    // replica, and replays any queued mirrors.
+    // client discovers the death on the next request and fails over to
+    // the replica, which already holds every acknowledged sample.
     cluster.kill(0)?;
     println!("SIGKILLed member 0");
 
@@ -99,8 +100,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cm = client.metrics();
     println!(
         "all {MACHINES} predictions survived bit-identically \
-         (failovers: {}, redirects: {}, replica replays: {})",
-        cm.failovers, cm.redirects, cm.replica_replays
+         (failovers: {}, redirects: {}, replayed tails: {})",
+        cm.failovers, cm.redirects, cm.replayed_tails
     );
 
     drop(client);

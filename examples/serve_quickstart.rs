@@ -6,7 +6,7 @@
 //!
 //! Starts `oc-serve` on an ephemeral loopback port, streams a morning's
 //! worth of usage samples for two tasks on one machine through the
-//! retrying `oc-client` (which absorbs `BUSY` backpressure and transient
+//! retrying `oc-client` (which reconnects and re-sends across transient
 //! disconnects transparently), and then asks the questions a scheduler
 //! would ask: "what will this machine's peak be?" and "does another
 //! 0.3-core task fit?". Finishes with the service-wide `STATS` snapshot
@@ -61,8 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     drop(client);
     let final_stats = server.shutdown();
     println!(
-        "drained: final snapshot has {} observes, {} busy rejects",
-        final_stats.observes, final_stats.busy
+        "drained: final snapshot has {} observes across {} machine(s)",
+        final_stats.observes, final_stats.machines
     );
     Ok(())
 }

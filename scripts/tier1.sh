@@ -49,6 +49,18 @@ grep -rnE -e 'HandoffEntry|with_handoff_log|--handoff-log|collect_handoff|parse_
     crates tests docs README.md DESIGN.md \
   && { echo "tier1: the per-sample handoff log (or its --handoff-log knob) is referenced again" >&2; exit 1; }
 
+# A sample reaches a ring member one way (ClusterClient::observe onto the
+# member pipes), and BUSY is not a response. Keep the sync mirror queue,
+# the per-member fleet drive, the client's BUSY retry ladder and the
+# report fields that counted it from coming back through a doc or a name.
+grep -rnE -e 'Response::Busy|busy_retries|client\.retries\.busy|DrainBusy|pipelined_busy' \
+    -e 'queue_mirror|flush_mirrors|MIRROR_FLUSH_AT|replica_replays|observe_pipelined' \
+    -e 'flush_pipeline|reject_rate|retry_ratio|drive_member' \
+    crates tests docs README.md DESIGN.md examples \
+  && { echo "tier1: a deleted ingest path (or the BUSY retry ladder) is referenced again" >&2; exit 1; }
+grep -rnw -e 'BUSY' crates/client crates/cluster \
+  && { echo "tier1: the client or cluster crate handles BUSY again" >&2; exit 1; }
+
 # Docs are part of the contract: every markdown link to a local file must
 # point at something that exists (catches renamed/moved docs going stale),
 # and rustdoc must be warning-free.
@@ -112,6 +124,10 @@ pin_test oc-cluster resize::grow_and_shrink_keep_both_holders_offline_exact \
 # connect, with no backoff ladder slept on the way.
 pin_test oc-client fleet::tests::refused_reconnect_is_a_death_verdict \
   "failover verdict"
+# A drained frame of not-mine redirects is progress: the engine re-sends
+# at once instead of sleeping a retry nap.
+pin_test oc-client cluster::tests::redirect_is_progress_not_a_stall \
+  "redirect progress"
 # An idle close found where a BATCHR header is due is a reconnect and a
 # re-send of the frame, not a protocol error (one frame reader for the
 # single-node client and the cluster pipes).
