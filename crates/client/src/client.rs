@@ -756,9 +756,9 @@ impl Client {
         F: FnMut(usize, &Response, f64),
     {
         let frames = plan_frames(reqs, window, self.cfg.batch);
-        // The server must see the window as one burst (it settles reads
-        // once per burst), so nothing is flushed until all of it is
-        // encoded.
+        // Nothing is flushed until the whole window is encoded, so it goes
+        // out as one write and the server's reactor takes it in with as
+        // few reads (and wake-ups) as the socket buffers allow.
         let mut stamps = Vec::with_capacity(frames.len());
         let mut wrote = FrameIo::Done;
         for frame in &frames {

@@ -9,18 +9,20 @@
 //! (which is why borg-default's violation severity is structurally capped
 //! at `1 − φ`, as Section 5.4 observes).
 //!
-//! Computation per machine is O((samples + ticks) · log ticks): tasks'
-//! usage series are added into a [`MaxTree`] as the scan passes their start
-//! tick, and each `τ` issues one range-max query over `[τ, τ+H)`. A task
-//! alive at `τ` contributes over its whole remaining lifetime; a task that
-//! started after `τ` has not been added yet when `τ` is queried — queries
-//! are issued *before* admitting tasks of later ticks.
+//! Computation per machine is O(samples + ticks · log ticks): tasks'
+//! usage series are added into a [`MaxTree`]'s leaves as the scan passes
+//! their start tick, one bottom-up rebuild per tick refreshes the maxima
+//! above the leaves that tick's admissions touched, and each `τ` issues one
+//! range-max query over `[τ, τ+H)`. A task alive at `τ` contributes over
+//! its whole remaining lifetime; a task that started after `τ` has not been
+//! added yet when `τ` is queried — queries are issued *before* admitting
+//! tasks of later ticks.
 
 use crate::segtree::MaxTree;
 use oc_trace::memory::MemoryModel;
-use oc_trace::sample::UsageMetric;
+use oc_trace::sample::{UsageMetric, UsageSample};
 use oc_trace::time::Tick;
-use oc_trace::MachineTrace;
+use oc_trace::{MachineTrace, TaskTrace};
 
 /// Sliding-window future maximum of a fixed series.
 ///
@@ -71,32 +73,7 @@ pub fn future_peak(series: &[f64], horizon: u64) -> Vec<f64> {
 /// machine-peak estimate (Section 5.1.2). Usage is per-task capped at the
 /// limit by the trace itself.
 pub fn machine_oracle(trace: &MachineTrace, metric: UsageMetric, horizon_ticks: u64) -> Vec<f64> {
-    let start = trace.horizon.start.index();
-    let n = trace.horizon.len() as usize;
-    let h = horizon_ticks.max(1) as usize;
-    let mut tree = MaxTree::new(n);
-    let mut out = vec![0.0; n];
-    // Tasks are sorted by start tick.
-    let mut next_task = 0usize;
-    for i in 0..n {
-        // Admit tasks starting at tick `start + i` *before* querying `τ = i`:
-        // they are part of J_s at their start tick.
-        while next_task < trace.tasks.len()
-            && trace.tasks[next_task].spec.start.index() - start <= i as u64
-        {
-            let task = &trace.tasks[next_task];
-            let t0 = (task.spec.start.index() - start) as usize;
-            for (k, s) in task.samples.iter().enumerate() {
-                let idx = t0 + k;
-                if idx < n {
-                    tree.add(idx, metric.of(s));
-                }
-            }
-            next_task += 1;
-        }
-        out[i] = tree.range_max(i, i + h);
-    }
-    out
+    scheduled_oracle(trace, horizon_ticks, |_, _, s| metric.of(s))
 }
 
 /// Per-tick memory-lane peak-oracle series for a machine, the analogue of
@@ -111,27 +88,47 @@ pub fn memory_oracle(
     metric: UsageMetric,
     horizon_ticks: u64,
 ) -> Vec<f64> {
+    scheduled_oracle(trace, horizon_ticks, |task, t, s| {
+        model.usage(&task.spec, t, metric.of(s))
+    })
+}
+
+/// The scheduled-tasks oracle over the per-sample value `value(task, tick,
+/// sample)`: the one scan behind [`machine_oracle`] and [`memory_oracle`].
+///
+/// The tasks a tick admits add their samples to the tree's leaves, in
+/// task order, and one [`MaxTree::rebuild`] over the leaves they touched
+/// runs before that tick's query. Every leaf sums the same values in the
+/// same order as a point add per sample would, and every inner node is
+/// the exact max of its children, so each oracle value keeps its bits.
+fn scheduled_oracle<F>(trace: &MachineTrace, horizon_ticks: u64, mut value: F) -> Vec<f64>
+where
+    F: FnMut(&TaskTrace, Tick, &UsageSample) -> f64,
+{
     let start = trace.horizon.start.index();
     let n = trace.horizon.len() as usize;
     let h = horizon_ticks.max(1) as usize;
     let mut tree = MaxTree::new(n);
     let mut out = vec![0.0; n];
+    // Tasks are sorted by start tick.
     let mut next_task = 0usize;
     for i in 0..n {
+        // Admit tasks starting at tick `start + i` *before* querying `τ = i`:
+        // they are part of J_s at their start tick.
+        let mut touched = i..i;
         while next_task < trace.tasks.len()
             && trace.tasks[next_task].spec.start.index() - start <= i as u64
         {
             let task = &trace.tasks[next_task];
             let t0 = (task.spec.start.index() - start) as usize;
-            for (k, s) in task.samples.iter().enumerate() {
-                let idx = t0 + k;
-                if idx < n {
-                    let t = Tick(start + idx as u64);
-                    tree.add(idx, model.usage(&task.spec, t, metric.of(s)));
-                }
+            let end = (t0 + task.samples.len()).min(n);
+            for (idx, s) in (t0..end).zip(&task.samples) {
+                tree.add_leaf(idx, value(task, Tick(start + idx as u64), s));
             }
+            touched = touched.start.min(t0)..touched.end.max(end);
             next_task += 1;
         }
+        tree.rebuild(touched.start, touched.end);
         out[i] = tree.range_max(i, i + h);
     }
     out
@@ -142,11 +139,7 @@ pub fn memory_oracle(
 /// For each tick of the task's lifetime, the maximum of the task's usage
 /// (by `metric`) from that tick to the earlier of the task's end or the
 /// horizon.
-pub fn task_future_peak(
-    task: &oc_trace::TaskTrace,
-    metric: UsageMetric,
-    horizon_ticks: u64,
-) -> Vec<f64> {
+pub fn task_future_peak(task: &TaskTrace, metric: UsageMetric, horizon_ticks: u64) -> Vec<f64> {
     let series: Vec<f64> = task.samples.iter().map(|s| metric.of(s)).collect();
     future_peak(&series, horizon_ticks)
 }
@@ -202,8 +195,14 @@ mod tests {
             .unwrap()
     }
 
-    /// Naive scheduled-tasks oracle for cross-checking.
-    fn naive_oracle(trace: &MachineTrace, metric: UsageMetric, horizon: u64) -> Vec<f64> {
+    /// Naive scheduled-tasks oracle for cross-checking, over the CPU
+    /// metric or, given a memory model, the memory lane derived from it.
+    fn naive_oracle(
+        trace: &MachineTrace,
+        metric: UsageMetric,
+        mem: Option<&MemoryModel>,
+        horizon: u64,
+    ) -> Vec<f64> {
         let n = trace.horizon.len() as usize;
         let mut out = vec![0.0; n];
         for tau in 0..n {
@@ -218,9 +217,12 @@ mod tests {
                 let total: f64 = alive
                     .iter()
                     .map(|task| {
-                        task.sample_at(Tick(t as u64))
-                            .map(|s| metric.of(s))
-                            .unwrap_or(0.0)
+                        let tick = Tick(t as u64);
+                        let cpu = task.sample_at(tick).map(|s| metric.of(s));
+                        match (cpu, mem) {
+                            (Some(u), Some(model)) => model.usage(&task.spec, tick, u),
+                            (u, _) => u.unwrap_or(0.0),
+                        }
                     })
                     .sum();
                 best = best.max(total);
@@ -233,16 +235,30 @@ mod tests {
     #[test]
     fn scheduled_oracle_matches_naive() {
         let tr = trace();
+        let model = MemoryModel::default();
         for horizon in [6u64, 48, 288] {
-            let fast = machine_oracle(&tr, UsageMetric::P90, horizon);
-            let naive = naive_oracle(&tr, UsageMetric::P90, horizon);
-            for i in 0..fast.len() {
-                assert!(
-                    (fast[i] - naive[i]).abs() < 1e-9,
-                    "tau={i} horizon={horizon}: fast {} vs naive {}",
-                    fast[i],
-                    naive[i]
-                );
+            let lanes = [
+                (
+                    "cpu",
+                    machine_oracle(&tr, UsageMetric::P90, horizon),
+                    naive_oracle(&tr, UsageMetric::P90, None, horizon),
+                ),
+                (
+                    "mem",
+                    memory_oracle(&tr, &model, UsageMetric::P90, horizon),
+                    naive_oracle(&tr, UsageMetric::P90, Some(&model), horizon),
+                ),
+            ];
+            for (lane, fast, naive) in lanes {
+                assert!(fast.iter().any(|&v| v > 0.0), "{lane}: empty oracle");
+                for i in 0..fast.len() {
+                    assert!(
+                        (fast[i] - naive[i]).abs() < 1e-9,
+                        "{lane} tau={i} horizon={horizon}: fast {} vs naive {}",
+                        fast[i],
+                        naive[i]
+                    );
+                }
             }
         }
     }

@@ -18,7 +18,24 @@ use oc_stats::resource::{Res2, CPU, NUM_RESOURCES};
 /// meaningless.
 pub trait PeakPredictor: Send + Sync {
     /// A short stable name for tables and CSV headers.
+    ///
+    /// The name identifies the policy, parameters included: two
+    /// predictors with equal names predict equal values from the same
+    /// sequence of views. The simulator relies on it to evaluate a max
+    /// composite's components once (see [`PeakPredictor::components`]).
     fn name(&self) -> String;
+
+    /// The components whose pointwise maximum this predictor returns, in
+    /// the order it folds them: `predict` (and each lane of `predict_vec`)
+    /// is `fold(0.0, f64::max)` over their values. Empty — the default —
+    /// for any predictor that is not such a composite.
+    ///
+    /// [`crate::sim::simulate_machine`] folds a composite from the values
+    /// of set members named like its components instead of evaluating
+    /// those components a second time.
+    fn components(&self) -> &[Box<dyn PeakPredictor>] {
+        &[]
+    }
 
     /// Predicts the machine's future peak CPU usage from its current view.
     fn predict(&self, view: &MachineView) -> f64;
@@ -198,9 +215,11 @@ impl PredictorSpec {
             PredictorSpec::BorgDefault { phi } => format!("borg-default({phi})"),
             PredictorSpec::RcLike { percentile } => format!("rc-like(p{percentile})"),
             PredictorSpec::NSigma { n } => format!("n-sigma({n})"),
-            PredictorSpec::Seasonal { slots, decay, .. } => {
-                format!("seasonal({slots}x,d={decay})")
-            }
+            PredictorSpec::Seasonal {
+                slots,
+                decay,
+                horizon_ticks,
+            } => format!("seasonal({slots}x,d={decay},h={horizon_ticks})"),
             PredictorSpec::Max(children) => {
                 let inner: Vec<String> = children.iter().map(|c| c.name()).collect();
                 format!("max({})", inner.join(","))
@@ -307,6 +326,13 @@ mod tests {
             PredictorSpec::production_max().name(),
             "max(n-sigma(3),rc-like(p80))"
         );
+        // The horizon is part of the seasonal policy, so of its name.
+        let seasonal = PredictorSpec::seasonal_max();
+        assert_eq!(
+            seasonal.name(),
+            "max(n-sigma(5),rc-like(p99),seasonal(24x,d=0.05,h=288))"
+        );
+        assert_eq!(seasonal.build().unwrap().name(), seasonal.name());
     }
 
     #[test]

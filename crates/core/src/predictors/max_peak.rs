@@ -21,11 +21,6 @@ impl MaxPeak {
     pub fn new(components: Vec<Box<dyn PeakPredictor>>) -> MaxPeak {
         MaxPeak { components }
     }
-
-    /// The component predictors.
-    pub fn components(&self) -> &[Box<dyn PeakPredictor>] {
-        &self.components
-    }
 }
 
 impl std::fmt::Debug for MaxPeak {
@@ -40,6 +35,10 @@ impl PeakPredictor for MaxPeak {
     fn name(&self) -> String {
         let inner: Vec<String> = self.components.iter().map(|c| c.name()).collect();
         format!("max({})", inner.join(","))
+    }
+
+    fn components(&self) -> &[Box<dyn PeakPredictor>] {
+        &self.components
     }
 
     fn predict(&self, view: &MachineView) -> f64 {

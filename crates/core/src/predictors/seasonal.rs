@@ -65,7 +65,10 @@ impl Seasonal {
 
 impl PeakPredictor for Seasonal {
     fn name(&self) -> String {
-        format!("seasonal({}x,d={})", self.slots, self.decay)
+        format!(
+            "seasonal({}x,d={},h={})",
+            self.slots, self.decay, self.horizon_ticks
+        )
     }
 
     fn predict(&self, view: &MachineView) -> f64 {

@@ -45,11 +45,72 @@ fn sim_counters() -> &'static SimCounters {
     })
 }
 
+/// How a predictor set is evaluated each tick, so that every distinct
+/// predictor runs once.
+///
+/// `folds[j]` is `Some` for a max composite (see
+/// [`PeakPredictor::components`]) each of whose components shares its
+/// name with a plain member of the set: it lists those members, in
+/// component order, and the composite's value is their values folded by
+/// `fold(0.0, max)` — the fold its own `predict` runs, over the same
+/// values in the same order, so the same bits. A composite with any
+/// component outside the set keeps `None` and is evaluated itself.
+struct EvalPlan {
+    folds: Vec<Option<Vec<usize>>>,
+}
+
+impl EvalPlan {
+    fn new(predictors: &[Box<dyn PeakPredictor>]) -> EvalPlan {
+        let plain: Vec<Option<String>> = predictors
+            .iter()
+            .map(|p| p.components().is_empty().then(|| p.name()))
+            .collect();
+        let member = |c: &dyn PeakPredictor| {
+            let name = c.name();
+            plain.iter().position(|m| m.as_ref() == Some(&name))
+        };
+        let folds = predictors
+            .iter()
+            .map(|p| match p.components() {
+                [] => None,
+                parts => parts.iter().map(|c| member(c.as_ref())).collect(),
+            })
+            .collect();
+        EvalPlan { folds }
+    }
+
+    /// Fills `out[j]` with predictor `j`'s value for the current view:
+    /// `predict` for every predictor the plan does not fold, then each
+    /// folded composite from those values with `max`, starting at `zero`.
+    fn eval<T: Copy>(
+        &self,
+        predictors: &[Box<dyn PeakPredictor>],
+        out: &mut [T],
+        predict: impl Fn(&dyn PeakPredictor) -> T,
+        zero: T,
+        max: impl Fn(T, T) -> T,
+    ) {
+        for ((p, fold), v) in predictors.iter().zip(&self.folds).zip(out.iter_mut()) {
+            if fold.is_none() {
+                *v = predict(p.as_ref());
+            }
+        }
+        for (j, fold) in self.folds.iter().enumerate() {
+            if let Some(parts) = fold {
+                out[j] = parts.iter().map(|&k| out[k]).fold(zero, &max);
+            }
+        }
+    }
+}
+
 /// Simulates one machine against a set of predictors.
 ///
 /// For every tick of the machine's horizon the view is fed the tick's
 /// observations, each predictor produces its estimate, and prediction,
-/// oracle, and Σ limits are recorded.
+/// oracle, and Σ limits are recorded. Each distinct predictor is
+/// evaluated once per tick: a max composite whose components are also
+/// members of the set is folded from their values (bit-identical to its
+/// own `predict`; see [`PeakPredictor::components`]).
 ///
 /// # Errors
 ///
@@ -96,11 +157,13 @@ pub fn simulate_machine(
         predictions: vec![Vec::with_capacity(n_ticks); predictors.len()],
     });
 
+    let plan = EvalPlan::new(predictors);
+    let mut values = vec![0.0; predictors.len()];
     drive_ticks(trace, cfg, |i, _t, view| {
         let po = oracle[i];
         let limit = view.total_limit();
-        for (j, predictor) in predictors.iter().enumerate() {
-            let p = predictor.predict(view);
+        plan.eval(predictors, &mut values, |p| p.predict(view), 0.0, f64::max);
+        for (j, &p) in values.iter().enumerate() {
             reports[j].record(p, po, limit);
             if let Some(series) = series.as_mut() {
                 series.predictions[j].push(p);
@@ -175,6 +238,8 @@ pub fn simulate_machine_vec(
         mem_usage: Vec::with_capacity(n_ticks),
     });
 
+    let plan = EvalPlan::new(predictors);
+    let mut values = vec![Res2::ZERO; predictors.len()];
     let mut view = MachineView::new(trace.capacity, cfg);
     let mut live: Vec<usize> = Vec::new();
     let mut next_task = 0usize;
@@ -210,8 +275,14 @@ pub fn simulate_machine_vec(
 
         let po = Res2::from_lanes([oracle_cpu[i], oracle_mem[i]]);
         let limit = view.total_limit_vec();
-        for (j, predictor) in predictors.iter().enumerate() {
-            let p = predictor.predict_vec(&view);
+        plan.eval(
+            predictors,
+            &mut values,
+            |p| p.predict_vec(&view),
+            Res2::ZERO,
+            Res2::max,
+        );
+        for (j, &p) in values.iter().enumerate() {
             reports[j].record(p, po, limit);
             if let Some(series) = series.as_mut() {
                 series.predictions[j].push(p);
@@ -472,6 +543,77 @@ mod tests {
             assert_eq!(s.mean_severity().to_bits(), v.mean_severity().to_bits());
             assert_eq!(s.prediction.mean().to_bits(), v.prediction.mean().to_bits());
         }
+    }
+
+    #[test]
+    fn shared_evaluation_matches_each_predictor_alone() {
+        // `Debug` prints every f64 in shortest round-trip form (and every
+        // private Welford moment), so equal strings mean equal bits.
+        let bits = |x: &dyn std::fmt::Debug| format!("{x:?}");
+        let t = trace();
+        let cfg = SimConfig::default().with_series();
+        let mem = oc_trace::MemoryModel::default();
+        let PredictorSpec::Max(paper_parts) = PredictorSpec::paper_max() else {
+            unreachable!()
+        };
+        let fall_back = [paper_parts, vec![PredictorSpec::production_max()]].concat();
+        let sets = [
+            PredictorSpec::comparison_set(),
+            vec![PredictorSpec::paper_max()],
+            fall_back,
+        ];
+        for specs in sets {
+            let names: Vec<String> = specs.iter().map(PredictorSpec::name).collect();
+            let shared = simulate_machine(&t, &cfg, &build(&specs)).unwrap();
+            let shared_vec = simulate_machine_vec(&t, &cfg, &build(&specs), &mem).unwrap();
+            let (s, sv) = (shared.series.unwrap(), shared_vec.series.unwrap());
+            for (j, spec) in specs.iter().enumerate() {
+                let one = std::slice::from_ref(spec);
+                let alone = simulate_machine(&t, &cfg, &build(one)).unwrap();
+                let alone_vec = simulate_machine_vec(&t, &cfg, &build(one), &mem).unwrap();
+                let (a, av) = (alone.series.unwrap(), alone_vec.series.unwrap());
+                let at = format!("{} in {names:?}", spec.name());
+                assert_eq!(bits(&shared.reports[j]), bits(&alone.reports[0]), "{at}");
+                assert_eq!(bits(&s.predictions[j]), bits(&a.predictions[0]), "{at}");
+                assert_eq!(
+                    bits(&(&s.limit, &s.oracle, &s.true_peak, &s.avg_usage)),
+                    bits(&(&a.limit, &a.oracle, &a.true_peak, &a.avg_usage)),
+                    "{at}"
+                );
+                assert_eq!(
+                    bits(&shared_vec.reports[j]),
+                    bits(&alone_vec.reports[0]),
+                    "{at} (vec)"
+                );
+                assert_eq!(
+                    bits(&sv.predictions[j]),
+                    bits(&av.predictions[0]),
+                    "{at} (vec)"
+                );
+                assert_eq!(
+                    bits(&(&sv.limit, &sv.oracle, &sv.avg_usage, &sv.mem_usage)),
+                    bits(&(&av.limit, &av.oracle, &av.avg_usage, &av.mem_usage)),
+                    "{at} (vec)"
+                );
+            }
+        }
+        // The plans behind those sets: comparison_set folds its max from
+        // members 2 and 1; a max alone, or one with a component outside
+        // the set, is evaluated itself.
+        let folds = |specs: &[PredictorSpec]| EvalPlan::new(&build(specs)).folds;
+        assert_eq!(
+            folds(&PredictorSpec::comparison_set()),
+            [None, None, None, Some(vec![2, 1])]
+        );
+        assert_eq!(folds(&[PredictorSpec::paper_max()]), [None]);
+        assert_eq!(
+            folds(&[
+                PredictorSpec::NSigma { n: 5.0 },
+                PredictorSpec::RcLike { percentile: 99.0 },
+                PredictorSpec::production_max(),
+            ]),
+            [None, None, None]
+        );
     }
 
     #[test]

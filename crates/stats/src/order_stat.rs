@@ -27,14 +27,17 @@ use std::collections::VecDeque;
 ///
 /// | operation | [`crate::MovingWindow`] | `OrderStatWindow` |
 /// |---|---|---|
-/// | `push` | O(1) | O(log w) search + O(w) shift |
+/// | `push` (filling) | O(1) | O(log w) search + O(w) insert |
+/// | `push` (full) | O(1) | two O(log w) searches in lockstep + one shift of the slots between the evicted and the new rank |
 /// | `percentile` | O(w log w) + alloc | O(1), no alloc |
 /// | `max` / `min` | O(w) | O(1) |
 ///
-/// The O(w) memmove inside `push` is a contiguous `copy_within` on a small
-/// buffer (the paper's `max_num_samples` is 120), which is far cheaper than
-/// re-sorting; the win is removing the comparison sort and the allocation
-/// from every read.
+/// The shift inside a full window's `push` is one contiguous `copy_within`
+/// over at most w slots of a small buffer (the paper's `max_num_samples`
+/// is 120), and usually far fewer: only the samples ranked between the
+/// evicted one and the new one move. That is far cheaper than re-sorting;
+/// the win is removing the comparison sort and the allocation from every
+/// read.
 ///
 /// # Examples
 ///
@@ -86,20 +89,44 @@ impl OrderStatWindow {
     }
 
     /// Appends a sample, evicting the oldest if the window is full.
+    ///
+    /// A full window ranks the evicted sample and the new one in one
+    /// lockstep search, then shifts only the slots between the two ranks:
+    /// one `copy_within`, where a remove followed by an insert would move
+    /// both tails. Samples that order equal have identical bits, so which
+    /// of several equal entries leaves the index does not matter.
     pub fn push(&mut self, x: f64) {
-        if self.buf.len() == self.capacity {
+        if self.buf.len() < self.capacity {
+            let at = self.sorted.partition_point(|&v| key(v) < key(x));
+            self.sorted.insert(at, x);
+        } else {
             let old = self.buf.pop_front().expect("window is full");
-            let idx = self
-                .sorted
-                .binary_search_by(|v| v.total_cmp(&old))
-                .expect("evicted sample is present in the sorted index");
-            self.sorted.remove(idx);
+            let (a, b) = (key(old), key(x));
+            // Below a target whose sign bit is clear (its key is its raw
+            // bits), a sample's key and its raw bits read as `i64` agree:
+            // both are the raw bits when the sample's sign is clear, and
+            // both are negative when it is set. So usage-like data skips
+            // the per-probe transform, which sits on the search's
+            // load-to-load chain.
+            let (gone, at) = if (a | b) >= 0 {
+                lower_bounds(&self.sorted, a, b, |v| v.to_bits() as i64)
+            } else {
+                lower_bounds(&self.sorted, a, b, key)
+            };
+            assert!(
+                self.sorted[gone].to_bits() == old.to_bits(),
+                "evicted sample is present in the sorted index"
+            );
+            // `at` ranks `x` among the samples *including* `old`.
+            if at <= gone {
+                self.sorted.copy_within(at..gone, at + 1);
+                self.sorted[at] = x;
+            } else {
+                self.sorted.copy_within(gone + 1..at, gone);
+                self.sorted[at - 1] = x;
+            }
         }
         self.buf.push_back(x);
-        let idx = match self.sorted.binary_search_by(|v| v.total_cmp(&x)) {
-            Ok(i) | Err(i) => i,
-        };
-        self.sorted.insert(idx, x);
     }
 
     /// Number of samples currently held.
@@ -184,6 +211,38 @@ impl OrderStatWindow {
         w.sorted.sort_unstable_by(f64::total_cmp);
         Ok(w)
     }
+}
+
+/// The integer whose signed order is [`f64::total_cmp`]'s order (the same
+/// transform `total_cmp` applies before comparing).
+fn key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// Lower bounds of keys `a` and `b` in `sorted`: for each, the index of
+/// the first sample `v` with `key(v)` not below it. The two searches share
+/// one loop and select their next base without branching, so their loads
+/// overlap instead of each waiting on a mispredicted compare.
+#[inline(always)]
+fn lower_bounds(sorted: &[f64], a: i64, b: i64, key: impl Fn(f64) -> i64) -> (usize, usize) {
+    use std::hint::select_unpredictable;
+    let mut size = sorted.len();
+    if size == 0 {
+        return (0, 0);
+    }
+    let (mut base_a, mut base_b) = (0, 0);
+    while size > 1 {
+        let half = size / 2;
+        let (mid_a, mid_b) = (base_a + half, base_b + half);
+        base_a = select_unpredictable(key(sorted[mid_a]) < a, mid_a, base_a);
+        base_b = select_unpredictable(key(sorted[mid_b]) < b, mid_b, base_b);
+        size -= half;
+    }
+    (
+        base_a + usize::from(key(sorted[base_a]) < a),
+        base_b + usize::from(key(sorted[base_b]) < b),
+    )
 }
 
 #[cfg(test)]

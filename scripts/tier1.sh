@@ -116,6 +116,18 @@ pin_test oc-cluster control::tests::rival_restores_install_every_machine_bit_ide
 # and evolves bit-identically to the original, under all six predictors.
 pin_test oc-core ingest::tests::restored_view_predicts_and_evolves_like_the_original \
   "view state round trip"
+# A full OrderStatWindow's one-shift push leaves the sorted index, bit for
+# bit, a total_cmp sort of the retained samples after every push.
+pin_test overcommit-repro order_stat_sorted_index_matches_sort_after_every_push \
+  "order-stat one-shift push"
+# The oracle's batched leaf adds plus one rebuild leave the max tree node
+# for node where a point add per sample would.
+pin_test oc-core segtree::tests::batched_leaf_adds_match_point_adds_node_for_node \
+  "batched oracle admission"
+# Folding a max composite from set members' values gives every report
+# field and series the bits of evaluating each predictor alone.
+pin_test oc-core sim::tests::shared_evaluation_matches_each_predictor_alone \
+  "shared predictor evaluation"
 # Cluster::resize grows 3 -> 4 and shrinks back with both holders of every
 # machine serving offline bits (real member processes; own test main).
 pin_test oc-cluster resize::grow_and_shrink_keep_both_holders_offline_exact \

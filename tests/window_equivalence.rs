@@ -55,6 +55,26 @@ proptest! {
         prop_assert_eq!(w.len(), tail.len());
     }
 
+    /// After every push the sorted index is, bit for bit, a `total_cmp`
+    /// sort of the retained samples. Values come from a tiny set with both
+    /// signed zeros, so long runs of equal samples are evicted and inserted
+    /// at both ends of the index and on either side of each other.
+    #[test]
+    fn order_stat_sorted_index_matches_sort_after_every_push(
+        picks in proptest::collection::vec(0usize..6, 1..600),
+        cap in 1usize..=130,
+    ) {
+        const VALUES: [f64; 6] = [-0.0, 0.0, 0.25, 1.0, 1.0e-300, 7.5];
+        let mut w = OrderStatWindow::new(cap).unwrap();
+        for (i, &k) in picks.iter().enumerate() {
+            w.push(VALUES[k]);
+            let mut expected: Vec<f64> = w.iter().collect();
+            expected.sort_by(f64::total_cmp);
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(w.sorted()), bits(&expected), "push {}", i);
+        }
+    }
+
     /// Incremental mean/std match two-pass recomputation after arbitrary
     /// pushes with eviction.
     #[test]
