@@ -7,6 +7,10 @@
 //!         [--chaos-seed U64] [--out BENCH_serve.json] [--trace-out FILE]
 //! ```
 //!
+//! Every single-node phase runs through the one load driver,
+//! `oc_client::loadgen::run`: one thread and one poller drive all of a
+//! phase's connections, each a retrying `Client`.
+//!
 //! Without `--addr`/`--cluster` an in-process server is started (4
 //! shards) and seven phases run: a **sustained** phase on the default
 //! config, a **serve_batched** phase replaying the same workload with
@@ -15,12 +19,12 @@
 //! triples), a **batched-chaos** phase repeating it under seeded fault
 //! injection (the `--chaos` rate, default 2%) to prove framing loses no
 //! acknowledged samples,
-//! and a **reactor-10k** phase driving 10 000 concurrent connections at
-//! a low per-connection rate (107 lines/s/conn ≈ 1.07M qps offered, the
-//! fan-in driver from `oc_client::fanin`) against a server in a *child
-//! process* — two processes because one address space
-//! cannot hold 20 000 socket fds under the default `RLIMIT_NOFILE` hard
-//! cap.
+//! and a **reactor-10k** phase driving the fan-in script over 10 000
+//! concurrent connections at a low per-connection rate (107 lines/s/conn
+//! ≈ 1.07M lines/s offered, 128-line frames, never under chaos) against
+//! a server in a *child process* — two processes because one address
+//! space cannot hold both ends of 10 000 connections under a
+//! 20 000-descriptor `RLIMIT_NOFILE` hard cap.
 //!
 //! Three cluster phases close the pipeline, each against a 3-process
 //! `oc-cluster` ring of child processes and each driven by one routed
@@ -45,9 +49,11 @@
 //!
 //! With `--addr` only one phase runs against the external server:
 //! **sustained** by default, or a **fanin** phase when `--rate-per-conn`
-//! is given (then `--connections` is the fan-in width and `--batch`
-//! defaults to 64). Without `--addr`, `--rate-per-conn` overrides the
-//! reactor-10k phase's per-connection rate.
+//! is given — the fan-in script paced at that rate on every connection,
+//! `--connections` wide, with `--batch` defaulting to 64 and `--chaos`
+//! applying as it does to the sustained phase. Without `--addr`,
+//! `--rate-per-conn` overrides the reactor-10k phase's per-connection
+//! rate.
 //!
 //! `--chaos RATE` injects seeded faults (delays, partial reads/writes,
 //! dropped connections) into that fraction of client socket operations;
@@ -63,9 +69,8 @@
 //! `client.retry.*` / `client.reconnect` events) are written to FILE as
 //! JSONL on exit — see `docs/OPERATIONS.md` for the event dictionary.
 
-use oc_client::fanin::{self, FaninConfig};
 use oc_client::fleet::{self, FleetConfig};
-use oc_client::loadgen::{request_shutdown, run, LoadgenConfig};
+use oc_client::loadgen::{request_shutdown, run, LoadgenConfig, Script};
 use oc_client::{ClusterClient, ClusterClientConfig, LoadReport};
 use oc_cluster::{Cluster, ClusterConfig, RingSpec};
 use oc_serve::fault::FaultPlan;
@@ -254,29 +259,42 @@ fn spawn_server_child(serve_cfg: &ServeConfig) -> std::io::Result<(Child, Socket
     }
 }
 
+/// The fan-in script over `connections`, paced at `rate` lines/s on
+/// each, in `--batch` frames (`default_batch` when unset).
+fn fanin_cfg(args: &Args, connections: usize, rate: u64, default_batch: usize) -> LoadgenConfig {
+    LoadgenConfig {
+        script: Script::Fanin,
+        connections,
+        target_qps: rate.saturating_mul(connections as u64),
+        batch: if args.cfg.batch > 1 {
+            args.cfg.batch
+        } else {
+            default_batch
+        },
+        ..args.cfg.clone()
+    }
+}
+
 /// Runs the reactor-10k phase: a child-process reactor server and the
-/// single-threaded fan-in driver at 10 000 connections.
+/// fan-in script over 10 000 connections.
 fn reactor_10k(args: &Args) -> Result<LoadReport, oc_client::ClientError> {
     let serve_cfg = ServeConfig::default()
         .with_shards(args.serve_cfg.shards.min(2))
         .with_max_connections(10_100)
         .with_reactor_threads(1);
     // Tuned operating point for one reactor thread on one core: 10 000
-    // conns x 107 lines/s/conn offers ~1.07M qps, just under the
+    // conns x 107 lines/s/conn offers ~1.07M lines/s, just under the
     // measured ~1.1M saturation, and 128-line frames keep per-conn
     // in-flight bytes low enough that full socket buffers don't degrade
-    // into TCP-window-dribble syscall amplification.
-    let fanin_cfg = FaninConfig {
-        rate_per_conn: args.rate_per_conn.unwrap_or(107),
-        batch: if args.cfg.batch > 1 {
-            args.cfg.batch
-        } else {
-            128
-        },
-        ..FaninConfig::default()
+    // into TCP-window-dribble syscall amplification. `--chaos` is for
+    // the batched-chaos phase: fault delays on the one driver thread
+    // would stall all 10 000 connections.
+    let cfg = LoadgenConfig {
+        chaos: None,
+        ..fanin_cfg(args, 10_000, args.rate_per_conn.unwrap_or(107), 128)
     };
     let (mut child, addr) = spawn_server_child(&serve_cfg).map_err(oc_client::ClientError::Io)?;
-    let result = fanin::run(addr, &fanin_cfg);
+    let result = run(addr, &cfg);
     let _ = request_shutdown(addr);
     let _ = child.wait();
     result
@@ -535,22 +553,8 @@ fn main() -> ExitCode {
             Some(addr) => match args.rate_per_conn {
                 Some(rate) => {
                     // High fan-in replay against the external server.
-                    let cfg = FaninConfig {
-                        connections: args.cfg.connections,
-                        rate_per_conn: rate,
-                        batch: if args.cfg.batch > 1 {
-                            args.cfg.batch
-                        } else {
-                            64
-                        },
-                        ticks: args.cfg.ticks,
-                        ..FaninConfig::default()
-                    };
-                    let cfg = FaninConfig {
-                        tasks: cfg.tasks.min(cfg.batch),
-                        ..cfg
-                    };
-                    let report = fanin::run(addr, &cfg)?;
+                    let cfg = fanin_cfg(&args, args.cfg.connections, rate, 64);
+                    let report = run(addr, &cfg)?;
                     lost_total += report.lost;
                     phases.push(phase_json("fanin", &report));
                 }
@@ -668,10 +672,10 @@ fn main() -> ExitCode {
             "phases saturate the same reactor-thread ceiling, so framing shows up as fewer ",
             "syscalls per line rather than a higher qps; batched-chaos = the framed ",
             "replay under seeded fault injection (lost must be 0); ",
-            "reactor-10k = 10000 connections from the single-threaded fan-in driver ",
-            "(128-line BATCH frames, no retries) against a 2-shard reactor-frontend server ",
-            "in a child process — its latencies are frame (not line) latencies and ",
-            "setup_* report per-connection connect time; cluster-chaos = a 3000-machine ",
+            "reactor-10k = the fan-in script over 10000 connections of the one load ",
+            "driver (128-line BATCH frames, no chaos) against a 2-shard reactor-frontend ",
+            "server in a child process — its latencies are frame acks booked to each line ",
+            "and setup_* report per-connection connect time; cluster-chaos = a 3000-machine ",
             "mirrored fleet over a 3-process consistent-hash ring with one member ",
             "SIGKILLed mid-run — lost counts machines whose served prediction is not ",
             "bit-identical to an offline recompute (state identity, not counter ",

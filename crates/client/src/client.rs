@@ -42,7 +42,8 @@
 //! header iff `n > 1`) appended by `Client::write_frame`, and everything
 //! that comes back is drained by `Client::read_frame_replies`: a single
 //! [`Client::request`] is a frame of one, a pipelined window is a run of
-//! frames flushed once, and the cluster pipes use the same pair. A frame
+//! frames flushed once, and the cluster pipes and the load driver
+//! ([`crate::loadgen`]) use the same pair. A frame
 //! is acknowledged or lost whole — a transport failure or a server-side
 //! close (`ERR timeout`/`conn-limit`, also where a `BATCHR` header is due)
 //! discards the replies already read for it and it is sent again.
@@ -263,9 +264,31 @@ pub struct Client {
     ring_member: bool,
 }
 
+/// One socket shared by both halves of a connection: `&TcpStream` reads
+/// and writes, so the halves need no second descriptor.
+struct Socket(Arc<TcpStream>);
+
+impl Read for Socket {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        (&*self.0).read(buf)
+    }
+}
+
+impl Write for Socket {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        (&*self.0).write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        (&*self.0).flush()
+    }
+}
+
 /// The two halves of an established connection, boxed so the fault
 /// wrapper is transparent to the rest of the client.
 struct Conn {
+    /// The socket both halves share (one descriptor per connection).
+    stream: Arc<TcpStream>,
     reader: BufReader<Box<dyn Read + Send>>,
     writer: BufWriter<Box<dyn Write + Send>>,
     /// Encode buffer of the frame being written.
@@ -367,12 +390,13 @@ impl Client {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(self.cfg.response_timeout))?;
         stream.set_write_timeout(Some(self.cfg.write_timeout))?;
-        let read_half = stream.try_clone()?;
+        let stream = Arc::new(stream);
         if self.epoch > 0 {
             self.metrics.reconnects += 1;
             self.global.reconnects.inc();
             trace::event("client.reconnect", self.epoch, 0);
         }
+        let half = || Socket(Arc::clone(&stream));
         let (r, w): (Box<dyn Read + Send>, Box<dyn Write + Send>) = match &self.cfg.faults {
             Some(plan) => {
                 // Salt by seed and epoch so every client and every
@@ -380,23 +404,24 @@ impl Client {
                 let base = self.cfg.seed.wrapping_shl(20).wrapping_add(self.epoch * 2);
                 (
                     Box::new(FaultStream::new(
-                        read_half,
+                        half(),
                         plan,
                         plan.stream_seed(base),
                         Arc::clone(&self.fault_counters),
                     )),
                     Box::new(FaultStream::new(
-                        stream,
+                        half(),
                         plan,
                         plan.stream_seed(base + 1),
                         Arc::clone(&self.fault_counters),
                     )),
                 )
             }
-            None => (Box::new(read_half), Box::new(stream)),
+            None => (Box::new(half()), Box::new(half())),
         };
         self.epoch += 1;
         self.conn = Some(Conn {
+            stream,
             reader: BufReader::new(r),
             writer: BufWriter::new(w),
             frame: Vec::new(),
@@ -420,7 +445,7 @@ impl Client {
     ///
     /// Only for a ring member: the refused (or otherwise terminal)
     /// reconnect, as [`ClientError::Io`].
-    fn drop_conn(&mut self) -> Result<(), ClientError> {
+    pub(crate) fn drop_conn(&mut self) -> Result<(), ClientError> {
         self.conn = None;
         if self.ring_member {
             if let Err(e) = self.ensure_conn() {
@@ -432,21 +457,43 @@ impl Client {
         Ok(())
     }
 
-    /// Sleeps the retry policy's nap for `attempt`.
+    /// The connection's socket descriptor, for readiness polling.
+    pub(crate) fn raw_fd(&self) -> Option<oc_reactor::RawFd> {
+        use std::os::unix::io::AsRawFd;
+        self.conn.as_ref().map(|conn| conn.stream.as_raw_fd())
+    }
+
+    /// Whether reply bytes already sit in the reader's buffer, where a
+    /// level-triggered poller watching the socket cannot see them.
+    pub(crate) fn has_buffered_replies(&self) -> bool {
+        self.conn
+            .as_ref()
+            .is_some_and(|conn| !conn.reader.buffer().is_empty())
+    }
+
+    /// The retry policy's nap before retry number `attempt + 1`.
+    pub(crate) fn nap(&mut self, attempt: u32) -> Duration {
+        self.cfg.retry.nap(attempt, &mut self.rng)
+    }
+
+    /// Sleeps the nap after failed attempt `attempt` — unless it was the
+    /// last one, which has nothing to wait for.
     fn backoff(&mut self, attempt: u32) {
-        std::thread::sleep(self.cfg.retry.nap(attempt, &mut self.rng));
+        if attempt + 1 < self.cfg.retry.max_attempts {
+            std::thread::sleep(self.nap(attempt));
+        }
     }
 
     /// Records one transient-I/O retry and emits `client.retry.io`
     /// (`a` = requests re-queued by the failure).
-    fn note_io(&mut self, affected: u64) {
+    pub(crate) fn note_io(&mut self, affected: u64) {
         self.metrics.io_retries += 1;
         self.global.io_retries.inc();
         trace::event("client.retry.io", affected, 0);
     }
 
     /// Records `n` request attempts beyond the first.
-    fn note_retries(&mut self, n: u64) {
+    pub(crate) fn note_retries(&mut self, n: u64) {
         self.metrics.retries += n;
         self.global.retries.add(n);
     }
@@ -1176,8 +1223,9 @@ mod tests {
             matches!(err, ClientError::Exhausted { attempts: 3, .. }),
             "{err:?}"
         );
-        // Three backoff sleeps of [10, 20) ms each.
-        assert!(started.elapsed() >= Duration::from_millis(30));
+        // Three attempts, two backoff sleeps of [10, 20) ms each: none
+        // after the last attempt.
+        assert!(started.elapsed() >= Duration::from_millis(20));
         let err = Client::connect_member(closed, cfg.clone()).unwrap_err();
         assert!(err.is_refused(), "{err:?}");
 
@@ -1195,6 +1243,27 @@ mod tests {
             "{err:?}"
         );
         assert_eq!(c.metrics().io_retries, 3);
+    }
+
+    /// An exhausted budget is reported when the last attempt fails, not
+    /// one nap later: a single attempt with a 1 s backoff returns at once.
+    #[test]
+    fn exhausted_connect_returns_without_a_last_nap() {
+        let cfg = ClientConfig::default().with_retry(RetryPolicy {
+            max_attempts: 1,
+            base: Duration::from_secs(1),
+            cap: Duration::from_secs(1),
+        });
+        let closed = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .unwrap();
+        let started = Instant::now();
+        let err = Client::connect(closed, cfg).unwrap_err();
+        assert!(
+            matches!(err, ClientError::Exhausted { attempts: 1, .. }),
+            "{err:?}"
+        );
+        assert!(started.elapsed() < Duration::from_millis(400));
     }
 
     #[test]

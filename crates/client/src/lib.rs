@@ -11,16 +11,13 @@
 //!   jitter, typed request helpers, and windowed pipelining for bulk
 //!   ingest. Re-sending after an ambiguous failure is safe because server
 //!   ingestion is idempotent per `(tick, task)`.
-//! * [`loadgen`] — the replay harness: drives a generated cell through
-//!   [`Client`]s, captures per-connection failures into the report
-//!   instead of aborting, and optionally wraps every connection in the
+//! * [`loadgen`] — the load driver: one thread and the vendored
+//!   `oc-reactor` poller drive N [`Client`]s, from a few replaying a
+//!   generated cell to a 10 000-connection node-agent fan-in, paced or
+//!   open, through the client's own frame writer and reader. Lost frames
+//!   are retried on fresh connections; per-connection failures land in
+//!   the report instead of aborting, and every connection can wear the
 //!   seeded fault-injection plan from [`oc_serve::fault`] (chaos mode).
-//! * [`fanin`] — the high fan-in driver: one event-loop thread (via the
-//!   vendored `oc-reactor` poller) multiplexing thousands of
-//!   connections at a low per-connection rate, the shape of a real
-//!   node-agent fleet. Frames are pre-encoded once and tick fields
-//!   patched in place; responses are byte-compared. Reports
-//!   per-connection setup time separately from steady-state latency.
 //! * [`cluster`] — [`ClusterClient`]: one client over an N-process
 //!   `oc-cluster` ring. Every sample takes one path: routed to the key's
 //!   owner via the shared consistent-hash ring, framed and pipelined per
@@ -60,7 +57,6 @@
 pub mod client;
 pub mod cluster;
 pub mod error;
-pub mod fanin;
 pub mod fleet;
 pub mod loadgen;
 mod pipe;
@@ -68,6 +64,5 @@ mod pipe;
 pub use client::{Client, ClientConfig, ClientMetrics, RetryPolicy};
 pub use cluster::{ClusterClient, ClusterClientConfig, ClusterMetrics};
 pub use error::ClientError;
-pub use fanin::FaninConfig;
 pub use fleet::FleetConfig;
-pub use loadgen::{LoadReport, LoadgenConfig};
+pub use loadgen::{LoadReport, LoadgenConfig, Script};

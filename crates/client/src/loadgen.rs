@@ -1,50 +1,79 @@
-//! Load-generator harness for `oc-serve`.
+//! The load driver for `oc-serve`: one thread, one poller, N connections.
 //!
-//! Replays a [`WorkloadGenerator`] cell against a running server: every
-//! per-task usage sample of every machine becomes one `OBSERVE` line, and
-//! each machine gets one `PREDICT` per tick. Machines are pinned to
-//! connections round-robin so per-machine sample order survives the trip
-//! (the server only guarantees ordering within a connection).
+//! [`run`] drives every connection of a run — four replaying a cell or
+//! ten thousand node agents — from a single thread over the vendored
+//! `oc-reactor` poller. Each connection is a [`Client`] replaying a
+//! script of [`Request`]s ([`Script`]) in frames of `batch` lines,
+//! written through the client's frame writer and read back through its
+//! frame reader: the wire path every other caller in this crate uses.
 //!
-//! Each connection drives one [`Client`] with pipelined windows;
-//! transient transport failures are retried by the client within its
-//! budget (`retries` in the report counts them). Latency is measured per
-//! request from write to matching response — with pipelining this
-//! includes queueing time, so percentiles degrade visibly as the offered
-//! rate approaches capacity.
+//! # Schedule
 //!
-//! A connection whose retry budget runs out does not abort the run (and a
-//! panicked connection thread does not poison the others): its failure is
-//! captured in [`LoadReport::conn_failures`] and the surviving
-//! connections' counts still report.
+//! Paced (`target_qps > 0`): frame `k` of the run is due at
+//! `start + k·stagger` on connection `k mod N`, `stagger = batch /
+//! target_qps`, so arrivals at the server are smooth rather than
+//! phase-locked bursts. Unpaced: a connection refills as its frames
+//! complete. Either way a connection keeps at most `max(2·batch, 64)`
+//! lines on the wire. Replies are read when the poller reports the
+//! socket readable, or while the client's reader already holds bytes.
+//!
+//! # Failures
+//!
+//! A frame the transport loses (reset, EOF, an idle close, a chaos drop,
+//! no reply within the client's response timeout) puts every line that
+//! connection had on the wire back ahead of its script, in order, to be
+//! sent again on a fresh connection after the retry policy's nap — a due
+//! time in the schedule, never a sleep of the driver thread. Re-sending
+//! is safe because ingestion is idempotent (see [`crate::client`]).
+//! `max_attempts` losses with no frame resolved in between fail the
+//! connection into [`LoadReport::conn_failures`]; the others carry on.
 //!
 //! Chaos mode ([`LoadgenConfig::chaos`], `loadgen --chaos RATE`) wraps
 //! every connection in a seeded [`FaultPlan`]: delayed, partial, and
-//! dropped reads/writes at the configured rate. The accounting invariant
-//! under chaos is **zero lost acknowledged samples** — every `OBSERVE`
-//! the server acknowledged is visible in its `observes`/`stale`/`errors`
-//! counters ([`LoadReport::lost`] must be 0).
+//! dropped reads/writes at the configured rate. Its invariant is **zero
+//! lost acknowledged samples**: every `OBSERVE` the server acknowledged
+//! is visible in its `observes`/`stale`/`errors` counters
+//! ([`LoadReport::lost`] must be 0).
 //!
-//! Pacing: `target_qps > 0` meters the *aggregate* request rate across
-//! connections by slicing time into small batches; `target_qps == 0` means
-//! open throttle (as fast as the socket accepts).
+//! Every resolved line records its frame's ack latency (write to last
+//! reply line, pipelining queue time included), hence
+//! `latency.count() == ok + errors`; connect time goes to `setup`.
 
-use crate::client::{Client, ClientConfig};
+use crate::client::{Client, ClientConfig, FrameIo};
 use crate::error::ClientError;
+use oc_reactor::{Events, Interest, Poller, RawFd};
 use oc_serve::fault::FaultPlan;
 use oc_serve::proto::{Request, Response, StatsSnapshot};
 use oc_telemetry::metrics::HistogramSnapshot;
 use oc_telemetry::trace;
 use oc_trace::cell::{CellConfig, CellPreset};
-use oc_trace::ids::CellId;
+use oc_trace::ids::{CellId, JobId, TaskId};
 use oc_trace::time::Tick;
-use oc_trace::WorkloadGenerator;
+use oc_trace::{MachineId, WorkloadGenerator};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
+
+/// What each connection replays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Script {
+    /// The generated cell (`preset`, `machines`, `seed`, `predicts`):
+    /// machines pinned to connections round-robin, so per-machine order
+    /// survives the trip; each machine's samples tick-major in trace
+    /// task order, then its `PREDICT` for the tick.
+    Cell,
+    /// The node-agent fan-in: connection `i` streams machine `i` of cell
+    /// `fanin` — 8 tasks (at most `batch`) at usage 0.2 of limit 0.5,
+    /// tick-major.
+    Fanin,
+}
 
 /// Load-generator settings.
 #[derive(Debug, Clone)]
 pub struct LoadgenConfig {
+    /// What each connection replays.
+    pub script: Script,
     /// Cell preset replayed (defines machine count, task mix, seed).
     pub preset: CellPreset,
     /// Machines replayed from the cell (capped at the cell size).
@@ -53,14 +82,14 @@ pub struct LoadgenConfig {
     pub ticks: u64,
     /// Generator seed override; `None` keeps the preset's seed.
     pub seed: Option<u64>,
-    /// Client connections; machines are pinned round-robin.
+    /// Client connections (a cell script uses at most one per machine).
     pub connections: usize,
-    /// Aggregate target request rate; `0` = unpaced (open throttle).
+    /// Aggregate target rate in lines per second across connections;
+    /// `0` = unpaced.
     pub target_qps: u64,
     /// Issue one `PREDICT` per machine per tick alongside the samples.
     pub predicts: bool,
-    /// Sub-requests per `BATCH` frame on every connection (1 = no
-    /// framing); see [`ClientConfig::with_batch`].
+    /// Lines per frame (`1..=MAX_BATCH`; above 1 a frame is `BATCH`).
     pub batch: usize,
     /// Client-side fault injection on every connection (chaos mode).
     pub chaos: Option<FaultPlan>,
@@ -71,6 +100,7 @@ impl Default for LoadgenConfig {
     /// unpaced, with per-tick predictions, no chaos.
     fn default() -> Self {
         LoadgenConfig {
+            script: Script::Cell,
             preset: CellPreset::A,
             machines: 64,
             ticks: oc_trace::TICKS_PER_DAY,
@@ -277,11 +307,21 @@ fn ledger_gap(acked: u64, server: &StatsSnapshot) -> u64 {
     acked.saturating_sub(server.observes + server.stale + server.errors)
 }
 
-/// Builds per-connection request scripts from the generated cell.
+/// One connection's script.
+type Lines = Box<dyn ExactSizeIterator<Item = Request>>;
+
+/// Tasks per synthetic fan-in machine (fewer when a frame is smaller).
+const FANIN_TASKS: usize = 8;
+
+/// Upper bound on one poller wait, so naps, the schedule and the reply
+/// deadline are looked at even when no socket is readable.
+const MAX_WAIT: Duration = Duration::from_millis(100);
+
+/// The [`Script::Cell`] scripts, one per connection.
 ///
 /// Request order per machine is tick-major and, within a tick, trace task
 /// order — the same order `simulate_machine` feeds its `MachineView`.
-fn build_plans(cfg: &LoadgenConfig) -> Result<Vec<Vec<Request>>, ClientError> {
+fn cell_scripts(cfg: &LoadgenConfig) -> Result<Vec<Lines>, ClientError> {
     let mut cell_cfg: CellConfig = CellConfig::preset(cfg.preset);
     if let Some(seed) = cfg.seed {
         cell_cfg = cell_cfg.with_seed(seed);
@@ -290,10 +330,10 @@ fn build_plans(cfg: &LoadgenConfig) -> Result<Vec<Vec<Request>>, ClientError> {
     let cell = CellId::new(format!("{:?}", cfg.preset).to_lowercase());
     let n_machines = cfg.machines.min(generator.config().machines).max(1);
     let connections = cfg.connections.clamp(1, n_machines);
-    let mut plans: Vec<Vec<Request>> = (0..connections).map(|_| Vec::new()).collect();
+    let mut plans = vec![Vec::new(); connections];
     let metric = oc_core::config::SimConfig::default().metric;
     for m in 0..n_machines {
-        let trace = generator.generate_machine(oc_trace::MachineId(m as u32))?;
+        let trace = generator.generate_machine(MachineId(m as u32))?;
         let plan = &mut plans[m % connections];
         let end = trace.horizon.start.0 + cfg.ticks.min(trace.horizon.len());
         for t in trace.horizon.start.0..end {
@@ -319,144 +359,391 @@ fn build_plans(cfg: &LoadgenConfig) -> Result<Vec<Vec<Request>>, ClientError> {
             }
         }
     }
-    Ok(plans)
+    let script = |plan: Vec<Request>| Box::new(plan.into_iter()) as Lines;
+    Ok(plans.into_iter().map(script).collect())
 }
 
-/// Replays one connection's script through a retrying [`Client`] and
-/// returns what it counted as a one-connection report for [`run`] to
-/// merge.
-///
-/// `pace` is the per-connection request interval; `Duration::ZERO` means
-/// unpaced. Failures never propagate: they end up in `conn_failures` and
-/// the counts gathered so far still report.
-fn run_conn(
-    addr: SocketAddr,
-    plan: Vec<Request>,
-    pace: Duration,
-    conn_idx: usize,
+/// The [`Script::Fanin`] scripts: connection `i` streams machine `i`,
+/// generated as it is sent.
+fn fanin_scripts(cfg: &LoadgenConfig, batch: usize) -> Vec<Lines> {
+    let tasks = FANIN_TASKS.min(batch);
+    let lines = cfg.ticks as usize * tasks;
+    let cell = CellId::new("fanin");
+    (0..cfg.connections.max(1) as u32)
+        .map(|machine| {
+            let cell = cell.clone();
+            Box::new((0..lines).map(move |i| Request::Observe {
+                cell: cell.clone(),
+                machine: MachineId(machine),
+                task: TaskId::new(JobId((i % tasks) as u64), 0),
+                usage: 0.2,
+                limit: 0.5,
+                mem: None,
+                tick: (i / tasks) as u64,
+            })) as Lines
+        })
+        .collect()
+}
+
+/// One connection of a run.
+struct Lane {
+    /// Connection index (trace payload, failure messages).
+    id: usize,
+    client: Client,
+    /// `loadgen.conn`, open from connect to settle.
+    span: Option<trace::Span>,
+    script: Lines,
+    /// Lines taken from the script and not resolved yet, in order: the
+    /// first `wired` are on the wire, the rest wait to be sent.
+    queue: VecDeque<Request>,
+    wired: usize,
+    /// Line count and write instant of each frame on the wire.
+    frames: VecDeque<(usize, Instant)>,
+    /// Frames the lane may write: released one by one by the paced
+    /// schedule, unbounded when unpaced.
+    owed: u64,
+    /// Losses since a frame last resolved.
+    strikes: u32,
+    /// Backing off after a loss: nothing is sent until the nap ends.
+    napping: bool,
+    /// The descriptor the poller watches, if any.
+    watched: Option<RawFd>,
+    /// Settled: every line resolved, or the connection failed.
+    done: bool,
+}
+
+impl Lane {
+    /// Stops polling the lane's socket, just before or after the client
+    /// closes it (no connect in between can reuse the number).
+    fn unwatch(&mut self, poller: &Poller) {
+        if let Some(fd) = self.watched.take() {
+            let _ = poller.deregister(fd);
+        }
+    }
+}
+
+/// A run's state: every lane and what they count into.
+struct Driver {
+    lanes: Vec<Lane>,
+    poller: Poller,
+    tally: LoadReport,
     batch: usize,
-    chaos: Option<FaultPlan>,
-) -> LoadReport {
-    // One span per connection thread covering its whole replay
-    // (`a` = connection index, `b` = scripted request count).
-    let _conn_span = trace::span_ab("loadgen.conn", conn_idx as u64, plan.len() as u64);
-    let mut res = LoadReport {
-        sent: plan.len() as u64,
-        ..LoadReport::default()
-    };
-    let mut cfg = ClientConfig::default()
-        .with_seed(conn_idx as u64 + 1)
-        .with_batch(batch.max(1));
-    if let Some(plan) = chaos {
-        cfg = cfg.with_faults(plan);
-    }
-    // Pace in batches of 64: per-request sleeps can't hit 100k+ QPS, and
-    // coarse batches keep the meter honest without melting the clock.
-    const BATCH: usize = 64;
-    if !pace.is_zero() {
-        cfg = cfg.with_pipeline_window(BATCH);
-    }
-    let fail = |res: &mut LoadReport, why: String| {
-        trace::event("loadgen.conn.fail", conn_idx as u64, 0);
-        res.conn_failures
-            .push(format!("connection {conn_idx}: {why}"));
-    };
-    let setup_start = Instant::now();
-    let mut client = match Client::connect(addr, cfg) {
-        Ok(c) => c,
-        Err(e) => {
-            fail(&mut res, format!("connect: {e}"));
-            return res;
-        }
-    };
-    res.setup.record(setup_start.elapsed().as_secs_f64() * 1e6);
-    let start = Instant::now();
-    let mut submitted = 0usize;
-    for chunk in plan.chunks(BATCH) {
-        if !pace.is_zero() {
-            let due = start + pace * (submitted as u32);
-            let now = Instant::now();
-            if due > now {
-                std::thread::sleep(due - now);
-            }
-        }
-        let outcome = client.pipeline_with(chunk, |idx, resp, lat_us| {
-            res.latency.record(lat_us);
-            match resp {
-                Response::Err { .. } => res.errors += 1,
-                Response::Ok => {
-                    res.ok += 1;
-                    if matches!(chunk[idx], Request::Observe { .. }) {
-                        res.acked_observes += 1;
-                    }
-                }
-                _ => res.ok += 1,
-            }
-        });
-        submitted += chunk.len();
-        if let Err(e) = outcome {
-            fail(&mut res, e.to_string());
-            break;
-        }
-    }
-    let m = client.metrics();
-    res.retries = m.retries;
-    res.reconnects = m.reconnects;
-    res.faults = client.faults_injected();
-    res
+    max_attempts: u32,
+    /// Lanes not settled yet.
+    live: usize,
+    /// Lanes to offer a send on the next pass.
+    ready: Vec<usize>,
+    /// Napping lanes by the end of their nap, soonest first.
+    naps: BinaryHeap<Reverse<(Instant, usize)>>,
+    /// One frame's replies.
+    replies: Vec<Response>,
 }
 
-/// Replays the configured cell against `addr` and gathers a report.
-///
-/// Per-connection failures (an exhausted retry budget, even a panicked
-/// thread) are *captured in the report*, not propagated — only setup
-/// failures (an unreachable generator config) error out. The final
-/// server snapshot is fetched with a plain retrying client; if even that
-/// fails while every connection also failed, the snapshot is zeroed.
+impl Driver {
+    fn new(batch: usize, max_attempts: u32) -> std::io::Result<Driver> {
+        Ok(Driver {
+            lanes: Vec::new(),
+            poller: Poller::new()?,
+            tally: LoadReport::default(),
+            batch,
+            max_attempts,
+            live: 0,
+            ready: Vec::new(),
+            naps: BinaryHeap::new(),
+            replies: Vec::with_capacity(batch),
+        })
+    }
+
+    /// Adds a connected lane replaying `script`, offered a send on the
+    /// next pass; `unpaced` lets it write whenever its wire has room.
+    fn add(&mut self, id: usize, client: Client, span: trace::Span, script: Lines, unpaced: bool) {
+        let empty = script.len() == 0;
+        self.ready.push(self.lanes.len());
+        self.lanes.push(Lane {
+            id,
+            client,
+            span: Some(span),
+            script,
+            queue: VecDeque::new(),
+            wired: 0,
+            frames: VecDeque::new(),
+            owed: if unpaced { u64::MAX } else { 0 },
+            strikes: 0,
+            napping: false,
+            watched: None,
+            done: false,
+        });
+        self.live += 1;
+        if empty {
+            self.settle(self.lanes.len() - 1, None);
+        }
+    }
+
+    /// Writes the frames lane `i` may send now while its wire has room
+    /// for a full frame, then flushes them as one burst.
+    fn send(&mut self, i: usize) {
+        let (batch, cap) = (self.batch, (2 * self.batch).max(64));
+        let lane = &mut self.lanes[i];
+        if lane.done || lane.napping {
+            return;
+        }
+        let mut wrote = false;
+        while lane.owed > 0 && lane.wired + batch <= cap {
+            let end = lane.wired + batch;
+            let short = end.saturating_sub(lane.queue.len());
+            lane.queue.extend(lane.script.by_ref().take(short));
+            let n = end.min(lane.queue.len()) - lane.wired;
+            if n == 0 {
+                break;
+            }
+            let sent_at = Instant::now();
+            let frame = lane.queue.range(lane.wired..lane.wired + n);
+            lane.wired += n;
+            match lane.client.write_frame(n, frame) {
+                Ok(FrameIo::Done) => {}
+                Ok(FrameIo::Lost(what)) => return self.lose(i, what),
+                Err(e) => return self.settle(i, Some(e.to_string())),
+            }
+            lane.frames.push_back((n, sent_at));
+            lane.owed -= 1;
+            wrote = true;
+        }
+        if !wrote {
+            return;
+        }
+        match lane.client.flush_frames() {
+            Ok(FrameIo::Done) => {}
+            Ok(FrameIo::Lost(what)) => return self.lose(i, what),
+            Err(e) => return self.settle(i, Some(e.to_string())),
+        }
+        if lane.watched.is_none() {
+            let fd = lane.client.raw_fd().expect("a frame was just flushed");
+            if let Err(e) = self.poller.register(fd, i, Interest::READABLE) {
+                return self.settle(i, Some(format!("poller register: {e}")));
+            }
+            lane.watched = Some(fd);
+        }
+    }
+
+    /// Drains lane `i`'s replies: its oldest frame's once the poller has
+    /// reported the socket readable, then the next while the reader
+    /// already holds bytes.
+    fn read(&mut self, i: usize) {
+        loop {
+            let lane = &mut self.lanes[i];
+            let Some(&(n, sent_at)) = lane.frames.front() else {
+                // Readable with nothing asked: an idle close or EOF. The
+                // next frame goes out on a fresh connection.
+                lane.unwatch(&self.poller);
+                let _ = lane.client.drop_conn();
+                return;
+            };
+            self.replies.clear();
+            match lane.client.read_frame_replies(n, &mut self.replies) {
+                Ok(FrameIo::Done) => {}
+                Ok(FrameIo::Lost(what)) => return self.lose(i, what),
+                Err(e) => return self.settle(i, Some(e.to_string())),
+            }
+            lane.frames.pop_front();
+            lane.wired -= n;
+            lane.strikes = 0;
+            let tally = &mut self.tally;
+            let lat_us = sent_at.elapsed().as_secs_f64() * 1e6;
+            tally.latency.record_n(lat_us, n as u64);
+            for (req, resp) in lane.queue.drain(..n).zip(&self.replies) {
+                match resp {
+                    Response::Err { .. } => tally.errors += 1,
+                    Response::Ok if matches!(req, Request::Observe { .. }) => {
+                        tally.ok += 1;
+                        tally.acked_observes += 1;
+                    }
+                    _ => tally.ok += 1,
+                }
+            }
+            if lane.queue.is_empty() && lane.script.len() == 0 {
+                return self.settle(i, None);
+            }
+            if !lane.client.has_buffered_replies() {
+                return;
+            }
+        }
+    }
+
+    /// Lane `i`'s transport lost what it had on the wire. Those lines
+    /// stay first in its queue, to be sent again after one nap — unless
+    /// this makes `max_attempts` losses without a resolved frame, which
+    /// fails the lane.
+    fn lose(&mut self, i: usize, what: String) {
+        let lane = &mut self.lanes[i];
+        lane.unwatch(&self.poller);
+        lane.client.note_io(lane.wired as u64);
+        lane.client.note_retries(lane.wired as u64);
+        lane.wired = 0;
+        lane.frames.clear();
+        lane.strikes += 1;
+        if lane.strikes >= self.max_attempts {
+            let attempts = lane.strikes;
+            let why = ClientError::Exhausted {
+                attempts,
+                last: what,
+            };
+            return self.settle(i, Some(why.to_string()));
+        }
+        let nap = lane.client.nap(lane.strikes - 1);
+        lane.napping = true;
+        self.naps.push(Reverse((Instant::now() + nap, i)));
+    }
+
+    /// Lane `i` is finished — done, or failed for the reason given, which
+    /// the report records: its connection closes, its span ends, it
+    /// forgets what it had on the wire (so no timeout can lose it
+    /// again), and its client's retry and fault counts join the report.
+    fn settle(&mut self, i: usize, failure: Option<String>) {
+        let lane = &mut self.lanes[i];
+        if let Some(why) = failure {
+            trace::event("loadgen.conn.fail", lane.id as u64, 0);
+            let why = format!("connection {}: {why}", lane.id);
+            self.tally.conn_failures.push(why);
+        }
+        lane.unwatch(&self.poller);
+        let _ = lane.client.drop_conn();
+        lane.span = None;
+        lane.done = true;
+        lane.frames.clear();
+        lane.queue.clear();
+        lane.wired = 0;
+        let m = lane.client.metrics();
+        self.tally.retries += m.retries;
+        self.tally.reconnects += m.reconnects;
+        self.tally.faults += lane.client.faults_injected();
+        self.live -= 1;
+    }
+
+    /// Loses every live lane's wire whose oldest frame has had no reply
+    /// for longer than `timeout` at `now`, as a blocking read would have.
+    fn expire(&mut self, now: Instant, timeout: Duration) {
+        for i in 0..self.lanes.len() {
+            let lane = &mut self.lanes[i];
+            let sent_at = lane.frames.front().map(|&(_, at)| at);
+            if !lane.done && sent_at.is_some_and(|at| now.saturating_duration_since(at) > timeout) {
+                let _ = lane.client.drop_conn();
+                self.lose(i, "no reply within the response timeout".to_string());
+            }
+        }
+    }
+}
+
+/// Drives `cfg.connections` connections against `addr` from this thread
+/// (schedule and failure rules in the module docs) and gathers a report.
+/// A connection that fails is recorded in it, not propagated.
+/// `achieved_qps` counts resolved lines over the replay's wall time,
+/// which starts once every connection is set up. The final `STATS`
+/// snapshot is ordered behind every acknowledged sample (a sample is
+/// applied before it is acknowledged), so `lost` is exact, not a race.
 ///
 /// # Errors
 ///
-/// Propagates generator errors and a failed final `STATS` fetch (unless
-/// every connection already failed, which the report records instead).
+/// [`ClientError::Config`] for an invalid batch or fault plan, generator
+/// errors, a poller that cannot be created, and a failed final `STATS`
+/// fetch (unless every connection already failed: then the snapshot is
+/// zeroed).
 pub fn run(addr: SocketAddr, cfg: &LoadgenConfig) -> Result<LoadReport, ClientError> {
-    let plans = build_plans(cfg)?;
-    let n_conns = plans.len();
-    let pace = if cfg.target_qps == 0 {
-        Duration::ZERO
-    } else {
-        // Aggregate QPS split evenly across connections.
-        Duration::from_secs_f64(n_conns as f64 / cfg.target_qps as f64)
-    };
-    let start = Instant::now();
-    let mut joins = Vec::with_capacity(n_conns);
-    for (i, plan) in plans.into_iter().enumerate() {
-        let chaos = cfg.chaos.clone();
-        let batch = cfg.batch;
-        joins.push(
-            std::thread::Builder::new()
-                .name("loadgen-conn".to_string())
-                .spawn(move || run_conn(addr, plan, pace, i, batch, chaos))?,
-        );
+    let batch = cfg.batch.max(1);
+    let client_cfg = ClientConfig {
+        faults: cfg.chaos.clone(),
+        ..ClientConfig::default()
     }
-    let mut totals = LoadReport {
-        connections: n_conns as u64,
-        ..LoadReport::default()
+    .with_batch(batch);
+    client_cfg.validate()?;
+    let scripts = match cfg.script {
+        Script::Cell => cell_scripts(cfg)?,
+        Script::Fanin => fanin_scripts(cfg, batch),
     };
-    for (i, j) in joins.into_iter().enumerate() {
-        match j.join() {
-            Ok(res) => totals.merge(&res),
-            Err(_) => totals
-                .conn_failures
-                .push(format!("connection {i}: thread panicked")),
+    let stagger = (cfg.target_qps > 0)
+        .then(|| Duration::from_secs_f64(batch as f64 / cfg.target_qps as f64))
+        .filter(|s| !s.is_zero());
+    let _ = oc_reactor::raise_nofile_limit();
+    let mut d = Driver::new(batch, client_cfg.retry.max_attempts)?;
+    d.tally.connections = scripts.len() as u64;
+    for (id, script) in scripts.into_iter().enumerate() {
+        d.tally.sent += script.len() as u64;
+        let span = trace::span_ab("loadgen.conn", id as u64, script.len() as u64);
+        let setup = Instant::now();
+        match Client::connect(addr, client_cfg.clone().with_seed(id as u64 + 1)) {
+            Ok(client) => {
+                d.tally.setup.record(setup.elapsed().as_secs_f64() * 1e6);
+                d.add(id, client, span, script, stagger.is_none());
+            }
+            Err(e) => {
+                trace::event("loadgen.conn.fail", id as u64, 0);
+                let why = format!("connection {id}: connect: {e}");
+                d.tally.conn_failures.push(why);
+            }
+        }
+    }
+
+    let reply_timeout = client_cfg.response_timeout;
+    let start = Instant::now();
+    let (mut next_due, mut next_frame) = (start, 0usize);
+    let mut next_sweep = start + MAX_WAIT;
+    let mut events = Events::with_capacity(1024);
+    while d.live > 0 {
+        let now = Instant::now();
+        if let Some(stagger) = stagger {
+            // Frame `k` of the run is due at `start + k·stagger` on lane
+            // `k mod N`.
+            while next_due <= now {
+                let i = next_frame % d.lanes.len();
+                d.lanes[i].owed += 1;
+                d.ready.push(i);
+                next_frame += 1;
+                next_due += stagger;
+            }
+        }
+        let nap_over = |&Reverse((at, _)): &Reverse<(Instant, usize)>| at <= now;
+        while let Some(Reverse((_, i))) = d.naps.peek().copied().filter(nap_over) {
+            d.naps.pop();
+            d.lanes[i].napping = false;
+            d.ready.push(i);
+        }
+        let mut ready = std::mem::take(&mut d.ready);
+        for &i in &ready {
+            d.send(i);
+        }
+        ready.clear();
+        d.ready = ready;
+        if now >= next_sweep {
+            next_sweep = now + MAX_WAIT;
+            d.expire(now, reply_timeout);
+        }
+        if d.live == 0 {
+            break;
+        }
+        let mut wake = now + MAX_WAIT;
+        if stagger.is_some() {
+            wake = wake.min(next_due);
+        }
+        if let Some(Reverse((at, _))) = d.naps.peek() {
+            wake = wake.min(*at);
+        }
+        let wait = wake.saturating_duration_since(Instant::now());
+        d.poller.wait(&mut events, Some(wait))?;
+        for ev in &events {
+            let i = ev.token();
+            if d.lanes[i].watched.is_some() {
+                d.read(i);
+                d.ready.push(i);
+            }
         }
     }
     let wall_secs = start.elapsed().as_secs_f64();
+    let Driver { tally, .. } = d;
     let server = match fetch_stats(addr) {
         Ok(s) => s,
-        Err(_) if totals.conn_failures.len() == n_conns => StatsSnapshot::default(),
+        Err(_) if tally.conn_failures.len() as u64 == tally.connections => StatsSnapshot::default(),
         Err(e) => return Err(e),
     };
-    Ok(totals.finish(wall_secs, Some(server)))
+    Ok(tally.finish(wall_secs, Some(server)))
 }
 
 /// Asks a running server for its `STATS` snapshot.
@@ -484,50 +771,77 @@ mod tests {
     use oc_serve::config::ServeConfig;
     use oc_serve::server::Server;
 
-    #[test]
-    fn small_replay_round_trips() {
+    /// Runs `cfg` against a fresh 2-shard server and checks what every
+    /// clean run holds: each line resolved once, with one latency sample,
+    /// and no acknowledged sample lost.
+    fn run_clean(cfg: &LoadgenConfig) -> LoadReport {
         let server = Server::start(ServeConfig::default().with_shards(2)).unwrap();
-        let cfg = LoadgenConfig {
-            machines: 4,
-            ticks: 16,
-            connections: 2,
-            predicts: true,
-            ..LoadgenConfig::default()
-        };
-        let report = run(server.addr(), &cfg).unwrap();
-        assert!(report.sent > 0);
-        assert_eq!(report.errors, 0);
-        assert_eq!(report.ok, report.sent);
-        assert_eq!(report.failed_connections, 0, "{:?}", report.conn_failures);
-        assert_eq!(report.lost, 0);
-        assert!(report.server.observes > 0);
-        assert_eq!(report.server.machines, 4);
-        // 4 machines x 16 ticks of predictions.
-        assert_eq!(report.server.predicts, 64);
+        let report = run(server.addr(), cfg).unwrap();
         server.shutdown();
+        assert_eq!(report.failed_connections, 0, "{:?}", report.conn_failures);
+        assert_eq!(report.ok + report.errors, report.sent);
+        assert_eq!(report.latency.count(), report.ok + report.errors);
+        assert_eq!(report.lost, 0, "acked samples vanished: {report:?}");
+        report
     }
 
-    /// A batched replay resolves the same request set and drives the
-    /// server to the same counters as the unbatched one above.
+    /// A cell replay, framed or not, resolves the same request set and
+    /// drives the server to the same counters.
     #[test]
-    fn batched_replay_round_trips() {
-        let server = Server::start(ServeConfig::default().with_shards(2)).unwrap();
-        let cfg = LoadgenConfig {
-            machines: 4,
-            ticks: 16,
-            connections: 2,
-            predicts: true,
-            batch: 32,
+    fn small_replay_round_trips() {
+        for batch in [1, 32] {
+            let report = run_clean(&LoadgenConfig {
+                machines: 4,
+                ticks: 16,
+                connections: 2,
+                batch,
+                ..LoadgenConfig::default()
+            });
+            assert!(report.server.observes > 0);
+            assert_eq!(report.errors, 0);
+            assert_eq!(report.server.machines, 4);
+            // 4 machines x 16 ticks of predictions.
+            assert_eq!(report.server.predicts, 64);
+        }
+    }
+
+    /// The fan-in script: one synthetic machine per connection, 8 tasks
+    /// per tick, paced across every connection.
+    #[test]
+    fn fanin_script_streams_one_machine_per_connection() {
+        let report = run_clean(&LoadgenConfig {
+            script: Script::Fanin,
+            connections: 8,
+            target_qps: 8 * 4_000,
+            batch: 16,
+            ticks: 8,
             ..LoadgenConfig::default()
-        };
-        let report = run(server.addr(), &cfg).unwrap();
-        assert_eq!(report.ok, report.sent);
-        assert_eq!(report.errors, 0);
-        assert_eq!(report.failed_connections, 0, "{:?}", report.conn_failures);
-        assert_eq!(report.lost, 0);
-        assert_eq!(report.server.machines, 4);
-        assert_eq!(report.server.predicts, 64);
-        server.shutdown();
+        });
+        assert_eq!(report.connections, 8);
+        // 8 connections x 8 ticks x 8 tasks.
+        assert_eq!(report.sent, 512);
+        assert_eq!(report.acked_observes, 512);
+        assert_eq!(report.server.machines, 8);
+        assert_eq!(report.server.observes + report.server.stale, report.ok);
+        assert!(report.setup_p50_us() > 0.0);
+    }
+
+    /// The fan-in shape under chaos — 5 % of socket operations delayed,
+    /// cut short or dropped — loses no acknowledged sample and fails no
+    /// connection: a lost frame is sent again on a fresh connection.
+    #[test]
+    fn fanin_survives_chaos_with_reconnects() {
+        let report = run_clean(&LoadgenConfig {
+            script: Script::Fanin,
+            connections: 32,
+            target_qps: 32 * 4_000,
+            batch: 16,
+            ticks: 32,
+            chaos: Some(FaultPlan::new(29, 0.05).with_max_delay(Duration::from_micros(200))),
+            ..LoadgenConfig::default()
+        });
+        assert!(report.faults > 0, "chaos plan never fired");
+        assert!(report.reconnects > 0, "no dropped connection re-dialled");
     }
 
     /// Merging two per-process reports sums the counters, recomputes
@@ -589,20 +903,16 @@ mod tests {
 
     #[test]
     fn paced_replay_respects_target() {
-        let server = Server::start(ServeConfig::default().with_shards(1)).unwrap();
-        // Pacing sleeps between 64-request chunks, so the plan must span
-        // several chunks for the meter to engage at all — 8 ticks of one
-        // machine is exactly one chunk, which a fast frontend resolves in
-        // a couple of milliseconds, no pacing involved.
-        let cfg = LoadgenConfig {
+        // One-line frames due every 0.5 ms: the plan spans well over a
+        // hundred milliseconds at the target.
+        let report = run_clean(&LoadgenConfig {
             machines: 1,
             ticks: 32,
             connections: 1,
             target_qps: 2_000,
             predicts: false,
             ..LoadgenConfig::default()
-        };
-        let report = run(server.addr(), &cfg).unwrap();
+        });
         // Unambitious bound: pacing must not *exceed* the target by 5x
         // (it may undershoot on a loaded CI box).
         assert!(
@@ -610,7 +920,6 @@ mod tests {
             "pacing ignored: {} qps",
             report.achieved_qps
         );
-        server.shutdown();
     }
 
     /// The acceptance invariant for chaos mode: with ~5% injected faults
@@ -618,21 +927,14 @@ mod tests {
     /// acknowledged sample is lost.
     #[test]
     fn chaos_replay_loses_no_acknowledged_samples() {
-        let server = Server::start(ServeConfig::default().with_shards(2)).unwrap();
-        let cfg = LoadgenConfig {
+        let report = run_clean(&LoadgenConfig {
             machines: 4,
             ticks: 16,
             connections: 2,
-            predicts: true,
             chaos: Some(FaultPlan::new(77, 0.05).with_max_delay(Duration::from_micros(200))),
             ..LoadgenConfig::default()
-        };
-        let report = run(server.addr(), &cfg).unwrap();
-        assert_eq!(report.failed_connections, 0, "{:?}", report.conn_failures);
+        });
         assert!(report.faults > 0, "chaos plan never fired");
-        assert_eq!(report.lost, 0, "acked samples vanished: {report:?}");
-        assert_eq!(report.ok + report.errors, report.sent);
-        server.shutdown();
     }
 
     /// A connection that cannot make progress is captured in the report
@@ -661,6 +963,51 @@ mod tests {
         assert_eq!(report.failed_connections, 2, "{:?}", report.conn_failures);
         assert_eq!(report.conn_failures.len(), 2);
         assert_eq!(report.ok, 0);
+        assert_eq!(report.latency.count(), 0);
         server.shutdown();
+    }
+
+    /// A lane that fails terminally with frames on the wire is settled
+    /// once: the response-timeout sweep, which keeps running for the
+    /// other lanes, neither loses those frames again nor fails it twice.
+    #[test]
+    fn a_failed_lane_is_not_lost_again_by_the_timeout_sweep() {
+        use std::io::Write;
+        let stub = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = stub.local_addr().unwrap();
+        let cfg = LoadgenConfig {
+            script: Script::Fanin,
+            connections: 2,
+            batch: 16,
+            ticks: 32,
+            ..LoadgenConfig::default()
+        };
+        let client_cfg = ClientConfig::default().with_batch(16);
+        let mut d = Driver::new(16, client_cfg.retry.max_attempts).unwrap();
+        for (id, script) in fanin_scripts(&cfg, 16).into_iter().enumerate() {
+            let client = Client::connect(addr, client_cfg.clone()).unwrap();
+            let span = trace::span_ab("loadgen.conn", id as u64, 0);
+            d.add(id, client, span, script, true);
+        }
+        // Lane 0's first reply is not a reply; lane 1's never comes.
+        let (mut first, _) = stub.accept().unwrap();
+        let _second = stub.accept().unwrap();
+        first.write_all(b"garbage\n").unwrap();
+        d.send(0);
+        d.send(1);
+        assert!(d.lanes[0].frames.len() > 1, "frames on lane 0's wire");
+        d.read(0);
+        assert!(d.lanes[0].done);
+        assert_eq!(d.tally.conn_failures.len(), 1);
+
+        let timeout = client_cfg.response_timeout;
+        d.expire(Instant::now() + 2 * timeout, timeout);
+        assert_eq!(d.tally.conn_failures.len(), 1);
+        assert_eq!(d.live, 1);
+        assert_eq!(d.lanes[0].client.metrics().io_retries, 0);
+        // Only lane 1 lost its wire and naps before sending it again.
+        assert_eq!(d.lanes[1].strikes, 1);
+        let napping: Vec<usize> = d.naps.iter().map(|&Reverse((_, i))| i).collect();
+        assert_eq!(napping, [1]);
     }
 }

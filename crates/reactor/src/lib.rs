@@ -22,7 +22,7 @@
 //!
 //! This is the only crate in the workspace that contains `unsafe` code
 //! (raw FFI to the libc symbols already linked into every Rust binary);
-//! everything above it — oc-serve's reactor, the client fan-in driver —
+//! everything above it — oc-serve's reactor, the client load driver —
 //! stays `#![forbid(unsafe_code)]`.
 
 #![warn(missing_docs)]

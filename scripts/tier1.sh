@@ -61,6 +61,17 @@ grep -rnE -e 'Response::Busy|busy_retries|client\.retries\.busy|DrainBusy|pipeli
 grep -rnw -e 'BUSY' crates/client crates/cluster \
   && { echo "tier1: the client or cluster crate handles BUSY again" >&2; exit 1; }
 
+# oc-client has one load driver (loadgen::run) and one wire path: frames
+# go out through Client::write_frame and come back through
+# Client::read_frame_replies. Keep the deleted fan-in driver, its
+# template encoder and tick patcher from coming back, and keep sockets
+# inside client.rs.
+grep -rnE -e 'FaninConfig|fanin::|build_template|patch_decimal|FrameLayout|MAX_INFLIGHT' \
+    crates tests docs README.md DESIGN.md examples \
+  && { echo "tier1: the deleted fan-in driver (or its template encoder) is referenced again" >&2; exit 1; }
+grep -rn 'TcpStream' crates/client/src --exclude=client.rs \
+  && { echo "tier1: oc-client opens or holds a socket outside client.rs" >&2; exit 1; }
+
 # Docs are part of the contract: every markdown link to a local file must
 # point at something that exists (catches renamed/moved docs going stale),
 # and rustdoc must be warning-free.
@@ -145,6 +156,21 @@ pin_test oc-client cluster::tests::redirect_is_progress_not_a_stall \
 # single-node client and the cluster pipes).
 pin_test oc-client client::tests::batched_pipeline_resumes_after_an_idle_close \
   "idle close at a frame header"
+
+# A connected Client holds one socket descriptor (its reader and writer
+# share one TcpStream), so 10 000 load-driver connections fit a
+# 20 000-descriptor RLIMIT_NOFILE.
+pin_test oc-client each_client_holds_one_socket_fd \
+  "one descriptor per client"
+# The fan-in shape under 5 % chaos with drops loses nothing and fails no
+# connection: lost frames are re-sent on fresh connections.
+pin_test oc-client loadgen::tests::fanin_survives_chaos_with_reconnects \
+  "fan-in under chaos"
+# A lane that failed with frames on the wire is settled once: the
+# response-timeout sweep neither loses those frames again nor fails it
+# a second time.
+pin_test oc-client loadgen::tests::a_failed_lane_is_not_lost_again_by_the_timeout_sweep \
+  "one settle per failed lane"
 
 # A latency tail of seconds keeps its own percentiles: the old 20 ms
 # linear range answered p50 == p99 == max once half the mass overflowed.
