@@ -17,7 +17,7 @@
 //!
 //! Failure handling:
 //!
-//! * `ERR not-mine` (a member enforcing its [`oc_serve::config::OwnershipMap`])
+//! * `ERR not-mine` (a member enforcing its [`HashRing::role`])
 //!   bumps `cluster.redirects` and the line re-routes to the replica,
 //!   then to any other live member.
 //! * A terminal transport error marks the member dead: its
@@ -362,36 +362,22 @@ impl ClusterClient {
                 Ok(r) => r,
                 Err(_) => continue,
             };
-            let Response::Ring {
-                nodes,
-                vnodes,
-                seed,
-                generation,
-                addrs,
-                ..
-            } = resp
-            else {
+            let Response::Ring { spec, addrs, .. } = resp else {
                 // Standalone servers answer ERR; nothing to adopt.
                 continue;
             };
-            if generation <= self.ring.spec().generation {
+            if spec.generation <= self.ring.spec().generation {
                 // The cluster is on our ring (or this member lags);
                 // adopting would only repeat the current state.
                 return false;
             }
-            if nodes == 0 || vnodes == 0 || addrs.len() != nodes as usize {
+            if addrs.len() != spec.nodes {
                 // A newer ring whose membership is not fully known yet;
                 // maybe another member has the complete description.
                 continue;
             }
             let parsed: Option<Vec<SocketAddr>> = addrs.iter().map(|a| a.parse().ok()).collect();
             let Some(parsed) = parsed else { continue };
-            let spec = RingSpec {
-                nodes: nodes as usize,
-                vnodes: vnodes as usize,
-                seed,
-                generation,
-            };
             return self.adopt(spec, &parsed).is_ok();
         }
         false
@@ -450,7 +436,7 @@ impl ClusterClient {
             }
             if redirected {
                 // Every live member redirected: the ring disagrees with
-                // the servers' ownership maps (stale spec). If the
+                // the members' rings (stale spec). If the
                 // members serve a newer generation, adopt it and retry;
                 // a second full redirect round cannot adopt again (the
                 // generation is no longer newer) and exhausts below.
@@ -1002,35 +988,11 @@ enum Drain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::tests::{members_on, ring_servers};
     use crate::fleet::{fleet_task, fleet_usage, offline_peak, FLEET_LIMIT};
-    use oc_serve::config::{KeyRole, ServeConfig};
-    use oc_serve::server::Server;
+    use oc_serve::config::ServeConfig;
+    use oc_serve::ring::KeyRole;
     use oc_trace::ids::JobId;
-
-    /// An in-process N-member ring (cargo's test harness owns `main`,
-    /// so child processes are out; ownership maps make in-process
-    /// servers behave exactly like cluster members).
-    fn ring_servers(nodes: usize) -> (RingSpec, Vec<Server>, Vec<SocketAddr>) {
-        let spec = RingSpec::new(nodes);
-        let (servers, addrs) = members_on(spec);
-        (spec, servers, addrs)
-    }
-
-    /// One in-process member per slot of `spec`'s ring.
-    fn members_on(spec: RingSpec) -> (Vec<Server>, Vec<SocketAddr>) {
-        let ring = spec.build();
-        let servers: Vec<Server> = (0..spec.nodes)
-            .map(|i| {
-                let cfg = ServeConfig::default()
-                    .with_addr("127.0.0.1:0")
-                    .with_shards(1)
-                    .with_ownership(ring.ownership_for(i));
-                Server::start(cfg).expect("server starts")
-            })
-            .collect();
-        let addrs = servers.iter().map(|s| s.addr()).collect();
-        (servers, addrs)
-    }
 
     fn fleet_of(n: u32) -> (CellId, Vec<MachineId>) {
         (CellId::new("cc"), (0..n).map(MachineId).collect())
@@ -1105,16 +1067,10 @@ mod tests {
         let ring = spec.build();
         let (cell, _) = fleet_of(1);
         let task = TaskId::new(JobId(3), 0);
-        // Find a machine whose owner is NOT member 0, then force the
-        // first attempt at member 0 by shrinking the ring view.
-        let all = vec![true; 3];
+        // Find a machine member 0 holds no role for.
         let m = (0..200)
             .map(MachineId)
-            .find(|m| {
-                let h = key_hash(&(cell.clone(), *m));
-                let (o, r) = ring.routes(h, &all);
-                o != Some(0) && r != Some(0)
-            })
+            .find(|m| ring.role(0, key_hash(&(cell.clone(), *m))) == KeyRole::Remote)
             .expect("some machine avoids member 0");
         // A direct client pointed at the remote member sees the redirect
         // error the ClusterClient would absorb.
@@ -1163,7 +1119,7 @@ mod tests {
             seed: client_spec.seed ^ 0x5EED,
             ..client_spec
         };
-        let (servers, addrs) = members_on(member_spec);
+        let (servers, addrs) = members_on(member_spec, |cfg| cfg);
         let (ours, theirs) = (client_spec.build(), member_spec.build());
         let (cell, _) = fleet_of(1);
         let all = [true; 3];
@@ -1172,7 +1128,7 @@ mod tests {
             .find(|m| {
                 let h = key_hash(&(cell.clone(), *m));
                 let owner = ours.owner(h, &all).expect("a live owner");
-                theirs.ownership_for(owner).role_of(h) == KeyRole::Remote
+                theirs.role(owner, h) == KeyRole::Remote
             })
             .expect("some machine's client-side owner is remote on the members' ring");
         let cfg = ClusterClientConfig {
@@ -1210,11 +1166,10 @@ mod tests {
         ccfg.client = ccfg.client.with_batch(64);
         let mut cc = ClusterClient::connect(spec, &addrs, ccfg).expect("connect");
         let cell = CellId::new("fleet");
-        let all = vec![true; 3];
         let mut owned2 = Vec::new();
         let mut trip = None;
         for m in (0..600).map(MachineId) {
-            match ring.routes(key_hash(&(cell.clone(), m)), &all) {
+            match ring.holders(key_hash(&(cell.clone(), m))) {
                 (Some(2), _) if owned2.len() < 40 => owned2.push(m),
                 (Some(0), Some(2)) if trip.is_none() => trip = Some(m),
                 _ => {}
@@ -1260,36 +1215,7 @@ mod tests {
     /// no operator `adopt` call.
     #[test]
     fn epoch_change_triggers_ring_adoption() {
-        use oc_serve::config::{OwnershipFactory, RingInfo};
-        let spec = RingSpec::new(3);
-        let servers: Vec<Server> = (0..3)
-            .map(|i| {
-                let factory = OwnershipFactory::new(move |n, v, s| {
-                    if i >= n {
-                        return None;
-                    }
-                    let spec = RingSpec {
-                        nodes: n,
-                        vnodes: v,
-                        seed: s,
-                        generation: 0,
-                    };
-                    Some(spec.build().ownership_for(i))
-                });
-                let cfg = ServeConfig::default()
-                    .with_addr("127.0.0.1:0")
-                    .with_shards(1)
-                    .with_ownership(spec.build().ownership_for(i))
-                    .with_ring_info(RingInfo {
-                        nodes: spec.nodes,
-                        vnodes: spec.vnodes,
-                        seed: spec.seed,
-                    })
-                    .with_ownership_factory(factory);
-                Server::start(cfg).expect("server starts")
-            })
-            .collect();
-        let addrs: Vec<SocketAddr> = servers.iter().map(|s| s.addr()).collect();
+        let (spec, servers, addrs) = ring_servers(3);
         let mut cc =
             ClusterClient::connect(spec, &addrs, ClusterClientConfig::default()).expect("connect");
         cc.stats().expect("stats records per-member epochs");
@@ -1301,10 +1227,10 @@ mod tests {
             let mut direct = Client::connect(addr, ClientConfig::default()).expect("connect");
             let resp = direct
                 .request(&Request::RingSet {
-                    nodes: 3,
-                    vnodes: spec.vnodes as u64,
-                    seed: spec.seed,
-                    generation: 1,
+                    spec: RingSpec {
+                        generation: 1,
+                        ..spec
+                    },
                     addrs: addr_strings.clone(),
                 })
                 .expect("ringset");

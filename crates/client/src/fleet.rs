@@ -188,33 +188,37 @@ pub fn verify(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use oc_serve::server::Server;
     use std::time::Duration;
 
-    fn ring_servers(nodes: usize) -> (RingSpec, Vec<Server>, Vec<SocketAddr>) {
-        ring_servers_with(nodes, |cfg| cfg)
+    /// An in-process N-member ring (cargo's test harness owns `main`,
+    /// so child processes are out; a ring slot in its config makes an
+    /// in-process server behave exactly like a cluster member).
+    pub(crate) fn ring_servers(nodes: usize) -> (RingSpec, Vec<Server>, Vec<SocketAddr>) {
+        let spec = RingSpec::new(nodes);
+        let (servers, addrs) = members_on(spec, |cfg| cfg);
+        (spec, servers, addrs)
     }
 
-    /// [`ring_servers`] with every member's config passed through `tune`.
-    fn ring_servers_with(
-        nodes: usize,
+    /// One in-process member per slot of `spec`'s ring, every member's
+    /// config passed through `tune`.
+    pub(crate) fn members_on(
+        spec: RingSpec,
         tune: impl Fn(ServeConfig) -> ServeConfig,
-    ) -> (RingSpec, Vec<Server>, Vec<SocketAddr>) {
-        let spec = RingSpec::new(nodes);
-        let ring = spec.build();
-        let servers: Vec<Server> = (0..nodes)
+    ) -> (Vec<Server>, Vec<SocketAddr>) {
+        let servers: Vec<Server> = (0..spec.nodes)
             .map(|i| {
                 let cfg = ServeConfig::default()
                     .with_addr("127.0.0.1:0")
                     .with_shards(1)
-                    .with_ownership(ring.ownership_for(i));
+                    .with_ring(spec, i);
                 Server::start(tune(cfg)).expect("server starts")
             })
             .collect();
         let addrs = servers.iter().map(|s| s.addr()).collect();
-        (spec, servers, addrs)
+        (servers, addrs)
     }
 
     /// A routed drive resolves every sample, lands it on owner and
@@ -393,8 +397,9 @@ mod tests {
         };
 
         // The members reap idle connections while the client pauses.
-        let (spec, servers, addrs) =
-            ring_servers_with(3, |cfg| cfg.with_idle_timeout(Duration::from_millis(80)));
+        let spec = RingSpec::new(3);
+        let (servers, addrs) =
+            members_on(spec, |cfg| cfg.with_idle_timeout(Duration::from_millis(80)));
         let mut cc = ClusterClient::connect(spec, &addrs, ccfg.clone()).expect("connect");
         let before = reconnects.get();
         observe_ticks(&mut cc, machines, 0..6);

@@ -52,10 +52,6 @@ fn main() -> ExitCode {
             return fail(&format!("{flag}: invalid value {value}"));
         }
     }
-    if cfg.nodes == 0 {
-        return fail("--nodes must be >= 1");
-    }
-
     let cluster = match Cluster::start(&cfg) {
         Ok(c) => c,
         Err(e) => return fail(&format!("start: {e}")),

@@ -7,7 +7,7 @@
 //! occasional probe — where a connection per request is simpler than a
 //! pool and the cost is irrelevant.
 
-use crate::ring::RingSpec;
+use crate::RingSpec;
 use oc_serve::proto::{
     parse_batchr_header, parse_view_header, push_u64, ProtoScratch, Request, Response,
     StatsSnapshot, MAX_BATCH,
@@ -80,67 +80,24 @@ pub fn shutdown(addr: SocketAddr) -> io::Result<()> {
     }
 }
 
-/// A member's answer to `RING`: the ring description it currently
-/// serves, with the full 64-bit generation (the packed `epoch` only
-/// carries the low 16 bits).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RingDesc {
-    /// Ring member count.
-    pub nodes: u64,
-    /// Virtual nodes per member.
-    pub vnodes: u64,
-    /// Placement seed.
-    pub seed: u64,
-    /// Full ring generation.
-    pub generation: u64,
-    /// The member's packed epoch at answer time.
-    pub epoch: u64,
-    /// Member data-plane addresses by ring index (empty until the
-    /// supervisor pushed them).
-    pub addrs: Vec<String>,
-}
-
-impl RingDesc {
-    /// The [`RingSpec`] this description names.
-    pub fn spec(&self) -> RingSpec {
-        RingSpec {
-            nodes: self.nodes as usize,
-            vnodes: self.vnodes as usize,
-            seed: self.seed,
-            generation: self.generation,
-        }
-    }
-}
-
-/// Fetches a member's current ring description (`RING`).
+/// Fetches a member's current ring (`RING`): the spec it serves, with
+/// the full 64-bit generation (the packed `epoch` only carries the low
+/// 16 bits), and the member addresses by ring index (empty until the
+/// supervisor pushed them).
 ///
 /// # Errors
 ///
 /// Propagates [`request`] failures; `InvalidData` for a non-`RING`
 /// answer (including the `ERR internal` a standalone server gives).
-pub fn ring(addr: SocketAddr) -> io::Result<RingDesc> {
+pub fn ring(addr: SocketAddr) -> io::Result<(RingSpec, Vec<String>)> {
     match request(addr, &Request::Ring)? {
-        Response::Ring {
-            nodes,
-            vnodes,
-            seed,
-            generation,
-            epoch,
-            addrs,
-        } => Ok(RingDesc {
-            nodes,
-            vnodes,
-            seed,
-            generation,
-            epoch,
-            addrs,
-        }),
+        Response::Ring { spec, addrs, .. } => Ok((spec, addrs)),
         other => Err(proto_err(format_args!("expected RING, got {other:?}"))),
     }
 }
 
 /// Pushes a ring description to a member (`RINGSET`): the member
-/// rebuilds its ownership for the new geometry, re-stamps its epoch
+/// rebuilds its ring from `spec` and its own index, re-stamps its epoch
 /// with `spec.generation`, and starts answering `RING` with it.
 ///
 /// # Errors
@@ -148,14 +105,8 @@ pub fn ring(addr: SocketAddr) -> io::Result<RingDesc> {
 /// Propagates [`request`] failures; `InvalidData` for a non-`OK` answer
 /// (e.g. `ERR stale` for a generation behind the installed one).
 pub fn ring_set(addr: SocketAddr, spec: &RingSpec, addrs: &[String]) -> io::Result<()> {
-    let req = Request::RingSet {
-        nodes: spec.nodes as u64,
-        vnodes: spec.vnodes as u64,
-        seed: spec.seed,
-        generation: spec.generation,
-        addrs: addrs.to_vec(),
-    };
-    match request(addr, &req)? {
+    let addrs = addrs.to_vec();
+    match request(addr, &Request::RingSet { spec: *spec, addrs })? {
         Response::Ok => Ok(()),
         other => Err(proto_err(format_args!("expected OK, got {other:?}"))),
     }

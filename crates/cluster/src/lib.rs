@@ -2,15 +2,16 @@
 //!
 //! Runs N `oc-serve` processes as one logical peak-prediction service:
 //!
-//! * [`ring`] — a seeded consistent-hash ring with virtual nodes maps
-//!   every machine key to an owning process and a replica (the ring
-//!   successor, which is exactly the takeover target if the owner
-//!   dies). Deterministic and std-only: a shared [`RingSpec`] is the
-//!   whole membership protocol.
+//! * [`HashRing`] (re-exported from [`oc_serve::ring`]) — a seeded
+//!   consistent-hash ring with virtual nodes maps every machine key to
+//!   an owning process and a replica (the ring successor, which is
+//!   exactly the takeover target if the owner dies). Deterministic and
+//!   std-only: a shared [`RingSpec`] is the whole membership protocol.
 //! * [`node`] — the member entry point: an ordinary `oc-serve` server
-//!   whose [`oc_serve::config::OwnershipMap`] enforces the ring
-//!   (`ERR not-mine` for keys owned elsewhere) and whose `epoch` stamp
-//!   carries the ring generation.
+//!   configured with the [`RingSpec`] and its own ring index
+//!   ([`oc_serve::config::ServeConfig::ring`]), which enforces the ring
+//!   (`ERR not-mine` for keys owned elsewhere) and stamps the ring
+//!   generation into its `epoch`.
 //! * [`supervisor`] — spawns members as child processes, SIGKILLs them
 //!   (chaos) or retires them through the drain-then-snapshot `SHUTDOWN`
 //!   path (handoff), and merges their `STATS`/`METRICS`.
@@ -32,12 +33,11 @@
 pub mod aggregator;
 pub mod control;
 pub mod node;
-pub mod ring;
 pub mod smoke;
 pub mod supervisor;
 
 pub use aggregator::Aggregator;
-pub use ring::{HashRing, RingSpec, DEFAULT_SEED, DEFAULT_VNODES};
+pub use oc_serve::ring::{HashRing, RingSpec, DEFAULT_SEED, DEFAULT_VNODES};
 pub use supervisor::{Cluster, ClusterConfig, ReplayReport};
 
 /// If this process was launched as a cluster member (`--cluster-node`,

@@ -1,8 +1,9 @@
 //! The member-process entry point.
 //!
 //! A cluster member is an ordinary `oc-serve` [`Server`] whose
-//! [`ServeConfig`] carries the ring's [`OwnershipMap`] for its index and
-//! the ring generation (stamped into the server's `epoch`). The
+//! [`ServeConfig::ring`] is the shared [`RingSpec`] and the member's own
+//! ring index: the server enforces the ring, stamps its generation into
+//! the `epoch`, and rebuilds it from any `RINGSET` push. The
 //! supervisor spawns members as child processes of the *current
 //! executable* re-invoked with `--cluster-node` — any binary that calls
 //! [`crate::run_child_if_node`] first thing in `main` can host members,
@@ -11,11 +12,9 @@
 //! The child announces `ADDR <ip:port>` on stdout once it is serving
 //! (the parent blocks on that line), then waits for a `SHUTDOWN` verb
 //! and exits through the drain-then-snapshot path.
-//!
-//! [`OwnershipMap`]: oc_serve::config::OwnershipMap
 
-use crate::ring::RingSpec;
-use oc_serve::config::{OwnershipFactory, RingInfo, ServeConfig};
+use crate::RingSpec;
+use oc_serve::config::ServeConfig;
 use oc_serve::server::Server;
 use std::io::Write;
 
@@ -67,8 +66,10 @@ impl NodeArgs {
     ///
     /// # Errors
     ///
-    /// A human-readable message for an unknown flag, a missing value, or
-    /// an unparseable number.
+    /// A human-readable message for an unknown flag, a missing value, an
+    /// unparseable number, or a [`ServeConfig`] that does not validate —
+    /// a ring [`RingSpec::check`] refuses or an index outside the ring
+    /// among them.
     pub fn parse(args: &[String]) -> Result<NodeArgs, String> {
         let mut spec = RingSpec::new(1);
         let mut index = 0usize;
@@ -103,54 +104,28 @@ impl NodeArgs {
                 other => return Err(format!("unknown node flag {other}")),
             }
         }
-        if index >= spec.nodes {
-            return Err(format!(
-                "--ring-index {index} out of range for {} nodes",
-                spec.nodes
-            ));
-        }
-        Ok(NodeArgs {
+        let parsed = NodeArgs {
             spec,
             index,
             shards,
             max_connections,
             history_samples,
-        })
+        };
+        parsed
+            .serve_config()
+            .validate()
+            .map_err(|e| e.to_string())?;
+        Ok(parsed)
     }
 
-    /// The [`ServeConfig`] this member runs: ownership from the ring,
-    /// generation into the epoch, ephemeral local port.
+    /// The [`ServeConfig`] this member runs: its ring slot, ephemeral
+    /// local port.
     pub fn serve_config(&self) -> ServeConfig {
-        let ring = self.spec.build();
-        // The factory lets a `RINGSET` push rebuild ownership for a new
-        // geometry online: this member's identity is its ring index, so
-        // any pushed (nodes, vnodes, seed) resolves to the index's slots
-        // — or to no slot at all once the ring shrinks past it.
-        let index = self.index;
-        let factory = OwnershipFactory::new(move |nodes, vnodes, seed| {
-            if index >= nodes {
-                return None;
-            }
-            let spec = RingSpec {
-                nodes,
-                vnodes,
-                seed,
-                generation: 0,
-            };
-            Some(spec.build().ownership_for(index))
-        });
         let mut cfg = ServeConfig::default()
             .with_addr("127.0.0.1:0")
             .with_shards(self.shards)
             .with_max_connections(self.max_connections)
-            .with_ownership(ring.ownership_for(self.index))
-            .with_ring_generation(self.spec.generation)
-            .with_ring_info(RingInfo {
-                nodes: self.spec.nodes,
-                vnodes: self.spec.vnodes,
-                seed: self.spec.seed,
-            })
-            .with_ownership_factory(factory);
+            .with_ring(self.spec, self.index);
         if let Some(h) = self.history_samples {
             cfg.sim.max_num_samples = h.max(1);
             cfg.sim.min_num_samples = cfg.sim.min_num_samples.min(cfg.sim.max_num_samples);
@@ -227,6 +202,7 @@ mod tests {
             bad(&["--ring-nodes", "2", "--ring-index", "2"]).is_err(),
             "index out of range"
         );
+        assert!(bad(&["--ring-vnodes", "0"]).is_err(), "no vnodes");
     }
 
     #[test]

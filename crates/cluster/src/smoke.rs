@@ -11,9 +11,10 @@
 
 use crate::aggregator::{self, Aggregator};
 use crate::control;
-use crate::ring::HashRing;
 use crate::supervisor::{Cluster, ClusterConfig};
+use crate::HashRing;
 use oc_serve::proto::{epoch_ring_generation, ErrCode, Request, Response};
+use oc_serve::ring::KeyRole;
 use oc_serve::shard::key_hash;
 use oc_trace::ids::{CellId, MachineId};
 use std::net::SocketAddr;
@@ -114,12 +115,11 @@ pub fn check_holders(
     slot: usize,
     expected: impl Fn(u64) -> f64,
 ) -> Result<u64, String> {
-    let all_alive = vec![true; addrs.len()];
     let mut held = 0;
     for m in 0..machines {
         let h = key_hash(&(CellId::new(cell), MachineId(m as u32)));
         let want = expected(m);
-        let (owner, replica) = ring.routes(h, &all_alive);
+        let (owner, replica) = ring.holders(h);
         for holder in [owner, replica].into_iter().flatten() {
             held += u64::from(holder == slot);
             let got = predict(addrs[holder], cell, m)?;
@@ -174,9 +174,8 @@ pub fn run() -> Result<(), String> {
     // A member that owns neither the key nor its replica slot must
     // redirect rather than silently ingest.
     let h0 = key_hash(&(cell.clone(), MachineId(0)));
-    let (o0, r0) = ring.routes(h0, &all_alive);
     let remote = (0..3)
-        .find(|n| Some(*n) != o0 && Some(*n) != r0)
+        .find(|&n| ring.role(n, h0) == KeyRole::Remote)
         .expect("3 nodes, 2 roles");
     match control::request(
         addrs[remote],
@@ -310,9 +309,9 @@ pub fn run() -> Result<(), String> {
     }
     // Any member answers RING with the bumped description — what
     // clients auto-adopt from.
-    let desc = control::ring(addrs[1]).map_err(|e| format!("ring: {e}"))?;
-    if desc.generation != 1 || desc.addrs.len() != 3 {
-        return Err(format!("unexpected RING answer: {desc:?}"));
+    let (spec, members) = control::ring(addrs[1]).map_err(|e| format!("ring: {e}"))?;
+    if spec.generation != 1 || members.len() != 3 {
+        return Err(format!("unexpected RING answer: {spec:?} {members:?}"));
     }
     println!(
         "smoke: replaced member 0 (installed {} samples' worth of state from {} survivors); \

@@ -19,11 +19,11 @@
 
 use crate::control::{self, ViewRecord};
 use crate::node::NodeArgs;
-use crate::ring::{RingSpec, DEFAULT_SEED, DEFAULT_VNODES};
-use oc_serve::config::KeyRole;
+use crate::{RingSpec, DEFAULT_SEED, DEFAULT_VNODES};
 use oc_serve::proto::StatsSnapshot;
+use oc_serve::ring::KeyRole;
 use oc_telemetry::metrics::merge_expositions;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader};
 use std::net::SocketAddr;
 use std::process::{Child, ChildStdout, Command, Stdio};
@@ -43,6 +43,13 @@ fn keep_most_complete(best: &mut RecordsByMachine, record: ViewRecord) {
             best.insert(key, record);
         }
     }
+}
+
+/// `spec`, if [`RingSpec::check`] accepts it; `InvalidInput` otherwise.
+fn checked(spec: RingSpec) -> io::Result<RingSpec> {
+    spec.check()
+        .map(|()| spec)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))
 }
 
 /// How a [`Cluster`] is shaped.
@@ -141,7 +148,7 @@ pub struct ReplayReport {
     /// would have had to drive to rebuild the same state.
     pub replayed: u64,
     /// State records a target refused: a machine outside its slots
-    /// (its ownership map says `Remote`), or one it already holds. The
+    /// (its ring role is `Remote`), or one it already holds. The
     /// supervisor only sends what the target's slots hold and what it
     /// lacks, so this is an alarm, expected 0: non-zero means the
     /// supervisor's ring and the member disagree, or ingest was not
@@ -174,9 +181,10 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// I/O errors from spawning or from a child that exits or misprints
-    /// before announcing `ADDR`. No child outlives an error: members
-    /// started before the failure are killed and reaped.
+    /// `InvalidInput` for a ring [`RingSpec::check`] refuses, before
+    /// anything is spawned; I/O errors from spawning or from a child that
+    /// exits or misprints before announcing `ADDR`. No child outlives an
+    /// error: members started before the failure are killed and reaped.
     pub fn start(cfg: &ClusterConfig) -> io::Result<Cluster> {
         let exe = std::env::current_exe()?;
         Cluster::start_with(cfg, exe_spawner(exe))
@@ -185,12 +193,12 @@ impl Cluster {
     /// [`Cluster::start`] with an injected spawner (tests force spawn
     /// and announce failures through it).
     fn start_with(cfg: &ClusterConfig, spawner: Spawner) -> io::Result<Cluster> {
-        let spec = RingSpec {
+        let spec = checked(RingSpec {
             nodes: cfg.nodes,
             vnodes: cfg.vnodes,
             seed: cfg.seed,
             generation: 0,
-        };
+        })?;
         let mut cluster = Cluster {
             spec,
             cfg: cfg.clone(),
@@ -351,8 +359,8 @@ impl Cluster {
     /// replicated, the owner holds it. Each survivor dumps every machine
     /// it holds as one state record (the view's exact state, see
     /// `oc_core::ingest`); per machine the record carrying the most
-    /// samples wins, and the records the slot's ownership map gives a
-    /// role are installed with `RESTORE` — no sample is replayed, so the
+    /// samples wins, and the records the ring gives the slot a role for
+    /// are installed with `RESTORE` — no sample is replayed, so the
     /// step costs the retained windows, not the history.
     ///
     /// A member that is still alive is retired (drained) first. Samples
@@ -395,8 +403,8 @@ impl Cluster {
 
     /// Spawns the replacement for slot `index` while the survivors'
     /// dumps stream in, then installs what the slot holds: the machines
-    /// the slot's own ownership map (the one the new member enforces)
-    /// does not call `Remote`, one lookup per machine. The member's
+    /// whose ring role for the slot (what the new member enforces) is not
+    /// `Remote`, one lookup per machine. The member's
     /// check stays on as the safety net behind this filter. The child
     /// never outlives an error.
     fn rebuild_slot(&self, index: usize) -> io::Result<(Member, ReplayReport)> {
@@ -405,10 +413,10 @@ impl Cluster {
             members: vec![spawned?],
         };
         let (best, sources) = records?;
-        let ownership = self.spec.build().ownership_for(index);
+        let ring = self.spec.build();
         let slot = best
             .values()
-            .filter(|record| ownership.role_of(record.key_hash()) != KeyRole::Remote);
+            .filter(|record| ring.role(index, record.key_hash()) != KeyRole::Remote);
         let restored = control::restore(guard.members[0].addr, slot)?;
         let member = guard.disarm().pop().expect("the guarded member");
         Ok((
@@ -423,27 +431,29 @@ impl Cluster {
 
     /// Grows or shrinks the ring to `new_nodes` members: spawns or
     /// retires the tail slots, bumps the generation, pushes the new
-    /// geometry to every member (each rebuilds its ownership through
-    /// its factory and drops the machines it no longer holds), and moves
+    /// geometry to every member (each rebuilds its ring for its own
+    /// index and drops the machines it no longer holds), and moves
     /// **only the changed ranges** — each machine whose owner/replica set
     /// changed has its most complete state record installed on every new
     /// holder that did not hold it before.
     ///
     /// # Errors
     ///
-    /// Propagates spawn, retire, dump, restore, and push failures.
+    /// `InvalidInput` for a ring [`RingSpec::check`] refuses (no
+    /// members, or too many points); otherwise propagates spawn, retire,
+    /// dump, restore, and push failures.
     pub fn resize(&mut self, new_nodes: usize) -> io::Result<ReplayReport> {
-        assert!(new_nodes >= 1, "ring needs at least one member");
         let old_nodes = self.members.len();
         if new_nodes == old_nodes {
             return Ok(ReplayReport::default());
         }
-        let old_ring = self.spec.build();
+        let new_spec = checked(RingSpec {
+            nodes: new_nodes,
+            generation: self.spec.generation + 1,
+            ..self.spec
+        })?;
+        let (old_ring, new_ring) = (self.spec.build(), new_spec.build());
         let (best, sources) = self.collect_views(|| ()).0?;
-        let mut new_spec = self.spec;
-        new_spec.nodes = new_nodes;
-        new_spec.generation += 1;
-        let new_ring = new_spec.build();
         self.spec = new_spec;
         if new_nodes > old_nodes {
             for index in old_nodes..new_nodes {
@@ -459,19 +469,15 @@ impl Cluster {
             self.members.truncate(new_nodes);
         }
         self.push_ring()?;
-        // Group the moved machines per target, so each new holder gets
-        // one restore connection.
-        let old_alive = vec![true; old_nodes];
-        let new_alive = vec![true; new_nodes];
+        // A machine moves to each new holder that was not an old one;
+        // grouped per target, one restore connection per new holder.
         let mut per_target: HashMap<usize, Vec<&ViewRecord>> = HashMap::new();
         for record in best.values() {
             let hash = record.key_hash();
-            let (old_owner, old_replica) = old_ring.routes(hash, &old_alive);
-            let old_holders: HashSet<usize> =
-                [old_owner, old_replica].into_iter().flatten().collect();
-            let (new_owner, new_replica) = new_ring.routes(hash, &new_alive);
+            let (old_owner, old_replica) = old_ring.holders(hash);
+            let (new_owner, new_replica) = new_ring.holders(hash);
             for target in [new_owner, new_replica].into_iter().flatten() {
-                if !old_holders.contains(&target) {
+                if Some(target) != old_owner && Some(target) != old_replica {
                     per_target.entry(target).or_default().push(record);
                 }
             }
@@ -668,6 +674,24 @@ mod tests {
         let pids = pids.lock().expect("pid list lock");
         assert_eq!(pids.len(), 2, "two members spawned before the failure");
         assert_all_reaped(&pids);
+    }
+
+    /// A ring with no vnodes is refused before any member is spawned
+    /// (each would panic building it and garble its `ADDR` announce).
+    #[test]
+    fn zero_vnodes_is_refused_before_any_spawn() {
+        let cfg = ClusterConfig {
+            vnodes: 0,
+            ..ClusterConfig::default()
+        };
+        let pids = Arc::new(Mutex::new(Vec::new()));
+        let err = Cluster::start_with(
+            &cfg,
+            fake_member_spawner(usize::MAX, "ADDR 127.0.0.1:1", Arc::clone(&pids)),
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(pids.lock().expect("pid list lock").is_empty());
     }
 
     /// The announce-path fix: a child that misprints its `ADDR` line is

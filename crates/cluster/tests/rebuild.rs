@@ -194,11 +194,11 @@ fn replace_push_failure_leaves_the_new_member_in_place() -> Result<(), String> {
     cluster.push_ring().map_err(|e| format!("push_ring: {e}"))?;
     let (ring, addrs, alive) = (cluster.spec().build(), cluster.addrs(), cluster.alive());
     for member in [0, 1] {
-        let desc = control::ring(addrs[member]).map_err(|e| format!("ring: {e}"))?;
-        if desc.generation != 1 {
+        let (spec, _) = control::ring(addrs[member]).map_err(|e| format!("ring: {e}"))?;
+        if spec.generation != 1 {
             return Err(format!(
                 "member {member} runs generation {}",
-                desc.generation
+                spec.generation
             ));
         }
     }

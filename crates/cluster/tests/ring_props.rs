@@ -7,15 +7,17 @@
 //! (mirror targets distinct from owners) must survive any generation.
 
 use oc_cluster::{HashRing, RingSpec};
+use oc_serve::ring::KeyRole;
 use proptest::prelude::*;
 
 fn ring(nodes: usize, vnodes: usize, seed: u64, generation: u64) -> HashRing {
-    HashRing::new(RingSpec {
+    RingSpec {
         nodes,
         vnodes,
         seed,
         generation,
-    })
+    }
+    .build()
 }
 
 /// An alive mask with at least two live members: bit `i` of `bits`
@@ -72,10 +74,10 @@ proptest! {
         }
     }
 
-    /// The per-member ownership maps (what each process enforces with
+    /// The per-member roles (what each process enforces with
     /// `ERR not-mine`) partition every key into exactly one owner and
     /// one replica, and the partition is generation-independent — the
-    /// rebuilt member's map equals its predecessor's.
+    /// rebuilt member's roles equal its predecessor's.
     #[test]
     fn ownership_maps_partition_identically_across_generations(
         nodes in 2usize..6,
@@ -85,14 +87,11 @@ proptest! {
         gen_b in 0u64..u64::MAX,
         hashes in proptest::collection::vec(0u64..u64::MAX, 1..64),
     ) {
-        use oc_serve::config::KeyRole;
         let a = ring(nodes, vnodes, seed, gen_a);
         let b = ring(nodes, vnodes, seed, gen_b);
-        let maps_a: Vec<_> = (0..nodes).map(|i| a.ownership_for(i)).collect();
-        let maps_b: Vec<_> = (0..nodes).map(|i| b.ownership_for(i)).collect();
         for h in hashes {
-            let roles_a: Vec<_> = maps_a.iter().map(|m| m.role_of(h)).collect();
-            let roles_b: Vec<_> = maps_b.iter().map(|m| m.role_of(h)).collect();
+            let roles_a: Vec<_> = (0..nodes).map(|i| a.role(i, h)).collect();
+            let roles_b: Vec<_> = (0..nodes).map(|i| b.role(i, h)).collect();
             prop_assert_eq!(&roles_a, &roles_b);
             let owners = roles_a.iter().filter(|r| **r == KeyRole::Owner).count();
             let replicas = roles_a.iter().filter(|r| **r == KeyRole::Replica).count();
@@ -103,9 +102,9 @@ proptest! {
 
     /// The replay filter of `Cluster::replace` can never drop a line
     /// the rebuilt member would have applied: "slot is owner or replica
-    /// under the all-alive ring" is exactly "the slot's ownership map
-    /// (the supervisor's filter, and the member's own check) does not
-    /// call the key `Remote`".
+    /// under the all-alive ring" is exactly "the slot's role (the
+    /// supervisor's filter, and the member's own check) is not
+    /// `Remote`".
     #[test]
     fn replay_filter_equals_member_ownership(
         nodes in 2usize..7,
@@ -114,22 +113,20 @@ proptest! {
         slot in 0usize..7,
         hashes in proptest::collection::vec(0u64..u64::MAX, 1..128),
     ) {
-        use oc_serve::config::KeyRole;
         let slot = slot % nodes;
         let r = ring(nodes, vnodes, seed, 0);
-        let ownership = r.ownership_for(slot);
         let all_alive = vec![true; nodes];
         for h in hashes {
             let (owner, replica) = r.routes(h, &all_alive);
             let holds = owner == Some(slot) || replica == Some(slot);
-            prop_assert_eq!(holds, ownership.role_of(h) != KeyRole::Remote);
+            prop_assert_eq!(holds, r.role(slot, h) != KeyRole::Remote);
         }
     }
 
     /// The mirror-target rule (`ClusterClient` and the fleet planner
     /// both call it): a mirror goes to a live member other than the
-    /// live owner, and only to one whose own ownership map accepts the
-    /// key — under any liveness mask, including a lone survivor.
+    /// live owner, and only to one whose own role accepts the key —
+    /// under any liveness mask, including a lone survivor.
     #[test]
     fn mirror_target_is_a_live_non_owner_that_accepts_the_key(
         nodes in 1usize..7,
@@ -138,7 +135,6 @@ proptest! {
         mask in 0u64..u64::MAX,
         hashes in proptest::collection::vec(0u64..u64::MAX, 1..128),
     ) {
-        use oc_serve::config::KeyRole;
         let r = ring(nodes, vnodes, seed, 0);
         let alive: Vec<bool> = (0..nodes).map(|i| mask >> i & 1 == 1).collect();
         for h in hashes {
@@ -149,7 +145,7 @@ proptest! {
             };
             prop_assert!(alive[target]);
             prop_assert!(Some(target) != r.owner(h, &alive));
-            prop_assert!(r.ownership_for(target).role_of(h) != KeyRole::Remote);
+            prop_assert!(r.role(target, h) != KeyRole::Remote);
         }
     }
 }

@@ -2,10 +2,10 @@
 
 use crate::error::ServeError;
 use crate::fault::FaultPlan;
+use crate::ring::RingSpec;
 use oc_core::config::SimConfig;
 use oc_core::ingest::DEFAULT_MAX_GAP;
 use oc_core::predictor::PredictorSpec;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Default bound on how long a connection may sit without delivering a
@@ -18,94 +18,6 @@ pub const DEFAULT_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Default cap on concurrently served connections.
 pub const DEFAULT_MAX_CONNECTIONS: usize = 1024;
-
-/// How a machine key relates to this process under its cluster ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KeyRole {
-    /// This process is the key's primary owner: all verbs accepted.
-    Owner,
-    /// This process is the key's ring successor: it accepts the mirrored
-    /// ingest stream (`OBSERVE`) and serves reads (`PREDICT`/`ADMIT`)
-    /// so clients can fail over when the owner dies. Clients should
-    /// prefer the owner while it is alive.
-    Replica,
-    /// Some other process owns the key: every data-plane verb is
-    /// answered `ERR not-mine` so a stale client re-resolves the ring.
-    Remote,
-}
-
-/// Cluster ownership classifier: maps a machine-key hash
-/// ([`crate::shard::key_hash`]) to this process's [`KeyRole`] for it.
-///
-/// A cheap shared closure rather than a concrete ring type so `oc-serve`
-/// stays ring-agnostic — `oc-cluster` builds one from its consistent-hash
-/// ring; tests can use any partition. `None` in [`ServeConfig`] (the
-/// default) means standalone serving: every key is [`KeyRole::Owner`].
-#[derive(Clone)]
-pub struct OwnershipMap(Arc<dyn Fn(u64) -> KeyRole + Send + Sync>);
-
-impl OwnershipMap {
-    /// Wraps a key-hash → role classifier.
-    pub fn new(f: impl Fn(u64) -> KeyRole + Send + Sync + 'static) -> OwnershipMap {
-        OwnershipMap(Arc::new(f))
-    }
-
-    /// The role this process plays for a key hash.
-    pub fn role_of(&self, key_hash: u64) -> KeyRole {
-        (self.0)(key_hash)
-    }
-}
-
-impl std::fmt::Debug for OwnershipMap {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("OwnershipMap(..)")
-    }
-}
-
-/// Rebuilds this process's [`OwnershipMap`] for a new ring geometry —
-/// the hook the online `RINGSET` verb needs so a member can adopt a
-/// pushed ring without restarting, while `oc-serve` itself stays
-/// ring-agnostic (`oc-cluster` installs a factory that hashes the new
-/// spec; the factory closure captures which ring index this process is).
-///
-/// Called with `(nodes, vnodes, seed)` of the pushed ring. Returns
-/// `None` when this process holds no slot under the new geometry (its
-/// index is outside `0..nodes`), which makes the member reject the push.
-#[derive(Clone)]
-pub struct OwnershipFactory(Arc<dyn Fn(usize, usize, u64) -> Option<OwnershipMap> + Send + Sync>);
-
-impl OwnershipFactory {
-    /// Wraps a `(nodes, vnodes, seed) -> OwnershipMap` builder.
-    pub fn new(
-        f: impl Fn(usize, usize, u64) -> Option<OwnershipMap> + Send + Sync + 'static,
-    ) -> OwnershipFactory {
-        OwnershipFactory(Arc::new(f))
-    }
-
-    /// Builds the ownership map for a pushed ring geometry.
-    pub fn build(&self, nodes: usize, vnodes: usize, seed: u64) -> Option<OwnershipMap> {
-        (self.0)(nodes, vnodes, seed)
-    }
-}
-
-impl std::fmt::Debug for OwnershipFactory {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("OwnershipFactory(..)")
-    }
-}
-
-/// Static ring geometry a clustered member reports through the `RING`
-/// verb (the generation lives in [`ServeConfig::ring_generation`] and is
-/// updated online by `RINGSET`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RingInfo {
-    /// Ring member count.
-    pub nodes: usize,
-    /// Virtual nodes per member.
-    pub vnodes: usize,
-    /// Ring hash seed.
-    pub seed: u64,
-}
 
 /// Configuration of one [`crate::server::Server`].
 ///
@@ -151,22 +63,12 @@ pub struct ServeConfig {
     /// parse, apply and answer; they are the server's only data-plane
     /// threads.
     pub reactor_threads: usize,
-    /// Cluster ownership classifier; `None` (standalone) treats every
-    /// key as [`KeyRole::Owner`].
-    pub ownership: Option<OwnershipMap>,
-    /// Cluster ring generation folded into the server's `epoch` stamp
-    /// (see [`crate::proto::pack_epoch`]); bump it when the ring that
-    /// produced [`ServeConfig::ownership`] changes. Updated online when
-    /// a supervisor pushes `RINGSET`.
-    pub ring_generation: u64,
-    /// Ring geometry reported by the `RING` verb; `None` (standalone)
-    /// makes `RING` answer `ERR internal`.
-    pub ring_info: Option<RingInfo>,
-    /// Rebuilds [`ServeConfig::ownership`] when a `RINGSET` push changes
-    /// the ring geometry. Without a factory, a member with an ownership
-    /// map rejects geometry changes (it could not classify keys under
-    /// the new ring).
-    pub ownership_factory: Option<OwnershipFactory>,
+    /// This process's place in a cluster ring: the shared spec and its
+    /// own ring index. `None` (standalone) owns every key and answers
+    /// `RING`/`RINGSET` with `ERR internal`. A `RINGSET` push replaces
+    /// the spec online; the index is the member's identity and never
+    /// changes.
+    pub ring: Option<(RingSpec, usize)>,
 }
 
 impl Default for ServeConfig {
@@ -185,10 +87,7 @@ impl Default for ServeConfig {
             max_connections: DEFAULT_MAX_CONNECTIONS,
             faults: None,
             reactor_threads: 0,
-            ownership: None,
-            ring_generation: 0,
-            ring_info: None,
-            ownership_factory: None,
+            ring: None,
         }
     }
 }
@@ -254,27 +153,9 @@ impl ServeConfig {
         self
     }
 
-    /// Installs a cluster ownership classifier.
-    pub fn with_ownership(mut self, map: OwnershipMap) -> Self {
-        self.ownership = Some(map);
-        self
-    }
-
-    /// Sets the ring generation stamped into the server's `epoch`.
-    pub fn with_ring_generation(mut self, generation: u64) -> Self {
-        self.ring_generation = generation;
-        self
-    }
-
-    /// Sets the ring geometry reported by the `RING` verb.
-    pub fn with_ring_info(mut self, info: RingInfo) -> Self {
-        self.ring_info = Some(info);
-        self
-    }
-
-    /// Installs the ownership rebuild hook for `RINGSET` pushes.
-    pub fn with_ownership_factory(mut self, factory: OwnershipFactory) -> Self {
-        self.ownership_factory = Some(factory);
+    /// Makes this process member `index` of the ring `spec` describes.
+    pub fn with_ring(mut self, spec: RingSpec, index: usize) -> Self {
+        self.ring = Some((spec, index));
         self
     }
 
@@ -296,7 +177,8 @@ impl ServeConfig {
     /// # Errors
     ///
     /// Returns [`ServeError::Config`] for an invalid shard/capacity
-    /// setting and propagates [`SimConfig`]/[`PredictorSpec`] validation.
+    /// setting or ring slot, and propagates [`SimConfig`]/[`PredictorSpec`]
+    /// validation.
     pub fn validate(&self) -> Result<(), ServeError> {
         if self.shards == 0 {
             return Err(ServeError::Config("shards must be >= 1".into()));
@@ -318,6 +200,15 @@ impl ServeConfig {
         }
         if let Some(plan) = &self.faults {
             plan.validate()?;
+        }
+        if let Some((spec, index)) = &self.ring {
+            spec.check().map_err(ServeError::Config)?;
+            if *index >= spec.nodes {
+                return Err(ServeError::Config(format!(
+                    "ring index {index} is outside a {}-node ring",
+                    spec.nodes
+                )));
+            }
         }
         self.sim.validate()?;
         self.predictor.validate()?;
@@ -371,6 +262,14 @@ mod tests {
             .is_err());
         assert!(ServeConfig::default()
             .with_max_connections(0)
+            .validate()
+            .is_err());
+        assert!(ServeConfig::default()
+            .with_ring(RingSpec::new(2), 2)
+            .validate()
+            .is_err());
+        assert!(ServeConfig::default()
+            .with_ring(RingSpec::new(0), 0)
             .validate()
             .is_err());
         assert!(ServeConfig::default()

@@ -23,17 +23,18 @@
 //! against this server's configuration, and installed when the frame
 //! ends, with one answer for the frame.
 
-use crate::config::KeyRole;
 use crate::proto::{
     decode_view_part, parse_batch_header, parse_view_header, push_u64, ErrCode, ProtoScratch,
     Request, Response, ViewHeader, MAX_LINE_BYTES,
 };
-use crate::server::{dispatch, not_mine, shutting_down, Shared};
+use crate::ring::KeyRole;
+use crate::server::{dispatch, not_mine, shutting_down, RingMember, Shared};
 use crate::shard::{key_hash, MachineKey, ObserveChunk, ObserveItem, ShardPool, OBS_CHUNK};
 use oc_core::ingest::IncrementalView;
 use oc_trace::time::Tick;
 use std::fmt;
 use std::io::Write;
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 /// What a [`LineAccumulator::feed`] call concluded.
@@ -165,14 +166,14 @@ pub(crate) struct ConnState {
     /// always streams samples for one machine (the node-agent shape), so
     /// this memo replaces the per-line hash with an equality check.
     hash_memo: Option<(MachineKey, u64)>,
-    /// Ring version the cached [`ConnState::ownership`] map was cloned
-    /// at; `u64::MAX` forces the first line to snapshot. Re-snapshotted
+    /// Ring version the cached [`ConnState::ring`] was cloned at;
+    /// `u64::MAX` forces the first line to snapshot. Re-snapshotted
     /// whenever the server's version moves (a `RINGSET` landed), so the
     /// observe hot path pays one atomic load — not a lock — per line.
-    own_version: u64,
-    /// Cached clone of the server's live ownership map (`None` =
-    /// standalone: own every key).
-    ownership: Option<crate::config::OwnershipMap>,
+    ring_version: u64,
+    /// Cached clone of the server's ring and this member's index in it
+    /// (`None` = standalone: own every key).
+    ring: Option<RingMember>,
     /// The `RESTORE` frame being received, if any.
     restore: Option<Box<RestoreFrame>>,
 }
@@ -257,8 +258,8 @@ impl ConnState {
             runs: Vec::new(),
             batch_left: 0,
             hash_memo: None,
-            own_version: u64::MAX,
-            ownership: None,
+            ring_version: u64::MAX,
+            ring: None,
             restore: None,
         }
     }
@@ -277,17 +278,18 @@ impl ConnState {
 }
 
 /// This connection's role for the key hashing to `hash`, served from the
-/// cached ownership map (refreshed when a `RINGSET` bumps the ring
-/// version).
+/// cached ring (refreshed when a `RINGSET` bumps the ring version).
 fn cached_role(state: &mut ConnState, shared: &Shared, hash: u64) -> KeyRole {
-    let version = crate::server::ring_version(shared);
-    if state.own_version != version {
-        let (v, map) = crate::server::ownership_snapshot(shared);
-        state.own_version = v;
-        state.ownership = map;
+    let version = shared.ring_version.load(Ordering::SeqCst);
+    if state.ring_version != version {
+        // Stamped with the version read *before* the ring: a concurrent
+        // `RINGSET` can only make the copy look older than it is —
+        // forcing a refresh, never pinning a stale ring.
+        state.ring = shared.ring.lock().expect("ring state lock").member.clone();
+        state.ring_version = version;
     }
-    match &state.ownership {
-        Some(map) => map.role_of(hash),
+    match &state.ring {
+        Some((ring, index)) => ring.role(*index, hash),
         None => KeyRole::Owner,
     }
 }
@@ -620,7 +622,7 @@ fn restore_line<W: Write>(
 }
 
 /// Installs a finished `RESTORE` frame and builds its answer. A record
-/// installs only where the ownership map gives its machine a role and
+/// installs only where the member's ring gives its machine a role and
 /// the shard holds no view for it yet; the rest are rejected. A frame
 /// with a malformed line installs nothing.
 fn install_frame(
@@ -683,6 +685,7 @@ pub(crate) fn idle_resp() -> Response {
 mod tests {
     use super::*;
     use crate::config::ServeConfig;
+    use crate::ring::{HashRing, RingSpec};
     use oc_trace::ids::{CellId, JobId, MachineId, TaskId};
 
     /// A shard pool and the server state over it, on one registry, for
@@ -855,52 +858,120 @@ mod tests {
         predicts_around_an_observe_in_one_burst(true);
     }
 
-    /// Reads check ownership through the connection's version-stamped
-    /// snapshot, not the global lock — and a `RINGSET` that moves a key
-    /// away still redirects the very next read of an open connection.
-    #[test]
-    fn ringset_redirects_the_next_read_on_an_open_connection() {
-        use crate::config::{KeyRole, OwnershipFactory, OwnershipMap};
-        // One node owns every key; under any larger ring this process
-        // owns none.
-        let factory = OwnershipFactory::new(|nodes, _, _| {
-            Some(OwnershipMap::new(move |_| match nodes {
-                1 => KeyRole::Owner,
-                _ => KeyRole::Remote,
-            }))
-        });
-        let cfg = ServeConfig::default()
-            .with_shards(1)
-            .with_ownership(factory.build(1, 8, 0).unwrap())
-            .with_ownership_factory(factory);
-        let (pool, shared) = harness(&cfg);
-        let mut conn = Driver::new(&pool, &shared);
-        conn.line("OBSERVE c 1 1:0 0.2 0.5 0");
-        conn.line("PREDICT c 1");
-        conn.line("ADMIT c 1 0.1");
-        conn.line("RINGSET 2 8 0 1 -");
-        conn.line("PREDICT c 1");
-        conn.line("ADMIT c 1 0.1");
-        conn.line("PREDICT c 1 *");
-        conn.end();
-        let got = conn.take();
-        let shape: Vec<String> = got
+    /// The first two tokens of every response line: the verb and its
+    /// first operand (the code, for an `ERR`).
+    fn shapes(lines: &[String]) -> Vec<String> {
+        lines
             .iter()
             .map(|l| l.split(' ').take(2).collect::<Vec<_>>().join(" "))
-            .collect();
-        assert_eq!(
-            shape[..4],
-            ["OK", "PRED 0.5", "ADMITTED yes", "OK"],
-            "{got:?}"
+            .collect()
+    }
+
+    /// Machine `m` of cell `c`'s role for member `index` of `ring`.
+    fn role(ring: &HashRing, index: usize, m: u32) -> KeyRole {
+        ring.role(index, key_hash(&(CellId::new("c"), MachineId(m))))
+    }
+
+    /// Reads check ownership through the connection's version-stamped
+    /// snapshot, not the global lock. Slot 0 of a one-node ring holds
+    /// every machine; once `RINGSET` grows the ring to three nodes, the
+    /// next read of a machine the new ring calls `Remote` for slot 0 —
+    /// scalar `PREDICT`, `ADMIT` and vector `PREDICT` alike — is
+    /// redirected on the same open connection, and only the machines
+    /// the new ring keeps on slot 0 are still held.
+    #[test]
+    fn ringset_redirects_the_next_read_on_an_open_connection() {
+        const MACHINES: u32 = 24;
+        let cfg = ServeConfig::default()
+            .with_shards(2)
+            .with_ring(RingSpec::new(1), 0);
+        let (pool, shared) = harness(&cfg);
+        let grown = RingSpec::new(3).build();
+        let kept = (0..MACHINES)
+            .filter(|&m| role(&grown, 0, m) != KeyRole::Remote)
+            .count() as u64;
+        assert!(0 < kept && kept < u64::from(MACHINES), "{kept}");
+        let mut conn = Driver::new(&pool, &shared);
+        for m in 0..MACHINES {
+            conn.line(&format!("OBSERVE c {m} 1:0 0.2 0.5 0"));
+            conn.line(&format!("PREDICT c {m}"));
+        }
+        conn.line("RINGSET 3 64 17 1 -");
+        conn.end();
+        let before = shapes(&conn.take());
+        assert!(
+            before.iter().all(|s| s == "OK" || s == "PRED 0.5"),
+            "{before:?}"
         );
-        assert_eq!(shape[4..], ["ERR not-mine"; 3], "{got:?}");
-        assert_eq!(shared.not_mine.get(), 3);
+        for m in 0..MACHINES {
+            conn.line(&format!("PREDICT c {m}"));
+            conn.line(&format!("ADMIT c {m} 0.1"));
+            conn.line(&format!("PREDICT c {m} *"));
+            let want = if role(&grown, 0, m) == KeyRole::Remote {
+                ["ERR not-mine"; 3]
+            } else {
+                ["PRED 0.5", "ADMITTED yes", "PRED 0.5,0"]
+            };
+            assert_eq!(shapes(&conn.take()), want, "machine {m}");
+        }
+        assert_eq!(shared.not_mine.get(), 3 * (u64::from(MACHINES) - kept));
+        conn.line("STATS");
+        let Response::Stats(stats) = Response::parse(&conn.take()[0]).unwrap() else {
+            panic!("expected STATS");
+        };
+        assert_eq!(stats.machines, kept);
         let m = pool.shutdown();
         assert_eq!(
             (m.predicts, m.admits),
-            (1, 1),
+            (u64::from(MACHINES) + 2 * kept, kept),
             "redirected reads reach no shard"
         );
+    }
+
+    /// A `RINGSET` whose ring is too big to build is refused as a parse
+    /// error before anything is allocated: the member keeps its ring and
+    /// keeps serving.
+    #[test]
+    fn oversized_ringset_is_refused_and_the_member_keeps_serving() {
+        let spec = RingSpec::new(3);
+        let (pool, shared) = harness(&ServeConfig::default().with_shards(1).with_ring(spec, 0));
+        let m = (0..)
+            .find(|&m| role(&spec.build(), 0, m) != KeyRole::Remote)
+            .unwrap();
+        let mut conn = Driver::new(&pool, &shared);
+        conn.line(&format!("OBSERVE c {m} 1:0 0.2 0.5 0"));
+        conn.line("RINGSET 3 4294967296 17 1 -");
+        conn.line("RING");
+        conn.line(&format!("PREDICT c {m}"));
+        conn.end();
+        let got = conn.take();
+        assert_eq!(shapes(&got), ["OK", "ERR parse", "RING 3", "PRED 0.5"]);
+        assert_eq!(got[2], "RING 3 64 17 0 0 -", "generation 0 still installed");
+        pool.shutdown();
+    }
+
+    /// A member takes any valid push that keeps a slot for its index and
+    /// refuses one that does not; a standalone server refuses both ring
+    /// verbs.
+    #[test]
+    fn ring_pushes_need_a_slot_for_this_member() {
+        let cfg = ServeConfig::default().with_shards(1);
+        let (pool, shared) = harness(&cfg.clone().with_ring(RingSpec::new(3), 2));
+        let mut conn = Driver::new(&pool, &shared);
+        conn.line("RINGSET 2 64 17 1 -");
+        conn.line("RINGSET 4 8 5 1 -");
+        conn.line("RINGSET 3 64 17 0 -");
+        conn.line("RING");
+        let got = conn.take();
+        assert_eq!(shapes(&got[..3]), ["ERR internal", "OK", "ERR stale"]);
+        assert_eq!(got[3], "RING 4 8 5 1 1 -");
+        pool.shutdown();
+        let (pool, shared) = harness(&cfg);
+        let mut conn = Driver::new(&pool, &shared);
+        conn.line("RING");
+        conn.line("RINGSET 1 64 17 1 -");
+        assert_eq!(shapes(&conn.take()), ["ERR internal"; 2]);
+        pool.shutdown();
     }
 
     /// State transfer through the connection state machine: one server's
@@ -911,13 +982,19 @@ mod tests {
     /// answer exactly as their source does.
     #[test]
     fn restore_frames_install_reject_and_refuse() {
-        use crate::config::{KeyRole, OwnershipMap};
+        // Two machines slot 0 of a three-node ring holds, then one it
+        // does not.
+        let spec = RingSpec::new(3);
+        let ring = spec.build();
+        let (held, remote): (Vec<u32>, Vec<u32>) =
+            (0..64).partition(|&m| role(&ring, 0, m) != KeyRole::Remote);
+        let machines = [held[0], held[1], remote[0]];
         let cfg = ServeConfig::default().with_shards(2);
         let (pool, shared) = harness(&cfg);
         let mut from = Driver::new(&pool, &shared);
         for t in 0..30 {
-            for m in 1..4 {
-                from.line(&format!("OBSERVE c {m} 1:0 0.{m} 0.5 {t}"));
+            for (i, m) in machines.iter().enumerate() {
+                from.line(&format!("OBSERVE c {m} 1:0 0.{} 0.5 {t}", i + 1));
             }
         }
         from.line("HANDOFF");
@@ -927,15 +1004,7 @@ mod tests {
         let first = parse_view_header(&records[0]).unwrap();
         assert!(first.parts >= 2, "{first:?}");
 
-        let remote = key_hash(&(CellId::new("c"), MachineId(3)));
-        let ownership = OwnershipMap::new(move |h| {
-            if h == remote {
-                KeyRole::Remote
-            } else {
-                KeyRole::Owner
-            }
-        });
-        let (pool2, shared2) = harness(&cfg.clone().with_ownership(ownership));
+        let (pool2, shared2) = harness(&cfg.clone().with_ring(spec, 0));
         let mut to = Driver::new(&pool2, &shared2);
         to.line("BATCH 1");
         to.line("RESTORE 1");
@@ -960,7 +1029,7 @@ mod tests {
         assert_eq!(shared2.restore.samples.get(), 60);
         assert_eq!(shared2.restore.rejected.get(), 1 + 1 + 3);
         assert_eq!(shared2.parse_errors.get(), 2);
-        for m in 1..3 {
+        for m in &machines[..2] {
             let predict = format!("PREDICT c {m}");
             from.line(&predict);
             to.line(&predict);

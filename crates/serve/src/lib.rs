@@ -26,6 +26,9 @@
 //! * [`conn`] — the per-connection protocol machinery the reactor drives:
 //!   the [`conn::LineAccumulator`] read state machine, the observe
 //!   micro-batcher, and the line dispatch path, all socket-free.
+//! * [`ring`] — the seeded consistent-hash ring: a cluster member is a
+//!   [`ring::RingSpec`] and its index, and answers `ERR not-mine` for
+//!   keys the ring gives it no role for.
 //! * [`metrics`] — per-shard counters plus a service-latency histogram
 //!   (the log-bucketed [`oc_stats::Histogram`] with exact sum and max),
 //!   merged bucket-wise for `STATS` and into the unified registry for
@@ -71,6 +74,7 @@ pub mod fault;
 pub mod metrics;
 pub mod proto;
 pub(crate) mod reactor;
+pub mod ring;
 pub mod server;
 pub mod shard;
 

@@ -85,6 +85,7 @@
 //! `Vec<u8>` with manual integer/float formatters) — zero heap
 //! allocations per request once the connection's scratch is warm.
 
+use crate::ring::RingSpec;
 use oc_trace::ids::{CellId, JobId, MachineId, TaskId};
 use std::fmt;
 
@@ -211,20 +212,15 @@ pub enum Request {
     Ring,
     /// Install a new ring description (`RINGSET`), pushed by the
     /// supervisor after a membership change: the member rebuilds its
-    /// ownership map through its configured factory, re-stamps its epoch
+    /// ring from the pushed spec and its own index, re-stamps its epoch
     /// with the new generation, and starts answering `RING` with the new
     /// description. Generations below the installed one are rejected with
     /// `ERR stale`.
     RingSet {
-        /// Ring member count.
-        nodes: u64,
-        /// Virtual nodes per member.
-        vnodes: u64,
-        /// Ring hash seed.
-        seed: u64,
-        /// Ring generation (full 64-bit word; only the low 16 bits fit in
-        /// the packed `epoch` — see [`pack_epoch`]).
-        generation: u64,
+        /// The pushed ring (its full 64-bit generation included; only the
+        /// low 16 bits fit in the packed `epoch` — see [`pack_epoch`]).
+        /// Parsing refuses a spec [`RingSpec::check`] refuses.
+        spec: RingSpec,
         /// Member data-plane addresses in ring-index order (may be empty
         /// when unknown, encoded as `-`).
         addrs: Vec<String>,
@@ -238,7 +234,7 @@ pub enum Request {
     /// Install state records (`RESTORE <n>`): the header announces `n`
     /// record lines, `1..=MAX_BATCH`, that follow it; the frame is
     /// answered once, with [`Response::Restored`]. A record installs only
-    /// if the member's ownership map gives its machine a role and the
+    /// if the member's ring gives its machine a role and the
     /// member holds no state for it yet; otherwise it is counted as
     /// rejected. A malformed record fails the whole frame with
     /// `ERR parse`, and nothing of the frame is installed.
@@ -283,15 +279,11 @@ pub enum Response {
     },
     /// Current ring description, answering [`Request::Ring`].
     Ring {
-        /// Ring member count.
-        nodes: u64,
-        /// Virtual nodes per member.
-        vnodes: u64,
-        /// Ring hash seed.
-        seed: u64,
-        /// Full 64-bit ring generation (authoritative — the packed
-        /// `epoch` only carries it mod 2^16, see [`pack_epoch`]).
-        generation: u64,
+        /// The member's ring, with the full 64-bit generation
+        /// (authoritative — the packed `epoch` only carries it mod 2^16,
+        /// see [`pack_epoch`]). Parsing refuses a spec
+        /// [`RingSpec::check`] refuses.
+        spec: RingSpec,
         /// The member's current epoch word.
         epoch: u64,
         /// Member data-plane addresses in ring-index order; empty
@@ -484,6 +476,12 @@ pub enum ProtoError {
         /// The offending line (truncated).
         line: String,
     },
+    /// A `RING`/`RINGSET` line described a ring [`RingSpec::check`]
+    /// refuses: no nodes, no vnodes, or too many points.
+    BadRing {
+        /// Why the ring was refused.
+        what: String,
+    },
     /// A state record line was malformed: a bad `VIEW` header, a part
     /// line that is not lowercase hex of the right size, or a record
     /// that does not fit its `RESTORE` frame.
@@ -528,6 +526,7 @@ impl fmt::Display for ProtoError {
                 write!(f, "batch of {got} sub-requests outside 1..={MAX_BATCH}")
             }
             ProtoError::BadResponse { line } => write!(f, "unparseable response '{line}'"),
+            ProtoError::BadRing { what } => write!(f, "bad ring: {what}"),
             ProtoError::BadRecord { what } => write!(f, "bad state record: {what}"),
         }
     }
@@ -718,6 +717,33 @@ fn parse_task(token: &str) -> Result<TaskId, ProtoError> {
     let job: u64 = job.parse().map_err(|_| bad())?;
     let index: u32 = index.parse().map_err(|_| bad())?;
     Ok(TaskId::new(JobId(job), index))
+}
+
+/// Decodes the `<nodes> <vnodes> <seed> <generation>` tokens of a
+/// `RING`/`RINGSET` line into a spec [`RingSpec::check`] accepts.
+fn parse_ring_spec(tokens: [&str; 4]) -> Result<RingSpec, ProtoError> {
+    // A count beyond `usize` cannot pass the check either.
+    let count =
+        |field, token| parse_u64(field, token).map(|n| usize::try_from(n).unwrap_or(usize::MAX));
+    let spec = RingSpec {
+        nodes: count("nodes", tokens[0])?,
+        vnodes: count("vnodes", tokens[1])?,
+        seed: parse_u64("seed", tokens[2])?,
+        generation: parse_u64("generation", tokens[3])?,
+    };
+    spec.check().map_err(|what| ProtoError::BadRing { what })?;
+    Ok(spec)
+}
+
+/// Encodes a spec as its `<nodes> <vnodes> <seed> <generation>` tokens.
+fn push_ring_spec(out: &mut Vec<u8>, spec: &RingSpec) {
+    push_u64(out, spec.nodes as u64);
+    out.push(b' ');
+    push_u64(out, spec.vnodes as u64);
+    out.push(b' ');
+    push_u64(out, spec.seed);
+    out.push(b' ');
+    push_u64(out, spec.generation);
 }
 
 /// Decodes a `RING`/`RINGSET` address-list token: comma-separated
@@ -974,10 +1000,7 @@ impl Request {
             "RINGSET" => {
                 arity("RINGSET", 5)?;
                 Ok(Request::RingSet {
-                    nodes: parse_u64("nodes", tok(1))?,
-                    vnodes: parse_u64("vnodes", tok(2))?,
-                    seed: parse_u64("seed", tok(3))?,
-                    generation: parse_u64("generation", tok(4))?,
+                    spec: parse_ring_spec([tok(1), tok(2), tok(3), tok(4)])?,
                     addrs: parse_addr_list(tok(5)),
                 })
             }
@@ -1067,21 +1090,9 @@ impl Request {
             Request::Stats => out.extend_from_slice(b"STATS"),
             Request::Metrics => out.extend_from_slice(b"METRICS"),
             Request::Ring => out.extend_from_slice(b"RING"),
-            Request::RingSet {
-                nodes,
-                vnodes,
-                seed,
-                generation,
-                addrs,
-            } => {
+            Request::RingSet { spec, addrs } => {
                 out.extend_from_slice(b"RINGSET ");
-                push_u64(out, *nodes);
-                out.push(b' ');
-                push_u64(out, *vnodes);
-                out.push(b' ');
-                push_u64(out, *seed);
-                out.push(b' ');
-                push_u64(out, *generation);
+                push_ring_spec(out, spec);
                 out.push(b' ');
                 push_addr_list(out, addrs);
             }
@@ -1313,10 +1324,7 @@ impl Response {
             "RING" => {
                 expect_arity("RING", &operands, 6)?;
                 Ok(Response::Ring {
-                    nodes: parse_u64("nodes", operands[0])?,
-                    vnodes: parse_u64("vnodes", operands[1])?,
-                    seed: parse_u64("seed", operands[2])?,
-                    generation: parse_u64("generation", operands[3])?,
+                    spec: parse_ring_spec([operands[0], operands[1], operands[2], operands[3]])?,
                     epoch: parse_u64("epoch", operands[4])?,
                     addrs: parse_addr_list(operands[5]),
                 })
@@ -1381,22 +1389,9 @@ impl Response {
                 out.extend_from_slice(b"METRICS ");
                 out.extend_from_slice(exposition.as_bytes());
             }
-            Response::Ring {
-                nodes,
-                vnodes,
-                seed,
-                generation,
-                epoch,
-                addrs,
-            } => {
+            Response::Ring { spec, epoch, addrs } => {
                 out.extend_from_slice(b"RING ");
-                push_u64(out, *nodes);
-                out.push(b' ');
-                push_u64(out, *vnodes);
-                out.push(b' ');
-                push_u64(out, *seed);
-                out.push(b' ');
-                push_u64(out, *generation);
+                push_ring_spec(out, spec);
                 out.push(b' ');
                 push_u64(out, *epoch);
                 out.push(b' ');
@@ -1641,20 +1636,22 @@ mod tests {
             assert!(Request::parse(bad).is_err(), "{bad}");
         }
         let set = Request::RingSet {
-            nodes: 3,
-            vnodes: 64,
-            seed: 17,
-            generation: 9,
+            spec: RingSpec {
+                generation: 9,
+                ..RingSpec::new(3)
+            },
             addrs: vec!["127.0.0.1:4001".into(), "127.0.0.1:4002".into()],
         };
         let line = set.encode();
         assert_eq!(line, "RINGSET 3 64 17 9 127.0.0.1:4001,127.0.0.1:4002");
         assert_eq!(Request::parse(&line).unwrap(), set);
         let empty = Request::RingSet {
-            nodes: 1,
-            vnodes: 4,
-            seed: 0,
-            generation: 0,
+            spec: RingSpec {
+                nodes: 1,
+                vnodes: 4,
+                seed: 0,
+                generation: 0,
+            },
             addrs: vec![],
         };
         assert_eq!(empty.encode(), "RINGSET 1 4 0 0 -");
@@ -1665,23 +1662,51 @@ mod tests {
     #[test]
     fn ring_response_round_trips() {
         let r = Response::Ring {
-            nodes: 3,
-            vnodes: 64,
-            seed: 17,
-            generation: 70000,
+            spec: RingSpec {
+                generation: 70000,
+                ..RingSpec::new(3)
+            },
             epoch: pack_epoch(1_700_000_000, 70000),
             addrs: vec!["127.0.0.1:4001".into()],
         };
         assert_eq!(Response::parse(&r.encode()).unwrap(), r);
         let bare = Response::Ring {
-            nodes: 2,
-            vnodes: 8,
-            seed: 1,
-            generation: 0,
+            spec: RingSpec {
+                nodes: 2,
+                vnodes: 8,
+                seed: 1,
+                generation: 0,
+            },
             epoch: 0,
             addrs: vec![],
         };
         assert_eq!(Response::parse(&bare.encode()).unwrap(), bare);
+    }
+
+    /// A ring that cannot be built — no nodes, no vnodes, or more points
+    /// than a process should ever allocate — fails to parse on either
+    /// side, so neither a member nor an adopting client builds it.
+    #[test]
+    fn unbuildable_rings_fail_to_parse() {
+        Request::parse("RINGSET 1024 64 17 1 -").expect("a ring at the bound parses");
+        for bad in [
+            "RINGSET 3 4294967296 17 1 -",
+            "RINGSET 1025 64 17 1 -",
+            "RINGSET 0 64 17 1 -",
+            "RINGSET 3 0 17 1 -",
+            "RINGSET 18446744073709551615 2 17 1 -",
+        ] {
+            assert!(
+                matches!(Request::parse(bad), Err(ProtoError::BadRing { .. })),
+                "{bad}"
+            );
+        }
+        for bad in ["RING 3 4294967296 17 1 0 -", "RING 0 64 17 1 0 -"] {
+            assert!(
+                matches!(Response::parse(bad), Err(ProtoError::BadRing { .. })),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

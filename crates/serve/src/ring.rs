@@ -1,7 +1,7 @@
 //! Seeded consistent-hash ring with virtual nodes.
 //!
 //! Machine keys are placed on a `u64` ring by their stable
-//! [`oc_serve::shard::key_hash`]; each process contributes `vnodes`
+//! [`crate::shard::key_hash`]; each process contributes `vnodes`
 //! points hashed from `(seed, node, vnode)`. A key's **owner** is the
 //! first live node clockwise from the key's hash, and its **replica**
 //! is the next *distinct* live node after the owner — which is exactly
@@ -13,9 +13,10 @@
 //! Everything is deterministic and std-only: `DefaultHasher::new()`
 //! uses fixed keys, so every process (and every client) that shares a
 //! [`RingSpec`] computes bit-identical placement — there is no ring
-//! gossip, only the spec and a generation number.
+//! gossip, only the spec and a generation number. A cluster member is a
+//! spec and its own ring index ([`crate::config::ServeConfig::ring`]);
+//! [`HashRing::role`] is the whole of what it enforces.
 
-use oc_serve::config::{KeyRole, OwnershipMap};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -25,6 +26,26 @@ pub const DEFAULT_VNODES: usize = 64;
 
 /// Default placement seed.
 pub const DEFAULT_SEED: u64 = 17;
+
+/// Most points (`nodes × vnodes`) a valid ring may have: 1,024 members
+/// at [`DEFAULT_VNODES`]. Bounds what a spec read off the wire or a
+/// command line can make a process allocate.
+pub const MAX_RING_POINTS: usize = 1 << 16;
+
+/// How a machine key relates to one ring member.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeyRole {
+    /// This process is the key's primary owner: all verbs accepted.
+    Owner,
+    /// This process is the key's ring successor: it accepts the mirrored
+    /// ingest stream (`OBSERVE`) and serves reads (`PREDICT`/`ADMIT`)
+    /// so clients can fail over when the owner dies. Clients should
+    /// prefer the owner while it is alive.
+    Replica,
+    /// Some other process owns the key: every data-plane verb is
+    /// answered `ERR not-mine` so a stale client re-resolves the ring.
+    Remote,
+}
 
 /// The shared description of a ring: everything a process or client
 /// needs to compute identical placement.
@@ -38,7 +59,7 @@ pub struct RingSpec {
     pub seed: u64,
     /// Ring generation: bumped whenever membership changes (a retired
     /// or replaced node), stamped into each server's `epoch` so clients
-    /// can detect a re-ring (see [`oc_serve::proto::pack_epoch`]).
+    /// can detect a re-ring (see [`crate::proto::pack_epoch`]).
     pub generation: u64,
 }
 
@@ -53,9 +74,47 @@ impl RingSpec {
         }
     }
 
+    /// Checks that the spec describes a ring that can be built: at least
+    /// one node, at least one vnode per node, and at most
+    /// [`MAX_RING_POINTS`] points.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable reason the spec is refused.
+    pub fn check(&self) -> Result<(), String> {
+        if self.nodes == 0 || self.vnodes == 0 {
+            return Err("a ring needs nodes >= 1 and vnodes >= 1".to_string());
+        }
+        match self.nodes.checked_mul(self.vnodes) {
+            Some(points) if points <= MAX_RING_POINTS => Ok(()),
+            _ => Err(format!(
+                "a ring of {} nodes x {} vnodes exceeds {MAX_RING_POINTS} points",
+                self.nodes, self.vnodes
+            )),
+        }
+    }
+
     /// Builds the ring this spec describes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`RingSpec::check`] refuses the spec — an empty or
+    /// oversized ring is a config error, not a runtime state.
     pub fn build(&self) -> HashRing {
-        HashRing::new(*self)
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
+        let mut points = Vec::with_capacity(self.nodes * self.vnodes);
+        for node in 0..self.nodes {
+            for vnode in 0..self.vnodes {
+                points.push((point_hash(self.seed, node, vnode), node as u32));
+            }
+        }
+        points.sort_unstable();
+        HashRing {
+            spec: *self,
+            points,
+        }
     }
 }
 
@@ -79,34 +138,9 @@ fn point_hash(seed: u64, node: usize, vnode: usize) -> u64 {
 }
 
 impl HashRing {
-    /// Builds the ring for `spec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec.nodes == 0` or `spec.vnodes == 0` — an empty ring
-    /// has no owner for any key, a config error, not a runtime state.
-    pub fn new(spec: RingSpec) -> HashRing {
-        assert!(spec.nodes > 0, "ring needs at least one node");
-        assert!(spec.vnodes > 0, "ring needs at least one vnode per node");
-        let mut points = Vec::with_capacity(spec.nodes * spec.vnodes);
-        for node in 0..spec.nodes {
-            for vnode in 0..spec.vnodes {
-                points.push((point_hash(spec.seed, node, vnode), node as u32));
-            }
-        }
-        points.sort_unstable();
-        HashRing { spec, points }
-    }
-
     /// The spec this ring was built from.
     pub fn spec(&self) -> &RingSpec {
         &self.spec
-    }
-
-    /// Member count (including currently-dead nodes; liveness is the
-    /// caller's `alive` mask).
-    pub fn nodes(&self) -> usize {
-        self.spec.nodes
     }
 
     /// Index into `points` of the first vnode clockwise from `hash`.
@@ -164,38 +198,40 @@ impl HashRing {
     /// Where a client mirrors an acknowledged sample of this key: the
     /// live replica, but only if it was owner or replica under the
     /// all-alive ring — members enforce all-alive ownership
-    /// ([`HashRing::ownership_for`]), anything else would bounce with
+    /// ([`HashRing::role`]), anything else would bounce with
     /// `ERR not-mine` — and never the live owner itself.
     pub fn mirror_target(&self, hash: u64, alive: &[bool]) -> Option<usize> {
-        let (o_all, r_all) = self.routes_where(hash, |_| true);
+        let (o_all, r_all) = self.holders(hash);
         let (owner, replica) = self.routes(hash, alive);
         replica
             .filter(|r| Some(*r) == o_all || Some(*r) == r_all)
             .filter(|r| Some(*r) != owner)
     }
 
-    /// This ring member's [`KeyRole`] classifier for `oc-serve`:
-    /// `Owner` for keys it owns, `Replica` for keys whose replica it
-    /// is, `Remote` otherwise. All `spec.nodes` members are treated as
-    /// alive — a process cannot observe peer deaths itself; clients
-    /// steer traffic, and a replica already accepts everything it needs
-    /// to take over.
-    pub fn ownership_for(&self, index: usize) -> OwnershipMap {
-        assert!(index < self.spec.nodes, "index beyond ring membership");
-        let ring = self.clone();
-        let alive = vec![true; self.spec.nodes];
-        OwnershipMap::new(move |hash| match ring.routes(hash, &alive) {
+    /// A key's owner and replica under the all-alive ring: the members
+    /// [`HashRing::role`] does not call `Remote`, found in one walk.
+    pub fn holders(&self, hash: u64) -> (Option<usize>, Option<usize>) {
+        self.routes_where(hash, |_| true)
+    }
+
+    /// The [`KeyRole`] member `index` plays for a key hash: `Owner` for
+    /// keys it owns, `Replica` for keys whose replica it is, `Remote`
+    /// otherwise. All `spec.nodes` members are treated as alive — a
+    /// process cannot observe peer deaths itself; clients steer traffic,
+    /// and a replica already accepts everything it needs to take over.
+    pub fn role(&self, index: usize, hash: u64) -> KeyRole {
+        match self.holders(hash) {
             (Some(o), _) if o == index => KeyRole::Owner,
             (_, Some(r)) if r == index => KeyRole::Replica,
             _ => KeyRole::Remote,
-        })
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oc_serve::shard::key_hash;
+    use crate::shard::key_hash;
     use oc_trace::ids::{CellId, MachineId};
 
     fn hashes(n: u64) -> impl Iterator<Item = u64> {
@@ -284,10 +320,9 @@ mod tests {
     #[test]
     fn ownership_map_partitions_every_key() {
         let ring = RingSpec::new(3).build();
-        let maps: Vec<_> = (0..3).map(|i| ring.ownership_for(i)).collect();
         let alive = vec![true; 3];
         for h in hashes(1000) {
-            let roles: Vec<_> = maps.iter().map(|m| m.role_of(h)).collect();
+            let roles: Vec<_> = (0..3).map(|i| ring.role(i, h)).collect();
             let owners = roles.iter().filter(|r| **r == KeyRole::Owner).count();
             let replicas = roles.iter().filter(|r| **r == KeyRole::Replica).count();
             assert_eq!(owners, 1, "exactly one owner per key: {roles:?}");

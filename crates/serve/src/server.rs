@@ -38,12 +38,13 @@
 //! died mid-write cannot ingest a half request.
 
 use crate::accept::{accept_loop, accept_poller};
-use crate::config::{OwnershipMap, RingInfo, ServeConfig};
+use crate::config::ServeConfig;
 use crate::error::ServeError;
 use crate::fault::FaultCounters;
 use crate::metrics::ShardMetrics;
 use crate::proto::{pack_epoch, ErrCode, Request, Response, StatsSnapshot};
 use crate::reactor::ReactorPool;
+use crate::ring::{HashRing, RingSpec};
 use crate::shard::{MachineKey, ShardPool};
 use oc_telemetry::metrics::encode_exposition;
 use oc_telemetry::{Counter, Gauge, MetricsRegistry};
@@ -100,7 +101,7 @@ pub(crate) struct Shared {
     /// Frontend `PREDICT` result cache.
     pub(crate) cache: PredictCache,
     /// Requests answered `ERR not-mine` because the key's role is
-    /// [`KeyRole::Remote`](crate::config::KeyRole::Remote) under the cluster ring
+    /// [`KeyRole::Remote`](crate::ring::KeyRole::Remote) under the cluster ring
     /// (`serve.cluster.not_mine`).
     pub(crate) not_mine: Arc<Counter>,
     /// Server identity stamp: process start (unix seconds) packed with
@@ -110,14 +111,12 @@ pub(crate) struct Shared {
     /// The process-start half of the epoch, retained so an online
     /// generation bump re-packs with the original start stamp.
     pub(crate) epoch_start: u64,
-    /// Ring description served by `RING` and replaced by `RINGSET`.
+    /// This member's ring, served by `RING` and replaced by `RINGSET`.
+    /// The hot path reads a per-connection cached clone refreshed on
+    /// [`Shared::ring_version`] changes, so steady state costs one
+    /// atomic load per line, not a lock.
     pub(crate) ring: Mutex<RingState>,
-    /// The live ownership classifier (`None` = standalone). Swapped as a
-    /// whole by `RINGSET`; the hot path reads a per-connection cached
-    /// clone refreshed on [`Shared::ring_version`] changes, so steady
-    /// state costs one atomic load per line, not a lock.
-    pub(crate) ownership: Mutex<Option<OwnershipMap>>,
-    /// Bumped on every ownership swap; connections compare it against
+    /// Bumped on every ring install; connections compare it against
     /// their cached snapshot's stamp.
     pub(crate) ring_version: AtomicU64,
     /// Faults injected by the server-side chaos plan (if configured).
@@ -163,14 +162,17 @@ impl Shared {
             batch_coalesced: metrics.counter("serve.batch.coalesced"),
             cache: PredictCache::new(&metrics),
             not_mine: metrics.counter("serve.cluster.not_mine"),
-            epoch: AtomicU64::new(pack_epoch(epoch_start, cfg.ring_generation)),
+            epoch: AtomicU64::new(pack_epoch(
+                epoch_start,
+                cfg.ring.map_or(0, |(spec, _)| spec.generation),
+            )),
             epoch_start,
             ring: Mutex::new(RingState {
-                info: cfg.ring_info,
-                generation: cfg.ring_generation,
+                member: cfg
+                    .ring
+                    .map(|(spec, index)| (Arc::new(spec.build()), index)),
                 addrs: Vec::new(),
             }),
-            ownership: Mutex::new(cfg.ownership.clone()),
             ring_version: AtomicU64::new(0),
             metrics,
             faults: Arc::new(FaultCounters::default()),
@@ -182,7 +184,6 @@ impl Shared {
                 faults: cfg.faults.clone(),
                 reactor_threads_effective: cfg.effective_reactor_threads(),
                 fresh_view: crate::shard::new_view(cfg),
-                ownership_factory: cfg.ownership_factory.clone(),
             },
             shutdown_requested: Mutex::new(false),
             shutdown_cv: Condvar::new(),
@@ -190,13 +191,17 @@ impl Shared {
     }
 }
 
+/// This member's ring and its index in it; what the connections cache.
+pub(crate) type RingMember = (Arc<HashRing>, usize);
+
 /// Mutable cluster-ring description, replaced online by `RINGSET`.
 #[derive(Debug)]
 pub(crate) struct RingState {
-    /// Ring geometry; `None` on a standalone server (RING answers `ERR`).
-    pub(crate) info: Option<RingInfo>,
-    /// Full 64-bit ring generation (the epoch only carries it mod 2^16).
-    pub(crate) generation: u64,
+    /// The built ring (its spec carries the full 64-bit generation; the
+    /// epoch only carries it mod 2^16) and this process's index in it;
+    /// `None` on a standalone server, which answers `RING` and `RINGSET`
+    /// with `ERR internal`.
+    pub(crate) member: Option<RingMember>,
     /// Member data-plane addresses in ring-index order; empty until the
     /// supervisor pushes them.
     pub(crate) addrs: Vec<String>,
@@ -375,9 +380,6 @@ pub(crate) struct ConnSettings {
     /// A view as a first sample creates it: the configuration every
     /// restored state record must carry.
     pub(crate) fresh_view: Box<oc_core::ingest::IncrementalView>,
-    /// Rebuilds this process's ownership map for a pushed ring geometry
-    /// (`RINGSET`); `None` limits pushes to same-geometry metadata.
-    pub(crate) ownership_factory: Option<crate::config::OwnershipFactory>,
 }
 
 /// What [`Server::shutdown_outcome`] observed while draining.
@@ -628,31 +630,19 @@ pub(crate) fn dispatch(req: Request, pool: &ShardPool, shared: &Shared) -> Respo
         }
         Request::Ring => {
             shared.requests.ring.inc();
-            let ring = shared.ring.lock().expect("ring state lock");
-            match ring.info {
-                Some(info) => Response::Ring {
-                    nodes: info.nodes as u64,
-                    vnodes: info.vnodes as u64,
-                    seed: info.seed,
-                    generation: ring.generation,
+            let state = shared.ring.lock().expect("ring state lock");
+            match &state.member {
+                Some((ring, _)) => Response::Ring {
+                    spec: *ring.spec(),
                     epoch: shared.epoch.load(Ordering::SeqCst),
-                    addrs: ring.addrs.clone(),
+                    addrs: state.addrs.clone(),
                 },
-                None => Response::Err {
-                    code: ErrCode::Internal,
-                    detail: "standalone server: no ring installed".to_string(),
-                },
+                None => standalone(),
             }
         }
-        Request::RingSet {
-            nodes,
-            vnodes,
-            seed,
-            generation,
-            addrs,
-        } => {
+        Request::RingSet { spec, addrs } => {
             shared.requests.ring_set.inc();
-            install_ring(pool, shared, nodes, vnodes, seed, generation, addrs)
+            install_ring(pool, shared, spec, addrs)
         }
         Request::Shutdown => {
             shared.requests.shutdown.inc();
@@ -667,100 +657,67 @@ pub(crate) fn dispatch(req: Request, pool: &ShardPool, shared: &Shared) -> Respo
     }
 }
 
-/// Installs a pushed ring (`RINGSET`): rejects stale generations,
-/// rebuilds the ownership map, drops the state of machines the new map
-/// gives this process no role for, re-packs the epoch with the original
-/// start stamp, clears the predict cache, and bumps the ownership
-/// version so every connection refreshes its cached map.
-fn install_ring(
-    pool: &ShardPool,
-    shared: &Shared,
-    nodes: u64,
-    vnodes: u64,
-    seed: u64,
-    generation: u64,
-    addrs: Vec<String>,
-) -> Response {
-    if nodes == 0 || vnodes == 0 {
-        return Response::Err {
-            code: ErrCode::Parse,
-            detail: "RINGSET needs nodes >= 1 and vnodes >= 1".to_string(),
-        };
-    }
-    let mut ring = shared.ring.lock().expect("ring state lock");
-    if generation < ring.generation {
+/// Installs a pushed ring (`RINGSET`, its spec already checked by the
+/// parser): rejects stale generations and pushes that leave this
+/// member's index outside the ring, rebuilds the ring for the same
+/// index, drops the state of machines a new geometry gives this process
+/// no role for, re-packs the epoch with the original start stamp, clears
+/// the predict cache, and bumps the ring version so every connection
+/// refreshes its cached ring.
+fn install_ring(pool: &ShardPool, shared: &Shared, spec: RingSpec, addrs: Vec<String>) -> Response {
+    let mut state = shared.ring.lock().expect("ring state lock");
+    let Some((old, index)) = &state.member else {
+        return standalone();
+    };
+    let (old, index) = (*old.spec(), *index);
+    if spec.generation < old.generation {
         return Response::Err {
             code: ErrCode::Stale,
             detail: format!(
-                "pushed generation {generation} is behind installed {}",
-                ring.generation
+                "pushed generation {} is behind installed {}",
+                spec.generation, old.generation
             ),
         };
     }
-    let info = RingInfo {
-        nodes: nodes as usize,
-        vnodes: vnodes as usize,
-        seed,
-    };
-    // A server with an ownership factory recomputes its slot's map for
-    // the pushed geometry; one without (ownership handed in fixed at
-    // start, or standalone) can only adopt generation/address updates
-    // on the geometry it was built with.
-    let rebuilt = match &shared.cfg.ownership_factory {
-        Some(factory) => match factory.build(info.nodes, info.vnodes, info.seed) {
-            Some(map) => map,
-            None => {
-                return Response::Err {
-                    code: ErrCode::Internal,
-                    detail: "this process holds no slot in the pushed ring".to_string(),
-                }
-            }
-        },
-        None => {
-            let standalone = shared.ownership.lock().expect("ownership lock").is_none();
-            if ring.info != Some(info) && !standalone {
-                return Response::Err {
-                    code: ErrCode::Internal,
-                    detail: "no ownership factory: cannot adopt a new ring geometry".to_string(),
-                };
-            }
-            ring.info = Some(info);
-            ring.generation = generation;
-            ring.addrs = addrs;
-            drop(ring);
-            shared
-                .epoch
-                .store(pack_epoch(shared.epoch_start, generation), Ordering::SeqCst);
-            shared.ring_version.fetch_add(1, Ordering::SeqCst);
-            return Response::Ok;
-        }
-    };
-    let moved = ring.info != Some(info);
-    ring.info = Some(info);
-    ring.generation = generation;
-    ring.addrs = addrs;
-    drop(ring);
-    *shared.ownership.lock().expect("ownership lock") = Some(rebuilt.clone());
+    if index >= spec.nodes {
+        return Response::Err {
+            code: ErrCode::Internal,
+            detail: "this process holds no slot in the pushed ring".to_string(),
+        };
+    }
+    let ring = Arc::new(spec.build());
+    state.member = Some((Arc::clone(&ring), index));
+    state.addrs = addrs;
+    drop(state);
     // A new geometry moves machines away, to be served elsewhere from
     // now on. Their state here would only go stale — and would refuse the
     // up-to-date record if a machine ever moved back, since `RESTORE`
     // installs only into machines a member does not hold.
-    if moved {
+    if (old.nodes, old.vnodes, old.seed) != (spec.nodes, spec.vnodes, spec.seed) {
         for shard in 0..pool.shards() {
             if let Ok(mut locked) = pool.lock(shard) {
-                locked.drop_unheld(&rebuilt);
+                locked.drop_unheld(&ring, index);
             }
         }
     }
-    shared
-        .epoch
-        .store(pack_epoch(shared.epoch_start, generation), Ordering::SeqCst);
+    shared.epoch.store(
+        pack_epoch(shared.epoch_start, spec.generation),
+        Ordering::SeqCst,
+    );
     // Ownership may have moved keys to or away from this process;
-    // cached predictions must not outlive the map they were computed
+    // cached predictions must not outlive the ring they were computed
     // under.
     shared.cache.clear();
     shared.ring_version.fetch_add(1, Ordering::SeqCst);
     Response::Ok
+}
+
+/// The `ERR internal` answer of a standalone server to the ring verbs.
+fn standalone() -> Response {
+    Response::Err {
+        code: ErrCode::Internal,
+        detail: "standalone server: no ring installed".to_string(),
+    }
 }
 
 /// Merges every shard's metrics snapshot, one lock at a time (the
@@ -779,22 +736,6 @@ pub(crate) fn shutting_down() -> Response {
         code: ErrCode::Shutdown,
         detail: "server is shutting down".to_string(),
     }
-}
-
-/// Version-stamped clone of the live ownership map, for per-connection
-/// caching: callers re-snapshot when [`ring_version`] moves past the
-/// stamp. The version is read *before* the map, so a concurrent
-/// `RINGSET` can only make the pair look older than it is — forcing a
-/// refresh, never pinning a stale map.
-pub(crate) fn ownership_snapshot(shared: &Shared) -> (u64, Option<OwnershipMap>) {
-    let version = shared.ring_version.load(Ordering::SeqCst);
-    let map = shared.ownership.lock().expect("ownership lock").clone();
-    (version, map)
-}
-
-/// Current ownership version stamp (see [`ownership_snapshot`]).
-pub(crate) fn ring_version(shared: &Shared) -> u64 {
-    shared.ring_version.load(Ordering::SeqCst)
 }
 
 /// The `ERR not-mine` redirect, counted in `serve.cluster.not_mine`.

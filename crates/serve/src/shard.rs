@@ -31,10 +31,11 @@
 //! it. `serve.shard.contended.<i>` counts the acquisitions that had to
 //! wait — the "is one shard hot?" signal.
 
-use crate::config::{KeyRole, OwnershipMap, ServeConfig};
+use crate::config::ServeConfig;
 use crate::error::ServeError;
 use crate::metrics::ShardMetrics;
 use crate::proto::{encode_view_record, ErrCode, Response};
+use crate::ring::{HashRing, KeyRole};
 use oc_core::ingest::IncrementalView;
 use oc_core::predictor::{clamp_prediction, clamp_prediction_lane, PeakPredictor};
 use oc_core::CoreError;
@@ -327,11 +328,11 @@ impl Shard {
         self.views.len() as u64
     }
 
-    /// Drops the views of machines `ownership` gives this process no role
+    /// Drops the views of machines `ring` gives member `index` no role
     /// for.
-    pub(crate) fn drop_unheld(&mut self, ownership: &OwnershipMap) {
+    pub(crate) fn drop_unheld(&mut self, ring: &HashRing, index: usize) {
         self.views
-            .retain(|key, _| ownership.role_of(key_hash(key)) != KeyRole::Remote);
+            .retain(|key, _| ring.role(index, key_hash(key)) != KeyRole::Remote);
     }
 
     /// Installs a restored view for `key` unless the shard already holds

@@ -72,6 +72,15 @@ grep -rnE -e 'FaninConfig|fanin::|build_template|patch_decimal|FrameLayout|MAX_I
 grep -rn 'TcpStream' crates/client/src --exclude=client.rs \
   && { echo "tier1: oc-client opens or holds a socket outside client.rs" >&2; exit 1; }
 
+# A ring member is a RingSpec and its index (ServeConfig::ring), and a
+# RINGSET push rebuilds the ring for that index through one install path.
+# Keep the ownership closure, its factory, the split ring description and
+# the generation knob from coming back through a doc or a name.
+grep -rnE -e 'OwnershipMap|OwnershipFactory|RingInfo|RingDesc|ownership_factory' \
+    -e 'with_ring_info|with_ring_generation|ownership_for' \
+    crates tests docs README.md DESIGN.md examples \
+  && { echo "tier1: the ownership closure (or its factory / RingInfo / RingDesc) is referenced again" >&2; exit 1; }
+
 # Docs are part of the contract: every markdown link to a local file must
 # point at something that exists (catches renamed/moved docs going stale),
 # and rustdoc must be warning-free.
@@ -171,6 +180,14 @@ pin_test oc-client loadgen::tests::fanin_survives_chaos_with_reconnects \
 # a second time.
 pin_test oc-client loadgen::tests::a_failed_lane_is_not_lost_again_by_the_timeout_sweep \
   "one settle per failed lane"
+
+# A RINGSET whose ring is too big to build is a parse error, not an
+# allocation that aborts the member; it keeps its ring and keeps serving.
+pin_test oc-serve conn::tests::oversized_ringset_is_refused_and_the_member_keeps_serving \
+  "oversized RINGSET"
+# A ring with no vnodes is refused before any member is spawned.
+pin_test oc-cluster supervisor::tests::zero_vnodes_is_refused_before_any_spawn \
+  "zero-vnode ring"
 
 # A latency tail of seconds keeps its own percentiles: the old 20 ms
 # linear range answered p50 == p99 == max once half the mass overflowed.
