@@ -8,8 +8,8 @@
 //! ```
 //!
 //! Every single-node phase runs through the one load driver,
-//! `oc_client::loadgen::run`: one thread and one poller drive all of a
-//! phase's connections, each a retrying `Client`.
+//! `oc_client::loadgen::run`: one thread drives all of a phase's
+//! connections as lanes of the client's send engine.
 //!
 //! Without `--addr`/`--cluster` an in-process server is started (4
 //! shards) and seven phases run: a **sustained** phase on the default

@@ -1,12 +1,17 @@
 //! The typed client: one connection, transparent reconnect, bounded retry.
 //!
+//! A [`Client`] is the one-lane case of the crate's send engine
+//! (`engine.rs`): everything it sends is a pipeline of frames on one
+//! connection, and [`Client::request`] is a pipeline of one.
+//!
 //! # Retry semantics
 //!
-//! A [`Client::request`] distinguishes three failure classes:
+//! A [`Client`] distinguishes three failure classes:
 //!
 //! * **`ERR timeout` / `ERR conn-limit`** — the server closed (or refused)
 //!   this connection but is otherwise healthy. The connection is dropped
-//!   and the request retried on a fresh one after backoff.
+//!   and what it had on the wire is sent again on a fresh one after
+//!   backoff.
 //! * **Transient I/O** (reset, broken pipe, EOF, deadline…) — the fate of
 //!   an in-flight request is unknown: it may or may not have been applied.
 //!   Re-sending is still safe because ingestion is idempotent — a repeated
@@ -17,38 +22,44 @@
 //!   that is not a response of PROTOCOL.md §4) — terminal; surfaced to
 //!   the caller immediately, a bad line as [`ClientError::Proto`].
 //!
+//! Each loss of the connection is one strike; a resolved frame clears
+//! them, and [`RetryPolicy::max_attempts`] strikes in a row exhaust the
+//! budget ([`ClientError::Exhausted`]). Between strikes the client naps:
+//! exponential (`base * 2^attempt`, capped) with deterministic jitter
+//! from a seeded [`SmallRng`], so two clients created with different
+//! seeds never stampede in lockstep and a failing run replays
+//! identically. Nothing naps after the last attempt.
+//!
 //! A connection a [`ClusterClient`](crate::ClusterClient) holds to a ring
 //! member differs in one point: after a transient failure it re-dials at
 //! once, and a *refused* connect is terminal rather than transient — the
 //! process is gone, and the cluster layer has a replica to go to.
 //!
-//! Backoff is exponential (`base * 2^attempt`, capped) with deterministic
-//! jitter from a seeded [`SmallRng`], so two clients created with
-//! different seeds never stampede in lockstep and a failing run replays
-//! identically.
-//!
 //! # Pipelining
 //!
-//! [`Client::pipeline_with`] streams a slice of requests through bounded
-//! windows: up to [`ClientConfig::pipeline_window`] requests are written
-//! before the first response is awaited (the protocol answers strictly in
-//! order, so responses match requests FIFO). Retryable failures re-queue
-//! their request *ahead* of everything not yet written, preserving
-//! submission order as closely as a retry allows.
+//! [`Client::pipeline_with`] streams a slice of requests through a
+//! sliding window: up to [`ClientConfig::pipeline_window`] requests ride
+//! the wire, and once replies have freed half of it the room is refilled
+//! in one flush while the other half is still being answered (the
+//! protocol answers strictly in order, so responses match requests
+//! FIFO). A lost connection sends everything it had not resolved again,
+//! in submission order, ahead of the rest.
 //!
 //! # One frame path
 //!
 //! Everything that goes on the wire is a *frame* of `n` requests (`BATCH n`
-//! header iff `n > 1`) appended by `Client::write_frame`, and everything
-//! that comes back is drained by `Client::read_frame_replies`: a single
-//! [`Client::request`] is a frame of one, a pipelined window is a run of
-//! frames flushed once, and the cluster pipes and the load driver
+//! header iff `n > 1`) appended by `Link::write_frame`, and everything
+//! that comes back is drained by `Link::read_frame_replies`: a single
+//! request is a frame of one, a window is a run of frames flushed once,
+//! and the cluster's member lanes and the load driver
 //! ([`crate::loadgen`]) use the same pair. A frame
 //! is acknowledged or lost whole — a transport failure or a server-side
 //! close (`ERR timeout`/`conn-limit`, also where a `BATCHR` header is due)
 //! discards the replies already read for it and it is sent again.
 
+use crate::engine::{Engine, Policy, Shape};
 use crate::error::ClientError;
+use crate::pipe::{Entry, EntryKind, MemberPipe, SentFrame};
 use oc_serve::fault::{FaultCounters, FaultPlan, FaultStream};
 use oc_serve::proto::{
     parse_batchr_header, push_u64, ErrCode, ProtoError, ProtoScratch, Request, Response,
@@ -57,11 +68,11 @@ use oc_serve::proto::{
 use oc_telemetry::{trace, Counter};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Bounded-retry policy.
 #[derive(Debug, Clone)]
@@ -70,12 +81,12 @@ pub struct RetryPolicy {
     pub max_attempts: u32,
     /// First backoff; doubles each retry.
     pub base: Duration,
-    /// Upper bound on one backoff sleep.
+    /// Upper bound on one backoff nap.
     pub cap: Duration,
 }
 
 impl RetryPolicy {
-    /// How long to sleep before retry number `attempt`:
+    /// How long to nap before retry number `attempt`:
     /// `min(cap, base * 2^attempt)` scaled by a jitter factor in
     /// `[0.5, 1.0)` drawn from `rng`.
     pub fn nap(&self, attempt: u32, rng: &mut SmallRng) -> Duration {
@@ -101,8 +112,8 @@ impl Default for RetryPolicy {
 pub struct ClientConfig {
     /// Deadline for one TCP connect.
     pub connect_timeout: Duration,
-    /// Deadline for one response read; elapsing counts as a transient
-    /// failure (reconnect + retry).
+    /// Deadline for a frame's replies, from its write; elapsing counts as
+    /// a transient failure (reconnect + retry).
     pub response_timeout: Duration,
     /// Deadline for one socket write.
     pub write_timeout: Duration,
@@ -174,9 +185,19 @@ impl ClientConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ClientError::Config`] for a zero window, zero attempt
-    /// budget, or invalid fault plan.
+    /// Returns [`ClientError::Config`] for a zero timeout, window or
+    /// attempt budget, a batch outside `1..=MAX_BATCH`, or an invalid
+    /// fault plan.
     pub fn validate(&self) -> Result<(), ClientError> {
+        for (name, t) in [
+            ("connect_timeout", self.connect_timeout),
+            ("response_timeout", self.response_timeout),
+            ("write_timeout", self.write_timeout),
+        ] {
+            if t.is_zero() {
+                return Err(ClientError::Config(format!("{name} must be > 0")));
+            }
+        }
         if self.retry.max_attempts == 0 {
             return Err(ClientError::Config("max_attempts must be >= 1".into()));
         }
@@ -244,6 +265,14 @@ impl GlobalCounters {
 /// ```
 #[derive(Debug)]
 pub struct Client {
+    /// The one lane.
+    engine: Engine,
+}
+
+/// One connection of the engine: the socket, its reader and writer, and
+/// the retry bookkeeping that survives a reconnect.
+#[derive(Debug)]
+pub(crate) struct Link {
     addr: SocketAddr,
     cfg: ClientConfig,
     conn: Option<Conn>,
@@ -258,7 +287,7 @@ pub struct Client {
     /// connection is re-dialled at once, and a *refused* connect —
     /// Linux answers `ECONNREFUSED` only when nothing listens on the
     /// port — is terminal instead of retried, so the cluster layer
-    /// hears of a dead member before any backoff is slept. A plain
+    /// hears of a dead member before any backoff is napped. A plain
     /// client keeps retrying: its server may be restarting, and it has
     /// no replica to go to.
     ring_member: bool,
@@ -331,207 +360,54 @@ impl Client {
     /// [`ClientError::Exhausted`]/[`ClientError::Io`] when the server
     /// cannot be reached.
     pub fn connect(addr: SocketAddr, cfg: ClientConfig) -> Result<Client, ClientError> {
-        Client::dial(addr, cfg, false)
-    }
-
-    /// [`Client::connect`] for a ring member's connection: a refused
-    /// connect, now or on any later reconnect, surfaces at once as
-    /// [`ClientError::Io`] ([`ClientError::is_refused`]) instead of
-    /// riding the retry ladder.
-    pub(crate) fn connect_member(
-        addr: SocketAddr,
-        cfg: ClientConfig,
-    ) -> Result<Client, ClientError> {
-        Client::dial(addr, cfg, true)
-    }
-
-    fn dial(addr: SocketAddr, cfg: ClientConfig, ring_member: bool) -> Result<Client, ClientError> {
         cfg.validate()?;
-        let rng = SmallRng::seed_from_u64(cfg.seed ^ 0xC11E_57A9);
-        let mut client = Client {
-            addr,
-            cfg,
-            conn: None,
-            rng,
-            epoch: 0,
-            metrics: ClientMetrics::default(),
-            global: GlobalCounters::new(),
-            fault_counters: Arc::new(FaultCounters::default()),
-            ring_member,
+        let shape = Shape {
+            batch: cfg.batch.min(cfg.pipeline_window),
+            lines: cfg.pipeline_window,
+            frames: usize::MAX,
         };
-        for attempt in 0..client.cfg.retry.max_attempts {
-            match client.ensure_conn() {
-                Ok(_) => return Ok(client),
-                Err(e) if client.connect_retryable(&e) => client.backoff(attempt),
-                Err(e) => return Err(ClientError::Io(e)),
-            }
-        }
-        Err(ClientError::Exhausted {
-            attempts: client.cfg.retry.max_attempts,
-            last: format!("could not connect to {addr}"),
-        })
+        let mut engine = Engine::new(shape, &cfg);
+        engine.add(Link::new(addr, cfg, false));
+        engine.dial(0)?;
+        Ok(Client { engine })
+    }
+
+    /// The client's connection, for the load driver to run as one lane
+    /// of its own engine.
+    pub(crate) fn into_link(self) -> Link {
+        let Client { mut engine } = self;
+        engine.lanes.pop().expect("a client has one lane").link
+    }
+
+    fn link(&self) -> &Link {
+        &self.engine.lanes[0].link
     }
 
     /// What the retry machinery has done so far.
     pub fn metrics(&self) -> ClientMetrics {
-        self.metrics
+        self.link().metrics
     }
 
     /// Faults injected by this client's own fault plan.
     pub fn faults_injected(&self) -> u64 {
-        self.fault_counters.total()
+        self.link().faults_injected()
     }
 
-    fn ensure_conn(&mut self) -> std::io::Result<()> {
-        if self.conn.is_some() {
-            return Ok(());
-        }
-        let stream = TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.cfg.response_timeout))?;
-        stream.set_write_timeout(Some(self.cfg.write_timeout))?;
-        let stream = Arc::new(stream);
-        if self.epoch > 0 {
-            self.metrics.reconnects += 1;
-            self.global.reconnects.inc();
-            trace::event("client.reconnect", self.epoch, 0);
-        }
-        let half = || Socket(Arc::clone(&stream));
-        let (r, w): (Box<dyn Read + Send>, Box<dyn Write + Send>) = match &self.cfg.faults {
-            Some(plan) => {
-                // Salt by seed and epoch so every client and every
-                // reconnect runs a distinct deterministic schedule.
-                let base = self.cfg.seed.wrapping_shl(20).wrapping_add(self.epoch * 2);
-                (
-                    Box::new(FaultStream::new(
-                        half(),
-                        plan,
-                        plan.stream_seed(base),
-                        Arc::clone(&self.fault_counters),
-                    )),
-                    Box::new(FaultStream::new(
-                        half(),
-                        plan,
-                        plan.stream_seed(base + 1),
-                        Arc::clone(&self.fault_counters),
-                    )),
-                )
-            }
-            None => (Box::new(half()), Box::new(half())),
-        };
-        self.epoch += 1;
-        self.conn = Some(Conn {
-            stream,
-            reader: BufReader::new(r),
-            writer: BufWriter::new(w),
-            frame: Vec::new(),
-            line: String::new(),
-            scratch: ProtoScratch::new(),
-        });
-        Ok(())
-    }
-
-    /// Whether a failed connect is worth another attempt: any transient
-    /// kind, except a refused connect to a ring member.
-    fn connect_retryable(&self, e: &std::io::Error) -> bool {
-        is_transient(e) && !(self.ring_member && e.kind() == std::io::ErrorKind::ConnectionRefused)
-    }
-
-    /// Drops the connection after a transient transport failure. A ring
-    /// member is re-dialled at once: a live one is reconnected before
-    /// the caller's backoff instead of after it, a dead one refuses.
-    ///
-    /// # Errors
-    ///
-    /// Only for a ring member: the refused (or otherwise terminal)
-    /// reconnect, as [`ClientError::Io`].
-    pub(crate) fn drop_conn(&mut self) -> Result<(), ClientError> {
-        self.conn = None;
-        if self.ring_member {
-            if let Err(e) = self.ensure_conn() {
-                if !self.connect_retryable(&e) {
-                    return Err(ClientError::Io(e));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The connection's socket descriptor, for readiness polling.
-    pub(crate) fn raw_fd(&self) -> Option<oc_reactor::RawFd> {
-        use std::os::unix::io::AsRawFd;
-        self.conn.as_ref().map(|conn| conn.stream.as_raw_fd())
-    }
-
-    /// Whether reply bytes already sit in the reader's buffer, where a
-    /// level-triggered poller watching the socket cannot see them.
-    pub(crate) fn has_buffered_replies(&self) -> bool {
-        self.conn
-            .as_ref()
-            .is_some_and(|conn| !conn.reader.buffer().is_empty())
-    }
-
-    /// The retry policy's nap before retry number `attempt + 1`.
-    pub(crate) fn nap(&mut self, attempt: u32) -> Duration {
-        self.cfg.retry.nap(attempt, &mut self.rng)
-    }
-
-    /// Sleeps the nap after failed attempt `attempt` — unless it was the
-    /// last one, which has nothing to wait for.
-    fn backoff(&mut self, attempt: u32) {
-        if attempt + 1 < self.cfg.retry.max_attempts {
-            std::thread::sleep(self.nap(attempt));
-        }
-    }
-
-    /// Records one transient-I/O retry and emits `client.retry.io`
-    /// (`a` = requests re-queued by the failure).
-    pub(crate) fn note_io(&mut self, affected: u64) {
-        self.metrics.io_retries += 1;
-        self.global.io_retries.inc();
-        trace::event("client.retry.io", affected, 0);
-    }
-
-    /// Records `n` request attempts beyond the first.
-    pub(crate) fn note_retries(&mut self, n: u64) {
-        self.metrics.retries += n;
-        self.global.retries.add(n);
-    }
-
-    /// Sends one request, retrying transient failures within the budget.
-    /// Non-retryable `ERR` responses are returned as [`Response::Err`]
-    /// values, not errors.
+    /// Sends one request — a pipeline of one — retrying transient
+    /// failures within the budget. Non-retryable `ERR` responses are
+    /// returned as [`Response::Err`] values, not errors.
     ///
     /// # Errors
     ///
     /// [`ClientError::Exhausted`] when the budget runs out; terminal
     /// transport and protocol failures as their own variants.
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let mut replies = Vec::with_capacity(1);
-        let mut last = String::new();
-        for attempt in 0..self.cfg.retry.max_attempts {
-            if attempt > 0 {
-                self.note_retries(1);
-            }
-            let io = self
-                .write_frame(1, std::iter::once(req))?
-                .then(|| self.flush_frames())?
-                .then(|| self.read_frame_replies(1, &mut replies))?;
-            match io {
-                FrameIo::Done => return Ok(replies.pop().expect("a frame of one has one reply")),
-                FrameIo::Lost(what) => {
-                    self.note_io(1);
-                    last = what;
-                }
-            }
-            self.backoff(attempt);
-        }
-        Err(ClientError::Exhausted {
-            attempts: self.cfg.retry.max_attempts,
-            last,
-        })
+        let mut reply = None;
+        self.pipeline_with(std::slice::from_ref(req), |_, resp, _| {
+            reply = Some(resp.clone());
+        })?;
+        Ok(reply.expect("a drained pipeline of one has its reply"))
     }
-
     /// Streams a usage sample. `Ok` means *accepted for ingestion* (the
     /// server acknowledges on enqueue); apply outcomes surface in `STATS`.
     ///
@@ -728,138 +604,246 @@ impl Client {
         }
     }
 
-    /// Streams `reqs` through bounded pipelined windows; `on_resp(index,
+    /// Streams `reqs` through the sliding window; `on_resp(index,
     /// response, latency_us)` fires once per request, in resolution order
-    /// (usually submission order; retries resolve late).
+    /// (submission order; a retry re-sends in order too), with the
+    /// latency of the frame that carried it.
     ///
     /// Responses match requests FIFO because the protocol answers in
     /// order. `ERR timeout`/`conn-limit` and transient I/O failures
-    /// re-queue the affected requests ahead of everything not yet
-    /// written; a window that makes zero progress counts one strike, and
-    /// `max_attempts` consecutive strikes exhaust the budget.
+    /// re-send every unresolved request, in order, after a nap; each
+    /// loss with no frame resolved since the last one is a strike, and
+    /// `max_attempts` strikes exhaust the budget.
     ///
     /// # Errors
     ///
-    /// [`ClientError::Exhausted`] after `max_attempts` zero-progress
-    /// windows; terminal transport and protocol failures as their own
-    /// variants.
-    pub fn pipeline_with<F>(&mut self, reqs: &[Request], mut on_resp: F) -> Result<(), ClientError>
+    /// [`ClientError::Exhausted`] after `max_attempts` strikes; terminal
+    /// transport and protocol failures as their own variants.
+    pub fn pipeline_with<F>(&mut self, reqs: &[Request], on_resp: F) -> Result<(), ClientError>
     where
         F: FnMut(usize, &Response, f64),
     {
-        let mut todo: VecDeque<usize> = (0..reqs.len()).collect();
-        let mut strikes = 0u32;
-        let mut last = String::new();
-        while !todo.is_empty() {
-            if strikes >= self.cfg.retry.max_attempts {
-                return Err(ClientError::Exhausted {
-                    attempts: self.cfg.retry.max_attempts,
-                    last,
-                });
+        let mut pipeline = Pipeline {
+            reqs,
+            next: 0,
+            left: reqs.len(),
+            on_resp,
+        };
+        self.engine.reset();
+        while !self.engine.step(&mut pipeline, true)? {}
+        Ok(())
+    }
+}
+
+/// One [`Client::pipeline_with`] call as the engine's policy: lines are
+/// fed from the slice on demand and pinned to the one lane, tagged with
+/// their index.
+struct Pipeline<'a, F> {
+    reqs: &'a [Request],
+    /// The next request to feed.
+    next: usize,
+    /// Requests not resolved yet.
+    left: usize,
+    on_resp: F,
+}
+
+impl<F: FnMut(usize, &Response, f64)> Policy for Pipeline<'_, F> {
+    fn refill(&mut self, _lane: usize, pipe: &mut MemberPipe, want: usize) {
+        let end = self.reqs.len().min(self.next + want);
+        for (k, req) in self.reqs[self.next..end].iter().enumerate() {
+            pipe.push(Entry::pinned(req.clone(), self.next + k));
+        }
+        self.next = end;
+    }
+
+    fn resolved(&mut self, _: &mut Engine, _: usize, frame: SentFrame, replies: &[Response]) {
+        let lat_us = frame.sent_at.elapsed().as_secs_f64() * 1e6;
+        for (e, resp) in frame.entries.iter().zip(replies) {
+            if let EntryKind::Pinned(idx) = e.kind {
+                (self.on_resp)(idx, resp, lat_us);
             }
-            if let Err(e) = self.ensure_conn() {
-                if self.connect_retryable(&e) {
-                    self.note_io(0);
-                    last = e.to_string();
-                    self.backoff(strikes);
-                    strikes += 1;
-                    continue;
-                }
-                return Err(ClientError::Io(e));
+        }
+        self.left -= frame.entries.len();
+    }
+
+    fn failed(
+        &mut self,
+        _: &mut Engine,
+        _: usize,
+        _: Vec<Entry>,
+        _: usize,
+        err: ClientError,
+    ) -> Result<(), ClientError> {
+        Err(err)
+    }
+
+    fn done(&self, _: &Engine, _: bool) -> bool {
+        self.left == 0
+    }
+}
+
+impl Link {
+    /// An unconnected link to `addr`; it dials on first use.
+    pub(crate) fn new(addr: SocketAddr, cfg: ClientConfig, ring_member: bool) -> Link {
+        let rng = SmallRng::seed_from_u64(cfg.seed ^ 0xC11E_57A9);
+        Link {
+            addr,
+            cfg,
+            conn: None,
+            rng,
+            epoch: 0,
+            metrics: ClientMetrics::default(),
+            global: GlobalCounters::new(),
+            fault_counters: Arc::new(FaultCounters::default()),
+            ring_member,
+        }
+    }
+
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// What the retry machinery has done on this link.
+    pub(crate) fn metrics(&self) -> ClientMetrics {
+        self.metrics
+    }
+
+    /// Faults injected by this link's fault plan.
+    pub(crate) fn faults_injected(&self) -> u64 {
+        self.fault_counters.total()
+    }
+
+    /// Opens the connection unless one is open.
+    pub(crate) fn connect(&mut self) -> std::io::Result<()> {
+        if self.conn.is_some() {
+            return Ok(());
+        }
+        let stream = TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(self.cfg.response_timeout))?;
+        stream.set_write_timeout(Some(self.cfg.write_timeout))?;
+        let stream = Arc::new(stream);
+        if self.epoch > 0 {
+            self.metrics.reconnects += 1;
+            self.global.reconnects.inc();
+            trace::event("client.reconnect", self.epoch, 0);
+        }
+        let half = || Socket(Arc::clone(&stream));
+        let (r, w): (Box<dyn Read + Send>, Box<dyn Write + Send>) = match &self.cfg.faults {
+            Some(plan) => {
+                // Salt by seed and epoch so every client and every
+                // reconnect runs a distinct deterministic schedule.
+                let base = self.cfg.seed.wrapping_shl(20).wrapping_add(self.epoch * 2);
+                (
+                    Box::new(FaultStream::new(
+                        half(),
+                        plan,
+                        plan.stream_seed(base),
+                        Arc::clone(&self.fault_counters),
+                    )),
+                    Box::new(FaultStream::new(
+                        half(),
+                        plan,
+                        plan.stream_seed(base + 1),
+                        Arc::clone(&self.fault_counters),
+                    )),
+                )
             }
-            let window: Vec<usize> = {
-                let n = todo.len().min(self.cfg.pipeline_window);
-                todo.drain(..n).collect()
-            };
-            match self.run_window(reqs, &window, &mut todo, &mut on_resp)? {
-                WindowOutcome::Progress => strikes = 0,
-                WindowOutcome::Stalled(what) => {
-                    last = what;
-                    self.backoff(strikes);
-                    strikes += 1;
+            None => (Box::new(half()), Box::new(half())),
+        };
+        self.epoch += 1;
+        self.conn = Some(Conn {
+            stream,
+            reader: BufReader::new(r),
+            writer: BufWriter::new(w),
+            frame: Vec::new(),
+            line: String::new(),
+            scratch: ProtoScratch::new(),
+        });
+        Ok(())
+    }
+
+    /// Whether a failure is worth another attempt: any transient kind —
+    /// and for a ring member anything but a refused connect.
+    pub(crate) fn retryable(&self, e: &std::io::Error) -> bool {
+        if self.ring_member {
+            e.kind() != std::io::ErrorKind::ConnectionRefused
+        } else {
+            is_transient(e)
+        }
+    }
+
+    /// Closes the connection; the next frame dials a fresh one.
+    pub(crate) fn close(&mut self) {
+        self.conn = None;
+    }
+
+    /// Drops the connection after a transport failure. A ring member is
+    /// re-dialled at once: a live one is reconnected before the
+    /// engine's nap instead of after it, a dead one refuses.
+    ///
+    /// # Errors
+    ///
+    /// Only for a ring member: the refused reconnect, as
+    /// [`ClientError::Io`].
+    pub(crate) fn drop_conn(&mut self) -> Result<(), ClientError> {
+        self.conn = None;
+        if self.ring_member {
+            if let Err(e) = self.connect() {
+                if !self.retryable(&e) {
+                    return Err(ClientError::Io(e));
                 }
             }
         }
         Ok(())
     }
 
-    /// Writes one window — every frame, then one flush — and drains its
-    /// responses frame by frame. Unresolved indices go back onto the
-    /// *front* of `todo`, in order.
-    ///
-    /// With `cfg.batch > 1`, consecutive data-plane requests (`OBSERVE`,
-    /// `PREDICT`, `ADMIT`) are framed as `BATCH` frames of up to
-    /// `cfg.batch` sub-requests; control verbs and singleton runs are
-    /// sent bare. A frame lost to the transport is re-sent whole, with
-    /// everything after it (idempotent, see module docs).
-    fn run_window<F>(
-        &mut self,
-        reqs: &[Request],
-        window: &[usize],
-        todo: &mut VecDeque<usize>,
-        on_resp: &mut F,
-    ) -> Result<WindowOutcome, ClientError>
-    where
-        F: FnMut(usize, &Response, f64),
-    {
-        let frames = plan_frames(reqs, window, self.cfg.batch);
-        // Nothing is flushed until the whole window is encoded, so it goes
-        // out as one write and the server's reactor takes it in with as
-        // few reads (and wake-ups) as the socket buffers allow.
-        let mut stamps = Vec::with_capacity(frames.len());
-        let mut wrote = FrameIo::Done;
-        for frame in &frames {
-            stamps.push(Instant::now());
-            let members = window[frame.clone()].iter().map(|&idx| &reqs[idx]);
-            wrote = wrote.then(|| self.write_frame(frame.len(), members))?;
-        }
-        if let FrameIo::Lost(what) = wrote.then(|| self.flush_frames())? {
-            // Nothing in this window is resolved; the server discards
-            // any truncated trailing line, so a clean re-send of the
-            // whole window is safe.
-            self.note_io(window.len() as u64);
-            self.note_retries(window.len() as u64);
-            requeue_front(todo, window.iter().copied());
-            return Ok(WindowOutcome::Stalled(what));
-        }
+    /// The connection's socket descriptor, for readiness polling.
+    pub(crate) fn raw_fd(&self) -> Option<oc_reactor::RawFd> {
+        use std::os::unix::io::AsRawFd;
+        self.conn.as_ref().map(|conn| conn.stream.as_raw_fd())
+    }
 
-        let mut replies: Vec<Response> = Vec::new();
-        for (frame, sent_at) in frames.iter().zip(stamps) {
-            replies.clear();
-            if let FrameIo::Lost(what) = self.read_frame_replies(frame.len(), &mut replies)? {
-                // This frame and all later responses of the window are
-                // gone; re-send the lot. Earlier frames resolved.
-                let rest = &window[frame.start..];
-                self.note_io(rest.len() as u64);
-                self.note_retries(rest.len() as u64);
-                requeue_front(todo, rest.iter().copied());
-                return Ok(if frame.start > 0 {
-                    WindowOutcome::Progress
-                } else {
-                    WindowOutcome::Stalled(what)
-                });
-            }
-            for (&idx, resp) in window[frame.clone()].iter().zip(&replies) {
-                on_resp(idx, resp, sent_at.elapsed().as_secs_f64() * 1e6);
-            }
-        }
-        Ok(WindowOutcome::Progress)
+    /// Whether reply bytes already sit in the reader's buffer, where a
+    /// level-triggered poller watching the socket cannot see them.
+    pub(crate) fn has_buffered_replies(&self) -> bool {
+        self.conn
+            .as_ref()
+            .is_some_and(|conn| !conn.reader.buffer().is_empty())
+    }
+
+    /// The retry policy's nap before retry number `attempt + 1`.
+    pub(crate) fn nap(&mut self, attempt: u32) -> Duration {
+        self.cfg.retry.nap(attempt, &mut self.rng)
+    }
+
+    /// Records one transient-I/O retry and emits `client.retry.io`
+    /// (`a` = requests re-queued by the failure).
+    pub(crate) fn note_io(&mut self, affected: u64) {
+        self.metrics.io_retries += 1;
+        self.global.io_retries.inc();
+        trace::event("client.retry.io", affected, 0);
+    }
+
+    /// Records `n` request attempts beyond the first.
+    pub(crate) fn note_retries(&mut self, n: u64) {
+        self.metrics.retries += n;
+        self.global.retries.add(n);
     }
 
     /// Appends `n` requests to the connection's writer as one frame — a
     /// `BATCH` wrapper when more than one — without flushing: the caller
-    /// decides how many frames make one burst ([`Client::flush_frames`]).
+    /// decides how many frames make one burst ([`Link::flush_frames`]).
     /// Nothing is read back; replies are drained later with
-    /// [`Client::read_frame_replies`]. A transient transport failure
+    /// [`Link::read_frame_replies`]. A transient transport failure
     /// drops the connection and comes back as [`FrameIo::Lost`]; nothing
     /// of the frame counts as delivered.
     pub(crate) fn write_frame<'a, I>(&mut self, n: usize, reqs: I) -> Result<FrameIo, ClientError>
     where
         I: IntoIterator<Item = &'a Request>,
     {
-        if let Err(e) = self.ensure_conn() {
-            return if self.connect_retryable(&e) {
-                self.conn = None;
+        if let Err(e) = self.connect() {
+            return if self.retryable(&e) {
                 Ok(FrameIo::Lost(e.to_string()))
             } else {
                 Err(ClientError::Io(e))
@@ -890,10 +874,10 @@ impl Client {
         }
     }
 
-    /// A transport error under a frame: a transient one drops the
+    /// A transport error under a frame: a retryable one drops the
     /// connection and loses the frame, anything else is terminal.
     fn lose(&mut self, e: std::io::Error) -> Result<FrameIo, ClientError> {
-        if !is_transient(&e) {
+        if !self.retryable(&e) {
             return Err(ClientError::Io(e));
         }
         self.drop_conn()?;
@@ -993,67 +977,6 @@ pub(crate) enum FrameIo {
     Lost(String),
 }
 
-impl FrameIo {
-    /// Runs `next` if this step completed; a lost frame stays lost.
-    pub(crate) fn then(
-        self,
-        next: impl FnOnce() -> Result<FrameIo, ClientError>,
-    ) -> Result<FrameIo, ClientError> {
-        match self {
-            FrameIo::Done => next(),
-            lost => Ok(lost),
-        }
-    }
-}
-
-/// One contiguous run of window positions written as one frame.
-type Frame = std::ops::Range<usize>;
-
-/// True for the data-plane verbs the protocol allows inside `BATCH`.
-fn is_batchable(req: &Request) -> bool {
-    matches!(
-        req,
-        Request::Observe { .. } | Request::Predict { .. } | Request::Admit { .. }
-    )
-}
-
-/// Splits window positions into frames: maximal runs of consecutive
-/// batchable requests, chunked to at most `batch` sub-requests each.
-/// Singleton runs skip the frame overhead and go bare.
-fn plan_frames(reqs: &[Request], window: &[usize], batch: usize) -> Vec<Frame> {
-    let mut frames = Vec::new();
-    let mut pos = 0;
-    while pos < window.len() {
-        if batch > 1 && is_batchable(&reqs[window[pos]]) {
-            let mut end = pos + 1;
-            while end < window.len() && end - pos < batch && is_batchable(&reqs[window[end]]) {
-                end += 1;
-            }
-            frames.push(pos..end);
-            pos = end;
-        } else {
-            frames.push(pos..pos + 1);
-            pos += 1;
-        }
-    }
-    frames
-}
-
-/// How one pipelined window ended.
-enum WindowOutcome {
-    /// At least one request resolved; the strike counter resets.
-    Progress,
-    /// Zero requests resolved; one strike.
-    Stalled(String),
-}
-
-/// Pushes `indices` onto the front of `todo`, preserving their order.
-fn requeue_front(todo: &mut VecDeque<usize>, indices: impl DoubleEndedIterator<Item = usize>) {
-    for idx in indices.rev() {
-        todo.push_front(idx);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1061,6 +984,7 @@ mod tests {
     use oc_serve::server::Server;
     use oc_trace::ids::{CellId, JobId, TaskId};
     use oc_trace::MachineId;
+    use std::time::Instant;
 
     fn cell() -> CellId {
         CellId::new("t")
@@ -1204,8 +1128,8 @@ mod tests {
 
     /// A plain client has no replica to go to and its server may be
     /// restarting, so a refused connect stays on the retry ladder for
-    /// the whole budget; only a ring member's connection
-    /// (`connect_member`) gives up on it at once.
+    /// the whole budget; only a ring member's connection gives up on it
+    /// at once.
     #[test]
     fn plain_client_keeps_retrying_a_refused_connect() {
         let cfg = ClientConfig::default().with_retry(RetryPolicy {
@@ -1223,11 +1147,12 @@ mod tests {
             matches!(err, ClientError::Exhausted { attempts: 3, .. }),
             "{err:?}"
         );
-        // Three attempts, two backoff sleeps of [10, 20) ms each: none
+        // Three attempts, two backoff naps of [10, 20) ms each: none
         // after the last attempt.
         assert!(started.elapsed() >= Duration::from_millis(20));
-        let err = Client::connect_member(closed, cfg.clone()).unwrap_err();
-        assert!(err.is_refused(), "{err:?}");
+        let mut member = Link::new(closed, cfg.clone(), true);
+        let err = member.connect().unwrap_err();
+        assert!(!member.retryable(&err), "{err:?}");
 
         // The same on an established connection whose server went away.
         let server = Server::start(ServeConfig::default().with_shards(1)).unwrap();
@@ -1453,6 +1378,67 @@ mod tests {
             .with_batch(MAX_BATCH)
             .validate()
             .is_ok());
+        for zero in [
+            ClientConfig {
+                connect_timeout: Duration::ZERO,
+                ..ClientConfig::default()
+            },
+            ClientConfig {
+                response_timeout: Duration::ZERO,
+                ..ClientConfig::default()
+            },
+            ClientConfig {
+                write_timeout: Duration::ZERO,
+                ..ClientConfig::default()
+            },
+        ] {
+            assert!(
+                matches!(zero.validate(), Err(ClientError::Config(_))),
+                "{zero:?}"
+            );
+        }
+    }
+
+    /// A plain client's lines are pinned: no redirect can move them, so
+    /// they never wait on the no-span rule. At batch 1, all 64 reads of
+    /// one machine go onto the wire in the first round, before any reply
+    /// is read.
+    #[test]
+    fn pinned_lines_never_stall_on_no_span() {
+        let server = Server::start(ServeConfig::default().with_shards(1)).unwrap();
+        let mut c = Client::connect(
+            server.addr(),
+            ClientConfig::default()
+                .with_batch(1)
+                .with_pipeline_window(64),
+        )
+        .unwrap();
+        let reqs = vec![
+            Request::Predict {
+                cell: cell(),
+                machine: MachineId(0),
+                vector: false,
+            };
+            64
+        ];
+        let mut answered = 0;
+        let mut pipeline = Pipeline {
+            reqs: &reqs,
+            next: 0,
+            left: reqs.len(),
+            on_resp: |_: usize, _: &Response, _: f64| answered += 1,
+        };
+        c.engine.reset();
+        assert!(!c.engine.step(&mut pipeline, true).unwrap());
+        // The round wrote all 64 and then read at most what had come back.
+        let pipe = &c.engine.lanes[0].pipe;
+        assert_eq!(pipeline.next, 64, "every line left the open frame");
+        assert_eq!(pipe.open_len(), 0);
+        assert_eq!(pipe.inflight_len() + (64 - pipeline.left), 64);
+        while !c.engine.step(&mut pipeline, true).unwrap() {}
+        assert_eq!(answered, 64);
+        drop(c);
+        server.shutdown();
     }
 
     #[test]

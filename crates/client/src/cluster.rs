@@ -1,72 +1,64 @@
 //! [`ClusterClient`] — one client over an N-process ring.
 //!
-//! A `ClusterClient` holds one [`Client`] per member and routes every
-//! data-plane call by the key's [`oc_serve::shard::key_hash`] through a
-//! shared [`HashRing`]. A sample has one way in:
-//! [`ClusterClient::observe`] queues it on the pipe of the key's live
-//! owner (`MemberPipe`, the per-member engine in `pipe.rs`), where
-//! same-member runs are framed as `BATCH`es and up to
+//! A `ClusterClient` is the send engine (`engine.rs`) with one lane per
+//! member plus a routing policy: every data-plane line is routed by the
+//! key's [`oc_serve::shard::key_hash`] through a shared [`HashRing`].
+//! [`ClusterClient::observe`] queues a sample on the lane of the key's
+//! live owner, where same-member runs are framed as `BATCH`es and up to
 //! [`ClusterClientConfig::pipeline_frames`] frames ride each member's
 //! wire at once; [`ClusterClient::flush`] and every read settle the
-//! pipes. With mirroring on, each acknowledged sample is then queued on
-//! the pipe of the key's replica — the ring successor, exactly the node
-//! that takes over if the owner dies. Because both copies see the same
-//! ordered per-machine stream, the replica's state is bit-identical and
-//! so are its predictions; a SIGKILLed owner therefore loses nothing an
-//! acknowledged sample ever carried.
+//! lanes. With mirroring on, each acknowledged sample is then queued on
+//! the lane of the key's replica — the ring successor, exactly the node
+//! that takes over if the owner dies — so the replica's state and
+//! predictions are bit-identical and a SIGKILLed owner loses nothing an
+//! acknowledged sample carried. A read (`predict`, `admit`) is one more
+//! routed line; `STATS` and the `RING` probe are lines pinned to one
+//! member.
 //!
 //! Failure handling:
 //!
-//! * `ERR not-mine` (a member enforcing its [`HashRing::role`])
-//!   bumps `cluster.redirects` and the line re-routes to the replica,
-//!   then to any other live member.
-//! * A terminal transport error marks the member dead: its
-//!   unacknowledged tail replays in order to the takeover targets
-//!   (`cluster.pipeline.replayed_tails`), and mirrors pinned to it are
-//!   dropped ([`ClusterMetrics::mirror_drops`]). A lost connection is
-//!   re-dialled at once and a *refused* reconnect is terminal on the
-//!   spot — nothing listens on the port, the process is gone — so a
-//!   SIGKILL costs one connect, not a backoff ladder; every other failure
-//!   (reset or EOF from a member that still listens, timeouts,
-//!   `ERR timeout`/`conn-limit`) keeps the [`RetryPolicy`] budget. A
-//!   wrong verdict degrades replication, never acknowledged data, and
-//!   heals through the `RING` probe like any replacement.
+//! * `ERR not-mine` (a member enforcing its [`HashRing::role`]) bumps
+//!   `cluster.redirects` and re-routes the line to the replica, then to
+//!   any other live member.
+//! * A lost transport costs its member a strike: its unacknowledged tail
+//!   replays in order (`cluster.pipeline.replayed_tails`) and the member
+//!   naps the [`RetryPolicy`] backoff (`cluster.backoff.sleeps`) while
+//!   the other members keep being served; a member that stops answering
+//!   is timed out by its reply deadline. `max_attempts` strikes in a row
+//!   — or one refused re-dial, at once: nothing listens on the port —
+//!   mark it dead, and mirrors pinned to it drop
+//!   ([`ClusterMetrics::mirror_drops`]). A wrong verdict degrades
+//!   replication, never acknowledged data.
 //!
 //! [`RetryPolicy`]: crate::client::RetryPolicy
 //!
-//! One degradation is deliberate: members classify keys against the
-//! *all-alive* ring (a process cannot observe peer deaths), so after a
-//! failure the new replica of a failed-over key would answer
-//! `not-mine` to mirrors. Mirrors are therefore only sent to targets
-//! that were owner or replica under the full ring — redundancy for the
-//! failed-over range is restored by replacing the member and adopting a
-//! generation-bumped [`RingSpec`], not by re-replication in place. See
-//! `docs/OPERATIONS.md` §5.6.
-//!
-//! Adoption is automatic: after a member death, after an all-members
-//! `not-mine` exhaustion, or when a member's `STATS` epoch word changes,
-//! the client probes a live member with `RING` and adopts the described
-//! membership when its *full 64-bit* generation is strictly newer and
-//! the address list is complete (`cluster.adoptions`). The packed epoch
-//! is only the change hint — generations 2^16 apart alias in it, so the
-//! epoch is compared as a whole word and never decides which ring is
-//! newer (PROTOCOL.md §7.3–7.4).
+//! Members classify keys against the *all-alive* ring, so after a
+//! failure mirrors only go to targets that were owner or replica under
+//! the full ring; redundancy for a failed-over range comes back by
+//! replacing the member under a generation-bumped [`RingSpec`]
+//! (`docs/OPERATIONS.md` §5.6). After a member death, a round of
+//! `not-mine` from every member, or a change of a member's `STATS` epoch
+//! word (a change hint only — compared as a whole word, never used to
+//! order rings), the client probes `RING` and adopts a strictly newer
+//! full 64-bit generation with a complete address list
+//! (`cluster.adoptions`, PROTOCOL.md §7.3–7.4). Probes and adoptions run
+//! between engine rounds, and a `STATS` sweep that adopts starts again on
+//! the adopted ring.
 
-use crate::client::{Client, ClientConfig, FrameIo};
+use crate::client::{ClientConfig, Link};
+use crate::engine::{Engine, Policy, Shape};
 use crate::error::ClientError;
-use crate::pipe::{Entry, EntryKind, MemberPipe};
+use crate::pipe::{Entry, EntryKind, SentFrame};
 use oc_cluster::{HashRing, RingSpec};
 use oc_serve::proto::{ErrCode, Request, Response, StatsSnapshot};
 use oc_serve::shard::key_hash;
 use oc_telemetry::metrics::HistogramSnapshot;
 use oc_telemetry::{trace, Counter, Gauge};
 use oc_trace::ids::{CellId, MachineId, TaskId};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
 /// Shape of a [`ClusterClient`].
 #[derive(Debug, Clone)]
@@ -116,11 +108,11 @@ pub struct ClusterMetrics {
     /// Member failures (or transport drops) that displaced a non-empty
     /// unacknowledged tail for in-order replay.
     pub replayed_tails: u64,
-    /// Times the client put the calling thread to sleep: a member whose
-    /// transport failed, but which still accepts connections, waiting
-    /// out one rung of its retry ladder.
+    /// Naps a member took after its transport failed while it still
+    /// accepts connections: one rung of its retry ladder, during which
+    /// the other members keep being served.
     pub backoff_sleeps: u64,
-    /// Microseconds slept across [`ClusterMetrics::backoff_sleeps`].
+    /// Microseconds napped across [`ClusterMetrics::backoff_sleeps`].
     pub backoff_slept_us: u64,
 }
 
@@ -157,26 +149,28 @@ impl GlobalCounters {
 /// One logical client over a multi-process ring.
 #[derive(Debug)]
 pub struct ClusterClient {
+    /// One lane per member, in ring-index order.
+    engine: Engine,
+    router: Router,
+}
+
+/// The routing policy the engine runs for a [`ClusterClient`].
+#[derive(Debug)]
+struct Router {
     ring: HashRing,
-    addrs: Vec<SocketAddr>,
     alive: Vec<bool>,
-    clients: Vec<Option<Client>>,
     /// Each member's epoch word from its last `STATS` answer (`0` =
     /// never seen). Compared as the *full word* — the low 16 bits alone
     /// alias generations 2^16 apart.
     last_epoch: Vec<u64>,
-    /// Re-entrancy guard: a probe triggered while another probe's
-    /// adoption is settling must not recurse.
-    probing: bool,
-    /// Per-member ingest state (`pipes[i]` ↔ `addrs[i]`).
-    pipes: Vec<MemberPipe>,
-    /// Lines not yet on any pipe: fresh ingest is routed through here,
+    /// Lines not yet on any lane: fresh ingest is routed through here,
     /// and replayed tails / redirected lines come back through it.
     waiting: VecDeque<Entry>,
-    /// Consecutive transport failures per member (the pipe-level
-    /// analogue of [`Client`]'s per-request retries); reset by any
-    /// successful frame drain.
-    pipe_strikes: Vec<Strikes>,
+    /// Answers to reads and pinned lines: answering lane, the line's
+    /// tag ([`PROBE`] for a `RING` probe), and the reply.
+    answers: Vec<(usize, usize, Response)>,
+    /// A member died since the last `RING` probe.
+    probe_due: bool,
     /// Ack latencies, microseconds: each frame's latency booked to every
     /// line it resolved. Drained by the fleet driver.
     frame_lats: HistogramSnapshot,
@@ -184,12 +178,38 @@ pub struct ClusterClient {
     /// mirrors are not counted).
     pipelined_ok: u64,
     pipelined_err: u64,
-    /// Jitter source for member backoff ([`Client`]'s is private and
-    /// per-connection; the pipes back off per *member*).
-    rng: SmallRng,
     cfg: ClusterClientConfig,
     metrics: ClusterMetrics,
     global: GlobalCounters,
+}
+
+/// Tag of a pinned `RING` probe; every other answered line carries 0.
+const PROBE: usize = 1;
+
+/// One engine lane per member address, each dialled on first use.
+fn member_engine(addrs: &[SocketAddr], cfg: &ClusterClientConfig) -> Engine {
+    let shape = Shape {
+        batch: cfg.client.batch,
+        lines: usize::MAX,
+        frames: cfg.pipeline_frames,
+    };
+    let mut engine = Engine::new(shape, &cfg.client);
+    for (index, &addr) in addrs.iter().enumerate() {
+        let seed = cfg.client.seed.wrapping_add(index as u64 + 1);
+        engine.add(Link::new(addr, cfg.client.clone().with_seed(seed), true));
+    }
+    engine
+}
+
+fn check_membership(spec: &RingSpec, addrs: &[SocketAddr]) -> Result<(), ClientError> {
+    if addrs.len() != spec.nodes {
+        return Err(ClientError::Config(format!(
+            "{} addresses for a {}-node ring",
+            addrs.len(),
+            spec.nodes
+        )));
+    }
+    Ok(())
 }
 
 impl ClusterClient {
@@ -205,171 +225,128 @@ impl ClusterClient {
         addrs: &[SocketAddr],
         cfg: ClusterClientConfig,
     ) -> Result<ClusterClient, ClientError> {
-        if addrs.len() != spec.nodes {
-            return Err(ClientError::Config(format!(
-                "{} addresses for a {}-node ring",
-                addrs.len(),
-                spec.nodes
-            )));
-        }
+        check_membership(&spec, addrs)?;
         cfg.client.validate()?;
         if cfg.pipeline_frames == 0 {
             return Err(ClientError::Config(
                 "pipeline_frames must be at least 1".to_string(),
             ));
         }
-        let rng = SmallRng::seed_from_u64(cfg.client.seed ^ 0x9E37_79B9_7F4A_7C15);
         Ok(ClusterClient {
-            ring: spec.build(),
-            addrs: addrs.to_vec(),
-            alive: vec![true; spec.nodes],
-            clients: (0..spec.nodes).map(|_| None).collect(),
-            last_epoch: vec![0; spec.nodes],
-            probing: false,
-            pipes: (0..spec.nodes).map(|_| MemberPipe::default()).collect(),
-            waiting: VecDeque::new(),
-            pipe_strikes: vec![Strikes::default(); spec.nodes],
-            frame_lats: HistogramSnapshot::default(),
-            pipelined_ok: 0,
-            pipelined_err: 0,
-            rng,
-            cfg,
-            metrics: ClusterMetrics::default(),
-            global: GlobalCounters::new(),
+            engine: member_engine(addrs, &cfg),
+            router: Router {
+                ring: spec.build(),
+                alive: vec![true; spec.nodes],
+                last_epoch: vec![0; spec.nodes],
+                waiting: VecDeque::new(),
+                answers: Vec::new(),
+                probe_due: false,
+                frame_lats: HistogramSnapshot::default(),
+                pipelined_ok: 0,
+                pipelined_err: 0,
+                cfg,
+                metrics: ClusterMetrics::default(),
+                global: GlobalCounters::new(),
+            },
         })
     }
 
     /// The liveness mask this client has inferred, by ring index.
     pub fn alive(&self) -> &[bool] {
-        &self.alive
+        &self.router.alive
     }
 
     /// What this client did so far.
     pub fn metrics(&self) -> ClusterMetrics {
-        self.metrics
+        self.router.metrics
     }
 
     /// Switches to a new membership (e.g. after a retired member was
-    /// replaced under a bumped generation). Frames on the pipes are
+    /// replaced under a bumped generation). Frames on the lanes are
     /// settled under the *old* ring first (lines not yet routed onto a
-    /// pipe survive the swap and re-route under the new ring); all
+    /// lane survive the swap and re-route under the new ring); all
     /// members start presumed alive.
     ///
     /// # Errors
     ///
     /// Propagates [`ClusterClient::connect`]-style validation.
     pub fn adopt(&mut self, spec: RingSpec, addrs: &[SocketAddr]) -> Result<(), ClientError> {
-        self.settle_pipes()?;
-        if addrs.len() != spec.nodes {
-            return Err(ClientError::Config(format!(
-                "{} addresses for a {}-node ring",
-                addrs.len(),
-                spec.nodes
-            )));
-        }
-        self.ring = spec.build();
-        self.addrs = addrs.to_vec();
-        self.alive = vec![true; spec.nodes];
-        self.clients = (0..spec.nodes).map(|_| None).collect();
-        self.last_epoch = vec![0; spec.nodes];
-        self.pipes = (0..spec.nodes).map(|_| MemberPipe::default()).collect();
-        self.pipe_strikes = vec![Strikes::default(); spec.nodes];
+        self.settle()?;
+        check_membership(&spec, addrs)?;
+        let r = &mut self.router;
+        r.ring = spec.build();
+        r.alive = vec![true; spec.nodes];
+        r.last_epoch = vec![0; spec.nodes];
+        r.probe_due = false;
         // Unsent lines re-route from scratch: their redirect counts
         // referred to the old ring's candidate order.
-        for e in &mut self.waiting {
+        for e in &mut r.waiting {
             if let EntryKind::Send { tried } = &mut e.kind {
                 *tried = 0;
             }
         }
+        self.engine = member_engine(addrs, &r.cfg);
         Ok(())
     }
 
-    /// The lazily-opened client for member `index`.
-    fn client(&mut self, index: usize) -> Result<&mut Client, ClientError> {
-        if self.clients[index].is_none() {
-            let cfg = self
-                .cfg
-                .client
-                .clone()
-                .with_seed(self.cfg.client.seed.wrapping_add(index as u64 + 1));
-            self.clients[index] = Some(Client::connect_member(self.addrs[index], cfg)?);
-        }
-        Ok(self.clients[index].as_mut().expect("just connected"))
+    /// Rounds until every lane is empty, *without* routing the waiting
+    /// queue or probing, so it is safe inside [`ClusterClient::adopt`]
+    /// and a probe: lines no lane holds stay waiting and re-route under
+    /// the ring that emerges.
+    fn settle(&mut self) -> Result<(), ClientError> {
+        while !self.engine.step(&mut self.router, true)? {}
+        Ok(())
     }
 
-    /// Marks `index` dead after a terminal failure: drops its
-    /// connection and displaces its pipe — sends replay through the
-    /// waiting queue to the keys' new owners, mirrors pinned to it drop.
-    /// `failing_since` is when the member's transport first failed (for
-    /// a read, when the read began); the `cluster.failover` trace event
-    /// carries the time from there to this verdict.
-    fn mark_dead(&mut self, index: usize, failing_since: Instant) {
-        if !self.alive[index] {
-            return;
+    /// The drive behind every call: routes waiting lines onto member
+    /// lanes and runs engine rounds until every lane fits its target
+    /// (`flush`: until everything is acknowledged), probing the ring
+    /// between rounds after a member death.
+    ///
+    /// It ends because every round moves lines toward a final state:
+    ///
+    /// * an `OK` or a server error resolves its line, and a refused
+    ///   mirror drops;
+    /// * a transport failure costs its member one strike, and
+    ///   `max_attempts` strikes — or one refused reconnect — mark it
+    ///   dead, after which the member takes no lines;
+    /// * a `not-mine` moves its line to the next candidate, and a full
+    ///   redirect round ends in a `RING` probe that adopts a strictly
+    ///   newer generation or in [`ClientError::Exhausted`].
+    fn pump(&mut self, flush: bool) -> Result<(), ClientError> {
+        loop {
+            if self.router.probe_due {
+                self.probe_ring()?;
+            }
+            self.route_waiting()?;
+            if self.engine.step(&mut self.router, flush)?
+                && self.router.waiting.is_empty()
+                && !self.router.probe_due
+            {
+                return Ok(());
+            }
         }
-        trace::event(
-            "cluster.failover",
-            index as u64,
-            failing_since.elapsed().as_micros() as u64,
-        );
-        self.displace_pipe(index);
-        self.alive[index] = false;
-        self.clients[index] = None;
-        self.metrics.failovers += 1;
-        // The supervisor may already have replaced the member under a
-        // bumped generation: ask a survivor before giving up on the slot.
-        self.probe_ring();
     }
 
     /// Asks a live member for the current `RING` description and adopts
     /// it when its full 64-bit generation is strictly newer than the
     /// local ring's **and** the address list is complete. Returns
-    /// whether a new membership was adopted. Probe transport errors are
-    /// swallowed — the next data-plane call rediscovers them.
-    fn probe_ring(&mut self) -> bool {
-        if self.probing {
-            return false;
-        }
-        self.probing = true;
-        let adopted = self.probe_ring_inner();
-        self.probing = false;
-        if adopted {
-            self.metrics.adoptions += 1;
-            self.global.adoptions.inc();
-        }
-        adopted
-    }
-
-    fn probe_ring_inner(&mut self) -> bool {
-        for index in 0..self.alive.len() {
-            if !self.alive[index] {
+    /// whether a new membership was adopted. A member that fails the
+    /// probe is skipped — its lane's verdict stands.
+    fn probe_ring(&mut self) -> Result<bool, ClientError> {
+        self.router.probe_due = false;
+        for index in 0..self.router.alive.len() {
+            if !self.router.alive[index] {
                 continue;
             }
-            // Replies still in flight would interleave with the probe's
-            // answer on this connection; drain them first (open frames
-            // are not on the wire and can wait).
-            let mut broken = false;
-            while self.alive[index] && self.pipes[index].inflight_len() > 0 {
-                if !matches!(self.drain_oldest(index), Ok(Drain::Done)) {
-                    broken = true;
-                    break;
-                }
-            }
-            if broken || !self.alive[index] {
-                continue;
-            }
-            let resp = match self.client(index).and_then(|c| c.request(&Request::Ring)) {
-                Ok(r) => r,
-                Err(_) => continue,
-            };
-            let Response::Ring { spec, addrs, .. } = resp else {
-                // Standalone servers answer ERR; nothing to adopt.
+            let Some(Response::Ring { spec, addrs, .. }) = self.ask(index, Request::Ring)? else {
+                // Dead by now, or a standalone server's ERR.
                 continue;
             };
-            if spec.generation <= self.ring.spec().generation {
+            if spec.generation <= self.router.ring.spec().generation {
                 // The cluster is on our ring (or this member lags);
                 // adopting would only repeat the current state.
-                return false;
+                return Ok(false);
             }
             if addrs.len() != spec.nodes {
                 // A newer ring whose membership is not fully known yet;
@@ -378,77 +355,79 @@ impl ClusterClient {
             }
             let parsed: Option<Vec<SocketAddr>> = addrs.iter().map(|a| a.parse().ok()).collect();
             let Some(parsed) = parsed else { continue };
-            return self.adopt(spec, &parsed).is_ok();
+            if self.adopt(spec, &parsed).is_err() {
+                return Ok(false);
+            }
+            self.router.metrics.adoptions += 1;
+            self.router.global.adoptions.inc();
+            return Ok(true);
         }
-        false
+        Ok(false)
     }
 
-    /// Candidate members for a key, preference-ordered: live owner,
-    /// live replica, then every other live member.
-    fn candidates(&self, hash: u64) -> Vec<usize> {
-        let (owner, replica) = self.ring.routes(hash, &self.alive);
-        let mut order = Vec::with_capacity(self.alive.len());
-        order.extend(owner);
-        order.extend(replica.filter(|r| Some(*r) != owner));
-        for (i, &alive) in self.alive.iter().enumerate() {
-            if alive && !order.contains(&i) {
-                order.push(i);
-            }
-        }
-        order
+    /// Sends `req` pinned to member `index` as a probe and settles; its
+    /// answer, or `None` if the member died first.
+    fn ask(&mut self, index: usize, req: Request) -> Result<Option<Response>, ClientError> {
+        self.engine.push(index, Entry::pinned(req, PROBE));
+        self.settle()?;
+        let answers = &mut self.router.answers;
+        let at = answers
+            .iter()
+            .position(|&(lane, tag, _)| (lane, tag) == (index, PROBE));
+        Ok(at.map(|k| answers.remove(k).2))
     }
 
-    /// Sends one read to the key's owner, falling over on `not-mine`
-    /// redirects and member deaths. The caller has flushed: a read
-    /// shares its connection with the pipes, and their replies must not
-    /// interleave with its answer.
-    fn send_routed(&mut self, hash: u64, req: &Request) -> Result<Response, ClientError> {
-        loop {
-            let order = self.candidates(hash);
-            if order.is_empty() {
-                return Err(ClientError::Exhausted {
-                    attempts: 0,
-                    last: "no live ring member".to_string(),
-                });
+    /// Routes every waiting line onto its member lane: the key's live
+    /// owner, or the `tried`-th candidate for a line bounced by
+    /// redirects. A full redirect round probes the ring (an adoption
+    /// resets the count); a second full round exhausts. An exhausted
+    /// sample stays waiting for a later call; an exhausted read is
+    /// answered by the error.
+    fn route_waiting(&mut self) -> Result<(), ClientError> {
+        while let Some(e) = self.router.waiting.pop_front() {
+            let EntryKind::Send { tried } = e.kind else {
+                // Mirrors never route by key; one here means its
+                // pinned member died mid-displacement. The owner
+                // holds the data — degrade, don't re-route.
+                self.router.metrics.mirror_drops += 1;
+                continue;
+            };
+            // The first hop — all but redirected lines — is the live
+            // owner; no candidate list is built for it.
+            let r = &self.router;
+            let target = match tried {
+                0 => r.ring.owner(e.hash, &r.alive),
+                _ => r.candidates(e.hash).get(tried as usize).copied(),
+            };
+            if let Some(target) = target {
+                self.engine.push(target, e);
+                continue;
             }
-            let mut redirected = false;
-            for index in order {
-                let started = Instant::now();
-                let outcome = self.client(index).and_then(|c| c.request(req));
-                match outcome {
-                    Ok(Response::Err {
-                        code: ErrCode::NotMine,
-                        ..
-                    }) => {
-                        self.metrics.redirects += 1;
-                        self.global.redirects.inc();
-                        redirected = true;
-                    }
-                    Ok(resp) => return Ok(resp),
-                    Err(ClientError::Io(_)) | Err(ClientError::Exhausted { .. }) => {
-                        self.mark_dead(index, started);
-                        // Membership changed; recompute the order.
-                        redirected = false;
-                        break;
-                    }
-                    Err(other) => return Err(other),
-                }
+            let anyone = self.router.alive.contains(&true);
+            let requeue = Entry {
+                kind: EntryKind::Send { tried: 0 },
+                ..e
+            };
+            if anyone && self.probe_ring()? {
+                // Adopted: the line re-routes from scratch under the
+                // new ring.
+                self.router.waiting.push_front(requeue);
+                continue;
             }
-            if redirected {
-                // Every live member redirected: the ring disagrees with
-                // the members' rings (stale spec). If the
-                // members serve a newer generation, adopt it and retry;
-                // a second full redirect round cannot adopt again (the
-                // generation is no longer newer) and exhausts below.
-                if self.probe_ring() {
-                    continue;
-                }
-                return Err(ClientError::Exhausted {
-                    attempts: 0,
-                    last: "every live member answered not-mine; re-resolve the ring".to_string(),
-                });
+            if matches!(requeue.req, Request::Observe { .. }) {
+                self.router.waiting.push_front(requeue);
             }
+            let last = if anyone {
+                "every live member answered not-mine; re-resolve the ring"
+            } else {
+                "no live ring member"
+            };
+            return Err(ClientError::Exhausted {
+                attempts: 0,
+                last: last.to_string(),
+            });
         }
+        Ok(())
     }
 
     /// Queues a usage sample and returns. The sample is routed to the
@@ -456,7 +435,7 @@ impl ClusterClient {
     /// (`BATCH`), and acknowledged asynchronously — up to
     /// [`ClusterClientConfig::pipeline_frames`] frames ride the wire per
     /// member, so member round trips overlap instead of serializing.
-    /// With mirroring on, the sample is queued onto the replica's pipe
+    /// With mirroring on, the sample is queued onto the replica's lane
     /// when its owner acknowledges it, so a queued mirror is always an
     /// acknowledged-but-unreplicated sample. A member death replays the
     /// unacknowledged tail in order through the failover and adoption
@@ -491,7 +470,7 @@ impl ClusterClient {
             mem: None,
             tick,
         };
-        self.waiting.push_back(Entry {
+        self.router.waiting.push_back(Entry {
             hash,
             req,
             kind: EntryKind::Send { tried: 0 },
@@ -512,364 +491,60 @@ impl ClusterClient {
 
     /// Drains the ack latencies.
     pub(crate) fn take_frame_latencies(&mut self) -> HistogramSnapshot {
-        std::mem::take(&mut self.frame_lats)
+        std::mem::take(&mut self.router.frame_lats)
     }
 
     /// Drains the `(ok, err)` line tallies. Owner sends only — mirror
     /// acks are not counted.
     pub(crate) fn take_pipeline_tallies(&mut self) -> (u64, u64) {
-        let t = (self.pipelined_ok, self.pipelined_err);
-        self.pipelined_ok = 0;
-        self.pipelined_err = 0;
+        let r = &mut self.router;
+        let t = (r.pipelined_ok, r.pipelined_err);
+        r.pipelined_ok = 0;
+        r.pipelined_err = 0;
         t
     }
 
-    /// The engine: routes waiting lines onto member pipes, writes due
-    /// frames, and drains replies until the backlog fits the per-member
-    /// window (`flush`: until everything is acknowledged).
-    ///
-    /// A round never naps for lack of progress, because a round that
-    /// drains no frame and loses no transport leaves every pipe within
-    /// its target and nothing waiting: it is the last one. Every other
-    /// round moves lines toward a final state, so the loop ends:
-    ///
-    /// * an `OK` or a server error resolves its line, and a refused
-    ///   mirror drops;
-    /// * a transport failure costs its member one strike, and
-    ///   `max_attempts` strikes — or one refused reconnect — end in
-    ///   `mark_dead`, after which the member takes no lines;
-    /// * a `not-mine` moves its line to the next candidate, and a full
-    ///   redirect round ends in a `RING` probe that adopts a strictly
-    ///   newer generation or in [`ClientError::Exhausted`].
-    ///
-    /// The only sleeps are a failing member's strikes
-    /// (`cluster.backoff.sleeps`).
-    fn pump(&mut self, flush: bool) -> Result<(), ClientError> {
-        loop {
-            self.route_waiting()?;
-            if self.settle_step(flush)? && self.waiting.is_empty() {
-                return Ok(());
-            }
-        }
-    }
-
-    /// Routes every waiting line onto its member pipe: the key's live
-    /// owner, or the `tried`-th candidate for a line bounced by
-    /// redirects. A full redirect round probes the ring (an adoption
-    /// resets the count); a second full round exhausts, like a read's
-    /// (`send_routed`).
-    fn route_waiting(&mut self) -> Result<(), ClientError> {
-        while let Some(e) = self.waiting.pop_front() {
-            match e.kind {
-                EntryKind::Mirror => {
-                    // Mirrors never route by key; one here means its
-                    // pinned member died mid-displacement. The owner
-                    // holds the data — degrade, don't re-route.
-                    self.metrics.mirror_drops += 1;
-                }
-                EntryKind::Send { tried } => {
-                    // The first hop — all but redirected lines — is the
-                    // live owner; no candidate list is built for it.
-                    let target = match tried {
-                        0 => self.ring.owner(e.hash, &self.alive),
-                        _ => self.candidates(e.hash).get(tried as usize).copied(),
-                    };
-                    if let Some(target) = target {
-                        self.pipes[target].push(e);
-                        continue;
-                    }
-                    if !self.alive.contains(&true) {
-                        self.waiting.push_front(e);
-                        return Err(ClientError::Exhausted {
-                            attempts: 0,
-                            last: "no live ring member".to_string(),
-                        });
-                    }
-                    self.waiting.push_front(Entry {
-                        kind: EntryKind::Send { tried: 0 },
-                        ..e
-                    });
-                    if self.probe_ring() {
-                        // Adopted: the entry re-routes (tried reset by
-                        // `adopt`) under the new ring.
-                        continue;
-                    }
-                    return Err(ClientError::Exhausted {
-                        attempts: 0,
-                        last: "every live member answered not-mine; re-resolve the ring"
-                            .to_string(),
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// One pass over every live pipe: seals and writes frames that are
-    /// due (`flush` writes any non-empty open frame, otherwise only
-    /// full ones), keeps at most `pipeline_frames` frames on each wire,
-    /// and in flush mode drains every outstanding reply. Displaced
-    /// lines land in the waiting queue for the caller's next round.
-    /// Returns whether every pipe now fits its target: empty under
-    /// `flush`, within batch and window otherwise.
-    fn settle_step(&mut self, flush: bool) -> Result<bool, ClientError> {
-        let batch = self.cfg.client.batch.max(1);
-        let window = self.cfg.pipeline_frames;
-        for index in 0..self.pipes.len() {
-            if !self.alive[index] {
-                continue;
-            }
-            loop {
-                let open = self.pipes[index].open_len();
-                if open == 0 || (!flush && open < batch) {
-                    break;
-                }
-                let cut = self.pipes[index].seal_cut(batch);
-                if self.pipes[index].wire_conflicts(cut) {
-                    // Some machine in the cut is still on the wire:
-                    // drain until it is released (the no-span rule).
-                    match self.drain_oldest(index)? {
-                        Drain::Done => continue,
-                        Drain::Lost => break,
-                    }
-                }
-                let entries = self.pipes[index].take_open(cut);
-                let wrote = self.client(index).and_then(|c| {
-                    c.write_frame(entries.len(), entries.iter().map(|e| &e.req))?
-                        .then(|| c.flush_frames())
-                });
-                if let Some(broken) = Broken::of(wrote)? {
-                    self.pipe_transport_failure(index, entries, broken);
-                    break;
-                }
-                let coalesced = entries.len() > 1;
-                self.pipes[index].sent(entries, Instant::now());
-                self.metrics.frames += 1;
-                self.global.pipeline_frames.inc();
-                self.global.pipeline_inflight.inc();
-                if coalesced {
-                    self.metrics.coalesced_runs += 1;
-                    self.global.pipeline_coalesced.inc();
-                }
-                let mut lost = false;
-                while !lost && self.alive[index] && self.pipes[index].inflight_len() > window {
-                    lost = matches!(self.drain_oldest(index)?, Drain::Lost);
-                }
-                if lost || !self.alive[index] {
-                    break;
-                }
-            }
-            while flush && self.alive[index] && self.pipes[index].inflight_len() > 0 {
-                self.drain_oldest(index)?;
-            }
-        }
-        Ok(self.pipes.iter().enumerate().all(|(i, p)| {
-            if !self.alive[i] || flush {
-                p.is_empty()
-            } else {
-                p.open_len() < batch && p.inflight_len() <= window
-            }
-        }))
-    }
-
-    /// Settles every pipe — writes all open frames and drains every
-    /// inflight reply — *without* routing the waiting queue, so it is
-    /// safe inside [`ClusterClient::adopt`]: lines the pipes never sent
-    /// stay waiting and re-route under the ring that emerges. Acks queue
-    /// mirrors onto pipes a pass may already have visited, so settling
-    /// can take several passes; it ends for the reasons `pump` does.
-    fn settle_pipes(&mut self) -> Result<(), ClientError> {
-        while !self.settle_step(true)? {}
-        Ok(())
-    }
-
-    /// Drains member `index`'s oldest inflight frame and resolves each
-    /// reply: `OK`/server errors acknowledge the line (queueing its
-    /// mirror onto the replica's pipe), and `not-mine` re-routes the
-    /// line — and its still-open successors — through the waiting queue.
-    fn drain_oldest(&mut self, index: usize) -> Result<Drain, ClientError> {
-        let Some(n) = self.pipes[index].oldest_len() else {
-            return Ok(Drain::Done);
-        };
-        let mut replies = Vec::with_capacity(n);
-        let read = self
-            .client(index)
-            .and_then(|c| c.read_frame_replies(n, &mut replies));
-        if let Some(broken) = Broken::of(read)? {
-            self.pipe_transport_failure(index, Vec::new(), broken);
-            return Ok(Drain::Lost);
-        }
-        let frame = self.pipes[index]
-            .complete_oldest()
-            .expect("frame was inflight");
-        self.global.pipeline_inflight.dec();
-        self.pipe_strikes[index] = Strikes::default();
-        let lat_us = frame.sent_at.elapsed().as_secs_f64() * 1e6;
-        let mut resolved = 0u64;
-        let mut redirected: HashMap<u64, u32> = HashMap::new();
-        for (entry, resp) in frame.entries.into_iter().zip(replies) {
-            match resp {
-                Response::Err {
-                    code: ErrCode::NotMine,
-                    ..
-                } => match entry.kind {
-                    EntryKind::Send { tried } => {
-                        self.metrics.redirects += 1;
-                        self.global.redirects.inc();
-                        redirected.insert(entry.hash, tried + 1);
-                        self.waiting.push_back(Entry {
-                            kind: EntryKind::Send { tried: tried + 1 },
-                            ..entry
-                        });
-                    }
-                    EntryKind::Mirror => {
-                        // The replica's all-alive view disagrees; the
-                        // owner holds the data — degrade, don't re-route.
-                        self.metrics.mirror_drops += 1;
-                    }
-                },
-                Response::Err { .. } => {
-                    resolved += 1;
-                    if matches!(entry.kind, EntryKind::Send { .. }) {
-                        self.pipelined_err += 1;
-                    }
-                }
-                _ => {
-                    resolved += 1;
-                    if matches!(entry.kind, EntryKind::Send { .. }) {
-                        self.pipelined_ok += 1;
-                        if self.cfg.mirror {
-                            if let Some(target) = self.ring.mirror_target(entry.hash, &self.alive) {
-                                self.pipes[target].push(Entry {
-                                    kind: EntryKind::Mirror,
-                                    ..entry
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if !redirected.is_empty() {
-            let hashes: HashSet<u64> = redirected.keys().copied().collect();
-            let moved = self.pipes[index].extract_open_matching(&hashes);
-            for e in moved {
-                match e.kind {
-                    EntryKind::Send { tried } => {
-                        let tried = redirected.get(&e.hash).copied().unwrap_or(tried);
-                        self.waiting.push_back(Entry {
-                            kind: EntryKind::Send { tried },
-                            ..e
-                        });
-                    }
-                    // A machine's mirrors live on a different pipe than
-                    // its sends (owner ≠ mirror target) — unreachable,
-                    // but re-pinning is the safe fallback.
-                    EntryKind::Mirror => self.pipes[index].push(e),
-                }
-            }
-        }
-        self.frame_lats.record_n(lat_us, resolved);
-        Ok(Drain::Done)
-    }
-
-    /// Member `index`'s transport failed under a frame (write or drain).
-    /// Its whole unacknowledged tail — inflight frames in send order,
-    /// the frame that was about to be written, then the open frame — is
-    /// displaced in order: sends replay through the waiting queue,
-    /// mirrors stay pinned. Consecutive failures are bounded by the
-    /// retry budget (the pipe-level analogue of [`Client`]'s
-    /// per-request retries); exhausting it — or a refused reconnect, at
-    /// once — marks the member dead, which drops its pinned mirrors.
-    fn pipe_transport_failure(&mut self, index: usize, about_to_send: Vec<Entry>, broken: Broken) {
-        let strikes = &mut self.pipe_strikes[index];
-        strikes.count = strikes.count.saturating_add(1);
-        let count = strikes.count;
-        let since = *strikes.since.get_or_insert_with(Instant::now);
-        let frames = self.pipes[index].inflight_len();
-        if frames > 0 {
-            self.global.pipeline_inflight.add(-(frames as i64));
-        }
-        let open = self.pipes[index].take_all_open();
-        let mut tail = self.pipes[index].fail();
-        tail.extend(about_to_send);
-        tail.extend(open);
-        if !tail.is_empty() {
-            self.metrics.replayed_tails += 1;
-            self.global.pipeline_replayed.inc();
-        }
-        let mut mirrors = Vec::new();
-        for e in tail {
-            match e.kind {
-                EntryKind::Send { .. } => self.waiting.push_back(e),
-                EntryKind::Mirror => mirrors.push(e),
-            }
-        }
-        if matches!(broken, Broken::Refused) || count >= self.cfg.client.retry.max_attempts {
-            self.metrics.mirror_drops += mirrors.len() as u64;
-            self.mark_dead(index, since);
-        } else {
-            // The member gets another chance on a fresh connection;
-            // replays of already-applied lines are stale no-ops.
-            for e in mirrors {
-                self.pipes[index].push(e);
-            }
-            self.backoff(count);
-        }
-    }
-
-    /// Displaces member `index`'s remaining lines as part of its death: sends replay through the waiting queue, mirrors
-    /// targeted at it drop (the owner still holds the data).
-    fn displace_pipe(&mut self, index: usize) {
-        let frames = self.pipes[index].inflight_len();
-        if frames > 0 {
-            self.global.pipeline_inflight.add(-(frames as i64));
-        }
-        let tail = self.pipes[index].fail();
-        if tail.is_empty() {
-            return;
-        }
-        self.metrics.replayed_tails += 1;
-        self.global.pipeline_replayed.inc();
-        for e in tail {
-            match e.kind {
-                EntryKind::Send { .. } => self.waiting.push_back(e),
-                EntryKind::Mirror => self.metrics.mirror_drops += 1,
-            }
-        }
-    }
-
-    /// Sleeps, and counts, the retry policy's nap for `attempt` —
-    /// [`Client`]'s schedule, but per member: the pipeline backs off a
-    /// whole pipe, not one request.
-    fn backoff(&mut self, attempt: u32) {
-        let nap = self.cfg.client.retry.nap(attempt, &mut self.rng);
-        let nap_us = nap.as_micros() as u64;
-        self.metrics.backoff_sleeps += 1;
-        self.metrics.backoff_slept_us += nap_us;
-        self.global.backoff_sleeps.inc();
-        self.global.backoff_slept_us.add(nap_us);
-        std::thread::sleep(nap);
+    /// Sends one read to the key's owner as a routed line, after a
+    /// [`ClusterClient::flush`], so the answer reflects every sample
+    /// observed before it and a failover between this call and that
+    /// ingest cannot lose acknowledged state. It falls over on
+    /// `not-mine` redirects and member deaths like a sample.
+    fn read(
+        &mut self,
+        cell: &CellId,
+        machine: MachineId,
+        req: Request,
+    ) -> Result<Response, ClientError> {
+        self.flush()?;
+        self.router.answers.clear();
+        self.router.waiting.push_back(Entry {
+            hash: key_hash(&(cell.clone(), machine)),
+            req,
+            kind: EntryKind::Send { tried: 0 },
+        });
+        self.pump(true)?;
+        let (_, _, answer) = self
+            .router
+            .answers
+            .pop()
+            .expect("a settled read has its answer");
+        Ok(answer)
     }
 
     /// Fetches the predicted peak for one machine from its owner. Queued
-    /// samples — mirrors included — are flushed first, so the answer
-    /// reflects every sample observed before it and a failover between
-    /// this call and that ingest cannot lose acknowledged state.
+    /// samples — mirrors included — are flushed first.
     ///
     /// # Errors
     ///
     /// Propagates routing exhaustion; a non-`PRED` response becomes
     /// [`ClientError::Server`].
     pub fn predict(&mut self, cell: &CellId, machine: MachineId) -> Result<f64, ClientError> {
-        self.flush()?;
-        let hash = key_hash(&(cell.clone(), machine));
         let req = Request::Predict {
             cell: cell.clone(),
             machine,
             vector: false,
         };
-        match self.send_routed(hash, &req)? {
+        match self.read(cell, machine, req)? {
             Response::Pred { peak, .. } => Ok(peak),
             other => Err(ClientError::unexpected("PRED", &other)),
         }
@@ -888,14 +563,12 @@ impl ClusterClient {
         machine: MachineId,
         limit: f64,
     ) -> Result<(bool, f64), ClientError> {
-        self.flush()?;
-        let hash = key_hash(&(cell.clone(), machine));
         let req = Request::Admit {
             cell: cell.clone(),
             machine,
             limit,
         };
-        match self.send_routed(hash, &req)? {
+        match self.read(cell, machine, req)? {
             Response::Admitted { admit, projected } => Ok((admit, projected)),
             other => Err(ClientError::unexpected("ADMITTED", &other)),
         }
@@ -903,96 +576,254 @@ impl ClusterClient {
 
     /// Cluster-wide `STATS`: every live member's snapshot, taken after a
     /// [`ClusterClient::flush`], folded through [`StatsSnapshot::merge`].
+    /// A member whose epoch word changed makes the client probe the
+    /// ring, and a sweep that ends in an adoption starts again on the
+    /// adopted ring.
     ///
     /// # Errors
     ///
-    /// Propagates per-member request failures (a member that dies here
+    /// Propagates routing and protocol failures (a member that dies here
     /// is marked dead and skipped).
     pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
         self.flush()?;
-        let mut merged = StatsSnapshot::default();
-        let mut ring_changed = false;
-        for index in 0..self.alive.len() {
-            if !self.alive[index] {
+        loop {
+            let adoptions = self.router.metrics.adoptions;
+            self.router.answers.clear();
+            for index in 0..self.router.alive.len() {
+                if self.router.alive[index] {
+                    self.engine.push(index, Entry::pinned(Request::Stats, 0));
+                }
+            }
+            self.pump(true)?;
+            if self.router.metrics.adoptions != adoptions {
                 continue;
             }
-            let started = Instant::now();
-            match self.client(index).and_then(|c| c.stats()) {
-                Ok(s) => {
-                    // Full-word comparison only: the low 16 bits alias
-                    // generations 2^16 apart (see `pack_epoch`), and the
-                    // word orders nothing — it is a change *hint* whose
-                    // follow-up is an authoritative `RING` probe.
-                    let seen = self.last_epoch[index];
-                    if s.epoch != 0 && seen != 0 && s.epoch != seen {
-                        ring_changed = true;
+            let mut merged = StatsSnapshot::default();
+            let mut ring_changed = false;
+            for (index, _, resp) in std::mem::take(&mut self.router.answers) {
+                let s = match resp {
+                    Response::Stats(s) => s,
+                    other => return Err(ClientError::unexpected("STATS", &other)),
+                };
+                // Full-word comparison only: the low 16 bits alias
+                // generations 2^16 apart (see `pack_epoch`), and the
+                // word orders nothing — it is a change *hint* whose
+                // follow-up is an authoritative `RING` probe.
+                let seen = self.router.last_epoch[index];
+                if s.epoch != 0 && seen != 0 && s.epoch != seen {
+                    ring_changed = true;
+                }
+                self.router.last_epoch[index] = s.epoch;
+                merged.merge(&s);
+            }
+            if ring_changed && self.probe_ring()? {
+                continue;
+            }
+            return Ok(merged);
+        }
+    }
+}
+
+impl Router {
+    /// Candidate members for a key, preference-ordered: live owner,
+    /// live replica, then every other live member.
+    fn candidates(&self, hash: u64) -> Vec<usize> {
+        let (owner, replica) = self.ring.routes(hash, &self.alive);
+        let mut order = Vec::with_capacity(self.alive.len());
+        order.extend(owner);
+        order.extend(replica.filter(|r| Some(*r) != owner));
+        for (i, &alive) in self.alive.iter().enumerate() {
+            if alive && !order.contains(&i) {
+                order.push(i);
+            }
+        }
+        order
+    }
+
+    /// Sends of `tail` go back to the waiting queue to be routed again;
+    /// mirrors go to `keep`. Counts a replayed tail if there was one.
+    fn displace(&mut self, tail: Vec<Entry>, frames: usize, mut keep: impl FnMut(Entry)) {
+        if frames > 0 {
+            self.global.pipeline_inflight.add(-(frames as i64));
+        }
+        if tail.is_empty() {
+            return;
+        }
+        self.metrics.replayed_tails += 1;
+        self.global.pipeline_replayed.inc();
+        for e in tail {
+            match e.kind {
+                EntryKind::Send { .. } => self.waiting.push_back(e),
+                _ => keep(e),
+            }
+        }
+    }
+}
+
+impl Policy for Router {
+    fn wrote(&mut self, _lane: usize, lines: usize) {
+        self.metrics.frames += 1;
+        self.global.pipeline_frames.inc();
+        self.global.pipeline_inflight.inc();
+        if lines > 1 {
+            self.metrics.coalesced_runs += 1;
+            self.global.pipeline_coalesced.inc();
+        }
+    }
+
+    /// `OK`/server errors acknowledge a line (queueing a sample's mirror
+    /// onto the replica's lane), a read's or probe's answer is kept for
+    /// its caller, and `not-mine` re-routes a send — with its machine's
+    /// still-open successors — through the waiting queue.
+    fn resolved(&mut self, eng: &mut Engine, lane: usize, frame: SentFrame, replies: &[Response]) {
+        self.global.pipeline_inflight.dec();
+        let lat_us = frame.sent_at.elapsed().as_secs_f64() * 1e6;
+        let mut resolved = 0u64;
+        let mut redirected: HashMap<u64, u32> = HashMap::new();
+        for (entry, resp) in frame.entries.into_iter().zip(replies) {
+            let not_mine = matches!(
+                resp,
+                Response::Err {
+                    code: ErrCode::NotMine,
+                    ..
+                }
+            );
+            match entry.kind {
+                EntryKind::Pinned(tag) => self.answers.push((lane, tag, resp.clone())),
+                // The replica's all-alive view disagrees; the owner
+                // holds the data — degrade, don't re-route.
+                EntryKind::Mirror if not_mine => self.metrics.mirror_drops += 1,
+                EntryKind::Mirror => resolved += 1,
+                EntryKind::Send { tried } if not_mine => {
+                    self.metrics.redirects += 1;
+                    self.global.redirects.inc();
+                    redirected.insert(entry.hash, tried + 1);
+                    self.waiting.push_back(Entry {
+                        kind: EntryKind::Send { tried: tried + 1 },
+                        ..entry
+                    });
+                }
+                EntryKind::Send { .. } if !matches!(entry.req, Request::Observe { .. }) => {
+                    self.answers.push((lane, 0, resp.clone()));
+                }
+                EntryKind::Send { .. } => {
+                    resolved += 1;
+                    if matches!(resp, Response::Err { .. }) {
+                        self.pipelined_err += 1;
+                        continue;
                     }
-                    self.last_epoch[index] = s.epoch;
-                    merged.merge(&s);
+                    self.pipelined_ok += 1;
+                    if self.cfg.mirror {
+                        if let Some(target) = self.ring.mirror_target(entry.hash, &self.alive) {
+                            let mirror = Entry {
+                                kind: EntryKind::Mirror,
+                                ..entry
+                            };
+                            eng.push(target, mirror);
+                        }
+                    }
                 }
-                Err(ClientError::Io(_)) | Err(ClientError::Exhausted { .. }) => {
-                    self.mark_dead(index, started);
-                }
-                Err(other) => return Err(other),
             }
         }
-        if ring_changed {
-            self.probe_ring();
-        }
-        Ok(merged)
-    }
-}
-
-/// One member's run of consecutive pipelined transport failures.
-#[derive(Debug, Clone, Copy, Default)]
-struct Strikes {
-    count: u32,
-    /// When the first of them happened.
-    since: Option<Instant>,
-}
-
-/// How a member's transport failed under a frame.
-#[derive(Clone, Copy)]
-enum Broken {
-    /// Reset, EOF, deadline, `ERR timeout`/`conn-limit`, or a connect
-    /// that failed some other way: one strike on the retry ladder.
-    Strike,
-    /// The reconnect was refused: the member is dead, no ladder.
-    Refused,
-}
-
-impl Broken {
-    /// Sorts a frame I/O result: `Ok(None)` — the step completed.
-    fn of(io: Result<FrameIo, ClientError>) -> Result<Option<Broken>, ClientError> {
-        match io {
-            Ok(FrameIo::Done) => Ok(None),
-            Err(e) if e.is_refused() => Ok(Some(Broken::Refused)),
-            Ok(FrameIo::Lost(_)) | Err(ClientError::Io(_)) | Err(ClientError::Exhausted { .. }) => {
-                Ok(Some(Broken::Strike))
+        if !redirected.is_empty() {
+            let hashes: HashSet<u64> = redirected.keys().copied().collect();
+            let moved = eng.lanes[lane].pipe.extract_open_matching(&hashes);
+            for e in moved {
+                match e.kind {
+                    EntryKind::Send { tried } => {
+                        let tried = redirected.get(&e.hash).copied().unwrap_or(tried);
+                        self.waiting.push_back(Entry {
+                            kind: EntryKind::Send { tried },
+                            ..e
+                        });
+                    }
+                    // A machine's mirrors live on a different lane than
+                    // its sends (owner ≠ mirror target) — unreachable,
+                    // but re-pinning is the safe fallback.
+                    _ => eng.push(lane, e),
+                }
             }
-            Err(other) => Err(other),
+        }
+        self.frame_lats.record_n(lat_us, resolved);
+    }
+
+    /// The member gets another chance on a fresh connection after its
+    /// nap; replays of already-applied lines are stale no-ops. Its sends
+    /// replay through the waiting queue, its mirrors and probes stay.
+    fn lost(
+        &mut self,
+        eng: &mut Engine,
+        lane: usize,
+        tail: Vec<Entry>,
+        frames: usize,
+        nap: Duration,
+    ) {
+        let nap_us = nap.as_micros() as u64;
+        self.metrics.backoff_sleeps += 1;
+        self.metrics.backoff_slept_us += nap_us;
+        self.global.backoff_sleeps.inc();
+        self.global.backoff_slept_us.add(nap_us);
+        let mut kept = Vec::new();
+        self.displace(tail, frames, |e| kept.push(e));
+        eng.lanes[lane].pipe.reopen(kept);
+    }
+
+    /// A transport failure the ladder does not absorb marks the member
+    /// dead: its sends replay to the keys' new owners, mirrors pinned to
+    /// it drop, and the ring is probed before the next round (the
+    /// supervisor may already have replaced it under a bumped
+    /// generation). Any other error also ends the call.
+    fn failed(
+        &mut self,
+        eng: &mut Engine,
+        lane: usize,
+        tail: Vec<Entry>,
+        frames: usize,
+        err: ClientError,
+    ) -> Result<(), ClientError> {
+        trace::event(
+            "cluster.failover",
+            lane as u64,
+            eng.failing_since(lane).elapsed().as_micros() as u64,
+        );
+        let mut dropped = 0u64;
+        self.displace(tail, frames, |e| {
+            if e.kind == EntryKind::Mirror {
+                dropped += 1;
+            }
+        });
+        self.metrics.mirror_drops += dropped;
+        self.alive[lane] = false;
+        eng.retire(lane);
+        self.metrics.failovers += 1;
+        self.probe_due = true;
+        match err {
+            ClientError::Io(_) | ClientError::Exhausted { .. } => Ok(()),
+            other => Err(other),
         }
     }
-}
 
-/// Outcome of draining one member's oldest inflight frame.
-enum Drain {
-    /// Every reply was read and resolved: acknowledged, errored, or
-    /// redirected. (No inflight frame at all also counts.)
-    Done,
-    /// The member's transport failed; its unacknowledged tail was
-    /// displaced.
-    Lost,
+    /// Every live lane is empty (`flush`), or has less than a frame open.
+    fn done(&self, eng: &Engine, flush: bool) -> bool {
+        let batch = self.cfg.client.batch;
+        eng.lanes.iter().zip(&self.alive).all(|(lane, &alive)| {
+            !alive || lane.pipe.is_empty() || (!flush && lane.pipe.open_len() < batch)
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{Client, RetryPolicy};
     use crate::fleet::tests::{members_on, ring_servers};
     use crate::fleet::{fleet_task, fleet_usage, offline_peak, FLEET_LIMIT};
     use oc_serve::config::ServeConfig;
     use oc_serve::ring::KeyRole;
+    use oc_serve::server::Server;
     use oc_trace::ids::JobId;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Instant;
 
     fn fleet_of(n: u32) -> (CellId, Vec<MachineId>) {
         (CellId::new("cc"), (0..n).map(MachineId).collect())
@@ -1184,10 +1015,11 @@ mod tests {
         for &m in &owned2 {
             observe(&mut cc, m);
         }
-        // One pass: pipes 0 and 1 are visited before member 2's frame is
-        // written and acknowledged, so its acks leave the mirrors queued.
-        assert!(!cc.settle_step(true).expect("settle"));
-        let pinned = (cc.pipes[0].open_len(), cc.pipes[1].open_len());
+        // One round: member 2's frame is written and acknowledged, and
+        // its acks leave the mirrors queued on lanes 0 and 1, unwritten.
+        assert!(!cc.engine.step(&mut cc.router, true).expect("round"));
+        let lanes = &cc.engine.lanes;
+        let pinned = (lanes[0].pipe.open_len(), lanes[1].pipe.open_len());
         assert!(pinned.0 > 0 && pinned.1 > 0, "{pinned:?}");
         assert_eq!(pinned.0 + pinned.1, owned2.len());
         servers.remove(1).shutdown();
@@ -1256,5 +1088,136 @@ mod tests {
         let addrs: Vec<SocketAddr> = vec!["127.0.0.1:1".parse().expect("addr")];
         let err = ClusterClient::connect(spec, &addrs, ClusterClientConfig::default());
         assert!(matches!(err, Err(ClientError::Config(_))));
+    }
+
+    /// A smaller ring adopted mid-call. With member 0 gone and member 1
+    /// serving a 2-node generation-1 ring, the death a `STATS` sweep or
+    /// a drive finds makes the client adopt that ring, and the call goes
+    /// on over the adopted membership instead of indexing the old one.
+    #[test]
+    fn adopting_a_smaller_ring_mid_drive_restarts_on_it() {
+        for sweep in [true, false] {
+            let (spec, mut servers, addrs) = ring_servers(3);
+            let mut cc = ClusterClient::connect(spec, &addrs, ClusterClientConfig::default())
+                .expect("connect");
+            servers.remove(0).shutdown();
+            let push = Request::RingSet {
+                spec: RingSpec {
+                    nodes: 2,
+                    generation: 1,
+                    ..spec
+                },
+                addrs: vec![addrs[1].to_string(), addrs[2].to_string()],
+            };
+            let resp = Client::connect(addrs[1], ClientConfig::default())
+                .and_then(|mut c| c.request(&push))
+                .expect("ringset");
+            assert!(matches!(resp, Response::Ok), "RINGSET answered {resp:?}");
+            if sweep {
+                cc.stats().expect("stats over the adopted ring");
+            } else {
+                let (cell, _) = fleet_of(1);
+                let ring = spec.build();
+                let m = (0..200)
+                    .map(MachineId)
+                    .find(|m| ring.owner(key_hash(&(cell.clone(), *m)), &[true; 3]) == Some(0))
+                    .expect("some machine member 0 owns");
+                cc.observe(&cell, m, TaskId::new(JobId(4), 0), 0.3, 0.5, 0)
+                    .expect("observe");
+                cc.flush().expect("flush over the adopted ring");
+            }
+            assert_eq!(cc.metrics().adoptions, 1, "sweep: {sweep}");
+            for s in servers {
+                s.shutdown();
+            }
+        }
+    }
+
+    /// A member that is stopped but not killed — it accepts and reads
+    /// but never answers, as a SIGSTOPped process looks to a client —
+    /// does not stall the live members: their lines are applied while
+    /// its frame waits out the reply deadline, and its own lines end on
+    /// their replicas once its strikes mark it dead.
+    #[test]
+    fn a_stopped_member_does_not_stall_the_live_ones() {
+        fn applied(addrs: &[SocketAddr]) -> u64 {
+            let stats = |a: SocketAddr| Client::connect(a, ClientConfig::default())?.stats();
+            addrs
+                .iter()
+                .map(|&a| stats(a).expect("member STATS").observes)
+                .sum()
+        }
+        let spec = RingSpec::new(3);
+        let stub = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        stub.set_nonblocking(true).expect("nonblocking");
+        let mut addrs = vec![stub.local_addr().expect("stub addr")];
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut held = Vec::new();
+                while !stop.load(Ordering::Relaxed) {
+                    if let Ok((conn, _)) = stub.accept() {
+                        conn.set_nonblocking(true).expect("nonblocking");
+                        held.push(conn);
+                    }
+                    for mut conn in &held {
+                        let _ = std::io::copy(&mut conn, &mut std::io::sink());
+                    }
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+            })
+        };
+        let live: Vec<Server> = (1..3)
+            .map(|i| {
+                let cfg = ServeConfig::default().with_addr("127.0.0.1:0");
+                Server::start(cfg.with_shards(1).with_ring(spec, i)).expect("member starts")
+            })
+            .collect();
+        addrs.extend(live.iter().map(|s| s.addr()));
+        let client = ClientConfig {
+            response_timeout: Duration::from_secs(1),
+            ..ClientConfig::default()
+        };
+        let cfg = ClusterClientConfig {
+            client: client.with_batch(16).with_retry(RetryPolicy {
+                max_attempts: 2,
+                ..RetryPolicy::default()
+            }),
+            mirror: false,
+            pipeline_frames: 2,
+        };
+        let mut cc = ClusterClient::connect(spec, &addrs, cfg).expect("connect");
+        let ring = spec.build();
+        let (cell, machines) = fleet_of(24);
+        let task = TaskId::new(JobId(5), 0);
+        let mut to_live = 0;
+        for &m in &machines {
+            cc.observe(&cell, m, task, 0.3, 0.5, 0).expect("observe");
+            let owner = ring.owner(key_hash(&(cell.clone(), m)), &[true; 3]);
+            to_live += u64::from(owner != Some(0));
+        }
+        assert!(to_live < 24, "the stopped member owns some machine");
+        let live_addrs = addrs[1..].to_vec();
+        let started = Instant::now();
+        let watcher = std::thread::spawn(move || {
+            while applied(&live_addrs) < to_live && started.elapsed() < Duration::from_secs(5) {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            started.elapsed()
+        });
+        cc.flush().expect("flush");
+        let took = watcher.join().expect("watcher");
+        assert!(
+            took < Duration::from_millis(300),
+            "the live members waited {took:?}"
+        );
+        assert!(!cc.alive()[0], "the stopped member's strikes mark it dead");
+        assert_eq!(applied(&addrs[1..]), 24, "its lines end on their replicas");
+        stop.store(true, Ordering::Relaxed);
+        stopped.join().expect("stub");
+        for s in live {
+            s.shutdown();
+        }
     }
 }

@@ -6,24 +6,30 @@
 //! would misread as fatal. This crate owns the client-side half of that
 //! contract:
 //!
-//! * [`client`] — [`Client`]: one logical connection with transparent
+//! Every frame the crate sends goes through one engine (`engine.rs`): a
+//! lane per connection, each with its pipe of open and on-the-wire
+//! frames, served when its socket is readable or a due time (a retry
+//! nap, a paced release, a reply deadline) comes up. The three callers
+//! are thin policies over it:
+//!
+//! * [`client`] — [`Client`]: the one-lane engine. Transparent
 //!   reconnect, bounded exponential backoff with deterministic (seeded)
-//!   jitter, typed request helpers, and windowed pipelining for bulk
-//!   ingest. Re-sending after an ambiguous failure is safe because server
-//!   ingestion is idempotent per `(tick, task)`.
-//! * [`loadgen`] — the load driver: one thread and the vendored
-//!   `oc-reactor` poller drive N [`Client`]s, from a few replaying a
-//!   generated cell to a 10 000-connection node-agent fan-in, paced or
-//!   open, through the client's own frame writer and reader. Lost frames
-//!   are retried on fresh connections; per-connection failures land in
-//!   the report instead of aborting, and every connection can wear the
-//!   seeded fault-injection plan from [`oc_serve::fault`] (chaos mode).
+//!   jitter, typed request helpers, and a sliding pipelining window for
+//!   bulk ingest. Re-sending after an ambiguous failure is safe because
+//!   server ingestion is idempotent per `(tick, task)`.
+//! * [`loadgen`] — the load driver: one thread drives N lanes, from a
+//!   few replaying a generated cell to a 10 000-connection node-agent
+//!   fan-in, paced or open. Lost frames are retried on fresh
+//!   connections; per-connection failures land in the report instead of
+//!   aborting, and every connection can wear the seeded fault-injection
+//!   plan from [`oc_serve::fault`] (chaos mode).
 //! * [`cluster`] — [`ClusterClient`]: one client over an N-process
-//!   `oc-cluster` ring. Every sample takes one path: routed to the key's
-//!   owner via the shared consistent-hash ring, framed and pipelined per
-//!   member, mirrored to the replica once acknowledged (so a SIGKILLed
-//!   member loses nothing). It absorbs `ERR not-mine` redirects and
-//!   fails over when a member dies.
+//!   `oc-cluster` ring, a lane per member. Every sample takes one path:
+//!   routed to the key's owner via the shared consistent-hash ring,
+//!   framed and pipelined per member, mirrored to the replica once
+//!   acknowledged (so a SIGKILLed member loses nothing). It absorbs
+//!   `ERR not-mine` redirects and fails over when a member dies, and a
+//!   napping or silent member never stalls the others.
 //! * [`fleet`] — the fleet driver: replays a synthetic fleet through one
 //!   [`ClusterClient`] and proves served-vs-offline prediction identity
 //!   after failures.
@@ -56,6 +62,7 @@
 
 pub mod client;
 pub mod cluster;
+mod engine;
 pub mod error;
 pub mod fleet;
 pub mod loadgen;

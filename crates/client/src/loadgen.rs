@@ -1,21 +1,24 @@
-//! The load driver for `oc-serve`: one thread, one poller, N connections.
+//! The load driver for `oc-serve`: one thread, one engine, N connections.
 //!
 //! [`run`] drives every connection of a run — four replaying a cell or
-//! ten thousand node agents — from a single thread over the vendored
-//! `oc-reactor` poller. Each connection is a [`Client`] replaying a
-//! script of [`Request`]s ([`Script`]) in frames of `batch` lines,
-//! written through the client's frame writer and read back through its
-//! frame reader: the wire path every other caller in this crate uses.
+//! ten thousand node agents — from a single thread as lanes of the
+//! crate's send engine (`engine.rs`), the path every other caller in
+//! this crate uses. Each connection replays a script of [`Request`]s
+//! ([`Script`]), fed to its lane as the lane has room.
 //!
 //! # Schedule
 //!
-//! Paced (`target_qps > 0`): frame `k` of the run is due at
-//! `start + k·stagger` on connection `k mod N`, `stagger = batch /
-//! target_qps`, so arrivals at the server are smooth rather than
-//! phase-locked bursts. Unpaced: a connection refills as its frames
-//! complete. Either way a connection keeps at most `max(2·batch, 64)`
-//! lines on the wire. Replies are read when the poller reports the
-//! socket readable, or while the client's reader already holds bytes.
+//! Paced (`target_qps > 0`): frame `k` of the run is released at
+//! `start + k·stagger` to connection `k mod N`, `stagger = batch /
+//! target_qps` — a due time in the engine's heap — so arrivals at the
+//! server are smooth rather than phase-locked bursts. Unpaced: a
+//! connection refills as its frames complete. Either way a connection
+//! keeps at most `max(2·batch, 64)` lines on the wire, in frames of
+//! exactly `batch` lines (its lines are pinned to it, so no ordering
+//! rule holds one back). Replies are read when the poller reports the
+//! socket readable, or while the reader already holds bytes, and a
+//! connection's reply deadline is a due time too, so one that goes
+//! silent holds up no other.
 //!
 //! # Failures
 //!
@@ -23,7 +26,7 @@
 //! no reply within the client's response timeout) puts every line that
 //! connection had on the wire back ahead of its script, in order, to be
 //! sent again on a fresh connection after the retry policy's nap — a due
-//! time in the schedule, never a sleep of the driver thread. Re-sending
+//! time in the engine's heap, never a sleep of the driver thread. Re-sending
 //! is safe because ingestion is idempotent (see [`crate::client`]).
 //! `max_attempts` losses with no frame resolved in between fail the
 //! connection into [`LoadReport::conn_failures`]; the others carry on.
@@ -39,9 +42,10 @@
 //! reply line, pipelining queue time included), hence
 //! `latency.count() == ok + errors`; connect time goes to `setup`.
 
-use crate::client::{Client, ClientConfig, FrameIo};
+use crate::client::{Client, ClientConfig};
+use crate::engine::{Engine, Policy, Shape};
 use crate::error::ClientError;
-use oc_reactor::{Events, Interest, Poller, RawFd};
+use crate::pipe::{Entry, MemberPipe, SentFrame};
 use oc_serve::fault::FaultPlan;
 use oc_serve::proto::{Request, Response, StatsSnapshot};
 use oc_telemetry::metrics::HistogramSnapshot;
@@ -50,8 +54,6 @@ use oc_trace::cell::{CellConfig, CellPreset};
 use oc_trace::ids::{CellId, JobId, TaskId};
 use oc_trace::time::Tick;
 use oc_trace::{MachineId, WorkloadGenerator};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -313,10 +315,6 @@ type Lines = Box<dyn ExactSizeIterator<Item = Request>>;
 /// Tasks per synthetic fan-in machine (fewer when a frame is smaller).
 const FANIN_TASKS: usize = 8;
 
-/// Upper bound on one poller wait, so naps, the schedule and the reply
-/// deadline are looked at even when no socket is readable.
-const MAX_WAIT: Duration = Duration::from_millis(100);
-
 /// The [`Script::Cell`] scripts, one per connection.
 ///
 /// Request order per machine is tick-major and, within a tick, trace task
@@ -385,251 +383,104 @@ fn fanin_scripts(cfg: &LoadgenConfig, batch: usize) -> Vec<Lines> {
         .collect()
 }
 
-/// One connection of a run.
-struct Lane {
-    /// Connection index (trace payload, failure messages).
-    id: usize,
-    client: Client,
-    /// `loadgen.conn`, open from connect to settle.
-    span: Option<trace::Span>,
-    script: Lines,
-    /// Lines taken from the script and not resolved yet, in order: the
-    /// first `wired` are on the wire, the rest wait to be sent.
-    queue: VecDeque<Request>,
-    wired: usize,
-    /// Line count and write instant of each frame on the wire.
-    frames: VecDeque<(usize, Instant)>,
-    /// Frames the lane may write: released one by one by the paced
-    /// schedule, unbounded when unpaced.
-    owed: u64,
-    /// Losses since a frame last resolved.
-    strikes: u32,
-    /// Backing off after a loss: nothing is sent until the nap ends.
-    napping: bool,
-    /// The descriptor the poller watches, if any.
-    watched: Option<RawFd>,
-    /// Settled: every line resolved, or the connection failed.
-    done: bool,
-}
-
-impl Lane {
-    /// Stops polling the lane's socket, just before or after the client
-    /// closes it (no connect in between can reuse the number).
-    fn unwatch(&mut self, poller: &Poller) {
-        if let Some(fd) = self.watched.take() {
-            let _ = poller.deregister(fd);
-        }
-    }
-}
-
-/// A run's state: every lane and what they count into.
-struct Driver {
-    lanes: Vec<Lane>,
-    poller: Poller,
+/// A run's lanes as the engine's policy: each lane is fed from its
+/// script, and its replies are counted into the report.
+#[derive(Default)]
+struct Replay {
+    /// Connection index of each lane (trace payload, failure messages).
+    ids: Vec<usize>,
+    /// `loadgen.conn` of each lane, open from connect to settle.
+    spans: Vec<Option<trace::Span>>,
+    scripts: Vec<Lines>,
     tally: LoadReport,
-    batch: usize,
-    max_attempts: u32,
     /// Lanes not settled yet.
     live: usize,
-    /// Lanes to offer a send on the next pass.
-    ready: Vec<usize>,
-    /// Napping lanes by the end of their nap, soonest first.
-    naps: BinaryHeap<Reverse<(Instant, usize)>>,
-    /// One frame's replies.
-    replies: Vec<Response>,
 }
 
-impl Driver {
-    fn new(batch: usize, max_attempts: u32) -> std::io::Result<Driver> {
-        Ok(Driver {
-            lanes: Vec::new(),
-            poller: Poller::new()?,
-            tally: LoadReport::default(),
-            batch,
-            max_attempts,
-            live: 0,
-            ready: Vec::new(),
-            naps: BinaryHeap::new(),
-            replies: Vec::with_capacity(batch),
-        })
-    }
-
-    /// Adds a connected lane replaying `script`, offered a send on the
-    /// next pass; `unpaced` lets it write whenever its wire has room.
-    fn add(&mut self, id: usize, client: Client, span: trace::Span, script: Lines, unpaced: bool) {
+impl Replay {
+    /// Adds a connected lane replaying `script`.
+    fn add(
+        &mut self,
+        eng: &mut Engine,
+        id: usize,
+        client: Client,
+        span: trace::Span,
+        script: Lines,
+    ) {
         let empty = script.len() == 0;
-        self.ready.push(self.lanes.len());
-        self.lanes.push(Lane {
-            id,
-            client,
-            span: Some(span),
-            script,
-            queue: VecDeque::new(),
-            wired: 0,
-            frames: VecDeque::new(),
-            owed: if unpaced { u64::MAX } else { 0 },
-            strikes: 0,
-            napping: false,
-            watched: None,
-            done: false,
-        });
+        let lane = eng.add(client.into_link());
+        self.ids.push(id);
+        self.spans.push(Some(span));
+        self.scripts.push(script);
         self.live += 1;
         if empty {
-            self.settle(self.lanes.len() - 1, None);
+            self.settle(eng, lane, None);
         }
-    }
-
-    /// Writes the frames lane `i` may send now while its wire has room
-    /// for a full frame, then flushes them as one burst.
-    fn send(&mut self, i: usize) {
-        let (batch, cap) = (self.batch, (2 * self.batch).max(64));
-        let lane = &mut self.lanes[i];
-        if lane.done || lane.napping {
-            return;
-        }
-        let mut wrote = false;
-        while lane.owed > 0 && lane.wired + batch <= cap {
-            let end = lane.wired + batch;
-            let short = end.saturating_sub(lane.queue.len());
-            lane.queue.extend(lane.script.by_ref().take(short));
-            let n = end.min(lane.queue.len()) - lane.wired;
-            if n == 0 {
-                break;
-            }
-            let sent_at = Instant::now();
-            let frame = lane.queue.range(lane.wired..lane.wired + n);
-            lane.wired += n;
-            match lane.client.write_frame(n, frame) {
-                Ok(FrameIo::Done) => {}
-                Ok(FrameIo::Lost(what)) => return self.lose(i, what),
-                Err(e) => return self.settle(i, Some(e.to_string())),
-            }
-            lane.frames.push_back((n, sent_at));
-            lane.owed -= 1;
-            wrote = true;
-        }
-        if !wrote {
-            return;
-        }
-        match lane.client.flush_frames() {
-            Ok(FrameIo::Done) => {}
-            Ok(FrameIo::Lost(what)) => return self.lose(i, what),
-            Err(e) => return self.settle(i, Some(e.to_string())),
-        }
-        if lane.watched.is_none() {
-            let fd = lane.client.raw_fd().expect("a frame was just flushed");
-            if let Err(e) = self.poller.register(fd, i, Interest::READABLE) {
-                return self.settle(i, Some(format!("poller register: {e}")));
-            }
-            lane.watched = Some(fd);
-        }
-    }
-
-    /// Drains lane `i`'s replies: its oldest frame's once the poller has
-    /// reported the socket readable, then the next while the reader
-    /// already holds bytes.
-    fn read(&mut self, i: usize) {
-        loop {
-            let lane = &mut self.lanes[i];
-            let Some(&(n, sent_at)) = lane.frames.front() else {
-                // Readable with nothing asked: an idle close or EOF. The
-                // next frame goes out on a fresh connection.
-                lane.unwatch(&self.poller);
-                let _ = lane.client.drop_conn();
-                return;
-            };
-            self.replies.clear();
-            match lane.client.read_frame_replies(n, &mut self.replies) {
-                Ok(FrameIo::Done) => {}
-                Ok(FrameIo::Lost(what)) => return self.lose(i, what),
-                Err(e) => return self.settle(i, Some(e.to_string())),
-            }
-            lane.frames.pop_front();
-            lane.wired -= n;
-            lane.strikes = 0;
-            let tally = &mut self.tally;
-            let lat_us = sent_at.elapsed().as_secs_f64() * 1e6;
-            tally.latency.record_n(lat_us, n as u64);
-            for (req, resp) in lane.queue.drain(..n).zip(&self.replies) {
-                match resp {
-                    Response::Err { .. } => tally.errors += 1,
-                    Response::Ok if matches!(req, Request::Observe { .. }) => {
-                        tally.ok += 1;
-                        tally.acked_observes += 1;
-                    }
-                    _ => tally.ok += 1,
-                }
-            }
-            if lane.queue.is_empty() && lane.script.len() == 0 {
-                return self.settle(i, None);
-            }
-            if !lane.client.has_buffered_replies() {
-                return;
-            }
-        }
-    }
-
-    /// Lane `i`'s transport lost what it had on the wire. Those lines
-    /// stay first in its queue, to be sent again after one nap — unless
-    /// this makes `max_attempts` losses without a resolved frame, which
-    /// fails the lane.
-    fn lose(&mut self, i: usize, what: String) {
-        let lane = &mut self.lanes[i];
-        lane.unwatch(&self.poller);
-        lane.client.note_io(lane.wired as u64);
-        lane.client.note_retries(lane.wired as u64);
-        lane.wired = 0;
-        lane.frames.clear();
-        lane.strikes += 1;
-        if lane.strikes >= self.max_attempts {
-            let attempts = lane.strikes;
-            let why = ClientError::Exhausted {
-                attempts,
-                last: what,
-            };
-            return self.settle(i, Some(why.to_string()));
-        }
-        let nap = lane.client.nap(lane.strikes - 1);
-        lane.napping = true;
-        self.naps.push(Reverse((Instant::now() + nap, i)));
     }
 
     /// Lane `i` is finished — done, or failed for the reason given, which
-    /// the report records: its connection closes, its span ends, it
-    /// forgets what it had on the wire (so no timeout can lose it
-    /// again), and its client's retry and fault counts join the report.
-    fn settle(&mut self, i: usize, failure: Option<String>) {
-        let lane = &mut self.lanes[i];
+    /// the report records: its connection closes, its span ends, its
+    /// pipe is forgotten (so no deadline can lose it again), and its
+    /// retry and fault counts join the report.
+    fn settle(&mut self, eng: &mut Engine, i: usize, failure: Option<String>) {
+        let id = self.ids[i];
         if let Some(why) = failure {
-            trace::event("loadgen.conn.fail", lane.id as u64, 0);
-            let why = format!("connection {}: {why}", lane.id);
-            self.tally.conn_failures.push(why);
+            trace::event("loadgen.conn.fail", id as u64, 0);
+            self.tally
+                .conn_failures
+                .push(format!("connection {id}: {why}"));
         }
-        lane.unwatch(&self.poller);
-        let _ = lane.client.drop_conn();
-        lane.span = None;
-        lane.done = true;
-        lane.frames.clear();
-        lane.queue.clear();
-        lane.wired = 0;
-        let m = lane.client.metrics();
+        eng.retire(i);
+        self.spans[i] = None;
+        let link = &eng.lanes[i].link;
+        let m = link.metrics();
         self.tally.retries += m.retries;
         self.tally.reconnects += m.reconnects;
-        self.tally.faults += lane.client.faults_injected();
+        self.tally.faults += link.faults_injected();
         self.live -= 1;
     }
+}
 
-    /// Loses every live lane's wire whose oldest frame has had no reply
-    /// for longer than `timeout` at `now`, as a blocking read would have.
-    fn expire(&mut self, now: Instant, timeout: Duration) {
-        for i in 0..self.lanes.len() {
-            let lane = &mut self.lanes[i];
-            let sent_at = lane.frames.front().map(|&(_, at)| at);
-            if !lane.done && sent_at.is_some_and(|at| now.saturating_duration_since(at) > timeout) {
-                let _ = lane.client.drop_conn();
-                self.lose(i, "no reply within the response timeout".to_string());
+impl Policy for Replay {
+    fn refill(&mut self, lane: usize, pipe: &mut MemberPipe, want: usize) {
+        for req in self.scripts[lane].by_ref().take(want) {
+            pipe.push(Entry::pinned(req, 0));
+        }
+    }
+
+    fn resolved(&mut self, eng: &mut Engine, lane: usize, frame: SentFrame, replies: &[Response]) {
+        let tally = &mut self.tally;
+        let lat_us = frame.sent_at.elapsed().as_secs_f64() * 1e6;
+        tally.latency.record_n(lat_us, frame.entries.len() as u64);
+        for (e, resp) in frame.entries.iter().zip(replies) {
+            match resp {
+                Response::Err { .. } => tally.errors += 1,
+                Response::Ok if matches!(e.req, Request::Observe { .. }) => {
+                    tally.ok += 1;
+                    tally.acked_observes += 1;
+                }
+                _ => tally.ok += 1,
             }
         }
+        if eng.lanes[lane].pipe.is_empty() && self.scripts[lane].len() == 0 {
+            self.settle(eng, lane, None);
+        }
+    }
+
+    fn failed(
+        &mut self,
+        eng: &mut Engine,
+        lane: usize,
+        _: Vec<Entry>,
+        _: usize,
+        err: ClientError,
+    ) -> Result<(), ClientError> {
+        self.settle(eng, lane, Some(err.to_string()));
+        Ok(())
+    }
+
+    fn done(&self, _: &Engine, _: bool) -> bool {
+        self.live == 0
     }
 }
 
@@ -659,85 +510,47 @@ pub fn run(addr: SocketAddr, cfg: &LoadgenConfig) -> Result<LoadReport, ClientEr
         Script::Cell => cell_scripts(cfg)?,
         Script::Fanin => fanin_scripts(cfg, batch),
     };
-    let stagger = (cfg.target_qps > 0)
-        .then(|| Duration::from_secs_f64(batch as f64 / cfg.target_qps as f64))
-        .filter(|s| !s.is_zero());
+    let shape = Shape {
+        batch,
+        lines: (2 * batch).max(64),
+        frames: usize::MAX,
+    };
     let _ = oc_reactor::raise_nofile_limit();
-    let mut d = Driver::new(batch, client_cfg.retry.max_attempts)?;
-    d.tally.connections = scripts.len() as u64;
+    let mut eng = Engine::new(shape, &client_cfg);
+    let mut replay = Replay {
+        tally: LoadReport {
+            connections: scripts.len() as u64,
+            ..LoadReport::default()
+        },
+        ..Replay::default()
+    };
     for (id, script) in scripts.into_iter().enumerate() {
-        d.tally.sent += script.len() as u64;
+        replay.tally.sent += script.len() as u64;
         let span = trace::span_ab("loadgen.conn", id as u64, script.len() as u64);
         let setup = Instant::now();
         match Client::connect(addr, client_cfg.clone().with_seed(id as u64 + 1)) {
             Ok(client) => {
-                d.tally.setup.record(setup.elapsed().as_secs_f64() * 1e6);
-                d.add(id, client, span, script, stagger.is_none());
+                let setup_us = setup.elapsed().as_secs_f64() * 1e6;
+                replay.tally.setup.record(setup_us);
+                replay.add(&mut eng, id, client, span, script);
             }
             Err(e) => {
                 trace::event("loadgen.conn.fail", id as u64, 0);
                 let why = format!("connection {id}: connect: {e}");
-                d.tally.conn_failures.push(why);
+                replay.tally.conn_failures.push(why);
             }
         }
     }
-
-    let reply_timeout = client_cfg.response_timeout;
+    let stagger = (cfg.target_qps > 0)
+        .then(|| Duration::from_secs_f64(batch as f64 / cfg.target_qps as f64))
+        .filter(|s| !s.is_zero() && !eng.lanes.is_empty());
+    if let Some(stagger) = stagger {
+        eng.pace(stagger);
+    }
     let start = Instant::now();
-    let (mut next_due, mut next_frame) = (start, 0usize);
-    let mut next_sweep = start + MAX_WAIT;
-    let mut events = Events::with_capacity(1024);
-    while d.live > 0 {
-        let now = Instant::now();
-        if let Some(stagger) = stagger {
-            // Frame `k` of the run is due at `start + k·stagger` on lane
-            // `k mod N`.
-            while next_due <= now {
-                let i = next_frame % d.lanes.len();
-                d.lanes[i].owed += 1;
-                d.ready.push(i);
-                next_frame += 1;
-                next_due += stagger;
-            }
-        }
-        let nap_over = |&Reverse((at, _)): &Reverse<(Instant, usize)>| at <= now;
-        while let Some(Reverse((_, i))) = d.naps.peek().copied().filter(nap_over) {
-            d.naps.pop();
-            d.lanes[i].napping = false;
-            d.ready.push(i);
-        }
-        let mut ready = std::mem::take(&mut d.ready);
-        for &i in &ready {
-            d.send(i);
-        }
-        ready.clear();
-        d.ready = ready;
-        if now >= next_sweep {
-            next_sweep = now + MAX_WAIT;
-            d.expire(now, reply_timeout);
-        }
-        if d.live == 0 {
-            break;
-        }
-        let mut wake = now + MAX_WAIT;
-        if stagger.is_some() {
-            wake = wake.min(next_due);
-        }
-        if let Some(Reverse((at, _))) = d.naps.peek() {
-            wake = wake.min(*at);
-        }
-        let wait = wake.saturating_duration_since(Instant::now());
-        d.poller.wait(&mut events, Some(wait))?;
-        for ev in &events {
-            let i = ev.token();
-            if d.lanes[i].watched.is_some() {
-                d.read(i);
-                d.ready.push(i);
-            }
-        }
-    }
+    while !eng.step(&mut replay, true)? {}
     let wall_secs = start.elapsed().as_secs_f64();
-    let Driver { tally, .. } = d;
+    let tally = replay.tally;
     let server = match fetch_stats(addr) {
         Ok(s) => s,
         Err(_) if tally.conn_failures.len() as u64 == tally.connections => StatsSnapshot::default(),
@@ -982,32 +795,52 @@ mod tests {
             ticks: 32,
             ..LoadgenConfig::default()
         };
-        let client_cfg = ClientConfig::default().with_batch(16);
-        let mut d = Driver::new(16, client_cfg.retry.max_attempts).unwrap();
+        // A reply deadline well inside the first nap, so the sweep below
+        // finds lane 1 overdue and leaves it napping.
+        let client_cfg = ClientConfig {
+            response_timeout: Duration::from_millis(50),
+            ..ClientConfig::default()
+        }
+        .with_batch(16)
+        .with_retry(crate::client::RetryPolicy {
+            max_attempts: 6,
+            base: Duration::from_secs(1),
+            cap: Duration::from_secs(1),
+        });
+        let shape = Shape {
+            batch: 16,
+            lines: 64,
+            frames: usize::MAX,
+        };
+        let mut eng = Engine::new(shape, &client_cfg);
+        let mut d = Replay::default();
         for (id, script) in fanin_scripts(&cfg, 16).into_iter().enumerate() {
             let client = Client::connect(addr, client_cfg.clone()).unwrap();
             let span = trace::span_ab("loadgen.conn", id as u64, 0);
-            d.add(id, client, span, script, true);
+            d.add(&mut eng, id, client, span, script);
         }
         // Lane 0's first reply is not a reply; lane 1's never comes.
         let (mut first, _) = stub.accept().unwrap();
         let _second = stub.accept().unwrap();
         first.write_all(b"garbage\n").unwrap();
-        d.send(0);
-        d.send(1);
-        assert!(d.lanes[0].frames.len() > 1, "frames on lane 0's wire");
-        d.read(0);
-        assert!(d.lanes[0].done);
+        eng.write(0, &mut d, true).unwrap();
+        eng.write(1, &mut d, true).unwrap();
+        assert!(
+            eng.lanes[0].pipe.inflight_len() > 1,
+            "frames on lane 0's wire"
+        );
+        eng.read(0, &mut d).unwrap();
+        assert!(eng.lanes[0].retired);
         assert_eq!(d.tally.conn_failures.len(), 1);
 
         let timeout = client_cfg.response_timeout;
-        d.expire(Instant::now() + 2 * timeout, timeout);
+        eng.fire(Instant::now() + 2 * timeout, &mut d).unwrap();
         assert_eq!(d.tally.conn_failures.len(), 1);
         assert_eq!(d.live, 1);
-        assert_eq!(d.lanes[0].client.metrics().io_retries, 0);
+        assert_eq!(eng.lanes[0].link.metrics().io_retries, 0);
         // Only lane 1 lost its wire and naps before sending it again.
-        assert_eq!(d.lanes[1].strikes, 1);
-        let napping: Vec<usize> = d.naps.iter().map(|&Reverse((_, i))| i).collect();
+        assert_eq!(eng.lanes[1].strikes, 1);
+        let napping: Vec<usize> = (0..2).filter(|&i| eng.lanes[i].napping).collect();
         assert_eq!(napping, [1]);
     }
 }

@@ -1,32 +1,38 @@
-//! Per-member pipelined frame bookkeeping for
-//! [`ClusterClient`](crate::cluster::ClusterClient).
+//! Per-lane frame bookkeeping for the send engine (`engine.rs`).
 //!
-//! A [`MemberPipe`] tracks one member's pipelined ingest state: an
-//! `open` frame still being filled, and a FIFO of [`SentFrame`]s already
-//! on the wire whose replies have not been drained. The module is a
-//! **pure state machine** — no I/O — so its ordering and no-loss
-//! invariants are property-tested exhaustively (the `props` module
-//! below) without sockets or servers.
+//! A [`MemberPipe`] tracks one lane's lines: an `open` frame still being
+//! filled, and a FIFO of [`SentFrame`]s already on the wire whose
+//! replies have not been drained. The module is a **pure state
+//! machine** — no I/O — so its ordering and no-loss invariants are
+//! property-tested exhaustively (the `props` module below) without
+//! sockets or servers.
 //!
 //! A frame ends in one of two ways: a reply for every line, in order,
 //! or a failed transport with none of its replies trusted. In the second
 //! case the server applied some prefix of the byte stream it was sent
 //! and nothing after it, so replaying the whole unacknowledged tail in
 //! send order can only repeat applied samples (stale no-ops), never skip
-//! one. What keeps that replay order-safe is one rule:
+//! one. What keeps that replay order-safe when a redirect moves a line
+//! to another member is one rule:
 //!
-//! * **No-span** — a machine's samples never sit in more than one
-//!   on-the-wire frame at once ([`MemberPipe::wire_conflicts`] forces a
-//!   drain first). Whatever happens to one frame, every *later* line of
-//!   an affected machine is still client-side (open frame), where it can
-//!   be displaced behind the replayed tail.
+//! * **No-span** — a machine's routed samples never sit in more than one
+//!   on-the-wire frame at once ([`MemberPipe::wire_conflicts`] holds the
+//!   cut back until the frame drains). Whatever happens to one frame,
+//!   every *later* line of an affected machine is still client-side
+//!   (open frame), where it can be displaced behind the replayed tail.
+//!
+//! A [`EntryKind::Pinned`] line — every line of a plain
+//! [`Client`](crate::Client) and of the load driver, and a cluster
+//! probe — can never be moved by a redirect, so it is exempt: it never
+//! enters the ledger and never waits on it.
 //!
 //! Boundary sealing ([`MemberPipe::seal_cut`]) is the performance side
 //! of the same coin: frames prefer to break *between* machines, so the
-//! no-span rule almost never has to stall the pipe.
+//! no-span rule almost never has to stall the pipe. Pinned runs are cut
+//! at exactly the frame size, and a control verb always goes alone.
 
 use oc_serve::proto::Request;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::Instant;
 
 /// How one queued line travels.
@@ -39,16 +45,43 @@ pub(crate) enum EntryKind {
     /// Pinned to the member whose pipe holds it (a replica mirror);
     /// dropped, never re-routed, when that member dies.
     Mirror,
+    /// Pinned to its lane and answered to its caller whatever the reply
+    /// says; the payload is the caller's tag for it.
+    Pinned(usize),
 }
 
-/// One queued line on a member pipe.
+/// One queued line on a pipe.
 #[derive(Debug, Clone)]
 pub(crate) struct Entry {
     /// Routing hash of the sample's `(cell, machine)` key — the
-    /// per-machine ordering identity.
+    /// per-machine ordering identity (unused for a pinned line).
     pub hash: u64,
     pub req: Request,
     pub kind: EntryKind,
+}
+
+impl Entry {
+    /// A line pinned to its lane, tagged for its caller.
+    pub fn pinned(req: Request, tag: usize) -> Entry {
+        Entry {
+            hash: 0,
+            req,
+            kind: EntryKind::Pinned(tag),
+        }
+    }
+
+    /// Whether the no-span rule covers this line.
+    fn spans(&self) -> bool {
+        !matches!(self.kind, EntryKind::Pinned(_))
+    }
+}
+
+/// True for the data-plane verbs the protocol allows inside `BATCH`.
+fn is_batchable(req: &Request) -> bool {
+    matches!(
+        req,
+        Request::Observe { .. } | Request::Predict { .. } | Request::Admit { .. }
+    )
 }
 
 /// One frame on the wire, awaiting its replies.
@@ -59,15 +92,17 @@ pub(crate) struct SentFrame {
     pub sent_at: Instant,
 }
 
-/// One member's pipelined ingest state.
+/// One lane's pipelined state.
 #[derive(Debug, Default)]
 pub(crate) struct MemberPipe {
     /// Accumulating frame, not yet written.
     open: Vec<Entry>,
     /// Frames written, oldest first, replies undrained.
     inflight: VecDeque<SentFrame>,
-    /// Unacked line count per machine hash across `inflight` — the
-    /// no-span rule's ledger.
+    /// Lines across `inflight`.
+    wired_lines: usize,
+    /// Unacked routed-line count per machine hash across `inflight` —
+    /// the no-span rule's ledger.
     wired: HashMap<u64, u32>,
 }
 
@@ -85,32 +120,53 @@ impl MemberPipe {
         self.inflight.len()
     }
 
+    /// Lines on the wire.
+    pub fn inflight_lines(&self) -> usize {
+        self.wired_lines
+    }
+
     /// Line count of the oldest inflight frame, if any.
     pub fn oldest_len(&self) -> Option<usize> {
         self.inflight.front().map(|f| f.entries.len())
+    }
+
+    /// Write instant of the oldest inflight frame, if any.
+    pub fn oldest_sent_at(&self) -> Option<Instant> {
+        self.inflight.front().map(|f| f.sent_at)
     }
 
     pub fn is_empty(&self) -> bool {
         self.open.is_empty() && self.inflight.is_empty()
     }
 
-    /// How many open lines the next frame should carry. At least `1`
-    /// (when the open frame is non-empty), at most `max` — but the cut
-    /// prefers the last machine boundary at or below `max`, so one
-    /// machine's run is kept whole whenever it fits. A run longer than
-    /// `max` is cut mid-machine; the no-span rule then stalls the
-    /// remainder until the frame drains, preserving order at the cost of
-    /// pipelining that one machine.
+    /// How many open lines the next frame should carry: `1` for a
+    /// control verb (it never rides a `BATCH`), otherwise the leading run
+    /// of data-plane lines up to `max`. A full routed run prefers the
+    /// last machine boundary at or below `max`, so one machine's run is
+    /// kept whole whenever it fits. A run longer than `max` is cut
+    /// mid-machine; the no-span rule then stalls the remainder until the
+    /// frame drains, preserving order at the cost of pipelining that one
+    /// machine.
     pub fn seal_cut(&self, max: usize) -> usize {
         let max = max.max(1);
-        if self.open.len() <= max {
-            return self.open.len();
+        let run = self
+            .open
+            .iter()
+            .take(max)
+            .take_while(|e| is_batchable(&e.req))
+            .count();
+        if run == 0 {
+            return self.open.len().min(1);
         }
+        if run < max || self.open.len() == max {
+            return run;
+        }
+        let same = |a: &Entry, b: &Entry| a.spans() && b.spans() && a.hash == b.hash;
         let mut cut = max;
-        while cut > 1 && self.open[cut - 1].hash == self.open[cut].hash {
+        while cut > 1 && same(&self.open[cut - 1], &self.open[cut]) {
             cut -= 1;
         }
-        if cut == 1 && self.open[0].hash == self.open[1].hash {
+        if cut == 1 && same(&self.open[0], &self.open[1]) {
             // One machine overflows the whole frame: no boundary exists.
             return max;
         }
@@ -123,7 +179,7 @@ impl MemberPipe {
         !self.wired.is_empty()
             && self.open[..cut]
                 .iter()
-                .any(|e| self.wired.contains_key(&e.hash))
+                .any(|e| e.spans() && self.wired.contains_key(&e.hash))
     }
 
     /// Removes the first `cut` open lines for writing.
@@ -134,9 +190,10 @@ impl MemberPipe {
 
     /// Records a written frame as inflight.
     pub fn sent(&mut self, entries: Vec<Entry>, sent_at: Instant) {
-        for e in &entries {
+        for e in entries.iter().filter(|e| e.spans()) {
             *self.wired.entry(e.hash).or_insert(0) += 1;
         }
+        self.wired_lines += entries.len();
         self.inflight.push_back(SentFrame { entries, sent_at });
     }
 
@@ -144,7 +201,8 @@ impl MemberPipe {
     /// processed), releasing its machines from the no-span ledger.
     pub fn complete_oldest(&mut self) -> Option<SentFrame> {
         let frame = self.inflight.pop_front()?;
-        for e in &frame.entries {
+        self.wired_lines -= frame.entries.len();
+        for e in frame.entries.iter().filter(|e| e.spans()) {
             if let Some(n) = self.wired.get_mut(&e.hash) {
                 *n -= 1;
                 if *n == 0 {
@@ -155,31 +213,39 @@ impl MemberPipe {
         Some(frame)
     }
 
-    /// Tears the pipe down after a member failure: every unacked line —
-    /// inflight frames in send order, then the open frame — in original
-    /// order. The pipe comes back empty.
+    /// Tears the pipe down after a transport failure: every unacked line
+    /// — inflight frames in send order, then the open frame — in
+    /// original order. The pipe comes back empty.
     pub fn fail(&mut self) -> Vec<Entry> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.wired_lines + self.open.len());
         for f in self.inflight.drain(..) {
             out.extend(f.entries);
         }
         self.wired.clear();
+        self.wired_lines = 0;
         out.append(&mut self.open);
         out
+    }
+
+    /// Puts displaced lines back at the head of the open frame, ahead of
+    /// anything queued since, in their order.
+    pub fn reopen(&mut self, mut lines: Vec<Entry>) {
+        lines.append(&mut self.open);
+        self.open = lines;
     }
 
     /// Extracts every open line whose machine is in `hashes`, preserving
     /// the relative order of both the extracted and the remaining lines.
     /// Used after a redirect so a re-routed machine's later lines follow
     /// its replayed ones.
-    pub fn extract_open_matching(&mut self, hashes: &std::collections::HashSet<u64>) -> Vec<Entry> {
+    pub fn extract_open_matching(&mut self, hashes: &HashSet<u64>) -> Vec<Entry> {
         if hashes.is_empty() {
             return Vec::new();
         }
         let mut kept = Vec::with_capacity(self.open.len());
         let mut out = Vec::new();
         for e in self.open.drain(..) {
-            if hashes.contains(&e.hash) {
+            if e.spans() && hashes.contains(&e.hash) {
                 out.push(e);
             } else {
                 kept.push(e);
@@ -188,22 +254,16 @@ impl MemberPipe {
         self.open = kept;
         out
     }
-
-    /// Removes and returns the whole open frame (transport-failure
-    /// displacement).
-    pub fn take_all_open(&mut self) -> Vec<Entry> {
-        std::mem::take(&mut self.open)
-    }
 }
 
 /// Model-based property tests: arbitrary interleavings of observes,
 /// redirects, and member deaths must never reorder a machine's samples
 /// and never lose a sample the server acknowledged.
 ///
-/// The harness replays the engine's bookkeeping discipline
-/// ([`crate::cluster::ClusterClient::pump`]'s route → seal → drain
-/// cycle) against a **model server** that applies each line only if its
-/// tick is the machine's next expected one — replays of already-applied
+/// The harness replays the engine's bookkeeping discipline (the
+/// cluster's route → seal → drain cycle) against a **model server**
+/// that applies each line only if its tick is the machine's next
+/// expected one — replays of already-applied
 /// ticks are stale no-ops (exactly the real server's monotone-tick
 /// ingest), and a tick *beyond* the expected one is a gap: proof that a
 /// sample was lost or leapfrogged. If every generated interleaving
@@ -214,7 +274,6 @@ mod props {
     use super::*;
     use oc_trace::ids::{CellId, JobId, MachineId, TaskId};
     use proptest::prelude::*;
-    use std::collections::HashSet;
 
     const MACHINES: u32 = 5;
     const MAX_FRAME: usize = 4;

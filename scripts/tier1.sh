@@ -72,6 +72,21 @@ grep -rnE -e 'FaninConfig|fanin::|build_template|patch_decimal|FrameLayout|MAX_I
 grep -rn 'TcpStream' crates/client/src --exclude=client.rs \
   && { echo "tier1: oc-client opens or holds a socket outside client.rs" >&2; exit 1; }
 
+# oc-client has one send engine (engine.rs): the single-node Client, the
+# ClusterClient and the load driver are policies over its lanes. Keep the
+# fixed-window loop, the per-member settle loop, the blocking routed read
+# and the whole-client strike types from coming back, and keep every
+# sleep inside the engine (a multi-lane nap is a due time, never a sleep).
+grep -rnE -e 'run_window|plan_frames|WindowOutcome|requeue_front|settle_step|settle_pipes' \
+    -e 'send_routed|pipe_strikes|\bStrikes\b|\bBroken\b' \
+    crates tests docs README.md DESIGN.md examples \
+  && { echo "tier1: a deleted client send loop (or its strike types) is referenced again" >&2; exit 1; }
+for f in crates/client/src/*.rs crates/client/src/bin/*.rs; do
+  [ "$f" = crates/client/src/engine.rs ] && continue
+  sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'thread::sleep' \
+    && { echo "tier1: $f sleeps outside the send engine" >&2; exit 1; }
+done
+
 # A ring member is a RingSpec and its index (ServeConfig::ring), and a
 # RINGSET push rebuilds the ring for that index through one install path.
 # Keep the ownership closure, its factory, the split ring description and
@@ -180,6 +195,13 @@ pin_test oc-client loadgen::tests::fanin_survives_chaos_with_reconnects \
 # a second time.
 pin_test oc-client loadgen::tests::a_failed_lane_is_not_lost_again_by_the_timeout_sweep \
   "one settle per failed lane"
+# Adopting a smaller ring inside a STATS sweep or a drive goes on over the
+# adopted ring instead of indexing the old one.
+pin_test oc-client cluster::tests::adopting_a_smaller_ring_mid_drive_restarts_on_it \
+  "shrinking adoption"
+# A member that is stopped but not killed does not stall the live ones.
+pin_test oc-client cluster::tests::a_stopped_member_does_not_stall_the_live_ones \
+  "stopped member"
 
 # A RINGSET whose ring is too big to build is a parse error, not an
 # allocation that aborts the member; it keeps its ring and keeps serving.
