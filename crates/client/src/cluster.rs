@@ -23,12 +23,15 @@
 //! * A lost transport costs its member a strike: its unacknowledged tail
 //!   replays in order (`cluster.pipeline.replayed_tails`) and the member
 //!   naps the [`RetryPolicy`] backoff (`cluster.backoff.sleeps`) while
-//!   the other members keep being served; a member that stops answering
+//!   the other members keep being served; a member that sends no reply
 //!   is timed out by its reply deadline. `max_attempts` strikes in a row
 //!   — or one refused re-dial, at once: nothing listens on the port —
 //!   mark it dead, and mirrors pinned to it drop
 //!   ([`ClusterMetrics::mirror_drops`]). A wrong verdict degrades
 //!   replication, never acknowledged data.
+//! * A reply line that does not parse or is out of step is no verdict:
+//!   the member's connection closes, its lines stay queued, and the call
+//!   returns the error.
 //!
 //! [`RetryPolicy`]: crate::client::RetryPolicy
 //!
@@ -166,9 +169,10 @@ struct Router {
     /// Lines not yet on any lane: fresh ingest is routed through here,
     /// and replayed tails / redirected lines come back through it.
     waiting: VecDeque<Entry>,
-    /// Answers to reads and pinned lines: answering lane, the line's
-    /// tag ([`PROBE`] for a `RING` probe), and the reply.
-    answers: Vec<(usize, usize, Response)>,
+    /// Answers to reads and pinned `STATS` lines, with the answering lane.
+    answers: Vec<(usize, Response)>,
+    /// The answer to the last `RING` probe.
+    ring_answer: Option<Response>,
     /// A member died since the last `RING` probe.
     probe_due: bool,
     /// Ack latencies, microseconds: each frame's latency booked to every
@@ -182,9 +186,6 @@ struct Router {
     metrics: ClusterMetrics,
     global: GlobalCounters,
 }
-
-/// Tag of a pinned `RING` probe; every other answered line carries 0.
-const PROBE: usize = 1;
 
 /// One engine lane per member address, each dialled on first use.
 fn member_engine(addrs: &[SocketAddr], cfg: &ClusterClientConfig) -> Engine {
@@ -240,6 +241,7 @@ impl ClusterClient {
                 last_epoch: vec![0; spec.nodes],
                 waiting: VecDeque::new(),
                 answers: Vec::new(),
+                ring_answer: None,
                 probe_due: false,
                 frame_lats: HistogramSnapshot::default(),
                 pipelined_ok: 0,
@@ -331,15 +333,19 @@ impl ClusterClient {
     /// Asks a live member for the current `RING` description and adopts
     /// it when its full 64-bit generation is strictly newer than the
     /// local ring's **and** the address list is complete. Returns
-    /// whether a new membership was adopted. A member that fails the
-    /// probe is skipped — its lane's verdict stands.
+    /// whether a new membership was adopted. The probe is a `RING` line
+    /// pinned to the member; one that fails it is skipped — its lane's
+    /// verdict stands.
     fn probe_ring(&mut self) -> Result<bool, ClientError> {
         self.router.probe_due = false;
         for index in 0..self.router.alive.len() {
             if !self.router.alive[index] {
                 continue;
             }
-            let Some(Response::Ring { spec, addrs, .. }) = self.ask(index, Request::Ring)? else {
+            self.router.ring_answer = None;
+            self.engine.push(index, Entry::pinned(Request::Ring));
+            self.settle()?;
+            let Some(Response::Ring { spec, addrs, .. }) = self.router.ring_answer.take() else {
                 // Dead by now, or a standalone server's ERR.
                 continue;
             };
@@ -363,18 +369,6 @@ impl ClusterClient {
             return Ok(true);
         }
         Ok(false)
-    }
-
-    /// Sends `req` pinned to member `index` as a probe and settles; its
-    /// answer, or `None` if the member died first.
-    fn ask(&mut self, index: usize, req: Request) -> Result<Option<Response>, ClientError> {
-        self.engine.push(index, Entry::pinned(req, PROBE));
-        self.settle()?;
-        let answers = &mut self.router.answers;
-        let at = answers
-            .iter()
-            .position(|&(lane, tag, _)| (lane, tag) == (index, PROBE));
-        Ok(at.map(|k| answers.remove(k).2))
     }
 
     /// Routes every waiting line onto its member lane: the key's live
@@ -523,7 +517,7 @@ impl ClusterClient {
             kind: EntryKind::Send { tried: 0 },
         });
         self.pump(true)?;
-        let (_, _, answer) = self
+        let (_, answer) = self
             .router
             .answers
             .pop()
@@ -591,7 +585,7 @@ impl ClusterClient {
             self.router.answers.clear();
             for index in 0..self.router.alive.len() {
                 if self.router.alive[index] {
-                    self.engine.push(index, Entry::pinned(Request::Stats, 0));
+                    self.engine.push(index, Entry::pinned(Request::Stats));
                 }
             }
             self.pump(true)?;
@@ -600,7 +594,7 @@ impl ClusterClient {
             }
             let mut merged = StatsSnapshot::default();
             let mut ring_changed = false;
-            for (index, _, resp) in std::mem::take(&mut self.router.answers) {
+            for (index, resp) in std::mem::take(&mut self.router.answers) {
                 let s = match resp {
                     Response::Stats(s) => s,
                     other => return Err(ClientError::unexpected("STATS", &other)),
@@ -661,6 +655,10 @@ impl Router {
 }
 
 impl Policy for Router {
+    fn request<'a>(&'a self, req: &'a Request) -> &'a Request {
+        req
+    }
+
     fn wrote(&mut self, _lane: usize, lines: usize) {
         self.metrics.frames += 1;
         self.global.pipeline_frames.inc();
@@ -689,7 +687,10 @@ impl Policy for Router {
                 }
             );
             match entry.kind {
-                EntryKind::Pinned(tag) => self.answers.push((lane, tag, resp.clone())),
+                EntryKind::Pinned if entry.req == Request::Ring => {
+                    self.ring_answer = Some(resp.clone());
+                }
+                EntryKind::Pinned => self.answers.push((lane, resp.clone())),
                 // The replica's all-alive view disagrees; the owner
                 // holds the data — degrade, don't re-route.
                 EntryKind::Mirror if not_mine => self.metrics.mirror_drops += 1,
@@ -704,7 +705,7 @@ impl Policy for Router {
                     });
                 }
                 EntryKind::Send { .. } if !matches!(entry.req, Request::Observe { .. }) => {
-                    self.answers.push((lane, 0, resp.clone()));
+                    self.answers.push((lane, resp.clone()));
                 }
                 EntryKind::Send { .. } => {
                     resolved += 1;
@@ -772,7 +773,9 @@ impl Policy for Router {
     /// dead: its sends replay to the keys' new owners, mirrors pinned to
     /// it drop, and the ring is probed before the next round (the
     /// supervisor may already have replaced it under a bumped
-    /// generation). Any other error also ends the call.
+    /// generation). Any other error — a reply line out of step, say — is
+    /// no verdict on the member: its connection closes, its lines go
+    /// back as after a loss, and the error ends the call.
     fn failed(
         &mut self,
         eng: &mut Engine,
@@ -781,6 +784,13 @@ impl Policy for Router {
         frames: usize,
         err: ClientError,
     ) -> Result<(), ClientError> {
+        if !matches!(err, ClientError::Io(_) | ClientError::Exhausted { .. }) {
+            let mut kept = Vec::new();
+            self.displace(tail, frames, |e| kept.push(e));
+            eng.lanes[lane].pipe.reopen(kept);
+            eng.lanes[lane].link.close();
+            return Err(err);
+        }
         trace::event(
             "cluster.failover",
             lane as u64,
@@ -797,10 +807,7 @@ impl Policy for Router {
         eng.retire(lane);
         self.metrics.failovers += 1;
         self.probe_due = true;
-        match err {
-            ClientError::Io(_) | ClientError::Exhausted { .. } => Ok(()),
-            other => Err(other),
-        }
+        Ok(())
     }
 
     /// Every live lane is empty (`flush`), or has less than a frame open.
@@ -822,6 +829,8 @@ mod tests {
     use oc_serve::ring::KeyRole;
     use oc_serve::server::Server;
     use oc_trace::ids::JobId;
+    use std::io::{Read, Write};
+    use std::net::TcpListener;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Instant;
 
@@ -1148,9 +1157,9 @@ mod tests {
                 .sum()
         }
         let spec = RingSpec::new(3);
-        let stub = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let stub = TcpListener::bind("127.0.0.1:0").expect("bind");
         stub.set_nonblocking(true).expect("nonblocking");
-        let mut addrs = vec![stub.local_addr().expect("stub addr")];
+        let (live, addrs) = behind_stub(spec, &stub);
         let stop = Arc::new(AtomicBool::new(false));
         let stopped = {
             let stop = Arc::clone(&stop);
@@ -1168,13 +1177,6 @@ mod tests {
                 }
             })
         };
-        let live: Vec<Server> = (1..3)
-            .map(|i| {
-                let cfg = ServeConfig::default().with_addr("127.0.0.1:0");
-                Server::start(cfg.with_shards(1).with_ring(spec, i)).expect("member starts")
-            })
-            .collect();
-        addrs.extend(live.iter().map(|s| s.addr()));
         let client = ClientConfig {
             response_timeout: Duration::from_secs(1),
             ..ClientConfig::default()
@@ -1216,6 +1218,54 @@ mod tests {
         assert_eq!(applied(&addrs[1..]), 24, "its lines end on their replicas");
         stop.store(true, Ordering::Relaxed);
         stopped.join().expect("stub");
+        for s in live {
+            s.shutdown();
+        }
+    }
+
+    /// In-process members at ring slots 1 and 2 of `spec`, with `stub`
+    /// at slot 0: the members and the ring's addresses.
+    fn behind_stub(spec: RingSpec, stub: &TcpListener) -> (Vec<Server>, Vec<SocketAddr>) {
+        let live: Vec<Server> = (1..3)
+            .map(|i| {
+                let cfg = ServeConfig::default().with_addr("127.0.0.1:0");
+                Server::start(cfg.with_shards(1).with_ring(spec, i)).expect("member starts")
+            })
+            .collect();
+        let mut addrs = vec![stub.local_addr().expect("stub addr")];
+        addrs.extend(live.iter().map(|s| s.addr()));
+        (live, addrs)
+    }
+
+    /// A reply line that is not a response fails the call but is no
+    /// verdict on the member: it stays alive and nothing fails over.
+    #[test]
+    fn a_bad_reply_line_is_no_death_verdict() {
+        let spec = RingSpec::new(3);
+        let stub = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let (live, addrs) = behind_stub(spec, &stub);
+        let garbler = std::thread::spawn(move || {
+            let (mut conn, _) = stub.accept().expect("accept");
+            let _ = conn.read(&mut [0u8; 512]);
+            conn.write_all(b"garbage\n").expect("reply");
+        });
+        let cfg = ClusterClientConfig {
+            mirror: false,
+            ..ClusterClientConfig::default()
+        };
+        let mut cc = ClusterClient::connect(spec, &addrs, cfg).expect("connect");
+        let (ring, (cell, _)) = (spec.build(), fleet_of(1));
+        let m = (0..200)
+            .map(MachineId)
+            .find(|m| ring.owner(key_hash(&(cell.clone(), *m)), &[true; 3]) == Some(0))
+            .expect("some machine the stub owns");
+        cc.observe(&cell, m, TaskId::new(JobId(6), 0), 0.3, 0.5, 0)
+            .expect("observe");
+        let err = cc.flush().unwrap_err();
+        assert!(matches!(err, ClientError::Proto(_)), "{err:?}");
+        assert!(cc.alive()[0], "a bad line marked the member dead");
+        assert_eq!(cc.metrics().failovers, 0);
+        garbler.join().expect("stub");
         for s in live {
             s.shutdown();
         }

@@ -14,20 +14,26 @@
 //! deadline — sit in one min-heap. With more than one lane the only wait
 //! is one poller wait bounded by the next due time, and a lane is read
 //! only when its socket is readable or its reader already holds bytes,
-//! so a napping or silent lane holds up no other. A one-lane engine
-//! blocks on its own socket (whose read timeout is the reply deadline)
-//! or sleeps until its next due time, and creates no poller.
+//! so a lane that naps or has sent no reply holds up no other. Once read,
+//! a lane's oldest frame is read to its end: a member that stops partway
+//! through a frame's replies holds the others up to the reply timeout.
+//! A one-lane engine blocks on its own socket (whose read timeout is the
+//! reply deadline) or sleeps until its next due time, and creates no
+//! poller.
 //!
 //! A lost transport costs a lane one strike and a nap; a resolved frame
 //! clears its strikes. `max_attempts` strikes in a row, or an error no
 //! retry mends (a refused re-dial of a ring member among them), fail the
 //! lane, and the caller decides what that means.
+//!
+//! A lane's lines are `L`s, which the policy maps to the requests they
+//! stand for ([`Policy::request`]).
 
 use crate::client::{ClientConfig, FrameIo, Link};
 use crate::error::ClientError;
-use crate::pipe::{Entry, MemberPipe, SentFrame};
+use crate::pipe::{is_batchable, Entry, MemberPipe, SentFrame};
 use oc_reactor::{Events, Interest, Poller, RawFd};
-use oc_serve::proto::Response;
+use oc_serve::proto::{Request, Response};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
@@ -48,25 +54,34 @@ pub(crate) struct Shape {
 
 /// What a caller layers over the engine: where lines come from, what a
 /// reply means, and what a lost or failed lane means.
-pub(crate) trait Policy {
+pub(crate) trait Policy<L = Request> {
+    /// The request `line` stands for.
+    fn request<'a>(&'a self, line: &'a L) -> &'a Request;
+
     /// Offers lane `lane` room for `want` more open lines.
-    fn refill(&mut self, _lane: usize, _pipe: &mut MemberPipe, _want: usize) {}
+    fn refill(&mut self, _lane: usize, _pipe: &mut MemberPipe<L>, _want: usize) {}
 
     /// A frame of `lines` lines went onto lane `lane`'s wire.
     fn wrote(&mut self, _lane: usize, _lines: usize) {}
 
     /// Lane `lane`'s oldest frame came back: `replies[k]` answers
     /// `frame.entries[k]`.
-    fn resolved(&mut self, eng: &mut Engine, lane: usize, frame: SentFrame, replies: &[Response]);
+    fn resolved(
+        &mut self,
+        eng: &mut Engine<L>,
+        lane: usize,
+        frame: SentFrame<L>,
+        replies: &[Response],
+    );
 
     /// Lane `lane` lost its transport with `frames` frames on the wire
     /// and naps `nap`; `tail` is everything it had not resolved, in
     /// order. By default all of it goes back to the lane's open frame.
     fn lost(
         &mut self,
-        eng: &mut Engine,
+        eng: &mut Engine<L>,
         lane: usize,
-        tail: Vec<Entry>,
+        tail: Vec<Entry<L>>,
         _frames: usize,
         _nap: Duration,
     ) {
@@ -77,22 +92,22 @@ pub(crate) trait Policy {
     /// [`Policy::lost`]. An `Err` ends the caller's drive with it.
     fn failed(
         &mut self,
-        eng: &mut Engine,
+        eng: &mut Engine<L>,
         lane: usize,
-        tail: Vec<Entry>,
+        tail: Vec<Entry<L>>,
         frames: usize,
         err: ClientError,
     ) -> Result<(), ClientError>;
 
     /// Whether the caller's goal is met after a round in mode `flush`.
-    fn done(&self, eng: &Engine, flush: bool) -> bool;
+    fn done(&self, eng: &Engine<L>, flush: bool) -> bool;
 }
 
 /// One connection and its pipe.
 #[derive(Debug)]
-pub(crate) struct Lane {
+pub(crate) struct Lane<L = Request> {
     pub link: Link,
-    pub pipe: MemberPipe,
+    pub pipe: MemberPipe<L>,
     /// Losses since a frame last resolved.
     pub strikes: u32,
     /// When the first of them happened.
@@ -123,8 +138,8 @@ enum Due {
 }
 
 /// The lanes and everything that decides when each is served.
-pub(crate) struct Engine {
-    pub lanes: Vec<Lane>,
+pub(crate) struct Engine<L = Request> {
+    pub lanes: Vec<Lane<L>>,
     shape: Shape,
     max_attempts: u32,
     reply_timeout: Duration,
@@ -143,7 +158,7 @@ pub(crate) struct Engine {
     flushing: bool,
 }
 
-impl std::fmt::Debug for Engine {
+impl<L: std::fmt::Debug> std::fmt::Debug for Engine<L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("lanes", &self.lanes)
@@ -151,10 +166,10 @@ impl std::fmt::Debug for Engine {
     }
 }
 
-impl Engine {
+impl<L> Engine<L> {
     /// An engine with no lanes; `cfg` gives the retry budget and the
     /// reply deadline.
-    pub fn new(shape: Shape, cfg: &ClientConfig) -> Engine {
+    pub fn new(shape: Shape, cfg: &ClientConfig) -> Engine<L> {
         Engine {
             lanes: Vec::new(),
             shape,
@@ -201,7 +216,7 @@ impl Engine {
     }
 
     /// Queues `e` on lane `i`'s open frame.
-    pub fn push(&mut self, i: usize, e: Entry) {
+    pub fn push(&mut self, i: usize, e: Entry<L>) {
         self.lanes[i].pipe.push(e);
         self.wake(i);
     }
@@ -230,39 +245,34 @@ impl Engine {
         lane.retired = true;
     }
 
-    /// Starts a one-lane drive afresh: no lines, strikes or naps left
-    /// over from an earlier one.
-    pub fn reset(&mut self) {
-        self.due.clear();
-        let lane = &mut self.lanes[0];
-        lane.pipe = MemberPipe::default();
-        (lane.strikes, lane.since, lane.napping) = (0, None, false);
-        self.wake(0);
-    }
-
-    /// Connects lane `i` now, napping the retry policy's backoff between
-    /// retryable failures (none after the last attempt): for a plain
-    /// client, whose connection exists before anything is sent.
+    /// Connects a one-lane engine's lane now: for a plain client, whose
+    /// connection exists before anything is sent. A retryable failure is
+    /// a strike and a nap, as for a lost frame; the strikes are cleared
+    /// once connected.
     ///
     /// # Errors
     ///
-    /// [`ClientError::Io`] for a failure not worth retrying,
-    /// [`ClientError::Exhausted`] when the budget runs out.
-    pub fn dial(&mut self, i: usize) -> Result<(), ClientError> {
-        let max = self.max_attempts;
-        let link = &mut self.lanes[i].link;
-        for attempt in 0..max {
+    /// What `p` makes of a lane that cannot connect; a `p` whose
+    /// [`Policy::failed`] returns `Ok` gets `Ok` with the lane unconnected.
+    pub fn dial<P: Policy<L>>(&mut self, p: &mut P) -> Result<(), ClientError> {
+        loop {
+            let link = &mut self.lanes[0].link;
             match link.connect() {
-                Ok(()) => return Ok(()),
-                Err(e) if !link.retryable(&e) => return Err(ClientError::Io(e)),
-                Err(_) if attempt + 1 < max => std::thread::sleep(link.nap(attempt)),
-                Err(_) => {}
+                Ok(()) => break,
+                Err(e) if !link.retryable(&e) => return self.fail(0, ClientError::Io(e), p),
+                Err(e) => {
+                    let what = format!("could not connect to {}: {e}", link.addr());
+                    self.lose(0, what, p)?;
+                    if !self.lanes[0].napping {
+                        return Ok(());
+                    }
+                }
             }
+            self.wait(p)?;
         }
-        Err(ClientError::Exhausted {
-            attempts: max,
-            last: format!("could not connect to {}", link.addr()),
-        })
+        let lane = &mut self.lanes[0];
+        (lane.strikes, lane.since) = (0, None);
+        Ok(())
     }
 
     /// One round: every woken lane writes what it may and is flushed
@@ -272,7 +282,7 @@ impl Engine {
     /// # Errors
     ///
     /// What `p` makes of a failed lane, and a failing poller.
-    pub fn step<P: Policy>(&mut self, p: &mut P, flush: bool) -> Result<bool, ClientError> {
+    pub fn step<P: Policy<L>>(&mut self, p: &mut P, flush: bool) -> Result<bool, ClientError> {
         if flush && !self.flushing {
             // Lanes held back for a full frame may now send what they have.
             for i in 0..self.lanes.len() {
@@ -300,7 +310,7 @@ impl Engine {
 
     /// Writes the frames lane `i` may send now, then flushes them as one
     /// burst.
-    pub fn write<P: Policy>(
+    pub fn write<P: Policy<L>>(
         &mut self,
         i: usize,
         p: &mut P,
@@ -313,10 +323,10 @@ impl Engine {
         } = self.shape;
         let polled = self.polled();
         let lane = &mut self.lanes[i];
-        // One lane alone on its thread starts a burst once at most half
-        // its line window is on the wire and then fills it: the window
-        // slides in half-window steps, so each flush carries many frames.
-        let held = !polled && lane.pipe.inflight_lines() > lines / 2;
+        // A lane starts a burst once at most half its line window is on
+        // the wire and then fills it: the window slides in half-window
+        // steps, so each flush carries many frames.
+        let held = lane.pipe.inflight_lines() > lines / 2;
         if lane.retired || lane.napping || held {
             return Ok(());
         }
@@ -331,13 +341,15 @@ impl Engine {
             if open == 0 || (!flush && open < batch) {
                 break;
             }
-            let cut = lane.pipe.seal_cut(batch);
+            let cut = lane.pipe.seal_cut(batch, |l| is_batchable(p.request(l)));
             if cut > room || lane.pipe.wire_conflicts(cut) {
                 break;
             }
             let entries = lane.pipe.take_open(cut);
             let sent_at = Instant::now();
-            let io = lane.link.write_frame(cut, entries.iter().map(|e| &e.req));
+            let io = lane
+                .link
+                .write_frame(cut, entries.iter().map(|e| p.request(&e.req)));
             if polled && !lane.deadline {
                 lane.deadline = true;
                 let at = sent_at + self.reply_timeout;
@@ -371,7 +383,7 @@ impl Engine {
 
     /// Drains lane `i`'s replies: its oldest frame's, then the next one's
     /// while the reader already holds bytes.
-    pub fn read<P: Policy>(&mut self, i: usize, p: &mut P) -> Result<(), ClientError> {
+    pub fn read<P: Policy<L>>(&mut self, i: usize, p: &mut P) -> Result<(), ClientError> {
         loop {
             let lane = &mut self.lanes[i];
             let Some(n) = lane.pipe.oldest_len() else {
@@ -406,7 +418,7 @@ impl Engine {
 
     /// Waits for the next thing that can move a lane — a readable socket
     /// or a due time — and acts on it.
-    fn wait<P: Policy>(&mut self, p: &mut P) -> Result<(), ClientError> {
+    fn wait<P: Policy<L>>(&mut self, p: &mut P) -> Result<(), ClientError> {
         let next = self.due.peek().map(|&Reverse((at, ..))| at);
         let until_next = next.map(|at| at.saturating_duration_since(Instant::now()));
         if self.polled() {
@@ -437,7 +449,7 @@ impl Engine {
     }
 
     /// Acts on every due time at or before `now`.
-    pub fn fire<P: Policy>(&mut self, now: Instant, p: &mut P) -> Result<(), ClientError> {
+    pub fn fire<P: Policy<L>>(&mut self, now: Instant, p: &mut P) -> Result<(), ClientError> {
         while let Some(&Reverse((at, i, due))) = self.due.peek() {
             if at > now {
                 break;
@@ -486,7 +498,7 @@ impl Engine {
     /// Lane `i`'s transport lost what it had on the wire: one strike and
     /// a nap — or, at `max_attempts` strikes without a resolved frame, a
     /// failed lane.
-    fn lose<P: Policy>(&mut self, i: usize, what: String, p: &mut P) -> Result<(), ClientError> {
+    fn lose<P: Policy<L>>(&mut self, i: usize, what: String, p: &mut P) -> Result<(), ClientError> {
         let lane = &mut self.lanes[i];
         let wired = lane.pipe.inflight_lines() as u64;
         lane.link.note_io(wired);
@@ -515,7 +527,7 @@ impl Engine {
     }
 
     /// Lane `i` failed for `err`; its caller decides what that means.
-    fn fail<P: Policy>(
+    fn fail<P: Policy<L>>(
         &mut self,
         i: usize,
         err: ClientError,

@@ -29,7 +29,7 @@
 //!   framed and pipelined per member, mirrored to the replica once
 //!   acknowledged (so a SIGKILLed member loses nothing). It absorbs
 //!   `ERR not-mine` redirects and fails over when a member dies, and a
-//!   napping or silent member never stalls the others.
+//!   member that naps or sends no reply never stalls the others.
 //! * [`fleet`] — the fleet driver: replays a synthetic fleet through one
 //!   [`ClusterClient`] and proves served-vs-offline prediction identity
 //!   after failures.

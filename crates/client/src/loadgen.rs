@@ -15,10 +15,11 @@
 //! connection refills as its frames complete. Either way a connection
 //! keeps at most `max(2·batch, 64)` lines on the wire, in frames of
 //! exactly `batch` lines (its lines are pinned to it, so no ordering
-//! rule holds one back). Replies are read when the poller reports the
-//! socket readable, or while the reader already holds bytes, and a
-//! connection's reply deadline is a due time too, so one that goes
-//! silent holds up no other.
+//! rule holds one back), and refills once at most half of that is on
+//! the wire. Replies are read when the poller reports the socket
+//! readable, or while the reader already holds bytes, and a
+//! connection's reply deadline is a due time too, so one whose server
+//! sends no reply holds up no other.
 //!
 //! # Failures
 //!
@@ -442,9 +443,13 @@ impl Replay {
 }
 
 impl Policy for Replay {
+    fn request<'a>(&'a self, req: &'a Request) -> &'a Request {
+        req
+    }
+
     fn refill(&mut self, lane: usize, pipe: &mut MemberPipe, want: usize) {
         for req in self.scripts[lane].by_ref().take(want) {
-            pipe.push(Entry::pinned(req, 0));
+            pipe.push(Entry::pinned(req));
         }
     }
 

@@ -30,6 +30,10 @@
 //! of the same coin: frames prefer to break *between* machines, so the
 //! no-span rule almost never has to stall the pipe. Pinned runs are cut
 //! at exactly the frame size, and a control verb always goes alone.
+//!
+//! A line is an `L`: a [`Request`] of its own by default, or whatever
+//! stands for one to the lane's caller (a plain client's lines are
+//! indices into the slice it was given, so nothing is copied).
 
 use oc_serve::proto::Request;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -46,38 +50,38 @@ pub(crate) enum EntryKind {
     /// dropped, never re-routed, when that member dies.
     Mirror,
     /// Pinned to its lane and answered to its caller whatever the reply
-    /// says; the payload is the caller's tag for it.
-    Pinned(usize),
+    /// says.
+    Pinned,
 }
 
 /// One queued line on a pipe.
 #[derive(Debug, Clone)]
-pub(crate) struct Entry {
+pub(crate) struct Entry<L = Request> {
     /// Routing hash of the sample's `(cell, machine)` key — the
     /// per-machine ordering identity (unused for a pinned line).
     pub hash: u64,
-    pub req: Request,
+    pub req: L,
     pub kind: EntryKind,
 }
 
-impl Entry {
-    /// A line pinned to its lane, tagged for its caller.
-    pub fn pinned(req: Request, tag: usize) -> Entry {
+impl<L> Entry<L> {
+    /// A line pinned to its lane.
+    pub fn pinned(req: L) -> Entry<L> {
         Entry {
             hash: 0,
             req,
-            kind: EntryKind::Pinned(tag),
+            kind: EntryKind::Pinned,
         }
     }
 
     /// Whether the no-span rule covers this line.
     fn spans(&self) -> bool {
-        !matches!(self.kind, EntryKind::Pinned(_))
+        self.kind != EntryKind::Pinned
     }
 }
 
 /// True for the data-plane verbs the protocol allows inside `BATCH`.
-fn is_batchable(req: &Request) -> bool {
+pub(crate) fn is_batchable(req: &Request) -> bool {
     matches!(
         req,
         Request::Observe { .. } | Request::Predict { .. } | Request::Admit { .. }
@@ -86,19 +90,19 @@ fn is_batchable(req: &Request) -> bool {
 
 /// One frame on the wire, awaiting its replies.
 #[derive(Debug)]
-pub(crate) struct SentFrame {
-    pub entries: Vec<Entry>,
+pub(crate) struct SentFrame<L = Request> {
+    pub entries: Vec<Entry<L>>,
     /// Write instant, for per-frame ack latency.
     pub sent_at: Instant,
 }
 
 /// One lane's pipelined state.
-#[derive(Debug, Default)]
-pub(crate) struct MemberPipe {
+#[derive(Debug)]
+pub(crate) struct MemberPipe<L = Request> {
     /// Accumulating frame, not yet written.
-    open: Vec<Entry>,
+    open: Vec<Entry<L>>,
     /// Frames written, oldest first, replies undrained.
-    inflight: VecDeque<SentFrame>,
+    inflight: VecDeque<SentFrame<L>>,
     /// Lines across `inflight`.
     wired_lines: usize,
     /// Unacked routed-line count per machine hash across `inflight` —
@@ -106,9 +110,20 @@ pub(crate) struct MemberPipe {
     wired: HashMap<u64, u32>,
 }
 
-impl MemberPipe {
+impl<L> Default for MemberPipe<L> {
+    fn default() -> Self {
+        MemberPipe {
+            open: Vec::new(),
+            inflight: VecDeque::new(),
+            wired_lines: 0,
+            wired: HashMap::new(),
+        }
+    }
+}
+
+impl<L> MemberPipe<L> {
     /// Queues one line onto the open frame.
-    pub fn push(&mut self, e: Entry) {
+    pub fn push(&mut self, e: Entry<L>) {
         self.open.push(e);
     }
 
@@ -146,14 +161,14 @@ impl MemberPipe {
     /// kept whole whenever it fits. A run longer than `max` is cut
     /// mid-machine; the no-span rule then stalls the remainder until the
     /// frame drains, preserving order at the cost of pipelining that one
-    /// machine.
-    pub fn seal_cut(&self, max: usize) -> usize {
+    /// machine. `batchable` says whether a line is a data-plane verb.
+    pub fn seal_cut(&self, max: usize, batchable: impl Fn(&L) -> bool) -> usize {
         let max = max.max(1);
         let run = self
             .open
             .iter()
             .take(max)
-            .take_while(|e| is_batchable(&e.req))
+            .take_while(|e| batchable(&e.req))
             .count();
         if run == 0 {
             return self.open.len().min(1);
@@ -161,7 +176,7 @@ impl MemberPipe {
         if run < max || self.open.len() == max {
             return run;
         }
-        let same = |a: &Entry, b: &Entry| a.spans() && b.spans() && a.hash == b.hash;
+        let same = |a: &Entry<L>, b: &Entry<L>| a.spans() && b.spans() && a.hash == b.hash;
         let mut cut = max;
         while cut > 1 && same(&self.open[cut - 1], &self.open[cut]) {
             cut -= 1;
@@ -183,13 +198,13 @@ impl MemberPipe {
     }
 
     /// Removes the first `cut` open lines for writing.
-    pub fn take_open(&mut self, cut: usize) -> Vec<Entry> {
+    pub fn take_open(&mut self, cut: usize) -> Vec<Entry<L>> {
         let rest = self.open.split_off(cut);
         std::mem::replace(&mut self.open, rest)
     }
 
     /// Records a written frame as inflight.
-    pub fn sent(&mut self, entries: Vec<Entry>, sent_at: Instant) {
+    pub fn sent(&mut self, entries: Vec<Entry<L>>, sent_at: Instant) {
         for e in entries.iter().filter(|e| e.spans()) {
             *self.wired.entry(e.hash).or_insert(0) += 1;
         }
@@ -199,7 +214,7 @@ impl MemberPipe {
 
     /// Pops the oldest inflight frame (its replies are about to be
     /// processed), releasing its machines from the no-span ledger.
-    pub fn complete_oldest(&mut self) -> Option<SentFrame> {
+    pub fn complete_oldest(&mut self) -> Option<SentFrame<L>> {
         let frame = self.inflight.pop_front()?;
         self.wired_lines -= frame.entries.len();
         for e in frame.entries.iter().filter(|e| e.spans()) {
@@ -216,7 +231,7 @@ impl MemberPipe {
     /// Tears the pipe down after a transport failure: every unacked line
     /// — inflight frames in send order, then the open frame — in
     /// original order. The pipe comes back empty.
-    pub fn fail(&mut self) -> Vec<Entry> {
+    pub fn fail(&mut self) -> Vec<Entry<L>> {
         let mut out = Vec::with_capacity(self.wired_lines + self.open.len());
         for f in self.inflight.drain(..) {
             out.extend(f.entries);
@@ -229,7 +244,7 @@ impl MemberPipe {
 
     /// Puts displaced lines back at the head of the open frame, ahead of
     /// anything queued since, in their order.
-    pub fn reopen(&mut self, mut lines: Vec<Entry>) {
+    pub fn reopen(&mut self, mut lines: Vec<Entry<L>>) {
         lines.append(&mut self.open);
         self.open = lines;
     }
@@ -238,7 +253,7 @@ impl MemberPipe {
     /// the relative order of both the extracted and the remaining lines.
     /// Used after a redirect so a re-routed machine's later lines follow
     /// its replayed ones.
-    pub fn extract_open_matching(&mut self, hashes: &HashSet<u64>) -> Vec<Entry> {
+    pub fn extract_open_matching(&mut self, hashes: &HashSet<u64>) -> Vec<Entry<L>> {
         if hashes.is_empty() {
             return Vec::new();
         }
@@ -306,7 +321,8 @@ mod props {
         }
     }
 
-    fn obs(m: u32, tick: u64) -> Entry {
+    /// A routed sample of machine `m` at `tick`, keyed by `m`.
+    pub(super) fn obs(m: u32, tick: u64) -> Entry {
         Entry {
             hash: u64::from(m),
             req: Request::Observe {
@@ -365,7 +381,7 @@ mod props {
         if pipe.open_len() == 0 {
             return;
         }
-        let cut = pipe.seal_cut(MAX_FRAME);
+        let cut = pipe.seal_cut(MAX_FRAME, is_batchable);
         if pipe.wire_conflicts(cut) {
             // The engine drains before writing; the harness just defers.
             return;
@@ -491,24 +507,8 @@ mod props {
 
 #[cfg(test)]
 mod tests {
+    use super::props::obs;
     use super::*;
-    use oc_trace::ids::{CellId, JobId, MachineId, TaskId};
-
-    fn obs(m: u32, tick: u64) -> Entry {
-        Entry {
-            hash: u64::from(m),
-            req: Request::Observe {
-                cell: CellId::new("p"),
-                machine: MachineId(m),
-                task: TaskId::new(JobId(1), 0),
-                usage: 0.2,
-                limit: 0.5,
-                mem: None,
-                tick,
-            },
-            kind: EntryKind::Send { tried: 0 },
-        }
-    }
 
     #[test]
     fn seal_prefers_machine_boundaries() {
@@ -521,10 +521,10 @@ mod tests {
         }
         // max 4 would cut machine 2's run at its second line; the cut
         // retreats to the boundary at 3.
-        assert_eq!(p.seal_cut(4), 3);
+        assert_eq!(p.seal_cut(4, is_batchable), 3);
         // Everything fits: take it all.
-        assert_eq!(p.seal_cut(6), 6);
-        assert_eq!(p.seal_cut(16), 6);
+        assert_eq!(p.seal_cut(6, is_batchable), 6);
+        assert_eq!(p.seal_cut(16, is_batchable), 6);
     }
 
     #[test]
@@ -533,7 +533,11 @@ mod tests {
         for t in 0..5 {
             p.push(obs(7, t));
         }
-        assert_eq!(p.seal_cut(3), 3, "an overflowing run is cut at max");
+        assert_eq!(
+            p.seal_cut(3, is_batchable),
+            3,
+            "an overflowing run is cut at max"
+        );
     }
 
     #[test]

@@ -202,6 +202,10 @@ pin_test oc-client cluster::tests::adopting_a_smaller_ring_mid_drive_restarts_on
 # A member that is stopped but not killed does not stall the live ones.
 pin_test oc-client cluster::tests::a_stopped_member_does_not_stall_the_live_ones \
   "stopped member"
+# A reply line that is not a response fails the call; the member is not
+# marked dead for it.
+pin_test oc-client cluster::tests::a_bad_reply_line_is_no_death_verdict \
+  "bad reply is no verdict"
 
 # A RINGSET whose ring is too big to build is a parse error, not an
 # allocation that aborts the member; it keeps its ring and keeps serving.
