@@ -672,7 +672,7 @@ impl<F: FnMut(usize, &Response, f64)> Policy<usize> for Pipeline<'_, F> {
         &mut self,
         _: &mut Engine<usize>,
         _: usize,
-        frame: SentFrame<usize>,
+        frame: &mut SentFrame<usize>,
         replies: &[Response],
     ) {
         let lat_us = frame.sent_at.elapsed().as_secs_f64() * 1e6;

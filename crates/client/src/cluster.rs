@@ -673,12 +673,18 @@ impl Policy for Router {
     /// onto the replica's lane), a read's or probe's answer is kept for
     /// its caller, and `not-mine` re-routes a send — with its machine's
     /// still-open successors — through the waiting queue.
-    fn resolved(&mut self, eng: &mut Engine, lane: usize, frame: SentFrame, replies: &[Response]) {
+    fn resolved(
+        &mut self,
+        eng: &mut Engine,
+        lane: usize,
+        frame: &mut SentFrame,
+        replies: &[Response],
+    ) {
         self.global.pipeline_inflight.dec();
         let lat_us = frame.sent_at.elapsed().as_secs_f64() * 1e6;
         let mut resolved = 0u64;
         let mut redirected: HashMap<u64, u32> = HashMap::new();
-        for (entry, resp) in frame.entries.into_iter().zip(replies) {
+        for (entry, resp) in frame.entries.drain(..).zip(replies) {
             let not_mine = matches!(
                 resp,
                 Response::Err {

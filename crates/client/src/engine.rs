@@ -65,12 +65,13 @@ pub(crate) trait Policy<L = Request> {
     fn wrote(&mut self, _lane: usize, _lines: usize) {}
 
     /// Lane `lane`'s oldest frame came back: `replies[k]` answers
-    /// `frame.entries[k]`.
+    /// `frame.entries[k]`. The policy may drain the entries; the vector
+    /// carries a later frame.
     fn resolved(
         &mut self,
         eng: &mut Engine<L>,
         lane: usize,
-        frame: SentFrame<L>,
+        frame: &mut SentFrame<L>,
         replies: &[Response],
     );
 
@@ -400,15 +401,16 @@ impl<L> Engine<L> {
                 Ok(FrameIo::Lost(what)) => return self.lose(i, what, p),
                 Err(e) => return self.fail(i, e, p),
             }
-            let frame = lane
+            let mut frame = lane
                 .pipe
                 .complete_oldest()
                 .expect("the drained frame was inflight");
             (lane.strikes, lane.since) = (0, None);
             self.wake(i);
             let replies = std::mem::take(&mut self.replies);
-            p.resolved(self, i, frame, &replies);
+            p.resolved(self, i, &mut frame, &replies);
             self.replies = replies;
+            self.lanes[i].pipe.recycle(frame.entries);
             let lane = &self.lanes[i];
             if lane.retired || !lane.link.has_buffered_replies() {
                 return Ok(());

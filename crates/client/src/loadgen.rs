@@ -453,7 +453,13 @@ impl Policy for Replay {
         }
     }
 
-    fn resolved(&mut self, eng: &mut Engine, lane: usize, frame: SentFrame, replies: &[Response]) {
+    fn resolved(
+        &mut self,
+        eng: &mut Engine,
+        lane: usize,
+        frame: &mut SentFrame,
+        replies: &[Response],
+    ) {
         let tally = &mut self.tally;
         let lat_us = frame.sent_at.elapsed().as_secs_f64() * 1e6;
         tally.latency.record_n(lat_us, frame.entries.len() as u64);

@@ -108,6 +108,8 @@ pub(crate) struct MemberPipe<L = Request> {
     /// Unacked routed-line count per machine hash across `inflight` —
     /// the no-span rule's ledger.
     wired: HashMap<u64, u32>,
+    /// Emptied frame vectors, reused for the next frames.
+    spare: Vec<Vec<Entry<L>>>,
 }
 
 impl<L> Default for MemberPipe<L> {
@@ -117,6 +119,7 @@ impl<L> Default for MemberPipe<L> {
             inflight: VecDeque::new(),
             wired_lines: 0,
             wired: HashMap::new(),
+            spare: Vec::new(),
         }
     }
 }
@@ -197,10 +200,24 @@ impl<L> MemberPipe<L> {
                 .any(|e| e.spans() && self.wired.contains_key(&e.hash))
     }
 
-    /// Removes the first `cut` open lines for writing.
+    /// Removes the first `cut` open lines for writing, into a recycled
+    /// vector when one is spare: every frame takes one and every resolved
+    /// frame gives one back, so the spares never outnumber the frames
+    /// once on the wire together.
     pub fn take_open(&mut self, cut: usize) -> Vec<Entry<L>> {
-        let rest = self.open.split_off(cut);
-        std::mem::replace(&mut self.open, rest)
+        let mut frame = self.spare.pop().unwrap_or_default();
+        if cut == self.open.len() {
+            std::mem::swap(&mut frame, &mut self.open);
+        } else {
+            frame.extend(self.open.drain(..cut));
+        }
+        frame
+    }
+
+    /// Keeps a resolved frame's vector for a later frame.
+    pub fn recycle(&mut self, mut entries: Vec<Entry<L>>) {
+        entries.clear();
+        self.spare.push(entries);
     }
 
     /// Records a written frame as inflight.
