@@ -368,7 +368,8 @@ pub(crate) fn process_line<W: Write>(
         state.batch_left -= 1;
     } else {
         match parse_batch_header(line, &mut state.scratch) {
-            // Not a batch header: fall through to the ordinary parse.
+            // Not a batch header (decided on the first token alone): fall
+            // through to the ordinary parse.
             Ok(None) => {}
             Ok(Some(n)) => {
                 flush_chunk(state, writer, pool, shared)?;
@@ -716,14 +717,19 @@ mod tests {
         }
 
         fn line(&mut self, line: &str) {
-            let keep = process_line(
+            assert!(self.keeps(line), "{line} closed the connection");
+        }
+
+        /// Feeds one line; whether the connection stays open.
+        fn keeps(&mut self, line: &str) -> bool {
+            process_line(
                 line.as_bytes(),
                 &mut self.state,
                 &mut self.out,
                 self.pool,
                 self.shared,
-            );
-            assert!(keep.unwrap(), "{line} closed the connection");
+            )
+            .unwrap()
         }
 
         fn end(&mut self) {
@@ -865,6 +871,48 @@ mod tests {
             .iter()
             .map(|l| l.split(' ').take(2).collect::<Vec<_>>().join(" "))
             .collect()
+    }
+
+    /// A line is a `BATCH` header by its first token alone, and what the
+    /// reactor makes of a line is what it made when the whole line was
+    /// tokenized for the header check: leading whitespace still finds a
+    /// header, `BATCHR 3` sent as a request is an unknown verb, and a
+    /// bare `BATCH`, `BATCH 2 3` or `BATCH 0` is answered with its parse
+    /// error and closes the connection.
+    #[test]
+    fn batch_headers_are_detected_by_their_first_token() {
+        let cfg = ServeConfig::default().with_shards(1);
+        let (pool, shared) = harness(&cfg);
+        let mut conn = Driver::new(&pool, &shared);
+        conn.line(" \tBATCH 2\r");
+        conn.line("  PREDICT c 1");
+        conn.line("\tOBSERVE c 1 2:0 0.5 0.75 3 ");
+        conn.line("BATCHR 3");
+        conn.line("OBSERVE BATCH 1 2:0 0.5 0.75 3");
+        conn.end();
+        assert_eq!(
+            conn.take(),
+            [
+                "BATCHR 2",
+                "ERR unknown-machine c/m1 never observed",
+                "OK",
+                "ERR parse unknown verb 'BATCHR'",
+                "OK",
+            ]
+        );
+        for (header, answer) in [
+            ("BATCH", "ERR parse BATCH takes 1 operands, got 0"),
+            ("  BATCH 2 3", "ERR parse BATCH takes 1 operands, got 2"),
+            (
+                "BATCH 0",
+                "ERR parse batch of 0 sub-requests outside 1..=1024",
+            ),
+        ] {
+            let mut conn = Driver::new(&pool, &shared);
+            assert!(!conn.keeps(header), "{header:?} kept the connection");
+            assert_eq!(conn.take(), [answer], "{header:?}");
+        }
+        pool.shutdown();
     }
 
     /// Machine `m` of cell `c`'s role for member `index` of `ring`.

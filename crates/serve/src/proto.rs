@@ -34,10 +34,13 @@
 //! ERR <code> <detail...>              typed error (parse, stale, ...)
 //! ```
 //!
-//! Floats are encoded with Rust's shortest-round-trip formatting, so
-//! `parse(encode(x))` reproduces the exact bit pattern — the property the
-//! served-vs-offline bit-identity test relies on, and the property the
-//! proptest suite in `tests/proto.rs` pins down.
+//! Tokens are separated by runs of ASCII whitespace. A float is written
+//! as plain decimal text, never an exponent: the shortest digits that
+//! parse back to the same bits, `-0` for negative zero — byte for byte
+//! what `format!("{v}")` gives, written by the codec's own Ryū writer
+//! ([`push_f64`]). So `parse(encode(x))` reproduces the exact bit pattern
+//! — the property the served-vs-offline bit-identity test relies on, and
+//! the one the sweep and proptest suite in `tests/proto.rs` pin down.
 //!
 //! # Multi-resource form
 //!
@@ -79,15 +82,21 @@
 //! # Allocation discipline
 //!
 //! The `parse`/`encode` methods are convenience wrappers that allocate.
-//! The data plane uses [`Request::parse_in`] (tokenizes into a reusable
-//! [`ProtoScratch`], interns cell names) and
-//! [`Request::encode_into`]/[`Response::encode_into`] (append to a reused
-//! `Vec<u8>` with manual integer/float formatters) — zero heap
-//! allocations per request once the connection's scratch is warm.
+//! The data plane uses [`Request::parse_in`] (one forward pass over the
+//! line's tokens; cell names interned in a reusable [`ProtoScratch`]),
+//! [`Response::parse`] and [`Request::encode_into`]/
+//! [`Response::encode_into`] (digits written straight into a reused
+//! `Vec<u8>`, never through `core::fmt`). `OBSERVE`, `PREDICT` and
+//! `ADMIT` requests and `OK`/`PRED`/`ADMITTED` replies make no heap
+//! allocation once the buffers and the scratch are warm
+//! (`tests/alloc.rs` counts them).
 
 use crate::ring::RingSpec;
 use oc_trace::ids::{CellId, JobId, MachineId, TaskId};
 use std::fmt;
+
+mod num;
+pub use num::{push_f64, push_u64};
 
 /// Hard cap on the length of one protocol line, in bytes. Connections
 /// exceeding it are answered with a parse error and closed.
@@ -106,15 +115,12 @@ pub const VIEW_PART_BYTES: usize = 240;
 /// (the cache is cleared), never to unbounded growth.
 const CELL_CACHE_CAP: usize = 32;
 
-/// Reusable per-connection parse state: token spans and an interned cell
-/// table. Feeding every request of a connection through one scratch makes
-/// parsing allocation-free in the steady state — token boundaries go into
-/// a recycled span vector and repeated cell names are served as reference
-/// clones of previously seen [`CellId`]s.
+/// Reusable per-connection parse state: the interned cell table.
+/// Feeding every request of a connection through one scratch makes
+/// parsing allocation-free in the steady state — repeated cell names are
+/// served as reference clones of previously seen [`CellId`]s.
 #[derive(Debug, Default)]
 pub struct ProtoScratch {
-    /// Byte ranges of the line's whitespace-separated tokens.
-    spans: Vec<(u32, u32)>,
     /// Cell names already seen on this connection.
     cells: Vec<CellId>,
 }
@@ -123,25 +129,6 @@ impl ProtoScratch {
     /// Creates an empty scratch.
     pub fn new() -> ProtoScratch {
         ProtoScratch::default()
-    }
-
-    /// Records the token spans of `line` (ASCII-whitespace separated).
-    fn tokenize(&mut self, line: &str) {
-        self.spans.clear();
-        let bytes = line.as_bytes();
-        let mut start: Option<usize> = None;
-        for (i, &b) in bytes.iter().enumerate() {
-            if b.is_ascii_whitespace() {
-                if let Some(s) = start.take() {
-                    self.spans.push((s as u32, i as u32));
-                }
-            } else if start.is_none() {
-                start = Some(i);
-            }
-        }
-        if let Some(s) = start {
-            self.spans.push((s as u32, bytes.len() as u32));
-        }
     }
 
     /// Returns the cached [`CellId`] for `name`, creating (and caching) it
@@ -508,7 +495,12 @@ impl fmt::Display for ProtoError {
                 write!(f, "field {field}: '{token}' is not a number")
             }
             ProtoError::OutOfDomain { field, value } => {
-                write!(f, "field {field}: {value} must be finite and >= 0")
+                // The value in its wire spelling, through the wire's writer.
+                let mut text = Vec::new();
+                push_f64(&mut text, *value);
+                write!(f, "field {field}: ")?;
+                f.write_str(std::str::from_utf8(&text).map_err(|_| fmt::Error)?)?;
+                f.write_str(" must be finite and >= 0")
             }
             ProtoError::BadTaskId { token } => {
                 write!(f, "task id '{token}' is not <job>:<index>")
@@ -534,61 +526,14 @@ impl fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-/// `fmt::Write` adapter appending to a byte buffer (never fails).
-struct ByteFmt<'a>(&'a mut Vec<u8>);
+/// Longest text [`push_f64`] writes: `-0.`, 323 zeros and one digit
+/// (`-5e-324`).
+const F64_MAX_BYTES: usize = 327;
 
-impl fmt::Write for ByteFmt<'_> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0.extend_from_slice(s.as_bytes());
-        Ok(())
-    }
-}
-
-/// Appends `format_args!` output to `out` without an intermediate String.
-macro_rules! push_fmt {
-    ($out:expr, $($arg:tt)*) => {{
-        use std::fmt::Write as _;
-        let _ = write!(ByteFmt($out), $($arg)*);
-    }};
-}
-
-/// Appends the decimal digits of `v` (same bytes as `format!("{v}")`)
-/// without going through the `fmt` machinery.
-pub fn push_u64(out: &mut Vec<u8>, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.extend_from_slice(&digits[i..]);
-}
-
-/// Largest f64 magnitude whose integral values are all exactly
-/// representable (2^53): below it, an integral float prints as plain
-/// digits and the manual integer formatter is bit-faithful.
-const EXACT_INT_BOUND: f64 = 9_007_199_254_740_992.0;
-
-/// Appends `v` exactly as `format!("{v}")` would render it (shortest
-/// round trip). Integral values — the common case for ticks, counters,
-/// and whole-unit limits — take a manual digit path; everything else
-/// falls back to the standard formatter, writing straight into `out`.
-pub fn push_f64(out: &mut Vec<u8>, v: f64) {
-    if v.is_finite() && v.trunc() == v && v.abs() <= EXACT_INT_BOUND {
-        // `Display` prints integral f64s as bare digits ("-0" kept for
-        // the negative-zero bit pattern).
-        if v.is_sign_negative() {
-            out.push(b'-');
-        }
-        push_u64(out, v.abs() as u64);
-    } else {
-        push_fmt!(out, "{v}");
-    }
-}
+/// Longest `OBSERVE` line beside its cell name: the verb, the separators,
+/// a `u32` machine, a `u64:u32` task, a `u64` tick and four floats (both
+/// lanes of usage and limit) at their longest.
+const OBSERVE_MAX_BYTES: usize = 8 + 8 + 10 + 20 + 10 + 20 + 4 * F64_MAX_BYTES;
 
 /// Encodes a `BATCH` frame: the header line plus one line per
 /// sub-request, each `\n`-terminated. The caller is responsible for
@@ -611,27 +556,111 @@ pub fn encode_batchr_header_into(n: usize, out: &mut Vec<u8>) {
     push_u64(out, n as u64);
 }
 
-fn parse_frame_header(
+/// The ASCII-whitespace separated tokens of a line, read front to back:
+/// the tokens `str::split_ascii_whitespace` yields, found in one pass
+/// over the bytes, eight at a time inside a token.
+struct Tokens<'a> {
+    line: &'a str,
+    pos: usize,
+}
+
+fn tokens(line: &str) -> Tokens<'_> {
+    Tokens { line, pos: 0 }
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let bytes = self.line.as_bytes();
+        let mut i = self.pos;
+        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
+            i += 1;
+        }
+        let start = i;
+        let end = token_end(bytes, i);
+        self.pos = end;
+        // Both ends sit next to ASCII bytes, so on char boundaries.
+        (start < end).then(|| &self.line[start..end])
+    }
+}
+
+/// The index of the first ASCII-whitespace byte at or after `i` (or the
+/// length). Eight bytes at a time: every ASCII whitespace byte is below
+/// 0x21, and `(x - 0x21..) & !x & 0x80..` flags the bytes below 0x21 —
+/// exactly at the lowest flag, which is all the scan looks at.
+fn token_end(bytes: &[u8], mut i: usize) -> usize {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_ne_bytes([0x80; 8]);
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let x = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        let below = x.wrapping_sub(ONES * 0x21) & !x & HIGH;
+        if below == 0 {
+            i += 8;
+            continue;
+        }
+        let at = i + (below.trailing_zeros() / 8) as usize;
+        if bytes[at].is_ascii_whitespace() {
+            return at;
+        }
+        // A control byte that is not whitespace belongs to the token.
+        i = at + 1;
+    }
+    while i < bytes.len() && !bytes[i].is_ascii_whitespace() {
+        i += 1;
+    }
+    i
+}
+
+/// The arity error for `verb`, its operands counted — the only place a
+/// line's tokens are counted.
+fn arity_error(verb: &'static str, expected: usize, line: &str) -> ProtoError {
+    ProtoError::Arity {
+        verb,
+        expected,
+        got: tokens(line).count().saturating_sub(1),
+    }
+}
+
+/// The next `N` tokens, which must be the last: otherwise the arity
+/// error of `verb` over `line`.
+fn operands<'a, const N: usize>(
     verb: &'static str,
     line: &str,
-    scratch: &mut ProtoScratch,
-) -> Result<Option<usize>, ProtoError> {
-    scratch.tokenize(line);
-    let tok = |i: usize| {
-        let (s, e) = scratch.spans[i];
-        &line[s as usize..e as usize]
-    };
-    if scratch.spans.is_empty() || tok(0) != verb {
+    toks: &mut Tokens<'a>,
+) -> Result<[&'a str; N], ProtoError> {
+    let mut ops = [""; N];
+    for op in &mut ops {
+        *op = toks.next().ok_or_else(|| arity_error(verb, N, line))?;
+    }
+    if toks.next().is_some() {
+        return Err(arity_error(verb, N, line));
+    }
+    Ok(ops)
+}
+
+/// The remaining tokens joined by single spaces (no allocation when
+/// none remain).
+fn join_tokens(toks: &mut Tokens<'_>) -> String {
+    let mut joined = String::new();
+    for tok in toks {
+        if !joined.is_empty() {
+            joined.push(' ');
+        }
+        joined.push_str(tok);
+    }
+    joined
+}
+
+/// Decides on a frame header by the first token alone: a line that does
+/// not start with `verb` is not read further.
+fn parse_frame_header(verb: &'static str, line: &str) -> Result<Option<usize>, ProtoError> {
+    let mut toks = tokens(line);
+    if toks.next() != Some(verb) {
         return Ok(None);
     }
-    if scratch.spans.len() != 2 {
-        return Err(ProtoError::Arity {
-            verb,
-            expected: 1,
-            got: scratch.spans.len() - 1,
-        });
-    }
-    let n = parse_u64("batch", tok(1))?;
+    let [n] = operands(verb, line, &mut toks)?;
+    let n = parse_u64("batch", n)?;
     if n == 0 || n > MAX_BATCH as u64 {
         return Err(ProtoError::BatchSize { got: n });
     }
@@ -640,7 +669,8 @@ fn parse_frame_header(
 
 /// Recognizes a `BATCH <n>` frame header. `Ok(None)` means the line is
 /// not a batch header at all (parse it as an ordinary request);
-/// `Ok(Some(n))` announces `n` sub-request lines to follow.
+/// `Ok(Some(n))` announces `n` sub-request lines to follow. Only the
+/// first token of a line that is not a header is read.
 ///
 /// # Errors
 ///
@@ -650,12 +680,12 @@ fn parse_frame_header(
 /// follow-up lines is unknown), so servers close on it.
 pub fn parse_batch_header(
     line: &str,
-    scratch: &mut ProtoScratch,
+    _scratch: &mut ProtoScratch,
 ) -> Result<Option<usize>, ProtoError> {
     if line.len() > MAX_LINE_BYTES {
         return Err(ProtoError::LineTooLong { len: line.len() });
     }
-    parse_frame_header("BATCH", line, scratch)
+    parse_frame_header("BATCH", line)
 }
 
 /// Recognizes a `BATCHR <n>` multi-response header; same contract as
@@ -666,57 +696,68 @@ pub fn parse_batch_header(
 /// Typed [`ProtoError`] for a malformed `BATCHR` header.
 pub fn parse_batchr_header(
     line: &str,
-    scratch: &mut ProtoScratch,
+    _scratch: &mut ProtoScratch,
 ) -> Result<Option<usize>, ProtoError> {
-    parse_frame_header("BATCHR", line, scratch)
+    parse_frame_header("BATCHR", line)
+}
+
+/// The error for a token that is not a number, built off the hot path.
+#[cold]
+fn bad_number(field: &'static str, token: &str) -> ProtoError {
+    ProtoError::BadNumber {
+        field,
+        token: token.to_string(),
+    }
+}
+
+fn in_domain(field: &'static str, value: f64) -> Result<f64, ProtoError> {
+    if value.is_finite() && value >= 0.0 {
+        Ok(value)
+    } else {
+        Err(ProtoError::OutOfDomain { field, value })
+    }
 }
 
 fn parse_f64(field: &'static str, token: &str) -> Result<f64, ProtoError> {
-    let v: f64 = token.parse().map_err(|_| ProtoError::BadNumber {
-        field,
-        token: token.to_string(),
-    })?;
-    if !v.is_finite() || v < 0.0 {
-        return Err(ProtoError::OutOfDomain { field, value: v });
+    match token.parse() {
+        Ok(v) => in_domain(field, v),
+        Err(_) => Err(bad_number(field, token)),
     }
-    Ok(v)
 }
 
 /// Parses a float token that may be a `cpu,mem` pair. Returns the CPU
 /// value and the optional memory value; each component goes through the
-/// same finiteness/sign domain checks as a scalar float.
+/// same finiteness/sign domain checks as a scalar float. No float
+/// spelling holds a comma, so a scalar parses at the first try and only
+/// a token that fails it is searched for the pair form.
 fn parse_f64_or_pair(field: &'static str, token: &str) -> Result<(f64, Option<f64>), ProtoError> {
-    match token.split_once(',') {
-        None => Ok((parse_f64(field, token)?, None)),
-        Some((cpu, mem)) => Ok((parse_f64(field, cpu)?, Some(parse_f64(field, mem)?))),
+    match token.parse() {
+        Ok(v) => Ok((in_domain(field, v)?, None)),
+        Err(_) => match token.split_once(',') {
+            None => Err(bad_number(field, token)),
+            Some((cpu, mem)) => Ok((parse_f64(field, cpu)?, Some(parse_f64(field, mem)?))),
+        },
     }
 }
 
 fn parse_u64(field: &'static str, token: &str) -> Result<u64, ProtoError> {
-    token.parse().map_err(|_| ProtoError::BadNumber {
-        field,
-        token: token.to_string(),
-    })
+    token.parse().map_err(|_| bad_number(field, token))
 }
 
 fn parse_machine(token: &str) -> Result<MachineId, ProtoError> {
     token
         .parse()
         .map(MachineId)
-        .map_err(|_| ProtoError::BadNumber {
-            field: "machine",
-            token: token.to_string(),
-        })
+        .map_err(|_| bad_number("machine", token))
 }
 
 fn parse_task(token: &str) -> Result<TaskId, ProtoError> {
-    let bad = || ProtoError::BadTaskId {
+    let parsed = token
+        .split_once(':')
+        .and_then(|(job, index)| Some(TaskId::new(JobId(job.parse().ok()?), index.parse().ok()?)));
+    parsed.ok_or_else(|| ProtoError::BadTaskId {
         token: token.to_string(),
-    };
-    let (job, index) = token.split_once(':').ok_or_else(bad)?;
-    let job: u64 = job.parse().map_err(|_| bad())?;
-    let index: u32 = index.parse().map_err(|_| bad())?;
-    Ok(TaskId::new(JobId(job), index))
+    })
 }
 
 /// Decodes the `<nodes> <vnodes> <seed> <generation>` tokens of a
@@ -902,11 +943,11 @@ impl Request {
         Request::parse_in(line, &mut ProtoScratch::new())
     }
 
-    /// Parses one request line using a reusable [`ProtoScratch`]. In the
-    /// steady state this performs no heap allocation: token spans go into
-    /// the scratch's recycled vector and repeated cell names come back as
-    /// reference clones from its intern table. Error paths may allocate
-    /// (they copy the offending token into the error).
+    /// Parses one request line using a reusable [`ProtoScratch`], in one
+    /// forward pass over its tokens. In the steady state this performs no
+    /// heap allocation: repeated cell names come back as reference clones
+    /// from the scratch's intern table. Error paths may allocate (they
+    /// copy the offending token into the error).
     ///
     /// # Errors
     ///
@@ -915,115 +956,99 @@ impl Request {
         if line.len() > MAX_LINE_BYTES {
             return Err(ProtoError::LineTooLong { len: line.len() });
         }
-        scratch.tokenize(line);
-        if scratch.spans.is_empty() {
-            return Err(ProtoError::Empty);
-        }
-        let tok = |i: usize| {
-            let (s, e) = scratch.spans[i];
-            &line[s as usize..e as usize]
-        };
-        let n_operands = scratch.spans.len() - 1;
-        let arity = |verb: &'static str, expected: usize| {
-            if n_operands != expected {
-                return Err(ProtoError::Arity {
-                    verb,
-                    expected,
-                    got: n_operands,
-                });
-            }
-            Ok(())
-        };
-        match tok(0) {
+        let toks = &mut tokens(line);
+        let verb = toks.next().ok_or(ProtoError::Empty)?;
+        Ok(match verb {
             "OBSERVE" => {
-                arity("OBSERVE", 6)?;
-                let machine = parse_machine(tok(2))?;
-                let task = parse_task(tok(3))?;
-                let (usage, mem_usage) = parse_f64_or_pair("usage", tok(4))?;
-                let (limit, mem_limit) = parse_f64_or_pair("limit", tok(5))?;
-                let tick = parse_u64("tick", tok(6))?;
+                let [cell, machine, task, usage, limit, tick] = operands("OBSERVE", line, toks)?;
+                let machine = parse_machine(machine)?;
+                let task = parse_task(task)?;
+                let (usage, mem_usage) = parse_f64_or_pair("usage", usage)?;
+                let (limit, mem_limit) = parse_f64_or_pair("limit", limit)?;
+                let tick = parse_u64("tick", tick)?;
                 let mem = match (mem_usage, mem_limit) {
                     (Some(u), Some(l)) => Some((u, l)),
                     (None, None) => None,
                     _ => return Err(ProtoError::LaneMismatch),
                 };
-                Ok(Request::Observe {
-                    cell: scratch.intern_cell(
-                        &line[scratch.spans[1].0 as usize..scratch.spans[1].1 as usize],
-                    ),
+                Request::Observe {
+                    cell: scratch.intern_cell(cell),
                     machine,
                     task,
                     usage,
                     limit,
                     mem,
                     tick,
-                })
+                }
             }
             "PREDICT" => {
-                let vector = n_operands == 3 && tok(3) == "*";
-                if !vector {
-                    arity("PREDICT", 2)?;
-                }
-                let machine = parse_machine(tok(2))?;
-                Ok(Request::Predict {
-                    cell: scratch.intern_cell(
-                        &line[scratch.spans[1].0 as usize..scratch.spans[1].1 as usize],
-                    ),
+                let (Some(cell), Some(machine)) = (toks.next(), toks.next()) else {
+                    return Err(arity_error("PREDICT", 2, line));
+                };
+                // A trailing `*` (and nothing after it) asks for both lanes.
+                let vector = match (toks.next(), toks.next()) {
+                    (None, _) => false,
+                    (Some("*"), None) => true,
+                    _ => return Err(arity_error("PREDICT", 2, line)),
+                };
+                let machine = parse_machine(machine)?;
+                Request::Predict {
+                    cell: scratch.intern_cell(cell),
                     machine,
                     vector,
-                })
+                }
             }
             "ADMIT" => {
-                arity("ADMIT", 3)?;
-                let machine = parse_machine(tok(2))?;
-                let limit = parse_f64("limit", tok(3))?;
-                Ok(Request::Admit {
-                    cell: scratch.intern_cell(
-                        &line[scratch.spans[1].0 as usize..scratch.spans[1].1 as usize],
-                    ),
+                let [cell, machine, limit] = operands("ADMIT", line, toks)?;
+                let machine = parse_machine(machine)?;
+                let limit = parse_f64("limit", limit)?;
+                Request::Admit {
+                    cell: scratch.intern_cell(cell),
                     machine,
                     limit,
-                })
+                }
             }
             "STATS" => {
-                arity("STATS", 0)?;
-                Ok(Request::Stats)
+                operands::<0>("STATS", line, toks)?;
+                Request::Stats
             }
             "METRICS" => {
-                arity("METRICS", 0)?;
-                Ok(Request::Metrics)
+                operands::<0>("METRICS", line, toks)?;
+                Request::Metrics
             }
             "RING" => {
-                arity("RING", 0)?;
-                Ok(Request::Ring)
+                operands::<0>("RING", line, toks)?;
+                Request::Ring
             }
             "RINGSET" => {
-                arity("RINGSET", 5)?;
-                Ok(Request::RingSet {
-                    spec: parse_ring_spec([tok(1), tok(2), tok(3), tok(4)])?,
-                    addrs: parse_addr_list(tok(5)),
-                })
+                let [nodes, vnodes, seed, generation, addrs] = operands("RINGSET", line, toks)?;
+                Request::RingSet {
+                    spec: parse_ring_spec([nodes, vnodes, seed, generation])?,
+                    addrs: parse_addr_list(addrs),
+                }
             }
             "HANDOFF" => {
-                arity("HANDOFF", 0)?;
-                Ok(Request::Handoff)
+                operands::<0>("HANDOFF", line, toks)?;
+                Request::Handoff
             }
             "RESTORE" => {
-                arity("RESTORE", 1)?;
-                let n = parse_u64("lines", tok(1))?;
+                let [n] = operands("RESTORE", line, toks)?;
+                let n = parse_u64("lines", n)?;
                 if n == 0 || n > MAX_BATCH as u64 {
                     return Err(ProtoError::BatchSize { got: n });
                 }
-                Ok(Request::Restore { lines: n as usize })
+                Request::Restore { lines: n as usize }
             }
             "SHUTDOWN" => {
-                arity("SHUTDOWN", 0)?;
-                Ok(Request::Shutdown)
+                operands::<0>("SHUTDOWN", line, toks)?;
+                Request::Shutdown
             }
-            other => Err(ProtoError::UnknownVerb {
-                verb: other.to_string(),
-            }),
-        }
+            other => {
+                return Err(ProtoError::UnknownVerb {
+                    verb: other.to_string(),
+                })
+            }
+        })
     }
 
     /// Appends the request's wire line (no trailing newline) to `out`
@@ -1039,6 +1064,7 @@ impl Request {
                 mem,
                 tick,
             } => {
+                out.reserve(OBSERVE_MAX_BYTES + cell.name().len());
                 out.extend_from_slice(b"OBSERVE ");
                 out.extend_from_slice(cell.name().as_bytes());
                 out.push(b' ');
@@ -1295,63 +1321,62 @@ impl Response {
     ///
     /// Returns a typed [`ProtoError`]; malformed input never panics.
     pub fn parse(line: &str) -> Result<Response, ProtoError> {
-        let mut tokens = line.split_ascii_whitespace();
-        let verb = tokens.next().ok_or(ProtoError::Empty)?;
-        let operands: Vec<&str> = tokens.collect();
+        let toks = &mut tokens(line);
+        let verb = toks.next().ok_or(ProtoError::Empty)?;
         let bad = || ProtoError::BadResponse {
             line: line.chars().take(80).collect(),
         };
         match verb {
-            "OK" if operands.is_empty() => Ok(Response::Ok),
+            "OK" if toks.next().is_none() => Ok(Response::Ok),
             "PRED" => {
-                expect_arity("PRED", &operands, 1)?;
-                let (peak, mem) = parse_f64_or_pair("peak", operands[0])?;
+                let [peak] = operands("PRED", line, toks)?;
+                let (peak, mem) = parse_f64_or_pair("peak", peak)?;
                 Ok(Response::Pred { peak, mem })
             }
             "ADMITTED" => {
-                expect_arity("ADMITTED", &operands, 2)?;
-                let admit = match operands[0] {
+                let [verdict, projected] = operands("ADMITTED", line, toks)?;
+                let admit = match verdict {
                     "yes" => true,
                     "no" => false,
                     _ => return Err(bad()),
                 };
                 Ok(Response::Admitted {
                     admit,
-                    projected: parse_f64("projected", operands[1])?,
+                    projected: parse_f64("projected", projected)?,
                 })
             }
-            "STATS" => StatsSnapshot::parse_fields(&operands).map(Response::Stats),
+            "STATS" => {
+                let operands: Vec<&str> = toks.collect();
+                StatsSnapshot::parse_fields(&operands).map(Response::Stats)
+            }
             "RING" => {
-                expect_arity("RING", &operands, 6)?;
+                let [nodes, vnodes, seed, generation, epoch, addrs] = operands("RING", line, toks)?;
                 Ok(Response::Ring {
-                    spec: parse_ring_spec([operands[0], operands[1], operands[2], operands[3]])?,
-                    epoch: parse_u64("epoch", operands[4])?,
-                    addrs: parse_addr_list(operands[5]),
+                    spec: parse_ring_spec([nodes, vnodes, seed, generation])?,
+                    epoch: parse_u64("epoch", epoch)?,
+                    addrs: parse_addr_list(addrs),
                 })
             }
             "RESTORED" => {
-                expect_arity("RESTORED", &operands, 3)?;
+                let [machines, samples, rejected] = operands("RESTORED", line, toks)?;
                 Ok(Response::Restored {
-                    machines: parse_u64("machines", operands[0])?,
-                    samples: parse_u64("samples", operands[1])?,
-                    rejected: parse_u64("rejected", operands[2])?,
+                    machines: parse_u64("machines", machines)?,
+                    samples: parse_u64("samples", samples)?,
+                    rejected: parse_u64("rejected", rejected)?,
                 })
             }
             "METRICS" => {
-                let exposition = operands.join(" ");
+                let exposition = join_tokens(toks);
                 if oc_telemetry::metrics::parse_exposition(&exposition).is_none() {
                     return Err(bad());
                 }
                 Ok(Response::Metrics { exposition })
             }
             "ERR" => {
-                if operands.is_empty() {
-                    return Err(bad());
-                }
-                let code = ErrCode::parse(operands[0]).ok_or_else(bad)?;
+                let code = toks.next().and_then(ErrCode::parse).ok_or_else(bad)?;
                 Ok(Response::Err {
                     code,
-                    detail: operands[1..].join(" "),
+                    detail: join_tokens(toks),
                 })
             }
             _ => Err(bad()),
@@ -1527,6 +1552,15 @@ mod tests {
         };
         assert_eq!(peak.to_bits(), (0.1f64 + 0.2).to_bits());
         assert_eq!(mem.unwrap().to_bits(), (0.3f64 + 0.1).to_bits());
+    }
+
+    #[test]
+    fn the_longest_float_texts_fit_the_reserve() {
+        for (v, len) in [(-5e-324, F64_MAX_BYTES), (-f64::MAX, 310)] {
+            let mut out = Vec::new();
+            push_f64(&mut out, v);
+            assert_eq!(out.len(), len, "{v:e}");
+        }
     }
 
     #[test]

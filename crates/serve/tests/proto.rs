@@ -496,3 +496,403 @@ fn merged_stats_mean_stays_within_merged_min_max() {
     );
     assert_eq!(merged.max_us, 500_000.0, "max of maxes is exact");
 }
+
+/// SplitMix64: the seeded, deterministic source of the sweeps below.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[0, 1)`.
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// The `usage`/`limit` values (both lanes) of one generated cell-A
+/// machine, as the benchmark's ingest puts them on the wire.
+fn cell_a_machine_values() -> Vec<f64> {
+    use oc_trace::{CellConfig, CellPreset, MemoryModel, WorkloadGenerator};
+    let mut cfg = CellConfig::preset(CellPreset::A).with_machines(1);
+    cfg.duration_ticks = 288;
+    let trace = WorkloadGenerator::new(cfg)
+        .unwrap()
+        .generate_machine(MachineId(0))
+        .unwrap();
+    let metric = oc_core::SimConfig::default().metric;
+    let memory = MemoryModel::default();
+    let mut values = Vec::new();
+    for t in trace.horizon.iter() {
+        for task in trace.tasks_at(t) {
+            let usage = task.sample_at(t).map(|s| metric.of(s)).unwrap_or(0.0);
+            values.extend([
+                usage,
+                task.spec.limit,
+                memory.usage(&task.spec, t, usage),
+                task.spec.memory_limit,
+            ]);
+        }
+    }
+    values
+}
+
+/// At least a million values, aimed where the traffic lives as well as
+/// at the writer's edges: uniform bits; dyadic fractions `k/2^j`
+/// (exact midpoints between short decimals live there); `u·10^e` for
+/// `e` in `[-12, 6]`; a generated cell-A machine; every power of ten
+/// with its neighbouring floats; subnormals and the named extremes.
+fn float_sweep() -> Vec<f64> {
+    let mut rng = SplitMix(0x5EED_F10A7);
+    let mut values = Vec::with_capacity(1_100_000);
+    values.extend((0..320_000).map(|_| f64::from_bits(rng.next())));
+    for j in 0..=64 {
+        let scale = 0.5f64.powi(j);
+        values.extend((1..=600u64).map(|k| k as f64 * scale));
+        values.extend((0..1_400).map(|_| {
+            let bits = 1 + rng.below(53);
+            (rng.next() >> (64 - bits)) as f64 * scale
+        }));
+    }
+    for e in -12..=6 {
+        let scale = 10f64.powi(e);
+        values.extend((0..20_000).map(|_| rng.unit() * scale));
+        values.extend((0..2_000).map(|_| rng.below(1_000_000) as f64 * scale));
+    }
+    values.extend(cell_a_machine_values());
+    for k in -323..=308 {
+        let p: f64 = format!("1e{k}").parse().unwrap();
+        values.extend([p, p.next_down(), p.next_up()]);
+    }
+    values.extend((0..20_000).map(|_| f64::from_bits(rng.below(1 << 52))));
+    values.extend([
+        5e-324,
+        f64::MIN_POSITIVE,
+        f64::MIN_POSITIVE.next_down(),
+        f64::MAX,
+        f64::MAX.next_down(),
+        -0.0,
+        0.0,
+    ]);
+    let two53 = 9_007_199_254_740_992.0f64;
+    values.extend([two53 - 1.0, two53, two53 + 2.0, two53 + 4.0]);
+    values.extend(values.clone().iter().take(200_000).map(|v| -v));
+    values
+}
+
+/// Every float the writer emits is the text `Display` gives it, byte for
+/// byte, and parses back to the same bits: the wire bytes of a float
+/// field are exactly those of `format!("{v}")`.
+#[test]
+fn push_f64_matches_display_across_the_sweep() {
+    let values = float_sweep();
+    assert!(values.len() >= 1_000_000, "{} values", values.len());
+    // Two halves on two threads keep the debug build near a second.
+    std::thread::scope(|s| {
+        for half in values.chunks(values.len().div_ceil(2)) {
+            s.spawn(move || check_against_display(half));
+        }
+    });
+}
+
+fn check_against_display(values: &[f64]) {
+    use std::fmt::Write as _;
+    let mut out = Vec::with_capacity(400);
+    let mut want = String::with_capacity(400);
+    for &v in values {
+        out.clear();
+        push_f64(&mut out, v);
+        want.clear();
+        write!(want, "{v}").unwrap();
+        if out != want.as_bytes() {
+            panic!(
+                "{v:e} (bits {:#018x}): wrote {:?}, Display {want:?}",
+                v.to_bits(),
+                String::from_utf8_lossy(&out)
+            );
+        }
+        if v.is_finite() {
+            let back: f64 = want.parse().unwrap();
+            assert_eq!(back.to_bits(), v.to_bits(), "{want} did not round-trip");
+        }
+    }
+}
+
+/// The parse oracle's reference: `split_ascii_whitespace` + `str::parse`
+/// over the data-plane grammar, answering the value or the name of the
+/// error variant.
+type Ref<T> = Result<T, &'static str>;
+
+fn ref_num<T: std::str::FromStr>(t: &str) -> Ref<T> {
+    t.parse().map_err(|_| "BadNumber")
+}
+
+fn ref_f64(t: &str) -> Ref<f64> {
+    let v: f64 = ref_num(t)?;
+    if v.is_finite() && v >= 0.0 {
+        Ok(v)
+    } else {
+        Err("OutOfDomain")
+    }
+}
+
+fn ref_lanes(t: &str) -> Ref<(f64, Option<f64>)> {
+    match t.split_once(',') {
+        None => Ok((ref_f64(t)?, None)),
+        Some((cpu, mem)) => Ok((ref_f64(cpu)?, Some(ref_f64(mem)?))),
+    }
+}
+
+fn ref_request(line: &str) -> Ref<Request> {
+    let t: Vec<&str> = line.split_ascii_whitespace().collect();
+    let (cell, machine) = (|| CellId::new(t[1]), || ref_num(t[2]).map(MachineId));
+    match (t.first().copied(), t.len().saturating_sub(1)) {
+        (None, _) => Err("Empty"),
+        (Some("OBSERVE"), 6) => {
+            let machine = machine()?;
+            let task = (t[3].split_once(':'))
+                .and_then(|(j, i)| Some(TaskId::new(JobId(j.parse().ok()?), i.parse().ok()?)))
+                .ok_or("BadTaskId")?;
+            let ((usage, mu), (limit, ml)) = (ref_lanes(t[4])?, ref_lanes(t[5])?);
+            let tick = ref_num(t[6])?;
+            let mem = match (mu, ml) {
+                (Some(u), Some(l)) => Some((u, l)),
+                (None, None) => None,
+                _ => return Err("LaneMismatch"),
+            };
+            let cell = cell();
+            Ok(Request::Observe {
+                cell,
+                machine,
+                task,
+                usage,
+                limit,
+                mem,
+                tick,
+            })
+        }
+        (Some("PREDICT"), n @ (2 | 3)) if n == 2 || t[3] == "*" => Ok(Request::Predict {
+            machine: machine()?,
+            cell: cell(),
+            vector: n == 3,
+        }),
+        (Some("ADMIT"), 3) => Ok(Request::Admit {
+            machine: machine()?,
+            limit: ref_f64(t[3])?,
+            cell: cell(),
+        }),
+        (Some("OBSERVE" | "PREDICT" | "ADMIT"), _) => Err("Arity"),
+        _ => Err("UnknownVerb"),
+    }
+}
+
+fn ref_header(verb: &str, line: &str) -> Ref<Option<usize>> {
+    let t: Vec<&str> = line.split_ascii_whitespace().collect();
+    match (t.first() == Some(&verb), t.len()) {
+        (false, _) => Ok(None),
+        (true, 2) => match ref_num::<u64>(t[1])? {
+            n if (1..=MAX_BATCH as u64).contains(&n) => Ok(Some(n as usize)),
+            _ => Err("BatchSize"),
+        },
+        (true, _) => Err("Arity"),
+    }
+}
+
+fn ref_response(line: &str) -> Ref<Response> {
+    let t: Vec<&str> = line.split_ascii_whitespace().collect();
+    match (t.first().copied(), t.len().saturating_sub(1)) {
+        (None, _) => Err("Empty"),
+        (Some("OK"), 0) => Ok(Response::Ok),
+        (Some("PRED"), 1) => ref_lanes(t[1]).map(|(peak, mem)| Response::Pred { peak, mem }),
+        (Some("ADMITTED"), 2) => match t[1] {
+            "yes" | "no" => Ok(Response::Admitted {
+                admit: t[1] == "yes",
+                projected: ref_f64(t[2])?,
+            }),
+            _ => Err("BadResponse"),
+        },
+        (Some("PRED" | "ADMITTED"), _) => Err("Arity"),
+        (Some("ERR"), n) if n > 0 => (ErrCode::parse(t[1]))
+            .map(|code| Response::Err {
+                code,
+                detail: t[2..].join(" "),
+            })
+            .ok_or("BadResponse"),
+        _ => Err("BadResponse"),
+    }
+}
+
+/// Same value (floats by their exact spelling, `-0` included) or the
+/// same error variant.
+fn agree<T: std::fmt::Debug>(got: &Result<T, ProtoError>, want: &Ref<T>) -> bool {
+    match (got, want) {
+        (Ok(g), Ok(w)) => format!("{g:?}") == format!("{w:?}"),
+        (Err(e), Err(variant)) => format!("{e:?}").split([' ', '{']).next() == Some(variant),
+        _ => false,
+    }
+}
+
+/// A float token: mostly the wire's own spelling, sometimes another
+/// spelling `str::parse` accepts, sometimes one it refuses or that
+/// leaves the domain.
+fn float_token(rng: &mut SplitMix) -> String {
+    const OTHER: [&str; 12] = [
+        "+0.5", "5e-1", ".5", "5.", "1E3", "-0", "inf", "NaN", "1e400", "0x10", "-.5", "1e-400",
+    ];
+    match rng.below(3) {
+        0 => OTHER[rng.below(OTHER.len() as u64) as usize].to_string(),
+        _ => {
+            let mut out = Vec::new();
+            push_f64(&mut out, rng.unit() * 10f64.powi(rng.below(9) as i32 - 5));
+            String::from_utf8(out).unwrap()
+        }
+    }
+}
+
+fn request_tokens(rng: &mut SplitMix) -> Vec<String> {
+    let cell = ["a", "cell-b", "BATCH"][rng.below(3) as usize].to_string();
+    let machine = rng.below(100).to_string();
+    let vector = rng.below(2) == 0;
+    let lane = |rng: &mut SplitMix| match vector {
+        true => format!("{},{}", float_token(rng), float_token(rng)),
+        false => float_token(rng),
+    };
+    match rng.below(6) {
+        0 | 1 => {
+            let task = format!("{}:{}", rng.below(1 << 40), rng.below(300));
+            let (usage, limit) = (lane(rng), lane(rng));
+            let tick = rng.below(1 << 20).to_string();
+            ["OBSERVE".into(), cell, machine, task, usage, limit, tick].into()
+        }
+        2 if vector => ["PREDICT".into(), cell, machine, "*".into()].into(),
+        2 => ["PREDICT".into(), cell, machine].into(),
+        3 => ["ADMIT".into(), cell, machine, float_token(rng)].into(),
+        4 => {
+            let n = ["0", "1", "7", "1024", "1025", "x", "+3"][rng.below(7) as usize];
+            ["BATCH".into(), n.into()].into()
+        }
+        _ => {
+            let verb = ["OBSERVEX", "observe", "BATCHR", "PREDICT*"][rng.below(4) as usize];
+            [verb.into(), cell, machine].into()
+        }
+    }
+}
+
+fn response_tokens(rng: &mut SplitMix) -> Vec<String> {
+    let lanes = |rng: &mut SplitMix| match rng.below(2) {
+        0 => float_token(rng),
+        _ => format!("{},{}", float_token(rng), float_token(rng)),
+    };
+    match rng.below(6) {
+        0 => ["OK".into()].into(),
+        1 => ["PRED".into(), lanes(rng)].into(),
+        2 => {
+            let verdict = ["yes", "no", "maybe"][rng.below(3) as usize];
+            ["ADMITTED".into(), verdict.into(), float_token(rng)].into()
+        }
+        3 => {
+            let code = ["parse", "stale", "not-mine", "unknown-machine", "bogus"];
+            let mut t = vec!["ERR".to_string(), code[rng.below(5) as usize].into()];
+            t.extend((0..rng.below(4)).map(|i| format!("word{i}")));
+            t
+        }
+        4 => ["BATCHR".into(), rng.below(1_100).to_string()].into(),
+        _ => ["BUSY".into()].into(),
+    }
+}
+
+/// Drops a token, adds one, turns one into a non-number, strips the
+/// memory lane from one `cpu,mem` token, or puts a control byte that is
+/// not whitespace into one — or leaves the line alone.
+fn corrupt(rng: &mut SplitMix, tokens: &mut Vec<String>) {
+    let at = rng.below(tokens.len() as u64) as usize;
+    match rng.below(7) {
+        6 => {
+            let t = &mut tokens[at];
+            let cut = rng.below(t.len() as u64 + 1) as usize;
+            t.insert(
+                cut,
+                ['\x0b', '\x01', '\x1f', '\u{a0}'][rng.below(4) as usize],
+            );
+        }
+        0 => {
+            tokens.remove(at);
+        }
+        1 => tokens.insert(at + 1, ["7", "x", "*", "0.5"][rng.below(4) as usize].into()),
+        2 if at > 0 => tokens[at] = "zz".into(),
+        3 => {
+            if let Some(pair) = tokens.iter_mut().find(|t| t.contains(',')) {
+                pair.truncate(pair.find(',').unwrap());
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Joins tokens the way a sloppy peer might: runs of spaces and tabs,
+/// leading and trailing whitespace, a trailing `\r`.
+fn render(rng: &mut SplitMix, tokens: &[String]) -> String {
+    const LEAD: [&str; 4] = ["", "", " ", "\t "];
+    const SEP: [&str; 5] = [" ", " ", "  ", "\t", " \t "];
+    let pick =
+        |rng: &mut SplitMix, from: &[&'static str]| from[rng.below(from.len() as u64) as usize];
+    let mut line = pick(rng, &LEAD).to_string();
+    for (i, t) in tokens.iter().enumerate() {
+        if i > 0 {
+            line.push_str(pick(rng, &SEP));
+        }
+        line.push_str(t);
+    }
+    line.push_str(pick(rng, &["", "", " ", "\t", "\r", " \r"]));
+    line
+}
+
+proptest! {
+    /// The one-pass parsers agree with the reference on data-plane
+    /// lines, corrupted ones and replies: the same value or the same
+    /// error variant, for every line.
+    #[test]
+    fn one_pass_parsers_agree_with_the_reference(seed in 0u64..=u64::MAX) {
+        let mut rng = SplitMix(seed);
+        let mut scratch = ProtoScratch::new();
+        for _ in 0..64 {
+            let mut tokens = request_tokens(&mut rng);
+            corrupt(&mut rng, &mut tokens);
+            let line = render(&mut rng, &tokens);
+            let got = Request::parse_in(&line, &mut scratch);
+            prop_assert!(agree(&got, &ref_request(&line)), "{line:?}: {got:?}");
+            let got = parse_batch_header(&line, &mut scratch);
+            prop_assert!(agree(&got, &ref_header("BATCH", &line)), "{line:?}: {got:?}");
+
+            let mut tokens = response_tokens(&mut rng);
+            corrupt(&mut rng, &mut tokens);
+            let line = render(&mut rng, &tokens);
+            let got = Response::parse(&line);
+            prop_assert!(agree(&got, &ref_response(&line)), "{line:?}: {got:?}");
+            let got = parse_batchr_header(&line, &mut scratch);
+            prop_assert!(agree(&got, &ref_header("BATCHR", &line)), "{line:?}: {got:?}");
+
+            // Byte soup over the grammar's own pieces and separators.
+            const SOUP: [&str; 14] = [
+                "OBSERVE", "PREDICT", "ADMIT", "BATCH", "OK", "PRED", "a", "7", "1:2",
+                "0.5", "0.25,0.5", " ", "\t", "\x0b",
+            ];
+            let line: String = (0..rng.below(12))
+                .map(|_| SOUP[rng.below(SOUP.len() as u64) as usize])
+                .collect();
+            let got = Request::parse_in(&line, &mut scratch);
+            prop_assert!(agree(&got, &ref_request(&line)), "{line:?}: {got:?}");
+            let got = Response::parse(&line);
+            prop_assert!(agree(&got, &ref_response(&line)), "{line:?}: {got:?}");
+        }
+    }
+}

@@ -96,6 +96,17 @@ grep -rnE -e 'OwnershipMap|OwnershipFactory|RingInfo|RingDesc|ownership_factory'
     crates tests docs README.md DESIGN.md examples \
   && { echo "tier1: the ownership closure (or its factory / RingInfo / RingDesc) is referenced again" >&2; exit 1; }
 
+# Wire numbers are written by the codec's own writers (proto/num.rs):
+# decimal u64s and shortest round-trip f64s, straight into the buffer.
+# Keep the core::fmt fallback, its adapter, and any `{}` formatting of a
+# float out of the codec's non-test code (comment lines aside).
+for f in crates/serve/src/proto.rs crates/serve/src/proto/*.rs; do
+  sed '/#\[cfg(test)\]/,$d' "$f" | grep -v '^[[:space:]]*//' \
+    | grep -nE -e 'push_fmt|ByteFmt|fmt::Write|"[^"]*\{(:[^}]*)?\}' \
+        -e '"[^"]*\{(v|value|usage|limit|peak|projected|mem|mu|ml|p50_us|p99_us|mean_us|max_us)(:[^}]*)?\}' \
+    && { echo "tier1: $f formats wire numbers through core::fmt again" >&2; exit 1; }
+done
+
 # Docs are part of the contract: every markdown link to a local file must
 # point at something that exists (catches renamed/moved docs going stale),
 # and rustdoc must be warning-free.
@@ -132,7 +143,10 @@ pin_test() { # <package> <test path> <what it guards>
   local out
   out="$(cargo test -q -p "$1" "$2" -- --include-ignored)" \
     || { echo "tier1: $3 regression test failed" >&2; exit 1; }
-  printf '%s' "$out" | grep -q "1 passed" \
+  # A here-string, not a pipe: under pipefail, `grep -q` exiting at the
+  # first match can kill a still-writing printf with SIGPIPE and fail a
+  # test that passed.
+  grep -q "1 passed" <<<"$out" \
     || { echo "tier1: $3 regression test did not run" >&2; exit 1; }
 }
 # The supervisor must never leak member processes when startup fails
@@ -214,6 +228,24 @@ pin_test oc-serve conn::tests::oversized_ringset_is_refused_and_the_member_keeps
 # A ring with no vnodes is refused before any member is spawned.
 pin_test oc-cluster supervisor::tests::zero_vnodes_is_refused_before_any_spawn \
   "zero-vnode ring"
+
+# Every float the codec writes is the text of format!("{v}") and parses
+# back to its bits, over a million values aimed at the traffic and the
+# writer's edges.
+pin_test oc-serve push_f64_matches_display_across_the_sweep \
+  "float writer sweep"
+# The one-pass request, header and reply parsers agree with a
+# split_ascii_whitespace + str::parse reference, value or error variant.
+pin_test oc-serve one_pass_parsers_agree_with_the_reference \
+  "parse oracle"
+# Encoding and parsing the hot requests and replies allocates nothing
+# once the buffers and the scratch are warm.
+pin_test oc-serve the_hot_codec_paths_allocate_nothing_when_warm \
+  "codec allocations"
+# A BATCH header is decided by a line's first token, with the same
+# answers (and closes) as a whole-line check.
+pin_test oc-serve conn::tests::batch_headers_are_detected_by_their_first_token \
+  "batch header detection"
 
 # A latency tail of seconds keeps its own percentiles: the old 20 ms
 # linear range answered p50 == p99 == max once half the mass overflowed.
