@@ -1,68 +1,42 @@
-//! `loadgen` binary: replay a generated cell against `oc-serve`.
+//! `loadgen` binary: drive `oc-serve`, or a ring of them, with generated
+//! load.
 //!
 //! ```text
-//! loadgen [--addr HOST:PORT] [--cluster H:P,H:P,...] [--machines N]
-//!         [--ticks N] [--connections N] [--qps N] [--rate-per-conn R]
-//!         [--seed U64] [--no-predicts] [--batch N] [--chaos RATE]
-//!         [--chaos-seed U64] [--out BENCH_serve.json] [--trace-out FILE]
+//! loadgen [--addr HOST:PORT] [--machines N] [--ticks N] [--connections N]
+//!         [--qps N] [--rate-per-conn R] [--seed U64] [--no-predicts]
+//!         [--batch N] [--chaos RATE] [--chaos-seed U64] [--trace-out FILE]
+//! loadgen --cluster H:P,H:P,... [--machines N] [--ticks N] [--batch N]
+//!         [--trace-out FILE]
 //! ```
 //!
-//! Every single-node phase runs through the one load driver,
-//! `oc_client::loadgen::run`: one thread drives all of a phase's
-//! connections as lanes of the client's send engine.
-//!
-//! Without `--addr`/`--cluster` an in-process server is started (4
-//! shards) and seven phases run: a **sustained** phase on the default
-//! config, a **serve_batched** phase replaying the same workload with
-//! `BATCH` framing (`--batch`, default 32) paced at 3x the sustained
-//! target (so server-side load stays comparable while throughput
-//! triples), a **batched-chaos** phase repeating it under seeded fault
-//! injection (the `--chaos` rate, default 2%) to prove framing loses no
-//! acknowledged samples,
-//! and a **reactor-10k** phase driving the fan-in script over 10 000
-//! concurrent connections at a low per-connection rate (107 lines/s/conn
-//! ≈ 1.07M lines/s offered, 128-line frames, never under chaos) against
-//! a server in a *child process* — two processes because one address
-//! space cannot hold both ends of 10 000 connections under a
-//! 20 000-descriptor `RLIMIT_NOFILE` hard cap.
-//!
-//! Three cluster phases close the pipeline, each against a 3-process
-//! `oc-cluster` ring of child processes and each driven by one routed
-//! `ClusterClient` (`fleet::run_routed`): **cluster-chaos** replays a
-//! mirrored fleet in two segments with one member SIGKILLed between
-//! them — `lost` is the count of machines whose served prediction is
-//! *not* bit-identical to an offline recompute of the full sample
-//! stream (served-vs-offline final-state identity, the strongest form
-//! of the ledger) and must be 0; **cluster-replace** SIGKILLs a member
-//! mid-fleet and replaces it *into the same ring slot* (machine state
-//! installed from the survivors' state records, generation bumped and
-//! pushed), and its client, still holding the generation-0 spec, must
-//! auto-adopt the new ring; **cluster-1m** streams 1 000 000 simulated
-//! machines across the ring (no mirroring, bounded per-task history)
-//! and reports the fleet throughput, with `server_machines` proving
-//! full coverage.
-//!
-//! With `--cluster H:P,H:P,...` one **cluster** phase drives an
-//! external member ring (started e.g. by `oc-clusterd`, which shares
-//! the default ring seed/vnodes) with `--machines`/`--ticks` shaping
-//! the fleet.
-//!
-//! With `--addr` only one phase runs against the external server:
-//! **sustained** by default, or a **fanin** phase when `--rate-per-conn`
-//! is given — the fan-in script paced at that rate on every connection,
-//! `--connections` wide, with `--batch` defaulting to 64 and `--chaos`
-//! applying as it does to the sustained phase. Without `--addr`,
-//! `--rate-per-conn` overrides the reactor-10k phase's per-connection
-//! rate.
+//! **One address.** Every run against one server is one call of the load
+//! driver, `oc_client::loadgen::run`: one thread drives all of the run's
+//! connections as lanes of the client's send engine. Without `--addr` the
+//! binary first starts an in-process server (`ServeConfig::default()`)
+//! and uses its address; from there the run is the same. By default each
+//! of `--connections` connections replays a share of a generated cell's
+//! machines (`--machines`, `--ticks`, `--seed`, `--no-predicts`), paced
+//! at `--qps` lines/s in total or unpaced. With `--rate-per-conn R` the
+//! run is a node-agent fan-in instead: connection `i` streams synthetic
+//! machine `i` at `R` lines/s, in `--batch` frames (64 when unset).
 //!
 //! `--chaos RATE` injects seeded faults (delays, partial reads/writes,
 //! dropped connections) into that fraction of client socket operations;
-//! the run must still finish with `lost == 0` — every acknowledged sample
-//! accounted for on the server — which the process enforces by exiting
-//! nonzero otherwise.
+//! the run must still finish with every acknowledged sample accounted for
+//! on the server.
 //!
-//! With `--out`, a JSON report in the style of `BENCH_hot_path.json` is
-//! written; otherwise the same JSON goes to stdout.
+//! **A ring.** `--cluster H:P,H:P,...` drives an external member ring
+//! (started e.g. by `oc-clusterd`, which shares the default ring
+//! seed/vnodes) through one routed, mirroring `ClusterClient`: a fleet of
+//! `--machines` synthetic machines, `--ticks` samples each, in `--batch`
+//! frames (64 when unset). The single-address flags do not apply there
+//! and are refused.
+//!
+//! **Verdict.** A run prints one summary line on stderr and exits
+//! nonzero when an acknowledged sample is unaccounted for (`lost > 0`),
+//! when a connection failed, or — with `--cluster` — when the ring's
+//! merged `STATS` machine count is not the fleet's mirrored size
+//! (machines × min(2, members)).
 //!
 //! With `--trace-out FILE`, structured tracing is enabled for the run and
 //! the drained client-side spans/events (`loadgen.conn` spans,
@@ -70,14 +44,25 @@
 //! JSONL on exit — see `docs/OPERATIONS.md` for the event dictionary.
 
 use oc_client::fleet::{self, FleetConfig};
-use oc_client::loadgen::{request_shutdown, run, LoadgenConfig, Script};
-use oc_client::{ClusterClient, ClusterClientConfig, LoadReport};
-use oc_cluster::{Cluster, ClusterConfig, RingSpec};
+use oc_client::loadgen::{run, LoadgenConfig, Script};
+use oc_client::{ClientError, ClusterClient, ClusterClientConfig, LoadReport};
+use oc_cluster::RingSpec;
 use oc_serve::fault::FaultPlan;
 use oc_serve::{ServeConfig, Server};
-use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
-use std::process::{Child, Command, ExitCode, Stdio};
+use std::process::ExitCode;
+
+/// Flags that shape a single-address run and mean nothing to `--cluster`.
+const SINGLE_ADDRESS_FLAGS: [&str; 8] = [
+    "--addr",
+    "--connections",
+    "--qps",
+    "--rate-per-conn",
+    "--seed",
+    "--no-predicts",
+    "--chaos",
+    "--chaos-seed",
+];
 
 struct Args {
     addr: Option<SocketAddr>,
@@ -85,24 +70,17 @@ struct Args {
     cluster: Option<Vec<SocketAddr>>,
     cfg: LoadgenConfig,
     rate_per_conn: Option<u64>,
-    chaos_rate: Option<f64>,
-    chaos_seed: u64,
-    out: Option<String>,
     trace_out: Option<String>,
-    /// Hidden mode: run as the benchmark's server child process.
-    serve_child: bool,
-    /// Server tuning consumed by `--serve-child` (and forwarded to the
-    /// reactor-10k child): shards, connection cap, reactor threads.
-    serve_cfg: ServeConfig,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: loadgen [--addr HOST:PORT] [--cluster H:P,H:P,...] \
-         [--machines N] [--ticks N] \
+        "usage: loadgen [--addr HOST:PORT] [--machines N] [--ticks N] \
          [--connections N] [--qps N] [--rate-per-conn R] [--seed U64] \
          [--no-predicts] [--batch N] [--chaos RATE] [--chaos-seed U64] \
-         [--out FILE] [--trace-out FILE]"
+         [--trace-out FILE]\n       \
+         loadgen --cluster H:P,H:P,... [--machines N] [--ticks N] [--batch N] \
+         [--trace-out FILE]"
     );
     std::process::exit(2);
 }
@@ -113,15 +91,16 @@ fn parse_args() -> Args {
         cluster: None,
         cfg: LoadgenConfig::default(),
         rate_per_conn: None,
-        chaos_rate: None,
-        chaos_seed: 42,
-        out: None,
         trace_out: None,
-        serve_child: false,
-        serve_cfg: ServeConfig::default(),
     };
+    let mut chaos_rate = None;
+    let mut chaos_seed = 42;
+    let mut single_address_flag = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        if let Some(flag) = SINGLE_ADDRESS_FLAGS.iter().find(|f| **f == arg) {
+            single_address_flag = Some(*flag);
+        }
         let mut val = |name: &str| {
             args.next().unwrap_or_else(|| {
                 eprintln!("{name} needs a value");
@@ -149,24 +128,9 @@ fn parse_args() -> Args {
             "--seed" => out.cfg.seed = Some(val("--seed").parse().unwrap_or_else(|_| usage())),
             "--no-predicts" => out.cfg.predicts = false,
             "--batch" => out.cfg.batch = val("--batch").parse().unwrap_or_else(|_| usage()),
-            "--chaos" => out.chaos_rate = Some(val("--chaos").parse().unwrap_or_else(|_| usage())),
-            "--chaos-seed" => {
-                out.chaos_seed = val("--chaos-seed").parse().unwrap_or_else(|_| usage())
-            }
-            "--out" => out.out = Some(val("--out")),
+            "--chaos" => chaos_rate = Some(val("--chaos").parse().unwrap_or_else(|_| usage())),
+            "--chaos-seed" => chaos_seed = val("--chaos-seed").parse().unwrap_or_else(|_| usage()),
             "--trace-out" => out.trace_out = Some(val("--trace-out")),
-            "--serve-child" => out.serve_child = true,
-            "--shards" => {
-                out.serve_cfg.shards = val("--shards").parse().unwrap_or_else(|_| usage())
-            }
-            "--max-connections" => {
-                out.serve_cfg.max_connections =
-                    val("--max-connections").parse().unwrap_or_else(|_| usage())
-            }
-            "--reactor-threads" => {
-                out.serve_cfg.reactor_threads =
-                    val("--reactor-threads").parse().unwrap_or_else(|_| usage())
-            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument: {other}");
@@ -174,348 +138,50 @@ fn parse_args() -> Args {
             }
         }
     }
-    if let Some(rate) = out.chaos_rate {
-        out.cfg.chaos = Some(FaultPlan::new(out.chaos_seed, rate));
+    if let (Some(_), Some(flag)) = (&out.cluster, single_address_flag) {
+        eprintln!("{flag} does not apply to --cluster");
+        usage();
+    }
+    if let Some(rate) = chaos_rate {
+        out.cfg.chaos = Some(FaultPlan::new(chaos_seed, rate));
     }
     out
 }
 
-fn phase_json(label: &str, report: &LoadReport) -> String {
-    eprintln!(
-        "loadgen[{label}]: {} reqs in {:.2}s = {:.0} qps, p50 {:.0}us p99 {:.0}us, \
-         errors {}, retries {}, faults {}, lost {}, failed conns {}",
-        report.sent,
-        report.wall_secs,
-        report.achieved_qps,
-        report.p50_us(),
-        report.p99_us(),
-        report.errors,
-        report.retries,
-        report.faults,
-        report.lost,
-        report.failed_connections,
-    );
-    for why in &report.conn_failures {
-        eprintln!("loadgen[{label}]:   failed: {why}");
+/// `--batch` when given, `default` otherwise.
+fn batch_or(args: &Args, default: usize) -> usize {
+    if args.cfg.batch > 1 {
+        args.cfg.batch
+    } else {
+        default
     }
-    report.to_json(label)
 }
 
-fn write_trace(path: &str) -> std::io::Result<usize> {
-    let events = oc_telemetry::trace::drain();
-    let file = std::fs::File::create(path)?;
-    let mut w = std::io::BufWriter::new(file);
-    oc_telemetry::trace::write_jsonl(&mut w, &events)?;
-    Ok(events.len())
-}
-
-/// Hidden `--serve-child` mode: start a server on an ephemeral port,
-/// announce it as `ADDR <addr>` on stdout, and block until a client
-/// sends `SHUTDOWN`.
-fn serve_child(mut cfg: ServeConfig) -> ExitCode {
-    cfg.addr = "127.0.0.1:0".to_string();
-    let server = match Server::start(cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("loadgen[serve-child]: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("ADDR {}", server.addr());
-    let _ = std::io::stdout().flush();
-    server.wait();
-    server.shutdown();
-    ExitCode::SUCCESS
-}
-
-/// Spawns this binary as a `--serve-child` server and parses the
-/// announced address.
-fn spawn_server_child(serve_cfg: &ServeConfig) -> std::io::Result<(Child, SocketAddr)> {
-    let exe = std::env::current_exe()?;
-    let mut child = Command::new(exe)
-        .arg("--serve-child")
-        .args(["--shards", &serve_cfg.shards.to_string()])
-        .args(["--max-connections", &serve_cfg.max_connections.to_string()])
-        .args(["--reactor-threads", &serve_cfg.reactor_threads.to_string()])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()?;
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut line = String::new();
-    BufReader::new(stdout).read_line(&mut line)?;
-    let addr = line
-        .strip_prefix("ADDR ")
-        .map(str::trim)
-        .and_then(|a| a.parse::<SocketAddr>().ok());
-    match addr {
-        Some(addr) => Ok((child, addr)),
-        None => {
-            let _ = child.kill();
-            let _ = child.wait();
-            Err(std::io::Error::other(format!(
-                "server child did not announce an address (got {line:?})"
-            )))
+/// One run against `addr`: the cell replay, or the fan-in script paced
+/// at `--rate-per-conn` on every connection.
+fn single(addr: SocketAddr, args: &Args) -> Result<(&'static str, LoadReport), ClientError> {
+    match args.rate_per_conn {
+        None => Ok(("replay", run(addr, &args.cfg)?)),
+        Some(rate) => {
+            let cfg = LoadgenConfig {
+                script: Script::Fanin,
+                target_qps: rate.saturating_mul(args.cfg.connections as u64),
+                batch: batch_or(args, 64),
+                ..args.cfg.clone()
+            };
+            Ok(("fanin", run(addr, &cfg)?))
         }
     }
 }
 
-/// The fan-in script over `connections`, paced at `rate` lines/s on
-/// each, in `--batch` frames (`default_batch` when unset).
-fn fanin_cfg(args: &Args, connections: usize, rate: u64, default_batch: usize) -> LoadgenConfig {
-    LoadgenConfig {
-        script: Script::Fanin,
-        connections,
-        target_qps: rate.saturating_mul(connections as u64),
-        batch: if args.cfg.batch > 1 {
-            args.cfg.batch
-        } else {
-            default_batch
-        },
-        ..args.cfg.clone()
-    }
-}
-
-/// Runs the reactor-10k phase: a child-process reactor server and the
-/// fan-in script over 10 000 connections.
-fn reactor_10k(args: &Args) -> Result<LoadReport, oc_client::ClientError> {
-    let serve_cfg = ServeConfig::default()
-        .with_shards(args.serve_cfg.shards.min(2))
-        .with_max_connections(10_100)
-        .with_reactor_threads(1);
-    // Tuned operating point for one reactor thread on one core: 10 000
-    // conns x 107 lines/s/conn offers ~1.07M lines/s, just under the
-    // measured ~1.1M saturation, and 128-line frames keep per-conn
-    // in-flight bytes low enough that full socket buffers don't degrade
-    // into TCP-window-dribble syscall amplification. `--chaos` is for
-    // the batched-chaos phase: fault delays on the one driver thread
-    // would stall all 10 000 connections.
-    let cfg = LoadgenConfig {
-        chaos: None,
-        ..fanin_cfg(args, 10_000, args.rate_per_conn.unwrap_or(107), 128)
-    };
-    let (mut child, addr) = spawn_server_child(&serve_cfg).map_err(oc_client::ClientError::Io)?;
-    let result = run(addr, &cfg);
-    let _ = request_shutdown(addr);
-    let _ = child.wait();
-    result
-}
-
-/// Splices extra numeric fields into a phase's JSON object (the
-/// hand-rolled reports close with `}`; cluster phases add process
-/// bookkeeping the generic report has no slot for).
-fn with_extras(mut json: String, extras: &[(&str, u64)]) -> String {
-    json.pop();
-    for (key, value) in extras {
-        json.push_str(&format!(",\"{key}\":{value}"));
-    }
-    json.push('}');
-    json
-}
-
-/// Fleet size of the cluster-chaos phase.
-const CHAOS_MACHINES: u64 = 3000;
-/// Samples per machine in the cluster-chaos phase.
-const CHAOS_TICKS: u64 = 30;
-/// Fleet size of the cluster-1m phase.
-const ONE_M_MACHINES: u64 = 1_000_000;
-/// Fleet size of the cluster-replace phase.
-const REPLACE_MACHINES: u64 = 600;
-/// Samples per machine in the cluster-replace phase.
-const REPLACE_TICKS: u64 = 30;
-
-/// A routed client over `cluster`'s current ring: `batch`-line frames,
-/// `frames` of them in flight per member.
-fn routed_client(
-    cluster: &Cluster,
-    mirror: bool,
-    batch: usize,
-    frames: usize,
-) -> Result<ClusterClient, oc_client::ClientError> {
-    let mut ccfg = ClusterClientConfig {
-        mirror,
-        pipeline_frames: frames,
-        ..ClusterClientConfig::default()
-    };
-    ccfg.client = ccfg.client.with_batch(batch);
-    ClusterClient::connect(cluster.spec(), &cluster.addrs(), ccfg)
-}
-
-/// cluster-chaos: a 3-process ring, a mirrored fleet driven in two
-/// segments by one client with member 0 SIGKILLed between them, and
-/// `lost` replaced by the served-vs-offline identity count — each
-/// machine's final prediction must be bit-identical to an offline
-/// recompute of its full sample stream, or it counts as lost.
-fn cluster_chaos() -> Result<LoadReport, oc_client::ClientError> {
-    let cluster_cfg = ClusterConfig {
-        nodes: 3,
-        shards: 1,
-        ..ClusterConfig::default()
-    };
-    let mut cluster = Cluster::start(&cluster_cfg).map_err(oc_client::ClientError::Io)?;
-    let mut cc = routed_client(&cluster, true, 64, 32)?;
-    let first = FleetConfig {
-        cell: "chaos".to_string(),
-        machines: CHAOS_MACHINES,
-        first_tick: 0,
-        ticks: CHAOS_TICKS / 2,
-        // Mid-run snapshots would double-count when the segment reports
-        // merge; only the post-kill survivors' state matters.
-        fetch_stats: false,
-    };
-    let r1 = fleet::run_routed(&mut cc, &first)?;
-
-    // SIGKILL mid-run: no drain, no goodbye. Everything member 0 owned
-    // is now served by its ring successors, which mirrored the stream;
-    // the client finds the death on its first send there.
-    cluster.kill(0).map_err(oc_client::ClientError::Io)?;
-
-    let second = FleetConfig {
-        first_tick: CHAOS_TICKS / 2,
-        ticks: CHAOS_TICKS - CHAOS_TICKS / 2,
-        fetch_stats: true,
-        ..first
-    };
-    let r2 = fleet::run_routed(&mut cc, &second)?;
-    let mut report = r1;
-    report.merge(&r2);
-
-    // Counter arithmetic cannot account a killed member (its acks died
-    // with it; its mirrors did not). The identity sweep is the honest
-    // ledger: state, not bookkeeping.
-    report.lost = fleet::verify(
-        cluster.spec(),
-        &cluster.addrs(),
-        &cluster.alive(),
-        "chaos",
-        CHAOS_MACHINES,
-        CHAOS_TICKS,
-    )?;
-    let _ = cluster.shutdown();
-    Ok(report)
-}
-
-/// cluster-replace: a 3-process ring, a mirrored fleet driven halfway,
-/// member 0 SIGKILLed and **replaced into its slot** — the replacement
-/// installs each machine's view state from the survivors' state records
-/// (`HANDOFF` dump, `RESTORE`), the ring generation bumps, and the
-/// supervisor pushes the new description to every member. The client
-/// that drove the first half still holds the generation-0 spec and the
-/// dead member's address for the second: it must discover the death,
-/// adopt the pushed ring *on its own* (no operator `adopt` call), and
-/// finish with zero served-vs-offline mismatches. Returns the merged
-/// report plus the client's adoption count and the post-replace mirror
-/// coverage percentage (machines resident on exactly owner + replica).
-fn cluster_replace() -> Result<(LoadReport, u64, u64), oc_client::ClientError> {
-    let cluster_cfg = ClusterConfig {
-        nodes: 3,
-        shards: 1,
-        ..ClusterConfig::default()
-    };
-    let mut cluster = Cluster::start(&cluster_cfg).map_err(oc_client::ClientError::Io)?;
-    // 64-line frames, 8 in flight per member (small fleet — deeper
-    // windows would just sit on one member's socket while verify waits).
-    let mut cc = routed_client(&cluster, true, 64, 8)?;
-    let seg = REPLACE_TICKS / 2;
-    let first = FleetConfig {
-        cell: "replace".to_string(),
-        machines: REPLACE_MACHINES,
-        first_tick: 0,
-        ticks: seg,
-        fetch_stats: false,
-    };
-    let r1 = fleet::run_routed(&mut cc, &first)?;
-
-    // SIGKILL, then replace into the same slot. No traffic lands between
-    // the kill and the replacement, so the survivors' views hold every
-    // acknowledged sample the dead member ever saw (the divergence
-    // window caveat in OPERATIONS.md §5.7).
-    cluster.kill(0).map_err(oc_client::ClientError::Io)?;
-    let replay = cluster.replace(0).map_err(oc_client::ClientError::Io)?;
-    eprintln!(
-        "loadgen[cluster-replace]: installed view state carrying {} samples \
-         from {} survivors ({} records rejected)",
-        replay.replayed, replay.sources, replay.rejected
-    );
-
-    // The client still believes in generation 0 and the dead address.
-    // Its first contact trips on the dead member, probes a survivor's
-    // RING, and adopts the bumped generation.
-    let second = FleetConfig {
-        first_tick: seg,
-        ticks: REPLACE_TICKS - seg,
-        fetch_stats: true,
-        ..first
-    };
-    let r2 = fleet::run_routed(&mut cc, &second)?;
-    let adoptions = cc.metrics().adoptions;
-    let mut report = r1;
-    report.merge(&r2);
-
-    // Coverage: with redundancy restored, every machine is resident on
-    // exactly two members (owner + replica), nowhere else.
-    let coverage = report.server.machines * 100 / (2 * REPLACE_MACHINES);
-
-    // The honest ledger, as in cluster-chaos: every machine's served
-    // prediction vs an offline recompute of its full 30-tick stream —
-    // now served partly by a process that was not alive for the first
-    // half of that stream.
-    report.lost = fleet::verify(
-        cluster.spec(),
-        &cluster.addrs(),
-        &cluster.alive(),
-        "replace",
-        REPLACE_MACHINES,
-        REPLACE_TICKS,
-    )?;
-    let _ = cluster.shutdown();
-    Ok((report, adoptions, coverage))
-}
-
-/// cluster-1m: 1 000 000 simulated machines streamed across a
-/// 3-process ring by one routed client (no mirroring — this phase
-/// measures fleet-scale coverage and throughput, not failover).
-/// `server_machines` in the report must count the whole fleet.
-fn cluster_1m() -> Result<LoadReport, oc_client::ClientError> {
-    let cluster_cfg = ClusterConfig {
-        nodes: 3,
-        shards: 1,
-        // Bound per-task history: 1M IncrementalViews at the paper's
-        // default window would hold samples nobody reads at this scale.
-        history_samples: Some(32),
-        ..ClusterConfig::default()
-    };
-    let cluster = Cluster::start(&cluster_cfg).map_err(oc_client::ClientError::Io)?;
-    // 8 frames x 512 lines = 4096 lines in flight per member: frames
-    // near MAX_BATCH amortize the BATCHR framing and write syscalls over
-    // the most lines.
-    let mut cc = routed_client(&cluster, false, 512, 8)?;
-    let cfg = FleetConfig {
-        cell: "m1".to_string(),
-        machines: ONE_M_MACHINES,
-        first_tick: 0,
-        ticks: 2,
-        fetch_stats: true,
-    };
-    let report = fleet::run_routed(&mut cc, &cfg)?;
-    let _ = cluster.shutdown();
-    Ok(report)
-}
-
-/// `--cluster` mode: one fleet phase against an external member ring
-/// sharing the default ring seed/vnodes (what `oc-clusterd` starts).
-fn cluster_external(
-    addrs: &[SocketAddr],
-    args: &Args,
-) -> Result<LoadReport, oc_client::ClientError> {
+/// One fleet drive against an external member ring sharing the default
+/// ring seed/vnodes (what `oc-clusterd` starts).
+fn cluster(addrs: &[SocketAddr], args: &Args) -> Result<LoadReport, ClientError> {
     let mut ccfg = ClusterClientConfig {
         pipeline_frames: 32,
         ..ClusterClientConfig::default()
     };
-    ccfg.client = ccfg.client.with_batch(if args.cfg.batch > 1 {
-        args.cfg.batch
-    } else {
-        64
-    });
+    ccfg.client = ccfg.client.with_batch(batch_or(args, 64));
     let mut cc = ClusterClient::connect(RingSpec::new(addrs.len()), addrs, ccfg)?;
     let cfg = FleetConfig {
         cell: "fleet".to_string(),
@@ -527,208 +193,98 @@ fn cluster_external(
     fleet::run_routed(&mut cc, &cfg)
 }
 
-fn main() -> ExitCode {
-    oc_cluster::run_child_if_node();
-    let args = parse_args();
-    if args.serve_child {
-        return serve_child(args.serve_cfg);
+fn summary(label: &str, report: &LoadReport) {
+    eprintln!(
+        "loadgen[{label}]: {} reqs in {:.2}s = {:.0} qps, p50 {:.0}us p99 {:.0}us, \
+         errors {}, retries {}, faults {}, lost {}, failed conns {}, machines {}",
+        report.sent,
+        report.wall_secs,
+        report.achieved_qps,
+        report.p50_us(),
+        report.p99_us(),
+        report.errors,
+        report.retries,
+        report.faults,
+        report.lost,
+        report.failed_connections,
+        report.server.machines,
+    );
+    for why in &report.conn_failures {
+        eprintln!("loadgen[{label}]:   failed: {why}");
     }
+}
+
+fn write_trace(path: &str) -> std::io::Result<usize> {
+    let events = oc_telemetry::trace::drain();
+    let file = std::fs::File::create(path)?;
+    let mut w = std::io::BufWriter::new(file);
+    oc_telemetry::trace::write_jsonl(&mut w, &events)?;
+    Ok(events.len())
+}
+
+fn main() -> ExitCode {
+    let args = parse_args();
     if args.trace_out.is_some() {
         oc_telemetry::trace::enable();
     }
-    let mut phases: Vec<String> = Vec::new();
-    let mut lost_total = 0u64;
-
-    let result = (|| -> Result<(), oc_client::ClientError> {
-        if let Some(members) = &args.cluster {
-            let report = cluster_external(members, &args)?;
-            lost_total += report.lost;
-            phases.push(with_extras(
-                phase_json("cluster", &report),
-                &[("processes", members.len() as u64), ("killed", 0)],
-            ));
-            return Ok(());
-        }
-        match args.addr {
-            Some(addr) => match args.rate_per_conn {
-                Some(rate) => {
-                    // High fan-in replay against the external server.
-                    let cfg = fanin_cfg(&args, args.cfg.connections, rate, 64);
-                    let report = run(addr, &cfg)?;
-                    lost_total += report.lost;
-                    phases.push(phase_json("fanin", &report));
-                }
-                None => {
-                    let report = run(addr, &args.cfg)?;
-                    lost_total += report.lost;
-                    phases.push(phase_json("sustained", &report));
-                }
-            },
-            None => {
-                // Sustained phase: default server.
-                let server = Server::start(ServeConfig::default())
-                    .map_err(|e| oc_client::ClientError::Config(e.to_string()))?;
-                let report = run(server.addr(), &args.cfg)?;
-                lost_total += report.lost;
-                phases.push(phase_json("sustained", &report));
+    let result = match (&args.cluster, args.addr) {
+        (Some(members), _) => cluster(members, &args).map(|r| ("cluster", r)),
+        (None, Some(addr)) => single(addr, &args),
+        (None, None) => match Server::start(ServeConfig::default()) {
+            Ok(server) => {
+                let result = single(server.addr(), &args);
                 server.shutdown();
-
-                // Batched phase: same workload with BATCH framing, paced
-                // at 3x the sustained target — shows what the
-                // zero-allocation data plane absorbs once per-line round
-                // trips stop dominating, while keeping the offered load
-                // paced so server-side latency stays comparable to the
-                // sustained phase.
-                let mut batched_cfg = args.cfg.clone();
-                batched_cfg.batch = if args.cfg.batch > 1 {
-                    args.cfg.batch
-                } else {
-                    32
-                };
-                batched_cfg.target_qps = args.cfg.target_qps.saturating_mul(3);
-                let server = Server::start(ServeConfig::default())
-                    .map_err(|e| oc_client::ClientError::Config(e.to_string()))?;
-                let report = run(server.addr(), &batched_cfg)?;
-                lost_total += report.lost;
-                phases.push(phase_json("serve_batched", &report));
-                server.shutdown();
-
-                // Batched chaos phase: the same framed replay under
-                // seeded fault injection; acked samples must all land.
-                let mut chaos_cfg = batched_cfg.clone();
-                chaos_cfg.chaos = Some(FaultPlan::new(
-                    args.chaos_seed,
-                    args.chaos_rate.unwrap_or(0.02),
-                ));
-                let server = Server::start(ServeConfig::default())
-                    .map_err(|e| oc_client::ClientError::Config(e.to_string()))?;
-                let report = run(server.addr(), &chaos_cfg)?;
-                lost_total += report.lost;
-                phases.push(phase_json("batched-chaos", &report));
-                server.shutdown();
-
-                // Fan-in phase: 10k connections at a low per-connection
-                // rate against the reactor frontend, server in a child
-                // process (20k fds don't fit one RLIMIT_NOFILE budget).
-                let report = reactor_10k(&args)?;
-                lost_total += report.lost;
-                phases.push(phase_json("reactor-10k", &report));
-
-                // Cluster chaos phase: 3 member processes, one
-                // SIGKILLed mid-fleet; lost = served-vs-offline
-                // prediction identity mismatches.
-                let report = cluster_chaos()?;
-                lost_total += report.lost;
-                phases.push(with_extras(
-                    phase_json("cluster-chaos", &report),
-                    &[("processes", 3), ("killed", 1)],
-                ));
-
-                // Cluster replacement phase: SIGKILL + same-slot replace
-                // from the survivors' state records; a stale-spec client
-                // must adopt the pushed generation on its own.
-                let (report, adoptions, coverage) = cluster_replace()?;
-                lost_total += report.lost;
-                phases.push(with_extras(
-                    phase_json("cluster-replace", &report),
-                    &[
-                        ("processes", 3),
-                        ("killed", 1),
-                        ("replaced", 1),
-                        ("adoptions", adoptions),
-                        ("mirror_coverage_pct", coverage),
-                    ],
-                ));
-
-                // Cluster fleet-scale phase: 1M machines across the ring.
-                let report = cluster_1m()?;
-                lost_total += report.lost;
-                phases.push(with_extras(
-                    phase_json("cluster-1m", &report),
-                    &[("processes", 3), ("killed", 0)],
-                ));
+                result
             }
+            Err(e) => Err(ClientError::Config(e.to_string())),
+        },
+    };
+    let (label, report) = match result {
+        Ok(done) => done,
+        Err(e) => {
+            eprintln!("loadgen: {e}");
+            return ExitCode::FAILURE;
         }
-        Ok(())
-    })();
-
-    if let Err(e) = result {
-        eprintln!("loadgen: {e}");
-        return ExitCode::FAILURE;
-    }
-
-    let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"serve_loadgen\",\n",
-            "  \"command\": \"cargo run --release -p oc-client --bin loadgen\",\n",
-            "  \"workload\": {{\"preset\": \"{:?}\", \"machines\": {}, \"ticks\": {}, ",
-            "\"connections\": {}, \"target_qps\": {}, \"predicts\": {}, ",
-            "\"batch\": {}, \"chaos_rate\": {}, \"chaos_seed\": {}}},\n",
-            "  \"phases\": [\n    {}\n  ],\n",
-            "  \"notes\": \"sustained = default 4-shard server; ",
-            "serve_batched = same workload with BATCH framing (32 sub-requests/frame ",
-            "unless --batch overrides), paced at 3x the sustained target when --qps is ",
-            "set and at open throttle otherwise — on a single core both open-throttle ",
-            "phases saturate the same reactor-thread ceiling, so framing shows up as fewer ",
-            "syscalls per line rather than a higher qps; batched-chaos = the framed ",
-            "replay under seeded fault injection (lost must be 0); ",
-            "reactor-10k = the fan-in script over 10000 connections of the one load ",
-            "driver (128-line BATCH frames, no chaos) against a 2-shard reactor-frontend ",
-            "server in a child process — its latencies are frame acks booked to each line ",
-            "and setup_* report per-connection connect time; cluster-chaos = a 3000-machine ",
-            "mirrored fleet over a 3-process consistent-hash ring with one member ",
-            "SIGKILLed mid-run — lost counts machines whose served prediction is not ",
-            "bit-identical to an offline recompute (state identity, not counter ",
-            "arithmetic); cluster-replace = a 600-machine mirrored fleet with member 0 ",
-            "SIGKILLed mid-run and replaced into its ring slot (each machine's view state ",
-            "installed from the survivors' state records, generation bumped and pushed via ",
-            "RINGSET) — the ",
-            "second half is driven by a ClusterClient still holding the generation-0 ",
-            "spec, which must auto-adopt the new ring (adoptions >= 1), and ",
-            "mirror_coverage_pct must be 100 (every machine resident on exactly owner + ",
-            "replica after redundancy is restored); cluster-1m = 1000000 machines x 2 ",
-            "ticks across the same ring, ",
-            "unmirrored, server_machines proving full coverage. Every cluster phase is ",
-            "driven by one routed ClusterClient; its latencies are frame acks booked to ",
-            "each line the frame resolved, and segment reports merge histograms. ",
-            "Latencies are client-observed (include pipelining queue time). ",
-            "Absolute numbers vary by host.\"\n}}\n"
-        ),
-        args.cfg.preset,
-        args.cfg.machines,
-        args.cfg.ticks,
-        args.cfg.connections,
-        args.cfg.target_qps,
-        args.cfg.predicts,
-        args.cfg.batch,
-        args.chaos_rate.unwrap_or(0.0),
-        args.chaos_seed,
-        phases.join(",\n    "),
-    );
-
-    match &args.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &json) {
-                eprintln!("loadgen: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("loadgen: wrote {path}");
-        }
-        None => print!("{json}"),
-    }
+    };
+    summary(label, &report);
+    let mut ok = true;
     if let Some(path) = &args.trace_out {
         oc_telemetry::trace::disable();
         match write_trace(path) {
             Ok(n) => eprintln!("loadgen: wrote {n} trace events to {path}"),
             Err(e) => {
                 eprintln!("loadgen: writing {path}: {e}");
-                return ExitCode::FAILURE;
+                ok = false;
             }
         }
     }
-    if lost_total > 0 {
-        eprintln!("loadgen: FAIL — {lost_total} acknowledged samples unaccounted for");
-        return ExitCode::FAILURE;
+    if report.lost > 0 {
+        eprintln!(
+            "loadgen: FAIL — {} acknowledged samples unaccounted for",
+            report.lost
+        );
+        ok = false;
     }
-    ExitCode::SUCCESS
+    if report.failed_connections > 0 {
+        eprintln!(
+            "loadgen: FAIL — {} connections failed",
+            report.failed_connections
+        );
+        ok = false;
+    }
+    if let Some(members) = &args.cluster {
+        let expected = args.cfg.machines as u64 * members.len().min(2) as u64;
+        if report.server.machines != expected {
+            eprintln!(
+                "loadgen: FAIL — the ring holds {} machines, the mirrored fleet is {expected}",
+                report.server.machines
+            );
+            ok = false;
+        }
+    }
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -217,8 +217,8 @@ impl LoadReport {
     }
 
     /// Client-observed p50 latency, microseconds (0 when nothing
-    /// resolved). Like every percentile here: read off `latency` or
-    /// `setup`, within one bucket (≈ 3 %) of the sample at that rank.
+    /// resolved): read off `latency`, within one bucket (≈ 3 %) of the
+    /// sample at that rank.
     pub fn p50_us(&self) -> f64 {
         self.latency.quantile(50.0)
     }
@@ -226,72 +226,6 @@ impl LoadReport {
     /// Client-observed p99 latency, microseconds.
     pub fn p99_us(&self) -> f64 {
         self.latency.quantile(99.0)
-    }
-
-    /// Client-observed maximum latency, microseconds (exact).
-    pub fn max_us(&self) -> f64 {
-        self.latency.max_or_zero()
-    }
-
-    /// Per-connection setup time, p50, microseconds.
-    pub fn setup_p50_us(&self) -> f64 {
-        self.setup.quantile(50.0)
-    }
-
-    /// Per-connection setup time, p99, microseconds.
-    pub fn setup_p99_us(&self) -> f64 {
-        self.setup.quantile(99.0)
-    }
-
-    /// Per-connection setup time, maximum, microseconds (exact).
-    pub fn setup_max_us(&self) -> f64 {
-        self.setup.max_or_zero()
-    }
-
-    /// Serializes the report as a JSON object (hand-rolled; the workspace
-    /// vendors no serde).
-    pub fn to_json(&self, label: &str) -> String {
-        format!(
-            concat!(
-                "{{\"label\":\"{}\",\"sent\":{},\"ok\":{},",
-                "\"errors\":{},\"retries\":{},\"reconnects\":{},",
-                "\"faults\":{},\"acked_observes\":{},\"lost\":{},",
-                "\"failed_connections\":{},\"connections\":{},",
-                "\"wall_secs\":{:.6},\"achieved_qps\":{:.1},",
-                "\"client_p50_us\":{:.1},",
-                "\"client_p99_us\":{:.1},\"client_max_us\":{:.1},",
-                "\"setup_p50_us\":{:.1},\"setup_p99_us\":{:.1},",
-                "\"setup_max_us\":{:.1},",
-                "\"server_p50_us\":{:.1},\"server_p99_us\":{:.1},",
-                "\"server_mean_us\":{:.1},\"server_observes\":{},",
-                "\"server_stale\":{},\"server_machines\":{}}}"
-            ),
-            label,
-            self.sent,
-            self.ok,
-            self.errors,
-            self.retries,
-            self.reconnects,
-            self.faults,
-            self.acked_observes,
-            self.lost,
-            self.failed_connections,
-            self.connections,
-            self.wall_secs,
-            self.achieved_qps,
-            self.p50_us(),
-            self.p99_us(),
-            self.max_us(),
-            self.setup_p50_us(),
-            self.setup_p99_us(),
-            self.setup_max_us(),
-            self.server.p50_us,
-            self.server.p99_us,
-            self.server.mean_us,
-            self.server.observes,
-            self.server.stale,
-            self.server.machines,
-        )
     }
 }
 
@@ -580,15 +514,6 @@ pub fn fetch_stats(addr: SocketAddr) -> Result<StatsSnapshot, ClientError> {
     Client::connect(addr, ClientConfig::default())?.stats()
 }
 
-/// Sends `SHUTDOWN` to a running server.
-///
-/// # Errors
-///
-/// Propagates client failures.
-pub fn request_shutdown(addr: SocketAddr) -> Result<(), ClientError> {
-    Client::connect(addr, ClientConfig::default())?.request_shutdown()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -647,7 +572,7 @@ mod tests {
         assert_eq!(report.acked_observes, 512);
         assert_eq!(report.server.machines, 8);
         assert_eq!(report.server.observes + report.server.stale, report.ok);
-        assert!(report.setup_p50_us() > 0.0);
+        assert!(report.setup.quantile(50.0) > 0.0);
     }
 
     /// The fan-in shape under chaos — 5 % of socket operations delayed,
@@ -721,7 +646,7 @@ mod tests {
             );
         }
         // Max is exact.
-        assert_eq!(merged.max_us(), 10_099.0);
+        assert_eq!(merged.latency.max_or_zero(), 10_099.0);
         assert_eq!(merged.latency.count(), 200);
     }
 

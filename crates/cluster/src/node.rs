@@ -7,7 +7,8 @@
 //! supervisor spawns members as child processes of the *current
 //! executable* re-invoked with `--cluster-node` — any binary that calls
 //! [`crate::run_child_if_node`] first thing in `main` can host members,
-//! so loadgen, `oc-clusterd`, and the examples all reuse one launcher.
+//! so `oc-clusterd`, the examples, the benchmark and the `rebuild` test
+//! binary all reuse one launcher.
 //!
 //! The child announces `ADDR <ip:port>` on stdout once it is serving
 //! (the parent blocks on that line), then waits for a `SHUTDOWN` verb
@@ -30,16 +31,13 @@ pub struct NodeArgs {
     pub shards: usize,
     /// Connection cap.
     pub max_connections: usize,
-    /// Override for `sim.max_num_samples` (the per-task history window)
-    /// — fleet-scale runs shrink it to bound per-machine memory.
-    pub history_samples: Option<usize>,
 }
 
 impl NodeArgs {
     /// Renders the child command line (everything after
     /// `--cluster-node`).
     pub fn to_args(&self) -> Vec<String> {
-        let mut out = vec![
+        vec![
             "--ring-nodes".into(),
             self.spec.nodes.to_string(),
             "--ring-index".into(),
@@ -54,12 +52,7 @@ impl NodeArgs {
             self.shards.to_string(),
             "--max-connections".into(),
             self.max_connections.to_string(),
-        ];
-        if let Some(h) = self.history_samples {
-            out.push("--history-samples".into());
-            out.push(h.to_string());
-        }
-        out
+        ]
     }
 
     /// Parses a child command line produced by [`NodeArgs::to_args`].
@@ -75,7 +68,6 @@ impl NodeArgs {
         let mut index = 0usize;
         let mut shards = 2usize;
         let mut max_connections = 1024usize;
-        let mut history_samples = None;
         let mut it = args.iter();
         while let Some(flag) = it.next() {
             let mut val = |flag: &str| {
@@ -98,9 +90,6 @@ impl NodeArgs {
                 "--ring-gen" => spec.generation = num!("--ring-gen", u64),
                 "--shards" => shards = num!("--shards", usize),
                 "--max-connections" => max_connections = num!("--max-connections", usize),
-                "--history-samples" => {
-                    history_samples = Some(num!("--history-samples", usize));
-                }
                 other => return Err(format!("unknown node flag {other}")),
             }
         }
@@ -109,7 +98,6 @@ impl NodeArgs {
             index,
             shards,
             max_connections,
-            history_samples,
         };
         parsed
             .serve_config()
@@ -121,16 +109,11 @@ impl NodeArgs {
     /// The [`ServeConfig`] this member runs: its ring slot, ephemeral
     /// local port.
     pub fn serve_config(&self) -> ServeConfig {
-        let mut cfg = ServeConfig::default()
+        ServeConfig::default()
             .with_addr("127.0.0.1:0")
             .with_shards(self.shards)
             .with_max_connections(self.max_connections)
-            .with_ring(self.spec, self.index);
-        if let Some(h) = self.history_samples {
-            cfg.sim.max_num_samples = h.max(1);
-            cfg.sim.min_num_samples = cfg.sim.min_num_samples.min(cfg.sim.max_num_samples);
-        }
-        cfg
+            .with_ring(self.spec, self.index)
     }
 }
 
@@ -180,14 +163,12 @@ mod tests {
             index: 3,
             shards: 4,
             max_connections: 64,
-            history_samples: Some(12),
         };
         let back = NodeArgs::parse(&args.to_args()).unwrap();
         assert_eq!(back.spec, args.spec);
         assert_eq!(back.index, args.index);
         assert_eq!(back.shards, args.shards);
         assert_eq!(back.max_connections, args.max_connections);
-        assert_eq!(back.history_samples, args.history_samples);
     }
 
     #[test]
@@ -203,25 +184,5 @@ mod tests {
             "index out of range"
         );
         assert!(bad(&["--ring-vnodes", "0"]).is_err(), "no vnodes");
-    }
-
-    #[test]
-    fn history_override_shrinks_the_window() {
-        let args = NodeArgs::parse(
-            &[
-                "--ring-nodes",
-                "2",
-                "--ring-index",
-                "0",
-                "--history-samples",
-                "8",
-            ]
-            .map(String::from),
-        )
-        .unwrap();
-        let cfg = args.serve_config();
-        assert_eq!(cfg.sim.max_num_samples, 8);
-        assert!(cfg.sim.min_num_samples <= cfg.sim.max_num_samples);
-        cfg.validate().unwrap();
     }
 }

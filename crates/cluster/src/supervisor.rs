@@ -65,9 +65,6 @@ pub struct ClusterConfig {
     pub shards: usize,
     /// Connection cap per member.
     pub max_connections: usize,
-    /// Per-task history window override (`sim.max_num_samples`) for
-    /// fleet-scale memory bounding; `None` keeps the paper default.
-    pub history_samples: Option<usize>,
     /// Has no effect: members keep no sample log, and
     /// [`Cluster::replace`]/[`Cluster::resize`] always move view state.
     /// Kept only so the repository benchmark package, which sets it,
@@ -84,7 +81,6 @@ impl Default for ClusterConfig {
             seed: DEFAULT_SEED,
             shards: 2,
             max_connections: 1024,
-            history_samples: None,
             handoff_log: true,
         }
     }
@@ -227,7 +223,6 @@ impl Cluster {
             index,
             shards: self.cfg.shards,
             max_connections: self.cfg.max_connections,
-            history_samples: self.cfg.history_samples,
         }
     }
 

@@ -60,8 +60,9 @@ fn observe_ticks_counter() -> &'static Arc<Counter> {
 /// [`OrderStatWindow`]: memory is incompressible (overrunning it kills
 /// tasks instead of throttling them), so per-task admission needs the
 /// recent *peak*, and tracking only the peak keeps the second lane's
-/// push O(1) amortized — the vectorized observe path stays inside the
-/// hot-path bench envelope (`BENCH_hot_path.json`).
+/// push O(1) amortized. The benchmark's `layers` probes read the
+/// vectorized observe path's cost (`core.view.observe_vec_ns_per_sample`)
+/// against the scalar one's (`core.view.observe_ns_per_sample`).
 #[derive(Debug, Clone)]
 struct MemLane {
     limit: f64,
