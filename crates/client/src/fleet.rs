@@ -112,9 +112,10 @@ pub fn run_routed(cc: &mut ClusterClient, cfg: &FleetConfig) -> Result<LoadRepor
 }
 
 /// What a member running `ServeConfig::default()` must serve for fleet
-/// machine `m` after ticks `0..ticks`: the offline recompute [`verify`]
-/// holds every member to.
-pub(crate) fn offline_peak(predictor: &dyn PeakPredictor, m: u64, ticks: u64) -> f64 {
+/// machine `m` after ticks `0..ticks` of [`fleet_usage`] (task `1:0`,
+/// limit 0.5): the offline recompute [`verify`] holds every member to.
+/// `predictor` is `ServeConfig::default().predictor`, built.
+pub fn offline_peak(predictor: &dyn PeakPredictor, m: u64, ticks: u64) -> f64 {
     let serve_cfg = ServeConfig::default();
     let mut view = IncrementalView::new(serve_cfg.machine_capacity, &serve_cfg.sim)
         .with_max_gap(serve_cfg.max_tick_gap);
@@ -461,8 +462,8 @@ pub(crate) mod tests {
         let r1 = run_routed(&mut cc, &first).expect("first half");
         assert_eq!(r1.ok, r1.sent);
 
-        // Graceful stop of member 0 (SIGKILL needs child processes; the
-        // supervisor smoke covers that path).
+        // Graceful stop of member 0 (SIGKILL needs child processes;
+        // oc-cluster's `rebuild` scenarios cover that path).
         servers.remove(0).shutdown();
         let second = FleetConfig {
             first_tick: 6,

@@ -3,7 +3,6 @@
 //! ```text
 //! oc-clusterd [--nodes N] [--vnodes V] [--seed S] [--shards K]
 //!             [--agg-addr IP:PORT]      # aggregator bind, default 127.0.0.1:0
-//! oc-clusterd --smoke                   # 3-process failover scenario, exit 0/1
 //! ```
 //!
 //! The default mode spawns `N` member processes, prints one
@@ -22,34 +21,24 @@ fn fail(msg: &str) -> ExitCode {
 
 fn main() -> ExitCode {
     oc_cluster::run_child_if_node();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--smoke") {
-        return match oc_cluster::smoke::run() {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e),
-        };
-    }
-
     let mut cfg = ClusterConfig::default();
     let mut agg_addr = "127.0.0.1:0".to_string();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let Some(value) = it.next() else {
-            return fail(&format!("{flag} needs a value"));
-        };
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let value = args.next().unwrap_or_default();
         let parsed = match flag.as_str() {
             "--nodes" => value.parse().map(|v| cfg.nodes = v).is_ok(),
             "--vnodes" => value.parse().map(|v| cfg.vnodes = v).is_ok(),
             "--seed" => value.parse().map(|v| cfg.seed = v).is_ok(),
             "--shards" => value.parse().map(|v| cfg.shards = v).is_ok(),
             "--agg-addr" => {
-                agg_addr = value.clone();
-                true
+                agg_addr.clone_from(&value);
+                !value.is_empty()
             }
             other => return fail(&format!("unknown flag {other}")),
         };
         if !parsed {
-            return fail(&format!("{flag}: invalid value {value}"));
+            return fail(&format!("{flag}: invalid value {value:?}"));
         }
     }
     let cluster = match Cluster::start(&cfg) {

@@ -8,11 +8,9 @@
 //! pool and the cost is irrelevant.
 
 use crate::RingSpec;
-use oc_serve::proto::{
-    parse_batchr_header, parse_view_header, push_u64, ProtoScratch, Request, Response,
-    StatsSnapshot, MAX_BATCH,
-};
+use oc_serve::proto::{parse_view_header, push_u64, Request, Response, StatsSnapshot, MAX_BATCH};
 use oc_serve::shard::key_hash;
+use oc_telemetry::metrics::merge_expositions;
 use oc_trace::ids::{CellId, MachineId};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -65,6 +63,37 @@ pub fn metrics_exposition(addr: SocketAddr) -> io::Result<String> {
         Response::Metrics { exposition } => Ok(exposition),
         other => Err(proto_err(format_args!("expected METRICS, got {other:?}"))),
     }
+}
+
+/// Cluster-wide `STATS`: the snapshots of the members at `addrs` folded
+/// through [`StatsSnapshot::merge`].
+///
+/// # Errors
+///
+/// The first member that fails [`stats`]: a partial aggregate would
+/// silently under-report.
+pub(crate) fn merged_stats(addrs: &[SocketAddr]) -> io::Result<StatsSnapshot> {
+    let mut merged = StatsSnapshot::default();
+    for &addr in addrs {
+        merged.merge(&stats(addr)?);
+    }
+    Ok(merged)
+}
+
+/// Cluster-wide `METRICS`: the expositions of the members at `addrs`
+/// merged through [`merge_expositions`].
+///
+/// # Errors
+///
+/// The first member that fails [`metrics_exposition`], and
+/// `InvalidData` for an exposition that does not parse.
+pub(crate) fn merged_metrics(addrs: &[SocketAddr]) -> io::Result<String> {
+    let lines = addrs
+        .iter()
+        .map(|&addr| metrics_exposition(addr))
+        .collect::<io::Result<Vec<String>>>()?;
+    let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+    merge_expositions(&refs).ok_or_else(|| proto_err("member exposition failed to parse"))
 }
 
 /// Asks a member to drain and exit (the drain-then-snapshot shutdown
@@ -277,89 +306,48 @@ pub fn restore<'a>(
     Ok(total)
 }
 
-/// Drives raw `OBSERVE` request `lines` into the member at `addr`, in
-/// order — the smoke scenario's and the tests' ingest path. Each window
-/// goes out as **one `BATCH` frame** with one frame in flight, and the
-/// member applies a frame's lines in line order before it answers them,
-/// so a machine's samples can never overtake each other. `ERR` answers
-/// (e.g. `not-mine` for keys outside the target's slots) count as
-/// rejected, not failures. Returns `(acknowledged, rejected)`, every
-/// line counted once.
-///
-/// # Errors
-///
-/// I/O errors and `InvalidData` for an unparseable, miscounted or
-/// non-request response.
-pub fn drive_lines(addr: SocketAddr, lines: &[String]) -> io::Result<(u64, u64)> {
-    /// Lines per frame: bounds both peers' buffered bytes so neither
-    /// side can deadlock on a full TCP window (and is within the
-    /// protocol's `MAX_BATCH`).
-    const WINDOW: usize = 512;
-    if lines.is_empty() {
-        return Ok((0, 0));
-    }
-    let (mut writer, mut reader) = connect(addr)?;
-    let mut read_line = move |resp: &mut String| read_wire_line(&mut reader, resp);
-    let mut acknowledged = 0u64;
-    let mut rejected = 0u64;
-    let mut frame = Vec::new();
-    let mut resp = String::new();
-    let mut scratch = ProtoScratch::new();
-    for window in lines.chunks(WINDOW) {
-        frame.clear();
-        frame.extend_from_slice(b"BATCH ");
-        push_u64(&mut frame, window.len() as u64);
-        frame.push(b'\n');
-        for line in window {
-            frame.extend_from_slice(line.as_bytes());
-            frame.push(b'\n');
-        }
-        writer.write_all(&frame)?;
-        writer.flush()?;
-        read_line(&mut resp)?;
-        match parse_batchr_header(resp.trim_end(), &mut scratch) {
-            Ok(Some(n)) if n == window.len() => {}
-            _ => {
-                return Err(proto_err(format_args!(
-                    "replay frame of {} lines answered {:?}",
-                    window.len(),
-                    resp.trim_end()
-                )));
-            }
-        }
-        for _ in window {
-            read_line(&mut resp)?;
-            match Response::parse(resp.trim_end()).map_err(proto_err)? {
-                Response::Ok => acknowledged += 1,
-                Response::Err { .. } => rejected += 1,
-                other => {
-                    return Err(proto_err(format_args!("replay answered {other:?}")));
-                }
-            }
-        }
-    }
-    Ok((acknowledged, rejected))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::smoke::{observe_line, predict, usage};
-    use oc_core::ingest::IncrementalView;
-    use oc_core::predictor::clamp_prediction;
+    use oc_client::fleet::{fleet_usage, offline_peak};
+    use oc_client::{Client, ClientConfig};
     use oc_serve::config::ServeConfig;
     use oc_serve::server::Server;
     use oc_trace::ids::{JobId, TaskId};
-    use oc_trace::Tick;
 
     const MACHINES: u64 = 400;
     const TICKS: u64 = 25;
 
-    /// Machine-major, tick-minor.
-    fn lines_of(cell: &str) -> Vec<String> {
-        (0..MACHINES)
-            .flat_map(|m| (0..TICKS).map(move |t| observe_line(cell, m, t)))
-            .collect()
+    /// The fleet's `OBSERVE`s in `cell`, machine-major, tick-minor.
+    fn observes(cell: &str) -> Vec<Request> {
+        let cell = CellId::new(cell);
+        let mut reqs = Vec::new();
+        for m in 0..MACHINES {
+            for t in 0..TICKS {
+                reqs.push(Request::Observe {
+                    cell: cell.clone(),
+                    machine: MachineId(m as u32),
+                    task: TaskId::new(JobId(1), 0),
+                    usage: fleet_usage(m, t),
+                    limit: 0.5,
+                    mem: None,
+                    tick: t,
+                });
+            }
+        }
+        reqs
+    }
+
+    /// Pipelines `reqs` into `addr` through one client, in `BATCH`
+    /// frames of 64 lines; returns how many were answered `OK`.
+    fn ingest(addr: SocketAddr, reqs: &[Request]) -> u64 {
+        let cfg = ClientConfig::default().with_batch(64);
+        let mut client = Client::connect(addr, cfg).expect("connect");
+        let mut oks = 0;
+        client
+            .pipeline_with(reqs, |_, resp, _| oks += u64::from(*resp == Response::Ok))
+            .expect("pipeline");
+        oks
     }
 
     /// A standalone single-shard member: one lock for every machine.
@@ -370,19 +358,14 @@ mod tests {
     /// Every machine of both cells is served with the bits of an
     /// offline recompute of its stream.
     fn assert_offline(addr: SocketAddr) {
-        let cfg = ServeConfig::default();
-        let predictor = cfg.predictor.build().expect("predictor");
+        let predictor = ServeConfig::default().predictor.build().expect("predictor");
+        let mut client = Client::connect(addr, ClientConfig::default()).expect("connect");
         for m in 0..MACHINES {
-            let mut view =
-                IncrementalView::new(cfg.machine_capacity, &cfg.sim).with_max_gap(cfg.max_tick_gap);
-            for t in 0..TICKS {
-                view.ingest(Tick(t), TaskId::new(JobId(1), 0), 0.5, usage(m, t))
-                    .expect("a fresh stream ingests");
-            }
-            view.flush();
-            let expected = clamp_prediction(predictor.predict(view.view()), view.view());
+            let expected = offline_peak(predictor.as_ref(), m, TICKS);
             for cell in ["fleet", "rival"] {
-                let got = predict(addr, cell, m).expect("predict");
+                let got = client
+                    .predict(&CellId::new(cell), MachineId(m as u32))
+                    .expect("predict");
                 assert_eq!(
                     got.to_bits(),
                     expected.to_bits(),
@@ -392,28 +375,24 @@ mod tests {
         }
     }
 
-    /// Two replays contending for one single-shard member must still
-    /// apply every machine's samples in order: no line may go stale
-    /// behind a later tick of its own machine, every line of both
+    /// Two client pipelines contending for one single-shard member must
+    /// still apply every machine's samples in order: no line may go
+    /// stale behind a later tick of its own machine, every line of both
     /// streams is ingested, and the end state is the offline one.
     #[test]
-    fn rival_replays_keep_machine_order() {
+    fn rival_client_pipelines_keep_machine_order() {
         let server = single_shard();
         let addr = server.addr();
-        let lines = lines_of("fleet");
-        let rival = lines_of("rival");
+        let (fleet, rival) = (observes("fleet"), observes("rival"));
         std::thread::scope(|scope| {
-            let other = scope.spawn(|| drive_lines(addr, &rival));
-            let report = drive_lines(addr, &lines).expect("replay");
-            assert_eq!(report, (lines.len() as u64, 0));
-            let report = other.join().expect("rival thread").expect("rival replay");
-            assert_eq!(report, (rival.len() as u64, 0));
+            let other = scope.spawn(|| ingest(addr, &rival));
+            assert_eq!(ingest(addr, &fleet), fleet.len() as u64);
+            assert_eq!(other.join().expect("rival thread"), rival.len() as u64);
         });
         assert_offline(addr);
         let stats = server.shutdown();
-        assert_eq!(stats.busy, 0);
         assert_eq!(stats.stale, 0, "samples overtook their own machine");
-        assert_eq!(stats.observes, (lines.len() + rival.len()) as u64);
+        assert_eq!(stats.observes, (fleet.len() + rival.len()) as u64);
     }
 
     /// Two rival restores into one single-shard member: every record of
@@ -423,8 +402,8 @@ mod tests {
     #[test]
     fn rival_restores_install_every_machine_bit_identically() {
         let source = single_shard();
-        drive_lines(source.addr(), &lines_of("fleet")).expect("ingest");
-        drive_lines(source.addr(), &lines_of("rival")).expect("ingest");
+        ingest(source.addr(), &observes("fleet"));
+        ingest(source.addr(), &observes("rival"));
         let records = handoff(source.addr()).expect("dump");
         assert_eq!(records.len() as u64, 2 * MACHINES);
         assert!(records.iter().all(|r| r.samples == TICKS));
@@ -456,7 +435,7 @@ mod tests {
     #[test]
     fn a_malformed_record_fails_its_frame() {
         let source = single_shard();
-        drive_lines(source.addr(), &lines_of("fleet")[..3 * TICKS as usize]).expect("ingest");
+        ingest(source.addr(), &observes("fleet")[..3 * TICKS as usize]);
         let mut records = handoff(source.addr()).expect("dump");
         assert_eq!(records.len(), 3);
         // The record's last byte is the top byte of its sample counter:

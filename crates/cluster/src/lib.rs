@@ -19,8 +19,6 @@
 //!   and `METRICS` by fanning out and merging.
 //! * [`control`] — the one-shot control-plane exchanges everything
 //!   above rides on.
-//! * [`smoke`] — the self-contained 3-process failover scenario CI
-//!   runs.
 //!
 //! Ingest replication is client-side: `oc-client`'s `ClusterClient`
 //! mirrors every `OBSERVE` to the key's replica, so a SIGKILLed member
@@ -28,12 +26,14 @@
 //! ingested the same ordered stream and serves bit-identical
 //! predictions (predictions are a pure function of ingested state).
 //! See `docs/PROTOCOL.md` §7 for the wire contract and
-//! `docs/OPERATIONS.md` for the failover runbook.
+//! `docs/OPERATIONS.md` for the failover runbook. The process-level
+//! scenarios (kill, failover, `replace`, `resize`, each checked against
+//! an offline recompute) are `crates/cluster/tests/rebuild.rs`, which
+//! drives the ring through `ClusterClient`.
 
 pub mod aggregator;
 pub mod control;
 pub mod node;
-pub mod smoke;
 pub mod supervisor;
 
 pub use aggregator::Aggregator;

@@ -22,7 +22,6 @@ use crate::node::NodeArgs;
 use crate::{RingSpec, DEFAULT_SEED, DEFAULT_VNODES};
 use oc_serve::proto::StatsSnapshot;
 use oc_serve::ring::KeyRole;
-use oc_telemetry::metrics::merge_expositions;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader};
 use std::net::SocketAddr;
@@ -528,6 +527,15 @@ impl Cluster {
         })
     }
 
+    /// The live members' addresses, in ring-index order.
+    fn live_addrs(&self) -> Vec<SocketAddr> {
+        self.members
+            .iter()
+            .filter(|m| m.alive)
+            .map(|m| m.addr)
+            .collect()
+    }
+
     /// Cluster-wide `STATS`: every live member's snapshot folded through
     /// [`StatsSnapshot::merge`].
     ///
@@ -536,32 +544,18 @@ impl Cluster {
     /// Fails if any live member cannot be reached — partial aggregates
     /// would silently under-report.
     pub fn merged_stats(&self) -> io::Result<StatsSnapshot> {
-        let mut merged = StatsSnapshot::default();
-        for m in self.members.iter().filter(|m| m.alive) {
-            merged.merge(&control::stats(m.addr)?);
-        }
-        Ok(merged)
+        control::merged_stats(&self.live_addrs())
     }
 
     /// Cluster-wide `METRICS`: every live member's exposition merged via
-    /// [`merge_expositions`].
+    /// `oc_telemetry::metrics::merge_expositions`.
     ///
     /// # Errors
     ///
     /// Fails if a member is unreachable or answers an invalid
     /// exposition.
     pub fn merged_metrics(&self) -> io::Result<String> {
-        let mut lines = Vec::new();
-        for m in self.members.iter().filter(|m| m.alive) {
-            lines.push(control::metrics_exposition(m.addr)?);
-        }
-        let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
-        merge_expositions(&refs).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                "member exposition failed to parse",
-            )
-        })
+        control::merged_metrics(&self.live_addrs())
     }
 
     /// Retires every live member and returns the merged final snapshot

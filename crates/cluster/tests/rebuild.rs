@@ -7,20 +7,22 @@
 //! each scenario and reports in the harness's format. Arguments that do
 //! not start with `-` filter scenarios by substring, as test names do.
 //!
-//! Every scenario ingests through the same routing a mirroring cluster
-//! client uses and checks state, not bookkeeping: both holders of every
-//! machine (owner and replica) must serve the bits of an offline
-//! recompute over the machine's full stream.
+//! Every scenario ingests through `oc-client`'s `ClusterClient`, a fresh
+//! one per pass on the supervisor's current ring, so the client itself
+//! finds a killed member and fails over. Each checks state, not
+//! bookkeeping: both holders of every machine (owner and replica) must
+//! serve the bits of `fleet::offline_peak`, the offline recompute over
+//! the machine's full stream.
 
+use oc_client::fleet::{self, offline_peak, FleetConfig};
+use oc_client::{Client, ClientConfig, ClusterClient, ClusterClientConfig};
 use oc_cluster::control::{self, ViewRecord};
-use oc_cluster::smoke::{check_holders, drive_pass, predict, usage};
 use oc_cluster::{Cluster, ClusterConfig, RingSpec};
-use oc_core::ingest::IncrementalView;
-use oc_core::predictor::clamp_prediction;
 use oc_serve::config::ServeConfig;
+use oc_serve::proto::{epoch_ring_generation, ErrCode, Request, Response};
+use oc_serve::ring::KeyRole;
 use oc_serve::shard::key_hash;
-use oc_trace::ids::{CellId, JobId, MachineId, TaskId};
-use oc_trace::Tick;
+use oc_trace::ids::{CellId, MachineId};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -28,21 +30,6 @@ const CELL: &str = "rebuild";
 const MACHINES: u64 = 60;
 
 type Scenario = fn() -> Result<(), String>;
-
-/// What a member predicts for `machine` once it has ingested ticks
-/// `0..ticks` of the smoke fleet's stream, recomputed offline.
-fn offline_prediction(machine: u64, ticks: u64) -> f64 {
-    let cfg = ServeConfig::default();
-    let predictor = cfg.predictor.build().expect("default predictor");
-    let mut view =
-        IncrementalView::new(cfg.machine_capacity, &cfg.sim).with_max_gap(cfg.max_tick_gap);
-    for t in 0..ticks {
-        view.ingest(Tick(t), TaskId::new(JobId(1), 0), 0.5, usage(machine, t))
-            .expect("a fresh stream ingests");
-    }
-    view.flush();
-    clamp_prediction(predictor.predict(view.view()), view.view())
-}
 
 fn start(nodes: usize) -> Result<Cluster, String> {
     Cluster::start(&ClusterConfig {
@@ -52,32 +39,66 @@ fn start(nodes: usize) -> Result<Cluster, String> {
     .map_err(|e| format!("cluster start: {e}"))
 }
 
-/// Ingests ticks `from..to` on the cluster's current ring, every member
-/// alive.
+/// Ingests ticks `from..to` of the fleet through a fresh `ClusterClient`
+/// on the cluster's current ring: every sample to its live owner and
+/// mirrored to its replica. The client starts with every member presumed
+/// alive and must find each dead one itself.
 fn pass(cluster: &Cluster, from: u64, to: u64) -> Result<(), String> {
-    let ring = cluster.spec().build();
-    drive_pass(
-        &ring,
-        &cluster.addrs(),
-        &cluster.alive(),
-        CELL,
-        MACHINES,
-        from..to,
-    )
+    let mut cfg = ClusterClientConfig::default();
+    cfg.client = cfg.client.with_batch(64);
+    let mut cc = ClusterClient::connect(cluster.spec(), &cluster.addrs(), cfg)
+        .map_err(|e| format!("connect: {e}"))?;
+    let drive = FleetConfig {
+        cell: CELL.to_string(),
+        machines: MACHINES,
+        first_tick: from,
+        ticks: to - from,
+        fetch_stats: false,
+    };
+    let report = fleet::run_routed(&mut cc, &drive).map_err(|e| format!("ingest: {e}"))?;
+    let dead = cluster.alive().iter().filter(|&&alive| !alive).count() as u64;
+    if report.ok != report.sent || report.errors != 0 || cc.metrics().failovers != dead {
+        return Err(format!(
+            "ingest {from}..{to}: {report:?} {:?}",
+            cc.metrics()
+        ));
+    }
+    Ok(())
 }
 
-/// Both holders of every machine serve the offline bits after `ticks`
-/// ticks, and the members hold exactly the fleet twice over — a member
-/// keeps no state for machines the ring moved away from it.
+/// Both holders (owner and replica under the all-alive ring) of every
+/// machine serve the offline bits after `ticks` ticks, and the members
+/// hold exactly the fleet twice over — a member keeps no state for
+/// machines the ring moved away from it. Returns how many machines
+/// `slot` holds.
 fn check(cluster: &Cluster, ticks: u64, slot: usize) -> Result<u64, String> {
-    let held = check_holders(
-        &cluster.spec().build(),
-        &cluster.addrs(),
-        CELL,
-        MACHINES,
-        slot,
-        |m| offline_prediction(m, ticks),
-    )?;
+    let predictor = ServeConfig::default()
+        .predictor
+        .build()
+        .map_err(|e| format!("predictor: {e}"))?;
+    let ring = cluster.spec().build();
+    let mut clients = cluster
+        .addrs()
+        .into_iter()
+        .map(|addr| Client::connect(addr, ClientConfig::default()))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| format!("connect: {e}"))?;
+    let cell = CellId::new(CELL);
+    let mut held = 0;
+    for m in 0..MACHINES {
+        let machine = MachineId(m as u32);
+        let want = offline_peak(predictor.as_ref(), m, ticks);
+        let (owner, replica) = ring.holders(key_hash(&(cell.clone(), machine)));
+        for holder in [owner, replica].into_iter().flatten() {
+            held += u64::from(holder == slot);
+            let got = clients[holder]
+                .predict(&cell, machine)
+                .map_err(|e| format!("machine {m} on member {holder}: {e}"))?;
+            if got.to_bits() != want.to_bits() {
+                return Err(format!("machine {m} on member {holder}: {got} != {want}"));
+            }
+        }
+    }
     let machines = cluster
         .merged_stats()
         .map_err(|e| format!("merged STATS: {e}"))?
@@ -148,16 +169,62 @@ fn replace_after_long_history_ships_bounded_state() -> Result<(), String> {
     Ok(())
 }
 
-/// Kill a member, run one pass on the two survivors, then `replace`:
+/// Kill a member, run one pass on the two survivors, then `replace`.
+/// Before the kill, a member that holds neither copy of a machine
+/// redirects its reads and every member stamps ring generation 0.
+/// Right after the kill, before any more ingest, each machine's live
+/// owner serves what the all-alive owner served. After the replace,
 /// each installed record is the complete one (its sample count covers
-/// the failover pass), and the replaced member and the replicas of its
-/// machines serve offline bits.
+/// the failover pass), the replaced member has ingested nothing and
+/// stamps generation 1, the survivors answer `RING` with it, and the
+/// replaced member and the replicas of its machines serve offline bits.
 fn replace_after_a_failover_pass_installs_complete_records() -> Result<(), String> {
     let mut cluster = start(3)?;
     pass(&cluster, 0, 30)?;
+    let (ring, addrs) = (cluster.spec().build(), cluster.addrs());
+    let cell = CellId::new(CELL);
+    let h0 = key_hash(&(cell.clone(), MachineId(0)));
+    let remote = (0..3)
+        .find(|&n| ring.role(n, h0) == KeyRole::Remote)
+        .ok_or("every member holds machine 0")?;
+    let read = Request::Predict {
+        cell,
+        machine: MachineId(0),
+        vector: false,
+    };
+    let mut client =
+        Client::connect(addrs[remote], ClientConfig::default()).map_err(|e| e.to_string())?;
+    match client.request(&read) {
+        Ok(Response::Err {
+            code: ErrCode::NotMine,
+            ..
+        }) => {}
+        other => return Err(format!("remote member {remote} answered {other:?}")),
+    }
+    for (member, &addr) in addrs.iter().enumerate() {
+        let epoch = control::stats(addr).map_err(|e| e.to_string())?.epoch;
+        if epoch == 0 || epoch_ring_generation(epoch) != 0 {
+            return Err(format!("member {member}: epoch {epoch:#x}"));
+        }
+    }
+    check(&cluster, 30, 0)?;
     cluster.kill(0).map_err(|e| format!("kill: {e}"))?;
+    let diverged = fleet::verify(cluster.spec(), &addrs, &cluster.alive(), CELL, MACHINES, 30)
+        .map_err(|e| format!("verify: {e}"))?;
+    if diverged != 0 {
+        return Err(format!("{diverged} machines diverged at failover"));
+    }
     pass(&cluster, 30, 45)?;
     let report = cluster.replace(0).map_err(|e| format!("replace: {e}"))?;
+    let addrs = cluster.addrs();
+    let s0 = control::stats(addrs[0]).map_err(|e| e.to_string())?;
+    if (s0.observes, s0.stale, s0.errors) != (0, 0, 0) || epoch_ring_generation(s0.epoch) != 1 {
+        return Err(format!("replaced member: {s0:?}"));
+    }
+    let (spec, members) = control::ring(addrs[1]).map_err(|e| format!("ring: {e}"))?;
+    if spec.generation != 1 || members.len() != 3 {
+        return Err(format!("RING answered {spec:?} {members:?}"));
+    }
     let held = check(&cluster, 45, 0)?;
     if held == 0 || report.rejected != 0 || report.replayed != held * 45 {
         return Err(format!("replace of {held} machines: {report:?}"));
@@ -192,7 +259,7 @@ fn replace_push_failure_leaves_the_new_member_in_place() -> Result<(), String> {
     }
     cluster.kill(2).map_err(|e| format!("kill: {e}"))?;
     cluster.push_ring().map_err(|e| format!("push_ring: {e}"))?;
-    let (ring, addrs, alive) = (cluster.spec().build(), cluster.addrs(), cluster.alive());
+    let (spec, addrs, alive) = (cluster.spec(), cluster.addrs(), cluster.alive());
     for member in [0, 1] {
         let (spec, _) = control::ring(addrs[member]).map_err(|e| format!("ring: {e}"))?;
         if spec.generation != 1 {
@@ -202,13 +269,12 @@ fn replace_push_failure_leaves_the_new_member_in_place() -> Result<(), String> {
             ));
         }
     }
-    for m in 0..MACHINES {
-        let h = key_hash(&(CellId::new(CELL), MachineId(m as u32)));
-        let owner = ring.owner(h, &alive).ok_or("no live owner")?;
-        let got = predict(addrs[owner], CELL, m)?;
-        if got.to_bits() != offline_prediction(m, 20).to_bits() {
-            return Err(format!("machine {m} on member {owner}: {got}"));
-        }
+    let diverged = fleet::verify(spec, &addrs, &alive, CELL, MACHINES, 20)
+        .map_err(|e| format!("verify: {e}"))?;
+    if diverged != 0 {
+        return Err(format!(
+            "{diverged} machines diverged from the offline bits"
+        ));
     }
     Ok(())
 }

@@ -15,9 +15,8 @@
 //!   (`max_num_samples` in the paper) with O(1) mean/std.
 //! * [`OrderStatWindow`] — the same FIFO window with a sorted index for
 //!   O(1) percentile/min/max reads on the per-tick prediction hot path.
-//! * [`resource`] — fixed-arity per-resource vectors ([`Res2`]) and
-//!   SoA window bundles ([`MovingWindowVec`], [`OrderStatWindowVec`])
-//!   for multi-resource (CPU + memory) overcommit.
+//! * [`resource`] — fixed-arity per-resource vectors ([`Res2`]) for
+//!   multi-resource (CPU + memory) overcommit.
 //! * [`correlation`] — Pearson and Spearman rank correlation
 //!   (Section 3.3's violation-rate vs. latency analysis).
 //! * [`regression`] — ordinary least squares (the "slope = 14.1" fit).
@@ -55,6 +54,6 @@ pub use order_stat::OrderStatWindow;
 pub use peak::PeakWindow;
 pub use percentile::{percentile_of_sorted, percentile_slice, P2Quantile};
 pub use regression::{ols, OlsFit};
-pub use resource::{MovingWindowVec, OrderStatWindowVec, Res2, ResourceVec};
+pub use resource::{Res2, ResourceVec};
 pub use summary::Summary;
 pub use welford::Welford;

@@ -1,22 +1,14 @@
-//! Fixed-arity resource vectors and structure-of-arrays window bundles.
+//! Fixed-arity resource vectors.
 //!
 //! The overcommit machinery is resource-agnostic: a predictor that bounds
 //! the peak of a sum of CPU series bounds the peak of a sum of memory
 //! series just as well. [`ResourceVec`] is the small fixed-arity value
-//! type that carries one sample per tracked resource (lane), and
-//! [`MovingWindowVec`] / [`OrderStatWindowVec`] bundle one scalar window
-//! per lane in SoA layout — each lane keeps its own contiguous buffer, so
-//! the incremental per-lane hot path is byte-for-byte the proven scalar
-//! path and stays vectorizable.
+//! type that carries one sample per tracked resource (lane).
 //!
 //! Lane 0 is CPU by convention ([`CPU`]); lane 1 is memory ([`MEM`]).
-//! Because a lane of a vector window *is* a scalar window, pushing only
-//! lane-0 values produces results bit-identical to the scalar code the
-//! goldens were recorded against.
-
-use crate::error::StatsError;
-use crate::moving::MovingWindow;
-use crate::order_stat::OrderStatWindow;
+//! Windowed state is not vectorized here: a consumer keeps one scalar
+//! window per lane (`oc_core::view` does), so the CPU lane runs exactly
+//! the scalar code the goldens were recorded against.
 
 /// Lane index of the CPU resource (always lane 0).
 pub const CPU: usize = 0;
@@ -46,17 +38,12 @@ pub const RESOURCE_NAMES: [&str; NUM_RESOURCES] = ["cpu", "mem"];
 /// use oc_stats::resource::{ResourceVec, Res2, CPU, MEM};
 ///
 /// let usage = Res2::from_lanes([0.5, 0.25]);
-/// let limit = Res2::from_lanes([0.6, 0.3]);
 /// assert_eq!(usage.lane(CPU), 0.5);
 /// assert_eq!(usage.lane(MEM), 0.25);
 ///
 /// // Elementwise max is how per-lane peaks combine.
 /// let peak = usage.max(Res2::from_lanes([0.4, 0.4]));
 /// assert_eq!(peak.lanes(), &[0.5, 0.4]);
-///
-/// // Worst-lane admission: every lane must fit.
-/// assert!(usage.all_le(&limit));
-/// assert!(!limit.all_le(&usage));
 ///
 /// // A scalar sample promotes to a vector with zeroed other lanes.
 /// let scalar = ResourceVec::<2>::cpu_only(0.7);
@@ -77,11 +64,6 @@ impl<const N: usize> ResourceVec<N> {
     /// Builds a vector from explicit per-lane values.
     pub const fn from_lanes(lanes: [f64; N]) -> Self {
         Self { lanes }
-    }
-
-    /// Every lane set to `x`.
-    pub const fn splat(x: f64) -> Self {
-        Self { lanes: [x; N] }
     }
 
     /// A CPU-only vector: lane 0 set to `x`, all other lanes zero.
@@ -135,27 +117,9 @@ impl<const N: usize> ResourceVec<N> {
         Self { lanes }
     }
 
-    /// `true` when every lane of `self` is `<=` the matching lane of
-    /// `other` — the worst-lane admission rule: a machine fits only if it
-    /// fits in *every* resource.
-    pub fn all_le(&self, other: &Self) -> bool {
-        self.lanes.iter().zip(&other.lanes).all(|(a, b)| a <= b)
-    }
-
     /// The largest lane value (the "worst" lane for headroom purposes).
     pub fn worst(&self) -> f64 {
         self.lanes.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Index of the largest lane value (first on ties).
-    pub fn worst_lane(&self) -> usize {
-        let mut best = 0;
-        for i in 1..N {
-            if self.lanes[i] > self.lanes[best] {
-                best = i;
-            }
-        }
-        best
     }
 
     /// `true` when every lane is finite.
@@ -199,177 +163,6 @@ impl<const N: usize> std::ops::Index<usize> for ResourceVec<N> {
     }
 }
 
-/// A bundle of `N` independent [`MovingWindow`]s, one per resource lane,
-/// in structure-of-arrays layout.
-///
-/// Each lane owns its own contiguous buffer, so the per-lane incremental
-/// update is exactly the scalar [`MovingWindow`] code — lane 0 of a
-/// vector window is bit-identical to a scalar window fed the same
-/// values. Both scalar windows allocate lazily, so a lane that never
-/// sees a push costs only the empty struct.
-///
-/// # Examples
-///
-/// ```
-/// use oc_stats::resource::{MovingWindowVec, Res2, CPU, MEM};
-///
-/// let mut w = MovingWindowVec::<2>::new(4).unwrap();
-/// w.push(Res2::from_lanes([0.5, 0.25]));
-/// w.push(Res2::from_lanes([0.7, 0.35]));
-/// assert_eq!(w.lane(CPU).mean(), (0.5 + 0.7) / 2.0);
-/// assert_eq!(w.lane(MEM).max(), Some(0.35));
-/// ```
-#[derive(Debug, Clone)]
-pub struct MovingWindowVec<const N: usize> {
-    lanes: [MovingWindow; N],
-}
-
-impl<const N: usize> MovingWindowVec<N> {
-    /// Creates a vector window retaining the `capacity` most recent
-    /// samples per lane.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] if `capacity` is zero.
-    pub fn new(capacity: usize) -> Result<Self, StatsError> {
-        // Validate once; per-lane construction cannot fail afterwards.
-        MovingWindow::new(capacity)?;
-        Ok(Self {
-            lanes: std::array::from_fn(|_| {
-                MovingWindow::new(capacity).expect("capacity already validated")
-            }),
-        })
-    }
-
-    /// Pushes one sample per lane.
-    pub fn push(&mut self, v: ResourceVec<N>) {
-        for (w, x) in self.lanes.iter_mut().zip(v.lanes) {
-            w.push(x);
-        }
-    }
-
-    /// Read access to lane `i`'s scalar window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= N`.
-    pub fn lane(&self, i: usize) -> &MovingWindow {
-        &self.lanes[i]
-    }
-
-    /// Mutable access to lane `i`'s scalar window, for callers that
-    /// update lanes at different cadences (e.g. a scalar-only tick that
-    /// must keep lane 0 bit-identical while other lanes idle).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= N`.
-    pub fn lane_mut(&mut self, i: usize) -> &mut MovingWindow {
-        &mut self.lanes[i]
-    }
-
-    /// Number of samples in lane 0 (lanes pushed together stay in step).
-    pub fn len(&self) -> usize {
-        self.lanes[CPU].len()
-    }
-
-    /// `true` when lane 0 holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.lanes[CPU].is_empty()
-    }
-
-    /// The configured per-lane capacity.
-    pub fn capacity(&self) -> usize {
-        self.lanes[CPU].capacity()
-    }
-
-    /// Per-lane means as a vector.
-    pub fn mean(&self) -> ResourceVec<N> {
-        ResourceVec::from_lanes(std::array::from_fn(|i| self.lanes[i].mean()))
-    }
-}
-
-/// A bundle of `N` independent [`OrderStatWindow`]s, one per resource
-/// lane, in structure-of-arrays layout.
-///
-/// Same contract as [`MovingWindowVec`]: each lane is the proven scalar
-/// window, so per-lane percentile/min/max reads stay O(1) and lane 0 is
-/// bit-identical to scalar code fed the same values.
-///
-/// # Examples
-///
-/// ```
-/// use oc_stats::resource::{OrderStatWindowVec, Res2, CPU, MEM};
-///
-/// let mut w = OrderStatWindowVec::<2>::new(3).unwrap();
-/// for (c, m) in [(5.0, 0.1), (1.0, 0.3), (4.0, 0.2)] {
-///     w.push(Res2::from_lanes([c, m]));
-/// }
-/// assert_eq!(w.lane(CPU).percentile(50.0).unwrap(), 4.0);
-/// assert_eq!(w.lane(MEM).max(), Some(0.3));
-/// ```
-#[derive(Debug, Clone)]
-pub struct OrderStatWindowVec<const N: usize> {
-    lanes: [OrderStatWindow; N],
-}
-
-impl<const N: usize> OrderStatWindowVec<N> {
-    /// Creates a vector window retaining the `capacity` most recent
-    /// samples per lane.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] if `capacity` is zero.
-    pub fn new(capacity: usize) -> Result<Self, StatsError> {
-        OrderStatWindow::new(capacity)?;
-        Ok(Self {
-            lanes: std::array::from_fn(|_| {
-                OrderStatWindow::new(capacity).expect("capacity already validated")
-            }),
-        })
-    }
-
-    /// Pushes one sample per lane.
-    pub fn push(&mut self, v: ResourceVec<N>) {
-        for (w, x) in self.lanes.iter_mut().zip(v.lanes) {
-            w.push(x);
-        }
-    }
-
-    /// Read access to lane `i`'s scalar window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= N`.
-    pub fn lane(&self, i: usize) -> &OrderStatWindow {
-        &self.lanes[i]
-    }
-
-    /// Mutable access to lane `i`'s scalar window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= N`.
-    pub fn lane_mut(&mut self, i: usize) -> &mut OrderStatWindow {
-        &mut self.lanes[i]
-    }
-
-    /// Number of samples in lane 0 (lanes pushed together stay in step).
-    pub fn len(&self) -> usize {
-        self.lanes[CPU].len()
-    }
-
-    /// `true` when lane 0 holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.lanes[CPU].is_empty()
-    }
-
-    /// The configured per-lane capacity.
-    pub fn capacity(&self) -> usize {
-        self.lanes[CPU].capacity()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,60 +183,5 @@ mod tests {
         assert_eq!((b - a).lanes(), &[2.0, -2.0]);
         assert_eq!(a.scale(2.0).lanes(), &[2.0, 8.0]);
         assert_eq!(a.worst(), 4.0);
-        assert_eq!(a.worst_lane(), MEM);
-        assert_eq!(b.worst_lane(), CPU);
-    }
-
-    #[test]
-    fn all_le_is_worst_lane_admission() {
-        let usage = Res2::from_lanes([0.5, 0.25]);
-        let cap = Res2::from_lanes([1.0, 0.3]);
-        assert!(usage.all_le(&cap));
-        // Memory lane over even though CPU fits: must be rejected.
-        let mem_hog = Res2::from_lanes([0.5, 0.4]);
-        assert!(!mem_hog.all_le(&cap));
-    }
-
-    #[test]
-    fn vector_window_lane0_matches_scalar() {
-        let xs = [5.0, 1.0, 4.0, 2.0, 9.0, 3.0];
-        let mut scalar = OrderStatWindow::new(4).unwrap();
-        let mut vec = OrderStatWindowVec::<NUM_RESOURCES>::new(4).unwrap();
-        for (i, &x) in xs.iter().enumerate() {
-            scalar.push(x);
-            vec.push(Res2::from_lanes([x, i as f64 * 0.1]));
-            assert_eq!(
-                scalar.percentile(75.0).unwrap().to_bits(),
-                vec.lane(CPU).percentile(75.0).unwrap().to_bits()
-            );
-        }
-        assert_eq!(scalar.max(), vec.lane(CPU).max());
-        assert_eq!(vec.lane(MEM).len(), 4);
-    }
-
-    #[test]
-    fn moving_window_vec_lane0_matches_scalar() {
-        let xs = [0.5, 0.7, 0.2, 0.9, 0.4];
-        let mut scalar = MovingWindow::new(3).unwrap();
-        let mut vec = MovingWindowVec::<NUM_RESOURCES>::new(3).unwrap();
-        for &x in &xs {
-            scalar.push(x);
-            vec.push(Res2::from_lanes([x, x * 0.5]));
-            assert_eq!(scalar.mean().to_bits(), vec.lane(CPU).mean().to_bits());
-            assert_eq!(
-                scalar.population_std().to_bits(),
-                vec.lane(CPU).population_std().to_bits()
-            );
-        }
-        assert_eq!(
-            vec.mean().lane(MEM).to_bits(),
-            vec.lane(MEM).mean().to_bits()
-        );
-    }
-
-    #[test]
-    fn zero_capacity_rejected() {
-        assert!(MovingWindowVec::<2>::new(0).is_err());
-        assert!(OrderStatWindowVec::<2>::new(0).is_err());
     }
 }

@@ -119,6 +119,14 @@ grep -rnE -e '\boc[-_]bench\b|criterion|check_bench_json|BENCH_serve|BENCH_hot_p
     crates tests examples docs README.md .claude/skills/verify/SKILL.md \
   && { echo "tier1: the legacy bench stack (or loadgen's recording phases) is referenced again" >&2; exit 1; }
 
+# A ring member is driven one way: through oc-client (ClusterClient,
+# Client). Keep the cluster crate's hand-rolled router and frame loop and
+# the smoke scenario built on them from coming back through a doc or a
+# flag.
+grep -rnE -e 'drive_lines|drive_pass|oc_cluster::smoke|clusterd --smoke' \
+    crates tests examples docs README.md .claude/skills/verify/SKILL.md \
+  && { echo "tier1: the cluster smoke scenario (or its hand-rolled ingest) is referenced again" >&2; exit 1; }
+
 # Docs are part of the contract: every markdown link to a local file must
 # point at something that exists (catches renamed/moved docs going stale),
 # and rustdoc must be warning-free.
@@ -165,9 +173,9 @@ pin_test() { # <package> <test path> <what it guards>
 # partway (a leaked child holds its port and survives the test run).
 pin_test oc-cluster supervisor::tests::start_failure_leaves_no_live_children \
   "supervisor leak"
-# Two rival replays into one single-shard member must keep every
+# Two rival client pipelines into one single-shard member must keep every
 # machine's samples in order and end in the offline state.
-pin_test oc-cluster control::tests::rival_replays_keep_machine_order \
+pin_test oc-cluster control::tests::rival_client_pipelines_keep_machine_order \
   "replay ordering"
 # Two rival restores into one single-shard member install every machine,
 # which then serves offline bits, with nothing counted stale or failed.
@@ -193,6 +201,16 @@ pin_test oc-core sim::tests::shared_evaluation_matches_each_predictor_alone \
 # machine serving offline bits (real member processes; own test main).
 pin_test oc-cluster resize::grow_and_shrink_keep_both_holders_offline_exact \
   "ring resize"
+# SIGKILL, failover and replace on real member processes, driven through
+# ClusterClient: a remote member redirects, live owners serve the
+# all-alive owner's bits right after the kill, and the replaced member
+# ingested nothing, stamps generation 1 and serves offline bits.
+pin_test oc-cluster replace::after_a_failover_pass_installs_complete_records \
+  "failover and replace"
+# The aggregator discards a final line cut off before its newline: a
+# truncated SHUTDOWN must not retire the cluster.
+pin_test oc-cluster aggregator::tests::a_truncated_final_line_is_not_dispatched \
+  "aggregator truncation rule"
 # A refused reconnect to a ring member is a death verdict: failover in one
 # connect, with no backoff ladder slept on the way.
 pin_test oc-client fleet::tests::refused_reconnect_is_a_death_verdict \
@@ -276,12 +294,6 @@ pin_test oc-serve metrics::tests::heavy_tail_keeps_its_percentiles \
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-# Multi-process cluster smoke test: boot a 3-member ring as real child
-# processes, route through the consistent-hash ring, kill a member, and
-# verify failover — the one behavior cargo test cannot cover, because
-# test binaries cannot re-exec themselves as cluster nodes.
-./target/release/oc-clusterd --smoke
-
 # The powercap experiment is an acceptance artifact of the
 # multi-resource refactor: a quick-scale run must emit its [claim]
 # lines (cap frontier + worst-lane gating demo) and write the frontier
@@ -309,3 +321,8 @@ fi
 # the names it prints against BENCHMARK.json and its README.
 bash benchmark/run.sh --smoke
 bash benchmark/check_names.sh
+# A crate dependency edge that reaches the benchmark's lock would make
+# run.sh rewrite benchmark/Cargo.lock; the benchmark must build as
+# committed.
+git diff --exit-code -- benchmark/ \
+  || { echo "tier1: building the benchmark changed files under benchmark/" >&2; exit 1; }
