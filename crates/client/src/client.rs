@@ -426,19 +426,7 @@ impl Client {
         limit: f64,
         tick: u64,
     ) -> Result<(), ClientError> {
-        let req = Request::Observe {
-            cell: cell.clone(),
-            machine,
-            task,
-            usage,
-            limit,
-            mem: None,
-            tick,
-        };
-        match self.request(&req)? {
-            Response::Ok => Ok(()),
-            other => Err(ClientError::unexpected("OK", &other)),
-        }
+        self.observe_lanes(cell, machine, task, usage, limit, None, tick)
     }
 
     /// Reports one multi-resource sample: CPU plus memory lanes in a
@@ -461,13 +449,30 @@ impl Client {
         mem_limit: f64,
         tick: u64,
     ) -> Result<(), ClientError> {
+        let mem = Some((mem_usage, mem_limit));
+        self.observe_lanes(cell, machine, task, usage, limit, mem, tick)
+    }
+
+    /// The one `OBSERVE` request path: [`Client::observe`] with no memory
+    /// lane, [`Client::observe_vec`] with one.
+    #[allow(clippy::too_many_arguments)]
+    fn observe_lanes(
+        &mut self,
+        cell: &oc_trace::ids::CellId,
+        machine: oc_trace::MachineId,
+        task: oc_trace::ids::TaskId,
+        usage: f64,
+        limit: f64,
+        mem: Option<(f64, f64)>,
+        tick: u64,
+    ) -> Result<(), ClientError> {
         let req = Request::Observe {
             cell: cell.clone(),
             machine,
             task,
             usage,
             limit,
-            mem: Some((mem_usage, mem_limit)),
+            mem,
             tick,
         };
         match self.request(&req)? {

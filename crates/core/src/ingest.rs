@@ -23,7 +23,7 @@
 //!    aggregate window in the batch path (`observe(t, [])` pushes a zero
 //!    and departs every task). The incremental view synthesizes those
 //!    empty observations for any tick between the last flushed tick (or
-//!    the configured origin) and the tick being flushed, bounded by
+//!    tick 0) and the tick being flushed, bounded by
 //!    [`max_gap`](IncrementalView::with_max_gap) to stop a corrupt
 //!    timestamp from looping for months of virtual time.
 //! 2. **Arrival-order preservation.** Within a tick, samples are applied
@@ -52,7 +52,7 @@
 use crate::config::SimConfig;
 use crate::error::CoreError;
 use crate::view::MachineView;
-use oc_stats::resource::{Res2, CPU, NUM_RESOURCES, RESOURCE_NAMES};
+use oc_stats::resource::{Res2, NUM_RESOURCES, RESOURCE_NAMES};
 use oc_stats::state::{corrupt, put_bool, put_f64, put_u64, StateReader};
 use oc_trace::ids::{JobId, TaskId};
 use oc_trace::time::Tick;
@@ -85,7 +85,6 @@ pub const DEFAULT_MAX_GAP: u64 = 1 << 16;
 #[derive(Debug, Clone)]
 pub struct IncrementalView {
     view: MachineView,
-    origin: Tick,
     max_gap: u64,
     last_flushed: Option<Tick>,
     pending_tick: Option<Tick>,
@@ -94,15 +93,15 @@ pub struct IncrementalView {
     /// machine hosts few tasks, and the side map this replaces cost a
     /// heap allocation per machine, which dominated fleet-scale memory.
     ///
-    /// Scalar samples are stored with [`Res2::cpu_only`]; the flush path
-    /// extracts lane 0 unchanged for scalar views, so the promotion is
-    /// lossless (no arithmetic touches the stored values).
+    /// Scalar samples are stored with [`Res2::cpu_only`]; a scalar view
+    /// flushes them with the memory lane compiled out, so only lane 0 is
+    /// ever read and the promotion is lossless.
     pending: Vec<(TaskId, Res2, Res2)>,
     /// Sticky: set on the first [`ingest_vec`](IncrementalView::ingest_vec)
-    /// and never cleared. A vector view flushes through
-    /// [`MachineView::observe_vec`]; a scalar view through
-    /// [`MachineView::observe`], preserving bit-identity with the batch
-    /// scalar path.
+    /// and never cleared. A vector view flushes as
+    /// [`MachineView::observe_vec`] does; a scalar view as
+    /// [`MachineView::observe`] does, preserving bit-identity with the
+    /// batch scalar path.
     vector_mode: bool,
     /// Samples accepted over the view's lifetime.
     samples: u64,
@@ -110,12 +109,11 @@ pub struct IncrementalView {
 
 impl IncrementalView {
     /// Creates an empty incremental view for a machine of the given
-    /// capacity. The trace origin defaults to [`Tick::ZERO`] and the gap
-    /// bound to [`DEFAULT_MAX_GAP`].
+    /// capacity. The first flush fills empty ticks from [`Tick::ZERO`];
+    /// the gap bound defaults to [`DEFAULT_MAX_GAP`].
     pub fn new(capacity: f64, cfg: &SimConfig) -> IncrementalView {
         IncrementalView {
             view: MachineView::new(capacity, cfg),
-            origin: Tick::ZERO,
             max_gap: DEFAULT_MAX_GAP,
             last_flushed: None,
             pending_tick: None,
@@ -123,14 +121,6 @@ impl IncrementalView {
             vector_mode: false,
             samples: 0,
         }
-    }
-
-    /// Sets the trace origin: the first flush synthesizes empty ticks from
-    /// `origin` up to the flushed tick, mirroring a batch replay that
-    /// starts at `origin`.
-    pub fn with_origin(mut self, origin: Tick) -> IncrementalView {
-        self.origin = origin;
-        self
     }
 
     /// Sets the bound on synthesized empty ticks per flush.
@@ -158,17 +148,9 @@ impl IncrementalView {
         limit: f64,
         usage: f64,
     ) -> Result<(), CoreError> {
-        if !limit.is_finite() || limit < 0.0 {
-            return Err(CoreError::InvalidSample {
-                what: format!("limit {limit} must be finite and >= 0"),
-            });
-        }
-        if !usage.is_finite() || usage < 0.0 {
-            return Err(CoreError::InvalidSample {
-                what: format!("usage {usage} must be finite and >= 0"),
-            });
-        }
-        self.ingest_inner(t, task, Res2::cpu_only(limit), Res2::cpu_only(usage))
+        let (limit, usage) = (Res2::cpu_only(limit), Res2::cpu_only(usage));
+        check_sample(limit, usage, 1)?;
+        self.ingest_inner(t, task, limit, usage)
     }
 
     /// Buffers one per-resource `(task, limit, usage)` sample for tick `t`,
@@ -192,19 +174,7 @@ impl IncrementalView {
         limit: Res2,
         usage: Res2,
     ) -> Result<(), CoreError> {
-        for lane in 0..NUM_RESOURCES {
-            let (l, u) = (limit.lane(lane), usage.lane(lane));
-            if !l.is_finite() || l < 0.0 {
-                return Err(CoreError::InvalidSample {
-                    what: format!("{} limit {l} must be finite and >= 0", RESOURCE_NAMES[lane]),
-                });
-            }
-            if !u.is_finite() || u < 0.0 {
-                return Err(CoreError::InvalidSample {
-                    what: format!("{} usage {u} must be finite and >= 0", RESOURCE_NAMES[lane]),
-                });
-            }
-        }
+        check_sample(limit, usage, NUM_RESOURCES)?;
         self.vector_mode = true;
         self.ingest_inner(t, task, limit, usage)
     }
@@ -256,23 +226,12 @@ impl IncrementalView {
         let Some(pt) = self.pending_tick.take() else {
             return false;
         };
-        let start = self.fill_start();
-        if self.vector_mode {
-            for k in start..pt.0 {
-                self.view.observe_vec(Tick(k), std::iter::empty());
-            }
-            self.view.observe_vec(pt, self.pending.drain(..));
-        } else {
-            for k in start..pt.0 {
-                self.view.observe(Tick(k), std::iter::empty());
-            }
-            self.view.observe(
-                pt,
-                self.pending
-                    .drain(..)
-                    .map(|(id, l, u)| (id, l.lane(CPU), u.lane(CPU))),
-            );
+        for k in self.fill_start()..pt.0 {
+            self.view
+                .observe_lanes(Tick(k), std::iter::empty(), self.vector_mode);
         }
+        self.view
+            .observe_lanes(pt, self.pending.drain(..), self.vector_mode);
         self.last_flushed = Some(pt);
         true
     }
@@ -333,7 +292,6 @@ impl IncrementalView {
     /// ```
     pub fn encode(&self, out: &mut Vec<u8>) {
         self.view.encode(out);
-        put_u64(out, self.origin.0);
         put_u64(out, self.max_gap);
         for tick in [self.last_flushed, self.pending_tick] {
             put_bool(out, tick.is_some());
@@ -359,9 +317,8 @@ impl IncrementalView {
     /// # Errors
     ///
     /// * [`CoreError::InvalidConfig`] — the record was written under a
-    ///   different machine capacity, warm-up threshold, window capacity,
-    ///   trace origin or gap bound than `like`'s; it is refused, not
-    ///   coerced.
+    ///   different machine capacity, warm-up threshold, window capacity or
+    ///   gap bound than `like`'s; it is refused, not coerced.
     /// * [`CoreError::Stats`] carrying [`oc_stats::StatsError::Corrupt`] —
     ///   the bytes are truncated, carry trailing bytes, or break an
     ///   invariant the view maintains (a window longer than its capacity,
@@ -370,12 +327,12 @@ impl IncrementalView {
     pub fn decode(bytes: &[u8], like: &IncrementalView) -> Result<IncrementalView, CoreError> {
         let mut r = StateReader::new(bytes);
         let view = MachineView::decode(&mut r, &like.view)?;
-        let (origin, max_gap) = (Tick(r.u64()?), r.u64()?);
-        if origin != like.origin || max_gap != like.max_gap {
+        let max_gap = r.u64()?;
+        if max_gap != like.max_gap {
             return Err(CoreError::InvalidConfig {
                 what: format!(
-                    "state record for origin {} and gap bound {max_gap}; this view has {} and {}",
-                    origin.0, like.origin.0, like.max_gap
+                    "state record for gap bound {max_gap}; this view has {}",
+                    like.max_gap
                 ),
             });
         }
@@ -399,7 +356,7 @@ impl IncrementalView {
         // The pending tick follows the last flushed one within the gap
         // bound, exactly as ingest admitted it — so the flush it is owed
         // synthesizes at most `max_gap` empty ticks.
-        let fill_start = last_flushed.map_or(origin.0, |f| f.0.saturating_add(1));
+        let fill_start = last_flushed.map_or(0, |f| f.0.saturating_add(1));
         let admissible = match pending_tick {
             Some(p) => {
                 last_flushed.is_none_or(|f| f < p) && p.0.saturating_sub(fill_start) <= max_gap
@@ -414,7 +371,6 @@ impl IncrementalView {
         r.finish()?;
         Ok(IncrementalView {
             view,
-            origin,
             max_gap,
             last_flushed,
             pending_tick,
@@ -426,7 +382,7 @@ impl IncrementalView {
 
     /// First tick a flush of tick `>= fill_start` would synthesize.
     fn fill_start(&self) -> u64 {
-        self.last_flushed.map(|f| f.0 + 1).unwrap_or(self.origin.0)
+        self.last_flushed.map_or(0, |f| f.0 + 1)
     }
 
     fn check_gap(&self, t: Tick) -> Result<(), CoreError> {
@@ -455,10 +411,26 @@ impl IncrementalView {
     }
 }
 
+/// Refuses a sample whose limit or usage is non-finite or negative in any
+/// of its first `lanes` lanes.
+fn check_sample(limit: Res2, usage: Res2, lanes: usize) -> Result<(), CoreError> {
+    for (lane, name) in RESOURCE_NAMES.iter().enumerate().take(lanes) {
+        for (what, x) in [("limit", limit.lane(lane)), ("usage", usage.lane(lane))] {
+            if !x.is_finite() || x < 0.0 {
+                return Err(CoreError::InvalidSample {
+                    what: format!("{name} {what} {x} must be finite and >= 0"),
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::predictor::PredictorSpec;
+    use oc_stats::resource::CPU;
     use oc_trace::cell::{CellConfig, CellPreset};
     use oc_trace::gen::WorkloadGenerator;
     use oc_trace::ids::{JobId, MachineId};
@@ -735,6 +707,8 @@ mod tests {
         assert!(!v.is_vector());
     }
 
+    /// The first flush fills empty ticks from tick 0, as a batch replay
+    /// that starts at tick 0 observes them.
     #[test]
     fn origin_controls_leading_gap() {
         let cfg = small_cfg();
@@ -747,7 +721,7 @@ mod tests {
             };
             batch.observe(Tick(t), alive.iter().copied());
         }
-        let mut inc = IncrementalView::new(1.0, &cfg).with_origin(Tick::ZERO);
+        let mut inc = IncrementalView::new(1.0, &cfg);
         inc.ingest(Tick(3), tid(1, 0), 0.4, 0.2).unwrap();
         inc.flush();
         assert_eq!(

@@ -14,7 +14,7 @@
 //! Metrics are accumulated per machine over the simulated period; cells
 //! aggregate machines.
 
-use oc_stats::resource::{Res2, NUM_RESOURCES, RESOURCE_NAMES};
+use oc_stats::resource::{Res2, NUM_RESOURCES};
 use oc_stats::Welford;
 use oc_trace::ids::MachineId;
 
@@ -146,22 +146,6 @@ impl LaneReports {
     /// The report of one lane.
     pub fn lane(&self, lane: usize) -> &MachineReport {
         &self.lanes[lane]
-    }
-
-    /// Worst-lane violation rate: the rate of ticks violating in *any*
-    /// lane is bounded below by each lane's own rate; this returns the
-    /// largest per-lane rate (the gating lane).
-    pub fn worst_violation_rate(&self) -> f64 {
-        self.lanes
-            .iter()
-            .map(MachineReport::violation_rate)
-            .fold(0.0, f64::max)
-    }
-
-    /// Per-lane violation counts paired with the lane names
-    /// (`["cpu", "mem"]`), for metric emission.
-    pub fn violations_by_lane(&self) -> [(&'static str, u64); NUM_RESOURCES] {
-        std::array::from_fn(|i| (RESOURCE_NAMES[i], self.lanes[i].violations))
     }
 }
 

@@ -42,12 +42,13 @@ pub trait PeakPredictor: Send + Sync {
 
     /// Predicts the machine's future peak usage in resource lane `lane`.
     ///
-    /// Lane 0 (CPU) always routes through [`PeakPredictor::predict`], so
-    /// the CPU lane of a vectorized caller is bit-identical to the scalar
-    /// API. The default for other lanes is the conservative no-overcommit
-    /// answer (that lane's Σ limits); the built-in usage-based predictors
-    /// override it with the same formula they apply to CPU, evaluated on
-    /// the lane's windows.
+    /// Lane 0 (CPU) is [`PeakPredictor::predict`]'s answer bit for bit,
+    /// so the CPU lane of a vectorized caller is the scalar API. The
+    /// default routes lane 0 to `predict` and answers other lanes with
+    /// the conservative no-overcommit value (that lane's Σ limits). A
+    /// built-in predictor with one formula for every lane overrides this
+    /// method with it and implements `predict` as `predict_lane(view,
+    /// CPU)`, so the formula is written once.
     ///
     /// # Examples
     ///
@@ -88,9 +89,10 @@ pub trait PeakPredictor: Send + Sync {
     }
 }
 
-/// Clamps a raw CPU prediction into the actionable range `[0, Σ limits]`.
+/// Clamps a raw CPU prediction into the actionable range `[0, Σ limits]`:
+/// [`clamp_prediction_lane`] on lane 0.
 pub fn clamp_prediction(raw: f64, view: &MachineView) -> f64 {
-    raw.clamp(0.0, view.total_limit())
+    clamp_prediction_lane(raw, view, CPU)
 }
 
 /// Clamps a raw per-lane prediction into `[0, Σ limits]` of that lane.

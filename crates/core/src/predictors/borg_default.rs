@@ -2,6 +2,7 @@
 
 use crate::predictor::PeakPredictor;
 use crate::view::MachineView;
+use oc_stats::resource::CPU;
 
 /// Predicts a fixed fraction of the sum of task limits: `φ · Σ Lᵢ`.
 ///
@@ -37,7 +38,7 @@ impl PeakPredictor for BorgDefault {
     }
 
     fn predict(&self, view: &MachineView) -> f64 {
-        self.phi * view.total_limit()
+        self.predict_lane(view, CPU)
     }
 
     fn predict_lane(&self, view: &MachineView, lane: usize) -> f64 {

@@ -2,6 +2,7 @@
 
 use crate::predictor::PeakPredictor;
 use crate::view::MachineView;
+use oc_stats::resource::CPU;
 
 /// Predicts the sum of all task limits.
 ///
@@ -18,7 +19,7 @@ impl PeakPredictor for LimitSum {
     }
 
     fn predict(&self, view: &MachineView) -> f64 {
-        view.total_limit()
+        self.predict_lane(view, CPU)
     }
 
     fn predict_lane(&self, view: &MachineView, lane: usize) -> f64 {

@@ -2,6 +2,7 @@
 
 use crate::predictor::PeakPredictor;
 use crate::view::MachineView;
+use oc_stats::resource::CPU;
 
 /// Predicts the pointwise maximum over a set of component predictors.
 ///
@@ -42,10 +43,7 @@ impl PeakPredictor for MaxPeak {
     }
 
     fn predict(&self, view: &MachineView) -> f64 {
-        self.components
-            .iter()
-            .map(|c| c.predict(view))
-            .fold(0.0, f64::max)
+        self.predict_lane(view, CPU)
     }
 
     fn predict_lane(&self, view: &MachineView, lane: usize) -> f64 {

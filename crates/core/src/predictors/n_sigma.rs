@@ -1,7 +1,8 @@
 //! The N-sigma machine-aggregate predictor.
 
-use crate::predictor::{clamp_prediction, clamp_prediction_lane, PeakPredictor};
+use crate::predictor::{clamp_prediction_lane, PeakPredictor};
 use crate::view::MachineView;
+use oc_stats::resource::CPU;
 
 /// Predicts `mean(U(J)) + N · std(U(J))` over the machine-level aggregate
 /// usage window, plus the limits of tasks still in warm-up.
@@ -41,19 +42,13 @@ impl PeakPredictor for NSigma {
     }
 
     fn predict(&self, view: &MachineView) -> f64 {
-        let w = view.warm_aggregate();
-        let raw = if w.is_empty() {
-            // Nothing observed at all: be conservative.
-            view.total_limit()
-        } else {
-            w.mean() + self.n * w.population_std() + view.cold_limit_sum()
-        };
-        clamp_prediction(raw, view)
+        self.predict_lane(view, CPU)
     }
 
     fn predict_lane(&self, view: &MachineView, lane: usize) -> f64 {
         let w = view.warm_aggregate_lane(lane);
         let raw = if w.is_empty() {
+            // Nothing observed at all: be conservative.
             view.total_limit_lane(lane)
         } else {
             w.mean() + self.n * w.population_std() + view.cold_limit_sum_lane(lane)

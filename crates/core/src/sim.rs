@@ -17,7 +17,7 @@ use oc_stats::resource::{Res2, CPU, MEM, RESOURCE_NAMES};
 use oc_telemetry::{trace, Counter};
 use oc_trace::memory::MemoryModel;
 use oc_trace::time::Tick;
-use oc_trace::MachineTrace;
+use oc_trace::{MachineTrace, TaskTrace};
 use std::sync::{Arc, OnceLock};
 
 /// When tracing is enabled, one `sim.tick` span is recorded every this
@@ -159,7 +159,14 @@ pub fn simulate_machine(
 
     let plan = EvalPlan::new(predictors);
     let mut values = vec![0.0; predictors.len()];
-    drive_ticks(trace, cfg, |i, _t, view| {
+    drive_ticks(trace, cfg, |i, t, live, view| {
+        view.observe(
+            t,
+            live.iter().map(|&idx| {
+                let task = &trace.tasks[idx];
+                (task.spec.id, task.spec.limit, usage_at(task, t, cfg))
+            }),
+        );
         let po = oracle[i];
         let limit = view.total_limit();
         plan.eval(predictors, &mut values, |p| p.predict(view), 0.0, f64::max);
@@ -172,16 +179,8 @@ pub fn simulate_machine(
         if let Some(series) = series.as_mut() {
             series.limit.push(limit);
         }
-    })?;
-
-    // Bulk-add once per replay: O(1) regardless of horizon length, and
-    // only when observability is switched on at all.
-    if oc_telemetry::enabled() {
-        let c = sim_counters();
-        c.ticks.add(trace.horizon.len());
-        c.predictor_evals
-            .add(trace.horizon.len() * predictors.len() as u64);
-    }
+    });
+    count_replay(trace, predictors.len());
 
     Ok(SimResult {
         machine: trace.machine,
@@ -194,9 +193,10 @@ pub fn simulate_machine(
 /// Vector counterpart of [`simulate_machine`]: replays one machine with
 /// per-lane (CPU + memory) observations, predictions, and oracles.
 ///
-/// The CPU lane reproduces the scalar replay bit for bit — same
-/// observation order, same predictor formulas (via
-/// [`PeakPredictor::predict_lane`] lane 0), same accounting — so
+/// The CPU lane reproduces the scalar replay bit for bit — the same
+/// tick driver, the same per-tick view body (see
+/// [`MachineView::observe_vec`]), the same predictor formulas (via
+/// [`PeakPredictor::predict_lane`] lane 0), the same accounting — so
 /// `result.reports[j].lane(CPU)` matches `simulate_machine`'s
 /// `reports[j]` exactly. The memory lane derives each task's usage from
 /// `mem_model` (a pure function of the CPU series, no RNG) and is judged
@@ -240,29 +240,13 @@ pub fn simulate_machine_vec(
 
     let plan = EvalPlan::new(predictors);
     let mut values = vec![Res2::ZERO; predictors.len()];
-    let mut view = MachineView::new(trace.capacity, cfg);
-    let mut live: Vec<usize> = Vec::new();
-    let mut next_task = 0usize;
-    let traced = oc_telemetry::enabled();
-
-    for (i, t) in trace.horizon.iter().enumerate() {
-        while next_task < trace.tasks.len() && trace.tasks[next_task].spec.start <= t {
-            if trace.tasks[next_task].spec.alive_at(t) {
-                live.push(next_task);
-            }
-            next_task += 1;
-        }
-        live.retain(|&idx| trace.tasks[idx].spec.alive_at(t));
-
-        let _tick_span = (traced && i % TICK_SPAN_SAMPLE == 0)
-            .then(|| trace::span_ab("sim.tick", t.0, live.len() as u64));
-
+    drive_ticks(trace, cfg, |i, t, live, view| {
         let mut mem_total = 0.0;
         view.observe_vec(
             t,
             live.iter().map(|&idx| {
                 let task = &trace.tasks[idx];
-                let usage = task.sample_at(t).map(|s| cfg.metric.of(s)).unwrap_or(0.0);
+                let usage = usage_at(task, t, cfg);
                 let mem = mem_model.usage(&task.spec, t, usage);
                 mem_total += mem;
                 (
@@ -278,7 +262,7 @@ pub fn simulate_machine_vec(
         plan.eval(
             predictors,
             &mut values,
-            |p| p.predict_vec(&view),
+            |p| p.predict_vec(view),
             Res2::ZERO,
             Res2::max,
         );
@@ -292,13 +276,10 @@ pub fn simulate_machine_vec(
             series.limit.push(limit);
             series.mem_usage.push(mem_total);
         }
-    }
+    });
+    count_replay(trace, predictors.len());
 
     if oc_telemetry::enabled() {
-        let c = sim_counters();
-        c.ticks.add(trace.horizon.len());
-        c.predictor_evals
-            .add(trace.horizon.len() * predictors.len() as u64);
         let m = oc_telemetry::global_metrics();
         for lane in [CPU, MEM] {
             let total: u64 = reports.iter().map(|r| r.lane(lane).violations).sum();
@@ -315,15 +296,17 @@ pub fn simulate_machine_vec(
     })
 }
 
-/// Replays one machine tick by tick: admits and retires tasks, feeds each
-/// tick's observations into a fresh [`MachineView`], and hands the updated
-/// view to `on_tick`. Shared by [`simulate_machine`] and
-/// [`worst_violation_tick`] so both see exactly the same view evolution.
-/// Callers validate `cfg` and `trace` before the oracle pass, so the
-/// driver does not re-validate.
-fn drive_ticks<F>(trace: &MachineTrace, cfg: &SimConfig, mut on_tick: F) -> Result<(), CoreError>
+/// Replays one machine tick by tick: admits and retires tasks and hands
+/// `on_tick` the tick's index, the tick, the live tasks (indices into
+/// `trace.tasks`, in admission order) and a [`MachineView`] for the
+/// machine, to observe them into and predict from. Both replays run
+/// through it, so the scalar replay and the vector one's CPU lane see the
+/// same task set and the same sampled `sim.tick` spans; each feeds the
+/// view through its own lane entry point. Callers validate `cfg` and
+/// `trace` before the oracle pass, so the driver does not re-validate.
+fn drive_ticks<F>(trace: &MachineTrace, cfg: &SimConfig, mut on_tick: F)
 where
-    F: FnMut(usize, Tick, &MachineView),
+    F: FnMut(usize, Tick, &[usize], &mut MachineView),
 {
     let mut view = MachineView::new(trace.capacity, cfg);
     // Pre-index tasks by start tick so each tick touches only live tasks.
@@ -350,55 +333,25 @@ where
         let _tick_span = (traced && i % TICK_SPAN_SAMPLE == 0)
             .then(|| trace::span_ab("sim.tick", t.0, live.len() as u64));
 
-        view.observe(
-            t,
-            live.iter().map(|&idx| {
-                let task = &trace.tasks[idx];
-                let usage = task.sample_at(t).map(|s| cfg.metric.of(s)).unwrap_or(0.0);
-                (task.spec.id, task.spec.limit, usage)
-            }),
-        );
-
-        on_tick(i, t, &view);
+        on_tick(i, t, &live, &mut view);
     }
-    Ok(())
 }
 
-/// Convenience: the oracle series for one machine at a given horizon.
-///
-/// Used by oracle-horizon experiments (Figure 7(b)).
-pub fn oracle_series(
-    trace: &MachineTrace,
-    metric: oc_trace::sample::UsageMetric,
-    horizon_ticks: u64,
-) -> Vec<f64> {
-    machine_oracle(trace, metric, horizon_ticks)
+/// A task's usage at `t` by the configured metric; 0 for a tick it has no
+/// sample for.
+fn usage_at(task: &TaskTrace, t: Tick, cfg: &SimConfig) -> f64 {
+    task.sample_at(t).map(|s| cfg.metric.of(s)).unwrap_or(0.0)
 }
 
-/// Returns the tick with the largest oracle-minus-prediction gap for one
-/// predictor, for diagnostics. `None` if the predictor never violates.
-///
-/// Runs the replay loop directly and keeps only the running worst, rather
-/// than materializing a full [`MachineSeries`] (which clones the oracle,
-/// true-peak, and average-usage series and stores every prediction) just to
-/// scan it once.
-pub fn worst_violation_tick(
-    trace: &MachineTrace,
-    cfg: &SimConfig,
-    predictor: &crate::predictor::PredictorSpec,
-) -> Result<Option<(Tick, f64)>, CoreError> {
-    cfg.validate()?;
-    trace.validate()?;
-    let built = predictor.build()?;
-    let oracle = machine_oracle(trace, cfg.metric, cfg.oracle_horizon_ticks);
-    let mut worst: Option<(Tick, f64)> = None;
-    drive_ticks(trace, cfg, |i, t, view| {
-        let gap = oracle[i] - built.predict(view);
-        if gap > 0.0 && worst.map(|(_, g)| gap > g).unwrap_or(true) {
-            worst = Some((t, gap));
-        }
-    })?;
-    Ok(worst)
+/// Bulk-adds one replay to the simulator's counters: O(1) regardless of
+/// horizon length, and only when observability is switched on at all.
+fn count_replay(trace: &MachineTrace, predictors: usize) {
+    if oc_telemetry::enabled() {
+        let c = sim_counters();
+        c.ticks.add(trace.horizon.len());
+        c.predictor_evals
+            .add(trace.horizon.len() * predictors as u64);
+    }
 }
 
 #[cfg(test)]
@@ -638,14 +591,5 @@ mod tests {
         // The machine actually uses memory.
         assert!(s.mem_usage.iter().any(|&m| m > 0.0));
         assert_eq!(result.capacity.lane(MEM), 1.0);
-    }
-
-    #[test]
-    fn worst_violation_is_found_for_aggressive_predictor() {
-        let t = trace();
-        let p = PredictorSpec::BorgDefault { phi: 0.01 };
-        let worst = worst_violation_tick(&t, &SimConfig::default(), &p).unwrap();
-        // A 1 % predictor must violate somewhere on a loaded machine.
-        assert!(worst.is_some());
     }
 }

@@ -18,14 +18,14 @@
 //!
 //! The view tracks a small fixed set of resource *lanes* (see
 //! [`oc_stats::resource`]): lane 0 is CPU, lane 1 memory. State is laid
-//! out structure-of-arrays — the CPU lane is exactly the original scalar
-//! state, and memory-lane windows/sums live in parallel fields — so the
-//! scalar [`MachineView::observe`] path performs the identical float-op
-//! sequence it always did (goldens stay bit-exact) and each lane's
-//! incremental update works on its own contiguous buffer. The vector
-//! ingest path is [`MachineView::observe_vec`]; ticks fed through the
-//! scalar path do not advance memory-lane windows (a scalar sample
-//! carries no memory information).
+//! out structure-of-arrays — CPU-lane windows and sums in the primary
+//! fields, memory-lane ones in parallel fields — so each lane's
+//! incremental update works on its own contiguous buffer. One per-tick
+//! body serves both ingest paths: [`MachineView::observe_vec`] runs it
+//! with the memory lane, and the scalar [`MachineView::observe`] runs it
+//! with the memory lane compiled out, so the scalar path is the CPU lane
+//! by construction. Ticks fed through the scalar path do not advance
+//! memory-lane windows (a scalar sample carries no memory information).
 //!
 //! # State transfer
 //!
@@ -267,70 +267,56 @@ impl MachineView {
     /// by a generation-stamp sweep (each seen task is stamped with the
     /// current observation number), replacing the per-tick sort +
     /// binary-search membership test.
+    ///
+    /// This is the CPU lane of [`MachineView::observe_vec`]: one body,
+    /// run with the memory lane compiled out.
     pub fn observe(&mut self, t: Tick, alive: impl IntoIterator<Item = (TaskId, f64, f64)>) {
-        // Guarded so a replay with observability off pays one relaxed
-        // load per tick, nothing more.
-        if oc_telemetry::enabled() {
-            observe_ticks_counter().inc();
-        }
-        self.now = t;
-        self.generation += 1;
-        let generation = self.generation;
-        let max_num_samples = self.max_num_samples;
-        let mut warm_total = 0.0;
-        let mut sums_stale = false;
-        for (id, limit, usage) in alive {
-            let entry = match self.tasks.binary_search_by(|(tid, _)| tid.cmp(&id)) {
-                Ok(i) => &mut self.tasks[i].1,
-                Err(i) => {
-                    let view = TaskView {
-                        limit,
-                        window: OrderStatWindow::new(max_num_samples).expect("capacity >= 1"),
-                        age: 0,
-                        last_seen: 0,
-                        mem: None,
-                    };
-                    self.tasks.insert(i, (id, view));
-                    &mut self.tasks[i].1
-                }
-            };
-            let admitted = entry.age == 0;
-            let was_warm = !admitted && entry.age >= self.min_num_samples;
-            sums_stale |= admitted || entry.limit != limit;
-            entry.limit = limit;
-            entry.window.push(usage);
-            entry.age += 1;
-            entry.last_seen = generation;
-            if entry.age >= self.min_num_samples {
-                warm_total += usage;
-                sums_stale |= !was_warm;
-            }
-        }
-        let mut departed = false;
-        self.tasks.retain(|(_, task)| {
-            let keep = task.last_seen == generation;
-            departed |= !keep;
-            keep
-        });
-        sums_stale |= departed;
-        self.warm_window.push(warm_total);
-
-        if sums_stale {
-            self.refresh_limit_sums();
-        }
+        self.observe_tick::<false>(
+            t,
+            alive
+                .into_iter()
+                .map(|(id, limit, usage)| (id, Res2::cpu_only(limit), Res2::cpu_only(usage))),
+        );
     }
 
     /// Vector counterpart of [`MachineView::observe`]: feeds one tick of
     /// per-lane observations, `(task, limits, usage)` as [`Res2`] values.
     ///
-    /// The CPU lane performs the same operations in the same order as the
-    /// scalar path (binary-search upsert, lane-0 window push, warm-total
-    /// accumulation, generation sweep, event-triggered sum refresh), so a
-    /// stream of scalar samples promoted with [`Res2::cpu_only`] produces
-    /// bit-identical CPU-lane state. The memory lane additionally pushes
-    /// into each task's lazily-created memory window and advances the
-    /// memory warm-aggregate window.
+    /// Both methods run one per-tick body, so the CPU lane is the scalar
+    /// path by construction: a stream of scalar samples promoted with
+    /// [`Res2::cpu_only`] produces bit-identical CPU-lane state. The
+    /// memory lane additionally pushes into each task's lazily-created
+    /// memory window and advances the memory warm-aggregate window.
     pub fn observe_vec(&mut self, t: Tick, alive: impl IntoIterator<Item = (TaskId, Res2, Res2)>) {
+        self.observe_tick::<true>(t, alive);
+    }
+
+    /// [`MachineView::observe_vec`] when `mem_lane`, else
+    /// [`MachineView::observe`] on the samples' CPU lane.
+    pub(crate) fn observe_lanes(
+        &mut self,
+        t: Tick,
+        alive: impl IntoIterator<Item = (TaskId, Res2, Res2)>,
+        mem_lane: bool,
+    ) {
+        if mem_lane {
+            self.observe_tick::<true>(t, alive);
+        } else {
+            self.observe_tick::<false>(t, alive);
+        }
+    }
+
+    /// The one per-tick body. `MEM_LANE` is a const parameter so the
+    /// scalar instance carries no memory-lane work at all: no
+    /// [`MemLane`] box, no memory-window push, and lane 1 of its samples
+    /// is never read.
+    fn observe_tick<const MEM_LANE: bool>(
+        &mut self,
+        t: Tick,
+        alive: impl IntoIterator<Item = (TaskId, Res2, Res2)>,
+    ) {
+        // Guarded so a replay with observability off pays one relaxed
+        // load per tick, nothing more.
         if oc_telemetry::enabled() {
             observe_ticks_counter().inc();
         }
@@ -361,20 +347,24 @@ impl MachineView {
             sums_stale |= admitted || entry.limit != limit.lane(CPU);
             entry.limit = limit.lane(CPU);
             entry.window.push(usage.lane(CPU));
-            let mem = entry.mem.get_or_insert_with(|| {
-                Box::new(MemLane {
-                    limit: 0.0,
-                    window: PeakWindow::new(max_num_samples).expect("capacity >= 1"),
-                })
-            });
-            sums_stale |= mem.limit != limit.lane(MEM);
-            mem.limit = limit.lane(MEM);
-            mem.window.push(usage.lane(MEM));
+            if MEM_LANE {
+                let mem = entry.mem.get_or_insert_with(|| {
+                    Box::new(MemLane {
+                        limit: 0.0,
+                        window: PeakWindow::new(max_num_samples).expect("capacity >= 1"),
+                    })
+                });
+                sums_stale |= mem.limit != limit.lane(MEM);
+                mem.limit = limit.lane(MEM);
+                mem.window.push(usage.lane(MEM));
+            }
             entry.age += 1;
             entry.last_seen = generation;
             if entry.age >= self.min_num_samples {
                 warm_total += usage.lane(CPU);
-                warm_mem_total += usage.lane(MEM);
+                if MEM_LANE {
+                    warm_mem_total += usage.lane(MEM);
+                }
                 sums_stale |= !was_warm;
             }
         }
@@ -386,7 +376,9 @@ impl MachineView {
         });
         sums_stale |= departed;
         self.warm_window.push(warm_total);
-        self.warm_mem_window.push(warm_mem_total);
+        if MEM_LANE {
+            self.warm_mem_window.push(warm_mem_total);
+        }
 
         if sums_stale {
             self.refresh_limit_sums();

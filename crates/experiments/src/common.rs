@@ -44,17 +44,23 @@ impl Default for Opts {
 impl Opts {
     /// Applies the scale to a cell preset: quick runs shrink machine
     /// counts 4× and cap durations at `quick_days`. A `--seed` override,
-    /// when present, replaces the preset's baked-in seed — this is the one
-    /// choke point every experiment's workload passes through.
+    /// when present, then replaces the preset's baked-in seed.
     pub fn scaled(&self, mut cell: CellConfig, quick_days: u64) -> CellConfig {
         if self.scale == Scale::Quick {
             cell.machines = (cell.machines / 4).max(6);
             cell.duration_ticks = cell.duration_ticks.min(quick_days * TICKS_PER_DAY);
         }
-        if let Some(seed) = self.seed {
-            cell = cell.with_seed(seed);
+        self.seeded(cell)
+    }
+
+    /// Applies a `--seed` override, when present, in place of the cell's
+    /// baked-in seed. This is the one choke point every experiment's
+    /// workload passes through, scaled by [`Opts::scaled`] or by hand.
+    pub(crate) fn seeded(&self, cell: CellConfig) -> CellConfig {
+        match self.seed {
+            Some(seed) => cell.with_seed(seed),
+            None => cell,
         }
-        cell
     }
 
     /// Path of a CSV output file.
@@ -117,5 +123,36 @@ mod tests {
         };
         let preset = CellConfig::preset(CellPreset::A);
         assert_eq!(opts.scaled(preset.clone(), 99).seed, preset.seed);
+    }
+
+    /// The figures that size their cells by hand (3, 12 and 13) still
+    /// take `--seed`: every cell they build carries the override, at
+    /// either scale, and keeps its preset's seed without one.
+    #[test]
+    fn hand_sized_figures_take_the_seed_override() {
+        let cells = |opts: &Opts| {
+            let mut cells = crate::fig3::cells(opts);
+            cells.push(crate::fig12::cell(opts));
+            cells.push(crate::fig13::config(opts).cell);
+            cells
+        };
+        for scale in [Scale::Quick, Scale::Full] {
+            let seeded = Opts {
+                scale,
+                seed: Some(0xDEAD_BEEF),
+                ..Opts::default()
+            };
+            let unseeded = Opts {
+                seed: None,
+                ..seeded.clone()
+            };
+            let (seeded, unseeded) = (cells(&seeded), cells(&unseeded));
+            assert_eq!(seeded.len(), 7);
+            for (cell, preset) in seeded.iter().zip(&unseeded) {
+                assert_eq!(cell.seed, 0xDEAD_BEEF, "{:?} at {scale:?}", cell.id);
+                assert_ne!(preset.seed, 0xDEAD_BEEF);
+                assert_eq!(cell, &preset.clone().with_seed(0xDEAD_BEEF));
+            }
+        }
     }
 }

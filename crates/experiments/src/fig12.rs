@@ -11,6 +11,17 @@ use oc_trace::gen::WorkloadGenerator;
 use oc_trace::time::TICKS_PER_DAY;
 use std::error::Error;
 
+/// Four weeks of cell `a`; a quick run keeps four slices, but shorter
+/// ones (4 × 2 days), on a quarter of the machines.
+pub(crate) fn cell(opts: &Opts) -> CellConfig {
+    let mut cell = CellConfig::preset(CellPreset::A).with_weeks(4);
+    if opts.scale == Scale::Quick {
+        cell.machines = (cell.machines / 4).max(6);
+        cell.duration_ticks = 8 * TICKS_PER_DAY;
+    }
+    opts.seeded(cell)
+}
+
 /// Runs the Figure 12 reproduction: a single four-week simulation of cell
 /// `a` under the max predictor, sliced per week — violation rate,
 /// severity and savings must be stable across weeks.
@@ -20,12 +31,7 @@ use std::error::Error;
 /// Propagates simulation and I/O errors.
 pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
     banner("fig12", "max predictor across four weeks of cell a");
-    let mut cell = CellConfig::preset(CellPreset::A).with_weeks(4);
-    if opts.scale == Scale::Quick {
-        cell.machines = (cell.machines / 4).max(6);
-        // Keep four slices, but shorter ones: 4 × 2 days.
-        cell.duration_ticks = 8 * TICKS_PER_DAY;
-    }
+    let cell = cell(opts);
     let slice_len = (cell.duration_ticks / 4) as usize;
     let slice_name = if opts.scale == Scale::Quick {
         "slice"

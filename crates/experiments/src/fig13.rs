@@ -10,24 +10,10 @@ use std::error::Error;
 /// Ticks skipped at the start of the run (cluster fill-up transient).
 const WARMUP_DAYS: u64 = 1;
 
-/// Runs the Figure 13 + Figure 14 reproduction.
-///
-/// Two identical clusters are offered the same arrival stream; the control
-/// runs borg-default(0.9), the experiment runs max(N-sigma(3),
-/// RC-like(p80)) — the production configuration of Section 6.1. Reported:
-/// violation rate and severity (13a/b), relative savings (13c), total
-/// allocations and workload (13d/e), per-task and per-machine latency
-/// (14a/b), and machine-utilization percentiles (14c/d/e).
-///
-/// # Errors
-///
-/// Propagates simulation and I/O errors.
-pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
-    banner(
-        "fig13+fig14",
-        "production A/B: borg-default (control) vs max predictor (exp)",
-    );
-    let mut cell = CellConfig::preset(CellPreset::Prod2);
+/// The A/B configuration Figures 13 and 14 run: control borg-default(0.9)
+/// against the seasonal max composite on one shared cluster.
+pub(crate) fn config(opts: &Opts) -> AbConfig {
+    let mut cell = opts.seeded(CellConfig::preset(CellPreset::Prod2));
     // Total machines across both groups (split by parity inside run_ab).
     let (machines, days) = match opts.scale {
         Scale::Quick => (24usize, 6u64),
@@ -59,6 +45,27 @@ pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
     // accumulate diurnal-trough overfill that control's limit gate is
     // structurally immune to.
     cfg.experiment = oc_core::predictor::PredictorSpec::seasonal_max();
+    cfg
+}
+
+/// Runs the Figure 13 + Figure 14 reproduction.
+///
+/// Two identical clusters are offered the same arrival stream; the control
+/// runs borg-default(0.9), the experiment runs max(N-sigma(3),
+/// RC-like(p80)) — the production configuration of Section 6.1. Reported:
+/// violation rate and severity (13a/b), relative savings (13c), total
+/// allocations and workload (13d/e), per-task and per-machine latency
+/// (14a/b), and machine-utilization percentiles (14c/d/e).
+///
+/// # Errors
+///
+/// Propagates simulation and I/O errors.
+pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
+    banner(
+        "fig13+fig14",
+        "production A/B: borg-default (control) vs max predictor (exp)",
+    );
+    let cfg = config(opts);
     let out = run_ab(&cfg)?;
 
     let skip = (WARMUP_DAYS * TICKS_PER_DAY) as usize;

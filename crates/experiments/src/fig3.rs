@@ -12,6 +12,22 @@ use oc_trace::cell::CellConfig;
 use oc_trace::gen::WorkloadGenerator;
 use std::error::Error;
 
+/// The five production cells Figure 3 simulates, with the full machine
+/// inventory at a fixed 10-day window for both scales: violations in this
+/// workload are episodic (a co-peak marks the preceding 24 h), so
+/// month-long averaging dilutes the violation-rate axis into a sliver
+/// near zero. Ten days keeps the per-machine rates spread over the
+/// paper's 0–0.11 range; see EXPERIMENTS.md.
+pub(crate) fn cells(opts: &Opts) -> Vec<CellConfig> {
+    CellConfig::production_cells()
+        .into_iter()
+        .map(|mut cell| {
+            cell.duration_ticks = cell.duration_ticks.min(10 * oc_trace::time::TICKS_PER_DAY);
+            opts.seeded(cell)
+        })
+        .collect()
+}
+
 /// Runs the Figure 3 reproduction.
 ///
 /// Simulates the five production cells under a borg-default-style static
@@ -39,16 +55,7 @@ pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
     let mut viol_csv = Vec::new();
     let mut pairs: Vec<(f64, f64)> = Vec::new(); // (violation rate, p99 latency).
 
-    for preset in CellConfig::production_cells() {
-        // Full machine inventory at a fixed 10-day window for both
-        // scales: violations in this workload are episodic (a co-peak
-        // marks the preceding 24 h), so month-long averaging dilutes the
-        // violation-rate axis into a sliver near zero. Ten days keeps the
-        // per-machine rates spread over the paper's 0–0.11 range; see
-        // EXPERIMENTS.md.
-        let mut cell = preset.clone();
-        cell.duration_ticks = cell.duration_ticks.min(10 * oc_trace::time::TICKS_PER_DAY);
-        cell.machines = preset.machines;
+    for cell in cells(opts) {
         let name = cell.id.name().to_string();
         let gen = WorkloadGenerator::new(cell)?;
         let run = run_cell_streaming(&gen, &cfg, &spec, opts.threads)?;

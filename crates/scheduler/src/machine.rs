@@ -3,9 +3,9 @@
 
 use crate::arrival::TaskRequest;
 use oc_core::config::SimConfig;
-use oc_core::predictor::{clamp_prediction, clamp_prediction_lane, PeakPredictor};
+use oc_core::predictor::{clamp_prediction_vec, PeakPredictor};
 use oc_core::view::MachineView;
-use oc_stats::resource::{Res2, MEM};
+use oc_stats::resource::{Res2, CPU, MEM, NUM_RESOURCES};
 use oc_trace::cell::UsageModel;
 use oc_trace::gen::UsageProcess;
 use oc_trace::ids::{MachineId, TaskId};
@@ -28,6 +28,8 @@ struct LiveTask {
     class: SchedulingClass,
     priority: u16,
     process: UsageProcess,
+    /// This tick's drawn demand, one value per subsample.
+    demand: [f64; SUBSAMPLES_PER_TICK],
     /// Realized per-tick metric values (for post-hoc replay).
     recorded: Vec<f64>,
 }
@@ -65,14 +67,10 @@ pub struct SimMachine {
     rng: SmallRng,
     /// Derived memory-usage model (deterministic; consumes no RNG).
     mem_model: MemoryModel,
-    /// Σ limits of tasks admitted this tick but not yet observed.
-    pending_limit: f64,
-    /// Σ memory limits of tasks admitted this tick but not yet observed.
-    pending_mem_limit: f64,
-    /// Cached prediction from the end of the previous tick.
-    cached_prediction: f64,
-    /// Cached memory-lane prediction from the end of the previous tick.
-    cached_mem_prediction: f64,
+    /// Per-lane Σ limits of tasks admitted this tick but not yet observed.
+    pending_limit: Res2,
+    /// Per-lane clamped prediction from the end of the previous tick.
+    cached_prediction: Res2,
     // --- Recorded series, one entry per advanced tick. ------------------
     /// Uncapped within-tick peak demand.
     pub demand_peak: Vec<f64>,
@@ -121,10 +119,8 @@ impl SimMachine {
                 seed ^ oc_trace::gen::splitmix(0x5EED ^ u64::from(id.0)),
             )),
             mem_model: MemoryModel::default(),
-            pending_limit: 0.0,
-            pending_mem_limit: 0.0,
-            cached_prediction: 0.0,
-            cached_mem_prediction: 0.0,
+            pending_limit: Res2::ZERO,
+            cached_prediction: Res2::ZERO,
             demand_peak: Vec::new(),
             realized_peak: Vec::new(),
             realized_avg: Vec::new(),
@@ -157,7 +153,7 @@ impl SimMachine {
     /// The free capacity advertised to the scheduler: capacity minus the
     /// predicted peak minus limits pending from this tick's admissions.
     pub fn advertised_free(&self) -> f64 {
-        self.capacity - self.cached_prediction - self.pending_limit
+        self.capacity - self.cached_prediction.lane(CPU) - self.pending_limit.lane(CPU)
     }
 
     /// Feasibility check for a new task: the paper's admission rule
@@ -166,9 +162,10 @@ impl SimMachine {
     /// within the respective capacities — worst-lane gating, so a
     /// memory-bound machine with plenty of CPU headroom still rejects.
     pub fn fits(&self, limit: f64, memory_limit: f64) -> bool {
-        self.cached_prediction + self.pending_limit + limit <= self.capacity + 1e-9
-            && self.cached_mem_prediction + self.pending_mem_limit + memory_limit
-                <= MEM_CAPACITY + 1e-9
+        let projected =
+            self.cached_prediction + self.pending_limit + Res2::from_lanes([limit, memory_limit]);
+        let capacity = Res2::from_lanes([self.capacity, MEM_CAPACITY]);
+        (0..NUM_RESOURCES).all(|lane| projected.lane(lane) <= capacity.lane(lane) + 1e-9)
     }
 
     /// Admits a task; it starts producing usage this tick.
@@ -182,8 +179,7 @@ impl SimMachine {
             req.class.is_latency_sensitive(),
             req.job_util_base,
         );
-        self.pending_limit += req.limit;
-        self.pending_mem_limit += req.memory_limit;
+        self.pending_limit = self.pending_limit + Res2::from_lanes([req.limit, req.memory_limit]);
         self.live.push(LiveTask {
             id: req.id,
             limit: req.limit,
@@ -193,6 +189,7 @@ impl SimMachine {
             class: req.class,
             priority: req.priority,
             process,
+            demand: [0.0; SUBSAMPLES_PER_TICK],
             recorded: Vec::new(),
         });
     }
@@ -209,16 +206,14 @@ impl SimMachine {
         // Draw every task's demand, split by class.
         let mut serving_demand = [0.0f64; SUBSAMPLES_PER_TICK];
         let mut batch_demand = [0.0f64; SUBSAMPLES_PER_TICK];
-        let mut bufs: Vec<[f64; SUBSAMPLES_PER_TICK]> =
-            vec![[0.0; SUBSAMPLES_PER_TICK]; self.live.len()];
-        for (task, buf) in self.live.iter_mut().zip(bufs.iter_mut()) {
-            task.process.tick(&mut self.rng, t, buf);
+        for task in &mut self.live {
+            task.process.tick(&mut self.rng, t, &mut task.demand);
             let acc = if task.class.is_latency_sensitive() {
                 &mut serving_demand
             } else {
                 &mut batch_demand
             };
-            for (a, &v) in acc.iter_mut().zip(buf.iter()) {
+            for (a, &v) in acc.iter_mut().zip(task.demand.iter()) {
                 *a += v;
             }
         }
@@ -247,39 +242,41 @@ impl SimMachine {
                 serving_demand[k] * serving_scale[k] + batch_demand[k] * batch_scale[k];
         }
 
-        // Record per-task realized usage and feed the node-agent view.
-        // Observations go through the vector path: the CPU lane is
-        // bit-identical to a scalar observe, and the memory lane carries
-        // the deterministic derived series.
+        // Record per-task realized usage and feed the node-agent view as
+        // the view reads each task. Observations go through the vector
+        // path: its CPU lane is the scalar observe, and the memory lane
+        // carries the deterministic derived series.
         let metric = self.metric;
         let mem_model = self.mem_model;
-        let mut observations: Vec<(TaskId, Res2, Res2)> = Vec::with_capacity(self.live.len());
-        for (task, buf) in self.live.iter_mut().zip(bufs.iter()) {
-            let scale = if task.class.is_latency_sensitive() {
-                &serving_scale
-            } else {
-                &batch_scale
-            };
-            let realized: Vec<f64> = buf.iter().zip(scale.iter()).map(|(&v, &s)| v * s).collect();
-            let sample = UsageSample::from_subsamples(&realized)
-                .expect("realized window is non-empty and finite");
-            let value = metric.of(&sample);
-            task.recorded.push(value);
-            let mem = mem_model.usage_raw(
-                task.id.job.0,
-                task.id.index,
-                task.limit,
-                task.memory_limit,
-                t,
-                value,
-            );
-            observations.push((
-                task.id,
-                Res2::from_lanes([task.limit, task.memory_limit]),
-                Res2::from_lanes([value, mem]),
-            ));
-        }
-        self.view.observe_vec(t, observations);
+        self.view.observe_vec(
+            t,
+            self.live.iter_mut().map(|task| {
+                let scale = if task.class.is_latency_sensitive() {
+                    &serving_scale
+                } else {
+                    &batch_scale
+                };
+                let realized: [f64; SUBSAMPLES_PER_TICK] =
+                    std::array::from_fn(|k| task.demand[k] * scale[k]);
+                let sample = UsageSample::from_subsamples(&realized)
+                    .expect("realized window is non-empty and finite");
+                let value = metric.of(&sample);
+                task.recorded.push(value);
+                let mem = mem_model.usage_raw(
+                    task.id.job.0,
+                    task.id.index,
+                    task.limit,
+                    task.memory_limit,
+                    t,
+                    value,
+                );
+                (
+                    task.id,
+                    Res2::from_lanes([task.limit, task.memory_limit]),
+                    Res2::from_lanes([value, mem]),
+                )
+            }),
+        );
 
         // Per-tick records.
         self.demand_peak
@@ -289,16 +286,11 @@ impl SimMachine {
         self.realized_avg
             .push(realized_sum.iter().sum::<f64>() / SUBSAMPLES_PER_TICK as f64);
         self.limit_sum.push(self.total_limit());
-        self.cached_prediction = clamp_prediction(self.predictor.predict(&self.view), &self.view);
-        self.cached_mem_prediction = clamp_prediction_lane(
-            self.predictor.predict_lane(&self.view, MEM),
-            &self.view,
-            MEM,
-        );
-        self.predictions.push(self.cached_prediction);
-        self.mem_predictions.push(self.cached_mem_prediction);
-        self.pending_limit = 0.0;
-        self.pending_mem_limit = 0.0;
+        self.cached_prediction =
+            clamp_prediction_vec(self.predictor.predict_vec(&self.view), &self.view);
+        self.predictions.push(self.cached_prediction.lane(CPU));
+        self.mem_predictions.push(self.cached_prediction.lane(MEM));
+        self.pending_limit = Res2::ZERO;
 
         // Retire tasks whose lifetime ends before the next tick.
         let next = t.plus(1);

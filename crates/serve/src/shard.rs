@@ -37,7 +37,7 @@ use crate::metrics::ShardMetrics;
 use crate::proto::{encode_view_record, ErrCode, Response};
 use crate::ring::{HashRing, KeyRole};
 use oc_core::ingest::IncrementalView;
-use oc_core::predictor::{clamp_prediction, clamp_prediction_lane, PeakPredictor};
+use oc_core::predictor::{clamp_prediction, clamp_prediction_vec, PeakPredictor};
 use oc_core::CoreError;
 use oc_stats::resource::{Res2, CPU, MEM};
 use oc_telemetry::{Counter, MetricsRegistry};
@@ -273,13 +273,10 @@ impl Shard {
         view.flush();
         let v = view.view();
         if vector {
+            let peak = clamp_prediction_vec(self.predictor.predict_vec(v), v);
             Response::Pred {
-                peak: clamp_prediction_lane(self.predictor.predict_lane(v, CPU), v, CPU),
-                mem: Some(clamp_prediction_lane(
-                    self.predictor.predict_lane(v, MEM),
-                    v,
-                    MEM,
-                )),
+                peak: peak.lane(CPU),
+                mem: Some(peak.lane(MEM)),
             }
         } else {
             Response::Pred {

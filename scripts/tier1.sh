@@ -127,6 +127,14 @@ grep -rnE -e 'drive_lines|drive_pass|oc_cluster::smoke|clusterd --smoke' \
     crates tests examples docs README.md .claude/skills/verify/SKILL.md \
   && { echo "tier1: the cluster smoke scenario (or its hand-rolled ingest) is referenced again" >&2; exit 1; }
 
+# Each resource-lane twin has one body: the scalar observe, ingest, replay
+# and predict paths are the CPU lane of the two-lane code. Keep the
+# helpers that had no caller outside their own tests, and the trace-origin
+# knob of the incremental view, from coming back through a doc or a name.
+grep -rnE -e 'worst_violation_tick|oracle_series|with_origin|violations_by_lane|worst_violation_rate' \
+    crates tests examples docs README.md .claude/skills/verify/SKILL.md \
+  && { echo "tier1: a deleted lane-twin helper (or the with_origin knob) is referenced again" >&2; exit 1; }
+
 # Docs are part of the contract: every markdown link to a local file must
 # point at something that exists (catches renamed/moved docs going stale),
 # and rustdoc must be warning-free.
@@ -189,6 +197,14 @@ pin_test oc-core ingest::tests::restored_view_predicts_and_evolves_like_the_orig
 # bit, a total_cmp sort of the retained samples after every push.
 pin_test overcommit-repro order_stat_sorted_index_matches_sort_after_every_push \
   "order-stat one-shift push"
+# A reduced-scale A/B run keeps its bits: both groups' replay reports,
+# stats series and the admission rate, folded into one pinned digest.
+pin_test overcommit-repro ab_outcome_bits_are_pinned \
+  "A/B outcome bits"
+# fig3, fig12 and fig13 size their cells by hand; every cell they build
+# still carries a --seed override.
+pin_test oc-experiments common::tests::hand_sized_figures_take_the_seed_override \
+  "figure seed override"
 # The oracle's batched leaf adds plus one rebuild leave the max tree node
 # for node where a point add per sample would.
 pin_test oc-core segtree::tests::batched_leaf_adds_match_point_adds_node_for_node \

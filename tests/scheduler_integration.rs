@@ -200,3 +200,44 @@ fn ab_outcome_shape() {
     assert_eq!(out.control.stats.alloc_ratio.len(), 200);
     assert!(out.admission_rate > 0.0);
 }
+
+/// FNV-1a over a stream of 64-bit words.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        w.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// A reduced-scale A/B run is pinned bit for bit: both groups' replay
+/// reports (every Welford moment, through `Debug`'s shortest round-trip
+/// floats), their per-tick stats series and the admission rate. Any edit
+/// to the machine tick, placement or replay that moves one bit moves the
+/// digest.
+#[test]
+fn ab_outcome_bits_are_pinned() {
+    let mut cell = CellConfig::preset(CellPreset::A);
+    cell.machines = 6;
+    let mut cfg = AbConfig::paper_default(cell, 0.5);
+    cfg.duration_ticks = 300;
+    cfg.replay_threads = 2;
+    cfg.experiment = PredictorSpec::seasonal_max();
+    let out = run_ab(&cfg).unwrap();
+    let mut words = vec![out.admission_rate.to_bits()];
+    for g in [&out.control, &out.experiment] {
+        for r in &g.replay.results {
+            for report in &r.reports {
+                words.extend(format!("{report:?}").bytes().map(u64::from));
+            }
+        }
+        for series in [&g.stats.alloc_ratio, &g.stats.usage_ratio, &g.stats.savings] {
+            words.extend(series.iter().map(|v| v.to_bits()));
+        }
+    }
+    assert_eq!(
+        fnv1a(words),
+        0x77b8_26bf_1856_9540,
+        "A/B outcome bits moved"
+    );
+}
