@@ -18,12 +18,14 @@
 //! machines (`--machines`, `--ticks`, `--seed`, `--no-predicts`), paced
 //! at `--qps` lines/s in total or unpaced. With `--rate-per-conn R` the
 //! run is a node-agent fan-in instead: connection `i` streams synthetic
-//! machine `i` at `R` lines/s, in `--batch` frames (64 when unset).
+//! machine `i` at `R` lines/s, in `--batch` frames (64 when unset;
+//! `--batch 1` sends one-line frames, no `BATCH` header).
 //!
 //! `--chaos RATE` injects seeded faults (delays, partial reads/writes,
 //! dropped connections) into that fraction of client socket operations;
 //! the run must still finish with every acknowledged sample accounted for
-//! on the server.
+//! on the server. `--chaos-seed` seeds that plan and is refused without
+//! `--chaos`.
 //!
 //! **A ring.** `--cluster H:P,H:P,...` drives an external member ring
 //! (started e.g. by `oc-clusterd`, which shares the default ring
@@ -70,6 +72,8 @@ struct Args {
     cluster: Option<Vec<SocketAddr>>,
     cfg: LoadgenConfig,
     rate_per_conn: Option<u64>,
+    /// `--batch` as given; the fan-in and ring drives default to 64.
+    batch: Option<usize>,
     trace_out: Option<String>,
 }
 
@@ -91,10 +95,11 @@ fn parse_args() -> Args {
         cluster: None,
         cfg: LoadgenConfig::default(),
         rate_per_conn: None,
+        batch: None,
         trace_out: None,
     };
     let mut chaos_rate = None;
-    let mut chaos_seed = 42;
+    let mut chaos_seed = None;
     let mut single_address_flag = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -127,9 +132,11 @@ fn parse_args() -> Args {
             }
             "--seed" => out.cfg.seed = Some(val("--seed").parse().unwrap_or_else(|_| usage())),
             "--no-predicts" => out.cfg.predicts = false,
-            "--batch" => out.cfg.batch = val("--batch").parse().unwrap_or_else(|_| usage()),
+            "--batch" => out.batch = Some(val("--batch").parse().unwrap_or_else(|_| usage())),
             "--chaos" => chaos_rate = Some(val("--chaos").parse().unwrap_or_else(|_| usage())),
-            "--chaos-seed" => chaos_seed = val("--chaos-seed").parse().unwrap_or_else(|_| usage()),
+            "--chaos-seed" => {
+                chaos_seed = Some(val("--chaos-seed").parse().unwrap_or_else(|_| usage()))
+            }
             "--trace-out" => out.trace_out = Some(val("--trace-out")),
             "--help" | "-h" => usage(),
             other => {
@@ -143,18 +150,15 @@ fn parse_args() -> Args {
         usage();
     }
     if let Some(rate) = chaos_rate {
-        out.cfg.chaos = Some(FaultPlan::new(chaos_seed, rate));
+        out.cfg.chaos = Some(FaultPlan::new(chaos_seed.unwrap_or(42), rate));
+    } else if chaos_seed.is_some() {
+        eprintln!("--chaos-seed needs --chaos");
+        usage();
+    }
+    if let Some(batch) = out.batch {
+        out.cfg.batch = batch;
     }
     out
-}
-
-/// `--batch` when given, `default` otherwise.
-fn batch_or(args: &Args, default: usize) -> usize {
-    if args.cfg.batch > 1 {
-        args.cfg.batch
-    } else {
-        default
-    }
 }
 
 /// One run against `addr`: the cell replay, or the fan-in script paced
@@ -166,7 +170,7 @@ fn single(addr: SocketAddr, args: &Args) -> Result<(&'static str, LoadReport), C
             let cfg = LoadgenConfig {
                 script: Script::Fanin,
                 target_qps: rate.saturating_mul(args.cfg.connections as u64),
-                batch: batch_or(args, 64),
+                batch: args.batch.unwrap_or(64),
                 ..args.cfg.clone()
             };
             Ok(("fanin", run(addr, &cfg)?))
@@ -181,7 +185,7 @@ fn cluster(addrs: &[SocketAddr], args: &Args) -> Result<LoadReport, ClientError>
         pipeline_frames: 32,
         ..ClusterClientConfig::default()
     };
-    ccfg.client = ccfg.client.with_batch(batch_or(args, 64));
+    ccfg.client = ccfg.client.with_batch(args.batch.unwrap_or(64));
     let mut cc = ClusterClient::connect(RingSpec::new(addrs.len()), addrs, ccfg)?;
     let cfg = FleetConfig {
         cell: "fleet".to_string(),

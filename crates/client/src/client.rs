@@ -593,23 +593,6 @@ impl Client {
         }
     }
 
-    /// Asks the server to shut down. Success if the server acknowledged
-    /// or was already shutting down.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Client::request`] failures.
-    pub fn request_shutdown(&mut self) -> Result<(), ClientError> {
-        match self.request(&Request::Shutdown)? {
-            Response::Ok
-            | Response::Err {
-                code: ErrCode::Shutdown,
-                ..
-            } => Ok(()),
-            other => Err(ClientError::unexpected("OK", &other)),
-        }
-    }
-
     /// Streams `reqs` through the sliding window; `on_resp(index,
     /// response, latency_us)` fires once per request, in resolution order
     /// (submission order; a retry re-sends in order too), with the

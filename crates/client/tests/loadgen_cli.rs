@@ -1,6 +1,7 @@
 //! The `loadgen` binary end to end: its two modes against in-process
 //! servers, and the exit codes that carry its verdict.
 
+use oc_client::{Client, ClientConfig};
 use oc_cluster::RingSpec;
 use oc_serve::{ServeConfig, Server};
 use std::net::{SocketAddr, TcpListener};
@@ -17,6 +18,12 @@ fn loadgen(args: &[&str]) -> (Option<i32>, String) {
 
 fn server() -> Server {
     Server::start(ServeConfig::default().with_shards(2)).expect("server starts")
+}
+
+/// The `BATCH` frames `addr` has served (`serve.batch.requests`).
+fn batch_requests(addr: SocketAddr) -> f64 {
+    let mut client = Client::connect(addr, ClientConfig::default()).expect("client connects");
+    client.server_metrics().expect("METRICS")["serve.batch.requests"]
 }
 
 #[test]
@@ -64,6 +71,66 @@ fn fanin_over_fifty_connections_exits_zero() {
     assert_eq!(code, Some(0), "{err}");
     assert!(err.contains("loadgen[fanin]: 6400 reqs"), "{err}");
     assert_eq!(stats.machines, 50);
+}
+
+#[test]
+fn fanin_batch_one_sends_one_line_frames() {
+    let server = server();
+    let addr = server.addr();
+    let (code, err) = loadgen(&[
+        "--addr",
+        &addr.to_string(),
+        "--rate-per-conn",
+        "1000",
+        "--connections",
+        "2",
+        "--ticks",
+        "8",
+        "--batch",
+        "1",
+    ]);
+    let batches = batch_requests(addr);
+    server.shutdown();
+    assert_eq!(code, Some(0), "{err}");
+    assert!(err.contains("loadgen[fanin]: 16 reqs"), "{err}");
+    assert_eq!(batches, 0.0, "--batch 1 must not frame lines in BATCH");
+}
+
+#[test]
+fn cluster_batch_one_sends_no_batch_frames() {
+    let spec = RingSpec::new(3);
+    let members: Vec<Server> = (0..3)
+        .map(|i| {
+            let cfg = ServeConfig::default().with_shards(1).with_ring(spec, i);
+            Server::start(cfg).expect("member starts")
+        })
+        .collect();
+    let addrs: Vec<String> = members.iter().map(|s| s.addr().to_string()).collect();
+    let (code, err) = loadgen(&[
+        "--cluster",
+        &addrs.join(","),
+        "--machines",
+        "30",
+        "--ticks",
+        "3",
+        "--batch",
+        "1",
+    ]);
+    let batches: Vec<f64> = members.iter().map(|m| batch_requests(m.addr())).collect();
+    for member in members {
+        member.shutdown();
+    }
+    assert_eq!(code, Some(0), "{err}");
+    assert!(err.contains("machines 60"), "owner + replica: {err}");
+    assert_eq!(batches, [0.0; 3], "--batch 1 must not frame lines in BATCH");
+}
+
+#[test]
+fn chaos_seed_without_chaos_is_refused() {
+    let (code, err) = loadgen(&["--chaos-seed", "7"]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("--chaos-seed needs --chaos"), "{err}");
+    assert!(err.contains("usage: loadgen"), "{err}");
 }
 
 #[test]

@@ -1,7 +1,6 @@
 //! Service configuration.
 
 use crate::error::ServeError;
-use crate::fault::FaultPlan;
 use crate::ring::RingSpec;
 use oc_core::config::SimConfig;
 use oc_core::ingest::DEFAULT_MAX_GAP;
@@ -55,9 +54,6 @@ pub struct ServeConfig {
     /// Cap on concurrently served connections; excess connects are
     /// answered `ERR conn-limit` and closed (retryable).
     pub max_connections: usize,
-    /// Optional seeded fault injection on every accepted connection
-    /// (chaos testing). `None` in production.
-    pub faults: Option<FaultPlan>,
     /// Reactor thread count; `0` sizes the pool automatically from the
     /// host's available parallelism (clamped to `[1, 4]`). These threads
     /// parse, apply and answer; they are the server's only data-plane
@@ -85,7 +81,6 @@ impl Default for ServeConfig {
             idle_timeout: DEFAULT_IDLE_TIMEOUT,
             write_timeout: DEFAULT_WRITE_TIMEOUT,
             max_connections: DEFAULT_MAX_CONNECTIONS,
-            faults: None,
             reactor_threads: 0,
             ring: None,
         }
@@ -141,12 +136,6 @@ impl ServeConfig {
         self
     }
 
-    /// Enables seeded fault injection on accepted connections.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
     /// Sets the reactor thread count (`0` = auto-size from the host).
     pub fn with_reactor_threads(mut self, threads: usize) -> Self {
         self.reactor_threads = threads;
@@ -197,9 +186,6 @@ impl ServeConfig {
         }
         if self.max_connections == 0 {
             return Err(ServeError::Config("max_connections must be >= 1".into()));
-        }
-        if let Some(plan) = &self.faults {
-            plan.validate()?;
         }
         if let Some((spec, index)) = &self.ring {
             spec.check().map_err(ServeError::Config)?;
@@ -272,13 +258,5 @@ mod tests {
             .with_ring(RingSpec::new(0), 0)
             .validate()
             .is_err());
-        assert!(ServeConfig::default()
-            .with_faults(FaultPlan::new(1, 2.0))
-            .validate()
-            .is_err());
-        assert!(ServeConfig::default()
-            .with_faults(FaultPlan::new(1, 0.05))
-            .validate()
-            .is_ok());
     }
 }

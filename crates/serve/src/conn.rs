@@ -612,7 +612,7 @@ fn restore_line<W: Write>(
     let frame = state.restore.as_mut().expect("a RESTORE frame is open");
     frame.lines_left -= 1;
     if frame.error.is_none() {
-        frame.error = frame.take_line(raw, &shared.cfg.fresh_view).err();
+        frame.error = frame.take_line(raw, &shared.fresh_view).err();
     }
     if frame.lines_left > 0 {
         return Ok(());

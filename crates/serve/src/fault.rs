@@ -17,11 +17,11 @@
 //! have arrived — so runs are reproducible in fault mix and rate, not in
 //! byte-for-byte interleaving.
 //!
-//! Both sides of `oc-serve` use the wrapper: the server wraps accepted
-//! connections when [`crate::config::ServeConfig::faults`] is set, the
-//! `oc-client` crate wraps its own sockets for `loadgen --chaos` and the
-//! chaos smoke tests. Injected counts are shared through
-//! [`FaultCounters`] and surface in `STATS` as `faults=`.
+//! The server does not inject faults: it reads and writes the accepted
+//! socket as is. The wrapper's one user is the `oc-client` crate, which
+//! wraps its own sockets for `loadgen --chaos` and the chaos tests.
+//! Injected counts are shared through [`FaultCounters`] and surface in
+//! the client's load report.
 
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -201,11 +201,6 @@ impl<S> FaultStream<S> {
         }
     }
 
-    /// The wrapped transport.
-    pub fn get_ref(&self) -> &S {
-        &self.inner
-    }
-
     fn draw(&mut self) -> Option<Fault> {
         if !self.rng.random_bool(self.plan.rate) {
             return None;
@@ -380,10 +375,7 @@ mod tests {
         let c = counters();
         let mut s = FaultStream::new(Cursor::new(Vec::new()), &plan, 2, Arc::clone(&c));
         s.write_all(b"OBSERVE a 0 1:0 0.2 0.5 1\n").unwrap();
-        assert_eq!(
-            s.get_ref().get_ref().as_slice(),
-            b"OBSERVE a 0 1:0 0.2 0.5 1\n"
-        );
+        assert_eq!(s.inner.get_ref().as_slice(), b"OBSERVE a 0 1:0 0.2 0.5 1\n");
     }
 
     #[test]

@@ -34,8 +34,9 @@
 //!   merged bucket-wise for `STATS` and into the unified registry for
 //!   `METRICS`.
 //! * [`fault`] — deterministic, seeded fault injection (delayed / partial /
-//!   dropped reads and writes) wrapping any connection stream, for chaos
-//!   testing the lifecycle paths above.
+//!   dropped reads and writes) wrapping any connection stream. The server
+//!   never wraps its own sockets; `oc-client` wraps its connections with
+//!   it to chaos-test the lifecycle paths above.
 //!
 //! The retrying client and the load generator live in the `oc-client`
 //! crate, which depends on this one for the protocol types.

@@ -35,9 +35,6 @@ pub struct ShardMetrics {
     pub errors: u64,
     /// Machines with live state (filled in at snapshot time).
     pub machines: u64,
-    /// Injected faults (filled in at the server from the connection
-    /// layer's [`crate::fault::FaultCounters`]; always 0 at shard level).
-    pub faults: u64,
     /// Idle-deadline connection closes (filled in at the server; always 0
     /// at shard level).
     pub timeouts: u64,
@@ -71,7 +68,6 @@ impl ShardMetrics {
         self.stale += other.stale;
         self.errors += other.errors;
         self.machines += other.machines;
-        self.faults += other.faults;
         self.timeouts += other.timeouts;
         self.conn_rejects += other.conn_rejects;
         self.latency.merge(&other.latency);
@@ -88,7 +84,6 @@ impl ShardMetrics {
             stale: self.stale,
             errors: self.errors,
             machines: self.machines,
-            faults: self.faults,
             timeouts: self.timeouts,
             conn_rejects: self.conn_rejects,
             // Stamped by the server (`Shared::epoch`); shard metrics have

@@ -375,9 +375,6 @@ pub struct StatsSnapshot {
     pub errors: u64,
     /// Machines with live state.
     pub machines: u64,
-    /// Faults injected by the server's own fault-injection plan (0 unless
-    /// chaos testing is configured).
-    pub faults: u64,
     /// Connections closed for exceeding the idle deadline.
     pub timeouts: u64,
     /// Connections rejected at the max-connections cap.
@@ -1141,7 +1138,7 @@ impl Request {
 }
 
 /// Key/value pairs of the `STATS` line, in encode order.
-const STATS_KEYS: [&str; 15] = [
+const STATS_KEYS: [&str; 14] = [
     "observes",
     "predicts",
     "admits",
@@ -1149,7 +1146,6 @@ const STATS_KEYS: [&str; 15] = [
     "stale",
     "errors",
     "machines",
-    "faults",
     "timeouts",
     "conn_rejects",
     "epoch",
@@ -1208,7 +1204,6 @@ impl StatsSnapshot {
             self.stale,
             self.errors,
             self.machines,
-            self.faults,
             self.timeouts,
             self.conn_rejects,
             self.epoch,
@@ -1263,7 +1258,6 @@ impl StatsSnapshot {
                 "stale" => s.stale = parse_u64(key_s, v)?,
                 "errors" => s.errors = parse_u64(key_s, v)?,
                 "machines" => s.machines = parse_u64(key_s, v)?,
-                "faults" => s.faults = parse_u64(key_s, v)?,
                 "timeouts" => s.timeouts = parse_u64(key_s, v)?,
                 "conn_rejects" => s.conn_rejects = parse_u64(key_s, v)?,
                 "epoch" => s.epoch = parse_u64(key_s, v)?,
@@ -1307,7 +1301,6 @@ impl StatsSnapshot {
         self.stale += other.stale;
         self.errors += other.errors;
         self.machines += other.machines;
-        self.faults += other.faults;
         self.timeouts += other.timeouts;
         self.conn_rejects += other.conn_rejects;
         self.epoch = self.epoch.max(other.epoch);
@@ -1626,7 +1619,6 @@ mod tests {
             stale: 0,
             errors: 1,
             machines: 4,
-            faults: 2,
             timeouts: 1,
             conn_rejects: 5,
             p50_us: 12.5,

@@ -29,12 +29,6 @@
 //! `ERR timeout` and a drain-then-close; any read progress (even a
 //! partial line) counts as activity.
 //!
-//! **Faults.** The fault wrapper composes with non-blocking streams: a
-//! would-block read/write passes through it like any other operation
-//! (consuming a schedule draw), injected delays briefly stall the
-//! reactor thread (chaos tests only), and an injected drop closes the
-//! connection at the next event.
-//!
 //! **Shutdown.** [`ReactorPool::stop_and_join`] wakes every thread via
 //! its [`Waker`]; each applies pending observe chunks, makes one best-
 //! effort write pass, drops its connections, and exits — so shutdown
@@ -45,10 +39,9 @@ use crate::accept::note_accept_error;
 use crate::conn::{
     flush_chunk, idle_resp, oversize_resp, process_line, ConnState, Feed, LineAccumulator,
 };
-use crate::fault::FaultStream;
 use crate::server::Shared;
 use crate::shard::ShardPool;
-use oc_reactor::{Events, Interest, Poller, RawFd, Waker};
+use oc_reactor::{Events, Interest, Poller, Waker};
 use oc_telemetry::trace;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -151,38 +144,9 @@ impl ReactorPool {
     }
 }
 
-/// A connection's transport: plain, or wrapped in the seeded fault plan
-/// (separate read/write schedules).
-enum Transport {
-    Plain(TcpStream),
-    Faulted {
-        r: FaultStream<TcpStream>,
-        w: FaultStream<TcpStream>,
-    },
-}
-
-impl Transport {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Transport::Plain(s) => s.read(buf),
-            Transport::Faulted { r, .. } => r.read(buf),
-        }
-    }
-
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Transport::Plain(s) => s.write(buf),
-            Transport::Faulted { w, .. } => w.write(buf),
-        }
-    }
-}
-
 /// One reactor-owned connection.
 struct RConn {
-    transport: Transport,
-    /// The fd registered with the poller (the read half for faulted
-    /// transports; both halves alias one socket).
-    fd: RawFd,
+    stream: TcpStream,
     /// This connection's slot index — also its poller token.
     slot: usize,
     acc: LineAccumulator,
@@ -304,37 +268,6 @@ impl ReactorThread {
 
     fn register_conn(&mut self, stream: TcpStream) {
         let _ = stream.set_nodelay(true);
-        let conn_id = self.shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        let transport = match &self.shared.cfg.faults {
-            Some(plan) => {
-                let read_half = match stream.try_clone() {
-                    Ok(s) => s,
-                    Err(e) => {
-                        self.drop_unregistered(&e);
-                        return;
-                    }
-                };
-                Transport::Faulted {
-                    r: FaultStream::new(
-                        read_half,
-                        plan,
-                        plan.stream_seed(conn_id * 2),
-                        Arc::clone(&self.shared.faults),
-                    ),
-                    w: FaultStream::new(
-                        stream,
-                        plan,
-                        plan.stream_seed(conn_id * 2 + 1),
-                        Arc::clone(&self.shared.faults),
-                    ),
-                }
-            }
-            None => Transport::Plain(stream),
-        };
-        let fd = match &transport {
-            Transport::Plain(s) => s.as_raw_fd(),
-            Transport::Faulted { r, .. } => r.get_ref().as_raw_fd(),
-        };
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
@@ -342,14 +275,16 @@ impl ReactorThread {
                 self.conns.len() - 1
             }
         };
-        if let Err(e) = self.poller.register(fd, slot, Interest::READABLE) {
+        if let Err(e) = self
+            .poller
+            .register(stream.as_raw_fd(), slot, Interest::READABLE)
+        {
             self.free.push(slot);
             self.drop_unregistered(&e);
             return;
         }
         self.conns[slot] = Some(RConn {
-            transport,
-            fd,
+            stream,
             slot,
             acc: LineAccumulator::new(),
             state: ConnState::new(),
@@ -381,7 +316,7 @@ impl ReactorThread {
     }
 
     fn close(&mut self, slot: usize, conn: RConn) {
-        let _ = self.poller.deregister(conn.fd);
+        let _ = self.poller.deregister(conn.stream.as_raw_fd());
         self.free.push(slot);
         self.shared.reactor_conns.dec();
         self.shared.connections.dec();
@@ -404,7 +339,7 @@ impl ReactorThread {
     /// protocol path. Responses accumulate in `conn.outbuf`.
     fn read_and_process(&mut self, conn: &mut RConn) -> Result<(), Close> {
         loop {
-            match conn.transport.read(&mut self.scratch) {
+            match conn.stream.read(&mut self.scratch) {
                 Ok(0) => {
                     // EOF: a truncated final line is discarded, pending
                     // responses are still drained before the close.
@@ -415,11 +350,7 @@ impl ReactorThread {
                 Ok(n) => {
                     conn.last_activity = Instant::now();
                     let RConn {
-                        acc,
-                        state,
-                        outbuf,
-                        transport: _,
-                        ..
+                        acc, state, outbuf, ..
                     } = conn;
                     let pool = &self.pool;
                     let shared = &self.shared;
@@ -465,7 +396,7 @@ impl ReactorThread {
     /// Writes as much buffered output as the socket accepts.
     fn try_write(&mut self, conn: &mut RConn) -> Result<(), Close> {
         while conn.outpos < conn.outbuf.len() {
-            match conn.transport.write(&conn.outbuf[conn.outpos..]) {
+            match conn.stream.write(&conn.outbuf[conn.outpos..]) {
                 Ok(0) => return Err(Close::Now),
                 Ok(n) => {
                     conn.outpos += n;
@@ -515,7 +446,7 @@ impl ReactorThread {
         };
         if self
             .poller
-            .reregister(conn.fd, conn.slot, interest)
+            .reregister(conn.stream.as_raw_fd(), conn.slot, interest)
             .is_err()
         {
             return Err(Close::Now);
@@ -578,7 +509,7 @@ impl ReactorThread {
                 let _ = flush_chunk(state, outbuf, &self.pool, &self.shared);
             }
             let _ = self.try_write(&mut conn);
-            let _ = self.poller.deregister(conn.fd);
+            let _ = self.poller.deregister(conn.stream.as_raw_fd());
             self.shared.reactor_conns.dec();
             self.shared.connections.dec();
         }

@@ -95,13 +95,13 @@ proptest! {
         prop_assert_eq!(back, Ok(req));
     }
 
-    /// Round trip for responses, including the 15-field STATS snapshot.
+    /// Round trip for responses, including the 14-field STATS snapshot.
     #[test]
     fn response_round_trips(
         selector in 0u32..8,
         flag in 0u32..2,
         peak in 0.0f64..1e9,
-        counters in proptest::collection::vec(0u64..=u64::MAX, 11),
+        counters in proptest::collection::vec(0u64..=u64::MAX, 10),
         lats in proptest::collection::vec(0.0f64..1e7, 4),
         code_idx in 0u32..9,
     ) {
@@ -142,10 +142,9 @@ proptest! {
                 stale: counters[4],
                 errors: counters[5],
                 machines: counters[6],
-                faults: counters[7],
-                timeouts: counters[8],
-                conn_rejects: counters[9],
-                epoch: counters[10],
+                timeouts: counters[7],
+                conn_rejects: counters[8],
+                epoch: counters[9],
                 p50_us: lats[0],
                 p99_us: lats[1],
                 mean_us: lats[2],
@@ -341,7 +340,7 @@ proptest! {
     /// Corrupting any one STATS field yields the typed [`ProtoError`]
     /// naming the expected key — never a silent default or a panic.
     #[test]
-    fn corrupted_stats_fields_are_typed(victim in 0usize..15, mode in 0u32..2) {
+    fn corrupted_stats_fields_are_typed(victim in 0usize..14, mode in 0u32..2) {
         let snapshot = StatsSnapshot {
             observes: 1,
             predicts: 2,
@@ -350,10 +349,9 @@ proptest! {
             stale: 5,
             errors: 6,
             machines: 7,
-            faults: 8,
-            timeouts: 9,
-            conn_rejects: 10,
-            epoch: 11,
+            timeouts: 8,
+            conn_rejects: 9,
+            epoch: 10,
             p50_us: 1.5,
             p99_us: 9.5,
             mean_us: 2.25,

@@ -8,9 +8,7 @@
 //!   used by almost every figure in the paper.
 //! * [`Welford`] — numerically stable streaming mean / variance
 //!   (used by the N-sigma predictor and by metric accumulation).
-//! * [`percentile`] — exact percentiles with linear interpolation, plus the
-//!   streaming [`percentile::P2Quantile`] estimator for constant-memory
-//!   operation on machine agents.
+//! * [`percentile`] — exact percentiles with linear interpolation.
 //! * [`MovingWindow`] — the bounded per-task sample window
 //!   (`max_num_samples` in the paper) with O(1) mean/std.
 //! * [`OrderStatWindow`] — the same FIFO window with a sorted index for
@@ -41,7 +39,6 @@ pub mod percentile;
 pub mod regression;
 pub mod resource;
 pub mod state;
-pub mod summary;
 pub mod welford;
 
 pub use bucket::{BucketStat, Bucketed};
@@ -52,8 +49,7 @@ pub use histogram::Histogram;
 pub use moving::MovingWindow;
 pub use order_stat::OrderStatWindow;
 pub use peak::PeakWindow;
-pub use percentile::{percentile_of_sorted, percentile_slice, P2Quantile};
+pub use percentile::{percentile_of_sorted, percentile_slice};
 pub use regression::{ols, OlsFit};
 pub use resource::{Res2, ResourceVec};
-pub use summary::Summary;
 pub use welford::Welford;

@@ -1,16 +1,11 @@
-//! Exact and streaming percentile estimation.
+//! Exact percentile estimation.
 //!
 //! The RC-like predictor is defined as a sum of per-task usage percentiles,
-//! so percentile computation sits on the simulator's hot path. Two variants
-//! are provided:
-//!
-//! * [`percentile_slice`] / [`percentile_of_sorted`] — exact, with linear
-//!   interpolation between order statistics (the same convention as NumPy's
-//!   default `linear` method). Used wherever the window is already
-//!   materialized (the per-task moving window is small by design).
-//! * [`P2Quantile`] — the Jain & Chlamtac P² streaming estimator. Constant
-//!   memory, used in the bench ablation comparing exact vs. streaming
-//!   percentile tracking on a node agent.
+//! so percentile computation sits on the simulator's hot path.
+//! [`percentile_slice`] / [`percentile_of_sorted`] are exact, with linear
+//! interpolation between order statistics (the same convention as NumPy's
+//! default `linear` method). They are used wherever the window is already
+//! materialized (the per-task moving window is small by design).
 
 use crate::error::StatsError;
 
@@ -73,144 +68,6 @@ pub fn percentile_slice(xs: &[f64], p: f64) -> Result<f64, StatsError> {
     percentile_of_sorted(&sorted, p)
 }
 
-/// Streaming quantile estimator using the P² algorithm
-/// (Jain & Chlamtac, CACM 1985).
-///
-/// Tracks a single quantile `q in (0, 1)` with five markers and O(1) memory
-/// and update cost. Accuracy is excellent for smooth distributions and
-/// adequate (a few percent of the interquartile range) for the bursty usage
-/// series produced by the trace generator, which is verified by tests below.
-#[derive(Debug, Clone)]
-pub struct P2Quantile {
-    q: f64,
-    /// Marker heights.
-    heights: [f64; 5],
-    /// Actual marker positions (1-based observation counts).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Desired position increments per observation.
-    increments: [f64; 5],
-    count: usize,
-    /// Initial observations before the marker invariant is established.
-    initial: Vec<f64>,
-}
-
-impl P2Quantile {
-    /// Creates an estimator for quantile `q`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] unless `0 < q < 1`.
-    pub fn new(q: f64) -> Result<Self, StatsError> {
-        if !(q > 0.0 && q < 1.0) {
-            return Err(StatsError::InvalidParameter {
-                what: "quantile must be in (0, 1)",
-            });
-        }
-        Ok(P2Quantile {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-            initial: Vec::with_capacity(5),
-        })
-    }
-
-    /// The tracked quantile in `(0, 1)`.
-    pub fn quantile(&self) -> f64 {
-        self.q
-    }
-
-    /// Number of observations consumed.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Feeds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        if self.count <= 5 {
-            self.initial.push(x);
-            if self.count == 5 {
-                self.initial
-                    .sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-                for (h, v) in self.heights.iter_mut().zip(self.initial.iter()) {
-                    *h = *v;
-                }
-            }
-            return;
-        }
-
-        // Find the cell k (0..=3) containing x, adjusting extremes.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            let mut k = 0;
-            for i in 0..4 {
-                if self.heights[i] <= x && x < self.heights[i + 1] {
-                    k = i;
-                    break;
-                }
-            }
-            k
-        };
-
-        for p in self.positions.iter_mut().skip(k + 1) {
-            *p += 1.0;
-        }
-        for (d, inc) in self.desired.iter_mut().zip(self.increments.iter()) {
-            *d += inc;
-        }
-
-        // Adjust interior markers with the piecewise-parabolic formula.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let dp = self.positions[i + 1] - self.positions[i];
-            let dm = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && dp > 1.0) || (d <= -1.0 && dm < -1.0) {
-                let sign = d.signum();
-                let parabolic = self.heights[i]
-                    + sign / (dp - dm)
-                        * ((dp - sign) * (self.heights[i] - self.heights[i - 1]) / -dm
-                            + (-dm + sign) * (self.heights[i + 1] - self.heights[i]) / dp);
-                if self.heights[i - 1] < parabolic && parabolic < self.heights[i + 1] {
-                    self.heights[i] = parabolic;
-                } else {
-                    // Fall back to linear adjustment.
-                    let j = if sign > 0.0 { i + 1 } else { i - 1 };
-                    self.heights[i] += sign * (self.heights[j] - self.heights[i])
-                        / (self.positions[j] - self.positions[i]);
-                }
-                self.positions[i] += sign;
-            }
-        }
-    }
-
-    /// Current quantile estimate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::Empty`] before any observation has been pushed.
-    pub fn estimate(&self) -> Result<f64, StatsError> {
-        if self.count == 0 {
-            return Err(StatsError::Empty);
-        }
-        if self.count <= 5 {
-            let mut sorted = self.initial.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            return percentile_of_sorted(&sorted, self.q * 100.0);
-        }
-        Ok(self.heights[2])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,47 +106,5 @@ mod tests {
     fn percentile_unsorted_matches_sorted() {
         let xs = [3.0, 1.0, 2.0];
         assert_eq!(percentile_slice(&xs, 50.0).unwrap(), 2.0);
-    }
-
-    #[test]
-    fn p2_rejects_bad_quantile() {
-        assert!(P2Quantile::new(0.0).is_err());
-        assert!(P2Quantile::new(1.0).is_err());
-        assert!(P2Quantile::new(0.5).is_ok());
-    }
-
-    #[test]
-    fn p2_small_counts_are_exact() {
-        let mut p2 = P2Quantile::new(0.5).unwrap();
-        assert_eq!(p2.estimate(), Err(StatsError::Empty));
-        p2.push(3.0);
-        p2.push(1.0);
-        p2.push(2.0);
-        assert_eq!(p2.estimate().unwrap(), 2.0);
-    }
-
-    #[test]
-    fn p2_uniform_median_converges() {
-        // Deterministic low-discrepancy sequence over [0, 1).
-        let mut p2 = P2Quantile::new(0.5).unwrap();
-        let mut x = 0.0_f64;
-        for _ in 0..20_000 {
-            x = (x + 0.618_033_988_749_894_9) % 1.0;
-            p2.push(x);
-        }
-        let est = p2.estimate().unwrap();
-        assert!((est - 0.5).abs() < 0.02, "median estimate {est}");
-    }
-
-    #[test]
-    fn p2_tail_quantile_converges() {
-        let mut p2 = P2Quantile::new(0.95).unwrap();
-        let mut x = 0.0_f64;
-        for _ in 0..50_000 {
-            x = (x + 0.618_033_988_749_894_9) % 1.0;
-            p2.push(x);
-        }
-        let est = p2.estimate().unwrap();
-        assert!((est - 0.95).abs() < 0.02, "p95 estimate {est}");
     }
 }

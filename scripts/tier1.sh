@@ -135,6 +135,20 @@ grep -rnE -e 'worst_violation_tick|oracle_series|with_origin|violations_by_lane|
     crates tests examples docs README.md .claude/skills/verify/SKILL.md \
   && { echo "tier1: a deleted lane-twin helper (or the with_origin knob) is referenced again" >&2; exit 1; }
 
+# Faults are injected in one place, the client's Link: the server reads and
+# writes the accepted socket as is. Keep the server's fault knob, its fault
+# transport and connection-id seeding, the STATS/METRICS fault counters, and
+# the dead stats and client helpers deleted with them from coming back
+# through a doc or a name; inside oc-serve only the wrapper itself (and its
+# re-export) may name the fault types.
+grep -rnE -e 'serve\.faults|Transport::Faulted|next_conn_id|ConnSettings|\bfaults=' \
+    -e 'P2Quantile|oc_stats::Summary|request_shutdown' \
+    crates tests examples docs README.md .claude/skills/verify/SKILL.md \
+  && { echo "tier1: the server-side fault path (or a deleted stats/client helper) is referenced again" >&2; exit 1; }
+grep -rnE 'FaultPlan|FaultStream|FaultCounters|with_faults' crates/serve/src \
+    --exclude=fault.rs --exclude=lib.rs \
+  && { echo "tier1: oc-serve names the fault wrapper outside fault.rs and lib.rs" >&2; exit 1; }
+
 # Docs are part of the contract: every markdown link to a local file must
 # point at something that exists (catches renamed/moved docs going stale),
 # and rustdoc must be warning-free.
@@ -294,13 +308,20 @@ pin_test oc-serve conn::tests::batch_headers_are_detected_by_their_first_token \
   "batch header detection"
 
 # The loadgen binary's two modes and its verdict: a chaos replay, a
-# fan-in and a ring drive exit 0, failed connections exit nonzero, and
-# --cluster refuses the flags it would ignore.
+# fan-in and a ring drive exit 0, failed connections exit nonzero,
+# --cluster refuses the flags it would ignore, --batch 1 sends one-line
+# frames in the fan-in and ring drives, and --chaos-seed needs --chaos.
 for t in chaos_replay_exits_zero_with_nothing_lost fanin_over_fifty_connections_exits_zero \
     cluster_mode_drives_a_mirrored_fleet_over_three_members failed_connections_exit_nonzero \
-    cluster_mode_refuses_single_address_flags; do
+    cluster_mode_refuses_single_address_flags fanin_batch_one_sends_one_line_frames \
+    cluster_batch_one_sends_no_batch_frames chaos_seed_without_chaos_is_refused; do
   pin_test oc-client "$t" "loadgen binary ($t)"
 done
+
+# A peer that writes its pipeline one byte per write gets every response,
+# in order, with every line applied once (partial reads at socket level).
+pin_test oc-serve server::tests::byte_at_a_time_writer_gets_every_response_in_order \
+  "byte-at-a-time writer"
 
 # A latency tail of seconds keeps its own percentiles: the old 20 ms
 # linear range answered p50 == p99 == max once half the mass overflowed.

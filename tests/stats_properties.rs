@@ -1,7 +1,7 @@
 //! Property-based tests for the statistics substrate.
 
 use overcommit_repro::stats::{
-    ols, pearson, percentile_slice, spearman, Ecdf, MovingWindow, P2Quantile, Welford,
+    ols, pearson, percentile_slice, spearman, Ecdf, MovingWindow, Welford,
 };
 use proptest::prelude::*;
 
@@ -147,30 +147,6 @@ proptest! {
         prop_assert!((fit.intercept - intercept).abs() < 1e-5 * (1.0 + intercept.abs()));
         prop_assert!((fit.predict(1.0) - (slope + intercept)).abs() < 1e-5);
     }
-
-    /// The streaming P² estimator lands near the exact quantile on
-    /// well-behaved data.
-    #[test]
-    fn p2_tracks_exact(seed in 0u64..1000) {
-        // Deterministic pseudo-uniform stream.
-        let n = 3000usize;
-        let xs: Vec<f64> = (0..n)
-            .map(|i| {
-                let h = (i as u64 + seed).wrapping_mul(0x9E3779B97F4A7C15);
-                (h >> 11) as f64 / (1u64 << 53) as f64
-            })
-            .collect();
-        let mut q = P2Quantile::new(0.9).unwrap();
-        for &x in &xs {
-            q.push(x);
-        }
-        let exact = percentile_slice(&xs, 90.0).unwrap();
-        prop_assert!(
-            (q.estimate().unwrap() - exact).abs() < 0.05,
-            "p2 {} vs exact {exact}",
-            q.estimate().unwrap()
-        );
-    }
 }
 
 /// Error paths behave: empty inputs and mismatched lengths are rejected,
@@ -186,5 +162,4 @@ fn error_paths() {
     assert!(spearman(&[], &[]).is_err());
     assert!(ols(&[1.0, 1.0], &[2.0, 3.0]).is_err()); // Degenerate x.
     assert!(MovingWindow::new(0).is_err());
-    assert!(P2Quantile::new(1.5).is_err());
 }
