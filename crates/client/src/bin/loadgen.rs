@@ -218,14 +218,6 @@ fn summary(label: &str, report: &LoadReport) {
     }
 }
 
-fn write_trace(path: &str) -> std::io::Result<usize> {
-    let events = oc_telemetry::trace::drain();
-    let file = std::fs::File::create(path)?;
-    let mut w = std::io::BufWriter::new(file);
-    oc_telemetry::trace::write_jsonl(&mut w, &events)?;
-    Ok(events.len())
-}
-
 fn main() -> ExitCode {
     let args = parse_args();
     if args.trace_out.is_some() {
@@ -253,9 +245,13 @@ fn main() -> ExitCode {
     summary(label, &report);
     let mut ok = true;
     if let Some(path) = &args.trace_out {
-        oc_telemetry::trace::disable();
-        match write_trace(path) {
-            Ok(n) => eprintln!("loadgen: wrote {n} trace events to {path}"),
+        match oc_telemetry::trace::finish(path) {
+            Ok((n, dropped)) => {
+                eprintln!("loadgen: wrote {n} trace events to {path}");
+                if dropped > 0 {
+                    eprintln!("loadgen: {dropped} trace events dropped at full per-thread buffers");
+                }
+            }
             Err(e) => {
                 eprintln!("loadgen: writing {path}: {e}");
                 ok = false;

@@ -67,9 +67,13 @@ fn main() -> ExitCode {
         }
     }
     if let Some(path) = trace_out {
-        oc_telemetry::trace::disable();
-        match write_trace(&path) {
-            Ok(n) => eprintln!("repro: wrote {n} trace events to {path}"),
+        match oc_telemetry::trace::finish(&path) {
+            Ok((n, dropped)) => {
+                eprintln!("repro: wrote {n} trace events to {path}");
+                if dropped > 0 {
+                    eprintln!("repro: {dropped} trace events dropped at full per-thread buffers");
+                }
+            }
             Err(e) => {
                 eprintln!("repro: writing {path}: {e}");
                 return ExitCode::FAILURE;
@@ -77,14 +81,6 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-fn write_trace(path: &str) -> std::io::Result<usize> {
-    let events = oc_telemetry::trace::drain();
-    let file = std::fs::File::create(path)?;
-    let mut w = std::io::BufWriter::new(file);
-    oc_telemetry::trace::write_jsonl(&mut w, &events)?;
-    Ok(events.len())
 }
 
 fn usage(err: &str) -> ExitCode {

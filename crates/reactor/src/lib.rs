@@ -118,17 +118,6 @@ impl Event {
     pub fn is_writable(self) -> bool {
         self.writable || self.error
     }
-
-    /// Error condition (`EPOLLERR`/`POLLERR`) on the fd.
-    pub fn is_error(self) -> bool {
-        self.error
-    }
-
-    /// The peer closed its write half (`EPOLLRDHUP`/`POLLHUP`): reads
-    /// will drain any buffered bytes and then return EOF.
-    pub fn is_read_closed(self) -> bool {
-        self.read_closed
-    }
 }
 
 /// Reusable buffer of [`Event`]s filled by [`Poller::wait`].

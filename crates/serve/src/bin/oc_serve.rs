@@ -63,14 +63,6 @@ fn parse_args() -> Args {
     Args { cfg, trace_out }
 }
 
-fn write_trace(path: &str) -> std::io::Result<usize> {
-    let events = oc_telemetry::trace::drain();
-    let file = std::fs::File::create(path)?;
-    let mut w = std::io::BufWriter::new(file);
-    oc_telemetry::trace::write_jsonl(&mut w, &events)?;
-    Ok(events.len())
-}
-
 fn main() -> ExitCode {
     let args = parse_args();
     if args.trace_out.is_some() {
@@ -89,9 +81,15 @@ fn main() -> ExitCode {
     let stats = server.shutdown();
     println!("{}", stats.encode_fields());
     if let Some(path) = args.trace_out {
-        oc_telemetry::trace::disable();
-        match write_trace(&path) {
-            Ok(n) => eprintln!("oc-serve: wrote {n} trace events to {path}"),
+        match oc_telemetry::trace::finish(&path) {
+            Ok((n, dropped)) => {
+                eprintln!("oc-serve: wrote {n} trace events to {path}");
+                if dropped > 0 {
+                    eprintln!(
+                        "oc-serve: {dropped} trace events dropped at full per-thread buffers"
+                    );
+                }
+            }
             Err(e) => {
                 eprintln!("oc-serve: writing {path}: {e}");
                 return ExitCode::FAILURE;

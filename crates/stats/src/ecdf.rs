@@ -89,11 +89,6 @@ impl Ecdf {
         self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
     }
 
-    /// The sorted samples (ascending).
-    pub fn sorted_samples(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Yields `(x, P(X <= x))` points suitable for plotting the CDF as a
     /// step function: one point per sample, cumulative probability at each.
     pub fn points(&self) -> impl Iterator<Item = (f64, f64)> + '_ {

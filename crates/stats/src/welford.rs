@@ -126,11 +126,6 @@ impl Welford {
         self.population_variance().sqrt()
     }
 
-    /// Sample standard deviation.
-    pub fn sample_std(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// Minimum observation; `+inf` if empty.
     pub fn min(&self) -> f64 {
         self.min

@@ -59,7 +59,7 @@ fn escape_into(out: &mut String, s: &str) {
 
 /// A trace record parsed back from JSONL. Mirrors
 /// [`TraceEvent`] with an owned name (the parser cannot
-/// resolve back to the interned `&'static str`).
+/// produce a `&'static str`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedEvent {
     /// Record type.

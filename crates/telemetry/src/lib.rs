@@ -5,11 +5,11 @@
 //! per-tick prediction hot path:
 //!
 //! * [`trace`] — **structured tracing**: lightweight spans and events with
-//!   monotonic microsecond timestamps. Each thread writes into its own
-//!   lock-free single-producer ring buffer ([`ring`]); a collector drains
-//!   every ring and exports the merged stream as JSONL
-//!   ([`trace::write_jsonl`]). Tracing is off by default: when disabled,
-//!   instrumentation costs one relaxed atomic load and a branch.
+//!   monotonic microsecond timestamps. Each thread appends to its own
+//!   bounded buffer, behind a lock only the collector contends for;
+//!   [`trace::drain`] takes every buffer and [`trace::write_jsonl`]
+//!   exports the merged stream as JSONL. Tracing is off by default: when
+//!   disabled, instrumentation costs one relaxed atomic load and a branch.
 //! * [`metrics`] — a **unified metrics registry**: named counters, gauges,
 //!   and histograms (the one log-bucketed [`oc_stats::Histogram`] shape
 //!   plus exact sum and max). Hot-path updates are single relaxed atomic operations
@@ -17,9 +17,9 @@
 //!   that merge across shards/threads and encode into the stable text
 //!   exposition format served by `oc-serve`'s `METRICS` verb.
 //!
-//! The design notes (ring-buffer sizing, merge semantics, the overhead
-//! budget) live in `DESIGN.md` §9; the operator-facing dictionary of every
-//! metric and trace event lives in `docs/OPERATIONS.md`.
+//! The design notes (buffer bound, merge semantics, the overhead budget)
+//! live in `DESIGN.md` §9; the operator-facing dictionary of every metric
+//! and trace event lives in `docs/OPERATIONS.md`.
 //!
 //! # Examples
 //!
@@ -52,7 +52,6 @@
 pub mod clock;
 pub mod json;
 pub mod metrics;
-pub mod ring;
 pub mod trace;
 
 pub use metrics::{Counter, Gauge, HistogramHandle, MetricsRegistry, MetricsSnapshot};

@@ -1,4 +1,4 @@
-//! Structured tracing: spans and instant events over per-thread rings.
+//! Structured tracing: spans and instant events over per-thread buffers.
 //!
 //! # Model
 //!
@@ -14,27 +14,28 @@
 //! Tracing is **off by default**. Every instrumentation site first checks
 //! [`enabled`] — one relaxed atomic load and a predictable branch — so
 //! leaving spans compiled into the simulator hot path is within the
-//! overhead budget (DESIGN.md §9). When enabled, a record is a handful of
-//! relaxed stores into the calling thread's own lock-free
-//! [`Ring`]; names are `&'static str` interned once per
-//! thread through a pointer-keyed cache, so steady-state recording never
-//! touches a lock.
+//! overhead budget (DESIGN.md §9). When enabled, a record is a
+//! [`TraceEvent`] (its name is the `&'static str` itself) pushed onto the
+//! calling thread's own `Vec` behind a lock that only [`drain`] contends
+//! for. A thread keeps at most 32 768 records between drains; past that
+//! the newest record is dropped and counted in [`dropped`].
 //!
 //! # Collection
 //!
-//! [`drain`] visits every thread's ring (including threads that have since
-//! exited), resolves interned names, and returns the merged stream sorted
-//! by timestamp. [`write_jsonl`] exports it in the JSONL schema documented
-//! in [`crate::json`].
+//! [`drain`] takes every thread's records (including threads that have
+//! since exited, whose buffers it then forgets) and returns the merged
+//! stream sorted by timestamp. [`write_jsonl`] exports it in the JSONL
+//! schema documented in [`crate::json`]; [`finish`] ends a traced run by
+//! writing that export to a file.
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::cell::Cell;
 use std::io::{self, Write};
+use std::mem;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::clock;
-use crate::ring::{RawEvent, Ring};
 
 /// Master switch. Relaxed is enough: enabling tracing a hair late or
 /// early only gains/loses a few records, never tears one.
@@ -46,7 +47,7 @@ pub fn enable() {
 }
 
 /// Turns tracing off process-wide. Already-recorded events stay in the
-/// rings until [`drain`]ed.
+/// buffers until [`drain`]ed.
 pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
@@ -58,88 +59,58 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Global interning table: name string → dense id. Locked only on a
-/// thread's *first* use of each name (see the per-thread pointer cache).
-struct NameTable {
-    ids: HashMap<&'static str, u32>,
-    names: Vec<&'static str>,
-}
+/// Records a thread keeps between drains; past this the newest record
+/// is dropped and counted in [`dropped`]. At 64 bytes a record a full
+/// buffer holds 2 MiB, and a buffer only grows that far when its thread
+/// records that much between two drains.
+const CAPACITY: usize = 32 * 1024;
 
-fn name_table() -> &'static Mutex<NameTable> {
-    static TABLE: OnceLock<Mutex<NameTable>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        Mutex::new(NameTable {
-            ids: HashMap::new(),
-            names: Vec::new(),
-        })
-    })
-}
+/// Records dropped at full buffers, over the process's life.
+static DROPPED: AtomicU64 = AtomicU64::new(0);
 
-/// Every thread's ring, kept alive here even after the thread exits so
-/// its tail of events survives until the next [`drain`].
-struct RegisteredRing {
-    thread: u64,
-    ring: Arc<Ring>,
-}
+/// One thread's records. Its thread is the only writer and [`drain`] the
+/// only other user, so the lock is contended only while a drain runs.
+type Buffer = Arc<Mutex<Vec<TraceEvent>>>;
 
-fn ring_registry() -> &'static Mutex<Vec<RegisteredRing>> {
-    static REGISTRY: OnceLock<Mutex<Vec<RegisteredRing>>> = OnceLock::new();
+/// Every live thread's buffer, plus the buffers of exited threads whose
+/// last records the next [`drain`] has yet to take.
+fn registry() -> &'static Mutex<Vec<Buffer>> {
+    static REGISTRY: OnceLock<Mutex<Vec<Buffer>>> = OnceLock::new();
     REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
 }
 
 /// Per-thread tracing context.
 struct Ctx {
-    ring: Arc<Ring>,
+    thread: u64,
     depth: Cell<u32>,
-    /// `&'static str` pointer → interned id. Identical literals may have
-    /// distinct addresses across codegen units; each address still maps
-    /// to the one id the global table assigned to that string's content.
-    name_cache: RefCell<HashMap<*const u8, u32>>,
+    records: Buffer,
 }
 
 impl Ctx {
     fn new() -> Ctx {
         static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
-        let thread = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
-        let ring = Arc::new(Ring::new());
-        ring_registry().lock().unwrap().push(RegisteredRing {
-            thread,
-            ring: Arc::clone(&ring),
-        });
+        let records = Buffer::default();
+        registry().lock().unwrap().push(Arc::clone(&records));
         Ctx {
-            ring,
+            thread: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
             depth: Cell::new(0),
-            name_cache: RefCell::new(HashMap::new()),
+            records,
         }
     }
 
-    fn intern(&self, name: &'static str) -> u32 {
-        let key = name.as_ptr();
-        if let Some(&id) = self.name_cache.borrow().get(&key) {
-            return id;
+    fn push(&self, e: TraceEvent) {
+        let mut records = self.records.lock().unwrap();
+        if records.len() < CAPACITY {
+            records.push(e);
+        } else {
+            DROPPED.fetch_add(1, Ordering::Relaxed);
         }
-        let mut table = name_table().lock().unwrap();
-        let id = match table.ids.get(name) {
-            Some(&id) => id,
-            None => {
-                let id = table.names.len() as u32;
-                table.names.push(name);
-                table.ids.insert(name, id);
-                id
-            }
-        };
-        drop(table);
-        self.name_cache.borrow_mut().insert(key, id);
-        id
     }
 }
 
 thread_local! {
     static CTX: Ctx = Ctx::new();
 }
-
-const KIND_SPAN: u32 = 0;
-const KIND_EVENT: u32 = 1;
 
 /// Records an instant event with two payload words. No-op when tracing
 /// is disabled. The meaning of `a`/`b` is per event name and documented
@@ -153,11 +124,12 @@ pub fn event(name: &'static str, a: u64, b: u64) {
     // Ignore `try_with` failure: the thread is tearing down its TLS and
     // the record is better lost than panicking in a destructor.
     let _ = CTX.try_with(|ctx| {
-        ctx.ring.push(RawEvent {
+        ctx.push(TraceEvent {
+            name,
+            kind: EventKind::Event,
+            thread: ctx.thread,
             ts_us,
             dur_us: 0,
-            name_id: ctx.intern(name),
-            kind: KIND_EVENT,
             depth: ctx.depth.get(),
             a,
             b,
@@ -223,11 +195,12 @@ impl Drop for Span {
             ctx.depth.set(ctx.depth.get().saturating_sub(1));
             // Record even if tracing was disabled mid-span: the span was
             // opened under tracing, so its completion belongs in the trace.
-            ctx.ring.push(RawEvent {
+            ctx.push(TraceEvent {
+                name: inner.name,
+                kind: EventKind::Span,
+                thread: ctx.thread,
                 ts_us: inner.start_us,
                 dur_us,
-                name_id: ctx.intern(inner.name),
-                kind: KIND_SPAN,
                 depth: inner.depth,
                 a: inner.a,
                 b: inner.b,
@@ -255,10 +228,10 @@ impl EventKind {
     }
 }
 
-/// One drained, name-resolved trace record.
+/// One trace record, as recorded and as drained.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Span/event name (an interned static string).
+    /// Span/event name.
     pub name: &'static str,
     /// Record type.
     pub kind: EventKind,
@@ -277,55 +250,29 @@ pub struct TraceEvent {
     pub b: u64,
 }
 
-/// Drains every thread's ring and returns the merged stream sorted by
-/// `(ts_us, thread)`. Events recorded after the drain started may or may
-/// not be included; call after the traced workload has quiesced for a
-/// complete picture.
+/// Takes every thread's records and returns the merged stream sorted by
+/// `(ts_us, thread)`; one thread's records keep their record order. A
+/// buffer whose thread has exited is forgotten once its records are
+/// taken. Records made after the drain started may or may not be
+/// included; call after the traced workload has quiesced for a complete
+/// picture.
 pub fn drain() -> Vec<TraceEvent> {
-    let registry = ring_registry().lock().unwrap();
-    let mut raw: Vec<(u64, RawEvent)> = Vec::new();
-    let mut buf: Vec<RawEvent> = Vec::new();
-    for entry in registry.iter() {
-        buf.clear();
-        entry.ring.drain_into(&mut buf);
-        raw.extend(buf.iter().map(|e| (entry.thread, *e)));
-    }
-    drop(registry);
-
-    let table = name_table().lock().unwrap();
-    let mut out: Vec<TraceEvent> = raw
-        .into_iter()
-        .map(|(thread, e)| TraceEvent {
-            name: table
-                .names
-                .get(e.name_id as usize)
-                .copied()
-                .unwrap_or("<unknown>"),
-            kind: if e.kind == KIND_SPAN {
-                EventKind::Span
-            } else {
-                EventKind::Event
-            },
-            thread,
-            ts_us: e.ts_us,
-            dur_us: e.dur_us,
-            depth: e.depth,
-            a: e.a,
-            b: e.b,
-        })
-        .collect();
+    let mut out = Vec::new();
+    registry().lock().unwrap().retain_mut(|records| {
+        // Unique once its thread's `Ctx` is gone: nothing can record into
+        // it any more, so the records taken below are its last.
+        let exited = Arc::get_mut(records).is_some();
+        let taken = mem::take(&mut *records.lock().unwrap());
+        out.extend(taken);
+        !exited
+    });
     out.sort_by_key(|e| (e.ts_us, e.thread));
     out
 }
 
-/// Total events dropped at full rings across all threads so far.
+/// Records dropped at full buffers across all threads so far.
 pub fn dropped() -> u64 {
-    ring_registry()
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|e| e.ring.dropped())
-        .sum()
+    DROPPED.load(Ordering::Relaxed)
 }
 
 /// Writes `events` to `w`, one JSON object per line (see [`crate::json`]
@@ -339,6 +286,19 @@ pub fn write_jsonl<W: Write>(w: &mut W, events: &[TraceEvent]) -> io::Result<()>
         w.write_all(line.as_bytes())?;
     }
     Ok(())
+}
+
+/// Ends a traced run: turns tracing off, drains, and writes the records
+/// to a JSONL file at `path`. Returns how many records were written and
+/// how many were [`dropped`] at full buffers, so a binary can say what
+/// its trace is missing.
+pub fn finish(path: impl AsRef<Path>) -> io::Result<(usize, u64)> {
+    disable();
+    let events = drain();
+    let mut w = io::BufWriter::new(std::fs::File::create(path)?);
+    write_jsonl(&mut w, &events)?;
+    w.flush()?;
+    Ok((events.len(), dropped()))
 }
 
 #[cfg(test)]
@@ -440,5 +400,108 @@ mod tests {
             .map(|e| e.thread)
             .collect();
         assert_eq!(threads.len(), 3, "each thread drains under its own id");
+    }
+
+    /// `n` instant events named `name` with `a` = 0, 1, …, n - 1.
+    fn record(name: &'static str, n: u64) {
+        (0..n).for_each(|i| event(name, i, 0));
+    }
+
+    fn payloads(events: &[TraceEvent], name: &str) -> Vec<u64> {
+        events
+            .iter()
+            .filter(|e| e.name == name)
+            .map(|e| e.a)
+            .collect()
+    }
+
+    #[test]
+    fn one_threads_records_keep_record_order_across_equal_timestamps() {
+        let _guard = tracer_lock();
+        enable();
+        record("trace_test.order", 2_000);
+        disable();
+        let events = drain();
+        assert!(
+            events.windows(2).any(|w| w[0].ts_us == w[1].ts_us),
+            "2000 records in a tight loop share a microsecond somewhere"
+        );
+        let order = payloads(&events, "trace_test.order");
+        assert_eq!(order, (0..2_000).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_full_buffer_drops_the_newest_and_records_again_after_a_drain() {
+        let _guard = tracer_lock();
+        drain();
+        let dropped_before = dropped();
+        enable();
+        record("trace_test.full", CAPACITY as u64 + 1);
+        let first = payloads(&drain(), "trace_test.full");
+        assert_eq!(first, (0..CAPACITY as u64).collect::<Vec<_>>());
+        assert_eq!(dropped() - dropped_before, 1, "the newest record drops");
+        event("trace_test.full_again", 7, 0);
+        disable();
+        assert_eq!(payloads(&drain(), "trace_test.full_again"), [7]);
+    }
+
+    #[test]
+    fn a_recording_thread_loses_nothing_to_repeated_drains() {
+        let _guard = tracer_lock();
+        drain();
+        let dropped_before = dropped();
+        const N: u64 = 200_000;
+        enable();
+        let producer = std::thread::spawn(|| record("trace_test.race", N));
+        let mut seen = Vec::new();
+        while !producer.is_finished() {
+            seen.extend(payloads(&drain(), "trace_test.race"));
+        }
+        producer.join().unwrap();
+        disable();
+        seen.extend(payloads(&drain(), "trace_test.race"));
+        assert!(
+            seen.windows(2).all(|w| w[0] < w[1]),
+            "reordered or repeated"
+        );
+        assert_eq!(seen.len() as u64 + (dropped() - dropped_before), N);
+    }
+
+    #[test]
+    fn exited_threads_records_survive_one_drain_that_then_forgets_them() {
+        let _guard = tracer_lock();
+        drain();
+        let before = registry().lock().unwrap().len();
+        enable();
+        let threads: Vec<_> = (0..50)
+            .map(|i| std::thread::spawn(move || event("trace_test.churn", i, 0)))
+            .collect();
+        threads.into_iter().for_each(|t| t.join().unwrap());
+        disable();
+        let mut churn = payloads(&drain(), "trace_test.churn");
+        churn.sort_unstable();
+        assert_eq!(churn, (0..50).collect::<Vec<_>>());
+        // `<=`, not `==`: another test's thread that exited after the
+        // first drain is forgotten by the second one too.
+        let after = registry().lock().unwrap().len();
+        assert!(after <= before, "{after} buffers kept, {before} before");
+    }
+
+    #[test]
+    fn finish_writes_what_fit_and_reports_the_overflow() {
+        let _guard = tracer_lock();
+        drain();
+        let dropped_before = dropped();
+        enable();
+        std::thread::spawn(|| record("trace_test.finish", CAPACITY as u64 + 5))
+            .join()
+            .unwrap();
+        let path = std::env::temp_dir().join(format!("oc-finish-{}.jsonl", std::process::id()));
+        let (written, dropped_total) = finish(&path).unwrap();
+        let lines = std::fs::read_to_string(&path).unwrap().lines().count();
+        std::fs::remove_file(&path).unwrap();
+        assert!(!enabled(), "finish turns tracing off");
+        assert_eq!((written, lines), (CAPACITY, CAPACITY));
+        assert_eq!(dropped_total - dropped_before, 5);
     }
 }

@@ -149,6 +149,16 @@ grep -rnE 'FaultPlan|FaultStream|FaultCounters|with_faults' crates/serve/src \
     --exclude=fault.rs --exclude=lib.rs \
   && { echo "tier1: oc-serve names the fault wrapper outside fault.rs and lib.rs" >&2; exit 1; }
 
+# A trace record is pushed, name and all, onto its thread's own buffer,
+# and the --trace-out binaries share one export (trace::finish). Keep the
+# lock-free ring, its raw record, the name interning and the per-binary
+# export copies, and the dead stats and reactor helpers deleted with
+# them, from coming back through a doc or a name.
+grep -rnE -e 'oc_telemetry::ring|RawEvent|RegisteredRing|name_table|fn write_trace' \
+    -e 'sample_std|sorted_samples|is_read_closed' \
+    crates tests examples docs README.md DESIGN.md \
+  && { echo "tier1: the trace ring (or its name interning, or a deleted helper) is referenced again" >&2; exit 1; }
+
 # Docs are part of the contract: every markdown link to a local file must
 # point at something that exists (catches renamed/moved docs going stale),
 # and rustdoc must be warning-free.
@@ -327,6 +337,24 @@ pin_test oc-serve server::tests::byte_at_a_time_writer_gets_every_response_in_or
 # linear range answered p50 == p99 == max once half the mass overflowed.
 pin_test oc-serve metrics::tests::heavy_tail_keeps_its_percentiles \
   "heavy-tail percentiles"
+
+# One thread's trace records come back in record order (equal timestamps
+# included); a full buffer drops the newest, counts it and records again
+# after a drain; a thread recording through repeated drains loses
+# nothing uncounted; exited threads' records survive one drain, which
+# then forgets their buffers; and trace::finish writes what fit and
+# reports the overflow.
+for t in one_threads_records_keep_record_order_across_equal_timestamps \
+    a_full_buffer_drops_the_newest_and_records_again_after_a_drain \
+    a_recording_thread_loses_nothing_to_repeated_drains \
+    exited_threads_records_survive_one_drain_that_then_forgets_them \
+    finish_writes_what_fit_and_reports_the_overflow; do
+  pin_test oc-telemetry "trace::tests::$t" "trace buffer ($t)"
+done
+# Replaying every A/B machine under its own policy gives its online
+# predictions to a 1e-12 relative bound (summation order aside).
+pin_test overcommit-repro ab_replay_matches_online_predictions \
+  "A/B replay vs online predictions"
 
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

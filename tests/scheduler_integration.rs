@@ -134,8 +134,11 @@ fn mixed_assignment_respects_parity() {
     );
 }
 
-/// The A/B harness: replaying a group's traces under its own policy gives
-/// exactly the predictions the machines computed online.
+/// The A/B harness: replaying each machine's trace under its own policy
+/// gives the predictions the machine computed online, to within float
+/// summation order. The online view retires tasks with `swap_remove`, so
+/// it sums a machine's tasks in another order than the replay does, and
+/// some ticks differ in the last bits (relative gaps of a few 1e-14).
 #[test]
 fn ab_replay_matches_online_predictions() {
     let mut cell = CellConfig::preset(CellPreset::A);
@@ -163,10 +166,16 @@ fn ab_replay_matches_online_predictions() {
     })
     .unwrap();
 
-    // Replay machine 0 (control) and machine 1 (experiment).
-    for (idx, spec) in [(0usize, &cfg.control), (1usize, &cfg.experiment)] {
+    // Replay every machine under its group's policy (parity, as above).
+    assert_eq!(online.traces.len(), 4);
+    for (idx, trace) in online.traces.iter().enumerate() {
+        let spec = if idx % 2 == 0 {
+            &cfg.control
+        } else {
+            &cfg.experiment
+        };
         let replayed = overcommit_repro::core::sim::simulate_machine(
-            &online.traces[idx],
+            trace,
             &cfg.sim.clone().with_series(),
             &[spec.build().unwrap()],
         )
@@ -178,7 +187,7 @@ fn ab_replay_matches_online_predictions() {
             .enumerate()
         {
             assert!(
-                (a - b).abs() < 1e-9,
+                (a - b).abs() <= 1e-12 * a.abs().max(b.abs()),
                 "machine {idx} tick {t}: online {a} vs replay {b}"
             );
         }
