@@ -49,28 +49,27 @@
 //! # One frame path
 //!
 //! Everything that goes on the wire is a *frame* of `n` requests (`BATCH n`
-//! header iff `n > 1`) appended by `Link::write_frame`, and everything
-//! that comes back is drained by `Link::read_frame_replies`: a single
-//! request is a frame of one, a window is a run of frames flushed once,
-//! and the cluster's member lanes and the load driver
-//! ([`crate::loadgen`]) use the same pair. A frame
-//! is acknowledged or lost whole — a transport failure or a server-side
-//! close (`ERR timeout`/`conn-limit`, also where a `BATCHR` header is due)
-//! discards the replies already read for it and it is sent again.
+//! header iff `n > 1`) appended by `Link::write_frame`; its replies are
+//! read by `Link::fill` and taken, once all there, by `Link::take_frame`.
+//! A single request is a frame of one, a window is a run of frames flushed
+//! once, and the cluster's lanes and the load driver ([`crate::loadgen`])
+//! use the same path. A frame is acknowledged or lost whole — a transport
+//! failure, its reply deadline or a server-side close (`ERR timeout`/
+//! `conn-limit`, also where a `BATCHR` header is due) discards the replies
+//! already read for it and it is sent again.
 
 use crate::engine::{Engine, Policy, Shape};
 use crate::error::ClientError;
 use crate::pipe::{Entry, MemberPipe, SentFrame};
 use oc_serve::fault::{FaultCounters, FaultPlan, FaultStream};
 use oc_serve::proto::{
-    parse_batchr_header, push_u64, ErrCode, ProtoError, ProtoScratch, Request, Response,
-    StatsSnapshot, MAX_BATCH,
+    parse_batchr_header, push_u64, ErrCode, ProtoError, Request, Response, StatsSnapshot, MAX_BATCH,
 };
 use oc_telemetry::{trace, Counter};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
@@ -113,8 +112,8 @@ impl Default for RetryPolicy {
 pub struct ClientConfig {
     /// Deadline for one TCP connect.
     pub connect_timeout: Duration,
-    /// Deadline for a frame's replies, from its write; elapsing counts as
-    /// a transient failure (reconnect + retry).
+    /// Deadline for all of a frame's replies, from its write; elapsing
+    /// counts as a transient failure (reconnect + retry).
     pub response_timeout: Duration,
     /// Deadline for one socket write.
     pub write_timeout: Duration,
@@ -319,13 +318,13 @@ impl Write for Socket {
 struct Conn {
     /// The socket both halves share (one descriptor per connection).
     stream: Arc<TcpStream>,
-    reader: BufReader<Box<dyn Read + Send>>,
+    reader: Box<dyn Read + Send>,
     writer: BufWriter<Box<dyn Write + Send>>,
     /// Encode buffer of the frame being written.
     frame: Vec<u8>,
-    /// The reply line being read, and the parser's scratch.
-    line: String,
-    scratch: ProtoScratch,
+    /// Reply bytes read so far; `replies[taken..]` is not taken yet.
+    replies: Vec<u8>,
+    taken: usize,
 }
 
 impl std::fmt::Debug for Conn {
@@ -724,7 +723,6 @@ impl Link {
         }
         let stream = TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.cfg.response_timeout))?;
         stream.set_write_timeout(Some(self.cfg.write_timeout))?;
         let stream = Arc::new(stream);
         if self.epoch > 0 {
@@ -758,11 +756,11 @@ impl Link {
         self.epoch += 1;
         self.conn = Some(Conn {
             stream,
-            reader: BufReader::new(r),
+            reader: r,
             writer: BufWriter::new(w),
             frame: Vec::new(),
-            line: String::new(),
-            scratch: ProtoScratch::new(),
+            replies: Vec::with_capacity(8 << 10),
+            taken: 0,
         });
         Ok(())
     }
@@ -808,14 +806,6 @@ impl Link {
         self.conn.as_ref().map(|conn| conn.stream.as_raw_fd())
     }
 
-    /// Whether reply bytes already sit in the reader's buffer, where a
-    /// level-triggered poller watching the socket cannot see them.
-    pub(crate) fn has_buffered_replies(&self) -> bool {
-        self.conn
-            .as_ref()
-            .is_some_and(|conn| !conn.reader.buffer().is_empty())
-    }
-
     /// The retry policy's nap before retry number `attempt + 1`.
     pub(crate) fn nap(&mut self, attempt: u32) -> Duration {
         self.cfg.retry.nap(attempt, &mut self.rng)
@@ -838,8 +828,8 @@ impl Link {
     /// Appends `n` requests to the connection's writer as one frame — a
     /// `BATCH` wrapper when more than one — without flushing: the caller
     /// decides how many frames make one burst ([`Link::flush_frames`]).
-    /// Nothing is read back; replies are drained later with
-    /// [`Link::read_frame_replies`]. A transient transport failure
+    /// Nothing is read back; replies are taken later with
+    /// [`Link::take_frame`]. A transient transport failure
     /// drops the connection and comes back as [`FrameIo::Lost`]; nothing
     /// of the frame counts as delivered.
     pub(crate) fn write_frame<'a, I>(&mut self, n: usize, reqs: I) -> Result<FrameIo, ClientError>
@@ -888,49 +878,70 @@ impl Link {
         Ok(FrameIo::Lost(e.to_string()))
     }
 
-    /// Drains one frame's replies — a `BATCHR` header when `n > 1`, then
-    /// `n` response lines — appending the raw responses to `out`. Every
-    /// per-request answer is the caller's to handle; what is decided here
-    /// is the fate of the frame. On a transient
-    /// failure (EOF included) or a server-side `ERR timeout`/`conn-limit`
-    /// close — an idle reap says so where the next frame's header is
-    /// due — the connection is dropped, the partial replies are rolled
-    /// back and the whole frame is [`FrameIo::Lost`]: the caller replays
-    /// it, and replays of already-applied samples are stale no-ops
-    /// server-side.
-    pub(crate) fn read_frame_replies(
+    /// Reads once from the socket into the reply buffer; called when the
+    /// socket is readable, so the read does not block. EOF or a transient
+    /// failure drops the connection and loses what it had on the wire.
+    pub(crate) fn fill(&mut self) -> Result<FrameIo, ClientError> {
+        let Some(conn) = self.conn.as_mut() else {
+            return Ok(FrameIo::Lost("connection lost".to_string()));
+        };
+        // Keep the untaken bytes at the front, and room behind them.
+        let buf = &mut conn.replies;
+        buf.drain(..std::mem::take(&mut conn.taken));
+        let filled = buf.len();
+        buf.resize(buf.capacity().max(2 * filled), 0);
+        let read = conn.reader.read(&mut buf[filled..]);
+        buf.truncate(filled + read.as_ref().map_or(0, |&n| n));
+        match read {
+            Ok(0) => self.lose(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            )),
+            Err(e) if e.kind() != std::io::ErrorKind::Interrupted => self.lose(e),
+            _ => Ok(FrameIo::Done),
+        }
+    }
+
+    /// Takes one frame's replies — a `BATCHR` header when `n > 1`, then
+    /// `n` response lines — out of the reply buffer into `out` once all
+    /// are there; until then `None`, with nothing taken. Only the fate of
+    /// the frame is decided here: a server-side `ERR timeout`/`conn-limit`
+    /// close — an idle reap says so where the next frame's header is due —
+    /// drops the connection and the whole frame is [`FrameIo::Lost`]: the
+    /// caller replays it, and replays of applied samples are stale no-ops.
+    pub(crate) fn take_frame(
         &mut self,
         n: usize,
         out: &mut Vec<Response>,
-    ) -> Result<FrameIo, ClientError> {
+    ) -> Result<Option<FrameIo>, ClientError> {
+        let Some(conn) = self.conn.as_mut() else {
+            return Ok(Some(FrameIo::Lost("connection lost".to_string())));
+        };
+        let buffered = &conn.replies[conn.taken..];
+        let mut ends = (1..=buffered.len()).filter(|&k| buffered[k - 1] == b'\n');
+        let head = ends.clone().next();
+        let whole = ends.nth(n + usize::from(n > 1) - 1);
+        // Until the frame is whole, only its head line is looked at.
+        let Some(end) = whole.or(head) else {
+            return Ok(None);
+        };
+        let mut lines = buffered[..end - 1].split(|&b| b == b'\n');
         let from = out.len();
         let mut header_due = n > 1;
         while out.len() - from < n {
-            let Some(conn) = self.conn.as_mut() else {
+            let Some(line) = lines.next() else {
+                // The head line was sound; the rest has not arrived.
                 out.truncate(from);
-                return Ok(FrameIo::Lost("connection lost".to_string()));
+                return Ok(None);
             };
-            conn.line.clear();
-            let read = match conn.reader.read_line(&mut conn.line) {
-                Ok(0) => Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                )),
-                Ok(_) => Ok(()),
-                Err(e) => Err(e),
-            };
-            if let Err(e) = read {
-                out.truncate(from);
-                return self.lose(e);
-            }
-            let line = conn.line.trim_end();
+            let line = std::str::from_utf8(line).unwrap_or("\u{fffd}").trim_end();
             if header_due {
                 // The header count always matches `n`: servers write it
                 // up front from the frame header and answer one line per
                 // sub-request even when rejecting. A mismatch means the
                 // reply stream is out of step — unrecoverable, so fail
                 // loudly rather than mis-attributing responses.
-                match parse_batchr_header(line, &mut conn.scratch) {
+                match parse_batchr_header(line) {
                     Ok(Some(k)) if k == n => {
                         header_due = false;
                         continue;
@@ -953,14 +964,15 @@ impl Link {
                 let what = format!("{}: {detail}", code.as_str());
                 self.conn = None;
                 out.truncate(from);
-                return Ok(FrameIo::Lost(what));
+                return Ok(Some(FrameIo::Lost(what)));
             }
             if header_due {
                 return Err(out_of_step(line));
             }
             out.push(resp);
         }
-        Ok(FrameIo::Done)
+        conn.taken += end;
+        Ok(Some(FrameIo::Done))
     }
 }
 
@@ -1193,6 +1205,65 @@ mod tests {
             "{err:?}"
         );
         assert!(started.elapsed() < Duration::from_millis(400));
+    }
+
+    /// A frame's reply deadline runs from its write, not from the last
+    /// reply line: a server that trickles a 16-line frame's replies one
+    /// line every 300 ms loses the frame at the 1 s deadline.
+    #[test]
+    fn a_trickled_frame_is_lost_at_its_deadline() {
+        use std::io::BufRead;
+        let stub = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = stub.local_addr().unwrap();
+        let trickler = std::thread::spawn(move || {
+            let (conn, _) = stub.accept().unwrap();
+            let mut frame = std::io::BufReader::new(&conn);
+            let mut line = String::new();
+            for _ in 0..17 {
+                frame.read_line(&mut line).unwrap();
+            }
+            assert!(line.starts_with("BATCH 16\n"), "{line}");
+            let replies = std::iter::once("BATCHR 16\n").chain(["OK\n"; 16]);
+            for reply in replies {
+                if (&conn).write_all(reply.as_bytes()).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(300));
+            }
+        });
+        let cfg = ClientConfig {
+            response_timeout: Duration::from_secs(1),
+            ..ClientConfig::default()
+        };
+        let retry = RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        };
+        let mut c = Client::connect(addr, cfg.with_batch(16).with_retry(retry)).unwrap();
+        let reqs: Vec<Request> = (0..16)
+            .map(|tick| Request::Observe {
+                cell: cell(),
+                machine: MachineId(0),
+                task: task(0),
+                usage: 0.2,
+                limit: 0.5,
+                mem: None,
+                tick,
+            })
+            .collect();
+        let started = Instant::now();
+        let err = c.pipeline_with(&reqs, |_, _, _| {}).unwrap_err();
+        let took = started.elapsed();
+        assert!(
+            matches!(err, ClientError::Exhausted { attempts: 1, .. }),
+            "{err:?}"
+        );
+        assert!(
+            took >= Duration::from_secs(1) && took < Duration::from_millis(1_500),
+            "lost after {took:?}"
+        );
+        drop(c);
+        trickler.join().unwrap();
     }
 
     #[test]

@@ -835,7 +835,7 @@ mod tests {
     use oc_serve::ring::KeyRole;
     use oc_serve::server::Server;
     use oc_trace::ids::JobId;
-    use std::io::{Read, Write};
+    use std::io::{BufRead, Read, Write};
     use std::net::TcpListener;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Instant;
@@ -1155,6 +1155,24 @@ mod tests {
     /// their replicas once its strikes mark it dead.
     #[test]
     fn a_stopped_member_does_not_stall_the_live_ones() {
+        stalled_member_leaves_the_live_ones_alone(false);
+    }
+
+    /// The same for a member that stops partway through a frame: it
+    /// answers the `BATCHR` header and one `OK`, then nothing, so its
+    /// lane turns readable with a frame that never completes.
+    #[test]
+    fn a_member_stalled_mid_frame_does_not_stall_the_live_ones() {
+        stalled_member_leaves_the_live_ones_alone(true);
+    }
+
+    /// Member 0 is a stub that reads everything it is sent and, with
+    /// `half`, answers each connection's first frame with its header and
+    /// one `OK`. Its machines get one frame and a few open lines; the live
+    /// members' machines get several frames each, more than their lanes
+    /// may have on the wire, so the live lanes need reads while the
+    /// stub's frame waits.
+    fn stalled_member_leaves_the_live_ones_alone(half: bool) {
         fn applied(addrs: &[SocketAddr]) -> u64 {
             let stats = |a: SocketAddr| Client::connect(a, ClientConfig::default())?.stats();
             addrs
@@ -1164,23 +1182,31 @@ mod tests {
         }
         let spec = RingSpec::new(3);
         let stub = TcpListener::bind("127.0.0.1:0").expect("bind");
-        stub.set_nonblocking(true).expect("nonblocking");
         let (live, addrs) = behind_stub(spec, &stub);
         let stop = Arc::new(AtomicBool::new(false));
         let stopped = {
             let stop = Arc::clone(&stop);
+            // A thread per connection, each joined when the client has
+            // closed its end.
             std::thread::spawn(move || {
-                let mut held = Vec::new();
-                while !stop.load(Ordering::Relaxed) {
-                    if let Ok((conn, _)) = stub.accept() {
-                        conn.set_nonblocking(true).expect("nonblocking");
-                        held.push(conn);
+                std::thread::scope(|conns| {
+                    for conn in stub.incoming() {
+                        if stop.load(Ordering::Relaxed) {
+                            return;
+                        }
+                        let mut conn = std::io::BufReader::new(conn.expect("accept"));
+                        conns.spawn(move || {
+                            let mut head = String::new();
+                            if half && conn.read_line(&mut head).is_ok() {
+                                if let Some(k) = head.trim_end().strip_prefix("BATCH ") {
+                                    let reply = format!("BATCHR {k}\nOK\n");
+                                    let _ = conn.get_mut().write_all(reply.as_bytes());
+                                }
+                            }
+                            let _ = std::io::copy(&mut conn, &mut std::io::sink());
+                        });
                     }
-                    for mut conn in &held {
-                        let _ = std::io::copy(&mut conn, &mut std::io::sink());
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
+                })
             })
         };
         let client = ClientConfig {
@@ -1197,15 +1223,13 @@ mod tests {
         };
         let mut cc = ClusterClient::connect(spec, &addrs, cfg).expect("connect");
         let ring = spec.build();
-        let (cell, machines) = fleet_of(24);
+        let (cell, machines) = fleet_of(400);
+        let (stalled, lively): (Vec<MachineId>, Vec<MachineId>) = machines
+            .iter()
+            .partition(|&&m| ring.owner(key_hash(&(cell.clone(), m)), &[true; 3]) == Some(0));
+        let (stalled, lively) = (&stalled[..20], &lively[..48]);
+        let to_live = 48 * 8;
         let task = TaskId::new(JobId(5), 0);
-        let mut to_live = 0;
-        for &m in &machines {
-            cc.observe(&cell, m, task, 0.3, 0.5, 0).expect("observe");
-            let owner = ring.owner(key_hash(&(cell.clone(), m)), &[true; 3]);
-            to_live += u64::from(owner != Some(0));
-        }
-        assert!(to_live < 24, "the stopped member owns some machine");
         let live_addrs = addrs[1..].to_vec();
         let started = Instant::now();
         let watcher = std::thread::spawn(move || {
@@ -1214,6 +1238,14 @@ mod tests {
             }
             started.elapsed()
         });
+        for &m in stalled {
+            cc.observe(&cell, m, task, 0.3, 0.5, 0).expect("observe");
+        }
+        for t in 0..8 {
+            for &m in lively {
+                cc.observe(&cell, m, task, 0.3, 0.5, t).expect("observe");
+            }
+        }
         cc.flush().expect("flush");
         let took = watcher.join().expect("watcher");
         assert!(
@@ -1221,8 +1253,14 @@ mod tests {
             "the live members waited {took:?}"
         );
         assert!(!cc.alive()[0], "the stopped member's strikes mark it dead");
-        assert_eq!(applied(&addrs[1..]), 24, "its lines end on their replicas");
+        assert_eq!(
+            applied(&addrs[1..]),
+            to_live + 20,
+            "its lines end on their replicas"
+        );
+        // One more connection wakes the stub's accept loop to stop.
         stop.store(true, Ordering::Relaxed);
+        let _ = Client::connect(addrs[0], ClientConfig::default());
         stopped.join().expect("stub");
         for s in live {
             s.shutdown();

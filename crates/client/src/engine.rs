@@ -11,15 +11,15 @@
 //! its [`Shape`] and the no-span rule allow and is flushed once; then,
 //! unless the caller's goal is met, the engine waits. All due times — a
 //! lane's retry nap, the next paced frame release, a lane's reply
-//! deadline — sit in one min-heap. With more than one lane the only wait
-//! is one poller wait bounded by the next due time, and a lane is read
-//! only when its socket is readable or its reader already holds bytes,
-//! so a lane that naps or has sent no reply holds up no other. Once read,
-//! a lane's oldest frame is read to its end: a member that stops partway
-//! through a frame's replies holds the others up to the reply timeout.
-//! A one-lane engine blocks on its own socket (whose read timeout is the
-//! reply deadline) or sleeps until its next due time, and creates no
-//! poller.
+//! deadline — sit in one min-heap, and the only wait is one poller wait
+//! bounded by the next of them. A lane is read only when its socket is
+//! readable: one read into its reply buffer, after which every frame
+//! whose replies are all there resolves and a partial frame stays
+//! buffered for the next readiness. So a lane that naps, has sent no
+//! reply or stops partway through a frame holds up no other, and a
+//! frame's reply deadline runs from its write. The poller is created on
+//! first use, so a client that has only connected holds no descriptor
+//! for it.
 //!
 //! A lost transport costs a lane one strike and a nap; a resolved frame
 //! clears its strikes. `max_attempts` strikes in a row, or an error no
@@ -144,7 +144,7 @@ pub(crate) struct Engine<L = Request> {
     shape: Shape,
     max_attempts: u32,
     reply_timeout: Duration,
-    /// Created on first use by a multi-lane engine.
+    /// Created on first use.
     poll: Option<(Poller, Events)>,
     due: BinaryHeap<Reverse<(Instant, usize, Due)>>,
     /// Lanes to offer a write in the next round.
@@ -269,7 +269,9 @@ impl<L> Engine<L> {
                     }
                 }
             }
-            self.wait(p)?;
+            while self.lanes[0].napping {
+                self.wait(p)?;
+            }
         }
         let lane = &mut self.lanes[0];
         (lane.strikes, lane.since) = (0, None);
@@ -304,11 +306,6 @@ impl<L> Engine<L> {
         Ok(false)
     }
 
-    /// Whether lanes are multiplexed over a poller.
-    fn polled(&self) -> bool {
-        self.lanes.len() > 1
-    }
-
     /// Writes the frames lane `i` may send now, then flushes them as one
     /// burst.
     pub fn write<P: Policy<L>>(
@@ -322,7 +319,6 @@ impl<L> Engine<L> {
             lines,
             frames,
         } = self.shape;
-        let polled = self.polled();
         let lane = &mut self.lanes[i];
         // A lane starts a burst once at most half its line window is on
         // the wire and then fills it: the window slides in half-window
@@ -351,7 +347,7 @@ impl<L> Engine<L> {
             let io = lane
                 .link
                 .write_frame(cut, entries.iter().map(|e| p.request(&e.req)));
-            if polled && !lane.deadline {
+            if !lane.deadline {
                 lane.deadline = true;
                 let at = sent_at + self.reply_timeout;
                 self.due.push(Reverse((at, i, Due::Deadline)));
@@ -382,23 +378,32 @@ impl<L> Engine<L> {
         }
     }
 
-    /// Drains lane `i`'s replies: its oldest frame's, then the next one's
-    /// while the reader already holds bytes.
+    /// Reads lane `i` once and resolves every frame whose replies have
+    /// all arrived; a partial frame waits in the reply buffer.
     pub fn read<P: Policy<L>>(&mut self, i: usize, p: &mut P) -> Result<(), ClientError> {
+        if self.lanes[i].pipe.oldest_len().is_none() {
+            // Readable with nothing asked: an idle close or EOF. The
+            // next frame goes out on a fresh connection, and a dead
+            // member's refusal is found there, with that frame.
+            self.unwatch(i);
+            self.lanes[i].link.close();
+            return Ok(());
+        }
+        match self.lanes[i].link.fill() {
+            Ok(FrameIo::Done) => {}
+            Ok(FrameIo::Lost(what)) => return self.lose(i, what, p),
+            Err(e) => return self.fail(i, e, p),
+        }
         loop {
             let lane = &mut self.lanes[i];
             let Some(n) = lane.pipe.oldest_len() else {
-                // Readable with nothing asked: an idle close or EOF. The
-                // next frame goes out on a fresh connection, and a dead
-                // member's refusal is found there, with that frame.
-                self.unwatch(i);
-                self.lanes[i].link.close();
                 return Ok(());
             };
             self.replies.clear();
-            match lane.link.read_frame_replies(n, &mut self.replies) {
-                Ok(FrameIo::Done) => {}
-                Ok(FrameIo::Lost(what)) => return self.lose(i, what, p),
+            match lane.link.take_frame(n, &mut self.replies) {
+                Ok(None) => return Ok(()),
+                Ok(Some(FrameIo::Done)) => {}
+                Ok(Some(FrameIo::Lost(what))) => return self.lose(i, what, p),
                 Err(e) => return self.fail(i, e, p),
             }
             let mut frame = lane
@@ -411,42 +416,26 @@ impl<L> Engine<L> {
             p.resolved(self, i, &mut frame, &replies);
             self.replies = replies;
             self.lanes[i].pipe.recycle(frame.entries);
-            let lane = &self.lanes[i];
-            if lane.retired || !lane.link.has_buffered_replies() {
-                return Ok(());
-            }
         }
     }
 
-    /// Waits for the next thing that can move a lane — a readable socket
-    /// or a due time — and acts on it.
+    /// Waits in the poller for the next thing that can move a lane — a
+    /// readable socket or a due time — and acts on it.
     fn wait<P: Policy<L>>(&mut self, p: &mut P) -> Result<(), ClientError> {
-        let next = self.due.peek().map(|&Reverse((at, ..))| at);
-        let until_next = next.map(|at| at.saturating_duration_since(Instant::now()));
-        if self.polled() {
-            let mut woken = std::mem::take(&mut self.woken);
-            woken.clear();
-            let (poller, events) = self.poller()?;
-            poller.wait(events, Some(until_next.unwrap_or(MAX_WAIT)))?;
-            woken.extend(events.iter().map(|ev| ev.token()));
-            for &i in &woken {
-                if self.lanes[i].watched.is_some() {
-                    self.read(i, p)?;
-                }
+        let timeout = self.due.peek().map_or(MAX_WAIT, |&Reverse((at, ..))| {
+            at.saturating_duration_since(Instant::now())
+        });
+        let mut woken = std::mem::take(&mut self.woken);
+        woken.clear();
+        let (poller, events) = self.poller()?;
+        poller.wait(events, Some(timeout))?;
+        woken.extend(events.iter().map(|ev| ev.token()));
+        for &i in &woken {
+            if self.lanes[i].watched.is_some() {
+                self.read(i, p)?;
             }
-            self.woken = woken;
-        } else if self
-            .lanes
-            .first()
-            .is_some_and(|l| l.pipe.inflight_len() > 0)
-        {
-            self.read(0, p)?;
-        } else if let Some(d) = until_next {
-            std::thread::sleep(d);
         }
-        if self.due.is_empty() {
-            return Ok(());
-        }
+        self.woken = woken;
         self.fire(Instant::now(), p)
     }
 
@@ -476,7 +465,6 @@ impl<L> Engine<L> {
                         self.due.push(Reverse((at, i, Due::Deadline)));
                         continue;
                     }
-                    // As a blocking read would have timed out.
                     self.unwatch(i);
                     match self.lanes[i].link.drop_conn() {
                         Ok(()) => self.lose(i, "no reply within the response timeout".into(), p)?,
@@ -554,10 +542,10 @@ impl<L> Engine<L> {
         Ok(self.poll.as_mut().expect("created above"))
     }
 
-    /// Has the poller watch lane `i`'s current socket (multi-lane only).
+    /// Has the poller watch lane `i`'s current socket.
     fn watch(&mut self, i: usize) -> std::io::Result<()> {
         let fd = self.lanes[i].link.raw_fd();
-        if !self.polled() || fd == self.lanes[i].watched {
+        if fd == self.lanes[i].watched {
             return Ok(());
         }
         self.unwatch(i);

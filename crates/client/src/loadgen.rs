@@ -17,9 +17,8 @@
 //! exactly `batch` lines (its lines are pinned to it, so no ordering
 //! rule holds one back), and refills once at most half of that is on
 //! the wire. Replies are read when the poller reports the socket
-//! readable, or while the reader already holds bytes, and a
-//! connection's reply deadline is a due time too, so one whose server
-//! sends no reply holds up no other.
+//! readable, and a connection's reply deadline is a due time too, so one
+//! whose server sends no reply, or stops mid-frame, holds up no other.
 //!
 //! # Failures
 //!

@@ -1,7 +1,9 @@
 //! A connected `Client` holds one socket descriptor: its reader and
 //! writer share one `TcpStream`, so 10 000 load-driver connections fit a
-//! 20 000-descriptor `RLIMIT_NOFILE`. This file holds one test, so no
-//! other test's descriptors come and go while it counts.
+//! 20 000-descriptor `RLIMIT_NOFILE`. A client that has waited for a
+//! reply also holds its poller's descriptor; the load driver's lanes
+//! share one poller. This file holds one test, so no other test's
+//! descriptors come and go while it counts.
 
 use oc_client::{Client, ClientConfig};
 

@@ -104,11 +104,6 @@ impl CellRun {
         }
         Some(usage.iter().map(|&u| u / capacity).collect())
     }
-
-    /// Index of a predictor by name.
-    pub fn predictor_index(&self, name: &str) -> Option<usize> {
-        self.predictors.iter().position(|p| p == name)
-    }
 }
 
 /// Builds one predictor set from specs.
@@ -260,7 +255,6 @@ mod tests {
             assert_eq!(r.reports.len(), 4);
         }
         assert_eq!(run.predictors.len(), 4);
-        assert_eq!(run.predictor_index("borg-default(0.9)"), Some(0));
     }
 
     #[test]

@@ -306,6 +306,24 @@ mod tests {
         assert!(start.elapsed() >= Duration::from_millis(25));
     }
 
+    /// A timeout between whole milliseconds is not cut short: a caller
+    /// that waits for a due time finds it due when the wait returns.
+    #[test]
+    fn a_wait_never_ends_before_its_timeout() {
+        let poller = Poller::new().unwrap();
+        let mut events = Events::with_capacity(4);
+        for us in [1_900, 2_500, 14_700] {
+            let timeout = Duration::from_micros(us);
+            let start = Instant::now();
+            poller.wait(&mut events, Some(timeout)).unwrap();
+            let took = start.elapsed();
+            assert!(
+                took >= timeout,
+                "a {timeout:?} wait returned after {took:?}"
+            );
+        }
+    }
+
     #[test]
     fn readable_event_is_level_triggered() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();

@@ -24,3 +24,13 @@ mod unsupported;
 pub use unsupported::{
     close_fd, pipe_nonblocking, raise_nofile_limit, read_fd, write_fd, EventBuf, Selector,
 };
+
+/// A wait's timeout in whole milliseconds for `epoll_wait`/`poll`
+/// (`-1`: none), rounded up so a wait never ends before its timeout.
+#[cfg(unix)]
+fn timeout_ms(timeout: Option<std::time::Duration>) -> std::os::raw::c_int {
+    timeout.map_or(-1, |d| {
+        let ms = d.as_nanos().div_ceil(1_000_000);
+        ms.min(std::os::raw::c_int::MAX as u128) as std::os::raw::c_int
+    })
+}

@@ -43,19 +43,6 @@ fn interest_bits(interest: Interest) -> u32 {
     bits
 }
 
-fn timeout_ms(timeout: Option<Duration>) -> c_int {
-    match timeout {
-        None => -1,
-        Some(d) => {
-            // Round sub-millisecond timeouts up so a short deadline does
-            // not degenerate into a zero-timeout busy loop.
-            let ms = d.as_millis();
-            let ms = if ms == 0 && d.as_nanos() > 0 { 1 } else { ms };
-            ms.min(c_int::MAX as u128) as c_int
-        }
-    }
-}
-
 /// Raw `epoll_event` buffer reused across waits.
 pub struct EventBuf {
     raw: Vec<EpollEvent>,
@@ -123,7 +110,7 @@ impl Selector {
                 self.epfd,
                 buf.raw.as_mut_ptr(),
                 buf.raw.len() as c_int,
-                timeout_ms(timeout),
+                super::timeout_ms(timeout),
             )
         };
         if n < 0 {

@@ -44,17 +44,6 @@ fn interest_bits(interest: Interest) -> c_short {
     bits
 }
 
-fn timeout_ms(timeout: Option<Duration>) -> c_int {
-    match timeout {
-        None => -1,
-        Some(d) => {
-            let ms = d.as_millis();
-            let ms = if ms == 0 && d.as_nanos() > 0 { 1 } else { ms };
-            ms.min(c_int::MAX as u128) as c_int
-        }
-    }
-}
-
 /// No raw buffer needed: events are converted directly out of the
 /// `pollfd` snapshot.
 pub struct EventBuf {
@@ -134,7 +123,7 @@ impl Selector {
             poll(
                 pollfds.as_mut_ptr(),
                 pollfds.len() as c_ulong,
-                timeout_ms(timeout),
+                super::timeout_ms(timeout),
             )
         };
         if n < 0 {

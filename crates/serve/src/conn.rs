@@ -367,7 +367,7 @@ pub(crate) fn process_line<W: Write>(
     if in_batch {
         state.batch_left -= 1;
     } else {
-        match parse_batch_header(line, &mut state.scratch) {
+        match parse_batch_header(line) {
             // Not a batch header (decided on the first token alone): fall
             // through to the ordinary parse.
             Ok(None) => {}

@@ -675,10 +675,7 @@ fn parse_frame_header(verb: &'static str, line: &str) -> Result<Option<usize>, P
 /// count, count outside `1..=MAX_BATCH` — is a typed [`ProtoError`]. The
 /// connection cannot be resynchronized after one (the number of
 /// follow-up lines is unknown), so servers close on it.
-pub fn parse_batch_header(
-    line: &str,
-    _scratch: &mut ProtoScratch,
-) -> Result<Option<usize>, ProtoError> {
+pub fn parse_batch_header(line: &str) -> Result<Option<usize>, ProtoError> {
     if line.len() > MAX_LINE_BYTES {
         return Err(ProtoError::LineTooLong { len: line.len() });
     }
@@ -691,10 +688,7 @@ pub fn parse_batch_header(
 /// # Errors
 ///
 /// Typed [`ProtoError`] for a malformed `BATCHR` header.
-pub fn parse_batchr_header(
-    line: &str,
-    _scratch: &mut ProtoScratch,
-) -> Result<Option<usize>, ProtoError> {
+pub fn parse_batchr_header(line: &str) -> Result<Option<usize>, ProtoError> {
     parse_frame_header("BATCHR", line)
 }
 
@@ -1178,12 +1172,6 @@ pub fn pack_epoch(start_unix_secs: u64, ring_generation: u64) -> u64 {
 /// The ring generation (mod 2^16) packed into an `epoch` word.
 pub fn epoch_ring_generation(epoch: u64) -> u64 {
     epoch & 0xFFFF
-}
-
-/// The process start stamp (unix seconds, truncated to 48 bits) packed
-/// into an `epoch` word.
-pub fn epoch_start_secs(epoch: u64) -> u64 {
-    epoch >> 16
 }
 
 impl StatsSnapshot {
@@ -1752,7 +1740,6 @@ mod tests {
             epoch_ring_generation(pack_epoch(start, g)),
             epoch_ring_generation(pack_epoch(start + 1, g + 65_536)),
         );
-        assert_eq!(epoch_start_secs(pack_epoch(start, g)), start);
     }
 
     #[test]

@@ -267,9 +267,8 @@ proptest! {
         encode_batch_into(&reqs, &mut frame);
         let text = std::str::from_utf8(&frame).expect("frames are UTF-8");
         let mut lines = text.lines();
-        let mut scratch = ProtoScratch::new();
         let header = lines.next().expect("frame has a header");
-        prop_assert_eq!(parse_batch_header(header, &mut scratch), Ok(Some(n)));
+        prop_assert_eq!(parse_batch_header(header), Ok(Some(n)));
         let mut parsed = 0usize;
         for (line, want) in lines.zip(&reqs) {
             prop_assert!(line.len() <= MAX_LINE_BYTES);
@@ -286,10 +285,9 @@ proptest! {
         let mut out = Vec::new();
         encode_batchr_header_into(n, &mut out);
         let line = std::str::from_utf8(&out).unwrap();
-        let mut scratch = ProtoScratch::new();
-        prop_assert_eq!(parse_batchr_header(line, &mut scratch), Ok(Some(n)));
+        prop_assert_eq!(parse_batchr_header(line), Ok(Some(n)));
         // A BATCHR header is not a BATCH header and vice versa.
-        prop_assert_eq!(parse_batch_header(line, &mut scratch), Ok(None));
+        prop_assert_eq!(parse_batch_header(line), Ok(None));
     }
 
     /// A BATCH header truncated mid-token, oversized, or with an
@@ -297,9 +295,8 @@ proptest! {
     /// panic, never a bogus frame.
     #[test]
     fn batch_header_abuse_is_typed(count in 0u64..=u64::MAX, pad in 0usize..16) {
-        let mut scratch = ProtoScratch::new();
         let line = format!("BATCH {count}");
-        match parse_batch_header(&line, &mut scratch) {
+        match parse_batch_header(&line) {
             Ok(Some(n)) => {
                 prop_assert!(n as u64 == count && (1..=MAX_BATCH as u64).contains(&count));
             }
@@ -310,7 +307,7 @@ proptest! {
         // MAX_LINE_BYTES is rejected before the count is even looked at.
         let long = format!("BATCH {}{}", "9".repeat(MAX_LINE_BYTES), " ".repeat(pad));
         prop_assert!(matches!(
-            parse_batch_header(&long, &mut scratch),
+            parse_batch_header(&long),
             Err(ProtoError::LineTooLong { .. })
         ));
     }
@@ -868,7 +865,7 @@ proptest! {
             let line = render(&mut rng, &tokens);
             let got = Request::parse_in(&line, &mut scratch);
             prop_assert!(agree(&got, &ref_request(&line)), "{line:?}: {got:?}");
-            let got = parse_batch_header(&line, &mut scratch);
+            let got = parse_batch_header(&line);
             prop_assert!(agree(&got, &ref_header("BATCH", &line)), "{line:?}: {got:?}");
 
             let mut tokens = response_tokens(&mut rng);
@@ -876,7 +873,7 @@ proptest! {
             let line = render(&mut rng, &tokens);
             let got = Response::parse(&line);
             prop_assert!(agree(&got, &ref_response(&line)), "{line:?}: {got:?}");
-            let got = parse_batchr_header(&line, &mut scratch);
+            let got = parse_batchr_header(&line);
             prop_assert!(agree(&got, &ref_header("BATCHR", &line)), "{line:?}: {got:?}");
 
             // Byte soup over the grammar's own pieces and separators.

@@ -98,25 +98,6 @@ impl Ecdf {
             .enumerate()
             .map(move |(i, &x)| (x, (i + 1) as f64 / n))
     }
-
-    /// Downsamples the CDF to at most `n` evenly spaced (in probability)
-    /// points, always including the first and last sample. Useful when
-    /// exporting plots from millions of samples.
-    pub fn resampled_points(&self, n: usize) -> Vec<(f64, f64)> {
-        let len = self.sorted.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        if len <= n {
-            return self.points().collect();
-        }
-        let mut out = Vec::with_capacity(n);
-        for k in 0..n {
-            let idx = (k as f64 / (n - 1) as f64 * (len - 1) as f64).round() as usize;
-            out.push((self.sorted[idx], (idx + 1) as f64 / len as f64));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -168,24 +149,6 @@ mod tests {
             assert!(w[0].1 < w[1].1);
         }
         assert_eq!(pts.last().unwrap().1, 1.0);
-    }
-
-    #[test]
-    fn resample_keeps_endpoints() {
-        let samples: Vec<f64> = (0..1000).map(|i| i as f64).collect();
-        let cdf = Ecdf::new(samples).unwrap();
-        let pts = cdf.resampled_points(11);
-        assert_eq!(pts.len(), 11);
-        assert_eq!(pts[0].0, 0.0);
-        assert_eq!(pts[10].0, 999.0);
-        assert!((pts[10].1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn resample_small_input_passthrough() {
-        let cdf = Ecdf::new(vec![1.0, 2.0]).unwrap();
-        assert_eq!(cdf.resampled_points(10).len(), 2);
-        assert!(cdf.resampled_points(0).is_empty());
     }
 
     #[test]

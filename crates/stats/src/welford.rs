@@ -112,15 +112,6 @@ impl Welford {
         }
     }
 
-    /// Sample variance (divide by `n - 1`); `0.0` with fewer than 2 samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn population_std(&self) -> f64 {
         self.population_variance().sqrt()
@@ -153,7 +144,6 @@ mod tests {
         assert!(w.is_empty());
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.population_variance(), 0.0);
-        assert_eq!(w.sample_variance(), 0.0);
     }
 
     #[test]
@@ -163,7 +153,6 @@ mod tests {
         assert_eq!(w.count(), 1);
         assert_eq!(w.mean(), 42.0);
         assert_eq!(w.population_variance(), 0.0);
-        assert_eq!(w.sample_variance(), 0.0);
         assert_eq!(w.min(), 42.0);
         assert_eq!(w.max(), 42.0);
     }

@@ -10,7 +10,7 @@
 
 use crate::error::TraceError;
 use crate::ids::CellId;
-use crate::time::{TICKS_PER_DAY, TICKS_PER_HOUR};
+use crate::time::TICKS_PER_DAY;
 
 /// Task runtime model: a two-component lognormal mixture with a hard cap.
 ///
@@ -451,11 +451,6 @@ impl CellConfig {
         self.seed = seed;
         self
     }
-
-    /// Duration in hours.
-    pub fn duration_hours(&self) -> f64 {
-        self.duration_ticks as f64 / TICKS_PER_HOUR as f64
-    }
 }
 
 /// The named cell presets from the paper.
@@ -571,7 +566,6 @@ mod tests {
         assert_eq!(c.duration_ticks, 4 * 7 * TICKS_PER_DAY);
         assert_eq!(c.machines, 7);
         assert_eq!(c.seed, 99);
-        assert!((c.duration_hours() - 4.0 * 7.0 * 24.0).abs() < 1e-9);
     }
 
     #[test]

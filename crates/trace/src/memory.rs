@@ -107,12 +107,6 @@ impl MemoryModel {
         let util = (self.floor + self.cpu_coupling * cpu_util + drift).clamp(0.0, 1.0);
         util * memory_limit
     }
-
-    /// The worst-case memory usage the model can emit for `spec`
-    /// (utilization saturated at 1): the task's memory limit.
-    pub fn peak_bound(&self, spec: &TaskSpec) -> f64 {
-        spec.memory_limit.max(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -174,6 +168,5 @@ mod tests {
         let m = MemoryModel::default();
         let s = spec(1, 0, 0.5, 0.0);
         assert_eq!(m.usage(&s, Tick(3), 0.4), 0.0);
-        assert_eq!(m.peak_bound(&s), 0.0);
     }
 }

@@ -29,29 +29,9 @@ impl Tick {
     /// The trace origin.
     pub const ZERO: Tick = Tick(0);
 
-    /// Constructs a tick from whole hours.
-    pub fn from_hours(h: u64) -> Tick {
-        Tick(h * TICKS_PER_HOUR)
-    }
-
-    /// Constructs a tick from whole days.
-    pub fn from_days(d: u64) -> Tick {
-        Tick(d * TICKS_PER_DAY)
-    }
-
     /// The raw tick index.
     pub fn index(self) -> u64 {
         self.0
-    }
-
-    /// This tick expressed in fractional hours.
-    pub fn as_hours(self) -> f64 {
-        self.0 as f64 / TICKS_PER_HOUR as f64
-    }
-
-    /// This tick expressed in fractional days.
-    pub fn as_days(self) -> f64 {
-        self.0 as f64 / TICKS_PER_DAY as f64
     }
 
     /// Fraction of the day in `[0, 1)` this tick falls at (for diurnal
@@ -116,11 +96,6 @@ impl TickRange {
         self.start <= t && t < self.end
     }
 
-    /// Intersection of two ranges (possibly empty).
-    pub fn intersect(self, other: TickRange) -> TickRange {
-        TickRange::new(self.start.max(other.start), self.end.min(other.end))
-    }
-
     /// Iterates over the ticks of the range in order.
     pub fn iter(self) -> impl Iterator<Item = Tick> {
         (self.start.0..self.end.0).map(Tick)
@@ -133,10 +108,6 @@ mod tests {
 
     #[test]
     fn conversions() {
-        assert_eq!(Tick::from_hours(2).index(), 24);
-        assert_eq!(Tick::from_days(1).index(), 288);
-        assert_eq!(Tick(24).as_hours(), 2.0);
-        assert_eq!(Tick(288).as_days(), 1.0);
         assert_eq!(TICKS_PER_WEEK, 2016);
     }
 
@@ -171,15 +142,6 @@ mod tests {
         let r = TickRange::new(Tick(5), Tick(2));
         assert!(r.is_empty());
         assert_eq!(r.len(), 0);
-    }
-
-    #[test]
-    fn intersection() {
-        let a = TickRange::new(Tick(0), Tick(10));
-        let b = TickRange::new(Tick(5), Tick(20));
-        assert_eq!(a.intersect(b), TickRange::new(Tick(5), Tick(10)));
-        let c = TickRange::new(Tick(12), Tick(15));
-        assert!(a.intersect(c).is_empty());
     }
 
     #[test]

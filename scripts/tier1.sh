@@ -62,8 +62,8 @@ grep -rnw -e 'BUSY' crates/client crates/cluster \
   && { echo "tier1: the client or cluster crate handles BUSY again" >&2; exit 1; }
 
 # oc-client has one load driver (loadgen::run) and one wire path: frames
-# go out through Client::write_frame and come back through
-# Client::read_frame_replies. Keep the deleted fan-in driver, its
+# go out through Link::write_frame and come back through Link::fill and
+# Link::take_frame. Keep the deleted fan-in driver, its
 # template encoder and tick patcher from coming back, and keep sockets
 # inside client.rs.
 grep -rnE -e 'FaninConfig|fanin::|build_template|patch_decimal|FrameLayout|MAX_INFLIGHT' \
@@ -75,16 +75,25 @@ grep -rn 'TcpStream' crates/client/src --exclude=client.rs \
 # oc-client has one send engine (engine.rs): the single-node Client, the
 # ClusterClient and the load driver are policies over its lanes. Keep the
 # fixed-window loop, the per-member settle loop, the blocking routed read
-# and the whole-client strike types from coming back, and keep every
-# sleep inside the engine (a multi-lane nap is a due time, never a sleep).
+# and the whole-client strike types from coming back, and keep sleeps out
+# of the client altogether (a nap is a due time, never a sleep).
 grep -rnE -e 'run_window|plan_frames|WindowOutcome|requeue_front|settle_step|settle_pipes' \
     -e 'send_routed|pipe_strikes|\bStrikes\b|\bBroken\b' \
     crates tests docs README.md DESIGN.md examples \
   && { echo "tier1: a deleted client send loop (or its strike types) is referenced again" >&2; exit 1; }
 for f in crates/client/src/*.rs crates/client/src/bin/*.rs; do
-  [ "$f" = crates/client/src/engine.rs ] && continue
   sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'thread::sleep' \
-    && { echo "tier1: $f sleeps outside the send engine" >&2; exit 1; }
+    && { echo "tier1: $f sleeps in the client" >&2; exit 1; }
+done
+# Every engine waits for replies one way: in its poller, with one read
+# per readiness into the lane's reply buffer and a frame's reply deadline
+# as a due time. Keep the one-lane blocking read, the socket read
+# timeout, the buffered-reply probe and the line reader out of the
+# client's non-test code.
+for f in crates/client/src/*.rs crates/client/src/bin/*.rs; do
+  sed '/#\[cfg(test)\]/,$d' "$f" \
+    | grep -nE 'read_frame_replies|has_buffered_replies|set_read_timeout|fn polled|BufReader|read_line' \
+    && { echo "tier1: $f reads replies outside the poller-driven path" >&2; exit 1; }
 done
 
 # A ring member is a RingSpec and its index (ServeConfig::ring), and a
@@ -286,6 +295,19 @@ pin_test oc-client cluster::tests::adopting_a_smaller_ring_mid_drive_restarts_on
 # A member that is stopped but not killed does not stall the live ones.
 pin_test oc-client cluster::tests::a_stopped_member_does_not_stall_the_live_ones \
   "stopped member"
+# A member that answers a frame's header and one reply and then stalls
+# does not stall the live ones: a partial frame stays buffered and the
+# lane goes back to the poller.
+pin_test oc-client cluster::tests::a_member_stalled_mid_frame_does_not_stall_the_live_ones \
+  "member stalled mid-frame"
+# A frame's reply deadline runs from its write: replies trickled one
+# line at a time lose the frame at the deadline.
+pin_test oc-client client::tests::a_trickled_frame_is_lost_at_its_deadline \
+  "reply deadline from the write"
+# A poller wait never ends before its timeout, so a due time is due when
+# the wait that waited for it returns.
+pin_test oc-reactor tests::a_wait_never_ends_before_its_timeout \
+  "poller timeout rounding"
 # A reply line that is not a response fails the call; the member is not
 # marked dead for it.
 pin_test oc-client cluster::tests::a_bad_reply_line_is_no_death_verdict \
