@@ -27,6 +27,7 @@ use crate::error::StatsError;
 /// assert_eq!(percentile_of_sorted(&xs, 100.0).unwrap(), 4.0);
 /// assert_eq!(percentile_of_sorted(&xs, 50.0).unwrap(), 2.5);
 /// ```
+#[inline]
 pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> Result<f64, StatsError> {
     if sorted.is_empty() {
         return Err(StatsError::Empty);

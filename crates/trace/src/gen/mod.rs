@@ -17,10 +17,21 @@
 //!    the intra-job correlation that makes the pooling effect statistical
 //!    rather than total.
 //! 3. Each live task advances its [`UsageProcess`] one tick, emitting
-//!    [`SUBSAMPLES_PER_TICK`] instantaneous usage points. The ground-truth
-//!    machine peak of the tick is the max over those instants of the *sum*
-//!    across tasks, which is strictly smaller than the sum of per-task peaks
-//!    whenever tasks do not co-peak.
+//!    [`SUBSAMPLES_PER_TICK`] instantaneous usage points into one stack
+//!    window, which [`UsageSample::from_subsamples`] summarises without
+//!    allocating. The ground-truth machine peak of the tick is the max over
+//!    those instants of the *sum* across tasks, which is strictly smaller
+//!    than the sum of per-task peaks whenever tasks do not co-peak.
+//!
+//! Per task-tick the cost is the process's normal draws (one for its AR(1)
+//! state, one jitter per subsample): everything fixed for a task or its job
+//! (the job factor's periods and phases included) is derived once, when the
+//! task is admitted. A task's sample vector is reserved at the length it
+//! will have, its runtime cut at the horizon.
+//!
+//! [`WorkloadGenerator::generate_cell`] is
+//! [`WorkloadGenerator::generate_cell_parallel`] with one thread, which
+//! runs on the caller's thread: both share one loop over machines.
 
 pub mod dist;
 pub mod usage;
@@ -94,40 +105,44 @@ impl WorkloadGenerator {
         &self.cfg
     }
 
-    /// Generates every machine of the cell sequentially.
+    /// Generates every machine of the cell on the calling thread.
     ///
     /// # Errors
     ///
     /// Propagates any internal consistency error (which would indicate a
     /// generator bug; the output is validated before being returned).
     pub fn generate_cell(&self) -> Result<Vec<MachineTrace>, TraceError> {
-        (0..self.cfg.machines)
-            .map(|m| self.generate_machine(MachineId(m as u32)))
-            .collect()
+        self.generate_cell_parallel(1)
     }
 
-    /// Generates every machine of the cell in parallel using scoped threads.
+    /// Generates every machine of the cell on `threads` threads: the calling
+    /// thread takes the first contiguous chunk of machines and one scoped
+    /// thread takes each further chunk, so one thread spawns nothing.
     ///
-    /// The output is identical to [`WorkloadGenerator::generate_cell`]
-    /// (machines are seeded independently), just faster on multicore hosts.
+    /// The output does not depend on `threads` (machines are seeded
+    /// independently).
     ///
     /// # Errors
     ///
-    /// Propagates the first per-machine error, as in `generate_cell`.
+    /// Propagates the first per-machine error, in machine order.
     pub fn generate_cell_parallel(&self, threads: usize) -> Result<Vec<MachineTrace>, TraceError> {
-        let threads = threads.max(1);
         let n = self.cfg.machines;
         let mut results: Vec<Option<Result<MachineTrace, TraceError>>> = Vec::new();
         results.resize_with(n, || None);
-        let chunk = n.div_ceil(threads).max(1);
+        let chunk = n.div_ceil(threads.max(1)).max(1);
+        let fill = |first: usize, slots: &mut [Option<Result<MachineTrace, TraceError>>]| {
+            for (j, slot) in slots.iter_mut().enumerate() {
+                *slot = Some(self.generate_machine(MachineId((first + j) as u32)));
+            }
+        };
         std::thread::scope(|scope| {
-            for (i, slot_chunk) in results.chunks_mut(chunk).enumerate() {
-                let first = i * chunk;
-                scope.spawn(move || {
-                    for (j, slot) in slot_chunk.iter_mut().enumerate() {
-                        *slot = Some(self.generate_machine(MachineId((first + j) as u32)));
-                    }
-                });
+            let mut chunks = results.chunks_mut(chunk).enumerate();
+            let own = chunks.next();
+            for (i, slots) in chunks {
+                scope.spawn(move || fill(i * chunk, slots));
+            }
+            if let Some((_, slots)) = own {
+                fill(0, slots);
             }
         });
         results
@@ -283,10 +298,13 @@ impl WorkloadGenerator {
             tpl.class.is_latency_sensitive(),
             tpl.util_base,
         );
+        // The task records one sample per tick until it ends or the horizon
+        // cuts it off, whichever comes first: reserve exactly that.
+        let ticks = runtime_ticks.min(cfg.duration_ticks - now.index());
         LiveTask {
             spec,
             process,
-            samples: Vec::with_capacity(runtime_ticks.min(4096) as usize),
+            samples: Vec::with_capacity(ticks as usize),
         }
     }
 
@@ -408,6 +426,52 @@ mod tests {
             assert_eq!(a.machine, b.machine);
             assert_eq!(a.true_peak, b.true_peak);
         }
+    }
+
+    /// FNV-1a over the bits of every generated number of a seeded cell:
+    /// all six fields of every task's every sample, then the machine's
+    /// `true_peak` and `avg_usage` series.
+    fn cell_digest(cell: &[MachineTrace]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |x: f64| {
+            for b in x.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for m in cell {
+            for task in &m.tasks {
+                for s in &task.samples {
+                    for x in [s.avg, s.p50, s.p90, s.p95, s.p99, s.max] {
+                        eat(x);
+                    }
+                }
+            }
+            m.true_peak.iter().chain(&m.avg_usage).for_each(|&x| eat(x));
+        }
+        h
+    }
+
+    /// The generator's output, every summary field included, is pinned to
+    /// the bit. A speed-up of the generator must leave this value alone;
+    /// a deliberate change to the generated traces edits it and says so.
+    #[test]
+    fn cell_digest_is_pinned() {
+        let mut cfg = CellConfig::preset(CellPreset::A)
+            .with_machines(6)
+            .with_seed(42);
+        cfg.duration_ticks = 288;
+        let cell = WorkloadGenerator::new(cfg)
+            .unwrap()
+            .generate_cell()
+            .unwrap();
+        let samples: usize = cell
+            .iter()
+            .flat_map(|m| &m.tasks)
+            .map(|t| t.samples.len())
+            .sum();
+        assert_eq!(samples, 26_159);
+        assert_eq!(cell_digest(&cell), 0xf32f_9843_5dc2_a083);
     }
 
     #[test]

@@ -48,6 +48,9 @@ pub struct UsageProcess {
     warmup_ticks: u64,
     age_ticks: u64,
     job_seed: u64,
+    /// The job factor's two sinusoids as `(period in ticks, phase)`, hashed
+    /// from `job_seed` once at construction.
+    job_waves: [(f64, f64); 2],
 }
 
 impl UsageProcess {
@@ -101,6 +104,7 @@ impl UsageProcess {
             warmup_ticks: model.warmup_ticks,
             age_ticks: 0,
             job_seed,
+            job_waves: job_waves(job_seed),
         }
     }
 
@@ -110,17 +114,11 @@ impl UsageProcess {
     }
 
     /// Deterministic slowly-varying shared factor for a job: two
-    /// incommensurate sinusoids with phases and periods derived by hashing
-    /// the job seed. Sibling tasks (same `job_seed`) see the same factor at
-    /// the same tick, with no shared mutable state.
+    /// incommensurate sinusoids whose periods and phases [`job_waves`]
+    /// hashes from the job seed. Sibling tasks (same `job_seed`) see the
+    /// same factor at the same tick, with no shared mutable state.
     fn job_factor(&self, t: Tick) -> f64 {
-        let h1 = splitmix(self.job_seed);
-        let h2 = splitmix(h1);
-        let phase1 = (h1 % 10_000) as f64 / 10_000.0;
-        let phase2 = (h2 % 10_000) as f64 / 10_000.0;
-        // Periods between ~4 h and ~16 h.
-        let p1 = 48.0 + (h1 >> 16 & 0x7F) as f64;
-        let p2 = 96.0 + (h2 >> 16 & 0x7F) as f64;
+        let [(p1, phase1), (p2, phase2)] = self.job_waves;
         let x = t.index() as f64;
         0.5 * (std::f64::consts::TAU * (x / p1 + phase1)).sin()
             + 0.5 * (std::f64::consts::TAU * (x / p2 + phase2)).sin()
@@ -186,6 +184,18 @@ impl UsageProcess {
             *slot = ((util + jitter).clamp(0.0, 1.0)) * self.limit;
         }
     }
+}
+
+/// The `(period in ticks, phase)` of a job factor's two sinusoids: periods
+/// between ~4 h and ~16 h, phases in `[0, 1)`, both hashed from the job seed.
+fn job_waves(job_seed: u64) -> [(f64, f64); 2] {
+    let h1 = splitmix(job_seed);
+    let h2 = splitmix(h1);
+    let phase1 = (h1 % 10_000) as f64 / 10_000.0;
+    let phase2 = (h2 % 10_000) as f64 / 10_000.0;
+    let p1 = 48.0 + (h1 >> 16 & 0x7F) as f64;
+    let p2 = 96.0 + (h2 >> 16 & 0x7F) as f64;
+    [(p1, phase1), (p2, phase2)]
 }
 
 /// Draws a job's shared base-utilization level from the cell's Beta model.

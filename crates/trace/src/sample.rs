@@ -1,15 +1,18 @@
 //! Per-tick usage summaries, mirroring the trace's within-window histogram.
 
 use crate::error::TraceError;
+use crate::time::SUBSAMPLES_PER_TICK;
 
 /// Summary of one task's CPU usage within one 5-minute tick.
 ///
 /// Trace v3 reports a distribution of instantaneous usage per window rather
-/// than a single number; predictors and oracles pick which field of the
-/// summary to consume (the paper uses the 90th percentile as a conservative
-/// machine-peak estimator, Figure 6). All values are in normalized machine
-/// capacity units and are already capped at the task's limit, as Borg's
-/// machine-level enforcement would do.
+/// than a single number. Here the window is the tick's
+/// [`SUBSAMPLES_PER_TICK`] instantaneous points, summarised by
+/// [`UsageSample::from_subsamples`]; predictors and oracles pick which field
+/// of the summary to consume (the paper uses the 90th percentile as a
+/// conservative machine-peak estimator, Figure 6). All values are in
+/// normalized machine capacity units and are already capped at the task's
+/// limit, as Borg's machine-level enforcement would do.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UsageSample {
     /// Mean usage over the window.
@@ -125,35 +128,34 @@ impl UsageSample {
         max: 0.0,
     };
 
-    /// Summarizes a window of instantaneous usage points.
+    /// Summarizes one tick's window of instantaneous usage points.
+    ///
+    /// A stack copy of the window is sorted by a fixed sorting network, the
+    /// four percentiles are read from it by
+    /// [`oc_stats::percentile_of_sorted`]'s linear interpolation, and the
+    /// mean is summed in the window's own order. Nothing is allocated.
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::InconsistentTask`] if `points` is empty or
-    /// contains a non-finite value.
-    pub fn from_subsamples(points: &[f64]) -> Result<UsageSample, TraceError> {
-        if points.is_empty() {
-            return Err(TraceError::InconsistentTask {
-                what: "usage window has no subsamples".into(),
-            });
-        }
+    /// Returns [`TraceError::InconsistentTask`] if a point is not finite.
+    pub fn from_subsamples(points: &[f64; SUBSAMPLES_PER_TICK]) -> Result<UsageSample, TraceError> {
         if points.iter().any(|p| !p.is_finite()) {
             return Err(TraceError::InconsistentTask {
                 what: "usage window contains a non-finite subsample".into(),
             });
         }
-        let mut sorted = points.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite checked above"));
+        let mut sorted = *points;
+        sort_window(&mut sorted);
         let pct = |p: f64| -> f64 {
             oc_stats::percentile_of_sorted(&sorted, p).expect("non-empty, valid percentile")
         };
         Ok(UsageSample {
-            avg: points.iter().sum::<f64>() / points.len() as f64,
+            avg: points.iter().sum::<f64>() / SUBSAMPLES_PER_TICK as f64,
             p50: pct(50.0),
             p90: pct(90.0),
             p95: pct(95.0),
             p99: pct(99.0),
-            max: *sorted.last().expect("non-empty"),
+            max: sorted[SUBSAMPLES_PER_TICK - 1],
         })
     }
 
@@ -170,25 +172,133 @@ impl UsageSample {
     }
 }
 
+/// Sorts one window ascending with a fixed comparator network: Batcher's
+/// odd-even merge sort for 16 inputs, less the comparators on the 16th wire
+/// (which would hold +inf and never move). 59 compare-exchanges in 10
+/// layers, each a branch-free min/max pair on a local copy of the window,
+/// which the compiler keeps in registers.
+///
+/// For finite points the result equals a comparison sort's to the bit,
+/// except that the network may order `-0.0` and `+0.0` differently; no
+/// caller produces `-0.0` (see the test module).
+fn sort_window(v: &mut [f64; SUBSAMPLES_PER_TICK]) {
+    const _: () = assert!(SUBSAMPLES_PER_TICK == 15, "the network sorts 15 points");
+    let mut w = *v;
+    macro_rules! network {
+        ($($a:literal $b:literal),*) => {$(
+            let (x, y) = (w[$a], w[$b]);
+            w[$a] = if y < x { y } else { x };
+            w[$b] = if x > y { x } else { y };
+        )*};
+    }
+    network! {
+        0 1, 2 3, 0 2, 1 3, 1 2, 4 5, 6 7, 4 6, 5 7, 5 6,
+        0 4, 2 6, 2 4, 1 5, 3 7, 3 5, 1 2, 3 4, 5 6, 8 9,
+        10 11, 8 10, 9 11, 9 10, 12 13, 12 14, 13 14, 8 12, 10 14, 10 12,
+        9 13, 11 13, 9 10, 11 12, 13 14, 0 8, 4 12, 4 8, 2 10, 6 14,
+        6 10, 2 4, 6 8, 10 12, 1 9, 5 13, 5 9, 3 11, 7 11, 3 5,
+        7 9, 11 13, 1 2, 3 4, 5 6, 7 8, 9 10, 11 12, 13 14
+    }
+    *v = w;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The summary as it was computed before the sorting network: a heap
+    /// copy sorted by comparison. Kept as the oracle the network must match
+    /// to the bit.
+    fn summary_by_comparison_sort(points: &[f64]) -> UsageSample {
+        let mut sorted = points.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        let pct = |p: f64| oc_stats::percentile_of_sorted(&sorted, p).unwrap();
+        UsageSample {
+            avg: points.iter().sum::<f64>() / points.len() as f64,
+            p50: pct(50.0),
+            p90: pct(90.0),
+            p95: pct(95.0),
+            p99: pct(99.0),
+            max: *sorted.last().unwrap(),
+        }
+    }
+
+    fn bits(s: &UsageSample) -> [u64; 6] {
+        [s.avg, s.p50, s.p90, s.p95, s.p99, s.max].map(f64::to_bits)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4096))]
+
+        /// On any finite window the stack summary is bit-equal to the
+        /// comparison-sort oracle, field by field.
+        ///
+        /// No drawn point is `-0.0`, the one finite value on which the
+        /// network and a comparison sort may disagree in bits (they can
+        /// order `-0.0` and `+0.0` differently). Neither caller produces it:
+        /// the generator's points are `(util + jitter).clamp(0.0, 1.0) *
+        /// limit` with `util >= 0.01` and a positive limit, so a zero is
+        /// `+0.0`; `SimMachine::advance` multiplies such a point by a scale
+        /// that is a quotient of positive values, `1.0`, or `+0.0`.
+        ///
+        /// Each point is one of four kinds, so windows carry runs of zeros
+        /// and ties: `0.0`, a quarter step in `0..=2`, a fraction of a
+        /// limit, or a wide-range magnitude.
+        #[test]
+        fn stack_summary_matches_comparison_sort(
+            draws in proptest::collection::vec((0u32..4, 0.0f64..1.0), SUBSAMPLES_PER_TICK),
+        ) {
+            let points: [f64; SUBSAMPLES_PER_TICK] = std::array::from_fn(|i| {
+                let (kind, x) = draws[i];
+                match kind {
+                    0 => 0.0,
+                    1 => (x * 8.0).floor() / 4.0,
+                    2 => x * 0.2,
+                    _ => x * 1e6,
+                }
+            });
+            let fast = UsageSample::from_subsamples(&points).unwrap();
+            let oracle = summary_by_comparison_sort(&points);
+            proptest::prop_assert_eq!(bits(&fast), bits(&oracle), "window {:?}", points);
+        }
+    }
+
+    /// The network sorts every 0/1 window, hence (by the 0-1 principle)
+    /// every window.
+    #[test]
+    fn network_sorts_every_zero_one_window() {
+        for mask in 0u32..1 << SUBSAMPLES_PER_TICK {
+            let mut v = std::array::from_fn(|i| f64::from((mask >> i) & 1));
+            sort_window(&mut v);
+            assert!(v.windows(2).all(|w| w[0] <= w[1]), "mask {mask:#x}: {v:?}");
+        }
+    }
+
     #[test]
     fn summarizes_window() {
-        let pts: Vec<f64> = (1..=100).map(|i| i as f64).collect();
+        // 1..=15, shuffled. Sorted ranks are p/100 * 14: p50 -> 7 (the
+        // value 8), p90 -> 12.6 (13.6), p95 -> 13.3 (14.3), p99 -> 13.86
+        // (14.86).
+        let pts = [
+            9.0, 2.0, 15.0, 4.0, 11.0, 1.0, 13.0, 6.0, 8.0, 3.0, 14.0, 10.0, 5.0, 12.0, 7.0,
+        ];
         let s = UsageSample::from_subsamples(&pts).unwrap();
-        assert_eq!(s.max, 100.0);
-        assert_eq!(s.avg, 50.5);
-        assert!((s.p50 - 50.5).abs() < 1e-9);
-        assert!((s.p90 - 90.1).abs() < 1e-9);
+        assert_eq!(s.avg, 8.0);
+        assert_eq!(s.p50, 8.0);
+        assert!((s.p90 - 13.6).abs() < 1e-9);
+        assert!((s.p95 - 14.3).abs() < 1e-9);
+        assert!((s.p99 - 14.86).abs() < 1e-9);
+        assert_eq!(s.max, 15.0);
         assert!(s.is_consistent());
     }
 
     #[test]
-    fn rejects_empty_and_nan() {
-        assert!(UsageSample::from_subsamples(&[]).is_err());
-        assert!(UsageSample::from_subsamples(&[1.0, f64::NAN]).is_err());
+    fn rejects_non_finite() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut pts = [1.0; SUBSAMPLES_PER_TICK];
+            pts[SUBSAMPLES_PER_TICK - 1] = bad;
+            assert!(UsageSample::from_subsamples(&pts).is_err());
+        }
     }
 
     #[test]

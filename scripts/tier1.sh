@@ -234,6 +234,14 @@ pin_test overcommit-repro order_stat_sorted_index_matches_sort_after_every_push 
 # stats series and the admission rate, folded into one pinned digest.
 pin_test overcommit-repro ab_outcome_bits_are_pinned \
   "A/B outcome bits"
+# A seeded cell's generated bits, every summary field and both per-tick
+# machine series, folded into one pinned digest.
+pin_test oc-trace gen::tests::cell_digest_is_pinned \
+  "generated cell bits"
+# The stack summary of a window (sorting network) equals, field for field
+# and to the bit, a comparison sort of a heap copy.
+pin_test oc-trace sample::tests::stack_summary_matches_comparison_sort \
+  "window summary bits"
 # fig3, fig12 and fig13 size their cells by hand; every cell they build
 # still carries a --seed override.
 pin_test oc-experiments common::tests::hand_sized_figures_take_the_seed_override \

@@ -6,8 +6,13 @@ use overcommit_repro::trace::csv::{read_machines, write_machines};
 use overcommit_repro::trace::gen::WorkloadGenerator;
 use overcommit_repro::trace::ids::MachineId;
 use overcommit_repro::trace::sample::{UsageMetric, UsageSample};
-use overcommit_repro::trace::time::Tick;
+use overcommit_repro::trace::time::{Tick, SUBSAMPLES_PER_TICK};
 use proptest::prelude::*;
+
+/// One tick's subsample window, from a drawn vector of that length.
+fn window(points: &[f64]) -> [f64; SUBSAMPLES_PER_TICK] {
+    points.try_into().expect("one window's worth of points")
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -79,8 +84,8 @@ proptest! {
     /// Usage summaries computed from arbitrary finite subsample windows
     /// are internally consistent.
     #[test]
-    fn summaries_are_consistent(points in proptest::collection::vec(0.0f64..100.0, 1..50)) {
-        let s = UsageSample::from_subsamples(&points).unwrap();
+    fn summaries_are_consistent(points in proptest::collection::vec(0.0f64..100.0, SUBSAMPLES_PER_TICK)) {
+        let s = UsageSample::from_subsamples(&window(&points)).unwrap();
         prop_assert!(s.is_consistent());
         let max = points.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         prop_assert_eq!(s.max, max);
@@ -89,8 +94,8 @@ proptest! {
     /// Percentile interpolation is monotone in the percentile and hits
     /// the stored anchors.
     #[test]
-    fn interpolation_monotone(points in proptest::collection::vec(0.0f64..10.0, 2..40)) {
-        let s = UsageSample::from_subsamples(&points).unwrap();
+    fn interpolation_monotone(points in proptest::collection::vec(0.0f64..10.0, SUBSAMPLES_PER_TICK)) {
+        let s = UsageSample::from_subsamples(&window(&points)).unwrap();
         let mut last = f64::NEG_INFINITY;
         for p in [50.0, 55.0, 60.0, 70.0, 80.0, 90.0, 95.0, 99.0, 100.0] {
             let v = UsageMetric::interpolate(&s, p);
