@@ -1,7 +1,14 @@
-//! Shared experiment options and workload scaling.
+//! Shared experiment options, workload scaling and the idioms the
+//! figures share.
 
-use oc_trace::cell::CellConfig;
+use oc_core::config::SimConfig;
+use oc_core::predictor::PredictorSpec;
+use oc_core::runner::{run_cell_streaming, CellRun};
+use oc_trace::cell::{CellConfig, CellPreset};
+use oc_trace::gen::WorkloadGenerator;
+use oc_trace::machine::MachineTrace;
 use oc_trace::time::TICKS_PER_DAY;
+use std::error::Error;
 
 /// Workload scale of a reproduction run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,20 +70,57 @@ impl Opts {
         }
     }
 
-    /// Path of a CSV output file.
-    pub fn csv(&self, name: &str) -> std::path::PathBuf {
-        self.results.join(name)
+    /// Generates every machine of `cell` on [`Opts::threads`] threads.
+    pub(crate) fn generate(&self, cell: CellConfig) -> Result<Vec<MachineTrace>, Box<dyn Error>> {
+        Ok(WorkloadGenerator::new(cell)?.generate_cell_parallel(self.threads)?)
+    }
+
+    /// Simulates `cell` under `specs` with the default node agent,
+    /// recording every per-tick series.
+    pub(crate) fn simulate(
+        &self,
+        cell: CellConfig,
+        specs: &[PredictorSpec],
+    ) -> Result<CellRun, Box<dyn Error>> {
+        let gen = WorkloadGenerator::new(cell)?;
+        let cfg = SimConfig::default().with_series();
+        Ok(run_cell_streaming(&gen, &cfg, specs, self.threads)?)
+    }
+
+    /// Trace cell `a`, [scaled](Opts::scaled).
+    pub(crate) fn cell_a(&self, quick_days: u64) -> CellConfig {
+        self.scaled(CellConfig::preset(CellPreset::A), quick_days)
+    }
+
+    /// Trace cells `a..h`, each [scaled](Opts::scaled).
+    pub(crate) fn trace_cells(&self, quick_days: u64) -> Vec<CellConfig> {
+        CellConfig::trace_cells()
+            .into_iter()
+            .map(|cell| self.scaled(cell, quick_days))
+            .collect()
     }
 }
 
-/// Prints the experiment banner.
-pub fn banner(id: &str, what: &str) {
-    println!("\n=== {id}: {what} ===");
+/// Runs `f` on each cell, in order, and pairs each result with the
+/// cell's name.
+pub(crate) fn per_cell<T>(
+    cells: Vec<CellConfig>,
+    mut f: impl FnMut(CellConfig) -> Result<T, Box<dyn Error>>,
+) -> Result<Vec<(String, T)>, Box<dyn Error>> {
+    cells
+        .into_iter()
+        .map(|cell| Ok((cell.id.name().to_string(), f(cell)?)))
+        .collect()
 }
 
-/// Prints a paper-vs-measured claim line.
-pub fn claim(what: &str, measured: impl std::fmt::Display, paper: &str) {
-    println!("  [claim] {what}: measured {measured} (paper: {paper})");
+/// Mean of `v`; 0 when `v` is empty.
+pub(crate) fn mean(v: &[f64]) -> f64 {
+    v.iter().sum::<f64>() / v.len().max(1) as f64
+}
+
+/// Share of `v` for which `pred` holds; 0 when `v` is empty.
+pub(crate) fn share(v: &[f64], pred: impl Fn(f64) -> bool) -> f64 {
+    v.iter().filter(|&&x| pred(x)).count() as f64 / v.len().max(1) as f64
 }
 
 #[cfg(test)]

@@ -1,30 +1,20 @@
 //! Generator diagnostics: where the oracle sits relative to limits.
 //!
-//! Not a paper figure — a calibration aid. Prints, for one cell, the
+//! Not a paper figure — a calibration aid. Reports, for one cell, the
 //! distribution of the oracle-to-limit ratio `PO(τ)/ΣL(τ)` over machine-
 //! ticks, plus the usage-to-limit ratio. The borg-default policy violates
 //! exactly when `PO/ΣL > φ`, so this table shows directly how much of the
 //! trace sits above any static threshold.
 
-use crate::common::{banner, Opts};
-use crate::output::{cdf_header, cdf_row, Table};
+use crate::common::Opts;
+use crate::output::Report;
 use oc_core::oracle::machine_oracle;
-use oc_trace::cell::{CellConfig, CellPreset};
-use oc_trace::gen::WorkloadGenerator;
 use oc_trace::sample::UsageMetric;
-
 use std::error::Error;
 
 /// Runs the diagnostic on trace cell `a`.
-///
-/// # Errors
-///
-/// Propagates generation errors.
-pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
-    banner("diag", "oracle-to-limit and usage-to-limit ratios (cell a)");
-    let cell = opts.scaled(CellConfig::preset(CellPreset::A), 3);
-    let gen = WorkloadGenerator::new(cell)?;
-    let machines = gen.generate_cell_parallel(opts.threads)?;
+pub fn run(opts: &Opts) -> Result<Report, Box<dyn Error>> {
+    let machines = opts.generate(opts.cell_a(3))?;
 
     let mut po_ratio = Vec::new();
     let mut usage_ratio = Vec::new();
@@ -45,13 +35,18 @@ pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
             }
         }
     }
-    let mut t = Table::new(&cdf_header("ratio"));
-    t.row(cdf_row("PO(24h)/ΣL", &po_ratio));
-    t.row(cdf_row("usage/ΣL", &usage_ratio));
-    t.print();
-    println!(
+    let mut r = Report::default();
+    r.cdf(
+        "",
+        "ratio",
+        vec![
+            ("PO(24h)/ΣL".into(), po_ratio),
+            ("usage/ΣL".into(), usage_ratio),
+        ],
+    );
+    r.line(format!(
         "  machine-ticks with PO/ΣL > 0.9 (borg-default violations): {:.2}%",
         100.0 * frac_above_09 as f64 / total.max(1) as f64
-    );
-    Ok(())
+    ));
+    Ok(r)
 }

@@ -6,31 +6,18 @@
 //! * `seasonal` — evaluates the seasonal daily-peak predictor extension
 //!   against the paper's max predictor on the Figure 10 setup.
 
-use crate::common::{banner, claim, Opts};
-use crate::output::{cdf_header, cdf_row, write_cdf_csv, Table};
+use crate::common::{mean, Opts};
+use crate::fig10::{column, savings_table, Outcome};
+use crate::output::Report;
 use oc_core::autopilot::{recommend_limits, relative_slack, AutopilotConfig};
-use oc_core::config::SimConfig;
 use oc_core::oracle::machine_oracle;
 use oc_core::predictor::PredictorSpec;
-use oc_core::runner::run_cell_streaming;
-use oc_trace::cell::{CellConfig, CellPreset};
-use oc_trace::gen::WorkloadGenerator;
 use oc_trace::sample::UsageMetric;
 use std::error::Error;
 
 /// Runs the Autopilot orthogonality experiment.
-///
-/// # Errors
-///
-/// Propagates simulation and I/O errors.
-pub fn run_autopilot(opts: &Opts) -> Result<(), Box<dyn Error>> {
-    banner(
-        "ext-autopilot",
-        "per-task limit tuning vs machine-level overcommit headroom",
-    );
-    let cell = opts.scaled(CellConfig::preset(CellPreset::A), 3);
-    let gen = WorkloadGenerator::new(cell)?;
-    let machines = gen.generate_cell_parallel(opts.threads)?;
+pub fn run_autopilot(opts: &Opts) -> Result<Report, Box<dyn Error>> {
+    let machines = opts.generate(opts.cell_a(3))?;
     let cfg = AutopilotConfig::default();
 
     let mut slack_before = Vec::new();
@@ -68,15 +55,24 @@ pub fn run_autopilot(opts: &Opts) -> Result<(), Box<dyn Error>> {
         }
     }
 
-    let mut t = Table::new(&cdf_header("distribution"));
-    t.row(cdf_row("task slack, declared limits", &slack_before));
-    t.row(cdf_row("task slack, autopilot limits", &slack_after));
-    t.row(cdf_row("ΣL / machine peak, declared", &headroom_before));
-    t.row(cdf_row("ΣL / machine peak, autopilot", &headroom_after));
-    t.print();
-
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    claim(
+    let mut r = Report::default();
+    r.cdf(
+        "",
+        "distribution",
+        vec![
+            ("task slack, declared limits".into(), slack_before.clone()),
+            ("task slack, autopilot limits".into(), slack_after.clone()),
+            (
+                "ΣL / machine peak, declared".into(),
+                headroom_before.clone(),
+            ),
+            (
+                "ΣL / machine peak, autopilot".into(),
+                headroom_after.clone(),
+            ),
+        ],
+    );
+    r.claim(
         "mean relative slack after Autopilot",
         format!(
             "{:.2} (down from {:.2})",
@@ -85,7 +81,7 @@ pub fn run_autopilot(opts: &Opts) -> Result<(), Box<dyn Error>> {
         ),
         "Autopilot leaves ≈23% slack (its own paper)",
     );
-    claim(
+    r.claim(
         "machine-level overcommit headroom surviving Autopilot",
         format!(
             "ΣL/peak {:.2}× (down from {:.2}×) — still > 1",
@@ -94,30 +90,20 @@ pub fn run_autopilot(opts: &Opts) -> Result<(), Box<dyn Error>> {
         ),
         "pooling effect persists: per-task tuning cannot reach it (Fig. 1 argument)",
     );
-    write_cdf_csv(
-        &opts.csv("ext_autopilot.csv"),
-        &[
+    r.csv_cdf(
+        "ext_autopilot.csv",
+        vec![
             ("slack_declared".into(), slack_before),
             ("slack_autopilot".into(), slack_after),
             ("headroom_declared".into(), headroom_before),
             ("headroom_autopilot".into(), headroom_after),
         ],
-    )?;
-    Ok(())
+    );
+    Ok(r)
 }
 
 /// Runs the seasonal-predictor extension on the Figure 10 setup.
-///
-/// # Errors
-///
-/// Propagates simulation and I/O errors.
-pub fn run_seasonal(opts: &Opts) -> Result<(), Box<dyn Error>> {
-    banner(
-        "ext-seasonal",
-        "seasonal daily-peak predictor vs the paper's max predictor (cell a)",
-    );
-    let cell = opts.scaled(CellConfig::preset(CellPreset::A), 3);
-    let gen = WorkloadGenerator::new(cell)?;
+pub fn run_seasonal(opts: &Opts) -> Result<Report, Box<dyn Error>> {
     let specs = [
         PredictorSpec::paper_max(),
         PredictorSpec::Seasonal {
@@ -127,36 +113,20 @@ pub fn run_seasonal(opts: &Opts) -> Result<(), Box<dyn Error>> {
         },
         PredictorSpec::seasonal_max(),
     ];
-    let run = run_cell_streaming(
-        &gen,
-        &SimConfig::default().with_series(),
-        &specs,
-        opts.threads,
-    )?;
+    let run = opts.simulate(opts.cell_a(3), &specs)?;
+    let rows: Vec<Outcome> = (0..run.predictors.len())
+        .map(|i| Outcome::of(&run, i))
+        .collect();
+    let mut r = Report::default();
+    let rates = column(&rows, |o| &o.rates);
+    r.cdf_csv("ext_seasonal.csv", "", "predictor (violation rate)", rates);
+    savings_table(&mut r, "predictor", &rows);
 
-    let mut viol = Table::new(&cdf_header("predictor (violation rate)"));
-    let mut save = Table::new(&["predictor", "mean cell savings"]);
-    let mut csv = Vec::new();
-    for (i, name) in run.predictors.iter().enumerate() {
-        let rates = run.violation_rates(i);
-        viol.row(cdf_row(name, &rates));
-        let savings = run.cell_savings_series(i).expect("series enabled");
-        save.row(vec![
-            name.clone(),
-            crate::output::f(savings.iter().sum::<f64>() / savings.len().max(1) as f64),
-        ]);
-        csv.push((name.clone(), rates));
-    }
-    viol.print();
-    save.print();
-
-    let p90 =
-        |i: usize| oc_stats::percentile_slice(&run.violation_rates(i), 90.0).unwrap_or(f64::NAN);
-    claim(
+    let p90 = |i: usize| oc_stats::percentile_slice(&rows[i].rates, 90.0).unwrap_or(f64::NAN);
+    r.claim(
         "adding the seasonal guard to the max composite",
         format!("p90 violation rate {:.4} → {:.4}", p90(0), p90(2)),
         "extension: closes the diurnal-trough blind spot at a modest savings cost",
     );
-    write_cdf_csv(&opts.csv("ext_seasonal.csv"), &csv)?;
-    Ok(())
+    Ok(r)
 }

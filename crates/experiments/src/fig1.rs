@@ -1,11 +1,9 @@
 //! Figure 1: the pooling effect — cell-level future peak computed from
 //! machine-level peaks vs task-level peaks.
 
-use crate::common::{banner, claim, Opts};
-use crate::output::{cdf_header, cdf_row, write_cdf_csv, Table};
+use crate::common::Opts;
+use crate::output::Report;
 use oc_core::oracle::{machine_oracle, task_future_peak};
-use oc_trace::cell::{CellConfig, CellPreset};
-use oc_trace::gen::WorkloadGenerator;
 use oc_trace::sample::UsageMetric;
 use oc_trace::time::Tick;
 use std::error::Error;
@@ -14,23 +12,14 @@ use std::error::Error;
 ///
 /// For every tick of trace cell `a`, sums (i) each machine's future peak
 /// of its scheduled tasks and (ii) each task's individual future peak,
-/// both normalized to the cell's total limit, and prints the two CDFs.
+/// both normalized to the cell's total limit, and reports the two CDFs.
 /// The paper reports the task-level sum ≈ 50 % above the machine-level
 /// sum at the median.
-///
-/// # Errors
-///
-/// Propagates generation and I/O errors.
-pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
-    banner(
-        "fig1",
-        "CDF of cell-level future peak: Σ task peaks vs Σ machine peaks",
-    );
-    let cell = opts.scaled(CellConfig::preset(CellPreset::A), 3);
-    let gen = WorkloadGenerator::new(cell)?;
-    let machines = gen.generate_cell_parallel(opts.threads)?;
+pub fn run(opts: &Opts) -> Result<Report, Box<dyn Error>> {
+    let cell = opts.cell_a(3);
+    let n = cell.duration_ticks as usize;
+    let machines = opts.generate(cell)?;
     let metric = UsageMetric::P90;
-    let n = gen.config().duration_ticks as usize;
     let full = n as u64;
 
     let mut machine_sum = vec![0.0; n];
@@ -73,24 +62,28 @@ pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
     let machine_level = norm(&machine_sum);
     let task_level = norm(&task_sum);
 
-    let mut t = Table::new(&cdf_header("series"));
-    t.row(cdf_row("sum(machine-level peak)", &machine_level));
-    t.row(cdf_row("sum(task-level peak)", &task_level));
-    t.print();
-
     let median = |v: &[f64]| oc_stats::percentile_slice(v, 50.0).unwrap_or(0.0);
     let ratio = median(&task_level) / median(&machine_level);
-    claim(
+    let mut r = Report::default();
+    r.cdf(
+        "",
+        "series",
+        vec![
+            ("sum(machine-level peak)".into(), machine_level.clone()),
+            ("sum(task-level peak)".into(), task_level.clone()),
+        ],
+    );
+    r.claim(
         "median Σ task peaks / Σ machine peaks",
         format!("{ratio:.2}"),
         "≈1.5 (task-level ~50% higher)",
     );
-
-    let series = [
-        ("machine_level".to_string(), machine_level),
-        ("task_level".to_string(), task_level),
-    ];
-    crate::plot::maybe_plot(opts, "fig1: normalized cell-level future peak", &series);
-    write_cdf_csv(&opts.csv("fig1.csv"), &series)?;
-    Ok(())
+    r.csv_cdf(
+        "fig1.csv",
+        vec![
+            ("machine_level".into(), machine_level),
+            ("task_level".into(), task_level),
+        ],
+    );
+    Ok(r)
 }

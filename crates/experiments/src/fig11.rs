@@ -1,78 +1,51 @@
 //! Figure 11: the max predictor across all trace cells.
 
-use crate::common::{banner, claim, Opts};
-use crate::fig10::tick_severities;
-use crate::output::{cdf_header, cdf_row, f, write_cdf_csv, Table};
-use oc_core::config::SimConfig;
+use crate::common::{mean, Opts};
+use crate::fig10::{savings_table, violation_panels, Outcome};
+use crate::output::Report;
 use oc_core::predictor::PredictorSpec;
-use oc_core::runner::run_cell_streaming;
-use oc_trace::cell::CellConfig;
-use oc_trace::gen::WorkloadGenerator;
 use std::error::Error;
 
 /// Runs the Figure 11 reproduction: violation rate, severity and savings
 /// of `max(N-sigma(5), RC-like(p99))` across trace cells `a..h`.
-///
-/// # Errors
-///
-/// Propagates simulation and I/O errors.
-pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
-    banner("fig11", "max predictor across cells a..h");
+pub fn run(opts: &Opts) -> Result<Report, Box<dyn Error>> {
     let spec = [PredictorSpec::paper_max()];
-    let cfg = SimConfig::default().with_series();
-
-    let mut viol = Table::new(&cdf_header("cell (violation rate)"));
-    let mut sev = Table::new(&cdf_header("cell (tick severity)"));
-    let mut save = Table::new(&["cell", "mean cell savings"]);
-    let mut viol_csv = Vec::new();
-    let mut cell_stats: Vec<(String, f64, f64)> = Vec::new();
-
-    for preset in CellConfig::trace_cells() {
-        let cell = opts.scaled(preset, 3);
+    let mut rows = Vec::new();
+    for cell in opts.trace_cells(3) {
         let name = cell.id.name().to_string();
-        let gen = WorkloadGenerator::new(cell)?;
-        let run = run_cell_streaming(&gen, &cfg, &spec, opts.threads)?;
-        let rates = run.violation_rates(0);
-        let savings = run.cell_savings_series(0).expect("series enabled");
-        let mean_savings = savings.iter().sum::<f64>() / savings.len().max(1) as f64;
-        let med_rate = oc_stats::percentile_slice(&rates, 90.0)?;
-        viol.row(cdf_row(&name, &rates));
-        sev.row(cdf_row(&name, &tick_severities(&run, 0)));
-        save.row(vec![name.clone(), f(mean_savings)]);
-        cell_stats.push((name.clone(), med_rate, mean_savings));
-        viol_csv.push((name, rates));
+        rows.push(Outcome {
+            name,
+            ..Outcome::of(&opts.simulate(cell, &spec)?, 0)
+        });
     }
-    println!("(a) per-machine violation rate");
-    viol.print();
-    println!("(b) violation severity");
-    sev.print();
-    println!("(c) savings");
-    save.print();
+    let mut r = Report::default();
+    violation_panels(
+        &mut r,
+        "cell",
+        &rows,
+        "fig11a_violation_rate.csv",
+        "(b) violation severity",
+    );
+    r.line("(c) savings");
+    savings_table(&mut r, "cell", &rows);
 
-    let a = cell_stats
-        .iter()
-        .find(|(n, _, _)| n == "a")
-        .expect("cell a present");
-    let b = cell_stats
-        .iter()
-        .find(|(n, _, _)| n == "b")
-        .expect("cell b present");
-    claim(
+    let cell = |name: &str| rows.iter().find(|o| o.name == name).expect("cell present");
+    let (a, b) = (cell("a"), cell("b"));
+    let p90 = |o: &Outcome| oc_stats::percentile_slice(&o.rates, 90.0);
+    r.claim(
         "cell b (lowest usage variance) vs cell a violation rate",
-        format!("p90 rate: b {:.4} vs a {:.4}", b.1, a.1),
+        format!("p90 rate: b {:.4} vs a {:.4}", p90(b)?, p90(a)?),
         "cell b stands out as the worst; others comparable to a",
     );
-    let others_better = cell_stats
+    let others_better = rows
         .iter()
-        .filter(|(n, _, _)| n != "a" && n != "b")
-        .filter(|(_, _, s)| *s >= a.2)
+        .filter(|o| o.name != "a" && o.name != "b")
+        .filter(|o| mean(&o.savings) >= mean(&a.savings))
         .count();
-    claim(
+    r.claim(
         "savings in other cells vs cell a",
         format!("{others_better}/6 cells save at least as much as a"),
         "almost always greater than cell a",
     );
-
-    write_cdf_csv(&opts.csv("fig11a_violation_rate.csv"), &viol_csv)?;
-    Ok(())
+    Ok(r)
 }

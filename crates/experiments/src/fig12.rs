@@ -1,13 +1,11 @@
 //! Figure 12: the max predictor over four consecutive weeks of cell `a`.
 
-use crate::common::{banner, claim, Opts, Scale};
-use crate::output::{cdf_header, cdf_row, f, write_cdf_csv, Table};
-use oc_core::config::SimConfig;
+use crate::common::{Opts, Scale};
+use crate::fig10::{savings_table, severity, violation_panels, Outcome};
+use crate::output::Report;
 use oc_core::metrics::VIOLATION_EPS;
 use oc_core::predictor::PredictorSpec;
-use oc_core::runner::run_cell_streaming;
 use oc_trace::cell::{CellConfig, CellPreset};
-use oc_trace::gen::WorkloadGenerator;
 use oc_trace::time::TICKS_PER_DAY;
 use std::error::Error;
 
@@ -25,12 +23,7 @@ pub(crate) fn cell(opts: &Opts) -> CellConfig {
 /// Runs the Figure 12 reproduction: a single four-week simulation of cell
 /// `a` under the max predictor, sliced per week — violation rate,
 /// severity and savings must be stable across weeks.
-///
-/// # Errors
-///
-/// Propagates simulation and I/O errors.
-pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
-    banner("fig12", "max predictor across four weeks of cell a");
+pub fn run(opts: &Opts) -> Result<Report, Box<dyn Error>> {
     let cell = cell(opts);
     let slice_len = (cell.duration_ticks / 4) as usize;
     let slice_name = if opts.scale == Scale::Quick {
@@ -39,25 +32,14 @@ pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
         "week"
     };
 
-    let gen = WorkloadGenerator::new(cell)?;
-    let run = run_cell_streaming(
-        &gen,
-        &SimConfig::default().with_series(),
-        &[PredictorSpec::paper_max()],
-        opts.threads,
-    )?;
+    let run = opts.simulate(cell, &[PredictorSpec::paper_max()])?;
 
-    let mut viol = Table::new(&cdf_header(&format!("{slice_name} (violation rate)")));
-    let mut sev = Table::new(&cdf_header(&format!("{slice_name} (tick severity)")));
-    let mut save = Table::new(&[slice_name, "mean cell savings"]);
-    let mut viol_csv = Vec::new();
-    let mut week_medians = Vec::new();
-
+    let mut rows = Vec::new();
     for week in 0..4usize {
         let lo = week * slice_len;
         let hi = lo + slice_len;
         let mut rates = Vec::new();
-        let mut sevs = Vec::new();
+        let mut severities = Vec::new();
         let mut limit_sum = vec![0.0; slice_len];
         let mut pred_sum = vec![0.0; slice_len];
         for r in &run.results {
@@ -65,49 +47,43 @@ pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
             let mut violations = 0usize;
             for i in lo..hi {
                 let (p, po) = (s.predictions[0][i], s.oracle[i]);
-                let violating = p + VIOLATION_EPS < po;
-                if violating {
+                if p + VIOLATION_EPS < po {
                     violations += 1;
                 }
-                sevs.push(if violating && po > 0.0 {
-                    (po - p) / po
-                } else {
-                    0.0
-                });
+                severities.push(severity(p, po));
                 limit_sum[i - lo] += s.limit[i];
                 pred_sum[i - lo] += s.predictions[0][i];
             }
             rates.push(violations as f64 / slice_len as f64);
         }
-        let savings: Vec<f64> = limit_sum
+        let savings = limit_sum
             .iter()
             .zip(pred_sum.iter())
             .map(|(&l, &p)| if l > 0.0 { (l - p) / l } else { 0.0 })
             .collect();
-        let label = format!("{slice_name} {}", week + 1);
-        viol.row(cdf_row(&label, &rates));
-        sev.row(cdf_row(&label, &sevs));
-        save.row(vec![
-            label.clone(),
-            f(savings.iter().sum::<f64>() / savings.len().max(1) as f64),
-        ]);
-        week_medians.push(oc_stats::percentile_slice(&rates, 50.0)?);
-        viol_csv.push((label, rates));
+        rows.push(Outcome {
+            name: format!("{slice_name} {}", week + 1),
+            rates,
+            severities,
+            savings,
+        });
     }
-    println!("(a) per-machine violation rate");
-    viol.print();
-    println!("(b) violation severity");
-    sev.print();
-    println!("(c) savings");
-    save.print();
+    let mut r = Report::default();
+    let csv = "fig12a_violation_rate.csv";
+    violation_panels(&mut r, slice_name, &rows, csv, "(b) violation severity");
+    r.line("(c) savings");
+    savings_table(&mut r, slice_name, &rows);
 
+    let week_medians = rows
+        .iter()
+        .map(|o| oc_stats::percentile_slice(&o.rates, 50.0))
+        .collect::<Result<Vec<f64>, _>>()?;
     let spread = week_medians.iter().cloned().fold(0.0, f64::max)
         - week_medians.iter().cloned().fold(f64::INFINITY, f64::min);
-    claim(
+    r.claim(
         "median violation rate spread across weeks",
         format!("{spread:.4}"),
         "consistent with week 1 (small spread)",
     );
-    write_cdf_csv(&opts.csv("fig12a_violation_rate.csv"), &viol_csv)?;
-    Ok(())
+    Ok(r)
 }

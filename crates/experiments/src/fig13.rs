@@ -1,7 +1,7 @@
 //! Figures 13 and 14: the production A/B experiment.
 
-use crate::common::{banner, claim, Opts, Scale};
-use crate::output::{cdf_header, cdf_row, write_cdf_csv, Table};
+use crate::common::{mean, Opts, Scale};
+use crate::output::{Report, Series};
 use oc_scheduler::ab::{run_ab, AbConfig, GroupOutcome};
 use oc_trace::cell::{CellConfig, CellPreset};
 use oc_trace::time::TICKS_PER_DAY;
@@ -56,105 +56,103 @@ pub(crate) fn config(opts: &Opts) -> AbConfig {
 /// violation rate and severity (13a/b), relative savings (13c), total
 /// allocations and workload (13d/e), per-task and per-machine latency
 /// (14a/b), and machine-utilization percentiles (14c/d/e).
-///
-/// # Errors
-///
-/// Propagates simulation and I/O errors.
-pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
-    banner(
-        "fig13+fig14",
-        "production A/B: borg-default (control) vs max predictor (exp)",
-    );
+pub fn run(opts: &Opts) -> Result<Report, Box<dyn Error>> {
     let cfg = config(opts);
     let out = run_ab(&cfg)?;
 
     let skip = (WARMUP_DAYS * TICKS_PER_DAY) as usize;
     let tail = |v: &[f64]| -> Vec<f64> { v.iter().skip(skip).copied().collect() };
+    let series = |f: &dyn Fn(&GroupOutcome) -> Vec<f64>| -> Vec<Series> {
+        [&out.control, &out.experiment]
+            .iter()
+            .map(|g| (g.name.clone(), f(g)))
+            .collect()
+    };
+    let mut r = Report::default();
 
     // --- Figure 13 -------------------------------------------------------
-    let groups = [&out.control, &out.experiment];
-    let mut viol = Table::new(&cdf_header("group (violation rate)"));
-    let mut sev = Table::new(&cdf_header("group (machine severity)"));
-    let mut save = Table::new(&cdf_header("group (relative savings)"));
-    let mut alloc = Table::new(&cdf_header("group (alloc/capacity)"));
-    let mut work = Table::new(&cdf_header("group (usage/capacity)"));
-    let mut csv_savings = Vec::new();
-    for g in groups {
-        viol.row(cdf_row(&g.name, &g.replay.violation_rates(0)));
-        sev.row(cdf_row(&g.name, &g.replay.mean_severities(0)));
-        let savings = tail(&g.stats.savings);
-        save.row(cdf_row(&g.name, &savings));
-        alloc.row(cdf_row(&g.name, &tail(&g.stats.alloc_ratio)));
-        work.row(cdf_row(&g.name, &tail(&g.stats.usage_ratio)));
-        csv_savings.push((g.name.clone(), savings));
-    }
-    println!("(13a) per-machine violation rate");
-    viol.print();
-    println!("(13b) per-machine mean violation severity");
-    sev.print();
-    println!("(13c) relative savings (ΣL − ΣP)/ΣL per tick");
-    save.print();
-    println!("(13d) total allocations (Σ limits / Σ capacity) per tick");
-    alloc.print();
-    println!("(13e) total workload (Σ usage / Σ capacity) per tick");
-    work.print();
+    r.cdf(
+        "(13a) per-machine violation rate",
+        "group (violation rate)",
+        series(&|g| g.replay.violation_rates(0)),
+    );
+    r.cdf(
+        "(13b) per-machine mean violation severity",
+        "group (machine severity)",
+        series(&|g| g.replay.mean_severities(0)),
+    );
+    r.cdf_csv(
+        "fig13c_savings.csv",
+        "(13c) relative savings (ΣL − ΣP)/ΣL per tick",
+        "group (relative savings)",
+        series(&|g| tail(&g.stats.savings)),
+    );
+    r.cdf(
+        "(13d) total allocations (Σ limits / Σ capacity) per tick",
+        "group (alloc/capacity)",
+        series(&|g| tail(&g.stats.alloc_ratio)),
+    );
+    r.cdf(
+        "(13e) total workload (Σ usage / Σ capacity) per tick",
+        "group (usage/capacity)",
+        series(&|g| tail(&g.stats.usage_ratio)),
+    );
 
-    let mean = |v: Vec<f64>| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    let c_save = mean(tail(&out.control.stats.savings));
-    let e_save = mean(tail(&out.experiment.stats.savings));
-    claim(
+    let c_save = mean(&tail(&out.control.stats.savings));
+    let e_save = mean(&tail(&out.experiment.stats.savings));
+    r.claim(
         "savings: control vs experiment",
         format!("control {:.3}, exp {:.3}", c_save, e_save),
         "exp consistently above control (paper: 0.10-0.12 vs >0.16)",
     );
-    let c_alloc = mean(tail(&out.control.stats.alloc_ratio));
-    let e_alloc = mean(tail(&out.experiment.stats.alloc_ratio));
-    claim(
+    let c_alloc = mean(&tail(&out.control.stats.alloc_ratio));
+    let e_alloc = mean(&tail(&out.experiment.stats.alloc_ratio));
+    r.claim(
         "workload increase by allocations",
         format!("{:+.1}%", 100.0 * (e_alloc - c_alloc)),
         "≈ +2%",
     );
-    let c_use = mean(tail(&out.control.stats.usage_ratio));
-    let e_use = mean(tail(&out.experiment.stats.usage_ratio));
-    claim(
+    let c_use = mean(&tail(&out.control.stats.usage_ratio));
+    let e_use = mean(&tail(&out.experiment.stats.usage_ratio));
+    r.claim(
         "workload increase by usage",
         format!("{:+.1}%", 100.0 * (e_use - c_use)),
         "≈ +6%",
     );
 
     // --- Figure 14 -------------------------------------------------------
-    let norm_unit = mean(out.control.task_latency.clone());
-    let mut task_lat = Table::new(&cdf_header("group (norm. task latency)"));
-    let mut mach_lat = Table::new(&cdf_header("group (norm. p90 machine latency)"));
-    let mut util50 = Table::new(&cdf_header("group (p50 machine util)"));
-    let mut util_avg = Table::new(&cdf_header("group (avg machine util)"));
-    let mut util99 = Table::new(&cdf_header("group (p99 machine util)"));
-    let mut csv_task_lat = Vec::new();
-    for g in groups {
-        let t_lat: Vec<f64> = g.task_latency.iter().map(|&l| l / norm_unit).collect();
-        task_lat.row(cdf_row(&g.name, &t_lat));
-        let m_lat: Vec<f64> = g.qos.iter().map(|q| q.p90 / norm_unit).collect();
-        mach_lat.row(cdf_row(&g.name, &m_lat));
-        util50.row(cdf_row(&g.name, &g.util_p50));
-        util_avg.row(cdf_row(&g.name, &g.util_avg));
-        util99.row(cdf_row(&g.name, &g.util_p99));
-        csv_task_lat.push((g.name.clone(), t_lat));
-    }
-    println!("(14a) per-task CPU scheduling latency (normalized to control mean)");
-    task_lat.print();
-    println!("(14b) per-machine 90%ile CPU scheduling latency");
-    mach_lat.print();
-    println!("(14c) median machine utilization");
-    util50.print();
-    println!("(14d) average machine utilization");
-    util_avg.print();
-    println!("(14e) 99%ile machine utilization");
-    util99.print();
+    let norm_unit = mean(&out.control.task_latency);
+    r.cdf_csv(
+        "fig14a_task_latency.csv",
+        "(14a) per-task CPU scheduling latency (normalized to control mean)",
+        "group (norm. task latency)",
+        series(&|g| g.task_latency.iter().map(|&l| l / norm_unit).collect()),
+    );
+    r.cdf(
+        "(14b) per-machine 90%ile CPU scheduling latency",
+        "group (norm. p90 machine latency)",
+        series(&|g| g.qos.iter().map(|q| q.p90 / norm_unit).collect()),
+    );
+    r.cdf(
+        "(14c) median machine utilization",
+        "group (p50 machine util)",
+        series(&|g| g.util_p50.clone()),
+    );
+    r.cdf(
+        "(14d) average machine utilization",
+        "group (avg machine util)",
+        series(&|g| g.util_avg.clone()),
+    );
+    r.cdf(
+        "(14e) 99%ile machine utilization",
+        "group (p99 machine util)",
+        series(&|g| g.util_p99.clone()),
+    );
 
     let p90 = |v: &[f64]| oc_stats::percentile_slice(v, 90.0).unwrap_or(f64::NAN);
     let c_l = p90(&out.control.task_latency);
     let e_l = p90(&out.experiment.task_latency);
-    claim(
+    r.claim(
         "tail task latency: exp vs control at p90",
         format!("{:+.1}%", 100.0 * (e_l - c_l) / c_l),
         "exp lower (≈ −5%; needs production-scale pools — see EXPERIMENTS.md)",
@@ -163,7 +161,7 @@ pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
         let v: Vec<f64> = g.qos.iter().map(|q| q.p90).collect();
         oc_stats::percentile_slice(&v, 99.0).unwrap_or(f64::NAN)
     };
-    claim(
+    r.claim(
         "hottest machine's p90 latency: exp vs control",
         format!(
             "{:+.1}%",
@@ -172,7 +170,7 @@ pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
         "exp's worst machines no hotter than control's",
     );
     let med = |v: &[f64]| oc_stats::percentile_slice(v, 50.0).unwrap_or(f64::NAN);
-    claim(
+    r.claim(
         "median machine utilization: exp vs control",
         format!(
             "exp {:.3} vs control {:.3}",
@@ -186,7 +184,7 @@ pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
         v.sort_by(|a, b| a.partial_cmp(b).unwrap());
         v.last().copied().unwrap_or(f64::NAN)
     };
-    claim(
+    r.claim(
         "hottest machine p99 utilization: exp vs control",
         format!(
             "exp {:.3} vs control {:.3}",
@@ -202,7 +200,7 @@ pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
         let v = g.replay.violation_rates(0);
         oc_stats::percentile_slice(&v, 50.0).unwrap_or(f64::NAN)
     };
-    claim(
+    r.claim(
         "median violation rate: exp vs control",
         format!(
             "exp {:.4} vs control {:.4}",
@@ -212,9 +210,5 @@ pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
         "exp slightly better (risk profile matched by design)",
     );
 
-    crate::plot::maybe_plot(opts, "fig13(c): relative savings", &csv_savings);
-    crate::plot::maybe_plot(opts, "fig14(a): normalized task latency", &csv_task_lat);
-    write_cdf_csv(&opts.csv("fig13c_savings.csv"), &csv_savings)?;
-    write_cdf_csv(&opts.csv("fig14a_task_latency.csv"), &csv_task_lat)?;
-    Ok(())
+    Ok(r)
 }

@@ -1,43 +1,30 @@
 //! Figure 4: task submission rates across trace cells.
 
-use crate::common::{banner, claim, Opts};
-use crate::output::{cdf_header, cdf_row, write_cdf_csv, Table};
-use oc_trace::cell::CellConfig;
-use oc_trace::gen::{submission_counts, WorkloadGenerator};
+use crate::common::{per_cell, Opts};
+use crate::output::Report;
+use oc_trace::gen::submission_counts;
 use std::error::Error;
 
 /// Runs the Figure 4 reproduction: per-cell CDFs of tasks submitted per
 /// 5-minute tick. The initial fill at tick 0 is excluded — it is an
 /// artifact of starting the simulated cell hot, not an arrival.
-///
-/// # Errors
-///
-/// Propagates generation and I/O errors.
-pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
-    banner(
-        "fig4",
-        "CDF of task submission rate (tasks / 5 min) per cell",
-    );
-    let mut t = Table::new(&cdf_header("cell (tasks/5min)"));
-    let mut csv = Vec::new();
+pub fn run(opts: &Opts) -> Result<Report, Box<dyn Error>> {
     let mut medians = Vec::new();
-    for preset in CellConfig::trace_cells() {
-        let cell = opts.scaled(preset, 3);
-        let name = cell.id.name().to_string();
-        let gen = WorkloadGenerator::new(cell)?;
-        let machines = gen.generate_cell_parallel(opts.threads)?;
-        let counts: Vec<f64> = submission_counts(&machines, gen.config().duration_ticks)
+    let counts = per_cell(opts.trace_cells(3), |cell| {
+        let ticks = cell.duration_ticks;
+        let machines = opts.generate(cell)?;
+        let counts: Vec<f64> = submission_counts(&machines, ticks)
             .into_iter()
             .skip(1) // Tick 0 is the initial fill.
             .map(|c| c as f64)
             .collect();
         let median = oc_stats::percentile_slice(&counts, 50.0)?;
         medians.push(1000.0 * median / machines.len() as f64);
-        t.row(cdf_row(&name, &counts));
-        csv.push((name, counts));
-    }
-    t.print();
-    claim(
+        Ok(counts)
+    })?;
+    let mut r = Report::default();
+    r.cdf_csv("fig4.csv", "", "cell (tasks/5min)", counts);
+    r.claim(
         "median submission rate per 1000 machines",
         format!(
             "{:.0}..{:.0} tasks/5min",
@@ -46,6 +33,5 @@ pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
         ),
         "paper cells: ~50-1000 tasks/5min at 10-40k machines ⇒ ~5-40 per 1000 machines",
     );
-    write_cdf_csv(&opts.csv("fig4.csv"), &csv)?;
-    Ok(())
+    Ok(r)
 }

@@ -1,10 +1,8 @@
 //! Figure 6: estimating the machine-level peak from per-task within-window
 //! percentiles.
 
-use crate::common::{banner, claim, Opts};
-use crate::output::{cdf_header, cdf_row, write_cdf_csv, Table};
-use oc_trace::cell::{CellConfig, CellPreset};
-use oc_trace::gen::WorkloadGenerator;
+use crate::common::{share, Opts};
+use crate::output::Report;
 use oc_trace::sample::UsageMetric;
 use std::error::Error;
 
@@ -20,15 +18,8 @@ const PERCENTILES: [f64; 7] = [50.0, 60.0, 70.0, 80.0, 90.0, 95.0, 100.0];
 /// trace) knows the instantaneous series. The paper picks the 90th
 /// percentile since it exceeds the actual peak ≈95 % of the time while
 /// the sum of task maxima wildly overestimates.
-///
-/// # Errors
-///
-/// Propagates generation and I/O errors.
-pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
-    banner("fig6", "Σ per-task k%ile vs actual machine peak (cell a)");
-    let cell = opts.scaled(CellConfig::preset(CellPreset::A), 3);
-    let gen = WorkloadGenerator::new(cell)?;
-    let machines = gen.generate_cell_parallel(opts.threads)?;
+pub fn run(opts: &Opts) -> Result<Report, Box<dyn Error>> {
+    let machines = opts.generate(opts.cell_a(3))?;
 
     let mut diffs: Vec<Vec<f64>> = vec![Vec::new(); PERCENTILES.len()];
     for m in &machines {
@@ -49,25 +40,22 @@ pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
         }
     }
 
-    let mut t = Table::new(&cdf_header("estimator (approx − actual)"));
-    let mut csv = Vec::new();
-    let mut frac_safe_90 = 0.0;
-    for (j, &p) in PERCENTILES.iter().enumerate() {
-        let name = format!("sum({p:.0}%ile)");
-        t.row(cdf_row(&name, &diffs[j]));
-        let safe =
-            diffs[j].iter().filter(|&&d| d >= 0.0).count() as f64 / diffs[j].len().max(1) as f64;
-        if p == 90.0 {
-            frac_safe_90 = safe;
-        }
-        csv.push((name, std::mem::take(&mut diffs[j])));
-    }
-    t.print();
-    claim(
+    let p90 = PERCENTILES
+        .iter()
+        .position(|&p| p == 90.0)
+        .expect("90 is swept");
+    let safe_90 = share(&diffs[p90], |d| d >= 0.0);
+    let series = PERCENTILES
+        .iter()
+        .zip(diffs)
+        .map(|(p, d)| (format!("sum({p:.0}%ile)"), d))
+        .collect();
+    let mut r = Report::default();
+    r.cdf_csv("fig6.csv", "", "estimator (approx − actual)", series);
+    r.claim(
         "P(Σ 90%ile ≥ actual peak)",
-        format!("{:.1}%", 100.0 * frac_safe_90),
+        format!("{:.1}%", 100.0 * safe_90),
         "> 95% of the time",
     );
-    write_cdf_csv(&opts.csv("fig6.csv"), &csv)?;
-    Ok(())
+    Ok(r)
 }

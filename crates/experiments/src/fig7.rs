@@ -1,73 +1,52 @@
 //! Figure 7: exploratory analysis configuring the oracle and borg-default.
 
-use crate::common::{banner, claim, Opts};
-use crate::output::{cdf_header, cdf_row, write_cdf_csv, Table};
+use crate::common::{per_cell, share, Opts};
+use crate::output::Report;
 use oc_core::oracle::machine_oracle;
-use oc_trace::cell::{CellConfig, CellPreset};
-use oc_trace::gen::WorkloadGenerator;
 use oc_trace::sample::UsageMetric;
 use oc_trace::time::TICKS_PER_HOUR;
 use std::error::Error;
 
 /// Runs Figure 7(a): task-runtime CDFs across cells.
-///
-/// # Errors
-///
-/// Propagates generation and I/O errors.
-pub fn run_a(opts: &Opts) -> Result<(), Box<dyn Error>> {
-    banner("fig7a", "task runtime CDFs per cell");
-    let mut t = Table::new(&cdf_header("cell (runtime hours)"));
-    let mut csv = Vec::new();
-    let mut under_24 = Vec::new();
-    for preset in CellConfig::trace_cells() {
-        // Runtime distributions need the full week to show the tail.
-        let mut cell = opts.scaled(preset, 7);
-        if opts.scale == crate::common::Scale::Quick {
+pub fn run_a(opts: &Opts) -> Result<Report, Box<dyn Error>> {
+    // Runtime distributions need the full week to show the tail.
+    let mut cells = opts.trace_cells(7);
+    if opts.scale == crate::common::Scale::Quick {
+        for cell in &mut cells {
             cell.machines = cell.machines.min(12);
         }
-        let name = cell.id.name().to_string();
-        let gen = WorkloadGenerator::new(cell)?;
-        let machines = gen.generate_cell_parallel(opts.threads)?;
-        let runtimes: Vec<f64> = machines
+    }
+    let runtimes = per_cell(cells, |cell| {
+        Ok(opts
+            .generate(cell)?
             .iter()
             .flat_map(|m| m.tasks.iter().map(|task| task.spec.runtime_hours()))
-            .collect();
-        let frac =
-            runtimes.iter().filter(|&&h| h < 24.0).count() as f64 / runtimes.len().max(1) as f64;
-        under_24.push((name.clone(), frac));
-        t.row(cdf_row(&name, &runtimes));
-        csv.push((name, runtimes));
-    }
-    t.print();
-    for (name, frac) in &under_24 {
+            .collect::<Vec<f64>>())
+    })?;
+    let under_24: Vec<(String, f64)> = runtimes
+        .iter()
+        .map(|(name, hours)| (name.clone(), share(hours, |h| h < 24.0)))
+        .collect();
+    let mut r = Report::default();
+    r.cdf_csv("fig7a.csv", "", "cell (runtime hours)", runtimes);
+    for (name, frac) in under_24 {
         let paper = match name.as_str() {
             "c" => "≈98% (the short-task cell)",
             "g" => "≈75% (the long-task cell)",
             _ => "75–98% depending on cell",
         };
-        claim(
-            &format!("cell {name}: tasks shorter than 24h"),
+        r.claim(
+            format!("cell {name}: tasks shorter than 24h"),
             format!("{:.1}%", 100.0 * frac),
             paper,
         );
     }
-    write_cdf_csv(&opts.csv("fig7a.csv"), &csv)?;
-    Ok(())
+    Ok(r)
 }
 
 /// Runs Figure 7(b): shorter-horizon oracles vs the 72-hour oracle.
-///
-/// # Errors
-///
-/// Propagates generation and I/O errors.
-pub fn run_b(opts: &Opts) -> Result<(), Box<dyn Error>> {
-    banner(
-        "fig7b",
-        "oracle horizon comparison (normalized difference to 72h)",
-    );
-    let cell = opts.scaled(CellConfig::preset(CellPreset::A), 7);
-    let gen = WorkloadGenerator::new(cell)?;
-    let machines = gen.generate_cell_parallel(opts.threads)?;
+pub fn run_b(opts: &Opts) -> Result<Report, Box<dyn Error>> {
+    let machines = opts.generate(opts.cell_a(7))?;
     let metric = UsageMetric::P90;
     let horizons_h: [u64; 5] = [3, 6, 12, 24, 48];
 
@@ -84,43 +63,31 @@ pub fn run_b(opts: &Opts) -> Result<(), Box<dyn Error>> {
         }
     }
 
-    let mut t = Table::new(&cdf_header("oracle (norm. diff)"));
-    let mut csv = Vec::new();
-    let mut frac_24_within_5 = 0.0;
-    for (j, &h) in horizons_h.iter().enumerate() {
-        let name = format!("oracle_{h}h");
-        t.row(cdf_row(&name, &diffs[j]));
-        if h == 24 {
-            frac_24_within_5 = diffs[j].iter().filter(|&&d| d < 0.05).count() as f64
-                / diffs[j].len().max(1) as f64;
-        }
-        csv.push((name, std::mem::take(&mut diffs[j])));
-    }
-    t.print();
-    claim(
+    let i24 = horizons_h
+        .iter()
+        .position(|&h| h == 24)
+        .expect("24h is swept");
+    let within_5 = share(&diffs[i24], |d| d < 0.05);
+    let series = horizons_h
+        .iter()
+        .zip(diffs)
+        .map(|(h, d)| (format!("oracle_{h}h"), d))
+        .collect();
+    let mut r = Report::default();
+    r.cdf_csv("fig7b.csv", "", "oracle (norm. diff)", series);
+    r.claim(
         "24h oracle within 5% of 72h oracle",
-        format!("{:.1}% of points", 100.0 * frac_24_within_5),
+        format!("{:.1}% of points", 100.0 * within_5),
         "≥95% of points",
     );
-    write_cdf_csv(&opts.csv("fig7b.csv"), &csv)?;
-    Ok(())
+    Ok(r)
 }
 
 /// Runs Figure 7(c): per-task usage-to-limit ratio CDFs across cells.
-///
-/// # Errors
-///
-/// Propagates generation and I/O errors.
-pub fn run_c(opts: &Opts) -> Result<(), Box<dyn Error>> {
-    banner("fig7c", "task usage-to-limit ratio CDFs per cell");
-    let mut t = Table::new(&cdf_header("cell (usage/limit)"));
-    let mut csv = Vec::new();
+pub fn run_c(opts: &Opts) -> Result<Report, Box<dyn Error>> {
     let mut worst_p95 = 0.0f64;
-    for preset in CellConfig::trace_cells() {
-        let cell = opts.scaled(preset, 3);
-        let name = cell.id.name().to_string();
-        let gen = WorkloadGenerator::new(cell)?;
-        let machines = gen.generate_cell_parallel(opts.threads)?;
+    let ratios = per_cell(opts.trace_cells(3), |cell| {
+        let machines = opts.generate(cell)?;
         let mut ratios = Vec::new();
         for m in &machines {
             for task in &m.tasks {
@@ -135,15 +102,14 @@ pub fn run_c(opts: &Opts) -> Result<(), Box<dyn Error>> {
             }
         }
         worst_p95 = worst_p95.max(oc_stats::percentile_slice(&ratios, 95.0)?);
-        t.row(cdf_row(&name, &ratios));
-        csv.push((name, ratios));
-    }
-    t.print();
-    claim(
+        Ok(ratios)
+    })?;
+    let mut r = Report::default();
+    r.cdf_csv("fig7c.csv", "", "cell (usage/limit)", ratios);
+    r.claim(
         "max over cells of 95%ile usage/limit",
         format!("{worst_p95:.3}"),
         "< 0.9 in every cell (motivates borg-default φ = 0.9)",
     );
-    write_cdf_csv(&opts.csv("fig7c.csv"), &csv)?;
-    Ok(())
+    Ok(r)
 }

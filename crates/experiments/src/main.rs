@@ -1,10 +1,13 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--full] [--threads N] [--results DIR] [--seed U64]
+//! repro [--full] [--plot] [--threads N] [--results DIR] [--seed U64]
 //!       [--trace-out FILE] <experiment>...
 //! repro all
 //! ```
+//!
+//! Every id is resolved against the registry before any experiment runs:
+//! one unknown id is a usage error, and nothing runs.
 //!
 //! With `--trace-out FILE`, structured tracing is enabled for the run:
 //! the simulator core records sampled `sim.tick` spans and the drained
@@ -47,6 +50,10 @@ fn main() -> ExitCode {
     if experiments.is_empty() {
         return usage("no experiment given");
     }
+    let plan = match oc_experiments::resolve(&experiments) {
+        Ok(plan) => plan,
+        Err(e) => return usage(&e),
+    };
     if trace_out.is_some() {
         oc_telemetry::trace::enable();
     }
@@ -60,9 +67,9 @@ fn main() -> ExitCode {
             None => String::new(),
         }
     );
-    for id in &experiments {
-        if let Err(e) = oc_experiments::dispatch(id, &opts) {
-            eprintln!("error running {id}: {e}");
+    for exp in plan {
+        if let Err(e) = oc_experiments::run(exp, &opts) {
+            eprintln!("error running {}: {e}", exp.id);
             return ExitCode::FAILURE;
         }
     }
@@ -90,10 +97,10 @@ fn usage(err: &str) -> ExitCode {
     eprintln!(
         "usage: repro [--full] [--plot] [--threads N] [--results DIR] [--seed U64] \
          [--trace-out FILE] <experiment>...\n\
-         experiments: {}, fig13 (= fig14), autopilot, seasonal, powercap, all\n\
+         experiments: {}\n\
          --full runs the presets' full scale; the default is a quick pass\n\
          --seed overrides every cell preset's workload seed (sensitivity runs)",
-        oc_experiments::ALL_EXPERIMENTS.join(", ")
+        oc_experiments::known_ids()
     );
     if err.is_empty() {
         ExitCode::SUCCESS

@@ -70,18 +70,6 @@ pub fn render_cdfs(series: &[(String, Vec<f64>)]) -> String {
     out
 }
 
-/// Prints the plot when plotting is enabled in `opts`.
-pub fn maybe_plot(opts: &crate::common::Opts, title: &str, series: &[(String, Vec<f64>)]) {
-    if !opts.plot {
-        return;
-    }
-    let rendered = render_cdfs(series);
-    if !rendered.is_empty() {
-        println!("\n  [plot] {title}");
-        print!("{rendered}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,8 +16,8 @@
 //!    vector gate ([`SimMachine::fits`]) stops at memory capacity. This is
 //!    the worked example the README quickstart walks through.
 
-use crate::common::{banner, claim, Opts};
-use crate::output::{write_csv, Table};
+use crate::common::Opts;
+use crate::output::Report;
 use oc_core::config::SimConfig;
 use oc_core::metrics::VIOLATION_EPS;
 use oc_core::predictor::PredictorSpec;
@@ -27,7 +27,6 @@ use oc_scheduler::arrival::TaskRequest;
 use oc_scheduler::machine::{SimMachine, MEM_CAPACITY};
 use oc_stats::resource::CPU;
 use oc_trace::cell::{CellConfig, CellPreset};
-use oc_trace::gen::WorkloadGenerator;
 use oc_trace::ids::{JobId, MachineId, TaskId};
 use oc_trace::task::SchedulingClass;
 use oc_trace::time::Tick;
@@ -45,36 +44,22 @@ struct TickLoad {
 }
 
 /// Runs the power-cap scenario.
-///
-/// # Errors
-///
-/// Propagates simulation and I/O errors.
-pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
-    banner(
-        "powercap",
-        "node power from the CPU lane: cap frontier + worst-lane admission demo",
-    );
-    let loads = collect_loads(opts)?;
-    frontier(opts, &loads)?;
-    gating_demo()?;
-    Ok(())
+pub fn run(opts: &Opts) -> Result<Report, Box<dyn Error>> {
+    let mut r = Report::default();
+    frontier(&mut r, &collect_loads(opts)?);
+    gating_demo(&mut r)?;
+    Ok(r)
 }
 
 /// Replays cell A through the vector simulator and flattens every
 /// machine-tick into the frontier's input.
 fn collect_loads(opts: &Opts) -> Result<Vec<TickLoad>, Box<dyn Error>> {
-    let cell = opts.scaled(CellConfig::preset(CellPreset::A), 2);
-    let gen = WorkloadGenerator::new(cell)?;
-    let machines = gen.generate_cell_parallel(opts.threads)?;
+    let machines = opts.generate(opts.cell_a(2))?;
     let cfg = SimConfig::default().with_series();
-    let predictors = [PredictorSpec::paper_max()];
     let mem_model = MemoryModel::default();
     let mut loads = Vec::new();
     for trace in &machines {
-        let specs: Vec<_> = predictors
-            .iter()
-            .map(|s| s.build().map_err(Box::<dyn Error>::from))
-            .collect::<Result<_, _>>()?;
+        let specs = [PredictorSpec::paper_max().build()?];
         let out = simulate_machine_vec(trace, &cfg, &specs, &mem_model)?;
         let series = out.series.as_ref().expect("series enabled");
         let cpu_capacity = out.capacity.lane(CPU);
@@ -90,18 +75,12 @@ fn collect_loads(opts: &Opts) -> Result<Vec<TickLoad>, Box<dyn Error>> {
     Ok(loads)
 }
 
-/// Sweeps the cap ratios and prints/writes the frontier.
-fn frontier(opts: &Opts, loads: &[TickLoad]) -> Result<(), Box<dyn Error>> {
+/// Sweeps the cap ratios and reports the frontier.
+fn frontier(r: &mut Report, loads: &[TickLoad]) {
     let model = PowerModel::default();
     let n = loads.len().max(1) as f64;
     let violation_base = loads.iter().filter(|l| l.cpu_violation).count() as f64 / n;
-    let mut table = Table::new(&[
-        "cap",
-        "capped ticks",
-        "energy saved",
-        "violation overlap",
-        "stretch p99 (prm/std/be)",
-    ]);
+    let mut table = Vec::new();
     let mut rows = Vec::new();
     let mut claim_85: Option<(f64, f64, f64)> = None;
     for cap in CAP_RATIOS {
@@ -139,7 +118,7 @@ fn frontier(opts: &Opts, loads: &[TickLoad]) -> Result<(), Box<dyn Error>> {
         };
         let p99 = |v: &[f64]| oc_stats::percentile_slice(v, 99.0).unwrap_or(1.0);
         let p99s: Vec<f64> = stretches.iter().map(|s| p99(s)).collect();
-        table.row(vec![
+        table.push(vec![
             format!("{cap:.2}"),
             format!("{:.1}%", capped_frac * 100.0),
             format!("{:.2}%", saved * 100.0),
@@ -174,9 +153,16 @@ fn frontier(opts: &Opts, loads: &[TickLoad]) -> Result<(), Box<dyn Error>> {
             }
         }
     }
-    table.print();
+    let header = [
+        "cap",
+        "capped ticks",
+        "energy saved",
+        "violation overlap",
+        "stretch p99 (prm/std/be)",
+    ];
+    r.table(&header, table);
     if let Some((capped_frac, overlap, be_stretch)) = claim_85 {
-        claim(
+        r.claim(
             "ticks throttled at a 0.85 power cap",
             format!(
                 "{:.1}% (best-effort p99 stretch {be_stretch:.3})",
@@ -184,20 +170,19 @@ fn frontier(opts: &Opts, loads: &[TickLoad]) -> Result<(), Box<dyn Error>> {
             ),
             "extension: power oversubscription tolerates overcommit when caps are rare",
         );
-        claim(
+        r.claim(
             "cap events landing on CPU prediction-violation ticks",
             format!(
                 "{:.1}% vs {:.1}% base rate",
                 overlap * 100.0,
-                loads.iter().filter(|l| l.cpu_violation).count() as f64 / loads.len().max(1) as f64
-                    * 100.0
+                violation_base * 100.0
             ),
             "extension: the max composite keeps violations off the power peaks, \
              so capping and misprediction do not compound",
         );
     }
-    write_csv(
-        &opts.csv("powercap_frontier.csv"),
+    r.csv(
+        "powercap_frontier.csv",
         &[
             "cap",
             "capped_tick_frac",
@@ -209,8 +194,7 @@ fn frontier(opts: &Opts, loads: &[TickLoad]) -> Result<(), Box<dyn Error>> {
             "stretch_p99_best_effort",
         ],
         rows,
-    )?;
-    Ok(())
+    );
 }
 
 /// A CPU-light memory hog submission.
@@ -245,7 +229,7 @@ fn demo_machine() -> Result<SimMachine, Box<dyn Error>> {
 /// The memory-bound cell walked through in the README: CPU-only gating
 /// admits machines whose memory lane is oversubscribed; the worst-lane
 /// vector gate does not.
-fn gating_demo() -> Result<(), Box<dyn Error>> {
+fn gating_demo(r: &mut Report) -> Result<(), Box<dyn Error>> {
     let mut vector = demo_machine()?;
     let mut cpu_only = demo_machine()?;
     let mut admitted_vector = 0u32;
@@ -271,24 +255,23 @@ fn gating_demo() -> Result<(), Box<dyn Error>> {
     }
     let mem_peak = |m: &SimMachine| m.mem_predictions.last().copied().unwrap_or(0.0);
     let (vec_peak, cpu_peak) = (mem_peak(&vector), mem_peak(&cpu_only));
-    let mut t = Table::new(&["gate", "tasks admitted", "mem-lane predicted peak"]);
-    t.row(vec![
-        "worst-lane (vector)".into(),
-        format!("{admitted_vector}"),
-        format!("{:.2}x capacity", vec_peak / MEM_CAPACITY),
-    ]);
-    t.row(vec![
-        "cpu-only".into(),
-        format!("{admitted_cpu_only}"),
-        format!("{:.2}x capacity", cpu_peak / MEM_CAPACITY),
-    ]);
-    t.print();
-    claim(
+    let row = |gate: &str, admitted: u32, peak: f64| {
+        let peak = format!("{:.2}x capacity", peak / MEM_CAPACITY);
+        vec![gate.to_string(), admitted.to_string(), peak]
+    };
+    r.table(
+        &["gate", "tasks admitted", "mem-lane predicted peak"],
+        vec![
+            row("worst-lane (vector)", admitted_vector, vec_peak),
+            row("cpu-only", admitted_cpu_only, cpu_peak),
+        ],
+    );
+    r.claim(
         "memory-bound cell: tasks admitted per machine",
         format!("cpu-only gate {admitted_cpu_only}, worst-lane gate {admitted_vector}"),
         "extension: the CPU lane alone cannot see the binding resource",
     );
-    claim(
+    r.claim(
         "memory-lane predicted peak after admission",
         format!(
             "cpu-only {:.2}x capacity (violating), worst-lane {:.2}x (safe)",
@@ -312,23 +295,28 @@ mod tests {
     fn gating_demo_invariants_hold() {
         // The demo itself asserts: vector gate stays under memory
         // capacity, cpu-only oversubscribes.
-        gating_demo().unwrap();
+        let mut r = Report::default();
+        gating_demo(&mut r).unwrap();
+        assert_eq!(r.claims().count(), 2);
     }
 
     #[test]
     fn frontier_runs_on_a_tiny_cell() {
-        let mut opts = Opts {
-            results: std::env::temp_dir().join("oc-powercap-test"),
+        let opts = Opts {
+            threads: 2,
             ..Opts::default()
         };
-        opts.threads = 2;
         let loads = {
             let mut loads = collect_loads(&opts).unwrap();
             loads.truncate(2000);
             loads
         };
-        frontier(&opts, &loads).unwrap();
-        let csv = std::fs::read_to_string(opts.csv("powercap_frontier.csv")).unwrap();
+        let mut r = Report::default();
+        frontier(&mut r, &loads);
+        let dir = std::env::temp_dir().join(format!("oc-powercap-test-{}", std::process::id()));
+        r.write_csvs(&dir).unwrap();
+        let csv = std::fs::read_to_string(dir.join("powercap_frontier.csv")).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
         assert!(csv.lines().count() == CAP_RATIOS.len() + 1, "{csv}");
         assert!(csv.starts_with("cap,"), "{csv}");
     }

@@ -1,9 +1,8 @@
 //! Table 1: the production-cell inventory.
 
-use crate::common::{banner, claim, Opts};
-use crate::output::{write_csv, Table};
+use crate::common::{per_cell, Opts};
+use crate::output::Report;
 use oc_trace::cell::CellConfig;
-use oc_trace::gen::WorkloadGenerator;
 use std::error::Error;
 
 /// Paper machine counts (×10³) for production cells 1–5.
@@ -14,37 +13,23 @@ const PAPER_TASKS: [f64; 5] = [14.8, 12.8, 9.4, 81.3, 3.7];
 /// Runs the Table 1 reproduction: generates the five production cells and
 /// reports machine and task counts next to the paper's (the presets keep
 /// the paper's *ratios* at ≈400× smaller machine counts).
-///
-/// # Errors
-///
-/// Propagates generation and I/O errors.
-pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
-    banner("table1", "production-cell inventory (machines, tasks)");
-    let mut t = Table::new(&[
-        "cell",
-        "machines",
-        "tasks",
-        "machines/median",
-        "paper machines/median",
-        "tasks/median",
-        "paper tasks/median",
-    ]);
-
-    let mut rows = Vec::new();
-    let mut machine_counts = Vec::new();
-    let mut task_counts = Vec::new();
-    for preset in CellConfig::production_cells() {
-        // Inventory ratios are the point of this table; keep the presets'
-        // machine counts and shorten the period in quick runs instead.
-        let mut cell = opts.scaled(preset.clone(), 7);
-        cell.machines = preset.machines;
-        let gen = WorkloadGenerator::new(cell)?;
-        let machines = gen.generate_cell_parallel(opts.threads)?;
+pub fn run(opts: &Opts) -> Result<Report, Box<dyn Error>> {
+    // Inventory ratios are the point of this table; keep the presets'
+    // machine counts and shorten the period in quick runs instead.
+    let cells = CellConfig::production_cells()
+        .into_iter()
+        .map(|preset| CellConfig {
+            machines: preset.machines,
+            ..opts.scaled(preset.clone(), 7)
+        })
+        .collect();
+    let rows = per_cell(cells, |cell| {
+        let machines = opts.generate(cell)?;
         let tasks: usize = machines.iter().map(|m| m.task_count()).sum();
-        machine_counts.push(machines.len() as f64);
-        task_counts.push(tasks as f64);
-        rows.push((gen.config().id.name().to_string(), machines.len(), tasks));
-    }
+        Ok((machines.len(), tasks))
+    })?;
+    let machine_counts: Vec<f64> = rows.iter().map(|(_, (m, _))| *m as f64).collect();
+    let task_counts: Vec<f64> = rows.iter().map(|(_, (_, t))| *t as f64).collect();
     let median = |v: &[f64]| {
         let mut s = v.to_vec();
         s.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -55,9 +40,9 @@ pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
     let pm_med = median(&PAPER_MACHINES);
     let pt_med = median(&PAPER_TASKS);
 
-    let mut csv_rows = Vec::new();
-    for (i, (name, machines, tasks)) in rows.iter().enumerate() {
-        t.row(vec![
+    let (mut t, mut csv_rows) = (Vec::new(), Vec::new());
+    for (i, (name, (machines, tasks))) in rows.iter().enumerate() {
+        t.push(vec![
             name.clone(),
             machines.to_string(),
             tasks.to_string(),
@@ -68,8 +53,18 @@ pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
         ]);
         csv_rows.push(vec![name.clone(), machines.to_string(), tasks.to_string()]);
     }
-    t.print();
-    claim(
+    let mut r = Report::default();
+    let header = [
+        "cell",
+        "machines",
+        "tasks",
+        "machines/median",
+        "paper machines/median",
+        "tasks/median",
+        "paper tasks/median",
+    ];
+    r.table(&header, t);
+    r.claim(
         "largest/smallest machine ratio",
         format!(
             "{:.1}",
@@ -78,10 +73,6 @@ pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
         ),
         "40/3.5 ≈ 11.4",
     );
-    write_csv(
-        &opts.csv("table1.csv"),
-        &["cell", "machines", "tasks"],
-        csv_rows,
-    )?;
-    Ok(())
+    r.csv("table1.csv", &["cell", "machines", "tasks"], csv_rows);
+    Ok(r)
 }

@@ -1,50 +1,28 @@
 //! Workload characterization report (`repro workload`).
 //!
-//! Prints the per-cell [`CellProfile`](oc_trace::CellProfile) the
+//! Reports the per-cell [`CellProfile`](oc_trace::CellProfile) the
 //! substitution argument rests on
 //! (DESIGN.md §2): size inventory, usage-to-limit gap, job structure,
 //! diurnal strength and burstiness memory — the quantities a user would
 //! compare against the real trace v3 before trusting conclusions drawn
 //! from the generator.
 
-use crate::common::{banner, claim, Opts};
-use crate::output::{f, write_csv, Table};
+use crate::common::{mean, per_cell, Opts};
+use crate::output::{f, Report};
 use oc_trace::analysis::profile;
-use oc_trace::cell::CellConfig;
-use oc_trace::gen::WorkloadGenerator;
 use std::error::Error;
 
 /// Runs the workload characterization across trace cells `a..h`.
-///
-/// # Errors
-///
-/// Propagates generation and I/O errors.
-pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
-    banner("workload", "generator characterization across cells a..h");
-    let mut t = Table::new(&[
-        "cell",
-        "machines",
-        "tasks",
-        "jobs",
-        "tasks/job",
-        "runtime h",
-        "<24h",
-        "usage/limit",
-        "util",
-        "ΣL/cap",
-        "diurnal",
-        "ac(1h)",
-    ]);
-    let mut csv = Vec::new();
+pub fn run(opts: &Opts) -> Result<Report, Box<dyn Error>> {
+    let profiles = per_cell(opts.trace_cells(3), |cell| {
+        Ok(profile(&opts.generate(cell)?).ok_or("empty cell profile")?)
+    })?;
+    let (mut t, mut csv) = (Vec::new(), Vec::new());
     let mut gaps = Vec::new();
-    for preset in CellConfig::trace_cells() {
-        let cell = opts.scaled(preset, 3);
-        let gen = WorkloadGenerator::new(cell)?;
-        let machines = gen.generate_cell_parallel(opts.threads)?;
-        let p = profile(&machines).ok_or("empty cell profile")?;
+    for (name, p) in profiles {
         gaps.push(1.0 - p.mean_usage_to_limit);
-        t.row(vec![
-            gen.config().id.name().to_string(),
+        t.push(vec![
+            name.clone(),
             p.machines.to_string(),
             p.tasks.to_string(),
             p.jobs.to_string(),
@@ -58,7 +36,7 @@ pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
             f(p.hourly_autocorrelation),
         ]);
         csv.push(vec![
-            gen.config().id.name().to_string(),
+            name,
             p.machines.to_string(),
             p.tasks.to_string(),
             p.jobs.to_string(),
@@ -67,15 +45,29 @@ pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
             p.diurnal_strength.to_string(),
         ]);
     }
-    t.print();
-    let mean_gap = gaps.iter().sum::<f64>() / gaps.len().max(1) as f64;
-    claim(
+    let mut r = Report::default();
+    let header = [
+        "cell",
+        "machines",
+        "tasks",
+        "jobs",
+        "tasks/job",
+        "runtime h",
+        "<24h",
+        "usage/limit",
+        "util",
+        "ΣL/cap",
+        "diurnal",
+        "ac(1h)",
+    ];
+    r.table(&header, t);
+    r.claim(
         "mean relative slack (1 − usage/limit) across cells",
-        format!("{:.2}", mean_gap),
+        format!("{:.2}", mean(&gaps)),
         "Autopilot reports ≈0.23 after tuning; untuned user limits leave much more",
     );
-    write_csv(
-        &opts.csv("workload.csv"),
+    r.csv(
+        "workload.csv",
         &[
             "cell",
             "machines",
@@ -86,6 +78,6 @@ pub fn run(opts: &Opts) -> Result<(), Box<dyn Error>> {
             "diurnal",
         ],
         csv,
-    )?;
-    Ok(())
+    );
+    Ok(r)
 }

@@ -168,6 +168,19 @@ grep -rnE -e 'oc_telemetry::ring|RawEvent|RegisteredRing|name_table|fn write_tra
     crates tests examples docs README.md DESIGN.md \
   && { echo "tier1: the trace ring (or its name interning, or a deleted helper) is referenced again" >&2; exit 1; }
 
+# An experiment computes and returns a Report; only the experiment driver (lib.rs,
+# main.rs) and output.rs print or write files. Keep the figure modules free
+# of I/O, and the deleted per-module plot call, sweep module and id
+# constants from coming back through a doc or a name.
+for f in crates/experiments/src/*.rs; do
+  case "${f##*/}" in lib.rs|main.rs|output.rs) continue ;; esac
+  sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'print!|println!|\.print\(\)|write_csv|write_cdf_csv|std::fs' \
+    && { echo "tier1: $f prints or writes files outside the experiment driver" >&2; exit 1; }
+done
+grep -rnE -e 'maybe_plot|SweepPoint|run_sweep|ALL_EXPERIMENTS|AB_EXPERIMENT' \
+    crates tests examples docs README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md \
+  && { echo "tier1: a deleted experiment path (per-module plot, sweep.rs, id constants) is referenced again" >&2; exit 1; }
+
 # Docs are part of the contract: every markdown link to a local file must
 # point at something that exists (catches renamed/moved docs going stale),
 # and rustdoc must be warning-free.
@@ -406,6 +419,22 @@ if [ ! -s "$powercap_dir/powercap_frontier.csv" ]; then
   echo "tier1: powercap wrote no frontier CSV" >&2
   exit 1
 fi
+
+# repro's output is pinned byte for byte on a cheap quick-scale subset:
+# scripts/repro_quick.sha256 holds the sha256 of its stdout (less the
+# header line, which names the results dir) and of every CSV it writes
+# (output does not depend on --threads). A change to any number, table,
+# claim or CSV must re-record the digests and say why in CHANGES.md.
+repro_dir="$(mktemp -d)"
+trap 'rm -rf "$powercap_dir" "$repro_dir"' EXIT
+./target/release/repro --threads 2 --results "$repro_dir" \
+    fig1 table1 fig6 fig7b fig8 fig10 fig12 powercap | tail -n +2 >"$repro_dir/stdout.txt" \
+  || { echo "tier1: the pinned repro subset failed" >&2; exit 1; }
+digests="$PWD/scripts/repro_quick.sha256"
+diff <(cd "$repro_dir" && ls | LC_ALL=C sort) <(awk '{print $2}' "$digests" | LC_ALL=C sort) \
+  || { echo "tier1: repro wrote other files than $digests lists" >&2; exit 1; }
+(cd "$repro_dir" && sha256sum --quiet -c "$digests") \
+  || { echo "tier1: repro output differs from $digests" >&2; exit 1; }
 
 # The repo benchmark (benchmark/, BENCHMARK.json) is a package of its own
 # that calls the crates' public functions. Build it offline and run every

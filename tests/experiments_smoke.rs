@@ -1,12 +1,13 @@
 //! Smoke tests for the reproduction harness.
 
 use oc_experiments::common::{Opts, Scale};
+use oc_experiments::{registry, resolve, ALL};
+use std::collections::HashSet;
 
 /// Unknown experiment ids fail with a helpful message.
 #[test]
 fn unknown_experiment_is_rejected() {
-    let err = oc_experiments::dispatch("fig99", &Opts::default()).unwrap_err();
-    let msg = err.to_string();
+    let msg = resolve(&["fig99"]).unwrap_err();
     assert!(msg.contains("unknown experiment"));
     assert!(
         msg.contains("fig10"),
@@ -14,16 +15,45 @@ fn unknown_experiment_is_rejected() {
     );
 }
 
-/// Every advertised experiment id dispatches (identity check only — the
-/// full quick-scale suite runs in release via `repro all`).
+/// Every id and alias is unique and resolves to its experiment, and `all`
+/// runs the paper's figures in order, then the extensions (identity check
+/// only: nothing runs here).
 #[test]
 fn all_ids_are_known() {
-    // Dispatching with an impossible results dir would still run the
-    // simulation before failing on write, so this test only checks id
-    // resolution indirectly: the "all" list and the A/B id must be
-    // distinct and non-empty.
-    assert!(!oc_experiments::ALL_EXPERIMENTS.is_empty());
-    assert!(!oc_experiments::ALL_EXPERIMENTS.contains(&oc_experiments::AB_EXPERIMENT));
+    let mut seen = HashSet::new();
+    for exp in registry() {
+        for id in std::iter::once(&exp.id).chain(exp.aliases) {
+            assert!(seen.insert(*id), "duplicate id {id}");
+            let plan = resolve(&[id]).unwrap();
+            assert_eq!(plan.len(), 1);
+            assert!(std::ptr::eq(plan[0], exp), "{id}");
+        }
+    }
+    assert!(!seen.contains("all"));
+    let all: Vec<&str> = resolve(&["all"]).unwrap().iter().map(|e| e.id).collect();
+    assert_eq!(
+        all,
+        [
+            "fig1",
+            "table1",
+            "fig3",
+            "fig4",
+            "fig6",
+            "fig7a",
+            "fig7b",
+            "fig7c",
+            "fig8",
+            "fig9",
+            "fig10",
+            "fig11",
+            "fig12",
+            "fig13",
+            "autopilot",
+            "seasonal",
+            "powercap"
+        ]
+    );
+    assert_eq!(all.len(), ALL.len());
 }
 
 /// One real end-to-end experiment pass, writing CSV to a temp directory.
@@ -45,7 +75,9 @@ fn fig4_end_to_end() {
         plot: false,
         seed: None,
     };
-    oc_experiments::dispatch("fig4", &opts).unwrap();
+    for exp in resolve(&["fig4"]).unwrap() {
+        oc_experiments::run(exp, &opts).unwrap();
+    }
     let csv = std::fs::read_to_string(dir.join("fig4.csv")).unwrap();
     let mut lines = csv.lines();
     assert_eq!(lines.next(), Some("series,x,cdf"));
