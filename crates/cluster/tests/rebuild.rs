@@ -5,7 +5,8 @@
 //! `--cluster-node` arguments), so this target has its own `main`: it
 //! diverts member invocations into node-serving mode first, then runs
 //! each scenario and reports in the harness's format. Arguments that do
-//! not start with `-` filter scenarios by substring, as test names do.
+//! not start with `-` filter scenarios by substring, as test names do
+//! (by whole name under `--exact`).
 //!
 //! Every scenario ingests through `oc-client`'s `ClusterClient`, a fresh
 //! one per pass on the supervisor's current ring, so the client itself
@@ -299,12 +300,13 @@ fn main() -> ExitCode {
             replace_push_failure_leaves_the_new_member_in_place,
         ),
     ];
-    // Harness flags are accepted and ignored; the ones that take a value
-    // consume it.
-    let mut filters = Vec::new();
+    // Harness flags other than --exact are accepted and ignored; the ones
+    // that take a value consume it.
+    let (mut filters, mut exact) = (Vec::new(), false);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
+            "--exact" => exact = true,
             "--list" => {
                 for (name, _) in &scenarios {
                     println!("{name}: test");
@@ -320,7 +322,14 @@ fn main() -> ExitCode {
     }
     let (mut passed, mut failed) = (0, 0);
     for (name, scenario) in scenarios {
-        if !filters.is_empty() && !filters.iter().any(|f| name.contains(f.as_str())) {
+        let matches = |f: &String| {
+            if exact {
+                name == f
+            } else {
+                name.contains(f.as_str())
+            }
+        };
+        if !filters.is_empty() && !filters.iter().any(matches) {
             continue;
         }
         match scenario() {

@@ -5,8 +5,8 @@
 //! over the OS readiness APIs). It provides:
 //!
 //! - [`Poller`] — a level-triggered readiness selector backed by `epoll`
-//!   on Linux and `poll(2)` on other Unix systems. Non-Unix targets get a
-//!   stub whose constructor returns [`std::io::ErrorKind::Unsupported`].
+//!   on Linux and `poll(2)` on other Unix systems. The crate builds only
+//!   on Unix targets.
 //! - [`Waker`] — a pipe-based cross-thread wakeup handle tied to a
 //!   reserved token, so a blocked [`Poller::wait`] can be interrupted
 //!   without a polling interval (used by oc-serve's accept loop and
@@ -35,16 +35,7 @@ use std::time::Duration;
 mod sys;
 
 /// Raw OS file descriptor accepted by [`Poller`] registration calls.
-///
-/// On Unix this is `std::os::unix::io::RawFd`; a same-width alias is
-/// provided elsewhere so the crate still type-checks on non-Unix targets
-/// (where every operation fails with `Unsupported`).
-#[cfg(unix)]
 pub type RawFd = std::os::unix::io::RawFd;
-
-/// See the Unix variant; stub alias for non-Unix targets.
-#[cfg(not(unix))]
-pub type RawFd = i32;
 
 /// Readiness interest: which directions of I/O a registration wants
 /// reported. Combine with `|`: `Interest::READABLE | Interest::WRITABLE`.
@@ -176,7 +167,7 @@ pub struct Poller {
 }
 
 impl Poller {
-    /// Create a new selector. Fails with `Unsupported` on non-Unix.
+    /// Create a new selector.
     pub fn new() -> io::Result<Poller> {
         Ok(Poller {
             sel: sys::Selector::new()?,

@@ -292,16 +292,12 @@ impl SimMachine {
         self.mem_predictions.push(self.cached_prediction.lane(MEM));
         self.pending_limit = Res2::ZERO;
 
-        // Retire tasks whose lifetime ends before the next tick.
+        // Retire tasks whose lifetime ends before the next tick, keeping
+        // the rest in start order: the view then sums a machine's tasks in
+        // the order an offline replay of its trace does.
         let next = t.plus(1);
-        let mut i = 0;
-        while i < self.live.len() {
-            if self.live[i].end <= next {
-                let task = self.live.swap_remove(i);
-                self.finished.push(finish(task, None));
-            } else {
-                i += 1;
-            }
+        for task in self.live.extract_if(.., |task| task.end <= next) {
+            self.finished.push(finish(task, None));
         }
     }
 

@@ -17,7 +17,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-#[cfg(unix)]
 use std::os::unix::io::AsRawFd;
 
 /// Poller token for the listening socket.
@@ -110,21 +109,10 @@ fn handle_accepted(stream: TcpStream, reactor: &ReactorPool, shared: &Shared) {
 /// Creates the accept poller with the listener registered, switching the
 /// listener to non-blocking mode. The waker is registered under
 /// [`ACCEPT_WAKE_TOKEN`] and returned for the shutdown path.
-#[cfg(unix)]
 pub(crate) fn accept_poller(listener: &TcpListener) -> std::io::Result<(Poller, Arc<Waker>)> {
     listener.set_nonblocking(true)?;
     let poller = Poller::new()?;
     poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
-    let waker = Arc::new(Waker::new(&poller, ACCEPT_WAKE_TOKEN)?);
-    Ok((poller, waker))
-}
-
-/// Non-Unix targets have no readiness backend; [`Poller::new`] reports
-/// `Unsupported` and [`crate::server::Server::start`] surfaces it.
-#[cfg(not(unix))]
-pub(crate) fn accept_poller(listener: &TcpListener) -> std::io::Result<(Poller, Arc<Waker>)> {
-    let _ = listener;
-    let poller = Poller::new()?;
     let waker = Arc::new(Waker::new(&poller, ACCEPT_WAKE_TOKEN)?);
     Ok((poller, waker))
 }

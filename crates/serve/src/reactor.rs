@@ -165,12 +165,10 @@ struct RConn {
     draining: bool,
 }
 
-/// Why a connection is being closed (for the decision to flush first).
-enum Close {
-    /// Transport error or deadline: drop immediately, pending output is
-    /// undeliverable.
-    Now,
-}
+/// A connection to drop now: a transport error, a passed deadline, or a
+/// draining connection with nothing left to send. Pending output, if
+/// any, is undeliverable.
+struct Close;
 
 struct ReactorThread {
     poller: Poller,
@@ -311,7 +309,7 @@ impl ReactorThread {
         };
         match self.drive(&mut conn, readable, writable) {
             Ok(()) => self.conns[slot] = Some(conn),
-            Err(Close::Now) => self.close(slot, conn),
+            Err(Close) => self.close(slot, conn),
         }
     }
 
@@ -375,7 +373,7 @@ impl ReactorThread {
                             conn.draining = true;
                             break;
                         }
-                        Err(_) => return Err(Close::Now),
+                        Err(_) => return Err(Close),
                     }
                     if conn.pending() > OUTBUF_HIGH_WATER {
                         break; // backpressure: stop reading until drained
@@ -383,7 +381,7 @@ impl ReactorThread {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return Err(Close::Now),
+                Err(_) => return Err(Close),
             }
         }
         // The readable burst has run dry: apply the pending observe
@@ -397,7 +395,7 @@ impl ReactorThread {
     fn try_write(&mut self, conn: &mut RConn) -> Result<(), Close> {
         while conn.outpos < conn.outbuf.len() {
             match conn.stream.write(&conn.outbuf[conn.outpos..]) {
-                Ok(0) => return Err(Close::Now),
+                Ok(0) => return Err(Close),
                 Ok(n) => {
                     conn.outpos += n;
                     conn.blocked_since = None;
@@ -410,7 +408,7 @@ impl ReactorThread {
                     break;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return Err(Close::Now),
+                Err(_) => return Err(Close),
             }
         }
         if conn.outpos >= conn.outbuf.len() {
@@ -418,7 +416,7 @@ impl ReactorThread {
             conn.outpos = 0;
             conn.blocked_since = None;
             if conn.draining {
-                return Err(Close::Now); // fully answered: close
+                return Err(Close); // fully answered: close
             }
         } else if conn.outpos >= 32 * 1024 {
             // Reclaim the written prefix so a slow reader cannot pin a
@@ -449,7 +447,7 @@ impl ReactorThread {
             .reregister(conn.stream.as_raw_fd(), conn.slot, interest)
             .is_err()
         {
-            return Err(Close::Now);
+            return Err(Close);
         }
         conn.registered = want;
         Ok(())
@@ -491,7 +489,7 @@ impl ReactorThread {
                 .and_then(|()| self.update_interest(&mut conn))
             {
                 Ok(()) => self.conns[slot] = Some(conn),
-                Err(Close::Now) => self.close(slot, conn),
+                Err(Close) => self.close(slot, conn),
             }
         }
     }

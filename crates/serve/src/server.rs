@@ -407,8 +407,7 @@ impl Server {
     /// # Errors
     ///
     /// Returns [`ServeError::Config`] for an invalid config and
-    /// [`ServeError::Io`] for bind failures — including an `Unsupported`
-    /// error on targets without a readiness backend (non-Unix).
+    /// [`ServeError::Io`] for bind failures.
     pub fn start(cfg: ServeConfig) -> Result<Server, ServeError> {
         cfg.validate()?;
         // Serving tens of thousands of connections needs the fd headroom;

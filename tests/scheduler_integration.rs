@@ -135,10 +135,9 @@ fn mixed_assignment_respects_parity() {
 }
 
 /// The A/B harness: replaying each machine's trace under its own policy
-/// gives the predictions the machine computed online, to within float
-/// summation order. The online view retires tasks with `swap_remove`, so
-/// it sums a machine's tasks in another order than the replay does, and
-/// some ticks differ in the last bits (relative gaps of a few 1e-14).
+/// gives the predictions the machine computed online, bit for bit. The
+/// online machine retires tasks in order, so its view sums a machine's
+/// tasks in the order the replay does.
 #[test]
 fn ab_replay_matches_online_predictions() {
     let mut cell = CellConfig::preset(CellPreset::A);
@@ -186,8 +185,9 @@ fn ab_replay_matches_online_predictions() {
             .zip(series.predictions[0].iter())
             .enumerate()
         {
-            assert!(
-                (a - b).abs() <= 1e-12 * a.abs().max(b.abs()),
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
                 "machine {idx} tick {t}: online {a} vs replay {b}"
             );
         }
@@ -246,7 +246,7 @@ fn ab_outcome_bits_are_pinned() {
     }
     assert_eq!(
         fnv1a(words),
-        0x77b8_26bf_1856_9540,
+        0x501d_5318_8d86_f865,
         "A/B outcome bits moved"
     );
 }
