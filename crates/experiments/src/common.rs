@@ -177,7 +177,7 @@ mod tests {
         let cells = |opts: &Opts| {
             let mut cells = crate::fig3::cells(opts);
             cells.push(crate::fig12::cell(opts));
-            cells.push(crate::fig13::config(opts).cell);
+            cells.push(crate::fig13::config(opts).cluster.cell);
             cells
         };
         for scale in [Scale::Quick, Scale::Full] {

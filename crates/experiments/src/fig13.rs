@@ -30,12 +30,11 @@ pub(crate) fn config(opts: &Opts) -> AbConfig {
     // exceed cluster capacity so admission is the binding constraint.
     let jobs_per_tick = 0.0045 * machines as f64;
     let mut cfg = AbConfig::paper_default(cell, jobs_per_tick);
-    cfg.duration_ticks = days * TICKS_PER_DAY;
-    cfg.replay_threads = opts.threads;
+    cfg.cluster.duration_ticks = days * TICKS_PER_DAY;
     // Borg spreads load across its candidate sample; worst-fit placement is
     // the closest classic policy and is what lets the usage-based
     // experiment group balance *actual* load rather than limits.
-    cfg.placement = oc_scheduler::PlacementPolicy::WorstFit;
+    cfg.cluster.placement = oc_scheduler::PlacementPolicy::WorstFit;
     // Section 6: "we tuned our max predictor in simulation to match the
     // risk profile of our borg-default peak predictor". Under this
     // generator's workload the matching configuration is the
@@ -50,9 +49,11 @@ pub(crate) fn config(opts: &Opts) -> AbConfig {
 
 /// Runs the Figure 13 + Figure 14 reproduction.
 ///
-/// Two identical clusters are offered the same arrival stream; the control
-/// runs borg-default(0.9), the experiment runs max(N-sigma(3),
-/// RC-like(p80)) — the production configuration of Section 6.1. Reported:
+/// One mixed cluster serves one arrival stream, split into two groups by
+/// machine parity: even machines (control) run borg-default(0.9), odd
+/// machines (experiment) run `seasonal_max()`, the simulation-tuned max
+/// composite guarded by the seasonal daily-peak profile (see `config`).
+/// Reported:
 /// violation rate and severity (13a/b), relative savings (13c), total
 /// allocations and workload (13d/e), per-task and per-machine latency
 /// (14a/b), and machine-utilization percentiles (14c/d/e).
@@ -74,12 +75,12 @@ pub fn run(opts: &Opts) -> Result<Report, Box<dyn Error>> {
     r.cdf(
         "(13a) per-machine violation rate",
         "group (violation rate)",
-        series(&|g| g.replay.violation_rates(0)),
+        series(&|g| g.reports.violation_rates(0)),
     );
     r.cdf(
         "(13b) per-machine mean violation severity",
         "group (machine severity)",
-        series(&|g| g.replay.mean_severities(0)),
+        series(&|g| g.reports.mean_severities(0)),
     );
     r.cdf_csv(
         "fig13c_savings.csv",
@@ -197,7 +198,7 @@ pub fn run(opts: &Opts) -> Result<Report, Box<dyn Error>> {
     // Risk-profile matching (Section 6.2): the experiment group's
     // violation rates should be no worse than control's.
     let med_rate = |g: &GroupOutcome| {
-        let v = g.replay.violation_rates(0);
+        let v = g.reports.violation_rates(0);
         oc_stats::percentile_slice(&v, 50.0).unwrap_or(f64::NAN)
     };
     r.claim(

@@ -3,7 +3,8 @@
 //! Interest is tracked in user space (a mutex-guarded map rebuilt into a
 //! `pollfd` array per wait). This is O(fds) per wait — fine for the
 //! portability fallback; Linux production deployments use the `epoll`
-//! backend.
+//! backend. Linux builds this module under `cfg(test)` too: the `POLL*`
+//! values and `nfds_t` below are Linux's as well, so its tests run there.
 
 use crate::{Event, Interest, RawFd};
 use std::collections::BTreeMap;
@@ -158,5 +159,102 @@ impl Selector {
             ));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sys::{close_fd, pipe_nonblocking, read_fd, write_fd};
+    use std::time::Instant;
+
+    /// One wait with room for a few events.
+    fn wait(sel: &Selector, timeout: Duration) -> Vec<Event> {
+        let mut buf = EventBuf::with_capacity(4);
+        let mut out = Vec::new();
+        sel.wait(&mut buf, &mut out, Some(timeout)).unwrap();
+        out
+    }
+
+    /// A fresh selector and the `(read, write)` ends of a non-blocking pipe.
+    fn pipe_selector() -> (Selector, RawFd, RawFd) {
+        let (r, w) = pipe_nonblocking().unwrap();
+        (Selector::new().unwrap(), r, w)
+    }
+
+    #[test]
+    fn readable_is_level_triggered() {
+        let (sel, r, w) = pipe_selector();
+        sel.register(r, 7, Interest::READABLE).unwrap();
+        assert!(wait(&sel, Duration::ZERO).is_empty());
+        assert_eq!(write_fd(w, b"xy").unwrap(), 2);
+        // Reported on every wait until the data is read.
+        for _ in 0..2 {
+            let events = wait(&sel, Duration::from_secs(1));
+            assert_eq!(events.len(), 1);
+            assert_eq!(events[0].token(), 7);
+            assert!(events[0].is_readable());
+            assert!(!events[0].is_writable());
+        }
+        let mut buf = [0u8; 8];
+        assert_eq!(read_fd(r, &mut buf).unwrap(), 2);
+        assert!(wait(&sel, Duration::ZERO).is_empty());
+        close_fd(r);
+        close_fd(w);
+    }
+
+    #[test]
+    fn writable_then_deregister() {
+        let (sel, r, w) = pipe_selector();
+        sel.register(w, 3, Interest::READABLE).unwrap();
+        assert!(wait(&sel, Duration::ZERO).is_empty());
+        sel.reregister(w, 4, Interest::WRITABLE).unwrap();
+        let events = wait(&sel, Duration::from_secs(1));
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].token(), 4);
+        assert!(events[0].is_writable());
+        assert!(!events[0].is_readable());
+        sel.deregister(w).unwrap();
+        assert!(wait(&sel, Duration::ZERO).is_empty());
+        close_fd(r);
+        close_fd(w);
+    }
+
+    #[test]
+    fn a_wait_never_ends_before_its_timeout() {
+        let (sel, r, w) = pipe_selector();
+        sel.register(r, 1, Interest::READABLE).unwrap();
+        for timeout in [
+            Duration::from_micros(1),
+            Duration::from_micros(1_500),
+            Duration::from_millis(10),
+        ] {
+            let start = Instant::now();
+            assert!(wait(&sel, timeout).is_empty());
+            let waited = start.elapsed();
+            assert!(waited >= timeout, "{waited:?} < {timeout:?}");
+        }
+        close_fd(r);
+        close_fd(w);
+    }
+
+    #[test]
+    fn duplicate_and_unknown_registrations_are_refused() {
+        let (sel, r, w) = pipe_selector();
+        sel.register(r, 1, Interest::READABLE).unwrap();
+        let kind = |res: io::Result<()>| res.unwrap_err().kind();
+        assert_eq!(
+            kind(sel.register(r, 2, Interest::WRITABLE)),
+            io::ErrorKind::AlreadyExists
+        );
+        assert_eq!(
+            kind(sel.reregister(w, 2, Interest::WRITABLE)),
+            io::ErrorKind::NotFound
+        );
+        assert_eq!(kind(sel.deregister(w)), io::ErrorKind::NotFound);
+        sel.deregister(r).unwrap();
+        assert_eq!(kind(sel.deregister(r)), io::ErrorKind::NotFound);
+        close_fd(r);
+        close_fd(w);
     }
 }

@@ -9,13 +9,20 @@
 //! stream, predictors assigned to machines by parity. Every downstream
 //! difference — how much workload a group attracts, how balanced it is,
 //! how contended its machines get — is attributable to the policy.
+//!
+//! Each group is judged by the predictions its machines served: every
+//! machine's online prediction series is scored, tick by tick, against
+//! the peak oracle of the trace it realized, so the violation metrics
+//! describe exactly the estimates admission used.
 
-use crate::cluster::{run_cluster_assigned, ClusterConfig, ClusterOutcome};
+use crate::cluster::{run_cluster, ClusterConfig, ClusterOutcome, GroupStats};
 use crate::error::SchedulerError;
 use crate::placement::PlacementPolicy;
 use oc_core::config::SimConfig;
+use oc_core::metrics::{MachineReport, SimResult};
+use oc_core::oracle::machine_oracle;
 use oc_core::predictor::PredictorSpec;
-use oc_core::runner::{run_cell, CellRun};
+use oc_core::runner::CellRun;
 use oc_qos::{LatencyModel, QosReport};
 use oc_stats::percentile_slice;
 use oc_trace::cell::CellConfig;
@@ -25,26 +32,15 @@ use oc_trace::MachineTrace;
 /// Configuration of one A/B experiment.
 #[derive(Debug, Clone)]
 pub struct AbConfig {
-    /// Workload models and *total* machine count (both groups combined).
-    pub cell: CellConfig,
-    /// Mean job submissions per tick offered to the shared cluster.
-    pub jobs_per_tick: f64,
-    /// Experiment length in ticks (the paper runs 32 days).
-    pub duration_ticks: u64,
-    /// Node-agent configuration.
-    pub sim: SimConfig,
+    /// The shared cluster; its cell's machine count is the *total* of
+    /// both groups.
+    pub cluster: ClusterConfig,
     /// Policy of the control group (the paper: tuned borg-default).
     pub control: PredictorSpec,
     /// Policy of the experiment group (the paper: max(3σ, p80)).
     pub experiment: PredictorSpec,
-    /// Bin-packing step, shared by the whole cluster.
-    pub placement: PlacementPolicy,
-    /// Arrival-stream seed.
-    pub arrival_seed: u64,
     /// The contention → latency model.
     pub latency: LatencyModel,
-    /// Worker threads for the post-hoc oracle replay.
-    pub replay_threads: usize,
 }
 
 impl AbConfig {
@@ -52,31 +48,29 @@ impl AbConfig {
     /// vs max(N-sigma(3), RC-like(p80)) experiment, 32 simulated days.
     pub fn paper_default(cell: CellConfig, jobs_per_tick: f64) -> AbConfig {
         AbConfig {
-            cell,
-            jobs_per_tick,
-            duration_ticks: 32 * oc_trace::time::TICKS_PER_DAY,
-            sim: SimConfig::default(),
+            cluster: ClusterConfig {
+                cell,
+                jobs_per_tick,
+                duration_ticks: 32 * oc_trace::time::TICKS_PER_DAY,
+                sim: SimConfig::default(),
+                placement: PlacementPolicy::WorstFit,
+                arrival_seed: 0xAB_2021,
+            },
             control: PredictorSpec::borg_default(),
             experiment: PredictorSpec::production_max(),
-            placement: PlacementPolicy::WorstFit,
-            arrival_seed: 0xAB_2021,
             latency: LatencyModel::default(),
-            replay_threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
         }
     }
-}
 
-/// Per-tick group aggregates extracted from the mixed cluster.
-#[derive(Debug, Clone, Default)]
-pub struct GroupStats {
-    /// Per tick: Σ limits / Σ capacity over the group (Figure 13(d)).
-    pub alloc_ratio: Vec<f64>,
-    /// Per tick: Σ realized usage / Σ capacity (Figure 13(e)).
-    pub usage_ratio: Vec<f64>,
-    /// Per tick: relative savings `(ΣL − ΣP)/ΣL` (Figure 13(c)).
-    pub savings: Vec<f64>,
+    /// The policy machine `i` deploys: control on even indices,
+    /// experiment on odd ones.
+    pub fn policy(&self, i: usize) -> &PredictorSpec {
+        if i.is_multiple_of(2) {
+            &self.control
+        } else {
+            &self.experiment
+        }
+    }
 }
 
 /// Everything measured for one group.
@@ -86,9 +80,10 @@ pub struct GroupOutcome {
     pub name: String,
     /// Per-tick group aggregates.
     pub stats: GroupStats,
-    /// Post-hoc oracle replay: per-machine violation rates, severities and
-    /// savings under the group's own policy.
-    pub replay: CellRun,
+    /// The served predictions, scored: per-machine violation rates,
+    /// severities and savings of what each machine predicted online,
+    /// against the peak oracle of its realized trace.
+    pub reports: CellRun,
     /// Per-machine CPU scheduling latency series.
     pub latency: Vec<Vec<f64>>,
     /// Per-machine latency summaries.
@@ -115,31 +110,16 @@ pub struct AbOutcome {
 }
 
 /// Runs the A/B experiment: one mixed cluster, groups split by machine
-/// parity (even = control, odd = experiment).
+/// parity (see [`AbConfig::policy`]).
 ///
 /// # Errors
 ///
 /// Propagates configuration and simulation errors.
 pub fn run_ab(cfg: &AbConfig) -> Result<AbOutcome, SchedulerError> {
-    let cluster_cfg = ClusterConfig {
-        cell: cfg.cell.clone(),
-        jobs_per_tick: cfg.jobs_per_tick,
-        duration_ticks: cfg.duration_ticks,
-        sim: cfg.sim.clone(),
-        predictor: cfg.control.clone(),
-        placement: cfg.placement,
-        arrival_seed: cfg.arrival_seed,
-    };
-    let outcome = run_cluster_assigned(&cluster_cfg, |i| {
-        if i % 2 == 0 {
-            cfg.control.clone()
-        } else {
-            cfg.experiment.clone()
-        }
-    })?;
+    let outcome = run_cluster(&cfg.cluster, |i| cfg.policy(i).clone())?;
     let admission_rate = outcome.stats.admission_rate();
-    let control = extract_group(cfg, &outcome, "control", &cfg.control, 0)?;
-    let experiment = extract_group(cfg, &outcome, "exp", &cfg.experiment, 1)?;
+    let control = extract_group(cfg, &outcome, "control", 0)?;
+    let experiment = extract_group(cfg, &outcome, "exp", 1)?;
     Ok(AbOutcome {
         control,
         experiment,
@@ -147,59 +127,53 @@ pub fn run_ab(cfg: &AbConfig) -> Result<AbOutcome, SchedulerError> {
     })
 }
 
-/// Derives one group's metrics from the mixed-cluster outcome.
+/// Derives the metrics of the group whose machine indices have `parity`
+/// from the mixed-cluster outcome.
 fn extract_group(
     cfg: &AbConfig,
     outcome: &ClusterOutcome,
     name: &str,
-    predictor: &PredictorSpec,
     parity: usize,
 ) -> Result<GroupOutcome, SchedulerError> {
-    let idx: Vec<usize> = (0..outcome.traces.len())
-        .filter(|i| i % 2 == parity)
+    let idx: Vec<usize> = (parity..outcome.traces.len()).step_by(2).collect();
+    let traces: Vec<&MachineTrace> = idx.iter().map(|&i| &outcome.traces[i]).collect();
+    let stats = outcome.group_stats(&idx);
+
+    // Score each machine's served predictions, tick by tick, against the
+    // peak oracle of its realized trace.
+    let sim = &cfg.cluster.sim;
+    let predictor_name = cfg.policy(parity).name();
+    let results = idx
+        .iter()
+        .zip(&traces)
+        .map(|(&i, m)| {
+            let oracle = machine_oracle(m, sim.metric, sim.oracle_horizon_ticks);
+            let mut report = MachineReport::new(m.machine, predictor_name.clone());
+            for ((&p, &po), &l) in outcome.machine_prediction[i]
+                .iter()
+                .zip(&oracle)
+                .zip(&outcome.machine_limit[i])
+            {
+                report.record(p, po, l);
+            }
+            SimResult {
+                machine: m.machine,
+                capacity: m.capacity,
+                reports: vec![report],
+                series: None,
+            }
+        })
         .collect();
-    let traces: Vec<MachineTrace> = idx.iter().map(|&i| outcome.traces[i].clone()).collect();
-    let capacity: f64 = traces.iter().map(|m| m.capacity).sum();
-    let n_ticks = cfg.duration_ticks as usize;
-
-    // Per-tick group aggregates.
-    let mut stats = GroupStats {
-        alloc_ratio: vec![0.0; n_ticks],
-        usage_ratio: vec![0.0; n_ticks],
-        savings: vec![0.0; n_ticks],
+    let reports = CellRun {
+        cell: CellId::new(name),
+        predictors: vec![predictor_name],
+        results,
     };
-    let mut pred_sum = vec![0.0; n_ticks];
-    let mut limit_sum = vec![0.0; n_ticks];
-    for &i in &idx {
-        for t in 0..n_ticks {
-            limit_sum[t] += outcome.machine_limit[i][t];
-            pred_sum[t] += outcome.machine_prediction[i][t];
-            stats.usage_ratio[t] += outcome.machine_usage[i][t];
-        }
-    }
-    for t in 0..n_ticks {
-        stats.alloc_ratio[t] = limit_sum[t] / capacity;
-        stats.usage_ratio[t] /= capacity;
-        stats.savings[t] = if limit_sum[t] > 0.0 {
-            (limit_sum[t] - pred_sum[t]) / limit_sum[t]
-        } else {
-            0.0
-        };
-    }
-
-    // Post-hoc oracle replay for violation metrics.
-    let replay = run_cell(
-        CellId::new(name),
-        &traces,
-        &cfg.sim,
-        std::slice::from_ref(predictor),
-        cfg.replay_threads,
-    )?;
 
     // QoS from uncapped demand.
     let mut latency = Vec::with_capacity(traces.len());
     let mut qos = Vec::with_capacity(traces.len());
-    for (&i, m) in idx.iter().zip(traces.iter()) {
+    for (&i, m) in idx.iter().zip(&traces) {
         let series =
             cfg.latency
                 .machine_series(&outcome.demand_peak[i], m.capacity, u64::from(m.machine.0));
@@ -211,7 +185,7 @@ fn extract_group(
     // production evaluation, only latency-sensitive serving tasks count —
     // batch tasks have no CPU-latency SLO.
     let mut task_latency = Vec::new();
-    for (m, lat) in traces.iter().zip(latency.iter()) {
+    for (m, lat) in traces.iter().zip(&latency) {
         for task in &m.tasks {
             if !task.spec.class.is_latency_sensitive() {
                 continue;
@@ -238,7 +212,7 @@ fn extract_group(
     Ok(GroupOutcome {
         name: name.into(),
         stats,
-        replay,
+        reports,
         latency,
         qos,
         task_latency,
@@ -257,8 +231,7 @@ mod tests {
         let mut cell = CellConfig::preset(CellPreset::A);
         cell.machines = 6;
         let mut cfg = AbConfig::paper_default(cell, 0.5);
-        cfg.duration_ticks = 240;
-        cfg.replay_threads = 2;
+        cfg.cluster.duration_ticks = 240;
         cfg
     }
 
@@ -271,7 +244,7 @@ mod tests {
         for g in [&out.control, &out.experiment] {
             assert_eq!(g.qos.len(), 3);
             assert_eq!(g.util_p50.len(), 3);
-            assert_eq!(g.replay.results.len(), 3);
+            assert_eq!(g.reports.results.len(), 3);
             assert!(!g.task_latency.is_empty());
             assert_eq!(g.stats.alloc_ratio.len(), 240);
             assert_eq!(g.stats.savings.len(), 240);
@@ -292,14 +265,14 @@ mod tests {
         // Machines split by parity: ids 0,2,4 control; 1,3,5 experiment.
         let c: Vec<u32> = out
             .control
-            .replay
+            .reports
             .results
             .iter()
             .map(|r| r.machine.0)
             .collect();
         let e: Vec<u32> = out
             .experiment
-            .replay
+            .reports
             .results
             .iter()
             .map(|r| r.machine.0)

@@ -23,7 +23,8 @@ use oc_trace::MachineTrace;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Configuration of one live-cluster run.
+/// Configuration of one live-cluster run. The policy each machine deploys
+/// is given to [`run_cluster`] per machine.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Workload models, machine count, capacity and seed.
@@ -34,8 +35,6 @@ pub struct ClusterConfig {
     pub duration_ticks: u64,
     /// Node-agent configuration (metric, warm-up, history).
     pub sim: SimConfig,
-    /// The overcommit policy deployed on every machine.
-    pub predictor: PredictorSpec,
     /// The bin-packing step.
     pub placement: PlacementPolicy,
     /// Seed of the arrival stream (shared across A/B groups).
@@ -48,11 +47,10 @@ impl ClusterConfig {
     /// # Errors
     ///
     /// Returns [`SchedulerError::InvalidConfig`] for an empty cluster or
-    /// zero duration, and propagates cell/sim/predictor validation.
+    /// zero duration, and propagates cell/sim validation.
     pub fn validate(&self) -> Result<(), SchedulerError> {
         self.cell.validate()?;
         self.sim.validate()?;
-        self.predictor.validate()?;
         if self.duration_ticks == 0 {
             return Err(SchedulerError::InvalidConfig {
                 what: "duration must be positive".into(),
@@ -67,21 +65,13 @@ impl ClusterConfig {
     }
 }
 
-/// Per-run cluster statistics.
+/// Per-run admission counts.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterStats {
     /// Tasks admitted.
     pub admitted: u64,
     /// Tasks rejected (no feasible machine).
     pub rejected: u64,
-    /// Per tick: Σ limits of running tasks / Σ capacity (Figure 13(d)).
-    pub alloc_ratio: Vec<f64>,
-    /// Per tick: Σ realized usage / Σ capacity (Figure 13(e)).
-    pub usage_ratio: Vec<f64>,
-    /// Per tick: Σ limits (for savings normalization).
-    pub limit_sum: Vec<f64>,
-    /// Per tick: Σ predicted peaks across machines.
-    pub prediction_sum: Vec<f64>,
 }
 
 impl ClusterStats {
@@ -94,55 +84,79 @@ impl ClusterStats {
             self.admitted as f64 / total as f64
         }
     }
+}
 
-    /// Per-tick relative savings `(ΣL − ΣP)/ΣL` (Figure 13(c)).
-    pub fn savings_series(&self) -> Vec<f64> {
-        self.limit_sum
-            .iter()
-            .zip(self.prediction_sum.iter())
-            .map(|(&l, &p)| if l > 0.0 { (l - p) / l } else { 0.0 })
-            .collect()
+/// Per-tick aggregates over a set of machines (an A/B group, or the
+/// whole cluster).
+#[derive(Debug, Clone, Default)]
+pub struct GroupStats {
+    /// Per tick: Σ limits / Σ capacity (Figure 13(d)).
+    pub alloc_ratio: Vec<f64>,
+    /// Per tick: Σ realized usage / Σ capacity (Figure 13(e)).
+    pub usage_ratio: Vec<f64>,
+    /// Per tick: relative savings `(ΣL − ΣP)/ΣL` (Figure 13(c)).
+    pub savings: Vec<f64>,
+}
+
+/// Outcome of a completed cluster run. Every per-machine vector is
+/// indexed by machine (sorted by machine id).
+#[derive(Debug)]
+pub struct ClusterOutcome {
+    /// Admission counts.
+    pub stats: ClusterStats,
+    /// Realized traces: the tasks each machine ran, their throttled usage
+    /// and the machine's realized peak and average usage per tick.
+    pub traces: Vec<MachineTrace>,
+    /// Uncapped demand-peak series (drives the QoS model).
+    pub demand_peak: Vec<Vec<f64>>,
+    /// Per-tick Σ limits of the tasks the machine observed.
+    pub machine_limit: Vec<Vec<f64>>,
+    /// Per-tick peak predictions the machine served to admission.
+    pub machine_prediction: Vec<Vec<f64>>,
+}
+
+impl ClusterOutcome {
+    /// Per-tick aggregates over `machines` (indices into this outcome),
+    /// each tick summed in the given machine order.
+    pub fn group_stats(&self, machines: &[usize]) -> GroupStats {
+        let n_ticks = machines.first().map_or(0, |&i| self.machine_limit[i].len());
+        let capacity: f64 = machines.iter().map(|&i| self.traces[i].capacity).sum();
+        let mut limit_sum = vec![0.0; n_ticks];
+        let mut pred_sum = vec![0.0; n_ticks];
+        let mut usage_sum = vec![0.0; n_ticks];
+        for &i in machines {
+            for t in 0..n_ticks {
+                limit_sum[t] += self.machine_limit[i][t];
+                pred_sum[t] += self.machine_prediction[i][t];
+                usage_sum[t] += self.traces[i].avg_usage[t];
+            }
+        }
+        GroupStats {
+            alloc_ratio: limit_sum.iter().map(|&l| l / capacity).collect(),
+            usage_ratio: usage_sum.iter().map(|&u| u / capacity).collect(),
+            savings: limit_sum
+                .iter()
+                .zip(&pred_sum)
+                .map(|(&l, &p)| if l > 0.0 { (l - p) / l } else { 0.0 })
+                .collect(),
+        }
     }
 }
 
-/// Outcome of a completed cluster run.
-#[derive(Debug)]
-pub struct ClusterOutcome {
-    /// Run statistics.
-    pub stats: ClusterStats,
-    /// Per-machine realized traces (sorted by machine id), ready for
-    /// post-hoc oracle replay.
-    pub traces: Vec<MachineTrace>,
-    /// Per-machine uncapped demand-peak series (drives the QoS model).
-    pub demand_peak: Vec<Vec<f64>>,
-    /// Per-machine per-tick Σ limits.
-    pub machine_limit: Vec<Vec<f64>>,
-    /// Per-machine per-tick predicted peaks.
-    pub machine_prediction: Vec<Vec<f64>>,
-    /// Per-machine per-tick realized average usage.
-    pub machine_usage: Vec<Vec<f64>>,
-}
-
-/// Runs one cluster for the configured duration.
-///
-/// # Errors
-///
-/// Returns configuration errors up front and internal consistency errors
-/// (simulation bugs) from trace assembly.
-pub fn run_cluster(cfg: &ClusterConfig) -> Result<ClusterOutcome, SchedulerError> {
-    run_cluster_assigned(cfg, |_| cfg.predictor.clone())
-}
-
-/// Runs one cluster where machine `i` deploys `assign(i)` as its policy.
+/// Runs one cluster for the configured duration, where machine `i`
+/// deploys `assign(i)` as its policy.
 ///
 /// This is the paper's actual A/B design: control and experiment machines
 /// live in the *same* cells, managed by the same scheduler, competing for
 /// the same task stream — only their on-board overcommit policies differ.
+/// A single-policy cluster assigns every machine the same spec.
 ///
 /// # Errors
 ///
-/// As [`run_cluster`].
-pub fn run_cluster_assigned(
+/// Returns configuration errors (the cluster's and each assigned
+/// policy's) up front and internal consistency errors (simulation bugs)
+/// from trace assembly.
+pub fn run_cluster(
     cfg: &ClusterConfig,
     assign: impl Fn(usize) -> PredictorSpec,
 ) -> Result<ClusterOutcome, SchedulerError> {
@@ -164,7 +178,6 @@ pub fn run_cluster_assigned(
     let mut stream = ArrivalStream::new(cfg.cell.clone(), cfg.jobs_per_tick, cfg.arrival_seed);
     let mut place_rng = SmallRng::seed_from_u64(splitmix(cfg.arrival_seed ^ 0x91ACE));
     let mut stats = ClusterStats::default();
-    let total_capacity: f64 = machines.iter().map(SimMachine::capacity).sum();
 
     for ti in 0..cfg.duration_ticks {
         let t = Tick(ti);
@@ -187,19 +200,9 @@ pub fn run_cluster_assigned(
         }
 
         // --- Usage ---------------------------------------------------------
-        let mut limit = 0.0;
-        let mut usage = 0.0;
-        let mut pred = 0.0;
         for m in machines.iter_mut() {
             m.advance(t);
-            limit += m.limit_sum.last().copied().unwrap_or(0.0);
-            usage += m.realized_avg.last().copied().unwrap_or(0.0);
-            pred += m.predictions.last().copied().unwrap_or(0.0);
         }
-        stats.alloc_ratio.push(limit / total_capacity);
-        stats.usage_ratio.push(usage / total_capacity);
-        stats.limit_sum.push(limit);
-        stats.prediction_sum.push(pred);
     }
 
     let horizon = TickRange::from_len(cfg.duration_ticks);
@@ -207,12 +210,10 @@ pub fn run_cluster_assigned(
     let mut demand_peak = Vec::with_capacity(machines.len());
     let mut machine_limit = Vec::with_capacity(machines.len());
     let mut machine_prediction = Vec::with_capacity(machines.len());
-    let mut machine_usage = Vec::with_capacity(machines.len());
-    for m in machines {
-        demand_peak.push(m.demand_peak.clone());
-        machine_limit.push(m.limit_sum.clone());
-        machine_prediction.push(m.predictions.clone());
-        machine_usage.push(m.realized_avg.clone());
+    for mut m in machines {
+        demand_peak.push(std::mem::take(&mut m.demand_peak));
+        machine_limit.push(std::mem::take(&mut m.limit_sum));
+        machine_prediction.push(std::mem::take(&mut m.predictions));
         traces.push(m.into_trace(horizon)?);
     }
     Ok(ClusterOutcome {
@@ -221,7 +222,6 @@ pub fn run_cluster_assigned(
         demand_peak,
         machine_limit,
         machine_prediction,
-        machine_usage,
     })
 }
 
@@ -230,7 +230,7 @@ mod tests {
     use super::*;
     use oc_trace::cell::CellPreset;
 
-    fn small_cfg(predictor: PredictorSpec) -> ClusterConfig {
+    fn small_cfg() -> ClusterConfig {
         let mut cell = CellConfig::preset(CellPreset::A);
         cell.machines = 4;
         ClusterConfig {
@@ -238,17 +238,24 @@ mod tests {
             jobs_per_tick: 1.0,
             duration_ticks: 200,
             sim: SimConfig::default(),
-            predictor,
             placement: PlacementPolicy::WorstFit,
             arrival_seed: 11,
         }
     }
 
+    fn run(spec: PredictorSpec) -> ClusterOutcome {
+        run_cluster(&small_cfg(), |_| spec.clone()).unwrap()
+    }
+
+    fn all_machines(out: &ClusterOutcome) -> GroupStats {
+        out.group_stats(&(0..out.traces.len()).collect::<Vec<_>>())
+    }
+
     #[test]
     fn cluster_admits_and_fills() {
-        let out = run_cluster(&small_cfg(PredictorSpec::LimitSum)).unwrap();
+        let out = run(PredictorSpec::LimitSum);
         assert!(out.stats.admitted > 0);
-        assert_eq!(out.stats.alloc_ratio.len(), 200);
+        assert_eq!(all_machines(&out).alloc_ratio.len(), 200);
         assert_eq!(out.traces.len(), 4);
         // With no overcommit, Σ limits per machine never exceeds capacity.
         for trace in &out.traces {
@@ -264,8 +271,8 @@ mod tests {
 
     #[test]
     fn overcommit_admits_more_than_no_overcommit() {
-        let base = run_cluster(&small_cfg(PredictorSpec::LimitSum)).unwrap();
-        let over = run_cluster(&small_cfg(PredictorSpec::production_max())).unwrap();
+        let base = run(PredictorSpec::LimitSum);
+        let over = run(PredictorSpec::production_max());
         assert!(
             over.stats.admitted >= base.stats.admitted,
             "overcommit {} vs baseline {}",
@@ -279,16 +286,16 @@ mod tests {
 
     #[test]
     fn deterministic_given_seeds() {
-        let a = run_cluster(&small_cfg(PredictorSpec::paper_max())).unwrap();
-        let b = run_cluster(&small_cfg(PredictorSpec::paper_max())).unwrap();
+        let a = run(PredictorSpec::paper_max());
+        let b = run(PredictorSpec::paper_max());
         assert_eq!(a.stats.admitted, b.stats.admitted);
-        assert_eq!(a.stats.usage_ratio, b.stats.usage_ratio);
+        assert_eq!(all_machines(&a).usage_ratio, all_machines(&b).usage_ratio);
     }
 
     #[test]
-    fn savings_series_and_admission_rate() {
-        let out = run_cluster(&small_cfg(PredictorSpec::borg_default())).unwrap();
-        let savings = out.stats.savings_series();
+    fn savings_and_admission_rate() {
+        let out = run(PredictorSpec::borg_default());
+        let savings = all_machines(&out).savings;
         assert_eq!(savings.len(), 200);
         // borg-default predicts 0.9 ΣL, so savings are exactly 10 %.
         for (i, s) in savings.iter().enumerate().skip(1) {
@@ -300,11 +307,21 @@ mod tests {
 
     #[test]
     fn invalid_configs_rejected() {
-        let mut cfg = small_cfg(PredictorSpec::LimitSum);
+        let limit_sum = |_| PredictorSpec::LimitSum;
+        let mut cfg = small_cfg();
         cfg.duration_ticks = 0;
-        assert!(run_cluster(&cfg).is_err());
-        let mut cfg = small_cfg(PredictorSpec::LimitSum);
+        assert!(run_cluster(&cfg, limit_sum).is_err());
+        let mut cfg = small_cfg();
         cfg.jobs_per_tick = f64::NAN;
-        assert!(run_cluster(&cfg).is_err());
+        assert!(run_cluster(&cfg, limit_sum).is_err());
+        // Every assigned policy is validated.
+        let bad = |i| {
+            if i == 3 {
+                PredictorSpec::BorgDefault { phi: 1.5 }
+            } else {
+                PredictorSpec::LimitSum
+            }
+        };
+        assert!(run_cluster(&small_cfg(), bad).is_err());
     }
 }

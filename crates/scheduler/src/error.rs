@@ -10,7 +10,7 @@ pub enum SchedulerError {
         /// Description of the violated constraint.
         what: String,
     },
-    /// An error from the overcommit core (predictor build, replay).
+    /// An error from the overcommit core (predictor build, statistics).
     Core(oc_core::CoreError),
     /// An error from the trace substrate (workload models).
     Trace(oc_trace::TraceError),

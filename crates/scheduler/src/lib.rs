@@ -28,7 +28,7 @@ pub mod placement;
 
 pub use ab::{run_ab, AbConfig, AbOutcome, GroupOutcome};
 pub use arrival::{ArrivalStream, TaskRequest};
-pub use cluster::{run_cluster, run_cluster_assigned, ClusterConfig, ClusterOutcome, ClusterStats};
+pub use cluster::{run_cluster, ClusterConfig, ClusterOutcome, ClusterStats, GroupStats};
 pub use error::SchedulerError;
 pub use machine::{RecordedTask, SimMachine};
 pub use placement::PlacementPolicy;

@@ -30,7 +30,7 @@ struct LiveTask {
     process: UsageProcess,
     /// This tick's drawn demand, one value per subsample.
     demand: [f64; SUBSAMPLES_PER_TICK],
-    /// Realized per-tick metric values (for post-hoc replay).
+    /// Realized per-tick metric values (for the realized trace).
     recorded: Vec<f64>,
 }
 
@@ -78,7 +78,7 @@ pub struct SimMachine {
     pub realized_peak: Vec<f64>,
     /// Realized average usage.
     pub realized_avg: Vec<f64>,
-    /// Σ limits of running tasks.
+    /// Σ limits of the tasks the view observed.
     pub limit_sum: Vec<f64>,
     /// The predictor's estimate after observing the tick.
     pub predictions: Vec<f64>,
@@ -143,11 +143,6 @@ impl SimMachine {
     /// Number of running tasks.
     pub fn live_count(&self) -> usize {
         self.live.len()
-    }
-
-    /// Σ limits over running tasks (including this tick's admissions).
-    pub fn total_limit(&self) -> f64 {
-        self.live.iter().map(|t| t.limit).sum()
     }
 
     /// The free capacity advertised to the scheduler: capacity minus the
@@ -285,7 +280,10 @@ impl SimMachine {
             .push(realized_sum.iter().copied().fold(0.0, f64::max));
         self.realized_avg
             .push(realized_sum.iter().sum::<f64>() / SUBSAMPLES_PER_TICK as f64);
-        self.limit_sum.push(self.total_limit());
+        // The view's own Σ limits, as an offline replay reads it: a re-sum
+        // of the live tasks gives −0.0 on an idle tick, where the view holds
+        // 0.0, and the scored report's limit moments keep that sign.
+        self.limit_sum.push(self.view.total_limit());
         self.cached_prediction =
             clamp_prediction_vec(self.predictor.predict_vec(&self.view), &self.view);
         self.predictions.push(self.cached_prediction.lane(CPU));
@@ -310,20 +308,21 @@ impl SimMachine {
         self.finished
     }
 
-    /// Converts the machine's realized run into a [`MachineTrace`] suitable
-    /// for post-hoc replay (oracle computation, violation accounting). Task
-    /// samples are "flat" — every summary field carries the realized metric
-    /// value — so any replay metric reads the same number.
+    /// Converts the machine's realized run into a [`MachineTrace`], the
+    /// input of the peak oracle its served predictions are scored against.
+    /// Task samples are "flat" — every summary field carries the realized
+    /// metric value — so any usage metric reads the same number. The
+    /// realized peak and average series move into the trace.
     ///
     /// # Errors
     ///
     /// Returns a [`TraceError`] if the assembled trace is inconsistent
     /// (which would indicate a simulation bug).
-    pub fn into_trace(self, horizon: TickRange) -> Result<MachineTrace, TraceError> {
+    pub fn into_trace(mut self, horizon: TickRange) -> Result<MachineTrace, TraceError> {
         let capacity = self.capacity;
         let id = self.id;
-        let true_peak = self.realized_peak.clone();
-        let avg_usage = self.realized_avg.clone();
+        let true_peak = std::mem::take(&mut self.realized_peak);
+        let avg_usage = std::mem::take(&mut self.realized_avg);
         let recorded = self.finish(horizon.end);
         let mut tasks = Vec::with_capacity(recorded.len());
         for r in recorded {
@@ -422,10 +421,11 @@ mod tests {
         m.admit(&request(1, 0.3, 5), Tick(0));
         m.admit(&request(2, 0.2, 10), Tick(0));
         assert_eq!(m.live_count(), 2);
-        assert!((m.total_limit() - 0.5).abs() < 1e-12);
         for t in 0..5u64 {
             m.advance(Tick(t));
         }
+        assert!((m.limit_sum[0] - 0.5).abs() < 1e-12);
+        assert!((m.limit_sum[4] - 0.5).abs() < 1e-12);
         assert_eq!(m.live_count(), 1, "5-tick task must have retired");
         for t in 5..10u64 {
             m.advance(Tick(t));

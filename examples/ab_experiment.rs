@@ -19,8 +19,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     cell.runtime.short_frac = 0.45;
     cell.runtime.long_median_hours = 60.0;
     let mut cfg = AbConfig::paper_default(cell, 0.07);
-    cfg.duration_ticks = 4 * 288; // Four days.
-    cfg.replay_threads = 4;
+    cfg.cluster.duration_ticks = 4 * 288; // Four days.
+
     // Risk-matched experiment arm (Section 6: the max predictor is tuned
     // in simulation to match borg-default's violation profile).
     cfg.experiment = overcommit_repro::core::predictor::PredictorSpec::paper_max();
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     let row = |g: &GroupOutcome| {
-        let rates = g.replay.violation_rates(0);
+        let rates = g.reports.violation_rates(0);
         println!(
             "{:>8}  savings {:.3}  alloc {:.3}  usage {:.3}  viol.rate {:.4}  p90 latency {:.2}",
             g.name,

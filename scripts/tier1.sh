@@ -119,12 +119,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # scripts/repro_quick.sha256 holds the sha256 of its stdout (less the
 # header line, which names the results dir) and of every CSV it writes
 # (output does not depend on --threads), powercap's [claim] lines and
-# frontier CSV among them. A change to any number, table, claim or CSV
-# must re-record the digests and say why in CHANGES.md.
+# frontier CSV and fig13's A/B tables, claims and CSVs among them. A
+# change to any number, table, claim or CSV must re-record the digests
+# and say why in CHANGES.md.
 repro_dir="$(mktemp -d)"
 trap 'rm -rf "$repro_dir"' EXIT
 ./target/release/repro --threads 2 --results "$repro_dir" \
-    fig1 table1 fig6 fig7b fig8 fig10 fig12 powercap | tail -n +2 >"$repro_dir/stdout.txt" \
+    fig1 table1 fig6 fig7b fig8 fig10 fig12 powercap fig13 | tail -n +2 >"$repro_dir/stdout.txt" \
   || { echo "tier1: the pinned repro subset failed" >&2; exit 1; }
 digests="$PWD/scripts/repro_quick.sha256"
 diff <(cd "$repro_dir" && ls | LC_ALL=C sort) <(awk '{print $2}' "$digests" | LC_ALL=C sort) \

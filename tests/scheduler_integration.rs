@@ -1,15 +1,18 @@
 //! Integration tests for the live cluster and the A/B harness.
 
 use overcommit_repro::core::config::SimConfig;
+use overcommit_repro::core::metrics::MachineReport;
 use overcommit_repro::core::predictor::PredictorSpec;
+use overcommit_repro::core::sim::simulate_machine;
 use overcommit_repro::scheduler::ab::{run_ab, AbConfig};
 use overcommit_repro::scheduler::{
-    run_cluster, run_cluster_assigned, ClusterConfig, PlacementPolicy,
+    run_cluster, ClusterConfig, ClusterOutcome, GroupStats, PlacementPolicy,
 };
+use overcommit_repro::stats::Welford;
 use overcommit_repro::trace::cell::{CellConfig, CellPreset};
 use overcommit_repro::trace::time::Tick;
 
-fn cluster_cfg(predictor: PredictorSpec, machines: usize, ticks: u64) -> ClusterConfig {
+fn cluster_cfg(machines: usize, ticks: u64) -> ClusterConfig {
     let mut cell = CellConfig::preset(CellPreset::A);
     cell.machines = machines;
     ClusterConfig {
@@ -17,10 +20,19 @@ fn cluster_cfg(predictor: PredictorSpec, machines: usize, ticks: u64) -> Cluster
         jobs_per_tick: 0.8,
         duration_ticks: ticks,
         sim: SimConfig::default(),
-        predictor,
         placement: PlacementPolicy::WorstFit,
         arrival_seed: 21,
     }
+}
+
+/// Runs `cfg` with `spec` on every machine.
+fn run_uniform(cfg: &ClusterConfig, spec: PredictorSpec) -> ClusterOutcome {
+    run_cluster(cfg, |_| spec.clone()).unwrap()
+}
+
+/// The cluster-wide per-tick aggregates.
+fn all_machines(out: &ClusterOutcome) -> GroupStats {
+    out.group_stats(&(0..out.traces.len()).collect::<Vec<_>>())
 }
 
 /// Physical throttling: realized machine usage never exceeds capacity,
@@ -28,12 +40,10 @@ fn cluster_cfg(predictor: PredictorSpec, machines: usize, ticks: u64) -> Cluster
 #[test]
 fn throttling_enforces_capacity() {
     // An aggressive policy that badly overcommits.
-    let out = run_cluster(&cluster_cfg(
+    let out = run_uniform(
+        &cluster_cfg(3, 400),
         PredictorSpec::BorgDefault { phi: 0.2 },
-        3,
-        400,
-    ))
-    .unwrap();
+    );
     for m in &out.traces {
         for &peak in &m.true_peak {
             assert!(
@@ -57,7 +67,7 @@ fn throttling_enforces_capacity() {
 /// exceeds capacity.
 #[test]
 fn no_overcommit_never_exceeds_capacity() {
-    let out = run_cluster(&cluster_cfg(PredictorSpec::LimitSum, 3, 400)).unwrap();
+    let out = run_uniform(&cluster_cfg(3, 400), PredictorSpec::LimitSum);
     for m in &out.traces {
         for t in (0..400).map(Tick) {
             assert!(
@@ -73,12 +83,12 @@ fn no_overcommit_never_exceeds_capacity() {
 /// same offered stream, and savings translate to higher allocations.
 #[test]
 fn overcommit_admits_more() {
-    let base = run_cluster(&cluster_cfg(PredictorSpec::LimitSum, 4, 500)).unwrap();
-    let over = run_cluster(&cluster_cfg(PredictorSpec::borg_default(), 4, 500)).unwrap();
+    let base = run_uniform(&cluster_cfg(4, 500), PredictorSpec::LimitSum);
+    let over = run_uniform(&cluster_cfg(4, 500), PredictorSpec::borg_default());
     assert!(base.stats.rejected > 0, "stream must saturate the baseline");
     assert!(over.stats.admitted >= base.stats.admitted);
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    assert!(mean(&over.stats.alloc_ratio) >= mean(&base.stats.alloc_ratio));
+    assert!(mean(&all_machines(&over).alloc_ratio) >= mean(&all_machines(&base).alloc_ratio));
 }
 
 /// Placement policies all place onto feasible machines and are
@@ -91,12 +101,16 @@ fn placement_policies_run_and_are_deterministic() {
         PlacementPolicy::WorstFit,
         PlacementPolicy::RandomK(3),
     ] {
-        let mut cfg = cluster_cfg(PredictorSpec::borg_default(), 3, 200);
+        let mut cfg = cluster_cfg(3, 200);
         cfg.placement = placement;
-        let a = run_cluster(&cfg).unwrap();
-        let b = run_cluster(&cfg).unwrap();
+        let a = run_uniform(&cfg, PredictorSpec::borg_default());
+        let b = run_uniform(&cfg, PredictorSpec::borg_default());
         assert_eq!(a.stats.admitted, b.stats.admitted, "{placement:?}");
-        assert_eq!(a.stats.usage_ratio, b.stats.usage_ratio, "{placement:?}");
+        assert_eq!(
+            all_machines(&a).usage_ratio,
+            all_machines(&b).usage_ratio,
+            "{placement:?}"
+        );
     }
 }
 
@@ -105,8 +119,7 @@ fn placement_policies_run_and_are_deterministic() {
 /// be allocated past capacity.
 #[test]
 fn mixed_assignment_respects_parity() {
-    let cfg = cluster_cfg(PredictorSpec::LimitSum, 4, 300);
-    let out = run_cluster_assigned(&cfg, |i| {
+    let out = run_cluster(&cluster_cfg(4, 300), |i| {
         if i % 2 == 0 {
             PredictorSpec::LimitSum
         } else {
@@ -134,63 +147,64 @@ fn mixed_assignment_respects_parity() {
     );
 }
 
-/// The A/B harness: replaying each machine's trace under its own policy
-/// gives the predictions the machine computed online, bit for bit. The
-/// online machine retires tasks in order, so its view sums a machine's
-/// tasks in the order the replay does.
+/// The bits of a Welford accumulator's moments.
+fn moment_bits(w: &Welford) -> [u64; 5] {
+    [
+        w.count(),
+        w.mean().to_bits(),
+        w.population_variance().to_bits(),
+        w.min().to_bits(),
+        w.max().to_bits(),
+    ]
+}
+
+/// The A/B harness scores the predictions each machine served. An
+/// offline replay of every machine's realized trace under its own policy
+/// is the reference: it must give the scored report bit for bit, every
+/// counter and every Welford moment. The online machine retires tasks in
+/// order, so its view sums a machine's tasks in the order the replay
+/// does.
 #[test]
-fn ab_replay_matches_online_predictions() {
+fn ab_reports_equal_an_offline_replay() {
     let mut cell = CellConfig::preset(CellPreset::A);
     cell.machines = 4;
     let mut cfg = AbConfig::paper_default(cell, 0.5);
-    cfg.duration_ticks = 250;
-    cfg.replay_threads = 2;
+    cfg.cluster.duration_ticks = 250;
+    let out = run_ab(&cfg).unwrap();
 
-    // Run the underlying mixed cluster manually to capture online data.
-    let cluster_cfg = ClusterConfig {
-        cell: cfg.cell.clone(),
-        jobs_per_tick: cfg.jobs_per_tick,
-        duration_ticks: cfg.duration_ticks,
-        sim: cfg.sim.clone(),
-        predictor: cfg.control.clone(),
-        placement: cfg.placement,
-        arrival_seed: cfg.arrival_seed,
-    };
-    let online = run_cluster_assigned(&cluster_cfg, |i| {
-        if i % 2 == 0 {
-            cfg.control.clone()
+    // The same cluster again, for the realized traces the reports scored.
+    let cluster = run_cluster(&cfg.cluster, |i| cfg.policy(i).clone()).unwrap();
+    assert_eq!(cluster.traces.len(), 4);
+    for (idx, trace) in cluster.traces.iter().enumerate() {
+        let group = if idx % 2 == 0 {
+            &out.control
         } else {
-            cfg.experiment.clone()
-        }
-    })
-    .unwrap();
-
-    // Replay every machine under its group's policy (parity, as above).
-    assert_eq!(online.traces.len(), 4);
-    for (idx, trace) in online.traces.iter().enumerate() {
-        let spec = if idx % 2 == 0 {
-            &cfg.control
-        } else {
-            &cfg.experiment
+            &out.experiment
         };
-        let replayed = overcommit_repro::core::sim::simulate_machine(
-            trace,
-            &cfg.sim.clone().with_series(),
-            &[spec.build().unwrap()],
-        )
-        .unwrap();
-        let series = replayed.series.unwrap();
-        for (t, (a, b)) in online.machine_prediction[idx]
-            .iter()
-            .zip(series.predictions[0].iter())
-            .enumerate()
-        {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "machine {idx} tick {t}: online {a} vs replay {b}"
-            );
+        let scored = &group.reports.results[idx / 2];
+        assert_eq!(scored.machine, trace.machine);
+        let replayed =
+            simulate_machine(trace, &cfg.cluster.sim, &[cfg.policy(idx).build().unwrap()]).unwrap();
+        let [a]: &[MachineReport; 1] = scored.reports.as_slice().try_into().unwrap();
+        let [b]: &[MachineReport; 1] = replayed.reports.as_slice().try_into().unwrap();
+        assert_eq!(
+            (a.machine, &a.predictor, a.ticks, a.violations),
+            (b.machine, &b.predictor, b.ticks, b.violations),
+            "machine {idx}"
+        );
+        assert_eq!(a.ticks, 250);
+        for (name, x, y) in [
+            ("severity", &a.severity, &b.severity),
+            ("savings", &a.savings, &b.savings),
+            ("prediction", &a.prediction, &b.prediction),
+            ("oracle", &a.oracle, &b.oracle),
+            ("limit", &a.limit, &b.limit),
+        ] {
+            assert_eq!(moment_bits(x), moment_bits(y), "machine {idx} {name}");
         }
+        // `Debug` prints shortest round-trip floats, so this also compares
+        // each accumulator's second moment sum exactly.
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "machine {idx}");
     }
 }
 
@@ -201,11 +215,10 @@ fn ab_outcome_shape() {
     let mut cell = CellConfig::preset(CellPreset::A);
     cell.machines = 6;
     let mut cfg = AbConfig::paper_default(cell, 0.4);
-    cfg.duration_ticks = 200;
-    cfg.replay_threads = 2;
+    cfg.cluster.duration_ticks = 200;
     let out = run_ab(&cfg).unwrap();
-    assert_eq!(out.control.replay.results.len(), 3);
-    assert_eq!(out.experiment.replay.results.len(), 3);
+    assert_eq!(out.control.reports.results.len(), 3);
+    assert_eq!(out.experiment.reports.results.len(), 3);
     assert_eq!(out.control.stats.alloc_ratio.len(), 200);
     assert!(out.admission_rate > 0.0);
 }
@@ -219,23 +232,22 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     })
 }
 
-/// A reduced-scale A/B run is pinned bit for bit: both groups' replay
+/// A reduced-scale A/B run is pinned bit for bit: both groups' scored
 /// reports (every Welford moment, through `Debug`'s shortest round-trip
 /// floats), their per-tick stats series and the admission rate. Any edit
-/// to the machine tick, placement or replay that moves one bit moves the
+/// to the machine tick, placement or scoring that moves one bit moves the
 /// digest.
 #[test]
 fn ab_outcome_bits_are_pinned() {
     let mut cell = CellConfig::preset(CellPreset::A);
     cell.machines = 6;
     let mut cfg = AbConfig::paper_default(cell, 0.5);
-    cfg.duration_ticks = 300;
-    cfg.replay_threads = 2;
+    cfg.cluster.duration_ticks = 300;
     cfg.experiment = PredictorSpec::seasonal_max();
     let out = run_ab(&cfg).unwrap();
     let mut words = vec![out.admission_rate.to_bits()];
     for g in [&out.control, &out.experiment] {
-        for r in &g.replay.results {
+        for r in &g.reports.results {
             for report in &r.reports {
                 words.extend(format!("{report:?}").bytes().map(u64::from));
             }
