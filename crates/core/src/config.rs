@@ -96,11 +96,12 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] if the history window is empty,
-    /// smaller than the warm-up, or the oracle horizon is zero.
+    /// longer than `u32::MAX` samples, smaller than the warm-up, or the
+    /// oracle horizon is zero.
     pub fn validate(&self) -> Result<(), CoreError> {
-        if self.max_num_samples == 0 {
+        if self.max_num_samples == 0 || u32::try_from(self.max_num_samples).is_err() {
             return Err(CoreError::InvalidConfig {
-                what: "max_num_samples must be positive".into(),
+                what: "max_num_samples must be in 1..=u32::MAX".into(),
             });
         }
         if self.min_num_samples > self.max_num_samples {

@@ -109,11 +109,18 @@ pub struct IncrementalView {
 
 impl IncrementalView {
     /// Creates an empty incremental view for a machine of the given
-    /// capacity. The first flush fills empty ticks from [`Tick::ZERO`];
-    /// the gap bound defaults to [`DEFAULT_MAX_GAP`].
+    /// capacity, with full per-task windows. The first flush fills empty
+    /// ticks from [`Tick::ZERO`]; the gap bound defaults to
+    /// [`DEFAULT_MAX_GAP`].
     pub fn new(capacity: f64, cfg: &SimConfig) -> IncrementalView {
+        IncrementalView::with_depth(capacity, cfg, cfg.max_num_samples)
+    }
+
+    /// [`IncrementalView::new`] over a [`MachineView::with_depth`]: the
+    /// per-task windows keep the `depth` largest samples readable.
+    pub fn with_depth(capacity: f64, cfg: &SimConfig, depth: usize) -> IncrementalView {
         IncrementalView {
-            view: MachineView::new(capacity, cfg),
+            view: MachineView::with_depth(capacity, cfg, depth),
             max_gap: DEFAULT_MAX_GAP,
             last_flushed: None,
             pending_tick: None,

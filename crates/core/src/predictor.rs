@@ -37,6 +37,28 @@ pub trait PeakPredictor: Send + Sync {
         &[]
     }
 
+    /// How many of the largest samples of a `w`-sample per-task window
+    /// this predictor's reads reach: the depth a view built for it keeps
+    /// (see [`MachineView::with_depth`]). A read deeper than this panics,
+    /// so an override must cover every window fill `1..=w`. The default,
+    /// 0, is for predictors that read no per-task window; a max composite
+    /// takes the largest depth of its components.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use oc_core::predictor::PredictorSpec;
+    ///
+    /// let depth = |spec: PredictorSpec| spec.build().unwrap().window_depth(120);
+    /// assert_eq!(depth(PredictorSpec::paper_max()), 3);
+    /// assert_eq!(depth(PredictorSpec::production_max()), 25);
+    /// assert_eq!(depth(PredictorSpec::NSigma { n: 5.0 }), 0);
+    /// ```
+    fn window_depth(&self, w: usize) -> usize {
+        let _ = w;
+        0
+    }
+
     /// Predicts the machine's future peak CPU usage from its current view.
     fn predict(&self, view: &MachineView) -> f64;
 
@@ -356,6 +378,85 @@ mod tests {
             .is_err());
         for spec in PredictorSpec::comparison_set() {
             spec.validate().unwrap();
+        }
+    }
+
+    /// Every spec's derived depth: 0 for the predictors that read no task
+    /// window, the percentile's own depth for RC-like, and the deepest
+    /// component for a max composite, nested ones included.
+    #[test]
+    fn window_depth_of_every_spec() {
+        let depth = |spec: &PredictorSpec| spec.build().unwrap().window_depth(120);
+        let rc = |percentile| PredictorSpec::RcLike { percentile };
+        let seasonal = PredictorSpec::Seasonal {
+            slots: 24,
+            decay: 0.05,
+            horizon_ticks: 288,
+        };
+        for (spec, want) in [
+            (PredictorSpec::LimitSum, 0),
+            (PredictorSpec::borg_default(), 0),
+            (PredictorSpec::NSigma { n: 5.0 }, 0),
+            (seasonal.clone(), 0),
+            (rc(100.0), 1),
+            (rc(99.0), 3),
+            (rc(95.0), 7),
+            (rc(80.0), 25),
+            (rc(50.0), 61),
+            (PredictorSpec::paper_max(), 3),
+            (PredictorSpec::production_max(), 25),
+            (PredictorSpec::seasonal_max(), 3),
+            (
+                PredictorSpec::Max(vec![seasonal, PredictorSpec::LimitSum]),
+                0,
+            ),
+            (
+                PredictorSpec::Max(vec![PredictorSpec::paper_max(), rc(80.0)]),
+                25,
+            ),
+        ] {
+            assert_eq!(depth(&spec), want, "{}", spec.name());
+        }
+        for spec in PredictorSpec::comparison_set() {
+            assert!(depth(&spec) <= 3, "{}", spec.name());
+        }
+        // The depth follows the window: a short one caps it.
+        assert_eq!(rc(80.0).build().unwrap().window_depth(5), 2);
+        assert_eq!(rc(80.0).build().unwrap().window_depth(0), 0);
+    }
+
+    /// A view built to a predictor's derived depth predicts, tick by tick,
+    /// the bits a full-window view predicts, across warm-up, window fill,
+    /// eviction and a task leaving.
+    #[test]
+    fn derived_depth_views_predict_full_window_bits() {
+        use oc_trace::ids::{JobId, TaskId};
+        use oc_trace::time::Tick;
+        let cfg = crate::config::SimConfig::default();
+        let mut specs = PredictorSpec::comparison_set();
+        specs.extend([
+            PredictorSpec::production_max(),
+            PredictorSpec::RcLike { percentile: 50.0 },
+        ]);
+        for spec in specs {
+            let p = spec.build().unwrap();
+            let mut full = MachineView::new(1.0, &cfg);
+            let mut shallow =
+                MachineView::with_depth(1.0, &cfg, p.window_depth(cfg.max_num_samples));
+            for t in 0..400u64 {
+                let obs = (0..4u64).filter(|&j| j != 3 || t < 250).map(|j| {
+                    let h = (t * 7 + j * 13).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                    (TaskId::new(JobId(j), 0), 0.3, (h % 1000) as f64 / 4000.0)
+                });
+                full.observe(Tick(t), obs.clone());
+                shallow.observe(Tick(t), obs);
+                assert_eq!(
+                    p.predict(&full).to_bits(),
+                    p.predict(&shallow).to_bits(),
+                    "{} at tick {t}",
+                    spec.name()
+                );
+            }
         }
     }
 

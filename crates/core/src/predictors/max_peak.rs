@@ -42,6 +42,14 @@ impl PeakPredictor for MaxPeak {
         &self.components
     }
 
+    fn window_depth(&self, w: usize) -> usize {
+        self.components
+            .iter()
+            .map(|c| c.window_depth(w))
+            .max()
+            .unwrap_or(0)
+    }
+
     fn predict(&self, view: &MachineView) -> f64 {
         self.predict_lane(view, CPU)
     }

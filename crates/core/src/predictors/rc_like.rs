@@ -38,6 +38,10 @@ impl PeakPredictor for RcLike {
         format!("rc-like(p{})", self.percentile)
     }
 
+    fn window_depth(&self, w: usize) -> usize {
+        oc_stats::percentile_depth(self.percentile, w)
+    }
+
     fn predict(&self, view: &MachineView) -> f64 {
         let mut total = view.cold_limit_sum();
         for (_, task) in view.warm_tasks() {
@@ -45,7 +49,8 @@ impl PeakPredictor for RcLike {
                 .window()
                 .percentile(self.percentile)
                 // A warm task always has samples; treat a failed percentile
-                // (empty window) as the conservative limit.
+                // (empty window) as the conservative limit. A window too
+                // shallow for this percentile panics instead.
                 .unwrap_or(task.limit());
             total += pct.min(task.limit());
         }

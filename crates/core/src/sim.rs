@@ -159,7 +159,7 @@ pub fn simulate_machine(
 
     let plan = EvalPlan::new(predictors);
     let mut values = vec![0.0; predictors.len()];
-    drive_ticks(trace, cfg, |i, t, live, view| {
+    drive_ticks(trace, cfg, predictors, |i, t, live, view| {
         view.observe(
             t,
             live.iter().map(|&idx| {
@@ -240,7 +240,7 @@ pub fn simulate_machine_vec(
 
     let plan = EvalPlan::new(predictors);
     let mut values = vec![Res2::ZERO; predictors.len()];
-    drive_ticks(trace, cfg, |i, t, live, view| {
+    drive_ticks(trace, cfg, predictors, |i, t, live, view| {
         let mut mem_total = 0.0;
         view.observe_vec(
             t,
@@ -299,16 +299,23 @@ pub fn simulate_machine_vec(
 /// Replays one machine tick by tick: admits and retires tasks and hands
 /// `on_tick` the tick's index, the tick, the live tasks (indices into
 /// `trace.tasks`, in admission order) and a [`MachineView`] for the
-/// machine, to observe them into and predict from. Both replays run
+/// machine, to observe them into and predict from. The view's windows
+/// keep the deepest [`PeakPredictor::window_depth`] of `predictors`. Both replays run
 /// through it, so the scalar replay and the vector one's CPU lane see the
 /// same task set and the same sampled `sim.tick` spans; each feeds the
 /// view through its own lane entry point. Callers validate `cfg` and
 /// `trace` before the oracle pass, so the driver does not re-validate.
-fn drive_ticks<F>(trace: &MachineTrace, cfg: &SimConfig, mut on_tick: F)
-where
+fn drive_ticks<F>(
+    trace: &MachineTrace,
+    cfg: &SimConfig,
+    predictors: &[Box<dyn PeakPredictor>],
+    mut on_tick: F,
+) where
     F: FnMut(usize, Tick, &[usize], &mut MachineView),
 {
-    let mut view = MachineView::new(trace.capacity, cfg);
+    let w = cfg.max_num_samples;
+    let depth = predictors.iter().map(|p| p.window_depth(w)).max();
+    let mut view = MachineView::with_depth(trace.capacity, cfg, depth.unwrap_or(0));
     // Pre-index tasks by start tick so each tick touches only live tasks.
     // Machines host dozens of tasks at a time but thousands over a month.
     let mut live: Vec<usize> = Vec::new();

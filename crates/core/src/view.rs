@@ -14,6 +14,18 @@
 //! machine-level aggregate window used by the N-sigma predictor records,
 //! per tick, the summed usage of the tasks that were warm at that tick.
 //!
+//! # Window depth
+//!
+//! A per-task CPU window is read only through the predictors' per-task
+//! percentile, and a percentile near the top reaches only the few largest
+//! samples. So each window is a [`TopKWindow`] that keeps just the
+//! samples that can still rank within its *depth* of the top: a view
+//! built with [`MachineView::with_depth`] for the depth its predictors
+//! derive ([`crate::predictor::PeakPredictor::window_depth`]; 3 for the
+//! paper's p99 over 120 samples) holds a handful of entries per task, and
+//! answers every read those predictors make with the bits a full window
+//! would give. [`MachineView::new`] keeps the full window.
+//!
 //! # Resource lanes
 //!
 //! The view tracks a small fixed set of resource *lanes* (see
@@ -39,7 +51,7 @@ use crate::config::SimConfig;
 use crate::error::CoreError;
 use oc_stats::resource::{Res2, CPU, MEM};
 use oc_stats::state::{corrupt, put_bool, put_f64, put_u64, StateReader};
-use oc_stats::{MovingWindow, OrderStatWindow, PeakWindow};
+use oc_stats::{MovingWindow, PeakWindow, TopKWindow};
 use oc_telemetry::Counter;
 use oc_trace::ids::{JobId, TaskId};
 use oc_trace::time::Tick;
@@ -56,8 +68,8 @@ fn observe_ticks_counter() -> &'static Arc<Counter> {
 /// boxed so that scalar-only (CPU) serving pays one pointer per task,
 /// not a whole second window.
 ///
-/// The memory lane deliberately keeps a [`PeakWindow`], not a full
-/// [`OrderStatWindow`]: memory is incompressible (overrunning it kills
+/// The memory lane deliberately keeps a [`PeakWindow`], the depth-1 case
+/// of the CPU lane's window: memory is incompressible (overrunning it kills
 /// tasks instead of throttling them), so per-task admission needs the
 /// recent *peak*, and tracking only the peak keeps the second lane's
 /// push O(1) amortized. The benchmark's `layers` probes read the
@@ -73,7 +85,7 @@ struct MemLane {
 #[derive(Debug, Clone)]
 pub struct TaskView {
     limit: f64,
-    window: OrderStatWindow,
+    window: TopKWindow,
     age: usize,
     /// Generation stamp of the last tick this task was observed alive.
     last_seen: u64,
@@ -98,10 +110,10 @@ impl TaskView {
         }
     }
 
-    /// Window of the most recent CPU usage samples. Order statistics
-    /// (percentile, max) are O(1) reads — this is what keeps the RC-like
-    /// predictor's per-tick cost flat.
-    pub fn window(&self) -> &OrderStatWindow {
+    /// Window of the most recent CPU usage samples, kept to the view's
+    /// depth. Order statistics within it (percentile, max) are O(1) reads
+    /// — this is what keeps the RC-like predictor's per-tick cost flat.
+    pub fn window(&self) -> &TopKWindow {
         &self.window
     }
 
@@ -144,13 +156,14 @@ impl TaskView {
         }
     }
 
-    /// Decodes one task of a view whose windows hold `cap` samples and
-    /// whose generation is `generation`: every alive task was stamped by
-    /// the view's latest observation, and its window holds exactly its
-    /// last `min(age, cap)` samples.
+    /// Decodes one task of a view whose windows hold `cap` samples to
+    /// `depth` and whose generation is `generation`: every alive task was
+    /// stamped by the view's latest observation, and its window holds
+    /// exactly its last `min(age, cap)` samples.
     fn decode(
         r: &mut StateReader<'_>,
         cap: usize,
+        depth: usize,
         generation: u64,
     ) -> Result<(TaskId, TaskView), CoreError> {
         let job = JobId(r.u64()?);
@@ -158,7 +171,7 @@ impl TaskView {
         let limit = r.non_negative()?;
         let age = usize::try_from(r.counter()?).map_err(|_| corrupt("task age out of range"))?;
         let last_seen = r.u64()?;
-        let window = OrderStatWindow::decode(r, cap)?;
+        let window = TopKWindow::decode(r, cap, depth)?;
         if age == 0 || last_seen != generation || window.len() != age.min(cap) {
             return Err(corrupt("task age, stamp and window disagree").into());
         }
@@ -207,6 +220,9 @@ pub struct MachineView {
     now: Tick,
     min_num_samples: usize,
     max_num_samples: usize,
+    /// How many of the largest samples each task's CPU window keeps
+    /// readable, in `1..=max_num_samples`.
+    depth: usize,
     /// Alive tasks, sorted by [`TaskId`]. A sorted `Vec` rather than a
     /// `BTreeMap`: fleets hold millions of machines with a handful of
     /// tasks each, and a one-entry B-tree still allocates a full
@@ -234,14 +250,25 @@ pub struct MachineView {
 }
 
 impl MachineView {
-    /// Creates an empty view for a machine of the given capacity.
+    /// Creates an empty view for a machine of the given capacity whose
+    /// per-task windows are full: exact at any percentile.
     pub fn new(capacity: f64, cfg: &SimConfig) -> MachineView {
+        MachineView::with_depth(capacity, cfg, cfg.max_num_samples)
+    }
+
+    /// Creates an empty view whose per-task CPU windows keep the `depth`
+    /// largest of their samples readable (clamped to `1..=` the window
+    /// size): pass the [`crate::predictor::PeakPredictor::window_depth`]
+    /// of the predictors that will read it. Every read within the depth
+    /// returns the bits of a full window; a deeper one panics.
+    pub fn with_depth(capacity: f64, cfg: &SimConfig, depth: usize) -> MachineView {
         let cap = cfg.max_num_samples.max(1);
         MachineView {
             capacity,
             now: Tick::ZERO,
             min_num_samples: cfg.min_num_samples,
             max_num_samples: cap,
+            depth: depth.clamp(1, cap),
             tasks: Vec::new(),
             warm_window: MovingWindow::new(cap).expect("capacity >= 1"),
             warm_mem_window: MovingWindow::new(cap).expect("capacity >= 1"),
@@ -323,7 +350,7 @@ impl MachineView {
         self.now = t;
         self.generation += 1;
         let generation = self.generation;
-        let max_num_samples = self.max_num_samples;
+        let (max_num_samples, depth) = (self.max_num_samples, self.depth);
         let mut warm_total = 0.0;
         let mut warm_mem_total = 0.0;
         let mut sums_stale = false;
@@ -333,7 +360,8 @@ impl MachineView {
                 Err(i) => {
                     let view = TaskView {
                         limit: limit.lane(CPU),
-                        window: OrderStatWindow::new(max_num_samples).expect("capacity >= 1"),
+                        window: TopKWindow::new(max_num_samples, depth)
+                            .expect("1 <= depth <= capacity"),
                         age: 0,
                         last_seen: 0,
                         mem: None,
@@ -499,6 +527,7 @@ impl MachineView {
         put_f64(out, self.capacity);
         put_u64(out, self.min_num_samples as u64);
         put_u64(out, self.max_num_samples as u64);
+        put_u64(out, self.depth as u64);
         put_u64(out, self.now.0);
         put_u64(out, self.generation);
         for sum in [
@@ -518,27 +547,29 @@ impl MachineView {
     }
 
     /// Decodes a view written by [`MachineView::encode`]. The record must
-    /// carry `like`'s configuration — machine capacity, warm-up threshold
-    /// and window capacity — or it is refused, never coerced.
+    /// carry `like`'s configuration — machine capacity, warm-up threshold,
+    /// window capacity and window depth — or it is refused, never coerced.
     pub(crate) fn decode(
         r: &mut StateReader<'_>,
         like: &MachineView,
     ) -> Result<MachineView, CoreError> {
         let capacity = r.f64()?;
-        let (min_num_samples, max_num_samples) = (r.u64()?, r.u64()?);
+        let (min_num_samples, max_num_samples, depth) = (r.u64()?, r.u64()?, r.u64()?);
         if capacity.to_bits() != like.capacity.to_bits()
             || min_num_samples != like.min_num_samples as u64
             || max_num_samples != like.max_num_samples as u64
+            || depth != like.depth as u64
         {
             return Err(CoreError::InvalidConfig {
                 what: format!(
                     "state record for capacity {capacity} with {min_num_samples}..{max_num_samples} \
-                     sample windows; this view has capacity {} with {}..{}",
-                    like.capacity, like.min_num_samples, like.max_num_samples
+                     sample windows of depth {depth}; this view has capacity {} with {}..{} \
+                     of depth {}",
+                    like.capacity, like.min_num_samples, like.max_num_samples, like.depth
                 ),
             });
         }
-        let cap = like.max_num_samples;
+        let (cap, depth) = (like.max_num_samples, like.depth);
         let now = Tick(r.u64()?);
         let generation = r.counter()?;
         let [cold_limit_sum, total_limit, cold_mem_limit_sum, total_mem_limit] = [
@@ -549,7 +580,7 @@ impl MachineView {
         ];
         let mut tasks: Vec<(TaskId, TaskView)> = Vec::new();
         for _ in 0..r.count(usize::MAX)? {
-            let (id, task) = TaskView::decode(r, cap, generation)?;
+            let (id, task) = TaskView::decode(r, cap, depth, generation)?;
             if tasks.last().is_some_and(|(prev, _)| *prev >= id) {
                 return Err(corrupt("tasks out of order").into());
             }
@@ -560,6 +591,7 @@ impl MachineView {
             now,
             min_num_samples: like.min_num_samples,
             max_num_samples: cap,
+            depth,
             tasks,
             warm_window: MovingWindow::decode(r, cap)?,
             warm_mem_window: MovingWindow::decode(r, cap)?,
@@ -701,7 +733,10 @@ mod tests {
             );
         }
         for ((_, a), (_, b)) in scalar.tasks().zip(vector.tasks()) {
-            assert_eq!(a.window().sorted(), b.window().sorted());
+            let (mut wa, mut wb) = (Vec::new(), Vec::new());
+            a.window().encode(&mut wa);
+            b.window().encode(&mut wb);
+            assert_eq!(wa, wb, "per-task windows hold the same state");
         }
         // Promoted scalar samples record zero in the memory lane.
         assert_eq!(vector.total_limit_lane(MEM), 0.0);

@@ -63,6 +63,8 @@ pub struct Selector {
 
 impl Selector {
     pub fn new() -> io::Result<Selector> {
+        // SAFETY: `epoll_create1` takes a flags word and no pointers; the
+        // returned fd (or -1) is checked below before it is used.
         let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(io::Error::last_os_error());
@@ -75,6 +77,8 @@ impl Selector {
             events: interest_bits(interest),
             data: token as u64,
         };
+        // SAFETY: `ev` is a live, properly laid-out `epoll_event` for the
+        // whole call, and the kernel only reads it for ADD/MOD.
         if unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) } != 0 {
             return Err(io::Error::last_os_error());
         }
@@ -93,6 +97,8 @@ impl Selector {
         // A zeroed event for DEL: required on pre-2.6.9 kernels, harmless
         // everywhere else.
         let mut ev = EpollEvent { events: 0, data: 0 };
+        // SAFETY: `ev` is a live `epoll_event` for the whole call; DEL
+        // ignores it on current kernels.
         if unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) } != 0 {
             return Err(io::Error::last_os_error());
         }
@@ -105,6 +111,9 @@ impl Selector {
         out: &mut Vec<Event>,
         timeout: Option<Duration>,
     ) -> io::Result<()> {
+        // SAFETY: the kernel writes at most `buf.raw.len()` events into
+        // `buf.raw`, which is borrowed mutably for the whole call, and
+        // only the first `n` (checked below) are read back.
         let n = unsafe {
             epoll_wait(
                 self.epfd,

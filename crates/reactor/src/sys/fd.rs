@@ -40,6 +40,8 @@ extern "C" {
 
 /// Close an fd, ignoring errors (used from `Drop` paths).
 pub fn close_fd(fd: RawFd) {
+    // SAFETY: `close` takes no pointers; callers pass an fd they own and
+    // never use again, so no other handle is invalidated behind its back.
     unsafe {
         close(fd);
     }
@@ -47,6 +49,8 @@ pub fn close_fd(fd: RawFd) {
 
 /// Raw non-blocking read. Returns `Ok(0)` on EOF.
 pub fn read_fd(fd: RawFd, buf: &mut [u8]) -> io::Result<usize> {
+    // SAFETY: the kernel writes at most `buf.len()` bytes into `buf`,
+    // which is borrowed mutably for the whole call.
     let n = unsafe { read(fd, buf.as_mut_ptr() as *mut c_void, buf.len()) };
     if n < 0 {
         Err(io::Error::last_os_error())
@@ -57,6 +61,8 @@ pub fn read_fd(fd: RawFd, buf: &mut [u8]) -> io::Result<usize> {
 
 /// Raw non-blocking write.
 pub fn write_fd(fd: RawFd, buf: &[u8]) -> io::Result<usize> {
+    // SAFETY: the kernel reads at most `buf.len()` bytes from `buf`,
+    // which is borrowed for the whole call.
     let n = unsafe { write(fd, buf.as_ptr() as *const c_void, buf.len()) };
     if n < 0 {
         Err(io::Error::last_os_error())
@@ -71,6 +77,8 @@ pub fn pipe_nonblocking() -> io::Result<(RawFd, RawFd)> {
     const O_NONBLOCK: c_int = 0o4000;
     const O_CLOEXEC: c_int = 0o2000000;
     let mut fds = [0 as c_int; 2];
+    // SAFETY: `fds` is a live two-element `c_int` array, exactly what
+    // `pipe2` writes.
     if unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | O_CLOEXEC) } != 0 {
         return Err(io::Error::last_os_error());
     }
@@ -88,11 +96,16 @@ pub fn pipe_nonblocking() -> io::Result<(RawFd, RawFd)> {
     const FD_CLOEXEC: c_int = 1;
     const O_NONBLOCK: c_int = 0o4; // macOS / BSD value
     let mut fds = [0 as c_int; 2];
+    // SAFETY: `fds` is a live two-element `c_int` array, exactly what
+    // `pipe` writes.
     if unsafe { pipe(fds.as_mut_ptr()) } != 0 {
         return Err(io::Error::last_os_error());
     }
     for fd in fds {
+        // SAFETY: `fcntl` with F_SETFL and an integer argument takes no
+        // pointers; `fd` was just created by `pipe`.
         if unsafe { fcntl(fd, F_SETFL, O_NONBLOCK) } < 0
+            // SAFETY: as above, F_SETFD with an integer argument.
             || unsafe { fcntl(fd, F_SETFD, FD_CLOEXEC) } < 0
         {
             let err = io::Error::last_os_error();
@@ -113,6 +126,8 @@ pub fn raise_nofile_limit() -> io::Result<u64> {
         rlim_cur: 0,
         rlim_max: 0,
     };
+    // SAFETY: `lim` is a live `Rlimit` with the C `struct rlimit` layout
+    // for the whole call.
     if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {
         return Err(io::Error::last_os_error());
     }
@@ -123,6 +138,8 @@ pub fn raise_nofile_limit() -> io::Result<u64> {
         rlim_cur: lim.rlim_max,
         rlim_max: lim.rlim_max,
     };
+    // SAFETY: `want` is a live `Rlimit` with the C `struct rlimit` layout,
+    // only read by the kernel.
     if unsafe { setrlimit(RLIMIT_NOFILE, &want) } != 0 {
         return Ok(lim.rlim_cur); // best-effort: keep the old soft limit
     }

@@ -120,6 +120,8 @@ impl Selector {
                 })
                 .collect()
         };
+        // SAFETY: `pollfds` is a live `Vec` of `pollfd`-layout entries and
+        // the kernel touches exactly `pollfds.len()` of them.
         let n = unsafe {
             poll(
                 pollfds.as_mut_ptr(),

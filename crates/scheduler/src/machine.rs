@@ -97,7 +97,8 @@ impl std::fmt::Debug for SimMachine {
 }
 
 impl SimMachine {
-    /// Creates an idle machine.
+    /// Creates an idle machine. Its view's per-task windows keep the depth
+    /// `predictor` reads.
     pub fn new(
         id: MachineId,
         capacity: f64,
@@ -111,7 +112,11 @@ impl SimMachine {
             capacity,
             metric: sim.metric,
             usage_model,
-            view: MachineView::new(capacity, sim),
+            view: MachineView::with_depth(
+                capacity,
+                sim,
+                predictor.window_depth(sim.max_num_samples),
+            ),
             predictor,
             live: Vec::new(),
             finished: Vec::new(),

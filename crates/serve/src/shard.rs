@@ -201,15 +201,24 @@ pub(crate) struct Shard {
     views: HashMap<MachineKey, Box<IncrementalView>>,
     metrics: ShardMetrics,
     predictor: Box<dyn PeakPredictor>,
-    cfg: ServeConfig,
+    /// An empty view as the configuration shapes it: cloned for each new
+    /// machine, and what `ADMIT` reads for a machine never observed.
+    fresh: Box<IncrementalView>,
     /// Set by [`ShardPool::shutdown`]; a closed shard applies nothing.
     closed: bool,
 }
 
 /// A fresh view configured by `cfg`: what a first sample creates, and the
-/// configuration a restored state record must match.
+/// configuration a restored state record must match. Its per-task windows
+/// keep the depth the served predictor reads (full windows for a spec
+/// that does not build, which validation refuses before any view exists).
 pub(crate) fn new_view(cfg: &ServeConfig) -> Box<IncrementalView> {
-    Box::new(IncrementalView::new(cfg.machine_capacity, &cfg.sim).with_max_gap(cfg.max_tick_gap))
+    let w = cfg.sim.max_num_samples;
+    let depth = cfg.predictor.build().map_or(w, |p| p.window_depth(w));
+    Box::new(
+        IncrementalView::with_depth(cfg.machine_capacity, &cfg.sim, depth)
+            .with_max_gap(cfg.max_tick_gap),
+    )
 }
 
 impl Shard {
@@ -227,7 +236,7 @@ impl Shard {
                 None => self
                     .views
                     .entry(key.clone())
-                    .or_insert_with(|| new_view(&self.cfg)),
+                    .or_insert_with(|| self.fresh.clone()),
             };
             let run_start = i;
             while i < items.len() && items[i].key == *key {
@@ -290,14 +299,15 @@ impl Shard {
     pub(crate) fn admit(&mut self, key: &MachineKey, limit: f64) -> Response {
         self.metrics.admits += 1;
         // An admission check on a never-observed machine is legal: the
-        // scheduler probes idle machines too. State is created on demand,
-        // exactly as a first OBSERVE would.
-        let view = self
-            .views
-            .entry(key.clone())
-            .or_insert_with(|| new_view(&self.cfg));
-        view.flush();
-        let v = view.view();
+        // scheduler probes idle machines too. It is answered from the
+        // shared empty view, so probing stores nothing.
+        let v = match self.views.get_mut(key) {
+            Some(view) => {
+                view.flush();
+                view.view()
+            }
+            None => self.fresh.view(),
+        };
         let projected = clamp_prediction(self.predictor.predict(v), v) + limit;
         Response::Admitted {
             admit: projected <= v.capacity(),
@@ -382,7 +392,7 @@ impl ShardPool {
                         views: HashMap::new(),
                         metrics: ShardMetrics::default(),
                         predictor: cfg.predictor.build()?,
-                        cfg: cfg.clone(),
+                        fresh: new_view(cfg),
                         closed: false,
                     }),
                     contended: registry.counter(&format!("serve.shard.contended.{i}")),
@@ -622,6 +632,28 @@ mod tests {
             panic!("expected ADMITTED");
         };
         assert!(!admit, "1.5 exceeds capacity 1.0");
+    }
+
+    /// A scheduler probing machines nobody observed stores nothing: the
+    /// answers come from the shared empty view, the projection is still
+    /// `clamp(prediction) + limit` (so a `-0.0` limit projects `+0.0`, as
+    /// an empty stored view would), and only an observe creates state.
+    #[test]
+    fn admit_on_unknown_machines_stores_no_view() {
+        let p = pool(1);
+        p.send(0, observe(0, 0, 0.2)).unwrap();
+        for m in 1..=10_000 {
+            let Response::Admitted { admit, projected } = ask_admit(&p, key(m), 0.25) else {
+                panic!("expected ADMITTED");
+            };
+            assert!(admit && projected == 0.25);
+        }
+        let Response::Admitted { projected, .. } = ask_admit(&p, key(9), -0.0) else {
+            panic!("expected ADMITTED");
+        };
+        assert_eq!(projected.to_bits(), 0.0f64.to_bits());
+        let m = p.shutdown();
+        assert_eq!((m.machines, m.admits), (1, 10_001));
     }
 
     /// A chunk applies exactly like its items sent one by one, and the

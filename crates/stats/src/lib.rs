@@ -12,7 +12,10 @@
 //! * [`MovingWindow`] — the bounded per-task sample window
 //!   (`max_num_samples` in the paper) with O(1) mean/std.
 //! * [`OrderStatWindow`] — the same FIFO window with a sorted index for
-//!   O(1) percentile/min/max reads on the per-tick prediction hot path.
+//!   O(1) percentile/min/max reads at any rank.
+//! * [`TopKWindow`] — the same FIFO window keeping only the samples that
+//!   can still rank among its `depth` largest: what the per-task views of
+//!   the prediction hot path hold.
 //! * [`resource`] — fixed-arity per-resource vectors ([`Res2`]) for
 //!   multi-resource (CPU + memory) overcommit.
 //! * [`correlation`] — Pearson and Spearman rank correlation
@@ -39,6 +42,7 @@ pub mod percentile;
 pub mod regression;
 pub mod resource;
 pub mod state;
+pub mod top_k;
 pub mod welford;
 
 pub use bucket::{BucketStat, Bucketed};
@@ -49,7 +53,8 @@ pub use histogram::Histogram;
 pub use moving::MovingWindow;
 pub use order_stat::OrderStatWindow;
 pub use peak::PeakWindow;
-pub use percentile::{percentile_of_sorted, percentile_slice};
+pub use percentile::{percentile_depth, percentile_of_sorted, percentile_slice};
 pub use regression::{ols, OlsFit};
 pub use resource::{Res2, ResourceVec};
+pub use top_k::TopKWindow;
 pub use welford::Welford;

@@ -29,7 +29,20 @@ use crate::error::StatsError;
 /// ```
 #[inline]
 pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> Result<f64, StatsError> {
-    if sorted.is_empty() {
+    percentile_by_rank(sorted.len(), p, |i| sorted[i])
+}
+
+/// The `p`-th percentile of `n` ascending samples, reading the sample of
+/// ascending rank `i` as `at(i)`: the one rank arithmetic behind
+/// [`percentile_of_sorted`] and [`crate::TopKWindow::percentile`], so the
+/// two read the same ranks and interpolate to the same bits.
+#[inline]
+pub(crate) fn percentile_by_rank(
+    n: usize,
+    p: f64,
+    at: impl Fn(usize) -> f64,
+) -> Result<f64, StatsError> {
+    if n == 0 {
         return Err(StatsError::Empty);
     }
     if !(0.0..=100.0).contains(&p) {
@@ -37,18 +50,51 @@ pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> Result<f64, StatsError> {
             what: "percentile must be in [0, 100]",
         });
     }
-    let n = sorted.len();
     if n == 1 {
-        return Ok(sorted[0]);
+        return Ok(at(0));
     }
+    let (lo, hi, frac) = ranks(n, p);
+    let below = at(lo);
+    if lo == hi {
+        return Ok(below);
+    }
+    Ok(below + (at(hi) - below) * frac)
+}
+
+/// The closest ranks `(lo, hi)` that the `p`-th percentile of `n ≥ 2`
+/// ascending samples interpolates between, and the weight of `hi`.
+#[inline]
+fn ranks(n: usize, p: f64) -> (usize, usize, f64) {
     let rank = p / 100.0 * (n - 1) as f64;
     let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        return Ok(sorted[lo]);
+    (lo, rank.ceil() as usize, rank - lo as f64)
+}
+
+/// How many of the largest samples the `p`-th percentile reads, at worst,
+/// over every fill `n ∈ 1..=w` of a `w`-sample window: the depth a
+/// [`crate::TopKWindow`] needs to answer it. Each fill is checked with the
+/// rank arithmetic of [`percentile_of_sorted`] itself (no closed form), so
+/// the bound holds for exactly the ranks a read computes. A `p` outside
+/// `[0, 100]` reads nothing and needs depth 1; `w = 0` needs 0.
+///
+/// # Examples
+///
+/// ```
+/// use oc_stats::percentile::percentile_depth;
+///
+/// assert_eq!(percentile_depth(99.0, 120), 3);
+/// assert_eq!(percentile_depth(80.0, 120), 25);
+/// assert_eq!(percentile_depth(100.0, 120), 1);
+/// assert_eq!(percentile_depth(0.0, 120), 120);
+/// ```
+pub fn percentile_depth(p: f64, w: usize) -> usize {
+    if !(0.0..=100.0).contains(&p) {
+        return w.min(1);
     }
-    let frac = rank - lo as f64;
-    Ok(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
+    (1..=w)
+        .map(|n| if n == 1 { 1 } else { n - ranks(n, p).0 })
+        .max()
+        .unwrap_or(0)
 }
 
 /// Returns the `p`-th percentile (0..=100) of an unsorted slice.

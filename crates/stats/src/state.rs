@@ -192,9 +192,16 @@ pub(crate) fn expect_capacity(r: &mut StateReader<'_>, capacity: usize) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MovingWindow, OrderStatWindow, PeakWindow};
+    use crate::{MovingWindow, OrderStatWindow, PeakWindow, TopKWindow};
 
     const CAP: usize = 6;
+    /// The depth of the top-k windows under test: below [`CAP`], so
+    /// entries leave by domination as well as by age.
+    const DEPTH: usize = 2;
+
+    fn decode_top_k(r: &mut StateReader<'_>, cap: usize) -> Result<TopKWindow, StatsError> {
+        TopKWindow::decode(r, cap, DEPTH)
+    }
 
     /// Duplicates, both signed zeros, and enough pushes to wrap a window
     /// of [`CAP`] several times.
@@ -239,7 +246,8 @@ mod tests {
     }
 
     /// A decoded window is the window: cut anywhere, it answers and keeps
-    /// evolving bit-identically to the original.
+    /// evolving bit-identically to the original (a top-k window at a
+    /// shallow depth and at full depth).
     #[test]
     fn windows_round_trip_and_evolve_identically() {
         let stream = stream();
@@ -248,14 +256,23 @@ mod tests {
             let mut order = OrderStatWindow::new(CAP).unwrap();
             let mut moving = MovingWindow::new(CAP).unwrap();
             let mut peak = PeakWindow::new(CAP).unwrap();
+            let mut top = TopKWindow::new(CAP, DEPTH).unwrap();
+            let mut full = TopKWindow::new(CAP, CAP).unwrap();
             for &x in head {
                 order.push(x);
                 moving.push(x);
                 peak.push(x);
+                top.push(x);
+                full.push(x);
             }
             let mut order2 = round_trip(&order, OrderStatWindow::encode, OrderStatWindow::decode);
             let mut moving2 = round_trip(&moving, MovingWindow::encode, MovingWindow::decode);
             let mut peak2 = round_trip(&peak, PeakWindow::encode, PeakWindow::decode);
+            let mut top2 = round_trip(&top, TopKWindow::encode, decode_top_k);
+            assert!(TopKWindow::decode(&mut StateReader::new(&encoded(&top)), CAP, 1).is_err());
+            let mut full2 = round_trip(&full, TopKWindow::encode, |r, cap| {
+                TopKWindow::decode(r, cap, CAP)
+            });
             for &x in tail {
                 order.push(x);
                 order2.push(x);
@@ -263,6 +280,17 @@ mod tests {
                 moving2.push(x);
                 peak.push(x);
                 peak2.push(x);
+                top.push(x);
+                top2.push(x);
+                assert_eq!(encoded(&top), encoded(&top2));
+                assert_eq!(top.percentile(100.0), top2.percentile(100.0));
+                full.push(x);
+                full2.push(x);
+                assert_eq!(encoded(&full), encoded(&full2));
+                assert_eq!(
+                    full2.percentile(0.0).map(f64::to_bits),
+                    order.percentile(0.0).map(f64::to_bits)
+                );
                 assert_eq!(
                     bits(order.sorted().iter().copied()),
                     bits(order2.sorted().iter().copied())
@@ -276,6 +304,58 @@ mod tests {
                 assert_eq!(bits(peak.max()), bits(peak2.max()));
                 assert_eq!(peak.len(), peak2.len());
             }
+        }
+    }
+
+    fn encoded(w: &TopKWindow) -> Vec<u8> {
+        let mut out = Vec::new();
+        w.encode(&mut out);
+        out
+    }
+
+    /// Each invariant a top-k record must keep, broken one at a time in a
+    /// record that decodes when intact.
+    #[test]
+    fn broken_top_k_invariants_are_refused() {
+        let mut top = TopKWindow::new(CAP, DEPTH).unwrap();
+        for x in [3.0, 1.0, 2.0, 1.0, 0.5, 2.5, 1.5, 1.0, 1.0] {
+            top.push(x);
+        }
+        let good = encoded(&top);
+        let decodes = |b: &[u8]| TopKWindow::decode(&mut StateReader::new(b), CAP, DEPTH).is_ok();
+        assert!(decodes(&good));
+        // Layout: capacity, depth, pushed, len, then (index, bits, newer)
+        // triples. Nine pushes into six slots leave indices 3..=8 in the
+        // window, of which 2.5@5, 1.5@6, 1.0@8 and 1.0@7 are retained.
+        let entry = |i: usize, field: usize| 4 + 3 * i + field;
+        let words: Vec<u64> = good
+            .chunks(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        assert_eq!(
+            (0..words[3] as usize)
+                .map(|i| words[entry(i, 0)])
+                .collect::<Vec<_>>(),
+            [5, 6, 8, 7]
+        );
+        for (what, word, v) in [
+            ("capacity", 0, CAP as u64 + 1),
+            ("depth", 1, DEPTH as u64 + 1),
+            ("push count past the counter bound", 2, COUNTER_MAX + 1),
+            ("push count with the newest missing", 2, 10),
+            ("fewer entries than the depth", 3, 1),
+            ("index before the window", entry(0, 0), 2),
+            ("index not yet pushed", entry(0, 0), 9),
+            ("repeated index", entry(1, 0), 5),
+            ("values not descending", entry(0, 1), 1.25f64.to_bits()),
+            ("equal values oldest first", entry(2, 0), 4),
+            ("non-finite value", entry(1, 1), f64::INFINITY.to_bits()),
+            ("newer at the depth", entry(3, 2), DEPTH as u64),
+            ("newer than the samples after it", entry(2, 2), 1),
+        ] {
+            let mut bad = good.clone();
+            bad[8 * word..8 * word + 8].copy_from_slice(&v.to_le_bytes());
+            assert!(!decodes(&bad), "{what} decoded");
         }
     }
 
