@@ -20,7 +20,7 @@ use oc_client::{Client, ClientConfig, ClusterClient, ClusterClientConfig};
 use oc_cluster::control::{self, ViewRecord};
 use oc_cluster::{Cluster, ClusterConfig, RingSpec};
 use oc_serve::config::ServeConfig;
-use oc_serve::proto::{epoch_ring_generation, ErrCode, Request, Response};
+use oc_serve::proto::{encode_view_record, epoch_ring_generation, ErrCode, Request, Response};
 use oc_serve::ring::KeyRole;
 use oc_serve::shard::key_hash;
 use oc_trace::ids::{CellId, MachineId};
@@ -148,26 +148,72 @@ fn state_bytes(cluster: &Cluster) -> Result<HashMap<(usize, u32), usize>, String
     Ok(out)
 }
 
-/// `replace` after 344 ticks per machine, far more than the 120-sample
-/// window: the dump costs what it cost at 150 ticks, byte for byte, and
-/// the replaced member serves offline bits. A window keeps the samples
-/// that can still rank near its top, so its size follows the samples in
-/// it; 344 is 150 plus two periods of the fleet's 97-tick usage cycle,
-/// where every window holds the same values as at 150.
+/// The state bytes, counted as [`state_bytes`] counts them, of a view
+/// shaped like a served one after `ticks` ticks of one task using
+/// `usage(t)`. Values and ids are encoded at fixed width, so the size
+/// depends only on how many samples each window retains.
+fn offline_bytes(ticks: u64, usage: impl Fn(u64) -> f64) -> usize {
+    use oc_core::ingest::IncrementalView;
+    use oc_trace::ids::{JobId, TaskId};
+    let cfg = ServeConfig::default();
+    let w = cfg.sim.max_num_samples;
+    let depth = cfg.predictor.build().map_or(w, |p| p.window_depth(w));
+    let mut view = IncrementalView::with_depth(cfg.machine_capacity, &cfg.sim, depth)
+        .with_max_gap(cfg.max_tick_gap);
+    for t in 0..ticks {
+        view.ingest(oc_trace::Tick(t), TaskId::new(JobId(1), 0), 0.5, usage(t))
+            .expect("the offline stream ingests");
+    }
+    let (mut state, mut text) = (Vec::new(), Vec::new());
+    view.encode(&mut state);
+    encode_view_record(
+        &CellId::new(CELL),
+        MachineId(0),
+        view.samples(),
+        &state,
+        &mut text,
+    );
+    let header = text
+        .iter()
+        .position(|&b| b == b'\n')
+        .expect("a header line");
+    text.len() - header - 1
+}
+
+/// `replace` after 300 ticks per machine, more than the 120-sample
+/// window: each machine's dump costs what its offline view's would, and
+/// no more than a full window's, which a strictly falling stream (every
+/// sample retained) sets and which does not grow from 150 ticks to 300;
+/// then the replaced member serves offline bits. A window keeps the
+/// samples that can still rank near its top, so a record's size follows
+/// the samples in its window, not the length of its history.
 fn replace_after_long_history_ships_bounded_state() -> Result<(), String> {
-    const END: u64 = 150 + 2 * 97;
+    let falling = |t: u64| 0.45 - 1e-4 * t as f64;
+    let bound = offline_bytes(150, falling);
+    if offline_bytes(300, falling) != bound {
+        return Err("a full window's record grew with its history".to_string());
+    }
     let mut cluster = start(3)?;
-    pass(&cluster, 0, 150)?;
-    let at_150 = state_bytes(&cluster)?;
-    pass(&cluster, 150, END)?;
-    let at_end = state_bytes(&cluster)?;
-    if at_end != at_150 || at_end.len() as u64 != 2 * MACHINES {
-        return Err("a machine's state grew with its history".to_string());
+    for (from, to) in [(0, 150), (150, 300)] {
+        pass(&cluster, from, to)?;
+        let sizes = state_bytes(&cluster)?;
+        if sizes.len() as u64 != 2 * MACHINES {
+            return Err(format!("{} records at tick {to}", sizes.len()));
+        }
+        for (&(member, machine), &size) in &sizes {
+            let want = offline_bytes(to, |t| fleet::fleet_usage(u64::from(machine), t));
+            if size != want || size > bound {
+                return Err(format!(
+                    "machine {machine} on member {member} at tick {to}: {size} state bytes, \
+                     offline {want}, full window {bound}"
+                ));
+            }
+        }
     }
     cluster.kill(0).map_err(|e| format!("kill: {e}"))?;
     let report = cluster.replace(0).map_err(|e| format!("replace: {e}"))?;
-    let held = check(&cluster, END, 0)?;
-    if report.rejected != 0 || report.replayed != held * END {
+    let held = check(&cluster, 300, 0)?;
+    if report.rejected != 0 || report.replayed != held * 300 {
         return Err(format!("replace of {held} machines: {report:?}"));
     }
     cluster.shutdown().map_err(|e| format!("shutdown: {e}"))?;

@@ -41,8 +41,9 @@ pub trait PeakPredictor: Send + Sync {
     /// this predictor's reads reach: the depth a view built for it keeps
     /// (see [`MachineView::with_depth`]). A read deeper than this panics,
     /// so an override must cover every window fill `1..=w`. The default,
-    /// 0, is for predictors that read no per-task window; a max composite
-    /// takes the largest depth of its components.
+    /// `w`, keeps the full window, exact for any read; a predictor that
+    /// reads no per-task window returns 0, and a max composite takes the
+    /// largest depth of its components.
     ///
     /// # Examples
     ///
@@ -55,8 +56,7 @@ pub trait PeakPredictor: Send + Sync {
     /// assert_eq!(depth(PredictorSpec::NSigma { n: 5.0 }), 0);
     /// ```
     fn window_depth(&self, w: usize) -> usize {
-        let _ = w;
-        0
+        w
     }
 
     /// Predicts the machine's future peak CPU usage from its current view.
@@ -382,8 +382,9 @@ mod tests {
     }
 
     /// Every spec's derived depth: 0 for the predictors that read no task
-    /// window, the percentile's own depth for RC-like, and the deepest
-    /// component for a max composite, nested ones included.
+    /// window, the percentile's own depth for RC-like, the deepest
+    /// component for a max composite, nested ones included, and the full
+    /// window for a predictor that does not override the method.
     #[test]
     fn window_depth_of_every_spec() {
         let depth = |spec: &PredictorSpec| spec.build().unwrap().window_depth(120);
@@ -423,6 +424,17 @@ mod tests {
         // The depth follows the window: a short one caps it.
         assert_eq!(rc(80.0).build().unwrap().window_depth(5), 2);
         assert_eq!(rc(80.0).build().unwrap().window_depth(0), 0);
+        // A predictor that does not say keeps the full window.
+        struct Unsaid;
+        impl PeakPredictor for Unsaid {
+            fn name(&self) -> String {
+                "unsaid".into()
+            }
+            fn predict(&self, view: &MachineView) -> f64 {
+                view.total_limit()
+            }
+        }
+        assert_eq!(Unsaid.window_depth(120), 120);
     }
 
     /// A view built to a predictor's derived depth predicts, tick by tick,

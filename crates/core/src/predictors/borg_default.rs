@@ -37,6 +37,10 @@ impl PeakPredictor for BorgDefault {
         format!("borg-default({})", self.phi)
     }
 
+    fn window_depth(&self, _w: usize) -> usize {
+        0
+    }
+
     fn predict(&self, view: &MachineView) -> f64 {
         self.predict_lane(view, CPU)
     }

@@ -18,6 +18,10 @@ impl PeakPredictor for LimitSum {
         "limit-sum".into()
     }
 
+    fn window_depth(&self, _w: usize) -> usize {
+        0
+    }
+
     fn predict(&self, view: &MachineView) -> f64 {
         self.predict_lane(view, CPU)
     }

@@ -41,6 +41,10 @@ impl PeakPredictor for NSigma {
         format!("n-sigma({})", self.n)
     }
 
+    fn window_depth(&self, _w: usize) -> usize {
+        0
+    }
+
     fn predict(&self, view: &MachineView) -> f64 {
         self.predict_lane(view, CPU)
     }

@@ -71,6 +71,10 @@ impl PeakPredictor for Seasonal {
         )
     }
 
+    fn window_depth(&self, _w: usize) -> usize {
+        0
+    }
+
     fn predict(&self, view: &MachineView) -> f64 {
         let mut state = self.state.lock().expect("seasonal state lock");
         if state.profile.len() != self.slots {

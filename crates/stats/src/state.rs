@@ -324,10 +324,10 @@ mod tests {
         let good = encoded(&top);
         let decodes = |b: &[u8]| TopKWindow::decode(&mut StateReader::new(b), CAP, DEPTH).is_ok();
         assert!(decodes(&good));
-        // Layout: capacity, depth, pushed, len, then (index, bits, newer)
-        // triples. Nine pushes into six slots leave indices 3..=8 in the
-        // window, of which 2.5@5, 1.5@6, 1.0@8 and 1.0@7 are retained.
-        let entry = |i: usize, field: usize| 4 + 3 * i + field;
+        // Layout: capacity, depth, pushed, len, then (index, bits) pairs.
+        // Nine pushes into six slots leave indices 3..=8 in the window, of
+        // which 2.5@5, 1.5@6, 1.0@8 and 1.0@7 are retained.
+        let entry = |i: usize, field: usize| 4 + 2 * i + field;
         let words: Vec<u64> = good
             .chunks(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
@@ -350,13 +350,37 @@ mod tests {
             ("values not descending", entry(0, 1), 1.25f64.to_bits()),
             ("equal values oldest first", entry(2, 0), 4),
             ("non-finite value", entry(1, 1), f64::INFINITY.to_bits()),
-            ("newer at the depth", entry(3, 2), DEPTH as u64),
-            ("newer than the samples after it", entry(2, 2), 1),
+            // 1.0@3 would have 2.5@5, 1.5@6 and 1.0@8 newer and `≥` it.
+            ("newer entries at the depth", entry(3, 0), 3),
         ] {
             let mut bad = good.clone();
             bad[8 * word..8 * word + 8].copy_from_slice(&v.to_le_bytes());
             assert!(!decodes(&bad), "{what} decoded");
         }
+    }
+
+    /// A record whose entries no stream of pushes leaves behind, but which
+    /// keeps every invariant decode checks, stays readable to its depth
+    /// through later pushes: the counts are rebuilt from the entries, not
+    /// taken from the record, so no push can drop more than it should.
+    #[test]
+    fn decoded_top_k_windows_keep_their_depth() {
+        let (cap, depth) = (120, 3);
+        let mut rec = Vec::new();
+        for word in [cap as u64, depth as u64, 200, 3] {
+            put_u64(&mut rec, word);
+        }
+        for (seq, x) in [(150, 3.0), (160, 2.0), (199, 1.0)] {
+            put_u64(&mut rec, seq);
+            put_f64(&mut rec, x);
+        }
+        let mut w = TopKWindow::decode(&mut StateReader::new(&rec), cap, depth).unwrap();
+        for x in [5.0, 0.5, 4.0, 6.0] {
+            w.push(x);
+            assert!(w.retained() >= depth, "{} entries after {x}", w.retained());
+            assert!(w.percentile(99.0).is_ok());
+        }
+        assert_eq!(w.percentile(100.0), Ok(6.0));
     }
 
     #[test]

@@ -73,8 +73,7 @@ pub struct TopKWindow {
     capacity: u32,
     depth: u32,
     /// Arrival index (mod 2³²) of the oldest retained entry; the newest
-    /// push's when none is older. Not kept at full depth, where the
-    /// oldest entry is always the window's oldest sample.
+    /// push's when none is older.
     oldest: u32,
 }
 
@@ -91,6 +90,9 @@ struct Entry {
     /// inside any window of at most `u32::MAX` samples.
     seq: u32,
     /// Newer samples `≥` this one; it leaves when this reaches `depth`.
+    /// Every such sample is retained (were one dropped, the `depth`
+    /// samples that dropped it would have dropped this one too), so this
+    /// is also the count of newer retained entries `≥` it.
     newer: u32,
 }
 
@@ -144,10 +146,6 @@ impl TopKWindow {
         let k = key(x);
         let seq = self.pushed as u32;
         self.pushed += 1;
-        if self.depth == self.capacity {
-            self.push_full_depth(k, seq);
-            return;
-        }
         let entries = &mut self.entries;
         if self.pushed > u64::from(self.capacity) {
             let gone = seq.wrapping_sub(self.capacity);
@@ -199,47 +197,13 @@ impl TopKWindow {
         }
         entries[to] = held;
         entries.truncate(to + usize::from(stays));
+        if entries.capacity() > entries.len() + 2 * GROWTH {
+            // A falling stretch retains many entries; once they have
+            // left, the storage they took is given back.
+            entries.shrink_to(entries.len() + GROWTH);
+        }
         if lost_oldest {
             self.oldest = oldest_of(entries, seq);
-        }
-    }
-
-    /// [`TopKWindow::push`] for a full-depth window, which drops nothing
-    /// by domination (an entry has at most `capacity − 1` newer samples in
-    /// the window) and so retains every sample, like
-    /// [`crate::OrderStatWindow`]. The slot the leaving sample frees and
-    /// the one the new sample takes are joined by one shift of the entries
-    /// between them; then every entry at or below the new sample gains a
-    /// newer sample `≥` it, with no per-entry choice.
-    fn push_full_depth(&mut self, k: i64, seq: u32) {
-        let entries = &mut self.entries;
-        let at = first_at_or_below(entries, k);
-        let new = Entry {
-            key: k,
-            seq,
-            newer: 0,
-        };
-        let counted = if self.pushed <= u64::from(self.capacity) {
-            entries.insert(at, new);
-            at + 1
-        } else {
-            let gone = seq.wrapping_sub(self.capacity);
-            let i = entries
-                .iter()
-                .position(|e| e.seq == gone)
-                .expect("a full-depth window retains every sample");
-            if i < at {
-                entries.copy_within(i + 1..at, i);
-                entries[at - 1] = new;
-                at
-            } else {
-                entries.copy_within(at..i, at + 1);
-                entries[at] = new;
-                at + 1
-            }
-        };
-        for e in &mut entries[counted..] {
-            e.newer += 1;
         }
     }
 
@@ -318,7 +282,9 @@ impl TopKWindow {
 
     /// Appends the window's exact state to `out`: capacity, depth,
     /// lifetime push count, then the retained entries in order as
-    /// `(arrival index, bits, newer)` triples.
+    /// `(arrival index, bits)` pairs. Each entry's count of newer samples
+    /// `≥` it is not written: it is the count of the retained entries
+    /// before it that are newer.
     pub fn encode(&self, out: &mut Vec<u8>) {
         put_u64(out, u64::from(self.capacity));
         put_u64(out, u64::from(self.depth));
@@ -329,17 +295,17 @@ impl TopKWindow {
             let age = (newest as u32).wrapping_sub(e.seq);
             put_u64(out, newest - u64::from(age));
             put_f64(out, e.value());
-            put_u64(out, u64::from(e.newer));
         }
     }
 
     /// Decodes a window written by [`TopKWindow::encode`] into a window of
     /// `capacity` and `depth`, checking what every reachable state has:
     /// values descending (equal values newest first), arrival indices
-    /// distinct and inside the window, `newer` below `depth` and below
-    /// the count of samples newer than the entry, the newest sample
-    /// present, and at least `min(depth, len)` entries, so that no read
-    /// the depth allows can miss.
+    /// distinct and inside the window, fewer than `depth` newer entries
+    /// before each entry, the newest sample present, and at least
+    /// `min(depth, len)` entries. Each entry's count is rebuilt from the
+    /// entries before it, so the window keeps these invariants through
+    /// every later push and no read the depth allows can miss.
     ///
     /// # Errors
     ///
@@ -363,24 +329,31 @@ impl TopKWindow {
         if n < depth.min(len) {
             return Err(corrupt("window keeps fewer entries than its depth"));
         }
+        let newest = w.pushed.wrapping_sub(1) as u32;
         let mut prev: Option<(i64, u64)> = None;
         for _ in 0..n {
-            let (seq, k, newer) = (r.u64()?, key(r.finite()?), r.u64()?);
-            if seq < oldest || seq >= w.pushed || newer > w.pushed - 1 - seq {
+            let (seq, k) = (r.u64()?, key(r.finite()?));
+            if seq < oldest || seq >= w.pushed {
                 return Err(corrupt("window entry outside its history"));
-            }
-            if newer >= depth as u64 {
-                return Err(corrupt("window entry past its depth"));
             }
             if prev.is_some_and(|(pk, ps)| pk < k || (pk == k && ps <= seq)) {
                 return Err(corrupt("window entries out of order"));
             }
-            // Indices inside one window differ modulo 2³² iff they differ.
-            if w.entries
-                .iter()
-                .any(|e| u64::from(e.seq) == seq & 0xFFFF_FFFF)
-            {
-                return Err(corrupt("window entries repeat an arrival"));
+            // Inside one window, ages modulo 2³² are exact; the entries
+            // before this one are `≥` it, so the younger ones count.
+            let age = newest.wrapping_sub(seq as u32);
+            let mut newer = 0;
+            for e in &w.entries {
+                match newest.wrapping_sub(e.seq).cmp(&age) {
+                    std::cmp::Ordering::Less => newer += 1,
+                    std::cmp::Ordering::Equal => {
+                        return Err(corrupt("window entries repeat an arrival"))
+                    }
+                    std::cmp::Ordering::Greater => {}
+                }
+            }
+            if newer >= depth {
+                return Err(corrupt("window entry past its depth"));
             }
             prev = Some((k, seq));
             w.entries.push(Entry {
@@ -392,7 +365,7 @@ impl TopKWindow {
         if w.pushed > 0 && w.last().is_none() {
             return Err(corrupt("window lacks its newest sample"));
         }
-        w.oldest = oldest_of(&w.entries, w.pushed.wrapping_sub(1) as u32);
+        w.oldest = oldest_of(&w.entries, newest);
         Ok(w)
     }
 }

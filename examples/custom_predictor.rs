@@ -32,6 +32,12 @@ impl PeakPredictor for EwmaPredictor {
         format!("ewma(a={},k={})", self.alpha, self.k)
     }
 
+    // It reads the machine's aggregate window, no per-task one, so its
+    // views need keep no per-task samples beyond the max.
+    fn window_depth(&self, _w: usize) -> usize {
+        0
+    }
+
     fn predict(&self, view: &MachineView) -> f64 {
         let window = view.warm_aggregate();
         if window.is_empty() {
