@@ -166,6 +166,10 @@ pub fn run_cell_streaming(
 /// workers finish their current machine but claim no more, and the first
 /// error (by claim order, not completion order — `error` is only written by
 /// whichever worker raises the flag) is returned.
+///
+/// One thread runs the indices in order on the calling thread, stopping
+/// at the first error: no worker is spawned, so the replay's CPU time and
+/// trace events stay on the caller's thread.
 fn parallel_map<F>(n: usize, threads: usize, f: F) -> Result<Vec<SimResult>, CoreError>
 where
     F: Fn(usize) -> Result<SimResult, CoreError> + Send + Sync,
@@ -174,6 +178,9 @@ where
     use std::sync::Mutex;
 
     let threads = threads.max(1).min(n.max(1));
+    if threads == 1 {
+        return (0..n).map(f).collect();
+    }
     let next = AtomicUsize::new(0);
     let cancel = AtomicBool::new(false);
     let error: Mutex<Option<CoreError>> = Mutex::new(None);
@@ -281,6 +288,35 @@ mod tests {
         let many = run_cell_streaming(&gen, &cfg, &specs, 8).unwrap();
         for (x, y) in one.results.iter().zip(many.results.iter()) {
             assert_eq!(x.reports[0].violations, y.reports[0].violations);
+        }
+    }
+
+    #[test]
+    fn one_thread_and_three_give_identical_reports() {
+        let gen = small_gen();
+        let machines = gen.generate_cell().unwrap();
+        let specs = PredictorSpec::comparison_set();
+        let cfg = SimConfig::default();
+        let run = |threads| run_cell(gen.config().id.clone(), &machines, &cfg, &specs, threads);
+        let (one, three) = (run(1).unwrap(), run(3).unwrap());
+        assert_eq!(one.results.len(), three.results.len());
+        for (x, y) in one.results.iter().zip(&three.results) {
+            assert_eq!(x.machine, y.machine);
+            for (a, b) in x.reports.iter().zip(&y.reports) {
+                assert_eq!(
+                    (a.ticks, a.violations),
+                    (b.ticks, b.violations),
+                    "{}",
+                    a.predictor
+                );
+                let bits = |r: &MachineReport| {
+                    [r.severity, r.savings, r.prediction, r.oracle, r.limit].map(|w| {
+                        let moments = [w.mean(), w.population_variance(), w.min(), w.max()];
+                        (w.count(), moments.map(f64::to_bits))
+                    })
+                };
+                assert_eq!(bits(a), bits(b), "{}", a.predictor);
+            }
         }
     }
 

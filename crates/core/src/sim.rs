@@ -344,10 +344,13 @@ fn drive_ticks<F>(
     }
 }
 
-/// A task's usage at `t` by the configured metric; 0 for a tick it has no
-/// sample for.
+/// A live task's usage at `t` by the configured metric; 0 for a tick it
+/// has no sample for. [`drive_ticks`] hands over only tasks alive at `t`,
+/// so the sample is read by its index without checking the lifetime
+/// again.
 fn usage_at(task: &TaskTrace, t: Tick, cfg: &SimConfig) -> f64 {
-    task.sample_at(t).map(|s| cfg.metric.of(s)).unwrap_or(0.0)
+    let idx = (t.index() - task.spec.start.index()) as usize;
+    task.samples.get(idx).map_or(0.0, |s| cfg.metric.of(s))
 }
 
 /// Bulk-adds one replay to the simulator's counters: O(1) regardless of

@@ -295,6 +295,15 @@ impl MachineView {
     /// current observation number), replacing the per-tick sort +
     /// binary-search membership test.
     ///
+    /// Each sample's task is looked up at the slot after the previous
+    /// sample's task first, and by binary search only when it is not
+    /// there. A tick fed in ascending [`TaskId`] order (a generated
+    /// cell's replay admits its tasks in that order, and a served shard
+    /// keeps its client's order) so costs one comparison per task. Any
+    /// other order, a task repeated within the tick included, reaches
+    /// the same tasks and leaves the same state; only the warm-usage sum
+    /// follows the input order, as it always has.
+    ///
     /// This is the CPU lane of [`MachineView::observe_vec`]: one body,
     /// run with the memory lane compiled out.
     pub fn observe(&mut self, t: Tick, alive: impl IntoIterator<Item = (TaskId, f64, f64)>) {
@@ -354,8 +363,17 @@ impl MachineView {
         let mut warm_total = 0.0;
         let mut warm_mem_total = 0.0;
         let mut sums_stale = false;
+        // Index just past the previous sample's task: callers feed tasks
+        // in `TaskId` order, so the next one is usually there.
+        let mut cursor = 0;
         for (id, limit, usage) in alive {
-            let entry = match self.tasks.binary_search_by(|(tid, _)| tid.cmp(&id)) {
+            let found = match self.tasks.get(cursor) {
+                Some((tid, _)) if *tid == id => Ok(cursor),
+                _ => self.tasks.binary_search_by(|(tid, _)| tid.cmp(&id)),
+            };
+            let (Ok(i) | Err(i)) = found;
+            cursor = i + 1;
+            let entry = match found {
                 Ok(i) => &mut self.tasks[i].1,
                 Err(i) => {
                     let view = TaskView {

@@ -40,7 +40,7 @@ use crate::state::{corrupt, expect_capacity, put_f64, put_u64, StateReader};
 /// | | [`crate::OrderStatWindow`] | `TopKWindow` |
 /// |---|---|---|
 /// | stored | every sample, twice | the samples with fewer than `depth` newer samples `≥` them |
-/// | `push` | O(log w) search + shift of up to w slots | one pass over the retained entries at or below the new sample |
+/// | `push` | O(log w) search + shift of up to w slots | one walk over the retained entries at or below the new sample |
 /// | `percentile` within `depth` of the top | O(1) | O(1) |
 ///
 /// An i.i.d. stream retains about `depth · ln(w)` entries (14 at the
@@ -72,8 +72,10 @@ pub struct TopKWindow {
     pushed: u64,
     capacity: u32,
     depth: u32,
-    /// Arrival index (mod 2³²) of the oldest retained entry; the newest
-    /// push's when none is older.
+    /// Arrival index (mod 2³²) of a sample no newer than any retained
+    /// entry: the oldest entry when it was last looked for. Entries that
+    /// leave by domination never make it wrong, so it is looked for again
+    /// only when the sample it names leaves the window.
     oldest: u32,
 }
 
@@ -137,10 +139,13 @@ impl TopKWindow {
 
     /// Appends a sample; once the window is full the oldest leaves.
     ///
-    /// The retained entries at or below `x` form a suffix of the
-    /// descending order. Each of them gains a newer sample `≥` it, and
-    /// those that reach `depth` leave in the same pass that makes room
-    /// for `x` in front of them.
+    /// The retained entries at or below `x` are a suffix of the
+    /// descending order. One walk from the back gives each of them a
+    /// newer sample `≥` it and moves those still under `depth` one slot
+    /// right, packed against the end, and stops at the first entry above
+    /// `x`; `x` takes the slot in front of the packed ones. When entries
+    /// left, the packed run then closes the gap they left. No search
+    /// runs, and only the suffix moves.
     #[inline]
     pub fn push(&mut self, x: f64) {
         let k = key(x);
@@ -149,61 +154,48 @@ impl TopKWindow {
         let entries = &mut self.entries;
         if self.pushed > u64::from(self.capacity) {
             let gone = seq.wrapping_sub(self.capacity);
-            // The leaving sample is retained only if it is the oldest
-            // entry, which spares the scan on almost every push.
+            // The leaving sample is the window's oldest, so it can be
+            // retained only if the bound names it; that spares the scan
+            // on almost every push.
             if self.oldest == gone {
-                if let Some(i) = entries.iter().position(|e| e.seq == gone) {
-                    entries.remove(i);
-                }
-                self.oldest = oldest_of(entries, seq);
+                self.oldest = age_out(entries, gone, seq);
             }
         }
-        if entries.is_empty() {
-            self.oldest = seq;
-        }
-        // The entries at or below `x` are a suffix; each gains a newer
-        // sample `≥` it. `x` takes the suffix's first slot and the
-        // survivors follow it, one slot right of where they were or less
-        // when some before them left. Each step stores the entry held
-        // back from the step before and holds back the one it reads, and
-        // it advances past the stored entry only if that one stays, so
-        // no branch depends on which entries leave.
-        let (depth, len) = (self.depth, entries.len());
-        let at = first_at_or_below(entries, k);
-        let (mut held, mut stays) = (
-            Entry {
-                key: k,
-                seq,
-                newer: 0,
-            },
-            true,
-        );
         if entries.len() == entries.capacity() {
             // Grow by a fixed step, not by doubling: a window holds about
             // a dozen entries and rarely many more, and doubling would
             // leave a third of its storage empty on average.
             entries.reserve_exact(GROWTH);
         }
-        entries.push(held);
-        let (mut to, mut lost_oldest) = (at, false);
-        for from in at..len {
-            let mut e = entries[from];
-            entries[to] = held;
-            to += usize::from(stays);
+        let (depth, len) = (self.depth, entries.len());
+        let new = Entry {
+            key: k,
+            seq,
+            newer: 0,
+        };
+        entries.push(new);
+        // Each step stores the entry it reads at `to` and moves `to` left
+        // past it only if it stays, so no branch depends on which entries
+        // leave.
+        let slots = entries.as_mut_slice();
+        let (mut to, mut from) = (len, len);
+        while from > 0 && slots[from - 1].key <= k {
+            from -= 1;
+            let mut e = slots[from];
             e.newer += 1;
-            stays = e.newer < depth;
-            lost_oldest |= !stays & (e.seq == self.oldest);
-            held = e;
+            slots[to] = e;
+            to -= usize::from(e.newer < depth);
         }
-        entries[to] = held;
-        entries.truncate(to + usize::from(stays));
+        slots[to] = new;
+        let left = to - from;
+        if left > 0 {
+            slots.copy_within(to..=len, from);
+            entries.truncate(len + 1 - left);
+        }
         if entries.capacity() > entries.len() + 2 * GROWTH {
             // A falling stretch retains many entries; once they have
             // left, the storage they took is given back.
             entries.shrink_to(entries.len() + GROWTH);
-        }
-        if lost_oldest {
-            self.oldest = oldest_of(entries, seq);
         }
     }
 
@@ -281,10 +273,10 @@ impl TopKWindow {
     }
 
     /// Appends the window's exact state to `out`: capacity, depth,
-    /// lifetime push count, then the retained entries in order as
-    /// `(arrival index, bits)` pairs. Each entry's count of newer samples
-    /// `≥` it is not written: it is the count of the retained entries
-    /// before it that are newer.
+    /// lifetime push count, then the retained entries in descending
+    /// order (equal samples newest first) as `(arrival index, bits)`
+    /// pairs. Each entry's count of newer samples `≥` it is not written:
+    /// it is the count of the retained entries before it that are newer.
     pub fn encode(&self, out: &mut Vec<u8>) {
         put_u64(out, u64::from(self.capacity));
         put_u64(out, u64::from(self.depth));
@@ -365,40 +357,33 @@ impl TopKWindow {
         if w.pushed > 0 && w.last().is_none() {
             return Err(corrupt("window lacks its newest sample"));
         }
-        w.oldest = oldest_of(&w.entries, newest);
+        w.oldest = oldest_of(&w.entries, w.pushed as u32);
         Ok(w)
     }
 }
 
-/// The index of the first of `entries` (descending by key) whose key is
-/// at most `k`. A binary search that selects its next base without
-/// branching: consecutive pushes land in different windows of a machine,
-/// so a compare branch would mispredict about half the time.
-#[inline(always)]
-fn first_at_or_below(entries: &[Entry], k: i64) -> usize {
-    use std::hint::select_unpredictable;
-    let mut size = entries.len();
-    if size == 0 {
-        return 0;
+/// Removes the entry that arrived at index `gone` (mod 2³²), if it is
+/// retained, and returns the arrival index of the oldest entry left, as
+/// [`oldest_of`] does. Off the push's hot path: it runs only when the
+/// window's `oldest` bound leaves the window.
+#[cold]
+#[inline(never)]
+fn age_out(entries: &mut Vec<Entry>, gone: u32, next: u32) -> u32 {
+    if let Some(i) = entries.iter().position(|e| e.seq == gone) {
+        entries.remove(i);
     }
-    let mut base = 0;
-    while size > 1 {
-        let half = size / 2;
-        let mid = base + half;
-        base = select_unpredictable(entries[mid].key > k, mid, base);
-        size -= half;
-    }
-    base + usize::from(entries[base].key > k)
+    oldest_of(entries, next)
 }
 
 /// The arrival index of the oldest of `entries`, all within one window
-/// ending at index `newest` (mod 2³²); `newest` when there are none.
-fn oldest_of(entries: &[Entry], newest: u32) -> u32 {
+/// of samples that arrived before index `next` (mod 2³²); `next` when
+/// there are none.
+fn oldest_of(entries: &[Entry], next: u32) -> u32 {
     entries
         .iter()
         .map(|e| e.seq)
-        .max_by_key(|&seq| newest.wrapping_sub(seq))
-        .unwrap_or(newest)
+        .max_by_key(|&seq| next.wrapping_sub(seq))
+        .unwrap_or(next)
 }
 
 /// The integer whose signed order is [`f64::total_cmp`]'s order (the same

@@ -1,10 +1,14 @@
 //! [`TopKWindow`] against the full sorted index: every read the depth
 //! allows — `len`, `last`, `max` and each percentile whose ranks lie
 //! within the depth — returns the same bits as [`OrderStatWindow`]'s,
-//! after every push of streams built to stress the retention rule.
+//! after every push of streams built to stress the retention rule. The
+//! retained entries themselves, read through the window's record, match
+//! a brute-force recomputation of the rule after every push.
 
+use oc_stats::state::StateReader;
 use oc_stats::{percentile_depth, OrderStatWindow, TopKWindow};
 use proptest::prelude::*;
+use std::cmp::Ordering;
 
 /// The percentiles read after every push: the paper's p99 and p80, the
 /// ends, a median and off-grid ranks.
@@ -62,6 +66,79 @@ fn check(xs: &[f64], cap: usize, depth: usize) -> Result<usize, String> {
     Ok(most)
 }
 
+/// The retained entries of `w` as its record lists them: `(arrival
+/// index, bits)` pairs, in record order.
+fn recorded_entries(w: &TopKWindow) -> Vec<(u64, u64)> {
+    let mut out = Vec::new();
+    w.encode(&mut out);
+    let mut r = StateReader::new(&out);
+    // Capacity, depth and push count come first.
+    for _ in 0..3 {
+        r.u64().unwrap();
+    }
+    let n = r.u64().unwrap();
+    let entries = (0..n)
+        .map(|_| (r.u64().unwrap(), r.f64().unwrap().to_bits()))
+        .collect();
+    r.finish().unwrap();
+    entries
+}
+
+/// The entries a `cap`-sample window of each of `depths` must retain
+/// after the pushes `xs`, from the rule itself: of the last `cap`
+/// samples, each one fewer than `depth` newer samples are `≥` (by
+/// `total_cmp`), ordered largest first, equal samples newest first.
+fn brute_force_entries(xs: &[f64], cap: usize, depths: &[usize]) -> Vec<Vec<(u64, u64)>> {
+    let start = xs.len().saturating_sub(cap);
+    let window = &xs[start..];
+    let newer_ge: Vec<usize> = (0..window.len())
+        .map(|i| {
+            let x = window[i];
+            window[i + 1..]
+                .iter()
+                .filter(|y| y.total_cmp(&x) != Ordering::Less)
+                .count()
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..window.len()).collect();
+    order.sort_by(|&i, &j| window[j].total_cmp(&window[i]).then(j.cmp(&i)));
+    depths
+        .iter()
+        .map(|&depth| {
+            order
+                .iter()
+                .filter(|&&i| newer_ge[i] < depth)
+                .map(|&i| ((start + i) as u64, window[i].to_bits()))
+                .collect()
+        })
+        .collect()
+}
+
+/// Pushes `xs` into a window of each of `depths` and compares its
+/// retained entries and their order with [`brute_force_entries`] after
+/// each push.
+fn check_retention(xs: &[f64], cap: usize, depths: &[usize]) -> Result<(), String> {
+    let mut windows: Vec<TopKWindow> = depths
+        .iter()
+        .map(|&depth| TopKWindow::new(cap, depth).unwrap())
+        .collect();
+    for i in 0..xs.len() {
+        let want = brute_force_entries(&xs[..=i], cap, depths);
+        for (w, want) in windows.iter_mut().zip(want) {
+            w.push(xs[i]);
+            prop_assert_eq!(
+                recorded_entries(w),
+                want,
+                "entries after push {} (cap {}, depth {})",
+                i,
+                cap,
+                w.depth()
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     /// Any depth: the reads its percentiles allow match bit for bit.
     #[test]
@@ -85,6 +162,19 @@ proptest! {
         for depth in [percentile_depth(99.0, cap), percentile_depth(80.0, cap), cap] {
             check(&stream(kind, &draws), cap, depth)?;
         }
+    }
+
+    /// Retention, not only reads: after every push the window keeps
+    /// exactly the entries the rule keeps, in the rule's order, at depths
+    /// 1, 3, 25 and the full window.
+    #[test]
+    fn top_k_retains_exactly_the_rule(
+        draws in proptest::collection::vec((-100.0f64..100.0, 0u64..1000), 1..400),
+        kind in 0u64..5,
+        cap in 1usize..131,
+    ) {
+        let depths = [1, 3, 25, cap].map(|depth| depth.min(cap));
+        check_retention(&stream(kind, &draws), cap, &depths)?;
     }
 }
 
