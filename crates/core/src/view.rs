@@ -297,12 +297,16 @@ impl MachineView {
     ///
     /// Each sample's task is looked up at the slot after the previous
     /// sample's task first, and by binary search only when it is not
-    /// there. A tick fed in ascending [`TaskId`] order (a generated
-    /// cell's replay admits its tasks in that order, and a served shard
-    /// keeps its client's order) so costs one comparison per task. Any
-    /// other order, a task repeated within the tick included, reaches
-    /// the same tasks and leaves the same state; only the warm-usage sum
-    /// follows the input order, as it always has.
+    /// there. In a tick fed in ascending [`TaskId`] order (a generated
+    /// cell's replay feeds its live tasks in that order) a known task
+    /// costs one comparison, except the one after a task that departs
+    /// this tick: departed tasks keep their slots until the sweep after
+    /// the loop, so that sample misses and costs one binary search, as
+    /// does every new task. A served shard feeds its client's order, so
+    /// its hit rate depends on that order. Any other order, a task
+    /// repeated within the tick included, reaches the same tasks and
+    /// leaves the same state; only the warm-usage sum follows the input
+    /// order, as it always has.
     ///
     /// This is the CPU lane of [`MachineView::observe_vec`]: one body,
     /// run with the memory lane compiled out.

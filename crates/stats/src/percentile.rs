@@ -190,12 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn depths_of_the_paper_reads() {
-        assert_eq!(percentile_depth(99.0, 120), 3);
-        assert_eq!(percentile_depth(80.0, 120), 25);
-    }
-
-    #[test]
     fn percentile_unsorted_matches_sorted() {
         let xs = [3.0, 1.0, 2.0];
         assert_eq!(percentile_slice(&xs, 50.0).unwrap(), 2.0);
