@@ -26,7 +26,7 @@ pub struct Opts {
     pub scale: Scale,
     /// Worker threads.
     pub threads: usize,
-    /// Directory CSV outputs are written to.
+    /// Directory the CSVs and `claims.md` are written to.
     pub results: std::path::PathBuf,
     /// Render terminal CDF plots.
     pub plot: bool,
@@ -41,7 +41,7 @@ impl Default for Opts {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            results: crate::output::results_dir(),
+            results: "results".into(),
             plot: false,
             seed: None,
         }

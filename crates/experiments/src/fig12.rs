@@ -80,10 +80,12 @@ pub fn run(opts: &Opts) -> Result<Report, Box<dyn Error>> {
         .collect::<Result<Vec<f64>, _>>()?;
     let spread = week_medians.iter().cloned().fold(0.0, f64::max)
         - week_medians.iter().cloned().fold(f64::INFINITY, f64::min);
+    let w1 = week_medians[0];
     r.claim(
         "median violation rate spread across weeks",
         format!("{spread:.4}"),
-        "consistent with week 1 (small spread)",
+        "consistent with week 1: every median within ±20% of week 1's",
+        week_medians.iter().all(|&m| (m - w1).abs() <= 0.2 * w1),
     );
     Ok(r)
 }

@@ -1,7 +1,7 @@
 //! Figures 13 and 14: the production A/B experiment.
 
 use crate::common::{mean, Opts, Scale};
-use crate::output::{Report, Series};
+use crate::output::{Report, Series, Verdict};
 use oc_scheduler::ab::{run_ab, AbConfig, GroupOutcome};
 use oc_trace::cell::{CellConfig, CellPreset};
 use oc_trace::time::TICKS_PER_DAY;
@@ -99,26 +99,36 @@ pub fn run(opts: &Opts) -> Result<Report, Box<dyn Error>> {
         series(&|g| tail(&g.stats.usage_ratio)),
     );
 
-    let c_save = mean(&tail(&out.control.stats.savings));
-    let e_save = mean(&tail(&out.experiment.stats.savings));
+    // Quick-scale A/B pools settle no claim (EXPERIMENTS.md note 5).
+    let v = |holds: bool| match opts.scale {
+        Scale::Quick => Verdict::Unresolved,
+        Scale::Full => holds.into(),
+    };
+    // A metric of (experiment, control).
+    let both = |f: &dyn Fn(&GroupOutcome) -> f64| (f(&out.experiment), f(&out.control));
+    let pct = |v: &[f64], p: f64| oc_stats::percentile_slice(v, p).unwrap_or(f64::NAN);
+    let (e_save, c_save) = both(&|g| mean(&tail(&g.stats.savings)));
     r.claim(
         "savings: control vs experiment",
         format!("control {:.3}, exp {:.3}", c_save, e_save),
         "exp consistently above control (paper: 0.10-0.12 vs >0.16)",
+        v(e_save > c_save && e_save > 0.16),
     );
-    let c_alloc = mean(&tail(&out.control.stats.alloc_ratio));
-    let e_alloc = mean(&tail(&out.experiment.stats.alloc_ratio));
+    let (e_alloc, c_alloc) = both(&|g| mean(&tail(&g.stats.alloc_ratio)));
+    let alloc_gain = 100.0 * (e_alloc - c_alloc);
     r.claim(
         "workload increase by allocations",
-        format!("{:+.1}%", 100.0 * (e_alloc - c_alloc)),
-        "≈ +2%",
+        format!("{alloc_gain:+.1}%"),
+        "≈ +2%, band +1.6–+2.4%",
+        v((1.6..=2.4).contains(&alloc_gain)),
     );
-    let c_use = mean(&tail(&out.control.stats.usage_ratio));
-    let e_use = mean(&tail(&out.experiment.stats.usage_ratio));
+    let (e_use, c_use) = both(&|g| mean(&tail(&g.stats.usage_ratio)));
+    let use_gain = 100.0 * (e_use - c_use);
     r.claim(
         "workload increase by usage",
-        format!("{:+.1}%", 100.0 * (e_use - c_use)),
-        "≈ +6%",
+        format!("{use_gain:+.1}%"),
+        "≈ +6%, band +4.8–+7.2%",
+        v((4.8..=7.2).contains(&use_gain)),
     );
 
     // --- Figure 14 -------------------------------------------------------
@@ -150,65 +160,43 @@ pub fn run(opts: &Opts) -> Result<Report, Box<dyn Error>> {
         series(&|g| g.util_p99.clone()),
     );
 
-    let p90 = |v: &[f64]| oc_stats::percentile_slice(v, 90.0).unwrap_or(f64::NAN);
-    let c_l = p90(&out.control.task_latency);
-    let e_l = p90(&out.experiment.task_latency);
+    let (e_l, c_l) = both(&|g| pct(&g.task_latency, 90.0));
     r.claim(
         "tail task latency: exp vs control at p90",
         format!("{:+.1}%", 100.0 * (e_l - c_l) / c_l),
         "exp lower (≈ −5%; needs production-scale pools — see EXPERIMENTS.md)",
+        v(e_l < c_l),
     );
-    let p99m = |g: &GroupOutcome| {
-        let v: Vec<f64> = g.qos.iter().map(|q| q.p90).collect();
-        oc_stats::percentile_slice(&v, 99.0).unwrap_or(f64::NAN)
-    };
+    let (e_hot, c_hot) = both(&|g| pct(&g.qos.iter().map(|q| q.p90).collect::<Vec<_>>(), 99.0));
     r.claim(
         "hottest machine's p90 latency: exp vs control",
-        format!(
-            "{:+.1}%",
-            100.0 * (p99m(&out.experiment) - p99m(&out.control)) / p99m(&out.control)
-        ),
+        format!("{:+.1}%", 100.0 * (e_hot - c_hot) / c_hot),
         "exp's worst machines no hotter than control's",
+        v(e_hot <= c_hot),
     );
-    let med = |v: &[f64]| oc_stats::percentile_slice(v, 50.0).unwrap_or(f64::NAN);
+    let (e_med, c_med) = both(&|g| pct(&g.util_avg, 50.0));
     r.claim(
         "median machine utilization: exp vs control",
-        format!(
-            "exp {:.3} vs control {:.3}",
-            med(&out.experiment.util_avg),
-            med(&out.control.util_avg)
-        ),
+        format!("exp {e_med:.3} vs control {c_med:.3}"),
         "exp higher on the average machine",
+        v(e_med > c_med),
     );
-    let hot = |g: &GroupOutcome| {
-        let mut v = g.util_p99.clone();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        v.last().copied().unwrap_or(f64::NAN)
-    };
+    let (e_util, c_util) = both(&|g| g.util_p99.iter().copied().fold(f64::NAN, f64::max));
     r.claim(
         "hottest machine p99 utilization: exp vs control",
-        format!(
-            "exp {:.3} vs control {:.3}",
-            hot(&out.experiment),
-            hot(&out.control)
-        ),
+        format!("exp {e_util:.3} vs control {c_util:.3}"),
         "exp's hottest machines are cooler (better balance)",
+        v(e_util < c_util),
     );
 
     // Risk-profile matching (Section 6.2): the experiment group's
     // violation rates should be no worse than control's.
-    let med_rate = |g: &GroupOutcome| {
-        let v = g.reports.violation_rates(0);
-        oc_stats::percentile_slice(&v, 50.0).unwrap_or(f64::NAN)
-    };
+    let (e_rate, c_rate) = both(&|g| pct(&g.reports.violation_rates(0), 50.0));
     r.claim(
         "median violation rate: exp vs control",
-        format!(
-            "exp {:.4} vs control {:.4}",
-            med_rate(&out.experiment),
-            med_rate(&out.control)
-        ),
+        format!("exp {e_rate:.4} vs control {c_rate:.4}"),
         "exp slightly better (risk profile matched by design)",
+        v(e_rate <= c_rate),
     );
 
     Ok(r)

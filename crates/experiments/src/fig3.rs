@@ -127,13 +127,24 @@ pub fn run(opts: &Opts) -> Result<Report, Box<dyn Error>> {
     } else {
         (f64::NAN, f64::NAN)
     };
-    r.claim("Spearman (raw machines)", format!("{raw_rho:.2}"), "0.42");
+    r.claim(
+        "Spearman (raw machines)",
+        format!("{raw_rho:.2}"),
+        "0.42, band 0.34–0.50",
+        (0.34..=0.50).contains(&raw_rho),
+    );
     r.claim(
         "Spearman (bucket means)",
         format!("{bucket_rho:.2}"),
-        "0.95",
+        "0.95, band 0.76–1",
+        (0.76..=1.0).contains(&bucket_rho),
     );
-    r.claim("fitted slope (bucket means)", format!("{slope:.1}"), "14.1");
+    r.claim(
+        "fitted slope (bucket means)",
+        format!("{slope:.1}"),
+        "14.1, band 11.3–16.9",
+        (11.3..=16.9).contains(&slope),
+    );
     let header = ["bucket_mid", "count", "mean_latency", "std"];
     r.csv("fig3d_buckets.csv", &header, csv_rows);
     Ok(r)

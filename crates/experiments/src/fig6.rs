@@ -56,6 +56,7 @@ pub fn run(opts: &Opts) -> Result<Report, Box<dyn Error>> {
         "P(Σ 90%ile ≥ actual peak)",
         format!("{:.1}%", 100.0 * safe_90),
         "> 95% of the time",
+        safe_90 > 0.95,
     );
     Ok(r)
 }

@@ -30,15 +30,16 @@ pub fn run_a(opts: &Opts) -> Result<Report, Box<dyn Error>> {
     let mut r = Report::default();
     r.cdf_csv("fig7a.csv", "", "cell (runtime hours)", runtimes);
     for (name, frac) in under_24 {
-        let paper = match name.as_str() {
-            "c" => "≈98% (the short-task cell)",
-            "g" => "≈75% (the long-task cell)",
-            _ => "75–98% depending on cell",
+        let (paper, lo, hi) = match name.as_str() {
+            "c" => ("≈98% (the short-task cell), band 78–100%", 0.78, 1.0),
+            "g" => ("≈75% (the long-task cell), band 60–90%", 0.60, 0.90),
+            _ => ("75–98% depending on cell", 0.75, 0.98),
         };
         r.claim(
             format!("cell {name}: tasks shorter than 24h"),
             format!("{:.1}%", 100.0 * frac),
             paper,
+            (lo..=hi).contains(&frac),
         );
     }
     Ok(r)
@@ -79,6 +80,7 @@ pub fn run_b(opts: &Opts) -> Result<Report, Box<dyn Error>> {
         "24h oracle within 5% of 72h oracle",
         format!("{:.1}% of points", 100.0 * within_5),
         "≥95% of points",
+        within_5 >= 0.95,
     );
     Ok(r)
 }
@@ -110,6 +112,7 @@ pub fn run_c(opts: &Opts) -> Result<Report, Box<dyn Error>> {
         "max over cells of 95%ile usage/limit",
         format!("{worst_p95:.3}"),
         "< 0.9 in every cell (motivates borg-default φ = 0.9)",
+        worst_p95 < 0.9,
     );
     Ok(r)
 }

@@ -104,19 +104,16 @@ fn sweep(opts: &Opts, s: &Sweep) -> Result<Report, Box<dyn Error>> {
         meds.iter().cloned().fold(0.0, f64::max)
             - meds.iter().cloned().fold(f64::INFINITY, f64::min)
     };
+    // Monotone decrease: no step up, and lower at the end than at the start.
+    let falls = |v: &[f64]| v.windows(2).all(|w| w[1] <= w[0]) && v[v.len() - 1] < v[0];
+    let meds: Vec<f64> = by_param.iter().map(med).collect();
     let [lo, hi] = s.ends;
     let last = s.values.len() - 1;
-    let rate_claim = format!(
-        "median {:.3} ({lo}) → {:.3} ({hi})",
-        med(&by_param[0]),
-        med(&by_param[last])
-    );
+    let rate_claim = format!("median {:.3} ({lo}) → {:.3} ({hi})", meds[0], meds[last]);
     let savings_claim = format!("{:.3} ({lo}) → {:.3} ({hi})", savings[0], savings[last]);
-    let history_claim = format!(
-        "median spread: history {:.4} vs warm-up {:.4}",
-        spread(&hist),
-        spread(&warm)
-    );
+    let (spread_hist, spread_warm) = (spread(&hist), spread(&warm));
+    let history_claim =
+        format!("median spread: history {spread_hist:.4} vs warm-up {spread_warm:.4}");
 
     let mut r = Report::default();
     let t = by_param.iter().zip(&savings);
@@ -136,11 +133,13 @@ fn sweep(opts: &Opts, s: &Sweep) -> Result<Report, Box<dyn Error>> {
         format!("violation rate falls as {subject} grows"),
         rate_claim,
         "monotone decrease",
+        falls(&meds),
     );
     r.claim(
         format!("savings fall as {subject} grows"),
         savings_claim,
         "monotone decrease",
+        falls(&savings),
     );
     r.cdf_csv(
         &format!("{fig}c.csv"),
@@ -158,6 +157,7 @@ fn sweep(opts: &Opts, s: &Sweep) -> Result<Report, Box<dyn Error>> {
         "history moves violations more than warm-up",
         history_claim,
         s.history_paper,
+        spread_hist > spread_warm,
     );
     Ok(r)
 }

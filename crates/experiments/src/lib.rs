@@ -7,9 +7,10 @@
 //! the paper's) and the CSV files it wants written — and prints or writes
 //! nothing itself. The driver owns the registry ([`ALL`], [`EXTRA`]) of
 //! ids, aliases and banners; [`run`] prints an experiment's banner, renders
-//! its blocks in order (plotting every CDF panel under `--plot`) and writes
-//! its CSVs under `results/`. The `repro` binary resolves every argument
-//! with [`resolve`] before it runs any.
+//! its blocks in order (plotting every CDF panel under `--plot`), writes
+//! its CSVs under `results/` and returns its claims, each with its verdict.
+//! The `repro` binary resolves every argument with [`resolve`] before it
+//! runs any, and writes the run's claims to `claims.md` in the results dir.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +35,7 @@ mod table1;
 mod workload;
 
 use common::Opts;
-use output::Report;
+use output::{Claim, Report};
 use std::error::Error;
 
 /// An experiment's body: computes its report, printing and writing
@@ -197,17 +198,18 @@ pub fn resolve<S: AsRef<str>>(ids: &[S]) -> Result<Vec<&'static Experiment>, Str
 }
 
 /// Runs one experiment: prints its banner and its rendered report (with
-/// every CDF panel plotted under `--plot`), then writes its CSVs under
-/// [`Opts::results`].
+/// every CDF panel plotted under `--plot`), writes its CSVs under
+/// [`Opts::results`] and returns its claims, for the run's `claims.md`.
 ///
 /// # Errors
 ///
 /// Propagates experiment and I/O failures.
-pub fn run(exp: &Experiment, opts: &Opts) -> Result<(), Box<dyn Error>> {
+pub fn run(exp: &Experiment, opts: &Opts) -> Result<Vec<Claim>, Box<dyn Error>> {
     println!("\n=== {} ===", exp.banner);
     let report = (exp.run)(opts)?;
     print!("{}", report.render(opts.plot));
-    Ok(report.write_csvs(&opts.results)?)
+    report.write_csvs(&opts.results)?;
+    Ok(report.claims().cloned().collect())
 }
 
 #[cfg(test)]

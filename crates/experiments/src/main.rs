@@ -7,13 +7,15 @@
 //! ```
 //!
 //! Every id is resolved against the registry before any experiment runs:
-//! one unknown id is a usage error, and nothing runs.
+//! one unknown id is a usage error, and nothing runs. The run's claims,
+//! each with its verdict, also land in the results dir's `claims.md`.
 //!
 //! With `--trace-out FILE`, structured tracing is enabled for the run:
 //! the simulator core records sampled `sim.tick` spans and the drained
 //! events are written to FILE as JSONL on exit (see `docs/OPERATIONS.md`).
 
 use oc_experiments::common::{Opts, Scale};
+use oc_experiments::output;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -67,11 +69,19 @@ fn main() -> ExitCode {
             None => String::new(),
         }
     );
+    let mut claims = Vec::new();
     for exp in plan {
-        if let Err(e) = oc_experiments::run(exp, &opts) {
-            eprintln!("error running {}: {e}", exp.id);
-            return ExitCode::FAILURE;
+        match oc_experiments::run(exp, &opts) {
+            Ok(run) => claims.extend(run.into_iter().map(|c| (exp.id, c))),
+            Err(e) => {
+                eprintln!("error running {}: {e}", exp.id);
+                return ExitCode::FAILURE;
+            }
         }
+    }
+    if let Err(e) = output::write_claims(&claims, &opts) {
+        eprintln!("repro: writing claims.md: {e}");
+        return ExitCode::FAILURE;
     }
     if let Some(path) = trace_out {
         match oc_telemetry::trace::finish(&path) {

@@ -1,15 +1,47 @@
 //! What an experiment returns ([`Report`]) and how it is rendered: aligned
-//! text tables, `[claim]` lines, terminal CDF plots and CSV files.
+//! text tables, `[claim]` lines, terminal CDF plots, CSV files and `claims.md`.
 
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// A named sample vector: one row of a CDF panel, one series of its CSV.
 pub type Series = (String, Vec<f64>);
 
-/// A paper-vs-measured claim.
+/// Whether a claim's measured value bears out the paper's, as the figure
+/// judges it from a stated predicate: an ordering, a sign or a band.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// The predicate holds.
+    Holds,
+    /// The predicate fails.
+    Fails,
+    /// The run cannot settle the claim.
+    Unresolved,
+}
+
+impl From<bool> for Verdict {
+    fn from(holds: bool) -> Verdict {
+        if holds {
+            Self::Holds
+        } else {
+            Self::Fails
+        }
+    }
+}
+
+impl std::fmt::Display for Verdict {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Verdict::Holds => "✅",
+            Verdict::Fails => "❌",
+            Verdict::Unresolved => "unresolved",
+        })
+    }
+}
+
+/// A paper-vs-measured claim and its verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Claim {
     /// What is compared.
@@ -18,16 +50,14 @@ pub struct Claim {
     pub measured: String,
     /// The paper's reported value or shape.
     pub paper: String,
+    /// Whether the measured value bears the paper's out.
+    pub verdict: Verdict,
 }
 
 impl std::fmt::Display for Claim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let Claim {
-            what,
-            measured,
-            paper,
-        } = self;
-        write!(f, "  [claim] {what}: measured {measured} (paper: {paper})")
+        let (w, m, p, v) = (&self.what, &self.measured, &self.paper, self.verdict);
+        write!(f, "  [claim] {w}: measured {m} (paper: {p}) {v}")
     }
 }
 
@@ -98,17 +128,19 @@ impl Report {
         self.blocks.push(Block::Text(table(header, rows)));
     }
 
-    /// Appends a claim.
+    /// Appends a claim with its verdict.
     pub fn claim(
         &mut self,
         what: impl Into<String>,
         measured: impl std::fmt::Display,
         paper: &str,
+        verdict: impl Into<Verdict>,
     ) {
         self.blocks.push(Block::Claim(Claim {
             what: what.into(),
             measured: measured.to_string(),
             paper: paper.into(),
+            verdict: verdict.into(),
         }));
     }
 
@@ -193,15 +225,15 @@ fn write_cdf(dir: &Path, file: &str, series: &[Series]) -> std::io::Result<()> {
 }
 
 /// Renders an aligned text table mirroring the paper's rows: right-aligned
-/// columns, the header above a rule.
+/// columns (widths in characters), the header above a rule.
 fn table(header: &[&str], rows: Vec<Vec<String>>) -> String {
     let header: Vec<String> = header.iter().map(|h| h.to_string()).collect();
-    let mut widths: Vec<usize> = header.iter().map(String::len).collect();
+    let mut widths: Vec<usize> = header.iter().map(|h| h.chars().count()).collect();
     for row in &rows {
         let (n, m) = (row.len(), widths.len());
         assert_eq!(n, m, "row width {n} != header width {m}");
         for (w, cell) in widths.iter_mut().zip(row) {
-            *w = (*w).max(cell.len());
+            *w = (*w).max(cell.chars().count());
         }
     }
     let mut out = String::new();
@@ -220,6 +252,25 @@ fn table(header: &[&str], rows: Vec<Vec<String>>) -> String {
     out
 }
 
+/// Writes `claims.md` under [`Opts::results`](crate::common::Opts): one row
+/// per `(experiment id, claim)` of the run, with its scale and seed.
+pub fn write_claims(claims: &[(&str, Claim)], opts: &crate::common::Opts) -> std::io::Result<()> {
+    let scale = format!("{:?}", opts.scale);
+    let seed = opts.seed.map_or("preset".into(), |s| s.to_string());
+    let rows = claims.iter().map(|(id, c)| {
+        let verdict = c.verdict.to_string();
+        let row: [&str; 7] = [id, &c.what, &c.measured, &c.paper, &verdict, &scale, &seed];
+        row.map(String::from).to_vec()
+    });
+    let header = [
+        "id", "claim", "measured", "paper", "verdict", "scale", "seed",
+    ];
+    let table = table(&header, rows.collect());
+    let md = format!("# Claims of `repro`, with their verdicts\n\n```text\n{table}```\n");
+    std::fs::create_dir_all(&opts.results)?;
+    std::fs::write(opts.results.join("claims.md"), md)
+}
+
 /// Formats a float with 4 significant decimals for table cells.
 pub fn f(x: f64) -> String {
     format!("{x:.4}")
@@ -236,14 +287,6 @@ fn cdf_row(name: &str, samples: &[f64]) -> Vec<String> {
         });
     }
     row
-}
-
-/// Resolves the results directory (`results/` under the workspace root by
-/// default, overridable via `REPRO_RESULTS_DIR`).
-pub fn results_dir() -> PathBuf {
-    std::env::var_os("REPRO_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"))
 }
 
 #[cfg(test)]
@@ -280,20 +323,62 @@ mod tests {
     }
 
     /// Adding a claim is one entry in the report, and it renders as
-    /// `  [claim] <what>: measured <m> (paper: <p>)`.
+    /// `  [claim] <what>: measured <m> (paper: <p>) <verdict>`, each verdict
+    /// distinctly. The run's `claims.md` has one row per claim, with its
+    /// experiment id, verdict, scale and seed.
     #[test]
     fn claims_render_as_claim_lines() {
         let mut r = Report::default();
         r.line("(a) heading");
-        r.claim("median ratio", format!("{:.2}", 1.4444), "≈1.5");
-        r.claim(format!("cell {}", "c"), 7, "> 95%");
+        r.claim("median ratio", format!("{:.2}", 1.4444), "≈1.5", true);
+        r.claim(format!("cell {}", "c"), 7, "> 95%", false);
+        r.claim("A/B", "+1%", "exp higher", Verdict::Unresolved);
         assert_eq!(
             r.render(false),
-            "(a) heading\n  [claim] median ratio: measured 1.44 (paper: ≈1.5)\n  \
-             [claim] cell c: measured 7 (paper: > 95%)\n"
+            "(a) heading\n  [claim] median ratio: measured 1.44 (paper: ≈1.5) ✅\n  \
+             [claim] cell c: measured 7 (paper: > 95%) ❌\n  \
+             [claim] A/B: measured +1% (paper: exp higher) unresolved\n"
         );
         let whats: Vec<&str> = r.claims().map(|c| c.what.as_str()).collect();
-        assert_eq!(whats, ["median ratio", "cell c"]);
+        assert_eq!(whats, ["median ratio", "cell c", "A/B"]);
+
+        let dir = std::env::temp_dir().join(format!("oc-claims-test-{}", std::process::id()));
+        let opts = crate::common::Opts {
+            scale: crate::common::Scale::Full,
+            seed: Some(7),
+            results: dir.clone(),
+            ..Default::default()
+        };
+        let claims: Vec<_> = r.claims().map(|c| ("fig1", c.clone())).collect();
+        write_claims(&claims, &opts).unwrap();
+        let md = std::fs::read_to_string(dir.join("claims.md")).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let rows: Vec<Vec<&str>> = md
+            .lines()
+            .filter(|l| l.trim_start().starts_with("fig1 "))
+            .map(|l| {
+                l.split("  ")
+                    .map(str::trim)
+                    .filter(|c| !c.is_empty())
+                    .collect()
+            })
+            .collect();
+        assert_eq!(rows.len(), 3, "{md}");
+        assert_eq!(
+            rows[0],
+            ["fig1", "median ratio", "1.44", "≈1.5", "✅", "Full", "7"]
+        );
+        assert_eq!(rows[1][4..], ["❌", "Full", "7"]);
+        assert_eq!(rows[2][4..], ["unresolved", "Full", "7"]);
+        let header = md
+            .lines()
+            .find(|l| l.trim_start().starts_with("id "))
+            .unwrap();
+        let columns: Vec<&str> = header.split_whitespace().collect();
+        assert_eq!(
+            columns,
+            ["id", "claim", "measured", "paper", "verdict", "scale", "seed"]
+        );
     }
 
     /// A CDF panel prints its title and quantile table; only with `plot`

@@ -168,7 +168,9 @@ fn frontier(r: &mut Report, loads: &[TickLoad]) {
                 "{:.1}% (best-effort p99 stretch {be_stretch:.3})",
                 capped_frac * 100.0
             ),
-            "extension: power oversubscription tolerates overcommit when caps are rare",
+            "extension: power oversubscription tolerates overcommit when caps are rare \
+             (under 5% of ticks)",
+            capped_frac < 0.05,
         );
         r.claim(
             "cap events landing on CPU prediction-violation ticks",
@@ -179,6 +181,7 @@ fn frontier(r: &mut Report, loads: &[TickLoad]) {
             ),
             "extension: the max composite keeps violations off the power peaks, \
              so capping and misprediction do not compound",
+            overlap <= violation_base,
         );
     }
     r.csv(
@@ -270,6 +273,7 @@ fn gating_demo(r: &mut Report) -> Result<(), Box<dyn Error>> {
         "memory-bound cell: tasks admitted per machine",
         format!("cpu-only gate {admitted_cpu_only}, worst-lane gate {admitted_vector}"),
         "extension: the CPU lane alone cannot see the binding resource",
+        admitted_cpu_only > admitted_vector,
     );
     r.claim(
         "memory-lane predicted peak after admission",
@@ -279,10 +283,7 @@ fn gating_demo(r: &mut Report) -> Result<(), Box<dyn Error>> {
             vec_peak / MEM_CAPACITY
         ),
         "extension: worst-lane admission keeps every lane under capacity",
-    );
-    assert!(
         vec_peak <= MEM_CAPACITY + 1e-9 && cpu_peak > MEM_CAPACITY,
-        "demo invariant: vector gate safe ({vec_peak}), cpu-only oversubscribed ({cpu_peak})"
     );
     Ok(())
 }
@@ -293,11 +294,12 @@ mod tests {
 
     #[test]
     fn gating_demo_invariants_hold() {
-        // The demo itself asserts: vector gate stays under memory
-        // capacity, cpu-only oversubscribes.
+        // Both claims hold: the vector gate admits fewer hogs and stays
+        // under memory capacity, cpu-only oversubscribes.
         let mut r = Report::default();
         gating_demo(&mut r).unwrap();
-        assert_eq!(r.claims().count(), 2);
+        let verdicts: Vec<_> = r.claims().map(|c| c.verdict).collect();
+        assert_eq!(verdicts, [crate::output::Verdict::Holds; 2]);
     }
 
     #[test]
