@@ -533,8 +533,8 @@ impl Client {
         }
     }
 
-    /// Runs an admission check: would adding `limit` keep the machine's
-    /// projected peak under capacity?
+    /// Runs an admission check: would a task of CPU `limit` keep every
+    /// lane of the machine's projected peak within capacity?
     ///
     /// # Errors
     ///

@@ -14,6 +14,7 @@
 //!   (machine-aggregate Gaussian), and `max` composites.
 //! * [`sim`] / [`runner`] — the fortune-teller replay loop and the
 //!   parallel cell-level runner.
+//! * [`admission`] — the admission rule `P + L ≤ M`, on every lane.
 //! * [`metrics`] — violation rate, violation severity and savings ratio
 //!   (Section 5.1.3).
 //!
@@ -47,6 +48,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod admission;
 pub mod autopilot;
 pub mod config;
 pub mod error;

@@ -5,6 +5,7 @@
 //! [`MachineView`], while the oracle sees the future `U[t], t ≥ τ`. The two
 //! are compared tick by tick and accumulated into [`MachineReport`]s.
 
+use crate::admission::MEM_CAPACITY;
 use crate::config::SimConfig;
 use crate::error::CoreError;
 use crate::metrics::{
@@ -204,7 +205,7 @@ pub fn simulate_machine(
 /// `sim.violations.cpu` / `sim.violations.mem` counters when telemetry is
 /// enabled.
 ///
-/// Memory capacity is normalized to 1.0 per machine, mirroring the CPU
+/// Memory capacity is [`MEM_CAPACITY`] per machine, mirroring the CPU
 /// convention.
 ///
 /// # Errors
@@ -290,7 +291,7 @@ pub fn simulate_machine_vec(
 
     Ok(SimResultVec {
         machine: trace.machine,
-        capacity: Res2::from_lanes([trace.capacity, 1.0]),
+        capacity: Res2::from_lanes([trace.capacity, MEM_CAPACITY]),
         reports,
         series,
     })

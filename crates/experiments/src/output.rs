@@ -225,22 +225,22 @@ fn write_cdf(dir: &Path, file: &str, series: &[Series]) -> std::io::Result<()> {
 }
 
 /// Renders an aligned text table mirroring the paper's rows: right-aligned
-/// columns (widths in characters), the header above a rule.
+/// columns (widths in terminal columns), the header above a rule.
 fn table(header: &[&str], rows: Vec<Vec<String>>) -> String {
     let header: Vec<String> = header.iter().map(|h| h.to_string()).collect();
-    let mut widths: Vec<usize> = header.iter().map(|h| h.chars().count()).collect();
+    let mut widths: Vec<usize> = header.iter().map(|h| width(h)).collect();
     for row in &rows {
         let (n, m) = (row.len(), widths.len());
         assert_eq!(n, m, "row width {n} != header width {m}");
         for (w, cell) in widths.iter_mut().zip(row) {
-            *w = (*w).max(cell.chars().count());
+            *w = (*w).max(width(cell));
         }
     }
     let mut out = String::new();
     for (i, cells) in std::iter::once(&header).chain(&rows).enumerate() {
         for (j, (cell, w)) in cells.iter().zip(&widths).enumerate() {
             let gap = if j > 0 { "  " } else { "" };
-            let _ = write!(out, "{gap}{cell:>w$}");
+            let _ = write!(out, "{gap}{:>pad$}{cell}", "", pad = w - width(cell));
         }
         out.push('\n');
         if i == 0 {
@@ -250,6 +250,11 @@ fn table(header: &[&str], rows: Vec<Vec<String>>) -> String {
         }
     }
     out
+}
+
+/// Terminal columns `s` takes: the verdict glyphs ✅ and ❌ are two wide.
+fn width(s: &str) -> usize {
+    s.chars().count() + s.matches(['✅', '❌']).count()
 }
 
 /// Writes `claims.md` under [`Opts::results`](crate::common::Opts): one row

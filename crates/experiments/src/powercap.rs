@@ -18,13 +18,14 @@
 
 use crate::common::Opts;
 use crate::output::Report;
+use oc_core::admission::{ADMIT_SLACK, MEM_CAPACITY};
 use oc_core::config::SimConfig;
 use oc_core::metrics::VIOLATION_EPS;
 use oc_core::predictor::PredictorSpec;
 use oc_core::sim::simulate_machine_vec;
 use oc_qos::power::{apply_cap, PowerModel, QosTier};
 use oc_scheduler::arrival::TaskRequest;
-use oc_scheduler::machine::{SimMachine, MEM_CAPACITY};
+use oc_scheduler::machine::SimMachine;
 use oc_stats::resource::CPU;
 use oc_trace::cell::{CellConfig, CellPreset};
 use oc_trace::ids::{JobId, MachineId, TaskId};
@@ -283,7 +284,7 @@ fn gating_demo(r: &mut Report) -> Result<(), Box<dyn Error>> {
             vec_peak / MEM_CAPACITY
         ),
         "extension: worst-lane admission keeps every lane under capacity",
-        vec_peak <= MEM_CAPACITY + 1e-9 && cpu_peak > MEM_CAPACITY,
+        vec_peak <= MEM_CAPACITY + ADMIT_SLACK && cpu_peak > MEM_CAPACITY,
     );
     Ok(())
 }

@@ -2,10 +2,11 @@
 //! peak predictor.
 
 use crate::arrival::TaskRequest;
+use oc_core::admission::{self, MEM_CAPACITY};
 use oc_core::config::SimConfig;
 use oc_core::predictor::{clamp_prediction_vec, PeakPredictor};
 use oc_core::view::MachineView;
-use oc_stats::resource::{Res2, CPU, MEM, NUM_RESOURCES};
+use oc_stats::resource::{Res2, CPU, MEM};
 use oc_trace::cell::UsageModel;
 use oc_trace::gen::UsageProcess;
 use oc_trace::ids::{MachineId, TaskId};
@@ -33,10 +34,6 @@ struct LiveTask {
     /// Realized per-tick metric values (for the realized trace).
     recorded: Vec<f64>,
 }
-
-/// Normalized machine memory capacity: one machine-memory unit, the same
-/// normalization the trace generator uses for `memory_limit`.
-pub const MEM_CAPACITY: f64 = 1.0;
 
 /// A finished (or horizon-truncated) task with its realized usage.
 #[derive(Debug, Clone)]
@@ -156,16 +153,13 @@ impl SimMachine {
         self.capacity - self.cached_prediction.lane(CPU) - self.pending_limit.lane(CPU)
     }
 
-    /// Feasibility check for a new task: the paper's admission rule
-    /// `P(J_s, t) + L_J ≤ M`, applied to *every* resource lane. A machine
-    /// fits a task only if both its CPU and its memory projections stay
-    /// within the respective capacities — worst-lane gating, so a
+    /// Feasibility check for a new task: [`admission::admit`] with the
+    /// predicted peak plus this tick's pending limits as the load, so a
     /// memory-bound machine with plenty of CPU headroom still rejects.
     pub fn fits(&self, limit: f64, memory_limit: f64) -> bool {
-        let projected =
-            self.cached_prediction + self.pending_limit + Res2::from_lanes([limit, memory_limit]);
+        let load = self.cached_prediction + self.pending_limit;
         let capacity = Res2::from_lanes([self.capacity, MEM_CAPACITY]);
-        (0..NUM_RESOURCES).all(|lane| projected.lane(lane) <= capacity.lane(lane) + 1e-9)
+        admission::admit(load, Res2::from_lanes([limit, memory_limit]), capacity).0
     }
 
     /// Admits a task; it starts producing usage this tick.

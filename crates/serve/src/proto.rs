@@ -184,7 +184,7 @@ pub enum Request {
         cell: CellId,
         /// Machine within the cell.
         machine: MachineId,
-        /// Limit of the candidate task, in capacity units.
+        /// CPU limit of the candidate task, in capacity units.
         limit: f64,
     },
     /// Service-wide counter snapshot (`STATS`).
@@ -248,9 +248,9 @@ pub enum Response {
     },
     /// Admission verdict.
     Admitted {
-        /// Whether the candidate task fits.
+        /// Whether the candidate task fits on every lane.
         admit: bool,
-        /// Projected peak if admitted (prediction + candidate limit).
+        /// Projected CPU peak if admitted (prediction + candidate limit).
         projected: f64,
     },
     /// Counter snapshot.

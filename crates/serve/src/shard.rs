@@ -36,6 +36,7 @@ use crate::error::ServeError;
 use crate::metrics::ShardMetrics;
 use crate::proto::{encode_view_record, ErrCode, Response};
 use crate::ring::{HashRing, KeyRole};
+use oc_core::admission::{self, MEM_CAPACITY};
 use oc_core::ingest::IncrementalView;
 use oc_core::predictor::{clamp_prediction, clamp_prediction_vec, PeakPredictor};
 use oc_core::CoreError;
@@ -123,26 +124,8 @@ impl Default for ObserveChunk {
 /// (`sync_channel(0)`) would block the caller on its own reply forever.
 #[derive(Debug)]
 pub enum ShardMsg {
-    /// Ingest one per-task sample.
-    Observe {
-        /// Routing key.
-        key: MachineKey,
-        /// The sampled task.
-        task: TaskId,
-        /// Observed usage.
-        usage: f64,
-        /// Task limit.
-        limit: f64,
-        /// Optional memory lane as `(usage, limit)`.
-        mem: Option<(f64, f64)>,
-        /// Sample tick.
-        tick: Tick,
-        /// Caller's stamp, for service-latency accounting.
-        enqueued: Instant,
-    },
     /// Ingest a coalesced run of same-shard samples, item by item in
-    /// order — outcome identical to the equivalent sequence of `Observe`
-    /// messages, under one lock acquisition.
+    /// order, under one lock acquisition.
     ObserveBatch(Box<ObserveChunk>),
     /// Predict a machine's peak; the response is sent on `reply`.
     Predict {
@@ -151,17 +134,6 @@ pub enum ShardMsg {
         /// `true` for the multi-resource form: the reply carries both the
         /// CPU and memory peaks (`PRED cpu,mem`).
         vector: bool,
-        /// Reply channel (capacity ≥ 1, see [`ShardMsg`]).
-        reply: SyncSender<Response>,
-        /// Caller's stamp, for service-latency accounting.
-        enqueued: Instant,
-    },
-    /// Admission check; the response is sent on `reply`.
-    Admit {
-        /// Routing key.
-        key: MachineKey,
-        /// Candidate task limit.
-        limit: f64,
         /// Reply channel (capacity ≥ 1, see [`ShardMsg`]).
         reply: SyncSender<Response>,
         /// Caller's stamp, for service-latency accounting.
@@ -295,7 +267,10 @@ impl Shard {
         }
     }
 
-    /// Answers `ADMIT` for a candidate task of `limit` on `key`.
+    /// Answers `ADMIT` for a candidate of CPU `limit` on `key` through
+    /// [`admission::admit`] on every lane's clamped prediction, so a full
+    /// memory lane refuses (a machine never sent pairs predicts 0 there).
+    /// `projected` is the CPU lane's projection.
     pub(crate) fn admit(&mut self, key: &MachineKey, limit: f64) -> Response {
         self.metrics.admits += 1;
         // An admission check on a never-observed machine is legal: the
@@ -308,10 +283,12 @@ impl Shard {
             }
             None => self.fresh.view(),
         };
-        let projected = clamp_prediction(self.predictor.predict(v), v) + limit;
+        let load = clamp_prediction_vec(self.predictor.predict_vec(v), v);
+        let capacity = Res2::from_lanes([v.capacity(), MEM_CAPACITY]);
+        let (admit, projected) = admission::admit(load, Res2::from_lanes([limit, 0.0]), capacity);
         Response::Admitted {
-            admit: projected <= v.capacity(),
-            projected,
+            admit,
+            projected: projected.lane(CPU),
         }
     }
 
@@ -454,25 +431,6 @@ impl ShardPool {
     pub fn send(&self, shard: usize, msg: ShardMsg) -> Result<(), Closed> {
         let mut s = self.lock(shard)?;
         match msg {
-            ShardMsg::Observe {
-                key,
-                task,
-                usage,
-                limit,
-                mem,
-                tick,
-                enqueued,
-            } => {
-                let item = ObserveItem {
-                    key,
-                    task,
-                    usage,
-                    limit,
-                    mem,
-                    tick,
-                };
-                s.observe(std::slice::from_ref(&item), enqueued.elapsed());
-            }
             ShardMsg::ObserveBatch(chunk) => {
                 s.observe(&chunk.items[..chunk.len], chunk.enqueued.elapsed());
             }
@@ -483,15 +441,6 @@ impl ShardPool {
                 enqueued,
             } => {
                 let _ = reply.send(s.predict(&key, vector));
-                s.metrics.record_latency(enqueued.elapsed());
-            }
-            ShardMsg::Admit {
-                key,
-                limit,
-                reply,
-                enqueued,
-            } => {
-                let _ = reply.send(s.admit(&key, limit));
                 s.metrics.record_latency(enqueued.elapsed());
             }
             ShardMsg::Snapshot { reply } => {
@@ -529,16 +478,19 @@ mod tests {
         (CellId::new("t"), MachineId(m))
     }
 
+    /// One scalar sample as a one-item chunk.
     fn observe(m: u32, tick: u64, usage: f64) -> ShardMsg {
-        ShardMsg::Observe {
+        let mut chunk = Box::new(ObserveChunk::new());
+        chunk.items[0] = ObserveItem {
             key: key(m),
             task: TaskId::new(JobId(1), 0),
             usage,
             limit: 0.5,
             mem: None,
             tick: Tick(tick),
-            enqueued: Instant::now(),
-        }
+        };
+        chunk.len = 1;
+        ShardMsg::ObserveBatch(chunk)
     }
 
     fn pool_of(cfg: &ServeConfig) -> ShardPool {
@@ -571,12 +523,7 @@ mod tests {
     }
 
     fn ask_admit(p: &ShardPool, k: MachineKey, limit: f64) -> Response {
-        ask(p, p.route(&k), |reply| ShardMsg::Admit {
-            key: k,
-            limit,
-            reply,
-            enqueued: Instant::now(),
-        })
+        p.lock(p.route(&k)).unwrap().admit(&k, limit)
     }
 
     #[test]

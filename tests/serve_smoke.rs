@@ -32,11 +32,15 @@ use overcommit_repro::client::{Client, ClientConfig};
 use overcommit_repro::core::config::SimConfig;
 use overcommit_repro::core::predictor::PredictorSpec;
 use overcommit_repro::core::sim::simulate_machine;
+use overcommit_repro::scheduler::arrival::TaskRequest;
+use overcommit_repro::scheduler::machine::SimMachine;
 use overcommit_repro::serve::fault::FaultPlan;
 use overcommit_repro::serve::proto::{Request, Response};
 use overcommit_repro::serve::{ServeConfig, Server};
 use overcommit_repro::trace::cell::{CellConfig, CellPreset};
-use overcommit_repro::trace::ids::CellId;
+use overcommit_repro::trace::ids::{CellId, JobId, TaskId};
+use overcommit_repro::trace::task::SchedulingClass;
+use overcommit_repro::trace::time::Tick;
 use overcommit_repro::trace::{MachineId, WorkloadGenerator};
 use std::time::Duration;
 
@@ -393,4 +397,66 @@ fn batched_ingest_survives_chaos_bit_for_bit() {
         );
     }
     assert!(faults_total > 0, "chaos plan never fired");
+}
+
+/// The served `ADMIT` gates every lane the machine has. The powercap
+/// demo's memory hogs (CPU 0.05, memory 0.45) go to a limit-sum server,
+/// and each admission is followed by a two-lane `OBSERVE` of every
+/// admitted hog. `ADMIT` carries no candidate memory, so the server stops
+/// where `SimMachine::fits(limit, 0.0)` stops (the demo's cpu-only gate):
+/// at 3, when the memory lane predicts 1.35, not at 4 as a CPU-only check
+/// would. A machine observed through scalar samples only predicts 0 on
+/// its memory lane and admits all four.
+#[test]
+fn served_admit_stops_at_a_full_memory_lane_like_the_simulated_gate() {
+    let spec = PredictorSpec::LimitSum;
+    let server = Server::start(ServeConfig::default().with_predictor(spec.clone())).unwrap();
+    let mut client = Client::connect(server.addr(), ClientConfig::default()).unwrap();
+    let cell = CellId::new("hogs");
+    let usage = CellConfig::preset(CellPreset::A).usage;
+    let sim_cfg = SimConfig::default();
+    let mut simulated =
+        SimMachine::new(MachineId(0), 1.0, usage, &sim_cfg, spec.build().unwrap(), 7);
+    let (mut two_lane, mut cpu_only, mut in_sim) = (0u64, 0u64, 0u64);
+    let (m0, hog) = (MachineId(0), |j: u64| TaskId::new(JobId(j), 0));
+    for job in 0..4u64 {
+        if client.admit(&cell, m0, 0.05).unwrap().0 {
+            two_lane += 1;
+            for j in 0..two_lane {
+                let t = two_lane;
+                let sample = client.observe_vec(&cell, m0, hog(j), 0.03, 0.05, 0.3, 0.45, t);
+                sample.unwrap();
+            }
+        }
+        if client.admit(&cell, MachineId(1), 0.05).unwrap().0 {
+            cpu_only += 1;
+            for j in 0..cpu_only {
+                client
+                    .observe(&cell, MachineId(1), hog(j), 0.03, 0.05, cpu_only)
+                    .unwrap();
+            }
+        }
+        let req = TaskRequest {
+            id: hog(job),
+            limit: 0.05,
+            memory_limit: 0.45,
+            runtime_ticks: 1000,
+            class: SchedulingClass::Class2,
+            priority: 200,
+            job_seed: job,
+            job_phase: 0.3,
+            job_util_base: 0.6,
+        };
+        if simulated.fits(req.limit, 0.0) {
+            simulated.admit(&req, Tick(0));
+            in_sim += 1;
+        }
+    }
+    assert_eq!((two_lane, in_sim, cpu_only), (3, 3, 4));
+    let (_, mem) = client.predict_vec(&cell, m0).unwrap();
+    assert!((mem - 1.35).abs() < 1e-12, "memory lane predicts {mem}");
+    let (admit, projected) = client.admit(&cell, m0, 0.05).unwrap();
+    assert!(!admit && (projected - 0.2).abs() < 1e-12, "{projected}");
+    drop(client);
+    assert_eq!(server.shutdown().errors, 0);
 }
