@@ -49,18 +49,20 @@
 //! # One frame path
 //!
 //! Everything that goes on the wire is a *frame* of `n` requests (`BATCH n`
-//! header iff `n > 1`) appended by `Link::write_frame`; its replies are
-//! read by `Link::fill` and taken, once all there, by `Link::take_frame`.
-//! A single request is a frame of one, a window is a run of frames flushed
-//! once, and the cluster's lanes and the load driver ([`crate::loadgen`])
-//! use the same path. A frame is acknowledged or lost whole — a transport
+//! header iff `n > 1`) encoded by `Link::write_frame` into the link's out
+//! buffer, which goes to the transport whenever it holds `WRITE_AT` bytes
+//! and at the end of the burst (`Link::flush_frames`); its replies are read by `Link::fill` and
+//! taken, once all there, by `Link::take_frame`. A single request is a
+//! frame of one, a window is a run of frames flushed once, and the
+//! cluster's lanes and the load driver ([`crate::loadgen`]) use the same
+//! path. A frame is acknowledged or lost whole — a transport
 //! failure, its reply deadline or a server-side close (`ERR timeout`/
 //! `conn-limit`, also where a `BATCHR` header is due) discards the replies
 //! already read for it and it is sent again.
 
 use crate::engine::{Engine, Policy, Shape};
 use crate::error::ClientError;
-use crate::pipe::{Entry, MemberPipe, SentFrame};
+use crate::pipe::{Entry, MemberPipe};
 use oc_serve::fault::{FaultCounters, FaultPlan, FaultStream};
 use oc_serve::proto::{
     parse_batchr_header, push_u64, ErrCode, ProtoError, Request, Response, StatsSnapshot, MAX_BATCH,
@@ -69,10 +71,16 @@ use oc_telemetry::{trace, Counter};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::io::{BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Out-buffer bytes at which a burst's frames are written before the
+/// burst ends, so that the server starts on a long burst's first frames
+/// while the later ones are encoded; short frames still share one write.
+const WRITE_AT: usize = 4 << 10;
 
 /// Bounded-retry policy.
 #[derive(Debug, Clone)]
@@ -269,13 +277,15 @@ pub struct Client {
     engine: Engine<usize>,
 }
 
-/// One connection of the engine: the socket, its reader and writer, and
-/// the retry bookkeeping that survives a reconnect.
+/// One connection of the engine: its transport and buffers, and the
+/// retry bookkeeping that survives a reconnect.
 #[derive(Debug)]
 pub(crate) struct Link {
     addr: SocketAddr,
     cfg: ClientConfig,
     conn: Option<Conn>,
+    /// Frames encoded since the last flush.
+    out: Vec<u8>,
     rng: SmallRng,
     /// Connect epoch; salts the fault sub-seed so every reconnect gets a
     /// fresh deterministic schedule.
@@ -293,35 +303,15 @@ pub(crate) struct Link {
     ring_member: bool,
 }
 
-/// One socket shared by both halves of a connection: `&TcpStream` reads
-/// and writes, so the halves need no second descriptor.
-struct Socket(Arc<TcpStream>);
+/// The byte stream of one connection: a socket, or a socket under a
+/// fault plan. Either way one descriptor, which the engine polls.
+pub(crate) trait Transport: Read + Write + AsRawFd + Send {}
 
-impl Read for Socket {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        (&*self.0).read(buf)
-    }
-}
+impl<T: Read + Write + AsRawFd + Send> Transport for T {}
 
-impl Write for Socket {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        (&*self.0).write(buf)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        (&*self.0).flush()
-    }
-}
-
-/// The two halves of an established connection, boxed so the fault
-/// wrapper is transparent to the rest of the client.
+/// An established connection.
 struct Conn {
-    /// The socket both halves share (one descriptor per connection).
-    stream: Arc<TcpStream>,
-    reader: Box<dyn Read + Send>,
-    writer: BufWriter<Box<dyn Write + Send>>,
-    /// Encode buffer of the frame being written.
-    frame: Vec<u8>,
+    stream: Box<dyn Transport>,
     /// Reply bytes read so far; `replies[taken..]` is not taken yet.
     replies: Vec<u8>,
     taken: usize,
@@ -659,24 +649,27 @@ impl<F: FnMut(usize, &Response, f64)> Policy<usize> for Pipeline<'_, F> {
         &mut self,
         _: &mut Engine<usize>,
         _: usize,
-        frame: &mut SentFrame<usize>,
+        frame: &mut Vec<Entry<usize>>,
+        sent_at: Instant,
         replies: &[Response],
     ) {
-        let lat_us = frame.sent_at.elapsed().as_secs_f64() * 1e6;
-        for (e, resp) in frame.entries.iter().zip(replies) {
+        let lat_us = sent_at.elapsed().as_secs_f64() * 1e6;
+        for (e, resp) in frame.iter().zip(replies) {
             (self.on_resp)(e.req, resp, lat_us);
         }
-        self.left -= frame.entries.len();
+        self.left -= frame.len();
     }
 
+    /// The call fails, and its unresolved lines — indices into this
+    /// call's slice — leave the lane with it.
     fn failed(
         &mut self,
-        _: &mut Engine<usize>,
-        _: usize,
-        _: Vec<Entry<usize>>,
+        eng: &mut Engine<usize>,
+        lane: usize,
         _: usize,
         err: ClientError,
     ) -> Result<(), ClientError> {
+        eng.lanes[lane].pipe = MemberPipe::default();
         Err(err)
     }
 
@@ -693,6 +686,7 @@ impl Link {
             addr,
             cfg,
             conn: None,
+            out: Vec::new(),
             rng,
             epoch: 0,
             metrics: ClientMetrics::default(),
@@ -724,41 +718,29 @@ impl Link {
         let stream = TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout)?;
         stream.set_nodelay(true)?;
         stream.set_write_timeout(Some(self.cfg.write_timeout))?;
-        let stream = Arc::new(stream);
         if self.epoch > 0 {
             self.metrics.reconnects += 1;
             self.global.reconnects.inc();
             trace::event("client.reconnect", self.epoch, 0);
         }
-        let half = || Socket(Arc::clone(&stream));
-        let (r, w): (Box<dyn Read + Send>, Box<dyn Write + Send>) = match &self.cfg.faults {
+        let stream: Box<dyn Transport> = match &self.cfg.faults {
             Some(plan) => {
                 // Salt by seed and epoch so every client and every
                 // reconnect runs a distinct deterministic schedule.
-                let base = self.cfg.seed.wrapping_shl(20).wrapping_add(self.epoch * 2);
-                (
-                    Box::new(FaultStream::new(
-                        half(),
-                        plan,
-                        plan.stream_seed(base),
-                        Arc::clone(&self.fault_counters),
-                    )),
-                    Box::new(FaultStream::new(
-                        half(),
-                        plan,
-                        plan.stream_seed(base + 1),
-                        Arc::clone(&self.fault_counters),
-                    )),
-                )
+                let base = self.cfg.seed.wrapping_shl(20).wrapping_add(self.epoch);
+                let counters = Arc::clone(&self.fault_counters);
+                Box::new(FaultStream::new(
+                    stream,
+                    plan,
+                    plan.stream_seed(base),
+                    counters,
+                ))
             }
-            None => (Box::new(half()), Box::new(half())),
+            None => Box::new(stream),
         };
         self.epoch += 1;
         self.conn = Some(Conn {
             stream,
-            reader: r,
-            writer: BufWriter::new(w),
-            frame: Vec::new(),
             replies: Vec::with_capacity(8 << 10),
             taken: 0,
         });
@@ -802,7 +784,6 @@ impl Link {
 
     /// The connection's socket descriptor, for readiness polling.
     pub(crate) fn raw_fd(&self) -> Option<oc_reactor::RawFd> {
-        use std::os::unix::io::AsRawFd;
         self.conn.as_ref().map(|conn| conn.stream.as_raw_fd())
     }
 
@@ -825,46 +806,50 @@ impl Link {
         self.global.retries.add(n);
     }
 
-    /// Appends `n` requests to the connection's writer as one frame — a
-    /// `BATCH` wrapper when more than one — without flushing: the caller
-    /// decides how many frames make one burst ([`Link::flush_frames`]).
-    /// Nothing is read back; replies are taken later with
-    /// [`Link::take_frame`]. A transient transport failure
-    /// drops the connection and comes back as [`FrameIo::Lost`]; nothing
-    /// of the frame counts as delivered.
+    /// Encodes `n` requests into the out buffer as one frame — a `BATCH`
+    /// wrapper when more than one — and writes the buffer once it holds
+    /// [`WRITE_AT`] bytes; the caller writes the rest at the end of its
+    /// burst ([`Link::flush_frames`]). Nothing is read back; replies are
+    /// taken later with [`Link::take_frame`].
     pub(crate) fn write_frame<'a, I>(&mut self, n: usize, reqs: I) -> Result<FrameIo, ClientError>
     where
         I: IntoIterator<Item = &'a Request>,
     {
+        let out = &mut self.out;
+        if n > 1 {
+            out.extend_from_slice(b"BATCH ");
+            push_u64(out, n as u64);
+            out.push(b'\n');
+        }
+        for req in reqs {
+            req.encode_into(out);
+            out.push(b'\n');
+        }
+        if out.len() < WRITE_AT {
+            return Ok(FrameIo::Done);
+        }
+        self.flush_frames()
+    }
+
+    /// Writes every frame encoded since the last write to the transport,
+    /// connecting first unless a connection is open. A transient failure
+    /// — to connect among them — loses everything on the wire, and drops
+    /// the connection if one was open.
+    pub(crate) fn flush_frames(&mut self) -> Result<FrameIo, ClientError> {
         if let Err(e) = self.connect() {
+            self.out.clear();
             return if self.retryable(&e) {
                 Ok(FrameIo::Lost(e.to_string()))
             } else {
                 Err(ClientError::Io(e))
             };
         }
-        let conn = self.conn.as_mut().expect("ensured above");
-        conn.frame.clear();
-        if n > 1 {
-            conn.frame.extend_from_slice(b"BATCH ");
-            push_u64(&mut conn.frame, n as u64);
-            conn.frame.push(b'\n');
-        }
-        for req in reqs {
-            req.encode_into(&mut conn.frame);
-            conn.frame.push(b'\n');
-        }
-        match conn.writer.write_all(&conn.frame) {
+        let conn = self.conn.as_mut().expect("connected above");
+        let wrote = conn.stream.write_all(&self.out);
+        self.out.clear();
+        match wrote {
             Ok(()) => Ok(FrameIo::Done),
             Err(e) => self.lose(e),
-        }
-    }
-
-    /// Pushes every frame written since the last flush onto the wire.
-    pub(crate) fn flush_frames(&mut self) -> Result<FrameIo, ClientError> {
-        match self.conn.as_mut().map(|conn| conn.writer.flush()) {
-            Some(Err(e)) => self.lose(e),
-            _ => Ok(FrameIo::Done),
         }
     }
 
@@ -890,7 +875,7 @@ impl Link {
         buf.drain(..std::mem::take(&mut conn.taken));
         let filled = buf.len();
         buf.resize(buf.capacity().max(2 * filled), 0);
-        let read = conn.reader.read(&mut buf[filled..]);
+        let read = conn.stream.read(&mut buf[filled..]);
         buf.truncate(filled + read.as_ref().map_or(0, |&n| n));
         match read {
             Ok(0) => self.lose(std::io::Error::new(

@@ -51,17 +51,17 @@
 use crate::client::{ClientConfig, Link};
 use crate::engine::{Engine, Policy, Shape};
 use crate::error::ClientError;
-use crate::pipe::{Entry, EntryKind, SentFrame};
+use crate::pipe::{Entry, EntryKind};
 use oc_cluster::{HashRing, RingSpec};
 use oc_serve::proto::{ErrCode, Request, Response, StatsSnapshot};
 use oc_serve::shard::key_hash;
 use oc_telemetry::metrics::HistogramSnapshot;
 use oc_telemetry::{trace, Counter, Gauge};
 use oc_trace::ids::{CellId, MachineId, TaskId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Shape of a [`ClusterClient`].
 #[derive(Debug, Clone)]
@@ -634,23 +634,22 @@ impl Router {
         order
     }
 
-    /// Sends of `tail` go back to the waiting queue to be routed again;
-    /// mirrors go to `keep`. Counts a replayed tail if there was one.
-    fn displace(&mut self, tail: Vec<Entry>, frames: usize, mut keep: impl FnMut(Entry)) {
+    /// The sends of lane `lane`, whose pipe was rewound with `frames`
+    /// frames on the wire, go back to the waiting queue in order to be
+    /// routed again; its mirrors and probes stay on the lane. Counts a
+    /// replayed tail if the lane held any line.
+    fn displace(&mut self, eng: &mut Engine, lane: usize, frames: usize) {
         if frames > 0 {
             self.global.pipeline_inflight.add(-(frames as i64));
         }
-        if tail.is_empty() {
+        let pipe = &mut eng.lanes[lane].pipe;
+        if pipe.is_empty() {
             return;
         }
         self.metrics.replayed_tails += 1;
         self.global.pipeline_replayed.inc();
-        for e in tail {
-            match e.kind {
-                EntryKind::Send { .. } => self.waiting.push_back(e),
-                _ => keep(e),
-            }
-        }
+        self.waiting
+            .extend(pipe.extract(|e| matches!(e.kind, EntryKind::Send { .. })));
     }
 }
 
@@ -677,14 +676,15 @@ impl Policy for Router {
         &mut self,
         eng: &mut Engine,
         lane: usize,
-        frame: &mut SentFrame,
+        frame: &mut Vec<Entry>,
+        sent_at: Instant,
         replies: &[Response],
     ) {
         self.global.pipeline_inflight.dec();
-        let lat_us = frame.sent_at.elapsed().as_secs_f64() * 1e6;
+        let lat_us = sent_at.elapsed().as_secs_f64() * 1e6;
         let mut resolved = 0u64;
         let mut redirected: HashMap<u64, u32> = HashMap::new();
-        for (entry, resp) in frame.entries.drain(..).zip(replies) {
+        for (entry, resp) in frame.drain(..).zip(replies) {
             let not_mine = matches!(
                 resp,
                 Response::Err {
@@ -733,22 +733,17 @@ impl Policy for Router {
             }
         }
         if !redirected.is_empty() {
-            let hashes: HashSet<u64> = redirected.keys().copied().collect();
-            let moved = eng.lanes[lane].pipe.extract_open_matching(&hashes);
+            // A machine's mirrors live on a different lane than its sends
+            // (owner ≠ mirror target), so only sends can follow.
+            let moved = eng.lanes[lane].pipe.extract(|e| {
+                matches!(e.kind, EntryKind::Send { .. }) && redirected.contains_key(&e.hash)
+            });
             for e in moved {
-                match e.kind {
-                    EntryKind::Send { tried } => {
-                        let tried = redirected.get(&e.hash).copied().unwrap_or(tried);
-                        self.waiting.push_back(Entry {
-                            kind: EntryKind::Send { tried },
-                            ..e
-                        });
-                    }
-                    // A machine's mirrors live on a different lane than
-                    // its sends (owner ≠ mirror target) — unreachable,
-                    // but re-pinning is the safe fallback.
-                    _ => eng.push(lane, e),
-                }
+                let tried = redirected[&e.hash];
+                self.waiting.push_back(Entry {
+                    kind: EntryKind::Send { tried },
+                    ..e
+                });
             }
         }
         self.frame_lats.record_n(lat_us, resolved);
@@ -757,22 +752,13 @@ impl Policy for Router {
     /// The member gets another chance on a fresh connection after its
     /// nap; replays of already-applied lines are stale no-ops. Its sends
     /// replay through the waiting queue, its mirrors and probes stay.
-    fn lost(
-        &mut self,
-        eng: &mut Engine,
-        lane: usize,
-        tail: Vec<Entry>,
-        frames: usize,
-        nap: Duration,
-    ) {
+    fn lost(&mut self, eng: &mut Engine, lane: usize, frames: usize, nap: Duration) {
         let nap_us = nap.as_micros() as u64;
         self.metrics.backoff_sleeps += 1;
         self.metrics.backoff_slept_us += nap_us;
         self.global.backoff_sleeps.inc();
         self.global.backoff_slept_us.add(nap_us);
-        let mut kept = Vec::new();
-        self.displace(tail, frames, |e| kept.push(e));
-        eng.lanes[lane].pipe.reopen(kept);
+        self.displace(eng, lane, frames);
     }
 
     /// A transport failure the ladder does not absorb marks the member
@@ -786,14 +772,11 @@ impl Policy for Router {
         &mut self,
         eng: &mut Engine,
         lane: usize,
-        tail: Vec<Entry>,
         frames: usize,
         err: ClientError,
     ) -> Result<(), ClientError> {
+        self.displace(eng, lane, frames);
         if !matches!(err, ClientError::Io(_) | ClientError::Exhausted { .. }) {
-            let mut kept = Vec::new();
-            self.displace(tail, frames, |e| kept.push(e));
-            eng.lanes[lane].pipe.reopen(kept);
             eng.lanes[lane].link.close();
             return Err(err);
         }
@@ -802,13 +785,10 @@ impl Policy for Router {
             lane as u64,
             eng.failing_since(lane).elapsed().as_micros() as u64,
         );
-        let mut dropped = 0u64;
-        self.displace(tail, frames, |e| {
-            if e.kind == EntryKind::Mirror {
-                dropped += 1;
-            }
-        });
-        self.metrics.mirror_drops += dropped;
+        let mirrors = eng.lanes[lane]
+            .pipe
+            .extract(|e| e.kind == EntryKind::Mirror);
+        self.metrics.mirror_drops += mirrors.len() as u64;
         self.alive[lane] = false;
         eng.retire(lane);
         self.metrics.failovers += 1;

@@ -22,16 +22,23 @@
 //! for it.
 //!
 //! A lost transport costs a lane one strike and a nap; a resolved frame
-//! clears its strikes. `max_attempts` strikes in a row, or an error no
-//! retry mends (a refused re-dial of a ring member among them), fail the
-//! lane, and the caller decides what that means.
+//! clears its strikes. What the lane had on the wire stays at the front
+//! of its pipe and goes out first once the nap ends. `max_attempts`
+//! strikes in a row, or an error no retry mends (a refused re-dial of a
+//! ring member among them), fail the lane, and the caller decides what
+//! that means.
+//!
+//! One exception to "a napping lane holds up no other": a fault plan's
+//! injected delay (`oc_serve::fault`) sleeps inside a read or write of
+//! the lane's transport, so it stalls the engine thread and with it
+//! every lane.
 //!
 //! A lane's lines are `L`s, which the policy maps to the requests they
 //! stand for ([`Policy::request`]).
 
 use crate::client::{ClientConfig, FrameIo, Link};
 use crate::error::ClientError;
-use crate::pipe::{is_batchable, Entry, MemberPipe, SentFrame};
+use crate::pipe::{is_batchable, Entry, MemberPipe};
 use oc_reactor::{Events, Interest, Poller, RawFd};
 use oc_serve::proto::{Request, Response};
 use std::cmp::Reverse;
@@ -64,38 +71,30 @@ pub(crate) trait Policy<L = Request> {
     /// A frame of `lines` lines went onto lane `lane`'s wire.
     fn wrote(&mut self, _lane: usize, _lines: usize) {}
 
-    /// Lane `lane`'s oldest frame came back: `replies[k]` answers
-    /// `frame.entries[k]`. The policy may drain the entries; the vector
-    /// carries a later frame.
+    /// Lane `lane`'s oldest frame, written at `sent_at`, came back:
+    /// `replies[k]` answers `frame[k]`. The policy may drain the lines;
+    /// the vector carries a later frame.
     fn resolved(
         &mut self,
         eng: &mut Engine<L>,
         lane: usize,
-        frame: &mut SentFrame<L>,
+        frame: &mut Vec<Entry<L>>,
+        sent_at: Instant,
         replies: &[Response],
     );
 
     /// Lane `lane` lost its transport with `frames` frames on the wire
-    /// and naps `nap`; `tail` is everything it had not resolved, in
-    /// order. By default all of it goes back to the lane's open frame.
-    fn lost(
-        &mut self,
-        eng: &mut Engine<L>,
-        lane: usize,
-        tail: Vec<Entry<L>>,
-        _frames: usize,
-        _nap: Duration,
-    ) {
-        eng.lanes[lane].pipe.reopen(tail);
-    }
+    /// and naps `nap`. Its pipe is rewound: everything it had not
+    /// resolved is open again, in order, and is sent first after the nap
+    /// unless the policy moves it.
+    fn lost(&mut self, _eng: &mut Engine<L>, _lane: usize, _frames: usize, _nap: Duration) {}
 
-    /// Lane `lane` failed for `err`, `tail` and `frames` as in
+    /// Lane `lane` failed for `err`, its pipe rewound as in
     /// [`Policy::lost`]. An `Err` ends the caller's drive with it.
     fn failed(
         &mut self,
         eng: &mut Engine<L>,
         lane: usize,
-        tail: Vec<Entry<L>>,
         frames: usize,
         err: ClientError,
     ) -> Result<(), ClientError>;
@@ -151,6 +150,8 @@ pub(crate) struct Engine<L = Request> {
     ready: Vec<usize>,
     /// Lanes the last poller wait reported readable.
     woken: Vec<usize>,
+    /// One frame's lines, handed to [`Policy::resolved`].
+    frame: Vec<Entry<L>>,
     /// One frame's replies.
     replies: Vec<Response>,
     /// Paced: one frame is released every `stagger`, round-robin.
@@ -180,6 +181,7 @@ impl<L> Engine<L> {
             due: BinaryHeap::new(),
             ready: Vec::new(),
             woken: Vec::new(),
+            frame: Vec::new(),
             replies: Vec::new(),
             stagger: None,
             flushing: false,
@@ -342,27 +344,24 @@ impl<L> Engine<L> {
             if cut > room || lane.pipe.wire_conflicts(cut) {
                 break;
             }
-            let entries = lane.pipe.take_open(cut);
             let sent_at = Instant::now();
             let io = lane
                 .link
-                .write_frame(cut, entries.iter().map(|e| p.request(&e.req)));
+                .write_frame(cut, lane.pipe.unsent(cut).map(|e| p.request(&e.req)));
             if !lane.deadline {
                 lane.deadline = true;
                 let at = sent_at + self.reply_timeout;
                 self.due.push(Reverse((at, i, Due::Deadline)));
             }
-            // On the pipe before the outcome is looked at, so a loss
-            // replays this frame in its place.
-            lane.pipe.sent(entries, sent_at);
+            lane.pipe.sent(cut, sent_at);
+            lane.owed -= 1;
+            p.wrote(i, cut);
+            wrote = true;
             match io {
                 Ok(FrameIo::Done) => {}
                 Ok(FrameIo::Lost(what)) => return self.lose(i, what, p),
                 Err(e) => return self.fail(i, e, p),
             }
-            lane.owed -= 1;
-            p.wrote(i, cut);
-            wrote = true;
         }
         if !wrote {
             return Ok(());
@@ -406,16 +405,18 @@ impl<L> Engine<L> {
                 Ok(Some(FrameIo::Lost(what))) => return self.lose(i, what, p),
                 Err(e) => return self.fail(i, e, p),
             }
-            let mut frame = lane
+            let mut frame = std::mem::take(&mut self.frame);
+            let sent_at = lane
                 .pipe
-                .complete_oldest()
+                .complete_oldest(&mut frame)
                 .expect("the drained frame was inflight");
             (lane.strikes, lane.since) = (0, None);
             self.wake(i);
             let replies = std::mem::take(&mut self.replies);
-            p.resolved(self, i, &mut frame, &replies);
+            p.resolved(self, i, &mut frame, sent_at, &replies);
             self.replies = replies;
-            self.lanes[i].pipe.recycle(frame.entries);
+            frame.clear();
+            self.frame = frame;
         }
     }
 
@@ -508,11 +509,10 @@ impl<L> Engine<L> {
         lane.since.get_or_insert_with(Instant::now);
         let nap = lane.link.nap(lane.strikes - 1);
         lane.napping = true;
-        let frames = lane.pipe.inflight_len();
-        let tail = lane.pipe.fail();
+        let frames = lane.pipe.rewind();
         self.unwatch(i);
         self.due.push(Reverse((Instant::now() + nap, i, Due::Wake)));
-        p.lost(self, i, tail, frames, nap);
+        p.lost(self, i, frames, nap);
         Ok(())
     }
 
@@ -526,9 +526,8 @@ impl<L> Engine<L> {
         self.unwatch(i);
         let lane = &mut self.lanes[i];
         lane.since.get_or_insert_with(Instant::now);
-        let frames = lane.pipe.inflight_len();
-        let tail = lane.pipe.fail();
-        let verdict = p.failed(self, i, tail, frames, err);
+        let frames = lane.pipe.rewind();
+        let verdict = p.failed(self, i, frames, err);
         let lane = &mut self.lanes[i];
         (lane.strikes, lane.since, lane.napping) = (0, None, false);
         verdict

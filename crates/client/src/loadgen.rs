@@ -45,7 +45,7 @@
 use crate::client::{Client, ClientConfig};
 use crate::engine::{Engine, Policy, Shape};
 use crate::error::ClientError;
-use crate::pipe::{Entry, MemberPipe, SentFrame};
+use crate::pipe::{Entry, MemberPipe};
 use oc_serve::fault::FaultPlan;
 use oc_serve::proto::{Request, Response, StatsSnapshot};
 use oc_telemetry::metrics::HistogramSnapshot;
@@ -390,13 +390,14 @@ impl Policy for Replay {
         &mut self,
         eng: &mut Engine,
         lane: usize,
-        frame: &mut SentFrame,
+        frame: &mut Vec<Entry>,
+        sent_at: Instant,
         replies: &[Response],
     ) {
         let tally = &mut self.tally;
-        let lat_us = frame.sent_at.elapsed().as_secs_f64() * 1e6;
-        tally.latency.record_n(lat_us, frame.entries.len() as u64);
-        for (e, resp) in frame.entries.iter().zip(replies) {
+        let lat_us = sent_at.elapsed().as_secs_f64() * 1e6;
+        tally.latency.record_n(lat_us, frame.len() as u64);
+        for (e, resp) in frame.iter().zip(replies) {
             match resp {
                 Response::Err { .. } => tally.errors += 1,
                 Response::Ok if matches!(e.req, Request::Observe { .. }) => {
@@ -415,7 +416,6 @@ impl Policy for Replay {
         &mut self,
         eng: &mut Engine,
         lane: usize,
-        _: Vec<Entry>,
         _: usize,
         err: ClientError,
     ) -> Result<(), ClientError> {

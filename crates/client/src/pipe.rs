@@ -1,25 +1,28 @@
-//! Per-lane frame bookkeeping for the send engine (`engine.rs`).
+//! Per-lane line bookkeeping for the send engine (`engine.rs`).
 //!
-//! A [`MemberPipe`] tracks one lane's lines: an `open` frame still being
-//! filled, and a FIFO of [`SentFrame`]s already on the wire whose
-//! replies have not been drained. The module is a **pure state
-//! machine** — no I/O — so its ordering and no-loss invariants are
-//! property-tested exhaustively (the `props` module below) without
-//! sockets or servers.
+//! A [`MemberPipe`] keeps one lane's lines in one queue, in send order:
+//! the lines on the wire first, the open lines (not written yet) behind
+//! them. A frame on the wire is a count of lines at the front of that
+//! queue plus its write instant, and its replies are not drained yet.
+//! The module is a **pure state machine** — no I/O — so its ordering and
+//! no-loss invariants are property-tested exhaustively (the `props`
+//! module below) without sockets or servers.
 //!
 //! A frame ends in one of two ways: a reply for every line, in order,
 //! or a failed transport with none of its replies trusted. In the second
 //! case the server applied some prefix of the byte stream it was sent
 //! and nothing after it, so replaying the whole unacknowledged tail in
 //! send order can only repeat applied samples (stale no-ops), never skip
-//! one. What keeps that replay order-safe when a redirect moves a line
-//! to another member is one rule:
+//! one. That tail already sits at the front of the queue, in order, so a
+//! loss only moves the wire mark back to zero ([`MemberPipe::rewind`]).
+//! What keeps the replay order-safe when a redirect moves a line to
+//! another member is one rule:
 //!
 //! * **No-span** — a machine's routed samples never sit in more than one
 //!   on-the-wire frame at once ([`MemberPipe::wire_conflicts`] holds the
 //!   cut back until the frame drains). Whatever happens to one frame,
 //!   every *later* line of an affected machine is still client-side
-//!   (open frame), where it can be displaced behind the replayed tail.
+//!   (open), where it can be displaced behind the replayed tail.
 //!
 //! A [`EntryKind::Pinned`] line — every line of a plain
 //! [`Client`](crate::Client) and of the load driver, and a cluster
@@ -36,7 +39,7 @@
 //! indices into the slice it was given, so nothing is copied).
 
 use oc_serve::proto::Request;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
 /// How one queued line travels.
@@ -88,73 +91,69 @@ pub(crate) fn is_batchable(req: &Request) -> bool {
     )
 }
 
-/// One frame on the wire, awaiting its replies.
-#[derive(Debug)]
-pub(crate) struct SentFrame<L = Request> {
-    pub entries: Vec<Entry<L>>,
-    /// Write instant, for per-frame ack latency.
-    pub sent_at: Instant,
-}
-
 /// One lane's pipelined state.
 #[derive(Debug)]
 pub(crate) struct MemberPipe<L = Request> {
-    /// Accumulating frame, not yet written.
-    open: Vec<Entry<L>>,
-    /// Frames written, oldest first, replies undrained.
-    inflight: VecDeque<SentFrame<L>>,
-    /// Lines across `inflight`.
-    wired_lines: usize,
-    /// Unacked routed-line count per machine hash across `inflight` —
-    /// the no-span rule's ledger.
-    wired: HashMap<u64, u32>,
-    /// Emptied frame vectors, reused for the next frames.
-    spare: Vec<Vec<Entry<L>>>,
+    /// Every unresolved line in send order: `lines[..wired]` are on the
+    /// wire, the rest open.
+    lines: VecDeque<Entry<L>>,
+    /// Lines on the wire, at the front of `lines`.
+    wired: usize,
+    /// The frames on the wire, oldest first: line count and write
+    /// instant (for per-frame ack latency).
+    frames: VecDeque<(usize, Instant)>,
+    /// Unacked routed-line count per machine hash across the wire — the
+    /// no-span rule's ledger.
+    ledger: HashMap<u64, u32>,
 }
 
 impl<L> Default for MemberPipe<L> {
     fn default() -> Self {
         MemberPipe {
-            open: Vec::new(),
-            inflight: VecDeque::new(),
-            wired_lines: 0,
-            wired: HashMap::new(),
-            spare: Vec::new(),
+            lines: VecDeque::new(),
+            wired: 0,
+            frames: VecDeque::new(),
+            ledger: HashMap::new(),
         }
     }
 }
 
 impl<L> MemberPipe<L> {
-    /// Queues one line onto the open frame.
+    /// Queues one open line behind the rest.
     pub fn push(&mut self, e: Entry<L>) {
-        self.open.push(e);
+        self.lines.push_back(e);
     }
 
     pub fn open_len(&self) -> usize {
-        self.open.len()
+        self.lines.len() - self.wired
     }
 
     pub fn inflight_len(&self) -> usize {
-        self.inflight.len()
+        self.frames.len()
     }
 
     /// Lines on the wire.
     pub fn inflight_lines(&self) -> usize {
-        self.wired_lines
+        self.wired
     }
 
     /// Line count of the oldest inflight frame, if any.
     pub fn oldest_len(&self) -> Option<usize> {
-        self.inflight.front().map(|f| f.entries.len())
+        self.frames.front().map(|&(n, _)| n)
     }
 
     /// Write instant of the oldest inflight frame, if any.
     pub fn oldest_sent_at(&self) -> Option<Instant> {
-        self.inflight.front().map(|f| f.sent_at)
+        self.frames.front().map(|&(_, at)| at)
     }
 
     pub fn is_empty(&self) -> bool {
-        self.open.is_empty() && self.inflight.is_empty()
+        self.lines.is_empty()
+    }
+
+    /// The first `cut` open lines: the next frame, in order.
+    pub fn unsent(&self, cut: usize) -> impl Iterator<Item = &Entry<L>> {
+        self.lines.range(self.wired..self.wired + cut)
     }
 
     /// How many open lines the next frame should carry: `1` for a
@@ -167,123 +166,95 @@ impl<L> MemberPipe<L> {
     /// machine. `batchable` says whether a line is a data-plane verb.
     pub fn seal_cut(&self, max: usize, batchable: impl Fn(&L) -> bool) -> usize {
         let max = max.max(1);
+        let open = self.open_len();
         let run = self
-            .open
-            .iter()
-            .take(max)
+            .unsent(open.min(max))
             .take_while(|e| batchable(&e.req))
             .count();
         if run == 0 {
-            return self.open.len().min(1);
+            return open.min(1);
         }
-        if run < max || self.open.len() == max {
+        if run < max || open == max {
             return run;
         }
+        let at = |k: usize| &self.lines[self.wired + k];
         let same = |a: &Entry<L>, b: &Entry<L>| a.spans() && b.spans() && a.hash == b.hash;
         let mut cut = max;
-        while cut > 1 && same(&self.open[cut - 1], &self.open[cut]) {
+        while cut > 1 && same(at(cut - 1), at(cut)) {
             cut -= 1;
         }
-        if cut == 1 && same(&self.open[0], &self.open[1]) {
+        if cut == 1 && same(at(0), at(1)) {
             // One machine overflows the whole frame: no boundary exists.
             return max;
         }
         cut
     }
 
-    /// Whether writing `open[..cut]` now would put some machine on the
-    /// wire in two frames at once (the caller must drain first).
+    /// Whether writing the first `cut` open lines now would put some
+    /// machine on the wire in two frames at once (the caller must drain
+    /// first).
     pub fn wire_conflicts(&self, cut: usize) -> bool {
-        !self.wired.is_empty()
-            && self.open[..cut]
-                .iter()
-                .any(|e| e.spans() && self.wired.contains_key(&e.hash))
+        !self.ledger.is_empty()
+            && self
+                .unsent(cut)
+                .any(|e| e.spans() && self.ledger.contains_key(&e.hash))
     }
 
-    /// Removes the first `cut` open lines for writing, into a recycled
-    /// vector when one is spare: every frame takes one and every resolved
-    /// frame gives one back, so the spares never outnumber the frames
-    /// once on the wire together.
-    pub fn take_open(&mut self, cut: usize) -> Vec<Entry<L>> {
-        let mut frame = self.spare.pop().unwrap_or_default();
-        if cut == self.open.len() {
-            std::mem::swap(&mut frame, &mut self.open);
-        } else {
-            frame.extend(self.open.drain(..cut));
+    /// Records the first `cut` open lines as one frame written at
+    /// `sent_at`.
+    pub fn sent(&mut self, cut: usize, sent_at: Instant) {
+        let frame = self.lines.range(self.wired..self.wired + cut);
+        for e in frame.filter(|e| e.spans()) {
+            *self.ledger.entry(e.hash).or_insert(0) += 1;
         }
-        frame
+        self.wired += cut;
+        self.frames.push_back((cut, sent_at));
     }
 
-    /// Keeps a resolved frame's vector for a later frame.
-    pub fn recycle(&mut self, mut entries: Vec<Entry<L>>) {
-        entries.clear();
-        self.spare.push(entries);
-    }
-
-    /// Records a written frame as inflight.
-    pub fn sent(&mut self, entries: Vec<Entry<L>>, sent_at: Instant) {
-        for e in entries.iter().filter(|e| e.spans()) {
-            *self.wired.entry(e.hash).or_insert(0) += 1;
-        }
-        self.wired_lines += entries.len();
-        self.inflight.push_back(SentFrame { entries, sent_at });
-    }
-
-    /// Pops the oldest inflight frame (its replies are about to be
-    /// processed), releasing its machines from the no-span ledger.
-    pub fn complete_oldest(&mut self) -> Option<SentFrame<L>> {
-        let frame = self.inflight.pop_front()?;
-        self.wired_lines -= frame.entries.len();
-        for e in frame.entries.iter().filter(|e| e.spans()) {
-            if let Some(n) = self.wired.get_mut(&e.hash) {
-                *n -= 1;
-                if *n == 0 {
-                    self.wired.remove(&e.hash);
+    /// Moves the oldest inflight frame's lines into `out` (its replies
+    /// are about to be processed), releasing its machines from the
+    /// no-span ledger; returns its write instant.
+    pub fn complete_oldest(&mut self, out: &mut Vec<Entry<L>>) -> Option<Instant> {
+        let (n, sent_at) = self.frames.pop_front()?;
+        self.wired -= n;
+        for e in self.lines.drain(..n) {
+            if e.spans() {
+                if let Some(k) = self.ledger.get_mut(&e.hash) {
+                    *k -= 1;
+                    if *k == 0 {
+                        self.ledger.remove(&e.hash);
+                    }
                 }
             }
+            out.push(e);
         }
-        Some(frame)
+        Some(sent_at)
     }
 
-    /// Tears the pipe down after a transport failure: every unacked line
-    /// — inflight frames in send order, then the open frame — in
-    /// original order. The pipe comes back empty.
-    pub fn fail(&mut self) -> Vec<Entry<L>> {
-        let mut out = Vec::with_capacity(self.wired_lines + self.open.len());
-        for f in self.inflight.drain(..) {
-            out.extend(f.entries);
-        }
-        self.wired.clear();
-        self.wired_lines = 0;
-        out.append(&mut self.open);
-        out
+    /// Forgets the wire after a transport failure: every unacked line is
+    /// open again, in place, so the next frames send it first, in its
+    /// original order. Returns how many frames were on the wire.
+    pub fn rewind(&mut self) -> usize {
+        let frames = self.frames.len();
+        self.frames.clear();
+        self.ledger.clear();
+        self.wired = 0;
+        frames
     }
 
-    /// Puts displaced lines back at the head of the open frame, ahead of
-    /// anything queued since, in their order.
-    pub fn reopen(&mut self, mut lines: Vec<Entry<L>>) {
-        lines.append(&mut self.open);
-        self.open = lines;
-    }
-
-    /// Extracts every open line whose machine is in `hashes`, preserving
-    /// the relative order of both the extracted and the remaining lines.
-    /// Used after a redirect so a re-routed machine's later lines follow
-    /// its replayed ones.
-    pub fn extract_open_matching(&mut self, hashes: &HashSet<u64>) -> Vec<Entry<L>> {
-        if hashes.is_empty() {
-            return Vec::new();
-        }
-        let mut kept = Vec::with_capacity(self.open.len());
+    /// Removes every open line `pick` selects, keeping the relative
+    /// order of both the removed lines (returned) and the rest. Used to
+    /// re-route a rewound lane's sends, and after a redirect so that a
+    /// re-routed machine's later lines follow its replayed ones.
+    pub fn extract(&mut self, mut pick: impl FnMut(&Entry<L>) -> bool) -> Vec<Entry<L>> {
         let mut out = Vec::new();
-        for e in self.open.drain(..) {
-            if e.spans() && hashes.contains(&e.hash) {
+        for e in self.lines.split_off(self.wired) {
+            if pick(&e) {
                 out.push(e);
             } else {
-                kept.push(e);
+                self.lines.push_back(e);
             }
         }
-        self.open = kept;
         out
     }
 }
@@ -355,7 +326,7 @@ mod props {
         }
     }
 
-    fn key(e: &Entry) -> (u32, u64) {
+    pub(super) fn key(e: &Entry) -> (u32, u64) {
         match &e.req {
             Request::Observe { machine, tick, .. } => (machine.0, *tick),
             _ => unreachable!("harness only queues observes"),
@@ -387,7 +358,7 @@ mod props {
 
     /// The engine routes displaced lines back into the pipe before every
     /// seal or drain; replaying that here keeps waiting empty at
-    /// displacement time, so displaced tails land in original order.
+    /// displacement time, so displaced lines land in original order.
     fn route(pipe: &mut MemberPipe, waiting: &mut Vec<Entry>) {
         for e in waiting.drain(..) {
             pipe.push(e);
@@ -403,18 +374,18 @@ mod props {
             // The engine drains before writing; the harness just defers.
             return;
         }
-        let frame = pipe.take_open(cut);
-        pipe.sent(frame, Instant::now());
+        pipe.sent(cut, Instant::now());
     }
 
     /// No machine may occupy two on-the-wire frames at once.
     fn check_no_span(pipe: &MemberPipe) -> Result<(), String> {
         for m in 0..MACHINES {
-            let frames = pipe
-                .inflight
-                .iter()
-                .filter(|f| f.entries.iter().any(|e| e.hash == u64::from(m)))
-                .count();
+            let mut from = 0;
+            let mut frames = 0;
+            for &(n, _) in &pipe.frames {
+                frames += usize::from(pipe.lines.range(from..from + n).any(|e| key(e).0 == m));
+                from += n;
+            }
             if frames > 1 {
                 return Err(format!("machine {m} spans {frames} wired frames"));
             }
@@ -425,6 +396,7 @@ mod props {
     fn run_interleaving(ops: &[(u32, u32, usize)]) -> Result<(), String> {
         let mut pipe = MemberPipe::default();
         let mut waiting: Vec<Entry> = Vec::new();
+        let mut frame: Vec<Entry> = Vec::new();
         let mut next_tick = vec![0u64; MACHINES as usize];
         let mut model = Model {
             applied: vec![0; MACHINES as usize],
@@ -440,28 +412,29 @@ mod props {
                 }
                 Op::Seal => seal(&mut pipe),
                 Op::DrainOk => {
-                    if let Some(f) = pipe.complete_oldest() {
-                        for e in &f.entries {
-                            model.apply(e)?;
+                    if pipe.complete_oldest(&mut frame).is_some() {
+                        for e in frame.drain(..) {
+                            model.apply(&e)?;
                         }
                     }
                 }
                 Op::Lost(k) => {
                     // The server applied a prefix of the wired byte
                     // stream before the connection died; none of the
-                    // acks came back, so the client replays everything.
-                    let open_count = pipe.open_len();
-                    let all = pipe.fail();
-                    let wired_count = all.len() - open_count;
-                    for e in &all[..k.min(wired_count)] {
+                    // acks came back, so the client replays everything:
+                    // the pipe rewinds in place and, as the cluster's
+                    // router does, its sends go back through routing.
+                    let wired = pipe.inflight_lines();
+                    for e in pipe.lines.range(..k.min(wired)) {
                         model.apply(e)?;
                     }
-                    waiting.extend(all);
+                    pipe.rewind();
+                    waiting.extend(pipe.extract(|e| matches!(e.kind, EntryKind::Send { .. })));
                 }
                 Op::Redirect(m) => {
-                    if let Some(f) = pipe.complete_oldest() {
+                    if pipe.complete_oldest(&mut frame).is_some() {
                         let mut bounced = false;
-                        for e in f.entries {
+                        for e in frame.drain(..) {
                             if key(&e).0 == m {
                                 bounced = true;
                                 waiting.push(e);
@@ -472,8 +445,7 @@ mod props {
                         if bounced {
                             // Later open lines of the redirected machine
                             // must follow its replayed ones.
-                            let hashes: HashSet<u64> = [u64::from(m)].into();
-                            waiting.extend(pipe.extract_open_matching(&hashes));
+                            waiting.extend(pipe.extract(|e| e.hash == u64::from(m)));
                         }
                     }
                 }
@@ -485,10 +457,9 @@ mod props {
         let mut guard = 0u32;
         while !(pipe.is_empty() && waiting.is_empty()) {
             route(&mut pipe, &mut waiting);
-            if pipe.inflight_len() > 0 {
-                let f = pipe.complete_oldest().expect("inflight frame");
-                for e in &f.entries {
-                    model.apply(e)?;
+            if pipe.complete_oldest(&mut frame).is_some() {
+                for e in frame.drain(..) {
+                    model.apply(&e)?;
                 }
             } else {
                 seal(&mut pipe);
@@ -524,7 +495,7 @@ mod props {
 
 #[cfg(test)]
 mod tests {
-    use super::props::obs;
+    use super::props::{key, obs};
     use super::*;
 
     #[test]
@@ -561,32 +532,40 @@ mod tests {
     fn no_span_ledger_tracks_wire_occupancy() {
         let mut p = MemberPipe::default();
         p.push(obs(1, 0));
-        let f = p.take_open(1);
-        p.sent(f, Instant::now());
+        p.sent(1, Instant::now());
         p.push(obs(1, 1));
         p.push(obs(2, 0));
         assert!(p.wire_conflicts(2), "machine 1 is already on the wire");
-        p.complete_oldest().expect("one frame inflight");
+        p.complete_oldest(&mut Vec::new())
+            .expect("one frame inflight");
         assert!(!p.wire_conflicts(2), "drained frames release the ledger");
     }
 
+    /// A loss moves nothing: every unresolved line — both wired frames,
+    /// then the open line — stays where it was, in send order, and the
+    /// next frame written carries the oldest of them first.
     #[test]
-    fn fail_returns_everything_in_send_order() {
+    fn a_loss_keeps_every_line_in_place_and_sends_it_first() {
         let mut p = MemberPipe::default();
         p.push(obs(1, 0));
         p.push(obs(2, 0));
-        let f = p.take_open(2);
-        p.sent(f, Instant::now());
+        p.sent(2, Instant::now());
+        p.push(obs(3, 0));
+        p.sent(1, Instant::now());
         p.push(obs(1, 1));
-        let all = p.fail();
-        let ticks: Vec<(u64, u64)> = all
-            .iter()
-            .map(|e| match &e.req {
-                Request::Observe { machine, tick, .. } => (u64::from(machine.0), *tick),
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(ticks, vec![(1, 0), (2, 0), (1, 1)]);
+        assert_eq!(p.rewind(), 2, "two frames were on the wire");
+        assert_eq!((p.inflight_len(), p.inflight_lines()), (0, 0));
+        assert!(!p.wire_conflicts(p.open_len()), "the ledger is clear");
+        let open: Vec<(u32, u64)> = p.unsent(p.open_len()).map(key).collect();
+        assert_eq!(open, [(1, 0), (2, 0), (3, 0), (1, 1)]);
+        // The next write: a whole frame of the replayed lines, oldest first.
+        let cut = p.seal_cut(16, is_batchable);
+        assert_eq!(cut, 4);
+        p.sent(cut, Instant::now());
+        let mut frame = Vec::new();
+        p.complete_oldest(&mut frame).expect("the replayed frame");
+        let sent: Vec<(u32, u64)> = frame.iter().map(key).collect();
+        assert_eq!(sent, open);
         assert!(p.is_empty());
     }
 }

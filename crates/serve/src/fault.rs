@@ -1,7 +1,8 @@
 //! Deterministic fault injection for socket streams.
 //!
 //! [`FaultStream`] wraps any `Read`/`Write` transport and perturbs a
-//! seeded fraction of operations with one of three faults:
+//! seeded fraction of its operations, reads and writes drawing from one
+//! schedule, with one of three faults:
 //!
 //! * **delay** — sleep a bounded, seeded duration before the operation;
 //! * **partial** — serve at most one byte, forcing the caller to loop
@@ -19,11 +20,16 @@
 //!
 //! The server does not inject faults: it reads and writes the accepted
 //! socket as is. The wrapper's one user is the `oc-client` crate, which
-//! wraps its own sockets for `loadgen --chaos` and the chaos tests.
-//! Injected counts are shared through [`FaultCounters`] and surface in
-//! the client's load report.
+//! wraps each of its sockets in one `FaultStream` for `loadgen --chaos`
+//! and the chaos tests. Injected counts are shared through
+//! [`FaultCounters`] and surface in the client's load report.
+//!
+//! A delay is a `thread::sleep` on the calling thread. The client's send
+//! engine drives every lane from one thread, so one injected delay
+//! stalls all of its lanes, not only the faulted one.
 
 use std::io::{Read, Write};
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -122,8 +128,8 @@ impl FaultPlan {
     }
 
     /// Derives the seed for one wrapped stream: `salt` distinguishes
-    /// streams (connection id, read vs. write half, reconnect epoch) so
-    /// each gets an independent deterministic schedule.
+    /// streams (connection id, reconnect epoch) so each gets an
+    /// independent deterministic schedule.
     pub fn stream_seed(&self, salt: u64) -> u64 {
         // SplitMix64-style mix: cheap, and any bit of salt affects the
         // whole output, so consecutive connection ids do not correlate.
@@ -206,16 +212,15 @@ impl<S> FaultStream<S> {
             return None;
         }
         let kinds = self.plan.kinds;
-        let enabled: Vec<u8> = [
-            (kinds.delays, 0u8),
-            (kinds.partials, 1u8),
-            (kinds.drops, 2u8),
-        ]
-        .iter()
-        .filter(|(on, _)| *on)
-        .map(|&(_, k)| k)
-        .collect();
-        let pick = enabled[self.rng.random_range(0..enabled.len())];
+        let mut enabled = [0u8; 3];
+        let mut n = 0;
+        for (on, k) in [(kinds.delays, 0), (kinds.partials, 1), (kinds.drops, 2)] {
+            if on {
+                enabled[n] = k;
+                n += 1;
+            }
+        }
+        let pick = enabled[self.rng.random_range(0..n)];
         Some(match pick {
             0 => {
                 let us = self.plan.max_delay.as_micros() as u64;
@@ -237,24 +242,24 @@ impl<S> FaultStream<S> {
             "injected connection drop",
         )
     }
-}
 
-impl<S: Read> Read for FaultStream<S> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+    /// Draws the fault of one read or write of `len` bytes: how many
+    /// bytes the operation may move (after sleeping a delay), or the
+    /// error of a dropped or already broken stream.
+    fn inject(&mut self, len: usize) -> std::io::Result<usize> {
         if self.broken {
             return Err(Self::broken_err());
         }
         match self.draw() {
-            None => self.inner.read(buf),
+            None => Ok(len),
             Some(Fault::Delay(d)) => {
                 self.counters.delayed.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(d);
-                self.inner.read(buf)
+                Ok(len)
             }
             Some(Fault::Partial) => {
                 self.counters.partial.fetch_add(1, Ordering::Relaxed);
-                let cap = buf.len().min(1);
-                self.inner.read(&mut buf[..cap])
+                Ok(len.min(1))
             }
             Some(Fault::Drop) => {
                 self.counters.dropped.fetch_add(1, Ordering::Relaxed);
@@ -265,29 +270,17 @@ impl<S: Read> Read for FaultStream<S> {
     }
 }
 
+impl<S: Read> Read for FaultStream<S> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inject(buf.len())?;
+        self.inner.read(&mut buf[..n])
+    }
+}
+
 impl<S: Write> Write for FaultStream<S> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        if self.broken {
-            return Err(Self::broken_err());
-        }
-        match self.draw() {
-            None => self.inner.write(buf),
-            Some(Fault::Delay(d)) => {
-                self.counters.delayed.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(d);
-                self.inner.write(buf)
-            }
-            Some(Fault::Partial) => {
-                self.counters.partial.fetch_add(1, Ordering::Relaxed);
-                let cap = buf.len().min(1);
-                self.inner.write(&buf[..cap])
-            }
-            Some(Fault::Drop) => {
-                self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-                self.broken = true;
-                Err(Self::broken_err())
-            }
-        }
+        let n = self.inject(buf.len())?;
+        self.inner.write(&buf[..n])
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
@@ -297,6 +290,12 @@ impl<S: Write> Write for FaultStream<S> {
         // Flush is never faulted: the fault surface is the data path, and
         // a faulted flush would double-count drops for one logical write.
         self.inner.flush()
+    }
+}
+
+impl<S: AsRawFd> AsRawFd for FaultStream<S> {
+    fn as_raw_fd(&self) -> RawFd {
+        self.inner.as_raw_fd()
     }
 }
 
@@ -376,6 +375,40 @@ mod tests {
         let mut s = FaultStream::new(Cursor::new(Vec::new()), &plan, 2, Arc::clone(&c));
         s.write_all(b"OBSERVE a 0 1:0 0.2 0.5 1\n").unwrap();
         assert_eq!(s.inner.get_ref().as_slice(), b"OBSERVE a 0 1:0 0.2 0.5 1\n");
+    }
+
+    /// Reads and writes of one wrapper take their faults from one
+    /// schedule: alternating them faults the same operation indices as
+    /// reads alone under the same seed, and the counters see both.
+    #[test]
+    fn one_schedule_faults_reads_and_writes() {
+        let plan = FaultPlan::new(17, 0.5).with_kinds(FaultKinds {
+            delays: false,
+            partials: true,
+            drops: false,
+        });
+        let faulted = |mixed: bool, c: &Arc<FaultCounters>| -> Vec<bool> {
+            let mut s = FaultStream::new(Cursor::new(vec![0u8; 4096]), &plan, 3, Arc::clone(c));
+            let mut buf = [0u8; 8];
+            (0..64)
+                .map(|op| {
+                    let moved = if mixed && op % 2 == 1 {
+                        s.write(&buf).unwrap()
+                    } else {
+                        s.read(&mut buf).unwrap()
+                    };
+                    moved < buf.len()
+                })
+                .collect()
+        };
+        let (mixed, reads) = (counters(), counters());
+        let trace = faulted(true, &mixed);
+        assert_eq!(trace, faulted(false, &reads));
+        let writes_faulted = trace.iter().skip(1).step_by(2).filter(|&&f| f).count();
+        assert!(writes_faulted > 0, "no write was faulted: {trace:?}");
+        let all = trace.iter().filter(|&&f| f).count() as u64;
+        assert_eq!(mixed.partial(), all);
+        assert_eq!(reads.partial(), all);
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //! live server this is the **observe coalescing delay**: first sample
 //! buffered → chunk applied, the wait for the shard's lock included.
 //!
-//! Snapshots from all shards merge bucket for bucket and are summarized
-//! into the wire-level [`StatsSnapshot`]. p50/p99 are read off the merged
-//! buckets, each within one bucket (≈ 3 %) of the sample at its rank
-//! whether that sample took microseconds or seconds; mean and max are
-//! exact.
+//! Snapshots from all shards merge bucket for bucket. The wire-level
+//! [`StatsSnapshot`] carries the exact mean and max; p50/p99 are read
+//! off the merged buckets for `METRICS`, each within one bucket (≈ 3 %)
+//! of the sample at its rank whether that sample took microseconds or
+//! seconds.
 
 use crate::proto::StatsSnapshot;
 use oc_telemetry::metrics::HistogramSnapshot;
@@ -89,8 +89,6 @@ impl ShardMetrics {
             // Stamped by the server (`Shared::epoch`); shard metrics have
             // no identity of their own.
             epoch: 0,
-            p50_us: self.latency.quantile(50.0),
-            p99_us: self.latency.quantile(99.0),
             mean_us: self.latency.mean(),
             max_us: self.latency.max_or_zero(),
         }
@@ -107,9 +105,10 @@ mod tests {
         for us in 1..=100u64 {
             m.record_latency(Duration::from_micros(us));
         }
+        let (p50, p99) = (m.latency.quantile(50.0), m.latency.quantile(99.0));
+        assert!((p50 - 50.0).abs() < 6.0, "p50 {p50}");
+        assert!((p99 - 99.0).abs() < 6.0, "p99 {p99}");
         let s = m.snapshot();
-        assert!((s.p50_us - 50.0).abs() < 6.0, "p50 {}", s.p50_us);
-        assert!((s.p99_us - 99.0).abs() < 6.0, "p99 {}", s.p99_us);
         assert!((s.mean_us - 50.5).abs() < 1.0);
         assert!((s.max_us - 100.0).abs() < 1.0);
     }
@@ -154,16 +153,15 @@ mod tests {
             m.record_latency(Duration::from_micros(us as u64));
         }
         let s = m.snapshot();
+        let (p50, p99) = (m.latency.quantile(50.0), m.latency.quantile(99.0));
         assert!(
-            s.p50_us < s.p99_us && s.p99_us <= s.max_us,
-            "p50 {} p99 {} max {}",
-            s.p50_us,
-            s.p99_us,
+            p50 < p99 && p99 <= s.max_us,
+            "p50 {p50} p99 {p99} max {}",
             s.max_us
         );
         assert_eq!(s.max_us, 5_000_000.0);
         let tolerance = oc_stats::Histogram::BUCKET_WIDTH + 0.006;
-        for (p, got) in [(50.0, s.p50_us), (99.0, s.p99_us)] {
+        for (p, got) in [(50.0, p50), (99.0, p99)] {
             let exact = oc_stats::percentile_slice(&samples_us, p).unwrap();
             assert!(
                 (got - exact).abs() <= exact * tolerance,
@@ -197,24 +195,19 @@ mod tests {
             b.record_latency(Duration::from_millis(800));
         }
         for (m, max) in [(&a, 250_000.0), (&b, 800_000.0)] {
-            let s = m.snapshot();
-            assert!(
-                s.mean_us <= s.p99_us,
-                "mean {} above p99 {}",
-                s.mean_us,
-                s.p99_us
-            );
+            let (s, p99) = (m.snapshot(), m.latency.quantile(99.0));
+            assert!(s.mean_us <= p99, "mean {} above p99 {p99}", s.mean_us);
             assert!((s.max_us - max).abs() < 2_000.0);
         }
         let mut merged = a.clone();
         merged.merge(&b);
         let s = merged.snapshot();
-        assert!(s.p50_us <= s.p99_us && s.p99_us <= s.max_us);
+        let (p50, p99) = (merged.latency.quantile(50.0), merged.latency.quantile(99.0));
+        assert!(p50 <= p99 && p99 <= s.max_us);
         assert!(
-            s.mean_us <= s.p99_us,
-            "merged mean {} above merged p99 {}",
-            s.mean_us,
-            s.p99_us
+            s.mean_us <= p99,
+            "merged mean {} above merged p99 {p99}",
+            s.mean_us
         );
         // Mean must lie within the merged distribution's support.
         assert!(s.mean_us >= 200.0 && s.mean_us <= s.max_us);

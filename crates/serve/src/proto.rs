@@ -384,12 +384,10 @@ pub struct StatsSnapshot {
     /// only — a change means the process restarted (fresh state) or its
     /// ring assignment changed. `0` for a pre-epoch peer.
     pub epoch: u64,
-    /// Median shard service latency (an observe's wait from buffered to
-    /// applied, see [`crate::metrics`]), microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile shard service latency, microseconds.
-    pub p99_us: f64,
-    /// Mean shard service latency, microseconds.
+    /// Mean shard service latency (an observe's wait from buffered to
+    /// applied, see [`crate::metrics`]), microseconds. Quantiles are not
+    /// carried: they do not merge across processes, and `METRICS` has
+    /// them bin-merged (`serve.latency_us.p50`/`.p99`).
     pub mean_us: f64,
     /// Maximum shard service latency, microseconds.
     pub max_us: f64,
@@ -1132,7 +1130,7 @@ impl Request {
 }
 
 /// Key/value pairs of the `STATS` line, in encode order.
-const STATS_KEYS: [&str; 14] = [
+const STATS_KEYS: [&str; 12] = [
     "observes",
     "predicts",
     "admits",
@@ -1143,8 +1141,6 @@ const STATS_KEYS: [&str; 14] = [
     "timeouts",
     "conn_rejects",
     "epoch",
-    "p50_us",
-    "p99_us",
     "mean_us",
     "max_us",
 ];
@@ -1196,7 +1192,7 @@ impl StatsSnapshot {
             self.conn_rejects,
             self.epoch,
         ];
-        let f = [self.p50_us, self.p99_us, self.mean_us, self.max_us];
+        let f = [self.mean_us, self.max_us];
         for (i, key) in STATS_KEYS.iter().enumerate() {
             if i > 0 {
                 out.push(b' ');
@@ -1249,8 +1245,6 @@ impl StatsSnapshot {
                 "timeouts" => s.timeouts = parse_u64(key_s, v)?,
                 "conn_rejects" => s.conn_rejects = parse_u64(key_s, v)?,
                 "epoch" => s.epoch = parse_u64(key_s, v)?,
-                "p50_us" => s.p50_us = parse_f64(key_s, v)?,
-                "p99_us" => s.p99_us = parse_f64(key_s, v)?,
                 "mean_us" => s.mean_us = parse_f64(key_s, v)?,
                 "max_us" => s.max_us = parse_f64(key_s, v)?,
                 _ => unreachable!("key list is fixed"),
@@ -1266,20 +1260,16 @@ impl StatsSnapshot {
     }
 
     /// Folds another process's snapshot into this one, producing a
-    /// fleet-level view: counters are summed exactly; `p50_us`/`p99_us`/
-    /// `mean_us` become operation-count-weighted averages (an
-    /// approximation — quantiles do not compose; the exact path is the
-    /// `METRICS` exposition, whose histograms bin-merge losslessly);
-    /// `max_us` is the max of maxes (exact); `epoch` keeps the maximum,
-    /// so any member restart or re-ring still changes the merged epoch.
+    /// fleet-level view: counters are summed exactly; `mean_us` becomes
+    /// the operation-count-weighted average and `max_us` the max of
+    /// maxes; `epoch` keeps the maximum, so any member restart or
+    /// re-ring still changes the merged epoch.
     pub fn merge(&mut self, other: &StatsSnapshot) {
         let (wa, wb) = (self.latency_weight(), other.latency_weight());
         let wt = wa + wb;
         if wt > 0 {
-            let blend = |a: f64, b: f64| (a * wa as f64 + b * wb as f64) / wt as f64;
-            self.p50_us = blend(self.p50_us, other.p50_us);
-            self.p99_us = blend(self.p99_us, other.p99_us);
-            self.mean_us = blend(self.mean_us, other.mean_us);
+            let sum = self.mean_us * wa as f64 + other.mean_us * wb as f64;
+            self.mean_us = sum / wt as f64;
         }
         self.max_us = self.max_us.max(other.max_us);
         self.observes += other.observes;
@@ -1609,8 +1599,6 @@ mod tests {
             machines: 4,
             timeouts: 1,
             conn_rejects: 5,
-            p50_us: 12.5,
-            p99_us: 99.25,
             mean_us: 20.75,
             max_us: 1000.0,
         };

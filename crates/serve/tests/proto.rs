@@ -102,7 +102,7 @@ proptest! {
         flag in 0u32..2,
         peak in 0.0f64..1e9,
         counters in proptest::collection::vec(0u64..=u64::MAX, 10),
-        lats in proptest::collection::vec(0.0f64..1e7, 4),
+        lats in proptest::collection::vec(0.0f64..1e7, 2),
         code_idx in 0u32..9,
     ) {
         let code = [
@@ -145,10 +145,8 @@ proptest! {
                 timeouts: counters[7],
                 conn_rejects: counters[8],
                 epoch: counters[9],
-                p50_us: lats[0],
-                p99_us: lats[1],
-                mean_us: lats[2],
-                max_us: lats[3],
+                mean_us: lats[0],
+                max_us: lats[1],
             }),
             _ => Response::Err { code, detail: "some detail text".into() },
         };
@@ -337,7 +335,7 @@ proptest! {
     /// Corrupting any one STATS field yields the typed [`ProtoError`]
     /// naming the expected key — never a silent default or a panic.
     #[test]
-    fn corrupted_stats_fields_are_typed(victim in 0usize..14, mode in 0u32..2) {
+    fn corrupted_stats_fields_are_typed(victim in 0usize..12, mode in 0u32..2) {
         let snapshot = StatsSnapshot {
             observes: 1,
             predicts: 2,
@@ -349,8 +347,6 @@ proptest! {
             timeouts: 8,
             conn_rejects: 9,
             epoch: 10,
-            p50_us: 1.5,
-            p99_us: 9.5,
             mean_us: 2.25,
             max_us: 99.0,
         };
@@ -449,39 +445,29 @@ fn unknown_verbs_and_junk_are_typed_errors() {
 }
 
 /// Satellite regression for the cluster-1m "mean 18x above p99" report:
-/// merging member snapshots must keep the merged mean inside the merged
-/// distribution's min/max (and at or below the merged p99, since every
-/// member's own snapshot now holds mean <= p99 after the overflow-aware
-/// quantile fix). The merge blends p50/p99/mean with the *same*
-/// operation-count weights, so per-member orderings survive the fold.
+/// merging member snapshots must keep the merged mean inside the
+/// members' means (an operation-count-weighted average) and at or below
+/// the merged max, which is the exact max of maxes.
 #[test]
 fn merged_stats_mean_stays_within_merged_min_max() {
-    let member = |observes: u64, p50: f64, p99: f64, mean: f64, max: f64| StatsSnapshot {
+    let member = |observes: u64, mean: f64, max: f64| StatsSnapshot {
         observes,
-        p50_us: p50,
-        p99_us: p99,
         mean_us: mean,
         max_us: max,
         ..StatsSnapshot::default()
     };
-    // Shapes like a post-fix cluster-1m: heavy overflow tails, p99
-    // substituted with the exact max, mean dominated by the tail.
-    let a = member(700_000, 9_000.0, 410_000.0, 130_000.0, 410_000.0);
-    let b = member(650_000, 11_000.0, 380_000.0, 125_000.0, 380_000.0);
-    let c = member(680_000, 8_500.0, 500_000.0, 140_000.0, 500_000.0);
+    // Shapes like a post-fix cluster-1m: heavy tails, mean dominated by
+    // the tail.
+    let a = member(700_000, 130_000.0, 410_000.0);
+    let b = member(650_000, 125_000.0, 380_000.0);
+    let c = member(680_000, 140_000.0, 500_000.0);
     let mut merged = a.clone();
     merged.merge(&b);
     merged.merge(&c);
     assert!(
-        merged.mean_us >= merged.p50_us.min(a.p50_us.min(b.p50_us.min(c.p50_us))),
-        "merged mean {} fell below every member's p50",
+        (b.mean_us..=c.mean_us).contains(&merged.mean_us),
+        "merged mean {} outside the members' means",
         merged.mean_us
-    );
-    assert!(
-        merged.mean_us <= merged.p99_us,
-        "merged mean {} above merged p99 {} — the pre-fix impossibility",
-        merged.mean_us,
-        merged.p99_us
     );
     assert!(
         merged.mean_us <= merged.max_us,

@@ -54,8 +54,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let s = client.stats()?;
     println!(
         "server counters: {} observes, {} predicts, {} admits across {} machine(s), \
-         p99 service latency {:.0} µs",
-        s.observes, s.predicts, s.admits, s.machines, s.p99_us
+         mean service latency {:.0} µs",
+        s.observes, s.predicts, s.admits, s.machines, s.mean_us
     );
 
     drop(client);
