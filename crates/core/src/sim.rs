@@ -5,7 +5,7 @@
 //! [`MachineView`], while the oracle sees the future `U[t], t ≥ τ`. The two
 //! are compared tick by tick and accumulated into [`MachineReport`]s.
 
-use crate::admission::MEM_CAPACITY;
+use crate::admission;
 use crate::config::SimConfig;
 use crate::error::CoreError;
 use crate::metrics::{
@@ -205,8 +205,8 @@ pub fn simulate_machine(
 /// `sim.violations.cpu` / `sim.violations.mem` counters when telemetry is
 /// enabled.
 ///
-/// Memory capacity is [`MEM_CAPACITY`] per machine, mirroring the CPU
-/// convention.
+/// The reported capacity is [`admission::capacity`] of the trace's CPU
+/// capacity, the one the admission gates check.
 ///
 /// # Errors
 ///
@@ -291,7 +291,7 @@ pub fn simulate_machine_vec(
 
     Ok(SimResultVec {
         machine: trace.machine,
-        capacity: Res2::from_lanes([trace.capacity, MEM_CAPACITY]),
+        capacity: admission::capacity(trace.capacity),
         reports,
         series,
     })

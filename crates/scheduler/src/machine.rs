@@ -2,7 +2,7 @@
 //! peak predictor.
 
 use crate::arrival::TaskRequest;
-use oc_core::admission::{self, MEM_CAPACITY};
+use oc_core::admission::Gate;
 use oc_core::config::SimConfig;
 use oc_core::predictor::{clamp_prediction_vec, PeakPredictor};
 use oc_core::view::MachineView;
@@ -64,10 +64,8 @@ pub struct SimMachine {
     rng: SmallRng,
     /// Derived memory-usage model (deterministic; consumes no RNG).
     mem_model: MemoryModel,
-    /// Per-lane Σ limits of tasks admitted this tick but not yet observed.
-    pending_limit: Res2,
-    /// Per-lane clamped prediction from the end of the previous tick.
-    cached_prediction: Res2,
+    /// The last tick's prediction plus the limits admitted since.
+    gate: Gate,
     // --- Recorded series, one entry per advanced tick. ------------------
     /// Uncapped within-tick peak demand.
     pub demand_peak: Vec<f64>,
@@ -121,8 +119,7 @@ impl SimMachine {
                 seed ^ oc_trace::gen::splitmix(0x5EED ^ u64::from(id.0)),
             )),
             mem_model: MemoryModel::default(),
-            pending_limit: Res2::ZERO,
-            cached_prediction: Res2::ZERO,
+            gate: Gate::new(capacity),
             demand_peak: Vec::new(),
             realized_peak: Vec::new(),
             realized_avg: Vec::new(),
@@ -147,22 +144,18 @@ impl SimMachine {
         self.live.len()
     }
 
-    /// The free capacity advertised to the scheduler: capacity minus the
-    /// predicted peak minus limits pending from this tick's admissions.
+    /// The free CPU advertised to the scheduler: [`Gate::advertised_free`].
     pub fn advertised_free(&self) -> f64 {
-        self.capacity - self.cached_prediction.lane(CPU) - self.pending_limit.lane(CPU)
+        self.gate.advertised_free()
     }
 
-    /// Feasibility check for a new task: [`admission::admit`] with the
-    /// predicted peak plus this tick's pending limits as the load, so a
+    /// Whether a new task fits on every lane of the machine's [`Gate`]: a
     /// memory-bound machine with plenty of CPU headroom still rejects.
     pub fn fits(&self, limit: f64, memory_limit: f64) -> bool {
-        let load = self.cached_prediction + self.pending_limit;
-        let capacity = Res2::from_lanes([self.capacity, MEM_CAPACITY]);
-        admission::admit(load, Res2::from_lanes([limit, memory_limit]), capacity).0
+        self.gate.check(Res2::from_lanes([limit, memory_limit])).0
     }
 
-    /// Admits a task; it starts producing usage this tick.
+    /// Admits a task, fitting or not; it starts producing usage this tick.
     pub fn admit(&mut self, req: &TaskRequest, now: Tick) {
         let process = UsageProcess::sample_new(
             &mut self.rng,
@@ -173,7 +166,8 @@ impl SimMachine {
             req.class.is_latency_sensitive(),
             req.job_util_base,
         );
-        self.pending_limit = self.pending_limit + Res2::from_lanes([req.limit, req.memory_limit]);
+        self.gate
+            .reserve(Res2::from_lanes([req.limit, req.memory_limit]));
         self.live.push(LiveTask {
             id: req.id,
             limit: req.limit,
@@ -283,11 +277,10 @@ impl SimMachine {
         // of the live tasks gives −0.0 on an idle tick, where the view holds
         // 0.0, and the scored report's limit moments keep that sign.
         self.limit_sum.push(self.view.total_limit());
-        self.cached_prediction =
-            clamp_prediction_vec(self.predictor.predict_vec(&self.view), &self.view);
-        self.predictions.push(self.cached_prediction.lane(CPU));
-        self.mem_predictions.push(self.cached_prediction.lane(MEM));
-        self.pending_limit = Res2::ZERO;
+        let prediction = clamp_prediction_vec(self.predictor.predict_vec(&self.view), &self.view);
+        self.gate.observed(Some(t), prediction);
+        self.predictions.push(prediction.lane(CPU));
+        self.mem_predictions.push(prediction.lane(MEM));
 
         // Retire tasks whose lifetime ends before the next tick, keeping
         // the rest in start order: the view then sums a machine's tasks in

@@ -1,12 +1,12 @@
 //! The sharded state layer.
 //!
 //! Machines are partitioned across `N` shards by a stable hash of
-//! `(cell, machine)`. A shard is plain data — the [`IncrementalView`]s of
-//! its machines, its counters and a predictor — behind one `Mutex`.
-//! There are no shard threads and no queue: the frontend thread that
-//! parsed a request line takes the owning shard's lock and applies the
-//! request itself (run to completion), so an answer costs a lock
-//! acquisition and the work, never a cross-thread wake-up.
+//! `(cell, machine)`. A shard is plain data — its machines'
+//! [`IncrementalView`]s and [`Gate`]s, its counters and a predictor —
+//! behind one `Mutex`. There are no shard threads and no queue: the
+//! frontend thread that parsed a request line takes the owning shard's
+//! lock and applies the request itself (run to completion), so an answer
+//! costs a lock acquisition and the work, never a cross-thread wake-up.
 //!
 //! **Backpressure.** Nothing is buffered between the socket and the
 //! state, so there is nothing to bound and nothing to reject: a frontend
@@ -36,7 +36,7 @@ use crate::error::ServeError;
 use crate::metrics::ShardMetrics;
 use crate::proto::{encode_view_record, ErrCode, Response};
 use crate::ring::{HashRing, KeyRole};
-use oc_core::admission::{self, MEM_CAPACITY};
+use oc_core::admission::Gate;
 use oc_core::ingest::IncrementalView;
 use oc_core::predictor::{clamp_prediction, clamp_prediction_vec, PeakPredictor};
 use oc_core::CoreError;
@@ -171,6 +171,8 @@ pub(crate) struct Shard {
     /// table rewrites hundreds of megabytes of fresh pages, which on slow
     /// first-touch hosts costs more than the ingest work itself.
     views: HashMap<MachineKey, Box<IncrementalView>>,
+    /// The gate of every machine `ADMIT` asked about, observed or not.
+    gates: HashMap<MachineKey, Gate>,
     metrics: ShardMetrics,
     predictor: Box<dyn PeakPredictor>,
     /// An empty view as the configuration shapes it: cloned for each new
@@ -267,25 +269,39 @@ impl Shard {
         }
     }
 
-    /// Answers `ADMIT` for a candidate of CPU `limit` on `key` through
-    /// [`admission::admit`] on every lane's clamped prediction, so a full
-    /// memory lane refuses (a machine never sent pairs predicts 0 there).
-    /// `projected` is the CPU lane's projection.
+    /// Answers `ADMIT` for a candidate of CPU `limit` on `key` through the
+    /// machine's [`Gate`], so a full memory lane refuses (a machine never
+    /// sent pairs predicts 0 there) and a yes reserves `limit` until a
+    /// later tick is flushed. `projected` is the CPU lane's projection.
     pub(crate) fn admit(&mut self, key: &MachineKey, limit: f64) -> Response {
         self.metrics.admits += 1;
         // An admission check on a never-observed machine is legal: the
         // scheduler probes idle machines too. It is answered from the
-        // shared empty view, so probing stores nothing.
-        let v = match self.views.get_mut(key) {
+        // shared empty view, so probing stores a gate but no view.
+        let view = match self.views.get_mut(key) {
             Some(view) => {
                 view.flush();
-                view.view()
+                view
             }
-            None => self.fresh.view(),
+            None => &self.fresh,
         };
-        let load = clamp_prediction_vec(self.predictor.predict_vec(v), v);
-        let capacity = Res2::from_lanes([v.capacity(), MEM_CAPACITY]);
-        let (admit, projected) = admission::admit(load, Res2::from_lanes([limit, 0.0]), capacity);
+        let (tick, v) = (view.flushed(), view.view());
+        let predict = || clamp_prediction_vec(self.predictor.predict_vec(v), v);
+        // One prediction per flushed tick, which clears the reservations.
+        let gate = match self.gates.get_mut(key) {
+            Some(gate) if gate.tick() == tick => gate,
+            Some(gate) => gate.observed(tick, predict()),
+            None => self
+                .gates
+                .entry(key.clone())
+                .or_insert(Gate::new(v.capacity()))
+                .observed(tick, predict()),
+        };
+        let request = Res2::from_lanes([limit, 0.0]);
+        let (admit, projected) = gate.check(request);
+        if admit {
+            gate.reserve(request);
+        }
         Response::Admitted {
             admit,
             projected: projected.lane(CPU),
@@ -312,11 +328,12 @@ impl Shard {
         self.views.len() as u64
     }
 
-    /// Drops the views of machines `ring` gives member `index` no role
-    /// for.
+    /// Drops the views and gates of machines `ring` gives member `index`
+    /// no role for.
     pub(crate) fn drop_unheld(&mut self, ring: &HashRing, index: usize) {
-        self.views
-            .retain(|key, _| ring.role(index, key_hash(key)) != KeyRole::Remote);
+        let held = |key: &MachineKey| ring.role(index, key_hash(key)) != KeyRole::Remote;
+        self.views.retain(|key, _| held(key));
+        self.gates.retain(|key, _| held(key));
     }
 
     /// Installs a restored view for `key` unless the shard already holds
@@ -367,6 +384,7 @@ impl ShardPool {
                 Ok(Slot {
                     shard: Mutex::new(Shard {
                         views: HashMap::new(),
+                        gates: HashMap::new(),
                         metrics: ShardMetrics::default(),
                         predictor: cfg.predictor.build()?,
                         fresh: new_view(cfg),
@@ -595,7 +613,7 @@ mod tests {
             };
             assert!(admit && projected == 0.25);
         }
-        let Response::Admitted { projected, .. } = ask_admit(&p, key(9), -0.0) else {
+        let Response::Admitted { projected, .. } = ask_admit(&p, key(10_001), -0.0) else {
             panic!("expected ADMITTED");
         };
         assert_eq!(projected.to_bits(), 0.0f64.to_bits());
@@ -737,6 +755,146 @@ mod tests {
         assert_eq!(installed, [(0, true), (1, true), (2, false)]);
         for m in 0..2 {
             assert_eq!(ask_predict(&to, key(m)), ask_predict(&from, key(m)));
+        }
+    }
+
+    /// The naive reference of one machine for the admission model test:
+    /// an offline view of every sample the machine was sent, and each
+    /// limit answered yes with the view's flushed tick at the time.
+    struct Model {
+        view: IncrementalView,
+        next_tick: u64,
+        yes: Vec<(Option<Tick>, f64)>,
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// However `ADMIT`s, `PREDICT`s, `OBSERVE`s and ring changes of a
+        /// few machines interleave, every verdict and projection is the
+        /// naive model's: its offline view predicted afresh, plus the
+        /// limits answered yes since the tick that view last flushed.
+        /// A ring change drops and re-adopts the machines it moves away,
+        /// and a re-adopted machine carries no reservation.
+        #[test]
+        fn admits_count_the_yes_limits_since_the_last_flushed_tick(
+            limit_sum in 0u32..2,
+            ops in proptest::collection::vec((0u32..4, 0u32..10, 0.0f64..0.6), 1..120),
+        ) {
+            let spec = if limit_sum == 1 {
+                oc_core::predictor::PredictorSpec::LimitSum
+            } else {
+                ServeConfig::default().predictor
+            };
+            let cfg = ServeConfig::default().with_shards(2).with_predictor(spec);
+            let p = pool_of(&cfg);
+            let predictor = cfg.predictor.build().unwrap();
+            let capacity = oc_core::admission::capacity(cfg.machine_capacity);
+            let mut models: Vec<Model> = (0..4)
+                .map(|_| Model { view: *new_view(&cfg), next_tick: 0, yes: Vec::new() })
+                .collect();
+            for (m, kind, x) in ops {
+                let model = &mut models[m as usize];
+                match kind {
+                    // ADMIT of CPU limit x.
+                    0..=3 => {
+                        model.view.flush();
+                        let (tick, v) = (model.view.flushed(), model.view.view());
+                        let pred = clamp_prediction_vec(predictor.predict_vec(v), v);
+                        let reserved = model
+                            .yes
+                            .iter()
+                            .filter(|(t, _)| *t == tick)
+                            .fold(0.0, |sum, (_, l)| sum + l);
+                        let cpu = pred.lane(CPU) + reserved + x;
+                        let mem = pred.lane(MEM) + 0.0 + 0.0;
+                        let fits = cpu <= capacity.lane(CPU) + oc_core::admission::ADMIT_SLACK
+                            && mem <= capacity.lane(MEM) + oc_core::admission::ADMIT_SLACK;
+                        let Response::Admitted { admit, projected } = ask_admit(&p, key(m), x)
+                        else {
+                            return Err("expected ADMITTED".to_string());
+                        };
+                        let served = (admit, projected.to_bits());
+                        proptest::prop_assert_eq!(served, (fits, cpu.to_bits()));
+                        if fits {
+                            model.yes.push((tick, x));
+                        }
+                    }
+                    // PREDICT, scalar or vector.
+                    4 | 5 => {
+                        let vector = kind == 5;
+                        let served = ask(&p, p.route(&key(m)), |reply| ShardMsg::Predict {
+                            key: key(m),
+                            vector,
+                            reply,
+                            enqueued: Instant::now(),
+                        });
+                        if model.view.samples() == 0 {
+                            proptest::prop_assert!(matches!(served, Response::Err { .. }));
+                            continue;
+                        }
+                        model.view.flush();
+                        let v = model.view.view();
+                        let want = if vector {
+                            let peak = clamp_prediction_vec(predictor.predict_vec(v), v);
+                            Response::Pred { peak: peak.lane(CPU), mem: Some(peak.lane(MEM)) }
+                        } else {
+                            let peak = clamp_prediction(predictor.predict(v), v);
+                            Response::Pred { peak, mem: None }
+                        };
+                        proptest::prop_assert_eq!(served, want);
+                    }
+                    // OBSERVE of one to three tasks at the next tick (or
+                    // the one after: a gap), scalar or two-lane.
+                    6..=8 => {
+                        let tick = Tick(model.next_tick + u64::from(kind == 8));
+                        model.next_tick = tick.0 + 1;
+                        let mut chunk = Box::new(ObserveChunk::new());
+                        for j in 0..1 + (x * 10.0) as usize % 3 {
+                            let task = TaskId::new(JobId(j as u64), 0);
+                            let (usage, limit) = (x * (j + 1) as f64 / 3.0, 0.1 + 0.1 * j as f64);
+                            let mem = (kind == 7).then_some((x / 2.0, 0.3));
+                            let item = ObserveItem { key: key(m), task, usage, limit, mem, tick };
+                            chunk.items[j] = item;
+                            chunk.len += 1;
+                            let ingested = match mem {
+                                None => model.view.ingest(tick, task, limit, usage),
+                                Some((mu, ml)) => model.view.ingest_vec(
+                                    tick,
+                                    task,
+                                    Res2::from_lanes([limit, ml]),
+                                    Res2::from_lanes([usage, mu]),
+                                ),
+                            };
+                            proptest::prop_assert!(ingested.is_ok());
+                        }
+                        p.send(p.route(&key(m)), ShardMsg::ObserveBatch(chunk)).unwrap();
+                    }
+                    // A ring change: member `m % 3` of a three-member ring
+                    // drops what it does not hold, then re-adopts it.
+                    _ => {
+                        let (ring, index) = (crate::ring::RingSpec::new(3).build(), m as usize % 3);
+                        for shard in 0..p.shards() {
+                            let mut s = p.lock(shard).unwrap();
+                            let moved: Vec<_> = s
+                                .views
+                                .iter()
+                                .filter(|(k, _)| ring.role(index, key_hash(k)) == KeyRole::Remote)
+                                .map(|(k, v)| (k.clone(), v.clone()))
+                                .collect();
+                            s.drop_unheld(&ring, index);
+                            for (k, v) in moved {
+                                proptest::prop_assert!(s.install(k, v));
+                            }
+                        }
+                        for (i, model) in models.iter_mut().enumerate() {
+                            if ring.role(index, key_hash(&key(i as u32))) == KeyRole::Remote {
+                                model.yes.clear();
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -460,3 +460,59 @@ fn served_admit_stops_at_a_full_memory_lane_like_the_simulated_gate() {
     drop(client);
     assert_eq!(server.shutdown().errors, 0);
 }
+
+/// Back-to-back `ADMIT`s count each other, as `SimMachine`'s gate does:
+/// four 0.3 candidates sent to an empty limit-sum machine with no
+/// `OBSERVE` between them answer yes, yes, yes, no, where
+/// `SimMachine::fits(0.3, 0.0)` plus `admit` stops. Observing the tick
+/// that holds the three tasks replaces their reservations with the
+/// prediction: a fourth 0.3 still answers no, and a 0.1 fits.
+#[test]
+fn back_to_back_admits_count_each_other_like_the_simulated_gate() {
+    let spec = PredictorSpec::LimitSum;
+    let server = Server::start(ServeConfig::default().with_predictor(spec.clone())).unwrap();
+    let mut client = Client::connect(server.addr(), ClientConfig::default()).unwrap();
+    let (cell, m) = (CellId::new("burst"), MachineId(0));
+    let usage = CellConfig::preset(CellPreset::A).usage;
+    let mut simulated = SimMachine::new(
+        m,
+        1.0,
+        usage,
+        &SimConfig::default(),
+        spec.build().unwrap(),
+        7,
+    );
+    let (mut served, mut in_sim) = (Vec::new(), Vec::new());
+    for job in 0..4u64 {
+        served.push(client.admit(&cell, m, 0.3).unwrap().0);
+        let fits = simulated.fits(0.3, 0.0);
+        if fits {
+            let req = TaskRequest {
+                id: TaskId::new(JobId(job), 0),
+                limit: 0.3,
+                memory_limit: 0.0,
+                runtime_ticks: 1000,
+                class: SchedulingClass::Class2,
+                priority: 200,
+                job_seed: job,
+                job_phase: 0.3,
+                job_util_base: 0.6,
+            };
+            simulated.admit(&req, Tick(0));
+        }
+        in_sim.push(fits);
+    }
+    assert_eq!(served, [true, true, true, false]);
+    assert_eq!(served, in_sim);
+    for j in 0..3 {
+        client
+            .observe(&cell, m, TaskId::new(JobId(j), 0), 0.1, 0.3, 0)
+            .unwrap();
+    }
+    let (admit, projected) = client.admit(&cell, m, 0.3).unwrap();
+    assert!(!admit && (projected - 1.2).abs() < 1e-12, "{projected}");
+    let (admit, projected) = client.admit(&cell, m, 0.1).unwrap();
+    assert!(admit && (projected - 1.0).abs() < 1e-12, "{projected}");
+    drop(client);
+    assert_eq!(server.shutdown().errors, 0);
+}
