@@ -63,7 +63,7 @@
 use crate::engine::{Engine, Policy, Shape};
 use crate::error::ClientError;
 use crate::pipe::{Entry, MemberPipe};
-use oc_serve::fault::{FaultCounters, FaultPlan, FaultStream};
+use oc_serve::fault::{Fault, FaultPlan, FaultSchedule};
 use oc_serve::proto::{
     parse_batchr_header, push_u64, ErrCode, ProtoError, Request, Response, StatsSnapshot, MAX_BATCH,
 };
@@ -292,7 +292,8 @@ pub(crate) struct Link {
     epoch: u64,
     metrics: ClientMetrics,
     global: GlobalCounters,
-    fault_counters: Arc<FaultCounters>,
+    /// Faults the fault plan injected, across reconnects.
+    pub(crate) injected: u64,
     /// Set for a [`ClusterClient`](crate::ClusterClient) member: a lost
     /// connection is re-dialled at once, and a *refused* connect —
     /// Linux answers `ECONNREFUSED` only when nothing listens on the
@@ -303,23 +304,24 @@ pub(crate) struct Link {
     ring_member: bool,
 }
 
-/// The byte stream of one connection: a socket, or a socket under a
-/// fault plan. Either way one descriptor, which the engine polls.
-pub(crate) trait Transport: Read + Write + AsRawFd + Send {}
-
-impl<T: Read + Write + AsRawFd + Send> Transport for T {}
-
 /// An established connection.
+#[derive(Debug)]
 struct Conn {
-    stream: Box<dyn Transport>,
+    stream: TcpStream,
+    /// The fault plan's schedule, if any: every read and write draws.
+    schedule: Option<FaultSchedule>,
     /// Reply bytes read so far; `replies[taken..]` is not taken yet.
     replies: Vec<u8>,
     taken: usize,
 }
 
-impl std::fmt::Debug for Conn {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Conn { .. }")
+impl Conn {
+    /// Draws the fault of one read or write of `len` bytes, counting one
+    /// that changes the operation into `injected`.
+    fn draw(&mut self, len: usize, injected: &mut u64) -> Fault {
+        let fault = (self.schedule.as_mut()).map_or(Fault::Go(len), |s| s.draw(len));
+        *injected += u64::from(fault != Fault::Go(len));
+        fault
     }
 }
 
@@ -380,7 +382,7 @@ impl Client {
 
     /// Faults injected by this client's own fault plan.
     pub fn faults_injected(&self) -> u64 {
-        self.link().faults_injected()
+        self.link().injected
     }
 
     /// Sends one request — a pipeline of one — retrying transient
@@ -691,7 +693,7 @@ impl Link {
             epoch: 0,
             metrics: ClientMetrics::default(),
             global: GlobalCounters::new(),
-            fault_counters: Arc::new(FaultCounters::default()),
+            injected: 0,
             ring_member,
         }
     }
@@ -703,11 +705,6 @@ impl Link {
     /// What the retry machinery has done on this link.
     pub(crate) fn metrics(&self) -> ClientMetrics {
         self.metrics
-    }
-
-    /// Faults injected by this link's fault plan.
-    pub(crate) fn faults_injected(&self) -> u64 {
-        self.fault_counters.total()
     }
 
     /// Opens the connection unless one is open.
@@ -723,24 +720,15 @@ impl Link {
             self.global.reconnects.inc();
             trace::event("client.reconnect", self.epoch, 0);
         }
-        let stream: Box<dyn Transport> = match &self.cfg.faults {
-            Some(plan) => {
-                // Salt by seed and epoch so every client and every
-                // reconnect runs a distinct deterministic schedule.
-                let base = self.cfg.seed.wrapping_shl(20).wrapping_add(self.epoch);
-                let counters = Arc::clone(&self.fault_counters);
-                Box::new(FaultStream::new(
-                    stream,
-                    plan,
-                    plan.stream_seed(base),
-                    counters,
-                ))
-            }
-            None => Box::new(stream),
-        };
+        // Salt by seed and epoch so every client and every reconnect
+        // runs a distinct deterministic schedule.
+        let salt = self.cfg.seed.wrapping_shl(20).wrapping_add(self.epoch);
+        let schedule =
+            (self.cfg.faults.as_ref()).map(|plan| FaultSchedule::new(plan, plan.stream_seed(salt)));
         self.epoch += 1;
         self.conn = Some(Conn {
             stream,
+            schedule,
             replies: Vec::with_capacity(8 << 10),
             taken: 0,
         });
@@ -757,9 +745,10 @@ impl Link {
         }
     }
 
-    /// Closes the connection; the next frame dials a fresh one.
+    /// Closes the connection and drops unwritten bytes; the next frame redials.
     pub(crate) fn close(&mut self) {
         self.conn = None;
+        self.out.clear();
     }
 
     /// Drops the connection after a transport failure. A ring member is
@@ -771,7 +760,7 @@ impl Link {
     /// Only for a ring member: the refused reconnect, as
     /// [`ClientError::Io`].
     pub(crate) fn drop_conn(&mut self) -> Result<(), ClientError> {
-        self.conn = None;
+        self.close();
         if self.ring_member {
             if let Err(e) = self.connect() {
                 if !self.retryable(&e) {
@@ -832,10 +821,14 @@ impl Link {
     }
 
     /// Writes every frame encoded since the last write to the transport,
-    /// connecting first unless a connection is open. A transient failure
-    /// — to connect among them — loses everything on the wire, and drops
-    /// the connection if one was open.
+    /// connecting first unless a connection is open, one fault draw per
+    /// write. A transient failure — to connect among them — loses
+    /// everything on the wire, and drops the connection if one was open;
+    /// a hold leaves what is not written yet for the next call.
     pub(crate) fn flush_frames(&mut self) -> Result<FrameIo, ClientError> {
+        if self.out.is_empty() {
+            return Ok(FrameIo::Done);
+        }
         if let Err(e) = self.connect() {
             self.out.clear();
             return if self.retryable(&e) {
@@ -845,17 +838,26 @@ impl Link {
             };
         }
         let conn = self.conn.as_mut().expect("connected above");
-        let wrote = conn.stream.write_all(&self.out);
-        self.out.clear();
-        match wrote {
-            Ok(()) => Ok(FrameIo::Done),
-            Err(e) => self.lose(e),
+        while !self.out.is_empty() {
+            let wrote = match conn.draw(self.out.len(), &mut self.injected) {
+                Fault::Go(n) => conn.stream.write(&self.out[..n]),
+                Fault::Drop => Err(std::io::ErrorKind::ConnectionReset.into()),
+                Fault::Hold(d) => return Ok(FrameIo::Held(d)),
+            };
+            match wrote {
+                Ok(n) => drop(self.out.drain(..n)),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return self.lose(e),
+            }
         }
+        Ok(FrameIo::Done)
     }
 
     /// A transport error under a frame: a retryable one drops the
-    /// connection and loses the frame, anything else is terminal.
+    /// connection and loses the frame, anything else is terminal. Either
+    /// way what was not written yet is gone.
     fn lose(&mut self, e: std::io::Error) -> Result<FrameIo, ClientError> {
+        self.out.clear();
         if !self.retryable(&e) {
             return Err(ClientError::Io(e));
         }
@@ -863,20 +865,28 @@ impl Link {
         Ok(FrameIo::Lost(e.to_string()))
     }
 
-    /// Reads once from the socket into the reply buffer; called when the
-    /// socket is readable, so the read does not block. EOF or a transient
-    /// failure drops the connection and loses what it had on the wire.
+    /// Reads once from the socket into the reply buffer, after one fault
+    /// draw; called when the socket is readable, so the read does not
+    /// block. EOF or a transient failure drops the connection and loses
+    /// what it had on the wire; a hold reads nothing.
     pub(crate) fn fill(&mut self) -> Result<FrameIo, ClientError> {
         let Some(conn) = self.conn.as_mut() else {
             return Ok(FrameIo::Lost("connection lost".to_string()));
         };
         // Keep the untaken bytes at the front, and room behind them.
-        let buf = &mut conn.replies;
-        buf.drain(..std::mem::take(&mut conn.taken));
-        let filled = buf.len();
-        buf.resize(buf.capacity().max(2 * filled), 0);
-        let read = conn.stream.read(&mut buf[filled..]);
-        buf.truncate(filled + read.as_ref().map_or(0, |&n| n));
+        conn.replies.drain(..std::mem::take(&mut conn.taken));
+        let filled = conn.replies.len();
+        let room = conn.replies.capacity().max(2 * filled) - filled;
+        let read = match conn.draw(room, &mut self.injected) {
+            Fault::Go(n) => {
+                conn.replies.resize(filled + room, 0);
+                conn.stream.read(&mut conn.replies[filled..filled + n])
+            }
+            Fault::Drop => Err(std::io::ErrorKind::ConnectionReset.into()),
+            Fault::Hold(d) => return Ok(FrameIo::Held(d)),
+        };
+        conn.replies
+            .truncate(filled + read.as_ref().map_or(0, |&n| n));
         match read {
             Ok(0) => self.lose(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
@@ -947,7 +957,7 @@ impl Link {
                 // The server closed (or refused) this connection; later
                 // frames cannot be answered, but a fresh one may succeed.
                 let what = format!("{}: {detail}", code.as_str());
-                self.conn = None;
+                self.close();
                 out.truncate(from);
                 return Ok(Some(FrameIo::Lost(what)));
             }
@@ -976,12 +986,15 @@ pub(crate) enum FrameIo {
     /// A transient failure (described) dropped the connection; the frame
     /// involved is wholly unacknowledged.
     Lost(String),
+    /// A fault plan's delay holds the step this long; it has not happened.
+    Held(Duration),
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use oc_serve::config::ServeConfig;
+    use oc_serve::fault::FaultKinds;
     use oc_serve::server::Server;
     use oc_trace::ids::{CellId, JobId, TaskId};
     use oc_trace::MachineId;
@@ -1190,6 +1203,71 @@ mod tests {
             "{err:?}"
         );
         assert!(started.elapsed() < Duration::from_millis(400));
+    }
+
+    /// A link to a listener that never answers, under a rate-1.0 plan
+    /// of the one fault kind `kinds` enables, with one two-line frame
+    /// encoded; and the frame's bytes.
+    fn faulted_link(kinds: FaultKinds) -> (Link, std::net::TcpListener, Vec<u8>) {
+        let stub = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let plan = FaultPlan::new(8, 1.0).with_kinds(kinds);
+        let cfg = ClientConfig::default().with_faults(plan);
+        let mut link = Link::new(stub.local_addr().unwrap(), cfg, false);
+        let frame = [Request::Stats, Request::Metrics];
+        assert!(matches!(link.write_frame(2, &frame), Ok(FrameIo::Done)));
+        (link, stub, b"BATCH 2\nSTATS\nMETRICS\n".to_vec())
+    }
+
+    fn received(stub: &std::net::TcpListener, len: usize) -> Vec<u8> {
+        let mut got = vec![0; len];
+        stub.accept().unwrap().0.read_exact(&mut got).unwrap();
+        got
+    }
+
+    /// Under partials every write moves one byte, and the link's write
+    /// loop still delivers the whole frame, in order. The last byte's
+    /// partial changes nothing and is not counted.
+    #[test]
+    fn partial_writes_still_deliver_the_whole_frame() {
+        let (mut link, stub, frame) = faulted_link(FaultKinds {
+            delays: false,
+            partials: true,
+            drops: false,
+        });
+        assert!(matches!(link.flush_frames(), Ok(FrameIo::Done)));
+        assert_eq!(received(&stub, frame.len()), frame);
+        assert_eq!(link.injected, frame.len() as u64 - 1);
+    }
+
+    /// A drop is counted once and ends the connection: the frame is
+    /// lost with it, and nothing more is drawn on it.
+    #[test]
+    fn a_drop_is_counted_once_and_ends_the_connection() {
+        let (mut link, _stub, _) = faulted_link(FaultKinds {
+            delays: false,
+            partials: false,
+            drops: true,
+        });
+        assert!(matches!(link.flush_frames(), Ok(FrameIo::Lost(_))));
+        assert!(link.raw_fd().is_none() && link.out.is_empty());
+        assert!(matches!(link.fill(), Ok(FrameIo::Lost(_))));
+        assert_eq!(link.injected, 1);
+    }
+
+    /// A delay holds the link instead of sleeping: the frame stays
+    /// unwritten, and once the hold is over the held write goes on.
+    #[test]
+    fn a_delay_holds_the_frame_until_the_next_flush() {
+        let (mut link, stub, frame) = faulted_link(FaultKinds {
+            delays: true,
+            partials: false,
+            drops: false,
+        });
+        assert!(matches!(link.flush_frames(), Ok(FrameIo::Held(_))));
+        assert!(!link.out.is_empty());
+        assert!(matches!(link.flush_frames(), Ok(FrameIo::Done)));
+        assert_eq!(received(&stub, frame.len()), frame);
+        assert_eq!(link.injected, 1);
     }
 
     /// A frame's reply deadline runs from its write, not from the last

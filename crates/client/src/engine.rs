@@ -26,12 +26,10 @@
 //! of its pipe and goes out first once the nap ends. `max_attempts`
 //! strikes in a row, or an error no retry mends (a refused re-dial of a
 //! ring member among them), fail the lane, and the caller decides what
-//! that means.
-//!
-//! One exception to "a napping lane holds up no other": a fault plan's
-//! injected delay (`oc_serve::fault`) sleeps inside a read or write of
-//! the lane's transport, so it stalls the engine thread and with it
-//! every lane.
+//! that means. A fault plan's delay (`oc_serve::fault`) holds a lane the
+//! same way, as a nap with no strike and nothing rewound: its link keeps
+//! what it had not written, and the lane is read and written again when
+//! the hold ends.
 //!
 //! A lane's lines are `L`s, which the policy maps to the requests they
 //! stand for ([`Policy::request`]).
@@ -321,16 +319,16 @@ impl<L> Engine<L> {
             lines,
             frames,
         } = self.shape;
-        let lane = &mut self.lanes[i];
+        let mut lane = &mut self.lanes[i];
         // A lane starts a burst once at most half its line window is on
         // the wire and then fills it: the window slides in half-window
-        // steps, so each flush carries many frames.
-        let held = lane.pipe.inflight_lines() > lines / 2;
-        if lane.retired || lane.napping || held {
+        // steps, so each flush carries many frames. A busy lane that is
+        // watched has nothing to flush either: a hold unwatches.
+        let busy = lane.pipe.inflight_lines() > lines / 2;
+        if lane.retired || lane.napping || (busy && lane.watched.is_some()) {
             return Ok(());
         }
-        let mut wrote = false;
-        while lane.owed > 0 && lane.pipe.inflight_len() < frames {
+        while !busy && lane.owed > 0 && lane.pipe.inflight_len() < frames {
             let room = lines - lane.pipe.inflight_lines();
             let open = lane.pipe.open_len();
             if room > 0 && open < batch {
@@ -356,21 +354,17 @@ impl<L> Engine<L> {
             lane.pipe.sent(cut, sent_at);
             lane.owed -= 1;
             p.wrote(i, cut);
-            wrote = true;
-            match io {
-                Ok(FrameIo::Done) => {}
-                Ok(FrameIo::Lost(what)) => return self.lose(i, what, p),
-                Err(e) => return self.fail(i, e, p),
+            if !self.on_io(i, io, p)? {
+                return Ok(());
             }
+            lane = &mut self.lanes[i];
         }
-        if !wrote {
+        // Also what a hold left unwritten, when no frame was cut.
+        let io = lane.link.flush_frames();
+        if !self.on_io(i, io, p)? {
             return Ok(());
         }
-        match lane.link.flush_frames() {
-            Ok(FrameIo::Done) => {}
-            Ok(FrameIo::Lost(what)) => return self.lose(i, what, p),
-            Err(e) => return self.fail(i, e, p),
-        }
+        // A lane woken from a hold reads a reply that came during it.
         match self.watch(i) {
             Ok(()) => Ok(()),
             Err(e) => self.fail(i, ClientError::Io(e), p),
@@ -388,10 +382,9 @@ impl<L> Engine<L> {
             self.lanes[i].link.close();
             return Ok(());
         }
-        match self.lanes[i].link.fill() {
-            Ok(FrameIo::Done) => {}
-            Ok(FrameIo::Lost(what)) => return self.lose(i, what, p),
-            Err(e) => return self.fail(i, e, p),
+        let io = self.lanes[i].link.fill();
+        if !self.on_io(i, io, p)? {
+            return Ok(());
         }
         loop {
             let lane = &mut self.lanes[i];
@@ -399,12 +392,13 @@ impl<L> Engine<L> {
                 return Ok(());
             };
             self.replies.clear();
-            match lane.link.take_frame(n, &mut self.replies) {
-                Ok(None) => return Ok(()),
-                Ok(Some(FrameIo::Done)) => {}
-                Ok(Some(FrameIo::Lost(what))) => return self.lose(i, what, p),
-                Err(e) => return self.fail(i, e, p),
+            let Some(io) = lane.link.take_frame(n, &mut self.replies).transpose() else {
+                return Ok(());
+            };
+            if !self.on_io(i, io, p)? {
+                return Ok(());
             }
+            let lane = &mut self.lanes[i];
             let mut frame = std::mem::take(&mut self.frame);
             let sent_at = lane
                 .pipe
@@ -467,10 +461,9 @@ impl<L> Engine<L> {
                         continue;
                     }
                     self.unwatch(i);
-                    match self.lanes[i].link.drop_conn() {
-                        Ok(()) => self.lose(i, "no reply within the response timeout".into(), p)?,
-                        Err(e) => self.fail(i, e, p)?,
-                    }
+                    let what = "no reply within the response timeout";
+                    let io = self.lanes[i].link.drop_conn();
+                    self.on_io(i, io.map(|()| FrameIo::Lost(what.into())), p)?;
                 }
                 Due::Release => {
                     let stagger = self
@@ -484,6 +477,24 @@ impl<L> Engine<L> {
             }
         }
         Ok(())
+    }
+
+    /// Acts on what lane `i`'s link reported of one step: a hold naps the
+    /// lane, a loss or an error loses or fails it. Returns whether the
+    /// lane may go on.
+    fn on_io<P: Policy<L>>(
+        &mut self,
+        i: usize,
+        io: Result<FrameIo, ClientError>,
+        p: &mut P,
+    ) -> Result<bool, ClientError> {
+        match io {
+            Ok(FrameIo::Done) => return Ok(true),
+            Ok(FrameIo::Held(d)) => self.nap(i, d),
+            Ok(FrameIo::Lost(what)) => self.lose(i, what, p)?,
+            Err(e) => self.fail(i, e, p)?,
+        }
+        Ok(false)
     }
 
     /// Lane `i`'s transport lost what it had on the wire: one strike and
@@ -508,12 +519,21 @@ impl<L> Engine<L> {
         lane.link.note_retries(wired);
         lane.since.get_or_insert_with(Instant::now);
         let nap = lane.link.nap(lane.strikes - 1);
-        lane.napping = true;
         let frames = lane.pipe.rewind();
-        self.unwatch(i);
-        self.due.push(Reverse((Instant::now() + nap, i, Due::Wake)));
+        self.nap(i, nap);
         p.lost(self, i, frames, nap);
         Ok(())
+    }
+
+    /// Lane `i` sends and reads nothing for `d`: a nap after a loss, or a
+    /// fault plan's hold. A later nap replaces an earlier one.
+    fn nap(&mut self, i: usize, d: Duration) {
+        if std::mem::replace(&mut self.lanes[i].napping, true) {
+            self.due
+                .retain(|&Reverse((_, j, due))| (j, due) != (i, Due::Wake));
+        }
+        self.unwatch(i);
+        self.due.push(Reverse((Instant::now() + d, i, Due::Wake)));
     }
 
     /// Lane `i` failed for `err`; its caller decides what that means.

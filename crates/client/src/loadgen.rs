@@ -31,11 +31,12 @@
 //! `max_attempts` losses with no frame resolved in between fail the
 //! connection into [`LoadReport::conn_failures`]; the others carry on.
 //!
-//! Chaos mode ([`LoadgenConfig::chaos`], `loadgen --chaos RATE`) wraps
-//! every connection in a seeded [`FaultPlan`]: delayed, partial, and
-//! dropped reads/writes at the configured rate. Its invariant is **zero
-//! lost acknowledged samples**: every `OBSERVE` the server acknowledged
-//! is visible in its `observes`/`stale`/`errors` counters
+//! Chaos mode ([`LoadgenConfig::chaos`], `loadgen --chaos RATE`) runs
+//! every connection under a seeded [`FaultPlan`]: delayed, partial, and
+//! dropped reads/writes at the configured rate. A delay holds only its
+//! own connection, as a due time in the engine's heap. Its invariant is
+//! **zero lost acknowledged samples**: every `OBSERVE` the server
+//! acknowledged is visible in its `observes`/`stale`/`errors` counters
 //! ([`LoadReport::lost`] must be 0).
 //!
 //! Every resolved line records its frame's ack latency (write to last
@@ -148,11 +149,10 @@ pub struct LoadReport {
     pub wall_secs: f64,
     /// Achieved request throughput (resolved / wall), requests per second.
     pub achieved_qps: f64,
-    /// Client-observed request latencies, microseconds. Recorded as
-    /// replies resolve and merged bucket for bucket by
-    /// [`LoadReport::merge`], so the percentiles read off it are those of
-    /// the union — averaging percentiles across processes is wrong (a p99
-    /// of averages is not the p99 of the union).
+    /// Client-observed request latencies, microseconds, recorded as
+    /// replies resolve. Histograms merge bucket for bucket, so reports
+    /// are combined by merging these, never by averaging percentiles (a
+    /// p99 of averages is not the p99 of the union).
     pub latency: HistogramSnapshot,
     /// Per-connection connect/setup times (TCP connect + socket
     /// configuration), microseconds. Kept apart from `latency` so
@@ -181,38 +181,6 @@ impl LoadReport {
             self.server = server;
         }
         self
-    }
-
-    /// Folds `other` (another process's or another run segment's report)
-    /// into `self`, the way a fleet drive folds its per-member reports:
-    ///
-    /// * counters sum; `conn_failures` concatenate;
-    /// * `wall_secs` takes the max (segments overlap in wall time when
-    ///   they ran in parallel, so summing would deflate throughput);
-    /// * the latency and setup distributions merge, so every percentile
-    ///   read afterwards is the union's;
-    /// * `achieved_qps` is recomputed as merged `ok + errors` over the
-    ///   merged wall;
-    /// * the server snapshot merges via [`StatsSnapshot::merge`] and
-    ///   `lost` is re-derived from the merged ledger.
-    pub fn merge(&mut self, other: &LoadReport) {
-        self.sent += other.sent;
-        self.ok += other.ok;
-        self.errors += other.errors;
-        self.retries += other.retries;
-        self.reconnects += other.reconnects;
-        self.faults += other.faults;
-        self.acked_observes += other.acked_observes;
-        self.failed_connections += other.failed_connections;
-        self.conn_failures
-            .extend(other.conn_failures.iter().cloned());
-        self.connections += other.connections;
-        self.wall_secs = self.wall_secs.max(other.wall_secs);
-        self.latency.merge(&other.latency);
-        self.setup.merge(&other.setup);
-        self.achieved_qps = rate(self.ok + self.errors, self.wall_secs);
-        self.server.merge(&other.server);
-        self.lost = ledger_gap(self.acked_observes, &self.server);
     }
 
     /// Client-observed p50 latency, microseconds (0 when nothing
@@ -370,7 +338,7 @@ impl Replay {
         let m = link.metrics();
         self.tally.retries += m.retries;
         self.tally.reconnects += m.reconnects;
-        self.tally.faults += link.faults_injected();
+        self.tally.faults += link.injected;
         self.live -= 1;
     }
 }
@@ -592,61 +560,38 @@ mod tests {
         assert!(report.reconnects > 0, "no dropped connection re-dialled");
     }
 
-    /// Merging two per-process reports sums the counters, recomputes
-    /// rates from the merged counts (not an average of rates), and takes
-    /// percentiles from the merged latency distribution.
+    /// A fault delay holds only the lane it hit: with every read and
+    /// write of 32 connections delayed by up to 20 ms, the replay takes
+    /// a small share of the delays' sum, because the other lanes keep
+    /// being written and read meanwhile. A hold is no loss: nothing is
+    /// retried or re-dialled.
     #[test]
-    fn merge_folds_reports_not_averages() {
-        let mk = |ok: u64, retries: u64, lat: &[f64], wall: f64, observes: u64| {
-            let mut report = LoadReport {
-                sent: ok,
-                ok,
-                retries,
-                reconnects: 1,
-                acked_observes: ok,
-                connections: 1,
-                ..Default::default()
-            };
-            for &us in lat {
-                report.latency.record(us);
-            }
-            let server = StatsSnapshot {
-                observes,
-                machines: 10,
-                ..StatsSnapshot::default()
-            };
-            report.finish(wall, Some(server))
-        };
-        // A fast member and a slow one that retried a lot.
-        let fast: Vec<f64> = (0..100).map(|i| 100.0 + i as f64).collect();
-        let slow: Vec<f64> = (0..100).map(|i| 10_000.0 + i as f64).collect();
-        let mut merged = mk(100, 0, &fast, 1.0, 100);
-        let b = mk(100, 300, &slow, 2.0, 100);
-        merged.merge(&b);
-
-        assert_eq!(merged.sent, 200);
-        assert_eq!(merged.ok, 200);
-        assert_eq!(merged.retries, 300);
-        assert_eq!(merged.connections, 2);
-        assert_eq!(merged.server.observes, 200);
-        // wall = max (parallel members), qps = merged resolved / wall —
-        // a rate from merged counts, not an average of the two rates.
-        assert!((merged.wall_secs - 2.0).abs() < 1e-12);
-        assert!((merged.achieved_qps - 100.0).abs() < 1e-9);
-        assert_eq!(merged.lost, 0);
-        // Percentiles are the union's, each within one bucket of the
-        // sample at its rank among all 200: p50 is the fast member's
-        // slowest request — neither member's own p50 (≈150 and ≈10050)
-        // nor their average — and p99 the slow member's 98th.
-        for (got, at_rank) in [(merged.p50_us(), 199.0), (merged.p99_us(), 10_097.0)] {
-            assert!(
-                (got - at_rank).abs() <= at_rank * oc_stats::Histogram::BUCKET_WIDTH,
-                "{got} vs {at_rank}"
-            );
-        }
-        // Max is exact.
-        assert_eq!(merged.latency.max_or_zero(), 10_099.0);
-        assert_eq!(merged.latency.count(), 200);
+    fn a_delay_holds_only_its_own_lane() {
+        let max_delay = Duration::from_millis(20);
+        let plan = FaultPlan::new(54, 1.0)
+            .with_kinds(oc_serve::fault::FaultKinds {
+                delays: true,
+                partials: false,
+                drops: false,
+            })
+            .with_max_delay(max_delay);
+        let report = run_clean(&LoadgenConfig {
+            script: Script::Fanin,
+            connections: 32,
+            batch: 16,
+            ticks: 8,
+            chaos: Some(plan),
+            ..LoadgenConfig::default()
+        });
+        let delays = report.faults;
+        assert!(delays >= 64, "every read and write is delayed: {delays}");
+        let serial = max_delay.as_secs_f64() * delays as f64;
+        assert!(
+            report.wall_secs < serial / 4.0,
+            "{delays} delays took {:.3} s: the lanes waited for each other",
+            report.wall_secs
+        );
+        assert_eq!((report.retries, report.reconnects), (0, 0));
     }
 
     #[test]

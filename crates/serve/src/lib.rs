@@ -34,9 +34,9 @@
 //!   merged bucket-wise for `STATS` and into the unified registry for
 //!   `METRICS`.
 //! * [`fault`] — deterministic, seeded fault injection (delayed / partial /
-//!   dropped reads and writes) wrapping any connection stream. The server
-//!   never wraps its own sockets; `oc-client` wraps its connections with
-//!   it to chaos-test the lifecycle paths above.
+//!   dropped reads and writes): a plan and one schedule per connection.
+//!   The server never faults its own sockets; `oc-client` draws from it
+//!   on its connections to chaos-test the lifecycle paths above.
 //!
 //! The retrying client and the load generator live in the `oc-client`
 //! crate, which depends on this one for the protocol types.
@@ -81,6 +81,6 @@ pub mod shard;
 
 pub use config::ServeConfig;
 pub use error::ServeError;
-pub use fault::{FaultCounters, FaultKinds, FaultPlan, FaultStream};
+pub use fault::{Fault, FaultKinds, FaultPlan, FaultSchedule};
 pub use proto::{ErrCode, ProtoError, Request, Response, StatsSnapshot};
 pub use server::{Server, ShutdownOutcome};
