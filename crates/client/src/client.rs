@@ -65,13 +65,14 @@ use crate::error::ClientError;
 use crate::pipe::{Entry, MemberPipe};
 use oc_serve::fault::{Fault, FaultPlan, FaultSchedule};
 use oc_serve::proto::{
-    parse_batchr_header, push_u64, ErrCode, ProtoError, Request, Response, StatsSnapshot, MAX_BATCH,
+    find_newline, parse_batchr_header, push_u64, ErrCode, ProtoError, Request, Response,
+    StatsSnapshot, MAX_BATCH,
 };
 use oc_telemetry::{trace, Counter};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::Arc;
@@ -123,7 +124,10 @@ pub struct ClientConfig {
     /// Deadline for all of a frame's replies, from its write; elapsing
     /// counts as a transient failure (reconnect + retry).
     pub response_timeout: Duration,
-    /// Deadline for one socket write.
+    /// How long a connection with bytes to send may make no write
+    /// progress before it is lost (a transient failure, as for
+    /// `response_timeout`). Writes never block: the lane waits for the
+    /// socket to take bytes while the other lanes go on.
     pub write_timeout: Duration,
     /// Retry budget and backoff shape.
     pub retry: RetryPolicy,
@@ -307,7 +311,11 @@ pub(crate) struct Link {
 /// An established connection.
 #[derive(Debug)]
 struct Conn {
+    /// Non-blocking: a write the socket cannot take waits in `Link::out`.
     stream: TcpStream,
+    /// Since when the socket has taken none of the bytes waiting to be
+    /// written; `None` while writes progress or nothing waits.
+    stalled: Option<Instant>,
     /// The fault plan's schedule, if any: every read and write draws.
     schedule: Option<FaultSchedule>,
     /// Reply bytes read so far; `replies[taken..]` is not taken yet.
@@ -714,7 +722,7 @@ impl Link {
         }
         let stream = TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout)?;
         stream.set_nodelay(true)?;
-        stream.set_write_timeout(Some(self.cfg.write_timeout))?;
+        stream.set_nonblocking(true)?;
         if self.epoch > 0 {
             self.metrics.reconnects += 1;
             self.global.reconnects.inc();
@@ -728,6 +736,7 @@ impl Link {
         self.epoch += 1;
         self.conn = Some(Conn {
             stream,
+            stalled: None,
             schedule,
             replies: Vec::with_capacity(8 << 10),
             taken: 0,
@@ -776,6 +785,12 @@ impl Link {
         self.conn.as_ref().map(|conn| conn.stream.as_raw_fd())
     }
 
+    /// Since when the socket has taken none of the bytes waiting to be
+    /// written: the link waits for it to be writable.
+    pub(crate) fn stalled_since(&self) -> Option<Instant> {
+        self.conn.as_ref().and_then(|conn| conn.stalled)
+    }
+
     /// The retry policy's nap before retry number `attempt + 1`.
     pub(crate) fn nap(&mut self, attempt: u32) -> Duration {
         self.cfg.retry.nap(attempt, &mut self.rng)
@@ -797,9 +812,9 @@ impl Link {
 
     /// Encodes `n` requests into the out buffer as one frame — a `BATCH`
     /// wrapper when more than one — and writes the buffer once it holds
-    /// [`WRITE_AT`] bytes; the caller writes the rest at the end of its
-    /// burst ([`Link::flush_frames`]). Nothing is read back; replies are
-    /// taken later with [`Link::take_frame`].
+    /// [`WRITE_AT`] bytes, unless the link is stalled; the caller writes
+    /// the rest at the end of its burst ([`Link::flush_frames`]). Nothing
+    /// is read back; replies are taken later with [`Link::take_frame`].
     pub(crate) fn write_frame<'a, I>(&mut self, n: usize, reqs: I) -> Result<FrameIo, ClientError>
     where
         I: IntoIterator<Item = &'a Request>,
@@ -814,7 +829,7 @@ impl Link {
             req.encode_into(out);
             out.push(b'\n');
         }
-        if out.len() < WRITE_AT {
+        if out.len() < WRITE_AT || self.stalled_since().is_some() {
             return Ok(FrameIo::Done);
         }
         self.flush_frames()
@@ -824,7 +839,8 @@ impl Link {
     /// connecting first unless a connection is open, one fault draw per
     /// write. A transient failure — to connect among them — loses
     /// everything on the wire, and drops the connection if one was open;
-    /// a hold leaves what is not written yet for the next call.
+    /// a hold, or a socket that takes no more now, leaves what is not
+    /// written yet for the next call (the latter marks the link stalled).
     pub(crate) fn flush_frames(&mut self) -> Result<FrameIo, ClientError> {
         if self.out.is_empty() {
             return Ok(FrameIo::Done);
@@ -845,8 +861,15 @@ impl Link {
                 Fault::Hold(d) => return Ok(FrameIo::Held(d)),
             };
             match wrote {
-                Ok(n) => drop(self.out.drain(..n)),
+                Ok(n) => {
+                    drop(self.out.drain(..n));
+                    conn.stalled = None;
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    conn.stalled.get_or_insert_with(Instant::now);
+                    break;
+                }
                 Err(e) => return self.lose(e),
             }
         }
@@ -866,9 +889,9 @@ impl Link {
     }
 
     /// Reads once from the socket into the reply buffer, after one fault
-    /// draw; called when the socket is readable, so the read does not
-    /// block. EOF or a transient failure drops the connection and loses
-    /// what it had on the wire; a hold reads nothing.
+    /// draw; called when the socket is readable (a spurious wake-up reads
+    /// nothing). EOF or a transient failure drops the connection and
+    /// loses what it had on the wire; a hold reads nothing.
     pub(crate) fn fill(&mut self) -> Result<FrameIo, ClientError> {
         let Some(conn) = self.conn.as_mut() else {
             return Ok(FrameIo::Lost("connection lost".to_string()));
@@ -892,7 +915,9 @@ impl Link {
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
             )),
-            Err(e) if e.kind() != std::io::ErrorKind::Interrupted => self.lose(e),
+            Err(e) if !matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::WouldBlock) => {
+                self.lose(e)
+            }
             _ => Ok(FrameIo::Done),
         }
     }
@@ -913,11 +938,18 @@ impl Link {
             return Ok(Some(FrameIo::Lost("connection lost".to_string())));
         };
         let buffered = &conn.replies[conn.taken..];
-        let mut ends = (1..=buffered.len()).filter(|&k| buffered[k - 1] == b'\n');
-        let head = ends.clone().next();
-        let whole = ends.nth(n + usize::from(n > 1) - 1);
+        // One scan for the frame's last line end, past its head line's.
+        let (mut head, mut end, mut left) = (None, 0, n + usize::from(n > 1));
+        while let Some(at) = find_newline(&buffered[end..]) {
+            end += at + 1;
+            head.get_or_insert(end);
+            left -= 1;
+            if left == 0 {
+                break;
+            }
+        }
         // Until the frame is whole, only its head line is looked at.
-        let Some(end) = whole.or(head) else {
+        let Some(end) = (if left == 0 { Some(end) } else { head }) else {
             return Ok(None);
         };
         let mut lines = buffered[..end - 1].split(|&b| b == b'\n');
@@ -1268,6 +1300,179 @@ mod tests {
         assert!(matches!(link.flush_frames(), Ok(FrameIo::Done)));
         assert_eq!(received(&stub, frame.len()), frame);
         assert_eq!(link.injected, 1);
+    }
+
+    /// A policy over `OBSERVE` lines: lane 0 is fed lines near the line
+    /// cap without end, lane 1 `small` short ones; replies to lane 1 are
+    /// counted, lane 0 is never answered.
+    struct Starved {
+        big: Request,
+        small: Vec<Request>,
+        fed: usize,
+        resolved: usize,
+    }
+
+    impl Starved {
+        fn new(small: usize) -> Starved {
+            let observe = |cell: CellId, tick| Request::Observe {
+                cell,
+                machine: MachineId(0),
+                task: task(0),
+                usage: 0.2,
+                limit: 0.5,
+                mem: None,
+                tick,
+            };
+            Starved {
+                big: observe(CellId::new("c".repeat(440)), 0),
+                small: (0..small as u64).map(|t| observe(cell(), t)).collect(),
+                fed: 0,
+                resolved: 0,
+            }
+        }
+    }
+
+    impl Policy for Starved {
+        fn request<'a>(&'a self, line: &'a Request) -> &'a Request {
+            line
+        }
+
+        fn refill(&mut self, lane: usize, pipe: &mut MemberPipe, want: usize) {
+            for _ in 0..want {
+                let req = match lane {
+                    0 => self.big.clone(),
+                    _ if self.fed < self.small.len() => {
+                        self.fed += 1;
+                        self.small[self.fed - 1].clone()
+                    }
+                    _ => return,
+                };
+                pipe.push(Entry::pinned(req));
+            }
+        }
+
+        fn resolved(
+            &mut self,
+            _: &mut Engine,
+            lane: usize,
+            frame: &mut Vec<Entry>,
+            _: Instant,
+            replies: &[Response],
+        ) {
+            assert_eq!(lane, 1, "the starved peer never answers");
+            assert!(replies.iter().all(|r| *r == Response::Ok), "{replies:?}");
+            self.resolved += frame.len();
+        }
+
+        fn failed(
+            &mut self,
+            _: &mut Engine,
+            _: usize,
+            _: usize,
+            err: ClientError,
+        ) -> Result<(), ClientError> {
+            Err(err)
+        }
+
+        fn done(&self, _: &Engine, _: bool) -> bool {
+            self.resolved == self.small.len()
+        }
+    }
+
+    /// A listener that accepts one connection and never reads from it,
+    /// holding it until the returned sender drops.
+    fn never_reads() -> (
+        SocketAddr,
+        std::sync::mpsc::Sender<()>,
+        std::thread::JoinHandle<()>,
+    ) {
+        let stub = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = stub.local_addr().unwrap();
+        let (hold, release) = std::sync::mpsc::channel::<()>();
+        let peer = std::thread::spawn(move || {
+            let (conn, _) = stub.accept().unwrap();
+            let _ = release.recv();
+            drop(conn);
+        });
+        (addr, hold, peer)
+    }
+
+    /// Half a window of lines near the line cap, so a lane fills its
+    /// socket's buffers many times over.
+    const STARVING: Shape = Shape {
+        batch: 64,
+        lines: 1 << 16,
+        frames: usize::MAX,
+    };
+
+    /// A peer that stops reading stalls only its own lane: lane 0's
+    /// socket buffers fill and its link waits for writability, while
+    /// lane 1 of the same engine gets every reply well inside the write
+    /// timeout.
+    #[test]
+    fn a_peer_that_stops_reading_stalls_only_its_own_lane() {
+        let server = Server::start(ServeConfig::default().with_shards(1)).unwrap();
+        let (stub, hold, peer) = never_reads();
+        let cfg = ClientConfig {
+            write_timeout: Duration::from_secs(10),
+            response_timeout: Duration::from_secs(30),
+            ..ClientConfig::default()
+        };
+        let mut eng: Engine = Engine::new(STARVING, &cfg);
+        eng.add(Link::new(stub, cfg.clone(), false));
+        eng.add(Link::new(server.addr(), cfg, false));
+        let mut policy = Starved::new(512);
+        let started = Instant::now();
+        while !eng.step(&mut policy, true).unwrap() {}
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(2),
+            "lane 1 resolved after {took:?}"
+        );
+        assert!(
+            eng.lanes[0].link.stalled_since().is_some(),
+            "lane 0's socket never filled"
+        );
+        drop(eng);
+        drop(hold);
+        peer.join().unwrap();
+        server.shutdown();
+    }
+
+    /// A stalled link is lost at its write timeout, which counts as a
+    /// strike like a missed reply deadline.
+    #[test]
+    fn a_stalled_link_is_lost_at_its_write_timeout() {
+        let (stub, hold, peer) = never_reads();
+        let cfg = ClientConfig {
+            write_timeout: Duration::from_millis(300),
+            response_timeout: Duration::from_secs(30),
+            retry: RetryPolicy {
+                max_attempts: 1,
+                ..RetryPolicy::default()
+            },
+            ..ClientConfig::default()
+        };
+        let mut eng: Engine = Engine::new(STARVING, &cfg);
+        eng.add(Link::new(stub, cfg, false));
+        let mut policy = Starved::new(1);
+        let started = Instant::now();
+        let err = loop {
+            if let Err(e) = eng.step(&mut policy, true) {
+                break e;
+            }
+        };
+        let took = started.elapsed();
+        assert!(
+            matches!(&err, ClientError::Exhausted { attempts: 1, last } if last.contains("write")),
+            "{err:?}"
+        );
+        assert!(
+            took >= Duration::from_millis(300) && took < Duration::from_secs(2),
+            "lost after {took:?}"
+        );
+        drop(hold);
+        peer.join().unwrap();
     }
 
     /// A frame's reply deadline runs from its write, not from the last

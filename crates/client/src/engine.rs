@@ -11,13 +11,17 @@
 //! its [`Shape`] and the no-span rule allow and is flushed once; then,
 //! unless the caller's goal is met, the engine waits. All due times — a
 //! lane's retry nap, the next paced frame release, a lane's reply
-//! deadline — sit in one min-heap, and the only wait is one poller wait
-//! bounded by the next of them. A lane is read only when its socket is
+//! deadline and write-stall deadline — sit in one min-heap, and the only
+//! wait is one poller wait bounded by the next of them. A lane is read
+//! only when its socket is
 //! readable: one read into its reply buffer, after which every frame
 //! whose replies are all there resolves and a partial frame stays
-//! buffered for the next readiness. So a lane that naps, has sent no
-//! reply or stops partway through a frame holds up no other, and a
-//! frame's reply deadline runs from its write. The poller is created on
+//! buffered for the next readiness. Writes never block either: what a
+//! socket does not take stays in the lane's out buffer, the lane waits
+//! for the socket to be writable, and a lane whose socket takes nothing
+//! for `write_timeout` is lost. So a lane that naps, has sent no reply,
+//! stops partway through a frame or stops reading holds up no other, and
+//! a frame's reply deadline runs from its write. The poller is created on
 //! first use, so a client that has only connected holds no descriptor
 //! for it.
 //!
@@ -116,10 +120,12 @@ pub(crate) struct Lane<L = Request> {
     pub retired: bool,
     /// A reply deadline of this lane is in the heap (at most one is).
     deadline: bool,
+    /// A write-stall deadline of this lane is in the heap (at most one is).
+    stall: bool,
     /// Frames the pacing schedule has released to the lane.
     owed: u64,
-    /// The descriptor the poller watches.
-    watched: Option<RawFd>,
+    /// The descriptor the poller watches, and whether for writability too.
+    watched: Option<(RawFd, bool)>,
     /// On the ready list.
     queued: bool,
 }
@@ -131,6 +137,8 @@ enum Due {
     Wake,
     /// A lane's oldest frame may have waited out the reply deadline.
     Deadline,
+    /// A lane's socket may have taken no bytes for the write timeout.
+    Stall,
     /// The pacing schedule releases a frame to a lane.
     Release,
 }
@@ -141,13 +149,15 @@ pub(crate) struct Engine<L = Request> {
     shape: Shape,
     max_attempts: u32,
     reply_timeout: Duration,
+    write_timeout: Duration,
     /// Created on first use.
     poll: Option<(Poller, Events)>,
     due: BinaryHeap<Reverse<(Instant, usize, Due)>>,
     /// Lanes to offer a write in the next round.
     ready: Vec<usize>,
-    /// Lanes the last poller wait reported readable.
-    woken: Vec<usize>,
+    /// Lanes the last poller wait reported, and whether readable and
+    /// writable.
+    woken: Vec<(usize, bool, bool)>,
     /// One frame's lines, handed to [`Policy::resolved`].
     frame: Vec<Entry<L>>,
     /// One frame's replies.
@@ -167,14 +177,15 @@ impl<L: std::fmt::Debug> std::fmt::Debug for Engine<L> {
 }
 
 impl<L> Engine<L> {
-    /// An engine with no lanes; `cfg` gives the retry budget and the
-    /// reply deadline.
+    /// An engine with no lanes; `cfg` gives the retry budget, the reply
+    /// deadline and the write timeout.
     pub fn new(shape: Shape, cfg: &ClientConfig) -> Engine<L> {
         Engine {
             lanes: Vec::new(),
             shape,
             max_attempts: cfg.retry.max_attempts,
             reply_timeout: cfg.response_timeout,
+            write_timeout: cfg.write_timeout,
             poll: None,
             due: BinaryHeap::new(),
             ready: Vec::new(),
@@ -196,6 +207,7 @@ impl<L> Engine<L> {
             napping: false,
             retired: false,
             deadline: false,
+            stall: false,
             owed: u64::MAX,
             watched: None,
             queued: false,
@@ -323,9 +335,11 @@ impl<L> Engine<L> {
         // A lane starts a burst once at most half its line window is on
         // the wire and then fills it: the window slides in half-window
         // steps, so each flush carries many frames. A busy lane that is
-        // watched has nothing to flush either: a hold unwatches.
+        // watched has nothing to flush either, unless it is stalled: a
+        // hold unwatches.
         let busy = lane.pipe.inflight_lines() > lines / 2;
-        if lane.retired || lane.napping || (busy && lane.watched.is_some()) {
+        let waiting = busy && lane.watched.is_some() && lane.link.stalled_since().is_none();
+        if lane.retired || lane.napping || waiting {
             return Ok(());
         }
         while !busy && lane.owed > 0 && lane.pipe.inflight_len() < frames {
@@ -359,12 +373,20 @@ impl<L> Engine<L> {
             }
             lane = &mut self.lanes[i];
         }
-        // Also what a hold left unwritten, when no frame was cut.
+        // Also what a hold or a full socket left unwritten, when no frame
+        // was cut.
         let io = lane.link.flush_frames();
         if !self.on_io(i, io, p)? {
             return Ok(());
         }
-        // A lane woken from a hold reads a reply that came during it.
+        let lane = &mut self.lanes[i];
+        if let Some(since) = lane.link.stalled_since().filter(|_| !lane.stall) {
+            lane.stall = true;
+            let at = since + self.write_timeout;
+            self.due.push(Reverse((at, i, Due::Stall)));
+        }
+        // A lane woken from a hold reads a reply that came during it; a
+        // stalled one waits to be writable as well.
         match self.watch(i) {
             Ok(()) => Ok(()),
             Err(e) => self.fail(i, ClientError::Io(e), p),
@@ -424,9 +446,15 @@ impl<L> Engine<L> {
         woken.clear();
         let (poller, events) = self.poller()?;
         poller.wait(events, Some(timeout))?;
-        woken.extend(events.iter().map(|ev| ev.token()));
-        for &i in &woken {
-            if self.lanes[i].watched.is_some() {
+        woken.extend((events.iter()).map(|ev| (ev.token(), ev.is_readable(), ev.is_writable())));
+        for &(i, readable, writable) in &woken {
+            if self.lanes[i].watched.is_none() {
+                continue;
+            }
+            if writable {
+                self.wake(i);
+            }
+            if readable {
                 self.read(i, p)?;
             }
         }
@@ -446,22 +474,34 @@ impl<L> Engine<L> {
                     self.lanes[i].napping = false;
                     self.wake(i);
                 }
-                Due::Deadline => {
+                Due::Deadline | Due::Stall => {
                     let lane = &mut self.lanes[i];
-                    lane.deadline = false;
-                    let Some(oldest) = lane.pipe.oldest_sent_at().filter(|_| !lane.retired) else {
+                    let (armed, since, timeout, what) = match due {
+                        Due::Deadline => (
+                            &mut lane.deadline,
+                            lane.pipe.oldest_sent_at(),
+                            self.reply_timeout,
+                            "no reply within the response timeout",
+                        ),
+                        _ => (
+                            &mut lane.stall,
+                            lane.link.stalled_since(),
+                            self.write_timeout,
+                            "no write progress within the write timeout",
+                        ),
+                    };
+                    *armed = false;
+                    let Some(since) = since.filter(|_| !lane.retired) else {
                         continue;
                     };
-                    if oldest + self.reply_timeout > now {
-                        // The frame this was set for resolved: watch the
-                        // one that is oldest now.
-                        lane.deadline = true;
-                        let at = oldest + self.reply_timeout;
-                        self.due.push(Reverse((at, i, Due::Deadline)));
+                    if since + timeout > now {
+                        // What this was set for ended (the frame resolved,
+                        // the write went on): watch what is current now.
+                        *armed = true;
+                        self.due.push(Reverse((since + timeout, i, due)));
                         continue;
                     }
                     self.unwatch(i);
-                    let what = "no reply within the response timeout";
                     let io = self.lanes[i].link.drop_conn();
                     self.on_io(i, io.map(|()| FrameIo::Lost(what.into())), p)?;
                 }
@@ -561,24 +601,37 @@ impl<L> Engine<L> {
         Ok(self.poll.as_mut().expect("created above"))
     }
 
-    /// Has the poller watch lane `i`'s current socket.
+    /// Has the poller watch lane `i`'s current socket: for readability,
+    /// and for writability too while its link is stalled.
     fn watch(&mut self, i: usize) -> std::io::Result<()> {
-        let fd = self.lanes[i].link.raw_fd();
-        if fd == self.lanes[i].watched {
+        let link = &self.lanes[i].link;
+        let want = (link.raw_fd()).map(|fd| (fd, link.stalled_since().is_some()));
+        let had = self.lanes[i].watched;
+        if want == had {
             return Ok(());
         }
-        self.unwatch(i);
-        if let Some(fd) = fd {
-            self.poller()?.0.register(fd, i, Interest::READABLE)?;
-            self.lanes[i].watched = Some(fd);
+        let Some((fd, writable)) = want else {
+            self.unwatch(i);
+            return Ok(());
+        };
+        let interest = match writable {
+            true => Interest::READABLE | Interest::WRITABLE,
+            false => Interest::READABLE,
+        };
+        if had.is_some_and(|(old, _)| old == fd) {
+            self.poller()?.0.reregister(fd, i, interest)?;
+        } else {
+            self.unwatch(i);
+            self.poller()?.0.register(fd, i, interest)?;
         }
+        self.lanes[i].watched = want;
         Ok(())
     }
 
     /// Stops polling lane `i`'s socket, just before or after its link
     /// closes it (no connect in between can reuse the number).
     fn unwatch(&mut self, i: usize) {
-        if let Some(fd) = self.lanes[i].watched.take() {
+        if let Some((fd, _)) = self.lanes[i].watched.take() {
             if let Some((poller, _)) = &self.poll {
                 let _ = poller.deregister(fd);
             }

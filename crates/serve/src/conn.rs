@@ -24,8 +24,8 @@
 //! ends, with one answer for the frame.
 
 use crate::proto::{
-    decode_view_part, parse_batch_header, parse_view_header, push_u64, ErrCode, ProtoScratch,
-    Request, Response, ViewHeader, MAX_LINE_BYTES,
+    decode_view_part, find_newline, parse_batch_header, parse_view_header, push_u64, ErrCode,
+    ProtoError, ProtoScratch, Request, Response, ViewHeader, MAX_LINE_BYTES,
 };
 use crate::ring::KeyRole;
 use crate::server::{dispatch, not_mine, shutting_down, RingMember, Shared};
@@ -114,7 +114,7 @@ impl LineAccumulator {
         F: FnMut(&[u8]) -> std::io::Result<bool>,
     {
         loop {
-            match chunk.iter().position(|&b| b == b'\n') {
+            match find_newline(chunk) {
                 Some(pos) => {
                     let (head, rest) = chunk.split_at(pos + 1);
                     chunk = rest;
@@ -298,9 +298,9 @@ fn cached_role(state: &mut ConnState, shared: &Shared, hash: u64) -> KeyRole {
 /// writes the acknowledgements, one per sample, in order. Generation
 /// stripes are bumped strictly after the apply and before the `OK`s are
 /// written — the predict cache's read-your-writes edge. The reactor also
-/// calls this whenever it runs out of complete lines, before it writes
-/// the output out and waits for more input — so no acknowledgement ever
-/// outlives the readiness event that created it.
+/// calls this after every read, once the read's complete lines are
+/// processed and before it writes the output out and reads again — so no
+/// acknowledgement ever outlives the read that carried its request.
 pub(crate) fn flush_chunk<W: Write>(
     state: &mut ConnState,
     writer: &mut W,
@@ -346,13 +346,18 @@ pub(crate) fn process_line<W: Write>(
     pool: &ShardPool,
     shared: &Shared,
 ) -> std::io::Result<bool> {
-    let parse_err = |e: &dyn fmt::Display| Response::Err {
-        code: ErrCode::Parse,
-        detail: e.to_string(),
-    };
     if state.restore.is_some() {
         restore_line(raw, state, writer, pool, shared)?;
         return Ok(true);
+    }
+    // The wire's own `OBSERVE` spelling is decoded from its bytes in one
+    // pass; every other line takes the token path, which also answers
+    // every error. An `OBSERVE` is never a `BATCH` header.
+    let body = raw.strip_suffix(b"\n").unwrap_or(raw);
+    if let Some(req) = Request::decode_observe(body, &state.scratch) {
+        let in_batch = state.batch_left > 0;
+        state.batch_left = state.batch_left.saturating_sub(1);
+        return serve_request(Ok(req), in_batch, state, writer, pool, shared);
     }
     let Ok(line) = std::str::from_utf8(raw) else {
         flush_chunk(state, writer, pool, shared)?;
@@ -396,7 +401,31 @@ pub(crate) fn process_line<W: Write>(
             }
         }
     }
-    match Request::parse_in(line, &mut state.scratch) {
+    let req = Request::parse_tokens_in(line, &mut state.scratch);
+    serve_request(req, in_batch, state, writer, pool, shared)
+}
+
+/// The `ERR parse` answer for `e`.
+fn parse_err(e: &dyn fmt::Display) -> Response {
+    Response::Err {
+        code: ErrCode::Parse,
+        detail: e.to_string(),
+    }
+}
+
+/// Serves one parsed request line (`in_batch`: a sub-request of a
+/// `BATCH` frame): buffers an observe, answers a read on the spot, or
+/// answers the parse error. Returns `Ok(false)` when the connection must
+/// close.
+fn serve_request<W: Write>(
+    req: Result<Request, ProtoError>,
+    in_batch: bool,
+    state: &mut ConnState,
+    writer: &mut W,
+    pool: &ShardPool,
+    shared: &Shared,
+) -> std::io::Result<bool> {
+    match req {
         Err(e) => {
             flush_chunk(state, writer, pool, shared)?;
             shared.parse_errors.inc();

@@ -82,8 +82,10 @@
 //! # Allocation discipline
 //!
 //! The `parse`/`encode` methods are convenience wrappers that allocate.
-//! The data plane uses [`Request::parse_in`] (one forward pass over the
-//! line's tokens; cell names interned in a reusable [`ProtoScratch`]),
+//! The data plane uses [`Request::decode_observe`] (an `OBSERVE` decoded
+//! in one pass straight from its bytes), [`Request::parse_tokens_in`]
+//! for every other line (one forward pass over the line's tokens; cell
+//! names interned in a reusable [`ProtoScratch`]),
 //! [`Response::parse`] and [`Request::encode_into`]/
 //! [`Response::encode_into`] (digits written straight into a reused
 //! `Vec<u8>`, never through `core::fmt`). `OBSERVE`, `PREDICT` and
@@ -585,8 +587,6 @@ impl<'a> Iterator for Tokens<'a> {
 /// 0x21, and `(x - 0x21..) & !x & 0x80..` flags the bytes below 0x21 —
 /// exactly at the lowest flag, which is all the scan looks at.
 fn token_end(bytes: &[u8], mut i: usize) -> usize {
-    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
-    const HIGH: u64 = u64::from_ne_bytes([0x80; 8]);
     while let Some(chunk) = bytes.get(i..i + 8) {
         let x = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
         let below = x.wrapping_sub(ONES * 0x21) & !x & HIGH;
@@ -605,6 +605,95 @@ fn token_end(bytes: &[u8], mut i: usize) -> usize {
         i += 1;
     }
     i
+}
+
+/// `0x01` and `0x80` in each byte of a word: the masks of the
+/// eight-bytes-at-a-time scans.
+const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+const HIGH: u64 = u64::from_ne_bytes([0x80; 8]);
+
+/// The index of the first `\n` in `bytes`: the one newline scan of both
+/// ends of the wire, the server's [`crate::conn::LineAccumulator`] and the
+/// client's reply reader.
+pub fn find_newline(bytes: &[u8]) -> Option<usize> {
+    find_either(bytes, b'\n', b'\n')
+}
+
+/// The index of the first byte that is `a` or `b`. Eight bytes at a
+/// time: `x ^ a..` zeroes the bytes equal to `a`, and
+/// `(y - 0x01..) & !y & 0x80..` flags the zero bytes — exactly at the
+/// lowest flag (a borrow only flags bytes above a true zero), which is
+/// all the scan looks at.
+#[inline]
+fn find_either(bytes: &[u8], a: u8, b: u8) -> Option<usize> {
+    let zeros = |y: u64| y.wrapping_sub(ONES) & !y & HIGH;
+    let mut i = 0;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let x = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        let hit = zeros(x ^ (ONES * u64::from(a))) | zeros(x ^ (ONES * u64::from(b)));
+        if hit != 0 {
+            return Some(i + (hit.trailing_zeros() / 8) as usize);
+        }
+        i += 8;
+    }
+    (bytes[i..].iter().position(|&c| c == a || c == b)).map(|at| i + at)
+}
+
+/// A run of ASCII digits ended by `stop`, and what follows the `stop`;
+/// `None` for an empty run, any other byte, no `stop`, or a value past
+/// `u64`.
+#[inline]
+fn leading_number(bytes: &[u8], stop: u8) -> Option<(u64, &[u8])> {
+    let mut v = 0u64;
+    for (k, &b) in bytes.iter().enumerate() {
+        if b == stop {
+            return (k > 0).then(|| (v, &bytes[k + 1..]));
+        }
+        v = push_digit(v, b)?;
+    }
+    None
+}
+
+/// `bytes` as one run of ASCII digits, if its value fits a `u64`.
+#[inline]
+fn whole_number(bytes: &[u8]) -> Option<u64> {
+    if bytes.is_empty() {
+        return None;
+    }
+    bytes.iter().try_fold(0u64, |v, &b| push_digit(v, b))
+}
+
+/// `v` with the ASCII digit `b` appended, if `b` is one and the value
+/// fits.
+#[inline]
+fn push_digit(v: u64, b: u8) -> Option<u64> {
+    let d = b.wrapping_sub(b'0');
+    if d > 9 {
+        return None;
+    }
+    v.checked_mul(10)?.checked_add(u64::from(d))
+}
+
+/// One float token by `str::parse` (exact), if it passes the domain
+/// check the token parser applies ([`in_domain`]).
+#[inline]
+fn float_token(token: &[u8]) -> Option<f64> {
+    let v: f64 = std::str::from_utf8(token).ok()?.parse().ok()?;
+    (v.is_finite() && v >= 0.0).then_some(v)
+}
+
+/// A usage or limit token ended by a space — one float, or a `cpu,mem`
+/// pair — and what follows the space.
+#[inline]
+fn float_lanes(bytes: &[u8]) -> Option<(f64, Option<f64>, &[u8])> {
+    let at = find_either(bytes, b' ', b',')?;
+    let cpu = float_token(&bytes[..at])?;
+    if bytes[at] == b' ' {
+        return Some((cpu, None, &bytes[at + 1..]));
+    }
+    let rest = &bytes[at + 1..];
+    let end = find_either(rest, b' ', b' ')?;
+    Some((cpu, Some(float_token(&rest[..end])?), &rest[end + 1..]))
 }
 
 /// The arity error for `verb`, its operands counted — the only place a
@@ -933,7 +1022,9 @@ impl Request {
     }
 
     /// Parses one request line using a reusable [`ProtoScratch`], in one
-    /// forward pass over its tokens. In the steady state this performs no
+    /// forward pass: an `OBSERVE` in the wire's own spelling through
+    /// [`Request::decode_observe`], any other line through
+    /// [`Request::parse_tokens_in`]. In the steady state this performs no
     /// heap allocation: repeated cell names come back as reference clones
     /// from the scratch's intern table. Error paths may allocate (they
     /// copy the offending token into the error).
@@ -942,6 +1033,62 @@ impl Request {
     ///
     /// Returns a typed [`ProtoError`]; malformed input never panics.
     pub fn parse_in(line: &str, scratch: &mut ProtoScratch) -> Result<Request, ProtoError> {
+        match Request::decode_observe(line.as_bytes(), scratch) {
+            Some(req) => Ok(req),
+            None => Request::parse_tokens_in(line, scratch),
+        }
+    }
+
+    /// Decodes an `OBSERVE` line straight from its bytes, in one pass:
+    /// the data plane's fast path. It takes the wire's own spelling —
+    /// single spaces, a cell the scratch has interned (matched by its
+    /// bytes), plain digits for the machine, the `job:index` and the
+    /// tick — with each float token read by `str::parse` and the
+    /// token parser's domain check. `line` comes without its newline.
+    /// Any other line is `None`: another verb, a whitespace run, a `\r`,
+    /// a sign on an id, a bad token, a value out of its domain, a cell
+    /// seen for the first time. [`Request::parse_tokens_in`] decides
+    /// those, so it stays the one source of errors; on every line this
+    /// takes it answers the same request. No heap allocation.
+    pub fn decode_observe(line: &[u8], scratch: &ProtoScratch) -> Option<Request> {
+        if line.len() > MAX_LINE_BYTES {
+            return None;
+        }
+        let rest = line.strip_prefix(b"OBSERVE ")?;
+        let (cell, rest) = scratch.cells.iter().find_map(|cell| {
+            let rest = rest.strip_prefix(cell.name().as_bytes())?;
+            Some((cell, rest.strip_prefix(b" ")?))
+        })?;
+        let (machine, rest) = leading_number(rest, b' ')?;
+        let (job, rest) = leading_number(rest, b':')?;
+        let (index, rest) = leading_number(rest, b' ')?;
+        let (usage, mem_usage, rest) = float_lanes(rest)?;
+        let (limit, mem_limit, rest) = float_lanes(rest)?;
+        let tick = whole_number(rest)?;
+        let mem = match (mem_usage, mem_limit) {
+            (Some(u), Some(l)) => Some((u, l)),
+            (None, None) => None,
+            _ => return None,
+        };
+        Some(Request::Observe {
+            cell: cell.clone(),
+            machine: MachineId(u32::try_from(machine).ok()?),
+            task: TaskId::new(JobId(job), u32::try_from(index).ok()?),
+            usage,
+            limit,
+            mem,
+            tick,
+        })
+    }
+
+    /// Parses one request line token by token: every verb, every spelling
+    /// and every error. [`Request::parse_in`] comes here for each line
+    /// [`Request::decode_observe`] does not take.
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`ProtoError`]; malformed input never panics.
+    pub fn parse_tokens_in(line: &str, scratch: &mut ProtoScratch) -> Result<Request, ProtoError> {
         if line.len() > MAX_LINE_BYTES {
             return Err(ProtoError::LineTooLong { len: line.len() });
         }

@@ -11,12 +11,15 @@
 //!
 //! **Readiness semantics.** Polling is level-triggered. A readable
 //! connection is drained to `WouldBlock` (or the write high-water mark,
-//! see below) per event; complete lines are processed in arrival order
-//! and every response byte is appended to the connection's output
-//! buffer, preserving the one-response-per-request-in-order contract.
+//! see below) per event, [`READ_SCRATCH`] bytes per read; complete lines
+//! are processed in arrival order and every response byte is appended to
+//! the connection's output buffer, preserving the
+//! one-response-per-request-in-order contract.
 //!
 //! **Write backpressure.** Responses are written opportunistically after
-//! every burst of processing. On `WouldBlock` the remainder stays
+//! every read: its lines are answered before the next read is taken, so
+//! a pipelining client gets its first replies while it still sends. On
+//! `WouldBlock` the remainder stays
 //! buffered, `WRITABLE` interest is armed, and
 //! `serve.reactor.writes_blocked` ticks. While more than
 //! [`OUTBUF_HIGH_WATER`] bytes are pending the connection's `READABLE`
@@ -58,9 +61,10 @@ const WAKE_TOKEN: usize = usize::MAX;
 /// (write backpressure); reading resumes once the buffer drains.
 pub(crate) const OUTBUF_HIGH_WATER: usize = 256 * 1024;
 
-/// Per-event read scratch size. One buffer per reactor thread, shared by
-/// all of its connections.
-const READ_SCRATCH: usize = 64 * 1024;
+/// Bytes one read takes at most; each read's lines are answered before
+/// the next. One buffer per reactor thread, shared by all of its
+/// connections.
+const READ_SCRATCH: usize = 8 * 1024;
 
 /// New-connection handoff slot for one reactor thread.
 struct Injector {
@@ -334,7 +338,8 @@ impl ReactorThread {
     }
 
     /// Drains readable bytes, feeding complete lines through the shared
-    /// protocol path. Responses accumulate in `conn.outbuf`.
+    /// protocol path. Each read's responses are written out before the
+    /// next read; what the socket does not take stays in `conn.outbuf`.
     fn read_and_process(&mut self, conn: &mut RConn) -> Result<(), Close> {
         loop {
             match conn.stream.read(&mut self.scratch) {
@@ -360,6 +365,8 @@ impl ReactorThread {
                         drop(req_span);
                         Ok(keep)
                     });
+                    // Every answer of this read goes out before the next.
+                    let _ = flush_chunk(state, outbuf, pool, shared);
                     match fed {
                         Ok(Feed::More) => {}
                         Ok(Feed::Close) => {
@@ -367,14 +374,13 @@ impl ReactorThread {
                             break;
                         }
                         Ok(Feed::Oversize) => {
-                            let RConn { state, outbuf, .. } = conn;
-                            let _ = flush_chunk(state, outbuf, &self.pool, &self.shared);
                             let _ = state.respond(outbuf, &oversize_resp());
                             conn.draining = true;
                             break;
                         }
                         Err(_) => return Err(Close),
                     }
+                    self.try_write(conn)?;
                     if conn.pending() > OUTBUF_HIGH_WATER {
                         break; // backpressure: stop reading until drained
                     }
@@ -384,10 +390,6 @@ impl ReactorThread {
                 Err(_) => return Err(Close),
             }
         }
-        // The readable burst has run dry: apply the pending observe
-        // chunk, so every response of the burst is in the output buffer.
-        let RConn { state, outbuf, .. } = conn;
-        let _ = flush_chunk(state, outbuf, &self.pool, &self.shared);
         Ok(())
     }
 

@@ -1,5 +1,6 @@
 //! The data-plane codec allocates nothing in the steady state: encoding
-//! and parsing `OBSERVE` (both forms), `PREDICT` and `ADMIT`, and
+//! and parsing `OBSERVE` (both forms, through the token parser and the
+//! byte decoder), `PREDICT` and `ADMIT`, and
 //! encoding and parsing the `OK`/`PRED`/`ADMITTED` replies, once the
 //! buffers and the parse scratch are warm. A counting global allocator
 //! (this test binary's own) pins it.
@@ -125,6 +126,12 @@ fn the_hot_codec_paths_allocate_nothing_when_warm() {
         assert_eq!(n, 0, "parse_in of {line}");
         // The comparison clones nothing; the parsed value is dropped after.
         assert_eq!(parsed.unwrap().as_ref(), Ok(req));
+        if let Request::Observe { .. } = req {
+            let mut decoded = None;
+            let n = allocations(|| decoded = Request::decode_observe(line.as_bytes(), &scratch));
+            assert_eq!(n, 0, "decode_observe of {line}");
+            assert_eq!(decoded.as_ref(), Some(req));
+        }
     }
     for (resp, line) in responses.iter().zip(&replies) {
         let n = allocations(|| {

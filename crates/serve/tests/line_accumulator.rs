@@ -4,13 +4,16 @@
 //! line is never delivered, and an unterminated over-long accumulation
 //! is reported instead of buffered without bound.
 //!
+//! The newline scan under it, `find_newline`, is checked at every
+//! offset and alignment against a byte-by-byte search.
+//!
 //! These invariants are what make the reactor frontend's arbitrary
 //! wakeup boundaries safe: an epoll read can end anywhere — mid-line,
 //! mid-frame, one byte at a time — and the protocol layer above must
 //! never notice.
 
 use oc_serve::conn::{Feed, LineAccumulator};
-use oc_serve::proto::MAX_LINE_BYTES;
+use oc_serve::proto::{find_newline, MAX_LINE_BYTES};
 use proptest::prelude::*;
 
 /// Joins generated line bodies into a wire payload: every body gets its
@@ -159,5 +162,52 @@ proptest! {
         }).unwrap();
         prop_assert_eq!(fed, Feed::Close);
         prop_assert_eq!(seen, close_at + 1, "delivery stops at the close");
+    }
+}
+
+/// Bytes one bit or one borrow away from a newline, which the
+/// eight-bytes-at-a-time scan must not take for one.
+const NEAR_NEWLINE: [u8; 8] = [0x0b, 0x09, 0x8a, 0x0a ^ 0x80, 0x01, 0x00, 0xff, b'x'];
+
+/// `find_newline` answers the first `\n` wherever it sits: at every
+/// offset of every length up to five words, behind every start
+/// alignment, with or without a later newline, among bytes next to a
+/// newline's bit pattern.
+#[test]
+fn find_newline_finds_the_first_newline_at_every_offset_and_alignment() {
+    let mut buf = [0u8; 48];
+    for align in 0..8 {
+        for len in 0..=40 {
+            for first in (0..len).map(Some).chain([None]) {
+                for (k, b) in buf.iter_mut().enumerate() {
+                    *b = NEAR_NEWLINE[(k * 5 + len + align) % NEAR_NEWLINE.len()];
+                }
+                let bytes = &mut buf[align..align + len];
+                if let Some(at) = first {
+                    bytes[at] = b'\n';
+                    if let Some(later) = bytes.get_mut(at + 1 + len % 9) {
+                        *later = b'\n';
+                    }
+                }
+                assert_eq!(
+                    find_newline(bytes),
+                    first,
+                    "align {align}, len {len}: {bytes:?}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    /// On any bytes, `find_newline` agrees with a byte-by-byte search.
+    #[test]
+    fn find_newline_agrees_with_a_bytewise_search(
+        bytes in proptest::collection::vec(0u32..=255, 0..80),
+        skip in 0usize..8,
+    ) {
+        let bytes: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
+        let bytes = &bytes[skip.min(bytes.len())..];
+        prop_assert_eq!(find_newline(bytes), bytes.iter().position(|&b| b == b'\n'));
     }
 }

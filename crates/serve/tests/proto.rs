@@ -877,3 +877,174 @@ proptest! {
         }
     }
 }
+
+/// A cell name of `len` characters picked by `bits`: ASCII beside
+/// punctuation the grammar uses elsewhere, and multi-byte UTF-8.
+fn cell_name(len: usize, mut bits: u64) -> String {
+    const CHARS: [char; 12] = ['a', 'Z', '0', '9', '-', '_', '.', ':', ',', '*', 'é', '·'];
+    (0..len.max(1))
+        .map(|_| {
+            bits = bits.rotate_left(5) ^ 0x9E37;
+            CHARS[bits as usize % CHARS.len()]
+        })
+        .collect()
+}
+
+/// A non-negative float of shape `kind` from `bits`: integral, tiny,
+/// large, any finite bit pattern, or the unit interval the traffic uses.
+fn shaped_float(kind: u32, bits: u64) -> f64 {
+    let unit = (bits >> 11) as f64 / (1u64 << 53) as f64;
+    match kind % 5 {
+        0 => (bits % 10_000_000) as f64,
+        1 => unit * 1e-9,
+        2 => (bits >> 11) as f64 * 1e12,
+        3 => match f64::from_bits(bits & !(1 << 63)) {
+            v if v.is_finite() => v,
+            _ => 0.0,
+        },
+        _ => unit,
+    }
+}
+
+/// What a connection makes of one request line: the byte decoder's
+/// request, else the `&str` path's request or error text.
+fn served(raw: &[u8], scratch: &mut ProtoScratch) -> Result<Request, String> {
+    match Request::decode_observe(raw, scratch) {
+        Some(req) => Ok(req),
+        None => by_tokens(raw, scratch),
+    }
+}
+
+/// The `&str` path alone: the token parser's request or error text.
+fn by_tokens(raw: &[u8], scratch: &mut ProtoScratch) -> Result<Request, String> {
+    let line = std::str::from_utf8(raw).map_err(|_| "request line is not valid UTF-8")?;
+    Request::parse_tokens_in(line.trim_end_matches(['\r', '\n']), scratch)
+        .map_err(|e| e.to_string())
+}
+
+/// One mutation of an `OBSERVE` line's tokens — each one the byte
+/// decoder must hand to the `&str` path, or decode to the request that
+/// path gives (leading zeros, a float's `+` or exponent); returns
+/// whether to join the tokens with runs of spaces and tabs instead of
+/// single spaces.
+fn mutate(rng: &mut SplitMix, tokens: &mut Vec<Vec<u8>>) -> bool {
+    let pick = |rng: &mut SplitMix, from: &[&'static str]| -> Vec<u8> {
+        from[rng.below(from.len() as u64) as usize].into()
+    };
+    let float = 4 + rng.below(2) as usize;
+    let at = 1 + rng.below(tokens.len() as u64 - 1) as usize;
+    match rng.below(11) {
+        0 => return true,
+        1 => tokens.last_mut().unwrap().push(b'\r'),
+        2 => tokens[[2, 6, float][rng.below(3) as usize]].insert(0, b'+'),
+        3 => tokens[float] = pick(rng, &["5e-1", "1E3", "2.5e+2", "1e0,2e0"]),
+        4 => tokens[float] = pick(rng, &["inf", "NaN", "-0.5", "-0", "infinity", "0.5,-1"]),
+        5 => {
+            let (slot, big) = match rng.below(3) {
+                0 => (2, "4294967296"),
+                1 => (3, "18446744073709551616:0"),
+                _ => (6, "18446744073709551616"),
+            };
+            tokens[slot] = big.into();
+        }
+        6 => drop(tokens.remove(at)),
+        7 => tokens.insert(at, pick(rng, &["7", "x", "", "0.5"])),
+        8 => {
+            tokens[3] = pick(
+                rng,
+                &["12", "12:", ":3", "1:2:3", "a:1", "1;2", "1:4294967296"],
+            )
+        }
+        9 => {
+            let t = &mut tokens[rng.below(7) as usize];
+            let cut = rng.below(t.len() as u64 + 1) as usize;
+            t.insert(cut, [0xff, 0xc3, 0x80, 0xfe][rng.below(4) as usize]);
+        }
+        _ => tokens[[2, 6][rng.below(2) as usize]].insert(0, b'0'),
+    }
+    false
+}
+
+proptest! {
+    /// Every `OBSERVE` as `encode_into` writes it — scalar or pair, any
+    /// cell, any ids, integral, tiny and large floats — decodes through
+    /// the byte entry to the request it was, the one the `&str` path
+    /// gives once it has interned the cell; only a line past the length
+    /// cap is left to that path.
+    #[test]
+    fn the_byte_decoder_takes_every_encoded_observe(
+        cell_len in 1usize..24,
+        cell_bits in 0u64..=u64::MAX,
+        machine in 0u32..=u32::MAX,
+        job in 0u64..=u64::MAX,
+        index in 0u32..=u32::MAX,
+        tick in 0u64..=u64::MAX,
+        kinds in proptest::collection::vec(0u32..5, 4),
+        bits in proptest::collection::vec(0u64..=u64::MAX, 4),
+        pair in 0u32..2,
+    ) {
+        let f = |k: usize| shaped_float(kinds[k], bits[k]);
+        let req = Request::Observe {
+            cell: CellId::new(cell_name(cell_len, cell_bits)),
+            machine: MachineId(machine),
+            task: TaskId::new(JobId(job), index),
+            usage: f(0),
+            limit: f(1),
+            mem: (pair == 1).then(|| (f(2), f(3))),
+            tick,
+        };
+        let mut line = Vec::new();
+        req.encode_into(&mut line);
+        let mut scratch = ProtoScratch::new();
+        let fits = line.len() <= MAX_LINE_BYTES;
+        let want = match fits {
+            true => Ok(req.clone()),
+            false => Err(ProtoError::LineTooLong { len: line.len() }.to_string()),
+        };
+        prop_assert_eq!(by_tokens(&line, &mut scratch), want);
+        prop_assert_eq!(Request::decode_observe(&line, &scratch), fits.then_some(req));
+    }
+
+    /// A mutated `OBSERVE` line — whitespace runs, `\r`, signs,
+    /// exponents, `inf`/`NaN`/negative values, overflowing ids, missing
+    /// or extra tokens, a bad `job:index`, bytes that are not UTF-8 — is
+    /// served exactly as the `&str` path serves it: the same request, or
+    /// the same error text.
+    #[test]
+    fn mutated_observes_are_served_as_the_str_path_serves_them(seed in 0u64..=u64::MAX) {
+        let mut rng = SplitMix(seed);
+        let mut scratch = ProtoScratch::new();
+        for _ in 0..32 {
+            let req = Request::Observe {
+                cell: CellId::new(CELLS[rng.below(4) as usize]),
+                machine: MachineId(rng.below(1 << 32) as u32),
+                task: TaskId::new(JobId(rng.next()), rng.below(1 << 32) as u32),
+                usage: rng.unit(),
+                limit: rng.unit() * 4.0,
+                mem: (rng.below(2) == 0).then(|| (rng.unit(), rng.unit())),
+                tick: rng.next(),
+            };
+            let mut tokens: Vec<Vec<u8>> =
+                req.encode().split(' ').map(|t| t.as_bytes().to_vec()).collect();
+            let runs = mutate(&mut rng, &mut tokens);
+            let mut line = Vec::new();
+            for (i, t) in tokens.iter().enumerate() {
+                if i > 0 {
+                    line.extend_from_slice(match runs {
+                        true => [" ", "  ", "\t", " \t "][rng.below(4) as usize].as_bytes(),
+                        false => b" ",
+                    });
+                }
+                line.extend_from_slice(t);
+            }
+            let want = by_tokens(&line, &mut scratch);
+            let got = served(&line, &mut scratch);
+            prop_assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "{:?}",
+                String::from_utf8_lossy(&line)
+            );
+        }
+    }
+}
